@@ -47,15 +47,15 @@ fn bench_dispatch_hot_loop(c: &mut Criterion) {
     let w = bench::micro_workload(&simbench::same_page_direct(10_000));
     let mut group = c.benchmark_group("dispatch_hot_loop");
     group.sample_size(10);
-    group.bench_function("chaining_on", |b| {
-        b.iter(|| bench::run_captive_chaining(&w, true).cycles)
-    });
-    group.bench_function("chaining_off", |b| {
-        b.iter(|| bench::run_captive_chaining(&w, false).cycles)
-    });
-    group.bench_function("regions_on", |b| {
-        b.iter(|| bench::run_captive_regions(&w).cycles)
-    });
+    for (label, config) in [
+        ("chaining_on", "chain-only"),
+        ("chaining_off", "nochain"),
+        ("regions_on", "sync"),
+    ] {
+        group.bench_function(label, |b| {
+            b.iter(|| bench::run_captive_cfg(&w, bench::captive_config(config)).cycles)
+        });
+    }
     group.finish();
 }
 

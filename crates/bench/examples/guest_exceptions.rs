@@ -24,7 +24,7 @@ fn main() {
     a.push(asm::subi(21, 21, 1));
     a.cbnz_to(21, "loop");
     a.push(asm::orr(0, 20, 20));
-    a.push(asm::svc(captive::runtime::SVC_EXIT));
+    a.push(asm::svc(guest_aarch64::sys::SVC_EXIT));
     a.push(asm::nop());
     a.label("vector");
     // EL1 handler: check the ESR class is SVC, bump x20, return.

@@ -12,12 +12,12 @@ fn main() {
     let mut a = Assembler::new();
     for ch in b"hello from the guest\n" {
         a.push(asm::movz(0, *ch as u32, 0));
-        a.push(asm::svc(captive::runtime::SVC_PUTCHAR));
+        a.push(asm::svc(guest_aarch64::sys::SVC_PUTCHAR));
     }
     a.push(asm::movz(1, 6, 0));
     a.push(asm::movz(2, 7, 0));
     a.push(asm::mul(0, 1, 2));
-    a.push(asm::svc(captive::runtime::SVC_EXIT));
+    a.push(asm::svc(guest_aarch64::sys::SVC_EXIT));
     let program = a.finish();
 
     let mut vm = Captive::new(CaptiveConfig::default());

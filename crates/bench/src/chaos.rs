@@ -49,6 +49,7 @@
 //! flags and guest memory on Captive (any configuration) and on the QEMU
 //! baseline; `bench/tests/chaos.rs` holds the engine to that.
 
+use crate::BenchEngine;
 use captive::{Captive, CaptiveConfig, RunExit};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
@@ -492,170 +493,89 @@ pub type ChaosCounters = Vec<(&'static str, u64)>;
 const CODE_DIGEST_LEN: u64 = 16 * 1024;
 const DATA_DIGEST_LEN: u64 = 64 * 1024;
 
-/// The Captive configurations the chaos proptest holds to one outcome.
+/// The Captive configurations (names in [`crate::CAPTIVE_CONFIGS`]) the chaos
+/// and virtio tests hold to one outcome.
 pub fn chaos_captive_configs() -> Vec<(&'static str, CaptiveConfig)> {
-    vec![
-        ("captive", CaptiveConfig::default()),
-        (
-            "captive-noopt",
-            CaptiveConfig {
-                opt: false,
-                ..CaptiveConfig::default()
-            },
-        ),
-        (
-            "captive-noloops",
-            CaptiveConfig {
-                loop_regions: false,
-                ..CaptiveConfig::default()
-            },
-        ),
-        (
-            "captive-nopromote",
-            CaptiveConfig {
-                promote: false,
-                ..CaptiveConfig::default()
-            },
-        ),
-        // The default config runs the guest-idiom layer; this leg pins the
-        // idiom-on/idiom-off/QEMU architectural outcomes byte-identical on
-        // every chaos seed.
-        (
-            "captive-noidiom",
-            CaptiveConfig {
-                idioms: false,
-                ..CaptiveConfig::default()
-            },
-        ),
-        (
-            "captive-tinycache",
-            CaptiveConfig {
-                cache_capacity_regions: Some(4),
-                ..CaptiveConfig::default()
-            },
-        ),
-        (
-            "captive-sync",
-            CaptiveConfig {
-                tiered: false,
-                ..CaptiveConfig::default()
-            },
-        ),
+    [
+        "default",
+        "noopt",
+        "nopromote",
+        "noidiom",
+        "tinycache",
+        "sync",
     ]
+    .into_iter()
+    .map(|name| (name, crate::captive_config(name)))
+    .collect()
 }
 
-/// Runs the plan under Captive with the given configuration.
-pub fn run_chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> (ChaosOutcome, ChaosCounters) {
-    let cfg = CaptiveConfig {
+/// Captive under `cfg` with the plan's device attached.
+pub fn chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> Captive {
+    Captive::new(CaptiveConfig {
         virtio: Some(plan.virtio.clone()),
         ..cfg
-    };
-    let mut c = Captive::new(cfg);
-    c.load_program(CODE_BASE, &plan.workload.words);
-    c.set_entry(plan.workload.entry);
-    for &(cycle, line) in &plan.schedule {
-        c.runtime.events.latch.raise_at(cycle, line);
-    }
-    let exit = c.run(crate::BLOCK_BUDGET);
-    assert!(
-        matches!(exit, RunExit::GuestHalted { .. }),
-        "chaos seed {:#x}: unexpected captive exit {exit:?}",
-        plan.seed
-    );
-    let s = c.stats();
-    let mut regs = [0u64; 31];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = c.guest_reg(i as u32);
-    }
-    let outcome = ChaosOutcome {
-        regs,
-        nzcv: c.guest_nzcv(),
-        code_digest: c.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
-        data_digest: c.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
-        irqs_delivered: s.irqs_delivered,
-        completions: s.virtio_completions,
-        io_errors: s.virtio_io_errors,
-        fault_injections: s.virtio_fault_injections,
-    };
-    let counters = vec![
-        ("cycles", s.cycles),
-        ("host_insns", s.host_insns),
-        ("guest_insns", s.guest_insns),
-        ("blocks", s.blocks),
-        ("translations", s.translations),
-        ("guest_exceptions", s.guest_exceptions),
-        ("irqs_delivered", s.irqs_delivered),
-        ("timer_irqs", s.timer_irqs),
-        ("regions_formed", s.regions_formed),
-        ("loop_regions_formed", s.loop_regions_formed),
-        ("capacity_evictions", s.capacity_evictions),
-        ("bytes_live", s.bytes_live),
-        ("regions_live", s.regions_live),
-        ("formation_failures", s.formation_failures),
-        ("regions_quarantined", s.regions_quarantined),
-        ("regions_evicted", s.regions_evicted),
-        // Tiered-service counters: deterministic because requests publish at
-        // fixed link heats and results are consumed at the (blocking) install
-        // point.  Wall-clock fields (jit_wall_ns etc.) are deliberately NOT
-        // here — they are nondeterministic by nature.
-        ("tier1_requests", s.tier1_requests),
-        ("regions_installed_async", s.regions_installed_async),
-        ("stale_discards", s.stale_discards),
-        ("reuse_hits", s.reuse_hits),
-        ("reuse_misses", s.reuse_misses),
-        // Virtio counters: completion order and payloads are fixed at kick
-        // time, so every one of these is deterministic per seed.
-        ("virtio_kicks", s.virtio_kicks),
-        ("virtio_submissions", s.virtio_submissions),
-        ("virtio_completions", s.virtio_completions),
-        ("virtio_irqs", s.virtio_irqs),
-        ("virtio_fault_injections", s.virtio_fault_injections),
-        ("virtio_dma_bytes", s.virtio_dma_bytes),
-        ("virtio_io_errors", s.virtio_io_errors),
-        ("external_invalidations", s.external_invalidations),
-    ];
-    (outcome, counters)
+    })
 }
 
-/// Runs the plan under the QEMU-style baseline.
-pub fn run_chaos_qemu(plan: &ChaosPlan) -> (ChaosOutcome, ChaosCounters) {
+/// The QEMU-style baseline with the plan's device attached.
+pub fn chaos_qemu(plan: &ChaosPlan) -> QemuRef {
     let mut q = QemuRef::new(32 * 1024 * 1024);
-    q.load_program(CODE_BASE, &plan.workload.words);
-    q.set_entry(plan.workload.entry);
     q.attach_virtio(plan.virtio.clone());
+    q
+}
+
+/// Runs the plan on `e` (built by [`chaos_captive`] or [`chaos_qemu`]).
+pub fn run_chaos<E: BenchEngine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, ChaosCounters) {
+    e.load_program(CODE_BASE, &plan.workload.words);
+    e.set_entry(plan.workload.entry);
     for &(cycle, line) in &plan.schedule {
-        q.runtime.events.latch.raise_at(cycle, line);
+        e.parts_mut().0.events.latch.raise_at(cycle, line);
     }
-    let exit = q.run(crate::BLOCK_BUDGET);
+    let exit = e.run(crate::BLOCK_BUDGET);
     assert!(
-        matches!(exit, qemu_ref::RunExit::GuestHalted { .. }),
-        "chaos seed {:#x}: unexpected qemu exit {exit:?}",
+        matches!(exit, RunExit::GuestHalted { .. }),
+        "chaos seed {:#x}: unexpected exit {exit:?}",
         plan.seed
     );
-    let s = q.stats();
-    let mut regs = [0u64; 31];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = q.guest_reg(i as u32);
-    }
+    let s = e.sys_stats();
     let outcome = ChaosOutcome {
-        regs,
-        nzcv: q.guest_nzcv(),
-        code_digest: q.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
-        data_digest: q.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
+        regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
+        nzcv: e.guest_nzcv(),
+        code_digest: e.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
+        data_digest: e.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
         irqs_delivered: s.irqs_delivered,
         completions: s.virtio_completions,
         io_errors: s.virtio_io_errors,
         fault_injections: s.virtio_fault_injections,
     };
+    let m = e.measurement();
+    // Wall-clock fields (jit_wall_ns etc.) are deliberately NOT here — they
+    // are nondeterministic by nature.  The tiered-service counters are
+    // deterministic because requests publish at fixed link heats and results
+    // are consumed at the (blocking) install point; the virtio counters
+    // because completion order and payloads are fixed at kick time.
     let counters = vec![
-        ("cycles", s.cycles),
-        ("host_insns", s.host_insns),
-        ("guest_insns", s.guest_insns),
-        ("blocks", s.blocks),
-        ("translations", s.translations),
+        ("cycles", m.cycles),
+        ("host_insns", m.host_insns),
+        ("guest_insns", m.guest_insns),
+        ("blocks", m.blocks),
+        ("translations", m.translations),
         ("guest_exceptions", s.guest_exceptions),
         ("irqs_delivered", s.irqs_delivered),
         ("timer_irqs", s.timer_irqs),
+        ("regions_formed", m.regions_formed),
+        ("loop_regions_formed", m.loop_regions_formed),
+        ("capacity_evictions", m.capacity_evictions),
+        ("bytes_live", m.bytes_live),
+        ("regions_live", m.regions_live),
+        ("formation_failures", m.formation_failures),
+        ("regions_quarantined", m.regions_quarantined),
+        ("regions_evicted", m.regions_evicted),
+        ("tier1_requests", m.tier1_requests),
+        ("regions_installed_async", m.regions_installed_async),
+        ("stale_discards", m.stale_discards),
+        ("reuse_hits", m.reuse_hits),
+        ("reuse_misses", m.reuse_misses),
         ("virtio_kicks", s.virtio_kicks),
         ("virtio_submissions", s.virtio_submissions),
         ("virtio_completions", s.virtio_completions),

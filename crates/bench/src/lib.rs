@@ -3,6 +3,7 @@
 //! baseline, runs it to completion, and reports simulated-cycle statistics.
 
 use captive::{Captive, CaptiveConfig, FpMode, RunExit};
+use guest_aarch64::sys::Engine;
 use qemu_ref::QemuRef;
 use workloads::Workload;
 
@@ -12,7 +13,7 @@ pub mod chaos;
 pub const BLOCK_BUDGET: u64 = 200_000_000;
 
 /// Result of running one guest program on one system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Measurement {
     /// Simulated host cycles.
     pub cycles: u64,
@@ -96,6 +97,10 @@ pub struct Measurement {
     pub bytes_live: u64,
     /// Regions resident in the code cache at run end (Captive only).
     pub regions_live: u64,
+    /// Stale-generation regions evicted by the context-generation sweep
+    /// (Captive only; compared by the chaos determinism check, not part of
+    /// the figures JSON).
+    pub regions_evicted: u64,
     /// Region formations that produced nothing (Captive only).
     pub formation_failures: u64,
     /// Trace heads quarantined after repeated formation failures (Captive
@@ -156,363 +161,197 @@ impl Measurement {
     }
 }
 
-/// Runs a workload under Captive (hardware FP, chaining on).
-pub fn run_captive(w: &Workload) -> Measurement {
-    run_captive_with(w, FpMode::Hardware, false)
-}
+/// One named Captive configuration: the name and the edit it makes to
+/// [`CaptiveConfig::default`].
+pub type NamedConfig = (&'static str, fn(&mut CaptiveConfig));
 
-/// Runs a workload under Captive with explicit FP mode / per-block stats.
-pub fn run_captive_with(w: &Workload, fp: FpMode, per_block: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            fp_mode: fp,
-            per_block_stats: per_block,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with chaining forced on or off.
+/// Every Captive configuration the figures, the chaos harness and the
+/// integration tests run, by name; build one with [`captive_config`].
 ///
-/// Region formation is pinned off: this entry point measures *chaining
-/// alone*, and the chaining-gap equality checks (tests and `figures --
-/// chaining`) pin chain-only cycle accounting.
-pub fn run_captive_chaining(w: &Workload, chaining: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            chaining,
-            form_regions: false,
-            ..CaptiveConfig::default()
-        },
-    )
+/// The single-knob ablations pin the tiered service off: it cannot change
+/// what a knob does to the translated code, and the ablations want
+/// single-threaded wall-clock accounting (`default` and `tinycache` keep the
+/// tiered path covered).
+pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
+    ("default", |_| {}),
+    // Synchronous region formation on the run thread.
+    ("sync", |c| c.tiered = false),
+    ("noopt", |c| {
+        c.opt = false;
+        c.tiered = false;
+    }),
+    // Looping regions without loop-carried register promotion.
+    ("nopromote", |c| {
+        c.promote = false;
+        c.tiered = false;
+    }),
+    ("noidiom", |c| {
+        c.idioms = false;
+        c.tiered = false;
+    }),
+    // Chaining alone, no region formation: the chaining-gap equality checks
+    // pin chain-only cycle accounting against this and `nochain`.
+    ("chain-only", |c| c.form_regions = false),
+    ("nochain", |c| {
+        c.chaining = false;
+        c.form_regions = false;
+    }),
+    // A deliberately starved code cache.
+    ("tinycache", |c| c.cache_capacity_regions = Some(4)),
+    ("softfp", |c| c.fp_mode = FpMode::Software),
+    // Per-region cycle attribution (Fig. 21).
+    ("profiled", |c| c.per_block_stats = true),
+];
+
+/// Builds the configuration `name` from [`CAPTIVE_CONFIGS`]; panics on a
+/// name the table does not hold.
+pub fn captive_config(name: &str) -> CaptiveConfig {
+    let (_, edit) = CAPTIVE_CONFIGS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no Captive configuration named {name:?}"));
+    let mut cfg = CaptiveConfig::default();
+    edit(&mut cfg);
+    cfg
 }
 
-/// Runs a workload under Captive with the tiered translation service forced
-/// on or off (everything else default).  Modeled cycles are identical either
-/// way; the wall-clock fields (`jit_wall_ns`, `tier_worker_wall_ns`) are what
-/// differ — this is the `figures -- tiers` comparison pair.
-pub fn run_captive_tiered(w: &Workload, tiered: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            tiered,
-            ..CaptiveConfig::default()
-        },
-    )
+/// What the generic drivers need from an engine beyond the shared
+/// [`Engine`] façade: the engine-specific half of a [`Measurement`].
+pub trait BenchEngine: Engine {
+    /// The counters only this engine has; [`drive`] fills in the shared
+    /// ones (IRQs, virtio).
+    fn measurement(&self) -> Measurement;
 }
 
-/// Same as [`run_captive_tiered`] with a shared content-keyed reuse cache,
-/// for repeated-image sweeps where later runs should hit templates published
-/// by earlier ones.
-pub fn run_captive_tiered_reuse(
-    w: &Workload,
-    reuse: &std::sync::Arc<dbt::ReuseCache>,
-) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            tiered: true,
-            reuse_cache: Some(std::sync::Arc::clone(reuse)),
-            ..CaptiveConfig::default()
-        },
-    )
+impl BenchEngine for Captive {
+    fn measurement(&self) -> Measurement {
+        let s = self.stats();
+        let per_rule = |prefix: &str, counts: &[(String, u64)]| {
+            counts
+                .iter()
+                .map(|(name, n)| (format!("{prefix}.{name}"), *n))
+                .collect::<Vec<_>>()
+        };
+        let mut counters = per_rule("idiom.hit", &s.idiom_hits);
+        counters.extend(per_rule("idiom.cand", &s.idiom_candidates));
+        Measurement {
+            cycles: s.cycles,
+            host_insns: s.host_insns,
+            guest_insns: s.guest_insns,
+            translations: s.translations,
+            code_bytes: s.code_bytes,
+            jit_seconds: self.timers.total().as_secs_f64(),
+            jit_fractions: self.timers.fractions(),
+            chained_transfers: s.chained_transfers,
+            chain_patches: s.chain_patches,
+            slow_dispatches: s.slow_dispatches,
+            itlb_hits: s.itlb_hits,
+            itlb_misses: s.itlb_misses,
+            dtlb_hits: s.dtlb_hits,
+            dtlb_misses: s.dtlb_misses,
+            region_transfers: s.region_transfers,
+            regions_formed: s.regions_formed,
+            regions_unrolled: s.regions_unrolled,
+            loop_regions_formed: s.loop_regions_formed,
+            backedge_transfers: s.backedge_transfers,
+            blocks: s.blocks,
+            opt_dead_stores: s.opt_dead_stores,
+            opt_forwarded_loads: s.opt_forwarded_loads,
+            opt_partial_forwarded: s.opt_partial_forwarded,
+            opt_copies_folded: s.opt_copies_folded,
+            opt_dce_insns: s.opt_dce_insns,
+            opt_promoted_slots: s.opt_promoted_slots,
+            opt_hoisted_loads: s.opt_hoisted_loads,
+            opt_fp_forwarded: s.opt_fp_forwarded,
+            opt_idioms_fused: s.opt_idioms_fused,
+            elided_dyn_insns: s.elided_dyn_insns,
+            capacity_evictions: s.capacity_evictions,
+            bytes_live: s.bytes_live,
+            regions_live: s.regions_live,
+            regions_evicted: s.regions_evicted,
+            formation_failures: s.formation_failures,
+            regions_quarantined: s.regions_quarantined,
+            lower_bailouts: self.timers.lower_bailouts,
+            tier1_requests: s.tier1_requests,
+            regions_installed_async: s.regions_installed_async,
+            stale_discards: s.stale_discards,
+            reuse_hits: s.reuse_hits,
+            reuse_misses: s.reuse_misses,
+            jit_wall_ns: s.jit_wall_ns,
+            tier_worker_wall_ns: s.tier_worker_wall_ns,
+            first_region_install_ns: s.first_region_install_ns,
+            counters,
+            ..Measurement::default()
+        }
+    }
 }
 
-/// Runs a workload under Captive with the LIR optimiser forced on or off
-/// (everything else default: chaining and superblocks on).  The tiered
-/// service is pinned off here and in the other single-knob ablation helpers:
-/// it cannot change modeled cycles, and the ablations want single-threaded
-/// wall-clock accounting.
-pub fn run_captive_opt(w: &Workload, opt: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            opt,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
+impl BenchEngine for QemuRef {
+    fn measurement(&self) -> Measurement {
+        let s = self.stats();
+        Measurement {
+            cycles: s.cycles,
+            host_insns: s.host_insns,
+            guest_insns: s.guest_insns,
+            translations: s.translations,
+            code_bytes: s.code_bytes,
+            jit_seconds: self.timers.total().as_secs_f64(),
+            jit_fractions: self.timers.fractions(),
+            chained_transfers: s.chained_transfers,
+            chain_patches: s.chain_patches,
+            slow_dispatches: s.blocks - s.chained_transfers,
+            blocks: s.blocks,
+            opt_dce_insns: self.timers.opt_dce_insns,
+            goto_tb_transfers: s.goto_tb_transfers,
+            lower_bailouts: self.timers.lower_bailouts,
+            ..Measurement::default()
+        }
+    }
 }
 
-/// Runs a workload under Captive with chaining plus region formation.
-pub fn run_captive_regions(w: &Workload) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            chaining: true,
-            form_regions: true,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with loop-body unrolling set explicitly
-/// and back-edge closing pinned OFF (1 disables peeling; chaining + regions
-/// stay on).  This measures the legacy peel machinery alone; the looping
-/// comparison lives in [`run_captive_loops`].
-pub fn run_captive_unroll(w: &Workload, unroll: usize) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            unroll_loops: unroll,
-            loop_regions: false,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with looping regions (back-edge closing)
-/// forced on or off; everything else default (chaining, region formation
-/// and unrolling on).  Loop promotion is pinned OFF so this entry point
-/// isolates the back-edge-closing machinery — the figures legs built on it
-/// assert exact pre-promotion cycle counts; the promotion comparison lives
-/// in [`run_captive_promote`].
-pub fn run_captive_loops(w: &Workload, loop_regions: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            loop_regions,
-            promote: false,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with loop-carried register promotion forced
-/// on or off; everything else default (chaining, regions, looping regions and
-/// unrolling on) — the `figures -- promote` comparison pair.
-pub fn run_captive_promote(w: &Workload, promote: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            promote,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with the guest-idiom layer forced on or
-/// off (tiered pinned off for single-threaded accounting; everything else
-/// default) — the `figures -- idioms` comparison pair.
-pub fn run_captive_idioms(w: &Workload, idioms: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            idioms,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// The profile-mined idiom flow: one observe-only pass (candidates counted,
-/// nothing rewritten), mine a [`dbt::RuleTable`] from the hot-region
-/// profiles, then re-run with the mined table applied.  Returns
-/// `(observe, mined, table)`.
-pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt::RuleTable) {
-    let cfg = || CaptiveConfig {
-        tiered: false,
-        ..CaptiveConfig::default()
-    };
-    let mut observer = Captive::new(cfg());
-    observer.set_idiom_rules(dbt::RuleTable::observe_only());
-    let observe = drive_captive(w, &mut observer);
-    let table = observer.mine_idiom_rules();
-    let mut miner = Captive::new(cfg());
-    miner.set_idiom_rules(table.clone());
-    let mined = drive_captive(w, &mut miner);
-    (observe, mined, table)
-}
-
-/// Runs a workload under Captive with a fully explicit configuration.
-pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> Measurement {
-    let mut c = Captive::new(cfg);
-    drive_captive(w, &mut c)
-}
-
-/// Loads, runs to the halt and extracts a [`Measurement`] from an already
-/// constructed engine (so callers can pre-seat a rule table or inspect the
-/// engine afterwards).
-fn drive_captive(w: &Workload, c: &mut Captive) -> Measurement {
-    c.load_program(workloads::CODE_BASE, &w.words);
-    c.set_entry(w.entry);
-    let exit = c.run(BLOCK_BUDGET);
+/// Loads `w` into an already constructed engine (so callers can pre-seat a
+/// rule table or attach a device), runs it to the halt and extracts the
+/// [`Measurement`].
+pub fn drive<E: BenchEngine>(w: &Workload, e: &mut E) -> Measurement {
+    e.load_program(workloads::CODE_BASE, &w.words);
+    e.set_entry(w.entry);
+    let exit = e.run(BLOCK_BUDGET);
     assert!(
         matches!(exit, RunExit::GuestHalted { .. }),
         "{}: unexpected exit {exit:?}",
         w.name
     );
-    let s = c.stats();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    for (name, n) in &s.idiom_hits {
-        counters.push((format!("idiom.hit.{name}"), *n));
-    }
-    for (name, n) in &s.idiom_candidates {
-        counters.push((format!("idiom.cand.{name}"), *n));
-    }
+    let mut m = e.measurement();
+    let s = e.sys_stats();
+    m.irqs_delivered = s.irqs_delivered;
+    m.timer_irqs = s.timer_irqs;
     if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-        counters.push(("virtio.kicks".into(), s.virtio_kicks));
-        counters.push(("virtio.submissions".into(), s.virtio_submissions));
-        counters.push(("virtio.completions".into(), s.virtio_completions));
-        counters.push(("virtio.irqs".into(), s.virtio_irqs));
-        counters.push(("virtio.fault_injections".into(), s.virtio_fault_injections));
-        counters.push(("virtio.dma_bytes".into(), s.virtio_dma_bytes));
-        counters.push(("virtio.io_errors".into(), s.virtio_io_errors));
-        counters.push((
-            "virtio.external_invalidations".into(),
-            s.external_invalidations,
-        ));
+        m.counters.extend(
+            [
+                ("virtio.kicks", s.virtio_kicks),
+                ("virtio.submissions", s.virtio_submissions),
+                ("virtio.completions", s.virtio_completions),
+                ("virtio.irqs", s.virtio_irqs),
+                ("virtio.fault_injections", s.virtio_fault_injections),
+                ("virtio.dma_bytes", s.virtio_dma_bytes),
+                ("virtio.io_errors", s.virtio_io_errors),
+                ("virtio.external_invalidations", s.external_invalidations),
+            ]
+            .map(|(k, v)| (k.to_string(), v)),
+        );
     }
-    Measurement {
-        cycles: s.cycles,
-        host_insns: s.host_insns,
-        guest_insns: s.guest_insns,
-        translations: s.translations,
-        code_bytes: s.code_bytes,
-        jit_seconds: c.timers.total().as_secs_f64(),
-        jit_fractions: c.timers.fractions(),
-        chained_transfers: s.chained_transfers,
-        chain_patches: s.chain_patches,
-        slow_dispatches: s.slow_dispatches,
-        itlb_hits: s.itlb_hits,
-        itlb_misses: s.itlb_misses,
-        dtlb_hits: s.dtlb_hits,
-        dtlb_misses: s.dtlb_misses,
-        region_transfers: s.region_transfers,
-        regions_formed: s.regions_formed,
-        regions_unrolled: s.regions_unrolled,
-        loop_regions_formed: s.loop_regions_formed,
-        backedge_transfers: s.backedge_transfers,
-        blocks: s.blocks,
-        opt_dead_stores: s.opt_dead_stores,
-        opt_forwarded_loads: s.opt_forwarded_loads,
-        opt_partial_forwarded: s.opt_partial_forwarded,
-        opt_copies_folded: s.opt_copies_folded,
-        opt_dce_insns: s.opt_dce_insns,
-        opt_promoted_slots: s.opt_promoted_slots,
-        opt_hoisted_loads: s.opt_hoisted_loads,
-        opt_fp_forwarded: s.opt_fp_forwarded,
-        opt_idioms_fused: s.opt_idioms_fused,
-        goto_tb_transfers: 0,
-        elided_dyn_insns: s.elided_dyn_insns,
-        irqs_delivered: s.irqs_delivered,
-        timer_irqs: s.timer_irqs,
-        capacity_evictions: s.capacity_evictions,
-        bytes_live: s.bytes_live,
-        regions_live: s.regions_live,
-        formation_failures: s.formation_failures,
-        regions_quarantined: s.regions_quarantined,
-        lower_bailouts: c.timers.lower_bailouts,
-        tier1_requests: s.tier1_requests,
-        regions_installed_async: s.regions_installed_async,
-        stale_discards: s.stale_discards,
-        reuse_hits: s.reuse_hits,
-        reuse_misses: s.reuse_misses,
-        jit_wall_ns: s.jit_wall_ns,
-        tier_worker_wall_ns: s.tier_worker_wall_ns,
-        first_region_install_ns: s.first_region_install_ns,
-        counters,
-    }
+    m
 }
 
-/// Runs a workload under the QEMU-style baseline (no chaining).
-pub fn run_qemu(w: &Workload) -> Measurement {
-    run_qemu_chaining(w, false)
+/// Runs a workload under Captive as shipped (`CaptiveConfig::default()`).
+pub fn run_captive(w: &Workload) -> Measurement {
+    run_captive_cfg(w, CaptiveConfig::default())
 }
 
-/// Runs a workload under the QEMU-style baseline with same-page chaining
-/// configured explicitly (the tightened baseline of real QEMU).
-pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> Measurement {
-    run_qemu_prepared(w, QemuRef::with_chaining(32 * 1024 * 1024, chaining))
-}
-
-/// Runs a workload under the strongest honest baseline: same-page chaining
-/// plus TCG-style `goto_tb` cross-page linking.  The `figures -- promote`
-/// headline speedups are measured against this configuration.
-pub fn run_qemu_goto_tb(w: &Workload) -> Measurement {
-    run_qemu_prepared(w, QemuRef::with_goto_tb(32 * 1024 * 1024))
-}
-
-fn run_qemu_prepared(w: &Workload, mut q: QemuRef) -> Measurement {
-    q.load_program(workloads::CODE_BASE, &w.words);
-    q.set_entry(w.entry);
-    let exit = q.run(BLOCK_BUDGET);
-    assert!(
-        matches!(exit, qemu_ref::RunExit::GuestHalted { .. }),
-        "{}: unexpected exit {exit:?}",
-        w.name
-    );
-    let s = q.stats();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-        counters.push(("virtio.kicks".into(), s.virtio_kicks));
-        counters.push(("virtio.submissions".into(), s.virtio_submissions));
-        counters.push(("virtio.completions".into(), s.virtio_completions));
-        counters.push(("virtio.irqs".into(), s.virtio_irqs));
-        counters.push(("virtio.fault_injections".into(), s.virtio_fault_injections));
-        counters.push(("virtio.dma_bytes".into(), s.virtio_dma_bytes));
-        counters.push(("virtio.io_errors".into(), s.virtio_io_errors));
-        counters.push((
-            "virtio.external_invalidations".into(),
-            s.external_invalidations,
-        ));
-    }
-    Measurement {
-        cycles: s.cycles,
-        host_insns: s.host_insns,
-        guest_insns: s.guest_insns,
-        translations: s.translations,
-        code_bytes: s.code_bytes,
-        jit_seconds: q.timers.total().as_secs_f64(),
-        jit_fractions: q.timers.fractions(),
-        chained_transfers: s.chained_transfers,
-        chain_patches: s.chain_patches,
-        slow_dispatches: s.blocks - s.chained_transfers,
-        itlb_hits: 0,
-        itlb_misses: 0,
-        dtlb_hits: 0,
-        dtlb_misses: 0,
-        region_transfers: 0,
-        regions_formed: 0,
-        regions_unrolled: 0,
-        loop_regions_formed: 0,
-        backedge_transfers: 0,
-        blocks: s.blocks,
-        opt_dead_stores: 0,
-        opt_forwarded_loads: 0,
-        opt_partial_forwarded: 0,
-        opt_copies_folded: 0,
-        opt_dce_insns: q.timers.opt_dce_insns,
-        opt_promoted_slots: 0,
-        opt_hoisted_loads: 0,
-        opt_fp_forwarded: 0,
-        opt_idioms_fused: 0,
-        goto_tb_transfers: s.goto_tb_transfers,
-        elided_dyn_insns: 0,
-        irqs_delivered: s.irqs_delivered,
-        timer_irqs: s.timer_irqs,
-        capacity_evictions: 0,
-        bytes_live: 0,
-        regions_live: 0,
-        formation_failures: 0,
-        regions_quarantined: 0,
-        lower_bailouts: q.timers.lower_bailouts,
-        tier1_requests: 0,
-        regions_installed_async: 0,
-        stale_discards: 0,
-        reuse_hits: 0,
-        reuse_misses: 0,
-        jit_wall_ns: 0,
-        tier_worker_wall_ns: 0,
-        first_region_install_ns: 0,
-        counters,
-    }
+/// Runs a workload under Captive with an explicit configuration — usually a
+/// named one, `run_captive_cfg(w, captive_config("noopt"))`.
+pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> Measurement {
+    drive(w, &mut Captive::new(cfg))
 }
 
 /// Runs a workload under Captive with a virtio-blk device attached on top
@@ -527,12 +366,61 @@ pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConf
     )
 }
 
+/// Runs a workload under default Captive with a shared content-keyed reuse
+/// cache, for repeated-image sweeps where later runs should hit templates
+/// published by earlier ones.
+pub fn run_captive_tiered_reuse(
+    w: &Workload,
+    reuse: &std::sync::Arc<dbt::ReuseCache>,
+) -> Measurement {
+    run_captive_cfg(
+        w,
+        CaptiveConfig {
+            reuse_cache: Some(std::sync::Arc::clone(reuse)),
+            ..CaptiveConfig::default()
+        },
+    )
+}
+
+/// The profile-mined idiom flow: one observe-only pass (candidates counted,
+/// nothing rewritten), mine a [`dbt::RuleTable`] from the hot-region
+/// profiles, then re-run with the mined table applied.  Returns
+/// `(observe, mined, table)`.
+pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt::RuleTable) {
+    let mut observer = Captive::new(captive_config("sync"));
+    observer.set_idiom_rules(dbt::RuleTable::observe_only());
+    let observe = drive(w, &mut observer);
+    let table = observer.mine_idiom_rules();
+    let mut miner = Captive::new(captive_config("sync"));
+    miner.set_idiom_rules(table.clone());
+    let mined = drive(w, &mut miner);
+    (observe, mined, table)
+}
+
+/// Runs a workload under the QEMU-style baseline (no chaining).
+pub fn run_qemu(w: &Workload) -> Measurement {
+    run_qemu_chaining(w, false)
+}
+
+/// Runs a workload under the QEMU-style baseline with same-page chaining
+/// configured explicitly (the tightened baseline of real QEMU).
+pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> Measurement {
+    drive(w, &mut QemuRef::with_chaining(32 * 1024 * 1024, chaining))
+}
+
+/// Runs a workload under the strongest honest baseline: same-page chaining
+/// plus TCG-style `goto_tb` cross-page linking.  The `figures -- promote`
+/// headline speedups are measured against this configuration.
+pub fn run_qemu_goto_tb(w: &Workload) -> Measurement {
+    drive(w, &mut QemuRef::with_goto_tb(32 * 1024 * 1024))
+}
+
 /// Runs a workload under the QEMU-style baseline with a virtio-blk device
 /// attached (plain non-chaining configuration, like [`run_qemu`]).
 pub fn run_qemu_io(w: &Workload, vcfg: hvm::VirtioBlkConfig) -> Measurement {
     let mut q = QemuRef::new(32 * 1024 * 1024);
     q.attach_virtio(vcfg);
-    run_qemu_prepared(w, q)
+    drive(w, &mut q)
 }
 
 /// Wraps a SimBench micro-benchmark as a [`Workload`] so it can go through
@@ -548,17 +436,14 @@ pub fn micro_workload(b: &simbench::MicroBench) -> Workload {
 
 /// Runs a raw instruction-word program (SimBench) on both systems, returning
 /// (captive cycles, qemu cycles).
-pub fn run_both_raw(name: &str, words: &[u32], entry: u64) -> (u64, u64) {
+pub fn run_both_raw(name: &'static str, words: &[u32], entry: u64) -> (u64, u64) {
     let w = Workload {
-        name: "micro",
+        name,
         suite: workloads::Suite::Int,
         words: words.to_vec(),
         entry,
     };
-    let c = run_captive(&w);
-    let q = run_qemu(&w);
-    let _ = name;
-    (c.cycles, q.cycles)
+    (run_captive(&w).cycles, run_qemu(&w).cycles)
 }
 
 /// Geometric mean of a sequence of ratios.

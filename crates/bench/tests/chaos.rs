@@ -6,7 +6,7 @@
 //! seed space locally.
 
 use bench::chaos::{
-    chaos_captive_configs, chaos_plan, run_chaos_captive, run_chaos_qemu, ChaosOutcome,
+    chaos_captive, chaos_captive_configs, chaos_plan, chaos_qemu, run_chaos, ChaosOutcome,
 };
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ const PINNED_SEEDS: [u64; 4] = [0x5EED_0001, 0xDEAD_BEEF, 0xCAFE_F00D, 42];
 /// asserts a single architectural outcome.
 fn assert_one_outcome(seed: u64) -> ChaosOutcome {
     let plan = chaos_plan(seed);
-    let (reference, _) = run_chaos_qemu(&plan);
+    let (reference, _) = run_chaos(&plan, chaos_qemu(&plan));
     // The guest's own books must balance: x20 counted one IRQ per delivery
     // (the scheduled lines plus exactly one one-shot timer fire plus one per
     // virtio completion), and x21 counted one synchronous exception per
@@ -38,7 +38,7 @@ fn assert_one_outcome(seed: u64) -> ChaosOutcome {
         "seed {seed:#x}: every submitted request retires"
     );
     for (name, cfg) in chaos_captive_configs() {
-        let (outcome, counters) = run_chaos_captive(&plan, cfg);
+        let (outcome, counters) = run_chaos(&plan, chaos_captive(&plan, cfg));
         assert_eq!(
             outcome, reference,
             "seed {seed:#x}: {name} diverged from the QEMU baseline"
@@ -48,7 +48,7 @@ fn assert_one_outcome(seed: u64) -> ChaosOutcome {
         // invalidation path (the tiny cache may legitimately have evicted
         // the page's translations first, so only the full-cache configs are
         // held to it).
-        if name == "captive" {
+        if name == "default" {
             let ext = counters
                 .iter()
                 .find(|(n, _)| *n == "external_invalidations")
@@ -87,13 +87,13 @@ fn pinned_seed_3() {
 fn same_seed_reproduces_every_counter() {
     let plan = chaos_plan(PINNED_SEEDS[0]);
     for (name, cfg) in chaos_captive_configs() {
-        let (out_a, counters_a) = run_chaos_captive(&plan, cfg.clone());
-        let (out_b, counters_b) = run_chaos_captive(&plan, cfg);
+        let (out_a, counters_a) = run_chaos(&plan, chaos_captive(&plan, cfg.clone()));
+        let (out_b, counters_b) = run_chaos(&plan, chaos_captive(&plan, cfg));
         assert_eq!(out_a, out_b, "{name}: architectural state");
         assert_eq!(counters_a, counters_b, "{name}: run counters");
     }
-    let (qa, qca) = run_chaos_qemu(&plan);
-    let (qb, qcb) = run_chaos_qemu(&plan);
+    let (qa, qca) = run_chaos(&plan, chaos_qemu(&plan));
+    let (qb, qcb) = run_chaos(&plan, chaos_qemu(&plan));
     assert_eq!(qa, qb);
     assert_eq!(qca, qcb);
 }
@@ -165,12 +165,9 @@ fn tiny_cache_evicts_but_still_agrees() {
     // The tiny-cache configuration is only a meaningful degradation test if
     // the bound actually bites during the chaos run.
     let plan = chaos_plan(PINNED_SEEDS[1]);
-    let (_, counters) = run_chaos_captive(
+    let (_, counters) = run_chaos(
         &plan,
-        captive::CaptiveConfig {
-            cache_capacity_regions: Some(4),
-            ..captive::CaptiveConfig::default()
-        },
+        chaos_captive(&plan, bench::captive_config("tinycache")),
     );
     let evictions = counters
         .iter()
@@ -191,9 +188,9 @@ proptest! {
     #[test]
     fn random_seeds_agree_across_engines(seed in 0u64..u64::MAX) {
         let plan = chaos_plan(seed);
-        let (reference, _) = run_chaos_qemu(&plan);
+        let (reference, _) = run_chaos(&plan, chaos_qemu(&plan));
         for (name, cfg) in chaos_captive_configs() {
-            let (outcome, _) = run_chaos_captive(&plan, cfg);
+            let (outcome, _) = run_chaos(&plan, chaos_captive(&plan, cfg));
             prop_assert_eq!(
                 &outcome,
                 &reference,

@@ -437,8 +437,8 @@ fn flags_read_across_ret_stay_exact() {
         ));
         c
     };
-    let mut on = run(true);
-    let mut off = run(false);
+    let on = run(true);
+    let off = run(false);
     for r in 0..31 {
         assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
     }
@@ -468,7 +468,7 @@ fn bulk_rewrite_composes_with_promotion_knobs() {
     for promote in [false, true] {
         for unroll in [1usize, 4] {
             for idioms in [false, true] {
-                let mut c = run_captive_cfg(
+                let c = run_captive_cfg(
                     &words,
                     CaptiveConfig {
                         idioms,

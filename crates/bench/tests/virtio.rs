@@ -13,6 +13,7 @@
 
 use bench::chaos::chaos_captive_configs;
 use captive::{Captive, CaptiveConfig, RunExit};
+use guest_aarch64::sys::Engine;
 use hvm::{FaultKind, FaultPlan, VirtioBlkConfig};
 use qemu_ref::QemuRef;
 use workloads::{io_kernels, vblk_config, vblk_read, vblk_smc, vblk_smc_config, Workload};
@@ -30,57 +31,45 @@ struct IoOutcome {
     data_digest: u64,
 }
 
+/// Runs `w` on an engine (device already attached) to its halt and captures
+/// the architectural outcome; the engine comes back for its counters.
+fn run_io<E: Engine>(w: &Workload, mut e: E) -> (IoOutcome, E) {
+    e.load_program(CODE_BASE, &w.words);
+    e.set_entry(w.entry);
+    let exit = e.run(bench::BLOCK_BUDGET);
+    assert!(
+        matches!(exit, RunExit::GuestHalted { .. }),
+        "{}: unexpected exit {exit:?}",
+        w.name
+    );
+    let outcome = IoOutcome {
+        regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
+        nzcv: e.guest_nzcv(),
+        code_digest: e.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
+        data_digest: e.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
+    };
+    (outcome, e)
+}
+
 fn run_captive_io(
     w: &Workload,
     vcfg: &VirtioBlkConfig,
     cfg: CaptiveConfig,
 ) -> (IoOutcome, captive::RunStats) {
-    let mut c = Captive::new(CaptiveConfig {
-        virtio: Some(vcfg.clone()),
-        ..cfg
-    });
-    c.load_program(CODE_BASE, &w.words);
-    c.set_entry(w.entry);
-    let exit = c.run(bench::BLOCK_BUDGET);
-    assert!(
-        matches!(exit, RunExit::GuestHalted { .. }),
-        "{}: unexpected captive exit {exit:?}",
-        w.name
+    let (outcome, c) = run_io(
+        w,
+        Captive::new(CaptiveConfig {
+            virtio: Some(vcfg.clone()),
+            ..cfg
+        }),
     );
-    let mut regs = [0u64; 31];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = c.guest_reg(i as u32);
-    }
-    let outcome = IoOutcome {
-        regs,
-        nzcv: c.guest_nzcv(),
-        code_digest: c.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
-        data_digest: c.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
-    };
     (outcome, c.stats())
 }
 
 fn run_qemu_io(w: &Workload, vcfg: &VirtioBlkConfig) -> (IoOutcome, qemu_ref::RunStats) {
     let mut q = QemuRef::new(32 * 1024 * 1024);
-    q.load_program(CODE_BASE, &w.words);
-    q.set_entry(w.entry);
     q.attach_virtio(vcfg.clone());
-    let exit = q.run(bench::BLOCK_BUDGET);
-    assert!(
-        matches!(exit, qemu_ref::RunExit::GuestHalted { .. }),
-        "{}: unexpected qemu exit {exit:?}",
-        w.name
-    );
-    let mut regs = [0u64; 31];
-    for (i, r) in regs.iter_mut().enumerate() {
-        *r = q.guest_reg(i as u32);
-    }
-    let outcome = IoOutcome {
-        regs,
-        nzcv: q.guest_nzcv(),
-        code_digest: q.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
-        data_digest: q.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
-    };
+    let (outcome, q) = run_io(w, q);
     (outcome, q.stats())
 }
 
@@ -117,7 +106,7 @@ fn smc_kernel_invalidates_a_live_looping_region_on_every_engine() {
     for (name, cfg) in chaos_captive_configs() {
         let (outcome, cs) = run_captive_io(&w, &vcfg, cfg);
         assert_eq!(outcome, reference, "{name} diverged on io.smc");
-        if name == "captive" {
+        if name == "default" {
             assert!(
                 cs.external_invalidations > 0,
                 "device DMA must invalidate the translated page"
@@ -139,14 +128,7 @@ fn promoted_loop_carriers_reconcile_across_device_invalidation() {
     let (w, sector0) = vblk_smc();
     let vcfg = vblk_smc_config(sector0);
     let (with_promote, ps) = run_captive_io(&w, &vcfg, CaptiveConfig::default());
-    let (without_promote, _) = run_captive_io(
-        &w,
-        &vcfg,
-        CaptiveConfig {
-            promote: false,
-            ..CaptiveConfig::default()
-        },
-    );
+    let (without_promote, _) = run_captive_io(&w, &vcfg, bench::captive_config("nopromote"));
     assert_eq!(with_promote, without_promote);
     assert!(
         ps.opt_promoted_slots > 0,

@@ -76,9 +76,10 @@ use dbt::{
     RegionProfile, ReuseCache, ReuseKey, ReuseTemplate, RuleKind, RuleTable, TierTimers,
     RULE_COUNT,
 };
+use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, SysStats};
 use guest_aarch64::Aarch64Isa;
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
-use runtime::{CaptiveRuntime, GuestEvent};
+use runtime::CaptiveRuntime;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,17 +129,11 @@ pub struct CaptiveConfig {
     pub region_threshold: u64,
     /// Guest-instruction cap on one region trace.
     pub region_max_insns: usize,
-    /// Close back-edges inside regions: a hot loop (single- or multi-block
-    /// body) becomes ONE region that iterates entirely in translated code —
-    /// zero chain transfers and zero dispatcher entries per trip, side-exit
-    /// stubs with precise PC on every cold leg and on loop exit.  When off,
-    /// traces stop at loop closure (the pre-looping behaviour): only
-    /// single-block self-loops peel, and the final copy self-chains.
-    pub loop_regions: bool,
-    /// Copies of a hot loop body stitched into one region before the
+    /// Copies of a hot loop body stitched into one region before its
     /// back-edge closes (2–4 amortises the loop-back overhead; 0 or 1
-    /// disables peeling).  With `loop_regions` off this reverts to the
-    /// legacy single-block self-loop peeling.
+    /// disables peeling).  The closed loop iterates entirely in translated
+    /// code — zero chain transfers and zero dispatcher entries per trip,
+    /// side-exit stubs with precise PC on every cold leg and on loop exit.
     pub unroll_loops: usize,
     /// Loop-carried register promotion (requires `opt`): in a looping
     /// region the hottest register-file slots live in host registers across
@@ -192,7 +187,6 @@ impl Default for CaptiveConfig {
             idioms: true,
             region_threshold: 16,
             region_max_insns: 256,
-            loop_regions: true,
             unroll_loops: 4,
             promote: true,
             max_block_insns: 64,
@@ -208,19 +202,7 @@ impl Default for CaptiveConfig {
     }
 }
 
-/// Why [`Captive::run`] stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunExit {
-    /// The guest executed `HLT` or the exit hypercall.
-    GuestHalted {
-        /// Exit code passed by the guest (0 if halted without one).
-        code: u64,
-    },
-    /// The block budget given to `run` was exhausted.
-    BudgetExhausted,
-    /// Something went wrong in the execution engine.
-    Error(String),
-}
+pub use guest_aarch64::sys::RunExit;
 
 /// Aggregate statistics of a run.
 ///
@@ -230,8 +212,14 @@ pub enum RunExit {
 /// The shared-state counters (code-cache lookups, evictions, epochs) live in
 /// [`CodeCache`] as atomics and are *sampled* into this struct by
 /// [`Captive::stats`].
+///
+/// Dereferences to the engine-independent [`SysStats`], so
+/// `stats.guest_exceptions`, `stats.irqs_delivered`, `stats.virtio_*` and
+/// `stats.external_invalidations` read as flat fields.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
+    /// The counters every engine reports, sampled by the guest-system core.
+    pub sys: SysStats,
     /// Simulated host cycles consumed by guest execution.
     pub cycles: u64,
     /// Host instructions executed.
@@ -242,8 +230,6 @@ pub struct RunStats {
     pub blocks: u64,
     /// Translations performed.
     pub translations: u64,
-    /// Guest exceptions delivered.
-    pub guest_exceptions: u64,
     /// Bytes of host code generated.
     pub code_bytes: u64,
     /// Blocks entered through the dispatcher slow path (page resolution +
@@ -318,10 +304,6 @@ pub struct RunStats {
     /// Dynamic host instructions saved: per block entry, the LIR
     /// instructions eliminated from that translation before encoding.
     pub elided_dyn_insns: u64,
-    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
     /// Regions evicted because the cache hit its capacity bound.
     pub capacity_evictions: u64,
     /// Encoded bytes currently resident in the code cache.
@@ -358,23 +340,13 @@ pub struct RunStats {
     /// Nanoseconds from engine construction to the first gated-region
     /// install (0 when none was installed).
     pub first_region_install_ns: u64,
-    /// Virtio queue notifications (`msr VblkNotify`) the device received.
-    pub virtio_kicks: u64,
-    /// Virtio requests submitted (available-ring entries consumed).
-    pub virtio_submissions: u64,
-    /// Virtio completions retired (used-ring entries written).
-    pub virtio_completions: u64,
-    /// IRQs the virtio device raised on its latch line.
-    pub virtio_irqs: u64,
-    /// Requests whose seeded fault decision was not `None`.
-    pub virtio_fault_injections: u64,
-    /// Bytes DMA'd into guest memory through the external-store path.
-    pub virtio_dma_bytes: u64,
-    /// Completions retired with a non-OK status (typed device errors).
-    pub virtio_io_errors: u64,
-    /// DMA completion stores that invalidated live translations
-    /// (device-originated external SMC).
-    pub external_invalidations: u64,
+}
+
+impl std::ops::Deref for RunStats {
+    type Target = SysStats;
+    fn deref(&self) -> &SysStats {
+        &self.sys
+    }
 }
 
 /// The hypervisor.
@@ -460,23 +432,12 @@ impl Captive {
     /// host page tables for the Captive area are built and paging is enabled.
     pub fn new(config: CaptiveConfig) -> Self {
         let mut machine = Machine::new(config.machine.clone());
-        let mut runtime = CaptiveRuntime::new(&mut machine, config.guest_ram, config.fp_mode);
+        let mut runtime = CaptiveRuntime::new(&mut machine, config.guest_ram);
         if let Some(vcfg) = &config.virtio {
-            let dev = hvm::VirtioBlk::new(vcfg.clone(), layout::GUEST_PHYS_BASE, config.guest_ram);
-            dev.init_mmio(&mut machine.mem)
-                .expect("virtio MMIO window must lie inside guest RAM");
-            runtime.virtio = Some(dev);
+            runtime.sys.attach_virtio(&mut machine, vcfg.clone());
         }
         // The register-file base pointer lives in %rbp for the whole run.
         machine.set_reg(Gpr::Rbp, layout::REGFILE_VA);
-        // Bare-metal guests boot in EL1 (kernel mode).
-        machine
-            .mem
-            .write_u64(
-                runtime.regfile_phys + guest_aarch64::CURRENT_EL_OFF as u64,
-                1,
-            )
-            .expect("register file is inside host RAM");
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
         cache.set_capacity(config.cache_capacity_bytes, config.cache_capacity_regions);
         let tiered = config.tiered && config.form_regions;
@@ -523,63 +484,6 @@ impl Captive {
         &self.idiom_rules
     }
 
-    /// Loads a guest program (little-endian instruction words) at a guest
-    /// physical address.
-    pub fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write_guest_phys(guest_phys + i as u64 * 4, *w as u64, 4);
-        }
-    }
-
-    /// Writes bytes into guest physical memory.
-    pub fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
-        let host = layout::GUEST_PHYS_BASE + guest_phys;
-        self.machine
-            .mem
-            .write_uint(host, value, size)
-            .expect("guest physical write within RAM");
-    }
-
-    /// Reads from guest physical memory.
-    pub fn read_guest_phys(&mut self, guest_phys: u64, size: u64) -> u64 {
-        let host = layout::GUEST_PHYS_BASE + guest_phys;
-        self.machine.mem.read_uint(host, size).unwrap_or(0)
-    }
-
-    /// Sets the guest entry point (and starts in EL1 with the MMU off).
-    pub fn set_entry(&mut self, guest_pc: u64) {
-        self.machine.set_reg(Gpr::R15, guest_pc);
-        self.machine.ring = Ring::Ring0;
-    }
-
-    /// Reads a guest general-purpose register from the register file.
-    pub fn guest_reg(&mut self, index: u32) -> u64 {
-        let addr = self.runtime.regfile_phys + guest_aarch64::x_off(index) as u64;
-        self.machine.mem.read_u64(addr).unwrap_or(0)
-    }
-
-    /// Writes a guest general-purpose register.
-    pub fn set_guest_reg(&mut self, index: u32, value: u64) {
-        let addr = self.runtime.regfile_phys + guest_aarch64::x_off(index) as u64;
-        self.machine
-            .mem
-            .write_u64(addr, value)
-            .expect("regfile write");
-    }
-
-    /// Reads the guest's NZCV flags nibble from the register file (used by
-    /// the cross-engine equivalence tests: the optimiser must preserve the
-    /// architectural flags, not just the general registers).
-    pub fn guest_nzcv(&mut self) -> u64 {
-        let addr = self.runtime.regfile_phys + guest_aarch64::NZCV_OFF as u64;
-        self.machine.mem.read_u64(addr).unwrap_or(0)
-    }
-
-    /// Console output accumulated from the guest (hypervisor UART).
-    pub fn console(&self) -> &[u8] {
-        &self.runtime.uart_output
-    }
-
     /// Statistics of the run so far.
     pub fn stats(&self) -> RunStats {
         let mut s = self.stats.clone();
@@ -616,8 +520,6 @@ impl Captive {
             })
             .collect();
         s.elided_dyn_insns = self.machine.perf.elided_insns;
-        s.irqs_delivered = self.runtime.events.delivered;
-        s.timer_irqs = self.runtime.events.timer_delivered;
         let cs = self.cache.stats();
         s.capacity_evictions = cs.capacity_evictions;
         s.bytes_live = cs.bytes_live;
@@ -628,38 +530,13 @@ impl Captive {
             .tier_timers
             .first_install
             .map_or(0, |d| d.as_nanos() as u64);
-        if let Some(dev) = &self.runtime.virtio {
-            s.virtio_kicks = dev.stats.kicks;
-            s.virtio_submissions = dev.stats.submissions;
-            s.virtio_completions = dev.stats.completions;
-            s.virtio_irqs = dev.stats.irqs_raised;
-            s.virtio_fault_injections = dev.stats.fault_injections;
-            s.virtio_dma_bytes = dev.stats.dma_bytes;
-            s.virtio_io_errors = dev.stats.io_errors;
-        }
-        s.external_invalidations = self.runtime.external_invalidations;
+        s.sys = self.runtime.stats();
         s
     }
 
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     pub fn tier_timers(&self) -> TierTimers {
         self.tier_timers
-    }
-
-    /// FNV-1a digest of `len` bytes of guest physical memory starting at
-    /// `start` (byte-exact final-state comparison for the chaos harness).
-    pub fn guest_mem_digest(&self, start: u64, len: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for a in start..start.saturating_add(len) {
-            let b = self
-                .machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + a, 1)
-                .unwrap_or(0) as u8;
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
     }
 
     /// Per-region execution profiles (region key → per-entry-mode record).
@@ -754,7 +631,8 @@ impl Captive {
             if let Some(line) = self.runtime.events.take(self.machine.perf.cycles) {
                 patch_from = None;
                 budget -= 1;
-                self.deliver_event(GuestEvent::Irq { line }, pc);
+                self.runtime
+                    .deliver(&mut self.machine, GuestEvent::Irq { line }, pc);
                 continue;
             }
             // Resolve the entry's guest physical address (cache key).
@@ -763,7 +641,7 @@ impl Captive {
                 Err(event) => {
                     patch_from = None;
                     budget -= 1;
-                    self.deliver_event(event, pc);
+                    self.runtime.deliver(&mut self.machine, event, pc);
                     continue;
                 }
             };
@@ -889,15 +767,10 @@ impl Captive {
                 budget -= 1;
                 match exit {
                     ExitReason::BlockEnd | ExitReason::HelperExit => {
-                        if let Some(event) = self.runtime.take_pending_event() {
-                            match event {
-                                GuestEvent::Halt { code } => return RunExit::GuestHalted { code },
-                                other => {
-                                    let pc_now = self.machine.reg(Gpr::R15);
-                                    self.deliver_event(other, pc_now);
-                                    break;
-                                }
-                            }
+                        if let Some(event) = self.runtime.pending.take() {
+                            let pc_now = self.machine.reg(Gpr::R15);
+                            self.runtime.deliver(&mut self.machine, event, pc_now);
+                            break;
                         }
                         // Helper exits (exception taken, ERET, sysreg write)
                         // may have changed the EL or translation context:
@@ -971,7 +844,11 @@ impl Captive {
                                 .expect("register file is inside host RAM");
                         }
                         let fault_pc = self.machine.reg(Gpr::R15);
-                        self.deliver_event(GuestEvent::DataAbort { vaddr, write }, fault_pc);
+                        self.runtime.deliver(
+                            &mut self.machine,
+                            GuestEvent::DataAbort { vaddr, write },
+                            fault_pc,
+                        );
                         break;
                     }
                     ExitReason::FuelExhausted => {
@@ -1093,7 +970,6 @@ impl Captive {
             next.guest_phys,
             self.config.region_max_insns,
             self.config.unroll_loops,
-            self.config.loop_regions,
             self.config.fp_mode,
             self.config.opt,
             self.config.promote,
@@ -1200,8 +1076,8 @@ impl Captive {
     fn capture_snapshot(&self) -> FormationSnapshot {
         FormationSnapshot {
             ctx_gen: self.runtime.context_generation(),
-            mmu_enabled: self.runtime.guest_mmu_enabled(&self.machine),
-            ttbr0: self.runtime.guest_ttbr0(&self.machine),
+            mmu_enabled: self.runtime.mmu_enabled(&self.machine),
+            ttbr0: self.runtime.ttbr0(&self.machine),
             guest_ram: self.config.guest_ram,
             pages: self
                 .runtime
@@ -1225,7 +1101,6 @@ impl Captive {
             snapshot,
             max_insns: self.config.region_max_insns,
             unroll: self.config.unroll_loops,
-            close_loops: self.config.loop_regions,
             fp_mode: self.config.fp_mode,
             run_opt: self.config.opt,
             promote: self.config.promote,
@@ -1379,7 +1254,6 @@ impl Captive {
             knobs: pack_knobs(
                 self.config.fp_mode == FpMode::Software,
                 self.config.opt,
-                self.config.loop_regions,
                 self.config.promote,
                 self.config.idioms,
                 self.config.unroll_loops,
@@ -1416,15 +1290,21 @@ impl Captive {
     fn live_page_hash(&self, page_base: u64) -> u64 {
         fnv1a(&self.read_live_page(page_base))
     }
+}
 
-    /// Delivers a guest-visible event (exception) by updating the guest
-    /// system registers and redirecting execution to the vector base.
-    fn deliver_event(&mut self, event: GuestEvent, faulting_pc: u64) {
-        self.stats.guest_exceptions += 1;
-        self.runtime
-            .deliver_exception(&mut self.machine, event, faulting_pc);
+impl Engine for Captive {
+    fn parts(&self) -> (&GuestSys, &Machine) {
+        (&self.runtime.sys, &self.machine)
+    }
+    fn parts_mut(&mut self) -> (&mut GuestSys, &mut Machine) {
+        (&mut self.runtime.sys, &mut self.machine)
+    }
+    fn run(&mut self, max_blocks: u64) -> RunExit {
+        Captive::run(self, max_blocks)
     }
 }
+
+guest_aarch64::inherent_facade!(Captive);
 
 #[cfg(test)]
 mod tests {
@@ -1446,7 +1326,7 @@ mod tests {
         a.push(asm::movz(0, 40, 0));
         a.push(asm::addi(0, 0, 2));
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(0), 42);
     }
@@ -1462,7 +1342,7 @@ mod tests {
         a.push(asm::subi(1, 1, 1));
         a.cbnz_to(1, "loop");
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(0), 5050);
     }
@@ -1476,7 +1356,7 @@ mod tests {
         a.push(asm::str(2, 1, 8));
         a.push(asm::ldr(3, 1, 8));
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(3), 0xABCD);
         assert!(
@@ -1493,7 +1373,7 @@ mod tests {
         a.push(asm::fmul(1, 0, 0));
         a.push(asm::fmov_to_gpr(0, 1));
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(f64::from_bits(c.guest_reg(0)), 2.25);
         assert!(
@@ -1510,7 +1390,7 @@ mod tests {
         a.push(asm::fsqrt(1, 0));
         a.push(asm::fmov_to_gpr(0, 1));
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         let mut env = softfloat::FpEnv::arm();
         let expected = softfloat::f64_sqrt_arm((-0.5f64).to_bits(), &mut env);
@@ -1550,7 +1430,7 @@ mod tests {
         let mut a = asm::Assembler::new();
         for ch in b"hi" {
             a.push(asm::movz(0, *ch as u32, 0));
-            a.push(asm::svc(runtime::SVC_PUTCHAR));
+            a.push(asm::svc(guest_aarch64::sys::SVC_PUTCHAR));
         }
         a.push(asm::hlt());
         let (c, exit) = boot(&a.finish());
@@ -1628,8 +1508,8 @@ mod tests {
             assert_eq!(exit, RunExit::GuestHalted { code: 0 });
             c
         };
-        let mut on = run(true);
-        let mut off = run(false);
+        let on = run(true);
+        let off = run(false);
 
         for r in 0..31 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
@@ -1670,7 +1550,7 @@ mod tests {
         a.label("target");
         a.push(asm::movz(5, 1, 0));
         a.push(asm::ret());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(5), 2, "second call must observe the new code");
         assert!(
@@ -1693,7 +1573,7 @@ mod tests {
         a.push(asm::subi(1, 1, 1));
         a.cbnz_to(1, "loop");
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(0), (1..=50).sum::<u64>());
         assert!(
@@ -1718,7 +1598,7 @@ mod tests {
         a.push(asm::subi(1, 1, 1));
         a.cbnz_to(1, "loop");
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(0), (1..=20).sum::<u64>());
         assert!(c.runtime.context_generation() >= 20);
@@ -1801,8 +1681,8 @@ mod tests {
             assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
             c
         };
-        let mut on = run(true);
-        let mut off = run(false);
+        let on = run(true);
+        let off = run(false);
         for r in 0..31 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
@@ -2143,7 +2023,7 @@ mod tests {
         a.push(asm::tlbi());
         a.push(asm::movz(5, 7, 0));
         a.push(asm::hlt());
-        let (mut c, exit) = boot(&a.finish());
+        let (c, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(9), 3000);
         assert_eq!(c.guest_reg(5), 7);
@@ -2182,8 +2062,8 @@ mod tests {
             assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
             c
         };
-        let mut on = run(true);
-        let mut off = run(false);
+        let on = run(true);
+        let off = run(false);
         for r in 0..16 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
@@ -2241,12 +2121,11 @@ mod tests {
 
     #[test]
     fn self_loop_becomes_a_looping_region_and_saves_cycles() {
-        // The pointer-chase shape: a single-block self-loop.  With looping
-        // regions the body is peeled fourfold AND the final copy's loop-back
-        // closes as a region-internal back-edge, so the whole countdown runs
-        // inside one region entry; with everything off the trace closes at
-        // one constituent and every iteration re-enters through a chain
-        // link.
+        // The pointer-chase shape: a single-block self-loop.  With region
+        // formation the body is peeled fourfold AND the final copy's
+        // loop-back closes as a region-internal back-edge, so the whole
+        // countdown runs inside one region entry; with chaining alone every
+        // iteration re-enters through a chain link.
         let mut a = asm::Assembler::new();
         a.push(asm::movz(1, 4000, 0));
         a.push(asm::movz(9, 0, 0));
@@ -2256,10 +2135,9 @@ mod tests {
         a.cbnz_to(1, "chase");
         a.push(asm::hlt());
         let words = a.finish();
-        let run = |loop_regions: bool, unroll: usize| {
+        let run = |form_regions: bool| {
             let mut c = Captive::new(CaptiveConfig {
-                loop_regions,
-                unroll_loops: unroll,
+                form_regions,
                 ..CaptiveConfig::default()
             });
             c.load_program(0x1000, &words);
@@ -2267,18 +2145,15 @@ mod tests {
             assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
             c
         };
-        let mut on = run(true, 4);
-        let mut off = run(false, 1);
+        let on = run(true);
+        let off = run(false);
         for r in 0..16 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
         assert_eq!(on.guest_reg(9), 4000);
         let son = on.stats();
         let soff = off.stats();
-        assert_eq!(
-            soff.regions_formed, 0,
-            "with looping and peeling off the self-loop closes at one constituent"
-        );
+        assert_eq!(soff.regions_formed, 0, "chaining alone forms nothing");
         assert!(
             son.regions_unrolled >= 1 && son.loop_regions_formed >= 1,
             "the self-loop must form an unrolled looping region"

@@ -1,15 +1,20 @@
-//! Runtime services of the Captive unikernel: helper calls, host page-fault
-//! handling (the accelerated virtual memory system), guest exception
-//! delivery, and minimal device emulation (hypervisor console).
+//! Runtime services of the Captive unikernel — the half of the runtime the
+//! paper compares against QEMU: host page-fault handling (the accelerated
+//! virtual memory system), the fetch iTLB / data gTLB, the context
+//! generation, and self-modifying-code tracking by physical page.
+//! Everything a guest observes identically on any engine (exception entry,
+//! `ERET`, hypercalls, timer, virtio) is the embedded
+//! [`guest_aarch64::sys::GuestSys`].
 
 use crate::itlb::{DataTlb, FetchTlb};
 use crate::layout;
-use crate::FpMode;
 use guest_aarch64::gen::helpers;
-use guest_aarch64::{esr_class, mmu, SysReg};
+use guest_aarch64::mmu;
+use guest_aarch64::sys::{GuestEvent, GuestSys, HelperCosts};
 use hvm::paging::{self, FrameAlloc, PageFlags};
-use hvm::{EventSources, FaultAction, Gpr, HelperResult, Machine, Ring, Runtime, VirtioBlk};
+use hvm::{FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 
 /// Cycle cost of taking a data-side host fault and evaluating guest
 /// permissions (ring transition, ESR decode, bookkeeping).
@@ -20,12 +25,19 @@ const DWALK_COST: u64 = 600;
 /// Cycle cost of installing the host PTE mirroring a resolved guest mapping.
 const DMAP_COST: u64 = 200;
 
-/// SVC immediate used as the hypervisor console hypercall (putchar of X0).
-pub const SVC_PUTCHAR: u32 = 0xFF0;
-/// SVC immediate used as the hypervisor exit hypercall (exit code in X0).
-pub const SVC_EXIT: u32 = 0xFF1;
+/// What the shared helper arms cost inside the unikernel: a direct call in
+/// ring 0, no user-process state save/restore.
+pub const HELPER_COSTS: HelperCosts = HelperCosts {
+    putchar: 120,
+    exit: 50,
+    exception: 300,
+    msr_notify: 200,
+    fcmp: 20,
+    eret: 260,
+    hlt: 20,
+};
 
-/// Softfloat helper ids used when [`FpMode::Software`] is selected.
+/// Softfloat helper ids used when [`crate::FpMode::Software`] is selected.
 pub mod sf_helpers {
     pub const ADD: u16 = 20;
     pub const SUB: u16 = 21;
@@ -34,37 +46,12 @@ pub mod sf_helpers {
     pub const SQRT: u16 = 24;
 }
 
-/// A guest-visible event the dispatcher must act on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuestEvent {
-    /// Data abort at a guest virtual address.
-    DataAbort {
-        /// Faulting address.
-        vaddr: u64,
-        /// Whether the access was a write.
-        write: bool,
-    },
-    /// Instruction fetch abort.
-    InstrAbort {
-        /// Faulting address.
-        vaddr: u64,
-    },
-    /// The guest asked to stop.
-    Halt {
-        /// Exit code.
-        code: u64,
-    },
-    /// Asynchronous interrupt from an event source (timer or latch).
-    Irq {
-        /// Interrupt line, delivered in the ESR ISS field.
-        line: u32,
-    },
-}
-
-/// The unikernel runtime: owns host page tables, devices and helper state.
+/// The unikernel runtime: the guest-system core plus the host page tables
+/// and translation-tracking state Captive builds on top of it.
 pub struct CaptiveRuntime {
-    /// Host physical address of the guest register file.
-    pub regfile_phys: u64,
+    /// The engine-independent guest-system core (exceptions, hypercalls,
+    /// event sources, devices); also reachable through `Deref`.
+    pub sys: GuestSys,
     /// Root of the host page tables Captive owns.
     pub host_pt_root: u64,
     /// Frame allocator for host page tables.
@@ -73,20 +60,11 @@ pub struct CaptiveRuntime {
     /// lower-half (guest) page-table subtrees, reclaimed wholesale on guest
     /// TLB flushes.
     pt_boot_mark: u64,
-    /// Guest RAM size.
-    pub guest_ram: u64,
-    /// FP implementation mode.
-    pub fp_mode: FpMode,
-    /// Console output captured from the guest.
-    pub uart_output: Vec<u8>,
-    /// Exit code set by the exit hypercall.
-    pub exit_code: Option<u64>,
     /// Guest physical pages that contain translated code (for self-modifying
     /// code detection via write protection).
     code_pages: HashSet<u64>,
     /// Code pages that were written and whose translations must be dropped.
     smc_dirty: Vec<u64>,
-    pending: Option<GuestEvent>,
     fp_env: softfloat::FpEnv,
     /// Bumped whenever guest translation state may have changed (TLBI,
     /// `TTBR0`/`SCTLR` writes).  Stamped into fetch-TLB entries and chain
@@ -98,21 +76,25 @@ pub struct CaptiveRuntime {
     /// page-fault handler, flushed (via the generation stamp) on
     /// TLBI/TTBR0/SCTLR like the fetch TLB.
     pub data_tlb: DataTlb,
-    /// Deterministic guest event sources (programmable timer + interrupt
-    /// latch), polled at back-edges and block boundaries.
-    pub events: EventSources,
-    /// Attached virtio-blk device, if any.  Kicked from `MSR_NOTIFY`,
-    /// retired from the dispatcher via [`CaptiveRuntime::poll_virtio`].
-    pub virtio: Option<VirtioBlk>,
-    /// DMA completion stores that landed on pages holding live translations
-    /// (each one forced a `CodeCache::invalidate_phys_page`).
-    pub external_invalidations: u64,
+}
+
+impl Deref for CaptiveRuntime {
+    type Target = GuestSys;
+    fn deref(&self) -> &GuestSys {
+        &self.sys
+    }
+}
+
+impl DerefMut for CaptiveRuntime {
+    fn deref_mut(&mut self) -> &mut GuestSys {
+        &mut self.sys
+    }
 }
 
 impl CaptiveRuntime {
     /// Builds the runtime and the initial host page tables (Captive area
     /// only: register file and spill page), then enables host paging.
-    pub fn new(machine: &mut Machine, guest_ram: u64, fp_mode: FpMode) -> Self {
+    pub fn new(machine: &mut Machine, guest_ram: u64) -> Self {
         let mut frame_alloc = FrameAlloc::new(layout::HOST_PT_POOL_START, layout::HOST_PT_POOL_END);
         let root = frame_alloc
             .alloc(&mut machine.mem)
@@ -138,60 +120,42 @@ impl CaptiveRuntime {
         machine.enable_paging(root, 0);
         let pt_boot_mark = frame_alloc.mark();
         CaptiveRuntime {
-            regfile_phys: layout::REGFILE_PHYS,
+            sys: GuestSys::new(
+                machine,
+                layout::REGFILE_PHYS,
+                layout::GUEST_PHYS_BASE,
+                guest_ram,
+                HELPER_COSTS,
+            ),
             host_pt_root: root,
             frame_alloc,
             pt_boot_mark,
-            guest_ram,
-            fp_mode,
-            uart_output: Vec::new(),
-            exit_code: None,
             code_pages: HashSet::new(),
             smc_dirty: Vec::new(),
-            pending: None,
             fp_env: softfloat::FpEnv::arm(),
             context_generation: 0,
             fetch_tlb: FetchTlb::new(),
             data_tlb: DataTlb::new(),
-            events: EventSources::default(),
-            virtio: None,
-            external_invalidations: 0,
         }
     }
 
-    /// Retires due virtio completions: DMA lands in guest memory through the
-    /// external-store path, and any touched page holding translated code is
-    /// queued for invalidation exactly like a trapped self-modifying store —
-    /// except no write-protection fault announces it, so this *must* run
-    /// before translated code is re-entered.  Returns true when anything
+    /// Retires due virtio completions.  A physically-indexed cache can
+    /// answer device DMA page by page: any touched page holding translated
+    /// code is queued for invalidation exactly like a trapped self-modifying
+    /// store — except no write-protection fault announces it, so this *must*
+    /// run before translated code is re-entered.  Returns true when anything
     /// retired (the dispatcher then drains `take_smc_dirty`).
     pub fn poll_virtio(&mut self, machine: &mut Machine) -> bool {
-        let Some(dev) = self.virtio.as_mut() else {
+        let Some(touched) = self.sys.poll_virtio(machine) else {
             return false;
         };
-        if !dev.poll(
-            &mut machine.mem,
-            machine.perf.cycles,
-            &mut self.events.latch,
-        ) {
-            return false;
-        }
-        for page in dev.take_touched_pages() {
+        for page in touched {
             if self.code_pages.remove(&page) {
                 self.smc_dirty.push(page);
-                self.external_invalidations += 1;
+                self.sys.external_invalidations += 1;
             }
         }
         true
-    }
-
-    /// True when the attached device's queue head may retire at `cycles` —
-    /// the dispatcher and every looping region's back-edge must yield so
-    /// the completion is not starved by chained translated code.
-    pub fn virtio_due(&self, cycles: u64) -> bool {
-        self.virtio
-            .as_ref()
-            .is_some_and(|d| d.due(cycles, &self.events.latch))
     }
 
     /// Current translation-context generation.
@@ -205,58 +169,24 @@ impl CaptiveRuntime {
         self.code_pages.iter().copied()
     }
 
-    /// Current guest `TTBR0` (the translation root a formation snapshot
-    /// must walk with).
-    pub fn guest_ttbr0(&self, machine: &Machine) -> u64 {
-        self.read_gregfile(machine, guest_aarch64::TTBR0_OFF)
-    }
-
-    fn read_gregfile(&self, machine: &Machine, offset: i32) -> u64 {
-        machine
-            .mem
-            .read_u64(self.regfile_phys + offset as u64)
-            .unwrap_or(0)
-    }
-
-    fn write_gregfile(&self, machine: &mut Machine, offset: i32, value: u64) {
-        let _ = machine
-            .mem
-            .write_u64(self.regfile_phys + offset as u64, value);
-    }
-
-    /// Reads guest physical memory (bounds-checked against guest RAM; the
-    /// checked add keeps addresses near `u64::MAX` from wrapping past the
-    /// bound).
-    pub fn read_guest_phys(&self, machine: &Machine, gpa: u64) -> Option<u64> {
-        match gpa.checked_add(8) {
-            Some(end) if end <= self.guest_ram => {}
-            _ => return None,
-        }
-        machine.mem.read_u64(layout::GUEST_PHYS_BASE + gpa).ok()
-    }
-
-    /// Whether the guest MMU is enabled (SCTLR bit 0).
-    pub fn guest_mmu_enabled(&self, machine: &Machine) -> bool {
-        self.read_gregfile(machine, guest_aarch64::SCTLR_OFF) & 1 != 0
-    }
-
     /// Translates a guest virtual address to a guest physical address using
     /// the guest's translation state (used for instruction fetches and by the
     /// translator).
     pub fn guest_va_to_pa(
-        &mut self,
-        machine: &mut Machine,
+        &self,
+        machine: &Machine,
         va: u64,
         write: bool,
     ) -> Result<u64, GuestEvent> {
-        if !self.guest_mmu_enabled(machine) {
-            if va < self.guest_ram {
+        if !self.sys.mmu_enabled(machine) {
+            if va < self.sys.guest_ram {
                 return Ok(va);
             }
             return Err(GuestEvent::InstrAbort { vaddr: va });
         }
-        let ttbr0 = self.read_gregfile(machine, guest_aarch64::TTBR0_OFF);
-        let walk = mmu::walk_guest(|a| self.read_guest_phys(machine, a), ttbr0, va)
+        let walk = self
+            .sys
+            .walk(machine, va)
             .map_err(|_| GuestEvent::InstrAbort { vaddr: va })?;
         if write && !walk.flags.writable {
             return Err(GuestEvent::DataAbort { vaddr: va, write });
@@ -272,7 +202,7 @@ impl CaptiveRuntime {
         if let Some(pa) = self.fetch_tlb.lookup(va, ctx_gen) {
             return Ok(pa);
         }
-        let mmu_on = self.guest_mmu_enabled(machine);
+        let mmu_on = self.sys.mmu_enabled(machine);
         let pa = self.guest_va_to_pa(machine, va, false)?;
         if mmu_on {
             machine.perf.cycles += machine.cost.page_walk_per_level * mmu::GUEST_LEVELS as u64;
@@ -296,71 +226,6 @@ impl CaptiveRuntime {
     /// Returns and clears the list of code pages invalidated by guest writes.
     pub fn take_smc_dirty(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.smc_dirty)
-    }
-
-    /// Returns a pending guest event, if any.
-    pub fn take_pending_event(&mut self) -> Option<GuestEvent> {
-        self.pending.take()
-    }
-
-    /// Delivers a synchronous guest exception: updates ESR/FAR/ELR/SPSR,
-    /// switches to EL1 and redirects the guest PC to the vector base.
-    pub fn deliver_exception(&mut self, machine: &mut Machine, event: GuestEvent, pc: u64) {
-        let (class, iss, far) = match event {
-            GuestEvent::DataAbort { vaddr, write } => {
-                (esr_class::DATA_ABORT, write as u64, Some(vaddr))
-            }
-            GuestEvent::InstrAbort { vaddr } => (esr_class::INSTR_ABORT, 0, Some(vaddr)),
-            GuestEvent::Halt { code } => {
-                self.exit_code = Some(code);
-                return;
-            }
-            GuestEvent::Irq { line } => (esr_class::IRQ, line as u64, None),
-        };
-        self.take_exception(machine, class, iss, pc, far);
-    }
-
-    fn take_exception(
-        &mut self,
-        machine: &mut Machine,
-        class: u64,
-        iss: u64,
-        return_pc: u64,
-        far: Option<u64>,
-    ) {
-        // Exception entry masks asynchronous events (the PSTATE.I analogue)
-        // until the handler's `eret`: a pending IRQ must never preempt a
-        // handler mid-flight and clobber ELR/ESR under it.
-        self.events.set_masked(true);
-        let el = self.read_gregfile(machine, guest_aarch64::CURRENT_EL_OFF);
-        let nzcv = self.read_gregfile(machine, guest_aarch64::NZCV_OFF);
-        self.write_gregfile(
-            machine,
-            guest_aarch64::ESR_OFF,
-            (class << 26) | (iss & 0xFFFF),
-        );
-        if let Some(far) = far {
-            self.write_gregfile(machine, guest_aarch64::FAR_OFF, far);
-        }
-        self.write_gregfile(machine, guest_aarch64::ELR_OFF, return_pc);
-        // SPSR saves the interrupted context's flags alongside the EL so a
-        // handler arriving at an arbitrary preemption point (e.g. a timer
-        // IRQ mid-loop) may clobber NZCV freely; `eret` restores both.
-        self.write_gregfile(
-            machine,
-            guest_aarch64::SPSR_OFF,
-            ((nzcv & 0xF) << 28) | (el & 1),
-        );
-        self.write_gregfile(machine, guest_aarch64::CURRENT_EL_OFF, 1);
-        let vbar = self.read_gregfile(machine, guest_aarch64::VBAR_OFF);
-        if vbar == 0 {
-            // No vector installed: the guest cannot handle this exception.
-            // Treat it as a fatal guest error rather than spinning through
-            // the zero page.
-            self.exit_code = Some(0xDEAD);
-        }
-        machine.set_reg(Gpr::R15, vbar);
-        machine.ring = Ring::Ring0;
     }
 
     /// Tears down the lower-half (guest) mappings and flushes the host TLB —
@@ -407,97 +272,20 @@ impl CaptiveRuntime {
 impl Runtime for CaptiveRuntime {
     fn helper(&mut self, id: u16, machine: &mut Machine) -> HelperResult {
         match id {
-            helpers::TAKE_EXCEPTION => {
-                let class = machine.reg(Gpr::Rdi);
-                let iss = machine.reg(Gpr::Rsi);
-                let ret_pc = machine.reg(Gpr::Rdx);
-                if class == esr_class::SVC && iss == SVC_PUTCHAR as u64 {
-                    let ch = self.read_gregfile(machine, guest_aarch64::x_off(0)) as u8;
-                    self.uart_output.push(ch);
-                    machine.set_reg(Gpr::R15, ret_pc);
-                    return HelperResult::Exit { cost: 120 };
-                }
-                if class == esr_class::SVC && iss == SVC_EXIT as u64 {
-                    let code = self.read_gregfile(machine, guest_aarch64::x_off(0));
-                    self.exit_code = Some(code);
-                    return HelperResult::Halt { cost: 50 };
-                }
-                self.take_exception(machine, class, iss, ret_pc, None);
-                HelperResult::Exit { cost: 300 }
-            }
             helpers::TLBI => {
                 self.teardown_guest_mappings(machine);
                 HelperResult::Continue { cost: 450 }
             }
             helpers::MSR_NOTIFY => {
-                let id = machine.reg(Gpr::Rdi) as u32;
-                match SysReg::from_id(id) {
-                    Some(SysReg::Ttbr0) | Some(SysReg::Sctlr) => {
-                        self.teardown_guest_mappings(machine);
-                    }
-                    // Guest-programmable timer: the MSR already stored the
-                    // value into the register-file slot; read it back and
-                    // (re)arm against the deterministic cycle counter.
-                    Some(SysReg::CntTval) => {
-                        let delta = self.read_gregfile(machine, guest_aarch64::CNT_TVAL_OFF);
-                        self.events
-                            .timer
-                            .arm_oneshot(machine.perf.cycles.saturating_add(delta));
-                    }
-                    Some(SysReg::CntCtl) => {
-                        let period = self.read_gregfile(machine, guest_aarch64::CNT_CTL_OFF);
-                        if period == 0 {
-                            self.events.timer.cancel();
-                        } else {
-                            self.events
-                                .timer
-                                .arm_periodic(machine.perf.cycles.saturating_add(period), period);
-                        }
-                    }
-                    // Queue notification: consume newly-published
-                    // available-ring entries at this precise program point.
-                    Some(SysReg::VblkNotify) => {
-                        if let Some(dev) = self.virtio.as_mut() {
-                            let now = machine.perf.cycles;
-                            dev.kick(&mut machine.mem, now);
-                        }
-                    }
-                    _ => {}
+                if self.sys.msr_notify(machine) {
+                    self.teardown_guest_mappings(machine);
                 }
-                HelperResult::Continue { cost: 200 }
-            }
-            helpers::FCMP => {
-                let a = f64::from_bits(machine.reg(Gpr::Rdi));
-                let b = f64::from_bits(machine.reg(Gpr::Rsi));
-                // Arm FCMP NZCV: unordered 0011, less 1000, equal 0110, greater 0010.
-                let nzcv: u64 = if a.is_nan() || b.is_nan() {
-                    0b0011
-                } else if a < b {
-                    0b1000
-                } else if a == b {
-                    0b0110
-                } else {
-                    0b0010
-                };
-                machine.set_reg(Gpr::Rax, nzcv);
-                HelperResult::Continue { cost: 20 }
-            }
-            helpers::ERET => {
-                let elr = self.read_gregfile(machine, guest_aarch64::ELR_OFF);
-                let spsr = self.read_gregfile(machine, guest_aarch64::SPSR_OFF);
-                self.write_gregfile(machine, guest_aarch64::CURRENT_EL_OFF, spsr & 1);
-                self.write_gregfile(machine, guest_aarch64::NZCV_OFF, (spsr >> 28) & 0xF);
-                // Returning from the handler re-enables IRQ delivery.
-                self.events.set_masked(false);
-                machine.set_reg(Gpr::R15, elr);
-                HelperResult::Exit { cost: 260 }
-            }
-            helpers::HLT => {
-                self.exit_code.get_or_insert(0);
-                HelperResult::Halt { cost: 20 }
+                HelperResult::Continue {
+                    cost: HELPER_COSTS.msr_notify,
+                }
             }
             sf_helpers::ADD..=sf_helpers::SQRT => self.softfloat_binop(machine, id),
-            _ => HelperResult::Continue { cost: 10 },
+            _ => self.sys.helper(id, machine),
         }
     }
 
@@ -508,11 +296,7 @@ impl Runtime for CaptiveRuntime {
     /// delivery latency is bounded by one iteration instead of the loop's
     /// (unbounded) trip count.
     fn loop_exit_pending(&mut self, cycles: u64) -> bool {
-        !self.smc_dirty.is_empty()
-            || self.pending.is_some()
-            || self.exit_code.is_some()
-            || self.events.due(cycles)
-            || self.virtio_due(cycles)
+        !self.smc_dirty.is_empty() || self.sys.loop_exit_pending(cycles)
     }
 
     fn page_fault(&mut self, vaddr: u64, write: bool, machine: &mut Machine) -> FaultAction {
@@ -522,10 +306,10 @@ impl Runtime for CaptiveRuntime {
             return FaultAction::Propagate { cost: 100 };
         }
         let page = vaddr & !0xFFF;
-        if !self.guest_mmu_enabled(machine) {
+        if !self.sys.mmu_enabled(machine) {
             // Guest MMU off: guest virtual == guest physical; identity-map on
             // demand into the lower half.
-            if vaddr >= self.guest_ram {
+            if vaddr >= self.sys.guest_ram {
                 return FaultAction::Propagate { cost: 200 };
             }
             let is_code = self.code_pages.contains(&page);
@@ -569,39 +353,23 @@ impl Runtime for CaptiveRuntime {
             let (gpage, g_writable, g_user, walk_cost) = match self.data_tlb.lookup(vaddr, ctx_gen)
             {
                 Some(e) => (e.page_pa, e.writable, e.user, 0),
-                None => {
-                    let ttbr0 = self.read_gregfile(machine, guest_aarch64::TTBR0_OFF);
-                    let guest_ram = self.guest_ram;
-                    let base = layout::GUEST_PHYS_BASE;
-                    let walk = {
-                        let mem = &machine.mem;
-                        mmu::walk_guest(
-                            |a| match a.checked_add(8) {
-                                Some(end) if end <= guest_ram => mem.read_u64(base + a).ok(),
-                                _ => None,
-                            },
-                            ttbr0,
+                None => match self.sys.walk(machine, vaddr) {
+                    Ok(w) => {
+                        self.data_tlb.insert(
                             vaddr,
-                        )
-                    };
-                    match walk {
-                        Ok(w) => {
-                            self.data_tlb.insert(
-                                vaddr,
-                                w.frame,
-                                w.flags.writable,
-                                w.flags.user,
-                                ctx_gen,
-                            );
-                            (w.frame & !0xFFF, w.flags.writable, w.flags.user, DWALK_COST)
-                        }
-                        Err(_) => {
-                            return FaultAction::Propagate {
-                                cost: DFAULT_BASE + DWALK_COST,
-                            }
+                            w.frame,
+                            w.flags.writable,
+                            w.flags.user,
+                            ctx_gen,
+                        );
+                        (w.frame & !0xFFF, w.flags.writable, w.flags.user, DWALK_COST)
+                    }
+                    Err(_) => {
+                        return FaultAction::Propagate {
+                            cost: DFAULT_BASE + DWALK_COST,
                         }
                     }
-                }
+                },
             };
             let user_access = machine.ring == Ring::Ring3;
             if (write && !g_writable) || (user_access && !g_user) {

@@ -101,8 +101,6 @@ pub struct FormationRequest {
     pub max_insns: usize,
     /// Loop-unroll factor.
     pub unroll: usize,
-    /// Close back-edges inside the region.
-    pub close_loops: bool,
     /// FP implementation strategy.
     pub fp_mode: FpMode,
     /// Run the LIR optimiser.
@@ -307,7 +305,6 @@ fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> Format
         req.key.phys,
         req.max_insns,
         req.unroll,
-        req.close_loops,
         req.fp_mode,
         req.run_opt,
         req.promote,
@@ -497,7 +494,6 @@ mod tests {
             snapshot,
             max_insns: 256,
             unroll: 4,
-            close_loops: true,
             fp_mode: FpMode::Hardware,
             run_opt: true,
             promote: true,

@@ -62,16 +62,8 @@ pub fn translate_block(
         let decoded = timers.time(Phase::Decode, || isa.decode(word, va));
         let end = match decoded {
             None => {
-                // Undefined instruction: raise a guest UNDEF exception.
                 timers.time(Phase::Translate, || {
-                    let class = emitter.const_u64(guest_aarch64::esr_class::UNDEFINED);
-                    let iss = emitter.const_u64(0);
-                    let ret = emitter.const_u64(va);
-                    emitter.call_helper(
-                        guest_aarch64::gen::helpers::TAKE_EXCEPTION,
-                        &[class, iss, ret],
-                    );
-                    emitter.set_end_of_block();
+                    isa.generate_undefined(va, &mut emitter)
                 });
                 true
             }
@@ -111,7 +103,7 @@ pub fn translate_block(
             // the guest observes an architectural fault instead of the host
             // executing corrupt code.
             timers.lower_bailouts += 1;
-            return undef_fallback_region(timers, pc, pa);
+            return undef_fallback_region(isa, timers, pc, pa);
         }
     };
     timers.blocks += 1;
@@ -139,19 +131,19 @@ pub fn translate_block(
     }
 }
 
-/// The degraded translation used when lowering bails out on a plain block:
-/// a one-instruction region raising a guest UNDEF exception at `pc`.  The
-/// stub itself uses no virtual registers, so its lowering cannot fail.
-fn undef_fallback_region(timers: &mut PhaseTimers, pc: u64, pa: u64) -> Region {
+/// The degraded translation used when lowering bails out on a plain block
+/// (on either engine): a one-instruction region raising a guest UNDEF
+/// exception at `pc`, so the guest observes an architectural fault instead
+/// of the host executing corrupt code.  The stub itself uses no virtual
+/// registers, so its lowering cannot fail.
+pub fn undef_fallback_region(
+    isa: &Aarch64Isa,
+    timers: &mut PhaseTimers,
+    pc: u64,
+    pa: u64,
+) -> Region {
     let mut emitter = Emitter::new();
-    let class = emitter.const_u64(guest_aarch64::esr_class::UNDEFINED);
-    let iss = emitter.const_u64(0);
-    let ret = emitter.const_u64(pc);
-    emitter.call_helper(
-        guest_aarch64::gen::helpers::TAKE_EXCEPTION,
-        &[class, iss, ret],
-    );
-    emitter.set_end_of_block();
+    isa.generate_undefined(pc, &mut emitter);
     let lir = emitter.finish();
     let lir_count = lir.len();
     let t = dbt::finish_translation(timers, lir, false, false, None)
@@ -359,12 +351,12 @@ enum Step {
 /// multi-constituent nor looping (a region would add nothing over the plain
 /// block).
 ///
-/// **Looping regions.** With `close_loops` set, a back edge to an
-/// already-traced constituent does not end the trace: it closes as a
-/// *region-internal backward transfer* ([`hvm::MachInsn::BackEdge`]) to a
-/// label bound at the target's first constituent, so a hot loop — the
-/// header, its body blocks, and the hotter conditional legs — iterates
-/// entirely inside one translation.  Only cold legs and the loop exit leave,
+/// **Looping regions.** A back edge to an already-traced constituent does
+/// not end the trace: it closes as a *region-internal backward transfer*
+/// ([`hvm::MachInsn::BackEdge`]) to a label bound at the target's first
+/// constituent, so a hot loop — the header, its body blocks, and the hotter
+/// conditional legs — iterates entirely inside one translation.  Only cold
+/// legs and the loop exit leave,
 /// through side-exit stubs with precise PC; the closing conditional's exit
 /// leg carries ordinary [`dbt::BlockExit::Branch`] metadata so it chains.
 /// The trace always ends at the close (execution cannot proceed past a
@@ -374,11 +366,7 @@ enum Step {
 /// the loop header re-trace the body (forward-stitched like any hot path)
 /// until `unroll` copies are stitched, and the back-edge then targets the
 /// first copy, so each internal trip covers `unroll` iterations and the
-/// per-iteration loop-back overhead is amortised.  This generalises the old
-/// single-block self-loop peeling to whole multi-block bodies.  With
-/// `close_loops` off, the legacy behaviour is kept bit-for-bit: only
-/// single-block self-loops peel, the final copy's branch self-chains, and
-/// multi-block loops end the trace at closure.
+/// per-iteration loop-back overhead is amortised.
 ///
 /// For interior conditionals the continuation leg is chosen by profile: the
 /// hotter chain-link slot of the cached region containing the branch,
@@ -399,7 +387,6 @@ pub fn form_region(
     entry_pa: u64,
     max_insns: usize,
     unroll: usize,
-    close_loops: bool,
     fp_mode: FpMode,
     run_opt: bool,
     promote: bool,
@@ -414,7 +401,6 @@ pub fn form_region(
         entry_pa,
         max_insns,
         unroll,
-        close_loops,
         fp_mode,
         run_opt,
         promote,
@@ -445,7 +431,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     entry_pa: u64,
     max_insns: usize,
     unroll: usize,
-    close_loops: bool,
     fp_mode: FpMode,
     run_opt: bool,
     promote: bool,
@@ -516,17 +501,10 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         };
         let decoded = timers.time(Phase::Decode, || source.decode(isa, word, va));
         let Some(d) = decoded else {
-            // Undefined instruction: raise a guest UNDEF exception, exactly
-            // as the per-block translator does, and end the trace.
+            // Undefined instruction: the guest's UNDEF exception, exactly
+            // as the per-block translator emits it, ends the trace.
             timers.time(Phase::Translate, || {
-                let class = emitter.const_u64(guest_aarch64::esr_class::UNDEFINED);
-                let iss = emitter.const_u64(0);
-                let ret = emitter.const_u64(va);
-                emitter.call_helper(
-                    guest_aarch64::gen::helpers::TAKE_EXCEPTION,
-                    &[class, iss, ret],
-                );
-                emitter.set_end_of_block();
+                isa.generate_undefined(va, &mut emitter)
             });
             guest_insns += 1;
             va += 4;
@@ -569,7 +547,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                     Step::Plain
                 }
             }
-            Some(t) if close_loops => {
+            Some(t) => {
                 // A back edge to a traced constituent.  Peel while budget
                 // allows and fewer than `unroll` copies of the header have
                 // been stitched (a non-header revisit mid-peel is simply the
@@ -591,22 +569,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                     Step::Forward(t, pa)
                 } else {
                     Step::Close(t)
-                }
-            }
-            Some(t) => {
-                // Legacy stop-at-closure behaviour (loop regions disabled):
-                // only a single-block self-loop peels, and the final copy's
-                // branch is left as the ordinary self-chaining terminator.
-                if budget_left
-                    && t == entry_pc
-                    && unroll > 1
-                    && visited.len() < unroll
-                    && visited.iter().all(|v| *v == entry_pc)
-                {
-                    loop_header = Some(entry_pc);
-                    Step::Forward(t, entry_pa)
-                } else {
-                    Step::Plain
                 }
             }
         };

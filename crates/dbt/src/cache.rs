@@ -874,11 +874,9 @@ impl CodeCache {
 /// of the active idiom rule set (0 when the idiom layer is off): its low 32
 /// bits join the key, so code generated under one mined rule set is never
 /// instantiated under another.
-#[allow(clippy::too_many_arguments)]
 pub fn pack_knobs(
     soft_fp: bool,
     opt: bool,
-    loop_regions: bool,
     promote: bool,
     idioms: bool,
     unroll: usize,
@@ -888,7 +886,6 @@ pub fn pack_knobs(
     let table = if idioms { idiom_table } else { 0 };
     (soft_fp as u64)
         | ((opt as u64) << 1)
-        | ((loop_regions as u64) << 2)
         | ((promote as u64) << 3)
         | ((idioms as u64) << 4)
         | (((unroll as u64) & 0xFF) << 8)
@@ -1601,7 +1598,7 @@ mod tests {
         let reuse = ReuseCache::new();
         let region = multi(0x1000, 8, vec![0x1000, 0x2000], 3);
         let hashes = [(0x1000u64, 0xAAAAu64), (0x2000, 0xBBBB)];
-        let knobs = pack_knobs(false, true, true, true, true, 4, 256, 0);
+        let knobs = pack_knobs(false, true, true, true, 4, 256, 0);
         let key = ReuseKey {
             phys: 0x1000,
             virt: 0x1000,
@@ -1630,7 +1627,7 @@ mod tests {
         );
         // A different knob set is a different key entirely.
         let other = ReuseKey {
-            knobs: pack_knobs(false, false, true, true, true, 4, 256, 0),
+            knobs: pack_knobs(false, false, true, true, 4, 256, 0),
             ..key
         };
         assert!(reuse.lookup(other, |_, _| true).is_none());
@@ -1683,20 +1680,18 @@ mod tests {
 
     #[test]
     fn knob_packing_distinguishes_every_field() {
-        let base = pack_knobs(false, true, true, true, true, 4, 256, 0);
-        assert_ne!(base, pack_knobs(true, true, true, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, false, true, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, false, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, false, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, true, 8, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, true, 4, 128, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, false, 4, 256, 0));
+        let base = pack_knobs(false, true, true, true, 4, 256, 0);
+        assert_ne!(base, pack_knobs(true, true, true, true, 4, 256, 0));
+        assert_ne!(base, pack_knobs(false, false, true, true, 4, 256, 0));
+        assert_ne!(base, pack_knobs(false, true, false, true, 4, 256, 0));
+        assert_ne!(base, pack_knobs(false, true, true, true, 8, 256, 0));
+        assert_ne!(base, pack_knobs(false, true, true, true, 4, 128, 0));
+        assert_ne!(base, pack_knobs(false, true, true, false, 4, 256, 0));
     }
 
     #[test]
     fn knob_packing_keys_on_idiom_table_only_when_idioms_run() {
-        let with =
-            |idioms: bool, table: u64| pack_knobs(false, true, true, true, idioms, 4, 256, table);
+        let with = |idioms: bool, table: u64| pack_knobs(false, true, true, idioms, 4, 256, table);
         // Different rule tables generate different code, so they must land
         // in different reuse keys...
         assert_ne!(with(true, 0xDEAD_BEEF), with(true, 0x1234_5678));

@@ -156,14 +156,18 @@ pub trait GuestIsa {
     type Insn: Clone + std::fmt::Debug;
 
     /// Decodes the instruction word found at `pc`.  Returns `None` for
-    /// undefined encodings (which the hypervisor turns into an UNDEF
-    /// exception for the guest).
+    /// undefined encodings (translated with [`GuestIsa::generate_undefined`]).
     fn decode(&self, word: u32, pc: u64) -> Option<Self::Insn>;
 
     /// Invokes the generator function for `insn`, emitting IR through the
     /// DAG builder.  Returns `true` if the instruction ends the basic block
     /// (branches, exception-raising instructions, ...).
     fn generate(&self, insn: &Self::Insn, emitter: &mut Emitter) -> bool;
+
+    /// Emits what an undefined encoding at `pc` does — the guest's UNDEF
+    /// exception — and ends the block.  Must lower without virtual
+    /// registers: it is also the stub a defective translation degrades to.
+    fn generate_undefined(&self, pc: u64, emitter: &mut Emitter);
 
     /// Size of one instruction word in bytes (fixed-width ISAs only).
     fn insn_size(&self) -> u64 {

@@ -56,6 +56,14 @@ impl GuestIsa for Aarch64Isa {
     fn generate(&self, insn: &Decoded, e: &mut Emitter) -> bool {
         generate(insn, e)
     }
+
+    fn generate_undefined(&self, pc: u64, e: &mut Emitter) {
+        let class = e.const_u64(crate::esr_class::UNDEFINED);
+        let iss = e.const_u64(0);
+        let ret = e.const_u64(pc);
+        e.call_helper(helpers::TAKE_EXCEPTION, &[class, iss, ret]);
+        e.set_end_of_block();
+    }
 }
 
 fn size_to_type(size: AccessSize) -> ValueType {

@@ -4,7 +4,8 @@
 //! it provides the decoded-instruction type, the instruction decoder, the
 //! per-instruction generator functions invoked by the JIT (the equivalent of
 //! Fig. 7's machine-generated C++), the guest MMU model, the exception model,
-//! the guest register-file layout and an assembler used by the workload and
+//! the guest register-file layout, the guest-system core every execution
+//! engine embeds ([`sys`]) and an assembler used by the workload and
 //! benchmark crates to build guest programs.
 //!
 //! The ISA is a compact subset of A64: fixed 32-bit instructions, 31 general
@@ -20,6 +21,7 @@ pub mod gen;
 pub mod isa;
 pub mod mmu;
 pub mod regs;
+pub mod sys;
 
 pub use asm::Assembler;
 pub use gen::Aarch64Isa;

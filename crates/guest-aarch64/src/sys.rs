@@ -1,0 +1,811 @@
+//! The guest-system core: AArch64 *system* semantics over an
+//! [`hvm::Machine`], shared by every execution engine.
+//!
+//! Captive and the QEMU-style baseline are compared on exactly four axes —
+//! host paging vs softmmu, host FP vs softfloat, physical vs virtual cache
+//! index, and chaining policy.  Everything else a system-level guest
+//! observes is stated once, here, and embedded by both engines as
+//! [`GuestSys`]:
+//!
+//! * the register-file accessors and the guest façade (`load_program`,
+//!   `guest_reg`, `guest_mem_digest`, … — the provided methods of
+//!   [`Engine`]);
+//! * exception entry ([`GuestSys::take_exception`]) and the
+//!   event → (class, ISS, FAR) mapping ([`GuestEvent::syndrome`]), which
+//!   masks IRQs until `ERET` so a handler is never preempted mid-flight;
+//! * the helper arms whose *semantics* are engine-independent — the
+//!   console/exit hypercalls, `ERET`, `FCMP`, `HLT`, and the timer and
+//!   virtio `MSR` side effects — priced from the embedding engine's
+//!   [`HelperCosts`] table, which is where the engines' cost difference
+//!   lives;
+//! * the event sources and the virtio-blk device, with retirement
+//!   ([`GuestSys::poll_virtio`]) handing the touched pages back to the
+//!   engine, because what a device store does to translated code *is* a
+//!   cache-index policy;
+//! * the counters both engines report ([`SysStats`]) and the one
+//!   [`RunExit`].
+//!
+//! The obligations this module is the single place to check (cf. Dahlin et
+//! al.): IRQs are masked at every exception entry and unmasked only by
+//! `ERET`; SPSR carries the interrupted NZCV and EL; an exception with no
+//! vector installed ends the run with [`NO_VECTOR_EXIT`] instead of spinning
+//! through the zero page; timer deadlines saturate instead of wrapping.
+//!
+//! # Retargetability audit
+//!
+//! What still names `guest_aarch64::` outside this crate, i.e. what a
+//! second guest ISA would have to supply:
+//!
+//! * `captive`: `Aarch64Isa` (the `dbt::GuestIsa` impl: decode, generate,
+//!   and the UNDEF stub), `gen::{Decoded, helpers::{TLBI, MSR_NOTIFY}}`,
+//!   `isa::{Insn, FpKind}` (the region former classifies direct branches and
+//!   the soft-FP ablation re-routes scalar FP), `v_off` (soft-FP operand
+//!   slots), `CURRENT_EL_OFF` (host-ring tracking), `mmu::{walk_guest,
+//!   GUEST_LEVELS}` (tier-1 snapshot walks, fetch-walk pricing), and this
+//!   module (`GuestSys`, `GuestEvent`, `Engine`, `HelperCosts`, `RunExit`,
+//!   `SysStats`).  Its tests add `asm`, `SysReg` and
+//!   `mmu::GuestPageTableBuilder` to write guest programs.
+//! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize,
+//!   FpKind}` and `x_off`/`v_off` (memory and FP instructions are re-emitted
+//!   through softmmu/softfloat helpers), and this module.
+//! * `bench`: `asm`, `isa::Cond`, `SysReg`, `esr_class::IRQ` and the `SVC_*`
+//!   hypercall numbers — guest *programs* (the chaos generator, tests,
+//!   examples) — plus [`Engine`] for the generic drivers.
+//!
+//! So beyond a `GuestIsa` impl and workload files, a second ISA owes: a
+//! `sys` module of this shape (register-file layout, exception model, helper
+//! ids), a branch classifier for the region former (today `isa::Insn`
+//! matched directly in `captive::translator`), and its own memory/FP
+//! re-emission for the baseline.
+
+use crate::gen::helpers;
+use crate::mmu::{self, GuestWalk, GuestWalkError};
+use crate::regs::{
+    esr_class, x_off, SysReg, CNT_CTL_OFF, CNT_TVAL_OFF, CURRENT_EL_OFF, ELR_OFF, ESR_OFF, FAR_OFF,
+    NZCV_OFF, SCTLR_OFF, SPSR_OFF, TTBR0_OFF, VBAR_OFF,
+};
+use hvm::{EventSources, Gpr, HelperResult, Machine, VirtioBlk, VirtioBlkConfig};
+
+/// SVC immediate used as the hypervisor console hypercall (putchar of X0).
+pub const SVC_PUTCHAR: u32 = 0xFF0;
+/// SVC immediate used as the hypervisor exit hypercall (exit code in X0).
+pub const SVC_EXIT: u32 = 0xFF1;
+/// Exit code of a run whose guest took an exception with `VBAR == 0`.
+pub const NO_VECTOR_EXIT: u64 = 0xDEAD;
+
+/// A guest-visible event an engine's dispatcher must deliver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuestEvent {
+    /// Data abort at a guest virtual address.
+    DataAbort {
+        /// Faulting address.
+        vaddr: u64,
+        /// Whether the access was a write.
+        write: bool,
+    },
+    /// Instruction fetch abort.
+    InstrAbort {
+        /// Faulting address.
+        vaddr: u64,
+    },
+    /// Asynchronous interrupt from an event source (timer or latch).
+    Irq {
+        /// Interrupt line, delivered in the ESR ISS field.
+        line: u32,
+    },
+}
+
+impl GuestEvent {
+    /// The (ESR class, ISS, FAR) this event is reported with.
+    pub fn syndrome(self) -> (u64, u64, Option<u64>) {
+        match self {
+            GuestEvent::DataAbort { vaddr, write } => {
+                (esr_class::DATA_ABORT, write as u64, Some(vaddr))
+            }
+            GuestEvent::InstrAbort { vaddr } => (esr_class::INSTR_ABORT, 0, Some(vaddr)),
+            GuestEvent::Irq { line } => (esr_class::IRQ, line as u64, None),
+        }
+    }
+}
+
+/// Why an engine's `run` stopped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunExit {
+    /// The guest executed `HLT` or the exit hypercall.
+    GuestHalted {
+        /// Exit code passed by the guest (0 if halted without one).
+        code: u64,
+    },
+    /// The block budget given to `run` was exhausted.
+    BudgetExhausted,
+    /// Something went wrong in the execution engine.
+    Error(String),
+}
+
+/// Simulated-cycle cost of each shared helper arm.  The arms' semantics are
+/// common; what an engine pays to reach them (a unikernel-internal call vs a
+/// user-process helper with its state save/restore) is not, so each engine
+/// hands [`GuestSys::new`] its own `const` table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HelperCosts {
+    /// Console hypercall (`svc #SVC_PUTCHAR`).
+    pub putchar: u64,
+    /// Exit hypercall (`svc #SVC_EXIT`).
+    pub exit: u64,
+    /// Synchronous exception entry through `TAKE_EXCEPTION`.
+    pub exception: u64,
+    /// `MSR_NOTIFY` (any system register).
+    pub msr_notify: u64,
+    /// `FCMP`.
+    pub fcmp: u64,
+    /// `ERET`.
+    pub eret: u64,
+    /// `HLT`.
+    pub hlt: u64,
+}
+
+/// The counters every engine reports, sampled by [`GuestSys::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SysStats {
+    /// Guest exceptions delivered by the dispatcher (aborts and IRQs; SVC
+    /// and UNDEF enter through translated code and are not counted).
+    pub guest_exceptions: u64,
+    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
+    pub irqs_delivered: u64,
+    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
+    pub timer_irqs: u64,
+    /// Virtio queue notifications (`msr VblkNotify`) the device received.
+    pub virtio_kicks: u64,
+    /// Virtio requests accepted off the available ring.
+    pub virtio_submissions: u64,
+    /// Virtio completions retired to the used ring.
+    pub virtio_completions: u64,
+    /// Completion interrupts the device raised.
+    pub virtio_irqs: u64,
+    /// Faults the seeded plan injected.
+    pub virtio_fault_injections: u64,
+    /// Bytes moved by device DMA (both directions).
+    pub virtio_dma_bytes: u64,
+    /// Requests completed with a non-OK status.
+    pub virtio_io_errors: u64,
+    /// Device DMA stores that forced the engine to drop translated code
+    /// (per-page invalidations on a physically-indexed cache, full flushes
+    /// on a virtually-indexed one).
+    pub external_invalidations: u64,
+}
+
+/// Guest-system state and semantics shared by every engine.
+pub struct GuestSys {
+    /// Host physical address of the guest register file.
+    pub regfile_phys: u64,
+    /// Host physical address guest physical address 0 is backed at.
+    pub guest_phys_base: u64,
+    /// Guest RAM size in bytes.
+    pub guest_ram: u64,
+    /// The embedding engine's helper prices.
+    pub costs: HelperCosts,
+    /// Console output captured from the guest.
+    pub uart_output: Vec<u8>,
+    /// Set when the run must end: the exit hypercall's X0, 0 for `HLT`, or
+    /// [`NO_VECTOR_EXIT`].
+    pub exit_code: Option<u64>,
+    /// A guest event a helper raised mid-block, for the dispatcher to take
+    /// and deliver once the block has exited.
+    pub pending: Option<GuestEvent>,
+    /// Deterministic event sources (programmable timer + interrupt latch).
+    pub events: EventSources,
+    /// Attached virtio-blk device, if any.
+    pub virtio: Option<VirtioBlk>,
+    /// See [`SysStats::external_invalidations`]; bumped by the engine.
+    pub external_invalidations: u64,
+    guest_exceptions: u64,
+}
+
+impl GuestSys {
+    /// Creates the core over `machine`, whose memory holds the register
+    /// file at `regfile_phys` and guest RAM at `guest_phys_base`, and boots
+    /// the guest in EL1.
+    pub fn new(
+        machine: &mut Machine,
+        regfile_phys: u64,
+        guest_phys_base: u64,
+        guest_ram: u64,
+        costs: HelperCosts,
+    ) -> Self {
+        machine
+            .mem
+            .write_u64(regfile_phys + CURRENT_EL_OFF as u64, 1)
+            .expect("register file is inside host RAM");
+        GuestSys {
+            regfile_phys,
+            guest_phys_base,
+            guest_ram,
+            costs,
+            uart_output: Vec::new(),
+            exit_code: None,
+            pending: None,
+            events: EventSources::default(),
+            virtio: None,
+            external_invalidations: 0,
+            guest_exceptions: 0,
+        }
+    }
+
+    /// Reads the register-file slot at byte `offset`.
+    #[inline]
+    pub fn read_gregfile(&self, machine: &Machine, offset: i32) -> u64 {
+        machine
+            .mem
+            .read_u64(self.regfile_phys + offset as u64)
+            .unwrap_or(0)
+    }
+
+    /// Writes the register-file slot at byte `offset`.
+    #[inline]
+    pub fn write_gregfile(&self, machine: &mut Machine, offset: i32, value: u64) {
+        let _ = machine
+            .mem
+            .write_u64(self.regfile_phys + offset as u64, value);
+    }
+
+    /// Whether the guest MMU is enabled (SCTLR bit 0).
+    #[inline]
+    pub fn mmu_enabled(&self, machine: &Machine) -> bool {
+        self.read_gregfile(machine, SCTLR_OFF) & 1 != 0
+    }
+
+    /// Current guest `TTBR0`.
+    #[inline]
+    pub fn ttbr0(&self, machine: &Machine) -> u64 {
+        self.read_gregfile(machine, TTBR0_OFF)
+    }
+
+    /// Walks the guest page tables for `va`.  Table reads are confined to
+    /// guest RAM (the checked add keeps addresses near `u64::MAX` from
+    /// wrapping past the bound).
+    #[inline]
+    pub fn walk(&self, machine: &Machine, va: u64) -> Result<GuestWalk, GuestWalkError> {
+        mmu::walk_guest(
+            |gpa| match gpa.checked_add(8) {
+                Some(end) if end <= self.guest_ram => {
+                    machine.mem.read_u64(self.guest_phys_base + gpa).ok()
+                }
+                _ => None,
+            },
+            self.ttbr0(machine),
+            va,
+        )
+    }
+
+    /// Exception entry: masks IRQs, saves the interrupted context to
+    /// ESR/FAR/ELR/SPSR, switches to EL1 and redirects the guest PC to the
+    /// vector base.
+    #[inline]
+    pub fn take_exception(
+        &mut self,
+        machine: &mut Machine,
+        class: u64,
+        iss: u64,
+        return_pc: u64,
+        far: Option<u64>,
+    ) {
+        // The PSTATE.I analogue: a pending IRQ must never preempt a handler
+        // mid-flight and clobber ELR/ESR under it.  `ERET` unmasks.
+        self.events.set_masked(true);
+        let el = self.read_gregfile(machine, CURRENT_EL_OFF);
+        let nzcv = self.read_gregfile(machine, NZCV_OFF);
+        self.write_gregfile(machine, ESR_OFF, (class << 26) | (iss & 0xFFFF));
+        if let Some(far) = far {
+            self.write_gregfile(machine, FAR_OFF, far);
+        }
+        self.write_gregfile(machine, ELR_OFF, return_pc);
+        // SPSR saves the interrupted context's flags alongside the EL so a
+        // handler arriving at an arbitrary preemption point (e.g. a timer
+        // IRQ mid-loop) may clobber NZCV freely; `ERET` restores both.
+        self.write_gregfile(machine, SPSR_OFF, ((nzcv & 0xF) << 28) | (el & 1));
+        self.write_gregfile(machine, CURRENT_EL_OFF, 1);
+        let vbar = self.read_gregfile(machine, VBAR_OFF);
+        if vbar == 0 {
+            // No vector installed: the guest cannot handle this exception.
+            // A fatal guest error, not a spin through the zero page.
+            self.exit_code = Some(NO_VECTOR_EXIT);
+        }
+        machine.set_reg(Gpr::R15, vbar);
+    }
+
+    /// Delivers `event` from the dispatcher, with `pc` the precise guest PC
+    /// it interrupts (the faulting instruction for aborts).
+    #[inline]
+    pub fn deliver(&mut self, machine: &mut Machine, event: GuestEvent, pc: u64) {
+        self.guest_exceptions += 1;
+        let (class, iss, far) = event.syndrome();
+        self.take_exception(machine, class, iss, pc, far);
+    }
+
+    /// True when a looping region must leave at its next back-edge for a
+    /// reason the core knows: a queued event, a requested exit, a due event
+    /// source, or a device completion ready to retire.
+    #[inline]
+    pub fn loop_exit_pending(&self, cycles: u64) -> bool {
+        self.pending.is_some()
+            || self.exit_code.is_some()
+            || self.events.due(cycles)
+            || self.virtio_due(cycles)
+    }
+
+    /// The `MSR_NOTIFY` side effects every engine shares (the MSR already
+    /// stored the value into the register's slot): timer programming and the
+    /// virtio doorbell.  Returns `true` for the registers whose write changes
+    /// translation state (`TTBR0`, `SCTLR`) — the engine answers those with
+    /// its own teardown — and the engine charges `costs.msr_notify`.
+    #[inline]
+    pub fn msr_notify(&mut self, machine: &mut Machine) -> bool {
+        let now = machine.perf.cycles;
+        match SysReg::from_id(machine.reg(Gpr::Rdi) as u32) {
+            Some(SysReg::Ttbr0) | Some(SysReg::Sctlr) => return true,
+            // Deadlines saturate: a guest programming a near-`u64::MAX`
+            // delta must disarm-at-infinity, not wrap into the past.
+            Some(SysReg::CntTval) => {
+                let delta = self.read_gregfile(machine, CNT_TVAL_OFF);
+                self.events.timer.arm_oneshot(now.saturating_add(delta));
+            }
+            Some(SysReg::CntCtl) => {
+                let period = self.read_gregfile(machine, CNT_CTL_OFF);
+                if period == 0 {
+                    self.events.timer.cancel();
+                } else {
+                    self.events
+                        .timer
+                        .arm_periodic(now.saturating_add(period), period);
+                }
+            }
+            // Queue notification: consume newly-published available-ring
+            // entries at this precise program point.
+            Some(SysReg::VblkNotify) => {
+                if let Some(dev) = self.virtio.as_mut() {
+                    dev.kick(&mut machine.mem, now);
+                }
+            }
+            _ => {}
+        }
+        false
+    }
+
+    /// The helper arms with engine-independent semantics; an engine's
+    /// `Runtime::helper` falls through to this after its own ids.
+    #[inline]
+    pub fn helper(&mut self, id: u16, machine: &mut Machine) -> HelperResult {
+        let costs = self.costs;
+        match id {
+            helpers::TAKE_EXCEPTION => {
+                let class = machine.reg(Gpr::Rdi);
+                let iss = machine.reg(Gpr::Rsi);
+                let ret_pc = machine.reg(Gpr::Rdx);
+                if class == esr_class::SVC && iss == SVC_PUTCHAR as u64 {
+                    let ch = self.read_gregfile(machine, x_off(0)) as u8;
+                    self.uart_output.push(ch);
+                    machine.set_reg(Gpr::R15, ret_pc);
+                    return HelperResult::Exit {
+                        cost: costs.putchar,
+                    };
+                }
+                if class == esr_class::SVC && iss == SVC_EXIT as u64 {
+                    self.exit_code = Some(self.read_gregfile(machine, x_off(0)));
+                    return HelperResult::Halt { cost: costs.exit };
+                }
+                self.take_exception(machine, class, iss, ret_pc, None);
+                HelperResult::Exit {
+                    cost: costs.exception,
+                }
+            }
+            helpers::FCMP => {
+                let a = f64::from_bits(machine.reg(Gpr::Rdi));
+                let b = f64::from_bits(machine.reg(Gpr::Rsi));
+                // Arm FCMP NZCV: unordered 0011, less 1000, equal 0110,
+                // greater 0010.
+                let nzcv: u64 = if a.is_nan() || b.is_nan() {
+                    0b0011
+                } else if a < b {
+                    0b1000
+                } else if a == b {
+                    0b0110
+                } else {
+                    0b0010
+                };
+                machine.set_reg(Gpr::Rax, nzcv);
+                HelperResult::Continue { cost: costs.fcmp }
+            }
+            helpers::ERET => {
+                let elr = self.read_gregfile(machine, ELR_OFF);
+                let spsr = self.read_gregfile(machine, SPSR_OFF);
+                self.write_gregfile(machine, CURRENT_EL_OFF, spsr & 1);
+                self.write_gregfile(machine, NZCV_OFF, (spsr >> 28) & 0xF);
+                // Returning from the handler re-enables IRQ delivery.
+                self.events.set_masked(false);
+                machine.set_reg(Gpr::R15, elr);
+                HelperResult::Exit { cost: costs.eret }
+            }
+            helpers::HLT => {
+                self.exit_code.get_or_insert(0);
+                HelperResult::Halt { cost: costs.hlt }
+            }
+            _ => HelperResult::Continue { cost: 10 },
+        }
+    }
+
+    /// Attaches a virtio-mmio block device backed by guest RAM.
+    pub fn attach_virtio(&mut self, machine: &mut Machine, cfg: VirtioBlkConfig) {
+        let dev = VirtioBlk::new(cfg, self.guest_phys_base, self.guest_ram);
+        dev.init_mmio(&mut machine.mem)
+            .expect("virtio MMIO window must lie inside guest RAM");
+        self.virtio = Some(dev);
+    }
+
+    /// True when the attached device's queue head may retire at `cycles`:
+    /// dispatch loops and looping regions must yield so the completion is
+    /// not starved by chained translated code.
+    #[inline]
+    pub fn virtio_due(&self, cycles: u64) -> bool {
+        self.virtio
+            .as_ref()
+            .is_some_and(|d| d.due(cycles, &self.events.latch))
+    }
+
+    /// Retires due virtio completions.  `Some(pages)` when anything retired:
+    /// the guest physical pages the device's DMA stored to, behind the
+    /// translator's back — the engine must drop any code translated from
+    /// them before translated code runs again.
+    #[inline]
+    pub fn poll_virtio(&mut self, machine: &mut Machine) -> Option<Vec<u64>> {
+        let dev = self.virtio.as_mut()?;
+        let retired = dev.poll(
+            &mut machine.mem,
+            machine.perf.cycles,
+            &mut self.events.latch,
+        );
+        retired.then(|| dev.take_touched_pages())
+    }
+
+    /// Samples the counters every engine reports.
+    pub fn stats(&self) -> SysStats {
+        let mut s = SysStats {
+            guest_exceptions: self.guest_exceptions,
+            irqs_delivered: self.events.delivered,
+            timer_irqs: self.events.timer_delivered,
+            external_invalidations: self.external_invalidations,
+            ..SysStats::default()
+        };
+        if let Some(dev) = &self.virtio {
+            s.virtio_kicks = dev.stats.kicks;
+            s.virtio_submissions = dev.stats.submissions;
+            s.virtio_completions = dev.stats.completions;
+            s.virtio_irqs = dev.stats.irqs_raised;
+            s.virtio_fault_injections = dev.stats.fault_injections;
+            s.virtio_dma_bytes = dev.stats.dma_bytes;
+            s.virtio_io_errors = dev.stats.io_errors;
+        }
+        s
+    }
+}
+
+/// What every engine is to its user: a machine, the guest-system core, and a
+/// `run` loop.  The provided methods are the guest façade, written once;
+/// generic drivers (`bench`, the chaos harness) take `E: Engine`.
+pub trait Engine {
+    /// The core and the machine it operates on.
+    fn parts(&self) -> (&GuestSys, &Machine);
+    /// Mutable access to the core and the machine.
+    fn parts_mut(&mut self) -> (&mut GuestSys, &mut Machine);
+    /// Runs the guest for at most `max_blocks` executed blocks.
+    fn run(&mut self, max_blocks: u64) -> RunExit;
+
+    /// Writes `size` bytes of `value` at a guest physical address
+    /// (out-of-range writes are dropped).
+    fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
+        let (sys, machine) = self.parts_mut();
+        let _ = machine
+            .mem
+            .write_uint(sys.guest_phys_base + guest_phys, value, size);
+    }
+
+    /// Loads a guest program (little-endian instruction words) at a guest
+    /// physical address.
+    fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
+        for (i, w) in words.iter().enumerate() {
+            self.write_guest_phys(guest_phys + i as u64 * 4, *w as u64, 4);
+        }
+    }
+
+    /// Sets the guest entry point.
+    fn set_entry(&mut self, pc: u64) {
+        self.parts_mut().1.set_reg(Gpr::R15, pc);
+    }
+
+    /// Reads a guest general-purpose register.
+    fn guest_reg(&self, index: u32) -> u64 {
+        let (sys, machine) = self.parts();
+        sys.read_gregfile(machine, x_off(index))
+    }
+
+    /// Reads the guest's NZCV flags nibble.
+    fn guest_nzcv(&self) -> u64 {
+        let (sys, machine) = self.parts();
+        sys.read_gregfile(machine, NZCV_OFF)
+    }
+
+    /// FNV-1a digest of `len` bytes of guest physical memory starting at
+    /// `start` (byte-exact final-state comparison across engines).
+    fn guest_mem_digest(&self, start: u64, len: u64) -> u64 {
+        let (sys, machine) = self.parts();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for a in start..start.saturating_add(len) {
+            let b = machine
+                .mem
+                .read_uint(sys.guest_phys_base + a, 1)
+                .unwrap_or(0) as u8;
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Console output accumulated from the guest.
+    fn console(&self) -> &[u8] {
+        &self.parts().0.uart_output
+    }
+
+    /// The counters every engine reports.
+    fn sys_stats(&self) -> SysStats {
+        self.parts().0.stats()
+    }
+}
+
+/// Stamps the [`Engine`] façade onto an engine type as *inherent* methods
+/// with the signatures callers have always used (`Captive::load_program(..)`
+/// works without importing a trait, which the out-of-workspace benchmark
+/// package relies on).
+#[macro_export]
+macro_rules! inherent_facade {
+    ($engine:ty) => {
+        impl $engine {
+            /// Loads a guest program (little-endian instruction words) at a
+            /// guest physical address.
+            pub fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
+                $crate::sys::Engine::load_program(self, guest_phys, words)
+            }
+            /// Writes guest physical memory.
+            pub fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
+                $crate::sys::Engine::write_guest_phys(self, guest_phys, value, size)
+            }
+            /// Sets the guest entry point.
+            pub fn set_entry(&mut self, pc: u64) {
+                $crate::sys::Engine::set_entry(self, pc)
+            }
+            /// Reads a guest general-purpose register.
+            pub fn guest_reg(&self, index: u32) -> u64 {
+                $crate::sys::Engine::guest_reg(self, index)
+            }
+            /// Reads the guest's NZCV flags nibble.
+            pub fn guest_nzcv(&self) -> u64 {
+                $crate::sys::Engine::guest_nzcv(self)
+            }
+            /// FNV-1a digest of a guest physical memory range.
+            pub fn guest_mem_digest(&self, start: u64, len: u64) -> u64 {
+                $crate::sys::Engine::guest_mem_digest(self, start, len)
+            }
+            /// Console output accumulated from the guest.
+            pub fn console(&self) -> &[u8] {
+                $crate::sys::Engine::console(self)
+            }
+        }
+    };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hvm::MachineConfig;
+
+    const REGFILE: u64 = 0x1000;
+    const VECTOR: u64 = 0x2000;
+    /// Distinct prices, so a test sees which table entry an arm charged.
+    const COSTS: HelperCosts = HelperCosts {
+        putchar: 1,
+        exit: 2,
+        exception: 3,
+        msr_notify: 4,
+        fcmp: 5,
+        eret: 6,
+        hlt: 7,
+    };
+
+    /// A bare machine and core — no engine, no translated code — with a
+    /// vector installed and an EL0 context (flags N and C set) to interrupt.
+    fn bare() -> (Machine, GuestSys) {
+        let mut machine = Machine::new(MachineConfig {
+            phys_mem: 1 << 20,
+            ..MachineConfig::default()
+        });
+        let sys = GuestSys::new(&mut machine, REGFILE, 0x1_0000, 0x1_0000, COSTS);
+        sys.write_gregfile(&mut machine, VBAR_OFF, VECTOR);
+        sys.write_gregfile(&mut machine, CURRENT_EL_OFF, 0);
+        sys.write_gregfile(&mut machine, NZCV_OFF, 0b1010);
+        sys.write_gregfile(&mut machine, FAR_OFF, 0x5EED);
+        (machine, sys)
+    }
+
+    fn call(sys: &mut GuestSys, machine: &mut Machine, id: u16, args: [u64; 3]) -> HelperResult {
+        machine.set_reg(Gpr::Rdi, args[0]);
+        machine.set_reg(Gpr::Rsi, args[1]);
+        machine.set_reg(Gpr::Rdx, args[2]);
+        sys.helper(id, machine)
+    }
+
+    #[test]
+    fn every_exception_kind_enters_with_the_architected_state() {
+        enum Via {
+            Dispatcher(GuestEvent),
+            Helper { class: u64, iss: u64 },
+        }
+        // (how it is raised, ESR class, ISS, FAR written)
+        let table = [
+            (
+                Via::Dispatcher(GuestEvent::DataAbort {
+                    vaddr: 0xA000,
+                    write: true,
+                }),
+                esr_class::DATA_ABORT,
+                1,
+                Some(0xA000),
+            ),
+            (
+                Via::Dispatcher(GuestEvent::DataAbort {
+                    vaddr: 0xB008,
+                    write: false,
+                }),
+                esr_class::DATA_ABORT,
+                0,
+                Some(0xB008),
+            ),
+            (
+                Via::Dispatcher(GuestEvent::InstrAbort { vaddr: 0xC000 }),
+                esr_class::INSTR_ABORT,
+                0,
+                Some(0xC000),
+            ),
+            (
+                Via::Dispatcher(GuestEvent::Irq { line: 5 }),
+                esr_class::IRQ,
+                5,
+                None,
+            ),
+            (
+                Via::Helper {
+                    class: esr_class::SVC,
+                    iss: 3,
+                },
+                esr_class::SVC,
+                3,
+                None,
+            ),
+            (
+                Via::Helper {
+                    class: esr_class::UNDEFINED,
+                    iss: 0,
+                },
+                esr_class::UNDEFINED,
+                0,
+                None,
+            ),
+        ];
+        const PC: u64 = 0x1234;
+        for (via, class, iss, far) in table {
+            let (mut m, mut sys) = bare();
+            let counted = match via {
+                Via::Dispatcher(event) => {
+                    sys.deliver(&mut m, event, PC);
+                    1
+                }
+                Via::Helper { class, iss } => {
+                    let r = call(&mut sys, &mut m, helpers::TAKE_EXCEPTION, [class, iss, PC]);
+                    assert_eq!(r, HelperResult::Exit { cost: 3 });
+                    0
+                }
+            };
+            let reg = |off| sys.read_gregfile(&m, off);
+            assert_eq!(reg(ESR_OFF), (class << 26) | iss, "ESR, class {class:#x}");
+            assert_eq!(reg(ELR_OFF), PC, "ELR, class {class:#x}");
+            assert_eq!(reg(SPSR_OFF), 0b1010 << 28, "SPSR = NZCV ‖ EL0");
+            assert_eq!(reg(FAR_OFF), far.unwrap_or(0x5EED), "FAR, class {class:#x}");
+            assert_eq!(reg(CURRENT_EL_OFF), 1, "handlers run in EL1");
+            assert_eq!(m.reg(Gpr::R15), VECTOR, "PC is redirected to VBAR");
+            assert!(sys.events.masked(), "entry masks IRQs, class {class:#x}");
+            assert_eq!(sys.exit_code, None);
+            assert_eq!(sys.stats().guest_exceptions, counted);
+        }
+    }
+
+    #[test]
+    fn an_exception_with_no_vector_installed_is_a_fatal_exit() {
+        let (mut m, mut sys) = bare();
+        sys.write_gregfile(&mut m, VBAR_OFF, 0);
+        sys.deliver(&mut m, GuestEvent::InstrAbort { vaddr: 0 }, 0x1000);
+        assert_eq!(sys.exit_code, Some(NO_VECTOR_EXIT));
+        assert_eq!(NO_VECTOR_EXIT, 0xDEAD);
+        assert!(sys.loop_exit_pending(0), "a looping region must leave too");
+    }
+
+    #[test]
+    fn an_irq_latched_inside_a_handler_stays_pending_until_eret() {
+        let (mut m, mut sys) = bare();
+        sys.deliver(&mut m, GuestEvent::Irq { line: 5 }, 0x1234);
+        // The handler clobbers the flags, then a device raises a line.
+        sys.write_gregfile(&mut m, NZCV_OFF, 0b0100);
+        sys.events.latch.raise(7);
+        assert!(!sys.events.due(0) && !sys.loop_exit_pending(0));
+        assert_eq!(sys.events.take(0), None, "masked: held, not lost");
+
+        let r = call(&mut sys, &mut m, helpers::ERET, [0; 3]);
+        assert_eq!(r, HelperResult::Exit { cost: 6 });
+        assert_eq!(m.reg(Gpr::R15), 0x1234, "PC = ELR");
+        assert_eq!(sys.read_gregfile(&m, CURRENT_EL_OFF), 0, "EL restored");
+        assert_eq!(sys.read_gregfile(&m, NZCV_OFF), 0b1010, "NZCV restored");
+        assert!(sys.loop_exit_pending(0), "ERET unmasks");
+        assert_eq!(sys.events.take(0), Some(7));
+        assert_eq!(sys.stats().irqs_delivered, 1);
+    }
+
+    #[test]
+    fn timer_deadlines_saturate_instead_of_wrapping() {
+        for (reg, slot) in [
+            (SysReg::CntTval, CNT_TVAL_OFF),
+            (SysReg::CntCtl, CNT_CTL_OFF),
+        ] {
+            let (mut m, mut sys) = bare();
+            m.perf.cycles = 1_000;
+            sys.write_gregfile(&mut m, slot, u64::MAX - 5);
+            m.set_reg(Gpr::Rdi, reg as u64);
+            assert!(!sys.msr_notify(&mut m), "{reg:?} is not translation state");
+            // A wrapped deadline (994) would already be due.
+            assert!(!sys.events.timer.due(u64::MAX - 1), "{reg:?} wrapped");
+            assert!(sys.events.timer.due(u64::MAX), "{reg:?} armed at infinity");
+        }
+        let (mut m, mut sys) = bare();
+        for reg in [SysReg::Ttbr0, SysReg::Sctlr] {
+            m.set_reg(Gpr::Rdi, reg as u64);
+            assert!(sys.msr_notify(&mut m), "{reg:?} is the engine's to answer");
+        }
+    }
+
+    #[test]
+    fn hypercalls_fcmp_and_hlt_charge_their_own_table_entry() {
+        let (mut m, mut sys) = bare();
+        sys.write_gregfile(&mut m, x_off(0), b'k' as u64);
+        let svc = |imm: u32| [esr_class::SVC, imm as u64, 0x1238];
+        let r = call(&mut sys, &mut m, helpers::TAKE_EXCEPTION, svc(SVC_PUTCHAR));
+        assert_eq!(r, HelperResult::Exit { cost: 1 });
+        assert_eq!(sys.uart_output, b"k");
+        assert_eq!(m.reg(Gpr::R15), 0x1238, "the console call just returns");
+        assert!(!sys.events.masked(), "a hypercall is not an exception");
+
+        let nan = f64::NAN.to_bits();
+        let (one, two) = (1f64.to_bits(), 2f64.to_bits());
+        for (a, b, nzcv) in [
+            (one, two, 0b1000),
+            (one, one, 0b0110),
+            (two, one, 0b0010),
+            (nan, one, 0b0011),
+        ] {
+            let r = call(&mut sys, &mut m, helpers::FCMP, [a, b, 0]);
+            assert_eq!(r, HelperResult::Continue { cost: 5 });
+            assert_eq!(m.reg(Gpr::Rax), nzcv);
+        }
+
+        let r = call(&mut sys, &mut m, helpers::TAKE_EXCEPTION, svc(SVC_EXIT));
+        assert_eq!(r, HelperResult::Halt { cost: 2 });
+        assert_eq!(sys.exit_code, Some(b'k' as u64));
+        let r = call(&mut sys, &mut m, helpers::HLT, [0; 3]);
+        assert_eq!(r, HelperResult::Halt { cost: 7 });
+        assert_eq!(sys.exit_code, Some(b'k' as u64), "HLT keeps an exit code");
+    }
+}

@@ -30,7 +30,6 @@
 //!   are not measured against a hobbled dispatcher.
 
 use captive::layout;
-use captive::runtime::{GuestEvent, SVC_EXIT, SVC_PUTCHAR};
 use dbt::emitter::ValueType;
 use dbt::{
     BlockExit, CacheIndex, ChainLinks, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseTimers,
@@ -38,13 +37,14 @@ use dbt::{
 };
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
-use guest_aarch64::{esr_class, mmu, v_off, x_off, Aarch64Isa, SysReg};
-use hvm::{
-    EventSources, ExitReason, FaultAction, Gpr, HelperResult, Machine, MachineConfig, MemSize,
-    Runtime, VirtioBlk,
-};
+use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts, SysStats};
+use guest_aarch64::{v_off, x_off, Aarch64Isa};
+use hvm::{ExitReason, FaultAction, Gpr, HelperResult, Machine, MachineConfig, MemSize, Runtime};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+
+pub use guest_aarch64::sys::RunExit;
 
 /// Helper ids specific to the QEMU-style runtime.
 pub mod qhelpers {
@@ -60,23 +60,28 @@ pub mod qhelpers {
     pub const VEC_OP: u16 = 44;
 }
 
-/// Why a run stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunExit {
-    /// Guest halted (exit hypercall or HLT).
-    GuestHalted {
-        /// Exit code.
-        code: u64,
-    },
-    /// The block budget was exhausted.
-    BudgetExhausted,
-    /// Execution-engine error.
-    Error(String),
-}
+/// What the shared helper arms cost in a user-process emulator: every helper
+/// call saves and restores the translated code's register state around a C
+/// function, which the unikernel's in-ring-0 calls avoid.
+pub const HELPER_COSTS: HelperCosts = HelperCosts {
+    putchar: 150,
+    exit: 50,
+    exception: 350,
+    msr_notify: 200,
+    fcmp: 60,
+    eret: 300,
+    hlt: 20,
+};
 
-/// Aggregate run statistics.
+/// Aggregate run statistics.  Dereferences to the engine-independent
+/// [`SysStats`] (`guest_exceptions`, `irqs_delivered`, `virtio_*`, …);
+/// `external_invalidations` there counts the full-cache flushes forced by
+/// device DMA landing behind the translator's back — the virtually-indexed
+/// analogue of Captive's per-page external invalidations.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
+    /// The counters every engine reports, sampled by the guest-system core.
+    pub sys: SysStats,
     /// Simulated cycles.
     pub cycles: u64,
     /// Host instructions executed.
@@ -96,80 +101,62 @@ pub struct RunStats {
     pub goto_tb_transfers: u64,
     /// Successor links patched lazily.
     pub chain_patches: u64,
-    /// Guest exceptions delivered (synchronous + asynchronous).
-    pub guest_exceptions: u64,
-    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Virtio queue notifications (doorbell writes) observed.
-    pub virtio_kicks: u64,
-    /// Virtio requests accepted off the available ring.
-    pub virtio_submissions: u64,
-    /// Virtio completions retired to the used ring.
-    pub virtio_completions: u64,
-    /// Completion interrupts the device raised.
-    pub virtio_irqs: u64,
-    /// Faults the seeded plan injected.
-    pub virtio_fault_injections: u64,
-    /// Bytes moved by device DMA (both directions).
-    pub virtio_dma_bytes: u64,
-    /// Requests completed with a non-OK status.
-    pub virtio_io_errors: u64,
-    /// Full-cache flushes forced by device DMA landing behind the
-    /// translator's back (the virtually-indexed analogue of Captive's
-    /// per-page external invalidations).
-    pub external_invalidations: u64,
 }
 
-/// The QEMU-style runtime: software TLB, softfloat state, console.
+impl Deref for RunStats {
+    type Target = SysStats;
+    fn deref(&self) -> &SysStats {
+        &self.sys
+    }
+}
+
+/// The QEMU-style runtime — the half the paper compares against Captive:
+/// the software TLB and softfloat state.  Everything a guest observes
+/// identically on any engine is the embedded [`GuestSys`].
 pub struct QemuRuntime {
-    regfile_phys: u64,
-    #[allow(dead_code)]
-    guest_ram: u64,
+    /// The engine-independent guest-system core (exceptions, hypercalls,
+    /// event sources, devices); also reachable through `Deref`.
+    pub sys: GuestSys,
     /// Software TLB: guest virtual page -> (guest physical page, writable, user).
     soft_tlb: HashMap<u64, (u64, bool, bool)>,
     /// Set when the guest changed translation state; the dispatcher must
     /// flush the (virtually-indexed) code cache.
     pub flush_requested: bool,
-    /// Console output.
-    pub uart_output: Vec<u8>,
-    /// Exit code from the exit hypercall.
-    pub exit_code: Option<u64>,
-    pending: Option<GuestEvent>,
     fp_env: softfloat::FpEnv,
     /// Software TLB statistics.
     pub soft_tlb_hits: u64,
     /// Software TLB misses (guest page walks).
     pub soft_tlb_misses: u64,
-    /// Deterministic guest event sources (timer + interrupt latch),
-    /// identical in behaviour to Captive's so cross-engine runs observe the
-    /// same events.
-    pub events: EventSources,
-    /// Optional virtio-mmio block device (same model Captive attaches, so
-    /// cross-engine runs observe identical DMA and completion behaviour).
-    pub virtio: Option<VirtioBlk>,
-    /// Full flushes forced by device DMA (sampled into
-    /// [`RunStats::external_invalidations`]).
-    pub external_invalidations: u64,
+}
+
+impl Deref for QemuRuntime {
+    type Target = GuestSys;
+    fn deref(&self) -> &GuestSys {
+        &self.sys
+    }
+}
+
+impl DerefMut for QemuRuntime {
+    fn deref_mut(&mut self) -> &mut GuestSys {
+        &mut self.sys
+    }
 }
 
 impl QemuRuntime {
-    fn new(guest_ram: u64) -> Self {
+    fn new(machine: &mut Machine, guest_ram: u64) -> Self {
         QemuRuntime {
-            regfile_phys: layout::REGFILE_PHYS,
-            guest_ram,
+            sys: GuestSys::new(
+                machine,
+                layout::REGFILE_PHYS,
+                layout::GUEST_PHYS_BASE,
+                guest_ram,
+                HELPER_COSTS,
+            ),
             soft_tlb: HashMap::new(),
             flush_requested: false,
-            uart_output: Vec::new(),
-            exit_code: None,
-            pending: None,
             fp_env: softfloat::FpEnv::arm(),
             soft_tlb_hits: 0,
             soft_tlb_misses: 0,
-            events: EventSources::default(),
-            virtio: None,
-            external_invalidations: 0,
         }
     }
 
@@ -177,49 +164,13 @@ impl QemuRuntime {
     /// behind the translator's back; a virtually-indexed cache has no
     /// per-physical-page index to invalidate through, so the honest QEMU
     /// response is the same one translation-state changes get: request a
-    /// full flush.  Returns `true` when at least one completion retired.
-    pub fn poll_virtio(&mut self, machine: &mut Machine) -> bool {
-        let Some(dev) = self.virtio.as_mut() else {
-            return false;
-        };
-        if !dev.poll(
-            &mut machine.mem,
-            machine.perf.cycles,
-            &mut self.events.latch,
-        ) {
-            return false;
-        }
-        if !dev.take_touched_pages().is_empty() {
+    /// full flush.
+    pub fn poll_virtio(&mut self, machine: &mut Machine) {
+        let touched = self.sys.poll_virtio(machine);
+        if touched.is_some_and(|pages| !pages.is_empty()) {
             self.flush_requested = true;
-            self.external_invalidations += 1;
+            self.sys.external_invalidations += 1;
         }
-        true
-    }
-
-    /// True when the attached device has a completion ready to retire at
-    /// `cycles` (polled from the chained dispatch loop so device latency is
-    /// bounded by one block, mirroring Captive's back-edge poll).
-    pub fn virtio_due(&self, cycles: u64) -> bool {
-        self.virtio
-            .as_ref()
-            .is_some_and(|d| d.due(cycles, &self.events.latch))
-    }
-
-    fn read_gregfile(&self, machine: &Machine, offset: i32) -> u64 {
-        machine
-            .mem
-            .read_u64(self.regfile_phys + offset as u64)
-            .unwrap_or(0)
-    }
-
-    fn write_gregfile(&self, machine: &mut Machine, offset: i32, value: u64) {
-        let _ = machine
-            .mem
-            .write_u64(self.regfile_phys + offset as u64, value);
-    }
-
-    fn mmu_enabled(&self, machine: &Machine) -> bool {
-        self.read_gregfile(machine, guest_aarch64::SCTLR_OFF) & 1 != 0
     }
 
     /// Software translation of a guest virtual address, maintaining the
@@ -230,8 +181,8 @@ impl QemuRuntime {
         va: u64,
         write: bool,
     ) -> Result<(u64, u64), GuestEvent> {
-        if !self.mmu_enabled(machine) {
-            if va >= self.guest_ram {
+        if !self.sys.mmu_enabled(machine) {
+            if va >= self.sys.guest_ram {
                 return Err(GuestEvent::DataAbort { vaddr: va, write });
             }
             // Even with the guest MMU off, QEMU funnels accesses through its
@@ -253,20 +204,10 @@ impl QemuRuntime {
             }
         }
         self.soft_tlb_misses += 1;
-        let ttbr0 = self.read_gregfile(machine, guest_aarch64::TTBR0_OFF);
-        let guest_ram = self.guest_ram;
-        let walk = mmu::walk_guest(
-            |a| {
-                if a + 8 > guest_ram {
-                    None
-                } else {
-                    machine.mem.read_u64(layout::GUEST_PHYS_BASE + a).ok()
-                }
-            },
-            ttbr0,
-            va,
-        )
-        .map_err(|_| GuestEvent::DataAbort { vaddr: va, write })?;
+        let walk = self
+            .sys
+            .walk(machine, va)
+            .map_err(|_| GuestEvent::DataAbort { vaddr: va, write })?;
         if write && !walk.flags.writable {
             return Err(GuestEvent::DataAbort { vaddr: va, write });
         }
@@ -275,45 +216,6 @@ impl QemuRuntime {
         // Slow path: a full guest page-table walk in software (several
         // dependent memory accesses plus permission evaluation).
         Ok((walk.frame | (va & 0xFFF), 420))
-    }
-
-    fn take_exception(
-        &mut self,
-        machine: &mut Machine,
-        class: u64,
-        iss: u64,
-        ret: u64,
-        far: Option<u64>,
-    ) {
-        // Exception entry masks asynchronous events (the PSTATE.I analogue)
-        // until the handler's `eret`, mirroring Captive: a pending IRQ must
-        // never preempt a handler mid-flight and clobber ELR/ESR under it.
-        self.events.set_masked(true);
-        let el = self.read_gregfile(machine, guest_aarch64::CURRENT_EL_OFF);
-        let nzcv = self.read_gregfile(machine, guest_aarch64::NZCV_OFF);
-        self.write_gregfile(
-            machine,
-            guest_aarch64::ESR_OFF,
-            (class << 26) | (iss & 0xFFFF),
-        );
-        if let Some(f) = far {
-            self.write_gregfile(machine, guest_aarch64::FAR_OFF, f);
-        }
-        self.write_gregfile(machine, guest_aarch64::ELR_OFF, ret);
-        // Same SPSR layout as Captive: interrupted NZCV in bits 31..28, EL
-        // in bit 0, so a handler may clobber flags at any preemption point.
-        self.write_gregfile(
-            machine,
-            guest_aarch64::SPSR_OFF,
-            ((nzcv & 0xF) << 28) | (el & 1),
-        );
-        self.write_gregfile(machine, guest_aarch64::CURRENT_EL_OFF, 1);
-        let vbar = self.read_gregfile(machine, guest_aarch64::VBAR_OFF);
-        if vbar == 0 {
-            // No vector installed: fatal guest error (see Captive's runtime).
-            self.exit_code = Some(0xDEAD);
-        }
-        machine.set_reg(Gpr::R15, vbar);
     }
 }
 
@@ -333,7 +235,7 @@ impl Runtime for QemuRuntime {
                         HelperResult::Continue { cost }
                     }
                     Err(ev) => {
-                        self.pending = Some(ev);
+                        self.sys.pending = Some(ev);
                         HelperResult::Exit { cost: 200 }
                     }
                 }
@@ -352,7 +254,7 @@ impl Runtime for QemuRuntime {
                         HelperResult::Continue { cost }
                     }
                     Err(ev) => {
-                        self.pending = Some(ev);
+                        self.sys.pending = Some(ev);
                         HelperResult::Exit { cost: 200 }
                     }
                 }
@@ -386,37 +288,22 @@ impl Runtime for QemuRuntime {
                 for lane in 0..2u64 {
                     let a = machine
                         .mem
-                        .read_u64(self.regfile_phys + vn + lane * 8)
+                        .read_u64(self.sys.regfile_phys + vn + lane * 8)
                         .unwrap_or(0);
                     let b = machine
                         .mem
-                        .read_u64(self.regfile_phys + vm + lane * 8)
+                        .read_u64(self.sys.regfile_phys + vm + lane * 8)
                         .unwrap_or(0);
                     let r = if op == 0 {
                         softfloat::f64_add(a, b, &mut self.fp_env)
                     } else {
                         softfloat::f64_mul(a, b, &mut self.fp_env)
                     };
-                    let _ = machine.mem.write_u64(self.regfile_phys + vd + lane * 8, r);
+                    let _ = machine
+                        .mem
+                        .write_u64(self.sys.regfile_phys + vd + lane * 8, r);
                 }
                 HelperResult::Continue { cost: 260 }
-            }
-            helpers::TAKE_EXCEPTION => {
-                let class = machine.reg(Gpr::Rdi);
-                let iss = machine.reg(Gpr::Rsi);
-                let ret_pc = machine.reg(Gpr::Rdx);
-                if class == esr_class::SVC && iss == SVC_PUTCHAR as u64 {
-                    let ch = self.read_gregfile(machine, x_off(0)) as u8;
-                    self.uart_output.push(ch);
-                    machine.set_reg(Gpr::R15, ret_pc);
-                    return HelperResult::Exit { cost: 150 };
-                }
-                if class == esr_class::SVC && iss == SVC_EXIT as u64 {
-                    self.exit_code = Some(self.read_gregfile(machine, x_off(0)));
-                    return HelperResult::Halt { cost: 50 };
-                }
-                self.take_exception(machine, class, iss, ret_pc, None);
-                HelperResult::Exit { cost: 350 }
             }
             helpers::TLBI => {
                 self.soft_tlb.clear();
@@ -424,69 +311,15 @@ impl Runtime for QemuRuntime {
                 HelperResult::Continue { cost: 300 }
             }
             helpers::MSR_NOTIFY => {
-                let id = machine.reg(Gpr::Rdi) as u32;
-                match SysReg::from_id(id) {
-                    Some(SysReg::Ttbr0) | Some(SysReg::Sctlr) => {
-                        self.soft_tlb.clear();
-                        self.flush_requested = true;
-                    }
-                    Some(SysReg::CntTval) => {
-                        let delta = self.read_gregfile(machine, guest_aarch64::CNT_TVAL_OFF);
-                        // Saturate: a guest programming a near-u64::MAX delta
-                        // must disarm-at-infinity, not wrap to the past.
-                        self.events
-                            .timer
-                            .arm_oneshot(machine.perf.cycles.saturating_add(delta));
-                    }
-                    Some(SysReg::CntCtl) => {
-                        let period = self.read_gregfile(machine, guest_aarch64::CNT_CTL_OFF);
-                        if period == 0 {
-                            self.events.timer.cancel();
-                        } else {
-                            self.events
-                                .timer
-                                .arm_periodic(machine.perf.cycles.saturating_add(period), period);
-                        }
-                    }
-                    Some(SysReg::VblkNotify) => {
-                        if let Some(dev) = self.virtio.as_mut() {
-                            let now = machine.perf.cycles;
-                            dev.kick(&mut machine.mem, now);
-                        }
-                    }
-                    _ => {}
+                if self.sys.msr_notify(machine) {
+                    self.soft_tlb.clear();
+                    self.flush_requested = true;
                 }
-                HelperResult::Continue { cost: 200 }
+                HelperResult::Continue {
+                    cost: HELPER_COSTS.msr_notify,
+                }
             }
-            helpers::FCMP => {
-                let a = f64::from_bits(machine.reg(Gpr::Rdi));
-                let b = f64::from_bits(machine.reg(Gpr::Rsi));
-                let nzcv: u64 = if a.is_nan() || b.is_nan() {
-                    0b0011
-                } else if a < b {
-                    0b1000
-                } else if a == b {
-                    0b0110
-                } else {
-                    0b0010
-                };
-                machine.set_reg(Gpr::Rax, nzcv);
-                HelperResult::Continue { cost: 60 }
-            }
-            helpers::ERET => {
-                let elr = self.read_gregfile(machine, guest_aarch64::ELR_OFF);
-                let spsr = self.read_gregfile(machine, guest_aarch64::SPSR_OFF);
-                self.write_gregfile(machine, guest_aarch64::CURRENT_EL_OFF, spsr & 1);
-                self.write_gregfile(machine, guest_aarch64::NZCV_OFF, (spsr >> 28) & 0xF);
-                self.events.set_masked(false);
-                machine.set_reg(Gpr::R15, elr);
-                HelperResult::Exit { cost: 300 }
-            }
-            helpers::HLT => {
-                self.exit_code.get_or_insert(0);
-                HelperResult::Halt { cost: 20 }
-            }
-            _ => HelperResult::Continue { cost: 10 },
+            _ => self.sys.helper(id, machine),
         }
     }
 
@@ -508,7 +341,6 @@ pub struct QemuRef {
     /// JIT phase timers.
     pub timers: PhaseTimers,
     isa: Aarch64Isa,
-    guest_ram: u64,
     max_block_insns: usize,
     stats: RunStats,
     per_region: HashMap<RegionKey, RegionProfile>,
@@ -544,100 +376,26 @@ impl QemuRef {
         let mut machine = Machine::new(MachineConfig::default());
         // The register file is addressed physically (flat memory).
         machine.set_reg(Gpr::Rbp, layout::REGFILE_PHYS);
-        let runtime = QemuRuntime::new(guest_ram);
-        let mut q = QemuRef {
+        let runtime = QemuRuntime::new(&mut machine, guest_ram);
+        QemuRef {
             machine,
             runtime,
             cache: CodeCache::new(CacheIndex::GuestVirtual),
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
-            guest_ram,
             max_block_insns: 64,
             stats: RunStats::default(),
             per_region: HashMap::new(),
             per_block_stats: false,
             qemu_chaining: false,
             goto_tb: false,
-        };
-        // Boot in EL1.
-        q.machine
-            .mem
-            .write_u64(
-                layout::REGFILE_PHYS + guest_aarch64::CURRENT_EL_OFF as u64,
-                1,
-            )
-            .expect("register file inside RAM");
-        q
+        }
     }
 
     /// Attaches a virtio-mmio block device (identical model to Captive's,
     /// so cross-engine runs stay byte-identical under injected faults).
     pub fn attach_virtio(&mut self, cfg: hvm::VirtioBlkConfig) {
-        let dev = VirtioBlk::new(cfg, layout::GUEST_PHYS_BASE, self.guest_ram);
-        dev.init_mmio(&mut self.machine.mem)
-            .expect("virtio MMIO window must lie inside guest RAM");
-        self.runtime.virtio = Some(dev);
-    }
-
-    /// Loads a guest program at a guest physical address.
-    pub fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            let _ = self.machine.mem.write_uint(
-                layout::GUEST_PHYS_BASE + guest_phys + i as u64 * 4,
-                *w as u64,
-                4,
-            );
-        }
-    }
-
-    /// Writes guest physical memory.
-    pub fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
-        let _ = self
-            .machine
-            .mem
-            .write_uint(layout::GUEST_PHYS_BASE + guest_phys, value, size);
-    }
-
-    /// Sets the guest entry point.
-    pub fn set_entry(&mut self, pc: u64) {
-        self.machine.set_reg(Gpr::R15, pc);
-    }
-
-    /// Reads a guest general-purpose register.
-    pub fn guest_reg(&mut self, index: u32) -> u64 {
-        self.machine
-            .mem
-            .read_u64(layout::REGFILE_PHYS + x_off(index) as u64)
-            .unwrap_or(0)
-    }
-
-    /// Reads the guest's NZCV flags nibble (cross-engine equivalence tests).
-    pub fn guest_nzcv(&mut self) -> u64 {
-        self.machine
-            .mem
-            .read_u64(layout::REGFILE_PHYS + guest_aarch64::NZCV_OFF as u64)
-            .unwrap_or(0)
-    }
-
-    /// FNV-1a digest of `len` bytes of guest physical memory starting at
-    /// `start` (byte-exact final-state comparison for the chaos harness).
-    pub fn guest_mem_digest(&self, start: u64, len: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for a in start..start.saturating_add(len) {
-            let b = self
-                .machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + a, 1)
-                .unwrap_or(0) as u8;
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-
-    /// Console output.
-    pub fn console(&self) -> &[u8] {
-        &self.runtime.uart_output
+        self.runtime.sys.attach_virtio(&mut self.machine, cfg);
     }
 
     /// Statistics so far.
@@ -646,16 +404,7 @@ impl QemuRef {
         s.cycles = self.machine.perf.cycles;
         s.host_insns = self.machine.perf.insns;
         s.code_bytes = self.cache.total_encoded_bytes() as u64;
-        if let Some(dev) = &self.runtime.virtio {
-            s.virtio_kicks = dev.stats.kicks;
-            s.virtio_submissions = dev.stats.submissions;
-            s.virtio_completions = dev.stats.completions;
-            s.virtio_irqs = dev.stats.irqs_raised;
-            s.virtio_fault_injections = dev.stats.fault_injections;
-            s.virtio_dma_bytes = dev.stats.dma_bytes;
-            s.virtio_io_errors = dev.stats.io_errors;
-        }
-        s.external_invalidations = self.runtime.external_invalidations;
+        s.sys = self.runtime.stats();
         s
     }
 
@@ -708,7 +457,8 @@ impl QemuRef {
             if let Some(line) = self.runtime.events.take(self.machine.perf.cycles) {
                 patch_from = None;
                 budget -= 1;
-                self.deliver(GuestEvent::Irq { line }, pc);
+                self.runtime
+                    .deliver(&mut self.machine, GuestEvent::Irq { line }, pc);
                 continue;
             }
             let pa = match self.fetch_pa(pc) {
@@ -717,7 +467,7 @@ impl QemuRef {
                     patch_from = None;
                     budget -= 1;
                     let pc_now = self.machine.reg(Gpr::R15);
-                    self.deliver(ev, pc_now);
+                    self.runtime.deliver(&mut self.machine, ev, pc_now);
                     continue;
                 }
             };
@@ -764,7 +514,7 @@ impl QemuRef {
                     ExitReason::BlockEnd | ExitReason::HelperExit => {
                         if let Some(ev) = self.runtime.pending.take() {
                             let pc_now = self.machine.reg(Gpr::R15);
-                            self.deliver(ev, pc_now);
+                            self.runtime.deliver(&mut self.machine, ev, pc_now);
                             break;
                         }
                         // A TLBI/MSR helper may have requested the flush that
@@ -809,7 +559,11 @@ impl QemuRef {
                     }
                     ExitReason::MemFault { vaddr, write } => {
                         let pc_now = self.machine.reg(Gpr::R15);
-                        self.deliver(GuestEvent::DataAbort { vaddr, write }, pc_now);
+                        self.runtime.deliver(
+                            &mut self.machine,
+                            GuestEvent::DataAbort { vaddr, write },
+                            pc_now,
+                        );
                         break;
                     }
                     ExitReason::FuelExhausted => {
@@ -820,47 +574,6 @@ impl QemuRef {
             }
         }
         RunExit::BudgetExhausted
-    }
-
-    fn deliver(&mut self, ev: GuestEvent, pc: u64) {
-        match ev {
-            GuestEvent::Halt { code } => {
-                self.runtime.exit_code = Some(code);
-                return;
-            }
-            GuestEvent::DataAbort { vaddr, write } => {
-                self.runtime.take_exception(
-                    &mut self.machine,
-                    esr_class::DATA_ABORT,
-                    write as u64,
-                    pc,
-                    Some(vaddr),
-                );
-            }
-            GuestEvent::InstrAbort { vaddr } => {
-                self.runtime.take_exception(
-                    &mut self.machine,
-                    esr_class::INSTR_ABORT,
-                    0,
-                    pc,
-                    Some(vaddr),
-                );
-            }
-            GuestEvent::Irq { line } => {
-                self.stats.irqs_delivered += 1;
-                if line == hvm::TIMER_LINE {
-                    self.stats.timer_irqs += 1;
-                }
-                self.runtime.take_exception(
-                    &mut self.machine,
-                    esr_class::IRQ,
-                    line as u64,
-                    pc,
-                    None,
-                );
-            }
-        }
-        self.stats.guest_exceptions += 1;
     }
 
     /// Translates one block in the TCG style: memory accesses and FP go
@@ -891,13 +604,8 @@ impl QemuRef {
                 .time(Phase::Decode, || self.isa.decode(word, va));
             let end = match decoded {
                 None => {
-                    self.timers.time(Phase::Translate, || {
-                        let class = e.const_u64(esr_class::UNDEFINED);
-                        let iss = e.const_u64(0);
-                        let ret = e.const_u64(va);
-                        e.call_helper(helpers::TAKE_EXCEPTION, &[class, iss, ret]);
-                        e.set_end_of_block();
-                    });
+                    self.timers
+                        .time(Phase::Translate, || self.isa.generate_undefined(va, &mut e));
                     true
                 }
                 Some(d) => self.timers.time(Phase::Translate, || {
@@ -929,7 +637,12 @@ impl QemuRef {
                 // translation and raise a guest UNDEF at the entry instead
                 // of executing corrupt host code.
                 self.timers.lower_bailouts += 1;
-                return self.undef_fallback(pc, pa);
+                return captive::translator::undef_fallback_region(
+                    &self.isa,
+                    &mut self.timers,
+                    pc,
+                    pa,
+                );
             }
         };
         self.timers.blocks += 1;
@@ -955,45 +668,21 @@ impl QemuRef {
             idiom_candidates: [0; dbt::RULE_COUNT],
         }
     }
+}
 
-    /// The degraded translation used when lowering bails out: a
-    /// one-instruction block raising a guest UNDEF exception at `pc`.  The
-    /// stub uses no virtual registers, so its own lowering cannot fail.
-    fn undef_fallback(&mut self, pc: u64, pa: u64) -> Region {
-        let mut e = Emitter::new();
-        let class = e.const_u64(esr_class::UNDEFINED);
-        let iss = e.const_u64(0);
-        let ret = e.const_u64(pc);
-        e.call_helper(helpers::TAKE_EXCEPTION, &[class, iss, ret]);
-        e.set_end_of_block();
-        let lir = e.finish();
-        let lir_count = lir.len();
-        let t = dbt::finish_translation(&mut self.timers, lir, false, false, None)
-            .expect("host bug: the UNDEF stub lowers without virtual registers");
-        self.timers.blocks += 1;
-        self.timers.guest_insns += 1;
-        Region {
-            guest_phys: pa,
-            guest_virt: pc,
-            guest_insns: 1,
-            encoded_bytes: t.encoded.len(),
-            lir_insns: lir_count,
-            elided_insns: t.elided,
-            code: Arc::new(t.code),
-            exit: BlockExit::Indirect,
-            links: ChainLinks::default(),
-            constituents: 1,
-            pages: Region::span_pages(pa, 1),
-            ctx_gen: 0,
-            unroll: 1,
-            back_edges: 0,
-            loop_guest_insns: 0,
-            loop_elided_insns: 0,
-            promoted: Vec::new(),
-            idiom_candidates: [0; dbt::RULE_COUNT],
-        }
+impl Engine for QemuRef {
+    fn parts(&self) -> (&GuestSys, &Machine) {
+        (&self.runtime.sys, &self.machine)
+    }
+    fn parts_mut(&mut self) -> (&mut GuestSys, &mut Machine) {
+        (&mut self.runtime.sys, &mut self.machine)
+    }
+    fn run(&mut self, max_blocks: u64) -> RunExit {
+        QemuRef::run(self, max_blocks)
     }
 }
+
+guest_aarch64::inherent_facade!(QemuRef);
 
 /// TCG-style per-instruction emission: memory and FP through helpers; other
 /// instructions fall back to the shared generator functions.
@@ -1170,7 +859,7 @@ mod tests {
         a.push(asm::subi(1, 1, 1));
         a.cbnz_to(1, "loop");
         a.push(asm::hlt());
-        let (mut q, exit) = boot(&a.finish());
+        let (q, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(q.guest_reg(0), 5050);
     }
@@ -1183,7 +872,7 @@ mod tests {
         a.push(asm::str(2, 1, 8));
         a.push(asm::ldr(3, 1, 8));
         a.push(asm::hlt());
-        let (mut q, exit) = boot(&a.finish());
+        let (q, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(q.guest_reg(3), 0xABCD);
         assert!(
@@ -1200,7 +889,7 @@ mod tests {
         a.push(asm::fmul(1, 0, 0));
         a.push(asm::fmov_to_gpr(0, 1));
         a.push(asm::hlt());
-        let (mut q, exit) = boot(&a.finish());
+        let (q, exit) = boot(&a.finish());
         assert_eq!(exit, RunExit::GuestHalted { code: 0 });
         assert_eq!(f64::from_bits(q.guest_reg(0)), 2.25);
         assert!(q.machine.perf.helper_calls >= 1, "softfloat helper used");
@@ -1230,8 +919,8 @@ mod tests {
             assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
             q
         };
-        let mut on = run(true);
-        let mut off = run(false);
+        let on = run(true);
+        let off = run(false);
         for r in 0..16 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
@@ -1309,8 +998,8 @@ mod tests {
             assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
             q
         };
-        let mut on = run(true);
-        let mut off = run(false);
+        let on = run(true);
+        let off = run(false);
         for r in 0..16 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
@@ -1374,7 +1063,7 @@ mod tests {
         a.push(asm::hlt());
         let words = a.finish();
 
-        let (mut q, qe) = boot(&words);
+        let (q, qe) = boot(&words);
         let mut c = captive::Captive::new(captive::CaptiveConfig::default());
         c.load_program(0x1000, &words);
         c.set_entry(0x1000);
