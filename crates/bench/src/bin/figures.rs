@@ -515,7 +515,7 @@ fn loops() {
     for w in &ws {
         // Promotion is pinned off so the delta isolates the back-edge
         // machinery; the `promote` section measures what it adds on top.
-        let on = captive(w, "nopromote");
+        let on = captive(w, "nopromote+sync");
         let chain = captive(w, "chain-only");
         // CI smoke invariants: every loop-heavy kernel must close at least
         // one back-edge region, trip it internally, and never cost modeled
@@ -589,7 +589,7 @@ fn promote() {
     let mut stream_gain = 0.0f64;
     for w in workloads::loop_kernels(Scale(1)) {
         let on = captive(&w, "sync");
-        let off = captive(&w, "nopromote");
+        let off = captive(&w, "nopromote+sync");
         let gtb = run_qemu_goto_tb(&w);
         // CI smoke invariants: every loop kernel must promote at least one
         // slot and hoist at least one invariant load, promotion must never
@@ -663,7 +663,7 @@ fn promote() {
     // modeled cycles.
     for w in workloads::spec_int(Scale(1)).into_iter().take(4) {
         let on = captive(&w, "sync");
-        let off = captive(&w, "nopromote");
+        let off = captive(&w, "nopromote+sync");
         assert!(
             on.cycles <= off.cycles,
             "{}: promotion regressed a non-loop kernel ({} > {})",
@@ -773,7 +773,7 @@ fn json() {
         push(w.name, "qemu", &run_qemu(&w));
     }
     for w in workloads::loop_kernels(Scale(1)) {
-        push(w.name, "captive", &captive(&w, "nopromote"));
+        push(w.name, "captive", &captive(&w, "nopromote+sync"));
         push(w.name, "captive-promote", &captive(&w, "sync"));
         push(w.name, "qemu+goto_tb", &run_qemu_goto_tb(&w));
         // The tier trajectory: cold run publishes+installs asynchronously,
@@ -801,7 +801,7 @@ fn json() {
     // each record's "counters" object.
     for w in workloads::idiom_kernels(Scale(1)) {
         push(w.name, "captive-idiom", &captive(&w, "sync"));
-        push(w.name, "captive-noidiom", &captive(&w, "noidiom"));
+        push(w.name, "captive-noidiom", &captive(&w, "noidiom+sync"));
         push(w.name, "qemu", &run_qemu(&w));
     }
     // The virtio-blk I/O kernels, including the device-originated-SMC case;
@@ -929,7 +929,7 @@ fn opt() {
     let mut total_saved = 0u64;
     for (i, w) in ws.iter().enumerate() {
         let on = captive(w, "sync");
-        let off = captive(w, "noopt");
+        let off = captive(w, "noopt+sync");
         // CI smoke invariants: the optimiser must never cost modeled cycles,
         // and on the flag-heavy integer kernels it must actually eliminate
         // work (the FP rider is only held to the no-regression bar).
@@ -996,7 +996,7 @@ fn idioms() {
     let mut branch_gain = 0.0f64;
     for w in &kernels {
         let on = captive(w, "sync");
-        let off = captive(w, "noidiom");
+        let off = captive(w, "noidiom+sync");
         // CI smoke invariants: the idiom layer must never cost modeled
         // cycles, it must actually rewrite something on its own kernels, and
         // with the layer off its counters must stay exactly zero.
@@ -1056,7 +1056,7 @@ fn idioms() {
         .chain(workloads::loop_kernels(Scale(1)))
     {
         let on = captive(&w, "sync");
-        let off = captive(&w, "noidiom");
+        let off = captive(&w, "noidiom+sync");
         assert!(
             on.cycles <= off.cycles,
             "{}: idiom layer regressed a non-idiom kernel ({} > {})",

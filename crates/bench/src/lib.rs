@@ -168,27 +168,19 @@ pub type NamedConfig = (&'static str, fn(&mut CaptiveConfig));
 /// Every Captive configuration the figures, the chaos harness and the
 /// integration tests run, by name; build one with [`captive_config`].
 ///
-/// The single-knob ablations pin the tiered service off: it cannot change
-/// what a knob does to the translated code, and the ablations want
-/// single-threaded wall-clock accounting (`default` and `tinycache` keep the
-/// tiered path covered).
+/// Each entry turns one knob, so the chaos and virtio legs run an ablation
+/// on the shipped (tiered) path.  The figures join an ablation to `sync`
+/// (`"noopt+sync"`): their cycle comparisons want region formation on the
+/// run thread, where the moment a region forms does not depend on a
+/// background worker's wall-clock speed.
 pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
     ("default", |_| {}),
     // Synchronous region formation on the run thread.
     ("sync", |c| c.tiered = false),
-    ("noopt", |c| {
-        c.opt = false;
-        c.tiered = false;
-    }),
+    ("noopt", |c| c.opt = false),
     // Looping regions without loop-carried register promotion.
-    ("nopromote", |c| {
-        c.promote = false;
-        c.tiered = false;
-    }),
-    ("noidiom", |c| {
-        c.idioms = false;
-        c.tiered = false;
-    }),
+    ("nopromote", |c| c.promote = false),
+    ("noidiom", |c| c.idioms = false),
     // Chaining alone, no region formation: the chaining-gap equality checks
     // pin chain-only cycle accounting against this and `nochain`.
     ("chain-only", |c| c.form_regions = false),
@@ -203,15 +195,18 @@ pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
     ("profiled", |c| c.per_block_stats = true),
 ];
 
-/// Builds the configuration `name` from [`CAPTIVE_CONFIGS`]; panics on a
-/// name the table does not hold.
-pub fn captive_config(name: &str) -> CaptiveConfig {
-    let (_, edit) = CAPTIVE_CONFIGS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("no Captive configuration named {name:?}"));
+/// Builds a configuration from [`CAPTIVE_CONFIGS`]: one name, or several
+/// joined with `+` whose edits apply left to right (`"noopt+sync"`); panics
+/// on a name the table does not hold.
+pub fn captive_config(names: &str) -> CaptiveConfig {
     let mut cfg = CaptiveConfig::default();
-    edit(&mut cfg);
+    for name in names.split('+') {
+        let (_, edit) = CAPTIVE_CONFIGS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no Captive configuration named {name:?}"));
+        edit(&mut cfg);
+    }
     cfg
 }
 
@@ -349,7 +344,7 @@ pub fn run_captive(w: &Workload) -> Measurement {
 }
 
 /// Runs a workload under Captive with an explicit configuration — usually a
-/// named one, `run_captive_cfg(w, captive_config("noopt"))`.
+/// named one, `run_captive_cfg(w, captive_config("noopt+sync"))`.
 pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> Measurement {
     drive(w, &mut Captive::new(cfg))
 }

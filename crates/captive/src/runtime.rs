@@ -277,12 +277,11 @@ impl Runtime for CaptiveRuntime {
                 HelperResult::Continue { cost: 450 }
             }
             helpers::MSR_NOTIFY => {
-                if self.sys.msr_notify(machine) {
+                let (translation_changed, result) = self.sys.msr_notify(machine);
+                if translation_changed {
                     self.teardown_guest_mappings(machine);
                 }
-                HelperResult::Continue {
-                    cost: HELPER_COSTS.msr_notify,
-                }
+                result
             }
             sf_helpers::ADD..=sf_helpers::SQRT => self.softfloat_binop(machine, id),
             _ => self.sys.helper(id, machine),

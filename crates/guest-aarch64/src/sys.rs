@@ -335,14 +335,16 @@ impl GuestSys {
 
     /// The `MSR_NOTIFY` side effects every engine shares (the MSR already
     /// stored the value into the register's slot): timer programming and the
-    /// virtio doorbell.  Returns `true` for the registers whose write changes
-    /// translation state (`TTBR0`, `SCTLR`) — the engine answers those with
-    /// its own teardown — and the engine charges `costs.msr_notify`.
+    /// virtio doorbell.  Returns the helper's result, charged from the cost
+    /// table like every other shared arm, and `true` for the registers whose
+    /// write changes translation state (`TTBR0`, `SCTLR`) — the engine
+    /// answers those with its own teardown before handing the result back.
     #[inline]
-    pub fn msr_notify(&mut self, machine: &mut Machine) -> bool {
+    pub fn msr_notify(&mut self, machine: &mut Machine) -> (bool, HelperResult) {
         let now = machine.perf.cycles;
+        let mut translation_changed = false;
         match SysReg::from_id(machine.reg(Gpr::Rdi) as u32) {
-            Some(SysReg::Ttbr0) | Some(SysReg::Sctlr) => return true,
+            Some(SysReg::Ttbr0) | Some(SysReg::Sctlr) => translation_changed = true,
             // Deadlines saturate: a guest programming a near-`u64::MAX`
             // delta must disarm-at-infinity, not wrap into the past.
             Some(SysReg::CntTval) => {
@@ -368,7 +370,10 @@ impl GuestSys {
             }
             _ => {}
         }
-        false
+        let result = HelperResult::Continue {
+            cost: self.costs.msr_notify,
+        };
+        (translation_changed, result)
     }
 
     /// The helper arms with engine-independent semantics; an engine's
@@ -499,13 +504,15 @@ pub trait Engine {
     /// Runs the guest for at most `max_blocks` executed blocks.
     fn run(&mut self, max_blocks: u64) -> RunExit;
 
-    /// Writes `size` bytes of `value` at a guest physical address
-    /// (out-of-range writes are dropped).
+    /// Writes `size` bytes of `value` at a guest physical address; panics
+    /// on a write past the machine's memory (a mis-built image, not a guest
+    /// behaviour).
     fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
         let (sys, machine) = self.parts_mut();
-        let _ = machine
+        machine
             .mem
-            .write_uint(sys.guest_phys_base + guest_phys, value, size);
+            .write_uint(sys.guest_phys_base + guest_phys, value, size)
+            .expect("guest physical write within RAM");
     }
 
     /// Loads a guest program (little-endian instruction words) at a guest
@@ -765,7 +772,9 @@ mod tests {
             m.perf.cycles = 1_000;
             sys.write_gregfile(&mut m, slot, u64::MAX - 5);
             m.set_reg(Gpr::Rdi, reg as u64);
-            assert!(!sys.msr_notify(&mut m), "{reg:?} is not translation state");
+            let (translation_changed, result) = sys.msr_notify(&mut m);
+            assert!(!translation_changed, "{reg:?} is not translation state");
+            assert_eq!(result, HelperResult::Continue { cost: 4 });
             // A wrapped deadline (994) would already be due.
             assert!(!sys.events.timer.due(u64::MAX - 1), "{reg:?} wrapped");
             assert!(sys.events.timer.due(u64::MAX), "{reg:?} armed at infinity");
@@ -773,7 +782,9 @@ mod tests {
         let (mut m, mut sys) = bare();
         for reg in [SysReg::Ttbr0, SysReg::Sctlr] {
             m.set_reg(Gpr::Rdi, reg as u64);
-            assert!(sys.msr_notify(&mut m), "{reg:?} is the engine's to answer");
+            let (translation_changed, result) = sys.msr_notify(&mut m);
+            assert!(translation_changed, "{reg:?} is the engine's to answer");
+            assert_eq!(result, HelperResult::Continue { cost: 4 });
         }
     }
 

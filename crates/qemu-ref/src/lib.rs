@@ -311,13 +311,12 @@ impl Runtime for QemuRuntime {
                 HelperResult::Continue { cost: 300 }
             }
             helpers::MSR_NOTIFY => {
-                if self.sys.msr_notify(machine) {
+                let (translation_changed, result) = self.sys.msr_notify(machine);
+                if translation_changed {
                     self.soft_tlb.clear();
                     self.flush_requested = true;
                 }
-                HelperResult::Continue {
-                    cost: HELPER_COSTS.msr_notify,
-                }
+                result
             }
             _ => self.sys.helper(id, machine),
         }
