@@ -102,6 +102,32 @@ fn fp_results_match_between_hardware_and_software_modes() {
 }
 
 #[test]
+fn fmadd_rounds_once_on_every_engine() {
+    // (1 + 2^-27)(1 - 2^-27) = 1 - 2^-54 rounds to 1.0 as a product of its
+    // own, so multiply-then-add yields 0 where the fused result is -2^-54.
+    let eps = f64::powi(2.0, -27);
+    let mut a = Assembler::new();
+    for (v, x) in [1.0 + eps, 1.0 - eps, -1.0].into_iter().enumerate() {
+        a.mov_imm64(1, x.to_bits());
+        a.push(asm::fmov_from_gpr(v as u32, 1));
+    }
+    a.push(asm::fmadd(3, 0, 1, 2));
+    a.push(asm::fmov_to_gpr(5, 3));
+    a.push(asm::hlt());
+    let words = a.finish();
+    let fused = (-f64::powi(2.0, -54)).to_bits();
+
+    let (hw, q) = run_both(&words);
+    assert_eq!(hw.guest_reg(5), fused, "Captive, host FMA");
+    assert_eq!(q.guest_reg(5), fused, "QemuRef, softfloat helper");
+    let mut sw = Captive::new(bench::captive_config("softfp"));
+    sw.load_program(0x1000, &words);
+    sw.set_entry(0x1000);
+    sw.run(50_000_000);
+    assert_eq!(sw.guest_reg(5), fused, "Captive, softfloat helper");
+}
+
+#[test]
 fn chaining_on_and_off_are_architecturally_identical() {
     // The chained dispatcher must be invisible to the guest: every SimBench
     // micro (including the MMU-on and TLB-flushing ones) and a SPEC subset

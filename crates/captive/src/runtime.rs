@@ -44,6 +44,8 @@ pub mod sf_helpers {
     pub const MUL: u16 = 22;
     pub const DIV: u16 = 23;
     pub const SQRT: u16 = 24;
+    /// Fused `a * b + c` (third operand in `rdx`): one rounding.
+    pub const FMA: u16 = 25;
 }
 
 /// The unikernel runtime: the guest-system core plus the host page tables
@@ -260,6 +262,7 @@ impl CaptiveRuntime {
             sf_helpers::MUL => softfloat::f64_mul(a, b, &mut self.fp_env),
             sf_helpers::DIV => softfloat::f64_div(a, b, &mut self.fp_env),
             sf_helpers::SQRT => softfloat::f64_sqrt_arm(a, &mut self.fp_env),
+            sf_helpers::FMA => softfloat::f64_fma(a, b, machine.reg(Gpr::Rdx), &mut self.fp_env),
             _ => 0,
         };
         machine.set_reg(Gpr::Rax, r);
@@ -283,7 +286,7 @@ impl Runtime for CaptiveRuntime {
                 }
                 result
             }
-            sf_helpers::ADD..=sf_helpers::SQRT => self.softfloat_binop(machine, id),
+            sf_helpers::ADD..=sf_helpers::FMA => self.softfloat_binop(machine, id),
             _ => self.sys.helper(id, machine),
         }
     }

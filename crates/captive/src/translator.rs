@@ -778,10 +778,9 @@ fn generate_maybe_soft_fp(d: &Decoded, e: &mut Emitter, isa: &Aarch64Isa) -> boo
         Insn::Fmadd { vd, vn, vm, va } => {
             let a = e.load_register(v_off(vn), ValueType::U64);
             let b = e.load_register(v_off(vm), ValueType::U64);
-            let prod = e.call_helper(sf_helpers::MUL, &[a, b]);
             let c = e.load_register(v_off(va), ValueType::U64);
-            let sum = e.call_helper(sf_helpers::ADD, &[prod, c]);
-            e.store_register(v_off(vd), sum);
+            let r = e.call_helper(sf_helpers::FMA, &[a, b, c]);
+            e.store_register(v_off(vd), r);
             let zero = e.const_u64(0);
             e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
             false

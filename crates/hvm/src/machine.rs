@@ -6,6 +6,34 @@
 //! interrupts, port I/O and page-fault handling.  This mirrors the paper's
 //! split between the generated code (running inside the host VM) and the
 //! execution engine / hypervisor servicing its exits.
+//!
+//! # The memory-access path
+//!
+//! A guest load or store is *one* host memory instruction behind the host
+//! MMU (Section 2.7 of the paper), so all six memory-op variants (`Load`,
+//! `LoadSx`, `Store`, `StoreImm`, `LoadXmm`, `StoreXmm`) go through one
+//! function, `Machine::mem_access`, inlined into the interpreter loop:
+//!
+//! * **Hit path** (inline): paging off, or a TLB entry for the page under
+//!   the current PCID that permits the access (`writable` for a store,
+//!   `user` in ring 3).  [`Machine::translate`] charges `tlb_hits` and
+//!   `cost.tlb_hit` (nothing with paging off), `mem_access` charges
+//!   `mem_accesses`, and the access is one width-matched [`PhysMem`] read or
+//!   write.  The instruction's own `cost.mem` was charged by the loop before
+//!   the access started, like every other instruction's base cost.
+//! * **Slow path** (out of line): a TLB miss *or an entry that does not
+//!   permit the access* charges `tlb_misses` and walks the page tables
+//!   afresh, so a PTE the runtime changed is observed; a successful walk
+//!   charges `page_walk_per_level` per level and fills the TLB.  A failed
+//!   walk or permission check charges `page_faults` and calls
+//!   [`Runtime::page_fault`] — with `perf.cycles` exactly as accumulated up
+//!   to that point — then adds the handler's cost; `Retry` repeats the
+//!   translation once, anything else ends the block with
+//!   [`ExitReason::MemFault`].
+//! * **Malformed access**: a translated address past the end of RAM, or a
+//!   128-bit width on a general-purpose operand, is counted in
+//!   `mem_accesses`, refused whole by [`PhysMem`], and ends the block with
+//!   [`ExitReason::Error`].
 
 use crate::cost::CostModel;
 use crate::insn::{AluOp, Cond, FpOp, Gpr, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
@@ -222,11 +250,15 @@ pub struct Machine {
 /// Alias used by helper implementations that want a shorter name.
 pub type HelperCtx = Machine;
 
-/// Internal signal describing a failed virtual memory access.
-#[derive(Debug, Clone, Copy)]
-struct MemFaultInfo {
-    vaddr: u64,
-    write: bool,
+/// Sign-extends the low `size` bytes of `v` to 64 bits (identity from 64 bits
+/// up).
+fn sign_extend(v: u64, size: MemSize) -> u64 {
+    match size {
+        MemSize::U8 => v as i8 as u64,
+        MemSize::U16 => v as i16 as u64,
+        MemSize::U32 => v as i32 as u64,
+        MemSize::U64 | MemSize::U128 => v,
+    }
 }
 
 impl Machine {
@@ -304,20 +336,27 @@ impl Machine {
 
     /// Translates a virtual address for an access of the given kind,
     /// consulting and filling the TLB.  Does not invoke the runtime.
+    #[inline]
     pub fn translate(&mut self, vaddr: u64, write: bool, user: bool) -> Result<u64, WalkError> {
         if !self.paging {
             return Ok(vaddr);
         }
-        let pcid = self.pcid();
-        if let Some(entry) = self.tlb.lookup(vaddr, pcid) {
+        if let Some(entry) = self.tlb.lookup(vaddr, self.pcid()) {
             if (!write || entry.flags.writable) && (!user || entry.flags.user) {
                 self.perf.tlb_hits += 1;
                 self.perf.cycles += self.cost.tlb_hit;
                 return Ok(entry.frame | (vaddr & (PAGE_SIZE - 1)));
             }
-            // Permission upgrade required: fall through to a fresh walk so a
-            // runtime-managed PTE change is observed.
+            // Permission upgrade required: walk afresh so a runtime-managed
+            // PTE change is observed.
         }
+        self.walk_and_fill(vaddr, write, user)
+    }
+
+    /// The miss half of [`Machine::translate`]: page walk, permission check,
+    /// TLB fill.
+    #[cold]
+    fn walk_and_fill(&mut self, vaddr: u64, write: bool, user: bool) -> Result<u64, WalkError> {
         self.perf.tlb_misses += 1;
         let walk = paging::walk(&self.mem, self.pt_root(), vaddr)?;
         self.perf.cycles += self.cost.page_walk_per_level * walk.levels as u64;
@@ -331,28 +370,9 @@ impl Machine {
             vpn: vaddr / PAGE_SIZE,
             frame: walk.frame,
             flags: walk.flags,
-            pcid,
+            pcid: self.pcid(),
         });
         Ok(walk.frame | (vaddr & (PAGE_SIZE - 1)))
-    }
-
-    /// Reads `size` bytes from virtual memory (zero-extended to 64 bits).
-    /// Fails with the faulting address if translation fails.
-    pub fn read_virt(&mut self, vaddr: u64, size: MemSize) -> Result<u64, u64> {
-        let user = self.ring == Ring::Ring3;
-        let pa = self.translate(vaddr, false, user).map_err(|_| vaddr)?;
-        self.perf.mem_accesses += 1;
-        self.mem.read_uint(pa, size.bytes()).map_err(|_| vaddr)
-    }
-
-    /// Writes the low `size` bytes of `value` to virtual memory.
-    pub fn write_virt(&mut self, vaddr: u64, value: u64, size: MemSize) -> Result<(), u64> {
-        let user = self.ring == Ring::Ring3;
-        let pa = self.translate(vaddr, true, user).map_err(|_| vaddr)?;
-        self.perf.mem_accesses += 1;
-        self.mem
-            .write_uint(pa, value & size.mask(), size.bytes())
-            .map_err(|_| vaddr)
     }
 
     /// Computes the effective address of a memory operand.
@@ -563,108 +583,65 @@ impl Machine {
         }
     }
 
-    /// Performs a memory load for the interpreter, consulting the runtime on
-    /// faults.
-    fn do_load(
+    /// The memory access of a translated-code instruction (see the module
+    /// docs): a load (`store` is `None`) yields `[value, 0]`, a store writes
+    /// the low `size` bytes of lane 0; a `U128` access through an `xmm`
+    /// operand moves both lanes.  A fault goes to the runtime once and the
+    /// access is retried if the runtime repaired the mapping.
+    #[inline]
+    fn mem_access(
         &mut self,
         rt: &mut dyn Runtime,
-        vaddr: u64,
+        addr: &MemRef,
         size: MemSize,
-        wide: bool,
-    ) -> Result<[u64; 2], Result<MemFaultInfo, ExitReason>> {
+        xmm: bool,
+        store: Option<[u64; 2]>,
+    ) -> Result<[u64; 2], ExitReason> {
+        let vaddr = self.effective_address(addr);
+        let write = store.is_some();
         let mut retried = false;
         loop {
             let user = self.ring == Ring::Ring3;
-            match self.translate(vaddr, false, user) {
+            match self.translate(vaddr, write, user) {
                 Ok(pa) => {
                     self.perf.mem_accesses += 1;
-                    if wide {
-                        return self
+                    let done = match (store, xmm && size == MemSize::U128) {
+                        (None, true) => self.mem.read_u128(pa),
+                        (None, false) => self.mem.read_uint(pa, size.bytes()).map(|v| [v, 0]),
+                        (Some(v), true) => self.mem.write_u128(pa, v).map(|()| v),
+                        (Some(v), false) => self
                             .mem
-                            .read_u128(pa)
-                            .map_err(|e| Err(ExitReason::Error(e.to_string())));
-                    }
-                    return self
-                        .mem
-                        .read_uint(pa, size.bytes())
-                        .map(|v| [v, 0])
-                        .map_err(|e| Err(ExitReason::Error(e.to_string())));
+                            .write_uint(pa, v[0] & size.mask(), size.bytes())
+                            .map(|()| v),
+                    };
+                    // Past the end of RAM, or a 128-bit access through a
+                    // general-purpose operand: a malformed block.
+                    return done.map_err(|e| ExitReason::Error(e.to_string()));
                 }
                 Err(_) if !retried => {
                     retried = true;
-                    self.perf.page_faults += 1;
-                    match rt.page_fault(vaddr, false, self) {
-                        FaultAction::Retry { cost } => {
-                            self.perf.cycles += cost;
-                            continue;
-                        }
-                        FaultAction::Propagate { cost } => {
-                            self.perf.cycles += cost;
-                            return Err(Ok(MemFaultInfo {
-                                vaddr,
-                                write: false,
-                            }));
-                        }
+                    if !self.page_fault(rt, vaddr, write) {
+                        return Err(ExitReason::MemFault { vaddr, write });
                     }
                 }
                 // The runtime claimed the retry would succeed but the
                 // mapping still faults (e.g. a hostile guest unmapped the
                 // page from its own handler).  Degrade to a guest-visible
                 // data abort instead of killing the engine.
-                Err(_) => {
-                    return Err(Ok(MemFaultInfo {
-                        vaddr,
-                        write: false,
-                    }))
-                }
+                Err(_) => return Err(ExitReason::MemFault { vaddr, write }),
             }
         }
     }
 
-    /// Performs a memory store for the interpreter, consulting the runtime on
-    /// faults.
-    fn do_store(
-        &mut self,
-        rt: &mut dyn Runtime,
-        vaddr: u64,
-        value: [u64; 2],
-        size: MemSize,
-        wide: bool,
-    ) -> Result<(), Result<MemFaultInfo, ExitReason>> {
-        let mut retried = false;
-        loop {
-            let user = self.ring == Ring::Ring3;
-            match self.translate(vaddr, true, user) {
-                Ok(pa) => {
-                    self.perf.mem_accesses += 1;
-                    let res = if wide {
-                        self.mem.write_u128(pa, value)
-                    } else {
-                        self.mem
-                            .write_uint(pa, value[0] & size.mask(), size.bytes())
-                    };
-                    return res.map_err(|e| Err(ExitReason::Error(e.to_string())));
-                }
-                Err(_) if !retried => {
-                    retried = true;
-                    self.perf.page_faults += 1;
-                    match rt.page_fault(vaddr, true, self) {
-                        FaultAction::Retry { cost } => {
-                            self.perf.cycles += cost;
-                            continue;
-                        }
-                        FaultAction::Propagate { cost } => {
-                            self.perf.cycles += cost;
-                            return Err(Ok(MemFaultInfo { vaddr, write: true }));
-                        }
-                    }
-                }
-                // Mapping still faults after a runtime-promised retry; see
-                // `do_load` — degrade to a guest data abort, never a host
-                // engine error.
-                Err(_) => return Err(Ok(MemFaultInfo { vaddr, write: true })),
-            }
-        }
+    /// Hands a faulting access to the runtime and charges the handler's
+    /// cost; `true` if the runtime repaired the mapping and wants a retry.
+    #[cold]
+    fn page_fault(&mut self, rt: &mut dyn Runtime, vaddr: u64, write: bool) -> bool {
+        self.perf.page_faults += 1;
+        let action = rt.page_fault(vaddr, write, self);
+        let (FaultAction::Retry { cost } | FaultAction::Propagate { cost }) = action;
+        self.perf.cycles += cost;
+        matches!(action, FaultAction::Retry { .. })
     }
 
     /// Executes one translated block entered through the dispatcher.  `code`
@@ -698,79 +675,50 @@ impl Machine {
                 // Running off the end of a block behaves like a return.
                 return ExitReason::BlockEnd;
             };
-            let insn = *insn;
             self.perf.insns += 1;
-            self.perf.cycles += self.cost.insn_cost(&insn);
+            self.perf.cycles += self.cost.insn_cost(insn);
             pc += 1;
-            match insn {
+            match *insn {
                 MachInsn::Nop => {}
                 MachInsn::MovImm { dst, imm } => self.set_reg(dst, imm),
                 MachInsn::MovReg { dst, src } => self.set_reg(dst, self.reg(src)),
-                MachInsn::Load { dst, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    match self.do_load(rt, va, size, false) {
-                        Ok(v) => self.set_reg(dst, v[0]),
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
+                MachInsn::Load {
+                    dst,
+                    ref addr,
+                    size,
+                } => match self.mem_access(rt, addr, size, false, None) {
+                    Ok(v) => self.set_reg(dst, v[0]),
+                    Err(exit) => return exit,
+                },
+                MachInsn::LoadSx {
+                    dst,
+                    ref addr,
+                    size,
+                } => match self.mem_access(rt, addr, size, false, None) {
+                    Ok(v) => self.set_reg(dst, sign_extend(v[0], size)),
+                    Err(exit) => return exit,
+                },
+                MachInsn::Store {
+                    src,
+                    ref addr,
+                    size,
+                } => {
+                    let v = [self.reg(src), 0];
+                    if let Err(exit) = self.mem_access(rt, addr, size, false, Some(v)) {
+                        return exit;
                     }
                 }
-                MachInsn::LoadSx { dst, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    match self.do_load(rt, va, size, false) {
-                        Ok(v) => {
-                            let bits = size.bytes() * 8;
-                            let val = v[0];
-                            let sext = if bits == 64 {
-                                val
-                            } else {
-                                let shift = 64 - bits;
-                                (((val << shift) as i64) >> shift) as u64
-                            };
-                            self.set_reg(dst, sext);
-                        }
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
+                MachInsn::StoreImm {
+                    imm,
+                    ref addr,
+                    size,
+                } => {
+                    if let Err(exit) = self.mem_access(rt, addr, size, false, Some([imm, 0])) {
+                        return exit;
                     }
                 }
-                MachInsn::Store { src, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    let v = self.reg(src);
-                    match self.do_store(rt, va, [v, 0], size, false) {
-                        Ok(()) => {}
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
-                    }
-                }
-                MachInsn::StoreImm { imm, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    match self.do_store(rt, va, [imm, 0], size, false) {
-                        Ok(()) => {}
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
-                    }
-                }
-                MachInsn::Lea { dst, addr } => {
-                    let va = self.effective_address(&addr);
+                MachInsn::Lea { dst, ref addr } => {
+                    let va = self.effective_address(addr);
                     self.set_reg(dst, va);
                 }
                 MachInsn::Alu { op, dst, src } => {
@@ -801,11 +749,10 @@ impl Machine {
                     self.set_reg(dst, self.reg(src) & size.mask());
                 }
                 MachInsn::MovSx { dst, src, size } => {
-                    let bits = size.bytes() * 8;
-                    let val = self.reg(src) & size.mask();
-                    let shift = 64 - bits;
-                    let sext = (((val << shift) as i64) >> shift) as u64;
-                    self.set_reg(dst, sext);
+                    if size == MemSize::U128 {
+                        return ExitReason::Error("movsx from a 128-bit source".into());
+                    }
+                    self.set_reg(dst, sign_extend(self.reg(src), size));
                 }
                 MachInsn::SetCc { cond, dst } => {
                     let v = self.cond(cond) as u64;
@@ -845,39 +792,24 @@ impl Machine {
                     }
                 }
                 MachInsn::Ret => return ExitReason::BlockEnd,
-                MachInsn::LoadXmm { dst, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    let wide = size == MemSize::U128;
-                    match self.do_load(rt, va, size, wide) {
-                        Ok(v) => {
-                            if wide {
-                                self.set_xmm(dst, v);
-                            } else {
-                                self.set_xmm(dst, [v[0], 0]);
-                            }
-                        }
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
-                    }
-                }
-                MachInsn::StoreXmm { src, addr, size } => {
-                    let va = self.effective_address(&addr);
-                    let wide = size == MemSize::U128;
+                // A narrow vector load zeroes the upper lane; a narrow vector
+                // store writes the low lane only.
+                MachInsn::LoadXmm {
+                    dst,
+                    ref addr,
+                    size,
+                } => match self.mem_access(rt, addr, size, true, None) {
+                    Ok(v) => self.set_xmm(dst, v),
+                    Err(exit) => return exit,
+                },
+                MachInsn::StoreXmm {
+                    src,
+                    ref addr,
+                    size,
+                } => {
                     let v = self.xmm_reg(src);
-                    match self.do_store(rt, va, v, size, wide) {
-                        Ok(()) => {}
-                        Err(Ok(f)) => {
-                            return ExitReason::MemFault {
-                                vaddr: f.vaddr,
-                                write: f.write,
-                            }
-                        }
-                        Err(Err(e)) => return e,
+                    if let Err(exit) = self.mem_access(rt, addr, size, true, Some(v)) {
+                        return exit;
                     }
                 }
                 MachInsn::MovGprToXmm { dst, src } => {

@@ -12,7 +12,8 @@ pub struct PhysMem {
     bytes: Vec<u8>,
 }
 
-/// Error returned for out-of-range physical accesses.
+/// Error returned for physical accesses that are out of range or (for the
+/// integer accessors) of a width other than 1, 2, 4 or 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysAccessError {
     /// The faulting physical address.
@@ -25,7 +26,7 @@ impl std::fmt::Display for PhysAccessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "physical access out of range: {:#x} (+{})",
+            "physical access out of range or of unsupported width: {:#x} (+{})",
             self.addr, self.size
         )
     }
@@ -46,6 +47,7 @@ impl PhysMem {
         self.bytes.len() as u64
     }
 
+    #[inline]
     fn check(&self, addr: u64, size: u64) -> Result<usize, PhysAccessError> {
         let end = addr
             .checked_add(size)
@@ -64,29 +66,46 @@ impl PhysMem {
     }
 
     /// Writes `buf` starting at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), PhysAccessError> {
         let a = self.check(addr, buf.len() as u64)?;
         self.bytes[a..a + buf.len()].copy_from_slice(buf);
         Ok(())
     }
 
-    /// Reads an unsigned little-endian value of `size` bytes (1, 2, 4 or 8).
-    pub fn read_uint(&self, addr: u64, size: u64) -> Result<u64, PhysAccessError> {
-        let a = self.check(addr, size)?;
-        let mut v = 0u64;
-        for i in 0..size as usize {
-            v |= (self.bytes[a + i] as u64) << (8 * i);
-        }
-        Ok(v)
+    /// The `N` bytes at `addr`, bounds-checked once.
+    #[inline]
+    fn array<const N: usize>(&self, addr: u64) -> Result<[u8; N], PhysAccessError> {
+        let a = self.check(addr, N as u64)?;
+        let mut out = [0; N];
+        out.copy_from_slice(&self.bytes[a..a + N]);
+        Ok(out)
     }
 
-    /// Writes an unsigned little-endian value of `size` bytes (1, 2, 4 or 8).
+    /// Reads an unsigned little-endian value of `size` bytes (1, 2, 4 or 8);
+    /// any other width is refused with the typed error.
+    #[inline]
+    pub fn read_uint(&self, addr: u64, size: u64) -> Result<u64, PhysAccessError> {
+        Ok(match size {
+            1 => u8::from_le_bytes(self.array(addr)?) as u64,
+            2 => u16::from_le_bytes(self.array(addr)?) as u64,
+            4 => u32::from_le_bytes(self.array(addr)?) as u64,
+            8 => u64::from_le_bytes(self.array(addr)?),
+            _ => return Err(PhysAccessError { addr, size }),
+        })
+    }
+
+    /// Writes the low `size` bytes (1, 2, 4 or 8) of `value`, little-endian;
+    /// any other width is refused with the typed error and writes nothing.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, value: u64, size: u64) -> Result<(), PhysAccessError> {
-        let a = self.check(addr, size)?;
-        for i in 0..size as usize {
-            self.bytes[a + i] = (value >> (8 * i)) as u8;
+        match size {
+            1 => self.write(addr, &(value as u8).to_le_bytes()),
+            2 => self.write(addr, &(value as u16).to_le_bytes()),
+            4 => self.write(addr, &(value as u32).to_le_bytes()),
+            8 => self.write(addr, &value.to_le_bytes()),
+            _ => Err(PhysAccessError { addr, size }),
         }
-        Ok(())
     }
 
     /// Reads a 64-bit little-endian word.
@@ -100,18 +119,17 @@ impl PhysMem {
     }
 
     /// Reads a 128-bit value as a `[u64; 2]` (low, high).
+    #[inline]
     pub fn read_u128(&self, addr: u64) -> Result<[u64; 2], PhysAccessError> {
-        // Check the full 16-byte span up front so an `addr` near `u64::MAX`
-        // cannot overflow the high-half address computation.
-        let a = self.check(addr, 16)? as u64;
-        Ok([self.read_uint(a, 8)?, self.read_uint(a + 8, 8)?])
+        let v = u128::from_le_bytes(self.array(addr)?);
+        Ok([v as u64, (v >> 64) as u64])
     }
 
     /// Writes a 128-bit value from a `[u64; 2]` (low, high).
+    #[inline]
     pub fn write_u128(&mut self, addr: u64, value: [u64; 2]) -> Result<(), PhysAccessError> {
-        let a = self.check(addr, 16)? as u64;
-        self.write_uint(a, value[0], 8)?;
-        self.write_uint(a + 8, value[1], 8)
+        let v = (value[1] as u128) << 64 | value[0] as u128;
+        self.write(addr, &v.to_le_bytes())
     }
 
     /// Fills `[addr, addr+len)` with a byte value.

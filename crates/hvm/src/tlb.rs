@@ -24,9 +24,8 @@ pub struct TlbEntry {
 /// Direct-mapped, PCID-tagged TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
+    /// Direct-mapped slots; the length is a power of two.
     entries: Vec<Option<TlbEntry>>,
-    /// Number of entries (power of two).
-    size: usize,
     /// Fills since creation (diagnostic).
     pub fills: u64,
     /// Evictions of a valid entry by a conflicting fill (diagnostic).
@@ -39,7 +38,6 @@ impl Tlb {
         let size = size.next_power_of_two().max(1);
         Tlb {
             entries: vec![None; size],
-            size,
             fills: 0,
             evictions: 0,
         }
@@ -47,14 +45,18 @@ impl Tlb {
 
     /// Number of entries.
     pub fn capacity(&self) -> usize {
-        self.size
+        self.entries.len()
     }
 
+    #[inline]
     fn slot(&self, vpn: u64) -> usize {
-        (vpn as usize) & (self.size - 1)
+        // Masking with the slice's own length lets the index's bounds check
+        // fold away in the inlined memory path.
+        (vpn as usize) & (self.entries.len() - 1)
     }
 
     /// Looks up a translation for `vaddr` under `pcid`.
+    #[inline]
     pub fn lookup(&self, vaddr: u64, pcid: u16) -> Option<TlbEntry> {
         let vpn = vaddr / PAGE_SIZE;
         let e = self.entries[self.slot(vpn)]?;

@@ -267,7 +267,9 @@ impl Runtime for QemuRuntime {
                     0 => softfloat::f64_add(a, b, &mut self.fp_env),
                     1 => softfloat::f64_sub(a, b, &mut self.fp_env),
                     2 => softfloat::f64_mul(a, b, &mut self.fp_env),
-                    _ => softfloat::f64_div(a, b, &mut self.fp_env),
+                    3 => softfloat::f64_div(a, b, &mut self.fp_env),
+                    // Fused `a * b + c`: one rounding, as the guest's FMADD.
+                    _ => softfloat::f64_fma(a, b, machine.reg(Gpr::Rcx), &mut self.fp_env),
                 };
                 machine.set_reg(Gpr::Rax, r);
                 HelperResult::Continue { cost: 110 }
@@ -807,14 +809,12 @@ fn qemu_generate(d: &guest_aarch64::gen::Decoded, e: &mut Emitter, isa: &Aarch64
             false
         }
         Insn::Fmadd { vd, vn, vm, va } => {
-            let two = e.const_u64(2);
+            let fma = e.const_u64(4);
             let a = e.load_register(v_off(vn), ValueType::U64);
             let b = e.load_register(v_off(vm), ValueType::U64);
-            let prod = e.call_helper(qhelpers::SOFT_FP, &[two, a, b]);
-            let zero_op = e.const_u64(0);
             let c = e.load_register(v_off(va), ValueType::U64);
-            let sum = e.call_helper(qhelpers::SOFT_FP, &[zero_op, prod, c]);
-            e.store_register(v_off(vd), sum);
+            let r = e.call_helper(qhelpers::SOFT_FP, &[fma, a, b, c]);
+            e.store_register(v_off(vd), r);
             let zero = e.const_u64(0);
             e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
             false
