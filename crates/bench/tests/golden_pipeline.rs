@@ -1,0 +1,181 @@
+//! Golden digest of the JIT pipeline's *output*: what decode → generate →
+//! `finish_translation` produces for every basic block of every `workloads`
+//! and `simbench` program (the loop kernels among them), and what
+//! `form_region` produces at every block start of the same programs under the
+//! `sync` configuration.
+//!
+//! Simulated cycles pin the generated code only indirectly (two different
+//! register assignments can cost the same); this test pins it directly.  The
+//! constants were recorded on the commit *before* the JIT's bookkeeping moved
+//! from hash maps to id-indexed tables, so a data-structure change that
+//! alters a visit order, a tie-break or a free-list pop shows up here as a
+//! changed digest rather than as a silent codegen drift.  A deliberate
+//! codegen change re-records them (the failure message prints the new value).
+
+use captive::translator::form_region;
+use dbt::{Emitter, GuestIsa, PhaseTimers, RuleTable};
+use guest_aarch64::Aarch64Isa;
+use workloads::{Scale, Workload};
+
+/// The bytes a digest covers, hashed with [`dbt::fnv1a`] at the end.
+#[derive(Default)]
+struct Digest(Vec<u8>);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        dbt::fnv1a(&self.0)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    /// One finished translation: encoded bytes, eliminated-LIR count and the
+    /// promoted (slot, host register) pairs.
+    fn translation(&mut self, encoded: &[u8], elided: usize, promoted: &[(i32, hvm::Gpr)]) {
+        self.word(encoded.len() as u64);
+        self.bytes(encoded);
+        self.word(elided as u64);
+        self.word(promoted.len() as u64);
+        for &(off, reg) in promoted {
+            self.word(off as u32 as u64);
+            self.word(reg as u64);
+        }
+    }
+}
+
+/// Every program of both suites, in a fixed order.
+fn programs() -> Vec<Workload> {
+    let s = Scale(1);
+    let mut all = workloads::spec_int(s);
+    all.extend(workloads::spec_fp(s));
+    all.extend(workloads::loop_kernels(s));
+    all.extend(workloads::idiom_kernels(s));
+    all.extend(workloads::io_kernels());
+    all.push(workloads::fp_micro(s));
+    all.push(workloads::interrupt_storm(8, 500));
+    all.push(workloads::timer_tick(500, 2_000));
+    all.push(workloads::loop_flood(24, 9, 3));
+    all.push(workloads::vblk_smc().0);
+    all.extend(simbench::suite().iter().map(bench::micro_workload));
+    all
+}
+
+/// Basic-block start indices of `words` by linear sweep: a block ends where
+/// the generator says it does (branch, exception), at an undefined word, or
+/// at the dispatcher's 64-instruction cap.  Returns (start, LIR) per block.
+fn blocks(words: &[u32]) -> Vec<(usize, Vec<dbt::LirInsn>)> {
+    let isa = Aarch64Isa;
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < words.len() {
+        let start = i;
+        let mut e = Emitter::new();
+        loop {
+            let va = workloads::CODE_BASE + i as u64 * 4;
+            let end = match isa.decode(words[i], va) {
+                None => {
+                    isa.generate_undefined(va, &mut e);
+                    true
+                }
+                Some(d) => {
+                    let end = isa.generate(&d, &mut e);
+                    if !end {
+                        e.inc_pc(4);
+                    }
+                    end
+                }
+            };
+            i += 1;
+            if end || i - start >= 64 || i >= words.len() {
+                break;
+            }
+        }
+        out.push((start, e.finish()));
+    }
+    out
+}
+
+fn block_digest(run_opt: bool) -> u64 {
+    let table = RuleTable::full();
+    let mut h = Digest::default();
+    let mut timers = PhaseTimers::default();
+    for w in programs() {
+        for (_, lir) in blocks(&w.words) {
+            match dbt::finish_translation(&mut timers, lir, run_opt, run_opt, Some(&table)) {
+                Ok(t) => h.translation(&t.encoded, t.elided, &t.promoted),
+                Err(_) => h.word(u64::MAX),
+            }
+        }
+    }
+    assert_eq!(timers.lower_bailouts, 0);
+    h.finish()
+}
+
+#[test]
+fn optimised_block_translations_are_byte_identical_to_the_recorded_digest() {
+    assert_eq!(
+        block_digest(true),
+        14_102_747_009_543_490_642,
+        "generated code for plain blocks (optimiser on) changed"
+    );
+}
+
+#[test]
+fn unoptimised_block_translations_are_byte_identical_to_the_recorded_digest() {
+    assert_eq!(
+        block_digest(false),
+        13_337_211_852_454_269_778,
+        "generated code for plain blocks (optimiser off, the QemuRef path) changed"
+    );
+}
+
+#[test]
+fn formed_regions_are_byte_identical_to_the_recorded_digest() {
+    let cfg = bench::captive_config("sync");
+    let table = RuleTable::full();
+    let mut h = Digest::default();
+    let mut formed = 0usize;
+    for w in programs() {
+        let mut c = captive::Captive::new(cfg.clone());
+        c.load_program(workloads::CODE_BASE, &w.words);
+        let mut timers = PhaseTimers::default();
+        for (start, _) in blocks(&w.words) {
+            let pc = workloads::CODE_BASE + start as u64 * 4;
+            let (region, _) = form_region(
+                &Aarch64Isa,
+                &mut c.machine,
+                &mut c.runtime,
+                &mut timers,
+                &c.cache,
+                pc,
+                pc,
+                cfg.region_max_insns,
+                cfg.unroll_loops,
+                cfg.fp_mode,
+                cfg.opt,
+                cfg.promote,
+                Some(&table),
+            );
+            match region {
+                Some(r) => {
+                    formed += 1;
+                    let encoded = hvm::encode::encode_block(&r.code);
+                    h.translation(&encoded, r.elided_insns, &r.promoted);
+                    h.word(r.back_edges as u64);
+                    h.word(r.unroll as u64);
+                }
+                None => h.word(u64::MAX),
+            }
+        }
+    }
+    assert_eq!(
+        (formed, h.finish()),
+        (1734, 3_778_306_141_397_402_819),
+        "generated code for formed regions changed"
+    );
+}

@@ -1073,17 +1073,16 @@ impl Captive {
     /// Captures a formation snapshot of the current translation state: the
     /// bytes of every known code page, the MMU/translation registers, and
     /// the frozen branch-heat profile.
-    fn capture_snapshot(&self) -> FormationSnapshot {
+    fn capture_snapshot(&mut self) -> FormationSnapshot {
+        let machine = &self.machine;
         FormationSnapshot {
             ctx_gen: self.runtime.context_generation(),
-            mmu_enabled: self.runtime.mmu_enabled(&self.machine),
-            ttbr0: self.runtime.ttbr0(&self.machine),
+            mmu_enabled: self.runtime.mmu_enabled(machine),
+            ttbr0: self.runtime.ttbr0(machine),
             guest_ram: self.config.guest_ram,
             pages: self
                 .runtime
-                .code_pages()
-                .map(|page| (page, self.read_live_page(page)))
-                .collect(),
+                .code_page_copies(|page| read_live_page(machine, page)),
             heats: self.cache.branch_profiles(),
         }
     }
@@ -1109,8 +1108,11 @@ impl Captive {
         // Only the snapshot capture counts as run-thread translation stall:
         // the channel hand-off below wakes a sleeping worker, and the host
         // scheduler frequently deschedules the sender at that wake point —
-        // hundreds of microseconds of scheduling artefact against a
-        // single-digit-microsecond capture, none of it translation work.
+        // a scheduling artefact, none of it translation work.  The capture
+        // itself is not free: it walks every cached conditional block for
+        // the frozen heats (the code pages are shared, not copied), measured
+        // at ~0.4 ms per request with `cold_code`'s ~15 k cached blocks —
+        // ~40 ms of a ~500 ms run over its 99 requests.
         let elapsed = t0.elapsed();
         self.tier_timers.snapshot_build += elapsed;
         self.tier_timers.run_thread_stall += elapsed;
@@ -1223,7 +1225,7 @@ impl Captive {
                         // revalidates everything at the end regardless.
                         let t0 = Instant::now();
                         for page in pages {
-                            let bytes = self.read_live_page(page);
+                            let bytes = read_live_page(&self.machine, page);
                             request.snapshot.insert_page(page, bytes);
                         }
                         let seq = self.next_seq;
@@ -1264,32 +1266,30 @@ impl Captive {
         }
     }
 
-    /// The live bytes of one guest physical page (zero-filled past the end
-    /// of backed memory).
-    fn read_live_page(&self, page_base: u64) -> Vec<u8> {
-        let mut bytes = vec![0u8; tier::PAGE_BYTES];
-        if self
-            .machine
-            .mem
-            .read(layout::GUEST_PHYS_BASE + page_base, &mut bytes)
-            .is_err()
-        {
-            bytes.fill(0);
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = self
-                    .machine
-                    .mem
-                    .read_uint(layout::GUEST_PHYS_BASE + page_base + i as u64, 1)
-                    .unwrap_or(0) as u8;
-            }
-        }
-        bytes
-    }
-
     /// FNV-1a content hash of one live guest physical page.
     fn live_page_hash(&self, page_base: u64) -> u64 {
-        fnv1a(&self.read_live_page(page_base))
+        fnv1a(&read_live_page(&self.machine, page_base))
     }
+}
+
+/// The live bytes of one guest physical page (zero-filled past the end of
+/// backed memory).
+fn read_live_page(machine: &Machine, page_base: u64) -> Vec<u8> {
+    let mut bytes = vec![0u8; tier::PAGE_BYTES];
+    if machine
+        .mem
+        .read(layout::GUEST_PHYS_BASE + page_base, &mut bytes)
+        .is_err()
+    {
+        bytes.fill(0);
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = machine
+                .mem
+                .read_uint(layout::GUEST_PHYS_BASE + page_base + i as u64, 1)
+                .unwrap_or(0) as u8;
+        }
+    }
+    bytes
 }
 
 impl Engine for Captive {
@@ -2373,6 +2373,67 @@ mod tests {
         assert!(
             s.regions_formed >= 1,
             "the synchronous fallback re-formed from live code"
+        );
+    }
+
+    #[test]
+    fn snapshots_share_code_page_copies_until_the_page_is_written() {
+        // A call loop whose callee page is rewritten by the guest halfway
+        // through.  Snapshots taken while a page is unchanged share one copy
+        // of it; the write drops the callee page's copy, so the next snapshot
+        // re-reads it from live memory, while the untouched caller page keeps
+        // sharing.
+        let mut main = asm::Assembler::new();
+        main.push(asm::movz(6, 40, 0));
+        main.mov_imm64(3, 0x2000);
+        main.mov_imm64(4, asm::movz(5, 2, 0) as u64);
+        main.label("loop");
+        let bl_idx = main.here();
+        main.push(asm::bl(0x2000 - (0x1000 + bl_idx as i64 * 4)));
+        main.push(asm::subi(6, 6, 1));
+        main.push(asm::subi(7, 6, 20));
+        main.cbnz_to(7, "skip");
+        main.push(asm::strw(4, 3, 0));
+        main.label("skip");
+        main.cbnz_to(6, "loop");
+        main.push(asm::hlt());
+        let mut sub = asm::Assembler::new();
+        sub.push(asm::movz(5, 1, 0));
+        sub.push(asm::ret());
+
+        let mut c = Captive::new(CaptiveConfig {
+            tier_workers: 0,
+            ..region_config()
+        });
+        c.load_program(0x1000, &main.finish());
+        c.load_program(0x2000, &sub.finish());
+        c.set_entry(0x1000);
+        assert_eq!(c.run(24), RunExit::BudgetExhausted);
+        assert_eq!(c.guest_reg(5), 1, "stopped before the rewrite");
+        let live = |c: &Captive, page: u64| read_live_page(&c.machine, page);
+
+        let first = c.capture_snapshot();
+        let second = c.capture_snapshot();
+        for page in [0x1000u64, 0x2000] {
+            assert!(
+                Arc::ptr_eq(&first.pages[&page], &second.pages[&page]),
+                "page {page:#x} is copied once while unchanged"
+            );
+            assert_eq!(&first.pages[&page][..], &live(&c, page)[..]);
+        }
+
+        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        assert_eq!(c.guest_reg(5), 2, "the rewritten callee ran");
+        let after = c.capture_snapshot();
+        assert!(
+            !Arc::ptr_eq(&first.pages[&0x2000], &after.pages[&0x2000]),
+            "the guest's write dropped the callee page's shared copy"
+        );
+        assert_eq!(&after.pages[&0x2000][..], &live(&c, 0x2000)[..]);
+        assert_ne!(&after.pages[&0x2000][..], &first.pages[&0x2000][..]);
+        assert!(
+            Arc::ptr_eq(&first.pages[&0x1000], &after.pages[&0x1000]),
+            "the untouched caller page still shares"
         );
     }
 

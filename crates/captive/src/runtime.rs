@@ -13,8 +13,10 @@ use guest_aarch64::mmu;
 use guest_aarch64::sys::{GuestEvent, GuestSys, HelperCosts};
 use hvm::paging::{self, FrameAlloc, PageFlags};
 use hvm::{FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Cycle cost of taking a data-side host fault and evaluating guest
 /// permissions (ring transition, ESR decode, bookkeeping).
@@ -63,8 +65,14 @@ pub struct CaptiveRuntime {
     /// TLB flushes.
     pt_boot_mark: u64,
     /// Guest physical pages that contain translated code (for self-modifying
-    /// code detection via write protection).
-    code_pages: HashSet<u64>,
+    /// code detection via write protection), each with the copy of its bytes
+    /// that formation snapshots share once one has been taken (see
+    /// [`CaptiveRuntime::code_page_copies`]).  The copy lives *in* the entry,
+    /// so every path that learns of a write to a code page — the two
+    /// write-protection arms of `page_fault` and `poll_virtio` — drops it
+    /// by removing the entry; nothing else writes guest memory while the
+    /// engine runs.
+    code_pages: HashMap<u64, Option<Arc<[u8]>>>,
     /// Code pages that were written and whose translations must be dropped.
     smc_dirty: Vec<u64>,
     fp_env: softfloat::FpEnv,
@@ -132,7 +140,7 @@ impl CaptiveRuntime {
             host_pt_root: root,
             frame_alloc,
             pt_boot_mark,
-            code_pages: HashSet::new(),
+            code_pages: HashMap::new(),
             smc_dirty: Vec::new(),
             fp_env: softfloat::FpEnv::arm(),
             context_generation: 0,
@@ -152,7 +160,7 @@ impl CaptiveRuntime {
             return false;
         };
         for page in touched {
-            if self.code_pages.remove(&page) {
+            if self.code_pages.remove(&page).is_some() {
                 self.smc_dirty.push(page);
                 self.sys.external_invalidations += 1;
             }
@@ -165,10 +173,26 @@ impl CaptiveRuntime {
         self.context_generation
     }
 
-    /// Guest physical pages currently holding translated code (the page set
-    /// a tier-1 formation snapshot is seeded from).
-    pub fn code_pages(&self) -> impl Iterator<Item = u64> + '_ {
-        self.code_pages.iter().copied()
+    /// The bytes of every page currently holding translated code — the page
+    /// set a tier-1 formation snapshot is seeded with.  A page is copied
+    /// (with `read_page`, from live memory) by the first snapshot taken after
+    /// it became a code page; later snapshots share that copy until a write
+    /// to the page removes its `code_pages` entry, so a capture costs one
+    /// reference-count bump per unchanged page instead of 4 KiB.  Should a
+    /// copy ever be stale regardless (a host-side write behind the engine's
+    /// back), the install gate's live-hash check still discards whatever
+    /// was formed from it.
+    pub fn code_page_copies(
+        &mut self,
+        mut read_page: impl FnMut(u64) -> Vec<u8>,
+    ) -> HashMap<u64, Arc<[u8]>> {
+        self.code_pages
+            .iter_mut()
+            .map(|(&page, copy)| {
+                let bytes = copy.get_or_insert_with(|| read_page(page).into());
+                (page, Arc::clone(bytes))
+            })
+            .collect()
     }
 
     /// Translates a guest virtual address to a guest physical address using
@@ -216,7 +240,8 @@ impl CaptiveRuntime {
     /// Records that a guest physical page now contains translated code and
     /// write-protects its identity mapping so self-modifying writes fault.
     pub fn note_code_page(&mut self, machine: &mut Machine, guest_phys_page: u64) {
-        if self.code_pages.insert(guest_phys_page) {
+        if let Entry::Vacant(entry) = self.code_pages.entry(guest_phys_page) {
+            entry.insert(None);
             // While the guest MMU is off the page is identity mapped; revoke
             // write permission so a later store to it traps for invalidation.
             if paging::write_protect_page(&mut machine.mem, self.host_pt_root, guest_phys_page) {
@@ -314,7 +339,7 @@ impl Runtime for CaptiveRuntime {
             if vaddr >= self.sys.guest_ram {
                 return FaultAction::Propagate { cost: 200 };
             }
-            let is_code = self.code_pages.contains(&page);
+            let is_code = self.code_pages.contains_key(&page);
             if write && is_code {
                 // Self-modifying code: drop translations for the page and
                 // remap it writable.
@@ -379,7 +404,7 @@ impl Runtime for CaptiveRuntime {
                     cost: DFAULT_BASE + walk_cost,
                 };
             }
-            let is_code = self.code_pages.contains(&gpage);
+            let is_code = self.code_pages.contains_key(&gpage);
             if write && is_code {
                 self.code_pages.remove(&gpage);
                 self.smc_dirty.push(gpage);

@@ -71,18 +71,22 @@ pub struct FormationSnapshot {
     pub ttbr0: u64,
     /// Guest RAM size (bounds for identity mapping and walk reads).
     pub guest_ram: u64,
-    /// Captured page bytes, keyed by guest physical page base.
-    pub pages: HashMap<u64, Vec<u8>>,
+    /// Captured page bytes, keyed by guest physical page base (code pages
+    /// are shared with later snapshots, see
+    /// [`crate::runtime::CaptiveRuntime::code_page_copies`]).
+    pub pages: HashMap<u64, Arc<[u8]>>,
     /// Frozen branch-link profile: (taken, fallthrough) heats per cached
-    /// conditional block, used by the tracer's leg selection.
-    pub heats: HashMap<RegionKey, (u64, u64)>,
+    /// conditional block, used by the tracer's leg selection.  Sorted by
+    /// key, as [`dbt::CodeCache::branch_profiles`] returns it; looked up by
+    /// binary search.
+    pub heats: Vec<(RegionKey, (u64, u64))>,
 }
 
 impl FormationSnapshot {
     /// Adds (or replaces) a captured page.
     pub fn insert_page(&mut self, page_base: u64, bytes: Vec<u8>) {
         debug_assert_eq!(bytes.len(), PAGE_BYTES);
-        self.pages.insert(page_base & !0xFFF, bytes);
+        self.pages.insert(page_base & !0xFFF, bytes.into());
     }
 }
 
@@ -286,7 +290,9 @@ impl TraceSource for SnapshotSource<'_> {
     }
 
     fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
-        self.snapshot.heats.get(&key).copied()
+        let heats = &self.snapshot.heats;
+        let at = heats.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(heats[at].1)
     }
 }
 
@@ -463,14 +469,14 @@ mod tests {
             }
         }
         let mut pages = HashMap::new();
-        pages.insert(base & !0xFFF, page);
+        pages.insert(base & !0xFFF, page.into());
         FormationSnapshot {
             ctx_gen: 0,
             mmu_enabled: false,
             ttbr0: 0,
             guest_ram: 32 * 1024 * 1024,
             pages,
-            heats: HashMap::new(),
+            heats: Vec::new(),
         }
     }
 
@@ -603,6 +609,94 @@ mod tests {
             }
             other => panic!("refilled request must form, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn snapshot_heats_answer_like_the_live_cache_did_at_publish_time() {
+        use dbt::{BlockExit, CacheIndex, ChainLinks, CodeCache};
+        let block = |phys: u64, exit: BlockExit| Region {
+            guest_phys: phys,
+            guest_virt: phys,
+            guest_insns: 1,
+            code: Arc::new(Vec::new()),
+            encoded_bytes: 0,
+            lir_insns: 0,
+            elided_insns: 0,
+            exit,
+            links: ChainLinks::default(),
+            constituents: 1,
+            pages: vec![phys & !0xFFF],
+            ctx_gen: 0,
+            unroll: 1,
+            back_edges: 0,
+            loop_guest_insns: 0,
+            loop_elided_insns: 0,
+            promoted: Vec::new(),
+            idiom_candidates: [0; dbt::RULE_COUNT],
+        };
+        let key = |phys: u64| RegionKey { phys, virt: phys };
+        // Conditional blocks spread over every cache shard (inserted in
+        // descending key order), with distinct heats per leg; two blocks that
+        // are cached but not conditional; two keys that are not cached.
+        let cache = CodeCache::new(CacheIndex::GuestPhysical);
+        let conditional: Vec<u64> = (0..40).rev().map(|i| 0x1000 + i * 0x40).collect();
+        for (n, &phys) in conditional.iter().enumerate() {
+            let r = cache.insert(block(
+                phys,
+                BlockExit::Branch {
+                    taken: phys + 0x20,
+                    fallthrough: phys + 4,
+                },
+            ));
+            // Heat lives on patched links; where they point is immaterial.
+            r.set_link(0, 0, cache.epoch(), &r);
+            r.set_link(1, 0, cache.epoch(), &r);
+            for _ in 0..n {
+                r.heat_up(0);
+            }
+            for _ in 0..(n * 3) % 7 {
+                r.heat_up(1);
+            }
+        }
+        let unconditional = [0x9000u64, 0x9040];
+        cache.insert(block(unconditional[0], BlockExit::Jump { target: 0x1000 }));
+        cache.insert(block(unconditional[1], BlockExit::Indirect));
+        let absent = [0x0u64, 0xA000];
+
+        // What the run thread's own tracer answers from the live cache.
+        let live = |phys: u64| {
+            let b = cache.peek(key(phys))?;
+            matches!(b.exit, BlockExit::Branch { .. }).then(|| (b.link_heat(0), b.link_heat(1)))
+        };
+        let mut snapshot = snapshot_with_code(&[], 0x1000);
+        snapshot.heats = cache.branch_profiles();
+        let at_publish: Vec<(u64, Option<(u64, u64)>)> = conditional
+            .iter()
+            .chain(&unconditional)
+            .chain(&absent)
+            .map(|&phys| (phys, live(phys)))
+            .collect();
+        // The profile keeps moving after the publish; the snapshot must not.
+        cache.peek(key(conditional[3])).unwrap().heat_up(0);
+
+        let memo = DecodeMemo::default();
+        let source = SnapshotSource::new(&snapshot, &memo);
+        for (phys, expected) in at_publish {
+            assert_eq!(source.branch_heats(key(phys)), expected, "{phys:#x}");
+        }
+        assert_eq!(source.branch_heats(key(absent[0])), None);
+        assert!(source.branch_heats(key(conditional[5])).is_some());
+        assert_ne!(
+            source.branch_heats(key(conditional[3])),
+            live(conditional[3]),
+            "frozen at publish"
+        );
+        // A same-address key under another virtual class is a different key.
+        let alias = RegionKey {
+            phys: conditional[5],
+            virt: conditional[5] + 0x10_0000,
+        };
+        assert_eq!(source.branch_heats(alias), None);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use crate::FpMode;
 use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
 use dbt::{
-    BlockExit, ChainLinks, CodeCache, Emitter, GuestIsa, Phase, PhaseTimers, Region, RegionKey,
+    BlockExit, ChainLinks, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
+    RegionKey,
 };
 use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
@@ -43,6 +44,8 @@ pub fn translate_block(
     let mut emitter = Emitter::new();
     let mut guest_insns = 0usize;
     let mut va = pc;
+    // One clock read per phase boundary (fetch + decode | generate).
+    let mut clock = PhaseClock::start();
 
     loop {
         // Stop at page boundaries so a block never spans two translations
@@ -59,15 +62,14 @@ pub fn translate_block(
             .read_uint(layout::GUEST_PHYS_BASE + pa_i, 4)
             .unwrap_or(0) as u32;
 
-        let decoded = timers.time(Phase::Decode, || isa.decode(word, va));
+        let decoded = isa.decode(word, va);
+        clock.close(timers, Phase::Decode);
         let end = match decoded {
             None => {
-                timers.time(Phase::Translate, || {
-                    isa.generate_undefined(va, &mut emitter)
-                });
+                isa.generate_undefined(va, &mut emitter);
                 true
             }
-            Some(d) => timers.time(Phase::Translate, || {
+            Some(d) => {
                 let end = if fp_mode == FpMode::Software {
                     generate_maybe_soft_fp(&d, &mut emitter, isa)
                 } else {
@@ -77,8 +79,9 @@ pub fn translate_block(
                     emitter.inc_pc(4);
                 }
                 end
-            }),
+            }
         };
+        clock.close(timers, Phase::Translate);
         guest_insns += 1;
         va += 4;
         if end || guest_insns >= max_insns {
@@ -461,6 +464,9 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     // the plain region's link heats for leg selection.
     let mut block_start_pa = entry_pa;
     let mut block_start_va = entry_pc;
+    // One clock read per phase boundary: address resolution, fetch and
+    // decode close as Decode; leg selection and generation as Translate.
+    let mut clock = PhaseClock::start();
 
     loop {
         // Sequential page crossing: a fallthrough constituent boundary.
@@ -499,13 +505,13 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             SourceRead::Fault => 0,
             SourceRead::Missing(page) => return FormOutcome::NeedPages(vec![page]),
         };
-        let decoded = timers.time(Phase::Decode, || source.decode(isa, word, va));
+        let decoded = source.decode(isa, word, va);
+        clock.close(timers, Phase::Decode);
         let Some(d) = decoded else {
             // Undefined instruction: the guest's UNDEF exception, exactly
             // as the per-block translator emits it, ends the trace.
-            timers.time(Phase::Translate, || {
-                isa.generate_undefined(va, &mut emitter)
-            });
+            isa.generate_undefined(va, &mut emitter);
+            clock.close(timers, Phase::Translate);
             guest_insns += 1;
             va += 4;
             break;
@@ -576,13 +582,12 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         match step {
             Step::Forward(target, target_pa) => {
                 emitter.set_trace_next(target);
-                timers.time(Phase::Translate, || {
-                    if fp_mode == FpMode::Software {
-                        generate_maybe_soft_fp(&d, &mut emitter, isa);
-                    } else {
-                        isa.generate(&d, &mut emitter);
-                    }
-                });
+                if fp_mode == FpMode::Software {
+                    generate_maybe_soft_fp(&d, &mut emitter, isa);
+                } else {
+                    isa.generate(&d, &mut emitter);
+                }
+                clock.close(timers, Phase::Translate);
                 if emitter.take_stitched() {
                     guest_insns += 1;
                     constituents += 1;
@@ -618,13 +623,12 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                 let insns_before = first.guest_insns_before;
                 let label = emitter.insert_label_at(first.lir_pos);
                 emitter.set_trace_back(target, label);
-                timers.time(Phase::Translate, || {
-                    if fp_mode == FpMode::Software {
-                        generate_maybe_soft_fp(&d, &mut emitter, isa);
-                    } else {
-                        isa.generate(&d, &mut emitter);
-                    }
-                });
+                if fp_mode == FpMode::Software {
+                    generate_maybe_soft_fp(&d, &mut emitter, isa);
+                } else {
+                    isa.generate(&d, &mut emitter);
+                }
+                clock.close(timers, Phase::Translate);
                 guest_insns += 1;
                 if emitter.take_stitched_back() {
                     back_edges = 1;
@@ -638,17 +642,15 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                 break;
             }
             Step::Plain => {
-                let end = timers.time(Phase::Translate, || {
-                    let end = if fp_mode == FpMode::Software {
-                        generate_maybe_soft_fp(&d, &mut emitter, isa)
-                    } else {
-                        isa.generate(&d, &mut emitter)
-                    };
-                    if !end {
-                        emitter.inc_pc(4);
-                    }
-                    end
-                });
+                let end = if fp_mode == FpMode::Software {
+                    generate_maybe_soft_fp(&d, &mut emitter, isa)
+                } else {
+                    isa.generate(&d, &mut emitter)
+                };
+                if !end {
+                    emitter.inc_pc(4);
+                }
+                clock.close(timers, Phase::Translate);
                 guest_insns += 1;
                 va += 4;
                 if end || guest_insns >= max_insns {

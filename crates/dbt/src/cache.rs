@@ -180,7 +180,7 @@ pub enum CacheIndex {
 
 /// The cache key of a region: guest physical entry address plus the virtual
 /// entry class the code was generated for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionKey {
     /// Guest physical address of the entry instruction.
     pub phys: u64,
@@ -743,18 +743,20 @@ impl CodeCache {
     }
 
     /// Snapshot of the branch-link profile: every cached conditional block's
-    /// (taken, fallthrough) link heats, keyed by region.  A tier-1 formation
-    /// request freezes this at publish time so workers choose continuation
-    /// legs without touching the live cache.
-    pub fn branch_profiles(&self) -> HashMap<RegionKey, (u64, u64)> {
-        let mut heats = HashMap::new();
+    /// (taken, fallthrough) link heats, sorted by region key (keys are
+    /// unique, so a binary search by key finds a block's entry).  A tier-1
+    /// formation request freezes this at publish time so workers choose
+    /// continuation legs without touching the live cache.
+    pub fn branch_profiles(&self) -> Vec<(RegionKey, (u64, u64))> {
+        let mut heats = Vec::new();
         for shard in &self.shards {
             for (key, slot) in shard.read().unwrap().iter() {
                 if matches!(slot.region.exit, BlockExit::Branch { .. }) {
-                    heats.insert(*key, (slot.region.link_heat(0), slot.region.link_heat(1)));
+                    heats.push((*key, (slot.region.link_heat(0), slot.region.link_heat(1))));
                 }
             }
         }
+        heats.sort_unstable_by_key(|&(key, _)| key);
         heats
     }
 

@@ -21,7 +21,6 @@
 use crate::cache::BlockExit;
 use crate::lir::{LirInsn, LirMem, LirOperand, Vreg, VregClass};
 use hvm::{AluOp, Cond, FpOp, MemSize, VecOp};
-use std::collections::HashMap;
 
 /// Identifier of a DAG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,8 +228,9 @@ pub struct EmitStats {
 pub struct Emitter {
     nodes: Vec<Node>,
     lir: Vec<LirInsn>,
-    /// Memoised evaluation results (node -> location).
-    evaluated: HashMap<NodeId, Loc>,
+    /// Memoised evaluation results, indexed by node id (one slot per entry
+    /// of `nodes`; `None` until the node is first evaluated).
+    evaluated: Vec<Option<Loc>>,
     next_vreg: u32,
     next_label: u32,
     helper_seq: u32,
@@ -275,7 +275,7 @@ impl Emitter {
         Emitter {
             nodes: Vec::with_capacity(64),
             lir: Vec::with_capacity(64),
-            evaluated: HashMap::new(),
+            evaluated: Vec::with_capacity(64),
             next_vreg: 0,
             next_label: 0,
             helper_seq: 0,
@@ -294,6 +294,7 @@ impl Emitter {
         self.stats.nodes += 1;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
+        self.evaluated.push(None);
         id
     }
 
@@ -604,13 +605,13 @@ impl Emitter {
 
     /// Evaluates a node into a general-purpose virtual register.
     pub fn eval_to_gpr(&mut self, id: NodeId) -> Vreg {
-        if let Some(loc) = self.evaluated.get(&id) {
-            match *loc {
+        if let Some(loc) = self.evaluated[id.0 as usize] {
+            match loc {
                 Loc::Gpr(v) => return v,
                 Loc::Xmm(x) => {
                     let dst = self.new_vreg(VregClass::Gpr);
                     self.emit(LirInsn::XmmToGpr { dst, src: x });
-                    self.evaluated.insert(id, Loc::Gpr(dst));
+                    self.evaluated[id.0 as usize] = Some(Loc::Gpr(dst));
                     return dst;
                 }
             }
@@ -740,14 +741,14 @@ impl Emitter {
                 dst
             }
         };
-        self.evaluated.insert(id, Loc::Gpr(dst));
+        self.evaluated[id.0 as usize] = Some(Loc::Gpr(dst));
         dst
     }
 
     /// Evaluates a node into a vector (floating-point) virtual register.
     pub fn eval_to_xmm(&mut self, id: NodeId) -> Vreg {
-        if let Some(Loc::Xmm(v)) = self.evaluated.get(&id) {
-            return *v;
+        if let Some(Loc::Xmm(v)) = self.evaluated[id.0 as usize] {
+            return v;
         }
         let node = self.node(id);
         let dst = match node {
@@ -872,7 +873,7 @@ impl Emitter {
                 dst
             }
         };
-        self.evaluated.insert(id, Loc::Xmm(dst));
+        self.evaluated[id.0 as usize] = Some(Loc::Xmm(dst));
         dst
     }
 
@@ -1188,7 +1189,7 @@ impl Emitter {
         });
         let dst = self.new_vreg(VregClass::Gpr);
         self.emit(LirInsn::ReadRet { dst });
-        self.evaluated.insert(node, Loc::Gpr(dst));
+        self.evaluated[node.0 as usize] = Some(Loc::Gpr(dst));
         node
     }
 

@@ -997,7 +997,9 @@ fn match_nzcv(
 /// condition value derives from a recognised flag producer into a direct
 /// host compare-and-branch, when the host flags are dead after the branch.
 pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
-    let flags_live = host_flags_live_after(lir);
+    // Computed on the first candidate site: most units have none (the scan
+    // below only collects sites, so `lir` is still unmodified then).
+    let mut flags_live: Option<Vec<bool>> = None;
     let mut sites: Vec<FuseSite> = Vec::new();
     for t in 0..lir.len() {
         let LirInsn::Test {
@@ -1021,7 +1023,7 @@ pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut Idio
         }
         // Soundness gate: the flags the fused compare would set must be
         // provably dead after the branch.
-        if flags_live[j] {
+        if flags_live.get_or_insert_with(|| host_flags_live_after(lir))[j] {
             continue;
         }
         let site =
@@ -1032,6 +1034,9 @@ pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut Idio
                 sites.push(site);
             }
         }
+    }
+    if sites.is_empty() {
+        return;
     }
     let mut dead = vec![false; lir.len()];
     for site in &sites {
@@ -1195,17 +1200,7 @@ struct MemsetLoop {
 fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<MemsetLoop> {
     // Use counts over the whole unit let the matcher skip instructions whose
     // result is provably unconsumed (fusion leftovers ahead of DCE).
-    let mut use_count = vec![0u32; 0];
-    let max_id = lir
-        .iter()
-        .flat_map(|i| {
-            let mut u = Vec::new();
-            i.uses(&mut u);
-            u.into_iter().map(|v| v.id).chain(i.def().map(|d| d.id))
-        })
-        .max()
-        .unwrap_or(0);
-    use_count.resize(max_id as usize + 1, 0);
+    let mut use_count = vec![0u32; crate::lir::vreg_id_bound(lir) as usize];
     let mut scratch = Vec::new();
     for insn in lir {
         scratch.clear();

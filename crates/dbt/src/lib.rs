@@ -39,6 +39,8 @@ pub mod lir;
 pub mod lower;
 pub mod opt;
 pub mod regalloc;
+#[cfg(test)]
+mod regalloc_reference;
 pub mod timing;
 
 pub use cache::{
@@ -50,10 +52,9 @@ pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
 pub use lower::LowerError;
 pub use opt::OptStats;
-pub use timing::{Phase, PhaseTimers, TierTimers};
+pub use timing::{Phase, PhaseClock, PhaseTimers, TierTimers};
 
 use hvm::MachInsn;
-use std::sync::Arc;
 
 /// Runs the shared back half of the pipeline on finished LIR: the optional
 /// block-scoped optimiser ([`opt`], when `run_opt`; loop-carried register
@@ -63,8 +64,9 @@ use std::sync::Arc;
 /// without — so the phase and elimination accounting can never desync.
 ///
 /// Fails with a [`LowerError`] when lowering finds a live virtual register
-/// with no assignment; the engines respond by discarding the translation and
-/// degrading (UNDEF fallback for a plain block, bailout for a formed
+/// with no assignment or a jump to an unbound label, or when a promoted
+/// carrier missed the register pool; the engines respond by discarding the
+/// translation and degrading (UNDEF fallback for a plain block, bailout for a formed
 /// region), counted in [`PhaseTimers::lower_bailouts`] by the caller.
 pub fn finish_translation(
     timers: &mut PhaseTimers,
@@ -102,17 +104,7 @@ pub fn finish_translation(
     // optimiser's net deletion count saturates at zero rather than going
     // negative.
     let elided = pre_opt.saturating_sub(lir.len()) + dce;
-    // Dirty carriers are defined at unit entry, so the linear scan hands
-    // them pool registers before anything else can claim one; a spilled
-    // carrier would make fault-time materialisation impossible and can only
-    // mean a broken invariant.
-    let promoted = dirty_carriers
-        .into_iter()
-        .map(|(off, v)| match allocation.assignment.get(&v.id) {
-            Some(regalloc::Assignment::Gpr(g)) => (off, *g),
-            other => panic!("promoted carrier {v:?} not in a host register: {other:?}"),
-        })
-        .collect();
+    let promoted = resolve_carriers(&dirty_carriers, &allocation)?;
     let code = timers.time(Phase::Encode, || lower::lower(&lir, &allocation))?;
     let encoded = timers.time(Phase::Encode, || hvm::encode::encode_block(&code));
     Ok(FinishedTranslation {
@@ -122,6 +114,24 @@ pub fn finish_translation(
         promoted,
         idioms: idiom_stats,
     })
+}
+
+/// Resolves the dirty promoted carriers to the host registers the allocator
+/// gave them.  Carriers are defined at unit entry, so the linear scan hands
+/// them pool registers before anything else can claim one; a spilled carrier
+/// would make fault-time materialisation impossible and can only mean a
+/// broken invariant — the translation is refused, not the host.
+fn resolve_carriers(
+    dirty_carriers: &[(i32, Vreg)],
+    allocation: &regalloc::Allocation,
+) -> Result<Vec<(i32, hvm::Gpr)>, LowerError> {
+    dirty_carriers
+        .iter()
+        .map(|&(off, v)| match allocation.assignment.get(v.id) {
+            Some(regalloc::Assignment::Gpr(g)) => Ok((off, g)),
+            _ => Err(LowerError::CarrierNotInRegister { vreg: v.id }),
+        })
+        .collect()
 }
 
 /// The back half of the pipeline's output (see [`finish_translation`]).
@@ -175,28 +185,51 @@ pub trait GuestIsa {
     }
 }
 
-/// The output of translating one guest basic block.
-#[derive(Debug, Clone)]
-pub struct BlockTranslation {
-    /// Final host instructions (physical registers, jumps resolved).
-    pub code: Arc<Vec<MachInsn>>,
-    /// Byte-encoded form of `code` (for size statistics).
-    pub encoded: Vec<u8>,
-    /// Number of guest instructions covered.
-    pub guest_insns: usize,
-    /// Number of host instructions after dead-code removal.
-    pub host_insns: usize,
-    /// Host instructions emitted before register allocation dropped dead ones.
-    pub lir_insns: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lir::{LirMem, VregClass, GPR_POOL};
+    use hvm::MemSize;
 
-impl BlockTranslation {
-    /// Bytes of host code generated per guest instruction (Section 3.4).
-    pub fn bytes_per_guest_insn(&self) -> f64 {
-        if self.guest_insns == 0 {
-            0.0
-        } else {
-            self.encoded.len() as f64 / self.guest_insns as f64
-        }
+    #[test]
+    fn a_spilled_carrier_is_a_typed_error_not_a_host_panic() {
+        // Saturate the GPR pool, then define one more long-lived value: it
+        // spills.  Claiming it as a promoted carrier must refuse the
+        // translation (the engines degrade), where it used to `panic!`.
+        let v = |id| Vreg {
+            id,
+            class: VregClass::Gpr,
+        };
+        let n = GPR_POOL.len() as u32;
+        let mut lir: Vec<LirInsn> = (0..=n)
+            .map(|i| LirInsn::MovImm {
+                dst: v(i),
+                imm: i as u64,
+            })
+            .collect();
+        lir.extend((0..=n).map(|i| LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile(i as i32 * 8),
+            size: MemSize::U64,
+        }));
+        lir.push(LirInsn::Ret);
+        let allocation = regalloc::allocate(&lir);
+        assert!(matches!(
+            allocation.assignment[n],
+            regalloc::Assignment::Spill(_)
+        ));
+        assert_eq!(
+            resolve_carriers(&[(0, v(0))], &allocation).map(|p| p.len()),
+            Ok(1),
+            "a carrier in a pool register resolves"
+        );
+        let err = resolve_carriers(&[(0, v(0)), (8, v(n))], &allocation).unwrap_err();
+        assert_eq!(err, LowerError::CarrierNotInRegister { vreg: n });
+        assert!(err.to_string().contains(&format!("v{n}")));
+        // A carrier the allocator never saw is the same defect.
+        assert_eq!(
+            resolve_carriers(&[(0, v(999))], &allocation),
+            Err(LowerError::CarrierNotInRegister { vreg: 999 })
+        );
     }
 }

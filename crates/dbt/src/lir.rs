@@ -287,6 +287,23 @@ pub const GPR_POOL: [Gpr; 8] = [
     Gpr::R14,
 ];
 
+/// One past the largest virtual-register id `lir` reads or writes (0 when
+/// it mentions none): the size of a vreg-indexed table for the unit, and
+/// the first id free for a pass that needs fresh registers.
+pub fn vreg_id_bound(lir: &[LirInsn]) -> u32 {
+    let mut bound = 0;
+    let mut scratch = Vec::with_capacity(4);
+    for insn in lir {
+        scratch.clear();
+        insn.uses(&mut scratch);
+        scratch.extend(insn.def());
+        for v in &scratch {
+            bound = bound.max(v.id + 1);
+        }
+    }
+    bound
+}
+
 impl LirInsn {
     /// Virtual registers read by this instruction.
     pub fn uses(&self, out: &mut Vec<Vreg>) {
@@ -392,21 +409,14 @@ impl LirInsn {
         }
     }
 
-    /// Rewrites every *pure source* occurrence of `from` to `to`: operand
-    /// positions that only read the register.  Two-address destinations
-    /// (`Alu`, `CmovCc`, `Fp`, `Vec`, `FpFma` and friends) both read and
-    /// write `dst`, so `dst` fields are deliberately never touched — the
-    /// copy-propagation pass in [`crate::opt`] relies on this distinction.
-    /// Returns how many occurrences were rewritten.
-    pub fn replace_pure_uses(&mut self, from: Vreg, to: Vreg) -> u32 {
-        self.map_pure_uses(&mut |v| if v == from { Some(to) } else { None })
-    }
-
-    /// Rewrites every pure-source register occurrence `v` to `f(v)` where
-    /// `f` returns a replacement (one traversal of the instruction, however
-    /// many substitutions are pending — the shape copy propagation needs).
-    /// The same destination-sparing rules as [`LirInsn::replace_pure_uses`]
-    /// apply.  Returns how many occurrences were rewritten.
+    /// Rewrites every *pure source* register occurrence `v` — an operand
+    /// position that only reads the register — to `f(v)` where `f` returns a
+    /// replacement (one traversal of the instruction, however many
+    /// substitutions are pending — the shape copy propagation needs).
+    /// Two-address destinations (`Alu`, `CmovCc`, `Fp`, `Vec`, `FpFma` and
+    /// friends) both read and write `dst`, so `dst` fields are deliberately
+    /// never touched — the copy-propagation pass in [`crate::opt`] relies on
+    /// this distinction.  Returns how many occurrences were rewritten.
     pub fn map_pure_uses(&mut self, f: &mut impl FnMut(Vreg) -> Option<Vreg>) -> u32 {
         fn reg(v: &mut Vreg, f: &mut impl FnMut(Vreg) -> Option<Vreg>, n: &mut u32) {
             if let Some(to) = f(*v) {
@@ -651,8 +661,10 @@ impl LirInsn {
 
     /// True if the instruction has an effect beyond writing its destination
     /// virtual register (memory, PC, flags consumed later, control flow, ...).
-    /// Dead-code marking in the register allocator only removes instructions
-    /// for which this returns `false` and whose destination is never read.
+    /// A conservative classification (every flag writer counts as
+    /// effectful): [`crate::idiom`]'s bulk-loop matcher tolerates only
+    /// leftovers for which this returns `false`, and the one-shot dead-code
+    /// marking the allocator's fixpoint is tested against removes only those.
     pub fn has_side_effect(&self) -> bool {
         match self {
             // A load can still fault: a guest-memory load is effectful even
@@ -830,7 +842,10 @@ mod tests {
     }
 
     #[test]
-    fn replace_pure_uses_spares_two_address_destinations() {
+    fn map_pure_uses_spares_two_address_destinations() {
+        fn replace(insn: &mut LirInsn, from: Vreg, to: Vreg) -> u32 {
+            insn.map_pure_uses(&mut |v| (v == from).then_some(to))
+        }
         // `Alu` reads and writes dst: only the source operand may be
         // rewritten.
         let mut alu = LirInsn::Alu {
@@ -838,7 +853,7 @@ mod tests {
             dst: v(1),
             src: LirOperand::Vreg(v(1)),
         };
-        assert_eq!(alu.replace_pure_uses(v(1), v(2)), 1);
+        assert_eq!(replace(&mut alu, v(1), v(2)), 1);
         assert!(
             matches!(alu, LirInsn::Alu { dst, src: LirOperand::Vreg(s), .. } if dst == v(1) && s == v(2))
         );
@@ -848,7 +863,7 @@ mod tests {
             dst: v(1),
             src: v(1),
         };
-        assert_eq!(cmov.replace_pure_uses(v(1), v(3)), 1);
+        assert_eq!(replace(&mut cmov, v(1), v(3)), 1);
         assert!(matches!(cmov, LirInsn::CmovCc { dst, src, .. } if dst == v(1) && src == v(3)));
 
         // Memory operands rewrite base and index.
@@ -861,14 +876,14 @@ mod tests {
             },
             size: MemSize::U64,
         };
-        assert_eq!(st.replace_pure_uses(v(1), v(4)), 3);
+        assert_eq!(replace(&mut st, v(1), v(4)), 3);
 
         // Pure moves rewrite the source only.
         let mut mv = LirInsn::MovReg {
             dst: v(5),
             src: v(1),
         };
-        assert_eq!(mv.replace_pure_uses(v(1), v(4)), 1);
+        assert_eq!(replace(&mut mv, v(1), v(4)), 1);
         assert!(matches!(mv, LirInsn::MovReg { dst, src } if dst == v(5) && src == v(4)));
     }
 

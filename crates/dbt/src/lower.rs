@@ -7,10 +7,11 @@
 //! instruction positions are known (Section 2.3.4).
 //!
 //! Lowering is fallible: a virtual register that reaches encoding with
-//! neither a physical assignment nor a spill slot is an allocator/emitter
-//! defect, and silently substituting a default register would corrupt guest
-//! state at run time.  [`lower`] reports it as a [`LowerError`] instead; the
-//! engines respond by bailing out of the translation (a plain block falls
+//! neither a physical assignment nor a spill slot, or a jump to a label the
+//! unit never binds, is an allocator/emitter defect, and silently
+//! substituting a default register (or a target one past the end of the
+//! block) would corrupt guest state at run time.  [`lower`] reports it as a
+//! [`LowerError`] instead; the engines respond by bailing out of the translation (a plain block falls
 //! back to raising a guest UNDEF exception, a region formation is abandoned
 //! in favour of the constituent blocks), so a lowering defect degrades to
 //! slower or fault-raising execution rather than wrong answers.
@@ -18,7 +19,6 @@
 use crate::lir::{LirBase, LirInsn, LirMem, LirOperand, Vreg, ARG_GPRS, SCRATCH_GPRS};
 use crate::regalloc::{Allocation, Assignment};
 use hvm::{Gpr, MachInsn, MemRef, MemSize, Operand, Xmm};
-use std::collections::HashMap;
 
 /// Byte offset (relative to the register-file base pointer) of the spill
 /// area.  The hypervisor reserves this scratch region just below the guest
@@ -29,23 +29,47 @@ pub const SPILL_AREA_OFFSET: i32 = -4096;
 /// `FpFma` whose operands all spilled still gets distinct reloads).
 const XMM_SCRATCH: [Xmm; 3] = [Xmm(13), Xmm(14), Xmm(15)];
 
-/// A lowering defect: virtual register `vreg` reached encoding with neither
-/// a physical assignment nor a spill slot.  Emitting code for it would read
-/// or clobber an arbitrary host register, so the translation must be
-/// abandoned instead.
+/// A defect that makes a unit impossible to encode faithfully.  Emitting
+/// code anyway would read or clobber an arbitrary host register or jump to
+/// an arbitrary place, so the translation must be abandoned instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LowerError {
-    /// Id of the unassigned virtual register.
-    pub vreg: u32,
+pub enum LowerError {
+    /// Virtual register `vreg` reached encoding with neither a physical
+    /// assignment nor a spill slot.
+    UnassignedVreg {
+        /// Id of the unassigned virtual register.
+        vreg: u32,
+    },
+    /// A `Jmp`/`Jcc`/`BackEdge` targets a label no surviving `Label`
+    /// instruction binds.
+    UnboundLabel {
+        /// Id of the unbound label.
+        label: u32,
+    },
+    /// A promoted loop carrier (see [`crate::opt`]) did not land in a
+    /// general-purpose host register, so a fault exit could not write it
+    /// back to its register-file slot.
+    CarrierNotInRegister {
+        /// Id of the carrier virtual register.
+        vreg: u32,
+    },
 }
 
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "virtual register v{} reached lowering without an assignment",
-            self.vreg
-        )
+        match self {
+            LowerError::UnassignedVreg { vreg } => write!(
+                f,
+                "virtual register v{vreg} reached lowering without an assignment"
+            ),
+            LowerError::UnboundLabel { label } => {
+                write!(f, "jump to label {label}, which the unit never binds")
+            }
+            LowerError::CarrierNotInRegister { vreg } => write!(
+                f,
+                "promoted carrier v{vreg} was not allocated a general-purpose register"
+            ),
+        }
     }
 }
 
@@ -54,8 +78,9 @@ impl std::error::Error for LowerError {}
 struct Lowerer<'a> {
     alloc: &'a Allocation,
     out: Vec<MachInsn>,
-    /// label id -> machine instruction index.
-    label_pos: HashMap<u32, usize>,
+    /// Machine instruction index per label id (`None` until bound; grown
+    /// to the largest label id bound so far).
+    label_pos: Vec<Option<usize>>,
     /// (machine index of Jmp/Jcc, label id) pairs to patch.
     fixups: Vec<(usize, u32)>,
     /// Scratch registers consumed so far for the current LIR instruction.
@@ -68,11 +93,11 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(alloc: &'a Allocation) -> Self {
+    fn new(alloc: &'a Allocation, lir_len: usize) -> Self {
         Lowerer {
             alloc,
-            out: Vec::new(),
-            label_pos: HashMap::new(),
+            out: Vec::with_capacity(lir_len),
+            label_pos: Vec::new(),
             fixups: Vec::new(),
             scratch_used: 0,
             xmm_scratch_used: 0,
@@ -83,7 +108,7 @@ impl<'a> Lowerer<'a> {
     /// Records an unassigned-vreg defect (first one wins).
     fn fail(&mut self, v: Vreg) {
         if self.error.is_none() {
-            self.error = Some(LowerError { vreg: v.id });
+            self.error = Some(LowerError::UnassignedVreg { vreg: v.id });
         }
     }
 
@@ -94,14 +119,14 @@ impl<'a> Lowerer<'a> {
     /// Resolves a GPR-class vreg for *reading*, reloading from its spill slot
     /// into a scratch register if necessary.
     fn use_gpr(&mut self, v: Vreg) -> Gpr {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Gpr(r)) => *r,
+        match self.alloc.assignment.get(v.id) {
+            Some(Assignment::Gpr(r)) => r,
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
                 self.scratch_used += 1;
                 self.out.push(MachInsn::Load {
                     dst: scratch,
-                    addr: Self::spill_slot_addr(*slot),
+                    addr: Self::spill_slot_addr(slot),
                     size: MemSize::U64,
                 });
                 scratch
@@ -116,8 +141,8 @@ impl<'a> Lowerer<'a> {
     /// Resolves a GPR-class vreg for *writing*.  Returns the register to
     /// write plus an optional store-back to the spill slot.
     fn def_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Gpr(r)) => (*r, None),
+        match self.alloc.assignment.get(v.id) {
+            Some(Assignment::Gpr(r)) => (r, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
                 self.scratch_used += 1;
@@ -125,7 +150,7 @@ impl<'a> Lowerer<'a> {
                     scratch,
                     Some(MachInsn::Store {
                         src: scratch,
-                        addr: Self::spill_slot_addr(*slot),
+                        addr: Self::spill_slot_addr(slot),
                         size: MemSize::U64,
                     }),
                 )
@@ -138,14 +163,14 @@ impl<'a> Lowerer<'a> {
     }
 
     fn use_xmm(&mut self, v: Vreg) -> Xmm {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Xmm(x)) => *x,
+        match self.alloc.assignment.get(v.id) {
+            Some(Assignment::Xmm(x)) => x,
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
                 self.xmm_scratch_used += 1;
                 self.out.push(MachInsn::LoadXmm {
                     dst: scratch,
-                    addr: Self::spill_slot_addr(*slot),
+                    addr: Self::spill_slot_addr(slot),
                     size: MemSize::U128,
                 });
                 scratch
@@ -158,8 +183,8 @@ impl<'a> Lowerer<'a> {
     }
 
     fn def_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Xmm(x)) => (*x, None),
+        match self.alloc.assignment.get(v.id) {
+            Some(Assignment::Xmm(x)) => (x, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
                 self.xmm_scratch_used += 1;
@@ -167,7 +192,7 @@ impl<'a> Lowerer<'a> {
                     scratch,
                     Some(MachInsn::StoreXmm {
                         src: scratch,
-                        addr: Self::spill_slot_addr(*slot),
+                        addr: Self::spill_slot_addr(slot),
                         size: MemSize::U128,
                     }),
                 )
@@ -184,10 +209,10 @@ impl<'a> Lowerer<'a> {
     /// instruction reads it), and the modified value is stored back after.
     fn rmw_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
         let reg = self.use_gpr(v);
-        let store_back = match self.alloc.assignment.get(&v.id) {
+        let store_back = match self.alloc.assignment.get(v.id) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::Store {
                 src: reg,
-                addr: Self::spill_slot_addr(*slot),
+                addr: Self::spill_slot_addr(slot),
                 size: MemSize::U64,
             }),
             _ => None,
@@ -198,10 +223,10 @@ impl<'a> Lowerer<'a> {
     /// XMM-class equivalent of [`Lowerer::rmw_gpr`].
     fn rmw_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
         let reg = self.use_xmm(v);
-        let store_back = match self.alloc.assignment.get(&v.id) {
+        let store_back = match self.alloc.assignment.get(v.id) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::StoreXmm {
                 src: reg,
-                addr: Self::spill_slot_addr(*slot),
+                addr: Self::spill_slot_addr(slot),
                 size: MemSize::U128,
             }),
             _ => None,
@@ -241,7 +266,11 @@ impl<'a> Lowerer<'a> {
         self.xmm_scratch_used = 0;
         match insn {
             LirInsn::Label { id } => {
-                self.label_pos.insert(*id, self.out.len());
+                let id = *id as usize;
+                if id >= self.label_pos.len() {
+                    self.label_pos.resize(id + 1, None);
+                }
+                self.label_pos[id] = Some(self.out.len());
             }
             LirInsn::MovImm { dst, imm } => {
                 let (d, sb) = self.def_gpr(*dst);
@@ -590,10 +619,11 @@ impl<'a> Lowerer<'a> {
 
 /// Lowers allocated LIR to machine instructions, skipping dead instructions
 /// and patching relative jumps.  Fails with a [`LowerError`] if any live
-/// virtual register has no assignment — the caller must discard the
-/// translation and fall back (see the module docs).
+/// virtual register has no assignment or any jump targets an unbound label
+/// — the caller must discard the translation and fall back (see the module
+/// docs).
 pub fn lower(lir: &[LirInsn], alloc: &Allocation) -> Result<Vec<MachInsn>, LowerError> {
-    let mut l = Lowerer::new(alloc);
+    let mut l = Lowerer::new(alloc, lir.len());
     for (i, insn) in lir.iter().enumerate() {
         if alloc.dead.get(i).copied().unwrap_or(false) {
             continue;
@@ -605,7 +635,9 @@ pub fn lower(lir: &[LirInsn], alloc: &Allocation) -> Result<Vec<MachInsn>, Lower
     }
     // Patch jumps: targets are relative to the jump's own index.
     for (pos, label) in l.fixups {
-        let target_pos = l.label_pos.get(&label).copied().unwrap_or(l.out.len());
+        let Some(target_pos) = l.label_pos.get(label as usize).copied().flatten() else {
+            return Err(LowerError::UnboundLabel { label });
+        };
         let rel = target_pos as i32 - pos as i32;
         match &mut l.out[pos] {
             MachInsn::Jmp { target } => *target = rel,
@@ -698,10 +730,110 @@ mod tests {
             LirInsn::Ret,
         ];
         let mut alloc = allocate(&lir);
-        alloc.assignment.remove(&1);
+        alloc.assignment.remove(1);
         let err = lower(&lir, &alloc).unwrap_err();
-        assert_eq!(err.vreg, 1);
+        assert_eq!(err, LowerError::UnassignedVreg { vreg: 1 });
         assert!(err.to_string().contains("v1"));
+    }
+
+    #[test]
+    fn a_jump_to_an_unbound_label_is_a_typed_error_not_a_jump_past_the_end() {
+        // Label 3 is never bound: the old resolution silently aimed the Jcc
+        // one past the end of the block.
+        let v = |id| Vreg {
+            id,
+            class: VregClass::Gpr,
+        };
+        for jump in [
+            LirInsn::Jcc {
+                cond: hvm::Cond::Eq,
+                label: 3,
+            },
+            LirInsn::Jmp { label: 3 },
+            LirInsn::BackEdge {
+                pc: 0x1000,
+                label: 3,
+                reconcile: false,
+                weight: 1,
+            },
+        ] {
+            let lir = vec![
+                LirInsn::MovImm { dst: v(0), imm: 1 },
+                LirInsn::Test {
+                    a: v(0),
+                    b: LirOperand::Vreg(v(0)),
+                },
+                jump,
+                LirInsn::Label { id: 0 },
+                LirInsn::Ret,
+            ];
+            let alloc = allocate(&lir);
+            let err = lower(&lir, &alloc).unwrap_err();
+            assert_eq!(err, LowerError::UnboundLabel { label: 3 }, "{jump:?}");
+            assert!(err.to_string().contains("label 3"));
+        }
+    }
+
+    #[test]
+    fn sparse_vreg_and_label_ids_allocate_and_lower() {
+        // Ids are table indices now, but their bound comes from the unit,
+        // not from the emitter's counters: non-contiguous, large ids work.
+        let v = |id| Vreg {
+            id,
+            class: VregClass::Gpr,
+        };
+        let lir = vec![
+            LirInsn::MovImm {
+                dst: v(1_000),
+                imm: 7,
+            },
+            LirInsn::MovImm {
+                dst: v(5_000),
+                imm: 9,
+            },
+            LirInsn::Label { id: 5_000 },
+            LirInsn::Alu {
+                op: hvm::AluOp::Sub,
+                dst: v(5_000),
+                src: LirOperand::Imm(1),
+            },
+            LirInsn::Jcc {
+                cond: hvm::Cond::Eq,
+                label: 1_000,
+            },
+            LirInsn::Store {
+                src: v(1_000),
+                addr: LirMem::regfile(8),
+                size: MemSize::U64,
+            },
+            LirInsn::Jmp { label: 5_000 },
+            LirInsn::Label { id: 1_000 },
+            LirInsn::Store {
+                src: v(5_000),
+                addr: LirMem::regfile(16),
+                size: MemSize::U64,
+            },
+            LirInsn::Ret,
+        ];
+        let alloc = allocate(&lir);
+        assert!(alloc.dead.iter().all(|d| !d));
+        let (a, b) = (alloc.assignment[1_000], alloc.assignment[5_000]);
+        assert!(matches!(a, crate::regalloc::Assignment::Gpr(_)));
+        assert!(matches!(b, crate::regalloc::Assignment::Gpr(_)));
+        assert_ne!(a, b, "both values are live across the loop");
+        assert_eq!(alloc.assignment.iter().count(), 2);
+        let code = lower(&lir, &alloc).expect("sparse ids lower");
+        // MovImm, MovImm, Sub, Jcc, Store, Jmp, Store, Ret: the labels
+        // vanish and both jumps land on the instruction after their label.
+        assert_eq!(code.len(), 8);
+        let target = |at: usize| match code[at] {
+            MachInsn::Jcc { target, .. } | MachInsn::Jmp { target } => {
+                (at as i32 + target) as usize
+            }
+            ref other => panic!("not a jump: {other:?}"),
+        };
+        assert!(matches!(code[target(3)], MachInsn::Store { addr, .. } if addr.disp == 16));
+        assert!(matches!(code[target(5)], MachInsn::Alu { .. }));
     }
 
     #[test]
@@ -789,7 +921,7 @@ mod tests {
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
         assert!(
-            matches!(alloc.assignment[&n], crate::regalloc::Assignment::Spill(_)),
+            matches!(alloc.assignment[n], crate::regalloc::Assignment::Spill(_)),
             "the CmovCc destination must have spilled for this regression"
         );
         let code = lower(&lir, &alloc).expect("assignments are complete");

@@ -135,9 +135,8 @@
 //! only deleted when its covering store lands before any possible fault
 //! point, so no execution can observe the gap.
 
-use crate::lir::{LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
+use crate::lir::{vreg_id_bound, LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
 use hvm::MemSize;
-use std::collections::HashMap;
 
 /// Maximum slots promoted to loop-carried host registers per unit.  This is
 /// only an upper bound on ambition: the actual carrier count is settled by
@@ -378,7 +377,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     // candidate is keyed by the offset of its U64 stores/loads; any
     // overlapping access that is an XMM access, a non-U64 store, or not at
     // the slot's own offset disqualifies it.
-    let mut profiles: HashMap<i32, SlotProfile> = HashMap::new();
+    let mut profiles: Vec<(i32, SlotProfile)> = Vec::new();
     let mut accesses: Vec<(RegFileAccess, bool, bool, bool)> = Vec::new(); // (acc, xmm, store, in_span)
     for (i, insn) in lir.iter().enumerate() {
         let in_span = i > header && i < be;
@@ -394,12 +393,13 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
         // U64 GPR accesses at their own offset seed candidates; loads
         // narrower than the slot are allowed (rewritten with an explicit
         // extension), narrow stores are not (they would merge bytes).
-        if !xmm && acc.size == MemSize::U64 {
-            profiles.entry(acc.offset).or_default();
+        if !xmm && acc.size == MemSize::U64 && !profiles.iter().any(|&(off, _)| off == acc.offset) {
+            profiles.push((acc.offset, SlotProfile::default()));
         }
     }
     for &(acc, xmm, store, in_span) in &accesses {
-        for (&off, p) in profiles.iter_mut() {
+        for (off, p) in &mut profiles {
+            let off = *off;
             let slot = RegFileAccess {
                 offset: off,
                 size: MemSize::U64,
@@ -440,18 +440,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     if candidates.is_empty() {
         return Vec::new();
     }
-    let mut next_id = 0u32;
-    let mut scratch = Vec::with_capacity(4);
-    for insn in lir.iter() {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        if let Some(d) = insn.def() {
-            scratch.push(d);
-        }
-        for v in &scratch {
-            next_id = next_id.max(v.id + 1);
-        }
-    }
+    let next_id = vreg_id_bound(lir);
     // Price the unpromoted unit once, then grow the carrier set greedily:
     // each candidate (in priority order) is kept only if the allocator can
     // hold the unit with it added at no more spill slots than the
@@ -653,6 +642,84 @@ enum Stored {
     Imm(u64),
 }
 
+/// Bumps `counts[id]`, growing the table to reach it (the tables below start
+/// at the unit's length — the emitter defines every virtual register with an
+/// instruction of its own, so growth is the hand-written-ids case).
+fn count_up(counts: &mut Vec<u32>, id: u32) {
+    let id = id as usize;
+    if id >= counts.len() {
+        counts.resize(id + 1, 0);
+    }
+    counts[id] += 1;
+}
+
+/// The forwarding pass's knowledge: what each tracked register-file slot
+/// currently holds.  A unit touches a handful of slots between barriers, so
+/// the facts are a short list searched by offset; what has to be cheap is
+/// the invalidation that runs on *every* definition, and `held` makes that
+/// one indexed load unless the redefined register really is some fact's
+/// value.
+struct SlotFacts {
+    /// (offset, width, value): `value` describes the slot's content over
+    /// `width` bytes, per the [`Stored`] semantics.  At most one per offset.
+    facts: Vec<(i32, MemSize, Stored)>,
+    /// `held[id]`: how many facts' value is a register with this vreg id.
+    held: Vec<u32>,
+}
+
+impl SlotFacts {
+    fn for_unit(lir: &[LirInsn]) -> Self {
+        SlotFacts {
+            facts: Vec::with_capacity(16),
+            held: vec![0; lir.len()],
+        }
+    }
+
+    fn get(&self, offset: i32) -> Option<(MemSize, Stored)> {
+        self.facts
+            .iter()
+            .find(|f| f.0 == offset)
+            .map(|&(_, width, value)| (width, value))
+    }
+
+    /// Drops every fact `dies` selects.
+    fn retain_not(&mut self, dies: impl Fn(&(i32, MemSize, Stored)) -> bool) {
+        let held = &mut self.held;
+        self.facts.retain(|f| {
+            let dies = dies(f);
+            if let (true, Stored::Reg { v, .. }) = (dies, f.2) {
+                held[v.id as usize] -= 1;
+            }
+            !dies
+        });
+    }
+
+    fn clear(&mut self) {
+        self.retain_not(|_| true);
+    }
+
+    /// A store rewrites the bytes of `acc`: facts sharing any of them die.
+    fn kill_overlapping(&mut self, acc: &RegFileAccess) {
+        self.retain_not(|&(offset, size, _)| acc.overlaps(&RegFileAccess { offset, size }));
+    }
+
+    /// Register `d` is redefined: facts whose value it was die.
+    fn kill_value(&mut self, d: Vreg) {
+        if self.held.get(d.id as usize).is_some_and(|n| *n > 0) {
+            self.retain_not(|f| matches!(f.2, Stored::Reg { v, .. } if v == d));
+        }
+    }
+
+    /// Installs the fact for `offset`, replacing any previous one.
+    fn insert(&mut self, offset: i32, width: MemSize, value: Stored) {
+        self.retain_not(|f| f.0 == offset);
+        if let Stored::Reg { v, .. } = value {
+            count_up(&mut self.held, v.id);
+        }
+        self.facts.push((offset, width, value));
+    }
+}
+
 /// Forward pass: rewrite regfile loads whose slot value is still available
 /// in a virtual register (or as an immediate).  Values become available from
 /// *stores* (classic store-to-load forwarding) and from earlier *loads*
@@ -663,9 +730,7 @@ enum Stored {
 /// cannot rewrite a slot) keeps them alive, which is what lets forwarding
 /// survive the guest loads inside a hot loop body.
 fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
-    // offset -> (width, value): `value` describes the slot's content over
-    // `width` bytes, per the `Stored` semantics above.
-    let mut slots: HashMap<i32, (MemSize, Stored)> = HashMap::new();
+    let mut slots = SlotFacts::for_unit(lir);
     for insn in lir.iter_mut() {
         // The fact this instruction newly establishes, installed only after
         // the invalidation steps below (so it is not killed by its own
@@ -681,7 +746,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         {
             if let Some(acc) = insn.regfile_load() {
                 debug_assert_eq!(acc.offset, addr.disp);
-                match (slots.get(&acc.offset).copied(), size) {
+                match (slots.get(acc.offset), size) {
                     // Exact-width register match: the tracked value IS the
                     // loaded value (U64 entries are always exact; a U32
                     // entry must be, or the upper bits would differ).
@@ -762,7 +827,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         // the file with a `movq`-style transfer.
         if let LirInsn::LoadXmm { dst, addr: _, size } = *insn {
             if let Some(acc) = insn.regfile_load() {
-                match (slots.get(&acc.offset).copied(), size) {
+                match (slots.get(acc.offset), size) {
                     // A U128 entry covers any load width at the slot; a U64
                     // entry only a U64 load (its upper lane is unspecified).
                     (
@@ -803,12 +868,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
             slots.clear();
         } else if let Some(acc) = insn.regfile_store() {
             // Any overlapping byte is rewritten: drop stale entries.
-            slots.retain(|&off, &mut (sz, _)| {
-                !acc.overlaps(&RegFileAccess {
-                    offset: off,
-                    size: sz,
-                })
-            });
+            slots.kill_overlapping(&acc);
             match (&*insn, acc.size) {
                 (LirInsn::Store { src, .. }, MemSize::U64) => {
                     new_fact = Some((
@@ -855,10 +915,10 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         // A redefined virtual register no longer holds the stored value
         // (two-address ALU/vector operations mutate in place).
         if let Some(d) = insn.def() {
-            slots.retain(|_, (_, s)| !matches!(s, Stored::Reg { v, .. } if *v == d));
+            slots.kill_value(d);
         }
         if let Some((off, width, value)) = new_fact {
-            slots.insert(off, (width, value));
+            slots.insert(off, width, value);
         }
     }
 }
@@ -881,7 +941,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
 ///   time (`dst -> root(src)`), so a rewrite never exposes a new map key.
 ///
 /// Destination operands of read-modify-write instructions are never
-/// rewritten ([`LirInsn::replace_pure_uses`] skips them by construction).
+/// rewritten ([`LirInsn::map_pure_uses`] skips them by construction).
 ///
 /// `pinned` holds the promotion pass's carrier registers: a copy *keyed* by
 /// a carrier is never recorded.  Folding one would rewrite the carrier's
@@ -891,20 +951,20 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
 /// slot.  The carrier invariant (carrier == architectural slot value at
 /// every instruction boundary) must survive every later pass.
 fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) {
-    let mut copies: HashMap<Vreg, Vreg> = HashMap::new();
+    let mut copies = CopyMap::for_unit(lir);
     for insn in lir.iter_mut() {
         // Rewrite first: the instruction reads register state from *before*
         // it executes.  One traversal substitutes every pending copy (the
         // map is flat, so a single lookup per operand suffices).
-        if !copies.is_empty() {
-            stats.copies_folded += insn.map_pure_uses(&mut |v| copies.get(&v).copied());
+        if copies.live > 0 {
+            stats.copies_folded += insn.map_pure_uses(&mut |v| copies.get(v));
         }
         if matches!(insn, LirInsn::Label { .. }) {
             copies.clear();
             continue;
         }
         if let Some(d) = insn.def() {
-            copies.retain(|&k, &mut v| k != d && v != d);
+            copies.kill(d);
         }
         if let LirInsn::MovReg { dst, src } = *insn {
             if dst.class == VregClass::Gpr
@@ -917,6 +977,85 @@ fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) 
                 copies.insert(dst, src);
             }
         }
+    }
+}
+
+/// Copy propagation's `copy -> origin` map over GPR-class registers,
+/// indexed by the copy's vreg id.  Every definition must drop the entries
+/// the redefined register keys *or* feeds; `feeds` counts the latter per
+/// register so that the common definition — of a register nothing was
+/// copied from — costs two indexed loads instead of a sweep.
+struct CopyMap {
+    /// `origin[id]`: the register GPR vreg `id` currently is a copy of.
+    origin: Vec<Option<Vreg>>,
+    /// `feeds[id]`: how many entries have GPR vreg `id` as their origin.
+    feeds: Vec<u32>,
+    /// Ids recorded since the last clear (stale ones included), so a sweep
+    /// or a clear visits the entries rather than the whole id space.
+    keys: Vec<u32>,
+    /// Number of entries.
+    live: usize,
+}
+
+impl CopyMap {
+    fn for_unit(lir: &[LirInsn]) -> Self {
+        CopyMap {
+            origin: vec![None; lir.len()],
+            feeds: vec![0; lir.len()],
+            keys: Vec::with_capacity(16),
+            live: 0,
+        }
+    }
+
+    fn get(&self, v: Vreg) -> Option<Vreg> {
+        if v.class != VregClass::Gpr {
+            return None;
+        }
+        self.origin.get(v.id as usize).copied().flatten()
+    }
+
+    /// Records `dst` as a copy of `src` (both GPR-class; `dst` holds no
+    /// entry — its definition was just [`CopyMap::kill`]ed).
+    fn insert(&mut self, dst: Vreg, src: Vreg) {
+        let at = dst.id as usize;
+        if at >= self.origin.len() {
+            self.origin.resize(at + 1, None);
+        }
+        self.origin[at] = Some(src);
+        count_up(&mut self.feeds, src.id);
+        self.keys.push(dst.id);
+        self.live += 1;
+    }
+
+    /// Register `d` is redefined: drops the entry it keys and every entry
+    /// it feeds.
+    fn kill(&mut self, d: Vreg) {
+        if d.class != VregClass::Gpr {
+            return; // keys and origins are all GPR-class
+        }
+        if let Some(o) = self.origin.get_mut(d.id as usize).and_then(Option::take) {
+            self.feeds[o.id as usize] -= 1;
+            self.live -= 1;
+        }
+        if self.feeds.get(d.id as usize).is_some_and(|n| *n > 0) {
+            for &k in &self.keys {
+                let entry = &mut self.origin[k as usize];
+                if *entry == Some(d) {
+                    *entry = None;
+                    self.live -= 1;
+                }
+            }
+            self.feeds[d.id as usize] = 0;
+        }
+    }
+
+    fn clear(&mut self) {
+        for k in self.keys.drain(..) {
+            if let Some(o) = self.origin[k as usize].take() {
+                self.feeds[o.id as usize] = 0;
+            }
+        }
+        self.live = 0;
     }
 }
 
@@ -979,6 +1118,9 @@ fn add_interval(covered: &mut Vec<(i32, i32)>, start: i32, end: i32) {
 /// Removes `[start, end)` from the covered set (a load punches a hole: those
 /// bytes are observed before any later covering store).
 fn subtract_interval(covered: &mut Vec<(i32, i32)>, start: i32, end: i32) {
+    if !covered.iter().any(|&(s, e)| s < end && start < e) {
+        return; // nothing covered there (the common case): no rebuild
+    }
     let mut result = Vec::with_capacity(covered.len() + 1);
     for &(s, e) in covered.iter() {
         if e <= start || end <= s {

@@ -13,8 +13,10 @@
 //! `Label`; jumps (`Jmp`, `Jcc`, and the looping regions' `BackEdge`) merge
 //! their target label's recorded state into their own live-out.  For the
 //! forward-only units plain blocks and stitched traces produce, one pass
-//! suffices; for *looping* units (a region whose loop closed as an internal
-//! back-edge) the passes repeat until the label states stop growing, so DCE
+//! suffices (every jump reads a label state this same pass already
+//! recorded, so a second pass could only recompute it); for *looping* units
+//! (a region whose loop closed as an internal back-edge) the passes repeat
+//! until the label states stop growing, so DCE
 //! and flag-demand tracking fire inside loops exactly as they do in
 //! straight-line code — a flag writer at the bottom of a loop body whose
 //! only reader sits at the top of the next iteration is kept, and an unused
@@ -23,19 +25,27 @@
 //! [`crate::opt`] are removed too.  The states grow monotonically from
 //! bottom (nothing live, no demand), so the iteration converges to the
 //! least fixpoint — sound liveness for arbitrary intra-unit control flow.
-//! The historical one-shot `use_count == 0` marking survives only as a
-//! debug-build cross-check: everything it would kill, the fixpoint must
-//! kill too.
 //!
 //! Loops also bend the *live ranges* the linear scan consumes: a virtual
 //! register defined before a loop header and read inside the loop is live
 //! across the back-edge on every iteration, so its range is extended to the
 //! back-edge's position — otherwise the scan could hand its register to a
 //! loop-local value whose linear range looks disjoint.
+//!
+//! # Id-indexed bookkeeping
+//!
+//! Every per-operand lookup here is an index, not a hash: the emitter hands
+//! out virtual-register and label ids densely from zero, so live sets are
+//! bitsets over vreg ids, label states and positions are label-indexed
+//! tables, and first/last occurrences and the final [`AssignmentMap`] are
+//! vreg-indexed `Vec`s.  Density is an assumption about *cost* only, never
+//! about correctness: the table sizes come from one scan of the unit itself
+//! ([`IdBounds`]: largest id mentioned, plus one), not from the emitter's
+//! counters, so hand-written units with sparse or large ids allocate
+//! correctly and merely pay for the gap.
 
-use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
+use crate::lir::{vreg_id_bound, LirInsn, Vreg, VregClass, GPR_POOL};
 use hvm::{Gpr, Xmm};
-use std::collections::{HashMap, HashSet};
 
 /// Vector registers available to the allocator (the top three are reserved
 /// as spill scratch — `FpFma` can need reloads for all three of its
@@ -54,11 +64,53 @@ pub enum Assignment {
     Spill(u32),
 }
 
+/// Assignment per virtual register, indexed by vreg id (see the module
+/// docs).  Registers touched only by dead instructions have no entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AssignmentMap {
+    slots: Vec<Option<Assignment>>,
+}
+
+impl AssignmentMap {
+    /// Where vreg `id` ended up; `None` when the allocator never saw it in
+    /// a surviving instruction.
+    pub fn get(&self, id: u32) -> Option<Assignment> {
+        self.slots.get(id as usize).copied().flatten()
+    }
+
+    /// Every assigned virtual register with its assignment, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Assignment)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, a)| a.map(|a| (id as u32, a)))
+    }
+
+    /// Forgets vreg `id`'s assignment (tests hand-break allocations to
+    /// exercise the lowering error paths).
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, id: u32) -> Option<Assignment> {
+        self.slots.get_mut(id as usize).and_then(Option::take)
+    }
+}
+
+impl std::ops::Index<u32> for AssignmentMap {
+    type Output = Assignment;
+
+    /// Panics when vreg `id` holds no assignment.
+    fn index(&self, id: u32) -> &Assignment {
+        self.slots
+            .get(id as usize)
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| panic!("v{id} holds no assignment"))
+    }
+}
+
 /// The result of register allocation for one block.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
     /// Assignment per virtual register id.
-    pub assignment: HashMap<u32, Assignment>,
+    pub assignment: AssignmentMap,
     /// `dead[i]` is true if LIR instruction `i` can be skipped by the encoder.
     pub dead: Vec<bool>,
     /// Number of spill slots used (GPR and XMM slots share the numbering).
@@ -73,25 +125,114 @@ struct Range {
     end: usize,
 }
 
-/// The liveness state recorded at a label: virtual registers live at the
-/// label plus whether the host flags are demanded there.  Grows
-/// monotonically across fixpoint passes.
-#[derive(Debug, Clone, Default)]
-struct LabelState {
-    live: HashSet<u32>,
-    flags: bool,
+/// The label a control-flow instruction binds or targets.
+fn label_ref(insn: &LirInsn) -> Option<u32> {
+    match insn {
+        LirInsn::Label { id: label }
+        | LirInsn::Jmp { label }
+        | LirInsn::Jcc { label, .. }
+        | LirInsn::BackEdge { label, .. } => Some(*label),
+        _ => None,
+    }
+}
+
+/// One past the largest label id `lir` binds or targets: the size of every
+/// label-indexed table.
+fn label_bound(lir: &[LirInsn]) -> usize {
+    lir.iter()
+        .filter_map(label_ref)
+        .map(|l| l as usize + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Table sizes for one unit: one past the largest virtual-register id and
+/// one past the largest label id it mentions (see the module docs).
+struct IdBounds {
+    vregs: usize,
+    labels: usize,
+}
+
+impl IdBounds {
+    fn scan(lir: &[LirInsn]) -> Self {
+        IdBounds {
+            vregs: vreg_id_bound(lir) as usize,
+            labels: label_bound(lir),
+        }
+    }
+}
+
+/// `dst |= src`, word-wise; true when any word of `dst` changed.
+fn union_into(dst: &mut [u64], src: &[u64]) -> bool {
+    let mut grew = false;
+    for (d, s) in dst.iter_mut().zip(src) {
+        let merged = *d | *s;
+        grew |= merged != *d;
+        *d = merged;
+    }
+    grew
+}
+
+/// The liveness state recorded at every label, indexed by label id: a
+/// bitset of the virtual registers live at the label (`words` words per
+/// label, one flat table) plus whether the host flags are demanded there.
+/// Grows monotonically across fixpoint passes; a label no pass has reached
+/// reads as bottom (nothing live, no demand).
+struct LabelStates {
+    words: usize,
+    live: Vec<u64>,
+    flags: Vec<bool>,
+    /// The fixpoint pass that last recorded each label (0 = never): a jump
+    /// that reads a label the *current* pass has not recorded yet is a
+    /// backward jump, the only thing that makes another pass necessary.
+    recorded_in: Vec<u32>,
+}
+
+impl LabelStates {
+    fn new(bounds: &IdBounds) -> Self {
+        let words = bounds.vregs.div_ceil(64);
+        LabelStates {
+            words,
+            live: vec![0; bounds.labels * words],
+            flags: vec![false; bounds.labels],
+            recorded_in: vec![0; bounds.labels],
+        }
+    }
+
+    fn live(&self, label: u32) -> &[u64] {
+        let at = label as usize * self.words;
+        &self.live[at..at + self.words]
+    }
+
+    /// Grow-only merge of (`live`, `flags`) into `label`'s state, stamped
+    /// with `pass`; true when the state grew.
+    fn record(&mut self, label: u32, live: &[u64], flags: bool, pass: u32) -> bool {
+        let l = label as usize;
+        self.recorded_in[l] = pass;
+        let at = l * self.words;
+        let mut grew = union_into(&mut self.live[at..at + self.words], live);
+        if flags && !self.flags[l] {
+            self.flags[l] = true;
+            grew = true;
+        }
+        grew
+    }
 }
 
 /// Iterative dead-code marking: backward liveness over virtual registers and
 /// host flags, repeated to a fixpoint over the unit's labels.  See the
 /// module docs for the rules.
-fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
-    let mut label_state: HashMap<u32, LabelState> = HashMap::new();
+fn mark_dead(lir: &[LirInsn], bounds: &IdBounds) -> Vec<bool> {
+    let mut labels = LabelStates::new(bounds);
     let mut dead = vec![false; lir.len()];
+    let mut live = vec![0u64; labels.words];
     let mut scratch = Vec::with_capacity(4);
+    let mut pass = 0u32;
     loop {
+        pass += 1;
         let mut changed = false;
-        let mut live: HashSet<u32> = HashSet::new();
+        let mut backward_jump = false;
+        live.fill(0);
         // Whether some later kept instruction reads the host flags before a
         // kept writer overwrites them.
         let mut flags_demanded = false;
@@ -103,9 +244,9 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
             match insn {
                 LirInsn::Jmp { label } => {
                     // The label is the sole successor.
-                    let s = label_state.get(label).cloned().unwrap_or_default();
-                    live = s.live;
-                    flags_demanded = s.flags;
+                    backward_jump |= labels.recorded_in[*label as usize] != pass;
+                    live.copy_from_slice(labels.live(*label));
+                    flags_demanded = labels.flags[*label as usize];
                 }
                 LirInsn::BackEdge {
                     label, reconcile, ..
@@ -115,27 +256,26 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                     // promotion pass placed right after it), so that path is
                     // a second successor and its state — the carriers the
                     // compensation stores read — must stay live.
-                    let s = label_state.get(label).cloned().unwrap_or_default();
+                    backward_jump |= labels.recorded_in[*label as usize] != pass;
                     if *reconcile {
-                        live.extend(s.live.iter().copied());
-                        flags_demanded |= s.flags;
+                        union_into(&mut live, labels.live(*label));
+                        flags_demanded |= labels.flags[*label as usize];
                     } else {
-                        live = s.live;
-                        flags_demanded = s.flags;
+                        live.copy_from_slice(labels.live(*label));
+                        flags_demanded = labels.flags[*label as usize];
                     }
                 }
                 LirInsn::Jcc { label, .. } => {
                     // Successors: the fallthrough (current state) and the
                     // label.
-                    if let Some(s) = label_state.get(label) {
-                        live.extend(s.live.iter().copied());
-                        flags_demanded |= s.flags;
-                    }
+                    backward_jump |= labels.recorded_in[*label as usize] != pass;
+                    union_into(&mut live, labels.live(*label));
+                    flags_demanded |= labels.flags[*label as usize];
                 }
                 LirInsn::Ret => {
                     // Nothing in this unit executes after a return to the
                     // dispatcher; host flags are not guest state.
-                    live.clear();
+                    live.fill(0);
                     flags_demanded = false;
                 }
                 _ => {}
@@ -168,7 +308,9 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                 // that a guest-memory *load* can fault, and the data abort is
                 // guest-visible even when the loaded value is dead.
                 _ => {
-                    let def_live = insn.def().is_some_and(|d| live.contains(&d.id));
+                    let def_live = insn
+                        .def()
+                        .is_some_and(|d| live[d.id as usize / 64] >> (d.id % 64) & 1 != 0);
                     def_live || insn.may_fault() || (insn.writes_host_flags() && flags_demanded)
                 }
             };
@@ -176,7 +318,7 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                 scratch.clear();
                 insn.uses(&mut scratch);
                 for u in &scratch {
-                    live.insert(u.id);
+                    live[u.id as usize / 64] |= 1 << (u.id % 64);
                 }
                 // Backward flag bookkeeping: a kept writer satisfies later
                 // demand; a kept reader creates demand for earlier writers.
@@ -189,36 +331,14 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
             }
             dead[i] = !needed;
             if let LirInsn::Label { id } = insn {
-                // Record the live-in of the label (grow-only merge); any
-                // growth means a jump somewhere may see a wider state and
+                // Record the live-in of the label (grow-only merge); growth
+                // means a backward jump somewhere may see a wider state and
                 // another pass is required.
-                let entry = label_state.entry(*id).or_default();
-                for v in &live {
-                    if entry.live.insert(*v) {
-                        changed = true;
-                    }
-                }
-                if flags_demanded && !entry.flags {
-                    entry.flags = true;
-                    changed = true;
-                }
+                changed |= labels.record(*id, &live, flags_demanded, pass);
             }
         }
-        if !changed {
+        if !(changed && backward_jump) {
             break;
-        }
-    }
-    // Debug cross-check against the historical one-shot marking: a pure
-    // instruction whose destination is read nowhere in the unit must be dead
-    // under the fixpoint too (the fixpoint can only kill *more*).
-    #[cfg(debug_assertions)]
-    {
-        let one_shot = mark_dead_one_shot(lir);
-        for (i, insn) in lir.iter().enumerate() {
-            debug_assert!(
-                !one_shot[i] || dead[i],
-                "fixpoint liveness kept an instruction one-shot marking kills: {insn:?}"
-            );
         }
     }
     dead
@@ -235,29 +355,25 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
 /// dead-code outcome: a fusion site where `out[jcc]` is `false` can
 /// clobber the flags freely, no matter what the allocator later sweeps.
 pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
-    let mut label_flags: HashMap<u32, bool> = HashMap::new();
+    let mut label_flags = vec![false; label_bound(lir)];
     let mut out = vec![false; lir.len()];
     loop {
         let mut changed = false;
         let mut flags = false;
         for (i, insn) in lir.iter().enumerate().rev() {
             match insn {
-                LirInsn::Jmp { label } => {
-                    flags = label_flags.get(label).copied().unwrap_or(false);
-                }
+                LirInsn::Jmp { label } => flags = label_flags[*label as usize],
                 LirInsn::BackEdge {
                     label, reconcile, ..
                 } => {
-                    let s = label_flags.get(label).copied().unwrap_or(false);
+                    let s = label_flags[*label as usize];
                     if *reconcile {
                         flags |= s;
                     } else {
                         flags = s;
                     }
                 }
-                LirInsn::Jcc { label, .. } => {
-                    flags |= label_flags.get(label).copied().unwrap_or(false);
-                }
+                LirInsn::Jcc { label, .. } => flags |= label_flags[*label as usize],
                 LirInsn::Ret => flags = false,
                 _ => {}
             }
@@ -269,7 +385,7 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
                 flags = true;
             }
             if let LirInsn::Label { id } = insn {
-                let e = label_flags.entry(*id).or_default();
+                let e = &mut label_flags[*id as usize];
                 if flags && !*e {
                     *e = true;
                     changed = true;
@@ -283,48 +399,20 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
     out
 }
 
-/// The original one-shot marking: pure instructions whose destination is
-/// never read anywhere in the unit.  Kept only as a debug-build cross-check
-/// for the fixpoint pass (its kill set must be a subset of the fixpoint's).
-#[cfg(debug_assertions)]
-fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
-    let mut use_count: HashMap<u32, u32> = HashMap::new();
-    let mut scratch = Vec::with_capacity(4);
-    for insn in lir {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        for v in &scratch {
-            *use_count.entry(v.id).or_default() += 1;
-        }
-    }
-    let mut dead = vec![false; lir.len()];
-    for (i, insn) in lir.iter().enumerate() {
-        if insn.has_side_effect() {
-            continue;
-        }
-        if let Some(d) = insn.def() {
-            if use_count.get(&d.id).copied().unwrap_or(0) == 0 {
-                dead[i] = true;
-            }
-        }
-    }
-    dead
-}
-
 /// Runs liveness analysis, dead-code marking and linear-scan assignment.
 pub fn allocate(lir: &[LirInsn]) -> Allocation {
-    let dead = mark_dead(lir);
+    let bounds = IdBounds::scan(lir);
+    let dead = mark_dead(lir, &bounds);
 
     // Forward pass over the *surviving* instructions: first and last
-    // occurrence of every vreg.  Occurrence maps note both uses and defs at
+    // occurrence of every vreg.  An occurrence notes both uses and defs at
     // the same index; a def-after-use instruction (the two-address forms,
     // where `dst` is read and written by one instruction) therefore keeps
     // every operand live *through* that index, and the linear scan below
     // only reuses a register for a range starting strictly after another
     // ends (`end < start`, not `end <= start`) — so the operands of a
     // def-after-use instruction can never share a register.
-    let mut first: HashMap<u32, (Vreg, usize)> = HashMap::new();
-    let mut last: HashMap<u32, usize> = HashMap::new();
+    let mut occurrences: Vec<Option<Range>> = vec![None; bounds.vregs];
     let mut scratch = Vec::with_capacity(4);
     for (i, insn) in lir.iter().enumerate() {
         if dead[i] {
@@ -332,13 +420,18 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
         }
         scratch.clear();
         insn.uses(&mut scratch);
+        scratch.extend(insn.def());
         for v in &scratch {
-            first.entry(v.id).or_insert((*v, i));
-            last.insert(v.id, i);
-        }
-        if let Some(d) = insn.def() {
-            first.entry(d.id).or_insert((d, i));
-            last.insert(d.id, i);
+            match &mut occurrences[v.id as usize] {
+                Some(r) => r.end = i,
+                first @ None => {
+                    *first = Some(Range {
+                        vreg: *v,
+                        start: i,
+                        end: i,
+                    })
+                }
+            }
         }
     }
 
@@ -347,13 +440,12 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
     // so its range must cover the whole loop — otherwise the linear scan
     // could hand its register to a loop-local value whose (linear) range
     // looks disjoint, clobbering the loop-carried value between iterations.
-    let mut label_pos: HashMap<u32, usize> = HashMap::new();
+    let mut label_pos: Vec<Option<usize>> = vec![None; bounds.labels];
     for (i, insn) in lir.iter().enumerate() {
-        if dead[i] {
-            continue;
-        }
         if let LirInsn::Label { id } = insn {
-            label_pos.insert(*id, i);
+            if !dead[i] {
+                label_pos[*id as usize] = Some(i);
+            }
         }
     }
     let mut back_jumps: Vec<(usize, usize)> = Vec::new(); // (header pos, jump pos)
@@ -366,7 +458,7 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
             LirInsn::BackEdge { label, .. } => *label,
             _ => continue,
         };
-        if let Some(&p) = label_pos.get(&label) {
+        if let Some(p) = label_pos[label as usize] {
             if p <= j {
                 back_jumps.push((p, j));
             }
@@ -377,14 +469,10 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
     while extended {
         extended = false;
         for &(p, j) in &back_jumps {
-            for (id, &(_, start)) in &first {
-                if start < p {
-                    if let Some(end) = last.get_mut(id) {
-                        if *end >= p && *end < j {
-                            *end = j;
-                            extended = true;
-                        }
-                    }
+            for r in occurrences.iter_mut().flatten() {
+                if r.start < p && r.end >= p && r.end < j {
+                    r.end = j;
+                    extended = true;
                 }
             }
         }
@@ -392,19 +480,15 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
 
     // Build live ranges (vregs touched only by dead instructions have no
     // occurrences and get no range).
-    let mut ranges: Vec<Range> = first
-        .iter()
-        .map(|(&id, &(vreg, start))| Range {
-            vreg,
-            start,
-            end: last[&id],
-        })
-        .collect();
-    ranges.sort_by_key(|r| (r.start, r.vreg.id));
+    let mut ranges: Vec<Range> = Vec::with_capacity(occurrences.len());
+    ranges.extend(occurrences.into_iter().flatten());
+    ranges.sort_unstable_by_key(|r| (r.start, r.vreg.id));
 
     // Linear scan, one pool per register class.
-    let mut assignment = HashMap::new();
-    let mut active_gpr: Vec<(usize, Gpr)> = Vec::new(); // (end, reg)
+    let mut assignment = AssignmentMap {
+        slots: vec![None; bounds.vregs],
+    };
+    let mut active_gpr: Vec<(usize, Gpr)> = Vec::with_capacity(GPR_POOL.len()); // (end, reg)
     let mut active_xmm: Vec<(usize, Xmm)> = Vec::new();
     let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
     let mut free_xmm: Vec<Xmm> = XMM_POOL.iter().rev().map(|&i| Xmm(i)).collect();
@@ -430,26 +514,21 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
                 true
             }
         });
-        match r.vreg.class {
-            VregClass::Gpr => {
-                if let Some(reg) = free_gpr.pop() {
-                    assignment.insert(r.vreg.id, Assignment::Gpr(reg));
-                    active_gpr.push((r.end, reg));
-                } else {
-                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
-                    spill_slots += 1;
-                }
-            }
-            VregClass::Xmm => {
-                if let Some(reg) = free_xmm.pop() {
-                    assignment.insert(r.vreg.id, Assignment::Xmm(reg));
-                    active_xmm.push((r.end, reg));
-                } else {
-                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
-                    spill_slots += 1;
-                }
-            }
-        }
+        let assigned = match r.vreg.class {
+            VregClass::Gpr => free_gpr.pop().map(|reg| {
+                active_gpr.push((r.end, reg));
+                Assignment::Gpr(reg)
+            }),
+            VregClass::Xmm => free_xmm.pop().map(|reg| {
+                active_xmm.push((r.end, reg));
+                Assignment::Xmm(reg)
+            }),
+        };
+        assignment.slots[r.vreg.id as usize] = Some(assigned.unwrap_or_else(|| {
+            let slot = spill_slots;
+            spill_slots += 1;
+            Assignment::Spill(slot)
+        }));
     }
 
     Allocation {
@@ -546,7 +625,7 @@ mod tests {
         let alloc = allocate(&lir);
         assert_eq!(alloc.spill_slots, 0);
         for id in 0..3 {
-            assert!(matches!(alloc.assignment[&id], Assignment::Gpr(_)));
+            assert!(matches!(alloc.assignment[id], Assignment::Gpr(_)));
         }
         assert!(alloc.dead.iter().all(|d| !d));
     }
@@ -589,8 +668,9 @@ mod tests {
         ];
         let alloc = allocate(&lir);
         assert_eq!(alloc.dead, vec![true, true, true, false]);
-        assert!(
-            alloc.assignment.is_empty(),
+        assert_eq!(
+            alloc.assignment.iter().count(),
+            0,
             "dead chains claim no registers"
         );
     }
@@ -711,8 +791,8 @@ mod tests {
             vec![false, true, true, false, false, false, false],
             "DCE fires inside looping units and sweeps whole chains"
         );
-        assert!(!alloc.assignment.contains_key(&0));
-        assert!(!alloc.assignment.contains_key(&1));
+        assert!(alloc.assignment.get(0).is_none());
+        assert!(alloc.assignment.get(1).is_none());
     }
 
     #[test]
@@ -814,10 +894,10 @@ mod tests {
         });
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
-        let a0 = alloc.assignment[&0];
+        let a0 = alloc.assignment[0];
         for i in 1..=n {
             assert_ne!(
-                alloc.assignment[&i], a0,
+                alloc.assignment[i], a0,
                 "loop-local v{i} must not reuse the loop-carried register"
             );
         }
@@ -856,10 +936,10 @@ mod tests {
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
         assert_ne!(
-            alloc.assignment[&n], alloc.assignment[&0],
+            alloc.assignment[n], alloc.assignment[0],
             "a def at its source's last index must not steal the register"
         );
-        assert!(matches!(alloc.assignment[&n], Assignment::Spill(_)));
+        assert!(matches!(alloc.assignment[n], Assignment::Spill(_)));
     }
 
     #[test]
@@ -905,8 +985,8 @@ mod tests {
         assert!(alloc.spill_slots >= 4);
         let spilled = alloc
             .assignment
-            .values()
-            .filter(|a| matches!(a, Assignment::Spill(_)))
+            .iter()
+            .filter(|(_, a)| matches!(a, Assignment::Spill(_)))
             .count();
         assert_eq!(spilled as u32, alloc.spill_slots);
     }
@@ -941,7 +1021,7 @@ mod tests {
         assert_eq!(alloc.spill_slots, 0, "dead ranges must not cause spills");
         for i in 0..n {
             assert!(alloc.dead[i as usize]);
-            assert!(!alloc.assignment.contains_key(&i));
+            assert!(alloc.assignment.get(i).is_none());
         }
     }
 
@@ -965,6 +1045,6 @@ mod tests {
             LirInsn::Ret,
         ];
         let alloc = allocate(&lir);
-        assert!(matches!(alloc.assignment[&0], Assignment::Xmm(_)));
+        assert!(matches!(alloc.assignment[0], Assignment::Xmm(_)));
     }
 }

@@ -1,0 +1,763 @@
+//! Test-only reference for [`crate::regalloc`]: the hash-map allocator the
+//! id-indexed one replaced, kept verbatim (`HashSet` live sets, `HashMap`
+//! label states, occurrences and assignment) so a differential property test
+//! can hold the two to identical `dead`, `spill_slots` and per-vreg
+//! assignment on random units — plus the historical one-shot dead-code
+//! marking, whose kill set the fixpoint's must contain.
+
+use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
+use crate::regalloc::{Assignment, XMM_POOL};
+use hvm::{Gpr, Xmm};
+use std::collections::{HashMap, HashSet};
+
+/// What the reference allocator returns (the shape `Allocation` had while
+/// its assignment was a hash map).
+pub(crate) struct RefAllocation {
+    pub assignment: HashMap<u32, Assignment>,
+    pub dead: Vec<bool>,
+    pub spill_slots: u32,
+}
+
+/// Live range of one virtual register (instruction indices, inclusive).
+#[derive(Debug, Clone, Copy)]
+struct Range {
+    vreg: Vreg,
+    start: usize,
+    end: usize,
+}
+
+/// The liveness state recorded at a label: virtual registers live at the
+/// label plus whether the host flags are demanded there.  Grows
+/// monotonically across fixpoint passes.
+#[derive(Debug, Clone, Default)]
+struct LabelState {
+    live: HashSet<u32>,
+    flags: bool,
+}
+
+/// Iterative dead-code marking: backward liveness over virtual registers and
+/// host flags, repeated to a fixpoint over the unit's labels.  See the
+/// module docs for the rules.
+fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
+    let mut label_state: HashMap<u32, LabelState> = HashMap::new();
+    let mut dead = vec![false; lir.len()];
+    let mut scratch = Vec::with_capacity(4);
+    loop {
+        let mut changed = false;
+        let mut live: HashSet<u32> = HashSet::new();
+        // Whether some later kept instruction reads the host flags before a
+        // kept writer overwrites them.
+        let mut flags_demanded = false;
+        for (i, insn) in lir.iter().enumerate().rev() {
+            // Successor merge: control flow replaces or widens the linear
+            // state.  Forward targets were recorded earlier in this pass;
+            // backward targets (loop back-edges) carry the previous pass's
+            // state, which is what the outer fixpoint loop converges.
+            match insn {
+                LirInsn::Jmp { label } => {
+                    // The label is the sole successor.
+                    let s = label_state.get(label).cloned().unwrap_or_default();
+                    live = s.live;
+                    flags_demanded = s.flags;
+                }
+                LirInsn::BackEdge {
+                    label, reconcile, ..
+                } => {
+                    // The machine *falls through* a yielding back-edge when
+                    // `reconcile` is set (into the compensation block the
+                    // promotion pass placed right after it), so that path is
+                    // a second successor and its state — the carriers the
+                    // compensation stores read — must stay live.
+                    let s = label_state.get(label).cloned().unwrap_or_default();
+                    if *reconcile {
+                        live.extend(s.live.iter().copied());
+                        flags_demanded |= s.flags;
+                    } else {
+                        live = s.live;
+                        flags_demanded = s.flags;
+                    }
+                }
+                LirInsn::Jcc { label, .. } => {
+                    // Successors: the fallthrough (current state) and the
+                    // label.
+                    if let Some(s) = label_state.get(label) {
+                        live.extend(s.live.iter().copied());
+                        flags_demanded |= s.flags;
+                    }
+                }
+                LirInsn::Ret => {
+                    // Nothing in this unit executes after a return to the
+                    // dispatcher; host flags are not guest state.
+                    live.clear();
+                    flags_demanded = false;
+                }
+                _ => {}
+            }
+            let needed = match insn {
+                // Unconditional effects: memory, PC, control flow, calls and
+                // their argument setup, system operations, block structure.
+                LirInsn::Store { .. }
+                | LirInsn::StoreImm { .. }
+                | LirInsn::StoreXmm { .. }
+                | LirInsn::SetPcImm { .. }
+                | LirInsn::SetPcReg { .. }
+                | LirInsn::IncPc { .. }
+                | LirInsn::SetArg { .. }
+                | LirInsn::CallHelper { .. }
+                | LirInsn::Int { .. }
+                | LirInsn::Out { .. }
+                | LirInsn::In { .. }
+                | LirInsn::Syscall
+                | LirInsn::TlbFlushAll
+                | LirInsn::TlbFlushPcid
+                | LirInsn::TraceEdge
+                | LirInsn::BackEdge { .. }
+                | LirInsn::Ret
+                | LirInsn::Jmp { .. }
+                | LirInsn::Jcc { .. }
+                | LirInsn::Label { .. } => true,
+                // Everything else lives only through its destination (or, for
+                // flag writers, through an outstanding flag demand) — except
+                // that a guest-memory *load* can fault, and the data abort is
+                // guest-visible even when the loaded value is dead.
+                _ => {
+                    let def_live = insn.def().is_some_and(|d| live.contains(&d.id));
+                    def_live || insn.may_fault() || (insn.writes_host_flags() && flags_demanded)
+                }
+            };
+            if needed {
+                scratch.clear();
+                insn.uses(&mut scratch);
+                for u in &scratch {
+                    live.insert(u.id);
+                }
+                // Backward flag bookkeeping: a kept writer satisfies later
+                // demand; a kept reader creates demand for earlier writers.
+                if insn.writes_host_flags() {
+                    flags_demanded = false;
+                }
+                if insn.reads_host_flags() {
+                    flags_demanded = true;
+                }
+            }
+            dead[i] = !needed;
+            if let LirInsn::Label { id } = insn {
+                // Record the live-in of the label (grow-only merge); any
+                // growth means a jump somewhere may see a wider state and
+                // another pass is required.
+                let entry = label_state.entry(*id).or_default();
+                for v in &live {
+                    if entry.live.insert(*v) {
+                        changed = true;
+                    }
+                }
+                if flags_demanded && !entry.flags {
+                    entry.flags = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    dead
+}
+
+/// Conservative host-flag liveness for the idiom recognizer: `out[i]` is
+/// `true` when some instruction that may execute after instruction `i`
+/// reads the host flags (`SetCc`/`CmovCc`/`Jcc`) before any instruction
+/// overwrites them.  The bookkeeping mirrors [`mark_dead`]'s flag demand
+/// exactly — `Jmp` replaces the linear state with its target label's,
+/// `BackEdge` does too (unioning when `reconcile` falls through into a
+/// compensation block), `Jcc` unions, `Ret` clears — but every instruction
+/// is treated as *kept*, so the answer is sound against any subsequent
+/// dead-code outcome: a fusion site where `out[jcc]` is `false` can
+/// clobber the flags freely, no matter what the allocator later sweeps.
+pub(crate) fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
+    let mut label_flags: HashMap<u32, bool> = HashMap::new();
+    let mut out = vec![false; lir.len()];
+    loop {
+        let mut changed = false;
+        let mut flags = false;
+        for (i, insn) in lir.iter().enumerate().rev() {
+            match insn {
+                LirInsn::Jmp { label } => {
+                    flags = label_flags.get(label).copied().unwrap_or(false);
+                }
+                LirInsn::BackEdge {
+                    label, reconcile, ..
+                } => {
+                    let s = label_flags.get(label).copied().unwrap_or(false);
+                    if *reconcile {
+                        flags |= s;
+                    } else {
+                        flags = s;
+                    }
+                }
+                LirInsn::Jcc { label, .. } => {
+                    flags |= label_flags.get(label).copied().unwrap_or(false);
+                }
+                LirInsn::Ret => flags = false,
+                _ => {}
+            }
+            out[i] = flags;
+            if insn.writes_host_flags() {
+                flags = false;
+            }
+            if insn.reads_host_flags() {
+                flags = true;
+            }
+            if let LirInsn::Label { id } = insn {
+                let e = label_flags.entry(*id).or_default();
+                if flags && !*e {
+                    *e = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    out
+}
+
+/// The original one-shot marking: pure instructions whose destination is
+/// never read anywhere in the unit.  Its kill set must be a subset of the
+/// fixpoint's.
+fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
+    let mut use_count: HashMap<u32, u32> = HashMap::new();
+    let mut scratch = Vec::with_capacity(4);
+    for insn in lir {
+        scratch.clear();
+        insn.uses(&mut scratch);
+        for v in &scratch {
+            *use_count.entry(v.id).or_default() += 1;
+        }
+    }
+    let mut dead = vec![false; lir.len()];
+    for (i, insn) in lir.iter().enumerate() {
+        if insn.has_side_effect() {
+            continue;
+        }
+        if let Some(d) = insn.def() {
+            if use_count.get(&d.id).copied().unwrap_or(0) == 0 {
+                dead[i] = true;
+            }
+        }
+    }
+    dead
+}
+
+/// Runs liveness analysis, dead-code marking and linear-scan assignment.
+pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
+    let dead = mark_dead(lir);
+
+    // Forward pass over the *surviving* instructions: first and last
+    // occurrence of every vreg.  Occurrence maps note both uses and defs at
+    // the same index; a def-after-use instruction (the two-address forms,
+    // where `dst` is read and written by one instruction) therefore keeps
+    // every operand live *through* that index, and the linear scan below
+    // only reuses a register for a range starting strictly after another
+    // ends (`end < start`, not `end <= start`) — so the operands of a
+    // def-after-use instruction can never share a register.
+    let mut first: HashMap<u32, (Vreg, usize)> = HashMap::new();
+    let mut last: HashMap<u32, usize> = HashMap::new();
+    let mut scratch = Vec::with_capacity(4);
+    for (i, insn) in lir.iter().enumerate() {
+        if dead[i] {
+            continue;
+        }
+        scratch.clear();
+        insn.uses(&mut scratch);
+        for v in &scratch {
+            first.entry(v.id).or_insert((*v, i));
+            last.insert(v.id, i);
+        }
+        if let Some(d) = insn.def() {
+            first.entry(d.id).or_insert((d, i));
+            last.insert(d.id, i);
+        }
+    }
+
+    // Loop-carried ranges: a vreg defined before a backward jump's target
+    // label and still read at or after it is re-read on *every* iteration,
+    // so its range must cover the whole loop — otherwise the linear scan
+    // could hand its register to a loop-local value whose (linear) range
+    // looks disjoint, clobbering the loop-carried value between iterations.
+    let mut label_pos: HashMap<u32, usize> = HashMap::new();
+    for (i, insn) in lir.iter().enumerate() {
+        if dead[i] {
+            continue;
+        }
+        if let LirInsn::Label { id } = insn {
+            label_pos.insert(*id, i);
+        }
+    }
+    let mut back_jumps: Vec<(usize, usize)> = Vec::new(); // (header pos, jump pos)
+    for (j, insn) in lir.iter().enumerate() {
+        if dead[j] {
+            continue;
+        }
+        let label = match insn {
+            LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } => *label,
+            LirInsn::BackEdge { label, .. } => *label,
+            _ => continue,
+        };
+        if let Some(&p) = label_pos.get(&label) {
+            if p <= j {
+                back_jumps.push((p, j));
+            }
+        }
+    }
+    // Extension can cascade through nested loops; iterate until stable.
+    let mut extended = true;
+    while extended {
+        extended = false;
+        for &(p, j) in &back_jumps {
+            for (id, &(_, start)) in &first {
+                if start < p {
+                    if let Some(end) = last.get_mut(id) {
+                        if *end >= p && *end < j {
+                            *end = j;
+                            extended = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Build live ranges (vregs touched only by dead instructions have no
+    // occurrences and get no range).
+    let mut ranges: Vec<Range> = first
+        .iter()
+        .map(|(&id, &(vreg, start))| Range {
+            vreg,
+            start,
+            end: last[&id],
+        })
+        .collect();
+    ranges.sort_by_key(|r| (r.start, r.vreg.id));
+
+    // Linear scan, one pool per register class.
+    let mut assignment = HashMap::new();
+    let mut active_gpr: Vec<(usize, Gpr)> = Vec::new(); // (end, reg)
+    let mut active_xmm: Vec<(usize, Xmm)> = Vec::new();
+    let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
+    let mut free_xmm: Vec<Xmm> = XMM_POOL.iter().rev().map(|&i| Xmm(i)).collect();
+    let mut spill_slots = 0u32;
+
+    for r in &ranges {
+        // Expire ranges that ended strictly before this one starts (a range
+        // ending *at* this index may be a same-instruction operand of a
+        // def-after-use form and must keep its register).
+        active_gpr.retain(|&(end, reg)| {
+            if end < r.start {
+                free_gpr.push(reg);
+                false
+            } else {
+                true
+            }
+        });
+        active_xmm.retain(|&(end, reg)| {
+            if end < r.start {
+                free_xmm.push(reg);
+                false
+            } else {
+                true
+            }
+        });
+        match r.vreg.class {
+            VregClass::Gpr => {
+                if let Some(reg) = free_gpr.pop() {
+                    assignment.insert(r.vreg.id, Assignment::Gpr(reg));
+                    active_gpr.push((r.end, reg));
+                } else {
+                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
+                    spill_slots += 1;
+                }
+            }
+            VregClass::Xmm => {
+                if let Some(reg) = free_xmm.pop() {
+                    assignment.insert(r.vreg.id, Assignment::Xmm(reg));
+                    active_xmm.push((r.end, reg));
+                } else {
+                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
+                    spill_slots += 1;
+                }
+            }
+        }
+    }
+
+    RefAllocation {
+        assignment,
+        dead,
+        spill_slots,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lir::{LirMem, LirOperand};
+    use hvm::{AluOp, Cond, FpOp, MemSize};
+    use proptest::prelude::*;
+
+    /// xorshift64* stream over one generated seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Random unit builder.  Vreg `k` of the pool is GPR-class unless
+    /// `k % 4 == 3`; ids and labels go through `vid`/`lid` so one shape can
+    /// make them sparse.
+    struct Gen {
+        rng: Rng,
+        nv: u64,
+        sparse: bool,
+        lir: Vec<LirInsn>,
+        next_label: u32,
+        /// Side-exit stubs to append after the final `Ret`.
+        stubs: Vec<u32>,
+    }
+
+    impl Gen {
+        fn vid(&self, k: u64) -> u32 {
+            if self.sparse {
+                1_000 + k as u32 * 97
+            } else {
+                k as u32
+            }
+        }
+
+        fn lid(&self, k: u32) -> u32 {
+            if self.sparse {
+                5_000 - k * 41
+            } else {
+                k
+            }
+        }
+
+        fn gpr(&mut self) -> Vreg {
+            let k = loop {
+                let k = self.rng.below(self.nv);
+                if k % 4 != 3 {
+                    break k;
+                }
+            };
+            Vreg {
+                id: self.vid(k),
+                class: VregClass::Gpr,
+            }
+        }
+
+        fn xmm(&mut self) -> Vreg {
+            let k = self.rng.below(self.nv.div_ceil(4)) * 4 + 3;
+            Vreg {
+                id: self.vid(k),
+                class: VregClass::Xmm,
+            }
+        }
+
+        fn operand(&mut self) -> LirOperand {
+            if self.rng.below(3) == 0 {
+                LirOperand::Imm(self.rng.below(100))
+            } else {
+                LirOperand::Vreg(self.gpr())
+            }
+        }
+
+        fn mem(&mut self) -> LirMem {
+            match self.rng.below(4) {
+                0 => LirMem::vreg(self.gpr(), 8),
+                _ => LirMem::regfile(self.rng.below(32) as i32 * 8),
+            }
+        }
+
+        fn label(&mut self) -> u32 {
+            self.next_label += 1;
+            self.lid(self.next_label - 1)
+        }
+
+        /// One random data-flow (or PC / helper-call) instruction.
+        fn insn(&mut self) {
+            let i = match self.rng.below(22) {
+                0 | 1 => LirInsn::MovImm {
+                    dst: self.gpr(),
+                    imm: self.rng.below(1000),
+                },
+                2 | 3 => LirInsn::MovReg {
+                    dst: self.gpr(),
+                    src: self.gpr(),
+                },
+                4 | 5 => LirInsn::Alu {
+                    op: [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Shl]
+                        [self.rng.below(4) as usize],
+                    dst: self.gpr(),
+                    src: self.operand(),
+                },
+                6 => LirInsn::Cmp {
+                    a: self.gpr(),
+                    b: self.operand(),
+                },
+                7 => LirInsn::SetCc {
+                    cond: Cond::Ne,
+                    dst: self.gpr(),
+                },
+                8 => LirInsn::CmovCc {
+                    cond: Cond::Eq,
+                    dst: self.gpr(),
+                    src: self.gpr(),
+                },
+                9 | 10 => LirInsn::Load {
+                    dst: self.gpr(),
+                    addr: self.mem(),
+                    size: MemSize::U64,
+                },
+                11..=13 => LirInsn::Store {
+                    src: self.gpr(),
+                    addr: self.mem(),
+                    size: MemSize::U64,
+                },
+                14 => LirInsn::LoadXmm {
+                    dst: self.xmm(),
+                    addr: self.mem(),
+                    size: MemSize::U64,
+                },
+                15 => LirInsn::StoreXmm {
+                    src: self.xmm(),
+                    addr: self.mem(),
+                    size: MemSize::U64,
+                },
+                16 => LirInsn::Fp {
+                    op: FpOp::AddD,
+                    dst: self.xmm(),
+                    src: self.xmm(),
+                },
+                17 => LirInsn::FpFma {
+                    dst: self.xmm(),
+                    a: self.xmm(),
+                    b: self.xmm(),
+                },
+                18 => LirInsn::GprToXmm {
+                    dst: self.xmm(),
+                    src: self.gpr(),
+                },
+                19 => LirInsn::XmmToGpr {
+                    dst: self.gpr(),
+                    src: self.xmm(),
+                },
+                20 => LirInsn::IncPc { imm: 4 },
+                _ => {
+                    let src = self.operand();
+                    self.lir.push(LirInsn::SetArg { index: 0, src });
+                    self.lir.push(LirInsn::CallHelper { helper: 1 });
+                    LirInsn::ReadRet { dst: self.gpr() }
+                }
+            };
+            self.lir.push(i);
+        }
+
+        /// `n` instructions, sprinkled with forward diamonds, forward jumps
+        /// over dead code and side-exit branches.
+        fn body(&mut self, n: u64) {
+            let mut open: Vec<u32> = Vec::new(); // forward labels to bind
+            for _ in 0..n {
+                match self.rng.below(14) {
+                    0 => {
+                        let l = self.label();
+                        let a = self.gpr();
+                        self.lir.push(LirInsn::Test {
+                            a,
+                            b: LirOperand::Imm(1),
+                        });
+                        self.lir.push(LirInsn::Jcc {
+                            cond: Cond::Eq,
+                            label: l,
+                        });
+                        open.push(l);
+                    }
+                    1 => {
+                        let l = self.label();
+                        self.lir.push(LirInsn::Jmp { label: l });
+                        open.push(l);
+                    }
+                    2 => {
+                        let l = self.label();
+                        self.lir.push(LirInsn::Jcc {
+                            cond: Cond::Ne,
+                            label: l,
+                        });
+                        self.stubs.push(l);
+                    }
+                    3 | 4 if !open.is_empty() => {
+                        let at = self.rng.below(open.len() as u64) as usize;
+                        let l = open.swap_remove(at);
+                        self.lir.push(LirInsn::Label { id: l });
+                    }
+                    5 => self.lir.push(LirInsn::TraceEdge),
+                    _ => self.insn(),
+                }
+            }
+            for l in open {
+                self.lir.push(LirInsn::Label { id: l });
+            }
+        }
+
+        fn finish(mut self) -> Vec<LirInsn> {
+            self.lir.push(LirInsn::Ret);
+            for l in std::mem::take(&mut self.stubs) {
+                self.lir.push(LirInsn::Label { id: l });
+                self.lir.push(LirInsn::SetPcImm { imm: 0x4000 });
+                self.lir.push(LirInsn::Ret);
+            }
+            self.lir
+        }
+    }
+
+    /// Shapes: 0 straight-line, 1 forward diamonds, 2 one `BackEdge` loop,
+    /// 3 the same loop with `reconcile` and a compensation block, 4 a
+    /// backward `Jcc` loop, 5 shape 3 with sparse ids.  `nv` beyond the
+    /// pool sizes (8 GPRs, 13 XMMs) forces spills.
+    fn unit(seed: u64, shape: usize, nv: u64, len: u64) -> Vec<LirInsn> {
+        let mut g = Gen {
+            rng: Rng(seed | 1),
+            nv,
+            sparse: shape == 5,
+            lir: Vec::new(),
+            next_label: 0,
+            stubs: Vec::new(),
+        };
+        match shape {
+            0 => {
+                for _ in 0..len {
+                    g.insn();
+                }
+            }
+            1 => g.body(len),
+            4 => {
+                g.body(len / 3);
+                let header = g.label();
+                g.lir.push(LirInsn::Label { id: header });
+                g.body(len / 2);
+                let a = g.gpr();
+                g.lir.push(LirInsn::Cmp {
+                    a,
+                    b: LirOperand::Imm(0),
+                });
+                g.lir.push(LirInsn::Jcc {
+                    cond: Cond::Ne,
+                    label: header,
+                });
+                g.body(len / 4);
+            }
+            _ => {
+                g.body(len / 3);
+                let header = g.label();
+                g.lir.push(LirInsn::Label { id: header });
+                g.body(len / 2);
+                let reconcile = shape != 2;
+                g.lir.push(LirInsn::BackEdge {
+                    pc: 0x1000,
+                    label: header,
+                    reconcile,
+                    weight: 1,
+                });
+                if reconcile {
+                    for slot in 0..2 {
+                        let src = g.gpr();
+                        g.lir.push(LirInsn::Store {
+                            src,
+                            addr: LirMem::regfile(slot * 8),
+                            size: MemSize::U64,
+                        });
+                    }
+                }
+            }
+        }
+        g.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn dense_allocator_matches_the_hash_map_reference(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            nv in 3u64..48,
+            len in 1u64..120,
+        ) {
+            let lir = unit(seed, shape, nv, len);
+            let new = crate::regalloc::allocate(&lir);
+            let old = allocate(&lir);
+            prop_assert_eq!(&new.dead, &old.dead, "dead marks, shape {shape}: {lir:?}");
+            prop_assert_eq!(new.spill_slots, old.spill_slots, "spill slots, shape {shape}");
+            for id in 0..crate::lir::vreg_id_bound(&lir) {
+                prop_assert_eq!(
+                    new.assignment.get(id),
+                    old.assignment.get(&id).copied(),
+                    "assignment of v{id}, shape {shape}: {lir:?}"
+                );
+            }
+            prop_assert_eq!(new.assignment.iter().count(), old.assignment.len());
+            prop_assert_eq!(
+                crate::regalloc::host_flags_live_after(&lir),
+                host_flags_live_after(&lir),
+                "host-flag liveness, shape {shape}"
+            );
+        }
+
+        #[test]
+        fn fixpoint_kills_everything_one_shot_marking_kills(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            nv in 3u64..48,
+            len in 1u64..120,
+        ) {
+            let lir = unit(seed, shape, nv, len);
+            let fixpoint = crate::regalloc::allocate(&lir).dead;
+            for (i, one_shot) in mark_dead_one_shot(&lir).into_iter().enumerate() {
+                prop_assert!(
+                    !one_shot || fixpoint[i],
+                    "fixpoint liveness kept an instruction one-shot marking kills: {:?}",
+                    lir[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn generated_units_cover_spills_loops_and_both_classes() {
+        // The differential test is only as good as its inputs: make sure the
+        // generator reaches the regimes it is meant to.
+        let (mut spilled, mut looped, mut xmm, mut swept) = (0, 0, 0, 0);
+        for seed in 1..200u64 {
+            for shape in 0..6 {
+                let lir = unit(seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100);
+                let a = allocate(&lir);
+                spilled += (a.spill_slots > 0) as u32;
+                swept += a.dead.iter().any(|d| *d) as u32;
+                looped += lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. })) as u32;
+                xmm += a
+                    .assignment
+                    .values()
+                    .any(|a| matches!(a, Assignment::Xmm(_))) as u32;
+            }
+        }
+        assert!(spilled > 50 && looped > 50 && xmm > 50 && swept > 50);
+    }
+}

@@ -72,14 +72,17 @@ impl PhaseTimers {
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let r = f();
-        let elapsed = start.elapsed();
+        self.credit(phase, start.elapsed());
+        r
+    }
+
+    fn credit(&mut self, phase: Phase, elapsed: Duration) {
         match phase {
             Phase::Decode => self.decode += elapsed,
             Phase::Translate => self.translate += elapsed,
             Phase::RegAlloc => self.regalloc += elapsed,
             Phase::Encode => self.encode += elapsed,
         }
-        r
     }
 
     /// Total JIT compilation time.
@@ -125,6 +128,34 @@ impl PhaseTimers {
             self.idiom_hits[i] += other.idiom_hits[i];
             self.idiom_candidates[i] += other.idiom_candidates[i];
         }
+    }
+}
+
+/// A chained phase clock for loops that alternate phases back to back (the
+/// per-guest-instruction fetch/decode → generate loop of the translators):
+/// one clock read per phase *boundary* instead of a start/stop pair per
+/// phase, each interval credited to the phase it closes.  Whatever sits
+/// between two phases (the instruction fetch, a trace-leg decision) is
+/// therefore counted with the phase that follows it.
+#[derive(Debug)]
+pub struct PhaseClock {
+    last: Instant,
+}
+
+impl PhaseClock {
+    /// Starts the clock: the first interval begins now.
+    pub fn start() -> Self {
+        PhaseClock {
+            last: Instant::now(),
+        }
+    }
+
+    /// Credits the time since the previous boundary to `phase` and opens
+    /// the next interval.
+    pub fn close(&mut self, timers: &mut PhaseTimers, phase: Phase) {
+        let now = Instant::now();
+        timers.credit(phase, now - self.last);
+        self.last = now;
     }
 }
 
@@ -186,6 +217,20 @@ mod tests {
         let (d, tr, r, e) = t.fractions();
         assert!((d + tr + r + e - 1.0).abs() < 1e-9);
         assert!(tr > 0.0);
+    }
+
+    #[test]
+    fn chained_clock_credits_each_interval_to_the_phase_it_closes() {
+        let mut t = PhaseTimers::default();
+        let mut clock = PhaseClock::start();
+        std::thread::sleep(Duration::from_millis(2));
+        clock.close(&mut t, Phase::Decode);
+        std::thread::sleep(Duration::from_millis(4));
+        clock.close(&mut t, Phase::Translate);
+        assert!(t.decode >= Duration::from_millis(2));
+        assert!(t.translate >= Duration::from_millis(4));
+        assert!(t.decode < t.translate, "the intervals are not pooled");
+        assert_eq!(t.regalloc + t.encode, Duration::ZERO);
     }
 
     #[test]

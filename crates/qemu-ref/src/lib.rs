@@ -32,8 +32,8 @@
 use captive::layout;
 use dbt::emitter::ValueType;
 use dbt::{
-    BlockExit, CacheIndex, ChainLinks, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseTimers,
-    Region, RegionKey, RegionProfile,
+    BlockExit, CacheIndex, ChainLinks, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseClock,
+    PhaseTimers, Region, RegionKey, RegionProfile,
 };
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
@@ -583,6 +583,8 @@ impl QemuRef {
         let mut e = Emitter::new();
         let mut guest_insns = 0usize;
         let mut va = pc;
+        // One clock read per phase boundary (fetch + decode | generate).
+        let mut clock = PhaseClock::start();
         loop {
             if guest_insns > 0 && (va & !0xFFF) != (pc & !0xFFF) {
                 break;
@@ -600,23 +602,22 @@ impl QemuRef {
                 .mem
                 .read_uint(layout::GUEST_PHYS_BASE + pa_i, 4)
                 .unwrap_or(0) as u32;
-            let decoded = self
-                .timers
-                .time(Phase::Decode, || self.isa.decode(word, va));
+            let decoded = self.isa.decode(word, va);
+            clock.close(&mut self.timers, Phase::Decode);
             let end = match decoded {
                 None => {
-                    self.timers
-                        .time(Phase::Translate, || self.isa.generate_undefined(va, &mut e));
+                    self.isa.generate_undefined(va, &mut e);
                     true
                 }
-                Some(d) => self.timers.time(Phase::Translate, || {
+                Some(d) => {
                     let end = qemu_generate(&d, &mut e, &self.isa);
                     if !end {
                         e.inc_pc(4);
                     }
                     end
-                }),
+                }
             };
+            clock.close(&mut self.timers, Phase::Translate);
             guest_insns += 1;
             va += 4;
             if end || guest_insns >= self.max_block_insns {
