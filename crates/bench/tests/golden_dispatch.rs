@@ -1,0 +1,300 @@
+//! Golden counters of the dispatcher slow path: a small threaded-code
+//! program — a jump table walked over 96 code pages (more than the 64-entry
+//! fetch iTLB covers), `br`/`blr`/`ret`, guest MMU on, one bare `TLBI` and one
+//! self-modifying store (followed by the `TLBI` that is its instruction-cache
+//! maintenance) — run on Captive and on the QEMU-style baseline.
+//!
+//! Simulated cycles alone would not say *which* layer drifted; this pins the
+//! dispatcher's own bookkeeping — slow dispatches, chained transfers, fetch
+//! iTLB and code-cache hits and misses, invalidations, the stale-region
+//! sweep — plus the final register file.  The constants were recorded on the
+//! commit *before* the code cache lost its shard locks, so a change to the
+//! index, the key hash or the run loops that alters a lookup, an eviction or
+//! a counter visit shows up here by name.  A deliberate change to the
+//! dispatch policy re-records them (the failure prints the new values).
+
+use captive::Captive;
+use guest_aarch64::asm::{self, Assembler};
+use guest_aarch64::isa::Cond;
+use guest_aarch64::mmu::{GuestPageFlags, GuestPageTableBuilder};
+use guest_aarch64::sys::Engine;
+use guest_aarch64::SysReg;
+use qemu_ref::QemuRef;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+const CODE_BASE: u64 = 0x1000;
+const HANDLERS: usize = 80;
+const LEAVES: usize = 16;
+const HANDLER_BASE: u64 = 0x10_0000;
+const TABLE_BASE: u64 = 0x40_0000;
+const LEAF_TABLE_BASE: u64 = 0x42_0000;
+const PT_POOL: u64 = 0x80_0000;
+const SEQ_LEN: usize = 400;
+const PASSES: u64 = 6;
+/// Trips of the warm-up loop: enough to form a looping region, which the
+/// `TLBI` then strands in a stale generation for the sweep to evict.
+const WARM_TRIPS: u32 = 200;
+
+/// A fixed pseudo-random stream (the program must not depend on a seed).
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+}
+
+/// The guest image (address, words) plus the x19 the guest must end with.
+struct Image {
+    code: Vec<(u64, Vec<u32>)>,
+    data: Vec<(u64, u64)>,
+    expect_x19: u64,
+}
+
+fn image() -> Image {
+    let mut r = Lcg(15);
+    let mut code = Vec::new();
+    let (mut leaf_addr, mut leaf_k) = (Vec::new(), Vec::new());
+    for i in 0..LEAVES {
+        let at = HANDLER_BASE + ((HANDLERS + i) as u64) * 0x1000 + r.below(900) * 4;
+        let k = 1 + r.below(4000);
+        code.push((at, vec![asm::addi(19, 19, k as u32), asm::ret()]));
+        leaf_addr.push(at);
+        leaf_k.push(k);
+    }
+    let (mut handler_addr, mut handler_k, mut handler_leaf) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..HANDLERS {
+        let at = HANDLER_BASE + (i as u64) * 0x1000 + r.below(900) * 4;
+        let k = 1 + r.below(4000);
+        let leaf = (i % 3 == 0).then(|| r.below(LEAVES as u64) as usize);
+        let mut w = vec![asm::addi(19, 19, k as u32)];
+        if let Some(leaf) = leaf {
+            w.push(asm::ldr(2, 22, (leaf * 8) as u32));
+            w.push(asm::blr(2));
+        }
+        w.extend([asm::ldr(1, 21, 0), asm::addi(21, 21, 8), asm::br(1)]);
+        code.push((at, w));
+        handler_addr.push(at);
+        handler_k.push(k);
+        handler_leaf.push(leaf);
+    }
+    let seq: Vec<usize> = (0..SEQ_LEN)
+        .map(|_| r.below(HANDLERS as u64) as usize)
+        .collect();
+    // The self-modifying store rewrites the first instruction of the
+    // handler the sequence visits first.
+    let patched = seq[0];
+    let patched_k = 1 + r.below(4000);
+
+    let mut a = Assembler::new();
+    a.mov_imm64(0, PT_POOL);
+    a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+    a.push(asm::movz(0, 1, 0));
+    a.push(asm::msr(SysReg::Sctlr as u32, 0));
+    a.push(asm::movz(19, 0, 0));
+    a.push(asm::movz(3, WARM_TRIPS, 0));
+    a.label("warm");
+    a.push(asm::addi(19, 19, 1));
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, "warm");
+    a.mov_imm64(22, LEAF_TABLE_BASE);
+    a.mov_imm64(24, PASSES);
+    a.b_to("restart");
+    // The table's last entry points here.
+    a.label("again");
+    let again = CODE_BASE + a.here() as u64 * 4;
+    a.push(asm::subi(24, 24, 1));
+    a.cbz_to(24, "done");
+    a.push(asm::cmpi(24, 3));
+    a.bcond_to(Cond::Ne, "no_tlbi");
+    a.push(asm::tlbi());
+    a.label("no_tlbi");
+    a.push(asm::cmpi(24, 2));
+    a.bcond_to(Cond::Ne, "restart");
+    a.mov_imm64(5, handler_addr[patched]);
+    a.mov_imm64(6, asm::addi(19, 19, patched_k as u32) as u64);
+    a.push(asm::strw(6, 5, 0));
+    // The guest's instruction-cache maintenance: the QEMU-style baseline
+    // drops stale translations only on a translation-state change.
+    a.push(asm::tlbi());
+    a.label("restart");
+    a.mov_imm64(21, TABLE_BASE);
+    a.push(asm::ldr(1, 21, 0));
+    a.push(asm::addi(21, 21, 8));
+    a.push(asm::br(1));
+    a.label("done");
+    a.push(asm::hlt());
+    code.push((CODE_BASE, a.finish()));
+
+    let mut data: Vec<(u64, u64)> = seq
+        .iter()
+        .map(|&h| handler_addr[h])
+        .chain([again])
+        .enumerate()
+        .map(|(i, target)| (TABLE_BASE + i as u64 * 8, target))
+        .collect();
+    data.extend(
+        leaf_addr
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| (LEAF_TABLE_BASE + i as u64 * 8, at)),
+    );
+
+    // Identity page tables over everything the guest touches, built into a
+    // host-side mirror and loaded as data.
+    let tables = RefCell::new(BTreeMap::new());
+    let mut builder = GuestPageTableBuilder::new(PT_POOL, PT_POOL + 0x10_0000);
+    let mut identity = |start: u64, len: u64| {
+        for page in (start & !0xFFF..start + len).step_by(0x1000) {
+            assert!(builder.map(
+                |a| Some(*tables.borrow().get(&a).unwrap_or(&0)),
+                |a, v| {
+                    tables.borrow_mut().insert(a, v);
+                },
+                page,
+                page,
+                GuestPageFlags::kernel_rw(),
+            ));
+        }
+    };
+    identity(CODE_BASE, 0x1000);
+    identity(HANDLER_BASE, ((HANDLERS + LEAVES) as u64) * 0x1000);
+    identity(TABLE_BASE, (SEQ_LEN as u64 + 1) * 8);
+    identity(LEAF_TABLE_BASE, LEAVES as u64 * 8);
+    data.extend(tables.into_inner());
+
+    // Passes run with x24 = PASSES down to 1; the store lands when the
+    // counter reaches 2, so only the last two passes see the new constant.
+    let pass_sum = |k_patched: u64| -> u64 {
+        seq.iter()
+            .map(|&h| {
+                let k = if h == patched {
+                    k_patched
+                } else {
+                    handler_k[h]
+                };
+                k + handler_leaf[h].map_or(0, |leaf| leaf_k[leaf])
+            })
+            .sum()
+    };
+    let expect_x19 =
+        WARM_TRIPS as u64 + (PASSES - 2) * pass_sum(handler_k[patched]) + 2 * pass_sum(patched_k);
+    Image {
+        code,
+        data,
+        expect_x19,
+    }
+}
+
+fn run<E: Engine>(mut engine: E) -> E {
+    let image = image();
+    for (at, words) in &image.code {
+        engine.load_program(*at, words);
+    }
+    for &(at, value) in &image.data {
+        engine.write_guest_phys(at, value, 8);
+    }
+    engine.set_entry(CODE_BASE);
+    assert_eq!(
+        engine.run(10_000_000),
+        guest_aarch64::sys::RunExit::GuestHalted { code: 0 }
+    );
+    assert_eq!(engine.guest_reg(19), image.expect_x19, "the program's sum");
+    engine
+}
+
+fn regs(engine: &impl Engine) -> Vec<u64> {
+    (0..31).map(|r| engine.guest_reg(r)).collect()
+}
+
+/// The final register file both engines must agree on.
+const GOLDEN_REGS: [u64; 31] = [
+    1, 4152, 1383076, 0, 0, 1132272, 169660019, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6940360, 0,
+    4197512, 4325376, 0, 0, 0, 0, 0, 0, 0, 1196364,
+];
+
+/// (name, value) pairs, compared as one list so a failure prints them all.
+type Counters = Vec<(&'static str, u64)>;
+
+#[test]
+fn captive_dispatch_counters_match_the_recorded_run() {
+    let c = run(Captive::new(bench::captive_config("sync")));
+    let (s, cs) = (c.stats(), c.cache.stats());
+    let got: Counters = vec![
+        ("cycles", s.cycles),
+        ("blocks", s.blocks),
+        ("translations", s.translations),
+        ("slow_dispatches", s.slow_dispatches),
+        ("chained_transfers", s.chained_transfers),
+        ("chain_patches", s.chain_patches),
+        ("itlb_hits", s.itlb_hits),
+        ("itlb_misses", s.itlb_misses),
+        ("cache.hits", cs.hits),
+        ("cache.misses", cs.misses),
+        ("cache.invalidated_page", cs.invalidated_page),
+        ("cache.evicted_stale_regions", cs.evicted_stale_regions),
+        ("cache.regions_live", cs.regions_live),
+        ("cache.bytes_live", cs.bytes_live),
+        ("cache.epoch", c.cache.epoch()),
+    ];
+    let golden: Counters = vec![
+        ("cycles", 250321),
+        ("blocks", 4127),
+        ("translations", 133),
+        ("slow_dispatches", 4107),
+        ("chained_transfers", 20),
+        ("chain_patches", 16),
+        ("itlb_hits", 2899),
+        ("itlb_misses", 1208),
+        ("cache.hits", 3974),
+        ("cache.misses", 133),
+        ("cache.invalidated_page", 1),
+        ("cache.evicted_stale_regions", 1),
+        ("cache.regions_live", 131),
+        ("cache.bytes_live", 8848),
+        ("cache.epoch", 1),
+    ];
+    assert_eq!(got, golden);
+    assert_eq!(regs(&c), GOLDEN_REGS);
+}
+
+#[test]
+fn qemu_ref_dispatch_counters_match_the_recorded_run() {
+    let q = run(QemuRef::new(32 * 1024 * 1024));
+    let (s, cs) = (q.stats(), q.cache.stats());
+    let got: Counters = vec![
+        ("cycles", s.cycles),
+        ("blocks", s.blocks),
+        ("translations", s.translations),
+        ("chained_transfers", s.chained_transfers),
+        ("soft_tlb_hits", q.runtime.soft_tlb_hits),
+        ("soft_tlb_misses", q.runtime.soft_tlb_misses),
+        ("cache.hits", cs.hits),
+        ("cache.misses", cs.misses),
+        ("cache.invalidated_full", cs.invalidated_full),
+        ("cache.regions_live", cs.regions_live),
+        ("cache.bytes_live", cs.bytes_live),
+        ("cache.epoch", q.cache.epoch()),
+    ];
+    let golden: Counters = vec![
+        ("cycles", 438379),
+        ("blocks", 4308),
+        ("translations", 380),
+        ("chained_transfers", 0),
+        ("soft_tlb_hits", 8143),
+        ("soft_tlb_misses", 290),
+        ("cache.hits", 3928),
+        ("cache.misses", 380),
+        ("cache.invalidated_full", 255),
+        ("cache.regions_live", 125),
+        ("cache.bytes_live", 14055),
+        ("cache.epoch", 4),
+    ];
+    assert_eq!(got, golden);
+    assert_eq!(regs(&q), GOLDEN_REGS);
+}

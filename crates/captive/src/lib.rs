@@ -209,8 +209,8 @@ pub use guest_aarch64::sys::RunExit;
 /// Concurrency audit: every field here is owned and written by the run
 /// thread only — tier-1 workers report through [`tier::FormationResult`]
 /// messages and never touch shared counters — so plain `u64`s are sound.
-/// The shared-state counters (code-cache lookups, evictions, epochs) live in
-/// [`CodeCache`] as atomics and are *sampled* into this struct by
+/// The code-cache counters (lookups, evictions, occupancy) live in the
+/// run-thread-owned [`CodeCache`] and are *sampled* into this struct by
 /// [`Captive::stats`].
 ///
 /// Dereferences to the engine-independent [`SysStats`], so
@@ -719,11 +719,11 @@ impl Captive {
             loop {
                 let before = self.machine.perf.cycles;
                 let backedges_before = self.machine.perf.backedge_transfers;
-                let code = Arc::clone(&block.code);
                 let exit = if chained {
-                    self.machine.run_block_chained(&code, &mut self.runtime)
+                    self.machine
+                        .run_block_chained(&block.code, &mut self.runtime)
                 } else {
-                    self.machine.run_block(&code, &mut self.runtime)
+                    self.machine.run_block(&block.code, &mut self.runtime)
                 };
                 let spent = self.machine.perf.cycles - before;
                 // Loop trips that stayed inside the region during this entry

@@ -204,7 +204,18 @@ impl CaptiveRuntime {
         va: u64,
         write: bool,
     ) -> Result<u64, GuestEvent> {
-        if !self.sys.mmu_enabled(machine) {
+        self.resolve(machine, va, write, self.sys.mmu_enabled(machine))
+    }
+
+    /// [`Self::guest_va_to_pa`] for a caller that has already read `SCTLR`.
+    fn resolve(
+        &self,
+        machine: &Machine,
+        va: u64,
+        write: bool,
+        mmu_on: bool,
+    ) -> Result<u64, GuestEvent> {
+        if !mmu_on {
             if va < self.sys.guest_ram {
                 return Ok(va);
             }
@@ -229,7 +240,7 @@ impl CaptiveRuntime {
             return Ok(pa);
         }
         let mmu_on = self.sys.mmu_enabled(machine);
-        let pa = self.guest_va_to_pa(machine, va, false)?;
+        let pa = self.resolve(machine, va, false, mmu_on)?;
         if mmu_on {
             machine.perf.cycles += machine.cost.page_walk_per_level * mmu::GUEST_LEVELS as u64;
         }

@@ -618,7 +618,7 @@ mod tests {
             guest_phys: phys,
             guest_virt: phys,
             guest_insns: 1,
-            code: Arc::new(Vec::new()),
+            code: Arc::new([]),
             encoded_bytes: 0,
             lir_insns: 0,
             elided_insns: 0,
@@ -635,8 +635,8 @@ mod tests {
             idiom_candidates: [0; dbt::RULE_COUNT],
         };
         let key = |phys: u64| RegionKey { phys, virt: phys };
-        // Conditional blocks spread over every cache shard (inserted in
-        // descending key order), with distinct heats per leg; two blocks that
+        // Conditional blocks inserted in descending key order (the snapshot
+        // must come back sorted), with distinct heats per leg; two blocks that
         // are cached but not conditional; two keys that are not cached.
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
         let conditional: Vec<u64> = (0..40).rev().map(|i| 0x1000 + i * 0x40).collect();

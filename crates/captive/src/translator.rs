@@ -24,7 +24,6 @@ use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
 use guest_aarch64::{v_off, Aarch64Isa};
 use hvm::{Machine, MemSize};
-use std::sync::Arc;
 
 /// Translates one guest basic block starting at virtual address `pc`
 /// (physical address `pa`) into a one-constituent region.
@@ -119,7 +118,7 @@ pub fn translate_block(
         encoded_bytes: t.encoded.len(),
         lir_insns: lir_count,
         elided_insns: t.elided,
-        code: Arc::new(t.code),
+        code: t.code.into(),
         exit,
         links: ChainLinks::default(),
         constituents: 1,
@@ -160,7 +159,7 @@ pub fn undef_fallback_region(
         encoded_bytes: t.encoded.len(),
         lir_insns: lir_count,
         elided_insns: t.elided,
-        code: Arc::new(t.code),
+        code: t.code.into(),
         exit: BlockExit::Indirect,
         links: ChainLinks::default(),
         constituents: 1,
@@ -700,7 +699,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         encoded_bytes: t.encoded.len(),
         lir_insns: lir_count,
         elided_insns: t.elided,
-        code: Arc::new(t.code),
+        code: t.code.into(),
         exit,
         links: ChainLinks::default(),
         constituents,

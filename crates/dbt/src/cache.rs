@@ -10,7 +10,8 @@
 //! them; nothing in this module special-cases the multi-constituent shape
 //! beyond the generation gate described below.
 //!
-//! # Indexing and sharding
+//!
+//! # Indexing and ownership
 //!
 //! Regions are keyed by [`RegionKey`]: the guest *physical* address of the
 //! entry instruction plus its guest *virtual* entry class.  The physical
@@ -24,20 +25,22 @@
 //! same structure ([`CacheIndex::GuestVirtual`]) and simply flushes
 //! everything on guest translation-state changes.
 //!
-//! The index is **shard-locked**: keys hash onto [`SHARD_COUNT`]
-//! `RwLock`-protected maps, so the run thread's dispatch lookups and the
-//! tier-1 formation workers' profile peeks proceed without a global lock,
-//! and two threads only contend when their keys collide on a shard.  All
-//! statistics (and the invalidation epoch) are atomics, so every method
-//! takes `&self` and the cache is `Send + Sync` — the property the tiered
-//! translation service (`captive::tier`) is built on.
+//! The cache has **one owner**: it is a by-value field of an engine, and
+//! only that engine's run thread — the dispatcher, the synchronous region
+//! former, the install point of tier-1 results — ever touches it.  Tier-1
+//! formation workers do not: a formation request carries a frozen copy of
+//! the link heats ([`CodeCache::branch_profiles`]) and shared copies of the
+//! code pages, and the worker's product comes back over a channel to be
+//! inserted by the run thread.  So the index is one plain hash map, the
+//! eviction ring one deque and every statistic a plain integer, behind a
+//! `RefCell` only so that lookups and inserts keep taking `&self`; the
+//! cache is `Send` (an engine may move between threads) and not `Sync`.
 //!
-//! **Lock order.**  The capacity ring and the shards are the only two lock
-//! classes.  The rule is: a thread may acquire shard locks *while holding*
-//! the ring lock (the eviction sweep does), but must never acquire the ring
-//! lock while holding a shard lock ([`CodeCache::insert`] releases the
-//! shard before touching the ring), and never holds two shard locks at
-//! once.  That total order makes deadlock impossible.
+//! A [`RegionKey`] is two words handed out by the guest's page tables, not
+//! attacker-chosen bytes, so the map hashes it with two multiplies
+//! (`KeyHasher`) instead of SipHash; the high half of the product is
+//! folded down so page-aligned entries at one in-page offset still spread
+//! over the low bits the table indexes buckets with.
 //!
 //! # Direct block chaining
 //!
@@ -61,8 +64,9 @@
 //! stale link simply falls back to the dispatcher slow path, which
 //! re-resolves and re-patches it.  Links also carry a *heat* counter — the
 //! profile input that drives multi-constituent region formation in the
-//! dispatcher.  Link slots are mutex-protected so a formation worker can
-//! read a profile snapshot while the run thread keeps heating the links.
+//! dispatcher.  Regions themselves *do* cross threads (a worker forms one
+//! and sends it back, and the reuse layer shares their code), so link slots
+//! sit behind uncontended mutexes, which keeps [`Region`] `Send + Sync`.
 //!
 //! # Multi-constituent and looping regions
 //!
@@ -134,36 +138,26 @@
 //! unbounded one (only slower).  [`CacheStats`] reports the eviction count
 //! plus live occupancy (`bytes_live`, `regions_live`).
 //!
-//! # Content-keyed translation reuse
-//!
-//! Forming a region is expensive; forming the *same* region twice because
-//! two runs (or, eventually, two guests) execute the same kernel image is
-//! pure waste.  The [`ReuseCache`] is a second, content-addressed layer:
-//! a formed region is published as a [`ReuseTemplate`] under a
-//! [`ReuseKey`] — entry physical/virtual address, the codegen knobs it was
-//! formed under, and an FNV hash of the entry page's bytes — together with
-//! the content hash of *every* constituent page.  A later run (sharing the
-//! cache via `Arc`) revalidates each candidate template by hashing its
-//! live pages; only a template whose every page still matches is
-//! instantiated, as a fresh [`Region`] with fresh links and the current
-//! context generation.  Self-modified or simply different code therefore
-//! can never be reused by accident: the key and the validation are both
-//! functions of page *content*, not addresses alone.
-//!
 //! # Lookup statistics
 //!
 //! [`CodeCache::get`] is the *only* dispatch-path lookup and it feeds the
-//! atomic hit/miss counters unconditionally (a stale-generation region
-//! counts as a miss: the dispatcher must translate), so
-//! [`CacheStats::hit_rate`] is faithful on region-heavy runs and sound
-//! under concurrent lookups.  [`CodeCache::peek`] is reserved for the
+//! hit/miss counters unconditionally (a stale-generation region counts as a
+//! miss: the dispatcher must translate), so [`CacheStats::hit_rate`] is
+//! faithful on region-heavy runs.  [`CodeCache::peek`] is reserved for the
 //! region former's profile consultation and deliberately leaves the
 //! statistics alone (it neither counts nor marks the region referenced).
+//! Live occupancy (`bytes_live`, `regions_live`) is kept as running counters
+//! at insert/replace/remove, so a capacity check is O(1) per eviction step.
+//!
+//! Content-keyed reuse of formed regions across engine instances is a
+//! separate, genuinely shared layer: see [`crate::reuse`].
 
 use hvm::{Gpr, MachInsn};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, Weak};
 
 /// How regions are keyed in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,10 +224,11 @@ struct ChainLink {
     to: Weak<Region>,
 }
 
-/// The lazily patched successor links of a region.  Slots are mutexed so
-/// the run thread can patch and heat links while tier-1 workers read the
-/// profile; contention is per-slot and the critical sections are a few
-/// loads, so the locks are effectively free.
+/// The lazily patched successor links of a region.  Only the run thread
+/// patches, heats and follows them (tier-1 workers read the frozen
+/// [`CodeCache::branch_profiles`] copy instead), but a region is formed on a
+/// worker and sent back, and `Arc<Region>` must stay `Send + Sync` for that
+/// channel — so the slots sit behind mutexes that are never contended.
 #[derive(Debug, Default)]
 pub struct ChainLinks {
     slots: [Mutex<Option<ChainLink>>; 2],
@@ -305,7 +300,7 @@ pub struct Region {
     /// Number of guest instructions translated (all constituents).
     pub guest_insns: usize,
     /// Host code (interpreted by the HVM64 machine).
-    pub code: Arc<Vec<MachInsn>>,
+    pub code: Arc<[MachInsn]>,
     /// Size of the byte-encoded host code.
     pub encoded_bytes: usize,
     /// Host instructions before dead-code elimination (diagnostic).
@@ -452,7 +447,7 @@ impl Region {
 }
 
 /// Statistics kept by the cache.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a dispatchable region.
     pub hits: u64,
@@ -490,26 +485,11 @@ impl CacheStats {
 #[derive(Debug)]
 struct Slot {
     region: Arc<Region>,
-    referenced: AtomicBool,
+    referenced: bool,
 }
 
-impl Slot {
-    fn new(region: Arc<Region>) -> Self {
-        Slot {
-            region,
-            referenced: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Number of index shards; a power of two so shard selection is a mask.
-pub const SHARD_COUNT: usize = 16;
-
-/// Sentinel meaning "no capacity bound" in the atomic capacity fields.
-const UNBOUNDED: usize = usize::MAX;
-
-/// FNV-1a over a byte slice — the content hash used by the reuse layer
-/// (page bytes → template identity) and by shard selection.
+/// FNV-1a over a byte slice — the content hash of the reuse layer (page
+/// bytes → template identity) and of the idiom rule table.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -518,38 +498,146 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn shard_index(key: RegionKey) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in [key.phys, key.virt] {
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+/// The index's hasher: one multiply per key word (the derived
+/// `Hash for RegionKey` feeds exactly two `write_u64`s), high half folded
+/// down at the end.  A multiply pushes entropy *up*, and page-aligned keys
+/// at one in-page offset differ only above bit 12, so without the fold the
+/// low bits hashbrown picks a bucket with would barely vary.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("RegionKey hashes as two u64 words");
     }
-    // Fold the high bits in: consecutive page-aligned keys otherwise cluster.
-    ((h ^ (h >> 32)) as usize) & (SHARD_COUNT - 1)
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
-/// The translation cache: one sharded index over every region.  All methods
-/// take `&self`; the cache is `Send + Sync` and safe to share between the
-/// run thread and tier-1 formation workers.
+/// Everything the cache mutates, behind the one `RefCell`.
+#[derive(Debug, Default)]
+struct State {
+    map: HashMap<RegionKey, Slot, BuildHasherDefault<KeyHasher>>,
+    /// Insertion-order ring swept by the clock hand on capacity eviction;
+    /// holds exactly the keys of `map` (invalidations prune it).
+    ring: VecDeque<RegionKey>,
+    /// Bound on resident encoded host-code bytes.
+    capacity_bytes: Option<usize>,
+    /// Bound on resident region count.
+    capacity_regions: Option<usize>,
+    /// Bumped whenever an invalidation removes regions; chain links stamped
+    /// with an older epoch are dead.
+    epoch: u64,
+    /// `bytes_live`/`regions_live` are running sums over `map`.
+    stats: CacheStats,
+}
+
+impl State {
+    /// Books a region leaving the map.
+    fn note_removed(&mut self, region: &Region) {
+        self.stats.bytes_live -= region.encoded_bytes as u64;
+        self.stats.regions_live -= 1;
+    }
+
+    /// Removes every region `doomed` selects, returning how many went.
+    fn remove_where(&mut self, doomed: impl Fn(&Region) -> bool) -> u64 {
+        let before = self.map.len();
+        let bytes_live = &mut self.stats.bytes_live;
+        self.map.retain(|_, slot| {
+            let goes = doomed(&slot.region);
+            if goes {
+                *bytes_live -= slot.region.encoded_bytes as u64;
+            }
+            !goes
+        });
+        let removed = (before - self.map.len()) as u64;
+        self.stats.regions_live -= removed;
+        if removed > 0 {
+            let map = &self.map;
+            self.ring.retain(|key| map.contains_key(key));
+        }
+        self.check_occupancy();
+        removed
+    }
+
+    /// True while a capacity bound is exceeded.
+    fn over_capacity(&self) -> bool {
+        self.capacity_bytes
+            .is_some_and(|bound| self.stats.bytes_live > bound as u64)
+            || self
+                .capacity_regions
+                .is_some_and(|bound| self.stats.regions_live > bound as u64)
+    }
+
+    /// Clock (second-chance) sweep: evicts regions from the insertion-order
+    /// ring until the cache is within its capacity bounds.  A referenced
+    /// region gets its bit cleared and one more trip around the ring; the
+    /// region at `keep` (the one just inserted) is never evicted by this
+    /// sweep.  Evictions bump the epoch so dispatcher-held chain links die.
+    fn enforce_capacity(&mut self, keep: Option<RegionKey>) {
+        let mut evicted = 0u64;
+        let mut spared_keep = false;
+        while self.over_capacity() {
+            let Some(key) = self.ring.pop_front() else {
+                break;
+            };
+            if Some(key) == keep {
+                if spared_keep {
+                    // Only the protected region is left to sweep: admit it
+                    // even though it exceeds the bound on its own.
+                    self.ring.push_front(key);
+                    break;
+                }
+                spared_keep = true;
+                self.ring.push_back(key);
+                continue;
+            }
+            spared_keep = false;
+            let Entry::Occupied(mut slot) = self.map.entry(key) else {
+                unreachable!("ring keys are live");
+            };
+            if std::mem::take(&mut slot.get_mut().referenced) {
+                // Bit cleared: the next lap can evict.
+                self.ring.push_back(key);
+                continue;
+            }
+            let slot = slot.remove();
+            self.note_removed(&slot.region);
+            evicted += 1;
+        }
+        if evicted > 0 {
+            self.stats.capacity_evictions += evicted;
+            self.epoch += 1;
+        }
+    }
+
+    /// The running occupancy counters must equal the sums they stand for.
+    fn check_occupancy(&self) {
+        debug_assert_eq!(self.stats.regions_live, self.map.len() as u64);
+        debug_assert_eq!(self.ring.len(), self.map.len());
+        debug_assert_eq!(
+            self.stats.bytes_live,
+            self.map
+                .values()
+                .map(|s| s.region.encoded_bytes as u64)
+                .sum::<u64>()
+        );
+    }
+}
+
+/// The translation cache: one index over every region, owned by one engine
+/// and touched only by its run thread (see the module docs).  Methods take
+/// `&self` through a `RefCell`; the cache is `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct CodeCache {
     index: CacheIndex,
-    shards: [RwLock<HashMap<RegionKey, Slot>>; SHARD_COUNT],
-    /// Insertion-order ring swept by the clock hand on capacity eviction.
-    /// May hold keys already removed by invalidation; the sweep skips them.
-    ring: Mutex<VecDeque<RegionKey>>,
-    /// Bound on resident encoded host-code bytes ([`UNBOUNDED`] = none).
-    capacity_bytes: AtomicUsize,
-    /// Bound on resident region count ([`UNBOUNDED`] = none).
-    capacity_regions: AtomicUsize,
-    /// Bumped whenever an invalidation removes regions; chain links stamped
-    /// with an older epoch are dead.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated_full: AtomicU64,
-    invalidated_page: AtomicU64,
-    evicted_stale_regions: AtomicU64,
-    capacity_evictions: AtomicU64,
+    state: RefCell<State>,
 }
 
 impl CodeCache {
@@ -557,32 +645,17 @@ impl CodeCache {
     pub fn new(index: CacheIndex) -> Self {
         CodeCache {
             index,
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            ring: Mutex::new(VecDeque::new()),
-            capacity_bytes: AtomicUsize::new(UNBOUNDED),
-            capacity_regions: AtomicUsize::new(UNBOUNDED),
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated_full: AtomicU64::new(0),
-            invalidated_page: AtomicU64::new(0),
-            evicted_stale_regions: AtomicU64::new(0),
-            capacity_evictions: AtomicU64::new(0),
+            state: RefCell::default(),
         }
-    }
-
-    fn shard(&self, key: RegionKey) -> &RwLock<HashMap<RegionKey, Slot>> {
-        &self.shards[shard_index(key)]
     }
 
     /// Installs (or lifts, with `None`) the capacity bounds, evicting
     /// immediately if the cache is already over a new bound.
     pub fn set_capacity(&self, bytes: Option<usize>, regions: Option<usize>) {
-        self.capacity_bytes
-            .store(bytes.unwrap_or(UNBOUNDED), Ordering::Relaxed);
-        self.capacity_regions
-            .store(regions.unwrap_or(UNBOUNDED), Ordering::Relaxed);
-        self.enforce_capacity(None);
+        let mut state = self.state.borrow_mut();
+        state.capacity_bytes = bytes;
+        state.capacity_regions = regions;
+        state.enforce_capacity(None);
     }
 
     /// The indexing policy in force.
@@ -592,26 +665,27 @@ impl CodeCache {
 
     /// Current invalidation epoch (stamped into chain links at patch time).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.state.borrow().epoch
     }
 
     /// Looks up the region dispatchable at `key` under the current context
     /// generation.  A multi-constituent region whose formation generation
-    /// does not match is *not* dispatchable and counts as a miss.  Hit/miss
-    /// accounting is atomic and fed by every lookup, region-shaped or not.
+    /// does not match is *not* dispatchable and counts as a miss.  Every
+    /// lookup, region-shaped or not, feeds the hit/miss accounting.
     pub fn get(&self, key: RegionKey, ctx_gen: u64) -> Option<Arc<Region>> {
-        let shard = self.shard(key).read().unwrap();
-        let found = shard
-            .get(&key)
+        let state = &mut *self.state.borrow_mut();
+        let found = state
+            .map
+            .get_mut(&key)
             .filter(|s| !s.region.gated() || s.region.ctx_gen == ctx_gen);
         match found {
             Some(slot) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                slot.referenced.store(true, Ordering::Relaxed);
+                state.stats.hits += 1;
+                slot.referenced = true;
                 Some(Arc::clone(&slot.region))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                state.stats.misses += 1;
                 None
             }
         }
@@ -621,11 +695,8 @@ impl CodeCache {
     /// statistics (used by the region former to consult link heats and to
     /// avoid re-forming an existing multi-constituent region).
     pub fn peek(&self, key: RegionKey) -> Option<Arc<Region>> {
-        self.shard(key)
-            .read()
-            .unwrap()
-            .get(&key)
-            .map(|s| Arc::clone(&s.region))
+        let state = self.state.borrow();
+        state.map.get(&key).map(|s| Arc::clone(&s.region))
     }
 
     /// Inserts a region under its key, replacing any previous region there
@@ -639,107 +710,36 @@ impl CodeCache {
     pub fn insert(&self, region: Region) -> Arc<Region> {
         let arc = Arc::new(region);
         let key = arc.key();
-        let replaced = {
-            let mut shard = self.shard(key).write().unwrap();
-            shard.insert(key, Slot::new(Arc::clone(&arc)))
+        let mut state = self.state.borrow_mut();
+        state.stats.bytes_live += arc.encoded_bytes as u64;
+        state.stats.regions_live += 1;
+        let slot = Slot {
+            region: Arc::clone(&arc),
+            referenced: false,
         };
-        // Shard lock released before touching the ring (see the lock-order
-        // rule in the module docs).
-        if replaced.is_none() {
-            self.ring.lock().unwrap().push_back(key);
+        match state.map.insert(key, slot) {
+            Some(replaced) => state.note_removed(&replaced.region),
+            None => state.ring.push_back(key),
         }
-        self.enforce_capacity(Some(key));
+        state.enforce_capacity(Some(key));
         arc
-    }
-
-    /// True while a capacity bound is exceeded.
-    fn over_capacity(&self) -> bool {
-        let byte_bound = self.capacity_bytes.load(Ordering::Relaxed);
-        if byte_bound != UNBOUNDED && self.bytes_live() > byte_bound {
-            return true;
-        }
-        let region_bound = self.capacity_regions.load(Ordering::Relaxed);
-        region_bound != UNBOUNDED && self.len() > region_bound
-    }
-
-    /// Clock (second-chance) sweep: evicts regions from the insertion-order
-    /// ring until the cache is within its capacity bounds.  A referenced
-    /// region gets its bit cleared and one more trip around the ring; the
-    /// region at `keep` (the one just inserted) is never evicted by this
-    /// sweep.  Evictions bump the epoch so dispatcher-held chain links die.
-    /// Holds the ring lock for the whole sweep (acquiring shard locks
-    /// inside it — the permitted order), so concurrent inserts serialize
-    /// their sweeps rather than double-evicting.
-    fn enforce_capacity(&self, keep: Option<RegionKey>) {
-        let mut ring = self.ring.lock().unwrap();
-        let mut evicted = 0u64;
-        let mut spared_keep = false;
-        while self.over_capacity() {
-            let Some(key) = ring.pop_front() else {
-                break;
-            };
-            if Some(key) == keep {
-                if spared_keep {
-                    // Only the protected region is left to sweep: admit it
-                    // even though it exceeds the bound on its own.
-                    ring.push_front(key);
-                    break;
-                }
-                spared_keep = true;
-                ring.push_back(key);
-                continue;
-            }
-            let mut shard = self.shard(key).write().unwrap();
-            let Some(slot) = shard.get(&key) else {
-                continue; // already invalidated; drop the stale ring entry
-            };
-            if slot.referenced.swap(false, Ordering::Relaxed) {
-                drop(shard);
-                ring.push_back(key);
-                spared_keep = false; // bit cleared: the next lap can evict
-                continue;
-            }
-            shard.remove(&key);
-            drop(shard);
-            evicted += 1;
-            spared_keep = false;
-        }
-        if evicted > 0 {
-            self.capacity_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drops ring entries whose region an invalidation already removed.
-    fn prune_ring(&self) {
-        let mut ring = self.ring.lock().unwrap();
-        ring.retain(|&k| self.shard(k).read().unwrap().contains_key(&k));
     }
 
     /// Number of cached regions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.state.borrow().stats.regions_live as usize
     }
 
     /// True if no regions are cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().unwrap().is_empty())
+        self.len() == 0
     }
 
     /// Number of cached multi-constituent regions (stale-generation ones
     /// included until they are replaced, invalidated or swept).
     pub fn multi_region_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap()
-                    .values()
-                    .filter(|slot| slot.region.is_multi())
-                    .count()
-            })
-            .sum()
+        let state = self.state.borrow();
+        state.map.values().filter(|s| s.region.is_multi()).count()
     }
 
     /// Snapshot of the branch-link profile: every cached conditional block's
@@ -748,14 +748,13 @@ impl CodeCache {
     /// formation request freezes this at publish time so workers choose
     /// continuation legs without touching the live cache.
     pub fn branch_profiles(&self) -> Vec<(RegionKey, (u64, u64))> {
-        let mut heats = Vec::new();
-        for shard in &self.shards {
-            for (key, slot) in shard.read().unwrap().iter() {
-                if matches!(slot.region.exit, BlockExit::Branch { .. }) {
-                    heats.push((*key, (slot.region.link_heat(0), slot.region.link_heat(1))));
-                }
-            }
-        }
+        let state = self.state.borrow();
+        let mut heats: Vec<_> = state
+            .map
+            .iter()
+            .filter(|(_, slot)| matches!(slot.region.exit, BlockExit::Branch { .. }))
+            .map(|(key, slot)| (*key, (slot.region.link_heat(0), slot.region.link_heat(1))))
+            .collect();
         heats.sort_unstable_by_key(|&(key, _)| key);
         heats
     }
@@ -769,47 +768,29 @@ impl CodeCache {
     /// into them; no epoch bump is needed because generation-stamped links
     /// are already dead.
     pub fn evict_stale_regions(&self, ctx_gen: u64) -> usize {
-        let mut removed = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            let before = shard.len();
-            shard.retain(|_, s| !s.region.gated() || s.region.ctx_gen == ctx_gen);
-            removed += before - shard.len();
-        }
-        self.evicted_stale_regions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        if removed > 0 {
-            self.prune_ring();
-        }
-        removed
+        let mut state = self.state.borrow_mut();
+        let removed = state.remove_where(|r| r.gated() && r.ctx_gen != ctx_gen);
+        state.stats.evicted_stale_regions += removed;
+        removed as usize
     }
 
     /// Cache statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidated_full: self.invalidated_full.load(Ordering::Relaxed),
-            invalidated_page: self.invalidated_page.load(Ordering::Relaxed),
-            evicted_stale_regions: self.evicted_stale_regions.load(Ordering::Relaxed),
-            capacity_evictions: self.capacity_evictions.load(Ordering::Relaxed),
-            bytes_live: self.bytes_live() as u64,
-            regions_live: self.len() as u64,
-        }
+        let state = self.state.borrow();
+        state.check_occupancy();
+        state.stats
     }
 
     /// Discards every translation (the QEMU-style response to a guest
     /// page-table change when indexing by virtual address).
     pub fn invalidate_all(&self) {
-        let mut removed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            removed += shard.len() as u64;
-            shard.clear();
-        }
-        self.invalidated_full.fetch_add(removed, Ordering::Relaxed);
-        self.ring.lock().unwrap().clear();
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state.borrow_mut();
+        state.stats.invalidated_full += state.stats.regions_live;
+        state.stats.bytes_live = 0;
+        state.stats.regions_live = 0;
+        state.map.clear();
+        state.ring.clear();
+        state.epoch += 1;
     }
 
     /// Discards regions any of whose constituent guest code pages is
@@ -820,318 +801,44 @@ impl CodeCache {
     /// epoch bump additionally kills links *from* regions the dispatcher
     /// still holds.
     pub fn invalidate_phys_page(&self, page_base: u64) {
-        let mut removed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            let before = shard.len();
-            shard.retain(|_, s| !s.region.pages.contains(&page_base));
-            removed += (before - shard.len()) as u64;
-        }
+        let mut state = self.state.borrow_mut();
+        let removed = state.remove_where(|r| r.pages.contains(&page_base));
         if removed > 0 {
-            self.invalidated_page.fetch_add(removed, Ordering::Relaxed);
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-            self.prune_ring();
+            state.stats.invalidated_page += removed;
+            state.epoch += 1;
         }
     }
 
     /// Total bytes of encoded host code currently cached.
     pub fn total_encoded_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap()
-                    .values()
-                    .map(|slot| slot.region.encoded_bytes)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Alias of [`CodeCache::total_encoded_bytes`] used by the capacity
-    /// check and occupancy statistics.
-    fn bytes_live(&self) -> usize {
-        self.total_encoded_bytes()
+        self.state.borrow().stats.bytes_live as usize
     }
 
     /// Total guest instructions covered by cached regions.
     pub fn total_guest_insns(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap()
-                    .values()
-                    .map(|slot| slot.region.guest_insns)
-                    .sum::<usize>()
-            })
-            .sum()
+        let state = self.state.borrow();
+        state.map.values().map(|s| s.region.guest_insns).sum()
     }
 }
 
-/// Packs the codegen knobs a region was formed under into one word for the
-/// [`ReuseKey`]: a template formed with different optimisation, unrolling
-/// or tracing limits is a different translation and must never be reused
-/// across configurations.  `idiom_table` is [`crate::idiom::RuleTable::hash`]
-/// of the active idiom rule set (0 when the idiom layer is off): its low 32
-/// bits join the key, so code generated under one mined rule set is never
-/// instantiated under another.
-pub fn pack_knobs(
-    soft_fp: bool,
-    opt: bool,
-    promote: bool,
-    idioms: bool,
-    unroll: usize,
-    max_insns: usize,
-    idiom_table: u64,
-) -> u64 {
-    let table = if idioms { idiom_table } else { 0 };
-    (soft_fp as u64)
-        | ((opt as u64) << 1)
-        | ((promote as u64) << 3)
-        | ((idioms as u64) << 4)
-        | (((unroll as u64) & 0xFF) << 8)
-        | (((max_insns as u64) & 0xFFFF) << 16)
-        | ((table & 0xFFFF_FFFF) << 32)
-}
-
-/// Identity of a reusable translation: where it enters, the knobs it was
-/// formed under, and what the entry page's bytes hashed to at formation
-/// time.  Two images whose entry pages differ can never collide; images
-/// that share an entry page but diverge on an interior page are separated
-/// by per-template validation of every constituent page hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReuseKey {
-    /// Guest physical entry address.
-    pub phys: u64,
-    /// Guest virtual entry address (generated code embeds virtual PCs).
-    pub virt: u64,
-    /// Codegen knobs, packed by [`pack_knobs`].
-    pub knobs: u64,
-    /// FNV-1a hash of the entry page's bytes at formation time.
-    pub entry_page_hash: u64,
-}
-
-/// A formed region published for content-keyed reuse: everything needed to
-/// re-instantiate the region in another run, plus the content hash of every
-/// constituent page for validation.  The host code is shared by `Arc` — a
-/// thousand guests running one kernel image hold one copy.
-#[derive(Debug, Clone)]
-pub struct ReuseTemplate {
-    /// Guest instructions covered (all constituents).
-    pub guest_insns: usize,
-    /// The formed host code, shared between all instantiations.
-    pub code: Arc<Vec<MachInsn>>,
-    /// Encoded host-code size in bytes.
-    pub encoded_bytes: usize,
-    /// Host instructions before dead-code elimination.
-    pub lir_insns: usize,
-    /// LIR instructions eliminated before encoding.
-    pub elided_insns: usize,
-    /// Terminator metadata.
-    pub exit: BlockExit,
-    /// Constituent basic blocks.
-    pub constituents: usize,
-    /// Every constituent page with the FNV-1a hash of its bytes at
-    /// formation time; a candidate is only instantiated after *all* of
-    /// these revalidate against live memory.
-    pub pages: Vec<(u64, u64)>,
-    /// Loop-body copies stitched by unrolling.
-    pub unroll: usize,
-    /// Region-internal back-edges closed.
-    pub back_edges: usize,
-    /// Guest instructions in the looping portion.
-    pub loop_guest_insns: usize,
-    /// Eliminated-LIR share of the looping portion.
-    pub loop_elided_insns: usize,
-    /// Dirty loop-promoted slots (see [`Region::promoted`]); part of the
-    /// translation's identity, so instantiations reconcile faults exactly
-    /// like the original.
-    pub promoted: Vec<(i32, Gpr)>,
-    /// Per-rule idiom candidate counts of the original translation, carried
-    /// so instantiated regions feed the rule miner like freshly-formed ones.
-    pub idiom_candidates: [u32; crate::idiom::RULE_COUNT],
-}
-
-impl ReuseTemplate {
-    /// Captures a formed region as a template.  `page_hashes` must cover
-    /// exactly the region's constituent pages (base → content hash of the
-    /// bytes the region was formed against).
-    pub fn from_region(region: &Region, page_hashes: &[(u64, u64)]) -> Self {
-        debug_assert_eq!(page_hashes.len(), region.pages.len());
-        ReuseTemplate {
-            guest_insns: region.guest_insns,
-            code: Arc::clone(&region.code),
-            encoded_bytes: region.encoded_bytes,
-            lir_insns: region.lir_insns,
-            elided_insns: region.elided_insns,
-            exit: region.exit,
-            constituents: region.constituents,
-            pages: page_hashes.to_vec(),
-            unroll: region.unroll,
-            back_edges: region.back_edges,
-            loop_guest_insns: region.loop_guest_insns,
-            loop_elided_insns: region.loop_elided_insns,
-            promoted: region.promoted.clone(),
-            idiom_candidates: region.idiom_candidates,
-        }
-    }
-
-    /// Instantiates the template as a fresh [`Region`] at the given entry,
-    /// stamped with the current context generation and carrying fresh
-    /// (unpatched) chain links.  The host code `Arc` is shared, not cloned.
-    pub fn instantiate(&self, phys: u64, virt: u64, ctx_gen: u64) -> Region {
-        Region {
-            guest_phys: phys,
-            guest_virt: virt,
-            guest_insns: self.guest_insns,
-            code: Arc::clone(&self.code),
-            encoded_bytes: self.encoded_bytes,
-            lir_insns: self.lir_insns,
-            elided_insns: self.elided_insns,
-            exit: self.exit,
-            links: ChainLinks::default(),
-            constituents: self.constituents,
-            pages: self.pages.iter().map(|&(base, _)| base).collect(),
-            ctx_gen,
-            unroll: self.unroll,
-            back_edges: self.back_edges,
-            loop_guest_insns: self.loop_guest_insns,
-            loop_elided_insns: self.loop_elided_insns,
-            promoted: self.promoted.clone(),
-            idiom_candidates: self.idiom_candidates,
-        }
-    }
-}
-
-/// One recorded refusal: the (page base, content hash) set a formation
-/// attempt consumed while proving no region forms there.
-type RefusalPages = Vec<(u64, u64)>;
-
-/// Content-keyed translation reuse: formed machine code indexed by what it
-/// was formed *from* (entry + knobs + page-content hashes), shareable
-/// between runs via `Arc` so repeated executions of one kernel image pay
-/// for region formation once.
-#[derive(Debug, Default)]
-pub struct ReuseCache {
-    entries: RwLock<HashMap<ReuseKey, Vec<ReuseTemplate>>>,
-    /// Negative knowledge: consumed page-hash sets a formation attempt
-    /// proved to yield *no* region (trace too short, lowering bailed).  A
-    /// validated refusal lets later runs of the same content skip the
-    /// formation round-trip entirely — the outcome is already known.
-    refusals: RwLock<HashMap<ReuseKey, Vec<RefusalPages>>>,
-}
-
-impl ReuseCache {
-    /// Creates an empty reuse cache.
-    pub fn new() -> Self {
-        ReuseCache::default()
-    }
-
-    /// Publishes a template under `key`.  A template whose page set and
-    /// hashes exactly match an existing candidate is dropped (the existing
-    /// one already serves every image this one could).
-    pub fn publish(&self, key: ReuseKey, template: ReuseTemplate) {
-        let mut entries = self.entries.write().unwrap();
-        let candidates = entries.entry(key).or_default();
-        if candidates.iter().any(|c| c.pages == template.pages) {
-            return;
-        }
-        candidates.push(template);
-    }
-
-    /// Records that forming at `key` against content whose consumed pages
-    /// hashed to `pages` produced no region.  Identical page sets dedupe.
-    pub fn publish_refusal(&self, key: ReuseKey, pages: Vec<(u64, u64)>) {
-        let mut refusals = self.refusals.write().unwrap();
-        let sets = refusals.entry(key).or_default();
-        if sets.contains(&pages) {
-            return;
-        }
-        sets.push(pages);
-    }
-
-    /// Whether a prior formation attempt at `key` is recorded to have
-    /// refused on content that still matches — validated page by page with
-    /// `page_matches(page_base, formation_hash)`.
-    pub fn known_refusal(
-        &self,
-        key: ReuseKey,
-        mut page_matches: impl FnMut(u64, u64) -> bool,
-    ) -> bool {
-        let refusals = self.refusals.read().unwrap();
-        let Some(sets) = refusals.get(&key) else {
-            return false;
-        };
-        sets.iter()
-            .any(|s| s.iter().all(|&(base, hash)| page_matches(base, hash)))
-    }
-
-    /// Whether anything — a template or a recorded refusal — is published
-    /// under `key`.  A cheap precheck (no page validation) used to skip
-    /// redundant formation publishes when the outcome is likely already
-    /// known at the install point.
-    pub fn covers(&self, key: ReuseKey) -> bool {
-        self.entries
-            .read()
-            .unwrap()
-            .get(&key)
-            .is_some_and(|c| !c.is_empty())
-            || self
-                .refusals
-                .read()
-                .unwrap()
-                .get(&key)
-                .is_some_and(|s| !s.is_empty())
-    }
-
-    /// Looks up a reusable template for `key`, validating candidates with
-    /// `page_matches(page_base, formation_hash)` — which must hash the live
-    /// bytes of `page_base` and compare.  The first fully validated
-    /// candidate (in publication order, so lookups are deterministic) is
-    /// returned as a clone.
-    pub fn lookup(
-        &self,
-        key: ReuseKey,
-        mut page_matches: impl FnMut(u64, u64) -> bool,
-    ) -> Option<ReuseTemplate> {
-        let entries = self.entries.read().unwrap();
-        let candidates = entries.get(&key)?;
-        candidates
-            .iter()
-            .find(|c| c.pages.iter().all(|&(base, hash)| page_matches(base, hash)))
-            .cloned()
-    }
-
-    /// Number of distinct reuse keys published.
-    pub fn len(&self) -> usize {
-        self.entries.read().unwrap().len()
-    }
-
-    /// True when nothing has been published.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().unwrap().is_empty()
-    }
-}
-
-// The tiered translation service shares regions, the code cache and the
-// reuse cache across threads; keep the compiler holding that door open.
+// Formed regions travel from tier-1 workers to the run thread and engines
+// move between threads; keep the compiler holding those doors open.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
+    const fn assert_send<T: Send>() {}
     assert_send_sync::<Region>();
-    assert_send_sync::<CodeCache>();
-    assert_send_sync::<ReuseCache>();
+    assert_send::<CodeCache>();
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn key(phys: u64, virt: u64) -> RegionKey {
         RegionKey { phys, virt }
     }
 
-    fn block(at: u64, insns: usize) -> Region {
+    pub(crate) fn block(at: u64, insns: usize) -> Region {
         block_with_exit(at, insns, BlockExit::Indirect)
     }
 
@@ -1140,7 +847,7 @@ mod tests {
             guest_phys: at,
             guest_virt: at,
             guest_insns: insns,
-            code: Arc::new(vec![MachInsn::Ret]),
+            code: Arc::new([MachInsn::Ret]),
             encoded_bytes: insns * 40,
             lir_insns: insns * 12,
             elided_insns: 0,
@@ -1158,7 +865,7 @@ mod tests {
         }
     }
 
-    fn multi(entry: u64, insns: usize, pages: Vec<u64>, ctx_gen: u64) -> Region {
+    pub(crate) fn multi(entry: u64, insns: usize, pages: Vec<u64>, ctx_gen: u64) -> Region {
         Region {
             constituents: pages.len().max(2),
             pages,
@@ -1557,152 +1264,241 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mutation_is_sound() {
-        // Hammer the sharded index from several threads at once: inserts,
-        // dispatch-path lookups, page invalidations and a capacity bound
-        // tight enough to keep the clock hand sweeping.  The assertions are
-        // (a) no deadlock/panic, (b) the books still balance at the end.
-        use std::sync::atomic::AtomicU64 as Counter;
-        let c = Arc::new(CodeCache::new(CacheIndex::GuestPhysical));
-        c.set_capacity(None, Some(32));
-        let inserted = Arc::new(Counter::new(0));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let c = Arc::clone(&c);
-            let inserted = Arc::clone(&inserted);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    let at = 0x1000 + ((t * 200 + i) % 96) * 0x100;
-                    c.insert(block(at, 1));
-                    inserted.fetch_add(1, Ordering::Relaxed);
-                    c.get(key(at, at), 0);
-                    if i % 16 == 0 {
-                        c.invalidate_phys_page(at & !0xFFF);
+    fn page_aligned_keys_spread_over_the_low_hash_bits() {
+        // 4 096 identity-mapped entries, one per page, all at the same
+        // in-page offset — the shape a jump table over handler pages has —
+        // must occupy about as many of 4 096 low-bit buckets as random keys.
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let buckets = |keys: &mut dyn Iterator<Item = RegionKey>| {
+            keys.map(|k| hasher.hash_one(k) & 0xFFF)
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        let aligned = buckets(&mut (0..4096u64).map(|i| {
+            let at = 0x10_0000 + i * 0x1000 + 0x1A4;
+            key(at, at)
+        }));
+        let mut rng = proptest::TestRng::deterministic();
+        let random = buckets(&mut (0..4096).map(|_| key(rng.next_u64(), rng.next_u64())));
+        assert!(
+            aligned * 10 >= random * 9,
+            "{aligned} buckets for page-aligned keys against {random} for random ones"
+        );
+    }
+
+    /// One region of the naive model: what the cache must remember about it.
+    #[derive(Debug, Clone)]
+    struct ModelRegion {
+        key: RegionKey,
+        /// Unique per insert (carried in the real region's `lir_insns`), so a
+        /// replaced region is told from its replacement.
+        id: usize,
+        bytes: u64,
+        pages: Vec<u64>,
+        /// `Some(generation)` for a gated region.
+        gated: Option<u64>,
+        referenced: bool,
+    }
+
+    /// The cache as a flat list in ring (insertion) order: every operation
+    /// is a linear scan, with nothing indexed and no running sums.
+    #[derive(Debug, Default)]
+    struct Model {
+        regions: Vec<ModelRegion>,
+        capacity_bytes: Option<u64>,
+        capacity_regions: Option<u64>,
+        epoch: u64,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn at(&self, key: RegionKey) -> Option<&ModelRegion> {
+            self.regions.iter().find(|r| r.key == key)
+        }
+
+        fn over_capacity(&self) -> bool {
+            let bytes: u64 = self.regions.iter().map(|r| r.bytes).sum();
+            self.capacity_bytes.is_some_and(|b| bytes > b)
+                || self
+                    .capacity_regions
+                    .is_some_and(|b| self.regions.len() as u64 > b)
+        }
+
+        fn enforce_capacity(&mut self, keep: Option<RegionKey>) {
+            let mut evicted = 0;
+            let mut spared_keep = false;
+            while self.over_capacity() {
+                let mut head = self.regions.remove(0);
+                if Some(head.key) == keep {
+                    if spared_keep {
+                        self.regions.insert(0, head);
+                        break;
                     }
-                    if i % 32 == 0 {
-                        c.evict_stale_regions(0);
+                    spared_keep = true;
+                    self.regions.push(head);
+                    continue;
+                }
+                spared_keep = false;
+                if head.referenced {
+                    head.referenced = false;
+                    self.regions.push(head);
+                } else {
+                    evicted += 1;
+                }
+            }
+            if evicted > 0 {
+                self.stats.capacity_evictions += evicted;
+                self.epoch += 1;
+            }
+        }
+
+        fn insert(&mut self, region: ModelRegion) {
+            let key = region.key;
+            match self.regions.iter_mut().find(|r| r.key == key) {
+                Some(slot) => *slot = region,
+                None => self.regions.push(region),
+            }
+            self.enforce_capacity(Some(key));
+        }
+
+        fn get(&mut self, key: RegionKey, ctx_gen: u64) -> Option<usize> {
+            let found = self
+                .regions
+                .iter_mut()
+                .find(|r| r.key == key && r.gated.is_none_or(|g| g == ctx_gen));
+            match found {
+                Some(r) => {
+                    self.stats.hits += 1;
+                    r.referenced = true;
+                    Some(r.id)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn remove_where(&mut self, doomed: impl Fn(&ModelRegion) -> bool) -> u64 {
+            let before = self.regions.len();
+            self.regions.retain(|r| !doomed(r));
+            (before - self.regions.len()) as u64
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                bytes_live: self.regions.iter().map(|r| r.bytes).sum(),
+                regions_live: self.regions.len() as u64,
+                ..self.stats
+            }
+        }
+    }
+
+    /// The twelve keys the property test draws from: three entries on each
+    /// of four pages, the last of each page close enough to its end that a
+    /// long block straddles into the next.
+    fn model_key(n: u64) -> RegionKey {
+        let at = 0x1_0000 + (n % 4) * 0x1000 + [0x100, 0x800, 0xFF8][(n / 4 % 3) as usize];
+        key(at, at)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn random_operation_sequences_match_the_naive_model(
+            ops in proptest::collection::vec((0u8..14, 0u64..12, 0u64..3, 1usize..5), 1..80)
+        ) {
+            let cache = CodeCache::new(CacheIndex::GuestPhysical);
+            let mut model = Model::default();
+            // Chain links patched along the way: (holder, target id, epoch
+            // at patch time).  Holders are dispatcher-held regions outside
+            // the cache; everything is patched under generation 0.
+            let mut links: Vec<(Arc<Region>, usize, u64)> = Vec::new();
+            for (id, (op, n, gen, insns)) in ops.into_iter().enumerate() {
+                let k = model_key(n);
+                match op {
+                    // Insert (or replace at key) a plain block or a gated
+                    // two-page region.
+                    0..=4 => {
+                        let gated = (op == 4).then_some(gen);
+                        let real = match gated {
+                            Some(gen) => multi(k.phys, insns, vec![k.phys & !0xFFF, 0x4000], gen),
+                            None => block(k.phys, insns),
+                        };
+                        model.insert(ModelRegion {
+                            key: k,
+                            id,
+                            bytes: real.encoded_bytes as u64,
+                            pages: real.pages.clone(),
+                            gated,
+                            referenced: false,
+                        });
+                        cache.insert(Region { lir_insns: id, ..real });
+                    }
+                    5..=7 => {
+                        let got = cache.get(k, gen).map(|r| r.lir_insns);
+                        proptest::prop_assert_eq!(got, model.get(k, gen), "get {:?}", k);
+                    }
+                    8 => {
+                        if let Some(target) = cache.peek(k) {
+                            let holder = Arc::new(block(0x9000, 1));
+                            holder.set_link(0, 0, cache.epoch(), &target);
+                            links.push((holder, target.lir_insns, cache.epoch()));
+                        }
+                    }
+                    9 | 10 => {
+                        let page = k.phys & !0xFFF;
+                        cache.invalidate_phys_page(page);
+                        let removed = model.remove_where(|r| r.pages.contains(&page));
+                        if removed > 0 {
+                            model.stats.invalidated_page += removed;
+                            model.epoch += 1;
+                        }
+                    }
+                    11 => {
+                        cache.evict_stale_regions(gen);
+                        model.stats.evicted_stale_regions +=
+                            model.remove_where(|r| r.gated.is_some_and(|g| g != gen));
+                    }
+                    12 => {
+                        // n < 12: small bounds that bite, or none at all.
+                        let bytes = (n % 3 != 0).then_some(n as usize * 40);
+                        let regions = (n % 4 != 0).then_some(n as usize / 2);
+                        cache.set_capacity(bytes, regions);
+                        model.capacity_bytes = bytes.map(|b| b as u64);
+                        model.capacity_regions = regions.map(|r| r as u64);
+                        model.enforce_capacity(None);
+                    }
+                    _ => {
+                        cache.invalidate_all();
+                        model.stats.invalidated_full += model.remove_where(|_| true);
+                        model.epoch += 1;
                     }
                 }
-            }));
+                proptest::prop_assert_eq!(cache.stats(), model.stats(), "after op {}", op);
+                proptest::prop_assert_eq!(cache.epoch(), model.epoch, "after op {}", op);
+                proptest::prop_assert_eq!(cache.len(), model.regions.len());
+                for n in 0..12 {
+                    let k = model_key(n);
+                    proptest::prop_assert_eq!(
+                        cache.peek(k).map(|r| r.lir_insns),
+                        model.at(k).map(|r| r.id),
+                        "survivor at {:?} after op {}", k, op
+                    );
+                }
+                for (holder, target, patched_at) in &links {
+                    let live = model.regions.iter().any(|r| r.id == *target);
+                    proptest::prop_assert_eq!(
+                        holder.follow_link(0, 0, cache.epoch()).is_some(),
+                        live && *patched_at == model.epoch,
+                        "link to region {} after op {}", target, op
+                    );
+                }
+            }
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = c.stats();
-        assert_eq!(inserted.load(Ordering::Relaxed), 800);
-        assert!(c.len() <= 33, "bound holds modulo one in-flight oversize");
-        assert_eq!(s.regions_live, c.len() as u64);
-        assert!(s.hits + s.misses == 800, "every lookup was counted");
-    }
-
-    #[test]
-    fn reuse_template_round_trips_through_content_validation() {
-        let reuse = ReuseCache::new();
-        let region = multi(0x1000, 8, vec![0x1000, 0x2000], 3);
-        let hashes = [(0x1000u64, 0xAAAAu64), (0x2000, 0xBBBB)];
-        let knobs = pack_knobs(false, true, true, true, 4, 256, 0);
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs,
-            entry_page_hash: 0xAAAA,
-        };
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
-        assert_eq!(reuse.len(), 1);
-        // All pages validate: the template is served.
-        let got = reuse
-            .lookup(key, |base, hash| {
-                hashes.iter().any(|&(b, h)| b == base && h == hash)
-            })
-            .expect("content-valid template");
-        let inst = got.instantiate(0x1000, 0x1000, 7);
-        assert_eq!(inst.ctx_gen, 7);
-        assert_eq!(inst.pages, vec![0x1000, 0x2000]);
-        assert_eq!(inst.constituents, region.constituents);
-        assert!(Arc::ptr_eq(&inst.code, &region.code), "code is shared");
-        // A modified interior page defeats reuse.
-        assert!(
-            reuse
-                .lookup(key, |base, hash| base == 0x1000 && hash == 0xAAAA)
-                .is_none(),
-            "a stale interior page must invalidate the candidate"
-        );
-        // A different knob set is a different key entirely.
-        let other = ReuseKey {
-            knobs: pack_knobs(false, false, true, true, 4, 256, 0),
-            ..key
-        };
-        assert!(reuse.lookup(other, |_, _| true).is_none());
-    }
-
-    #[test]
-    fn reuse_publish_dedupes_identical_page_sets() {
-        let reuse = ReuseCache::new();
-        let region = block(0x1000, 2);
-        let hashes = [(0x1000u64, 0x1234u64)];
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs: 0,
-            entry_page_hash: 0x1234,
-        };
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
-        let entries = reuse.entries.read().unwrap();
-        assert_eq!(entries.get(&key).unwrap().len(), 1, "deduped");
-    }
-
-    #[test]
-    fn reuse_refusals_validate_content_and_dedupe() {
-        let reuse = ReuseCache::new();
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs: 0,
-            entry_page_hash: 0x1234,
-        };
-        assert!(!reuse.covers(key));
-        let pages = vec![(0x1000u64, 0x1234u64), (0x2000, 0x5678)];
-        reuse.publish_refusal(key, pages.clone());
-        reuse.publish_refusal(key, pages.clone());
-        assert_eq!(reuse.refusals.read().unwrap()[&key].len(), 1, "deduped");
-        // The refusal covers the key (publish precheck) and validates only
-        // while every recorded page still hashes the same.
-        assert!(reuse.covers(key));
-        assert!(reuse.known_refusal(key, |base, hash| {
-            pages.iter().any(|&(b, h)| b == base && h == hash)
-        }));
-        assert!(
-            !reuse.known_refusal(key, |base, hash| base == 0x1000 && hash == 0x1234),
-            "a changed interior page must void the refusal"
-        );
-        // Refusals never surface as installable templates.
-        assert!(reuse.lookup(key, |_, _| true).is_none());
-    }
-
-    #[test]
-    fn knob_packing_distinguishes_every_field() {
-        let base = pack_knobs(false, true, true, true, 4, 256, 0);
-        assert_ne!(base, pack_knobs(true, true, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, false, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, false, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 8, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 4, 128, 0));
-        assert_ne!(base, pack_knobs(false, true, true, false, 4, 256, 0));
-    }
-
-    #[test]
-    fn knob_packing_keys_on_idiom_table_only_when_idioms_run() {
-        let with = |idioms: bool, table: u64| pack_knobs(false, true, true, idioms, 4, 256, table);
-        // Different rule tables generate different code, so they must land
-        // in different reuse keys...
-        assert_ne!(with(true, 0xDEAD_BEEF), with(true, 0x1234_5678));
-        assert_eq!(with(true, 0xDEAD_BEEF) >> 32, 0xDEAD_BEEF);
-        // ...but with the idiom layer off the table is inert, and every
-        // table value must collapse onto the same key so idiom-off
-        // translations stay shareable.
-        assert_eq!(with(false, 0xDEAD_BEEF), with(false, 0x1234_5678));
-        assert_eq!(with(false, 0xDEAD_BEEF), with(false, 0));
     }
 
     #[test]

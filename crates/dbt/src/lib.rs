@@ -41,17 +41,19 @@ pub mod opt;
 pub mod regalloc;
 #[cfg(test)]
 mod regalloc_reference;
+pub mod reuse;
 pub mod timing;
 
 pub use cache::{
-    fnv1a, pack_knobs, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, Region,
-    RegionKey, RegionProfile, ReuseCache, ReuseKey, ReuseTemplate,
+    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, Region, RegionKey,
+    RegionProfile,
 };
 pub use emitter::{Emitter, Node, NodeId, ValueType};
 pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
 pub use lower::LowerError;
 pub use opt::OptStats;
+pub use reuse::{pack_knobs, ReuseCache, ReuseKey, ReuseTemplate};
 pub use timing::{Phase, PhaseClock, PhaseTimers, TierTimers};
 
 use hvm::MachInsn;

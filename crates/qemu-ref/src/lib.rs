@@ -490,11 +490,11 @@ impl QemuRef {
             let mut chained = false;
             loop {
                 let before = self.machine.perf.cycles;
-                let code = Arc::clone(&block.code);
                 let exit = if chained {
-                    self.machine.run_block_chained(&code, &mut self.runtime)
+                    self.machine
+                        .run_block_chained(&block.code, &mut self.runtime)
                 } else {
-                    self.machine.run_block(&code, &mut self.runtime)
+                    self.machine.run_block(&block.code, &mut self.runtime)
                 };
                 let spent = self.machine.perf.cycles - before;
                 self.stats.blocks += 1;
@@ -656,7 +656,7 @@ impl QemuRef {
             encoded_bytes: t.encoded.len(),
             lir_insns: lir_count,
             elided_insns: t.elided,
-            code: Arc::new(t.code),
+            code: t.code.into(),
             exit,
             links: ChainLinks::default(),
             constituents: 1,
