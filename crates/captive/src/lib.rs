@@ -68,6 +68,7 @@
 pub mod itlb;
 pub mod layout;
 pub mod runtime;
+pub mod spec;
 pub mod tier;
 pub mod translator;
 
@@ -396,6 +397,11 @@ pub struct Captive {
     idiom_rules: Arc<RuleTable>,
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     tier_timers: TierTimers,
+    /// The knobs speculative tier-0 translations must have been made under
+    /// to be installed (re-made whenever `idiom_rules` changes).
+    spec_knobs: Arc<spec::Knobs>,
+    /// Run-thread speculation counters.
+    spec_stats: spec::SpecStats,
     /// Construction time, the zero point for time-to-first-region-install.
     launch: Instant,
 }
@@ -448,12 +454,15 @@ impl Captive {
                 .clone()
                 .unwrap_or_else(|| Arc::new(ReuseCache::new()))
         });
+        let idiom_rules = Arc::new(RuleTable::full());
         Captive {
             machine,
             runtime,
             cache,
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
+            spec_knobs: spec::Knobs::new(&config, &idiom_rules),
+            spec_stats: spec::SpecStats::default(),
             config,
             stats: RunStats::default(),
             per_region: HashMap::new(),
@@ -464,7 +473,7 @@ impl Captive {
             parked_results: HashMap::new(),
             next_seq: 0,
             reuse,
-            idiom_rules: Arc::new(RuleTable::full()),
+            idiom_rules,
             tier_timers: TierTimers::default(),
             launch: Instant::now(),
         }
@@ -477,6 +486,7 @@ impl Captive {
     /// under different tables never alias in a shared [`ReuseCache`].
     pub fn set_idiom_rules(&mut self, table: RuleTable) {
         self.idiom_rules = Arc::new(table);
+        self.spec_knobs = spec::Knobs::new(&self.config, &self.idiom_rules);
     }
 
     /// The engine's current guest-idiom rule table.
@@ -619,9 +629,7 @@ impl Captive {
             // translations is invalidated — the device's completion IRQ (if
             // any) is then taken below with the data already visible.
             if self.runtime.poll_virtio(&mut self.machine) {
-                for page in self.runtime.take_smc_dirty() {
-                    self.cache.invalidate_phys_page(page);
-                }
+                self.invalidate_dirty_pages();
             }
             let pc = self.machine.reg(Gpr::R15);
             // Deterministic event sources deliver here (and at back-edge
@@ -662,29 +670,7 @@ impl Captive {
             let key = RegionKey { phys: pa, virt: pc };
             let block = match self.cache.get(key, gen) {
                 Some(r) => r,
-                None => {
-                    self.stats.translations += 1;
-                    // Tier-0 translation is synchronous by design (the guest
-                    // needs this code *now*); its wall-clock is what the
-                    // run thread visibly stalls on.
-                    let t0 = Instant::now();
-                    let idioms = self.config.idioms.then(|| Arc::clone(&self.idiom_rules));
-                    let region = translate_block(
-                        &self.isa,
-                        &mut self.machine,
-                        &mut self.timers,
-                        pc,
-                        pa,
-                        self.config.max_block_insns,
-                        self.config.fp_mode,
-                        self.config.opt,
-                        self.config.promote,
-                        idioms.as_deref(),
-                    );
-                    self.tier_timers.run_thread_stall += t0.elapsed();
-                    self.runtime.note_code_page(&mut self.machine, pa & !0xFFF);
-                    self.cache.insert(region)
-                }
+                None => self.install_block(key),
             };
             self.stats.slow_dispatches += 1;
             // Patch the predecessor's successor link now that the target is
@@ -731,9 +717,7 @@ impl Captive {
                 let trips = self.machine.perf.backedge_transfers - backedges_before;
                 // Invalidate translations for any code pages the guest wrote
                 // (bumps the cache epoch, so stale chain links die with them).
-                for page in self.runtime.take_smc_dirty() {
-                    self.cache.invalidate_phys_page(page);
-                }
+                self.invalidate_dirty_pages();
                 self.stats.blocks += 1;
                 self.stats.guest_insns +=
                     block.guest_insns as u64 + trips * block.loop_guest_insns as u64;
@@ -861,6 +845,41 @@ impl Captive {
         RunExit::BudgetExhausted
     }
 
+    /// The tier-0 miss path: obtains the one-constituent translation of the
+    /// block at `key` and installs it.  The guest needs this code *now*, so
+    /// whatever the run thread spends getting it is what it visibly stalls
+    /// on: the look in the speculative ready pool ([`spec`]) and, when that
+    /// has nothing valid, the synchronous translation.  Either way the
+    /// region is the same bytes, installed at the same point.
+    fn install_block(&mut self, key: RegionKey) -> Arc<Region> {
+        self.stats.translations += 1;
+        let t0 = Instant::now();
+        let region = match self.speculated_block(key) {
+            Some(region) => region,
+            None => {
+                let idioms = self.config.idioms.then(|| Arc::clone(&self.idiom_rules));
+                translate_block(
+                    &self.isa,
+                    &mut self.machine,
+                    &mut self.timers,
+                    key.virt,
+                    key.phys,
+                    self.config.max_block_insns,
+                    self.config.fp_mode,
+                    self.config.opt,
+                    self.config.promote,
+                    idioms.as_deref(),
+                )
+            }
+        };
+        self.tier_timers.run_thread_stall += t0.elapsed();
+        self.runtime
+            .note_code_page(&mut self.machine, key.phys & !0xFFF);
+        let block = self.cache.insert(region);
+        self.speculate_beyond(&block);
+        block
+    }
+
     /// Profiles a chained transfer into `next` and, when its link heat
     /// crosses the hot threshold, obtains a multi-constituent region for the
     /// chained path starting at `next` and installs it.  Returns the
@@ -886,6 +905,9 @@ impl Captive {
             return next;
         }
         let heat = prev.heat_up(slot);
+        if heat == 1 {
+            self.cache.note_heated(prev.key());
+        }
         let gen = self.runtime.context_generation();
         // Another predecessor may already have widened this entry: the
         // dispatcher-held `next` then outlives its replaced cache slot, and
@@ -1106,13 +1128,13 @@ impl Captive {
             idioms: self.config.idioms.then(|| Arc::clone(&self.idiom_rules)),
         };
         // Only the snapshot capture counts as run-thread translation stall:
-        // the channel hand-off below wakes a sleeping worker, and the host
-        // scheduler frequently deschedules the sender at that wake point —
-        // a scheduling artefact, none of it translation work.  The capture
-        // itself is not free: it walks every cached conditional block for
-        // the frozen heats (the code pages are shared, not copied), measured
-        // at ~0.4 ms per request with `cold_code`'s ~15 k cached blocks —
-        // ~40 ms of a ~500 ms run over its 99 requests.
+        // the hand-off below wakes a sleeping worker, and the host scheduler
+        // frequently deschedules the sender at that wake point — a
+        // scheduling artefact, none of it translation work.  The capture
+        // itself shares the code pages instead of copying them and freezes
+        // the heats of the blocks that ever chained, not of the whole cache
+        // (that walk was ~0.4 ms per request with `cold_code`'s ~15 k cached
+        // blocks, 88 % of which ran once).
         let elapsed = t0.elapsed();
         self.tier_timers.snapshot_build += elapsed;
         self.tier_timers.run_thread_stall += elapsed;

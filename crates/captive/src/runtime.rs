@@ -195,6 +195,21 @@ impl CaptiveRuntime {
             .collect()
     }
 
+    /// The shared copy of one code page (made with `read_page` if no
+    /// snapshot or speculation has taken it yet — see
+    /// [`CaptiveRuntime::code_page_copies`]); `None` when `page` holds no
+    /// translated code, and is therefore not write-protected.
+    pub fn code_page_copy(
+        &mut self,
+        page: u64,
+        read_page: impl FnOnce(u64) -> Vec<u8>,
+    ) -> Option<Arc<[u8]>> {
+        let copy = self.code_pages.get_mut(&page)?;
+        Some(Arc::clone(
+            copy.get_or_insert_with(|| read_page(page).into()),
+        ))
+    }
+
     /// Translates a guest virtual address to a guest physical address using
     /// the guest's translation state (used for instruction fetches and by the
     /// translator).

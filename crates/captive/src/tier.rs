@@ -1,10 +1,10 @@
-//! The tier-1 half of the two-tier translation service: background region
-//! formation against immutable snapshots.
+//! The tier workers: one pool of background threads with two kinds of job.
 //!
-//! Tier 0 (per-block translation) stays synchronous on the run thread so new
-//! code executes immediately.  Tier 1 — tracing, unrolling, loop closure,
-//! the LIR optimiser and register allocation — is expensive, and this module
-//! moves it off the run thread:
+//! # Tier-1 formation
+//!
+//! Tracing, unrolling, loop closure, the LIR optimiser and register
+//! allocation over a hot chained path are expensive, and this module moves
+//! them off the run thread:
 //!
 //! * When a chain link is *halfway* to the formation threshold the run
 //!   thread captures a [`FormationSnapshot`] — context generation,
@@ -31,12 +31,96 @@
 //! Decode results are memoised across requests ([`DecodeMemo`]): constituents
 //! traced by several candidate regions decode once.
 //!
-//! With `tier_workers == 0` the service runs in *pump mode*: requests queue
-//! locally and are processed inline (on the run thread) at the drain point.
-//! Outcomes are identical to the threaded service — pump mode exists so
-//! tests can interleave guest stores between publish and drain fully
-//! deterministically (the SMC-vs-snapshot race).
+//! # Speculative tier-0 translation
+//!
+//! The guest needs a block's translation the moment it first dispatches it,
+//! so tier 0 is on the run thread's critical path — on a guest that runs
+//! most blocks once it *is* the critical path (`cold_code`: 245 ms of a
+//! 380 ms run in 15 751 `translate_block` calls) while the workers above
+//! sleep.  So a worker with nothing to form translates **ahead of the
+//! guest**: whenever the run thread installs a tier-0 block it hands over
+//! that block's static successors ([`crate::spec`]: the terminator's direct
+//! targets, and the address after a call, exception or system instruction)
+//! with a copy of the page each lies on; a worker runs the *same*
+//! [`crate::translator::translate_block_from`] over the copy, parks the
+//! result in a bounded ready pool, and keeps following the result's own
+//! successors — same-page ones by offset arithmetic, cross-page ones when
+//! the chain was seeded with the guest MMU off (physical = virtual) and the
+//! run thread has already copied that page.  Formation requests always come
+//! first: the run thread blocks on those.
+//!
+//! **What must not change, and why it cannot.**  Speculation decides *who*
+//! runs the translator, never what it produces or when the product is
+//! installed.  A block translation is a pure function of its addresses, the
+//! codegen knobs and the words the translator fetched.  The tier-0 miss path
+//! asks the pool for `(pa, pc)`; a parked result is used only if it was made
+//! under the engine's current knobs and every word it was made from —
+//! compared one by one, exactly as the translator would fetch them — is what
+//! live memory holds *now*.  Then the miss path does what it always did:
+//! `note_code_page`, `cache.insert`, `translations += 1`, and the result's
+//! own [`dbt::PhaseTimers`] (wall clocks and static counters alike) merged
+//! once.  Anything else — nothing parked, still queued or in flight, a
+//! mismatch — is the synchronous `translate_block`, and whatever a worker
+//! finishes for that key afterwards is dropped with its timers.  Nothing but
+//! the miss path can see the pool; speculation never looks a block up in the
+//! code cache, touches `code_pages`' key set or write protection, or writes
+//! a `RunStats` field, so simulated cycles and every deterministic counter
+//! are those of the `sync` configuration, run after run.  How many installs
+//! the pool served depends on host scheduling; it is reported by
+//! [`crate::Captive::speculation`] for tests and ledgers and deliberately
+//! kept out of `RunStats`.
+//!
+//! **Policy bounds**, each set by a measurement (`cold_code`, seed 1,
+//! reference box: 2 cores):
+//!
+//! * *Speculation needs a core of its own.*  It is off when the host offers
+//!   one thread, and occupies at most `available_parallelism() - 1` workers
+//!   (two speculating workers on two cores: noisier, no faster).
+//! * *Order is breadth-first from what the run thread installed,* which for
+//!   call-structured code tracks execution order (caller, callee blocks,
+//!   return address …).  Following only in-page successors and waiting for
+//!   the run thread to seed every callee starved: 2–5 % of translations
+//!   served, the callees queued behind a main-line chain 500 blocks ahead.
+//! * *No page sweeps.*  The address after a `ret`/`b`/`br` is followed only
+//!   if something branches there.  Taking it up when idle translated ≈ 1 050
+//!   such blocks per run and aged ≈ 1 700 results out unused (17 % of worker
+//!   translations): code next in the image is not code next in time.
+//! * *A chain stops at a zero or undefined entry word* — padding, not code
+//!   (`indirect_dispatch`'s 256 code pages are > 95 % zero words, and zero
+//!   decodes as `nop` here: 64-instruction blocks of nothing).
+//! * *A page whose translations were ever invalidated, or that served a
+//!   stale result, is never speculated on again.*  A patch loop re-queued
+//!   the page on every trip otherwise (`sys.smc` 175 → 430 ms).
+//! * *Nothing is queued twice:* one seen bit per word of every page
+//!   speculation knows, set when an entry is queued and when the run thread
+//!   installs one.
+//! * *The pool is bounded* ([`crate::spec::POOL_MAX`] parked or in flight);
+//!   a full pool **parks** the frontier rather than dropping it (dropping
+//!   loses the frontier for good — an erratic 3–26 % served) and a sleeping
+//!   worker is woken when the pool has drained to half.  128 serves as many
+//!   installs as 512 did and keeps `peak_rss_mib` within 2 % of the parent;
+//!   parked results older than four pools' worth of installs are evicted so
+//!   legs the guest never takes cannot park the frontier forever.
+//! * *One copy per page.*  A code page's copy is the one in its `code_pages`
+//!   entry, shared with formation snapshots; only a cross-page target that
+//!   holds no translated code yet gets a private (unprotected) copy — the
+//!   case the word comparison exists for.
+//! * *Installed code lives in the run thread's allocations.*  The run thread
+//!   copies a pool result's code and sends the original back to be freed by
+//!   a worker: left in a worker's malloc arena the code pinned that arena
+//!   after the engine was gone (+20 % peak RSS over ten engines in a row);
+//!   freed by the run thread it took the arena lock against the translating
+//!   worker on every install (≈ 730 futex sleeps per run, ≈ 35 ms).
+//!
+//! With `tier_workers == 0` the service runs in *pump mode*: formation
+//! requests queue locally and are processed inline (on the run thread) at
+//! the drain point, and speculative jobs are translated inline — frontier
+//! and all — right where the run thread queues them.  Outcomes are identical
+//! to the threaded service; pump mode exists so tests can interleave guest
+//! stores between publish and drain, or between a speculative translation
+//! and its install, fully deterministically.
 
+use crate::spec::Frontier;
 use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
 use crate::FpMode;
 use dbt::idiom::RuleTable;
@@ -45,7 +129,7 @@ use guest_aarch64::gen::Decoded;
 use guest_aarch64::{mmu, Aarch64Isa};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -339,69 +423,129 @@ fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> Format
     FormationResult { seq, key, outcome }
 }
 
-enum Backend {
-    /// `tier_workers == 0`: requests queue locally and are processed inline
-    /// at the drain point.
-    Pump(VecDeque<FormationRequest>),
-    /// A pool of worker threads sharing one request channel.
-    Threads {
-        req_tx: Option<Sender<FormationRequest>>,
-        res_rx: Receiver<FormationResult>,
-        handles: Vec<JoinHandle<()>>,
-    },
+/// What the run thread and the workers share: the formation queue, the
+/// speculation frontier, and the bookkeeping the wake-up rule needs.
+struct Queues {
+    formations: VecDeque<FormationRequest>,
+    frontier: Frontier,
+    /// Workers asleep on [`Shared::wake`].  `Condvar::notify_one` is a
+    /// system call whether or not anyone waits, and the run thread would
+    /// otherwise pay it on every tier-0 install.
+    idle: usize,
+    shutdown: bool,
 }
 
-/// The formation worker pool.  `submit` never blocks; `recv` blocks until
-/// *some* result is available (the caller routes results it was not waiting
-/// for).  Dropping the service disconnects the request channel and joins
-/// every worker.
+struct Shared {
+    queues: Mutex<Queues>,
+    wake: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues
+            .lock()
+            .expect("a tier worker panicked holding the queue lock")
+    }
+}
+
+/// The worker pool.  `submit` never blocks; `recv` blocks until *some*
+/// formation result is available (the caller routes results it was not
+/// waiting for).  Speculative tier-0 jobs travel through the crate-internal
+/// `with_frontier` in both directions.  Dropping the service
+/// raises the shutdown flag and joins every worker; a worker looks at the
+/// flag between jobs, so the drop waits for at most one job per worker.
 pub struct TierService {
-    backend: Backend,
+    shared: Arc<Shared>,
+    /// Formation results from the workers (never fed in pump mode).
+    results: Receiver<FormationResult>,
+    /// Empty in pump mode.
+    handles: Vec<JoinHandle<()>>,
+    /// Workers that may speculate at once (the frontier's slot count).
+    spec_slots: usize,
     memo: DecodeMemo,
     isa: Aarch64Isa,
+}
+
+/// One worker: formation requests first (the run thread blocks on those),
+/// then one speculative block at a time, asleep when there is neither.
+fn worker(shared: &Shared, results: &Sender<FormationResult>, memo: &DecodeMemo) {
+    let isa = Aarch64Isa;
+    let mut spent = Vec::new();
+    let mut queues = shared.lock();
+    while !queues.shutdown {
+        if let Some(request) = queues.formations.pop_front() {
+            drop(queues);
+            if results.send(process(&isa, memo, request)).is_err() {
+                return;
+            }
+            queues = shared.lock();
+        } else if let Some(job) = queues.frontier.next_job() {
+            // More runnable work than this worker just claimed: share it.
+            if queues.idle > 0 && queues.frontier.can_start() {
+                shared.wake.notify_one();
+            }
+            queues.frontier.swap_spent(&mut spent);
+            drop(queues);
+            spent.clear();
+            let outcome = job.translate();
+            queues = shared.lock();
+            queues.frontier.finish(&job, outcome);
+        } else {
+            queues.idle += 1;
+            queues = shared
+                .wake
+                .wait(queues)
+                .expect("a tier worker panicked holding the queue lock");
+            queues.idle -= 1;
+        }
+    }
+}
+
+/// Host threads this process may run on, looked up once (the probe reads
+/// the affinity mask and cgroup files — too slow for every engine).
+fn host_parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl TierService {
     /// Creates the service with `workers` background threads (0 = pump mode).
     pub fn new(workers: usize) -> Self {
-        let memo: DecodeMemo = Arc::default();
-        let backend = if workers == 0 {
-            Backend::Pump(VecDeque::new())
+        // Speculation wants a core of its own: with one host thread it is
+        // off (the workers would only take time from the run thread), and
+        // it never occupies more workers than there are spare cores.  Pump
+        // mode runs it inline, deterministically, whatever the host.
+        let spec_slots = if workers == 0 {
+            1
         } else {
-            let (req_tx, req_rx) = channel::<FormationRequest>();
-            let (res_tx, res_rx) = channel::<FormationResult>();
-            let req_rx = Arc::new(Mutex::new(req_rx));
-            let handles = (0..workers)
-                .map(|_| {
-                    let rx = Arc::clone(&req_rx);
-                    let tx = res_tx.clone();
-                    let memo = Arc::clone(&memo);
-                    std::thread::spawn(move || {
-                        let isa = Aarch64Isa;
-                        loop {
-                            // The guard is dropped as soon as recv returns:
-                            // dequeueing serialises, forming runs in parallel.
-                            let req = match rx.lock().unwrap().recv() {
-                                Ok(r) => r,
-                                Err(_) => break,
-                            };
-                            if tx.send(process(&isa, &memo, req)).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            // `res_tx` clones live only in the workers, so `recv` unblocks
-            // (with an error) if every worker exits.
-            Backend::Threads {
-                req_tx: Some(req_tx),
-                res_rx,
-                handles,
-            }
+            workers.min(host_parallelism() - 1)
         };
+        let shared = Arc::new(Shared {
+            queues: Mutex::new(Queues {
+                formations: VecDeque::new(),
+                frontier: Frontier::new(spec_slots),
+                idle: 0,
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+        });
+        let memo: DecodeMemo = Arc::default();
+        // `res_tx` clones live only in the workers, so `recv` unblocks (with
+        // an error) if every worker exits.
+        let (res_tx, results) = channel::<FormationResult>();
+        let handles = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let tx = res_tx.clone();
+                let memo = Arc::clone(&memo);
+                std::thread::spawn(move || worker(&shared, &tx, &memo))
+            })
+            .collect();
         TierService {
-            backend,
+            shared,
+            results,
+            handles,
+            spec_slots,
             memo,
             isa: Aarch64Isa,
         }
@@ -409,46 +553,75 @@ impl TierService {
 
     /// True when running in pump (inline) mode.
     pub fn is_pump(&self) -> bool {
-        matches!(self.backend, Backend::Pump(_))
+        self.handles.is_empty()
+    }
+
+    /// True when tier-0 blocks are translated speculatively.
+    pub fn speculates(&self) -> bool {
+        self.spec_slots > 0
     }
 
     /// Queues a formation request.
     pub fn submit(&mut self, req: FormationRequest) {
-        match &mut self.backend {
-            Backend::Pump(queue) => queue.push_back(req),
-            Backend::Threads { req_tx, .. } => {
-                // A send can only fail if every worker died; the caller then
-                // falls back to synchronous formation at the drain point.
-                let _ = req_tx.as_ref().expect("service is live").send(req);
-            }
+        let mut queues = self.shared.lock();
+        queues.formations.push_back(req);
+        if queues.idle > 0 {
+            self.shared.wake.notify_one();
         }
     }
 
     /// Blocks until one result is available and returns it; `None` when no
     /// result can ever arrive (pump queue empty, or all workers gone).
     pub fn recv(&mut self) -> Option<FormationResult> {
-        match &mut self.backend {
-            Backend::Pump(queue) => {
-                let req = queue.pop_front()?;
-                Some(process(&self.isa, &self.memo, req))
-            }
-            Backend::Threads { res_rx, .. } => res_rx.recv().ok(),
+        if self.is_pump() {
+            let req = self.shared.lock().formations.pop_front()?;
+            Some(process(&self.isa, &self.memo, req))
+        } else {
+            self.results.recv().ok()
+        }
+    }
+
+    /// Runs `f` on the speculation frontier under the queue lock, then
+    /// wakes a sleeping worker if `f` left it something to do.
+    pub(crate) fn with_frontier<R>(&self, f: impl FnOnce(&mut Frontier) -> R) -> R {
+        let mut queues = self.shared.lock();
+        let result = f(&mut queues.frontier);
+        if queues.idle > 0 && queues.frontier.worth_waking() {
+            self.shared.wake.notify_one();
+        }
+        result
+    }
+
+    /// Pump mode's deterministic drain point: translates queued speculative
+    /// jobs inline, successors included, until the frontier is empty or the
+    /// pool full.
+    pub(crate) fn pump_speculation(&self) {
+        loop {
+            let mut queues = self.shared.lock();
+            let mut spent = Vec::new();
+            queues.frontier.swap_spent(&mut spent);
+            let Some(job) = queues.frontier.next_job() else {
+                return;
+            };
+            drop(queues);
+            drop(spent);
+            let outcome = job.translate();
+            self.shared.lock().frontier.finish(&job, outcome);
         }
     }
 }
 
 impl Drop for TierService {
     fn drop(&mut self) {
-        if let Backend::Threads {
-            req_tx, handles, ..
-        } = &mut self.backend
-        {
-            // Disconnect the request channel so blocked workers wake and
-            // exit, then reap them.
-            req_tx.take();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
+        // Must not panic, and a poisoned lock still guards a valid flag.
+        self.shared
+            .queues
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .shutdown = true;
+        self.shared.wake.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -651,12 +824,17 @@ mod tests {
             // Heat lives on patched links; where they point is immaterial.
             r.set_link(0, 0, cache.epoch(), &r);
             r.set_link(1, 0, cache.epoch(), &r);
-            for _ in 0..n {
-                r.heat_up(0);
-            }
-            for _ in 0..(n * 3) % 7 {
-                r.heat_up(1);
-            }
+            // Heat the way the dispatcher does: the first transfer over a
+            // link is reported to the cache.
+            let heat = |slot: usize, times: usize| {
+                for _ in 0..times {
+                    if r.heat_up(slot) == 1 {
+                        cache.note_heated(r.key());
+                    }
+                }
+            };
+            heat(0, n);
+            heat(1, (n * 3) % 7);
         }
         let unconditional = [0x9000u64, 0x9040];
         cache.insert(block(unconditional[0], BlockExit::Jump { target: 0x1000 }));
@@ -679,11 +857,24 @@ mod tests {
         // The profile keeps moving after the publish; the snapshot must not.
         cache.peek(key(conditional[3])).unwrap().heat_up(0);
 
+        // `choose_leg` follows the hotter leg and treats a tie exactly like
+        // a missing profile, so that is all a snapshot has to preserve — and
+        // what lets it skip every block that never chained.
+        let distinguishable = |heats: Option<(u64, u64)>| heats.filter(|(t, f)| t != f);
         let memo = DecodeMemo::default();
         let source = SnapshotSource::new(&snapshot, &memo);
         for (phys, expected) in at_publish {
-            assert_eq!(source.branch_heats(key(phys)), expected, "{phys:#x}");
+            assert_eq!(
+                distinguishable(source.branch_heats(key(phys))),
+                distinguishable(expected),
+                "{phys:#x}"
+            );
         }
+        assert!(
+            snapshot.heats.len() < conditional.len(),
+            "a block whose links never left zero is not walked"
+        );
+        assert!(snapshot.heats.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
         assert_eq!(source.branch_heats(key(absent[0])), None);
         assert!(source.branch_heats(key(conditional[5])).is_some());
         assert_ne!(
@@ -697,6 +888,41 @@ mod tests {
             virt: conditional[5] + 0x10_0000,
         };
         assert_eq!(source.branch_heats(alias), None);
+    }
+
+    #[test]
+    fn a_dropped_service_leaves_queued_speculation_untranslated() {
+        use crate::spec::{Knobs, PageCopy};
+        // Workers look at the shutdown flag before claiming a job, so a drop
+        // waits for the jobs in flight and never for the queue.  The flag is
+        // raised under the same lock hold that fills the queue — no worker
+        // can have claimed anything — and the drop then has nothing to wait
+        // for: every job is still queued afterwards.
+        let service = TierService::new(2);
+        let shared = Arc::clone(&service.shared);
+        let knobs = Knobs::new(
+            &crate::CaptiveConfig::default(),
+            &Arc::new(RuleTable::full()),
+        );
+        let mut page = Vec::new();
+        for _ in 0..PAGE_BYTES / 8 {
+            page.extend_from_slice(&asm::addi(0, 0, 1).to_le_bytes());
+            page.extend_from_slice(&asm::ret().to_le_bytes());
+        }
+        {
+            let mut queues = shared.lock();
+            let frontier = &mut queues.frontier;
+            frontier.ensure_page(0x1000, false, || PageCopy::Early(page.into()));
+            for entry in (0x1000..0x2000).step_by(8) {
+                frontier.request(entry, entry, true, &knobs);
+            }
+            assert!(!service.speculates() || frontier.can_start());
+            queues.shutdown = true;
+        }
+        drop(service);
+        let queues = shared.lock();
+        assert_eq!(queues.frontier.translated(), 0);
+        assert_eq!(Arc::strong_count(&shared), 1, "every worker was joined");
     }
 
     #[test]

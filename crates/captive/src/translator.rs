@@ -26,11 +26,55 @@ use guest_aarch64::{v_off, Aarch64Isa};
 use hvm::{Machine, MemSize};
 
 /// Translates one guest basic block starting at virtual address `pc`
-/// (physical address `pa`) into a one-constituent region.
+/// (physical address `pa`) into a one-constituent region, reading the guest
+/// words from live memory.
 #[allow(clippy::too_many_arguments)]
 pub fn translate_block(
     isa: &Aarch64Isa,
     machine: &mut Machine,
+    timers: &mut PhaseTimers,
+    pc: u64,
+    pa: u64,
+    max_insns: usize,
+    fp_mode: FpMode,
+    run_opt: bool,
+    promote: bool,
+    idioms: Option<&RuleTable>,
+) -> Region {
+    translate_block_from(
+        isa,
+        |pa_i| live_code_word(machine, pa_i),
+        timers,
+        pc,
+        pa,
+        max_insns,
+        fp_mode,
+        run_opt,
+        promote,
+        idioms,
+    )
+}
+
+/// The guest code word at physical address `pa` as the block translator
+/// fetches it: an unreadable word degrades to 0 (an UNDEF).
+pub fn live_code_word(machine: &Machine, pa: u64) -> u32 {
+    machine
+        .mem
+        .read_uint(layout::GUEST_PHYS_BASE + pa, 4)
+        .unwrap_or(0) as u32
+}
+
+/// The block translator behind [`translate_block`], fetching through
+/// `read_word` (guest physical address → code word).  The region is a pure
+/// function of the arguments and the words the closure returns, asked for in
+/// ascending address order, one per translated instruction — which is what
+/// lets a speculative translation made from a page copy
+/// ([`crate::spec`]) stand in for the synchronous one once those words are
+/// compared against live memory.
+#[allow(clippy::too_many_arguments)]
+pub fn translate_block_from(
+    isa: &Aarch64Isa,
+    mut read_word: impl FnMut(u64) -> u32,
     timers: &mut PhaseTimers,
     pc: u64,
     pa: u64,
@@ -56,10 +100,7 @@ pub fn translate_block(
         // above), so its physical address is pure offset arithmetic — no
         // walk, and the fetch iTLB counters stay dispatch-only.
         let pa_i = (pa & !0xFFF) | (va & 0xFFF);
-        let word = machine
-            .mem
-            .read_uint(layout::GUEST_PHYS_BASE + pa_i, 4)
-            .unwrap_or(0) as u32;
+        let word = read_word(pa_i);
 
         let decoded = isa.decode(word, va);
         clock.close(timers, Phase::Decode);
@@ -131,6 +172,19 @@ pub fn translate_block(
         promoted: t.promoted,
         idiom_candidates: t.idioms.candidates,
     }
+}
+
+/// Whether control comes back to the address right after a block ending on
+/// `word` with no static branch naming it: the return address of a call,
+/// the instruction after an exception or a block-ending system instruction.
+/// After anything else (`b`, `br`, `ret`, `eret`, `hlt`, an undefined word)
+/// only another branch reaches that address.  The speculative translator
+/// ([`crate::spec`]) follows it in the first case only.
+pub fn resumes_after(word: u32) -> bool {
+    matches!(
+        guest_aarch64::isa::decode(word),
+        Some(Insn::Bl { .. } | Insn::Blr { .. } | Insn::Svc { .. } | Insn::Msr { .. } | Insn::Tlbi)
+    )
 }
 
 /// The degraded translation used when lowering bails out on a plain block
@@ -286,12 +340,7 @@ impl TraceSource for LiveSource<'_> {
         }
         // An unreadable word degrades to 0 (an UNDEF), matching the
         // per-block translator's behaviour.
-        SourceRead::Ok(
-            self.machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + pa, 4)
-                .unwrap_or(0) as u32,
-        )
+        SourceRead::Ok(live_code_word(self.machine, pa))
     }
 
     fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {

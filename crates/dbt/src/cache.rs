@@ -155,7 +155,7 @@
 use hvm::{Gpr, MachInsn};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, Weak};
 
@@ -527,6 +527,10 @@ struct State {
     /// Insertion-order ring swept by the clock hand on capacity eviction;
     /// holds exactly the keys of `map` (invalidations prune it).
     ring: VecDeque<RegionKey>,
+    /// Keys of cached regions one of whose links has carried a transfer
+    /// ([`CodeCache::note_heated`]): the only regions a branch-profile
+    /// snapshot has anything to say about.  Pruned with the ring.
+    heated: BTreeSet<RegionKey>,
     /// Bound on resident encoded host-code bytes.
     capacity_bytes: Option<usize>,
     /// Bound on resident region count.
@@ -561,6 +565,7 @@ impl State {
         if removed > 0 {
             let map = &self.map;
             self.ring.retain(|key| map.contains_key(key));
+            self.heated.retain(|key| map.contains_key(key));
         }
         self.check_occupancy();
         removed
@@ -609,6 +614,7 @@ impl State {
             }
             let slot = slot.remove();
             self.note_removed(&slot.region);
+            self.heated.remove(&key);
             evicted += 1;
         }
         if evicted > 0 {
@@ -621,6 +627,7 @@ impl State {
     fn check_occupancy(&self) {
         debug_assert_eq!(self.stats.regions_live, self.map.len() as u64);
         debug_assert_eq!(self.ring.len(), self.map.len());
+        debug_assert!(self.heated.iter().all(|key| self.map.contains_key(key)));
         debug_assert_eq!(
             self.stats.bytes_live,
             self.map
@@ -742,21 +749,36 @@ impl CodeCache {
         state.map.values().filter(|s| s.region.is_multi()).count()
     }
 
-    /// Snapshot of the branch-link profile: every cached conditional block's
-    /// (taken, fallthrough) link heats, sorted by region key (keys are
-    /// unique, so a binary search by key finds a block's entry).  A tier-1
-    /// formation request freezes this at publish time so workers choose
-    /// continuation legs without touching the live cache.
+    /// Records that a link of the cached region at `key` has carried its
+    /// first transfer.  [`Region::heat_up`]'s caller sees that 0 → 1 step
+    /// and reports it here, which is what lets [`Self::branch_profiles`]
+    /// visit the few regions that ever chained instead of the whole cache.
+    pub fn note_heated(&self, key: RegionKey) {
+        let mut state = self.state.borrow_mut();
+        if state.map.contains_key(&key) {
+            state.heated.insert(key);
+        }
+    }
+
+    /// Snapshot of the branch-link profile: the (taken, fallthrough) link
+    /// heats of every cached conditional block one of whose links ever left
+    /// zero ([`Self::note_heated`]), sorted by region key (keys are unique,
+    /// so a binary search by key finds a block's entry).  A block that never
+    /// chained is absent; its heats would read (0, 0), a tie, and the
+    /// tracer's leg selection treats a tied profile exactly like a missing
+    /// one.  A tier-1 formation request freezes this at publish time so
+    /// workers choose continuation legs without touching the live cache.
     pub fn branch_profiles(&self) -> Vec<(RegionKey, (u64, u64))> {
         let state = self.state.borrow();
-        let mut heats: Vec<_> = state
-            .map
+        state
+            .heated
             .iter()
-            .filter(|(_, slot)| matches!(slot.region.exit, BlockExit::Branch { .. }))
-            .map(|(key, slot)| (*key, (slot.region.link_heat(0), slot.region.link_heat(1))))
-            .collect();
-        heats.sort_unstable_by_key(|&(key, _)| key);
-        heats
+            .filter_map(|key| {
+                let region = &state.map[key].region;
+                matches!(region.exit, BlockExit::Branch { .. })
+                    .then(|| (*key, (region.link_heat(0), region.link_heat(1))))
+            })
+            .collect()
     }
 
     /// Evicts every multi-constituent region whose formation context
@@ -790,6 +812,7 @@ impl CodeCache {
         state.stats.regions_live = 0;
         state.map.clear();
         state.ring.clear();
+        state.heated.clear();
         state.epoch += 1;
     }
 

@@ -106,6 +106,7 @@ impl CostModel {
     /// Base execution cost of one machine instruction, excluding memory
     /// translation penalties (TLB misses, faults) and helper bodies, which
     /// are accounted separately by the machine.
+    #[inline(always)]
     pub fn insn_cost(&self, insn: &MachInsn) -> u64 {
         match insn {
             MachInsn::Nop => self.alu,

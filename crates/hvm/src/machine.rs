@@ -676,33 +676,76 @@ impl Machine {
                 return ExitReason::BlockEnd;
             };
             self.perf.insns += 1;
-            self.perf.cycles += self.cost.insn_cost(insn);
             pc += 1;
+            // The base cost is charged inside each arm, where the variant is
+            // statically known and `insn_cost` folds to one field load; up
+            // front it is a second jump table ahead of the `match`'s own.
+            // Still first in the arm: a runtime call made by the arm (a page
+            // fault, a helper) sees the instruction already paid for.
+            macro_rules! charge {
+                () => {
+                    self.perf.cycles += self.cost.insn_cost(insn)
+                };
+            }
+            // `Xmm` wraps any `u8` and these operands come from generated
+            // code, so a vector register past the file ends the block like
+            // every other malformed operand instead of panicking the host on
+            // the index (whose bounds check is paid either way).
+            macro_rules! xmm {
+                ($x:expr) => {
+                    match self.xmm.get($x.0 as usize) {
+                        Some(value) => *value,
+                        None => return bad_xmm($x),
+                    }
+                };
+            }
+            macro_rules! set_xmm {
+                ($x:expr, $value:expr) => {{
+                    let value = $value;
+                    match self.xmm.get_mut($x.0 as usize) {
+                        Some(slot) => *slot = value,
+                        None => return bad_xmm($x),
+                    }
+                }};
+            }
             match *insn {
-                MachInsn::Nop => {}
-                MachInsn::MovImm { dst, imm } => self.set_reg(dst, imm),
-                MachInsn::MovReg { dst, src } => self.set_reg(dst, self.reg(src)),
+                MachInsn::Nop => charge!(),
+                MachInsn::MovImm { dst, imm } => {
+                    charge!();
+                    self.set_reg(dst, imm)
+                }
+                MachInsn::MovReg { dst, src } => {
+                    charge!();
+                    self.set_reg(dst, self.reg(src))
+                }
                 MachInsn::Load {
                     dst,
                     ref addr,
                     size,
-                } => match self.mem_access(rt, addr, size, false, None) {
-                    Ok(v) => self.set_reg(dst, v[0]),
-                    Err(exit) => return exit,
-                },
+                } => {
+                    charge!();
+                    match self.mem_access(rt, addr, size, false, None) {
+                        Ok(v) => self.set_reg(dst, v[0]),
+                        Err(exit) => return exit,
+                    }
+                }
                 MachInsn::LoadSx {
                     dst,
                     ref addr,
                     size,
-                } => match self.mem_access(rt, addr, size, false, None) {
-                    Ok(v) => self.set_reg(dst, sign_extend(v[0], size)),
-                    Err(exit) => return exit,
-                },
+                } => {
+                    charge!();
+                    match self.mem_access(rt, addr, size, false, None) {
+                        Ok(v) => self.set_reg(dst, sign_extend(v[0], size)),
+                        Err(exit) => return exit,
+                    }
+                }
                 MachInsn::Store {
                     src,
                     ref addr,
                     size,
                 } => {
+                    charge!();
                     let v = [self.reg(src), 0];
                     if let Err(exit) = self.mem_access(rt, addr, size, false, Some(v)) {
                         return exit;
@@ -713,63 +756,76 @@ impl Machine {
                     ref addr,
                     size,
                 } => {
+                    charge!();
                     if let Err(exit) = self.mem_access(rt, addr, size, false, Some([imm, 0])) {
                         return exit;
                     }
                 }
                 MachInsn::Lea { dst, ref addr } => {
+                    charge!();
                     let va = self.effective_address(addr);
                     self.set_reg(dst, va);
                 }
                 MachInsn::Alu { op, dst, src } => {
+                    charge!();
                     let a = self.reg(dst);
                     let b = self.operand_value(&src);
                     let r = self.alu(op, a, b);
                     self.set_reg(dst, r);
                 }
                 MachInsn::Cmp { a, b } => {
+                    charge!();
                     let av = self.reg(a);
                     let bv = self.operand_value(&b);
                     let r = av.wrapping_sub(bv);
                     self.set_flags_sub(av, bv, r);
                 }
                 MachInsn::Test { a, b } => {
+                    charge!();
                     let r = self.reg(a) & self.operand_value(&b);
                     self.set_flags_logic(r);
                 }
                 MachInsn::Neg { dst } => {
+                    charge!();
                     let v = self.reg(dst).wrapping_neg();
                     self.set_reg(dst, v);
                 }
                 MachInsn::Not { dst } => {
+                    charge!();
                     let v = !self.reg(dst);
                     self.set_reg(dst, v);
                 }
                 MachInsn::MovZx { dst, src, size } => {
+                    charge!();
                     self.set_reg(dst, self.reg(src) & size.mask());
                 }
                 MachInsn::MovSx { dst, src, size } => {
+                    charge!();
                     if size == MemSize::U128 {
                         return ExitReason::Error("movsx from a 128-bit source".into());
                     }
                     self.set_reg(dst, sign_extend(self.reg(src), size));
                 }
                 MachInsn::SetCc { cond, dst } => {
+                    charge!();
                     let v = self.cond(cond) as u64;
                     self.set_reg(dst, v);
                 }
                 MachInsn::CmovCc { cond, dst, src } => {
+                    charge!();
                     if self.cond(cond) {
                         self.set_reg(dst, self.reg(src));
                     }
                 }
                 MachInsn::Jmp { target } => {
+                    charge!();
                     pc = pc - 1 + target as i64;
                     if pc < 0 || pc as usize > code.len() {
                         return ExitReason::Error(format!("jump out of range to {pc}"));
                     }
                 }
                 MachInsn::Jcc { cond, target } => {
+                    charge!();
                     if self.cond(cond) {
                         pc = pc - 1 + target as i64;
                         if pc < 0 || pc as usize > code.len() {
@@ -778,6 +834,7 @@ impl Machine {
                     }
                 }
                 MachInsn::CallHelper { helper } => {
+                    charge!();
                     self.perf.helper_calls += 1;
                     match rt.helper(helper, self) {
                         HelperResult::Continue { cost } => self.perf.cycles += cost,
@@ -791,60 +848,75 @@ impl Machine {
                         }
                     }
                 }
-                MachInsn::Ret => return ExitReason::BlockEnd,
+                MachInsn::Ret => {
+                    charge!();
+                    return ExitReason::BlockEnd;
+                }
                 // A narrow vector load zeroes the upper lane; a narrow vector
                 // store writes the low lane only.
                 MachInsn::LoadXmm {
                     dst,
                     ref addr,
                     size,
-                } => match self.mem_access(rt, addr, size, true, None) {
-                    Ok(v) => self.set_xmm(dst, v),
-                    Err(exit) => return exit,
-                },
+                } => {
+                    charge!();
+                    // Refused before the access has any effect.
+                    xmm!(dst);
+                    match self.mem_access(rt, addr, size, true, None) {
+                        Ok(v) => set_xmm!(dst, v),
+                        Err(exit) => return exit,
+                    }
+                }
                 MachInsn::StoreXmm {
                     src,
                     ref addr,
                     size,
                 } => {
-                    let v = self.xmm_reg(src);
+                    charge!();
+                    let v = xmm!(src);
                     if let Err(exit) = self.mem_access(rt, addr, size, true, Some(v)) {
                         return exit;
                     }
                 }
                 MachInsn::MovGprToXmm { dst, src } => {
+                    charge!();
                     let v = self.reg(src);
-                    self.set_xmm(dst, [v, 0]);
+                    set_xmm!(dst, [v, 0]);
                 }
                 MachInsn::MovXmm { dst, src, size } => {
-                    let v = self.xmm_reg(src);
+                    charge!();
+                    let v = xmm!(src);
                     match size {
-                        MemSize::U128 => self.set_xmm(dst, v),
+                        MemSize::U128 => set_xmm!(dst, v),
                         // Low-lane move zeroes the upper lane, mirroring a
                         // U64 LoadXmm.
-                        _ => self.set_xmm(dst, [v[0], 0]),
+                        _ => set_xmm!(dst, [v[0], 0]),
                     }
                 }
                 MachInsn::MovXmmToGpr { dst, src } => {
-                    let v = self.xmm_reg(src)[0];
+                    charge!();
+                    let v = xmm!(src)[0];
                     self.set_reg(dst, v);
                 }
                 MachInsn::Fp { op, dst, src } => {
-                    let d = self.xmm_reg(dst);
-                    let s = self.xmm_reg(src);
+                    charge!();
+                    let d = xmm!(dst);
+                    let s = xmm!(src);
                     let r = self.fp_scalar(op, d, s);
-                    self.set_xmm(dst, r);
+                    set_xmm!(dst, r);
                 }
                 MachInsn::FpFma { dst, a, b } => {
-                    let acc = f64::from_bits(self.xmm_reg(dst)[0]);
-                    let av = f64::from_bits(self.xmm_reg(a)[0]);
-                    let bv = f64::from_bits(self.xmm_reg(b)[0]);
-                    let hi = self.xmm_reg(dst)[1];
-                    self.set_xmm(dst, [f64::mul_add(av, bv, acc).to_bits(), hi]);
+                    charge!();
+                    let acc = f64::from_bits(xmm!(dst)[0]);
+                    let av = f64::from_bits(xmm!(a)[0]);
+                    let bv = f64::from_bits(xmm!(b)[0]);
+                    let hi = xmm!(dst)[1];
+                    set_xmm!(dst, [f64::mul_add(av, bv, acc).to_bits(), hi]);
                 }
                 MachInsn::FpCmp { a, b } => {
-                    let x = f64::from_bits(self.xmm_reg(a)[0]);
-                    let y = f64::from_bits(self.xmm_reg(b)[0]);
+                    charge!();
+                    let x = f64::from_bits(xmm!(a)[0]);
+                    let y = f64::from_bits(xmm!(b)[0]);
                     // ucomisd semantics: ZF/CF encode the outcome, OF/SF cleared.
                     self.flags.of = false;
                     self.flags.sf = false;
@@ -863,12 +935,14 @@ impl Machine {
                     }
                 }
                 MachInsn::CvtI2D { dst, src } => {
+                    charge!();
                     let v = self.reg(src) as i64 as f64;
-                    let hi = self.xmm_reg(dst)[1];
-                    self.set_xmm(dst, [v.to_bits(), hi]);
+                    let hi = xmm!(dst)[1];
+                    set_xmm!(dst, [v.to_bits(), hi]);
                 }
                 MachInsn::CvtD2I { dst, src } => {
-                    let v = f64::from_bits(self.xmm_reg(src)[0]);
+                    charge!();
+                    let v = f64::from_bits(xmm!(src)[0]);
                     let r = if v.is_nan() {
                         0
                     } else if v >= i64::MAX as f64 {
@@ -881,22 +955,26 @@ impl Machine {
                     self.set_reg(dst, r as u64);
                 }
                 MachInsn::CvtS2D { dst, src } => {
-                    let v = f32::from_bits(self.xmm_reg(src)[0] as u32) as f64;
-                    let hi = self.xmm_reg(dst)[1];
-                    self.set_xmm(dst, [v.to_bits(), hi]);
+                    charge!();
+                    let v = f32::from_bits(xmm!(src)[0] as u32) as f64;
+                    let hi = xmm!(dst)[1];
+                    set_xmm!(dst, [v.to_bits(), hi]);
                 }
                 MachInsn::CvtD2S { dst, src } => {
-                    let v = f64::from_bits(self.xmm_reg(src)[0]) as f32;
-                    let hi = self.xmm_reg(dst)[1];
-                    self.set_xmm(dst, [v.to_bits() as u64, hi]);
+                    charge!();
+                    let v = f64::from_bits(xmm!(src)[0]) as f32;
+                    let hi = xmm!(dst)[1];
+                    set_xmm!(dst, [v.to_bits() as u64, hi]);
                 }
                 MachInsn::Vec { op, dst, src } => {
-                    let d = self.xmm_reg(dst);
-                    let s = self.xmm_reg(src);
+                    charge!();
+                    let d = xmm!(dst);
+                    let s = xmm!(src);
                     let r = self.vec_op(op, d, s);
-                    self.set_xmm(dst, r);
+                    set_xmm!(dst, r);
                 }
                 MachInsn::Int { vector } => {
+                    charge!();
                     self.perf.interrupts += 1;
                     self.saved_ring = self.ring;
                     self.ring = Ring::Ring0;
@@ -917,12 +995,14 @@ impl Machine {
                     }
                 }
                 MachInsn::IRet => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("iret outside ring 0".into());
                     }
                     self.ring = self.saved_ring;
                 }
                 MachInsn::Syscall => {
+                    charge!();
                     self.perf.syscalls += 1;
                     self.saved_ring = self.ring;
                     self.ring = Ring::Ring0;
@@ -943,12 +1023,14 @@ impl Machine {
                     }
                 }
                 MachInsn::Sysret => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("sysret outside ring 0".into());
                     }
                     self.ring = self.saved_ring;
                 }
                 MachInsn::Out { port, src } => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("out instruction outside ring 0".into());
                     }
@@ -967,6 +1049,7 @@ impl Machine {
                     }
                 }
                 MachInsn::In { dst, port } => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("in instruction outside ring 0".into());
                     }
@@ -986,6 +1069,7 @@ impl Machine {
                     }
                 }
                 MachInsn::WriteCr3 { src } => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("cr3 write outside ring 0".into());
                     }
@@ -994,12 +1078,14 @@ impl Machine {
                     self.write_cr3(v, false);
                 }
                 MachInsn::ReadCr3 { dst } => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("cr3 read outside ring 0".into());
                     }
                     self.set_reg(dst, self.cr3);
                 }
                 MachInsn::TlbFlushAll => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("TLB flush outside ring 0".into());
                     }
@@ -1007,6 +1093,7 @@ impl Machine {
                     self.tlb.flush_all();
                 }
                 MachInsn::TlbFlushPcid => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("TLB flush outside ring 0".into());
                     }
@@ -1015,6 +1102,7 @@ impl Machine {
                     self.tlb.flush_pcid(pcid);
                 }
                 MachInsn::Invlpg { addr } => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("invlpg outside ring 0".into());
                     }
@@ -1023,12 +1111,14 @@ impl Machine {
                     self.tlb.flush_page(va);
                 }
                 MachInsn::Hlt => {
+                    charge!();
                     if self.ring != Ring::Ring0 {
                         return ExitReason::Error("hlt outside ring 0".into());
                     }
                     return ExitReason::Halted;
                 }
                 MachInsn::TraceEdge => {
+                    charge!();
                     self.perf.superblock_transfers += 1;
                 }
                 MachInsn::BackEdge {
@@ -1037,6 +1127,7 @@ impl Machine {
                     reconcile,
                     weight,
                 } => {
+                    charge!();
                     // The PC update is folded into the transfer: state is
                     // precise at the loop header whether the jump is taken or
                     // the pending-event poll exits to the dispatcher.
@@ -1067,6 +1158,11 @@ impl Machine {
             }
         }
     }
+}
+
+#[cold]
+fn bad_xmm(x: Xmm) -> ExitReason {
+    ExitReason::Error(format!("vector register {} out of range", x.0))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 
 use hvm::paging::{map_page, FrameAlloc, LEVELS};
 use hvm::{
-    ExitReason, FaultAction, Gpr, HelperResult, MachInsn, Machine, MachineConfig, MemRef, MemSize,
-    NullRuntime, PageFlags, PerfCounters, PhysMem, Ring, Runtime, Xmm, PAGE_SIZE,
+    ExitReason, FaultAction, FpOp, Gpr, HelperResult, MachInsn, Machine, MachineConfig, MemRef,
+    MemSize, NullRuntime, PageFlags, PerfCounters, PhysMem, Ring, Runtime, VecOp, Xmm, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -404,6 +404,82 @@ fn unsupported_widths_are_typed_errors_not_shift_overflows() {
         assert!(matches!(exit, ExitReason::Error(_)), "{insn:?} -> {exit:?}");
         assert_eq!(m.reg(Gpr::Rax), 0xAB, "{insn:?}");
         assert_eq!(m.mem.read_u128(0x2000).unwrap(), [0, 0], "{insn:?}");
+    }
+
+    // `Xmm` wraps any `u8`: a vector register past the sixteen the machine
+    // has is one more malformed operand, on every arm that takes one — an
+    // error exit with nothing loaded or stored, not a host panic.
+    let (ok, bad) = (Xmm(1), Xmm(16));
+    let vector_forms = [
+        MachInsn::LoadXmm {
+            dst: bad,
+            addr,
+            size,
+        },
+        MachInsn::StoreXmm {
+            src: bad,
+            addr,
+            size,
+        },
+        MachInsn::MovGprToXmm {
+            dst: bad,
+            src: Gpr::Rax,
+        },
+        MachInsn::MovXmmToGpr {
+            dst: Gpr::Rax,
+            src: bad,
+        },
+        MachInsn::MovXmm {
+            dst: ok,
+            src: bad,
+            size,
+        },
+        MachInsn::MovXmm {
+            dst: Xmm(255),
+            src: ok,
+            size,
+        },
+        MachInsn::Fp {
+            op: FpOp::AddD,
+            dst: ok,
+            src: bad,
+        },
+        MachInsn::FpFma {
+            dst: ok,
+            a: ok,
+            b: bad,
+        },
+        MachInsn::FpCmp { a: bad, b: ok },
+        MachInsn::CvtI2D {
+            dst: bad,
+            src: Gpr::Rax,
+        },
+        MachInsn::CvtD2I {
+            dst: Gpr::Rax,
+            src: bad,
+        },
+        MachInsn::CvtS2D { dst: bad, src: ok },
+        MachInsn::CvtD2S { dst: ok, src: bad },
+        MachInsn::Vec {
+            op: VecOp::PAddQ,
+            dst: bad,
+            src: ok,
+        },
+    ];
+    for insn in vector_forms {
+        let mut m = Machine::new(MachineConfig {
+            phys_mem: RAM,
+            ..Default::default()
+        });
+        m.set_reg(Gpr::Rsi, 0x2000);
+        m.set_reg(Gpr::Rax, 0xAB);
+        m.set_xmm(ok, [7, 9]);
+        let exit = m.run_block(&[insn, MachInsn::Ret], &mut NullRuntime);
+        assert!(matches!(exit, ExitReason::Error(_)), "{insn:?} -> {exit:?}");
+        assert_eq!(m.reg(Gpr::Rax), 0xAB, "{insn:?}");
+        assert_eq!(m.xmm_reg(ok), [7, 9], "{insn:?}");
+        assert_eq!(m.mem.read_u128(0x2000).unwrap(), [0, 0], "{insn:?}");
+        assert_eq!(mem_counters(&m.perf), [0, 0, 0, 0], "{insn:?}");
     }
 }
 
