@@ -1,0 +1,89 @@
+#!/bin/sh
+# cycle-drift's comparison: the exact metrics of a benchmark run at the merge
+# base against the same run at HEAD.
+#
+#   .github/cycle-drift.sh <base checkout> <head checkout>
+#
+# Both checkouts hold benchmark/out/result.json (all four workloads, untraced)
+# and benchmark/out/result-{cold_code,indirect_dispatch}-traced.json.  Compared,
+# per workload: `sim_cycles` and `ops_failed`; on `cold_code` the exact
+# JIT-output metrics; on `indirect_dispatch` the exact dispatch ratios.
+#
+# Every one of them must be identical — unless <head checkout>/.github/rebaseline
+# exists.  That file is how a pull request says "this drift is the point".
+# Lines are `<workload> <metric> lower|higher` (`#` starts a comment); a listed
+# metric must then move *strictly* in the stated direction, everything unlisted
+# is still held identical, and a line naming something this job does not compare,
+# or something that did not move, fails the job — so the file cannot outlive the
+# pull request it was written for: the next one has to delete it.
+set -eu
+base=$1
+head=$2
+
+jit='["captive.code_bytes", "encode.bytes_per_guest_insn", "regalloc.dead_share",
+  "opt.lir_removed_share", "idiom.rewrites", "gen.lir_per_guest_insn",
+  "captive.translations", "captive.cache_hit_rate", "tier.requests", "tier.installed"]'
+dispatch='["runtime.itlb_hit_rate", "captive.cache_hit_rate", "captive.slow_dispatch_share",
+  "captive.chain_share", "captive.translations",
+  "machine.host_insns_per_guest_insn", "machine.cycles_per_guest_insn"]'
+
+# One `<workload> <metric> <value>` line per compared number.
+traced() {
+    jq -r --argjson keys "$2" '.workloads[0] | .name as $w | .metrics | to_entries[]
+        | select(.key | IN($keys[])) | "\($w) \(.key) \(.value.value)"' "$1"
+}
+flat() {
+    jq -r '.workloads[] | "\(.name) sim_cycles \(.metrics.sim_cycles.value)",
+        "\(.name) ops_failed \(.ops_failed)"' "$1/benchmark/out/result.json"
+    traced "$1/benchmark/out/result-cold_code-traced.json" "$jit"
+    traced "$1/benchmark/out/result-indirect_dispatch-traced.json" "$dispatch"
+}
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+flat "$base" > "$work/base"
+flat "$head" > "$work/head"
+# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios: a renamed metric
+# must not silently drop out of the comparison.
+test "$(wc -l < "$work/head")" -eq 25
+test "$(wc -l < "$work/base")" -eq 25
+
+rebaseline=$head/.github/rebaseline
+[ -f "$rebaseline" ] || rebaseline=/dev/null
+
+awk -v rebaseline="$rebaseline" -v basefile="$work/base" '
+    FILENAME == rebaseline {
+        sub(/#.*/, "")
+        if (NF == 0) next
+        if (NF != 3 || ($3 != "lower" && $3 != "higher")) {
+            print "rebaseline: cannot read line " FNR ": " $0
+            bad = 1
+            next
+        }
+        want[$1 " " $2] = $3
+        next
+    }
+    FILENAME == basefile { was[$1 " " $2] = $3; next }
+    {
+        key = $1 " " $2
+        if (!(key in was)) {
+            print "only at HEAD: " key
+            bad = 1
+        } else if (key in want) {
+            moved = want[key] == "lower" ? $3 + 0 < was[key] + 0 : $3 + 0 > was[key] + 0
+            print (moved ? "rebaselined " : "NOT ") want[key] ": " key " " was[key] " -> " $3
+            if (!moved) bad = 1
+            delete want[key]
+        } else if ($3 != was[key]) {
+            print "drift: " key " " was[key] " -> " $3
+            bad = 1
+        }
+    }
+    END {
+        for (key in want) {
+            print "rebaseline lists " key ", which this job does not compare"
+            bad = 1
+        }
+        exit bad
+    }
+' "$rebaseline" "$work/base" "$work/head"

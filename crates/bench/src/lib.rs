@@ -495,10 +495,22 @@ mod tests {
 
     #[test]
     fn fp_workload_speedup_exceeds_integer_speedup() {
-        let int = &workloads::spec_int(workloads::Scale(1))[5]; // hmmer
-        let fp = &workloads::spec_fp(workloads::Scale(1))[0]; // sphinx3
-        let int_speedup = run_qemu(int).cycles as f64 / run_captive(int).cycles as f64;
-        let fp_speedup = run_qemu(fp).cycles as f64 / run_captive(fp).cycles as f64;
+        // The paper's statement is suite-level (Fig. 17 against Fig. 18), so
+        // the suites' geometric means are what is asserted.  This used to
+        // compare one hand-picked pair, hmmer against sphinx3, which PR 19's
+        // move coalescing flipped (hmmer 6.41 -> 8.00, sphinx3 7.20 -> 7.47:
+        // integer kernels lose a quarter of their cycles, FP units keep
+        // their vector shuffles) while the suites stayed far apart
+        // (SPEC-int 5.55 -> 7.21, SPEC-fp 11.19 -> 11.59).
+        let suite_speedup = |suite: Vec<Workload>| {
+            let ratios: Vec<f64> = suite
+                .iter()
+                .map(|w| run_qemu(w).cycles as f64 / run_captive(w).cycles as f64)
+                .collect();
+            geomean(&ratios)
+        };
+        let int_speedup = suite_speedup(workloads::spec_int(workloads::Scale(1)));
+        let fp_speedup = suite_speedup(workloads::spec_fp(workloads::Scale(1)));
         assert!(
             fp_speedup > int_speedup,
             "fp {fp_speedup:.2} vs int {int_speedup:.2}"

@@ -142,10 +142,14 @@ fn worker_queue_flood_is_deterministic_and_mode_blind() {
     // cost) may differ slightly — loop promotion widens the stakes, since a
     // differently-shaped region also promotes a different carrier set — but
     // never by more than a few percent, and the architectural result (x9
-    // above) is identical in every mode.
+    // above) is identical in every mode.  The bound is relative to a total
+    // that PR 19's move coalescing shrank by 19 % while the shape gap stayed
+    // where it was: 1 438 of 57 371 cycles (2.5 %) before, 1 494 of 46 383
+    // (3.2 %) after — hence 4 %, not 3 %; `regions_formed` equality below is
+    // the part that says the two modes still build the same regions.
     assert!(
-        flooded.cycles <= sync.cycles + sync.cycles * 3 / 100,
-        "tiered cost stays within 3% of synchronous: {} vs {}",
+        flooded.cycles <= sync.cycles + sync.cycles * 4 / 100,
+        "tiered cost stays within 4% of synchronous: {} vs {}",
         flooded.cycles,
         sync.cycles
     );

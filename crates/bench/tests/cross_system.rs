@@ -974,6 +974,151 @@ fn fault_mid_promoted_loop_reconciles_exact_state() {
 }
 
 #[test]
+fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
+    // A promoted pointer chase, `x1 = [x1]; x2 += x1; x3 -= 1`, MMU on: all
+    // three slots are dirty carriers and carrier write-through computes
+    // straight into them — the chase load is `C1 = load [C1]` with no copy
+    // left.  The ring is `NODES` nodes on one page and one on a second; the
+    // program chases two full rounds, unmaps the second page (leaf PTE
+    // write + `tlbi`) and chases again, so `NODES` trips later the load
+    // faults inside the re-formed region.  The data-abort handler copies
+    // x1–x3 out: they are materialised from the written-through host
+    // registers and must equal what the QEMU-style baseline — which keeps
+    // every guest register in memory — shows its handler.
+    use guest_aarch64::mmu::{guest_table_index, GuestPageFlags, GuestPageTableBuilder};
+    use guest_aarch64::sys::Engine;
+    use guest_aarch64::SysReg;
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    const NODES: u64 = 400;
+    const RING: u64 = 0x20_0000;
+    const FAR_NODE: u64 = RING + 0x1000 + 0x40;
+    const PT_POOL: u64 = 0x80_0000;
+    const TRIPS: u32 = 2 * (NODES as u32 + 1);
+
+    let mut data: Vec<(u64, u64)> = (0..NODES)
+        .map(|i| (RING + i * 8, RING + (i + 1) * 8))
+        .collect();
+    data[NODES as usize - 1].1 = FAR_NODE;
+    data.push((FAR_NODE, RING));
+
+    let tables = RefCell::new(BTreeMap::new());
+    let mut builder = GuestPageTableBuilder::new(PT_POOL, PT_POOL + 0x10_0000);
+    for page in [0x1000, 0x2000, RING, RING + 0x1000]
+        .into_iter()
+        .chain((PT_POOL..PT_POOL + 0x8000).step_by(0x1000))
+    {
+        assert!(builder.map(
+            |a| Some(*tables.borrow().get(&a).unwrap_or(&0)),
+            |a, v| {
+                tables.borrow_mut().insert(a, v);
+            },
+            page,
+            page,
+            GuestPageFlags::kernel_rw(),
+        ));
+    }
+    let tables = tables.into_inner();
+    let mut leaf_table = PT_POOL;
+    for level in [3, 2] {
+        leaf_table = tables[&(leaf_table + guest_table_index(FAR_NODE, level) * 8)] & !0xFFF;
+    }
+    let far_pte = leaf_table + guest_table_index(FAR_NODE, 1) * 8;
+    assert_eq!(tables[&far_pte] & !0xFFF, FAR_NODE & !0xFFF);
+    assert!(
+        far_pte < PT_POOL + 0x8000,
+        "the guest can reach its own PTE"
+    );
+    data.extend(tables);
+
+    let mut a = Assembler::new();
+    a.mov_imm64(9, 0x2000);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.mov_imm64(0, PT_POOL);
+    a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+    a.push(asm::movz(0, 1, 0));
+    a.push(asm::msr(SysReg::Sctlr as u32, 0));
+    a.push(asm::movz(2, 0, 0));
+    a.push(asm::movz(20, 2, 0));
+    a.label("phase");
+    a.mov_imm64(1, RING);
+    a.push(asm::movz(3, TRIPS, 0));
+    a.label("loop");
+    let fault_idx = a.here();
+    a.push(asm::ldr(1, 1, 0));
+    a.push(asm::add(2, 2, 1));
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, "loop");
+    a.push(asm::subi(20, 20, 1));
+    a.cbz_to(20, "done");
+    a.mov_imm64(5, far_pte);
+    a.push(asm::movz(6, 0, 0));
+    a.push(asm::str(6, 5, 0));
+    a.push(asm::tlbi());
+    a.b_to("phase");
+    a.label("done");
+    a.push(asm::hlt());
+    let main = a.finish();
+    let fault_pc = 0x1000 + fault_idx as u64 * 4;
+
+    let mut v = Assembler::new();
+    v.push(asm::mrs(10, SysReg::Elr as u32));
+    v.push(asm::mrs(11, SysReg::Far as u32));
+    v.push(asm::orr(12, 1, 1));
+    v.push(asm::orr(13, 2, 2));
+    v.push(asm::orr(14, 3, 3));
+    v.push(asm::hlt());
+    let handler = v.finish();
+
+    fn run<E: Engine>(mut e: E, main: &[u32], handler: &[u32], data: &[(u64, u64)]) -> E {
+        e.load_program(0x1000, main);
+        e.load_program(0x2000, handler);
+        for &(at, value) in data {
+            e.write_guest_phys(at, value, 8);
+        }
+        e.set_entry(0x1000);
+        assert!(matches!(
+            e.run(1_000_000),
+            guest_aarch64::sys::RunExit::GuestHalted { .. }
+        ));
+        e
+    }
+    let c = run(
+        Captive::new(CaptiveConfig {
+            unroll_loops: 1,
+            ..CaptiveConfig::default()
+        }),
+        &main,
+        &handler,
+        &data,
+    );
+    let q = run(QemuRef::new(32 * 1024 * 1024), &main, &handler, &data);
+    for r in 0..31 {
+        assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
+    }
+    assert_eq!(c.guest_nzcv(), q.guest_nzcv());
+    assert_eq!(c.guest_reg(10), fault_pc, "ELR is the chase load");
+    assert_eq!(c.guest_reg(11), FAR_NODE, "FAR is the unmapped node");
+    assert_eq!(
+        c.guest_reg(12),
+        FAR_NODE,
+        "the faulting load must not have written its carrier"
+    );
+    assert_eq!(
+        c.guest_reg(14),
+        (TRIPS as u64) - NODES,
+        "trips left at the fault"
+    );
+    let s = c.stats();
+    assert!(s.opt_promoted_slots >= 3, "x1, x2 and x3 promote");
+    assert!(
+        s.backedge_transfers > TRIPS as u64,
+        "the second chase ran inside a region again: {} back-edge transfers",
+        s.backedge_transfers
+    );
+}
+
+#[test]
 fn smc_mid_promoted_loop_reconciles_carriers() {
     // The mid-iteration self-patch kernel, promote on vs off: the patch
     // store hits the loop's own code page from *inside* the looping region,

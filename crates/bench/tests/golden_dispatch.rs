@@ -12,6 +12,12 @@
 //! index, the key hash or the run loops that alters a lookup, an eviction or
 //! a counter visit shows up here by name.  A deliberate change to the
 //! dispatch policy re-records them (the failure prints the new values).
+//!
+//! PR 19 re-recorded `cycles` and `cache.bytes_live` on both engines and
+//! nothing else: the shared allocator's copy hand-over shortens the
+//! generated blocks (Captive 250 321 → 243 805 cycles, 8 848 → 8 239 bytes;
+//! QemuRef 438 379 → 428 950 cycles, 14 055 → 13 134 bytes) while every
+//! dispatch, lookup, invalidation and sweep counter stays where it was.
 
 use captive::Captive;
 use guest_aarch64::asm::{self, Assembler};
@@ -243,7 +249,7 @@ fn captive_dispatch_counters_match_the_recorded_run() {
         ("cache.epoch", c.cache.epoch()),
     ];
     let golden: Counters = vec![
-        ("cycles", 250321),
+        ("cycles", 243805),
         ("blocks", 4127),
         ("translations", 133),
         ("slow_dispatches", 4107),
@@ -256,7 +262,7 @@ fn captive_dispatch_counters_match_the_recorded_run() {
         ("cache.invalidated_page", 1),
         ("cache.evicted_stale_regions", 1),
         ("cache.regions_live", 131),
-        ("cache.bytes_live", 8848),
+        ("cache.bytes_live", 8239),
         ("cache.epoch", 1),
     ];
     assert_eq!(got, golden);
@@ -282,7 +288,7 @@ fn qemu_ref_dispatch_counters_match_the_recorded_run() {
         ("cache.epoch", q.cache.epoch()),
     ];
     let golden: Counters = vec![
-        ("cycles", 438379),
+        ("cycles", 428950),
         ("blocks", 4308),
         ("translations", 380),
         ("chained_transfers", 0),
@@ -292,7 +298,7 @@ fn qemu_ref_dispatch_counters_match_the_recorded_run() {
         ("cache.misses", 380),
         ("cache.invalidated_full", 255),
         ("cache.regions_live", 125),
-        ("cache.bytes_live", 14055),
+        ("cache.bytes_live", 13134),
         ("cache.epoch", 4),
     ];
     assert_eq!(got, golden);

@@ -409,6 +409,41 @@ impl LirInsn {
         }
     }
 
+    /// The destination operand of [`LirInsn::def`], for passes that rename
+    /// a definition (two-address forms read it too).  Lists the same
+    /// variants as `def`.
+    pub fn def_mut(&mut self) -> Option<&mut Vreg> {
+        match self {
+            LirInsn::MovImm { dst, .. }
+            | LirInsn::MovReg { dst, .. }
+            | LirInsn::Load { dst, .. }
+            | LirInsn::LoadSx { dst, .. }
+            | LirInsn::Lea { dst, .. }
+            | LirInsn::Alu { dst, .. }
+            | LirInsn::Neg { dst }
+            | LirInsn::Not { dst }
+            | LirInsn::MovZx { dst, .. }
+            | LirInsn::MovSx { dst, .. }
+            | LirInsn::SetCc { dst, .. }
+            | LirInsn::CmovCc { dst, .. }
+            | LirInsn::ReadPc { dst }
+            | LirInsn::ReadRet { dst }
+            | LirInsn::LoadXmm { dst, .. }
+            | LirInsn::GprToXmm { dst, .. }
+            | LirInsn::XmmToGpr { dst, .. }
+            | LirInsn::MovXmm { dst, .. }
+            | LirInsn::Fp { dst, .. }
+            | LirInsn::FpFma { dst, .. }
+            | LirInsn::CvtI2D { dst, .. }
+            | LirInsn::CvtD2I { dst, .. }
+            | LirInsn::CvtS2D { dst, .. }
+            | LirInsn::CvtD2S { dst, .. }
+            | LirInsn::Vec { dst, .. }
+            | LirInsn::In { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
     /// Rewrites every *pure source* register occurrence `v` — an operand
     /// position that only reads the register — to `f(v)` where `f` returns a
     /// replacement (one traversal of the instruction, however many
@@ -885,6 +920,136 @@ mod tests {
         };
         assert_eq!(replace(&mut mv, v(1), v(4)), 1);
         assert!(matches!(mv, LirInsn::MovReg { dst, src } if dst == v(5) && src == v(4)));
+    }
+
+    #[test]
+    fn def_mut_names_the_operand_def_reports() {
+        let x = |id| Vreg {
+            id,
+            class: VregClass::Xmm,
+        };
+        let m = LirMem::regfile(0);
+        let size = MemSize::U64;
+        let defining = [
+            LirInsn::MovImm { dst: v(7), imm: 1 },
+            LirInsn::MovReg {
+                dst: v(7),
+                src: v(1),
+            },
+            LirInsn::Load {
+                dst: v(7),
+                addr: m,
+                size,
+            },
+            LirInsn::LoadSx {
+                dst: v(7),
+                addr: m,
+                size,
+            },
+            LirInsn::Lea { dst: v(7), addr: m },
+            LirInsn::Alu {
+                op: AluOp::Add,
+                dst: v(7),
+                src: LirOperand::Imm(1),
+            },
+            LirInsn::Neg { dst: v(7) },
+            LirInsn::Not { dst: v(7) },
+            LirInsn::MovZx {
+                dst: v(7),
+                src: v(1),
+                size,
+            },
+            LirInsn::MovSx {
+                dst: v(7),
+                src: v(1),
+                size,
+            },
+            LirInsn::SetCc {
+                cond: Cond::Eq,
+                dst: v(7),
+            },
+            LirInsn::CmovCc {
+                cond: Cond::Eq,
+                dst: v(7),
+                src: v(1),
+            },
+            LirInsn::ReadPc { dst: v(7) },
+            LirInsn::ReadRet { dst: v(7) },
+            LirInsn::LoadXmm {
+                dst: x(7),
+                addr: m,
+                size,
+            },
+            LirInsn::GprToXmm {
+                dst: x(7),
+                src: v(1),
+            },
+            LirInsn::XmmToGpr {
+                dst: v(7),
+                src: x(1),
+            },
+            LirInsn::MovXmm {
+                dst: x(7),
+                src: x(1),
+                size,
+            },
+            LirInsn::Fp {
+                op: FpOp::AddD,
+                dst: x(7),
+                src: x(1),
+            },
+            LirInsn::FpFma {
+                dst: x(7),
+                a: x(1),
+                b: x(2),
+            },
+            LirInsn::CvtI2D {
+                dst: x(7),
+                src: v(1),
+            },
+            LirInsn::CvtD2I {
+                dst: v(7),
+                src: x(1),
+            },
+            LirInsn::CvtS2D {
+                dst: x(7),
+                src: x(1),
+            },
+            LirInsn::CvtD2S {
+                dst: x(7),
+                src: x(1),
+            },
+            LirInsn::Vec {
+                op: VecOp::AddPd,
+                dst: x(7),
+                src: x(1),
+            },
+            LirInsn::In { dst: v(7), port: 1 },
+        ];
+        for mut insn in defining {
+            let def = insn.def().unwrap_or_else(|| panic!("{insn:?} defines"));
+            assert_eq!(def.id, 7);
+            let dst = insn.def_mut().expect("def_mut lists what def lists");
+            assert_eq!(*dst, def);
+            dst.id = 8;
+            assert_eq!(insn.def().map(|d| d.id), Some(8), "{insn:?}");
+        }
+        for mut insn in [
+            LirInsn::Store {
+                src: v(7),
+                addr: m,
+                size,
+            },
+            LirInsn::Cmp {
+                a: v(7),
+                b: LirOperand::Imm(0),
+            },
+            LirInsn::SetPcReg { src: v(7) },
+            LirInsn::Ret,
+        ] {
+            assert_eq!(insn.def(), None);
+            assert!(insn.def_mut().is_none());
+        }
     }
 
     #[test]

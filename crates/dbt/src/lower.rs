@@ -279,7 +279,13 @@ impl<'a> Lowerer<'a> {
             LirInsn::MovReg { dst, src } => {
                 let s = self.use_gpr(*src);
                 let (d, sb) = self.def_gpr(*dst);
-                self.push(MachInsn::MovReg { dst: d, src: s }, sb);
+                // Scratch registers are distinct per instruction, so `d == s`
+                // means both operands live in one pool register (the
+                // allocator's copy hand-over): no spill traffic, nothing to
+                // execute.
+                if d != s {
+                    self.push(MachInsn::MovReg { dst: d, src: s }, sb);
+                }
             }
             LirInsn::Load { dst, addr, size } => {
                 let a = self.mem(addr);
@@ -880,6 +886,50 @@ mod tests {
         } else {
             unreachable!();
         }
+    }
+
+    #[test]
+    fn a_coalesced_copy_between_a_jump_and_its_label_disappears() {
+        // v1 = mov v0 at v0's last index: the allocator hands v0's register
+        // over and the move lowers to nothing.  It sits between the Jcc and
+        // its Label, so the jump's relative target shrinks with it and must
+        // still land on the instruction after the label.
+        let v = |id| Vreg {
+            id,
+            class: VregClass::Gpr,
+        };
+        let lir = vec![
+            LirInsn::MovImm { dst: v(0), imm: 1 },
+            LirInsn::Test {
+                a: v(0),
+                b: LirOperand::Vreg(v(0)),
+            },
+            LirInsn::Jcc {
+                cond: hvm::Cond::Eq,
+                label: 0,
+            },
+            LirInsn::MovReg {
+                dst: v(1),
+                src: v(0),
+            },
+            LirInsn::Store {
+                src: v(1),
+                addr: LirMem::regfile(8),
+                size: MemSize::U64,
+            },
+            LirInsn::Label { id: 0 },
+            LirInsn::Ret,
+        ];
+        let alloc = allocate(&lir);
+        assert_eq!(alloc.assignment[1], alloc.assignment[0]);
+        let code = lower(&lir, &alloc).expect("assignments are complete");
+        // MovImm, Test, Jcc, Store, Ret.
+        assert_eq!(code.len(), 5, "{code:?}");
+        assert!(!code.iter().any(|i| matches!(i, MachInsn::MovReg { .. })));
+        let MachInsn::Jcc { target, .. } = code[2] else {
+            panic!("not a jump: {:?}", code[2]);
+        };
+        assert!(matches!(code[(2 + target) as usize], MachInsn::Ret));
     }
 
     #[test]

@@ -19,12 +19,15 @@
 //!   memset-loop widening match the exact instruction shapes the frontend
 //!   generators emit, so they must see the unit before batching or
 //!   promotion reorders it.
-//! * The four generic passes below.
+//! * The generic passes below (0–3).
 //! * **Address-mode folding** ([`crate::idiom::fold_addressing`]) runs
 //!   *between* copy propagation and dead-store elimination: it needs
 //!   forwarding and copy propagation to have connected register-file
 //!   round-trips into visible `shift/add → memory operand` chains, and the
 //!   arithmetic it strands is then swept with everything else.
+//! * **Carrier write-through** runs *last*, and only when promotion
+//!   produced carriers (looping tier-1 regions; a plain block never pays
+//!   for the scan): it wants the copies the other passes could not fold.
 //!
 //! The generic passes:
 //!
@@ -50,6 +53,14 @@
 //!    anything can observe them.  This deletes the NZCV materialisation
 //!    chains the `set_nzcv_*` generators emit (the value chains feeding the
 //!    dead stores are then swept by the register allocator's iterative DCE).
+//!
+//! 4. **Carrier write-through** (destination propagation, the mirror image
+//!    of pass 2): promotion turns every in-loop store of a promoted slot
+//!    into `C = mov X`, and every load into `X = mov C`, so a promoted
+//!    `x1 += 1` runs as `mov X, C; add X, 1; mov C, X` — copy propagation
+//!    cannot fold a copy *keyed* by a carrier (see [`propagate_copies`]).
+//!    This pass renames the value's definition chain to compute in the
+//!    carrier directly; see "Writing promoted carriers through" below.
 //!
 //! # Safety conditions — what counts as an observer of a regfile slot
 //!
@@ -123,6 +134,42 @@
 //!   address is deliberately **not** a barrier: the register file is
 //!   host-mapped, and a guest store that aliases it is non-architectural
 //!   by contract — the relaxed observer rule that makes deferral useful.
+//!
+//! ## Writing promoted carriers through
+//!
+//! For `C = mov X` with `C` a carrier, the pass walks back from the copy
+//! over `X`'s *definition chain* inside the straight-line segment: a head
+//! `X = def(..)` that does not read `X`, followed by zero or more
+//! two-address links `X = op X, y`.  It renames `X` to `C` throughout,
+//! deletes the copy, and deletes the head too when it was `X = mov C`:
+//! `X = mov C; X = op X, y; C = mov X` becomes `C = op C, y`, and
+//! `X = load [g]; C = mov X` becomes `C = load [g]`.  The rewrite makes `C`
+//! take its new value at the head instead of at the copy, so it is refused
+//! whenever anything could tell:
+//!
+//! * an instruction strictly between head and copy, outside the chain, that
+//!   reads or writes `C` or reads `X`, is an observer
+//!   ([`LirInsn::observes_regfile`]) or is a `TraceEdge` — so the walk never
+//!   leaves the segment, which also bounds its cost;
+//! * a link that is an observer itself;
+//! * a link that reads `C` through its other operand, unless it is the
+//!   first link after a head `X = mov C` (there `X` still equals `C`:
+//!   `X=C; X+=C; C=X` is `C+=C`, but `X=C; X+=1; X+=C; C=X` is not
+//!   `C+=1; C+=C`), and any link reading `C` under any other head;
+//! * `X` occurring anywhere outside the window — read again after the copy
+//!   (an out-of-span store keeps its `Store X` next to the carrier refresh,
+//!   which refuses those), or before the head around a loop;
+//! * the vector class.
+//!
+//! Why that is enough: the carrier invariant — carrier == architectural
+//! slot value at every instruction boundary — is only *observable* at
+//! observers (a fault materialises dirty carriers from the host registers,
+//! control flow reaches compensation stores or the next iteration), and
+//! none sits inside a rewritten window.  The head itself may be an
+//! observer: a faulting `C = load [g]` leaves `C` unwritten, so fault-time
+//! materialisation still stores the old value, exactly as when the load
+//! targeted `X`.  The head may also read `C` (`C = load [C]`, the pointer
+//! chase): an instruction reads its operands before it writes.
 //!
 //! Forwarding additionally requires value identity: only exact
 //! 64-bit-to-64-bit slot matches are forwarded (partial-width forwarding
@@ -198,7 +245,8 @@ pub struct OptStats {
 /// propagation (folding the `MovReg`s promotion and forwarding just
 /// produced), the idiom layer's address-mode folding (which needs
 /// forwarding and copy propagation to have connected register-file
-/// round-trips into visible register chains), and dead-store elimination.
+/// round-trips into visible register chains), dead-store elimination, and —
+/// only when promotion produced carriers — carrier write-through.
 pub fn optimize(
     lir: &mut Vec<LirInsn>,
     promote: bool,
@@ -220,6 +268,9 @@ pub fn optimize(
         crate::idiom::fold_addressing(lir, table, &mut stats.idioms);
     }
     eliminate_dead_stores(lir, &mut stats);
+    if !carriers.is_empty() {
+        write_through_carriers(lir, &carriers);
+    }
     stats
 }
 
@@ -626,6 +677,117 @@ fn apply_promotion(
 /// guarded by `carrier_for`, so the slot is present).
 fn c_of(promoted: &[(i32, Vreg, bool)], off: i32) -> Vreg {
     promoted.iter().find(|&&(o, _, _)| o == off).unwrap().1
+}
+
+/// Carrier write-through (pass 4; the module docs hold the refusal list and
+/// the invariant argument): for every `C = mov X` with `C` a carrier, walks
+/// back over `X`'s definition chain — a pure definition followed by
+/// two-address updates — and, when nothing in between can tell the
+/// difference, renames the chain to compute in `C` directly and deletes the
+/// copy (and a chain head `X = mov C` with it).  Each walk stops at the
+/// first observer, so the scan is bounded by the straight-line segment.
+fn write_through_carriers(lir: &mut Vec<LirInsn>, carriers: &[Vreg]) {
+    // Occurrences (uses and definitions) of every vreg over the whole unit:
+    // a chain is only renamed when the window holds all of `X`'s.
+    let mut occurrences = vec![0u32; lir.len()];
+    let mut scratch = Vec::with_capacity(4);
+    for insn in lir.iter() {
+        scratch.clear();
+        insn.uses(&mut scratch);
+        scratch.extend(insn.def());
+        for v in &scratch {
+            count_up(&mut occurrences, v.id);
+        }
+    }
+    let mut deleted = vec![false; lir.len()];
+    for at in 0..lir.len() {
+        let LirInsn::MovReg { dst: c, src: x } = lir[at] else {
+            continue;
+        };
+        // A carrier source has occurrences no window can hold (its
+        // preheader load), and renames keep changing how many.
+        if !carriers.contains(&c) || carriers.contains(&x) || x.class != VregClass::Gpr {
+            continue;
+        }
+        let Some((head, in_window)) = chain_head(lir, &deleted, at, c, x, &mut scratch) else {
+            continue;
+        };
+        if in_window != occurrences[x.id as usize] {
+            continue; // `X` is read (or redefined) outside the window
+        }
+        for insn in &mut lir[head..at] {
+            // Instructions outside the chain mention neither register.
+            if insn.def() == Some(x) {
+                insn.map_pure_uses(&mut |v| (v == x).then_some(c));
+                *insn.def_mut().expect("def_mut lists the variants def does") = c;
+            }
+        }
+        deleted[at] = true;
+        deleted[head] = lir[head] == LirInsn::MovReg { dst: c, src: c };
+    }
+    remove_marked(lir, &deleted);
+}
+
+/// Drops every instruction whose index `marked` selects.
+fn remove_marked(lir: &mut Vec<LirInsn>, marked: &[bool]) {
+    let mut idx = 0;
+    lir.retain(|_| {
+        idx += 1;
+        !marked[idx - 1]
+    });
+}
+
+/// Finds the head of `x`'s definition chain feeding the copy `c = mov x` at
+/// `at`: returns its index and how many times `x` occurs in the window (the
+/// copy's read included), or `None` when a refusal applies.
+fn chain_head(
+    lir: &[LirInsn],
+    deleted: &[bool],
+    at: usize,
+    c: Vreg,
+    x: Vreg,
+    uses: &mut Vec<Vreg>,
+) -> Option<(usize, u32)> {
+    let mut in_window = 1u32;
+    // Links that read `c` through another operand, and whether the link
+    // nearest the head is one of them.
+    let mut c_readers = 0u32;
+    let mut nearest_reads_c = false;
+    for j in (0..at).rev() {
+        if deleted[j] {
+            continue;
+        }
+        let insn = &lir[j];
+        uses.clear();
+        insn.uses(uses);
+        let reads_c = uses.contains(&c);
+        let reads_x = uses.iter().filter(|u| **u == x).count() as u32;
+        if insn.def() == Some(x) {
+            in_window += 1 + reads_x;
+            if reads_x == 0 {
+                // The head, a pure definition.  It may be an observer (a
+                // faulting load leaves `c` unwritten) and may read `c` (an
+                // instruction reads before it writes); a link may read `c`
+                // only as the first update of a copy of `c` itself.
+                let copies_c = *insn == LirInsn::MovReg { dst: x, src: c };
+                let sound = c_readers == 0 || (copies_c && c_readers == 1 && nearest_reads_c);
+                return sound.then_some((j, in_window));
+            }
+            if insn.observes_regfile() {
+                return None;
+            }
+            nearest_reads_c = reads_c;
+            c_readers += reads_c as u32;
+        } else if insn.observes_regfile()
+            || matches!(insn, LirInsn::TraceEdge)
+            || reads_c
+            || reads_x > 0
+            || insn.def() == Some(c)
+        {
+            return None;
+        }
+    }
+    None
 }
 
 /// The value a tracked slot holds.  `exact` records whether the register
@@ -1084,12 +1246,7 @@ fn eliminate_dead_stores(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
             }
         }
     }
-    let mut idx = 0;
-    lir.retain(|_| {
-        let keep = !dead[idx];
-        idx += 1;
-        keep
-    });
+    remove_marked(lir, &dead);
 }
 
 /// True when `[start, end)` lies entirely inside the covered set (the set is
@@ -1862,6 +2019,302 @@ mod tests {
         assert_eq!(stats.promoted.len(), MAX_DIRTY_SLOTS);
         let dirty: Vec<i32> = stats.promoted.iter().map(|p| p.0).collect();
         assert_eq!(dirty, vec![0, 8, 16, 24], "hottest-first, offset tie-break");
+    }
+
+    // Carrier write-through: v(90) plays the carrier `C`, v(1) the body
+    // register `X`, v(2) a bystander.
+    const C: u32 = 90;
+
+    fn mov(dst: u32, src: u32) -> LirInsn {
+        LirInsn::MovReg {
+            dst: v(dst),
+            src: v(src),
+        }
+    }
+
+    fn add(dst: u32, src: LirOperand) -> LirInsn {
+        LirInsn::Alu {
+            op: AluOp::Add,
+            dst: v(dst),
+            src,
+        }
+    }
+
+    fn guest_load(dst: u32, base: u32) -> LirInsn {
+        LirInsn::Load {
+            dst: v(dst),
+            addr: LirMem::vreg(v(base), 0),
+            size: MemSize::U64,
+        }
+    }
+
+    /// Runs the pass over `body` with `C` as the only carrier.
+    fn written_through(body: &[LirInsn]) -> Vec<LirInsn> {
+        let mut lir = body.to_vec();
+        write_through_carriers(&mut lir, &[v(C)]);
+        lir
+    }
+
+    #[test]
+    fn write_through_accepts_the_three_promoted_shapes() {
+        // A loaded value stored to a promoted slot: the load lands in the
+        // carrier.  The head may fault — `C` is then still unwritten — and
+        // may read `C` itself (the pointer chase `x1 = [x1]`).
+        assert_eq!(
+            written_through(&[guest_load(1, 2), mov(C, 1)]),
+            [guest_load(C, 2)]
+        );
+        assert_eq!(
+            written_through(&[guest_load(1, C), mov(C, 1)]),
+            [guest_load(C, C)]
+        );
+        // The mov/op/mov round trip promotion plants for every promoted
+        // load/store pair becomes the op on the carrier.
+        assert_eq!(
+            written_through(&[
+                mov(1, C),
+                add(1, LirOperand::Imm(1)),
+                LirInsn::Neg { dst: v(1) },
+                add(1, LirOperand::Vreg(v(2))),
+                mov(C, 1),
+            ]),
+            [
+                add(C, LirOperand::Imm(1)),
+                LirInsn::Neg { dst: v(C) },
+                add(C, LirOperand::Vreg(v(2))),
+            ]
+        );
+        // The first update of a copy of `C` may read `C` (`x1 += x1`): `X`
+        // still equals it there.  So may its own destination operand twice.
+        assert_eq!(
+            written_through(&[mov(1, C), add(1, LirOperand::Vreg(v(C))), mov(C, 1)]),
+            [add(C, LirOperand::Vreg(v(C)))]
+        );
+        assert_eq!(
+            written_through(&[
+                mov(1, C),
+                add(1, LirOperand::Vreg(v(1))),
+                add(1, LirOperand::Vreg(v(1))),
+                mov(C, 1),
+            ]),
+            [
+                add(C, LirOperand::Vreg(v(C))),
+                add(C, LirOperand::Vreg(v(C)))
+            ]
+        );
+        // A chain under any other pure definition keeps its head, renamed;
+        // bystanders in the window that mention neither register stay put.
+        assert_eq!(
+            written_through(&[
+                mov(1, 2),
+                LirInsn::MovImm { dst: v(3), imm: 9 },
+                add(1, LirOperand::Imm(1)),
+                LirInsn::SetPcImm { imm: 0x2000 },
+                mov(C, 1),
+            ]),
+            [
+                mov(C, 2),
+                LirInsn::MovImm { dst: v(3), imm: 9 },
+                add(C, LirOperand::Imm(1)),
+                LirInsn::SetPcImm { imm: 0x2000 },
+            ]
+        );
+        // Two round trips in one segment are rewritten one after the other.
+        assert_eq!(
+            written_through(&[
+                mov(1, C),
+                add(1, LirOperand::Imm(1)),
+                mov(C, 1),
+                mov(3, C),
+                add(3, LirOperand::Imm(2)),
+                mov(C, 3),
+            ]),
+            [add(C, LirOperand::Imm(1)), add(C, LirOperand::Imm(2))]
+        );
+    }
+
+    #[test]
+    fn write_through_refuses_a_window_something_else_can_see_into() {
+        let imm1 = LirOperand::Imm(1);
+        // One intruder at a time between `X = C; X += 1` and `C = X`: each
+        // would observe (or destroy) the carrier's early update.
+        let intruders = [
+            // reads C / writes C / reads X
+            store(C, 8),
+            mov(2, C),
+            LirInsn::MovImm { dst: v(C), imm: 0 },
+            mov(2, 1),
+            LirInsn::Cmp {
+                a: v(1),
+                b: LirOperand::Imm(0),
+            },
+            // observers: the carrier invariant is visible there (a fault
+            // materialises dirty carriers; control flow leaves the segment)
+            guest_load(2, 3),
+            LirInsn::Store {
+                src: v(2),
+                addr: LirMem::vreg(v(3), 0),
+                size: MemSize::U64,
+            },
+            LirInsn::CallHelper { helper: 1 },
+            LirInsn::Jcc {
+                cond: Cond::Eq,
+                label: 0,
+            },
+            LirInsn::Jmp { label: 0 },
+            LirInsn::Label { id: 0 },
+            LirInsn::BackEdge {
+                pc: 0x1000,
+                label: 0,
+                reconcile: true,
+                weight: 1,
+            },
+            LirInsn::Ret,
+            LirInsn::Out { port: 1, src: v(2) },
+            LirInsn::In { dst: v(2), port: 1 },
+            // a stitched constituent boundary
+            LirInsn::TraceEdge,
+        ];
+        for intruder in intruders {
+            let unit = [mov(1, C), add(1, imm1), intruder, mov(C, 1)];
+            assert_eq!(written_through(&unit), unit, "{intruder:?}");
+            // ...and the same between the head and the first link.
+            let unit = [mov(1, C), intruder, add(1, imm1), mov(C, 1)];
+            assert_eq!(written_through(&unit), unit, "{intruder:?}");
+        }
+    }
+
+    #[test]
+    fn write_through_refuses_links_that_read_a_carrier_already_updated() {
+        let c = LirOperand::Vreg(v(C));
+        // X=C; X+=1; X+=C; C=X is 2C+1 — C+=1; C+=C would be 2C+2.
+        let unit = [mov(1, C), add(1, LirOperand::Imm(1)), add(1, c), mov(C, 1)];
+        assert_eq!(written_through(&unit), unit);
+        // Two readers, the first link among them.
+        let unit = [mov(1, C), add(1, c), add(1, c), mov(C, 1)];
+        assert_eq!(written_through(&unit), unit);
+        // Under a head that is not a copy of C no link may read it at all:
+        // X=[g]; X+=C; C=X must not become C=[g]; C+=C.
+        let unit = [guest_load(1, 2), add(1, c), mov(C, 1)];
+        assert_eq!(written_through(&unit), unit);
+        let unit = [mov(1, 2), add(1, c), mov(C, 1)];
+        assert_eq!(written_through(&unit), unit);
+    }
+
+    #[test]
+    fn write_through_refuses_values_that_live_on_and_other_classes() {
+        // X is read again after the copy (an out-of-span store follows its
+        // carrier refresh the other way round; either order refuses).
+        let unit = [
+            mov(1, C),
+            add(1, LirOperand::Imm(1)),
+            mov(C, 1),
+            store(1, 8),
+        ];
+        assert_eq!(written_through(&unit), unit);
+        let unit = [
+            mov(1, C),
+            add(1, LirOperand::Imm(1)),
+            store(1, 8),
+            mov(C, 1),
+        ];
+        assert_eq!(written_through(&unit), unit);
+        // ...or before the head, around a loop.
+        let unit = [
+            LirInsn::Label { id: 0 },
+            store(1, 16),
+            mov(1, C),
+            add(1, LirOperand::Imm(1)),
+            mov(C, 1),
+            LirInsn::BackEdge {
+                pc: 0x1000,
+                label: 0,
+                reconcile: true,
+                weight: 1,
+            },
+        ];
+        assert_eq!(written_through(&unit), unit);
+        // No chain head inside the segment (X is defined across a label).
+        let unit = [
+            guest_load(1, 2),
+            LirInsn::Label { id: 0 },
+            add(1, LirOperand::Imm(1)),
+            mov(C, 1),
+        ];
+        assert_eq!(written_through(&unit), unit);
+        // A link that is itself an observer: X=C; X+=8; X=[X]; C=X would
+        // fault with C already advanced.
+        let unit = [
+            mov(1, C),
+            add(1, LirOperand::Imm(8)),
+            guest_load(1, 1),
+            mov(C, 1),
+        ];
+        assert_eq!(written_through(&unit), unit);
+        // Copies into anything but a carrier, and from the vector class,
+        // are none of this pass's business.
+        let unit = [mov(1, C), add(1, LirOperand::Imm(1)), mov(2, 1)];
+        assert_eq!(written_through(&unit), unit);
+        let unit = [
+            LirInsn::LoadXmm {
+                dst: xv(1),
+                addr: LirMem::regfile(64),
+                size: MemSize::U64,
+            },
+            LirInsn::MovReg {
+                dst: v(C),
+                src: xv(1),
+            },
+        ];
+        assert_eq!(written_through(&unit), unit);
+    }
+
+    #[test]
+    fn write_through_runs_only_when_promotion_produced_carriers() {
+        // The promoted counter loop end to end: the body is one add on the
+        // carrier, with no move left.
+        let mut lir = loop_unit(vec![load(1, 8), add(1, LirOperand::Imm(1)), store(1, 8)]);
+        let stats = optimize(&mut lir, true, None);
+        assert_eq!(stats.promoted.len(), 1);
+        let carrier = stats.promoted[0].1;
+        let header = lir
+            .iter()
+            .position(|i| matches!(i, LirInsn::Label { .. }))
+            .unwrap();
+        assert_eq!(
+            lir[header + 1..backedge_pos(&lir)],
+            [LirInsn::Alu {
+                op: AluOp::Add,
+                dst: carrier,
+                src: LirOperand::Imm(1)
+            }]
+        );
+        // A unit without carriers — promotion off, or nothing to promote —
+        // is returned exactly as the passes before left it, round trips
+        // through ordinary registers included.
+        let earlier_passes = |mut lir: Vec<LirInsn>| {
+            let mut stats = OptStats::default();
+            coalesce_pc_updates(&mut lir, &mut stats);
+            forward_stores_to_loads(&mut lir, &mut stats);
+            propagate_copies(&mut lir, &mut stats, &[]);
+            eliminate_dead_stores(&mut lir, &mut stats);
+            lir
+        };
+        let body = vec![
+            mov(1, 2),
+            add(1, LirOperand::Imm(1)),
+            mov(3, 1),
+            store(3, 8),
+        ];
+        let mut unpromoted = loop_unit(body.clone());
+        let expected = earlier_passes(unpromoted.clone());
+        optimize(&mut unpromoted, false, None);
+        assert_eq!(unpromoted, expected);
+        let mut straight = body;
+        straight.push(LirInsn::Ret);
+        let expected = earlier_passes(straight.clone());
+        assert_eq!(optimize(&mut straight, true, None).promoted_slots, 0);
+        assert_eq!(straight, expected);
     }
 
     #[test]

@@ -32,6 +32,29 @@
 //! back-edge's position — otherwise the scan could hand its register to a
 //! loop-local value whose linear range looks disjoint.
 //!
+//! # Register sharing: `end < start`, and the one exception
+//!
+//! A range's occurrences note uses and definitions at the same index, so a
+//! def-after-use instruction keeps every operand live *through* that index,
+//! and the scan only reuses a register for a range that starts strictly
+//! after another ends (`end < start`, not `end <= start`): no two operands
+//! of one instruction ever share a register, whatever order lowering
+//! resolves them in.
+//!
+//! The one exception is the **copy hand-over**.  When the range being
+//! assigned starts at a surviving `MovReg { dst, src }`, `src`'s final
+//! (loop-extended) range ends at that same index and `src` holds a host
+//! register, `dst` takes that register over: the active entry stays and its
+//! end becomes `dst`'s.  The only thing that then shares a register across
+//! an instruction is a pure copy and its dead source, and `mov r, r` is a
+//! no-op whatever follows — [`crate::lower`] emits nothing for it.  A
+//! still-live, spilled or loop-carried source, a non-copy definition
+//! (`Lea`, `MovZx`, the two-address forms) and the vector class all keep
+//! the `end < start` rule.  The paper's allocator trades optimality for
+//! latency (Section 2.3.3); the two-address shuffles that leaves are paid on
+//! every execution, and this O(1)-per-range step removes the ones that cost
+//! nothing to remove.
+//!
 //! # Id-indexed bookkeeping
 //!
 //! Every per-operand lookup here is an index, not a hash: the emitter hands
@@ -399,6 +422,35 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
     out
 }
 
+/// The copy hand-over (see the module docs): when range `r` starts at a
+/// surviving `MovReg { dst: r.vreg, src }` that is also the last index of
+/// `src`'s final range, and `src` holds a host register, `r.vreg` inherits
+/// it — the active entry stays and its end becomes `r`'s.  Returns the
+/// inherited register.
+fn inherit_copy_source(
+    lir: &[LirInsn],
+    r: &Range,
+    assignment: &AssignmentMap,
+    active_gpr: &mut [(usize, Gpr)],
+) -> Option<Gpr> {
+    let LirInsn::MovReg { dst, src } = lir[r.start] else {
+        return None;
+    };
+    if dst != r.vreg {
+        return None;
+    }
+    // `src` occurs at `r.start`, so if it holds a register its own entry is
+    // still active and nothing else can hold that register.
+    let Some(Assignment::Gpr(reg)) = assignment.get(src.id) else {
+        return None;
+    };
+    let entry = active_gpr
+        .iter_mut()
+        .find(|(end, held)| *held == reg && *end == r.start)?;
+    entry.0 = r.end;
+    Some(reg)
+}
+
 /// Runs liveness analysis, dead-code marking and linear-scan assignment.
 pub fn allocate(lir: &[LirInsn]) -> Allocation {
     let bounds = IdBounds::scan(lir);
@@ -411,7 +463,8 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
     // every operand live *through* that index, and the linear scan below
     // only reuses a register for a range starting strictly after another
     // ends (`end < start`, not `end <= start`) — so the operands of a
-    // def-after-use instruction can never share a register.
+    // def-after-use instruction can never share a register (the copy
+    // hand-over is the one exception; see the module docs).
     let mut occurrences: Vec<Option<Range>> = vec![None; bounds.vregs];
     let mut scratch = Vec::with_capacity(4);
     for (i, insn) in lir.iter().enumerate() {
@@ -515,10 +568,13 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
             }
         });
         let assigned = match r.vreg.class {
-            VregClass::Gpr => free_gpr.pop().map(|reg| {
-                active_gpr.push((r.end, reg));
-                Assignment::Gpr(reg)
-            }),
+            VregClass::Gpr => inherit_copy_source(lir, r, &assignment, &mut active_gpr)
+                .or_else(|| {
+                    let reg = free_gpr.pop()?;
+                    active_gpr.push((r.end, reg));
+                    Some(reg)
+                })
+                .map(Assignment::Gpr),
             VregClass::Xmm => free_xmm.pop().map(|reg| {
                 active_xmm.push((r.end, reg));
                 Assignment::Xmm(reg)
@@ -903,43 +959,189 @@ mod tests {
         }
     }
 
+    /// `n` pool-saturating `MovImm`s, `def` (which defines `v(n)` from
+    /// `v(0)` at `v(0)`'s last index), then stores keeping `v(1)..=v(n)`
+    /// live to the end.
+    fn saturated_pool_then(def: LirInsn) -> Vec<LirInsn> {
+        let n = GPR_POOL.len() as u32;
+        let mut lir: Vec<LirInsn> = (0..n)
+            .map(|i| LirInsn::MovImm {
+                dst: v(i),
+                imm: i as u64,
+            })
+            .collect();
+        lir.push(def);
+        lir.extend((1..=n).map(|i| LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile((i * 8) as i32),
+            size: MemSize::U64,
+        }));
+        lir.push(LirInsn::Ret);
+        lir
+    }
+
     #[test]
     fn def_after_use_at_range_boundaries_never_shares_registers() {
         // Audit for the first/last-occurrence maps: saturate the GPR pool,
-        // then define a new vreg with a MovReg whose source's live range
-        // ends at that same index.  Treating the source's range as open at
-        // its end (`end <= start` expiry) would hand the destination the
-        // source's register — for the two-address forms that follow such a
-        // move, that reads a clobbered value.  The allocator must keep them
-        // apart (here: the newcomer spills, since the pool is full).
+        // then define a new vreg from a source whose live range ends at that
+        // same index.  Treating the source's range as open at its end
+        // (`end <= start` expiry) would hand the destination the source's
+        // register, and lowering resolves operands independently — a spilled
+        // reload, an address computation, a two-address form reading another
+        // operand after the destination was written would see a clobbered
+        // value.  Re-anchored from a `MovReg` (which PR 19's copy hand-over
+        // now *does* coalesce, see the next test — the old reasoning about
+        // following two-address forms does not apply to a pure copy of a
+        // dead source) onto the non-copy defs the rule still has to protect:
+        // the allocator keeps them apart (here: the newcomer spills, since
+        // the pool is full).
         let n = GPR_POOL.len() as u32;
-        let mut lir = Vec::new();
-        for i in 0..n {
-            lir.push(LirInsn::MovImm {
-                dst: v(i),
-                imm: i as u64,
-            });
+        for def in [
+            LirInsn::Lea {
+                dst: v(n),
+                addr: LirMem::vreg(v(0), 8),
+            },
+            LirInsn::MovZx {
+                dst: v(n),
+                src: v(0),
+                size: MemSize::U32,
+            },
+        ] {
+            let alloc = allocate(&saturated_pool_then(def));
+            assert_ne!(
+                alloc.assignment[n], alloc.assignment[0],
+                "{def:?} at its source's last index must not steal the register"
+            );
+            assert!(matches!(alloc.assignment[n], Assignment::Spill(_)));
         }
-        // v0's last occurrence: the same index where v_n is defined.
-        lir.push(LirInsn::MovReg {
+    }
+
+    #[test]
+    fn a_copy_of_a_dying_source_takes_over_its_register() {
+        // The one exception to `end < start`: `v(n) = mov v(0)` at v(0)'s
+        // last index.  `mov r, r` is a no-op whatever follows, so the copy
+        // inherits the register — with the pool saturated it no longer
+        // spills — and lowering emits nothing for it.
+        let n = GPR_POOL.len() as u32;
+        let lir = saturated_pool_then(LirInsn::MovReg {
             dst: v(n),
             src: v(0),
         });
-        // Keep everything live to the end.
-        for i in 1..=n {
-            lir.push(LirInsn::Store {
-                src: v(i),
-                addr: LirMem::regfile((i * 8) as i32),
-                size: MemSize::U64,
-            });
+        let alloc = allocate(&lir);
+        assert!(matches!(alloc.assignment[0], Assignment::Gpr(_)));
+        assert_eq!(alloc.assignment[n], alloc.assignment[0]);
+        assert_eq!(alloc.spill_slots, 0);
+        // The inherited register stays taken for the heir's whole range: no
+        // other value may share it.
+        for i in 1..n {
+            assert_ne!(alloc.assignment[i], alloc.assignment[n], "v{i}");
         }
+        let code = crate::lower::lower(&lir, &alloc).expect("assignments are complete");
+        assert!(
+            !code
+                .iter()
+                .any(|i| matches!(i, hvm::MachInsn::MovReg { .. })),
+            "the coalesced copy must not be executed"
+        );
+    }
+
+    #[test]
+    fn copies_that_must_not_share_keep_their_own_registers() {
+        let copy = |dst, src| LirInsn::MovReg {
+            dst: v(dst),
+            src: v(src),
+        };
+        let keep = |src: u32| LirInsn::Store {
+            src: v(src),
+            addr: LirMem::regfile((src * 8) as i32),
+            size: MemSize::U64,
+        };
+        // A still-live source: v0 is read again after the copy.
+        let lir = vec![
+            LirInsn::MovImm { dst: v(0), imm: 1 },
+            copy(1, 0),
+            keep(0),
+            keep(1),
+            LirInsn::Ret,
+        ];
+        let alloc = allocate(&lir);
+        assert_ne!(alloc.assignment[1], alloc.assignment[0], "live source");
+
+        // A spilled source has no register to hand over: the pool is full
+        // when v(n) is defined, so it spills; its copy waits for a register
+        // of its own (v0's, freed by then) and the move stays.
+        let n = GPR_POOL.len() as u32;
+        let mut lir: Vec<LirInsn> = (0..=n)
+            .map(|i| LirInsn::MovImm {
+                dst: v(i),
+                imm: i as u64,
+            })
+            .collect();
+        lir.push(keep(0));
+        lir.push(copy(n + 1, n));
+        lir.extend((1..n).map(keep));
+        lir.push(keep(n + 1));
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
-        assert_ne!(
-            alloc.assignment[n], alloc.assignment[0],
-            "a def at its source's last index must not steal the register"
-        );
         assert!(matches!(alloc.assignment[n], Assignment::Spill(_)));
+        assert_eq!(alloc.assignment[n + 1], alloc.assignment[0]);
+        let code = crate::lower::lower(&lir, &alloc).expect("assignments are complete");
+        assert!(
+            code.iter()
+                .any(|i| matches!(i, hvm::MachInsn::MovReg { .. })),
+            "a reload into a scratch register still has to be moved"
+        );
+
+        // A source whose range a back-edge extended: v0 is defined before
+        // the loop and copied inside it, so the next iteration reads it
+        // again — its register must survive the copy.
+        let lir = vec![
+            LirInsn::MovImm { dst: v(0), imm: 7 },
+            LirInsn::Label { id: 0 },
+            copy(1, 0),
+            LirInsn::Alu {
+                op: AluOp::Add,
+                dst: v(1),
+                src: LirOperand::Imm(1),
+            },
+            keep(1),
+            LirInsn::BackEdge {
+                pc: 0x1000,
+                label: 0,
+                reconcile: false,
+                weight: 1,
+            },
+            LirInsn::Ret,
+        ];
+        let alloc = allocate(&lir);
+        assert_ne!(alloc.assignment[1], alloc.assignment[0], "loop-carried");
+
+        // Vector copies are not coalesced (`MovXmm`'s U64 form also zeroes
+        // the upper lane, so it is not a pure copy).
+        let xv = |id| Vreg {
+            id,
+            class: VregClass::Xmm,
+        };
+        let lir = vec![
+            LirInsn::LoadXmm {
+                dst: xv(0),
+                addr: LirMem::regfile(0x100),
+                size: MemSize::U128,
+            },
+            LirInsn::MovXmm {
+                dst: xv(1),
+                src: xv(0),
+                size: MemSize::U128,
+            },
+            LirInsn::StoreXmm {
+                src: xv(1),
+                addr: LirMem::regfile(0x110),
+                size: MemSize::U128,
+            },
+            LirInsn::Ret,
+        ];
+        let alloc = allocate(&lir);
+        assert_ne!(alloc.assignment[1], alloc.assignment[0], "XMM copy");
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! label states, occurrences and assignment) so a differential property test
 //! can hold the two to identical `dead`, `spill_slots` and per-vreg
 //! assignment on random units — plus the historical one-shot dead-code
-//! marking, whose kill set the fixpoint's must contain.
+//! marking, whose kill set the fixpoint's must contain.  The one thing
+//! added since is the copy hand-over, restated over the `last` map rather
+//! than the active list; because both allocators now share that rule, the
+//! tests also hold the result to a soundness property that knows nothing of
+//! ranges (textbook per-instruction liveness over the unit's control flow).
 
 use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
 use crate::regalloc::{Assignment, XMM_POOL};
@@ -369,9 +373,25 @@ pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
                 true
             }
         });
+        // Copy hand-over: a copy defined where its register-held source's
+        // final range ends inherits the register.
+        let inherited = match lir[r.start] {
+            LirInsn::MovReg { dst, src } if dst == r.vreg && last[&src.id] == r.start => {
+                match assignment.get(&src.id) {
+                    Some(&Assignment::Gpr(reg)) => Some(reg),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
         match r.vreg.class {
             VregClass::Gpr => {
-                if let Some(reg) = free_gpr.pop() {
+                if let Some(reg) = inherited {
+                    assignment.insert(r.vreg.id, Assignment::Gpr(reg));
+                    for entry in active_gpr.iter_mut().filter(|e| e.1 == reg) {
+                        entry.0 = r.end;
+                    }
+                } else if let Some(reg) = free_gpr.pop() {
                     assignment.insert(r.vreg.id, Assignment::Gpr(reg));
                     active_gpr.push((r.end, reg));
                 } else {
@@ -691,8 +711,126 @@ mod tests {
         g.finish()
     }
 
+    /// Control-flow successors of instruction `i` (label ids resolved
+    /// through `label_pos`; a jump to an unbound label has none).
+    fn successors(lir: &[LirInsn], label_pos: &HashMap<u32, usize>, i: usize) -> Vec<usize> {
+        let target = |l: &u32| label_pos.get(l).copied();
+        let next = (i + 1 < lir.len()).then_some(i + 1);
+        match &lir[i] {
+            LirInsn::Ret => vec![],
+            LirInsn::Jmp { label } => target(label).into_iter().collect(),
+            LirInsn::BackEdge {
+                label, reconcile, ..
+            } => target(label)
+                .into_iter()
+                .chain(next.filter(|_| *reconcile))
+                .collect(),
+            LirInsn::Jcc { label, .. } => target(label).into_iter().chain(next).collect(),
+            _ => next.into_iter().collect(),
+        }
+    }
+
+    /// Checks an allocation against liveness computed the textbook way —
+    /// `in = uses ∪ (out − def)`, `out = ∪ in[succ]`, to a fixpoint over the
+    /// kept instructions — with no notion of ranges: at every reachable kept
+    /// instruction, the vregs live out of it plus the one it defines must
+    /// hold pairwise different registers / spill slots.  Vregs live into the
+    /// unit's entry are read before any definition on some path (the
+    /// generator draws operands at random); their content is garbage, the
+    /// allocator owes them nothing, and they are left out.
+    fn shared_register(lir: &[LirInsn], alloc: &crate::regalloc::Allocation) -> Option<String> {
+        let label_pos: HashMap<u32, usize> = lir
+            .iter()
+            .enumerate()
+            .filter_map(|(i, insn)| match insn {
+                LirInsn::Label { id } => Some((*id, i)),
+                _ => None,
+            })
+            .collect();
+        let succ: Vec<Vec<usize>> = (0..lir.len())
+            .map(|i| successors(lir, &label_pos, i))
+            .collect();
+        let mut live_in: Vec<HashSet<u32>> = vec![HashSet::new(); lir.len()];
+        let mut live_out: Vec<HashSet<u32>> = vec![HashSet::new(); lir.len()];
+        let mut uses = Vec::new();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in (0..lir.len()).rev() {
+                let out: HashSet<u32> = succ[i]
+                    .iter()
+                    .flat_map(|&s| live_in[s].iter().copied())
+                    .collect();
+                let mut inn = out.clone();
+                if !alloc.dead[i] {
+                    if let Some(d) = lir[i].def() {
+                        inn.remove(&d.id);
+                    }
+                    uses.clear();
+                    lir[i].uses(&mut uses);
+                    inn.extend(uses.iter().map(|u| u.id));
+                }
+                changed |= inn != live_in[i] || out != live_out[i];
+                live_in[i] = inn;
+                live_out[i] = out;
+            }
+        }
+        let mut reachable = vec![false; lir.len()];
+        let mut work = vec![0usize];
+        while let Some(i) = work.pop() {
+            if !std::mem::replace(&mut reachable[i], true) {
+                work.extend(&succ[i]);
+            }
+        }
+        let garbage = live_in[0].clone();
+        for i in (0..lir.len()).filter(|&i| reachable[i] && !alloc.dead[i]) {
+            let mut held: Vec<u32> = live_out[i]
+                .iter()
+                .copied()
+                .chain(lir[i].def().map(|d| d.id))
+                .filter(|id| !garbage.contains(id))
+                .collect();
+            held.sort_unstable();
+            held.dedup();
+            for (k, a) in held.iter().enumerate() {
+                for b in &held[k + 1..] {
+                    if alloc.assignment[*a] == alloc.assignment[*b] {
+                        return Some(format!(
+                            "v{a} and v{b} are both live across #{i} {:?} in {:?}",
+                            lir[i], alloc.assignment[*a]
+                        ));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// True when the allocator coalesced at least one kept copy.
+    fn hands_over(lir: &[LirInsn], alloc: &crate::regalloc::Allocation) -> bool {
+        lir.iter().enumerate().any(|(i, insn)| match insn {
+            LirInsn::MovReg { dst, src } if !alloc.dead[i] && dst != src => {
+                matches!(alloc.assignment[dst.id], Assignment::Gpr(_))
+                    && alloc.assignment[dst.id] == alloc.assignment[src.id]
+            }
+            _ => false,
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn no_two_simultaneously_live_vregs_share_a_register(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            nv in 3u64..48,
+            len in 1u64..120,
+        ) {
+            let lir = unit(seed, shape, nv, len);
+            let alloc = crate::regalloc::allocate(&lir);
+            prop_assert_eq!(shared_register(&lir, &alloc), None, "shape {}: {:?}", shape, lir);
+        }
 
         #[test]
         fn dense_allocator_matches_the_hash_map_reference(
@@ -744,10 +882,11 @@ mod tests {
     fn generated_units_cover_spills_loops_and_both_classes() {
         // The differential test is only as good as its inputs: make sure the
         // generator reaches the regimes it is meant to.
-        let (mut spilled, mut looped, mut xmm, mut swept) = (0, 0, 0, 0);
+        let (mut spilled, mut looped, mut xmm, mut swept, mut coalesced) = (0, 0, 0, 0, 0);
         for seed in 1..200u64 {
             for shape in 0..6 {
                 let lir = unit(seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100);
+                coalesced += hands_over(&lir, &crate::regalloc::allocate(&lir)) as u32;
                 let a = allocate(&lir);
                 spilled += (a.spill_slots > 0) as u32;
                 swept += a.dead.iter().any(|d| *d) as u32;
@@ -759,5 +898,9 @@ mod tests {
             }
         }
         assert!(spilled > 50 && looped > 50 && xmm > 50 && swept > 50);
+        assert!(
+            coalesced > 50,
+            "the copy hand-over fired on {coalesced} units"
+        );
     }
 }

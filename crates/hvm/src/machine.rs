@@ -292,14 +292,18 @@ impl Machine {
         self.gpr[r.index() as usize] = v;
     }
 
-    /// Reads a vector register.
-    pub fn xmm_reg(&self, x: Xmm) -> [u64; 2] {
-        self.xmm[x.0 as usize]
+    /// Reads a vector register; `None` for one past the file (`Xmm` wraps
+    /// any `u8`, and a caller's operand is no more trusted than generated
+    /// code's — see the interpreter's `xmm!`).
+    pub fn xmm_reg(&self, x: Xmm) -> Option<[u64; 2]> {
+        self.xmm.get(x.0 as usize).copied()
     }
 
-    /// Writes a vector register.
+    /// Writes a vector register; a register past the file is ignored.
     pub fn set_xmm(&mut self, x: Xmm, v: [u64; 2]) {
-        self.xmm[x.0 as usize] = v;
+        if let Some(slot) = self.xmm.get_mut(x.0 as usize) {
+            *slot = v;
+        }
     }
 
     /// Enables paging with the given table root and PCID.
@@ -1409,9 +1413,9 @@ mod tests {
             MachInsn::Ret,
         ];
         assert_eq!(m.run_block(&code, &mut rt), ExitReason::BlockEnd);
-        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(0))[0]), 7.0);
-        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(2))[0]), 5.0);
-        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(2))[1]), 10.5);
+        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(0)).unwrap()[0]), 7.0);
+        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(2)).unwrap()[0]), 5.0);
+        assert_eq!(f64::from_bits(m.xmm_reg(Xmm(2)).unwrap()[1]), 10.5);
     }
 
     #[test]
@@ -1428,7 +1432,7 @@ mod tests {
             MachInsn::Ret,
         ];
         m.run_block(&code, &mut rt);
-        let bits = m.xmm_reg(Xmm(0))[0];
+        let bits = m.xmm_reg(Xmm(0)).unwrap()[0];
         assert!(f64::from_bits(bits).is_nan());
         assert_eq!(
             bits >> 63,

@@ -132,6 +132,13 @@ impl PhysMem {
         self.write(addr, &v.to_le_bytes())
     }
 
+    /// `[addr, addr+len)` as one mutable borrow, bounds-checked once — for
+    /// scans that would otherwise pay the check on every word.
+    pub fn slice_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], PhysAccessError> {
+        let a = self.check(addr, len)?;
+        Ok(&mut self.bytes[a..a + len as usize])
+    }
+
     /// Fills `[addr, addr+len)` with a byte value.
     pub fn fill(&mut self, addr: u64, len: u64, value: u8) -> Result<(), PhysAccessError> {
         let a = self.check(addr, len)?;

@@ -289,11 +289,15 @@ pub fn unmap_page(mem: &mut PhysMem, root: u64, vaddr: u64) -> bool {
 /// (Section 2.7.4).
 pub fn clear_top_level_entries(mem: &mut PhysMem, root: u64, n: u64) {
     let root = root & !0xFFF;
-    for i in 0..n.min(ENTRIES_PER_TABLE) {
-        if let Ok(pte) = mem.read_u64(root + i * 8) {
-            if pte & 1 != 0 {
-                let _ = mem.write_u64(root + i * 8, pte & !1);
-            }
+    // Entries that lie inside physical memory (all of them, for any root a
+    // walk could have used), scanned through one borrow: this runs on every
+    // intercepted guest TLB flush.
+    let n = n
+        .min(ENTRIES_PER_TABLE)
+        .min(mem.size().saturating_sub(root) / 8);
+    if let Ok(table) = mem.slice_mut(root, n * 8) {
+        for pte in table.chunks_exact_mut(8) {
+            pte[0] &= !1; // the present bit, little-endian
         }
     }
 }
@@ -421,6 +425,23 @@ mod tests {
         ));
         clear_top_level_entries(&mut mem, root, 256);
         assert!(walk(&mem, root, 0x7000).is_err());
+
+        // Only the present bit goes, only in the first `n` entries, and a
+        // table hanging off the end of memory is cleared as far as it
+        // exists instead of faulting the host.
+        let mut mem = PhysMem::new(2 * 4096 + 16);
+        for i in 0..ENTRIES_PER_TABLE {
+            mem.write_u64(4096 + i * 8, 0xABCD_E007).unwrap();
+        }
+        clear_top_level_entries(&mut mem, 4096, 256);
+        assert_eq!(mem.read_u64(4096 + 255 * 8).unwrap(), 0xABCD_E006);
+        assert_eq!(mem.read_u64(4096 + 256 * 8).unwrap(), 0xABCD_E007);
+        mem.write_u64(2 * 4096, 0x1007).unwrap();
+        mem.write_u64(2 * 4096 + 8, 0x2007).unwrap();
+        clear_top_level_entries(&mut mem, 2 * 4096, 256);
+        assert_eq!(mem.read_u64(2 * 4096).unwrap(), 0x1006);
+        assert_eq!(mem.read_u64(2 * 4096 + 8).unwrap(), 0x2006);
+        clear_top_level_entries(&mut mem, 8 * 4096, 256);
     }
 
     #[test]

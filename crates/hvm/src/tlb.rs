@@ -26,6 +26,12 @@ pub struct TlbEntry {
 pub struct Tlb {
     /// Direct-mapped slots; the length is a power of two.
     entries: Vec<Option<TlbEntry>>,
+    /// Slots filled since the last [`Tlb::flush_all`] (repeats included),
+    /// so a flush clears what a guest actually filled instead of every
+    /// slot.  Every occupied slot is listed, unless the list has outgrown a
+    /// quarter of the capacity — then it stops growing and the next flush
+    /// sweeps the whole table, which is as cheap by that point.
+    filled: Vec<u32>,
     /// Fills since creation (diagnostic).
     pub fills: u64,
     /// Evictions of a valid entry by a conflicting fill (diagnostic).
@@ -38,6 +44,7 @@ impl Tlb {
         let size = size.next_power_of_two().max(1);
         Tlb {
             entries: vec![None; size],
+            filled: Vec::with_capacity(size / 4 + 1),
             fills: 0,
             evictions: 0,
         }
@@ -71,11 +78,21 @@ impl Tlb {
         }
         self.fills += 1;
         self.entries[slot] = Some(entry);
+        if self.filled.len() <= self.entries.len() / 4 {
+            self.filled.push(slot as u32);
+        }
     }
 
     /// Drops every entry regardless of PCID.
     pub fn flush_all(&mut self) {
-        self.entries.iter_mut().for_each(|e| *e = None);
+        if self.filled.len() > self.entries.len() / 4 {
+            self.entries.iter_mut().for_each(|e| *e = None);
+        } else {
+            for &slot in &self.filled {
+                self.entries[slot as usize] = None;
+            }
+        }
+        self.filled.clear();
     }
 
     /// Drops entries belonging to one PCID, keeping others resident — the
@@ -148,6 +165,28 @@ mod tests {
         assert!(tlb.lookup(2 * PAGE_SIZE, 1).is_some());
         tlb.flush_all();
         assert_eq!(tlb.occupancy(), 0);
+    }
+
+    #[test]
+    fn flush_all_empties_the_table_however_many_slots_were_filled() {
+        // `flush_all` clears the slots filled since the last one; past a
+        // quarter of the capacity it sweeps the table.  Either way nothing
+        // survives, selective flushes in between cannot hide an entry, and
+        // the bookkeeping starts over after each flush.
+        let mut tlb = Tlb::new(64);
+        for fills in [0u64, 1, 3, 16, 17, 40, 64, 200, 2] {
+            for vpn in 0..fills {
+                tlb.insert(entry(vpn * 7, (vpn % 3) as u16));
+            }
+            tlb.flush_page(7 * PAGE_SIZE);
+            tlb.flush_pcid(2);
+            tlb.insert(entry(1000 + fills, 0));
+            assert!(tlb.lookup((1000 + fills) * PAGE_SIZE, 0).is_some());
+            tlb.flush_all();
+            assert_eq!(tlb.occupancy(), 0, "after {fills} fills");
+            assert!(tlb.lookup((1000 + fills) * PAGE_SIZE, 0).is_none());
+        }
+        assert_eq!(tlb.fills, 343 + 9, "flushing does not touch the counters");
     }
 
     #[test]

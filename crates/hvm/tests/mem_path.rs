@@ -344,7 +344,7 @@ fn sixteen_byte_access_straddling_the_last_page_of_ram_is_refused_whole() {
         m.run_block(&store_at(0xFF0), &mut NullRuntime),
         ExitReason::BlockEnd
     );
-    assert_eq!(m.xmm_reg(Xmm(3)), [0x1111, 0x2222]);
+    assert_eq!(m.xmm_reg(Xmm(3)), Some([0x1111, 0x2222]));
     m.set_xmm(Xmm(2), [0x3333, 0x4444]);
     assert!(matches!(
         m.run_block(&store_at(0xFF8), &mut NullRuntime),
@@ -477,10 +477,25 @@ fn unsupported_widths_are_typed_errors_not_shift_overflows() {
         let exit = m.run_block(&[insn, MachInsn::Ret], &mut NullRuntime);
         assert!(matches!(exit, ExitReason::Error(_)), "{insn:?} -> {exit:?}");
         assert_eq!(m.reg(Gpr::Rax), 0xAB, "{insn:?}");
-        assert_eq!(m.xmm_reg(ok), [7, 9], "{insn:?}");
+        assert_eq!(m.xmm_reg(ok), Some([7, 9]), "{insn:?}");
         assert_eq!(m.mem.read_u128(0x2000).unwrap(), [0, 0], "{insn:?}");
         assert_eq!(mem_counters(&m.perf), [0, 0, 0, 0], "{insn:?}");
     }
+
+    // The public accessors take the same untrusted operand: a runtime or a
+    // test handing them `Xmm(16..)` gets `None` / a dropped write, not an
+    // index panic, and the real registers are untouched.
+    let mut m = Machine::new(MachineConfig {
+        phys_mem: RAM,
+        ..Default::default()
+    });
+    m.set_xmm(Xmm(15), [5, 6]);
+    for past_the_file in [bad, Xmm(255)] {
+        m.set_xmm(past_the_file, [1, 2]);
+        assert_eq!(m.xmm_reg(past_the_file), None);
+    }
+    assert_eq!(m.xmm_reg(Xmm(15)), Some([5, 6]));
+    assert_eq!(m.xmm_reg(Xmm(0)), Some([0, 0]));
 }
 
 /// A fixed memory-heavy block: a 64-iteration loop of a load, a
