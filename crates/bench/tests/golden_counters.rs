@@ -1,0 +1,478 @@
+//! Counter pins for the metrics registry (PR 20), recorded on its *parent*
+//! commit: every deterministic `bench::Measurement` field and side-map entry
+//! of five fixed runs, as literal `(name, value)` lists.  The refactor that
+//! replaces `Measurement` with the one `RunStats` table must keep every value;
+//! only the harness below the lists may change with it.
+//!
+//! Name map from the parent's spellings, stated once: a `Measurement` field
+//! keeps its name; the side map's `virtio.<x>` is `virtio_<x>`, except
+//! `virtio.external_invalidations`, which is `external_invalidations`;
+//! `idiom.hit.<rule>` is `idiom_hits.<rule>` and `idiom.cand.<rule>` is
+//! `idiom_candidates.<rule>`.  A side-map entry the parent only recorded when
+//! the device was used is pinned only for the runs that recorded it.
+
+const MCF_CAPTIVE: &[(&str, u64)] = &[
+    ("cycles", 1392457),
+    ("host_insns", 980207),
+    ("guest_insns", 495407),
+    ("translations", 5),
+    ("code_bytes", 2237),
+    ("chained_transfers", 38),
+    ("chain_patches", 7),
+    ("slow_dispatches", 8),
+    ("itlb_hits", 7),
+    ("itlb_misses", 1),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 90740),
+    ("regions_formed", 2),
+    ("regions_unrolled", 2),
+    ("loop_regions_formed", 2),
+    ("backedge_transfers", 30239),
+    ("blocks", 46),
+    ("opt_dead_stores", 16),
+    ("opt_forwarded_loads", 65),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 172),
+    ("opt_dce_insns", 173),
+    ("opt_promoted_slots", 8),
+    ("opt_hoisted_loads", 92),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 14),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 1065596),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 2237),
+    ("regions_live", 5),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 2),
+    ("regions_installed_async", 2),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 2),
+    ("idiom_hits.fuse.cmpbr", 6),
+    ("idiom_hits.fuse.tstbr", 0),
+    ("idiom_hits.fuse.cbz", 6),
+    ("idiom_hits.addr.fold", 2),
+    ("idiom_hits.bulk.memset", 0),
+    ("idiom_candidates.fuse.cmpbr", 6),
+    ("idiom_candidates.fuse.tstbr", 0),
+    ("idiom_candidates.fuse.cbz", 6),
+    ("idiom_candidates.addr.fold", 2),
+    ("idiom_candidates.bulk.memset", 0),
+];
+const MCF_QEMU: &[(&str, u64)] = &[
+    ("cycles", 16288835),
+    ("host_insns", 3095256),
+    ("guest_insns", 495369),
+    ("translations", 5),
+    ("code_bytes", 1598),
+    ("chained_transfers", 0),
+    ("chain_patches", 0),
+    ("slow_dispatches", 121025),
+    ("itlb_hits", 0),
+    ("itlb_misses", 0),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 0),
+    ("regions_formed", 0),
+    ("regions_unrolled", 0),
+    ("loop_regions_formed", 0),
+    ("backedge_transfers", 0),
+    ("blocks", 121025),
+    ("opt_dead_stores", 0),
+    ("opt_forwarded_loads", 0),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 0),
+    ("opt_dce_insns", 3),
+    ("opt_promoted_slots", 0),
+    ("opt_hoisted_loads", 0),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 0),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 0),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 0),
+    ("regions_live", 0),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 0),
+    ("regions_installed_async", 0),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 0),
+];
+const GUARDED_SYNC: &[(&str, u64)] = &[
+    ("cycles", 5639917),
+    ("host_insns", 4404692),
+    ("guest_insns", 902080),
+    ("translations", 7),
+    ("code_bytes", 7410),
+    ("chained_transfers", 141),
+    ("chain_patches", 10),
+    ("slow_dispatches", 28),
+    ("itlb_hits", 27),
+    ("itlb_misses", 1),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 143276),
+    ("regions_formed", 4),
+    ("regions_unrolled", 4),
+    ("loop_regions_formed", 4),
+    ("backedge_transfers", 20436),
+    ("blocks", 169),
+    ("opt_dead_stores", 7),
+    ("opt_forwarded_loads", 26),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 389),
+    ("opt_dce_insns", 461),
+    ("opt_promoted_slots", 20),
+    ("opt_hoisted_loads", 224),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 45),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 2288215),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 7410),
+    ("regions_live", 7),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 0),
+    ("regions_installed_async", 0),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 0),
+    ("idiom_hits.fuse.cmpbr", 19),
+    ("idiom_hits.fuse.tstbr", 21),
+    ("idiom_hits.fuse.cbz", 2),
+    ("idiom_hits.addr.fold", 3),
+    ("idiom_hits.bulk.memset", 0),
+    ("idiom_candidates.fuse.cmpbr", 19),
+    ("idiom_candidates.fuse.tstbr", 21),
+    ("idiom_candidates.fuse.cbz", 2),
+    ("idiom_candidates.addr.fold", 3),
+    ("idiom_candidates.bulk.memset", 0),
+];
+const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
+    ("cycles", 9354),
+    ("host_insns", 3903),
+    ("guest_insns", 1597),
+    ("translations", 9),
+    ("code_bytes", 4960),
+    ("chained_transfers", 33),
+    ("chain_patches", 10),
+    ("slow_dispatches", 13),
+    ("itlb_hits", 12),
+    ("itlb_misses", 1),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 193),
+    ("regions_formed", 2),
+    ("regions_unrolled", 2),
+    ("loop_regions_formed", 2),
+    ("backedge_transfers", 63),
+    ("blocks", 46),
+    ("opt_dead_stores", 21),
+    ("opt_forwarded_loads", 107),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 90),
+    ("opt_dce_insns", 102),
+    ("opt_promoted_slots", 7),
+    ("opt_hoisted_loads", 36),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 13),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 3300),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 4960),
+    ("regions_live", 9),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 2),
+    ("regions_installed_async", 2),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 2),
+    ("idiom_hits.fuse.cmpbr", 5),
+    ("idiom_hits.fuse.tstbr", 0),
+    ("idiom_hits.fuse.cbz", 8),
+    ("idiom_hits.addr.fold", 0),
+    ("idiom_hits.bulk.memset", 0),
+    ("idiom_candidates.fuse.cmpbr", 5),
+    ("idiom_candidates.fuse.tstbr", 0),
+    ("idiom_candidates.fuse.cbz", 8),
+    ("idiom_candidates.addr.fold", 0),
+    ("idiom_candidates.bulk.memset", 0),
+    ("virtio_kicks", 1),
+    ("virtio_submissions", 4),
+    ("virtio_completions", 4),
+    ("virtio_irqs", 0),
+    ("virtio_fault_injections", 1),
+    ("virtio_dma_bytes", 1920),
+    ("virtio_io_errors", 0),
+    ("external_invalidations", 0),
+];
+const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
+    ("cycles", 47147),
+    ("host_insns", 8806),
+    ("guest_insns", 1500),
+    ("translations", 10),
+    ("code_bytes", 1108),
+    ("chained_transfers", 0),
+    ("chain_patches", 0),
+    ("slow_dispatches", 276),
+    ("itlb_hits", 0),
+    ("itlb_misses", 0),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 0),
+    ("regions_formed", 0),
+    ("regions_unrolled", 0),
+    ("loop_regions_formed", 0),
+    ("backedge_transfers", 0),
+    ("blocks", 276),
+    ("opt_dead_stores", 0),
+    ("opt_forwarded_loads", 0),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 0),
+    ("opt_dce_insns", 67),
+    ("opt_promoted_slots", 0),
+    ("opt_hoisted_loads", 0),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 0),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 0),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 0),
+    ("regions_live", 0),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 0),
+    ("regions_installed_async", 0),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 0),
+    ("virtio_kicks", 1),
+    ("virtio_submissions", 4),
+    ("virtio_completions", 4),
+    ("virtio_irqs", 0),
+    ("virtio_fault_injections", 1),
+    ("virtio_dma_bytes", 1920),
+    ("virtio_io_errors", 0),
+    ("external_invalidations", 1),
+];
+const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
+    ("cycles", 47877),
+    ("host_insns", 28451),
+    ("guest_insns", 25757),
+    ("translations", 27),
+    ("code_bytes", 39550),
+    ("chained_transfers", 735),
+    ("chain_patches", 62),
+    ("slow_dispatches", 209),
+    ("itlb_hits", 208),
+    ("itlb_misses", 1),
+    ("dtlb_hits", 0),
+    ("dtlb_misses", 0),
+    ("region_transfers", 1991),
+    ("regions_formed", 25),
+    ("regions_unrolled", 25),
+    ("loop_regions_formed", 25),
+    ("backedge_transfers", 336),
+    ("blocks", 944),
+    ("opt_dead_stores", 62),
+    ("opt_forwarded_loads", 40),
+    ("opt_partial_forwarded", 0),
+    ("opt_copies_folded", 1401),
+    ("opt_dce_insns", 1402),
+    ("opt_promoted_slots", 63),
+    ("opt_hoisted_loads", 1106),
+    ("opt_fp_forwarded", 0),
+    ("opt_idioms_fused", 490),
+    ("goto_tb_transfers", 0),
+    ("elided_dyn_insns", 46289),
+    ("irqs_delivered", 0),
+    ("timer_irqs", 0),
+    ("capacity_evictions", 0),
+    ("bytes_live", 39550),
+    ("regions_live", 27),
+    ("regions_evicted", 0),
+    ("formation_failures", 0),
+    ("regions_quarantined", 0),
+    ("lower_bailouts", 0),
+    ("tier1_requests", 25),
+    ("regions_installed_async", 25),
+    ("stale_discards", 0),
+    ("reuse_hits", 0),
+    ("reuse_misses", 25),
+    ("idiom_hits.fuse.cmpbr", 0),
+    ("idiom_hits.fuse.tstbr", 0),
+    ("idiom_hits.fuse.cbz", 490),
+    ("idiom_hits.addr.fold", 0),
+    ("idiom_hits.bulk.memset", 0),
+    ("idiom_candidates.fuse.cmpbr", 0),
+    ("idiom_candidates.fuse.tstbr", 0),
+    ("idiom_candidates.fuse.cbz", 490),
+    ("idiom_candidates.addr.fold", 0),
+    ("idiom_candidates.bulk.memset", 0),
+];
+
+use bench::Measurement;
+
+/// The parent's spellings under the name map in the module docs.
+fn rows(m: &Measurement) -> Vec<(String, u64)> {
+    let mut rows: Vec<(String, u64)> = [
+        ("cycles", m.cycles),
+        ("host_insns", m.host_insns),
+        ("guest_insns", m.guest_insns),
+        ("translations", m.translations),
+        ("code_bytes", m.code_bytes),
+        ("chained_transfers", m.chained_transfers),
+        ("chain_patches", m.chain_patches),
+        ("slow_dispatches", m.slow_dispatches),
+        ("itlb_hits", m.itlb_hits),
+        ("itlb_misses", m.itlb_misses),
+        ("dtlb_hits", m.dtlb_hits),
+        ("dtlb_misses", m.dtlb_misses),
+        ("region_transfers", m.region_transfers),
+        ("regions_formed", m.regions_formed),
+        ("regions_unrolled", m.regions_unrolled),
+        ("loop_regions_formed", m.loop_regions_formed),
+        ("backedge_transfers", m.backedge_transfers),
+        ("blocks", m.blocks),
+        ("opt_dead_stores", m.opt_dead_stores),
+        ("opt_forwarded_loads", m.opt_forwarded_loads),
+        ("opt_partial_forwarded", m.opt_partial_forwarded),
+        ("opt_copies_folded", m.opt_copies_folded),
+        ("opt_dce_insns", m.opt_dce_insns),
+        ("opt_promoted_slots", m.opt_promoted_slots),
+        ("opt_hoisted_loads", m.opt_hoisted_loads),
+        ("opt_fp_forwarded", m.opt_fp_forwarded),
+        ("opt_idioms_fused", m.opt_idioms_fused),
+        ("goto_tb_transfers", m.goto_tb_transfers),
+        ("elided_dyn_insns", m.elided_dyn_insns),
+        ("irqs_delivered", m.irqs_delivered),
+        ("timer_irqs", m.timer_irqs),
+        ("capacity_evictions", m.capacity_evictions),
+        ("bytes_live", m.bytes_live),
+        ("regions_live", m.regions_live),
+        ("regions_evicted", m.regions_evicted),
+        ("formation_failures", m.formation_failures),
+        ("regions_quarantined", m.regions_quarantined),
+        ("lower_bailouts", m.lower_bailouts),
+        ("tier1_requests", m.tier1_requests),
+        ("regions_installed_async", m.regions_installed_async),
+        ("stale_discards", m.stale_discards),
+        ("reuse_hits", m.reuse_hits),
+        ("reuse_misses", m.reuse_misses),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    for (k, v) in &m.counters {
+        let name = if let Some(rule) = k.strip_prefix("idiom.hit.") {
+            format!("idiom_hits.{rule}")
+        } else if let Some(rule) = k.strip_prefix("idiom.cand.") {
+            format!("idiom_candidates.{rule}")
+        } else if k == "virtio.external_invalidations" {
+            "external_invalidations".to_string()
+        } else if let Some(rest) = k.strip_prefix("virtio.") {
+            format!("virtio_{rest}")
+        } else {
+            panic!("unmapped side-map key {k}");
+        };
+        rows.push((name, *v));
+    }
+    rows
+}
+
+/// Every pinned `(name, value)` of `golden` must be what `m` reports.
+fn check(run: &str, golden: &[(&str, u64)], m: &Measurement) {
+    let rows = rows(m);
+    for &(name, want) in golden {
+        let got = rows
+            .iter()
+            .find(|(k, _)| k == name)
+            .unwrap_or_else(|| panic!("{run}: counter {name} is gone"))
+            .1;
+        assert_eq!(got, want, "{run}: {name}");
+    }
+}
+
+/// The fault seed `figures -- io` derives: the first that bites inside the
+/// first three of `io.read`'s four requests.
+fn io_fault_config() -> hvm::VirtioBlkConfig {
+    let fault_seed = (1u64..)
+        .find(|&s| {
+            let plan = hvm::FaultPlan::seeded(s, 3);
+            (0..3).any(|q| plan.decide(q, false) != hvm::FaultKind::None)
+        })
+        .expect("some seed bites");
+    hvm::VirtioBlkConfig {
+        fault_seed: Some(fault_seed),
+        exempt_after: 3,
+        ..workloads::vblk_config()
+    }
+}
+
+#[test]
+fn mcf_on_both_engines() {
+    let mcf = &workloads::spec_int(workloads::Scale(1))[3];
+    assert_eq!(mcf.name, "429.mcf");
+    check("429.mcf captive", MCF_CAPTIVE, &bench::run_captive(mcf));
+    check("429.mcf qemu", MCF_QEMU, &bench::run_qemu(mcf));
+}
+
+#[test]
+fn guarded_stream_under_sync() {
+    let guarded = workloads::loop_kernels(workloads::Scale(1))
+        .into_iter()
+        .find(|w| w.name == "stream.guarded")
+        .expect("stream.guarded is a loop kernel");
+    let m = bench::run_captive_cfg(&guarded, bench::captive_config("sync"));
+    check("stream.guarded sync", GUARDED_SYNC, &m);
+}
+
+#[test]
+fn faulty_disk_read_on_both_engines() {
+    let w = workloads::vblk_read(4);
+    let c = bench::run_captive_io(&w, io_fault_config(), captive::CaptiveConfig::default());
+    check("io.read+fault captive", VBLK_FAULT_CAPTIVE, &c);
+    let q = bench::run_qemu_io(&w, io_fault_config());
+    check("io.read+fault qemu", VBLK_FAULT_QEMU, &q);
+}
+
+#[test]
+fn loop_flood_through_one_tier_worker() {
+    let flood = workloads::loop_flood(12, 9, 30);
+    let cfg = captive::CaptiveConfig {
+        tier_workers: 1,
+        ..captive::CaptiveConfig::default()
+    };
+    check(
+        "loop_flood one worker",
+        FLOOD_ONE_WORKER,
+        &bench::run_captive_cfg(&flood, cfg),
+    );
+}
