@@ -20,8 +20,9 @@
 
 use bench::{
     captive_config, geomean, native_model, run_both_raw, run_captive, run_captive_cfg,
-    run_captive_idioms_mined, run_qemu, run_qemu_chaining, run_qemu_goto_tb, Measurement,
+    run_captive_idioms_mined, run_qemu, run_qemu_chaining, run_qemu_goto_tb, RunStats,
 };
+use dbt::RuleKind;
 use workloads::{Scale, Workload};
 
 /// One section: its name(s) on the command line and the function that
@@ -85,7 +86,7 @@ fn main() {
 }
 
 /// `w` under the named Captive configuration of [`bench::CAPTIVE_CONFIGS`].
-fn captive(w: &Workload, config: &str) -> Measurement {
+fn captive(w: &Workload, config: &str) -> RunStats {
     run_captive_cfg(w, captive_config(config))
 }
 
@@ -96,17 +97,17 @@ fn io() {
         "kernel", "engine", "cycles", "compl", "dma-bytes", "faults", "io-err", "ext-inval"
     );
     let vcfg = workloads::vblk_config();
-    let row = |kernel: &str, engine: &str, m: &Measurement| {
+    let row = |kernel: &str, engine: &str, m: &RunStats| {
         println!(
             "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
             kernel,
             engine,
             m.cycles,
-            m.counter("virtio.completions"),
-            m.counter("virtio.dma_bytes"),
-            m.counter("virtio.fault_injections"),
-            m.counter("virtio.io_errors"),
-            m.counter("virtio.external_invalidations"),
+            m.virtio_completions,
+            m.virtio_dma_bytes,
+            m.virtio_fault_injections,
+            m.virtio_io_errors,
+            m.external_invalidations,
         );
     };
     // Clean-disk kernels: both engines must retire every request with no
@@ -116,20 +117,14 @@ fn io() {
         let q = bench::run_qemu_io(&w, vcfg.clone());
         row(w.name, "captive", &c);
         row(w.name, "qemu", &q);
-        assert!(
-            c.counter("virtio.completions") > 0,
-            "{}: device did no work",
+        assert!(c.virtio_completions > 0, "{}: device did no work", w.name);
+        assert_eq!(
+            (c.virtio_completions, c.virtio_dma_bytes, c.virtio_io_errors),
+            (q.virtio_completions, q.virtio_dma_bytes, q.virtio_io_errors),
+            "{}: completions, DMA bytes or I/O errors diverged across engines",
             w.name
         );
-        for key in ["virtio.completions", "virtio.dma_bytes", "virtio.io_errors"] {
-            assert_eq!(
-                c.counter(key),
-                q.counter(key),
-                "{}: {key} diverged across engines",
-                w.name
-            );
-        }
-        assert_eq!(c.counter("virtio.io_errors"), 0, "{}: clean disk", w.name);
+        assert_eq!(c.virtio_io_errors, 0, "{}: clean disk", w.name);
     }
     // Fault-injection leg: a seed chosen (deterministically) to bite inside
     // the first three of io.read's four requests.  Faults must surface as
@@ -151,14 +146,11 @@ fn io() {
     row("io.read+fault", "captive", &c);
     row("io.read+fault", "qemu", &q);
     assert!(
-        c.counter("virtio.fault_injections") > 0,
+        c.virtio_fault_injections > 0,
         "the chosen fault seed must inject"
     );
-    assert_eq!(
-        c.counter("virtio.fault_injections"),
-        q.counter("virtio.fault_injections")
-    );
-    assert_eq!(c.counter("virtio.io_errors"), q.counter("virtio.io_errors"));
+    assert_eq!(c.virtio_fault_injections, q.virtio_fault_injections);
+    assert_eq!(c.virtio_io_errors, q.virtio_io_errors);
     // Device-originated SMC: the io.smc kernel's completion DMAs over its
     // own (live, looping) spin page, so both engines must walk their
     // external-invalidation path to terminate.
@@ -169,8 +161,7 @@ fn io() {
     row(w.name, "captive", &c);
     row(w.name, "qemu", &q);
     assert!(
-        c.counter("virtio.external_invalidations") > 0
-            && q.counter("virtio.external_invalidations") > 0,
+        c.external_invalidations > 0 && q.external_invalidations > 0,
         "device DMA onto translated code must invalidate on both engines"
     );
     assert!(
@@ -182,7 +173,7 @@ fn io() {
     let w = workloads::loop_flood(4, 8, 20);
     let idle = bench::run_captive_io(&w, vcfg, captive::CaptiveConfig::default());
     let bare = bench::run_captive(&w);
-    assert_eq!(idle.counter("virtio.kicks"), 0);
+    assert_eq!(idle.virtio_kicks, 0);
     assert_eq!(
         idle.cycles, bare.cycles,
         "an idle attached device must be cycle-free"
@@ -250,10 +241,25 @@ fn fig19() {
     println!();
 }
 
+/// Wall-clock per JIT phase (decode, translate, regalloc, encode), in ns.
+fn jit_phases(m: &RunStats) -> [u64; 4] {
+    [
+        m.jit_decode_ns,
+        m.jit_translate_ns,
+        m.jit_regalloc_ns,
+        m.jit_encode_ns,
+    ]
+}
+
+/// Wall-clock in the JIT, all phases, in ns.
+fn jit_ns(m: &RunStats) -> u64 {
+    jit_phases(m).iter().sum()
+}
+
 fn fig20_and_jitstats() {
     println!("== Figure 20 / Section 3.4: JIT compilation statistics ==");
     // Translate-heavy run: every SPEC-int workload once (cold caches).
-    let mut cap_frac = (0.0, 0.0, 0.0, 0.0);
+    let mut cap_frac = [0.0; 4];
     let mut cap_time = 0.0;
     let mut qemu_time = 0.0;
     let mut cap_bytes = 0u64;
@@ -263,9 +269,9 @@ fn fig20_and_jitstats() {
     for w in workloads::spec_int(Scale(1)) {
         let c = run_captive(&w);
         let q = run_qemu(&w);
-        cap_frac = c.jit_fractions;
-        cap_time += c.jit_seconds;
-        qemu_time += q.jit_seconds;
+        cap_frac = jit_phases(&c).map(|ns| ns as f64 / jit_ns(&c).max(1) as f64);
+        cap_time += jit_ns(&c) as f64 / 1e9;
+        qemu_time += jit_ns(&q) as f64 / 1e9;
         if w.name == "429.mcf" {
             cap_bytes = c.code_bytes;
             cap_insns = c.translations;
@@ -275,10 +281,10 @@ fn fig20_and_jitstats() {
     }
     println!(
         "Captive phase breakdown: decode {:.1}%  translate {:.1}%  regalloc {:.1}%  encode {:.1}%",
-        cap_frac.0 * 100.0,
-        cap_frac.1 * 100.0,
-        cap_frac.2 * 100.0,
-        cap_frac.3 * 100.0
+        cap_frac[0] * 100.0,
+        cap_frac[1] * 100.0,
+        cap_frac[2] * 100.0,
+        cap_frac[3] * 100.0
     );
     println!("  (paper: decode 2.8%, translate 54.5%, regalloc 25.6%, encode 17.1%)");
     println!(
@@ -393,7 +399,11 @@ fn chaining() {
         let off = captive(w, "nochain");
         let q = run_qemu(w);
         let qc = run_qemu_chaining(w, true);
-        let itlb_rate = on.itlb_hit_rate();
+        // 1.0 when there were no fetches, like `hvm::PerfCounters::tlb_hit_rate`.
+        let itlb_rate = match on.itlb_hits + on.itlb_misses {
+            0 => 1.0,
+            fetches => on.itlb_hits as f64 / fetches as f64,
+        };
         assert!(
             on.cycles <= off.cycles,
             "{}: chaining regressed ({} > {})",
@@ -597,12 +607,12 @@ fn promote() {
         // honest — the goto_tb-enabled QEMU must itself beat the plain
         // dispatcher on these loop-dominated kernels.
         assert!(
-            on.opt_promoted_slots >= 1,
+            on.jit.opt_promoted_slots >= 1,
             "{}: no regfile slot promoted to a loop carrier",
             w.name
         );
         assert!(
-            on.opt_hoisted_loads >= 1,
+            on.jit.opt_hoisted_loads >= 1,
             "{}: no loop-invariant regfile load hoisted",
             w.name
         );
@@ -629,9 +639,9 @@ fn promote() {
             off.cycles,
             gtb.cycles,
             vs_off,
-            on.opt_promoted_slots,
-            on.opt_hoisted_loads,
-            on.opt_fp_forwarded,
+            on.jit.opt_promoted_slots,
+            on.jit.opt_hoisted_loads,
+            on.jit.opt_fp_forwarded,
             gtb.goto_tb_transfers
         );
     }
@@ -683,86 +693,32 @@ fn promote() {
     );
 }
 
-/// One JSON record per (kernel, engine) with the counters the perf
-/// trajectory is tracked on across PRs.
-fn json_record(out: &mut String, kernel: &str, engine: &str, m: &Measurement) {
+/// One JSON record per (kernel, engine): the two labels, the modeled MIPS
+/// and then every counter of the [`RunStats`] walk under its declared name —
+/// the table is the key list.
+fn json_record(kernel: &str, engine: &str, m: &RunStats) -> String {
     let mips = if m.cycles == 0 {
         0.0
     } else {
         m.guest_insns as f64 / (m.cycles as f64 / 3.5e9) / 1e6
     };
-    // Keys are engine-generated identifiers ([a-z0-9._] only), so no JSON
-    // string escaping is needed.
-    let counters = m
-        .counters
+    // Names are declared identifiers ([a-z0-9._] only), so no JSON string
+    // escaping is needed.
+    let counters: String = m
+        .walk()
         .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!(
-        "    {{\"kernel\": \"{kernel}\", \"engine\": \"{engine}\", \
-         \"cycles\": {}, \"guest_insns\": {}, \"mips\": {mips:.1}, \
-         \"blocks\": {}, \"chained_transfers\": {}, \"region_transfers\": {}, \
-         \"backedge_transfers\": {}, \"regions_formed\": {}, \
-         \"loop_regions_formed\": {}, \"opt_dead_stores\": {}, \
-         \"opt_forwarded_loads\": {}, \"opt_partial_forwarded\": {}, \
-         \"opt_copies_folded\": {}, \"opt_promoted_slots\": {}, \
-         \"opt_hoisted_loads\": {}, \"opt_fp_forwarded\": {}, \
-         \"opt_idioms_fused\": {}, \
-         \"goto_tb_transfers\": {}, \"elided_dyn_insns\": {}, \
-         \"irqs_delivered\": {}, \"timer_irqs\": {}, \
-         \"capacity_evictions\": {}, \"bytes_live\": {}, \
-         \"regions_live\": {}, \"formation_failures\": {}, \
-         \"regions_quarantined\": {}, \"lower_bailouts\": {}, \
-         \"tier1_requests\": {}, \"regions_installed_async\": {}, \
-         \"stale_discards\": {}, \"reuse_hits\": {}, \"reuse_misses\": {}, \
-         \"jit_wall_ns\": {}, \"tier_worker_wall_ns\": {}, \
-         \"first_region_install_ns\": {}, \"counters\": {{{counters}}}}}",
-        m.cycles,
-        m.guest_insns,
-        m.blocks,
-        m.chained_transfers,
-        m.region_transfers,
-        m.backedge_transfers,
-        m.regions_formed,
-        m.loop_regions_formed,
-        m.opt_dead_stores,
-        m.opt_forwarded_loads,
-        m.opt_partial_forwarded,
-        m.opt_copies_folded,
-        m.opt_promoted_slots,
-        m.opt_hoisted_loads,
-        m.opt_fp_forwarded,
-        m.opt_idioms_fused,
-        m.goto_tb_transfers,
-        m.elided_dyn_insns,
-        m.irqs_delivered,
-        m.timer_irqs,
-        m.capacity_evictions,
-        m.bytes_live,
-        m.regions_live,
-        m.formation_failures,
-        m.regions_quarantined,
-        m.lower_bailouts,
-        m.tier1_requests,
-        m.regions_installed_async,
-        m.stale_discards,
-        m.reuse_hits,
-        m.reuse_misses,
-        m.jit_wall_ns,
-        m.tier_worker_wall_ns,
-        m.first_region_install_ns,
-    ));
+        .map(|c| format!(", \"{}\": {}", c.name, c.value))
+        .collect();
+    format!(
+        "    {{\"kernel\": \"{kernel}\", \"engine\": \"{engine}\", \"mips\": {mips:.1}{counters}}}"
+    )
 }
 
 fn json() {
     println!("== BENCH_figures.json: machine-readable per-kernel results ==");
     let mut records: Vec<String> = Vec::new();
-    let mut push = |kernel: &str, engine: &str, m: &Measurement| {
-        let mut s = String::new();
-        json_record(&mut s, kernel, engine, m);
-        records.push(s);
-    };
+    let mut push =
+        |kernel: &str, engine: &str, m: &RunStats| records.push(json_record(kernel, engine, m));
     for w in workloads::spec_int(Scale(1)) {
         push(w.name, "captive", &run_captive(&w));
         push(w.name, "qemu", &run_qemu(&w));
@@ -797,15 +753,15 @@ fn json() {
         push(w.name, "captive", &run_captive(&w));
         push(w.name, "qemu", &run_qemu(&w));
     }
-    // The guest-idiom trajectory: per-rule hit/candidate counters land in
-    // each record's "counters" object.
+    // The guest-idiom trajectory (the per-rule `idiom_hits.<rule>` and
+    // `idiom_candidates.<rule>` counters).
     for w in workloads::idiom_kernels(Scale(1)) {
         push(w.name, "captive-idiom", &captive(&w, "sync"));
         push(w.name, "captive-noidiom", &captive(&w, "noidiom+sync"));
         push(w.name, "qemu", &run_qemu(&w));
     }
-    // The virtio-blk I/O kernels, including the device-originated-SMC case;
-    // the virtio.* counters land in each record's "counters" object.
+    // The virtio-blk I/O kernels, including the device-originated-SMC case
+    // (the `virtio_*` counters).
     let vcfg = workloads::vblk_config();
     for w in workloads::io_kernels() {
         push(
@@ -838,7 +794,7 @@ fn json() {
         ),
     );
     let body = format!(
-        "{{\n  \"schema\": \"bench-figures-v1\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bench-figures-v2\",\n  \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
     std::fs::write("BENCH_figures.json", &body).expect("write BENCH_figures.json");
@@ -941,11 +897,11 @@ fn opt() {
             off.cycles
         );
         assert!(
-            i >= flag_heavy || (on.opt_forwarded_loads > 0 && on.opt_dce_insns > 0),
+            i >= flag_heavy || (on.jit.opt_forwarded_loads > 0 && on.jit.opt_dce_insns > 0),
             "{}: optimizer reported no work (fwd {}, dce {})",
             w.name,
-            on.opt_forwarded_loads,
-            on.opt_dce_insns
+            on.jit.opt_forwarded_loads,
+            on.jit.opt_dce_insns
         );
         println!(
             "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>6} {:>9} {:>14} {:>12}",
@@ -953,14 +909,14 @@ fn opt() {
             on.cycles,
             off.cycles,
             off.cycles as f64 / on.cycles as f64,
-            on.opt_dead_stores,
-            on.opt_forwarded_loads,
-            on.opt_partial_forwarded,
-            on.opt_dce_insns,
+            on.jit.opt_dead_stores,
+            on.jit.opt_forwarded_loads,
+            on.jit.opt_partial_forwarded,
+            on.jit.opt_dce_insns,
             on.elided_dyn_insns,
             off.cycles - on.cycles
         );
-        total_dead += on.opt_dead_stores;
+        total_dead += on.jit.opt_dead_stores;
         total_saved += off.cycles - on.cycles;
     }
     // Across the set as a whole, dead-store elimination must have fired and
@@ -1008,19 +964,19 @@ fn idioms() {
             off.cycles
         );
         assert!(
-            on.opt_idioms_fused > 0,
+            on.jit.opt_idioms_fused > 0,
             "{}: no idiom fused on an idiom kernel",
             w.name
         );
         assert_eq!(
-            off.opt_idioms_fused, 0,
+            off.jit.opt_idioms_fused, 0,
             "{}: idioms fused with the layer disabled",
             w.name
         );
-        for (i, kind) in dbt::RuleKind::ALL.iter().enumerate() {
-            per_rule[i] += on.counter(&format!("idiom.hit.{}", kind.name()));
+        for (total, hits) in per_rule.iter_mut().zip(on.jit.idiom_hits) {
+            *total += hits;
         }
-        total_fused += on.opt_idioms_fused;
+        total_fused += on.jit.opt_idioms_fused;
         let vs_off = off.cycles as f64 / on.cycles as f64;
         if w.name == "idiom.branch" {
             branch_gain = vs_off;
@@ -1031,18 +987,18 @@ fn idioms() {
             on.cycles,
             off.cycles,
             vs_off,
-            on.opt_idioms_fused,
-            on.counter("idiom.hit.fuse.cmpbr"),
-            on.counter("idiom.hit.fuse.tstbr"),
-            on.counter("idiom.hit.fuse.cbz"),
-            on.counter("idiom.hit.bulk.memset"),
+            on.jit.opt_idioms_fused,
+            on.jit.idiom_hits[RuleKind::FuseCmpBr.index()],
+            on.jit.idiom_hits[RuleKind::FuseTstBr.index()],
+            on.jit.idiom_hits[RuleKind::FuseCbz.index()],
+            on.jit.idiom_hits[RuleKind::BulkMemset.index()],
         );
     }
     // Every shipped rule must pay its way: at least one hit somewhere on the
     // idiom kernels, and a nonzero grand total.
-    for (i, kind) in dbt::RuleKind::ALL.iter().enumerate() {
+    for kind in RuleKind::ALL {
         assert!(
-            per_rule[i] > 0,
+            per_rule[kind.index()] > 0,
             "rule {} never fired on any idiom kernel",
             kind.name()
         );
@@ -1072,18 +1028,14 @@ fn idioms() {
     assert_eq!(branch.name, "idiom.branch");
     let (observe, mined, table) = run_captive_idioms_mined(branch);
     assert_eq!(
-        observe.opt_idioms_fused, 0,
+        observe.jit.opt_idioms_fused, 0,
         "observe-only mode must not rewrite anything"
     );
     assert!(
-        observe.counter("idiom.cand.fuse.cmpbr") > 0,
+        observe.jit.idiom_candidates[RuleKind::FuseCmpBr.index()] > 0,
         "observe-only mode must still count candidates"
     );
-    for kind in [
-        dbt::RuleKind::FuseCmpBr,
-        dbt::RuleKind::FuseTstBr,
-        dbt::RuleKind::FuseCbz,
-    ] {
+    for kind in [RuleKind::FuseCmpBr, RuleKind::FuseTstBr, RuleKind::FuseCbz] {
         assert!(
             table.enabled(kind) && table.weight(kind) > 0,
             "mined table dropped {} despite hot candidates",
@@ -1091,10 +1043,10 @@ fn idioms() {
         );
     }
     assert!(
-        mined.opt_idioms_fused > 0 && mined.cycles <= observe.cycles,
+        mined.jit.opt_idioms_fused > 0 && mined.cycles <= observe.cycles,
         "mined table must fuse and win on the kernel it was mined from \
          ({} fused, {} vs {} cycles)",
-        mined.opt_idioms_fused,
+        mined.jit.opt_idioms_fused,
         mined.cycles,
         observe.cycles
     );
@@ -1278,6 +1230,48 @@ fn fp_modes() {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn a_json_record_is_the_two_labels_the_mips_and_the_walk() {
+        let m = bench::RunStats {
+            cycles: 3_500,
+            guest_insns: 7,
+            ..Default::default()
+        };
+        let record = super::json_record("k", "e", &m);
+        let body = record
+            .trim()
+            .strip_prefix('{')
+            .and_then(|r| r.strip_suffix('}'))
+            .expect("one JSON object");
+        // No value holds a comma or a colon, so the members split apart.
+        let members: Vec<(&str, &str)> = body
+            .split(", ")
+            .map(|member| member.split_once(": ").expect("key: value"))
+            .collect();
+        let keys: Vec<String> = members
+            .iter()
+            .map(|(k, _)| k.trim_matches('"').into())
+            .collect();
+        let walked = m.walk();
+        let want: Vec<String> = ["kernel", "engine", "mips"]
+            .into_iter()
+            .map(String::from)
+            .chain(walked.iter().map(|c| c.name.clone()))
+            .collect();
+        assert_eq!(keys, want, "the keys are exactly the labels plus the walk");
+        assert_eq!(
+            members[..3],
+            [
+                ("\"kernel\"", "\"k\""),
+                ("\"engine\"", "\"e\""),
+                ("\"mips\"", "7.0")
+            ]
+        );
+        for ((_, value), counter) in members[3..].iter().zip(&walked) {
+            assert_eq!(*value, counter.value.to_string(), "{}", counter.name);
+        }
+    }
+
     #[test]
     fn usage_doc_comment_matches_the_section_table() {
         let doc = format!("//! Usage: `{}`", super::usage());

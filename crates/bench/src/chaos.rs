@@ -49,10 +49,11 @@
 //! flags and guest memory on Captive (any configuration) and on the QEMU
 //! baseline; `bench/tests/chaos.rs` holds the engine to that.
 
-use crate::BenchEngine;
+use crate::RunStats;
 use captive::{Captive, CaptiveConfig, RunExit};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
+use guest_aarch64::sys::Engine;
 use guest_aarch64::SysReg;
 use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, REQ_WRITE, SECTOR_SIZE};
 use hvm::VirtioBlkConfig;
@@ -460,7 +461,9 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
     }
 }
 
-/// Final architectural state plus engine counters after a chaos run.
+/// Final architectural state after a chaos run.  The counters that must
+/// agree across engines too are the `Architectural` ones of the
+/// [`RunStats`] that [`run_chaos`] returns beside it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosOutcome {
     /// x0..x30.
@@ -471,24 +474,7 @@ pub struct ChaosOutcome {
     pub code_digest: u64,
     /// FNV digest of the guest data region.
     pub data_digest: u64,
-    /// IRQs the engine delivered (must equal x20 and the plan's schedule
-    /// length + 1 timer fire + one per virtio completion).
-    pub irqs_delivered: u64,
-    /// Virtio completions the device retired (must equal the plan's
-    /// `virtio_submits`).
-    pub completions: u64,
-    /// Completions retired with a non-OK status — a pure function of the
-    /// plan's fault seed, so engine-independent.
-    pub io_errors: u64,
-    /// Faults the device's plan injected; engine-independent for the same
-    /// reason.
-    pub fault_injections: u64,
 }
-
-/// Engine counters captured for the same-seed determinism check; not part
-/// of the cross-engine architectural comparison (cycle counts legitimately
-/// differ between engines).
-pub type ChaosCounters = Vec<(&'static str, u64)>;
 
 const CODE_DIGEST_LEN: u64 = 16 * 1024;
 const DATA_DIGEST_LEN: u64 = 64 * 1024;
@@ -519,13 +505,13 @@ pub fn chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> Captive {
 
 /// The QEMU-style baseline with the plan's device attached.
 pub fn chaos_qemu(plan: &ChaosPlan) -> QemuRef {
-    let mut q = QemuRef::new(32 * 1024 * 1024);
+    let mut q = QemuRef::new(crate::guest_ram());
     q.attach_virtio(plan.virtio.clone());
     q
 }
 
 /// Runs the plan on `e` (built by [`chaos_captive`] or [`chaos_qemu`]).
-pub fn run_chaos<E: BenchEngine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, ChaosCounters) {
+pub fn run_chaos<E: Engine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, RunStats) {
     e.load_program(CODE_BASE, &plan.workload.words);
     e.set_entry(plan.workload.entry);
     for &(cycle, line) in &plan.schedule {
@@ -537,55 +523,13 @@ pub fn run_chaos<E: BenchEngine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, C
         "chaos seed {:#x}: unexpected exit {exit:?}",
         plan.seed
     );
-    let s = e.sys_stats();
     let outcome = ChaosOutcome {
         regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
         nzcv: e.guest_nzcv(),
         code_digest: e.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
         data_digest: e.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
-        irqs_delivered: s.irqs_delivered,
-        completions: s.virtio_completions,
-        io_errors: s.virtio_io_errors,
-        fault_injections: s.virtio_fault_injections,
     };
-    let m = e.measurement();
-    // Wall-clock fields (jit_wall_ns etc.) are deliberately NOT here — they
-    // are nondeterministic by nature.  The tiered-service counters are
-    // deterministic because requests publish at fixed link heats and results
-    // are consumed at the (blocking) install point; the virtio counters
-    // because completion order and payloads are fixed at kick time.
-    let counters = vec![
-        ("cycles", m.cycles),
-        ("host_insns", m.host_insns),
-        ("guest_insns", m.guest_insns),
-        ("blocks", m.blocks),
-        ("translations", m.translations),
-        ("guest_exceptions", s.guest_exceptions),
-        ("irqs_delivered", s.irqs_delivered),
-        ("timer_irqs", s.timer_irqs),
-        ("regions_formed", m.regions_formed),
-        ("loop_regions_formed", m.loop_regions_formed),
-        ("capacity_evictions", m.capacity_evictions),
-        ("bytes_live", m.bytes_live),
-        ("regions_live", m.regions_live),
-        ("formation_failures", m.formation_failures),
-        ("regions_quarantined", m.regions_quarantined),
-        ("regions_evicted", m.regions_evicted),
-        ("tier1_requests", m.tier1_requests),
-        ("regions_installed_async", m.regions_installed_async),
-        ("stale_discards", m.stale_discards),
-        ("reuse_hits", m.reuse_hits),
-        ("reuse_misses", m.reuse_misses),
-        ("virtio_kicks", s.virtio_kicks),
-        ("virtio_submissions", s.virtio_submissions),
-        ("virtio_completions", s.virtio_completions),
-        ("virtio_irqs", s.virtio_irqs),
-        ("virtio_fault_injections", s.virtio_fault_injections),
-        ("virtio_dma_bytes", s.virtio_dma_bytes),
-        ("virtio_io_errors", s.virtio_io_errors),
-        ("external_invalidations", s.external_invalidations),
-    ];
-    (outcome, counters)
+    (outcome, e.stats())
 }
 
 #[cfg(test)]

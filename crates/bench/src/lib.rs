@@ -1,9 +1,12 @@
-//! Benchmark harness shared by the Criterion benches, the `figures` binary
-//! and the examples: loads a guest program into Captive or the QEMU-style
-//! baseline, runs it to completion, and reports simulated-cycle statistics.
+//! Harness shared by the `figures` binary, the integration tests and the
+//! examples: loads a guest program into Captive or the QEMU-style baseline,
+//! runs it to completion, and returns the engine's [`RunStats`] — the one
+//! counter table of `guest_aarch64::sys`.  (Wall-clock benchmarking lives in
+//! the standalone `benchmark/` package.)
 
 use captive::{Captive, CaptiveConfig, FpMode, RunExit};
 use guest_aarch64::sys::Engine;
+pub use guest_aarch64::sys::{Kind, RunStats};
 use qemu_ref::QemuRef;
 use workloads::Workload;
 
@@ -11,155 +14,6 @@ pub mod chaos;
 
 /// Maximum dispatched blocks per run (safety net against guest hangs).
 pub const BLOCK_BUDGET: u64 = 200_000_000;
-
-/// Result of running one guest program on one system.
-#[derive(Debug, Clone, Default)]
-pub struct Measurement {
-    /// Simulated host cycles.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed.
-    pub guest_insns: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Bytes of generated host code.
-    pub code_bytes: u64,
-    /// Wall-clock seconds spent inside the JIT (all phases).
-    pub jit_seconds: f64,
-    /// JIT phase fractions (decode, translate, regalloc, encode).
-    pub jit_fractions: (f64, f64, f64, f64),
-    /// Control transfers that followed a chain link (Captive only; 0 for the
-    /// baseline).
-    pub chained_transfers: u64,
-    /// Successor links patched lazily (Captive only).
-    pub chain_patches: u64,
-    /// Dispatcher slow-path entries (Captive only).
-    pub slow_dispatches: u64,
-    /// Fetch-side iTLB hits (Captive only).
-    pub itlb_hits: u64,
-    /// Fetch-side iTLB misses (Captive only).
-    pub itlb_misses: u64,
-    /// Data-side gTLB hits (Captive only).
-    pub dtlb_hits: u64,
-    /// Data-side gTLB misses (Captive only).
-    pub dtlb_misses: u64,
-    /// Intra-region stitched transfers (Captive with region formation only).
-    pub region_transfers: u64,
-    /// Multi-constituent regions formed (Captive only).
-    pub regions_formed: u64,
-    /// Regions formed by unrolling a loop body (Captive only).
-    pub regions_unrolled: u64,
-    /// Regions whose loop closed as an internal back-edge (Captive only).
-    pub loop_regions_formed: u64,
-    /// Back-edge transfers taken: loop trips that stayed inside one region
-    /// (Captive only).
-    pub backedge_transfers: u64,
-    /// Interpreter entries (blocks executed; chained + dispatched +
-    /// superblock entries).
-    pub blocks: u64,
-    /// Regfile stores deleted by the LIR optimiser (Captive only; static).
-    pub opt_dead_stores: u64,
-    /// Regfile loads rewritten into register moves (Captive only; static).
-    pub opt_forwarded_loads: u64,
-    /// Partial-width forwards (subset of `opt_forwarded_loads`; Captive
-    /// only; static).
-    pub opt_partial_forwarded: u64,
-    /// Register-copy uses folded by copy propagation (Captive only; static).
-    pub opt_copies_folded: u64,
-    /// LIR instructions marked dead by iterative DCE (static).
-    pub opt_dce_insns: u64,
-    /// Regfile slots promoted to loop-carried host registers (Captive only;
-    /// static).
-    pub opt_promoted_slots: u64,
-    /// In-loop regfile loads satisfied from a carrier register (Captive
-    /// only; static).
-    pub opt_hoisted_loads: u64,
-    /// Vector regfile loads forwarded, including cross-file transfers
-    /// (Captive only; static).
-    pub opt_fp_forwarded: u64,
-    /// Guest-idiom rewrites applied across all rules (Captive only; static).
-    pub opt_idioms_fused: u64,
-    /// Cross-page chained transfers (QEMU-style baseline with `goto_tb`
-    /// only; subset of `chained_transfers`).
-    pub goto_tb_transfers: u64,
-    /// Dynamic host instructions saved by elimination (eliminated LIR
-    /// instructions × block executions).
-    pub elided_dyn_insns: u64,
-    /// Guest IRQs delivered (timer + interrupt-latch lines).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Regions evicted because the code cache hit its capacity bound
-    /// (Captive only; 0 for an unbounded cache).
-    pub capacity_evictions: u64,
-    /// Encoded bytes resident in the code cache at run end (Captive only).
-    pub bytes_live: u64,
-    /// Regions resident in the code cache at run end (Captive only).
-    pub regions_live: u64,
-    /// Stale-generation regions evicted by the context-generation sweep
-    /// (Captive only; compared by the chaos determinism check, not part of
-    /// the figures JSON).
-    pub regions_evicted: u64,
-    /// Region formations that produced nothing (Captive only).
-    pub formation_failures: u64,
-    /// Trace heads quarantined after repeated formation failures (Captive
-    /// only).
-    pub regions_quarantined: u64,
-    /// Translations abandoned by the typed lowering-error fallback.
-    pub lower_bailouts: u64,
-    /// Tier-1 formation requests published to the background service
-    /// (Captive tiered mode only).
-    pub tier1_requests: u64,
-    /// Regions installed from a background worker's result (Captive tiered
-    /// mode only).
-    pub regions_installed_async: u64,
-    /// Worker results discarded as stale at the install gate (Captive tiered
-    /// mode only).
-    pub stale_discards: u64,
-    /// Regions installed from the content-keyed reuse cache (Captive tiered
-    /// mode only).
-    pub reuse_hits: u64,
-    /// Reuse-cache lookups that found no valid template (Captive tiered mode
-    /// only).
-    pub reuse_misses: u64,
-    /// JIT wall-clock the run thread actually stalled on, in nanoseconds
-    /// (tier-0 translation + snapshot capture + result waits + synchronous
-    /// formation).  Wall time, NOT modeled cycles.
-    pub jit_wall_ns: u64,
-    /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
-    /// behind execution).
-    pub tier_worker_wall_ns: u64,
-    /// Nanoseconds from engine construction to the first region install
-    /// (0 when no region was installed).
-    pub first_region_install_ns: u64,
-    /// String-keyed counters that don't warrant a dedicated field: per-rule
-    /// idiom hit/candidate counts (`idiom.hit.<rule>`, `idiom.cand.<rule>`)
-    /// today, anything cheap-to-name tomorrow.  Serialized by the `figures`
-    /// binary as a `"counters"` JSON object per record.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl Measurement {
-    /// Fetch iTLB hit rate in [0, 1]; 1.0 when there were no fetches (same
-    /// empty-denominator convention as [`hvm::PerfCounters::tlb_hit_rate`]).
-    pub fn itlb_hit_rate(&self) -> f64 {
-        let total = self.itlb_hits + self.itlb_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.itlb_hits as f64 / total as f64
-        }
-    }
-
-    /// Looks up a string-keyed counter; 0 when the key was never recorded.
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-}
 
 /// One named Captive configuration: the name and the edit it makes to
 /// [`CaptiveConfig::default`].
@@ -210,104 +64,10 @@ pub fn captive_config(names: &str) -> CaptiveConfig {
     cfg
 }
 
-/// What the generic drivers need from an engine beyond the shared
-/// [`Engine`] façade: the engine-specific half of a [`Measurement`].
-pub trait BenchEngine: Engine {
-    /// The counters only this engine has; [`drive`] fills in the shared
-    /// ones (IRQs, virtio).
-    fn measurement(&self) -> Measurement;
-}
-
-impl BenchEngine for Captive {
-    fn measurement(&self) -> Measurement {
-        let s = self.stats();
-        let per_rule = |prefix: &str, counts: &[(String, u64)]| {
-            counts
-                .iter()
-                .map(|(name, n)| (format!("{prefix}.{name}"), *n))
-                .collect::<Vec<_>>()
-        };
-        let mut counters = per_rule("idiom.hit", &s.idiom_hits);
-        counters.extend(per_rule("idiom.cand", &s.idiom_candidates));
-        Measurement {
-            cycles: s.cycles,
-            host_insns: s.host_insns,
-            guest_insns: s.guest_insns,
-            translations: s.translations,
-            code_bytes: s.code_bytes,
-            jit_seconds: self.timers.total().as_secs_f64(),
-            jit_fractions: self.timers.fractions(),
-            chained_transfers: s.chained_transfers,
-            chain_patches: s.chain_patches,
-            slow_dispatches: s.slow_dispatches,
-            itlb_hits: s.itlb_hits,
-            itlb_misses: s.itlb_misses,
-            dtlb_hits: s.dtlb_hits,
-            dtlb_misses: s.dtlb_misses,
-            region_transfers: s.region_transfers,
-            regions_formed: s.regions_formed,
-            regions_unrolled: s.regions_unrolled,
-            loop_regions_formed: s.loop_regions_formed,
-            backedge_transfers: s.backedge_transfers,
-            blocks: s.blocks,
-            opt_dead_stores: s.opt_dead_stores,
-            opt_forwarded_loads: s.opt_forwarded_loads,
-            opt_partial_forwarded: s.opt_partial_forwarded,
-            opt_copies_folded: s.opt_copies_folded,
-            opt_dce_insns: s.opt_dce_insns,
-            opt_promoted_slots: s.opt_promoted_slots,
-            opt_hoisted_loads: s.opt_hoisted_loads,
-            opt_fp_forwarded: s.opt_fp_forwarded,
-            opt_idioms_fused: s.opt_idioms_fused,
-            elided_dyn_insns: s.elided_dyn_insns,
-            capacity_evictions: s.capacity_evictions,
-            bytes_live: s.bytes_live,
-            regions_live: s.regions_live,
-            regions_evicted: s.regions_evicted,
-            formation_failures: s.formation_failures,
-            regions_quarantined: s.regions_quarantined,
-            lower_bailouts: self.timers.lower_bailouts,
-            tier1_requests: s.tier1_requests,
-            regions_installed_async: s.regions_installed_async,
-            stale_discards: s.stale_discards,
-            reuse_hits: s.reuse_hits,
-            reuse_misses: s.reuse_misses,
-            jit_wall_ns: s.jit_wall_ns,
-            tier_worker_wall_ns: s.tier_worker_wall_ns,
-            first_region_install_ns: s.first_region_install_ns,
-            counters,
-            ..Measurement::default()
-        }
-    }
-}
-
-impl BenchEngine for QemuRef {
-    fn measurement(&self) -> Measurement {
-        let s = self.stats();
-        Measurement {
-            cycles: s.cycles,
-            host_insns: s.host_insns,
-            guest_insns: s.guest_insns,
-            translations: s.translations,
-            code_bytes: s.code_bytes,
-            jit_seconds: self.timers.total().as_secs_f64(),
-            jit_fractions: self.timers.fractions(),
-            chained_transfers: s.chained_transfers,
-            chain_patches: s.chain_patches,
-            slow_dispatches: s.blocks - s.chained_transfers,
-            blocks: s.blocks,
-            opt_dce_insns: self.timers.opt_dce_insns,
-            goto_tb_transfers: s.goto_tb_transfers,
-            lower_bailouts: self.timers.lower_bailouts,
-            ..Measurement::default()
-        }
-    }
-}
-
 /// Loads `w` into an already constructed engine (so callers can pre-seat a
-/// rule table or attach a device), runs it to the halt and extracts the
-/// [`Measurement`].
-pub fn drive<E: BenchEngine>(w: &Workload, e: &mut E) -> Measurement {
+/// rule table or attach a device), runs it to the halt and samples the
+/// engine's counters.
+pub fn drive<E: Engine>(w: &Workload, e: &mut E) -> RunStats {
     e.load_program(workloads::CODE_BASE, &w.words);
     e.set_entry(w.entry);
     let exit = e.run(BLOCK_BUDGET);
@@ -316,42 +76,23 @@ pub fn drive<E: BenchEngine>(w: &Workload, e: &mut E) -> Measurement {
         "{}: unexpected exit {exit:?}",
         w.name
     );
-    let mut m = e.measurement();
-    let s = e.sys_stats();
-    m.irqs_delivered = s.irqs_delivered;
-    m.timer_irqs = s.timer_irqs;
-    if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-        m.counters.extend(
-            [
-                ("virtio.kicks", s.virtio_kicks),
-                ("virtio.submissions", s.virtio_submissions),
-                ("virtio.completions", s.virtio_completions),
-                ("virtio.irqs", s.virtio_irqs),
-                ("virtio.fault_injections", s.virtio_fault_injections),
-                ("virtio.dma_bytes", s.virtio_dma_bytes),
-                ("virtio.io_errors", s.virtio_io_errors),
-                ("virtio.external_invalidations", s.external_invalidations),
-            ]
-            .map(|(k, v)| (k.to_string(), v)),
-        );
-    }
-    m
+    e.stats()
 }
 
 /// Runs a workload under Captive as shipped (`CaptiveConfig::default()`).
-pub fn run_captive(w: &Workload) -> Measurement {
+pub fn run_captive(w: &Workload) -> RunStats {
     run_captive_cfg(w, CaptiveConfig::default())
 }
 
 /// Runs a workload under Captive with an explicit configuration — usually a
 /// named one, `run_captive_cfg(w, captive_config("noopt+sync"))`.
-pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> Measurement {
+pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> RunStats {
     drive(w, &mut Captive::new(cfg))
 }
 
 /// Runs a workload under Captive with a virtio-blk device attached on top
 /// of an arbitrary engine configuration.
-pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConfig) -> Measurement {
+pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConfig) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -364,10 +105,7 @@ pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConf
 /// Runs a workload under default Captive with a shared content-keyed reuse
 /// cache, for repeated-image sweeps where later runs should hit templates
 /// published by earlier ones.
-pub fn run_captive_tiered_reuse(
-    w: &Workload,
-    reuse: &std::sync::Arc<dbt::ReuseCache>,
-) -> Measurement {
+pub fn run_captive_tiered_reuse(w: &Workload, reuse: &std::sync::Arc<dbt::ReuseCache>) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -381,7 +119,7 @@ pub fn run_captive_tiered_reuse(
 /// nothing rewritten), mine a [`dbt::RuleTable`] from the hot-region
 /// profiles, then re-run with the mined table applied.  Returns
 /// `(observe, mined, table)`.
-pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt::RuleTable) {
+pub fn run_captive_idioms_mined(w: &Workload) -> (RunStats, RunStats, dbt::RuleTable) {
     let mut observer = Captive::new(captive_config("sync"));
     observer.set_idiom_rules(dbt::RuleTable::observe_only());
     let observe = drive(w, &mut observer);
@@ -392,28 +130,34 @@ pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt:
     (observe, mined, table)
 }
 
+/// Guest RAM for a QEMU-style baseline: whatever the Captive it is compared
+/// with gets, so the two engines cannot be sized apart.
+pub(crate) fn guest_ram() -> u64 {
+    CaptiveConfig::default().guest_ram
+}
+
 /// Runs a workload under the QEMU-style baseline (no chaining).
-pub fn run_qemu(w: &Workload) -> Measurement {
+pub fn run_qemu(w: &Workload) -> RunStats {
     run_qemu_chaining(w, false)
 }
 
 /// Runs a workload under the QEMU-style baseline with same-page chaining
 /// configured explicitly (the tightened baseline of real QEMU).
-pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> Measurement {
-    drive(w, &mut QemuRef::with_chaining(32 * 1024 * 1024, chaining))
+pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> RunStats {
+    drive(w, &mut QemuRef::with_chaining(guest_ram(), chaining))
 }
 
 /// Runs a workload under the strongest honest baseline: same-page chaining
 /// plus TCG-style `goto_tb` cross-page linking.  The `figures -- promote`
 /// headline speedups are measured against this configuration.
-pub fn run_qemu_goto_tb(w: &Workload) -> Measurement {
-    drive(w, &mut QemuRef::with_goto_tb(32 * 1024 * 1024))
+pub fn run_qemu_goto_tb(w: &Workload) -> RunStats {
+    drive(w, &mut QemuRef::with_goto_tb(guest_ram()))
 }
 
 /// Runs a workload under the QEMU-style baseline with a virtio-blk device
 /// attached (plain non-chaining configuration, like [`run_qemu`]).
-pub fn run_qemu_io(w: &Workload, vcfg: hvm::VirtioBlkConfig) -> Measurement {
-    let mut q = QemuRef::new(32 * 1024 * 1024);
+pub fn run_qemu_io(w: &Workload, vcfg: hvm::VirtioBlkConfig) -> RunStats {
+    let mut q = QemuRef::new(guest_ram());
     q.attach_virtio(vcfg);
     drive(w, &mut q)
 }

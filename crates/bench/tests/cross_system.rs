@@ -424,7 +424,7 @@ fn optimizer_preserves_region_side_exit_state() {
         "the loop must get hot enough to stitch"
     );
     assert!(
-        on.stats().opt_dead_stores >= 1,
+        on.stats().jit.opt_dead_stores >= 1,
         "the adds NZCV store is dead and must be eliminated"
     );
     assert!(on.stats().cycles <= off.stats().cycles);
@@ -892,7 +892,7 @@ proptest! {
                     trips
                 );
                 prop_assert!(
-                    s.opt_promoted_slots >= 1,
+                    s.jit.opt_promoted_slots >= 1,
                     "the dirty index/accumulator slots must promote \
                      (trips {}, unroll {})",
                     trips,
@@ -963,11 +963,11 @@ fn fault_mid_promoted_loop_reconciles_exact_state() {
     );
     let s = on.stats();
     assert!(
-        s.opt_promoted_slots >= 1,
+        s.jit.opt_promoted_slots >= 1,
         "the marching address must have promoted"
     );
     assert!(
-        s.opt_hoisted_loads >= 1,
+        s.jit.opt_hoisted_loads >= 1,
         "the invariant value/stride loads must have hoisted"
     );
     assert!(s.backedge_transfers > 50, "iterations tripped in-region");
@@ -1110,7 +1110,7 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
         "trips left at the fault"
     );
     let s = c.stats();
-    assert!(s.opt_promoted_slots >= 3, "x1, x2 and x3 promote");
+    assert!(s.jit.opt_promoted_slots >= 3, "x1, x2 and x3 promote");
     assert!(
         s.backedge_transfers > TRIPS as u64,
         "the second chase ran inside a region again: {} back-edge transfers",
@@ -1189,7 +1189,7 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
     );
     let s = on.stats();
     assert!(
-        s.opt_promoted_slots >= 1,
+        s.jit.opt_promoted_slots >= 1,
         "the countdown/accumulator must have promoted"
     );
     assert!(

@@ -1,8 +1,9 @@
 //! Counter pins for the metrics registry (PR 20), recorded on its *parent*
 //! commit: every deterministic `bench::Measurement` field and side-map entry
 //! of five fixed runs, as literal `(name, value)` lists.  The refactor that
-//! replaces `Measurement` with the one `RunStats` table must keep every value;
-//! only the harness below the lists may change with it.
+//! replaced `Measurement` with the one `RunStats` table kept every value;
+//! only the harness below the lists changed with it (it used to spell the
+//! parent's fields out; now it looks each name up in the walk).
 //!
 //! Name map from the parent's spellings, stated once: a `Measurement` field
 //! keeps its name; the side map's `virtio.<x>` is `virtio_<x>`, except
@@ -338,85 +339,17 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("idiom_candidates.bulk.memset", 0),
 ];
 
-use bench::Measurement;
-
-/// The parent's spellings under the name map in the module docs.
-fn rows(m: &Measurement) -> Vec<(String, u64)> {
-    let mut rows: Vec<(String, u64)> = [
-        ("cycles", m.cycles),
-        ("host_insns", m.host_insns),
-        ("guest_insns", m.guest_insns),
-        ("translations", m.translations),
-        ("code_bytes", m.code_bytes),
-        ("chained_transfers", m.chained_transfers),
-        ("chain_patches", m.chain_patches),
-        ("slow_dispatches", m.slow_dispatches),
-        ("itlb_hits", m.itlb_hits),
-        ("itlb_misses", m.itlb_misses),
-        ("dtlb_hits", m.dtlb_hits),
-        ("dtlb_misses", m.dtlb_misses),
-        ("region_transfers", m.region_transfers),
-        ("regions_formed", m.regions_formed),
-        ("regions_unrolled", m.regions_unrolled),
-        ("loop_regions_formed", m.loop_regions_formed),
-        ("backedge_transfers", m.backedge_transfers),
-        ("blocks", m.blocks),
-        ("opt_dead_stores", m.opt_dead_stores),
-        ("opt_forwarded_loads", m.opt_forwarded_loads),
-        ("opt_partial_forwarded", m.opt_partial_forwarded),
-        ("opt_copies_folded", m.opt_copies_folded),
-        ("opt_dce_insns", m.opt_dce_insns),
-        ("opt_promoted_slots", m.opt_promoted_slots),
-        ("opt_hoisted_loads", m.opt_hoisted_loads),
-        ("opt_fp_forwarded", m.opt_fp_forwarded),
-        ("opt_idioms_fused", m.opt_idioms_fused),
-        ("goto_tb_transfers", m.goto_tb_transfers),
-        ("elided_dyn_insns", m.elided_dyn_insns),
-        ("irqs_delivered", m.irqs_delivered),
-        ("timer_irqs", m.timer_irqs),
-        ("capacity_evictions", m.capacity_evictions),
-        ("bytes_live", m.bytes_live),
-        ("regions_live", m.regions_live),
-        ("regions_evicted", m.regions_evicted),
-        ("formation_failures", m.formation_failures),
-        ("regions_quarantined", m.regions_quarantined),
-        ("lower_bailouts", m.lower_bailouts),
-        ("tier1_requests", m.tier1_requests),
-        ("regions_installed_async", m.regions_installed_async),
-        ("stale_discards", m.stale_discards),
-        ("reuse_hits", m.reuse_hits),
-        ("reuse_misses", m.reuse_misses),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect();
-    for (k, v) in &m.counters {
-        let name = if let Some(rule) = k.strip_prefix("idiom.hit.") {
-            format!("idiom_hits.{rule}")
-        } else if let Some(rule) = k.strip_prefix("idiom.cand.") {
-            format!("idiom_candidates.{rule}")
-        } else if k == "virtio.external_invalidations" {
-            "external_invalidations".to_string()
-        } else if let Some(rest) = k.strip_prefix("virtio.") {
-            format!("virtio_{rest}")
-        } else {
-            panic!("unmapped side-map key {k}");
-        };
-        rows.push((name, *v));
-    }
-    rows
-}
+use bench::RunStats;
 
 /// Every pinned `(name, value)` of `golden` must be what `m` reports.
-fn check(run: &str, golden: &[(&str, u64)], m: &Measurement) {
-    let rows = rows(m);
+fn check(run: &str, golden: &[(&str, u64)], m: &RunStats) {
+    let walk = m.walk();
     for &(name, want) in golden {
-        let got = rows
+        let got = walk
             .iter()
-            .find(|(k, _)| k == name)
-            .unwrap_or_else(|| panic!("{run}: counter {name} is gone"))
-            .1;
-        assert_eq!(got, want, "{run}: {name}");
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("{run}: counter {name} is gone"));
+        assert_eq!(got.value, want, "{run}: {name}");
     }
 }
 

@@ -21,9 +21,11 @@
 //! 13337211852454269778 → 2156033232277762918, formed regions (1 734 of them,
 //! unchanged) 3778306141397402819 → 13911468391831815842.
 
-use captive::translator::form_region;
+use captive::spec::Knobs;
+use captive::translator::{form_region, LiveSource};
 use dbt::{Emitter, GuestIsa, PhaseTimers, RuleTable};
 use guest_aarch64::Aarch64Isa;
+use std::sync::Arc;
 use workloads::{Scale, Workload};
 
 /// The bytes a digest covers, hashed with [`dbt::fnv1a`] at the end.
@@ -121,7 +123,7 @@ fn block_digest(run_opt: bool) -> u64 {
             }
         }
     }
-    assert_eq!(timers.lower_bailouts, 0);
+    assert_eq!(timers.jit.lower_bailouts, 0);
     h.finish()
 }
 
@@ -146,7 +148,7 @@ fn unoptimised_block_translations_are_byte_identical_to_the_recorded_digest() {
 #[test]
 fn formed_regions_are_byte_identical_to_the_recorded_digest() {
     let cfg = bench::captive_config("sync");
-    let table = RuleTable::full();
+    let knobs = Knobs::new(&cfg, &Arc::new(RuleTable::full()));
     let mut h = Digest::default();
     let mut formed = 0usize;
     for w in programs() {
@@ -157,18 +159,11 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
             let pc = workloads::CODE_BASE + start as u64 * 4;
             let (region, _) = form_region(
                 &Aarch64Isa,
-                &mut c.machine,
-                &mut c.runtime,
+                LiveSource::new(&mut c.machine, &mut c.runtime, &c.cache),
                 &mut timers,
-                &c.cache,
                 pc,
                 pc,
-                cfg.region_max_insns,
-                cfg.unroll_loops,
-                cfg.fp_mode,
-                cfg.opt,
-                cfg.promote,
-                Some(&table),
+                &knobs,
             );
             match region {
                 Some(r) => {

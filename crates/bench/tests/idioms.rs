@@ -9,6 +9,7 @@
 //! window, must not fuse.
 
 use captive::{Captive, CaptiveConfig};
+use dbt::RuleKind;
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
 use proptest::prelude::*;
@@ -51,12 +52,8 @@ fn run_qemu(words: &[u32]) -> QemuRef {
 }
 
 /// Per-rule fusion count from a finished run.
-fn hits(c: &mut Captive, rule: &str) -> u64 {
-    c.stats()
-        .idiom_hits
-        .iter()
-        .find(|(n, _)| n == rule)
-        .map_or(0, |(_, v)| *v)
+fn hits(c: &Captive, rule: RuleKind) -> u64 {
+    c.stats().jit.idiom_hits[rule.index()]
 }
 
 /// Full architectural comparison: 31 registers, NZCV, and the data region.
@@ -139,12 +136,12 @@ proptest! {
             assert_arch_eq(&mut on, &mut off, &mut q, "cmpbr");
             if trips > 16 {
                 prop_assert!(
-                    hits(&mut on, "fuse.cmpbr") >= 1,
+                    hits(&on, RuleKind::FuseCmpBr) >= 1,
                     "hot cmp+b.{:?} loop must fuse",
                     CONDS[cond_idx]
                 );
             }
-            prop_assert_eq!(hits(&mut off, "fuse.cmpbr"), 0);
+            prop_assert_eq!(hits(&off, RuleKind::FuseCmpBr), 0);
         }
     }
 
@@ -181,11 +178,11 @@ proptest! {
             assert_arch_eq(&mut on, &mut off, &mut q, "tstbr");
             if trips > 16 {
                 prop_assert!(
-                    hits(&mut on, "fuse.tstbr") >= 1,
+                    hits(&on, RuleKind::FuseTstBr) >= 1,
                     "hot ands+b.{cond:?} loop must fuse"
                 );
             }
-            prop_assert_eq!(hits(&mut off, "fuse.tstbr"), 0);
+            prop_assert_eq!(hits(&off, RuleKind::FuseTstBr), 0);
         }
     }
 
@@ -215,11 +212,11 @@ proptest! {
             assert_arch_eq(&mut on, &mut off, &mut q, "cbz");
             if trips > 16 {
                 prop_assert!(
-                    hits(&mut on, "fuse.cbz") >= 1,
+                    hits(&on, RuleKind::FuseCbz) >= 1,
                     "hot cbnz loop must fuse its back-edge test"
                 );
             }
-            prop_assert_eq!(hits(&mut off, "fuse.cbz"), 0);
+            prop_assert_eq!(hits(&off, RuleKind::FuseCbz), 0);
         }
     }
 
@@ -259,11 +256,11 @@ proptest! {
             assert_arch_eq(&mut on, &mut off, &mut q, "addr");
             if trips > 16 {
                 prop_assert!(
-                    hits(&mut on, "addr.fold") >= 1,
+                    hits(&on, RuleKind::AddrFold) >= 1,
                     "hot scaled-index loop must fold its address chain"
                 );
             }
-            prop_assert_eq!(hits(&mut off, "addr.fold"), 0);
+            prop_assert_eq!(hits(&off, RuleKind::AddrFold), 0);
         }
     }
 
@@ -302,11 +299,11 @@ proptest! {
             assert_arch_eq(&mut on, &mut off, &mut q, "bulk");
             if bytes > 200 {
                 prop_assert!(
-                    hits(&mut on, "bulk.memset") >= 1,
+                    hits(&on, RuleKind::BulkMemset) >= 1,
                     "a {bytes}-byte fill must take the wide path"
                 );
             }
-            prop_assert_eq!(hits(&mut off, "bulk.memset"), 0);
+            prop_assert_eq!(hits(&off, RuleKind::BulkMemset), 0);
         }
     }
 }
@@ -337,21 +334,18 @@ fn carry_condition_on_logic_producer_suppresses_fusion() {
     let mut off = run_captive(&words, false);
     let mut q = run_qemu(&words);
     assert_arch_eq(&mut on, &mut off, &mut q, "hi-on-ands");
-    for rule in ["fuse.cmpbr", "fuse.tstbr"] {
+    for rule in [RuleKind::FuseCmpBr, RuleKind::FuseTstBr] {
         assert_eq!(
-            hits(&mut on, rule),
+            hits(&on, rule),
             0,
-            "{rule}: an ands+b.hi site must refuse fusion"
+            "{}: an ands+b.hi site must refuse fusion",
+            rule.name()
         );
-        let cands = on
-            .stats()
-            .idiom_candidates
-            .iter()
-            .find(|(n, _)| n == rule)
-            .map_or(0, |(_, v)| *v);
         assert_eq!(
-            cands, 0,
-            "{rule}: the unclassifiable site must not count as a candidate"
+            on.stats().jit.idiom_candidates[rule.index()],
+            0,
+            "{}: the unclassifiable site must not count as a candidate",
+            rule.name()
         );
     }
 }

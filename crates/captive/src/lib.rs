@@ -73,11 +73,10 @@ pub mod tier;
 pub mod translator;
 
 use dbt::{
-    fnv1a, pack_knobs, CacheIndex, CodeCache, EntryMode, PhaseTimers, Region, RegionKey,
-    RegionProfile, ReuseCache, ReuseKey, ReuseTemplate, RuleKind, RuleTable, TierTimers,
-    RULE_COUNT,
+    fnv1a, CacheIndex, CodeCache, EntryMode, PhaseTimers, Region, RegionKey, RegionProfile,
+    ReuseCache, ReuseKey, ReuseTemplate, RuleKind, RuleTable, TierTimers, RULE_COUNT,
 };
-use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, SysStats};
+use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
 use guest_aarch64::Aarch64Isa;
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
 use runtime::CaptiveRuntime;
@@ -85,7 +84,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tier::{FormationRequest, FormationResult, FormationSnapshot, TierService, WorkerOutcome};
-use translator::{form_region, translate_block};
+use translator::{form_region, live_code_word, translate_block_from, LiveSource, MAX_BLOCK_INSNS};
 
 /// How guest floating-point instructions are implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,8 +127,6 @@ pub struct CaptiveConfig {
     /// Chain-link transfer count at which the link's target becomes a
     /// region trace head.
     pub region_threshold: u64,
-    /// Guest-instruction cap on one region trace.
-    pub region_max_insns: usize,
     /// Copies of a hot loop body stitched into one region before its
     /// back-edge closes (2–4 amortises the loop-back overhead; 0 or 1
     /// disables peeling).  The closed loop iterates entirely in translated
@@ -144,18 +141,12 @@ pub struct CaptiveConfig {
     /// from [`dbt::Region::promoted`] — so the guest always observes a
     /// precise register file.
     pub promote: bool,
-    /// Maximum guest instructions per translated block.
-    pub max_block_insns: usize,
-    /// Host machine configuration.
-    pub machine: MachineConfig,
     /// Record per-block execution cycles (needed for the Fig. 21 experiment;
     /// adds bookkeeping overhead).
     pub per_block_stats: bool,
-    /// Code-cache capacity in encoded bytes (`None` = unbounded).  When the
-    /// bound is hit the cache evicts clock-style; a churn-heavy guest
+    /// Code-cache capacity in resident regions (`None` = unbounded).  When
+    /// the bound is hit the cache evicts clock-style; a churn-heavy guest
     /// degrades to re-translation, never to unbounded growth.
-    pub cache_capacity_bytes: Option<usize>,
-    /// Code-cache capacity in resident regions (`None` = unbounded).
     pub cache_capacity_regions: Option<usize>,
     /// Two-tier translation: region formation runs on background workers
     /// against immutable snapshots while the run thread keeps executing
@@ -187,13 +178,9 @@ impl Default for CaptiveConfig {
             opt: true,
             idioms: true,
             region_threshold: 16,
-            region_max_insns: 256,
             unroll_loops: 4,
             promote: true,
-            max_block_insns: 64,
-            machine: MachineConfig::default(),
             per_block_stats: false,
-            cache_capacity_bytes: None,
             cache_capacity_regions: None,
             tiered: true,
             tier_workers: 2,
@@ -203,152 +190,7 @@ impl Default for CaptiveConfig {
     }
 }
 
-pub use guest_aarch64::sys::RunExit;
-
-/// Aggregate statistics of a run.
-///
-/// Concurrency audit: every field here is owned and written by the run
-/// thread only — tier-1 workers report through [`tier::FormationResult`]
-/// messages and never touch shared counters — so plain `u64`s are sound.
-/// The code-cache counters (lookups, evictions, occupancy) live in the
-/// run-thread-owned [`CodeCache`] and are *sampled* into this struct by
-/// [`Captive::stats`].
-///
-/// Dereferences to the engine-independent [`SysStats`], so
-/// `stats.guest_exceptions`, `stats.irqs_delivered`, `stats.virtio_*` and
-/// `stats.external_invalidations` read as flat fields.
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// The counters every engine reports, sampled by the guest-system core.
-    pub sys: SysStats,
-    /// Simulated host cycles consumed by guest execution.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed (blocks entered × block length).
-    pub guest_insns: u64,
-    /// Blocks executed (chained and dispatched).
-    pub blocks: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Bytes of host code generated.
-    pub code_bytes: u64,
-    /// Blocks entered through the dispatcher slow path (page resolution +
-    /// cache lookup + EL read).
-    pub slow_dispatches: u64,
-    /// Control transfers that followed a patched chain link, bypassing the
-    /// dispatcher.
-    pub chained_transfers: u64,
-    /// Successor links patched (lazy chain resolutions).
-    pub chain_patches: u64,
-    /// Fetch-side iTLB hits (instruction fetches resolved without a guest
-    /// page-table walk).
-    pub itlb_hits: u64,
-    /// Fetch-side iTLB misses.
-    pub itlb_misses: u64,
-    /// Data-side gTLB hits (host data faults whose guest walk was answered
-    /// from the cache).
-    pub dtlb_hits: u64,
-    /// Data-side gTLB misses (host data faults that walked guest tables).
-    pub dtlb_misses: u64,
-    /// Intra-region constituent transfers: stitched block boundaries crossed
-    /// without an interpreter entry (each would have been a chained transfer
-    /// under chaining alone).
-    pub region_transfers: u64,
-    /// Multi-constituent regions formed from hot chain paths.
-    pub regions_formed: u64,
-    /// Regions formed by unrolling a loop body — single- or multi-block
-    /// (subset of `regions_formed`).
-    pub regions_unrolled: u64,
-    /// Regions whose loop closed as a region-internal back-edge (subset of
-    /// `regions_formed`): these iterate inside translated code.
-    pub loop_regions_formed: u64,
-    /// Back-edge transfers taken: loop trips that stayed inside one region
-    /// (each would have been at least a chained transfer, usually several,
-    /// without looping regions).
-    pub backedge_transfers: u64,
-    /// Interpreter entries that executed a multi-constituent region (subset
-    /// of `blocks`).
-    pub region_entries: u64,
-    /// Stale-generation regions evicted by the context-generation sweep.
-    pub regions_evicted: u64,
-    /// Regfile stores deleted by the LIR optimiser across all translations
-    /// (static count).
-    pub opt_dead_stores: u64,
-    /// Regfile loads the optimiser rewrote into register moves (static).
-    pub opt_forwarded_loads: u64,
-    /// Partial-width forwards (subset of `opt_forwarded_loads`): 32-bit
-    /// loads satisfied by the low half of a 64-bit store (static).
-    pub opt_partial_forwarded: u64,
-    /// Register-copy uses folded by the optimiser's copy propagation
-    /// (static).
-    pub opt_copies_folded: u64,
-    /// LIR instructions marked dead by the allocator's iterative DCE
-    /// (static).
-    pub opt_dce_insns: u64,
-    /// Register-file slots promoted to loop-carried host registers (static).
-    pub opt_promoted_slots: u64,
-    /// In-loop regfile loads satisfied from a carrier register instead of a
-    /// memory round-trip (static).
-    pub opt_hoisted_loads: u64,
-    /// Vector (XMM) regfile loads forwarded from earlier vector values,
-    /// including cross-file GPR↔XMM transfers (static).
-    pub opt_fp_forwarded: u64,
-    /// Guest-idiom rewrites applied across all translations (static total
-    /// over every rule; see [`dbt::idiom`]).
-    pub opt_idioms_fused: u64,
-    /// Per-rule idiom rewrites applied, keyed by rule name (static).
-    pub idiom_hits: Vec<(String, u64)>,
-    /// Per-rule idiom candidate sites — matched and proven sound whether or
-    /// not the rule was enabled; the rule miner's input (static).
-    pub idiom_candidates: Vec<(String, u64)>,
-    /// Dynamic host instructions saved: per block entry, the LIR
-    /// instructions eliminated from that translation before encoding.
-    pub elided_dyn_insns: u64,
-    /// Regions evicted because the cache hit its capacity bound.
-    pub capacity_evictions: u64,
-    /// Encoded bytes currently resident in the code cache.
-    pub bytes_live: u64,
-    /// Regions currently resident in the code cache.
-    pub regions_live: u64,
-    /// Region-formation attempts that produced no multi-constituent region
-    /// (trace too short, or translation bailed out).
-    pub formation_failures: u64,
-    /// Trace heads permanently quarantined after repeated formation
-    /// failures (no further attempts are made for them).
-    pub regions_quarantined: u64,
-    /// Tier-1 formation requests published to the background service.
-    pub tier1_requests: u64,
-    /// Regions formed by a background worker and installed after
-    /// revalidation (subset of `regions_formed`).
-    pub regions_installed_async: u64,
-    /// Worker-formed regions discarded at the install gate: formed against
-    /// a stale context generation or a since-patched page.
-    pub stale_discards: u64,
-    /// Regions installed from the content-keyed reuse cache without any
-    /// formation work (subset of `regions_formed`).
-    pub reuse_hits: u64,
-    /// Reuse-cache lookups that found no validated template.
-    pub reuse_misses: u64,
-    /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
-    /// translation, snapshot capture, waits for in-flight results, and
-    /// synchronous formation (wall time, NOT modeled cycles — excluded from
-    /// determinism comparisons).
-    pub jit_wall_ns: u64,
-    /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
-    /// behind tier-0 execution).
-    pub tier_worker_wall_ns: u64,
-    /// Nanoseconds from engine construction to the first gated-region
-    /// install (0 when none was installed).
-    pub first_region_install_ns: u64,
-}
-
-impl std::ops::Deref for RunStats {
-    type Target = SysStats;
-    fn deref(&self) -> &SysStats {
-        &self.sys
-    }
-}
+pub use guest_aarch64::sys::{RunExit, RunStats};
 
 /// The hypervisor.
 pub struct Captive {
@@ -397,9 +239,10 @@ pub struct Captive {
     idiom_rules: Arc<RuleTable>,
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     tier_timers: TierTimers,
-    /// The knobs speculative tier-0 translations must have been made under
-    /// to be installed (re-made whenever `idiom_rules` changes).
-    spec_knobs: Arc<spec::Knobs>,
+    /// The codegen knobs every translation is made under (re-made whenever
+    /// `idiom_rules` changes); a speculative tier-0 translation must carry
+    /// this very `Arc` to be installed.
+    knobs: Arc<spec::Knobs>,
     /// Run-thread speculation counters.
     spec_stats: spec::SpecStats,
     /// Construction time, the zero point for time-to-first-region-install.
@@ -437,7 +280,7 @@ impl Captive {
     /// Creates a hypervisor with a fresh host VM and boots the "unikernel":
     /// host page tables for the Captive area are built and paging is enabled.
     pub fn new(config: CaptiveConfig) -> Self {
-        let mut machine = Machine::new(config.machine.clone());
+        let mut machine = Machine::new(MachineConfig::default());
         let mut runtime = CaptiveRuntime::new(&mut machine, config.guest_ram);
         if let Some(vcfg) = &config.virtio {
             runtime.sys.attach_virtio(&mut machine, vcfg.clone());
@@ -445,7 +288,7 @@ impl Captive {
         // The register-file base pointer lives in %rbp for the whole run.
         machine.set_reg(Gpr::Rbp, layout::REGFILE_VA);
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
-        cache.set_capacity(config.cache_capacity_bytes, config.cache_capacity_regions);
+        cache.set_capacity(None, config.cache_capacity_regions);
         let tiered = config.tiered && config.form_regions;
         let tier = tiered.then(|| TierService::new(config.tier_workers));
         let reuse = tiered.then(|| {
@@ -461,7 +304,7 @@ impl Captive {
             cache,
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
-            spec_knobs: spec::Knobs::new(&config, &idiom_rules),
+            knobs: spec::Knobs::new(&config, &idiom_rules),
             spec_stats: spec::SpecStats::default(),
             config,
             stats: RunStats::default(),
@@ -486,7 +329,7 @@ impl Captive {
     /// under different tables never alias in a shared [`ReuseCache`].
     pub fn set_idiom_rules(&mut self, table: RuleTable) {
         self.idiom_rules = Arc::new(table);
-        self.spec_knobs = spec::Knobs::new(&self.config, &self.idiom_rules);
+        self.knobs = spec::Knobs::new(&self.config, &self.idiom_rules);
     }
 
     /// The engine's current guest-idiom rule table.
@@ -494,53 +337,39 @@ impl Captive {
         &self.idiom_rules
     }
 
-    /// Statistics of the run so far.
+    /// Statistics of the run so far: the counters the run loop keeps, plus
+    /// one sample each of the machine, the TLBs, the cache, the timers and
+    /// the guest-system core.
     pub fn stats(&self) -> RunStats {
-        let mut s = self.stats.clone();
-        s.cycles = self.machine.perf.cycles;
-        s.host_insns = self.machine.perf.insns;
-        s.code_bytes = self.cache.total_encoded_bytes() as u64;
+        let mut s = self.stats;
+        self.runtime.sample(&mut s);
+        let perf = &self.machine.perf;
+        s.cycles = perf.cycles;
+        s.host_insns = perf.insns;
+        s.region_transfers = perf.superblock_transfers;
+        s.backedge_transfers = perf.backedge_transfers;
+        s.elided_dyn_insns = perf.elided_insns;
         s.itlb_hits = self.runtime.fetch_tlb.hits;
         s.itlb_misses = self.runtime.fetch_tlb.misses;
         s.dtlb_hits = self.runtime.data_tlb.hits;
         s.dtlb_misses = self.runtime.data_tlb.misses;
-        s.region_transfers = self.machine.perf.superblock_transfers;
-        s.backedge_transfers = self.machine.perf.backedge_transfers;
-        s.regions_evicted = self.cache.stats().evicted_stale_regions;
-        s.opt_dead_stores = self.timers.opt_dead_stores;
-        s.opt_forwarded_loads = self.timers.opt_forwarded_loads;
-        s.opt_partial_forwarded = self.timers.opt_partial_forwarded;
-        s.opt_copies_folded = self.timers.opt_copies_folded;
-        s.opt_dce_insns = self.timers.opt_dce_insns;
-        s.opt_promoted_slots = self.timers.opt_promoted_slots;
-        s.opt_hoisted_loads = self.timers.opt_hoisted_loads;
-        s.opt_fp_forwarded = self.timers.opt_fp_forwarded;
-        s.opt_idioms_fused = self.timers.opt_idioms_fused;
-        s.idiom_hits = RuleKind::ALL
-            .iter()
-            .map(|k| (k.name().to_string(), self.timers.idiom_hits[k.index()]))
-            .collect();
-        s.idiom_candidates = RuleKind::ALL
-            .iter()
-            .map(|k| {
-                (
-                    k.name().to_string(),
-                    self.timers.idiom_candidates[k.index()],
-                )
-            })
-            .collect();
-        s.elided_dyn_insns = self.machine.perf.elided_insns;
+        s.code_bytes = self.cache.total_encoded_bytes() as u64;
         let cs = self.cache.stats();
+        s.regions_evicted = cs.evicted_stale_regions;
         s.capacity_evictions = cs.capacity_evictions;
         s.bytes_live = cs.bytes_live;
         s.regions_live = cs.regions_live;
+        s.jit = self.timers.jit;
+        s.jit_decode_ns = self.timers.decode.as_nanos() as u64;
+        s.jit_translate_ns = self.timers.translate.as_nanos() as u64;
+        s.jit_regalloc_ns = self.timers.regalloc.as_nanos() as u64;
+        s.jit_encode_ns = self.timers.encode.as_nanos() as u64;
         s.jit_wall_ns = self.tier_timers.run_thread_stall.as_nanos() as u64;
         s.tier_worker_wall_ns = self.tier_timers.worker_wall.as_nanos() as u64;
         s.first_region_install_ns = self
             .tier_timers
             .first_install
             .map_or(0, |d| d.as_nanos() as u64);
-        s.sys = self.runtime.stats();
         s
     }
 
@@ -584,7 +413,10 @@ impl Captive {
         // Static fallback: every candidate the translator ever saw counts
         // once, so a rule with real sites survives even if its regions were
         // evicted or never profiled.
-        for (w, &c) in weights.iter_mut().zip(self.timers.idiom_candidates.iter()) {
+        for (w, &c) in weights
+            .iter_mut()
+            .zip(self.timers.jit.idiom_candidates.iter())
+        {
             *w += c;
         }
         let mut table = RuleTable::full();
@@ -857,18 +689,15 @@ impl Captive {
         let region = match self.speculated_block(key) {
             Some(region) => region,
             None => {
-                let idioms = self.config.idioms.then(|| Arc::clone(&self.idiom_rules));
-                translate_block(
+                let machine = &self.machine;
+                translate_block_from(
                     &self.isa,
-                    &mut self.machine,
+                    |pa| live_code_word(machine, pa),
                     &mut self.timers,
                     key.virt,
                     key.phys,
-                    self.config.max_block_insns,
-                    self.config.fp_mode,
-                    self.config.opt,
-                    self.config.promote,
-                    idioms.as_deref(),
+                    MAX_BLOCK_INSNS,
+                    &self.knobs,
                 )
             }
         };
@@ -981,21 +810,13 @@ impl Captive {
             }
         }
         let t0 = Instant::now();
-        let idioms = self.config.idioms.then(|| Arc::clone(&self.idiom_rules));
         let (formed, consumed) = form_region(
             &self.isa,
-            &mut self.machine,
-            &mut self.runtime,
+            LiveSource::new(&mut self.machine, &mut self.runtime, &self.cache),
             &mut self.timers,
-            &self.cache,
             next_pc,
             next.guest_phys,
-            self.config.region_max_insns,
-            self.config.unroll_loops,
-            self.config.fp_mode,
-            self.config.opt,
-            self.config.promote,
-            idioms.as_deref(),
+            &self.knobs,
         );
         self.tier_timers.run_thread_stall += t0.elapsed();
         match formed {
@@ -1120,12 +941,7 @@ impl Captive {
             seq,
             key,
             snapshot,
-            max_insns: self.config.region_max_insns,
-            unroll: self.config.unroll_loops,
-            fp_mode: self.config.fp_mode,
-            run_opt: self.config.opt,
-            promote: self.config.promote,
-            idioms: self.config.idioms.then(|| Arc::clone(&self.idiom_rules)),
+            knobs: Arc::clone(&self.knobs),
         };
         // Only the snapshot capture counts as run-thread translation stall:
         // the hand-off below wakes a sleeping worker, and the host scheduler
@@ -1275,15 +1091,7 @@ impl Captive {
         ReuseKey {
             phys: key.phys,
             virt: key.virt,
-            knobs: pack_knobs(
-                self.config.fp_mode == FpMode::Software,
-                self.config.opt,
-                self.config.promote,
-                self.config.idioms,
-                self.config.unroll_loops,
-                self.config.region_max_insns,
-                self.idiom_rules.hash(),
-            ),
+            knobs: self.knobs.packed(),
             entry_page_hash: self.live_page_hash(key.phys & !0xFFF),
         }
     }
@@ -1323,6 +1131,9 @@ impl Engine for Captive {
     }
     fn run(&mut self, max_blocks: u64) -> RunExit {
         Captive::run(self, max_blocks)
+    }
+    fn stats(&self) -> RunStats {
+        Captive::stats(self)
     }
 }
 
@@ -2091,15 +1902,15 @@ mod tests {
         }
         let son = on.stats();
         let soff = off.stats();
-        assert!(son.opt_dead_stores >= 1, "the adds NZCV store is dead");
-        assert!(son.opt_forwarded_loads >= 1, "regfile loads forward");
+        assert!(son.jit.opt_dead_stores >= 1, "the adds NZCV store is dead");
+        assert!(son.jit.opt_forwarded_loads >= 1, "regfile loads forward");
         assert!(
             son.elided_dyn_insns > 1000,
             "every loop trip benefits from the eliminated instructions: {}",
             son.elided_dyn_insns
         );
-        assert_eq!(soff.opt_dead_stores, 0);
-        assert_eq!(soff.opt_forwarded_loads, 0);
+        assert_eq!(soff.jit.opt_dead_stores, 0);
+        assert_eq!(soff.jit.opt_forwarded_loads, 0);
         assert!(
             son.cycles < soff.cycles,
             "the optimizer must save modeled cycles ({} vs {})",

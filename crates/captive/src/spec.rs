@@ -12,7 +12,7 @@
 
 use crate::runtime::CaptiveRuntime;
 use crate::tier::{TierService, PAGE_BYTES};
-use crate::translator::{live_code_word, resumes_after, translate_block_from};
+use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
 use crate::{read_live_page, Captive, CaptiveConfig, FpMode};
 use dbt::idiom::RuleTable;
 use dbt::{BlockExit, PhaseTimers, Region, RegionKey};
@@ -36,30 +36,52 @@ const QUEUE_MAX: usize = 4 * POOL_MAX;
 /// for good.
 const POOL_AGE: u64 = 4 * POOL_MAX as u64;
 
-/// The codegen knobs a speculative translation is made under — the
-/// arguments [`crate::translator::translate_block`] takes besides the
-/// addresses.  One `Arc` per engine (re-made when the idiom table changes);
-/// a parked result is only honoured while it still carries *that* `Arc`.
+/// The codegen knobs every translation of one engine is made under: what the
+/// translators take besides addresses, what a tier-1 request carries and
+/// what the reuse key packs.  One `Arc` per engine (re-made when the idiom
+/// table changes); a parked speculative result is only honoured while it
+/// still carries *that* `Arc`.
 #[derive(Debug)]
-pub(crate) struct Knobs {
-    max_insns: usize,
-    fp_mode: FpMode,
-    run_opt: bool,
-    promote: bool,
-    idioms: Option<Arc<RuleTable>>,
+pub struct Knobs {
+    /// FP implementation strategy.
+    pub fp_mode: FpMode,
+    /// Run the LIR optimiser.
+    pub run_opt: bool,
+    /// Run loop-carried register promotion (only meaningful with `run_opt`).
+    pub promote: bool,
+    /// The idiom rule set to translate with (`None` = idiom layer off).
+    /// Shared by `Arc` so the run thread and every worker apply the *same*
+    /// table.
+    pub idioms: Option<Arc<RuleTable>>,
+    /// Loop-unroll factor of formed regions.
+    pub unroll: usize,
 }
 
 impl Knobs {
-    /// The knobs an engine configured by `config` translates tier-0 blocks
-    /// under while `rules` is its idiom table.
-    pub(crate) fn new(config: &CaptiveConfig, rules: &Arc<RuleTable>) -> Arc<Self> {
+    /// The knobs an engine configured by `config` translates under while
+    /// `rules` is its idiom table.
+    pub fn new(config: &CaptiveConfig, rules: &Arc<RuleTable>) -> Arc<Self> {
         Arc::new(Knobs {
-            max_insns: config.max_block_insns,
             fp_mode: config.fp_mode,
             run_opt: config.opt,
             promote: config.promote,
             idioms: config.idioms.then(|| Arc::clone(rules)),
+            unroll: config.unroll_loops,
         })
+    }
+
+    /// The knobs as one word of a [`dbt::ReuseKey`]; the idiom table joins
+    /// by content hash, so translations made under different tables never
+    /// share a template.
+    pub(crate) fn packed(&self) -> u64 {
+        dbt::pack_knobs(
+            self.fp_mode == FpMode::Software,
+            self.run_opt,
+            self.promote,
+            self.idioms.is_some(),
+            self.unroll,
+            self.idioms.as_ref().map_or(0, |table| table.hash()),
+        )
     }
 }
 
@@ -423,11 +445,8 @@ impl Job {
             &mut timers,
             self.pc,
             self.pa,
-            self.knobs.max_insns,
-            self.knobs.fp_mode,
-            self.knobs.run_opt,
-            self.knobs.promote,
-            self.knobs.idioms.as_deref(),
+            MAX_BLOCK_INSNS,
+            &self.knobs,
         );
         Some(Box::new(Ready {
             region: Some(region),
@@ -504,7 +523,7 @@ impl Captive {
         let tier = speculating(&self.tier)?;
         let ready = tier.with_frontier(|f| f.take(key))?;
         let page = key.phys & !0xFFF;
-        let fresh = Arc::ptr_eq(&ready.knobs, &self.spec_knobs)
+        let fresh = Arc::ptr_eq(&ready.knobs, &self.knobs)
             && (0..ready.fetched).all(|i| {
                 let at = (key.virt + 4 * i as u64) & 0xFFF;
                 let copied = &ready.page[at as usize..at as usize + 4];
@@ -545,7 +564,7 @@ impl Captive {
         let identity = !runtime.mmu_enabled(machine);
         let last_va = pc + 4 * (block.guest_insns as u64 - 1);
         let last_word = live_code_word(machine, own_page | (last_va & 0xFFF));
-        let knobs = &self.spec_knobs;
+        let knobs = &self.knobs;
         tier.with_frontier(|f| {
             f.ensure_page(own_page, true, || copy_page(runtime, machine, own_page));
             if let Some(own) = f.pages.get_mut(&own_page) {
@@ -590,6 +609,7 @@ mod tests {
     use super::*;
     use crate::{CaptiveConfig, RunExit};
     use guest_aarch64::asm;
+    use guest_aarch64::sys::Kind;
 
     fn pump() -> CaptiveConfig {
         CaptiveConfig {
@@ -680,18 +700,12 @@ mod tests {
             ..CaptiveConfig::default()
         });
 
-        let deterministic = |c: &Captive| {
-            let mut stats = c.stats();
-            stats.jit_wall_ns = 0;
-            stats.tier_worker_wall_ns = 0;
-            stats.first_region_install_ns = 0;
-            format!("{stats:?}")
-        };
         for other in [&tiered, &pumped] {
             for r in 0..31 {
                 assert_eq!(other.guest_reg(r), sync.guest_reg(r), "x{r}");
             }
-            assert_eq!(deterministic(other), deterministic(&sync));
+            let differs = other.stats().diff(&sync.stats(), |kind| kind != Kind::Wall);
+            assert_eq!(differs, None, "a counter depends on who translated");
             assert_eq!(other.cache.len(), sync.cache.len());
             for i in 0..=BLOCKS as u64 {
                 let at = 0x1000 + 8 * i;

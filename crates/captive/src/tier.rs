@@ -120,10 +120,8 @@
 //! stores between publish and drain, or between a speculative translation
 //! and its install, fully deterministically.
 
-use crate::spec::Frontier;
+use crate::spec::{Frontier, Knobs};
 use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
-use crate::FpMode;
-use dbt::idiom::RuleTable;
 use dbt::{fnv1a, GuestIsa, PhaseTimers, Region, RegionKey};
 use guest_aarch64::gen::Decoded;
 use guest_aarch64::{mmu, Aarch64Isa};
@@ -185,21 +183,9 @@ pub struct FormationRequest {
     pub key: RegionKey,
     /// The immutable state to form against.
     pub snapshot: FormationSnapshot,
-    /// Guest-instruction cap on the trace.
-    pub max_insns: usize,
-    /// Loop-unroll factor.
-    pub unroll: usize,
-    /// FP implementation strategy.
-    pub fp_mode: FpMode,
-    /// Run the LIR optimiser.
-    pub run_opt: bool,
-    /// Run loop-carried register promotion (only meaningful with `run_opt`).
-    pub promote: bool,
-    /// The idiom rule set to translate with (`None` = idiom layer off).
-    /// Shared by `Arc` so the run thread and every worker apply the *same*
-    /// table; its hash is part of the reuse key, so results formed under a
-    /// different table can never be installed.
-    pub idioms: Option<Arc<RuleTable>>,
+    /// The codegen knobs to form it under: the engine's own `Arc`, so the
+    /// run thread and every worker translate alike.
+    pub knobs: Arc<Knobs>,
 }
 
 /// What a worker produced for one request.
@@ -393,12 +379,7 @@ fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> Format
         &mut timers,
         req.key.virt,
         req.key.phys,
-        req.max_insns,
-        req.unroll,
-        req.fp_mode,
-        req.run_opt,
-        req.promote,
-        req.idioms.as_deref(),
+        &req.knobs,
     );
     let consumed = source.consumed_hashes();
     drop(source);
@@ -629,6 +610,7 @@ impl Drop for TierService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbt::RuleTable;
     use guest_aarch64::asm;
 
     fn snapshot_with_code(words: &[u32], base: u64) -> FormationSnapshot {
@@ -671,12 +653,10 @@ mod tests {
                 virt: entry,
             },
             snapshot,
-            max_insns: 256,
-            unroll: 4,
-            fp_mode: FpMode::Hardware,
-            run_opt: true,
-            promote: true,
-            idioms: Some(std::sync::Arc::new(RuleTable::full())),
+            knobs: Knobs::new(
+                &crate::CaptiveConfig::default(),
+                &Arc::new(RuleTable::full()),
+            ),
         }
     }
 
@@ -892,7 +872,7 @@ mod tests {
 
     #[test]
     fn a_dropped_service_leaves_queued_speculation_untranslated() {
-        use crate::spec::{Knobs, PageCopy};
+        use crate::spec::PageCopy;
         // Workers look at the shutdown flag before claiming a job, so a drop
         // waits for the jobs in flight and never for the queue.  The flag is
         // raised under the same lock hold that fills the queue — no worker

@@ -11,9 +11,9 @@
 //! including unrolled single-block self-loops — into a multi-constituent
 //! one.
 
-use crate::layout;
 use crate::runtime::{sf_helpers, CaptiveRuntime};
-use crate::FpMode;
+use crate::spec::Knobs;
+use crate::{layout, read_live_page, FpMode};
 use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
 use dbt::{
@@ -24,10 +24,16 @@ use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
 use guest_aarch64::{v_off, Aarch64Isa};
 use hvm::{Machine, MemSize};
+use std::sync::Arc;
+
+/// Maximum guest instructions per translated block, on either engine.
+pub const MAX_BLOCK_INSNS: usize = 64;
 
 /// Translates one guest basic block starting at virtual address `pc`
 /// (physical address `pa`) into a one-constituent region, reading the guest
-/// words from live memory.
+/// words from live memory.  (The knobs are spelled out because the
+/// benchmark's replay calls this positionally; the engine itself calls
+/// [`translate_block_from`] with its [`Knobs`].)
 #[allow(clippy::too_many_arguments)]
 pub fn translate_block(
     isa: &Aarch64Isa,
@@ -41,6 +47,13 @@ pub fn translate_block(
     promote: bool,
     idioms: Option<&RuleTable>,
 ) -> Region {
+    let knobs = Knobs {
+        fp_mode,
+        run_opt,
+        promote,
+        idioms: idioms.map(|table| Arc::new(table.clone())),
+        unroll: 1,
+    };
     translate_block_from(
         isa,
         |pa_i| live_code_word(machine, pa_i),
@@ -48,10 +61,7 @@ pub fn translate_block(
         pc,
         pa,
         max_insns,
-        fp_mode,
-        run_opt,
-        promote,
-        idioms,
+        &knobs,
     )
 }
 
@@ -71,7 +81,6 @@ pub fn live_code_word(machine: &Machine, pa: u64) -> u32 {
 /// lets a speculative translation made from a page copy
 /// ([`crate::spec`]) stand in for the synchronous one once those words are
 /// compared against live memory.
-#[allow(clippy::too_many_arguments)]
 pub fn translate_block_from(
     isa: &Aarch64Isa,
     mut read_word: impl FnMut(u64) -> u32,
@@ -79,10 +88,7 @@ pub fn translate_block_from(
     pc: u64,
     pa: u64,
     max_insns: usize,
-    fp_mode: FpMode,
-    run_opt: bool,
-    promote: bool,
-    idioms: Option<&RuleTable>,
+    knobs: &Knobs,
 ) -> Region {
     let mut emitter = Emitter::new();
     let mut guest_insns = 0usize;
@@ -110,7 +116,7 @@ pub fn translate_block_from(
                 true
             }
             Some(d) => {
-                let end = if fp_mode == FpMode::Software {
+                let end = if knobs.fp_mode == FpMode::Software {
                     generate_maybe_soft_fp(&d, &mut emitter, isa)
                 } else {
                     isa.generate(&d, &mut emitter)
@@ -138,19 +144,19 @@ pub fn translate_block_from(
 
     let lir = emitter.finish();
     let lir_count = lir.len();
-    let t = match dbt::finish_translation(timers, lir, run_opt, promote, idioms) {
+    let t = match finish(timers, lir, knobs) {
         Ok(t) => t,
         Err(_) => {
             // Graceful degradation: a lowering defect discards the
             // translation and the block becomes an UNDEF-raising stub, so
             // the guest observes an architectural fault instead of the host
             // executing corrupt code.
-            timers.lower_bailouts += 1;
+            timers.jit.lower_bailouts += 1;
             return undef_fallback_region(isa, timers, pc, pa);
         }
     };
-    timers.blocks += 1;
-    timers.guest_insns += guest_insns as u64;
+    timers.jit.translated_units += 1;
+    timers.jit.translated_guest_insns += guest_insns as u64;
 
     Region {
         guest_phys: pa,
@@ -204,8 +210,8 @@ pub fn undef_fallback_region(
     let lir_count = lir.len();
     let t = dbt::finish_translation(timers, lir, false, false, None)
         .expect("host bug: the UNDEF stub lowers without virtual registers");
-    timers.blocks += 1;
-    timers.guest_insns += 1;
+    timers.jit.translated_units += 1;
+    timers.jit.translated_guest_insns += 1;
     Region {
         guest_phys: pa,
         guest_virt: pc,
@@ -228,8 +234,25 @@ pub fn undef_fallback_region(
     }
 }
 
+/// The shared back half under an engine's knobs.
+fn finish(
+    timers: &mut PhaseTimers,
+    lir: Vec<dbt::LirInsn>,
+    knobs: &Knobs,
+) -> Result<dbt::FinishedTranslation, dbt::LowerError> {
+    dbt::finish_translation(
+        timers,
+        lir,
+        knobs.run_opt,
+        knobs.promote,
+        knobs.idioms.as_deref(),
+    )
+}
+
 /// Maximum constituent basic blocks stitched into one region.
 pub const REGION_MAX_BLOCKS: usize = 32;
+/// Guest-instruction cap on one region trace.
+pub const REGION_MAX_INSNS: usize = 256;
 
 /// Result of one read against a [`TraceSource`].
 pub enum SourceRead<T> {
@@ -306,17 +329,7 @@ impl<'a> LiveSource<'a> {
     pub fn consumed_hashes(&self) -> Vec<(u64, u64)> {
         self.consumed
             .iter()
-            .map(|&page| {
-                let mut bytes = vec![0u8; 4096];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    *b = self
-                        .machine
-                        .mem
-                        .read_uint(layout::GUEST_PHYS_BASE + page + i as u64, 1)
-                        .unwrap_or(0) as u8;
-                }
-                (page, dbt::fnv1a(&bytes))
-            })
+            .map(|&page| (page, dbt::fnv1a(&read_live_page(self.machine, page))))
             .collect()
     }
 }
@@ -397,8 +410,8 @@ enum Step {
 /// stitching direct jumps and fallthroughs into internal transfers and
 /// turning the off-trace leg of interior conditionals into out-of-line
 /// side-exit stubs.  The trace stops at indirect exits, untranslatable
-/// target pages, `max_insns` guest instructions, or [`REGION_MAX_BLOCKS`]
-/// constituents.  Returns `None` when the result would be neither
+/// target pages, [`REGION_MAX_INSNS`] guest instructions, or
+/// [`REGION_MAX_BLOCKS`] constituents.  Returns `None` when the result would be neither
 /// multi-constituent nor looping (a region would add nothing over the plain
 /// block).
 ///
@@ -427,36 +440,15 @@ enum Step {
 /// Formation is pure JIT work: it charges no simulated cycles and touches no
 /// iTLB/gTLB counters (guest translations are resolved through the
 /// uncharged walker).
-#[allow(clippy::too_many_arguments)]
 pub fn form_region(
     isa: &Aarch64Isa,
-    machine: &mut Machine,
-    runtime: &mut CaptiveRuntime,
+    mut source: LiveSource<'_>,
     timers: &mut PhaseTimers,
-    cache: &CodeCache,
     entry_pc: u64,
     entry_pa: u64,
-    max_insns: usize,
-    unroll: usize,
-    fp_mode: FpMode,
-    run_opt: bool,
-    promote: bool,
-    idioms: Option<&RuleTable>,
+    knobs: &Knobs,
 ) -> (Option<Region>, Vec<(u64, u64)>) {
-    let mut source = LiveSource::new(machine, runtime, cache);
-    match form_region_from(
-        isa,
-        &mut source,
-        timers,
-        entry_pc,
-        entry_pa,
-        max_insns,
-        unroll,
-        fp_mode,
-        run_opt,
-        promote,
-        idioms,
-    ) {
+    match form_region_from(isa, &mut source, timers, entry_pc, entry_pa, knobs) {
         FormOutcome::Formed(region) => (Some(*region), Vec::new()),
         // A live source never reports missing pages; TooShort is the
         // ordinary "a region would add nothing" refusal, reported with the
@@ -473,22 +465,17 @@ pub fn form_region(
 /// peeling and closing logic, but every read goes through the
 /// [`TraceSource`] — the live machine on the synchronous path, an immutable
 /// snapshot on a tier-1 worker.
-#[allow(clippy::too_many_arguments)]
 pub fn form_region_from<S: TraceSource + ?Sized>(
     isa: &Aarch64Isa,
     source: &mut S,
     timers: &mut PhaseTimers,
     entry_pc: u64,
     entry_pa: u64,
-    max_insns: usize,
-    unroll: usize,
-    fp_mode: FpMode,
-    run_opt: bool,
-    promote: bool,
-    idioms: Option<&RuleTable>,
+    knobs: &Knobs,
 ) -> FormOutcome {
     let ctx_gen = source.ctx_gen();
-    let unroll = unroll.max(1);
+    let fp_mode = knobs.fp_mode;
+    let unroll = knobs.unroll.max(1);
     let mut emitter = Emitter::new();
     let mut guest_insns = 0usize;
     let mut constituents = 1usize;
@@ -519,7 +506,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     loop {
         // Sequential page crossing: a fallthrough constituent boundary.
         if (va & !0xFFF) != page_va {
-            if guest_insns >= max_insns || constituents >= REGION_MAX_BLOCKS {
+            if guest_insns >= REGION_MAX_INSNS || constituents >= REGION_MAX_BLOCKS {
                 break;
             }
             match source.va_to_pa(va) {
@@ -569,7 +556,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         // whether it extends the trace, peels a loop body, or closes a
         // back-edge.  Physical addresses are resolved before generating, so
         // a stitched leg is known to be translatable.
-        let budget_left = guest_insns + 1 < max_insns && constituents < REGION_MAX_BLOCKS;
+        let budget_left = guest_insns + 1 < REGION_MAX_INSNS && constituents < REGION_MAX_BLOCKS;
         let candidate = match d.insn {
             Insn::B { offset } | Insn::Bl { offset } => Some(va.wrapping_add(offset as u64)),
             Insn::BCond { offset, .. } | Insn::Cbz { offset, .. } | Insn::Cbnz { offset, .. } => {
@@ -701,7 +688,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                 clock.close(timers, Phase::Translate);
                 guest_insns += 1;
                 va += 4;
-                if end || guest_insns >= max_insns {
+                if end || guest_insns >= REGION_MAX_INSNS {
                     break;
                 }
             }
@@ -717,18 +704,18 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         .unwrap_or(BlockExit::Fallthrough { next: va });
     let lir = emitter.finish();
     let lir_count = lir.len();
-    let t = match dbt::finish_translation(timers, lir, run_opt, promote, idioms) {
+    let t = match finish(timers, lir, knobs) {
         Ok(t) => t,
         Err(_) => {
             // A lowering defect abandons the formation; the dispatcher keeps
             // running the constituent blocks and the quarantine/backoff
             // machinery decides when (or whether) to retry.
-            timers.lower_bailouts += 1;
+            timers.jit.lower_bailouts += 1;
             return FormOutcome::TooShort;
         }
     };
-    timers.blocks += 1;
-    timers.guest_insns += guest_insns as u64;
+    timers.jit.translated_units += 1;
+    timers.jit.translated_guest_insns += guest_insns as u64;
 
     // Copies of the loop body stitched (header occurrences); 1 when no loop
     // was peeled or closed.

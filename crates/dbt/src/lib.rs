@@ -33,6 +33,7 @@
 //! [`timing::PhaseTimers`] for the Fig. 20 experiment.
 
 pub mod cache;
+pub mod counters;
 pub mod emitter;
 pub mod idiom;
 pub mod lir;
@@ -48,6 +49,7 @@ pub use cache::{
     fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, Region, RegionKey,
     RegionProfile,
 };
+pub use counters::{Counter, CounterField, JitCounters, Kind};
 pub use emitter::{Emitter, Node, NodeId, ValueType};
 pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
@@ -69,7 +71,7 @@ use hvm::MachInsn;
 /// with no assignment or a jump to an unbound label, or when a promoted
 /// carrier missed the register pool; the engines respond by discarding the
 /// translation and degrading (UNDEF fallback for a plain block, bailout for a formed
-/// region), counted in [`PhaseTimers::lower_bailouts`] by the caller.
+/// region), counted in [`JitCounters::lower_bailouts`] by the caller.
 pub fn finish_translation(
     timers: &mut PhaseTimers,
     mut lir: Vec<LirInsn>,
@@ -84,24 +86,18 @@ pub fn finish_translation(
         // The optimiser sits between emission and register allocation; its
         // wall-clock cost is accounted to the regalloc phase budget.
         let stats = timers.time(Phase::RegAlloc, || opt::optimize(&mut lir, promote, idioms));
-        timers.opt_dead_stores += stats.dead_stores as u64;
-        timers.opt_forwarded_loads += stats.forwarded_loads as u64;
-        timers.opt_partial_forwarded += stats.partial_forwarded as u64;
-        timers.opt_copies_folded += stats.copies_folded as u64;
-        timers.opt_promoted_slots += stats.promoted_slots as u64;
-        timers.opt_hoisted_loads += stats.hoisted_loads as u64;
-        timers.opt_fp_forwarded += stats.fp_forwarded as u64;
-        timers.opt_idioms_fused += stats.idioms.total_fused() as u64;
+        timers.jit.add(&stats.jit);
+        timers.jit.opt_idioms_fused += stats.idioms.total_fused() as u64;
         for i in 0..idiom::RULE_COUNT {
-            timers.idiom_hits[i] += stats.idioms.fused[i] as u64;
-            timers.idiom_candidates[i] += stats.idioms.candidates[i] as u64;
+            timers.jit.idiom_hits[i] += stats.idioms.fused[i] as u64;
+            timers.jit.idiom_candidates[i] += stats.idioms.candidates[i] as u64;
         }
         idiom_stats = stats.idioms;
         dirty_carriers = stats.promoted;
     }
     let allocation = timers.time(Phase::RegAlloc, || regalloc::allocate(&lir));
     let dce = allocation.dead.iter().filter(|d| **d).count();
-    timers.opt_dce_insns += dce as u64;
+    timers.jit.opt_dce_insns += dce as u64;
     // Promotion can grow the unit (preheader loads, reconcile block), so the
     // optimiser's net deletion count saturates at zero rather than going
     // negative.

@@ -182,6 +182,7 @@
 //! only deleted when its covering store lands before any possible fault
 //! point, so no execution can observe the gap.
 
+use crate::counters::JitCounters;
 use crate::lir::{vreg_id_bound, LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
 use hvm::MemSize;
 
@@ -200,32 +201,14 @@ const MAX_DIRTY_SLOTS: usize = 4;
 /// What the optimiser did to one translation unit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptStats {
-    /// Regfile stores deleted because a later store fully covered the slot
-    /// before any observer.
-    pub dead_stores: u32,
-    /// Regfile loads rewritten into register moves / immediates.
-    pub forwarded_loads: u32,
-    /// Partial-width forwards (subset of `forwarded_loads`): 32-bit loads
-    /// satisfied by the low half of a 64-bit store with an explicit mask.
-    pub partial_forwarded: u32,
-    /// Register-copy uses folded away by straight-line copy propagation
-    /// (each is one operand rewritten through a `MovReg`; fully propagated
-    /// copies are then swept by the allocator's iterative DCE).
-    pub copies_folded: u32,
+    /// The optimiser's share of the JIT's static counters (the `opt_*`
+    /// fields, bar `opt_dce_insns` — the allocator's — and
+    /// `opt_idioms_fused`, summed from `idioms` below).
+    pub jit: JitCounters,
     /// `IncPc` updates deleted by lazy-PC batching (deferred to the next
     /// point that can observe the guest PC, or discarded at an absolute PC
     /// write).
     pub pc_coalesced: u32,
-    /// Slots promoted to loop-carried carrier registers by the promotion
-    /// pass (dirty and read-only alike).
-    pub promoted_slots: u32,
-    /// Per-iteration regfile loads of promoted slots rewritten to carrier
-    /// moves — the loads hoisted out of the loop body into the preheader.
-    pub hoisted_loads: u32,
-    /// Vector-register forwards: `LoadXmm`s satisfied from an earlier
-    /// `StoreXmm`/`LoadXmm` (or a GPR value) without a regfile round-trip,
-    /// plus GPR loads satisfied from a vector store.
-    pub fp_forwarded: u32,
     /// Dirty promoted slots: (regfile byte offset, carrier vreg).  The
     /// engine resolves the carriers to host registers after allocation and
     /// materialises them before fault delivery.
@@ -604,7 +587,7 @@ fn apply_promotion(
                     },
                 });
                 if in_span {
-                    stats.hoisted_loads += 1;
+                    stats.jit.opt_hoisted_loads += 1;
                 }
             }
             LirInsn::LoadSx { dst, addr, size } if carrier_for(&addr, size).is_some() => {
@@ -618,7 +601,7 @@ fn apply_promotion(
                     },
                 });
                 if in_span {
-                    stats.hoisted_loads += 1;
+                    stats.jit.opt_hoisted_loads += 1;
                 }
             }
             LirInsn::Store { src, addr, size } if carrier_for(&addr, size).is_some() => {
@@ -666,7 +649,7 @@ fn apply_promotion(
             other => out.push(other),
         }
     }
-    stats.promoted_slots += promoted.len() as u32;
+    stats.jit.opt_promoted_slots += promoted.len() as u64;
     stats
         .promoted
         .extend(promoted.iter().filter(|p| p.2).map(|&(off, c, _)| (off, c)));
@@ -917,7 +900,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                         if v.class == VregClass::Gpr =>
                     {
                         *insn = LirInsn::MovReg { dst, src: v };
-                        stats.forwarded_loads += 1;
+                        stats.jit.opt_forwarded_loads += 1;
                     }
                     // Cross-file forward: the slot's 64-bit value lives in a
                     // vector register's low lane (a U64 entry, or the first
@@ -926,7 +909,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                         if v.class == VregClass::Xmm =>
                     {
                         *insn = LirInsn::XmmToGpr { dst, src: v };
-                        stats.fp_forwarded += 1;
+                        stats.jit.opt_fp_forwarded += 1;
                     }
                     // Exact-width low-bits match (a 32-bit store of a
                     // 64-bit register): the zero-extension is made explicit.
@@ -936,8 +919,8 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                             src: v,
                             size: MemSize::U32,
                         };
-                        stats.forwarded_loads += 1;
-                        stats.partial_forwarded += 1;
+                        stats.jit.opt_forwarded_loads += 1;
+                        stats.jit.opt_partial_forwarded += 1;
                     }
                     // Partial width: a 32-bit load of a 64-bit slot's low
                     // half (the W-register read of an X-register write)
@@ -951,21 +934,21 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                             src: v,
                             size: MemSize::U32,
                         };
-                        stats.forwarded_loads += 1;
-                        stats.partial_forwarded += 1;
+                        stats.jit.opt_forwarded_loads += 1;
+                        stats.jit.opt_partial_forwarded += 1;
                     }
                     (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U64)
                     | (Some((MemSize::U32, Stored::Imm(imm))), MemSize::U32) => {
                         *insn = LirInsn::MovImm { dst, imm };
-                        stats.forwarded_loads += 1;
+                        stats.jit.opt_forwarded_loads += 1;
                     }
                     (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U32) => {
                         *insn = LirInsn::MovImm {
                             dst,
                             imm: imm & MemSize::U32.mask(),
                         };
-                        stats.forwarded_loads += 1;
-                        stats.partial_forwarded += 1;
+                        stats.jit.opt_forwarded_loads += 1;
+                        stats.jit.opt_partial_forwarded += 1;
                     }
                     // Unforwardable (no entry, or an entry narrower than the
                     // load): the load itself now makes the slot's value
@@ -1004,13 +987,13 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                             src: v,
                             size: sz,
                         };
-                        stats.fp_forwarded += 1;
+                        stats.jit.opt_fp_forwarded += 1;
                     }
                     (Some((MemSize::U64, Stored::Reg { v, exact: true })), MemSize::U64)
                         if v.class == VregClass::Gpr =>
                     {
                         *insn = LirInsn::GprToXmm { dst, src: v };
-                        stats.fp_forwarded += 1;
+                        stats.jit.opt_fp_forwarded += 1;
                     }
                     _ if matches!(size, MemSize::U64 | MemSize::U128) => {
                         new_fact = Some((
@@ -1119,7 +1102,7 @@ fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) 
         // it executes.  One traversal substitutes every pending copy (the
         // map is flat, so a single lookup per operand suffices).
         if copies.live > 0 {
-            stats.copies_folded += insn.map_pure_uses(&mut |v| copies.get(v));
+            stats.jit.opt_copies_folded += insn.map_pure_uses(&mut |v| copies.get(v)) as u64;
         }
         if matches!(insn, LirInsn::Label { .. }) {
             copies.clear();
@@ -1240,7 +1223,7 @@ fn eliminate_dead_stores(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
         if let Some(acc) = insn.regfile_store() {
             if is_covered(&covered, acc.start(), acc.end()) {
                 dead[i] = true;
-                stats.dead_stores += 1;
+                stats.jit.opt_dead_stores += 1;
             } else {
                 add_interval(&mut covered, acc.start(), acc.end());
             }
@@ -1336,7 +1319,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.dead_stores, 1);
+        assert_eq!(stats.jit.opt_dead_stores, 1);
         let stores: Vec<_> = lir
             .iter()
             .filter(|i| matches!(i, LirInsn::Store { .. }))
@@ -1353,7 +1336,7 @@ mod tests {
         // the original read no longer exists once forwarded — and then the
         // first store is indeed covered.  Use an unforwardable offset to pin
         // the unforwarded case instead:
-        assert_eq!(stats.forwarded_loads, 1);
+        assert_eq!(stats.jit.opt_forwarded_loads, 1);
         // Unforwardable load (the *high* half of the stored slot — only the
         // low half forwards partially) must keep the store alive.
         let mut lir2 = vec![
@@ -1367,8 +1350,11 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats2 = optimize(&mut lir2, false, None);
-        assert_eq!(stats2.forwarded_loads, 0);
-        assert_eq!(stats2.dead_stores, 0, "an observed store must survive");
+        assert_eq!(stats2.jit.opt_forwarded_loads, 0);
+        assert_eq!(
+            stats2.jit.opt_dead_stores, 0,
+            "an observed store must survive"
+        );
     }
 
     #[test]
@@ -1396,8 +1382,8 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.forwarded_loads, 2);
-        assert_eq!(stats.partial_forwarded, 2);
+        assert_eq!(stats.jit.opt_forwarded_loads, 2);
+        assert_eq!(stats.jit.opt_partial_forwarded, 2);
         assert!(
             lir.iter().any(|i| matches!(
                 i,
@@ -1426,7 +1412,7 @@ mod tests {
             load(1, 8),
             LirInsn::Ret,
         ];
-        assert_eq!(optimize(&mut lir, false, None).forwarded_loads, 0);
+        assert_eq!(optimize(&mut lir, false, None).jit.opt_forwarded_loads, 0);
 
         let mut lir2 = vec![
             store(0, 8),
@@ -1438,7 +1424,7 @@ mod tests {
             },
             LirInsn::Ret,
         ];
-        assert_eq!(optimize(&mut lir2, false, None).forwarded_loads, 0);
+        assert_eq!(optimize(&mut lir2, false, None).jit.opt_forwarded_loads, 0);
     }
 
     #[test]
@@ -1460,9 +1446,9 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.dead_stores, 0, "the back-edge pins the store");
+        assert_eq!(stats.jit.opt_dead_stores, 0, "the back-edge pins the store");
         assert_eq!(
-            stats.forwarded_loads, 0,
+            stats.jit.opt_forwarded_loads, 0,
             "forwarding facts must not survive the loop boundary"
         );
     }
@@ -1491,7 +1477,7 @@ mod tests {
         for obs in observers {
             let mut lir = vec![store(0, NZCV), obs, store(1, NZCV), LirInsn::Ret];
             let stats = optimize(&mut lir, false, None);
-            assert_eq!(stats.dead_stores, 0, "{obs:?} must pin the store");
+            assert_eq!(stats.jit.opt_dead_stores, 0, "{obs:?} must pin the store");
         }
     }
 
@@ -1508,7 +1494,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.dead_stores, 1);
+        assert_eq!(stats.jit.opt_dead_stores, 1);
     }
 
     #[test]
@@ -1535,7 +1521,7 @@ mod tests {
         ];
         let stats = optimize(&mut lir, false, None);
         assert_eq!(
-            stats.dead_stores, 0,
+            stats.jit.opt_dead_stores, 0,
             "slots must stay live across a side-exit stub"
         );
     }
@@ -1553,7 +1539,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.dead_stores, 0);
+        assert_eq!(stats.jit.opt_dead_stores, 0);
         // But two U64 stores at 0 and 8 together cover the U128 store.
         let mut lir2 = vec![
             LirInsn::StoreXmm {
@@ -1566,7 +1552,10 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats2 = optimize(&mut lir2, false, None);
-        assert_eq!(stats2.dead_stores, 1, "merged intervals cover the vector");
+        assert_eq!(
+            stats2.jit.opt_dead_stores, 1,
+            "merged intervals cover the vector"
+        );
         assert!(!lir2.iter().any(|i| matches!(i, LirInsn::StoreXmm { .. })));
     }
 
@@ -1584,7 +1573,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.forwarded_loads, 2);
+        assert_eq!(stats.jit.opt_forwarded_loads, 2);
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::MovReg { dst, src } if *dst == v(1) && *src == v(0))));
@@ -1603,7 +1592,7 @@ mod tests {
             load(1, 8),
             LirInsn::Ret,
         ];
-        assert_eq!(optimize(&mut lir, false, None).forwarded_loads, 0);
+        assert_eq!(optimize(&mut lir, false, None).jit.opt_forwarded_loads, 0);
 
         // Redefining the stored vreg (two-address mutation) drops the entry.
         let mut lir2 = vec![
@@ -1616,7 +1605,7 @@ mod tests {
             load(1, 8),
             LirInsn::Ret,
         ];
-        assert_eq!(optimize(&mut lir2, false, None).forwarded_loads, 0);
+        assert_eq!(optimize(&mut lir2, false, None).jit.opt_forwarded_loads, 0);
 
         // An overlapping store of another width invalidates without
         // replacing.
@@ -1630,7 +1619,7 @@ mod tests {
             load(1, 8),
             LirInsn::Ret,
         ];
-        assert_eq!(optimize(&mut lir3, false, None).forwarded_loads, 0);
+        assert_eq!(optimize(&mut lir3, false, None).jit.opt_forwarded_loads, 0);
     }
 
     #[test]
@@ -1654,8 +1643,8 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.forwarded_loads, 1);
-        assert_eq!(stats.dead_stores, 1);
+        assert_eq!(stats.jit.opt_forwarded_loads, 1);
+        assert_eq!(stats.jit.opt_dead_stores, 1);
     }
 
     #[test]
@@ -1674,7 +1663,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert!(stats.copies_folded >= 2, "both copy uses fold");
+        assert!(stats.jit.opt_copies_folded >= 2, "both copy uses fold");
         assert!(
             lir.iter()
                 .any(|i| matches!(i, LirInsn::Store { src, .. } if *src == v(0))),
@@ -1705,7 +1694,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.copies_folded, 0);
+        assert_eq!(stats.jit.opt_copies_folded, 0);
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::Store { src, .. } if *src == v(1))));
@@ -1727,7 +1716,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats2 = optimize(&mut lir2, false, None);
-        assert_eq!(stats2.copies_folded, 0);
+        assert_eq!(stats2.jit.opt_copies_folded, 0);
         assert!(lir2
             .iter()
             .any(|i| matches!(i, LirInsn::Alu { dst, .. } if *dst == v(1))));
@@ -1750,7 +1739,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.copies_folded, 0);
+        assert_eq!(stats.jit.opt_copies_folded, 0);
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::Store { src, .. } if *src == v(1))));
@@ -1767,8 +1756,8 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.forwarded_loads, 1);
-        assert!(stats.copies_folded >= 1);
+        assert_eq!(stats.jit.opt_forwarded_loads, 1);
+        assert!(stats.jit.opt_copies_folded >= 1);
         assert!(
             lir.iter().any(|i| matches!(
                 i,
@@ -1836,8 +1825,8 @@ mod tests {
             store(1, 8),
         ]);
         let stats = optimize(&mut lir, true, None);
-        assert_eq!(stats.promoted_slots, 1);
-        assert_eq!(stats.hoisted_loads, 1);
+        assert_eq!(stats.jit.opt_promoted_slots, 1);
+        assert_eq!(stats.jit.opt_hoisted_loads, 1);
         assert_eq!(stats.promoted.len(), 1, "one dirty slot to materialise");
         assert_eq!(stats.promoted[0].0, 8);
         assert!(
@@ -1888,8 +1877,8 @@ mod tests {
             },
         ]);
         let stats = optimize(&mut lir, true, None);
-        assert_eq!(stats.promoted_slots, 1);
-        assert_eq!(stats.hoisted_loads, 2);
+        assert_eq!(stats.jit.opt_promoted_slots, 1);
+        assert_eq!(stats.jit.opt_hoisted_loads, 2);
         assert!(stats.promoted.is_empty(), "clean slots need no fault map");
         let be = backedge_pos(&lir);
         assert!(matches!(
@@ -1924,8 +1913,8 @@ mod tests {
             store(3, 8),
         ]);
         let stats = optimize(&mut lir, true, None);
-        assert_eq!(stats.promoted_slots, 1);
-        assert_eq!(stats.hoisted_loads, 2);
+        assert_eq!(stats.jit.opt_promoted_slots, 1);
+        assert_eq!(stats.jit.opt_hoisted_loads, 2);
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::MovZx { dst, size: MemSize::U32, .. } if *dst == v(1))));
@@ -1942,7 +1931,7 @@ mod tests {
             LirInsn::CallHelper { helper: 1 },
             store(1, 8),
         ]);
-        assert_eq!(optimize(&mut lir, true, None).promoted_slots, 0);
+        assert_eq!(optimize(&mut lir, true, None).jit.opt_promoted_slots, 0);
 
         // Dynamically-indexed regfile access pins every slot.
         let mut lir2 = loop_unit(vec![
@@ -1958,7 +1947,7 @@ mod tests {
             },
             store(1, 8),
         ]);
-        assert_eq!(optimize(&mut lir2, true, None).promoted_slots, 0);
+        assert_eq!(optimize(&mut lir2, true, None).jit.opt_promoted_slots, 0);
 
         // An XMM access overlapping one slot pins only that slot.
         let mut lir3 = loop_unit(vec![
@@ -1972,7 +1961,10 @@ mod tests {
             store(2, 64),
         ]);
         let stats3 = optimize(&mut lir3, true, None);
-        assert_eq!(stats3.promoted_slots, 1, "only the GPR-pure slot promotes");
+        assert_eq!(
+            stats3.jit.opt_promoted_slots, 1,
+            "only the GPR-pure slot promotes"
+        );
         assert_eq!(stats3.promoted[0].0, 64);
 
         // A narrow store merges bytes into the slot: disqualified.
@@ -1984,13 +1976,13 @@ mod tests {
                 size: MemSize::U32,
             },
         ]);
-        assert_eq!(optimize(&mut lir4, true, None).promoted_slots, 0);
+        assert_eq!(optimize(&mut lir4, true, None).jit.opt_promoted_slots, 0);
 
         // With the pass gated off nothing is rewritten.
         let mut lir5 = loop_unit(vec![load(1, 8), store(1, 8)]);
         let stats5 = optimize(&mut lir5, false, None);
-        assert_eq!(stats5.promoted_slots, 0);
-        assert_eq!(stats5.hoisted_loads, 0);
+        assert_eq!(stats5.jit.opt_promoted_slots, 0);
+        assert_eq!(stats5.jit.opt_hoisted_loads, 0);
         assert!(matches!(
             lir5[backedge_pos(&lir5)],
             LirInsn::BackEdge {
@@ -2015,7 +2007,7 @@ mod tests {
         body.push(load(3, 48));
         let mut lir = loop_unit(body);
         let stats = optimize(&mut lir, true, None);
-        assert_eq!(stats.promoted_slots, MAX_PROMOTED_SLOTS as u32);
+        assert_eq!(stats.jit.opt_promoted_slots, MAX_PROMOTED_SLOTS as u64);
         assert_eq!(stats.promoted.len(), MAX_DIRTY_SLOTS);
         let dirty: Vec<i32> = stats.promoted.iter().map(|p| p.0).collect();
         assert_eq!(dirty, vec![0, 8, 16, 24], "hottest-first, offset tie-break");
@@ -2313,7 +2305,10 @@ mod tests {
         let mut straight = body;
         straight.push(LirInsn::Ret);
         let expected = earlier_passes(straight.clone());
-        assert_eq!(optimize(&mut straight, true, None).promoted_slots, 0);
+        assert_eq!(
+            optimize(&mut straight, true, None).jit.opt_promoted_slots,
+            0
+        );
         assert_eq!(straight, expected);
     }
 
@@ -2345,8 +2340,11 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.fp_forwarded, 2);
-        assert_eq!(stats.forwarded_loads, 0, "vector reuse is counted apart");
+        assert_eq!(stats.jit.opt_fp_forwarded, 2);
+        assert_eq!(
+            stats.jit.opt_forwarded_loads, 0,
+            "vector reuse is counted apart"
+        );
         assert!(lir.iter().any(|i| matches!(
             i,
             LirInsn::MovXmm { dst, src, size: MemSize::U128 } if *dst == xv(1) && *src == xv(0)
@@ -2383,7 +2381,7 @@ mod tests {
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.fp_forwarded, 2);
+        assert_eq!(stats.jit.opt_fp_forwarded, 2);
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::GprToXmm { dst, src } if *dst == xv(1) && *src == v(0))));

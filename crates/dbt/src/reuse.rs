@@ -24,9 +24,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// Packs the codegen knobs a region was formed under into one word for the
-/// [`ReuseKey`]: a template formed with different optimisation, unrolling
-/// or tracing limits is a different translation and must never be reused
-/// across configurations.  `idiom_table` is [`crate::idiom::RuleTable::hash`]
+/// [`ReuseKey`]: a template formed with different optimisation or unrolling
+/// is a different translation and must never be reused across
+/// configurations.  `idiom_table` is [`crate::idiom::RuleTable::hash`]
 /// of the active idiom rule set (0 when the idiom layer is off): its low 32
 /// bits join the key, so code generated under one mined rule set is never
 /// instantiated under another.
@@ -36,7 +36,6 @@ pub fn pack_knobs(
     promote: bool,
     idioms: bool,
     unroll: usize,
-    max_insns: usize,
     idiom_table: u64,
 ) -> u64 {
     let table = if idioms { idiom_table } else { 0 };
@@ -45,7 +44,6 @@ pub fn pack_knobs(
         | ((promote as u64) << 3)
         | ((idioms as u64) << 4)
         | (((unroll as u64) & 0xFF) << 8)
-        | (((max_insns as u64) & 0xFFFF) << 16)
         | ((table & 0xFFFF_FFFF) << 32)
 }
 
@@ -284,7 +282,7 @@ mod tests {
         let reuse = ReuseCache::new();
         let region = multi(0x1000, 8, vec![0x1000, 0x2000], 3);
         let hashes = [(0x1000u64, 0xAAAAu64), (0x2000, 0xBBBB)];
-        let knobs = pack_knobs(false, true, true, true, 4, 256, 0);
+        let knobs = pack_knobs(false, true, true, true, 4, 0);
         let key = ReuseKey {
             phys: 0x1000,
             virt: 0x1000,
@@ -313,7 +311,7 @@ mod tests {
         );
         // A different knob set is a different key entirely.
         let other = ReuseKey {
-            knobs: pack_knobs(false, false, true, true, 4, 256, 0),
+            knobs: pack_knobs(false, false, true, true, 4, 0),
             ..key
         };
         assert!(reuse.lookup(other, |_, _| true).is_none());
@@ -366,18 +364,17 @@ mod tests {
 
     #[test]
     fn knob_packing_distinguishes_every_field() {
-        let base = pack_knobs(false, true, true, true, 4, 256, 0);
-        assert_ne!(base, pack_knobs(true, true, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, false, true, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, false, true, 4, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 8, 256, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 4, 128, 0));
-        assert_ne!(base, pack_knobs(false, true, true, false, 4, 256, 0));
+        let base = pack_knobs(false, true, true, true, 4, 0);
+        assert_ne!(base, pack_knobs(true, true, true, true, 4, 0));
+        assert_ne!(base, pack_knobs(false, false, true, true, 4, 0));
+        assert_ne!(base, pack_knobs(false, true, false, true, 4, 0));
+        assert_ne!(base, pack_knobs(false, true, true, true, 8, 0));
+        assert_ne!(base, pack_knobs(false, true, true, false, 4, 0));
     }
 
     #[test]
     fn knob_packing_keys_on_idiom_table_only_when_idioms_run() {
-        let with = |idioms: bool, table: u64| pack_knobs(false, true, true, idioms, 4, 256, table);
+        let with = |idioms: bool, table: u64| pack_knobs(false, true, true, idioms, 4, table);
         // Different rule tables generate different code, so they must land
         // in different reuse keys...
         assert_ne!(with(true, 0xDEAD_BEEF), with(true, 0x1234_5678));

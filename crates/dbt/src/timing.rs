@@ -3,6 +3,7 @@
 //! wall-clock the run thread actually *stalled* on versus what ran hidden on
 //! background formation workers.
 
+use crate::counters::{CounterField, JitCounters};
 use std::time::{Duration, Instant};
 
 /// The four phases of the online pipeline.
@@ -29,42 +30,9 @@ pub struct PhaseTimers {
     pub regalloc: Duration,
     /// Time spent encoding machine code.
     pub encode: Duration,
-    /// Number of blocks translated.
-    pub blocks: u64,
-    /// Number of guest instructions translated.
-    pub guest_insns: u64,
-    /// Regfile stores deleted by the block-scoped optimiser (dead-flag /
-    /// covered-slot elimination), across all translations.
-    pub opt_dead_stores: u64,
-    /// Regfile loads the optimiser rewrote into register moves.
-    pub opt_forwarded_loads: u64,
-    /// Partial-width forwards (subset of `opt_forwarded_loads`): 32-bit
-    /// loads satisfied by the low half of a 64-bit store with an explicit
-    /// mask.
-    pub opt_partial_forwarded: u64,
-    /// Register-copy uses folded by straight-line copy propagation.
-    pub opt_copies_folded: u64,
-    /// LIR instructions marked dead by the allocator's iterative DCE.
-    pub opt_dce_insns: u64,
-    /// Register-file slots promoted to loop-carried host registers.
-    pub opt_promoted_slots: u64,
-    /// In-loop regfile loads hoisted into the preheader (satisfied from a
-    /// carrier register instead of memory).
-    pub opt_hoisted_loads: u64,
-    /// Vector (XMM) regfile loads forwarded from earlier vector stores or
-    /// loads, including cross-file GPR<->XMM transfers.
-    pub opt_fp_forwarded: u64,
-    /// Translations abandoned because lowering found an unassigned virtual
-    /// register (the engine fell back to an UNDEF stub or dropped the
-    /// region).
-    pub lower_bailouts: u64,
-    /// Total idiom-layer rewrites across all rules (see [`crate::idiom`]).
-    pub opt_idioms_fused: u64,
-    /// Per-rule idiom rewrites, indexed by [`crate::idiom::RuleKind::index`].
-    pub idiom_hits: [u64; crate::idiom::RULE_COUNT],
-    /// Per-rule idiom candidates (sites that matched and passed soundness,
-    /// enabled or not) — the rule miner's input.
-    pub idiom_candidates: [u64; crate::idiom::RULE_COUNT],
+    /// What the translations timed here did, statically (summed per
+    /// translation by [`crate::finish_translation`] and the translators).
+    pub jit: JitCounters,
 }
 
 impl PhaseTimers {
@@ -112,22 +80,7 @@ impl PhaseTimers {
         self.translate += other.translate;
         self.regalloc += other.regalloc;
         self.encode += other.encode;
-        self.blocks += other.blocks;
-        self.guest_insns += other.guest_insns;
-        self.opt_dead_stores += other.opt_dead_stores;
-        self.opt_forwarded_loads += other.opt_forwarded_loads;
-        self.opt_partial_forwarded += other.opt_partial_forwarded;
-        self.opt_copies_folded += other.opt_copies_folded;
-        self.opt_dce_insns += other.opt_dce_insns;
-        self.opt_promoted_slots += other.opt_promoted_slots;
-        self.opt_hoisted_loads += other.opt_hoisted_loads;
-        self.opt_fp_forwarded += other.opt_fp_forwarded;
-        self.lower_bailouts += other.lower_bailouts;
-        self.opt_idioms_fused += other.opt_idioms_fused;
-        for i in 0..crate::idiom::RULE_COUNT {
-            self.idiom_hits[i] += other.idiom_hits[i];
-            self.idiom_candidates[i] += other.idiom_candidates[i];
-        }
+        self.jit.add(&other.jit);
     }
 }
 
@@ -242,18 +195,19 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = PhaseTimers {
-            blocks: 2,
-            guest_insns: 10,
+        let timed = |decode_ms, units, insns| PhaseTimers {
+            decode: Duration::from_millis(decode_ms),
+            jit: JitCounters {
+                translated_units: units,
+                translated_guest_insns: insns,
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let b = PhaseTimers {
-            blocks: 3,
-            guest_insns: 7,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.blocks, 5);
-        assert_eq!(a.guest_insns, 17);
+        let mut a = timed(1, 2, 10);
+        a.merge(&timed(2, 3, 7));
+        assert_eq!(a.decode, Duration::from_millis(3));
+        assert_eq!(a.jit.translated_units, 5);
+        assert_eq!(a.jit.translated_guest_insns, 17);
     }
 }

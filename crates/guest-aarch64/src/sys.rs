@@ -22,14 +22,44 @@
 //!   ([`GuestSys::poll_virtio`]) handing the touched pages back to the
 //!   engine, because what a device store does to translated code *is* a
 //!   cache-index policy;
-//! * the counters both engines report ([`SysStats`]) and the one
-//!   [`RunExit`].
+//! * the one table of counters an engine reports ([`RunStats`], below) and
+//!   the one [`RunExit`].
 //!
 //! The obligations this module is the single place to check (cf. Dahlin et
 //! al.): IRQs are masked at every exception entry and unmasked only by
 //! `ERET`; SPSR carries the interrupted NZCV and EL; an exception with no
 //! vector installed ends the run with [`NO_VECTOR_EXIT`] instead of spinning
 //! through the zero page; timer deadlines saturate instead of wrapping.
+//!
+//! # Counters
+//!
+//! Everything either engine counts about a run is a field of [`RunStats`],
+//! declared once — name, doc and [`Kind`] on one line of the
+//! `dbt::counter_table!` invocation below — and read through
+//! [`Engine::stats`].  A new counter is that line plus the increment (or the
+//! sample in the engine's `stats()`); the figures JSON, the golden pins and
+//! every comparison walk the table ([`RunStats::walk`], [`RunStats::diff`])
+//! and pick it up unasked.  The JIT's static counters are the nested
+//! [`dbt::JitCounters`] table, declared in `dbt::counters` because
+//! `finish_translation` fills it.  An engine leaves what it does not have at
+//! zero (QemuRef forms no regions and has no iTLB).
+//!
+//! What a kind promises, and who holds a counter to it:
+//!
+//! * [`Kind::Architectural`] — guest-visible, so equal on every engine and
+//!   configuration running the same guest.  `bench`'s chaos and virtio tests
+//!   diff these between QemuRef and each Captive configuration.
+//! * [`Kind::Deterministic`] — a function of the guest and one engine
+//!   configuration (simulated cycles, dispatch and cache behaviour, static
+//!   JIT counts), whatever the host scheduler does to the tier workers.
+//!   `same_seed_reproduces_every_counter`, the worker-queue flood test and
+//!   `captive::spec`'s tiered / pump / sync comparison diff every counter
+//!   that is not `Wall`; `bench/tests/golden_counters.rs` pins five runs.
+//! * [`Kind::Wall`] — host time; excluded from every comparison.
+//!
+//! `RunStats`' own test keeps the table honest: names unique, and the
+//! struct exactly as large as its walk, so a field cannot be declared
+//! beside the table.
 //!
 //! # Retargetability audit
 //!
@@ -43,7 +73,7 @@
 //!   slots), `CURRENT_EL_OFF` (host-ring tracking), `mmu::{walk_guest,
 //!   GUEST_LEVELS}` (tier-1 snapshot walks, fetch-walk pricing), and this
 //!   module (`GuestSys`, `GuestEvent`, `Engine`, `HelperCosts`, `RunExit`,
-//!   `SysStats`).  Its tests add `asm`, `SysReg` and
+//!   `RunStats`).  Its tests add `asm`, `SysReg` and
 //!   `mmu::GuestPageTableBuilder` to write guest programs.
 //! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize,
 //!   FpKind}` and `x_off`/`v_off` (memory and FP instructions are re-emitted
@@ -144,34 +174,166 @@ pub struct HelperCosts {
     pub hlt: u64,
 }
 
-/// The counters every engine reports, sampled by [`GuestSys::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SysStats {
-    /// Guest exceptions delivered by the dispatcher (aborts and IRQs; SVC
-    /// and UNDEF enter through translated code and are not counted).
-    pub guest_exceptions: u64,
-    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Virtio queue notifications (`msr VblkNotify`) the device received.
-    pub virtio_kicks: u64,
-    /// Virtio requests accepted off the available ring.
-    pub virtio_submissions: u64,
-    /// Virtio completions retired to the used ring.
-    pub virtio_completions: u64,
-    /// Completion interrupts the device raised.
-    pub virtio_irqs: u64,
-    /// Faults the seeded plan injected.
-    pub virtio_fault_injections: u64,
-    /// Bytes moved by device DMA (both directions).
-    pub virtio_dma_bytes: u64,
-    /// Requests completed with a non-OK status.
-    pub virtio_io_errors: u64,
-    /// Device DMA stores that forced the engine to drop translated code
-    /// (per-page invalidations on a physically-indexed cache, full flushes
-    /// on a virtually-indexed one).
-    pub external_invalidations: u64,
+pub use dbt::counters::{Counter, Kind};
+
+dbt::counter_table! {
+    /// Everything an engine counts about a run (module docs, *Counters*).
+    ///
+    /// Concurrency audit: every field is owned and written by the run thread
+    /// only — tier-1 workers report through messages and never touch shared
+    /// counters — so plain `u64`s are sound.  Counters that live elsewhere
+    /// (the machine's `PerfCounters`, the code cache, the fetch and data
+    /// TLBs, the phase timers, the device) are *sampled* by the engine's
+    /// `stats()`, never kept twice.
+    pub struct RunStats {
+        /// Guest exceptions delivered by the dispatcher (aborts and IRQs;
+        /// SVC and UNDEF enter through translated code and are not counted).
+        Architectural guest_exceptions: u64,
+        /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
+        Architectural irqs_delivered: u64,
+        /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
+        Architectural timer_irqs: u64,
+        /// Virtio queue notifications (`msr VblkNotify`) the device received.
+        Architectural virtio_kicks: u64,
+        /// Virtio requests accepted off the available ring.
+        Architectural virtio_submissions: u64,
+        /// Virtio completions retired to the used ring.
+        Architectural virtio_completions: u64,
+        /// Completion interrupts the device raised.
+        Architectural virtio_irqs: u64,
+        /// Faults the seeded plan injected.
+        Architectural virtio_fault_injections: u64,
+        /// Bytes moved by device DMA (both directions).
+        Architectural virtio_dma_bytes: u64,
+        /// Requests completed with a non-OK status.
+        Architectural virtio_io_errors: u64,
+        /// Device DMA stores that forced the engine to drop translated code
+        /// (per-page invalidations on a physically-indexed cache, full
+        /// flushes on a virtually-indexed one).
+        Deterministic external_invalidations: u64,
+        /// Simulated host cycles consumed by guest execution.
+        Deterministic cycles: u64,
+        /// Host instructions executed.
+        Deterministic host_insns: u64,
+        /// Guest instructions attributed (blocks entered × block length, so
+        /// not yet comparable across engines).
+        Deterministic guest_insns: u64,
+        /// Blocks executed (chained and dispatched).
+        Deterministic blocks: u64,
+        /// Translations performed on the dispatcher's miss path.
+        Deterministic translations: u64,
+        /// Bytes of host code generated.
+        Deterministic code_bytes: u64,
+        /// Blocks entered through the dispatcher slow path (page resolution
+        /// + cache lookup + EL read).
+        Deterministic slow_dispatches: u64,
+        /// Control transfers that followed a patched chain link, bypassing
+        /// the dispatcher.
+        Deterministic chained_transfers: u64,
+        /// Cross-page chained transfers (subset of `chained_transfers`;
+        /// QemuRef with `goto_tb` only).
+        Deterministic goto_tb_transfers: u64,
+        /// Successor links patched (lazy chain resolutions).
+        Deterministic chain_patches: u64,
+        /// Fetch-side iTLB hits (instruction fetches resolved without a
+        /// guest page-table walk; Captive only, like every counter below).
+        Deterministic itlb_hits: u64,
+        /// Fetch-side iTLB misses.
+        Deterministic itlb_misses: u64,
+        /// Data-side gTLB hits (host data faults whose guest walk was
+        /// answered from the cache).
+        Deterministic dtlb_hits: u64,
+        /// Data-side gTLB misses (host data faults that walked guest tables).
+        Deterministic dtlb_misses: u64,
+        /// Intra-region constituent transfers: stitched block boundaries
+        /// crossed without an interpreter entry (each would have been a
+        /// chained transfer under chaining alone).
+        Deterministic region_transfers: u64,
+        /// Multi-constituent regions formed from hot chain paths.
+        Deterministic regions_formed: u64,
+        /// Regions formed by unrolling a loop body — single- or multi-block
+        /// (subset of `regions_formed`).
+        Deterministic regions_unrolled: u64,
+        /// Regions whose loop closed as a region-internal back-edge (subset
+        /// of `regions_formed`): these iterate inside translated code.
+        Deterministic loop_regions_formed: u64,
+        /// Back-edge transfers taken: loop trips that stayed inside one
+        /// region (each would have been at least a chained transfer,
+        /// usually several, without looping regions).
+        Deterministic backedge_transfers: u64,
+        /// Interpreter entries that executed a multi-constituent region
+        /// (subset of `blocks`).
+        Deterministic region_entries: u64,
+        /// Stale-generation regions evicted by the context-generation sweep.
+        Deterministic regions_evicted: u64,
+        /// Dynamic host instructions saved: per block entry, the LIR
+        /// instructions eliminated from that translation before encoding.
+        Deterministic elided_dyn_insns: u64,
+        /// Regions evicted because the cache hit its capacity bound.
+        Deterministic capacity_evictions: u64,
+        /// Encoded bytes resident in the code cache when sampled.
+        Deterministic bytes_live: u64,
+        /// Regions resident in the code cache when sampled.
+        Deterministic regions_live: u64,
+        /// Region-formation attempts that produced no multi-constituent
+        /// region (trace too short, or translation bailed out).
+        Deterministic formation_failures: u64,
+        /// Trace heads permanently quarantined after repeated formation
+        /// failures (no further attempts are made for them).
+        Deterministic regions_quarantined: u64,
+        /// Tier-1 formation requests published to the background service.
+        /// (The tier counters are deterministic because requests publish at
+        /// fixed link heats and results are consumed at the blocking
+        /// install point.)
+        Deterministic tier1_requests: u64,
+        /// Regions formed by a background worker and installed after
+        /// revalidation (subset of `regions_formed`).
+        Deterministic regions_installed_async: u64,
+        /// Worker-formed regions discarded at the install gate: formed
+        /// against a stale context generation or a since-patched page.
+        Deterministic stale_discards: u64,
+        /// Regions installed from the content-keyed reuse cache without any
+        /// formation work (subset of `regions_formed`).
+        Deterministic reuse_hits: u64,
+        /// Reuse-cache lookups that found no validated template.
+        Deterministic reuse_misses: u64,
+        /// The JIT's static counters, summed over every installed
+        /// translation (the engine's [`dbt::PhaseTimers::jit`]).
+        Deterministic jit: dbt::JitCounters,
+        /// Wall-clock in the JIT's decode phase, in nanoseconds (this and
+        /// the next three: the engine's [`dbt::PhaseTimers`]; Fig. 20).
+        Wall jit_decode_ns: u64,
+        /// Wall-clock in LIR emission, in nanoseconds.
+        Wall jit_translate_ns: u64,
+        /// Wall-clock in the optimiser and register allocation, in
+        /// nanoseconds.
+        Wall jit_regalloc_ns: u64,
+        /// Wall-clock in lowering and encoding, in nanoseconds.
+        Wall jit_encode_ns: u64,
+        /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
+        /// translation, snapshot capture, waits for in-flight results, and
+        /// synchronous formation.
+        Wall jit_wall_ns: u64,
+        /// Wall-clock spent inside tier workers, in nanoseconds (runs hidden
+        /// behind tier-0 execution).
+        Wall tier_worker_wall_ns: u64,
+        /// Nanoseconds from engine construction to the first gated-region
+        /// install (0 when none was installed).
+        Wall first_region_install_ns: u64,
+    }
+}
+
+impl RunStats {
+    /// The first counter of a kind `compared` accepts on which `self` and
+    /// `other` differ, as `name: self's value vs other's` — the one
+    /// comparison behind every determinism and cross-engine check.
+    pub fn diff(&self, other: &RunStats, compared: impl Fn(Kind) -> bool) -> Option<String> {
+        self.walk()
+            .into_iter()
+            .zip(other.walk())
+            .find(|(a, b)| compared(a.kind) && a.value != b.value)
+            .map(|(a, b)| format!("{}: {} vs {}", a.name, a.value, b.value))
+    }
 }
 
 /// Guest-system state and semantics shared by every engine.
@@ -196,7 +358,7 @@ pub struct GuestSys {
     pub events: EventSources,
     /// Attached virtio-blk device, if any.
     pub virtio: Option<VirtioBlk>,
-    /// See [`SysStats::external_invalidations`]; bumped by the engine.
+    /// See [`RunStats::external_invalidations`]; bumped by the engine.
     pub external_invalidations: u64,
     guest_exceptions: u64,
 }
@@ -471,15 +633,13 @@ impl GuestSys {
         retired.then(|| dev.take_touched_pages())
     }
 
-    /// Samples the counters every engine reports.
-    pub fn stats(&self) -> SysStats {
-        let mut s = SysStats {
-            guest_exceptions: self.guest_exceptions,
-            irqs_delivered: self.events.delivered,
-            timer_irqs: self.events.timer_delivered,
-            external_invalidations: self.external_invalidations,
-            ..SysStats::default()
-        };
+    /// Samples the counters the core owns into `s`: exceptions, IRQs, the
+    /// device's, and the engine-bumped `external_invalidations`.
+    pub fn sample(&self, s: &mut RunStats) {
+        s.guest_exceptions = self.guest_exceptions;
+        s.irqs_delivered = self.events.delivered;
+        s.timer_irqs = self.events.timer_delivered;
+        s.external_invalidations = self.external_invalidations;
         if let Some(dev) = &self.virtio {
             s.virtio_kicks = dev.stats.kicks;
             s.virtio_submissions = dev.stats.submissions;
@@ -489,7 +649,6 @@ impl GuestSys {
             s.virtio_dma_bytes = dev.stats.dma_bytes;
             s.virtio_io_errors = dev.stats.io_errors;
         }
-        s
     }
 }
 
@@ -503,6 +662,8 @@ pub trait Engine {
     fn parts_mut(&mut self) -> (&mut GuestSys, &mut Machine);
     /// Runs the guest for at most `max_blocks` executed blocks.
     fn run(&mut self, max_blocks: u64) -> RunExit;
+    /// Every counter of the run so far (sampled; never on a per-block path).
+    fn stats(&self) -> RunStats;
 
     /// Writes `size` bytes of `value` at a guest physical address; panics
     /// on a write past the machine's memory (a mis-built image, not a guest
@@ -559,11 +720,6 @@ pub trait Engine {
     /// Console output accumulated from the guest.
     fn console(&self) -> &[u8] {
         &self.parts().0.uart_output
-    }
-
-    /// The counters every engine reports.
-    fn sys_stats(&self) -> SysStats {
-        self.parts().0.stats()
     }
 }
 
@@ -639,6 +795,66 @@ mod tests {
         sys.write_gregfile(&mut machine, NZCV_OFF, 0b1010);
         sys.write_gregfile(&mut machine, FAR_OFF, 0x5EED);
         (machine, sys)
+    }
+
+    fn sampled(sys: &GuestSys) -> RunStats {
+        let mut s = RunStats::default();
+        sys.sample(&mut s);
+        s
+    }
+
+    #[test]
+    fn the_table_is_the_only_list_of_counters() {
+        let mut probe = RunStats {
+            cycles: 7,
+            ..RunStats::default()
+        };
+        probe.jit.idiom_hits[dbt::RuleKind::AddrFold.index()] = 9;
+        let walk = probe.walk();
+        // Every field is a `u64`, an array of them or a nested table, so a
+        // counter declared beside the table instead of in it would make the
+        // struct larger than its walk.
+        assert_eq!(std::mem::size_of::<RunStats>(), 8 * walk.len());
+        let mut names: Vec<&str> = walk.iter().map(|c| c.name.as_str()).collect();
+        names.sort_unstable();
+        let total = names.len();
+        names.dedup();
+        assert_eq!(names.len(), total, "a counter name is walked twice");
+        let value = |name: &str| walk.iter().find(|c| c.name == name).map(|c| c.value);
+        assert_eq!(value("cycles"), Some(7));
+        assert_eq!(
+            value("idiom_hits.addr.fold"),
+            Some(9),
+            "the nested table is walked"
+        );
+        for kind in [Kind::Architectural, Kind::Deterministic, Kind::Wall] {
+            assert!(walk.iter().any(|c| c.kind == kind), "no {kind:?} counter");
+        }
+    }
+
+    #[test]
+    fn diff_names_the_first_differing_counter_of_a_compared_kind() {
+        let a = RunStats::default();
+        let b = RunStats {
+            virtio_kicks: 2,
+            cycles: 5,
+            jit_wall_ns: 99,
+            ..a
+        };
+        assert_eq!(a.diff(&a, |_| true), None);
+        assert_eq!(
+            a.diff(&b, |_| true).as_deref(),
+            Some("virtio_kicks: 0 vs 2")
+        );
+        assert_eq!(
+            b.diff(&a, |k| k == Kind::Deterministic).as_deref(),
+            Some("cycles: 5 vs 0")
+        );
+        let wall_only = RunStats {
+            jit_wall_ns: 1,
+            ..a
+        };
+        assert_eq!(a.diff(&wall_only, |k| k != Kind::Wall), None);
     }
 
     fn call(sys: &mut GuestSys, machine: &mut Machine, id: u16, args: [u64; 3]) -> HelperResult {
@@ -728,7 +944,7 @@ mod tests {
             assert_eq!(m.reg(Gpr::R15), VECTOR, "PC is redirected to VBAR");
             assert!(sys.events.masked(), "entry masks IRQs, class {class:#x}");
             assert_eq!(sys.exit_code, None);
-            assert_eq!(sys.stats().guest_exceptions, counted);
+            assert_eq!(sampled(&sys).guest_exceptions, counted);
         }
     }
 
@@ -759,7 +975,7 @@ mod tests {
         assert_eq!(sys.read_gregfile(&m, NZCV_OFF), 0b1010, "NZCV restored");
         assert!(sys.loop_exit_pending(0), "ERET unmasks");
         assert_eq!(sys.events.take(0), Some(7));
-        assert_eq!(sys.stats().irqs_delivered, 1);
+        assert_eq!(sampled(&sys).irqs_delivered, 1);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //!   are not measured against a hobbled dispatcher.
 
 use captive::layout;
+use captive::translator::MAX_BLOCK_INSNS;
 use dbt::emitter::ValueType;
 use dbt::{
     BlockExit, CacheIndex, ChainLinks, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseClock,
@@ -37,14 +38,14 @@ use dbt::{
 };
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
-use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts, SysStats};
+use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts};
 use guest_aarch64::{v_off, x_off, Aarch64Isa};
 use hvm::{ExitReason, FaultAction, Gpr, HelperResult, Machine, MachineConfig, MemSize, Runtime};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-pub use guest_aarch64::sys::RunExit;
+pub use guest_aarch64::sys::{RunExit, RunStats};
 
 /// Helper ids specific to the QEMU-style runtime.
 pub mod qhelpers {
@@ -72,43 +73,6 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
     eret: 300,
     hlt: 20,
 };
-
-/// Aggregate run statistics.  Dereferences to the engine-independent
-/// [`SysStats`] (`guest_exceptions`, `irqs_delivered`, `virtio_*`, …);
-/// `external_invalidations` there counts the full-cache flushes forced by
-/// device DMA landing behind the translator's back — the virtually-indexed
-/// analogue of Captive's per-page external invalidations.
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// The counters every engine reports, sampled by the guest-system core.
-    pub sys: SysStats,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed.
-    pub guest_insns: u64,
-    /// Blocks executed (dispatched and chained).
-    pub blocks: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Bytes of host code generated.
-    pub code_bytes: u64,
-    /// Same-page chained transfers (0 unless `qemu_chaining` is enabled).
-    pub chained_transfers: u64,
-    /// Cross-page chained transfers (subset of `chained_transfers`; 0 unless
-    /// `goto_tb` is enabled).
-    pub goto_tb_transfers: u64,
-    /// Successor links patched lazily.
-    pub chain_patches: u64,
-}
-
-impl Deref for RunStats {
-    type Target = SysStats;
-    fn deref(&self) -> &SysStats {
-        &self.sys
-    }
-}
 
 /// The QEMU-style runtime — the half the paper compares against Captive:
 /// the software TLB and softfloat state.  Everything a guest observes
@@ -342,7 +306,6 @@ pub struct QemuRef {
     /// JIT phase timers.
     pub timers: PhaseTimers,
     isa: Aarch64Isa,
-    max_block_insns: usize,
     stats: RunStats,
     per_region: HashMap<RegionKey, RegionProfile>,
     /// Record per-block cycles.
@@ -384,7 +347,6 @@ impl QemuRef {
             cache: CodeCache::new(CacheIndex::GuestVirtual),
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
-            max_block_insns: 64,
             stats: RunStats::default(),
             per_region: HashMap::new(),
             per_block_stats: false,
@@ -399,13 +361,23 @@ impl QemuRef {
         self.runtime.sys.attach_virtio(&mut self.machine, cfg);
     }
 
-    /// Statistics so far.
+    /// Statistics so far.  Everything only Captive has (regions, the iTLB
+    /// and gTLB, the tier service) stays zero; `external_invalidations`
+    /// counts the full-cache flushes forced by device DMA landing behind
+    /// the translator's back — the virtually-indexed analogue of Captive's
+    /// per-page external invalidations.
     pub fn stats(&self) -> RunStats {
-        let mut s = self.stats.clone();
+        let mut s = self.stats;
+        self.runtime.sample(&mut s);
         s.cycles = self.machine.perf.cycles;
         s.host_insns = self.machine.perf.insns;
         s.code_bytes = self.cache.total_encoded_bytes() as u64;
-        s.sys = self.runtime.stats();
+        s.slow_dispatches = s.blocks - s.chained_transfers;
+        s.jit = self.timers.jit;
+        s.jit_decode_ns = self.timers.decode.as_nanos() as u64;
+        s.jit_translate_ns = self.timers.translate.as_nanos() as u64;
+        s.jit_regalloc_ns = self.timers.regalloc.as_nanos() as u64;
+        s.jit_encode_ns = self.timers.encode.as_nanos() as u64;
         s
     }
 
@@ -620,7 +592,7 @@ impl QemuRef {
             clock.close(&mut self.timers, Phase::Translate);
             guest_insns += 1;
             va += 4;
-            if end || guest_insns >= self.max_block_insns {
+            if end || guest_insns >= MAX_BLOCK_INSNS {
                 break;
             }
         }
@@ -638,7 +610,7 @@ impl QemuRef {
                 // Same degradation as Captive: discard the defective
                 // translation and raise a guest UNDEF at the entry instead
                 // of executing corrupt host code.
-                self.timers.lower_bailouts += 1;
+                self.timers.jit.lower_bailouts += 1;
                 return captive::translator::undef_fallback_region(
                     &self.isa,
                     &mut self.timers,
@@ -647,8 +619,8 @@ impl QemuRef {
                 );
             }
         };
-        self.timers.blocks += 1;
-        self.timers.guest_insns += guest_insns as u64;
+        self.timers.jit.translated_units += 1;
+        self.timers.jit.translated_guest_insns += guest_insns as u64;
         Region {
             guest_phys: pa,
             guest_virt: pc,
@@ -681,6 +653,9 @@ impl Engine for QemuRef {
     }
     fn run(&mut self, max_blocks: u64) -> RunExit {
         QemuRef::run(self, max_blocks)
+    }
+    fn stats(&self) -> RunStats {
+        QemuRef::stats(self)
     }
 }
 
