@@ -862,7 +862,7 @@ fn scale() {
 fn opt() {
     println!("== Block-scoped LIR optimizer: dead-flag elimination, forwarding, iterative DCE ==");
     println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9} {:>9} {:>6} {:>9} {:>14} {:>12}",
+        "{:<18} {:>14} {:>14} {:>9} {:>9} {:>9} {:>6} {:>7} {:>9} {:>14} {:>12}",
         "workload",
         "cycles (on)",
         "cycles (off)",
@@ -870,6 +870,7 @@ fn opt() {
         "deadst",
         "fwd",
         "pfwd",
+        "pccoal",
         "dce",
         "dyn-elided",
         "cyc saved"
@@ -904,7 +905,7 @@ fn opt() {
             on.jit.opt_dce_insns
         );
         println!(
-            "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>6} {:>9} {:>14} {:>12}",
+            "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>6} {:>7} {:>9} {:>14} {:>12}",
             w.name,
             on.cycles,
             off.cycles,
@@ -912,6 +913,7 @@ fn opt() {
             on.jit.opt_dead_stores,
             on.jit.opt_forwarded_loads,
             on.jit.opt_partial_forwarded,
+            on.jit.opt_pc_coalesced,
             on.jit.opt_dce_insns,
             on.elided_dyn_insns,
             off.cycles - on.cycles

@@ -150,6 +150,10 @@ counter_table! {
         /// Register-copy uses folded by straight-line copy propagation
         /// (fully propagated copies are then swept by the allocator's DCE).
         Deterministic opt_copies_folded: u64,
+        /// `IncPc` updates deleted by lazy-PC batching (deferred to the next
+        /// point that can observe the guest PC, or discarded at an absolute
+        /// PC write).
+        Deterministic opt_pc_coalesced: u64,
         /// LIR instructions marked dead by the allocator's iterative DCE.
         Deterministic opt_dce_insns: u64,
         /// Register-file slots promoted to loop-carried host registers

@@ -205,10 +205,6 @@ pub struct OptStats {
     /// fields, bar `opt_dce_insns` — the allocator's — and
     /// `opt_idioms_fused`, summed from `idioms` below).
     pub jit: JitCounters,
-    /// `IncPc` updates deleted by lazy-PC batching (deferred to the next
-    /// point that can observe the guest PC, or discarded at an absolute PC
-    /// write).
-    pub pc_coalesced: u32,
     /// Dirty promoted slots: (regfile byte offset, carrier vreg).  The
     /// engine resolves the carriers to host registers after allocation and
     /// materialises them before fault delivery.
@@ -269,7 +265,7 @@ pub fn optimize(
 fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
     let mut out = Vec::with_capacity(lir.len());
     let mut pending: u64 = 0;
-    let mut pending_insns: u32 = 0;
+    let mut pending_insns: u64 = 0;
     for insn in lir.drain(..) {
         match insn {
             LirInsn::IncPc { imm } => {
@@ -281,7 +277,7 @@ fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
             // observed (every observation point below would have flushed
             // them first).
             LirInsn::SetPcImm { .. } | LirInsn::SetPcReg { .. } | LirInsn::BackEdge { .. } => {
-                stats.pc_coalesced += pending_insns;
+                stats.jit.opt_pc_coalesced += pending_insns;
                 pending = 0;
                 pending_insns = 0;
                 out.push(insn);
@@ -308,7 +304,7 @@ fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
             );
         if observes_pc && pending != 0 {
             // One batched update replaces `pending_insns` originals.
-            stats.pc_coalesced += pending_insns.saturating_sub(1);
+            stats.jit.opt_pc_coalesced += pending_insns.saturating_sub(1);
             out.push(LirInsn::IncPc { imm: pending });
             pending = 0;
             pending_insns = 0;
@@ -316,7 +312,7 @@ fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
         out.push(insn);
     }
     if pending != 0 {
-        stats.pc_coalesced += pending_insns.saturating_sub(1);
+        stats.jit.opt_pc_coalesced += pending_insns.saturating_sub(1);
         out.push(LirInsn::IncPc { imm: pending });
     }
     *lir = out;
@@ -1479,6 +1475,33 @@ mod tests {
             let stats = optimize(&mut lir, false, None);
             assert_eq!(stats.jit.opt_dead_stores, 0, "{obs:?} must pin the store");
         }
+    }
+
+    #[test]
+    fn pc_updates_batch_to_the_next_observer_and_die_at_an_absolute_write() {
+        let inc = LirInsn::IncPc { imm: 4 };
+        let mut lir = vec![
+            inc,
+            inc,
+            inc,
+            LirInsn::TraceEdge,
+            inc,
+            inc,
+            LirInsn::SetPcImm { imm: 0x2000 },
+            LirInsn::Ret,
+        ];
+        let stats = optimize(&mut lir, false, None);
+        assert_eq!(
+            lir,
+            vec![
+                LirInsn::IncPc { imm: 12 },
+                LirInsn::TraceEdge,
+                LirInsn::SetPcImm { imm: 0x2000 },
+                LirInsn::Ret,
+            ]
+        );
+        // Two of the three folded into the batch; both of the two overwritten.
+        assert_eq!(stats.jit.opt_pc_coalesced, 4);
     }
 
     #[test]
