@@ -6,7 +6,7 @@
 
 use captive::{Captive, CaptiveConfig, FpMode, RunExit};
 use guest_aarch64::sys::Engine;
-pub use guest_aarch64::sys::{Kind, RunStats};
+pub use guest_aarch64::sys::RunStats;
 use qemu_ref::QemuRef;
 use workloads::Workload;
 

@@ -8,34 +8,27 @@
 use bench::chaos::{
     chaos_captive, chaos_captive_configs, chaos_plan, chaos_qemu, run_chaos, ChaosOutcome,
 };
-use bench::{Kind, RunStats};
+use bench::RunStats;
 use proptest::prelude::*;
 
 /// Seeds pinned in CI: chosen arbitrarily, then frozen so a regression on
 /// any of them reproduces on every machine.
 const PINNED_SEEDS: [u64; 4] = [0x5EED_0001, 0xDEAD_BEEF, 0xCAFE_F00D, 42];
 
-/// The final state, or else the first counter of a kind `compared` accepts,
-/// on which two runs of one plan differ.
+/// One run of a plan: the final state and the counters.
+type Run = (ChaosOutcome, RunStats);
+
+/// What separates two runs of one plan: the final state, or else the first
+/// counter `compare` (a `RunStats::differs_across_*`) names.
 fn difference(
-    a: &(ChaosOutcome, RunStats),
-    b: &(ChaosOutcome, RunStats),
-    compared: fn(Kind) -> bool,
+    a: &Run,
+    b: &Run,
+    compare: fn(&RunStats, &RunStats) -> Option<String>,
 ) -> Option<String> {
     if a.0 != b.0 {
         return Some(format!("state {:?} vs {:?}", a.0, b.0));
     }
-    a.1.diff(&b.1, compared)
-}
-
-/// Across engines: what the guest can see.
-fn architectural(kind: Kind) -> bool {
-    kind == Kind::Architectural
-}
-
-/// Across reruns of one configuration: everything but host time.
-fn not_wall(kind: Kind) -> bool {
-    kind != Kind::Wall
+    compare(&a.1, &b.1)
 }
 
 /// Runs one seed on every Captive configuration plus the QEMU baseline and
@@ -65,7 +58,7 @@ fn assert_one_outcome(seed: u64) {
     for (name, cfg) in chaos_captive_configs() {
         let ours = run_chaos(&plan, chaos_captive(&plan, cfg));
         assert_eq!(
-            difference(&ours, &reference, architectural),
+            difference(&ours, &reference, RunStats::differs_across_engines),
             None,
             "seed {seed:#x}: {name} diverged from the QEMU baseline"
         );
@@ -109,11 +102,19 @@ fn same_seed_reproduces_every_counter() {
     for (name, cfg) in chaos_captive_configs() {
         let a = run_chaos(&plan, chaos_captive(&plan, cfg.clone()));
         let b = run_chaos(&plan, chaos_captive(&plan, cfg));
-        assert_eq!(difference(&a, &b, not_wall), None, "{name}");
+        assert_eq!(
+            difference(&a, &b, RunStats::differs_across_reruns),
+            None,
+            "{name}"
+        );
     }
     let qa = run_chaos(&plan, chaos_qemu(&plan));
     let qb = run_chaos(&plan, chaos_qemu(&plan));
-    assert_eq!(difference(&qa, &qb, not_wall), None, "qemu");
+    assert_eq!(
+        difference(&qa, &qb, RunStats::differs_across_reruns),
+        None,
+        "qemu"
+    );
 }
 
 #[test]
@@ -173,7 +174,7 @@ fn worker_queue_flood_is_deterministic_and_mode_blind() {
     );
     assert_eq!(flooded.regions_formed, sync.regions_formed);
     assert_eq!(
-        flooded.diff(&flooded_again, not_wall),
+        flooded.differs_across_reruns(&flooded_again),
         None,
         "a tiered rerun reproduces every counter"
     );
@@ -206,7 +207,7 @@ proptest! {
         for (name, cfg) in chaos_captive_configs() {
             let ours = run_chaos(&plan, chaos_captive(&plan, cfg));
             prop_assert_eq!(
-                difference(&ours, &reference, architectural),
+                difference(&ours, &reference, RunStats::differs_across_engines),
                 None,
                 "seed {:#x}: {} diverged",
                 seed,

@@ -13,7 +13,7 @@
 
 use bench::chaos::chaos_captive_configs;
 use captive::{Captive, CaptiveConfig, RunExit};
-use guest_aarch64::sys::{Engine, Kind, RunStats};
+use guest_aarch64::sys::{Engine, RunStats};
 use hvm::{FaultKind, FaultPlan, VirtioBlkConfig};
 use qemu_ref::QemuRef;
 use workloads::{io_kernels, vblk_config, vblk_read, vblk_smc, vblk_smc_config, Workload};
@@ -49,12 +49,6 @@ fn run_io<E: Engine>(w: &Workload, mut e: E) -> (IoOutcome, E) {
         data_digest: e.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
     };
     (outcome, e)
-}
-
-/// Across engines: the counters the guest can see (every device counter is
-/// one).
-fn architectural(kind: Kind) -> bool {
-    kind == Kind::Architectural
 }
 
 fn run_captive_io(
@@ -94,7 +88,7 @@ fn io_kernels_agree_across_engines_on_a_clean_disk() {
         for (name, cfg) in chaos_captive_configs() {
             let (outcome, cs) = run_captive_io(&w, &vcfg, cfg);
             assert_eq!(outcome, reference, "{}: {name} diverged", w.name);
-            assert_eq!(cs.diff(&qs, architectural), None, "{}: {name}", w.name);
+            assert_eq!(cs.differs_across_engines(&qs), None, "{}: {name}", w.name);
         }
     }
 }
@@ -111,7 +105,7 @@ fn smc_kernel_invalidates_a_live_looping_region_on_every_engine() {
     for (name, cfg) in chaos_captive_configs() {
         let (outcome, cs) = run_captive_io(&w, &vcfg, cfg);
         assert_eq!(outcome, reference, "{name} diverged on io.smc");
-        assert_eq!(cs.diff(&qs, architectural), None, "{name} on io.smc");
+        assert_eq!(cs.differs_across_engines(&qs), None, "{name} on io.smc");
         if name == "default" {
             assert!(
                 cs.external_invalidations > 0,
@@ -166,7 +160,7 @@ fn injected_faults_degrade_to_typed_errors_identically() {
     for (name, cfg) in chaos_captive_configs() {
         let (outcome, cs) = run_captive_io(&w, &vcfg, cfg);
         assert_eq!(outcome, reference, "{name} diverged under injected faults");
-        assert_eq!(cs.diff(&qs, architectural), None, "{name}");
+        assert_eq!(cs.differs_across_engines(&qs), None, "{name}");
     }
 }
 

@@ -359,11 +359,7 @@ impl Captive {
         s.capacity_evictions = cs.capacity_evictions;
         s.bytes_live = cs.bytes_live;
         s.regions_live = cs.regions_live;
-        s.jit = self.timers.jit;
-        s.jit_decode_ns = self.timers.decode.as_nanos() as u64;
-        s.jit_translate_ns = self.timers.translate.as_nanos() as u64;
-        s.jit_regalloc_ns = self.timers.regalloc.as_nanos() as u64;
-        s.jit_encode_ns = self.timers.encode.as_nanos() as u64;
+        s.sample_jit(&self.timers);
         s.jit_wall_ns = self.tier_timers.run_thread_stall.as_nanos() as u64;
         s.tier_worker_wall_ns = self.tier_timers.worker_wall.as_nanos() as u64;
         s.first_region_install_ns = self

@@ -609,7 +609,6 @@ mod tests {
     use super::*;
     use crate::{CaptiveConfig, RunExit};
     use guest_aarch64::asm;
-    use guest_aarch64::sys::Kind;
 
     fn pump() -> CaptiveConfig {
         CaptiveConfig {
@@ -704,8 +703,11 @@ mod tests {
             for r in 0..31 {
                 assert_eq!(other.guest_reg(r), sync.guest_reg(r), "x{r}");
             }
-            let differs = other.stats().diff(&sync.stats(), |kind| kind != Kind::Wall);
-            assert_eq!(differs, None, "a counter depends on who translated");
+            assert_eq!(
+                other.stats().differs_across_reruns(&sync.stats()),
+                None,
+                "a counter depends on who translated"
+            );
             assert_eq!(other.cache.len(), sync.cache.len());
             for i in 0..=BLOCKS as u64 {
                 let at = 0x1000 + 8 * i;

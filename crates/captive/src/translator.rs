@@ -411,9 +411,9 @@ enum Step {
 /// turning the off-trace leg of interior conditionals into out-of-line
 /// side-exit stubs.  The trace stops at indirect exits, untranslatable
 /// target pages, [`REGION_MAX_INSNS`] guest instructions, or
-/// [`REGION_MAX_BLOCKS`] constituents.  Returns `None` when the result would be neither
-/// multi-constituent nor looping (a region would add nothing over the plain
-/// block).
+/// [`REGION_MAX_BLOCKS`] constituents.  Returns `None` when the result would
+/// be neither multi-constituent nor looping (a region would add nothing over
+/// the plain block).
 ///
 /// **Looping regions.** A back edge to an already-traced constituent does
 /// not end the trace: it closes as a *region-internal backward transfer*

@@ -49,7 +49,7 @@ pub use cache::{
     fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, Region, RegionKey,
     RegionProfile,
 };
-pub use counters::{Counter, CounterField, JitCounters, Kind};
+pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};
 pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};

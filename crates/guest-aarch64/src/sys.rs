@@ -37,8 +37,8 @@
 //! declared once — name, doc and [`Kind`] on one line of the
 //! `dbt::counter_table!` invocation below — and read through
 //! [`Engine::stats`].  A new counter is that line plus the increment (or the
-//! sample in the engine's `stats()`); the figures JSON, the golden pins and
-//! every comparison walk the table ([`RunStats::walk`], [`RunStats::diff`])
+//! sample in the engine's `stats()`); the figures JSON and every comparison
+//! walk the table ([`RunStats::walk`], the two `differs_across_*` methods)
 //! and pick it up unasked.  The JIT's static counters are the nested
 //! [`dbt::JitCounters`] table, declared in `dbt::counters` because
 //! `finish_translation` fills it.  An engine leaves what it does not have at
@@ -48,13 +48,15 @@
 //!
 //! * [`Kind::Architectural`] — guest-visible, so equal on every engine and
 //!   configuration running the same guest.  `bench`'s chaos and virtio tests
-//!   diff these between QemuRef and each Captive configuration.
+//!   hold QemuRef and each Captive configuration to
+//!   [`RunStats::differs_across_engines`]` == None`.
 //! * [`Kind::Deterministic`] — a function of the guest and one engine
 //!   configuration (simulated cycles, dispatch and cache behaviour, static
 //!   JIT counts), whatever the host scheduler does to the tier workers.
 //!   `same_seed_reproduces_every_counter`, the worker-queue flood test and
-//!   `captive::spec`'s tiered / pump / sync comparison diff every counter
-//!   that is not `Wall`; `bench/tests/golden_counters.rs` pins five runs.
+//!   `captive::spec`'s tiered / pump / sync comparison go through
+//!   [`RunStats::differs_across_reruns`], which compares every counter that
+//!   is not `Wall`; `bench/tests/golden_counters.rs` pins five runs.
 //! * [`Kind::Wall`] — host time; excluded from every comparison.
 //!
 //! `RunStats`' own test keeps the table honest: names unique, and the
@@ -298,7 +300,8 @@ dbt::counter_table! {
         /// Reuse-cache lookups that found no validated template.
         Deterministic reuse_misses: u64,
         /// The JIT's static counters, summed over every installed
-        /// translation (the engine's [`dbt::PhaseTimers::jit`]).
+        /// translation (the engine's [`dbt::PhaseTimers::jit`]; a nested
+        /// table, walked under its own names and kinds).
         Deterministic jit: dbt::JitCounters,
         /// Wall-clock in the JIT's decode phase, in nanoseconds (this and
         /// the next three: the engine's [`dbt::PhaseTimers`]; Fig. 20).
@@ -324,15 +327,36 @@ dbt::counter_table! {
 }
 
 impl RunStats {
-    /// The first counter of a kind `compared` accepts on which `self` and
-    /// `other` differ, as `name: self's value vs other's` — the one
-    /// comparison behind every determinism and cross-engine check.
-    pub fn diff(&self, other: &RunStats, compared: impl Fn(Kind) -> bool) -> Option<String> {
+    /// Against another engine or configuration running the same guest: the
+    /// first `Architectural` counter the two differ on, as `name: ours vs
+    /// theirs`.
+    pub fn differs_across_engines(&self, other: &RunStats) -> Option<String> {
+        self.diff(other, |kind| kind == Kind::Architectural)
+    }
+
+    /// Against a rerun of the same configuration: the first counter that is
+    /// not `Wall` the two differ on.
+    pub fn differs_across_reruns(&self, other: &RunStats) -> Option<String> {
+        self.diff(other, |kind| kind != Kind::Wall)
+    }
+
+    /// The one comparison behind both: the walks side by side.
+    fn diff(&self, other: &RunStats, compared: fn(Kind) -> bool) -> Option<String> {
         self.walk()
             .into_iter()
             .zip(other.walk())
             .find(|(a, b)| compared(a.kind) && a.value != b.value)
             .map(|(a, b)| format!("{}: {} vs {}", a.name, a.value, b.value))
+    }
+
+    /// Samples an engine's JIT timers: the static counters and the four
+    /// phase clocks.
+    pub fn sample_jit(&mut self, timers: &dbt::PhaseTimers) {
+        self.jit = timers.jit;
+        self.jit_decode_ns = timers.decode.as_nanos() as u64;
+        self.jit_translate_ns = timers.translate.as_nanos() as u64;
+        self.jit_regalloc_ns = timers.regalloc.as_nanos() as u64;
+        self.jit_encode_ns = timers.encode.as_nanos() as u64;
     }
 }
 
@@ -833,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_names_the_first_differing_counter_of_a_compared_kind() {
+    fn the_comparisons_name_the_first_differing_counter_of_a_compared_kind() {
         let a = RunStats::default();
         let b = RunStats {
             virtio_kicks: 2,
@@ -841,20 +865,22 @@ mod tests {
             jit_wall_ns: 99,
             ..a
         };
-        assert_eq!(a.diff(&a, |_| true), None);
+        assert_eq!(a.differs_across_engines(&a), None);
         assert_eq!(
-            a.diff(&b, |_| true).as_deref(),
+            a.differs_across_engines(&b).as_deref(),
             Some("virtio_kicks: 0 vs 2")
         );
+        let cycles_only = RunStats { cycles: 5, ..a };
+        assert_eq!(a.differs_across_engines(&cycles_only), None);
         assert_eq!(
-            b.diff(&a, |k| k == Kind::Deterministic).as_deref(),
+            cycles_only.differs_across_reruns(&a).as_deref(),
             Some("cycles: 5 vs 0")
         );
         let wall_only = RunStats {
             jit_wall_ns: 1,
             ..a
         };
-        assert_eq!(a.diff(&wall_only, |k| k != Kind::Wall), None);
+        assert_eq!(a.differs_across_reruns(&wall_only), None);
     }
 
     fn call(sys: &mut GuestSys, machine: &mut Machine, id: u16, args: [u64; 3]) -> HelperResult {

@@ -373,11 +373,7 @@ impl QemuRef {
         s.host_insns = self.machine.perf.insns;
         s.code_bytes = self.cache.total_encoded_bytes() as u64;
         s.slow_dispatches = s.blocks - s.chained_transfers;
-        s.jit = self.timers.jit;
-        s.jit_decode_ns = self.timers.decode.as_nanos() as u64;
-        s.jit_translate_ns = self.timers.translate.as_nanos() as u64;
-        s.jit_regalloc_ns = self.timers.regalloc.as_nanos() as u64;
-        s.jit_encode_ns = self.timers.encode.as_nanos() as u64;
+        s.sample_jit(&self.timers);
         s
     }
 
