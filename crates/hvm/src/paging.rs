@@ -221,22 +221,6 @@ pub fn map_page(
         let pte_addr = table + idx * 8;
         let pte = mem.read_u64(pte_addr).unwrap_or(0);
         if pte & 1 == 0 {
-            if pte_frame(pte) != 0 {
-                // A previously allocated table whose present bit was cleared
-                // by `clear_top_level_entries` (lazy teardown): reuse the
-                // frame instead of leaking a new one, but clear its contents
-                // so no stale lower-level mappings are revived.
-                let frame = pte_frame(pte);
-                if mem.fill(frame, TABLE_SIZE, 0).is_err() {
-                    return false;
-                }
-                let entry = frame | PageFlags::user_rw().encode();
-                if mem.write_u64(pte_addr, entry).is_err() {
-                    return false;
-                }
-                table = frame;
-                continue;
-            }
             let Some(new_table) = alloc.alloc(mem) else {
                 return false;
             };
@@ -281,24 +265,25 @@ pub fn unmap_page(mem: &mut PhysMem, root: u64, vaddr: u64) -> bool {
     }
 }
 
-/// Clears the present bit of the first `n` top-level (PML4) entries.
+/// Clears the first `n` top-level (PML4) entries.
 ///
 /// This is exactly the operation the paper describes for intercepted guest
-/// TLB flushes: invalidating the 256 low-half PML4 entries lazily tears down
-/// the entire guest mapping without touching lower-level tables
-/// (Section 2.7.4).
+/// TLB flushes: invalidating the 256 low-half PML4 entries tears down the
+/// entire guest mapping without touching lower-level tables (Section 2.7.4).
+/// The whole entry goes, not just its present bit: the subtrees are orphaned,
+/// so the caller may hand their frames back to its allocator
+/// ([`FrameAlloc::reset_to`]) — a stale frame number left behind would be
+/// one table reachable from two places once the frame is allocated again.
 pub fn clear_top_level_entries(mem: &mut PhysMem, root: u64, n: u64) {
     let root = root & !0xFFF;
     // Entries that lie inside physical memory (all of them, for any root a
-    // walk could have used), scanned through one borrow: this runs on every
+    // walk could have used), through one borrow: this runs on every
     // intercepted guest TLB flush.
     let n = n
         .min(ENTRIES_PER_TABLE)
         .min(mem.size().saturating_sub(root) / 8);
     if let Ok(table) = mem.slice_mut(root, n * 8) {
-        for pte in table.chunks_exact_mut(8) {
-            pte[0] &= !1; // the present bit, little-endian
-        }
+        table.fill(0);
     }
 }
 
@@ -426,21 +411,21 @@ mod tests {
         clear_top_level_entries(&mut mem, root, 256);
         assert!(walk(&mem, root, 0x7000).is_err());
 
-        // Only the present bit goes, only in the first `n` entries, and a
-        // table hanging off the end of memory is cleared as far as it
-        // exists instead of faulting the host.
+        // The whole entry goes, only in the first `n` entries, and a table
+        // hanging off the end of memory is cleared as far as it exists
+        // instead of faulting the host.
         let mut mem = PhysMem::new(2 * 4096 + 16);
         for i in 0..ENTRIES_PER_TABLE {
             mem.write_u64(4096 + i * 8, 0xABCD_E007).unwrap();
         }
         clear_top_level_entries(&mut mem, 4096, 256);
-        assert_eq!(mem.read_u64(4096 + 255 * 8).unwrap(), 0xABCD_E006);
+        assert_eq!(mem.read_u64(4096 + 255 * 8).unwrap(), 0);
         assert_eq!(mem.read_u64(4096 + 256 * 8).unwrap(), 0xABCD_E007);
         mem.write_u64(2 * 4096, 0x1007).unwrap();
         mem.write_u64(2 * 4096 + 8, 0x2007).unwrap();
         clear_top_level_entries(&mut mem, 2 * 4096, 256);
-        assert_eq!(mem.read_u64(2 * 4096).unwrap(), 0x1006);
-        assert_eq!(mem.read_u64(2 * 4096 + 8).unwrap(), 0x2006);
+        assert_eq!(mem.read_u64(2 * 4096).unwrap(), 0);
+        assert_eq!(mem.read_u64(2 * 4096 + 8).unwrap(), 0);
         clear_top_level_entries(&mut mem, 8 * 4096, 256);
     }
 
