@@ -31,8 +31,9 @@
 //! The dispatcher ([`Captive::run`]) has a two-level structure:
 //!
 //! * The **slow path** resolves the guest PC to a physical address (through
-//!   the fetch-side iTLB in [`itlb`], falling back to a guest page-table
-//!   walk), looks the block up in the physically-indexed [`CodeCache`]
+//!   the fetch-side iTLB in [`itlb`], whose entries outlive a `TLBI` that
+//!   touched none of the table pages they were read from, falling back to a
+//!   guest page-table walk), looks the block up in the physically-indexed [`CodeCache`]
 //!   (translating on a miss), and reads the guest's exception level to pick
 //!   the host protection ring.
 //! * The **inner chained loop** then executes blocks back-to-back: when a
@@ -60,8 +61,9 @@
 //!
 //! **Invalidation rules.** Self-modifying code invalidates the written
 //! physical page's translations (and bumps the epoch); `TLBI` and
-//! translation-state `MSR`s bump the context generation (retiring iTLB
-//! entries and links wholesale); exception delivery and `ERET` always leave
+//! translation-state `MSR`s bump the context generation, which retires
+//! links and gated regions wholesale and makes every cached guest walk
+//! re-justify itself once ([`itlb`], *The validity rule*); exception delivery and `ERET` always leave
 //! the chained loop through the slow path, which re-reads the exception
 //! level, so chained execution never runs in a stale host ring.
 
@@ -353,6 +355,9 @@ impl Captive {
         s.itlb_misses = self.runtime.fetch_tlb.misses;
         s.dtlb_hits = self.runtime.data_tlb.hits;
         s.dtlb_misses = self.runtime.data_tlb.misses;
+        s.itlb_revalidated = self.runtime.fetch_tlb.revalidated;
+        s.gtlb_revalidated = self.runtime.data_tlb.revalidated;
+        s.table_pages_dirtied = self.runtime.table_watch.table_pages_dirtied;
         s.code_bytes = self.cache.total_encoded_bytes() as u64;
         let cs = self.cache.stats();
         s.regions_evicted = cs.evicted_stale_regions;
@@ -1131,6 +1136,9 @@ impl Engine for Captive {
     fn stats(&self) -> RunStats {
         Captive::stats(self)
     }
+    fn note_host_write(&mut self, guest_phys: u64, size: u64) {
+        self.runtime.note_host_write(guest_phys, size);
+    }
 }
 
 guest_aarch64::inherent_facade!(Captive);
@@ -1432,6 +1440,44 @@ mod tests {
         assert_eq!(c.guest_reg(0), (1..=20).sum::<u64>());
         assert!(c.runtime.context_generation() >= 20);
         assert_eq!(c.stats().chained_transfers, 0);
+    }
+
+    #[test]
+    fn host_tables_rebuilt_after_a_tlbi_never_alias_guest_memory() {
+        // A teardown hands every lower-half host table frame back to the
+        // allocator, so nothing may still name one.  A PML4 entry that kept
+        // its frame number made the next PDPT and the next page directory
+        // one frame, whose slot 5 was both "the 10 MiB region's page table"
+        // and "the leaf for guest page 5": the second store below then went
+        // through a table pointer as if it were a mapping and landed in a
+        // host page table instead of guest memory.
+        const STORES: [(u64, u32); 4] = [
+            (0x5000, 0x11), // so there is a subtree to tear down
+            (0xA0_1000, 0x22),
+            (0x5000, 0x33),
+            (0xA0_2000, 0x44),
+        ];
+        let mut a = asm::Assembler::new();
+        for (i, (addr, value)) in STORES.into_iter().enumerate() {
+            a.mov_imm64(1, addr);
+            a.push(asm::movz(2, value, 0));
+            a.push(asm::str(2, 1, 0));
+            if i == 0 {
+                a.push(asm::tlbi());
+            }
+        }
+        a.push(asm::hlt());
+        let (c, exit) = boot(&a.finish());
+        assert_eq!(exit, RunExit::GuestHalted { code: 0 });
+        let word = |gpa: u64| {
+            c.machine
+                .mem
+                .read_u64(layout::GUEST_PHYS_BASE + gpa)
+                .unwrap()
+        };
+        for (addr, value) in &STORES[1..] {
+            assert_eq!(word(*addr), *value as u64, "the store to {addr:#x}");
+        }
     }
 
     #[test]
@@ -1757,42 +1803,17 @@ mod tests {
         // abort per iteration whose handler skips the store.  Every host
         // fault needs the guest walk result; only the first may actually
         // walk — the rest must hit the data-side gTLB (no TLBI intervenes).
-        use guest_aarch64::mmu::{GuestPageFlags, GuestPageTableBuilder};
-        // Build the guest translation tables in a scratch map (the builder
-        // needs simultaneous read/write views), then copy them into guest
-        // physical memory: the code and vector pages identity-mapped, the
-        // target page read-only.
-        let table = std::cell::RefCell::new(HashMap::<u64, u64>::new());
-        let mut b = GuestPageTableBuilder::new(0x10_0000, 0x18_0000);
-        {
-            let mut map = |va: u64, pa: u64, flags: GuestPageFlags| {
-                assert!(b.map(
-                    |a| Some(*table.borrow().get(&a).unwrap_or(&0)),
-                    |a, v| {
-                        table.borrow_mut().insert(a, v);
-                    },
-                    va,
-                    pa,
-                    flags,
-                ));
-            };
-            map(0x1000, 0x1000, GuestPageFlags::kernel_rw());
-            map(0x2000, 0x2000, GuestPageFlags::kernel_rw());
-            map(
-                0x40_0000,
-                0x5000,
-                GuestPageFlags {
-                    valid: true,
-                    writable: false,
-                    user: true,
-                },
-            );
-        }
+        use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
+        // The code and vector pages identity-mapped, the target page
+        // read-only.
+        let mut tables = GuestTableImage::new(0x10_0000, 0x18_0000);
+        tables.identity(0x1000, 0x2000, GuestPageFlags::kernel_rw());
+        tables.map(0x40_0000, 0x5000, GuestPageFlags::user_ro());
         let mut c = Captive::new(CaptiveConfig::default());
-        for (&a, &v) in table.borrow().iter() {
+        for (a, v) in tables.words() {
             c.write_guest_phys(a, v, 8);
         }
-        let root = b.root;
+        let root = tables.root();
 
         let mut a = asm::Assembler::new();
         a.mov_imm64(9, 0x2000);
@@ -2029,27 +2050,17 @@ mod tests {
         // self-loop kernel; both entries must end up with their own live
         // unrolled region (the old per-physical superblock slot made the
         // aliases evict each other).
-        use guest_aarch64::mmu::{GuestPageFlags, GuestPageTableBuilder};
-        let table = std::cell::RefCell::new(HashMap::<u64, u64>::new());
-        let mut b = GuestPageTableBuilder::new(0x10_0000, 0x18_0000);
-        {
-            let mut map = |va: u64, pa: u64| {
-                assert!(b.map(
-                    |a| Some(*table.borrow().get(&a).unwrap_or(&0)),
-                    |a, v| {
-                        table.borrow_mut().insert(a, v);
-                    },
-                    va,
-                    pa,
-                    GuestPageFlags::kernel_rw(),
-                ));
-            };
-            map(0x1000, 0x1000); // main code, identity
-            map(0x3000, 0x3000); // kernel, identity
-            map(0x8000, 0x3000); // kernel alias
+        use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
+        let mut tables = GuestTableImage::new(0x10_0000, 0x18_0000);
+        for (va, pa) in [
+            (0x1000, 0x1000), // main code, identity
+            (0x3000, 0x3000), // kernel, identity
+            (0x8000, 0x3000), // kernel alias
+        ] {
+            tables.map(va, pa, GuestPageFlags::kernel_rw());
         }
         let mut c = Captive::new(CaptiveConfig::default());
-        for (&a, &v) in table.borrow().iter() {
+        for (a, v) in tables.words() {
             c.write_guest_phys(a, v, 8);
         }
 
@@ -2062,7 +2073,7 @@ mod tests {
         k.push(asm::ret());
 
         let mut a = asm::Assembler::new();
-        a.mov_imm64(0, b.root);
+        a.mov_imm64(0, tables.root());
         a.push(asm::msr(guest_aarch64::SysReg::Ttbr0 as u32, 0));
         a.push(asm::movz(0, 1, 0));
         a.push(asm::msr(guest_aarch64::SysReg::Sctlr as u32, 0)); // MMU on

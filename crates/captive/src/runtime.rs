@@ -5,14 +5,42 @@
 //! Everything a guest observes identically on any engine (exception entry,
 //! `ERET`, hypercalls, timer, virtio) is the embedded
 //! [`guest_aarch64::sys::GuestSys`].
+//!
+//! # Cached guest walks and the writers of guest RAM
+//!
+//! The obligation the two guest-walk caches are held to ([`crate::itlb`] has
+//! the rule itself): **no cached guest walk is served once any table entry
+//! it read may differ from memory** — where "may differ" is judged at the
+//! points the architecture makes a table edit visible, the context-generation
+//! bumps.  Every bump still tears down the whole lower half of the host page
+//! tables (`teardown_guest_mappings`), so the cached walks are what keeps the
+//! re-faulting that follows cheap.  Holding the obligation
+//! means hearing of every store that could land in a translation table.
+//! Guest RAM has three writers, and each reaches
+//! [`TableWatch::note_written`](crate::itlb::TableWatch::note_written):
+//!
+//! * **translated code, through host mappings** — after a teardown no guest
+//!   page is mapped, so the first store to a page faults; both arms of
+//!   [`Runtime::page_fault`] note every page they map *writable* (a page
+//!   mapped read-only faults again before it is written);
+//! * **device DMA** — [`CaptiveRuntime::poll_virtio`] notes every page a
+//!   retirement touched, data buffers, status bytes and the used ring alike;
+//! * **the host, through the [`Engine`](guest_aarch64::sys::Engine) façade**
+//!   (`load_program`, `write_guest_phys`) — [`CaptiveRuntime::note_host_write`],
+//!   which `Captive` calls from the façade's write hook.
+//!
+//! A bare `TLBI` then dirties the noted pages that are table pages of some
+//! cached walk; a `TTBR0` or `SCTLR` write invalidates wholesale.  Code that
+//! writes guest memory through `machine.mem` directly is outside the
+//! contract, as it always was for translated code.
 
-use crate::itlb::{DataTlb, FetchTlb};
+use crate::itlb::{DataTlb, FetchTlb, TableWatch};
 use crate::layout;
 use guest_aarch64::gen::helpers;
 use guest_aarch64::mmu;
 use guest_aarch64::sys::{GuestEvent, GuestSys, HelperCosts};
 use hvm::paging::{self, FrameAlloc, PageFlags};
-use hvm::{FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
+use hvm::{CostModel, FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -26,6 +54,17 @@ const DFAULT_BASE: u64 = 300;
 const DWALK_COST: u64 = 600;
 /// Cycle cost of installing the host PTE mirroring a resolved guest mapping.
 const DMAP_COST: u64 = 200;
+/// Cycle cost of the walk behind a fetch-iTLB miss.  One
+/// [`GuestSys::walk`] has three prices, for who performs it: here the
+/// dispatcher resolves a block entry the way the host's hardware walker
+/// would (three dependent reads at the machine's per-level price, 60 by
+/// default); [`DWALK_COST`] is the same walk done in software inside the
+/// host page-fault handler, guest table reads through the direct map with
+/// permission evaluation; QemuRef's softmmu slow path does it in a user
+/// process without either and charges 420 (`qemu_ref`'s `SOFT_WALK_COST`).
+fn fetch_walk_cost(cost: &CostModel) -> u64 {
+    cost.page_walk_per_level * mmu::GUEST_LEVELS as u64
+}
 
 /// What the shared helper arms cost inside the unikernel: a direct call in
 /// ring 0, no user-process state save/restore.
@@ -76,16 +115,22 @@ pub struct CaptiveRuntime {
     /// Code pages that were written and whose translations must be dropped.
     smc_dirty: Vec<u64>,
     fp_env: softfloat::FpEnv,
-    /// Bumped whenever guest translation state may have changed (TLBI,
-    /// `TTBR0`/`SCTLR` writes).  Stamped into fetch-TLB entries and chain
-    /// links; a mismatch silently retires them.
+    /// Counts the events at which a guest table edit may take effect: `TLBI`
+    /// and `TTBR0`/`SCTLR` writes.  Chain links and gated regions are stamped
+    /// with it and die on any mismatch; cached guest walks are stamped with
+    /// it too, but a stale one is re-checked against `table_watch` before it
+    /// is given up (module docs).
     context_generation: u64,
     /// Fetch-side instruction TLB (VPN→PFN for instruction fetches).
     pub fetch_tlb: FetchTlb,
-    /// Data-side guest TLB: caches guest walk results for the host
-    /// page-fault handler, flushed (via the generation stamp) on
-    /// TLBI/TTBR0/SCTLR like the fetch TLB.
+    /// Data-side guest TLB: guest walk results for the host page-fault
+    /// handler, which re-faults every page after each generation bump and
+    /// would otherwise re-walk for each.
     pub data_tlb: DataTlb,
+    /// Which guest pages a store may have reached this generation, and which
+    /// table pages that has dirtied — what decides whether a stale-stamped
+    /// entry of either TLB is still good.
+    pub table_watch: TableWatch,
 }
 
 impl Deref for CaptiveRuntime {
@@ -146,6 +191,7 @@ impl CaptiveRuntime {
             context_generation: 0,
             fetch_tlb: FetchTlb::new(),
             data_tlb: DataTlb::new(),
+            table_watch: TableWatch::new(guest_ram),
         }
     }
 
@@ -160,6 +206,7 @@ impl CaptiveRuntime {
             return false;
         };
         for page in touched {
+            self.table_watch.note_written(page);
             if self.code_pages.remove(&page).is_some() {
                 self.smc_dirty.push(page);
                 self.sys.external_invalidations += 1;
@@ -171,6 +218,16 @@ impl CaptiveRuntime {
     /// Current translation-context generation.
     pub fn context_generation(&self) -> u64 {
         self.context_generation
+    }
+
+    /// The host is writing `len` bytes of guest physical memory at
+    /// `guest_phys` behind the guest's back (the `Engine` façade's write
+    /// hook).
+    pub fn note_host_write(&mut self, guest_phys: u64, len: u64) {
+        let last = guest_phys.saturating_add(len.saturating_sub(1));
+        for page in (guest_phys >> 12)..=(last >> 12).min(self.sys.guest_ram >> 12) {
+            self.table_watch.note_written(page << 12);
+        }
     }
 
     /// The bytes of every page currently holding translated code — the page
@@ -211,26 +268,15 @@ impl CaptiveRuntime {
     }
 
     /// Translates a guest virtual address to a guest physical address using
-    /// the guest's translation state (used for instruction fetches and by the
-    /// translator).
+    /// the guest's translation state (used by the translator when it follows
+    /// a trace; uncached and uncharged).
     pub fn guest_va_to_pa(
         &self,
         machine: &Machine,
         va: u64,
         write: bool,
     ) -> Result<u64, GuestEvent> {
-        self.resolve(machine, va, write, self.sys.mmu_enabled(machine))
-    }
-
-    /// [`Self::guest_va_to_pa`] for a caller that has already read `SCTLR`.
-    fn resolve(
-        &self,
-        machine: &Machine,
-        va: u64,
-        write: bool,
-        mmu_on: bool,
-    ) -> Result<u64, GuestEvent> {
-        if !mmu_on {
+        if !self.sys.mmu_enabled(machine) {
             if va < self.sys.guest_ram {
                 return Ok(va);
             }
@@ -247,20 +293,39 @@ impl CaptiveRuntime {
     }
 
     /// Translates an instruction-fetch virtual address through the fetch
-    /// TLB, falling back to the guest page-table walker (charged at the
-    /// hardware walk cost) on a miss.
+    /// TLB: one compare when the entry carries the current generation.
+    #[inline]
     pub fn fetch_va_to_pa(&mut self, machine: &mut Machine, va: u64) -> Result<u64, GuestEvent> {
         let ctx_gen = self.context_generation;
-        if let Some(pa) = self.fetch_tlb.lookup(va, ctx_gen) {
-            return Ok(pa);
+        match self
+            .fetch_tlb
+            .lookup_or_revalidate(va, ctx_gen, &self.table_watch)
+        {
+            Some(e) => Ok(e.page_pa | (va & 0xFFF)),
+            None => self.fetch_miss(machine, va),
         }
-        let mmu_on = self.sys.mmu_enabled(machine);
-        let pa = self.resolve(machine, va, false, mmu_on)?;
-        if mmu_on {
-            machine.perf.cycles += machine.cost.page_walk_per_level * mmu::GUEST_LEVELS as u64;
+    }
+
+    /// A fetch the iTLB could not answer: resolve it (through the guest
+    /// page-table walker, charged at the hardware walk cost, when the guest
+    /// MMU is on) and cache the result.
+    fn fetch_miss(&mut self, machine: &mut Machine, va: u64) -> Result<u64, GuestEvent> {
+        let ctx_gen = self.context_generation;
+        if !self.sys.mmu_enabled(machine) {
+            if va >= self.sys.guest_ram {
+                return Err(GuestEvent::InstrAbort { vaddr: va });
+            }
+            self.fetch_tlb.insert(va, va, ctx_gen);
+            return Ok(va);
         }
-        self.fetch_tlb.insert(va, pa, ctx_gen);
-        Ok(pa)
+        let walk = self
+            .sys
+            .walk(machine, va)
+            .map_err(|_| GuestEvent::InstrAbort { vaddr: va })?;
+        machine.perf.cycles += fetch_walk_cost(&machine.cost);
+        self.fetch_tlb
+            .insert_walk(va, &walk, ctx_gen, &mut self.table_watch);
+        Ok(walk.frame | (va & 0xFFF))
     }
 
     /// Records that a guest physical page now contains translated code and
@@ -282,10 +347,12 @@ impl CaptiveRuntime {
     }
 
     /// Tears down the lower-half (guest) mappings and flushes the host TLB —
-    /// the intercepted-TLB-flush mechanism of Section 2.7.4.  Also retires
-    /// every fetch-TLB entry and chain link by bumping the context
-    /// generation: the guest's VA→PA mapping can no longer be trusted.
-    fn teardown_guest_mappings(&mut self, machine: &mut Machine) {
+    /// the intercepted-TLB-flush mechanism of Section 2.7.4 — and begins a
+    /// new context generation, which retires every chain link and gated
+    /// region.  Cached guest walks outlive a bare `TLBI` unless a table page
+    /// they read was written; a `regime_changed` teardown (`TTBR0`, `SCTLR`)
+    /// spares none.
+    fn teardown_guest_mappings(&mut self, machine: &mut Machine, regime_changed: bool) {
         paging::clear_top_level_entries(
             &mut machine.mem,
             self.host_pt_root,
@@ -302,6 +369,11 @@ impl CaptiveRuntime {
         machine.tlb.flush_all();
         machine.perf.tlb_flushes += 1;
         self.context_generation += 1;
+        if regime_changed {
+            self.table_watch.wholesale(self.context_generation);
+        } else {
+            self.table_watch.tlbi(self.context_generation);
+        }
     }
 
     fn softfloat_binop(&mut self, machine: &mut Machine, op: u16) -> HelperResult {
@@ -327,13 +399,13 @@ impl Runtime for CaptiveRuntime {
     fn helper(&mut self, id: u16, machine: &mut Machine) -> HelperResult {
         match id {
             helpers::TLBI => {
-                self.teardown_guest_mappings(machine);
+                self.teardown_guest_mappings(machine, false);
                 HelperResult::Continue { cost: 450 }
             }
             helpers::MSR_NOTIFY => {
                 let (translation_changed, result) = self.sys.msr_notify(machine);
                 if translation_changed {
-                    self.teardown_guest_mappings(machine);
+                    self.teardown_guest_mappings(machine, true);
                 }
                 result
             }
@@ -381,6 +453,9 @@ impl Runtime for CaptiveRuntime {
             } else {
                 PageFlags::user_rw()
             };
+            if flags.writable {
+                self.table_watch.note_written(page);
+            }
             let ok = paging::map_page(
                 &mut machine.mem,
                 self.host_pt_root,
@@ -397,24 +472,21 @@ impl Runtime for CaptiveRuntime {
             }
         } else {
             // Guest MMU on: resolve the guest translation — through the
-            // data-side gTLB when a current-generation entry covers the page,
-            // walking the guest page tables (and caching the result) only on
-            // a real miss — then mirror it into the host page tables
+            // data-side gTLB when it holds a walk of the page that is still
+            // good, walking the guest page tables (and caching the result)
+            // only on a real miss — then mirror it into the host page tables
             // (Section 2.7.3).  The walk portion of the handler cost is
             // charged only when a walk actually happened.
             let ctx_gen = self.context_generation;
-            let (gpage, g_writable, g_user, walk_cost) = match self.data_tlb.lookup(vaddr, ctx_gen)
-            {
+            let cached = self
+                .data_tlb
+                .lookup_or_revalidate(vaddr, ctx_gen, &self.table_watch);
+            let (gpage, g_writable, g_user, walk_cost) = match cached {
                 Some(e) => (e.page_pa, e.writable, e.user, 0),
                 None => match self.sys.walk(machine, vaddr) {
                     Ok(w) => {
-                        self.data_tlb.insert(
-                            vaddr,
-                            w.frame,
-                            w.flags.writable,
-                            w.flags.user,
-                            ctx_gen,
-                        );
+                        self.data_tlb
+                            .insert_walk(vaddr, &w, ctx_gen, &mut self.table_watch);
                         (w.frame & !0xFFF, w.flags.writable, w.flags.user, DWALK_COST)
                     }
                     Err(_) => {
@@ -440,6 +512,9 @@ impl Runtime for CaptiveRuntime {
                 writable: g_writable && (write || !is_code),
                 user: g_user,
             };
+            if flags.writable {
+                self.table_watch.note_written(gpage);
+            }
             let ok = paging::map_page(
                 &mut machine.mem,
                 self.host_pt_root,

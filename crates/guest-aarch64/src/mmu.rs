@@ -87,6 +87,10 @@ pub struct GuestWalk {
     pub frame: u64,
     /// Effective permissions (restrictive AND across levels).
     pub flags: GuestPageFlags,
+    /// Guest physical address of the table read at each level, top first:
+    /// everything the result depends on besides `TTBR0` itself, for a cache
+    /// of walks that wants to know when one may have gone stale.
+    pub tables: [u64; GUEST_LEVELS as usize],
 }
 
 /// Index into the table at `level` (3 = top) for a virtual address.
@@ -107,7 +111,9 @@ pub fn walk_guest(
         writable: true,
         user: true,
     };
+    let mut tables = [0; GUEST_LEVELS as usize];
     for level in (1..=GUEST_LEVELS).rev() {
+        tables[(GUEST_LEVELS - level) as usize] = table;
         let idx = guest_table_index(vaddr, level);
         let pte = read_phys(table + idx * 8).ok_or(GuestWalkError::BadAddress)?;
         let f = GuestPageFlags::decode(pte);
@@ -123,6 +129,7 @@ pub fn walk_guest(
                     valid: true,
                     ..flags
                 },
+                tables,
             });
         }
         table = pte & 0x0000_FFFF_FFFF_F000;
@@ -190,6 +197,72 @@ impl GuestPageTableBuilder {
     }
 }
 
+/// Guest page tables built on the host side, as the guest-physical words
+/// they occupy: what a test or a generated program loads as data where a
+/// guest OS would have run boot code.  Knows where each entry lives, so a
+/// program that edits its own tables can be told the address to store to.
+#[derive(Debug)]
+pub struct GuestTableImage {
+    builder: GuestPageTableBuilder,
+    words: std::collections::BTreeMap<u64, u64>,
+}
+
+impl GuestTableImage {
+    /// An empty root table at `pool_start`; further tables are taken from
+    /// the pool in the order mappings need them.
+    pub fn new(pool_start: u64, pool_end: u64) -> Self {
+        GuestTableImage {
+            builder: GuestPageTableBuilder::new(pool_start, pool_end),
+            words: Default::default(),
+        }
+    }
+
+    /// Physical address of the root table (the `TTBR0` value).
+    pub fn root(&self) -> u64 {
+        self.builder.root
+    }
+
+    /// Maps `vaddr -> paddr`; panics when the pool is exhausted.
+    pub fn map(&mut self, vaddr: u64, paddr: u64, flags: GuestPageFlags) {
+        let words = std::cell::RefCell::new(&mut self.words);
+        let mapped = self.builder.map(
+            |a| Some(words.borrow().get(&a).copied().unwrap_or(0)),
+            |a, v| {
+                words.borrow_mut().insert(a, v);
+            },
+            vaddr,
+            paddr,
+            flags,
+        );
+        assert!(mapped, "guest page-table pool exhausted");
+    }
+
+    /// Identity-maps every page overlapping `[start, start + len)`.
+    pub fn identity(&mut self, start: u64, len: u64, flags: GuestPageFlags) {
+        for page in (start & !0xFFF..start + len).step_by(GUEST_PAGE_SIZE as usize) {
+            self.map(page, page, flags);
+        }
+    }
+
+    /// Guest-physical address of the entry that translates `vaddr` at
+    /// `level` (3 = the root table's entry, 1 = the leaf PTE); panics if the
+    /// tables above it are not there.
+    pub fn entry_addr(&self, vaddr: u64, level: u32) -> u64 {
+        let mut table = self.builder.root;
+        for above in (level + 1..=GUEST_LEVELS).rev() {
+            let pte = self.words[&(table + guest_table_index(vaddr, above) * 8)];
+            assert!(pte & 1 != 0, "no level-{above} entry for {vaddr:#x}");
+            table = pte & 0x0000_FFFF_FFFF_F000;
+        }
+        table + guest_table_index(vaddr, level) * 8
+    }
+
+    /// Every (guest-physical address, 64-bit word) of the tables.
+    pub fn words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.words.iter().map(|(&a, &v)| (a, v))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +296,11 @@ mod tests {
         let w = walk_guest(|a| mem.read(a), b.root, 0x40_0123).unwrap();
         assert_eq!(w.frame, 0x9_C000);
         assert!(w.flags.user && w.flags.writable);
+        assert_eq!(
+            w.tables,
+            [0x8000, 0x9000, 0xA000],
+            "root, then in pool order"
+        );
     }
 
     #[test]
@@ -257,6 +335,27 @@ mod tests {
         ));
         let w = walk_guest(|a| mem.read(a), b.root, 0xB000).unwrap();
         assert!(!w.flags.user && w.flags.writable);
+    }
+
+    #[test]
+    fn a_table_image_walks_like_the_tables_it_holds() {
+        let mut t = GuestTableImage::new(0x8000, 0x20000);
+        t.identity(0x1800, 0x1000, GuestPageFlags::kernel_rw());
+        t.map(0x4000_0000, 0x5000, GuestPageFlags::user_ro());
+        let words: HashMap<u64, u64> = t.words().collect();
+        let read = |a: u64| Some(*words.get(&a).unwrap_or(&0));
+        for va in [0x1000, 0x2FFF] {
+            assert_eq!(walk_guest(read, t.root(), va).unwrap().frame, va & !0xFFF);
+        }
+        let w = walk_guest(read, t.root(), 0x4000_0008).unwrap();
+        assert_eq!(w.frame, 0x5000);
+        assert_eq!(t.entry_addr(0x4000_0000, 3), w.tables[0] + 8);
+        assert_eq!(t.entry_addr(0x4000_0000, 2), w.tables[1]);
+        assert_eq!(t.entry_addr(0x4000_0000, 1), w.tables[2]);
+        assert_eq!(
+            words[&w.tables[2]],
+            0x5000 | GuestPageFlags::user_ro().encode()
+        );
     }
 
     #[test]

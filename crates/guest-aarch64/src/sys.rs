@@ -76,7 +76,7 @@
 //!   GUEST_LEVELS}` (tier-1 snapshot walks, fetch-walk pricing), and this
 //!   module (`GuestSys`, `GuestEvent`, `Engine`, `HelperCosts`, `RunExit`,
 //!   `RunStats`).  Its tests add `asm`, `SysReg` and
-//!   `mmu::GuestPageTableBuilder` to write guest programs.
+//!   `mmu::GuestTableImage` to write guest programs.
 //! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize,
 //!   FpKind}` and `x_off`/`v_off` (memory and FP instructions are re-emitted
 //!   through softmmu/softfloat helpers), and this module.
@@ -247,6 +247,17 @@ dbt::counter_table! {
         Deterministic dtlb_hits: u64,
         /// Data-side gTLB misses (host data faults that walked guest tables).
         Deterministic dtlb_misses: u64,
+        /// Fetch-side iTLB hits that kept a cached walk across a `TLBI`
+        /// because no table page it read had been written (subset of
+        /// `itlb_hits`; each is one fetch walk not charged).
+        Deterministic itlb_revalidated: u64,
+        /// Data-side gTLB hits that kept a cached walk across a `TLBI` the
+        /// same way (subset of `dtlb_hits`; each is one software walk not
+        /// charged).
+        Deterministic gtlb_revalidated: u64,
+        /// Translation-table pages a `TLBI` found written while a cached
+        /// walk depended on them: what makes the two counters above miss.
+        Deterministic table_pages_dirtied: u64,
         /// Intra-region constituent transfers: stitched block boundaries
         /// crossed without an interpreter entry (each would have been a
         /// chained transfer under chaining alone).
@@ -693,6 +704,7 @@ pub trait Engine {
     /// on a write past the machine's memory (a mis-built image, not a guest
     /// behaviour).
     fn write_guest_phys(&mut self, guest_phys: u64, value: u64, size: u64) {
+        self.note_host_write(guest_phys, size);
         let (sys, machine) = self.parts_mut();
         machine
             .mem
@@ -700,11 +712,24 @@ pub trait Engine {
             .expect("guest physical write within RAM");
     }
 
+    /// Hears of every façade write before it lands: `len` bytes at
+    /// `guest_phys`.  An engine that caches something derived from the
+    /// *contents* of guest memory and learns of guest and device stores some
+    /// other way (Captive's cached page-table walks) overrides this; the
+    /// default does nothing.
+    fn note_host_write(&mut self, _guest_phys: u64, _len: u64) {}
+
     /// Loads a guest program (little-endian instruction words) at a guest
-    /// physical address.
+    /// physical address; panics like [`Engine::write_guest_phys`].
     fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
+        self.note_host_write(guest_phys, words.len() as u64 * 4);
+        let (sys, machine) = self.parts_mut();
+        let base = sys.guest_phys_base + guest_phys;
         for (i, w) in words.iter().enumerate() {
-            self.write_guest_phys(guest_phys + i as u64 * 4, *w as u64, 4);
+            machine
+                .mem
+                .write_uint(base + i as u64 * 4, *w as u64, 4)
+                .expect("guest physical write within RAM");
         }
     }
 

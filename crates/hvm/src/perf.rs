@@ -1,7 +1,8 @@
 //! Performance counters maintained by the machine.
 //!
-//! Every figure in EXPERIMENTS.md is computed from these counters (plus the
-//! JIT's own wall-clock phase timers), so they are deliberately fine-grained.
+//! Every figure of `figures` and every `machine.*` metric of the benchmark
+//! (`benchmark/README.md`) is computed from these counters (plus the JIT's
+//! own wall-clock phase timers), so they are deliberately fine-grained.
 
 /// Counters accumulated while the machine executes translated code.
 #[derive(Debug, Clone, Copy, Default)]

@@ -74,6 +74,11 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
     hlt: 20,
 };
 
+/// Cycle cost of the softmmu slow path's guest page-table walk: several
+/// dependent memory accesses plus permission evaluation, in software (what
+/// Captive pays for the same walk is priced in `captive::runtime`).
+const SOFT_WALK_COST: u64 = 420;
+
 /// The QEMU-style runtime — the half the paper compares against Captive:
 /// the software TLB and softfloat state.  Everything a guest observes
 /// identically on any engine is the embedded [`GuestSys`].
@@ -177,9 +182,7 @@ impl QemuRuntime {
         }
         self.soft_tlb
             .insert(vpn, (walk.frame, walk.flags.writable, walk.flags.user));
-        // Slow path: a full guest page-table walk in software (several
-        // dependent memory accesses plus permission evaluation).
-        Ok((walk.frame | (va & 0xFFF), 420))
+        Ok((walk.frame | (va & 0xFFF), SOFT_WALK_COST))
     }
 }
 
