@@ -6,7 +6,9 @@
 //! the engine must survive: stores onto its own (translated) code pages,
 //! TLB invalidates, system-register writebacks that tear down translation
 //! state, undefined instructions, out-of-bounds loads that take data aborts,
-//! supervisor calls, a one-shot timer, externally scheduled "spurious"
+//! supervisor calls, the guest MMU switched on at a seed-drawn point with
+//! leaf page-table entries rewritten under it afterwards, a one-shot timer,
+//! externally scheduled "spurious"
 //! device interrupts, and seed-drawn virtio-blk requests against a
 //! fault-injecting disk ([`hvm::FaultPlan`]) whose DMA completions land in
 //! guest memory asynchronously.
@@ -38,6 +40,10 @@
 //! - spurious interrupts are scheduled inside a cycle window that every
 //!   engine reaches *after* installing the vector and *before* finishing a
 //!   long countdown tail, so every engine drains exactly the same set;
+//! - a remap op always follows its table store with `tlbi` before it reads
+//!   through the remapped address (what a stale translation returns without
+//!   one is legitimately engine-dependent), and nothing else touches the
+//!   remap window, so the value read is fixed by program order;
 //! - virtio completion *order* is fixed at kick time (program order) and
 //!   write payloads snapshot at the kick, so although each engine retires a
 //!   completion at a different cycle, the architectural effects — used-ring
@@ -53,6 +59,7 @@ use crate::RunStats;
 use captive::{Captive, CaptiveConfig, RunExit};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
+use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
 use guest_aarch64::sys::Engine;
 use guest_aarch64::SysReg;
 use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, REQ_WRITE, SECTOR_SIZE};
@@ -81,6 +88,17 @@ const SCHEDULE_MAX_CYCLE: u64 = 80_000;
 /// with the forced final request that is 15 chains of 3 descriptors each,
 /// comfortably inside the device's 64-entry queue.
 const MAX_CHAOS_SUBMITS: usize = 14;
+
+/// Guest page tables (loaded by [`run_chaos`], live once the plan's
+/// [`Op::MmuOn`] has run): an identity map of the code, the data window and
+/// the pool itself, plus the remap window.
+const PT_POOL: u64 = DATA_BASE + 0x2_0000;
+const PT_POOL_LEN: u64 = 0x8000;
+/// The remap window: [`REMAP_SLOTS`] pages under a leaf table of their own,
+/// each mapped to one of two frames at the top of the data-digest window.
+const REMAP_VA: u64 = 0x0200_0000;
+const REMAP_SLOTS: u64 = 4;
+const REMAP_FRAMES: [u64; 2] = [DATA_BASE + 0x6000, DATA_BASE + 0x7000];
 
 /// xorshift64* — tiny, seedable, and good enough to derive op mixes.
 struct ChaosRng(u64);
@@ -124,6 +142,14 @@ enum Op {
     /// Same-value system-register writeback (TTBR0 or SCTLR): triggers the
     /// engine's translation-teardown path with no architectural effect.
     RegFlip { ttbr: bool },
+    /// `SCTLR = 1`: from here on the guest runs on its page tables.  Exactly
+    /// one per plan, at a seed-drawn slot in the first half.
+    MmuOn,
+    /// Rewrite the leaf PTE of remap slot `slot` to frame `frame` (x29 / x30
+    /// hold the two PTE values, x3 the leaf table, x4 the window base),
+    /// `tlbi`, load through the slot and fold the value into x24.  Drawn
+    /// before [`Op::MmuOn`] it degrades to plain computation.
+    Remap { slot: u8, frame: u8 },
     /// An undecodable word: takes a guest UNDEF exception.
     Undef,
     /// Load from beyond guest RAM: takes a guest data abort.
@@ -151,6 +177,11 @@ pub struct ChaosPlan {
     pub patches: usize,
     /// Number of ops that take a synchronous exception (UNDEF + abort + SVC).
     pub sync_ops: usize,
+    /// Number of remap ops (at least one: the last op slot always is).
+    pub remaps: usize,
+    /// `(guest physical address, 64-bit word)` pairs [`run_chaos`] loads
+    /// beside the program: the page tables and the two remap frames.
+    pub preload: Vec<(u64, u64)>,
     /// Device configuration (fault plan seed, identity disk image) to attach
     /// to whichever engine runs the plan.
     pub virtio: VirtioBlkConfig,
@@ -192,6 +223,16 @@ fn emit_op(a: &mut Assembler, op: &Op, ops_start: usize) {
             let sr = if ttbr { SysReg::Ttbr0 } else { SysReg::Sctlr } as u32;
             a.push(asm::mrs(12, sr));
             a.push(asm::msr(sr, 12));
+        }
+        Op::MmuOn => {
+            a.push(asm::movz(12, 1, 0));
+            a.push(asm::msr(SysReg::Sctlr as u32, 12));
+        }
+        Op::Remap { slot, frame } => {
+            a.push(asm::str(29 + frame as u32, 3, slot as u32 * 8));
+            a.push(asm::tlbi());
+            a.push(asm::ldr(13, 4, slot as u32 * 0x1000));
+            a.push(asm::add(24, 24, 13));
         }
         Op::Undef => {
             a.push(0x7F << 25);
@@ -237,8 +278,18 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
     // the prologue prebuilds one descriptor chain per entry.
     let mut subs: Vec<(bool, u64)> = Vec::new();
     let n_ops = 48 + rng.below(17) as usize; // 48..=64
+    let mmu_on_at = rng.below(n_ops as u64 / 2) as usize;
+    let draw_remap = |rng: &mut ChaosRng| Op::Remap {
+        slot: rng.below(REMAP_SLOTS) as u8,
+        frame: rng.below(2) as u8,
+    };
     let mut ops: Vec<Op> = (0..n_ops)
-        .map(|_| match rng.below(20) {
+        .map(|i| match rng.below(22) {
+            _ if i == mmu_on_at => Op::MmuOn,
+            // Every plan remaps at least once, with the MMU long on.
+            _ if i == n_ops - 1 => draw_remap(&mut rng),
+            20..=21 if i > mmu_on_at => draw_remap(&mut rng),
+            20..=21 => Op::Alu(rng.below(0x10000) as u16),
             0..=3 => Op::Alu(rng.below(0x10000) as u16),
             4..=6 => Op::Mem((rng.below(0x200) * 8) as u16),
             7..=8 => Op::Placeholder(rng.below(0x10000) as u16),
@@ -292,6 +343,23 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
         .iter()
         .filter(|o| matches!(o, Op::Undef | Op::OobLoad | Op::Svc(_)))
         .count();
+    let remaps = ops.iter().filter(|o| matches!(o, Op::Remap { .. })).count();
+
+    // The page tables the MmuOn op switches to.  Every remap slot starts on
+    // frame 0; the slots' PTEs sit at the start of a leaf table of their own.
+    let rw = GuestPageFlags::kernel_rw();
+    let mut tables = GuestTableImage::new(PT_POOL, PT_POOL + PT_POOL_LEN);
+    tables.identity(CODE_BASE, CODE_DIGEST_LEN, rw);
+    tables.identity(DATA_BASE, DATA_DIGEST_LEN, rw);
+    tables.identity(PT_POOL, PT_POOL_LEN, rw);
+    for slot in 0..REMAP_SLOTS {
+        tables.map(REMAP_VA + slot * 0x1000, REMAP_FRAMES[0], rw);
+    }
+    let mut preload: Vec<(u64, u64)> = tables.words().collect();
+    preload.extend([
+        (REMAP_FRAMES[0], 0x0A0A_0000 | (seed & 0xFFFF)),
+        (REMAP_FRAMES[1], 0x0B0B_0000 | (seed >> 16 & 0xFFFF)),
+    ]);
 
     let mut a = Assembler::new();
     // Prologue: install the vector before anything can fault, zero the
@@ -304,6 +372,14 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
     a.push(asm::movz(24, 0, 0)); // value accumulator
     a.push(asm::movz(25, (seed & 0xFFFF) as u32, 0)); // computation seed
     a.mov_imm64(1, DATA_BASE);
+    // The table base takes effect at the MmuOn op; the remap ops' operands
+    // live in registers nothing else (the vector included) writes.
+    a.mov_imm64(3, tables.root());
+    a.push(asm::msr(SysReg::Ttbr0 as u32, 3));
+    a.mov_imm64(3, tables.entry_addr(REMAP_VA, 1));
+    a.mov_imm64(4, REMAP_VA);
+    a.mov_imm64(29, REMAP_FRAMES[0] | rw.encode());
+    a.mov_imm64(30, REMAP_FRAMES[1] | rw.encode());
     a.push(asm::movz(2, 2_000 + rng.below(8_000) as u32, 0));
     a.push(asm::msr(SysReg::CntTval as u32, 2)); // one-shot timer
 
@@ -456,6 +532,8 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
         schedule,
         patches,
         sync_ops,
+        remaps,
+        preload,
         virtio,
         virtio_submits: n_subs as u64 + 1,
     }
@@ -513,6 +591,9 @@ pub fn chaos_qemu(plan: &ChaosPlan) -> QemuRef {
 /// Runs the plan on `e` (built by [`chaos_captive`] or [`chaos_qemu`]).
 pub fn run_chaos<E: Engine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, RunStats) {
     e.load_program(CODE_BASE, &plan.workload.words);
+    for &(at, word) in &plan.preload {
+        e.write_guest_phys(at, word, 8);
+    }
     e.set_entry(plan.workload.entry);
     for &(cycle, line) in &plan.schedule {
         e.parts_mut().0.events.latch.raise_at(cycle, line);
@@ -557,6 +638,7 @@ mod tests {
         let mut saw_vblk_op = false;
         for seed in 0..8u64 {
             let p = chaos_plan(seed);
+            assert!(p.remaps > 0, "seed {seed}: every plan remaps");
             saw_patch |= p.patches > 0;
             saw_sync |= p.sync_ops > 0;
             saw_vblk_op |= p.virtio_submits > 1;

@@ -132,7 +132,7 @@ pub fn run_captive_idioms_mined(w: &Workload) -> (RunStats, RunStats, dbt::RuleT
 
 /// Guest RAM for a QEMU-style baseline: whatever the Captive it is compared
 /// with gets, so the two engines cannot be sized apart.
-pub(crate) fn guest_ram() -> u64 {
+pub fn guest_ram() -> u64 {
     CaptiveConfig::default().guest_ram
 }
 
@@ -174,15 +174,15 @@ pub fn micro_workload(b: &simbench::MicroBench) -> Workload {
 }
 
 /// Runs a raw instruction-word program (SimBench) on both systems, returning
-/// (captive cycles, qemu cycles).
-pub fn run_both_raw(name: &'static str, words: &[u32], entry: u64) -> (u64, u64) {
+/// (Captive's counters, QemuRef's).
+pub fn run_both_raw(name: &'static str, words: &[u32], entry: u64) -> (RunStats, RunStats) {
     let w = Workload {
         name,
         suite: workloads::Suite::Int,
         words: words.to_vec(),
         entry,
     };
-    (run_captive(&w).cycles, run_qemu(&w).cycles)
+    (run_captive(&w), run_qemu(&w))
 }
 
 /// Geometric mean of a sequence of ratios.

@@ -17,7 +17,7 @@ fn run_both(words: &[u32]) -> (Captive, QemuRef) {
         captive::RunExit::GuestHalted { .. }
     ));
 
-    let mut q = QemuRef::new(32 * 1024 * 1024);
+    let mut q = QemuRef::new(bench::guest_ram());
     q.load_program(0x1000, words);
     q.set_entry(0x1000);
     assert!(matches!(
@@ -163,7 +163,7 @@ fn chaining_on_and_off_are_architecturally_identical() {
                 "{name}: x{r} diverged between chaining settings"
             );
         }
-        let mut q = QemuRef::new(32 * 1024 * 1024);
+        let mut q = QemuRef::new(bench::guest_ram());
         q.load_program(0x1000, words);
         q.set_entry(*entry);
         assert!(matches!(
@@ -245,7 +245,7 @@ fn scaled_workloads_agree_across_all_engines() {
             captive::RunExit::GuestHalted { .. }
         ));
 
-        let mut q = QemuRef::new(32 * 1024 * 1024);
+        let mut q = QemuRef::new(bench::guest_ram());
         q.load_program(workloads::CODE_BASE, &w.words);
         q.set_entry(w.entry);
         assert!(matches!(
@@ -253,7 +253,7 @@ fn scaled_workloads_agree_across_all_engines() {
             qemu_ref::RunExit::GuestHalted { .. }
         ));
 
-        let mut qc = QemuRef::with_chaining(32 * 1024 * 1024, true);
+        let mut qc = QemuRef::with_chaining(bench::guest_ram(), true);
         qc.load_program(workloads::CODE_BASE, &w.words);
         qc.set_entry(w.entry);
         assert!(matches!(
@@ -349,7 +349,7 @@ fn optimizer_on_off_and_baseline_agree_on_flag_heavy_kernels() {
         };
         let on = run(true);
         let off = run(false);
-        let mut q = QemuRef::new(32 * 1024 * 1024);
+        let mut q = QemuRef::new(bench::guest_ram());
         q.load_program(workloads::CODE_BASE, &w.words);
         q.set_entry(w.entry);
         assert!(matches!(
@@ -718,7 +718,7 @@ proptest! {
             };
             let on = run(true, unroll);
             let off = run(false, 1);
-            let mut q = QemuRef::new(32 * 1024 * 1024);
+            let mut q = QemuRef::new(bench::guest_ram());
             q.load_program(0x1000, &words);
             q.set_entry(0x1000);
             assert!(matches!(
@@ -787,7 +787,7 @@ proptest! {
             };
             let on = run(unroll);
             let off = run(1);
-            let mut q = QemuRef::new(32 * 1024 * 1024);
+            let mut q = QemuRef::new(bench::guest_ram());
             q.load_program(0x1000, &words);
             q.set_entry(0x1000);
             assert!(matches!(
@@ -870,7 +870,7 @@ proptest! {
             };
             let on = run(true, unroll);
             let off = run(false, unroll);
-            let mut q = QemuRef::new(32 * 1024 * 1024);
+            let mut q = QemuRef::new(bench::guest_ram());
             q.load_program(0x1000, &words);
             q.set_entry(0x1000);
             assert!(matches!(
@@ -985,11 +985,9 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
     // x1–x3 out: they are materialised from the written-through host
     // registers and must equal what the QEMU-style baseline — which keeps
     // every guest register in memory — shows its handler.
-    use guest_aarch64::mmu::{guest_table_index, GuestPageFlags, GuestPageTableBuilder};
+    use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
     use guest_aarch64::sys::Engine;
     use guest_aarch64::SysReg;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
     const NODES: u64 = 400;
     const RING: u64 = 0x20_0000;
     const FAR_NODE: u64 = RING + 0x1000 + 0x40;
@@ -1002,34 +1000,17 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
     data[NODES as usize - 1].1 = FAR_NODE;
     data.push((FAR_NODE, RING));
 
-    let tables = RefCell::new(BTreeMap::new());
-    let mut builder = GuestPageTableBuilder::new(PT_POOL, PT_POOL + 0x10_0000);
-    for page in [0x1000, 0x2000, RING, RING + 0x1000]
-        .into_iter()
-        .chain((PT_POOL..PT_POOL + 0x8000).step_by(0x1000))
-    {
-        assert!(builder.map(
-            |a| Some(*tables.borrow().get(&a).unwrap_or(&0)),
-            |a, v| {
-                tables.borrow_mut().insert(a, v);
-            },
-            page,
-            page,
-            GuestPageFlags::kernel_rw(),
-        ));
+    let mut tables = GuestTableImage::new(PT_POOL, PT_POOL + 0x10_0000);
+    for page in [0x1000, 0x2000, RING, RING + 0x1000] {
+        tables.identity(page, 0x1000, GuestPageFlags::kernel_rw());
     }
-    let tables = tables.into_inner();
-    let mut leaf_table = PT_POOL;
-    for level in [3, 2] {
-        leaf_table = tables[&(leaf_table + guest_table_index(FAR_NODE, level) * 8)] & !0xFFF;
-    }
-    let far_pte = leaf_table + guest_table_index(FAR_NODE, 1) * 8;
-    assert_eq!(tables[&far_pte] & !0xFFF, FAR_NODE & !0xFFF);
+    tables.identity(PT_POOL, 0x8000, GuestPageFlags::kernel_rw());
+    let far_pte = tables.entry_addr(FAR_NODE, 1);
     assert!(
         far_pte < PT_POOL + 0x8000,
         "the guest can reach its own PTE"
     );
-    data.extend(tables);
+    data.extend(tables.words());
 
     let mut a = Assembler::new();
     a.mov_imm64(9, 0x2000);
@@ -1092,7 +1073,7 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
         &handler,
         &data,
     );
-    let q = run(QemuRef::new(32 * 1024 * 1024), &main, &handler, &data);
+    let q = run(QemuRef::new(bench::guest_ram()), &main, &handler, &data);
     for r in 0..31 {
         assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
     }
@@ -1202,7 +1183,7 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
 fn simbench_programs_terminate_on_both_systems() {
     for b in simbench::suite() {
         let (c, q) = bench::run_both_raw(b.name, &b.words, b.entry);
-        assert!(c > 0 && q > 0, "{}", b.name);
+        assert!(c.cycles > 0 && q.cycles > 0, "{}", b.name);
     }
 }
 
@@ -1211,11 +1192,8 @@ fn captive_wins_where_the_paper_says_it_should() {
     // Memory-system micro-benchmarks: Captive's host-MMU path wins big.
     let hot = simbench::mem_hot(20_000);
     let (c, q) = bench::run_both_raw(hot.name, &hot.words, hot.entry);
-    assert!(
-        q as f64 / c as f64 > 2.0,
-        "Mem-Hot speedup {}",
-        q as f64 / c as f64
-    );
+    let speedup = q.cycles as f64 / c.cycles as f64;
+    assert!(speedup > 2.0, "Mem-Hot speedup {speedup}");
 
     // Translation-speed micro-benchmarks: the baseline's simpler codegen wins
     // (the paper reports Captive 65–85% slower on Small/Large-Blocks).
@@ -1391,7 +1369,7 @@ fn bounded_cache_preserves_equivalence_on_all_integer_kernels() {
             "{}",
             w.name
         );
-        let mut q = QemuRef::new(32 * 1024 * 1024);
+        let mut q = QemuRef::new(bench::guest_ram());
         q.load_program(0x1000, &w.words);
         q.set_entry(w.entry);
         assert!(matches!(

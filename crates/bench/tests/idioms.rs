@@ -41,7 +41,7 @@ fn run_captive_cfg(words: &[u32], cfg: CaptiveConfig) -> Captive {
 }
 
 fn run_qemu(words: &[u32]) -> QemuRef {
-    let mut q = QemuRef::new(32 * 1024 * 1024);
+    let mut q = QemuRef::new(bench::guest_ram());
     q.load_program(0x1000, words);
     q.set_entry(0x1000);
     assert!(matches!(

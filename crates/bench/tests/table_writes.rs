@@ -1,0 +1,424 @@
+//! The obligation behind Captive's cached guest walks, tested from the
+//! guest's side: **no cached walk is served once any table entry it read may
+//! differ from memory** (`captive::itlb`).  Each case changes a live
+//! translation in one of the ways a guest, a device or the host can, makes it
+//! architecturally visible (`tlbi`, `TTBR0`, `SCTLR`), reads through the
+//! address again, and holds four Captive configurations to the QEMU-style
+//! baseline, which caches no walk across any of those events.
+//!
+//! Every read of the address under test shifts one hex digit into x19 —
+//! frame *i* holds the value *i + 1*, an aborted read contributes 0 — so a
+//! failure prints the sequence of frames each engine saw.
+
+use captive::{Captive, CaptiveConfig, RunExit};
+use guest_aarch64::asm::{self, Assembler};
+use guest_aarch64::isa::Cond;
+use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
+use guest_aarch64::sys::Engine;
+use guest_aarch64::SysReg;
+use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, SECTOR_SIZE};
+use hvm::VirtioBlkConfig;
+use qemu_ref::QemuRef;
+
+/// Main program (two pages) and, after it, the exception vector.
+const CODE: u64 = 0x1000;
+const VECTOR: u64 = 0x3000;
+/// Eight data frames, the window whose digest every engine must agree on.
+const FRAMES: u64 = 0x10_0000;
+const FRAMES_LEN: u64 = 8 * 0x1000;
+/// Virtio queue structures and request blocks.
+const VIO: u64 = 0x18_0000;
+/// Two page-table pools, both identity-mapped writable by the first.
+const POOL: u64 = 0x20_0000;
+const POOL_LEN: u64 = 0x1_0000;
+/// The address under test: an L2 and an L1 table of its own under root
+/// entry 1, so a write to one of them reaches no other mapping — and a page
+/// number whose low bits match none of the pages the guest stores to, so no
+/// direct-mapped cache drops its entry for an unrelated reason.
+const X: u64 = 0x4040_0000;
+/// Captive configurations held to the baseline.
+const CONFIGS: [&str; 4] = ["default", "sync", "noopt", "tinycache"];
+
+const RW: GuestPageFlags = GuestPageFlags::kernel_rw();
+
+fn frame(i: u64) -> u64 {
+    FRAMES + i * 0x1000
+}
+
+/// A leaf PTE mapping frame `i`.
+fn pte(i: u64) -> u64 {
+    frame(i) | RW.encode()
+}
+
+/// Page tables in pool `n` that identity-map everything the guest touches
+/// besides `X`.
+fn tables(n: u64) -> GuestTableImage {
+    let mut t = GuestTableImage::new(POOL + n * POOL_LEN, POOL + (n + 1) * POOL_LEN);
+    t.identity(CODE, VECTOR + 0x1000 - CODE, RW);
+    t.identity(FRAMES, FRAMES_LEN, RW);
+    t.identity(VIO, 0x1000, RW);
+    t.identity(POOL, 2 * POOL_LEN, RW);
+    t
+}
+
+/// One guest image and how to run it.
+struct Guest {
+    main: Vec<u32>,
+    /// Eight-byte words loaded before the run (tables, device structures).
+    words: Vec<(u64, u64)>,
+    virtio: Option<VirtioBlkConfig>,
+    /// After the first `hlt`: words the host writes, and where the guest
+    /// then resumes.
+    second_leg: Option<(Vec<(u64, u64)>, u64)>,
+}
+
+impl Guest {
+    fn new(main: Assembler, tables: &[&GuestTableImage]) -> Self {
+        Guest {
+            main: main.finish(),
+            words: tables.iter().flat_map(|t| t.words()).collect(),
+            virtio: None,
+            second_leg: None,
+        }
+    }
+}
+
+/// What every engine must agree on.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    regs: [u64; 31],
+    frames: u64,
+}
+
+fn run<E: Engine>(mut e: E, g: &Guest) -> Outcome {
+    // The vector counts the abort in x22, sums ESR and FAR into x20 / x21
+    // and skips the faulting instruction.
+    let vector = [
+        asm::addi(22, 22, 1),
+        asm::mrs(15, SysReg::Esr as u32),
+        asm::add(20, 20, 15),
+        asm::mrs(15, SysReg::Far as u32),
+        asm::add(21, 21, 15),
+        asm::mrs(15, SysReg::Elr as u32),
+        asm::addi(15, 15, 4),
+        asm::msr(SysReg::Elr as u32, 15),
+        asm::movz(15, 0, 0),
+        asm::eret(),
+    ];
+    e.load_program(CODE, &g.main);
+    e.load_program(VECTOR, &vector);
+    for i in 0..FRAMES_LEN / 0x1000 {
+        e.write_guest_phys(frame(i), i + 1, 8);
+    }
+    for &(at, word) in &g.words {
+        e.write_guest_phys(at, word, 8);
+    }
+    e.set_entry(CODE);
+    assert_eq!(e.run(10_000_000), RunExit::GuestHalted { code: 0 });
+    if let Some((words, resume)) = &g.second_leg {
+        for &(at, word) in words {
+            e.write_guest_phys(at, word, 8);
+        }
+        e.parts_mut().0.exit_code = None;
+        e.set_entry(*resume);
+        assert_eq!(e.run(10_000_000), RunExit::GuestHalted { code: 0 });
+    }
+    Outcome {
+        regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
+        frames: e.guest_mem_digest(FRAMES, FRAMES_LEN),
+    }
+}
+
+/// Runs `g` on the baseline and on every configuration of [`CONFIGS`],
+/// asserts one outcome, and returns it.
+fn on_every_engine(g: &Guest) -> Outcome {
+    let mut q = QemuRef::new(bench::guest_ram());
+    if let Some(cfg) = &g.virtio {
+        q.attach_virtio(cfg.clone());
+    }
+    let reference = run(q, g);
+    for name in CONFIGS {
+        let c = Captive::new(CaptiveConfig {
+            virtio: g.virtio.clone(),
+            ..bench::captive_config(name)
+        });
+        assert_eq!(run(c, g), reference, "Captive {name} against QemuRef");
+    }
+    reference
+}
+
+/// Vector, `TTBR0 = root`, MMU on, x13 = `X`, the digits in x19 cleared.
+fn prelude(a: &mut Assembler, root: u64) {
+    a.mov_imm64(9, VECTOR);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.mov_imm64(0, root);
+    a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+    a.push(asm::movz(0, 1, 0));
+    a.push(asm::msr(SysReg::Sctlr as u32, 0));
+    a.mov_imm64(13, X);
+    a.push(asm::movz(19, 0, 0));
+}
+
+/// Reads through x13 and shifts the digit into x19.
+fn read(a: &mut Assembler) {
+    a.push(asm::movz(4, 0, 0));
+    a.push(asm::ldr(4, 13, 0));
+    a.push(asm::lsli(19, 19, 4));
+    a.push(asm::add(19, 19, 4));
+}
+
+/// Stores `value` at `addr` (a guest store, through whatever maps `addr`).
+fn store(a: &mut Assembler, addr: u64, value: u64) {
+    a.mov_imm64(10, addr);
+    a.mov_imm64(11, value);
+    a.push(asm::str(11, 10, 0));
+}
+
+#[test]
+fn a_leaf_pte_rewritten_through_an_alias_of_its_table_page() {
+    // The store never uses the table page's own address: the guest maps the
+    // leaf table a second time, far from the pool's identity window.
+    const ALIAS: u64 = 0x4060_0000;
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let leaf = t.entry_addr(X, 1);
+    t.map(ALIAS, leaf & !0xFFF, RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    store(&mut a, ALIAS | (leaf & 0xFFF), pte(1));
+    a.push(asm::tlbi());
+    read(&mut a);
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&t]));
+    assert_eq!(out.regs[19], 0x12);
+}
+
+/// `X -> frame i` through a subtree of its own in pool 1, for a test to
+/// graft into the live tables at one level or another.
+fn grafts() -> [GuestTableImage; 2] {
+    [1, 2].map(|i| {
+        let mut t = GuestTableImage::new(
+            POOL + POOL_LEN + (i - 1) * 0x4000,
+            POOL + POOL_LEN + i * 0x4000,
+        );
+        t.map(X, frame(i), RW);
+        t
+    })
+}
+
+/// The word `graft` holds at its level-`level` entry for `X`: a pointer to
+/// its own next-level table.
+fn graft_entry(graft: &GuestTableImage, level: u32) -> u64 {
+    let at = graft.entry_addr(X, level);
+    graft.words().find(|&(a, _)| a == at).expect("mapped").1
+}
+
+#[test]
+fn a_level_2_entry_repointed_at_a_prebuilt_leaf_table() {
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let [g1, g2] = grafts();
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    for g in [&g1, &g2] {
+        store(&mut a, t.entry_addr(X, 2), graft_entry(g, 2));
+        a.push(asm::tlbi());
+        read(&mut a);
+    }
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&t, &g1, &g2]));
+    assert_eq!(out.regs[19], 0x123);
+}
+
+#[test]
+fn a_level_3_entry_repointed_at_a_prebuilt_subtree() {
+    // Only the root table is written: the level-2 and level-1 tables the
+    // first walk read are left exactly as they were.
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let [g1, g2] = grafts();
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    for g in [&g1, &g2] {
+        store(&mut a, t.entry_addr(X, 3), graft_entry(g, 3));
+        a.push(asm::tlbi());
+        read(&mut a);
+    }
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&t, &g1, &g2]));
+    assert_eq!(out.regs[19], 0x123);
+}
+
+#[test]
+fn a_device_read_whose_buffer_is_a_live_table_page() {
+    // Disk sector 0 holds valid PTEs (`X -> frame 1` first) and the read's
+    // data descriptor points at X's leaf table: no guest store, no host
+    // fault, nothing but the device's touched-page list announces the edit.
+    const DESC: u64 = VIO;
+    const AVAIL: u64 = VIO + 0x200;
+    const USED: u64 = VIO + 0x300;
+    const HDR: u64 = VIO + 0x400;
+    const STATUS: u64 = VIO + 0x500;
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let leaf = t.entry_addr(X, 1);
+    assert_eq!(leaf & 0xFFF, 0, "the sector lands on X's entry");
+    let cfg = VirtioBlkConfig {
+        disk_image: Some(pte(1).to_le_bytes().to_vec()),
+        ..VirtioBlkConfig::default()
+    };
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    a.push(asm::movz(17, 1, 0));
+    a.push(asm::msr(SysReg::VblkNotify as u32, 17));
+    a.mov_imm64(5, USED);
+    a.label("wait");
+    a.push(asm::ldr(7, 5, 0));
+    a.push(asm::cmpi(7, 1));
+    a.bcond_to(Cond::Ne, "wait");
+    a.push(asm::tlbi());
+    read(&mut a);
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    let base = cfg.mmio_base;
+    g.words.extend([
+        (base + mmio::QUEUE_DESC, DESC),
+        (base + mmio::QUEUE_AVAIL, AVAIL),
+        (base + mmio::QUEUE_USED, USED),
+        (HDR, REQ_READ),
+        (HDR + 8, 0),
+        (AVAIL, 1),
+        (AVAIL + 8, 0),
+    ]);
+    let chain = [
+        (HDR, 16, DESC_F_NEXT, 1),
+        (leaf, SECTOR_SIZE, DESC_F_NEXT | DESC_F_WRITE, 2),
+        (STATUS, 8, DESC_F_WRITE, 0),
+    ];
+    for (i, (addr, len, flags, next)) in chain.into_iter().enumerate() {
+        let at = DESC + i as u64 * 32;
+        g.words
+            .extend([(at, addr), (at + 8, len), (at + 16, flags), (at + 24, next)]);
+    }
+    g.virtio = Some(cfg);
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 0x12);
+}
+
+#[test]
+fn ttbr0_switched_to_another_address_space_and_back() {
+    let (mut ta, mut tb) = (tables(0), tables(1));
+    ta.map(X, frame(0), RW);
+    tb.map(X, frame(1), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, ta.root());
+    read(&mut a);
+    for root in [tb.root(), ta.root(), tb.root()] {
+        a.mov_imm64(0, root);
+        a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+        read(&mut a);
+    }
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&ta, &tb]));
+    assert_eq!(out.regs[19], 0x1212);
+}
+
+#[test]
+fn sctlr_off_and_on_again() {
+    // With the MMU off the address is its own frame; choose one inside the
+    // data window that the tables map somewhere else.
+    let mut t = tables(0);
+    t.map(frame(4), frame(0), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    a.mov_imm64(13, frame(4));
+    read(&mut a);
+    for on in [0, 1, 0, 1] {
+        a.push(asm::movz(0, on, 0));
+        a.push(asm::msr(SysReg::Sctlr as u32, 0));
+        read(&mut a);
+    }
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&t]));
+    assert_eq!(out.regs[19], 0x15151);
+}
+
+#[test]
+fn a_page_written_then_first_used_as_a_table_then_written_again() {
+    // All inside one epoch: the first store maps the page writable, the
+    // walk then makes it a table page, and the second store takes no fault
+    // that could announce it.
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let leaf = t.entry_addr(X, 1);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    a.push(asm::tlbi());
+    store(&mut a, leaf, pte(1));
+    read(&mut a);
+    store(&mut a, leaf, pte(2));
+    a.push(asm::tlbi());
+    read(&mut a);
+    a.push(asm::hlt());
+    let out = on_every_engine(&Guest::new(a, &[&t]));
+    assert_eq!(out.regs[19], 0x23);
+}
+
+#[test]
+fn the_host_rewrites_a_pte_between_two_runs() {
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    a.push(asm::hlt());
+    let resume = CODE + a.here() as u64 * 4;
+    a.push(asm::tlbi());
+    read(&mut a);
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    g.second_leg = Some((vec![(t.entry_addr(X, 1), pte(1))], resume));
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 0x12);
+}
+
+#[test]
+fn table_pointers_at_the_edge_of_guest_ram() {
+    // The last page of RAM is a perfectly good table, down to its last
+    // entry; the page after it, and one far beyond, are not: the walk must
+    // refuse them with the abort the baseline raises, and nothing indexed by
+    // guest page may be touched on the way.
+    let ram = bench::guest_ram();
+    let last = ram - 0x1000;
+    let pointer = GuestPageFlags::user_rw().encode();
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let l2_entry = t.entry_addr(X, 2);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    store(&mut a, l2_entry, last | pointer);
+    a.push(asm::tlbi());
+    read(&mut a);
+    a.mov_imm64(13, X + 511 * 0x1000);
+    read(&mut a);
+    a.mov_imm64(13, X);
+    for beyond in [ram, 0x0000_FFFF_FFFF_F000] {
+        store(&mut a, l2_entry, beyond | pointer);
+        a.push(asm::tlbi());
+        read(&mut a);
+    }
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    g.words.extend([(last, pte(1)), (ram - 8, pte(2))]);
+    let out = on_every_engine(&g);
+    // Frame 0, frame 1 through the table's first entry, frame 2 through its
+    // last, then two aborts.
+    assert_eq!(out.regs[19], 0x12300);
+    assert_eq!(out.regs[22], 2, "two data aborts");
+    assert_eq!(out.regs[21], 2 * X, "both report X");
+}

@@ -67,7 +67,7 @@ fn run_captive_io(
 }
 
 fn run_qemu_io(w: &Workload, vcfg: &VirtioBlkConfig) -> (IoOutcome, RunStats) {
-    let mut q = QemuRef::new(32 * 1024 * 1024);
+    let mut q = QemuRef::new(bench::guest_ram());
     q.attach_virtio(vcfg.clone());
     let (outcome, q) = run_io(w, q);
     (outcome, q.stats())
