@@ -5,9 +5,12 @@
 #   .github/cycle-drift.sh <base checkout> <head checkout>
 #
 # Both checkouts hold benchmark/out/result.json (all four workloads, untraced)
-# and benchmark/out/result-{cold_code,indirect_dispatch}-traced.json.  Compared,
-# per workload: `sim_cycles` and `ops_failed`; on `cold_code` the exact
-# JIT-output metrics; on `indirect_dispatch` the exact dispatch ratios.
+# and benchmark/out/result-{cold_code,indirect_dispatch,sys_events}-traced.json.
+# Compared, per workload: `sim_cycles` and `ops_failed`; on `cold_code` the
+# exact JIT-output metrics; on `indirect_dispatch` the exact dispatch ratios;
+# on `sys_events` what the guest-walk caches did (both hit rates) under the two
+# event counts the benchmark fixes by construction (host page faults, context-
+# generation bumps).
 #
 # Every one of them must be identical — unless <head checkout>/.github/rebaseline
 # exists.  That file is how a pull request says "this drift is the point".
@@ -26,6 +29,8 @@ jit='["captive.code_bytes", "encode.bytes_per_guest_insn", "regalloc.dead_share"
 dispatch='["runtime.itlb_hit_rate", "captive.cache_hit_rate", "captive.slow_dispatch_share",
   "captive.chain_share", "captive.translations",
   "machine.host_insns_per_guest_insn", "machine.cycles_per_guest_insn"]'
+walks='["runtime.dtlb_hit_rate", "runtime.itlb_hit_rate", "machine.page_faults",
+  "runtime.ctx_gen_bumps"]'
 
 # One `<workload> <metric> <value>` line per compared number.
 traced() {
@@ -37,16 +42,17 @@ flat() {
         "\(.name) ops_failed \(.ops_failed)"' "$1/benchmark/out/result.json"
     traced "$1/benchmark/out/result-cold_code-traced.json" "$jit"
     traced "$1/benchmark/out/result-indirect_dispatch-traced.json" "$dispatch"
+    traced "$1/benchmark/out/result-sys_events-traced.json" "$walks"
 }
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 flat "$base" > "$work/base"
 flat "$head" > "$work/head"
-# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios: a renamed metric
-# must not silently drop out of the comparison.
-test "$(wc -l < "$work/head")" -eq 25
-test "$(wc -l < "$work/base")" -eq 25
+# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios, 4 guest-walk
+# numbers: a renamed metric must not silently drop out of the comparison.
+test "$(wc -l < "$work/head")" -eq 29
+test "$(wc -l < "$work/base")" -eq 29
 
 rebaseline=$head/.github/rebaseline
 [ -f "$rebaseline" ] || rebaseline=/dev/null
