@@ -8,10 +8,9 @@
 //! state, undefined instructions, out-of-bounds loads that take data aborts,
 //! supervisor calls, the guest MMU switched on at a seed-drawn point with
 //! leaf page-table entries rewritten under it afterwards, a one-shot timer,
-//! externally scheduled "spurious"
-//! device interrupts, and seed-drawn virtio-blk requests against a
-//! fault-injecting disk ([`hvm::FaultPlan`]) whose DMA completions land in
-//! guest memory asynchronously.
+//! externally scheduled "spurious" device interrupts, and seed-drawn
+//! virtio-blk requests against a fault-injecting disk ([`hvm::FaultPlan`])
+//! whose DMA completions land in guest memory asynchronously.
 //!
 //! Every plan ends with a *forced* virtio read of disk sector 0, whose data
 //! descriptor is patched at runtime to point at the `used.idx` wait loop the

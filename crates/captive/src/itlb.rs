@@ -57,8 +57,12 @@ type WalkDeps = [u32; GUEST_LEVELS as usize];
 const NO_TABLE: u32 = u32::MAX;
 
 /// What the guest-walk caches need to know about writes to guest memory.
+/// The two per-page arrays are allocated when the first walk is cached: a
+/// guest that never turns its MMU on never pays for them.
 #[derive(Debug)]
 pub struct TableWatch {
+    /// Guest pages watched (pages past guest RAM never hold a table).
+    pages: u64,
     /// One bit per guest page: a cached walk has read the page as a
     /// translation table since the last wholesale invalidation.  A bitmap,
     /// because it is written on every fill — the fetch-miss path of a
@@ -80,10 +84,10 @@ pub struct TableWatch {
 impl TableWatch {
     /// A watch over `guest_ram` bytes of guest physical memory.
     pub fn new(guest_ram: u64) -> Self {
-        let pages = guest_ram.div_ceil(4096) as usize;
         TableWatch {
-            is_table: vec![0; pages.div_ceil(64)],
-            dirtied_at: vec![0; pages],
+            pages: guest_ram.div_ceil(4096),
+            is_table: Vec::new(),
+            dirtied_at: Vec::new(),
             written: Vec::new(),
             wholesale_at: 0,
             table_pages_dirtied: 0,
@@ -96,7 +100,7 @@ impl TableWatch {
     #[inline]
     pub fn note_written(&mut self, page_pa: u64) {
         let page = page_pa >> 12;
-        if page < self.dirtied_at.len() as u64 && self.written.last() != Some(&(page as u32)) {
+        if page < self.pages && self.written.last() != Some(&(page as u32)) {
             self.written.push(page as u32);
         }
     }
@@ -107,8 +111,8 @@ impl TableWatch {
     pub fn tlbi(&mut self, new_gen: u64) {
         for page in self.written.drain(..) {
             let page = page as usize;
-            if self.is_table[page / 64] >> (page % 64) & 1 != 0 && self.dirtied_at[page] != new_gen
-            {
+            let is_table = self.is_table.get(page / 64).copied().unwrap_or(0) >> (page % 64) & 1;
+            if is_table != 0 && self.dirtied_at[page] != new_gen {
                 self.dirtied_at[page] = new_gen;
                 self.table_pages_dirtied += 1;
             }
@@ -136,6 +140,10 @@ impl TableWatch {
     /// Registers the table pages of a walk about to be cached.  The walker
     /// confines table reads to guest RAM, so the pages are in range.
     fn note_tables(&mut self, walk: &GuestWalk) -> WalkDeps {
+        if self.dirtied_at.is_empty() {
+            self.is_table = vec![0; self.pages.div_ceil(64) as usize];
+            self.dirtied_at = vec![0; self.pages as usize];
+        }
         walk.tables.map(|table| {
             let page = (table >> 12) as usize;
             self.is_table[page / 64] |= 1 << (page % 64);
@@ -161,11 +169,13 @@ pub struct WalkEntry {
 
 /// A direct-mapped cache of `N` guest walks (module docs: the validity
 /// rule).  The dependencies live in an array of their own so the hit path
-/// touches one 32-byte entry and nothing else.
+/// touches one 32-byte entry and nothing else; both arrays (88 KiB on the
+/// data side) are allocated by the first fill, so building an engine does
+/// not pay for a cache its guest may never use.
 #[derive(Debug)]
 pub struct WalkTlb<const N: usize> {
-    entries: Box<[WalkEntry; N]>,
-    deps: Box<[WalkDeps; N]>,
+    entries: Vec<WalkEntry>,
+    deps: Vec<WalkDeps>,
     /// Lookups answered without a guest page-table walk.
     pub hits: u64,
     /// Lookups that fell through to the guest walker.
@@ -188,17 +198,11 @@ impl<const N: usize> Default for WalkTlb<N> {
 }
 
 impl<const N: usize> WalkTlb<N> {
-    /// Creates an empty cache (heap-allocated: the data side is 88 KiB).
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        fn boxed<T: Copy, const N: usize>(fill: T) -> Box<[T; N]> {
-            match vec![fill; N].into_boxed_slice().try_into() {
-                Ok(array) => array,
-                Err(_) => unreachable!("the vector has N elements"),
-            }
-        }
         WalkTlb {
-            entries: boxed(WalkEntry::default()),
-            deps: boxed([NO_TABLE; GUEST_LEVELS as usize]),
+            entries: Vec::new(),
+            deps: Vec::new(),
             hits: 0,
             misses: 0,
             revalidated: 0,
@@ -211,13 +215,15 @@ impl<const N: usize> WalkTlb<N> {
     #[inline]
     pub fn lookup(&mut self, va: u64, ctx_gen: u64) -> Option<WalkEntry> {
         let vpn = va >> 12;
-        let e = self.entries[(vpn as usize) % N];
-        if e.valid && e.vpn == vpn && e.ctx_gen == ctx_gen {
-            self.hits += 1;
-            Some(e)
-        } else {
-            self.misses += 1;
-            None
+        match self.entries.get((vpn as usize) % N) {
+            Some(e) if e.valid && e.vpn == vpn && e.ctx_gen == ctx_gen => {
+                self.hits += 1;
+                Some(*e)
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
@@ -233,13 +239,19 @@ impl<const N: usize> WalkTlb<N> {
     ) -> Option<WalkEntry> {
         let vpn = va >> 12;
         let slot = (vpn as usize) % N;
-        let e = self.entries[slot];
-        if e.valid && e.vpn == vpn && (e.ctx_gen == ctx_gen || self.restamp(slot, ctx_gen, watch)) {
-            self.hits += 1;
+        match self.entries.get(slot).copied() {
             Some(e)
-        } else {
-            self.misses += 1;
-            None
+                if e.valid
+                    && e.vpn == vpn
+                    && (e.ctx_gen == ctx_gen || self.restamp(slot, ctx_gen, watch)) =>
+            {
+                self.hits += 1;
+                Some(e)
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
@@ -279,6 +291,10 @@ impl<const N: usize> WalkTlb<N> {
     }
 
     fn fill(&mut self, va: u64, pa: u64, writable: bool, user: bool, deps: WalkDeps, ctx_gen: u64) {
+        if self.entries.is_empty() {
+            self.entries = vec![WalkEntry::default(); N];
+            self.deps = vec![[NO_TABLE; GUEST_LEVELS as usize]; N];
+        }
         let vpn = va >> 12;
         let slot = (vpn as usize) % N;
         self.entries[slot] = WalkEntry {

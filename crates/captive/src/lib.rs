@@ -33,9 +33,9 @@
 //! * The **slow path** resolves the guest PC to a physical address (through
 //!   the fetch-side iTLB in [`itlb`], whose entries outlive a `TLBI` that
 //!   touched none of the table pages they were read from, falling back to a
-//!   guest page-table walk), looks the block up in the physically-indexed [`CodeCache`]
-//!   (translating on a miss), and reads the guest's exception level to pick
-//!   the host protection ring.
+//!   guest page-table walk), looks the block up in the physically-indexed
+//!   [`CodeCache`] (translating on a miss), and reads the guest's exception
+//!   level to pick the host protection ring.
 //! * The **inner chained loop** then executes blocks back-to-back: when a
 //!   block exits at a direct branch whose successor link is already patched
 //!   and still valid, control transfers straight to the successor's code —
@@ -63,9 +63,10 @@
 //! physical page's translations (and bumps the epoch); `TLBI` and
 //! translation-state `MSR`s bump the context generation, which retires
 //! links and gated regions wholesale and makes every cached guest walk
-//! re-justify itself once ([`itlb`], *The validity rule*); exception delivery and `ERET` always leave
-//! the chained loop through the slow path, which re-reads the exception
-//! level, so chained execution never runs in a stale host ring.
+//! re-justify itself once ([`itlb`], *The validity rule*); exception
+//! delivery and `ERET` always leave the chained loop through the slow path,
+//! which re-reads the exception level, so chained execution never runs in a
+//! stale host ring.
 
 pub mod itlb;
 pub mod layout;
@@ -1136,8 +1137,8 @@ impl Engine for Captive {
     fn stats(&self) -> RunStats {
         Captive::stats(self)
     }
-    fn note_host_write(&mut self, guest_phys: u64, size: u64) {
-        self.runtime.note_host_write(guest_phys, size);
+    fn note_host_write(&mut self, guest_phys: u64, len: u64) {
+        self.runtime.note_host_write(guest_phys, len);
     }
 }
 

@@ -722,14 +722,15 @@ pub trait Engine {
     /// Loads a guest program (little-endian instruction words) at a guest
     /// physical address; panics like [`Engine::write_guest_phys`].
     fn load_program(&mut self, guest_phys: u64, words: &[u32]) {
-        self.note_host_write(guest_phys, words.len() as u64 * 4);
+        let len = words.len() as u64 * 4;
+        self.note_host_write(guest_phys, len);
         let (sys, machine) = self.parts_mut();
-        let base = sys.guest_phys_base + guest_phys;
-        for (i, w) in words.iter().enumerate() {
-            machine
-                .mem
-                .write_uint(base + i as u64 * 4, *w as u64, 4)
-                .expect("guest physical write within RAM");
+        let image = machine
+            .mem
+            .slice_mut(sys.guest_phys_base + guest_phys, len)
+            .expect("guest physical write within RAM");
+        for (bytes, word) in image.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
     }
 

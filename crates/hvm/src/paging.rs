@@ -15,8 +15,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub const ENTRIES_PER_TABLE: u64 = 512;
 /// Number of levels walked (PML4, PDPT, PD, PT).
 pub const LEVELS: u32 = 4;
-/// Size of one page table in bytes.
-pub const TABLE_SIZE: u64 = ENTRIES_PER_TABLE * 8;
 
 /// Access permissions and attributes of a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
