@@ -1,28 +1,24 @@
 //! Regenerates the paper's tables and figures on the simulated substrate.
 //!
-//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|chaining|regions|loops|promote|json|scale|opt|idioms|storm|tiers|io]`
+//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|waterfall|json|scale|storm|tiers|io]`
 //!
 //! (The usage line is [`usage`] over [`SECTIONS`], the table `main`
 //! dispatches on; a test holds this comment to it.)  An unknown section is an
 //! error: usage on standard error, exit code 2.
 //!
-//! The `chaining`, `regions`, `loops`, `promote`, `scale`, `opt`, `idioms`
-//! and `storm` sections double as CI smoke checks: they assert the counter
-//! invariants the dispatcher and optimiser guarantee (chained gaps accounted
-//! exactly, regions no slower than chaining with strictly fewer interpreter
-//! entries, every loop kernel closing and tripping a back-edge region,
-//! cycles growing monotonically with workload scale, optimised translations
-//! no slower than unoptimised with nonzero elimination counters on
-//! flag-heavy workloads, every shipped idiom rule firing somewhere on the
-//! idiom kernels at a cycle win, and — under an interrupt storm — regions
-//! still forming and tripping with every IRQ delivered on both engines) and
-//! panic on regression.
+//! `figures` prints, tests assert: an assertion lives in `bench/tests` unless
+//! it needs a wall clock or more than a few seconds of debug-build run time.
+//! That leaves two sections asserting here, each saying why at its `assert!`:
+//! `tiers` (its bar is a wall-clock comparison) and `scale` (its Scale(4)
+//! sweep takes ~24 s in the debug build `cargo test` uses).  What the former
+//! `chaining` / `regions` / `loops` / `promote` / `opt` / `idioms` sections
+//! asserted is `bench/tests/ablation.rs`; their tables are the one
+//! [`waterfall`].
 
 use bench::{
-    captive_config, geomean, native_model, run_both_raw, run_captive, run_captive_cfg,
-    run_captive_idioms_mined, run_qemu, run_qemu_chaining, run_qemu_goto_tb, RunStats,
+    captive_config, geomean, native_model, run_both_raw, run_captive, run_captive_cfg, run_qemu,
+    run_qemu_chaining, run_qemu_goto_tb, RunStats,
 };
-use dbt::RuleKind;
 use workloads::{Scale, Workload};
 
 /// One section: its name(s) on the command line and the function that
@@ -31,22 +27,21 @@ type Section = (&'static [&'static str], fn());
 
 /// Every section, in `all` order.
 const SECTIONS: &[Section] = &[
-    (&["fig17"], fig17),
-    (&["fig18"], fig18),
+    (&["fig17"], || {
+        spec_figure("Figure 17: SPEC CPU2006 integer", workloads::spec_int, 2.21)
+    }),
+    (&["fig18"], || {
+        spec_figure("Figure 18: SPEC CPU2006 FP", workloads::spec_fp, 6.49)
+    }),
     (&["fig19"], fig19),
     (&["fig20", "jitstats"], fig20_and_jitstats),
     (&["fig21"], fig21),
     (&["fig22"], fig22),
     (&["table2"], table2),
     (&["fp_modes"], fp_modes),
-    (&["chaining"], chaining),
-    (&["regions"], regions),
-    (&["loops"], loops),
-    (&["promote"], promote),
+    (&["waterfall"], waterfall),
     (&["json"], json),
     (&["scale"], scale),
-    (&["opt"], opt),
-    (&["idioms"], idioms),
     (&["storm"], storm),
     (&["tiers"], tiers),
     (&["io"], io),
@@ -92,43 +87,36 @@ fn captive(w: &Workload, config: &str) -> RunStats {
 
 fn io() {
     println!("== Virtio-blk I/O: DMA kernels, fault injection, device-originated SMC ==");
+    println!("   (what must hold across these rows is asserted by bench/tests/virtio.rs)");
     println!(
         "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
         "kernel", "engine", "cycles", "compl", "dma-bytes", "faults", "io-err", "ext-inval"
     );
-    let vcfg = workloads::vblk_config();
-    let row = |kernel: &str, engine: &str, m: &RunStats| {
-        println!(
-            "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
-            kernel,
-            engine,
-            m.cycles,
-            m.virtio_completions,
-            m.virtio_dma_bytes,
-            m.virtio_fault_injections,
-            m.virtio_io_errors,
-            m.external_invalidations,
-        );
+    let both = |kernel: &str, w: &Workload, vcfg: hvm::VirtioBlkConfig| {
+        let c = bench::run_captive_io(w, vcfg.clone(), captive::CaptiveConfig::default());
+        let q = bench::run_qemu_io(w, vcfg);
+        for (engine, m) in [("captive", c), ("qemu", q)] {
+            println!(
+                "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
+                kernel,
+                engine,
+                m.cycles,
+                m.virtio_completions,
+                m.virtio_dma_bytes,
+                m.virtio_fault_injections,
+                m.virtio_io_errors,
+                m.external_invalidations,
+            );
+        }
     };
-    // Clean-disk kernels: both engines must retire every request with no
-    // errors and move the same DMA byte count.
+    // Clean-disk kernels: every request retires with no error and the same
+    // DMA byte count on both engines.
     for w in workloads::io_kernels() {
-        let c = bench::run_captive_io(&w, vcfg.clone(), captive::CaptiveConfig::default());
-        let q = bench::run_qemu_io(&w, vcfg.clone());
-        row(w.name, "captive", &c);
-        row(w.name, "qemu", &q);
-        assert!(c.virtio_completions > 0, "{}: device did no work", w.name);
-        assert_eq!(
-            (c.virtio_completions, c.virtio_dma_bytes, c.virtio_io_errors),
-            (q.virtio_completions, q.virtio_dma_bytes, q.virtio_io_errors),
-            "{}: completions, DMA bytes or I/O errors diverged across engines",
-            w.name
-        );
-        assert_eq!(c.virtio_io_errors, 0, "{}: clean disk", w.name);
+        both(w.name, &w, workloads::vblk_config());
     }
     // Fault-injection leg: a seed chosen (deterministically) to bite inside
-    // the first three of io.read's four requests.  Faults must surface as
-    // typed statuses — the run still halts — and identically on both engines.
+    // the first three of io.read's four requests.  Faults surface as typed
+    // statuses — the run still halts — and identically on both engines.
     let fault_seed = (1u64..)
         .find(|&s| {
             let plan = hvm::FaultPlan::seeded(s, 3);
@@ -140,95 +128,75 @@ fn io() {
         exempt_after: 3,
         ..workloads::vblk_config()
     };
-    let w = workloads::vblk_read(4);
-    let c = bench::run_captive_io(&w, faulty.clone(), captive::CaptiveConfig::default());
-    let q = bench::run_qemu_io(&w, faulty);
-    row("io.read+fault", "captive", &c);
-    row("io.read+fault", "qemu", &q);
-    assert!(
-        c.virtio_fault_injections > 0,
-        "the chosen fault seed must inject"
-    );
-    assert_eq!(c.virtio_fault_injections, q.virtio_fault_injections);
-    assert_eq!(c.virtio_io_errors, q.virtio_io_errors);
+    both("io.read+fault", &workloads::vblk_read(4), faulty);
     // Device-originated SMC: the io.smc kernel's completion DMAs over its
-    // own (live, looping) spin page, so both engines must walk their
+    // own (live, looping) spin page, so both engines walk their
     // external-invalidation path to terminate.
     let (w, sector0) = workloads::vblk_smc();
-    let smc_cfg = workloads::vblk_smc_config(sector0);
-    let c = bench::run_captive_io(&w, smc_cfg.clone(), captive::CaptiveConfig::default());
-    let q = bench::run_qemu_io(&w, smc_cfg);
-    row(w.name, "captive", &c);
-    row(w.name, "qemu", &q);
-    assert!(
-        c.external_invalidations > 0 && q.external_invalidations > 0,
-        "device DMA onto translated code must invalidate on both engines"
-    );
-    assert!(
-        c.loop_regions_formed > 0,
-        "the spin must be a formed looping region when the DMA lands"
-    );
-    // Idle-device parity: attaching the device without touching it must not
+    both(w.name, &w, workloads::vblk_smc_config(sector0));
+    // Idle-device parity: attaching the device without touching it does not
     // move the modeled cycle count of a non-I/O workload.
     let w = workloads::loop_flood(4, 8, 20);
-    let idle = bench::run_captive_io(&w, vcfg, captive::CaptiveConfig::default());
-    let bare = bench::run_captive(&w);
-    assert_eq!(idle.virtio_kicks, 0);
-    assert_eq!(
-        idle.cycles, bare.cycles,
-        "an idle attached device must be cycle-free"
+    let idle = bench::run_captive_io(
+        &w,
+        workloads::vblk_config(),
+        captive::CaptiveConfig::default(),
     );
     println!(
-        "   idle-device parity: {} cycles with and without the device\n",
-        bare.cycles
+        "   idle-device parity: {} cycles with the device attached, {} without\n",
+        idle.cycles,
+        run_captive(&w).cycles
     );
 }
 
-fn fig17() {
-    println!("== Figure 17: SPEC CPU2006 integer — Captive vs QEMU-style baseline ==");
+/// Figures 17 and 18: one SPEC suite, Captive against the QEMU-style
+/// baseline, by default and in the paper's configuration.
+fn spec_figure(title: &str, suite: fn(Scale) -> Vec<Workload>, paper: f64) {
+    println!("== {title} — Captive vs QEMU-style baseline ==");
     println!(
         "{:<18} {:>14} {:>14} {:>9}",
         "benchmark", "qemu cycles", "captive cycles", "speedup"
     );
+    let suite = suite(Scale(1));
     let mut speedups = Vec::new();
-    for w in workloads::spec_int(Scale(1)) {
-        let c = run_captive(&w);
-        let q = run_qemu(&w);
+    let mut as_in_paper = Vec::new();
+    for w in &suite {
+        let c = run_captive(w);
+        let q = run_qemu(w);
         let s = q.cycles as f64 / c.cycles as f64;
         speedups.push(s);
+        as_in_paper.push(q.cycles as f64 / captive(w, "chain-only+sync").cycles as f64);
         println!(
             "{:<18} {:>14} {:>14} {:>8.2}x",
             w.name, q.cycles, c.cycles, s
         );
     }
     println!(
-        "{:<18} {:>38.2}x  (paper: 2.21x)\n",
+        "{:<18} {:>38.2}x  (paper: {paper:.2}x)",
         "geo. mean",
         geomean(&speedups)
     );
-}
-
-fn fig18() {
-    println!("== Figure 18: SPEC CPU2006 FP — Captive vs QEMU-style baseline ==");
     println!(
-        "{:<18} {:>14} {:>14} {:>9}",
-        "benchmark", "qemu cycles", "captive cycles", "speedup"
+        "{:<18} {:>38.2}x  (chain-only+sync, the paper's configuration: block-level translation plus chaining)",
+        "geo. mean",
+        geomean(&as_in_paper)
     );
-    let mut speedups = Vec::new();
-    for w in workloads::spec_fp(Scale(1)) {
-        let c = run_captive(&w);
-        let q = run_qemu(&w);
-        let s = q.cycles as f64 / c.cycles as f64;
-        speedups.push(s);
-        println!(
-            "{:<18} {:>14} {:>14} {:>8.2}x",
-            w.name, q.cycles, c.cycles, s
-        );
+    // Rows that are one program under several names, by their SPEC numbers.
+    let number = |w: &Workload| w.name.split('.').next().unwrap_or(w.name);
+    let mut shared = Vec::new();
+    for (i, w) in suite.iter().enumerate() {
+        let same: Vec<&str> = suite
+            .iter()
+            .filter(|o| o.words == w.words)
+            .map(number)
+            .collect();
+        if same.len() > 1 && suite[..i].iter().all(|earlier| earlier.words != w.words) {
+            shared.push(same.join(" / "));
+        }
     }
     println!(
-        "{:<18} {:>38.2}x  (paper: 6.49x)\n",
-        "geo. mean",
-        geomean(&speedups)
+        "rows are proxy kernels, not SPEC CPU2006 itself; {} are one program each\n",
+        shared.join(" and ")
     );
 }
 
@@ -242,10 +210,11 @@ fn fig19() {
             tlb_rows.extend([(b.name, "captive", c), (b.name, "qemu", q)]);
         }
     }
-    // The bypass check for the guest-walk caches' revalidation rule: both
-    // TLB kernels run with the guest MMU off, where there is no walk to keep
-    // and no table to dirty, so the counters read 0 and the two ratios above
-    // are what they were before the rule existed.
+    // The bypass of the guest-walk caches' revalidation rule: both TLB
+    // kernels run with the guest MMU off, where there is no walk to keep and
+    // no table to dirty, so the counters read 0 (held by
+    // `bench/tests/table_writes.rs`) and the two ratios above are what they
+    // were before the rule existed.
     println!("guest walks kept across a TLBI (MMU off: none to keep)");
     println!(
         "{:<12} {:<8} {:>17} {:>17} {:>20}",
@@ -255,15 +224,6 @@ fn fig19() {
         println!(
             "{kernel:<12} {engine:<8} {:>17} {:>17} {:>20}",
             m.itlb_revalidated, m.gtlb_revalidated, m.table_pages_dirtied
-        );
-        assert_eq!(
-            (
-                m.itlb_revalidated,
-                m.gtlb_revalidated,
-                m.table_pages_dirtied
-            ),
-            (0, 0, 0),
-            "{kernel} on {engine}: an MMU-off kernel went through the revalidation rule"
         );
     }
     println!();
@@ -403,322 +363,93 @@ fn table2() {
     println!();
 }
 
-fn chaining() {
-    println!("== Section 2.6/2.7: direct block chaining and the fetch iTLB ==");
-    println!("   (both baselines reported: plain QEMU and QEMU with same-page chaining)");
-    println!(
-        "{:<18} {:>9} {:>14} {:>14} {:>14} {:>14} {:>9} {:>8} {:>8} {:>9}",
-        "workload",
-        "speedup",
-        "cycles (on)",
-        "cycles (off)",
-        "qemu",
-        "qemu+chain",
-        "chained",
-        "patches",
-        "slowdsp",
-        "itlb hit"
-    );
-    let mut hot = workloads::spec_int(Scale(1));
-    hot.truncate(4);
-    hot.push(bench::micro_workload(&simbench::same_page_direct(10_000)));
-    for w in &hot {
-        let on = captive(w, "chain-only");
-        let off = captive(w, "nochain");
-        let q = run_qemu(w);
-        let qc = run_qemu_chaining(w, true);
-        // 1.0 when there were no fetches, like `hvm::PerfCounters::tlb_hit_rate`.
-        let itlb_rate = match on.itlb_hits + on.itlb_misses {
-            0 => 1.0,
-            fetches => on.itlb_hits as f64 / fetches as f64,
-        };
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: chaining regressed ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-        assert!(
-            qc.cycles <= q.cycles,
-            "{}: qemu chaining regressed ({} > {})",
-            w.name,
-            qc.cycles,
-            q.cycles
-        );
-        println!(
-            "{:<18} {:>8.3}x {:>14} {:>14} {:>14} {:>14} {:>9} {:>8} {:>8} {:>8.1}%",
-            w.name,
-            off.cycles as f64 / on.cycles as f64,
-            on.cycles,
-            off.cycles,
-            q.cycles,
-            qc.cycles,
-            on.chained_transfers,
-            on.chain_patches,
-            on.slow_dispatches,
-            itlb_rate * 100.0
-        );
-    }
-    println!();
+/// One waterfall step: its configuration (names of `bench::CAPTIVE_CONFIGS`
+/// joined with `+`), the heading of the counter column that shows the step's
+/// mechanism at work, and that counter read from the step's run.
+type Step = (&'static str, &'static str, fn(&RunStats) -> String);
+
+/// The ablation waterfall, left to right: the dispatcher alone, chaining,
+/// region formation (looping regions with it: no knob forms regions without
+/// back-edges) with every optimiser pass off — `nochain` and `chain-only`,
+/// the chaining pair, keep the optimiser on their blocks — then the LIR
+/// optimiser, loop-carried promotion and the guest-idiom layer put back one
+/// at a time.  `sync` ends it: the shipped engine with formation on the run
+/// thread, so no column depends on a worker's wall-clock speed.
+const WATERFALL: &[Step] = &[
+    ("nochain", "dispatched", |m| m.slow_dispatches.to_string()),
+    ("chain-only", "chained", |m| m.chained_transfers.to_string()),
+    ("noopt+sync", "formed/backedges", |m| {
+        format!("{}/{}", m.regions_formed, m.backedge_transfers)
+    }),
+    ("nopromote+noidiom+sync", "deadst+fwd", |m| {
+        (m.jit.opt_dead_stores + m.jit.opt_forwarded_loads).to_string()
+    }),
+    ("noidiom+sync", "promoted/hoisted", |m| {
+        format!("{}/{}", m.jit.opt_promoted_slots, m.jit.opt_hoisted_loads)
+    }),
+    ("sync", "fused", |m| m.jit.opt_idioms_fused.to_string()),
+];
+
+/// The kernels of the waterfall: the union of what the six ablation sections
+/// it replaces ran, each once.
+fn waterfall_kernels() -> Vec<Workload> {
+    let mut ws = workloads::spec_int(Scale(1));
+    ws.truncate(8);
+    ws.push(workloads::fp_micro(Scale(1)));
+    ws.extend(workloads::loop_kernels(Scale(1)));
+    ws.extend(workloads::idiom_kernels(Scale(1)));
+    ws.push(bench::micro_workload(&simbench::same_page_direct(10_000)));
+    // 401.bzip2 and 462.libquantum are loop kernels too.
+    let mut seen = Vec::new();
+    ws.retain(|w| {
+        let first = !seen.contains(&w.name);
+        seen.push(w.name);
+        first
+    });
+    ws
 }
 
-fn regions() {
-    println!("== Region formation over hot chain paths ==");
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9} {:>9} {:>8} {:>12} {:>12}",
-        "workload",
-        "chain cycles",
-        "super cycles",
-        "speedup",
-        "formed",
-        "sb-xfers",
-        "entries",
-        "(chain-only)",
-        "dtlb hits"
-    );
-    let mut hot = workloads::spec_int(Scale(1));
-    hot.truncate(4);
-    let hot_loop = bench::micro_workload(&simbench::same_page_direct(10_000));
-    let hot_loop_name = hot_loop.name;
-    hot.push(hot_loop);
-    let mut hot_loop_sb = None;
-    for w in &hot {
-        let chain = captive(w, "chain-only");
-        let sb = captive(w, "sync");
-        // CI smoke invariants: regions must never cost cycles over chaining
-        // alone, and wherever a region formed it must have absorbed
-        // interpreter entries.
-        assert!(
-            sb.cycles <= chain.cycles,
-            "{}: regions regressed cycles ({} > {})",
-            w.name,
-            sb.cycles,
-            chain.cycles
-        );
-        if sb.regions_formed > 0 {
-            assert!(
-                sb.region_transfers > 0,
-                "{}: regions formed but no stitched transfers",
-                w.name
-            );
-            assert!(
-                sb.blocks < chain.blocks,
-                "{}: regions did not reduce interpreter entries ({} vs {})",
-                w.name,
-                sb.blocks,
-                chain.blocks
-            );
-        }
-        println!(
-            "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>8} {:>12} {:>12}",
-            w.name,
-            chain.cycles,
-            sb.cycles,
-            chain.cycles as f64 / sb.cycles as f64,
-            sb.regions_formed,
-            sb.region_transfers,
-            sb.blocks,
-            chain.blocks,
-            sb.dtlb_hits
-        );
-        if w.name == hot_loop_name {
-            hot_loop_sb = Some(sb);
-        }
-    }
-    let sb = hot_loop_sb.expect("the hot-loop micro is in the workload list");
-    assert!(
-        sb.regions_formed >= 1 && sb.region_transfers > 10_000,
-        "hot loop must form and exercise a region (formed {}, transfers {})",
-        sb.regions_formed,
-        sb.region_transfers
-    );
-    println!();
+/// `w` once per step of [`WATERFALL`], in step order.
+fn waterfall_row(w: &Workload) -> Vec<RunStats> {
+    WATERFALL.iter().map(|(cfg, ..)| captive(w, cfg)).collect()
 }
 
-fn loops() {
-    println!("== Looping regions: region-internal back-edges on loop-heavy kernels ==");
-    println!("   (chain = chaining alone, no region formation)");
+fn waterfall() {
+    println!("== Ablation waterfall: nochain -> chain-only -> regions -> optimiser -> promotion -> idioms ==");
     println!(
-        "{:<18} {:>13} {:>13} {:>8} {:>10} {:>9} {:>9}",
-        "workload", "cycles (on)", "chain-only", "vs chain", "backedges", "entries", "(chain)"
+        "   per step: modeled cycles, the gain over the step on its left, and the counter showing"
     );
-    let mut ws = workloads::loop_kernels(Scale(1));
-    // The dispatch-bound multi-block loop: the shape whose per-iteration
-    // cost is dominated by the machinery back-edges remove.
-    let micro = bench::micro_workload(&simbench::same_page_direct(10_000));
-    let micro_name = micro.name;
-    ws.push(micro);
-    let mut micro_gain = 0.0f64;
-    for w in &ws {
-        // Promotion is pinned off so the delta isolates the back-edge
-        // machinery; the `promote` section measures what it adds on top.
-        let on = captive(w, "nopromote+sync");
-        let chain = captive(w, "chain-only");
-        // CI smoke invariants: every loop-heavy kernel must close at least
-        // one back-edge region, trip it internally, and never cost modeled
-        // cycles over chaining alone; wherever the loop closes the
-        // dispatcher entries per trip collapse.
-        assert!(
-            on.loop_regions_formed >= 1,
-            "{}: no back-edge region formed",
-            w.name
-        );
-        assert!(
-            on.backedge_transfers > 0,
-            "{}: back-edge regions formed but never tripped",
-            w.name
-        );
-        assert!(
-            on.cycles <= chain.cycles,
-            "{}: looping regions regressed cycles ({} > {})",
-            w.name,
-            on.cycles,
-            chain.cycles
-        );
-        assert!(
-            on.blocks < chain.blocks,
-            "{}: dispatcher entries per trip must drop ({} vs {})",
-            w.name,
-            on.blocks,
-            chain.blocks
-        );
-        let vs_chain = chain.cycles as f64 / on.cycles as f64;
-        if w.name == micro_name {
-            micro_gain = vs_chain;
-        }
-        println!(
-            "{:<18} {:>13} {:>13} {:>7.3}x {:>10} {:>9} {:>9}",
-            w.name,
-            on.cycles,
-            chain.cycles,
-            vs_chain,
-            on.backedge_transfers,
-            on.blocks,
-            chain.blocks
-        );
+    println!("   the step's mechanism at work, all from the one run.  `nochain` and `chain-only` keep the");
+    println!("   optimiser on their blocks; `noopt+sync` forms regions with every optimiser pass off, so");
+    println!(
+        "   its gain is regions minus block-level optimisation, and the steps after it put the"
+    );
+    println!("   optimiser back a layer at a time.");
+    let counter_width = |heading: &str| heading.len().max(7);
+    print!("{:<16}", "");
+    for (cfg, heading, _) in WATERFALL {
+        print!(" | {cfg:<w$}", w = 9 + 1 + 6 + 1 + counter_width(heading));
+    }
+    print!("\n{:<16}", "kernel");
+    for (_, heading, _) in WATERFALL {
+        let w = counter_width(heading);
+        print!(" | {:>9} {:>6} {heading:>w$}", "cycles", "gain");
     }
     println!();
-    // The acceptance bar: on the dispatch-bound multi-block loop workload,
-    // looping regions must pay for themselves by a wide margin over
-    // chaining alone (measured 1.964x when the gate was set).
-    assert!(
-        micro_gain >= 1.5,
-        "the multi-block-loop workload must run >= 1.5x fewer modeled \
-         cycles with looping regions than with chaining alone (got {micro_gain:.3}x)"
-    );
-}
-
-fn promote() {
-    println!("== Loop-carried register promotion and invariant hoisting ==");
-    println!("   (off = looping regions without promotion; qemu+gtb = goto_tb baseline)");
-    println!(
-        "{:<18} {:>13} {:>13} {:>13} {:>8} {:>9} {:>9} {:>7} {:>9}",
-        "workload",
-        "cycles (on)",
-        "cycles (off)",
-        "qemu+gtb",
-        "vs off",
-        "promoted",
-        "hoisted",
-        "fpfwd",
-        "gtb-xfers"
-    );
-    let mut stream_gain = 0.0f64;
-    for w in workloads::loop_kernels(Scale(1)) {
-        let on = captive(&w, "sync");
-        let off = captive(&w, "nopromote+sync");
-        let gtb = run_qemu_goto_tb(&w);
-        // CI smoke invariants: every loop kernel must promote at least one
-        // slot and hoist at least one invariant load, promotion must never
-        // cost modeled cycles, and the honest baseline comparison stays
-        // honest — the goto_tb-enabled QEMU must itself beat the plain
-        // dispatcher on these loop-dominated kernels.
-        assert!(
-            on.jit.opt_promoted_slots >= 1,
-            "{}: no regfile slot promoted to a loop carrier",
-            w.name
-        );
-        assert!(
-            on.jit.opt_hoisted_loads >= 1,
-            "{}: no loop-invariant regfile load hoisted",
-            w.name
-        );
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: promotion regressed cycles ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-        assert!(
-            gtb.cycles <= run_qemu_chaining(&w, true).cycles,
-            "{}: goto_tb regressed the chained baseline",
-            w.name
-        );
-        let vs_off = off.cycles as f64 / on.cycles as f64;
-        if w.name == "stream.guarded" {
-            stream_gain = vs_off;
+    for w in waterfall_kernels() {
+        print!("{:<16}", w.name);
+        let mut previous = None;
+        for (m, (_, heading, counter)) in waterfall_row(&w).iter().zip(WATERFALL) {
+            let gain = previous.map_or(String::new(), |p: u64| {
+                format!("{:.3}x", p as f64 / m.cycles as f64)
+            });
+            let w = counter_width(heading);
+            print!(" | {:>9} {gain:>6} {:>w$}", m.cycles, counter(m));
+            previous = Some(m.cycles);
         }
-        println!(
-            "{:<18} {:>13} {:>13} {:>13} {:>7.3}x {:>9} {:>9} {:>7} {:>9}",
-            w.name,
-            on.cycles,
-            off.cycles,
-            gtb.cycles,
-            vs_off,
-            on.jit.opt_promoted_slots,
-            on.jit.opt_hoisted_loads,
-            on.jit.opt_fp_forwarded,
-            gtb.goto_tb_transfers
-        );
-    }
-    // The loop kernels are single-page, so same-page chaining already links
-    // every transfer and goto_tb is quiescent there; the cross-page
-    // direct-branch micro is the shape only goto_tb can link, and keeps the
-    // baseline honest about it.
-    let cross = bench::micro_workload(&simbench::inter_page_direct(5_000));
-    let gtb = run_qemu_goto_tb(&cross);
-    let plain = run_qemu_chaining(&cross, true);
-    assert!(
-        gtb.goto_tb_transfers > 1_000,
-        "the cross-page loop must take goto_tb links (got {})",
-        gtb.goto_tb_transfers
-    );
-    assert!(
-        gtb.cycles < plain.cycles,
-        "goto_tb must beat same-page chaining on the cross-page loop \
-         ({} vs {})",
-        gtb.cycles,
-        plain.cycles
-    );
-    println!(
-        "{:<18} {:>13} {:>13} {:>13} {:>8} {:>9} {:>9} {:>7} {:>9}",
-        cross.name, "-", "-", gtb.cycles, "-", "-", "-", "-", gtb.goto_tb_transfers
-    );
-    // The no-regression rider: on the branchy integer kernels — where trial
-    // allocation should veto most candidates — promotion must never cost
-    // modeled cycles.
-    for w in workloads::spec_int(Scale(1)).into_iter().take(4) {
-        let on = captive(&w, "sync");
-        let off = captive(&w, "nopromote+sync");
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: promotion regressed a non-loop kernel ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
+        println!();
     }
     println!();
-    // The acceptance bar: on the guarded stream kernel — a fat loop body
-    // whose regfile traffic dominates once the dispatch layer is gone —
-    // promotion must cut >= 1.15x modeled cycles over looping regions alone.
-    assert!(
-        stream_gain >= 1.15,
-        "stream.guarded must run >= 1.15x fewer modeled cycles with \
-         promotion on vs off (got {stream_gain:.3}x)"
-    );
 }
 
 /// One JSON record per (kernel, engine): the two labels, the modeled MIPS
@@ -857,6 +588,8 @@ fn scale() {
             // CI smoke invariants: work must grow strictly with scale on
             // every engine, and the engine ordering must hold at every
             // scale (captive < qemu+chain <= qemu on these kernels).
+            // Asserted here and not in `bench/tests`: the sweep to Scale(4)
+            // on three engines takes ~24 s in a debug build.
             if let Some((pc, pq, pqc)) = prev {
                 assert!(
                     c.cycles > pc && q.cycles > pq && qc.cycles > pqc,
@@ -887,215 +620,6 @@ fn scale() {
     println!();
 }
 
-fn opt() {
-    println!("== Block-scoped LIR optimizer: dead-flag elimination, forwarding, iterative DCE ==");
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9} {:>9} {:>6} {:>7} {:>9} {:>14} {:>12}",
-        "workload",
-        "cycles (on)",
-        "cycles (off)",
-        "saved",
-        "deadst",
-        "fwd",
-        "pfwd",
-        "pccoal",
-        "dce",
-        "dyn-elided",
-        "cyc saved"
-    );
-    // The flag-heavy integer kernels are where dead-flag elimination and
-    // NZCV forwarding pay; a streaming and an FP workload ride along to
-    // check the no-regression invariant off the happy path too.
-    let mut ws = workloads::spec_int(Scale(1));
-    ws.truncate(8);
-    let flag_heavy = ws.len();
-    ws.push(workloads::fp_micro(Scale(1)));
-    let mut total_dead = 0u64;
-    let mut total_saved = 0u64;
-    for (i, w) in ws.iter().enumerate() {
-        let on = captive(w, "sync");
-        let off = captive(w, "noopt+sync");
-        // CI smoke invariants: the optimiser must never cost modeled cycles,
-        // and on the flag-heavy integer kernels it must actually eliminate
-        // work (the FP rider is only held to the no-regression bar).
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: optimizer regressed cycles ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-        assert!(
-            i >= flag_heavy || (on.jit.opt_forwarded_loads > 0 && on.jit.opt_dce_insns > 0),
-            "{}: optimizer reported no work (fwd {}, dce {})",
-            w.name,
-            on.jit.opt_forwarded_loads,
-            on.jit.opt_dce_insns
-        );
-        println!(
-            "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>6} {:>7} {:>9} {:>14} {:>12}",
-            w.name,
-            on.cycles,
-            off.cycles,
-            off.cycles as f64 / on.cycles as f64,
-            on.jit.opt_dead_stores,
-            on.jit.opt_forwarded_loads,
-            on.jit.opt_partial_forwarded,
-            on.jit.opt_pc_coalesced,
-            on.jit.opt_dce_insns,
-            on.elided_dyn_insns,
-            off.cycles - on.cycles
-        );
-        total_dead += on.jit.opt_dead_stores;
-        total_saved += off.cycles - on.cycles;
-    }
-    // Across the set as a whole, dead-store elimination must have fired and
-    // a measurable modeled-cycle reduction must exist.
-    assert!(total_dead > 0, "dead-store elimination never fired");
-    assert!(
-        total_saved > 0,
-        "no modeled-cycle reduction across the suite"
-    );
-    println!(
-        "totals: {} dead stores, {} cycles saved across the set\n",
-        total_dead, total_saved
-    );
-}
-
-fn idioms() {
-    println!("== Guest-idiom layer: fusion, address folding and bulk rewriting ==");
-    println!(
-        "{:<14} {:>13} {:>13} {:>8} {:>7} {:>7} {:>6} {:>6} {:>6}",
-        "workload",
-        "cycles (on)",
-        "cycles (off)",
-        "vs off",
-        "fused",
-        "cmpbr",
-        "tstbr",
-        "cbz",
-        "bulk"
-    );
-    let kernels = workloads::idiom_kernels(Scale(1));
-    let mut per_rule = [0u64; dbt::RULE_COUNT];
-    let mut total_fused = 0u64;
-    let mut branch_gain = 0.0f64;
-    for w in &kernels {
-        let on = captive(w, "sync");
-        let off = captive(w, "noidiom+sync");
-        // CI smoke invariants: the idiom layer must never cost modeled
-        // cycles, it must actually rewrite something on its own kernels, and
-        // with the layer off its counters must stay exactly zero.
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: idiom layer regressed cycles ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-        assert!(
-            on.jit.opt_idioms_fused > 0,
-            "{}: no idiom fused on an idiom kernel",
-            w.name
-        );
-        assert_eq!(
-            off.jit.opt_idioms_fused, 0,
-            "{}: idioms fused with the layer disabled",
-            w.name
-        );
-        for (total, hits) in per_rule.iter_mut().zip(on.jit.idiom_hits) {
-            *total += hits;
-        }
-        total_fused += on.jit.opt_idioms_fused;
-        let vs_off = off.cycles as f64 / on.cycles as f64;
-        if w.name == "idiom.branch" {
-            branch_gain = vs_off;
-        }
-        println!(
-            "{:<14} {:>13} {:>13} {:>7.3}x {:>7} {:>7} {:>6} {:>6} {:>6}",
-            w.name,
-            on.cycles,
-            off.cycles,
-            vs_off,
-            on.jit.opt_idioms_fused,
-            on.jit.idiom_hits[RuleKind::FuseCmpBr.index()],
-            on.jit.idiom_hits[RuleKind::FuseTstBr.index()],
-            on.jit.idiom_hits[RuleKind::FuseCbz.index()],
-            on.jit.idiom_hits[RuleKind::BulkMemset.index()],
-        );
-    }
-    // Every shipped rule must pay its way: at least one hit somewhere on the
-    // idiom kernels, and a nonzero grand total.
-    for kind in RuleKind::ALL {
-        assert!(
-            per_rule[kind.index()] > 0,
-            "rule {} never fired on any idiom kernel",
-            kind.name()
-        );
-    }
-    assert!(total_fused > 0, "no idiom fused across the kernel set");
-    // The no-regression rider: on the general workloads the layer must be
-    // free or better.
-    for w in workloads::spec_int(Scale(1))
-        .into_iter()
-        .take(4)
-        .chain(workloads::loop_kernels(Scale(1)))
-    {
-        let on = captive(&w, "sync");
-        let off = captive(&w, "noidiom+sync");
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: idiom layer regressed a non-idiom kernel ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-    }
-    // The mining flow: observe-only candidates on the branch kernel must
-    // mine a table that keeps the branch-fusion rules enabled, and running
-    // under the mined table must match the hand-enabled full table.
-    let branch = &kernels[0];
-    assert_eq!(branch.name, "idiom.branch");
-    let (observe, mined, table) = run_captive_idioms_mined(branch);
-    assert_eq!(
-        observe.jit.opt_idioms_fused, 0,
-        "observe-only mode must not rewrite anything"
-    );
-    assert!(
-        observe.jit.idiom_candidates[RuleKind::FuseCmpBr.index()] > 0,
-        "observe-only mode must still count candidates"
-    );
-    for kind in [RuleKind::FuseCmpBr, RuleKind::FuseTstBr, RuleKind::FuseCbz] {
-        assert!(
-            table.enabled(kind) && table.weight(kind) > 0,
-            "mined table dropped {} despite hot candidates",
-            kind.name()
-        );
-    }
-    assert!(
-        mined.jit.opt_idioms_fused > 0 && mined.cycles <= observe.cycles,
-        "mined table must fuse and win on the kernel it was mined from \
-         ({} fused, {} vs {} cycles)",
-        mined.jit.opt_idioms_fused,
-        mined.cycles,
-        observe.cycles
-    );
-    println!(
-        "mined from idiom.branch: {} (mined run {} cycles, observe {} cycles)",
-        table.serialize().replace('\n', " "),
-        mined.cycles,
-        observe.cycles
-    );
-    println!();
-    // The acceptance bar: on the flag-heavy branch kernel the NZCV-free
-    // fusion path must cut >= 1.10x modeled cycles over the layer being off.
-    assert!(
-        branch_gain >= 1.10,
-        "idiom.branch must run >= 1.10x fewer modeled cycles with the idiom \
-         layer on vs off (got {branch_gain:.3}x)"
-    );
-}
-
 fn storm() {
     println!("== Event sources: interrupt storm and timer preemption ==");
     println!(
@@ -1107,31 +631,9 @@ fn storm() {
     for w in [&storm, &tick] {
         let c = run_captive(w);
         let q = run_qemu(w);
-        // CI smoke invariants: every engine delivers the same IRQ count
-        // (the storm's handler stops the run only after its target), and
-        // IRQ pressure must not stop Captive from forming and tripping its
-        // translation units, nor push any trace into quarantine.
-        assert_eq!(
-            c.irqs_delivered, q.irqs_delivered,
-            "{}: engines disagree on deliveries",
-            w.name
-        );
-        assert!(c.irqs_delivered > 0, "{}: no IRQs delivered", w.name);
-        assert!(
-            c.regions_formed + c.loop_regions_formed > 0,
-            "{}: no region formed under IRQ pressure",
-            w.name
-        );
-        assert!(
-            c.backedge_transfers + c.region_transfers > 0,
-            "{}: regions formed but never tripped",
-            w.name
-        );
-        assert_eq!(
-            c.regions_quarantined, 0,
-            "{}: IRQ preemption must not quarantine traces",
-            w.name
-        );
+        // Both engines deliver the same IRQs, and the pressure neither stops
+        // Captive forming and tripping its regions nor quarantines a trace:
+        // `bench/tests/cross_system.rs` holds both kernels to that.
         println!(
             "{:<18} {:>14} {:>14} {:>8} {:>8} {:>9} {:>10} {:>9}",
             w.name,
@@ -1173,12 +675,15 @@ fn tiers() {
         let cold = bench::run_captive_tiered_reuse(&w, &reuse);
         let warm = bench::run_captive_tiered_reuse(&w, &reuse);
         let sync = captive(&w, "sync");
-        // CI smoke invariants: regions are installed at the same guest
-        // progress point in both modes, so the modeled cost is mode- and
-        // warmth-blind on these single-trace kernels; the background path
-        // must actually install asynchronously on the cold run; the warm
-        // run must resurrect at least one region from the reuse cache; and
-        // time-to-first-install must have been recorded.
+        // CI smoke invariants, asserted here and not in `bench/tests`
+        // because they make the runs of the wall-clock bar below worth
+        // timing (`captive`'s own tier tests hold the same on one loop):
+        // regions are installed at the same guest progress point in both
+        // modes, so the modeled cost is mode- and warmth-blind on these
+        // single-trace kernels; the background path must actually install
+        // asynchronously on the cold run; the warm run must resurrect at
+        // least one region from the reuse cache; and time-to-first-install
+        // must have been recorded.
         assert_eq!(
             cold.cycles, sync.cycles,
             "{}: tiered modeled cost diverged from synchronous",
@@ -1224,7 +729,9 @@ fn tiers() {
     }
     // The acceptance bar: once the reuse cache is warm the run thread never
     // re-forms a region, so its translation wall-clock must land strictly
-    // below the synchronous former's across the loop-kernel suite.
+    // below the synchronous former's across the loop-kernel suite.  A
+    // wall-clock comparison: it belongs to a release build on a quiet
+    // runner, not to `cargo test`.
     assert!(async_installs >= 1, "no asynchronous install in the sweep");
     assert!(
         warm_wall < sync_wall,
@@ -1303,7 +810,34 @@ mod tests {
     }
 
     #[test]
+    fn every_waterfall_step_is_a_named_configuration_ending_in_sync() {
+        use super::{waterfall_kernels, waterfall_row, WATERFALL};
+        for (cfg, ..) in WATERFALL {
+            // Panics on a name `bench::CAPTIVE_CONFIGS` does not hold.
+            bench::captive_config(cfg);
+        }
+        assert_eq!(WATERFALL.last().unwrap().0, "sync");
+        let kernels = waterfall_kernels();
+        let mut names: Vec<&str> = kernels.iter().map(|w| w.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!((kernels.len(), names.len()), (15, 15), "each kernel once");
+        // The cheapest kernel of each family, to keep the debug-build run short.
+        for name in ["fp-micro", "idiom.memset", "Same-Page-Direct"] {
+            let w = kernels.iter().find(|w| w.name == name).expect(name);
+            let row = waterfall_row(w);
+            assert_eq!(row.len(), WATERFALL.len());
+            assert_eq!(
+                row.last().unwrap().cycles,
+                bench::run_captive_cfg(w, bench::captive_config("sync")).cycles,
+                "{name}: the sync column is the sync configuration run on its own"
+            );
+        }
+    }
+
+    #[test]
     fn usage_doc_comment_matches_the_section_table() {
+        assert_eq!(super::SECTIONS.len(), 14);
         let doc = format!("//! Usage: `{}`", super::usage());
         assert!(
             include_str!("figures.rs").lines().any(|l| l == doc),

@@ -30,7 +30,7 @@ pub type NamedConfig = (&'static str, fn(&mut CaptiveConfig));
 pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
     ("default", |_| {}),
     // Synchronous region formation on the run thread.
-    ("sync", |c| c.tiered = false),
+    ("sync", |c| c.tier_workers = None),
     ("noopt", |c| c.opt = false),
     // Looping regions without loop-carried register promotion.
     ("nopromote", |c| c.promote = false),
@@ -148,8 +148,8 @@ pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> RunStats {
 }
 
 /// Runs a workload under the strongest honest baseline: same-page chaining
-/// plus TCG-style `goto_tb` cross-page linking.  The `figures -- promote`
-/// headline speedups are measured against this configuration.
+/// plus TCG-style `goto_tb` cross-page linking (the `qemu+goto_tb` rows of
+/// `figures -- json`; `bench/tests/ablation.rs` keeps it honest).
 pub fn run_qemu_goto_tb(w: &Workload) -> RunStats {
     drive(w, &mut QemuRef::with_goto_tb(guest_ram()))
 }

@@ -125,10 +125,9 @@ fn worker_queue_flood_is_deterministic_and_mode_blind() {
     // Architectural state and modeled cycles must match the synchronous
     // engine exactly, and a tiered rerun must reproduce every counter.
     let w = workloads::loop_flood(12, 9, 30);
-    let run = |tiered: bool, workers: usize| {
+    let run = |tier_workers: Option<usize>| {
         let mut c = captive::Captive::new(captive::CaptiveConfig {
-            tiered,
-            tier_workers: workers,
+            tier_workers,
             ..captive::CaptiveConfig::default()
         });
         c.load_program(workloads::CODE_BASE, &w.words);
@@ -142,9 +141,9 @@ fn worker_queue_flood_is_deterministic_and_mode_blind() {
         assert_eq!(c.guest_reg(9), 12 * 9 * 30, "flood increment count");
         c.stats()
     };
-    let flooded = run(true, 1);
-    let flooded_again = run(true, 1);
-    let sync = run(false, 0);
+    let flooded = run(Some(1));
+    let flooded_again = run(Some(1));
+    let sync = run(None);
     assert!(
         flooded.tier1_requests >= 12,
         "every loop head publishes: {} requests",

@@ -1299,29 +1299,47 @@ proptest! {
     }
 }
 
+/// What IRQ pressure may not do to Captive, on either event-source kernel:
+/// stop it forming and tripping its translation units, or push a trace into
+/// quarantine.
+fn assert_regions_survive_irq_pressure(name: &str, cs: &bench::RunStats) {
+    assert!(
+        cs.regions_formed + cs.loop_regions_formed > 0,
+        "{name}: no region formed under IRQ pressure"
+    );
+    assert!(
+        cs.backedge_transfers + cs.region_transfers > 0,
+        "{name}: regions formed but never tripped"
+    );
+    assert_eq!(
+        cs.regions_quarantined, 0,
+        "{name}: IRQ preemption must not quarantine traces"
+    );
+}
+
 /// The interrupt storm must deliver its exact IRQ count on every engine —
 /// Captive preempting hot looping regions at back-edge boundaries, the
 /// baseline at block boundaries — and leave identical architectural state.
+/// The second shape is the one `figures -- storm` prints.
 #[test]
 fn interrupt_storm_agrees_across_engines_and_preempts_regions() {
-    let w = workloads::interrupt_storm(25, 3_000);
-    let (c, q) = run_both(&w.words);
-    for r in 0..31 {
-        assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
+    for (irqs, period) in [(25, 3_000), (40, 2_500)] {
+        let w = workloads::interrupt_storm(irqs, period);
+        let irqs = u64::from(irqs);
+        let (c, q) = run_both(&w.words);
+        for r in 0..31 {
+            assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
+        }
+        assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "NZCV diverged");
+        assert_eq!(c.guest_reg(20), irqs, "handler counted every delivery");
+        let cs = c.stats();
+        let qs = q.stats();
+        assert_eq!(cs.irqs_delivered, irqs);
+        assert_eq!(qs.irqs_delivered, irqs);
+        assert_eq!(cs.timer_irqs, irqs, "all storm IRQs come from the timer");
+        // The spin loop is hot enough to become a region all the same.
+        assert_regions_survive_irq_pressure(w.name, &cs);
     }
-    assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "NZCV diverged");
-    assert_eq!(c.guest_reg(20), 25, "handler counted every delivery");
-    let cs = c.stats();
-    let qs = q.stats();
-    assert_eq!(cs.irqs_delivered, 25);
-    assert_eq!(qs.irqs_delivered, 25);
-    assert_eq!(cs.timer_irqs, 25, "all storm IRQs come from the timer");
-    // The storm must not stop Captive from forming and re-entering its
-    // translation units: the spin loop is hot enough to become a region.
-    assert!(
-        cs.regions_formed + cs.loop_regions_formed > 0,
-        "the spin loop should still form a region under IRQ pressure"
-    );
 }
 
 /// A one-shot timer tick must preempt the countdown loop at a precise PC:
@@ -1349,6 +1367,8 @@ fn timer_tick_preempts_a_hot_loop_at_a_precise_pc() {
         "the countdown loop should close as a looping region"
     );
     assert_eq!(cs.timer_irqs, 1);
+    assert_eq!((cs.irqs_delivered, q.stats().irqs_delivered), (1, 1));
+    assert_regions_survive_irq_pressure(w.name, &cs);
 }
 
 /// With the code cache bounded far below the working set, eviction churn

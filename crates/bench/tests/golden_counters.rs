@@ -400,7 +400,7 @@ fn faulty_disk_read_on_both_engines() {
 fn loop_flood_through_one_tier_worker() {
     let flood = workloads::loop_flood(12, 9, 30);
     let cfg = captive::CaptiveConfig {
-        tier_workers: 1,
+        tier_workers: Some(1),
         ..captive::CaptiveConfig::default()
     };
     check(

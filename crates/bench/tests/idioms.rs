@@ -489,3 +489,38 @@ fn bulk_rewrite_composes_with_promotion_knobs() {
         }
     }
 }
+
+/// The mining flow on the kernel the branch-fusion rules were written for:
+/// an observe-only pass counts candidates and rewrites nothing, the table
+/// mined from it keeps the three branch-fusion rules enabled, and running
+/// under the mined table fuses and wins over not rewriting.
+#[test]
+fn a_table_mined_from_the_branch_kernel_keeps_its_rules_and_wins() {
+    let kernels = workloads::idiom_kernels(workloads::Scale(1));
+    let branch = &kernels[0];
+    assert_eq!(branch.name, "idiom.branch");
+    let (observe, mined, table) = bench::run_captive_idioms_mined(branch);
+    assert_eq!(
+        observe.jit.opt_idioms_fused, 0,
+        "observe-only mode must not rewrite anything"
+    );
+    assert!(
+        observe.jit.idiom_candidates[RuleKind::FuseCmpBr.index()] > 0,
+        "observe-only mode must still count candidates"
+    );
+    for kind in [RuleKind::FuseCmpBr, RuleKind::FuseTstBr, RuleKind::FuseCbz] {
+        assert!(
+            table.enabled(kind) && table.weight(kind) > 0,
+            "mined table dropped {} despite hot candidates",
+            kind.name()
+        );
+    }
+    assert!(
+        mined.jit.opt_idioms_fused > 0 && mined.cycles <= observe.cycles,
+        "mined table must fuse and win on the kernel it was mined from \
+         ({} fused, {} vs {} cycles)",
+        mined.jit.opt_idioms_fused,
+        mined.cycles,
+        observe.cycles
+    );
+}

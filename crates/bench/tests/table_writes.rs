@@ -422,3 +422,31 @@ fn table_pointers_at_the_edge_of_guest_ram() {
     assert_eq!(out.regs[22], 2, "two data aborts");
     assert_eq!(out.regs[21], 2 * X, "both report X");
 }
+
+/// The bypass of the whole rule: SimBench's two TLB kernels issue their
+/// `tlbi`s with the guest MMU off, where there is no walk to keep and no
+/// table to dirty, so neither engine may count a revalidation or a dirtied
+/// table page (`figures -- fig19` prints the same counters).
+#[test]
+fn mmu_off_kernels_never_enter_the_revalidation_rule() {
+    let tlb_kernels: Vec<_> = simbench::suite()
+        .into_iter()
+        .filter(|b| b.name.starts_with("TLB-"))
+        .collect();
+    assert_eq!(tlb_kernels.len(), 2);
+    for b in tlb_kernels {
+        let (c, q) = bench::run_both_raw(b.name, &b.words, b.entry);
+        for (engine, m) in [("captive", c), ("qemu", q)] {
+            assert_eq!(
+                (
+                    m.itlb_revalidated,
+                    m.gtlb_revalidated,
+                    m.table_pages_dirtied
+                ),
+                (0, 0, 0),
+                "{} on {engine}: an MMU-off kernel went through the revalidation rule",
+                b.name
+            );
+        }
+    }
+}

@@ -151,19 +151,19 @@ pub struct CaptiveConfig {
     /// the bound is hit the cache evicts clock-style; a churn-heavy guest
     /// degrades to re-translation, never to unbounded growth.
     pub cache_capacity_regions: Option<usize>,
-    /// Two-tier translation: region formation runs on background workers
-    /// against immutable snapshots while the run thread keeps executing
-    /// tier-0 code, with generation/epoch/SMC-gated installs.  When `false`
-    /// every formation runs synchronously on the run thread — today's exact
-    /// single-threaded behaviour, kept as the comparable baseline.
-    pub tiered: bool,
-    /// Tier-1 worker threads.  `0` selects *pump mode*: requests queue and
-    /// are processed inline at the drain point (identical outcomes, fully
-    /// deterministic interleaving — used by the SMC-race tests).
-    pub tier_workers: usize,
+    /// Who forms regions.  `Some(n)` is two-tier translation: formation runs
+    /// on `n` background workers against immutable snapshots while the run
+    /// thread keeps executing tier-0 code, with generation/epoch/SMC-gated
+    /// installs; `Some(0)` is *pump mode* — requests queue and are processed
+    /// inline at the drain point (identical outcomes, fully deterministic
+    /// interleaving — used by the SMC-race tests).  `None` forms every region
+    /// synchronously on the run thread: the single-threaded behaviour, kept
+    /// as the comparable baseline (`sync` in `bench::CAPTIVE_CONFIGS`).
+    pub tier_workers: Option<usize>,
     /// Content-keyed translation-reuse cache shared with other engine
     /// instances (the N-guests-one-image story).  `None` gives this
-    /// instance a private cache.  Only consulted when `tiered` is on.
+    /// instance a private cache.  Only consulted when `tier_workers` is
+    /// `Some`.
     pub reuse_cache: Option<Arc<ReuseCache>>,
     /// Attach a virtio-blk DMA device ([`hvm::virtio`]) with this
     /// configuration.  `None` (the default) runs with no device and zero
@@ -185,8 +185,7 @@ impl Default for CaptiveConfig {
             promote: true,
             per_block_stats: false,
             cache_capacity_regions: None,
-            tiered: true,
-            tier_workers: 2,
+            tier_workers: Some(2),
             reuse_cache: None,
             virtio: None,
         }
@@ -220,8 +219,8 @@ pub struct Captive {
     /// retrying on every hot transfer, and repeated failures quarantine the
     /// head permanently.
     quarantine: HashMap<RegionKey, FormationBackoff>,
-    /// The tier-1 formation service (`None` when `tiered` is off or regions
-    /// are disabled entirely).
+    /// The tier-1 formation service (`None` when `tier_workers` is `None`
+    /// or regions are disabled entirely).
     tier: Option<TierService>,
     /// Trace heads with a formation request in flight, mapped to the
     /// sequence number of the live request; results carrying any other
@@ -292,9 +291,11 @@ impl Captive {
         machine.set_reg(Gpr::Rbp, layout::REGFILE_VA);
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
         cache.set_capacity(None, config.cache_capacity_regions);
-        let tiered = config.tiered && config.form_regions;
-        let tier = tiered.then(|| TierService::new(config.tier_workers));
-        let reuse = tiered.then(|| {
+        let tier = config
+            .tier_workers
+            .filter(|_| config.form_regions)
+            .map(TierService::new);
+        let reuse = tier.is_some().then(|| {
             config
                 .reuse_cache
                 .clone()
@@ -2132,34 +2133,44 @@ mod tests {
     fn tiered_and_sync_modes_are_architecturally_identical() {
         // The tiered service must be invisible to the guest: same registers,
         // same modeled cycles, same regions formed — the only difference is
-        // *who* formed them.  Run threaded (the default) so the real worker
-        // path is exercised.
+        // *who* formed them.  The one tier field has three values: threaded
+        // (the default, so the real worker path is exercised), pump mode and
+        // formation on the run thread.
         let words = multi_block_loop(3000);
-        let run = |tiered: bool| {
+        let run = |tier_workers: Option<usize>| {
             let mut c = Captive::new(CaptiveConfig {
-                tiered,
+                tier_workers,
                 ..CaptiveConfig::default()
             });
             c.load_program(0x1000, &words);
             c.set_entry(0x1000);
             assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
-            (c.guest_reg(9), c.stats())
+            (
+                c.tier.as_ref().map(|t| t.is_pump()),
+                c.guest_reg(9),
+                c.stats(),
+            )
         };
-        let (x9_tiered, tiered) = run(true);
-        let (x9_sync, sync) = run(false);
-        assert_eq!(x9_tiered, 4_501_500, "sum of the 3000-step countdown");
-        assert_eq!(x9_tiered, x9_sync);
-        assert_eq!(tiered.cycles, sync.cycles, "modeled cost is mode-blind");
-        assert_eq!(tiered.regions_formed, sync.regions_formed);
-        assert_eq!(tiered.guest_insns, sync.guest_insns);
-        assert!(tiered.tier1_requests >= 1, "the hot head was published");
-        assert!(
-            tiered.regions_installed_async >= 1,
-            "at least one region came off a background worker"
-        );
-        assert_eq!(tiered.stale_discards, 0, "nothing changed under it");
+        assert_eq!(CaptiveConfig::default().tier_workers, Some(2));
+        let (sync_mode, x9_sync, sync) = run(None);
+        assert_eq!(sync_mode, None, "no service at all");
+        assert_eq!(x9_sync, 4_501_500, "sum of the 3000-step countdown");
         assert_eq!(sync.tier1_requests, 0, "sync mode never publishes");
         assert_eq!(sync.regions_installed_async, 0);
+        for (workers, pump) in [(2, false), (0, true)] {
+            let (mode, x9_tiered, tiered) = run(Some(workers));
+            assert_eq!(mode, Some(pump), "{workers} workers");
+            assert_eq!(x9_tiered, x9_sync);
+            assert_eq!(tiered.cycles, sync.cycles, "modeled cost is mode-blind");
+            assert_eq!(tiered.regions_formed, sync.regions_formed);
+            assert_eq!(tiered.guest_insns, sync.guest_insns);
+            assert!(tiered.tier1_requests >= 1, "the hot head was published");
+            assert!(
+                tiered.regions_installed_async >= 1,
+                "at least one region came through the service"
+            );
+            assert_eq!(tiered.stale_discards, 0, "nothing changed under it");
+        }
     }
 
     #[test]
@@ -2193,7 +2204,7 @@ mod tests {
         sub.push(asm::ret());
 
         let mut c = Captive::new(CaptiveConfig {
-            tier_workers: 0,
+            tier_workers: Some(0),
             ..region_config()
         });
         c.load_program(0x1000, &main.finish());
@@ -2243,7 +2254,7 @@ mod tests {
         sub.push(asm::ret());
 
         let mut c = Captive::new(CaptiveConfig {
-            tier_workers: 0,
+            tier_workers: Some(0),
             ..region_config()
         });
         c.load_program(0x1000, &main.finish());
@@ -2288,7 +2299,7 @@ mod tests {
         let words = multi_block_loop(3000);
         let run = || {
             let mut c = Captive::new(CaptiveConfig {
-                tier_workers: 0,
+                tier_workers: Some(0),
                 reuse_cache: Some(Arc::clone(&reuse)),
                 ..CaptiveConfig::default()
             });

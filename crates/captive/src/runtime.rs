@@ -431,45 +431,15 @@ impl Runtime for CaptiveRuntime {
             return FaultAction::Propagate { cost: 100 };
         }
         let page = vaddr & !0xFFF;
-        if !self.sys.mmu_enabled(machine) {
+        // What the guest's own translation says about the page, and what
+        // finding that out and mirroring it costs.
+        let (gpage, g_writable, g_user, cost) = if !self.sys.mmu_enabled(machine) {
             // Guest MMU off: guest virtual == guest physical; identity-map on
             // demand into the lower half.
             if vaddr >= self.sys.guest_ram {
                 return FaultAction::Propagate { cost: 200 };
             }
-            let is_code = self.code_pages.contains_key(&page);
-            if write && is_code {
-                // Self-modifying code: drop translations for the page and
-                // remap it writable.
-                self.code_pages.remove(&page);
-                self.smc_dirty.push(page);
-            }
-            let flags = if is_code && !write {
-                PageFlags {
-                    present: true,
-                    writable: false,
-                    user: true,
-                }
-            } else {
-                PageFlags::user_rw()
-            };
-            if flags.writable {
-                self.table_watch.note_written(page);
-            }
-            let ok = paging::map_page(
-                &mut machine.mem,
-                self.host_pt_root,
-                page,
-                layout::GUEST_PHYS_BASE + page,
-                flags,
-                &mut self.frame_alloc,
-            );
-            machine.tlb.flush_page(vaddr);
-            if ok {
-                FaultAction::Retry { cost: 350 }
-            } else {
-                FaultAction::Propagate { cost: 350 }
-            }
+            (page, true, true, 350)
         } else {
             // Guest MMU on: resolve the guest translation — through the
             // data-side gTLB when it holds a walk of the page that is still
@@ -502,34 +472,38 @@ impl Runtime for CaptiveRuntime {
                     cost: DFAULT_BASE + walk_cost,
                 };
             }
-            let is_code = self.code_pages.contains_key(&gpage);
-            if write && is_code {
-                self.code_pages.remove(&gpage);
-                self.smc_dirty.push(gpage);
-            }
-            let flags = PageFlags {
-                present: true,
-                writable: g_writable && (write || !is_code),
-                user: g_user,
-            };
-            if flags.writable {
-                self.table_watch.note_written(gpage);
-            }
-            let ok = paging::map_page(
-                &mut machine.mem,
-                self.host_pt_root,
-                page,
-                layout::GUEST_PHYS_BASE + gpage,
-                flags,
-                &mut self.frame_alloc,
-            );
-            machine.tlb.flush_page(vaddr);
             let cost = DFAULT_BASE + DMAP_COST + walk_cost;
-            if ok {
-                FaultAction::Retry { cost }
-            } else {
-                FaultAction::Propagate { cost }
-            }
+            (gpage, g_writable, g_user, cost)
+        };
+        let is_code = self.code_pages.contains_key(&gpage);
+        if write && is_code {
+            // Self-modifying code: drop translations for the page and remap
+            // it writable.
+            self.code_pages.remove(&gpage);
+            self.smc_dirty.push(gpage);
+        }
+        // A page holding translated code stays read-only until written.
+        let flags = PageFlags {
+            present: true,
+            writable: g_writable && (write || !is_code),
+            user: g_user,
+        };
+        if flags.writable {
+            self.table_watch.note_written(gpage);
+        }
+        let ok = paging::map_page(
+            &mut machine.mem,
+            self.host_pt_root,
+            page,
+            layout::GUEST_PHYS_BASE + gpage,
+            flags,
+            &mut self.frame_alloc,
+        );
+        machine.tlb.flush_page(vaddr);
+        if ok {
+            FaultAction::Retry { cost }
+        } else {
+            FaultAction::Propagate { cost }
         }
     }
 }

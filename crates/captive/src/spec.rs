@@ -612,7 +612,7 @@ mod tests {
 
     fn pump() -> CaptiveConfig {
         CaptiveConfig {
-            tier_workers: 0,
+            tier_workers: Some(0),
             ..CaptiveConfig::default()
         }
     }
@@ -695,7 +695,7 @@ mod tests {
         let tiered = run(CaptiveConfig::default());
         let pumped = run(pump());
         let sync = run(CaptiveConfig {
-            tiered: false,
+            tier_workers: None,
             ..CaptiveConfig::default()
         });
 

@@ -112,7 +112,7 @@
 //!   freed by the run thread it took the arena lock against the translating
 //!   worker on every install (≈ 730 futex sleeps per run, ≈ 35 ms).
 //!
-//! With `tier_workers == 0` the service runs in *pump mode*: formation
+//! With `tier_workers: Some(0)` the service runs in *pump mode*: formation
 //! requests queue locally and are processed inline (on the run thread) at
 //! the drain point, and speculative jobs are translated inline — frontier
 //! and all — right where the run thread queues them.  Outcomes are identical

@@ -17,8 +17,7 @@ use crate::{layout, read_live_page, FpMode};
 use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
 use dbt::{
-    BlockExit, ChainLinks, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
-    RegionKey,
+    BlockExit, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region, RegionKey,
 };
 use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
@@ -158,26 +157,7 @@ pub fn translate_block_from(
     timers.jit.translated_units += 1;
     timers.jit.translated_guest_insns += guest_insns as u64;
 
-    Region {
-        guest_phys: pa,
-        guest_virt: pc,
-        guest_insns,
-        encoded_bytes: t.encoded.len(),
-        lir_insns: lir_count,
-        elided_insns: t.elided,
-        code: t.code.into(),
-        exit,
-        links: ChainLinks::default(),
-        constituents: 1,
-        pages: Region::span_pages(pa, guest_insns),
-        ctx_gen: 0,
-        unroll: 1,
-        back_edges: 0,
-        loop_guest_insns: 0,
-        loop_elided_insns: 0,
-        promoted: t.promoted,
-        idiom_candidates: t.idioms.candidates,
-    }
+    Region::block(pa, pc, guest_insns, lir_count, exit, t)
 }
 
 /// Whether control comes back to the address right after a block ending on
@@ -212,26 +192,7 @@ pub fn undef_fallback_region(
         .expect("host bug: the UNDEF stub lowers without virtual registers");
     timers.jit.translated_units += 1;
     timers.jit.translated_guest_insns += 1;
-    Region {
-        guest_phys: pa,
-        guest_virt: pc,
-        guest_insns: 1,
-        encoded_bytes: t.encoded.len(),
-        lir_insns: lir_count,
-        elided_insns: t.elided,
-        code: t.code.into(),
-        exit: BlockExit::Indirect,
-        links: ChainLinks::default(),
-        constituents: 1,
-        pages: Region::span_pages(pa, 1),
-        ctx_gen: 0,
-        unroll: 1,
-        back_edges: 0,
-        loop_guest_insns: 0,
-        loop_elided_insns: 0,
-        promoted: Vec::new(),
-        idiom_candidates: [0; dbt::RULE_COUNT],
-    }
+    Region::block(pa, pc, 1, lir_count, BlockExit::Indirect, t)
 }
 
 /// The shared back half under an engine's knobs.
@@ -729,15 +690,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         .unwrap_or(0);
 
     FormOutcome::Formed(Box::new(Region {
-        guest_phys: entry_pa,
-        guest_virt: entry_pc,
-        guest_insns,
-        encoded_bytes: t.encoded.len(),
-        lir_insns: lir_count,
-        elided_insns: t.elided,
-        code: t.code.into(),
-        exit,
-        links: ChainLinks::default(),
         constituents,
         pages,
         ctx_gen,
@@ -745,8 +697,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         back_edges,
         loop_guest_insns,
         loop_elided_insns,
-        promoted: t.promoted,
-        idiom_candidates: t.idioms.candidates,
+        ..Region::block(entry_pa, entry_pc, guest_insns, lir_count, exit, t)
     }))
 }
 

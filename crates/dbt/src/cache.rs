@@ -355,6 +355,40 @@ pub struct Region {
 }
 
 impl Region {
+    /// A one-constituent region — a plain block — entered at `phys` / `virt`:
+    /// `guest_insns` straight-line guest instructions that emitted
+    /// `lir_insns` LIR, ending in `exit`, with the back half's output `t`.
+    /// The region former starts from this and overrides the trace fields.
+    pub fn block(
+        phys: u64,
+        virt: u64,
+        guest_insns: usize,
+        lir_insns: usize,
+        exit: BlockExit,
+        t: crate::FinishedTranslation,
+    ) -> Region {
+        Region {
+            guest_phys: phys,
+            guest_virt: virt,
+            guest_insns,
+            encoded_bytes: t.encoded.len(),
+            lir_insns,
+            elided_insns: t.elided,
+            code: t.code.into(),
+            exit,
+            links: ChainLinks::default(),
+            constituents: 1,
+            pages: Region::span_pages(phys, guest_insns),
+            ctx_gen: 0,
+            unroll: 1,
+            back_edges: 0,
+            loop_guest_insns: 0,
+            loop_elided_insns: 0,
+            promoted: t.promoted,
+            idiom_candidates: t.idioms.candidates,
+        }
+    }
+
     /// The cache key identifying this region.
     pub fn key(&self) -> RegionKey {
         RegionKey {

@@ -46,8 +46,8 @@ pub struct PerfCounters {
     pub backedge_transfers: u64,
     /// Host instructions the LIR optimiser kept out of executed blocks: each
     /// block entry adds the number of LIR instructions eliminated from that
-    /// translation (the dynamic instructions-saved count the `figures -- opt`
-    /// report is built on).
+    /// translation (the dynamic instructions-saved count, `elided_dyn_insns`
+    /// in the figures JSON).
     pub elided_insns: u64,
 }
 

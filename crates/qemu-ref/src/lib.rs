@@ -33,8 +33,8 @@ use captive::layout;
 use captive::translator::MAX_BLOCK_INSNS;
 use dbt::emitter::ValueType;
 use dbt::{
-    BlockExit, CacheIndex, ChainLinks, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseClock,
-    PhaseTimers, Region, RegionKey, RegionProfile,
+    BlockExit, CacheIndex, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseClock, PhaseTimers,
+    Region, RegionKey, RegionProfile,
 };
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
@@ -620,26 +620,7 @@ impl QemuRef {
         };
         self.timers.jit.translated_units += 1;
         self.timers.jit.translated_guest_insns += guest_insns as u64;
-        Region {
-            guest_phys: pa,
-            guest_virt: pc,
-            guest_insns,
-            encoded_bytes: t.encoded.len(),
-            lir_insns: lir_count,
-            elided_insns: t.elided,
-            code: t.code.into(),
-            exit,
-            links: ChainLinks::default(),
-            constituents: 1,
-            pages: Region::span_pages(pa, guest_insns),
-            ctx_gen: 0,
-            unroll: 1,
-            back_edges: 0,
-            loop_guest_insns: 0,
-            loop_elided_insns: 0,
-            promoted: Vec::new(),
-            idiom_candidates: [0; dbt::RULE_COUNT],
-        }
+        Region::block(pa, pc, guest_insns, lir_count, exit, t)
     }
 }
 

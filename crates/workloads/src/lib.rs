@@ -386,7 +386,8 @@ pub fn timer_tick_loop_va(delay: u32, iters: u32) -> u64 {
     CODE_BASE + idx as u64 * 4
 }
 
-/// The loop-heavy kernel set exercised by `figures -- loops`: the two SPEC
+/// The loop-heavy kernel set of `figures -- waterfall` / `tiers` and the
+/// looping-region and promotion cases of `bench/tests/ablation.rs`: the two SPEC
 /// stream kernels plus the dedicated multi-block-loop shapes whose inner
 /// loops only stay inside one region once back-edges close internally.
 pub fn loop_kernels(scale: Scale) -> Vec<Workload> {
@@ -518,7 +519,8 @@ fn addr_gen(name: &'static str, iters: u32, scale: Scale) -> Workload {
     finish(name, Suite::Int, a)
 }
 
-/// The guest-idiom kernel set exercised by `figures -- idioms`: one kernel
+/// The guest-idiom kernel set of `figures -- waterfall` and the idiom case
+/// of `bench/tests/ablation.rs`: one kernel
 /// per idiom family (compare+branch fusion, bulk memset rewriting, address
 /// mode folding), kept out of the pinned SPEC suites.
 pub fn idiom_kernels(scale: Scale) -> Vec<Workload> {
