@@ -183,3 +183,56 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
         "generated code for formed regions changed"
     );
 }
+
+/// The digest of one block translated alone.
+fn unit_digest(lir: Vec<dbt::LirInsn>, table: &RuleTable) -> u64 {
+    let mut h = Digest::default();
+    match dbt::finish_translation(&mut PhaseTimers::default(), lir, true, true, Some(table)) {
+        Ok(t) => h.translation(&t.encoded, t.elided, &t.promoted),
+        Err(_) => h.word(u64::MAX),
+    }
+    h.finish()
+}
+
+#[test]
+fn a_translation_does_not_depend_on_what_its_thread_translated_before() {
+    // The back half works in one per-thread scratch that holds capacity,
+    // never facts: whatever order the corpus goes through it in, and on a
+    // thread that has translated nothing, every block comes out the same.
+    let table = RuleTable::full();
+    let corpus: Vec<Vec<dbt::LirInsn>> = programs()
+        .iter()
+        .flat_map(|w| blocks(&w.words))
+        .map(|(_, lir)| lir)
+        .collect();
+    let in_order = |order: &[usize]| {
+        let mut digests = vec![0u64; corpus.len()];
+        for &k in order {
+            digests[k] = unit_digest(corpus[k].clone(), &table);
+        }
+        digests
+    };
+    let forward: Vec<usize> = (0..corpus.len()).collect();
+    let expected = in_order(&forward);
+    let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+    assert_eq!(in_order(&reverse), expected, "reverse order");
+    // Fisher-Yates under a fixed xorshift64 stream.
+    let mut shuffled = forward.clone();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..shuffled.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    assert_ne!(shuffled, forward);
+    assert_eq!(in_order(&shuffled), expected, "shuffled order");
+    // Each on a thread of its own: a scratch that has seen nothing.
+    for (k, lir) in corpus.iter().enumerate() {
+        let (lir, table) = (lir.clone(), table.clone());
+        let fresh = std::thread::spawn(move || unit_digest(lir, &table))
+            .join()
+            .expect("translation does not panic");
+        assert_eq!(fresh, expected[k], "block {k} on a fresh thread");
+    }
+}

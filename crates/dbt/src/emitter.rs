@@ -224,6 +224,16 @@ pub struct EmitStats {
     pub lir_insns: u32,
 }
 
+/// The vectors an [`Emitter`] takes from the crate's per-thread scratch
+/// ([`crate::with_scratch`]): [`Emitter::finish`] hands the DAG's two back,
+/// [`crate::finish_translation`] the LIR one when it is done with the unit.
+#[derive(Default)]
+pub(crate) struct EmitterScratch {
+    nodes: Vec<Node>,
+    evaluated: Vec<Option<Loc>>,
+    pub(crate) lir: Vec<LirInsn>,
+}
+
 /// The invocation-DAG builder and LIR emitter.
 pub struct Emitter {
     nodes: Vec<Node>,
@@ -272,10 +282,19 @@ impl Default for Emitter {
 impl Emitter {
     /// Creates an empty emitter for one guest basic block.
     pub fn new() -> Self {
+        let EmitterScratch {
+            mut nodes,
+            mut evaluated,
+            mut lir,
+        } = crate::with_scratch(|s| std::mem::take(&mut s.emitter));
+        nodes.clear();
+        evaluated.clear();
+        lir.clear();
+        lir.reserve(64);
         Emitter {
-            nodes: Vec::with_capacity(64),
-            lir: Vec::with_capacity(64),
-            evaluated: Vec::with_capacity(64),
+            nodes,
+            lir,
+            evaluated,
             next_vreg: 0,
             next_label: 0,
             helper_seq: 0,
@@ -1235,6 +1254,10 @@ impl Emitter {
             self.lir.push(LirInsn::SetPcImm { imm: off });
             self.lir.push(LirInsn::Ret);
         }
+        crate::with_scratch(|s| {
+            s.emitter.nodes = self.nodes;
+            s.emitter.evaluated = self.evaluated;
+        });
         self.lir
     }
 

@@ -91,7 +91,8 @@
 
 use crate::cache::fnv1a;
 use crate::lir::{LirBase, LirInsn, LirMem, LirOperand, RegFileAccess, Vreg, VregClass};
-use crate::regalloc::host_flags_live_after;
+use crate::opt::OptScratch;
+use crate::regalloc::{host_flags_live_after, host_flags_live_after_at};
 use hvm::{AluOp, Cond, MemSize};
 use std::sync::OnceLock;
 
@@ -872,13 +873,14 @@ fn find_nzcv_store(lir: &[LirInsn], root: usize, nzcv_off: i32) -> Option<usize>
     None
 }
 
-struct FuseSite {
+pub(crate) struct FuseSite {
     t: usize,
     j: usize,
     new_cmp: LirInsn,
     cond: Cond,
     kind: RuleKind,
-    delete: Vec<usize>,
+    /// Instructions the rewrite strands (a `Cmp; SetCc` pair at most).
+    delete: [Option<usize>; 2],
 }
 
 fn match_cbz(lir: &[LirInsn], cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<FuseSite> {
@@ -901,16 +903,13 @@ fn match_cbz(lir: &[LirInsn], cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<
     // Delete the materialisation when the boolean has no other consumer
     // (Test reads cv twice), and the original compare when its flags feed
     // nothing else before the next flag write.
-    let mut delete = Vec::new();
-    let mut uses = Vec::new();
+    let mut delete = [None; 2];
     let mut cv_uses = 0usize;
     for insn in lir {
-        uses.clear();
-        insn.uses(&mut uses);
-        cv_uses += uses.iter().filter(|u| **u == cv).count();
+        insn.visit_uses(|u| cv_uses += (u == cv) as usize);
     }
     if cv_uses == 2 {
-        delete.push(s);
+        delete[0] = Some(s);
         let mut cmp_free = true;
         for insn in &lir[s + 1..] {
             if insn.reads_host_flags() {
@@ -922,7 +921,7 @@ fn match_cbz(lir: &[LirInsn], cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<
             }
         }
         if cmp_free {
-            delete.push(s - 1);
+            delete[1] = Some(s - 1);
         }
     }
     let host = if jc == Cond::Ne { hc } else { hc.invert() };
@@ -966,7 +965,7 @@ fn match_nzcv(
                 new_cmp: LirInsn::Cmp { a, b },
                 cond,
                 kind: RuleKind::FuseCmpBr,
-                delete: Vec::new(),
+                delete: [None; 2],
             })
         }
         Producer::Logic { r, anchor } => {
@@ -987,7 +986,7 @@ fn match_nzcv(
                 },
                 cond,
                 kind: RuleKind::FuseTstBr,
-                delete: Vec::new(),
+                delete: [None; 2],
             })
         }
     }
@@ -996,11 +995,18 @@ fn match_nzcv(
 /// The compare+branch fusion pass: rewrites `Test cv,cv; Jcc` pairs whose
 /// condition value derives from a recognised flag producer into a direct
 /// host compare-and-branch, when the host flags are dead after the branch.
-pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
-    // Computed on the first candidate site: most units have none (the scan
-    // below only collects sites, so `lir` is still unmodified then).
+pub(crate) fn fuse_branches(
+    s: &mut OptScratch,
+    lir: &mut Vec<LirInsn>,
+    table: &RuleTable,
+    stats: &mut IdiomStats,
+) {
+    // The whole-unit fixpoint, computed for the first site whose tail does
+    // not settle the question on its own (the scan below only collects
+    // sites, so `lir` is still unmodified then).
     let mut flags_live: Option<Vec<bool>> = None;
-    let mut sites: Vec<FuseSite> = Vec::new();
+    let sites = &mut s.fuse_sites;
+    sites.clear();
     for t in 0..lir.len() {
         let LirInsn::Test {
             a: cv,
@@ -1023,7 +1029,9 @@ pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut Idio
         }
         // Soundness gate: the flags the fused compare would set must be
         // provably dead after the branch.
-        if flags_live.get_or_insert_with(|| host_flags_live_after(lir))[j] {
+        let live_after_branch = host_flags_live_after_at(lir, j)
+            .unwrap_or_else(|| flags_live.get_or_insert_with(|| host_flags_live_after(lir))[j]);
+        if live_after_branch {
             continue;
         }
         let site =
@@ -1035,27 +1043,23 @@ pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut Idio
             }
         }
     }
-    if sites.is_empty() {
-        return;
-    }
-    let mut dead = vec![false; lir.len()];
-    for site in &sites {
+    let mut stranded = false;
+    for site in sites.iter() {
         stats.fused[site.kind.index()] += 1;
         lir[site.t] = site.new_cmp;
         if let LirInsn::Jcc { cond, .. } = &mut lir[site.j] {
             *cond = site.cond;
         }
-        for &d in &site.delete {
-            dead[d] = true;
+        for d in site.delete.into_iter().flatten() {
+            if !stranded {
+                crate::refill(&mut s.marks, lir.len(), false);
+                stranded = true;
+            }
+            s.marks[d] = true;
         }
     }
-    if dead.iter().any(|d| *d) {
-        let mut idx = 0;
-        lir.retain(|_| {
-            let keep = !dead[idx];
-            idx += 1;
-            keep
-        });
+    if stranded {
+        crate::opt::remove_marked(lir, &s.marks);
     }
 }
 
@@ -1091,93 +1095,161 @@ fn set_mem(insn: &mut LirInsn, new: LirMem) {
     }
 }
 
-/// Matches `y = i << k` (`k <= 3`) defined before `before`, with `i` stable
-/// up to `use_at`.  Returns the pre-shift register and the x86 scale.
-fn shift_chain(lir: &[LirInsn], y: Vreg, before: usize, use_at: usize) -> Option<(Vreg, u8)> {
-    let sd = last_def_before(lir, y, before)?;
-    let LirInsn::Alu {
-        op: AluOp::Shl,
-        dst,
-        src: LirOperand::Imm(k),
-    } = &lir[sd]
-    else {
-        return None;
-    };
-    if *k > 3 {
-        return None;
+/// Where every virtual register was last defined, kept as the address-mode
+/// folding pass walks forward — what a backward scan from the cursor would
+/// find, in one indexed read: `last[v]`, the index of `v`'s latest
+/// definition below the cursor, and `prev[i]`, the index of the definition
+/// that instruction `i`'s own replaced.
+#[derive(Default)]
+pub(crate) struct DefTable {
+    /// By [`DefTable::key`]; `NO_DEF` for a register not defined yet.
+    last: Vec<u32>,
+    /// By instruction index; `NO_DEF` for a first (or no) definition.
+    prev: Vec<u32>,
+    /// Table reads so far: the pass must stay linear in the unit's length.
+    #[cfg(test)]
+    pub(crate) reads: std::cell::Cell<usize>,
+}
+
+const NO_DEF: u32 = u32::MAX;
+
+impl DefTable {
+    /// Forgets everything, ready for a unit of `len` instructions.
+    pub(crate) fn reset(&mut self, len: usize) {
+        crate::refill(&mut self.last, 2 * len, NO_DEF);
+        crate::refill(&mut self.prev, len, NO_DEF);
     }
-    let sm = last_def_before(lir, *dst, sd)?;
-    let LirInsn::MovReg { src: i0, .. } = &lir[sm] else {
-        return None;
-    };
-    if i0.class != VregClass::Gpr || !same_reaching_def(lir, *i0, sd, use_at) {
-        return None;
+
+    /// Ids are dense per class, not across classes.
+    fn key(v: Vreg) -> usize {
+        (v.id as usize) << 1 | (v.class == VregClass::Xmm) as usize
     }
-    Some((*i0, 1u8 << *k))
+
+    fn read(&self, table: &[u32], at: usize) -> Option<usize> {
+        #[cfg(test)]
+        self.reads.set(self.reads.get() + 1);
+        table.get(at).filter(|&&d| d != NO_DEF).map(|&d| d as usize)
+    }
+
+    /// Index of `v`'s latest definition below the cursor.
+    fn last_def(&self, v: Vreg) -> Option<usize> {
+        self.read(&self.last, Self::key(v))
+    }
+
+    /// True when `v`'s value at the cursor is the one it had just before
+    /// instruction `at`: it is defined, and not redefined since.
+    fn stable_since(&self, v: Vreg, at: usize) -> bool {
+        self.last_def(v).is_some_and(|d| d < at)
+    }
+
+    /// Matches `y = i << k` (`k <= 3`), for a `y` not redefined since its
+    /// use in the address add, with `i` still holding its pre-shift value
+    /// at the cursor.  Returns the pre-shift register and the x86 scale.
+    fn shift_chain(&self, lir: &[LirInsn], y: Vreg) -> Option<(Vreg, u8)> {
+        let sd = self.last_def(y)?;
+        let LirInsn::Alu {
+            op: AluOp::Shl,
+            src: LirOperand::Imm(k),
+            ..
+        } = &lir[sd]
+        else {
+            return None;
+        };
+        if *k > 3 {
+            return None;
+        }
+        let LirInsn::MovReg { src: i0, .. } = &lir[self.read(&self.prev, sd)?] else {
+            return None;
+        };
+        if i0.class != VregClass::Gpr || !self.stable_since(*i0, sd) {
+            return None;
+        }
+        Some((*i0, 1u8 << *k))
+    }
+
+    /// The scaled-index operand instruction `at`'s memory operand folds to,
+    /// if its base was computed as `x + y` (optionally `y = i << k`).
+    fn folded(&self, lir: &[LirInsn], at: usize) -> Option<LirMem> {
+        let addr = mem_of(&lir[at])?;
+        let (LirBase::Vreg(t), None) = (addr.base, addr.index) else {
+            return None;
+        };
+        let d = self.last_def(t)?;
+        let LirInsn::Alu {
+            op: AluOp::Add,
+            src: LirOperand::Vreg(y),
+            ..
+        } = lir[d]
+        else {
+            return None;
+        };
+        let LirInsn::MovReg { src: x, .. } = lir[self.read(&self.prev, d)?] else {
+            return None;
+        };
+        if x.class != VregClass::Gpr || y.class != VregClass::Gpr {
+            return None;
+        }
+        // Both summands must still hold their add-time values at the access.
+        if !self.stable_since(x, d) || !self.stable_since(y, d) {
+            return None;
+        }
+        let (base, index) = if let Some(scaled) = self.shift_chain(lir, y) {
+            (x, scaled)
+        } else if let Some(scaled) = self.shift_chain(lir, x) {
+            (y, scaled)
+        } else {
+            (x, (y, 1))
+        };
+        Some(LirMem {
+            base: LirBase::Vreg(base),
+            index: Some(index),
+            disp: addr.disp,
+        })
+    }
+
+    /// Address-mode folding, one instruction: folds the memory operand of
+    /// `lir[at]` if it has one that qualifies, then records `def`, what
+    /// `lir[at]` defines.  Reads the tables and instructions below `at`
+    /// only.
+    pub(crate) fn step(
+        &mut self,
+        lir: &mut [LirInsn],
+        at: usize,
+        def: Option<Vreg>,
+        table: &RuleTable,
+        stats: &mut IdiomStats,
+    ) {
+        if let Some(folded) = self.folded(lir, at) {
+            stats.candidates[RuleKind::AddrFold.index()] += 1;
+            if table.enabled(RuleKind::AddrFold) {
+                set_mem(&mut lir[at], folded);
+                stats.fused[RuleKind::AddrFold.index()] += 1;
+            }
+        }
+        if let Some(d) = def {
+            let key = Self::key(d);
+            if key >= self.last.len() {
+                self.last.resize(key + 1, NO_DEF);
+            }
+            self.prev[at] = std::mem::replace(&mut self.last[key], at as u32);
+        }
+    }
 }
 
 /// The address-mode folding pass: memory operands whose base was computed
 /// as `x + y` (optionally `y = i << k`) become scaled-index operands.  Runs
 /// after store-to-load forwarding and copy propagation so address values
 /// that round-tripped through the register file (the `lsl`+`ldr_reg` guest
-/// idiom) are visible as register chains.
+/// idiom) are visible as register chains.  ([`crate::opt::optimize`] runs
+/// the same [`DefTable::step`] inside its forward walk.)
 pub fn fold_addressing(lir: &mut [LirInsn], table: &RuleTable, stats: &mut IdiomStats) {
-    for i in 0..lir.len() {
-        let Some(addr) = mem_of(&lir[i]) else {
-            continue;
-        };
-        let (LirBase::Vreg(t), None) = (addr.base, addr.index) else {
-            continue;
-        };
-        let Some(d) = last_def_before(lir, t, i) else {
-            continue;
-        };
-        let LirInsn::Alu {
-            op: AluOp::Add,
-            dst,
-            src: LirOperand::Vreg(y),
-        } = lir[d]
-        else {
-            continue;
-        };
-        let Some(m) = last_def_before(lir, dst, d) else {
-            continue;
-        };
-        let LirInsn::MovReg { src: x, .. } = lir[m] else {
-            continue;
-        };
-        if x.class != VregClass::Gpr || y.class != VregClass::Gpr {
-            continue;
+    crate::with_scratch(|s| {
+        let defs = &mut s.opt.defs;
+        defs.reset(lir.len());
+        for at in 0..lir.len() {
+            defs.step(lir, at, lir[at].def(), table, stats);
         }
-        // Both summands must still hold their add-time values at the access.
-        if !same_reaching_def(lir, x, d, i) || !same_reaching_def(lir, y, d, i) {
-            continue;
-        }
-        let folded = if let Some((i0, scale)) = shift_chain(lir, y, d, i) {
-            LirMem {
-                base: LirBase::Vreg(x),
-                index: Some((i0, scale)),
-                disp: addr.disp,
-            }
-        } else if let Some((i0, scale)) = shift_chain(lir, x, d, i) {
-            LirMem {
-                base: LirBase::Vreg(y),
-                index: Some((i0, scale)),
-                disp: addr.disp,
-            }
-        } else {
-            LirMem {
-                base: LirBase::Vreg(x),
-                index: Some((y, 1)),
-                disp: addr.disp,
-            }
-        };
-        stats.candidates[RuleKind::AddrFold.index()] += 1;
-        if table.enabled(RuleKind::AddrFold) {
-            set_mem(&mut lir[i], folded);
-            stats.fused[RuleKind::AddrFold.index()] += 1;
-        }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1625,7 +1697,17 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
 /// raw LIR.  [`fold_addressing`] runs separately, after forwarding and copy
 /// propagation have connected regfile round-trips.
 pub fn apply_early(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
-    fuse_branches(lir, table, stats);
+    crate::with_scratch(|s| apply_early_in(&mut s.opt, lir, table, stats))
+}
+
+/// [`apply_early`] in the caller's scratch.
+pub(crate) fn apply_early_in(
+    s: &mut OptScratch,
+    lir: &mut Vec<LirInsn>,
+    table: &RuleTable,
+    stats: &mut IdiomStats,
+) {
+    fuse_branches(s, lir, table, stats);
     rewrite_bulk_loops(lir, table, stats);
 }
 
@@ -1668,7 +1750,7 @@ mod tests {
 
     fn fuse_with(lir: &mut Vec<LirInsn>, table: &RuleTable) -> IdiomStats {
         let mut stats = IdiomStats::default();
-        fuse_branches(lir, table, &mut stats);
+        fuse_branches(&mut OptScratch::default(), lir, table, &mut stats);
         stats
     }
 
@@ -1810,5 +1892,141 @@ mod tests {
         lir.insert(4, movi(0, 1234));
         let stats = fuse(&mut lir);
         assert_eq!(stats, IdiomStats::default());
+    }
+
+    /// Address-mode folding as it was before the definition tables: every
+    /// question answered by scanning back from the access.  The reference
+    /// [`DefTable::folded`] is held to.
+    fn folded_by_back_scan(lir: &[LirInsn], i: usize) -> Option<LirMem> {
+        let shift_chain = |y: Vreg, before: usize| {
+            let sd = last_def_before(lir, y, before)?;
+            let LirInsn::Alu {
+                op: AluOp::Shl,
+                dst,
+                src: LirOperand::Imm(k),
+            } = lir[sd]
+            else {
+                return None;
+            };
+            let LirInsn::MovReg { src: i0, .. } = lir[last_def_before(lir, dst, sd)?] else {
+                return None;
+            };
+            (k <= 3 && i0.class == VregClass::Gpr && same_reaching_def(lir, i0, sd, i))
+                .then_some((i0, 1u8 << k))
+        };
+        let addr = mem_of(&lir[i])?;
+        let (LirBase::Vreg(t), None) = (addr.base, addr.index) else {
+            return None;
+        };
+        let d = last_def_before(lir, t, i)?;
+        let LirInsn::Alu {
+            op: AluOp::Add,
+            dst,
+            src: LirOperand::Vreg(y),
+        } = lir[d]
+        else {
+            return None;
+        };
+        let LirInsn::MovReg { src: x, .. } = lir[last_def_before(lir, dst, d)?] else {
+            return None;
+        };
+        if x.class != VregClass::Gpr || y.class != VregClass::Gpr {
+            return None;
+        }
+        if !same_reaching_def(lir, x, d, i) || !same_reaching_def(lir, y, d, i) {
+            return None;
+        }
+        let (base, index) = if let Some(scaled) = shift_chain(y, d) {
+            (x, scaled)
+        } else if let Some(scaled) = shift_chain(x, d) {
+            (y, scaled)
+        } else {
+            (x, (y, 1))
+        };
+        Some(LirMem {
+            base: LirBase::Vreg(base),
+            index: Some(index),
+            disp: addr.disp,
+        })
+    }
+
+    #[test]
+    fn folding_a_long_unit_is_linear_and_agrees_with_the_back_scan() {
+        // 4 000 instructions of address chains — plain, scaled through
+        // either summand, and broken by a redefinition between the add and
+        // the access — over a small pool of registers, so definitions are
+        // reused and a scan back from an access would have far to go.
+        let reg = |k: u32| v(k % 40);
+        let load = |dst, addr| LirInsn::Load {
+            dst,
+            addr,
+            size: hvm::MemSize::U64,
+        };
+        let mut lir = Vec::new();
+        let mut k = 0u32;
+        while lir.len() < 4_000 {
+            k += 7;
+            let (x, y, t, i0, r) = (reg(k), reg(k + 1), reg(k + 2), reg(k + 3), reg(k + 4));
+            lir.push(load(x, LirMem::regfile(8 * (k % 31) as i32)));
+            lir.push(load(i0, LirMem::regfile(8 * (k % 29) as i32)));
+            lir.push(LirInsn::MovReg { dst: y, src: i0 });
+            if !k.is_multiple_of(3) {
+                lir.push(LirInsn::Alu {
+                    op: AluOp::Shl,
+                    dst: y,
+                    src: LirOperand::Imm((k % 5) as u64),
+                });
+            }
+            let (first, second) = if k.is_multiple_of(2) { (x, y) } else { (y, x) };
+            lir.push(LirInsn::MovReg { dst: t, src: first });
+            lir.push(LirInsn::Alu {
+                op: AluOp::Add,
+                dst: t,
+                src: LirOperand::Vreg(second),
+            });
+            if k.is_multiple_of(11) {
+                lir.push(movi(first.id, 1)); // the summand no longer holds its add-time value
+            }
+            if k.is_multiple_of(13) {
+                lir.push(movi(i0.id, 2)); // nor the pre-shift index
+            }
+            lir.push(load(r, LirMem::vreg(t, 16)));
+        }
+        let n = lir.len();
+        let expected: Vec<Option<LirMem>> = (0..n).map(|i| folded_by_back_scan(&lir, i)).collect();
+        let mut defs = DefTable::default();
+        defs.reset(n);
+        let mut stats = IdiomStats::default();
+        let before = lir.clone();
+        for at in 0..n {
+            assert_eq!(
+                defs.folded(&lir, at),
+                expected[at],
+                "at {at}: {:?}",
+                lir[at]
+            );
+            let def = lir[at].def();
+            defs.step(&mut lir, at, def, &RuleTable::full(), &mut stats);
+        }
+        let folds = expected.iter().flatten().count();
+        assert_eq!(stats.fused[RuleKind::AddrFold.index()] as usize, folds);
+        let accesses = before.iter().filter(|i| i.may_fault()).count();
+        assert!(
+            folds > 300 && accesses - folds > 50,
+            "{folds} of {accesses} accesses fold"
+        );
+        let scaled = expected
+            .iter()
+            .flatten()
+            .filter(|m| m.index.is_some_and(|(_, scale)| scale > 1))
+            .count();
+        assert!(scaled > 100, "{scaled} scaled-index folds");
+        for (at, (was, is)) in before.iter().zip(&lir).enumerate() {
+            let rewritten = expected[at].map_or(*was, |m| load(was.def().unwrap(), m));
+            assert_eq!(*is, rewritten, "at {at}");
+        }
+        // At most ten reads per instruction (a fold that tries both shift
+        // chains), whatever the distance to the definitions.
+        assert!(defs.reads.get() <= 10 * n, "{} reads", defs.reads.get());
     }
 }

@@ -59,6 +59,48 @@ pub use reuse::{pack_knobs, ReuseCache, ReuseKey, ReuseTemplate};
 pub use timing::{Phase, PhaseClock, PhaseTimers, TierTimers};
 
 use hvm::MachInsn;
+use std::cell::RefCell;
+
+/// Every table the back half of the pipeline works in — the optimiser's
+/// fact maps, the allocator's liveness state and range lists, `lower`'s
+/// label table, the emitter's DAG vectors — owned once per thread (the run
+/// thread, each tier worker and the baseline alike), created by the thread's
+/// first translation and never reallocated once warm.
+///
+/// **The scratch holds capacity, never facts**: each user resizes and
+/// re-zeroes the tables it needs to the unit at hand before reading them, so
+/// a translation's output cannot depend on what the thread translated
+/// before, in which order, or whether the scratch is fresh.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) opt: opt::OptScratch,
+    pub(crate) regalloc: regalloc::AllocScratch,
+    /// The allocation of the unit in hand (see [`regalloc::allocate_into`]).
+    pub(crate) allocation: regalloc::Allocation,
+    pub(crate) lower: lower::LowerScratch,
+    pub(crate) emitter: emitter::EmitterScratch,
+}
+
+/// Empties `v` and refills it with `n` copies of `value`, keeping its
+/// capacity: how every scratch table is made ready for a unit.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`Scratch`].  The public entry points borrow
+/// it once and hand `&mut` down; a nested borrow gets a fresh scratch rather
+/// than a panic — only speed depends on which scratch a unit goes through.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut Scratch::default()),
+    })
+}
 
 /// Runs the shared back half of the pipeline on finished LIR: the optional
 /// block-scoped optimiser ([`opt`], when `run_opt`; loop-carried register
@@ -79,38 +121,56 @@ pub fn finish_translation(
     promote: bool,
     idioms: Option<&idiom::RuleTable>,
 ) -> Result<FinishedTranslation, LowerError> {
-    let pre_opt = lir.len();
-    let mut dirty_carriers: Vec<(i32, Vreg)> = Vec::new();
-    let mut idiom_stats = idiom::IdiomStats::default();
-    if run_opt {
-        // The optimiser sits between emission and register allocation; its
-        // wall-clock cost is accounted to the regalloc phase budget.
-        let stats = timers.time(Phase::RegAlloc, || opt::optimize(&mut lir, promote, idioms));
-        timers.jit.add(&stats.jit);
-        timers.jit.opt_idioms_fused += stats.idioms.total_fused() as u64;
-        for i in 0..idiom::RULE_COUNT {
-            timers.jit.idiom_hits[i] += stats.idioms.fused[i] as u64;
-            timers.jit.idiom_candidates[i] += stats.idioms.candidates[i] as u64;
+    with_scratch(|s| {
+        // One clock read per phase boundary; what sits between two phases
+        // (merging counters, resolving carriers) counts with the next.
+        let mut clock = PhaseClock::start();
+        let pre_opt = lir.len();
+        let mut dirty_carriers: Vec<(i32, Vreg)> = Vec::new();
+        let mut idiom_stats = idiom::IdiomStats::default();
+        if run_opt {
+            // The optimiser sits between emission and register allocation;
+            // its wall-clock cost is accounted to the regalloc phase budget
+            // (and, as a share of it, to `PhaseTimers::opt`).
+            let stats = opt::optimize_in(s, &mut lir, promote, idioms);
+            let before = timers.regalloc;
+            clock.close(timers, Phase::RegAlloc);
+            timers.opt += timers.regalloc - before;
+            timers.jit.add(&stats.jit);
+            timers.jit.opt_idioms_fused += stats.idioms.total_fused() as u64;
+            for i in 0..idiom::RULE_COUNT {
+                timers.jit.idiom_hits[i] += stats.idioms.fused[i] as u64;
+                timers.jit.idiom_candidates[i] += stats.idioms.candidates[i] as u64;
+            }
+            idiom_stats = stats.idioms;
+            dirty_carriers = stats.promoted;
         }
-        idiom_stats = stats.idioms;
-        dirty_carriers = stats.promoted;
-    }
-    let allocation = timers.time(Phase::RegAlloc, || regalloc::allocate(&lir));
-    let dce = allocation.dead.iter().filter(|d| **d).count();
-    timers.jit.opt_dce_insns += dce as u64;
-    // Promotion can grow the unit (preheader loads, reconcile block), so the
-    // optimiser's net deletion count saturates at zero rather than going
-    // negative.
-    let elided = pre_opt.saturating_sub(lir.len()) + dce;
-    let promoted = resolve_carriers(&dirty_carriers, &allocation)?;
-    let code = timers.time(Phase::Encode, || lower::lower(&lir, &allocation))?;
-    let encoded = timers.time(Phase::Encode, || hvm::encode::encode_block(&code));
-    Ok(FinishedTranslation {
-        code,
-        encoded,
-        elided,
-        promoted,
-        idioms: idiom_stats,
+        regalloc::allocate_into(&mut s.regalloc, &lir, &mut s.allocation);
+        clock.close(timers, Phase::RegAlloc);
+        let allocation = &s.allocation;
+        let dce = allocation.dead.iter().filter(|d| **d).count();
+        timers.jit.opt_dce_insns += dce as u64;
+        // Promotion can grow the unit (preheader loads, reconcile block), so
+        // the optimiser's net deletion count saturates at zero rather than
+        // going negative.
+        let elided = pre_opt.saturating_sub(lir.len()) + dce;
+        let lowered = resolve_carriers(&dirty_carriers, allocation).and_then(|promoted| {
+            let code = lower::lower_in(&mut s.lower, &lir, allocation)?;
+            let encoded = hvm::encode::encode_block(&code);
+            Ok((promoted, code, encoded))
+        });
+        clock.close(timers, Phase::Encode);
+        let (promoted, code, encoded) = lowered?;
+        // The unit's LIR vector goes back to the emitter that will build
+        // the next one.
+        s.emitter.lir = lir;
+        Ok(FinishedTranslation {
+            code,
+            encoded,
+            elided,
+            promoted,
+            idioms: idiom_stats,
+        })
     })
 }
 
@@ -229,5 +289,55 @@ mod tests {
             resolve_carriers(&[(0, v(999))], &allocation),
             Err(LowerError::CarrierNotInRegister { vreg: 999 })
         );
+    }
+
+    #[test]
+    fn the_scratch_carries_capacity_from_unit_to_unit_and_nothing_else() {
+        // A unit with sparse ids (vregs from 1 000, labels around 5 000: big
+        // tables) and a three-instruction one, each translated after the
+        // other on one thread, against each on a thread of its own.
+        let table = RuleTable::full();
+        let sparse = crate::regalloc_reference::tests::unit(0x5EED, 5, 40, 100);
+        assert!(sparse
+            .iter()
+            .any(|i| i.def().is_some_and(|d| d.id >= 1_000)));
+        let v0 = Vreg {
+            id: 0,
+            class: VregClass::Gpr,
+        };
+        let small = vec![
+            LirInsn::MovImm { dst: v0, imm: 7 },
+            LirInsn::Store {
+                src: v0,
+                addr: LirMem::regfile(8),
+                size: MemSize::U64,
+            },
+            LirInsn::Ret,
+        ];
+        let translate = |lir: &[LirInsn], table: &RuleTable| {
+            let mut timers = PhaseTimers::default();
+            finish_translation(&mut timers, lir.to_vec(), true, true, Some(table))
+                .map(|t| (t.encoded, t.elided, t.promoted))
+        };
+        let alone = |lir: &[LirInsn]| {
+            let (lir, table) = (lir.to_vec(), table.clone());
+            std::thread::spawn(move || translate(&lir, &table))
+                .join()
+                .expect("translation does not panic")
+        };
+        let (sparse_alone, small_alone) = (alone(&sparse), alone(&small));
+        assert!(sparse_alone.is_ok() && small_alone.is_ok());
+        for _ in 0..2 {
+            assert_eq!(translate(&sparse, &table), sparse_alone);
+            assert_eq!(translate(&small, &table), small_alone);
+        }
+        // And the small one first, on a thread that has seen nothing else.
+        let (small_then_sparse, table) = ((small, sparse), table.clone());
+        let in_turn = std::thread::spawn(move || {
+            let (small, sparse) = small_then_sparse;
+            (translate(&small, &table), translate(&sparse, &table))
+        });
+        let in_turn = in_turn.join().expect("translation does not panic");
+        assert_eq!(in_turn, (small_alone, sparse_alone));
     }
 }

@@ -292,86 +292,91 @@ pub const GPR_POOL: [Gpr; 8] = [
 /// the first id free for a pass that needs fresh registers.
 pub fn vreg_id_bound(lir: &[LirInsn]) -> u32 {
     let mut bound = 0;
-    let mut scratch = Vec::with_capacity(4);
     for insn in lir {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        scratch.extend(insn.def());
-        for v in &scratch {
-            bound = bound.max(v.id + 1);
+        insn.visit_uses(|v| bound = bound.max(v.id + 1));
+        if let Some(d) = insn.def() {
+            bound = bound.max(d.id + 1);
         }
     }
     bound
 }
 
 impl LirInsn {
-    /// Virtual registers read by this instruction.
+    /// Virtual registers read by this instruction, appended to `out`.
     pub fn uses(&self, out: &mut Vec<Vreg>) {
-        let mem = |m: &LirMem, out: &mut Vec<Vreg>| {
+        self.visit_uses(|v| out.push(v));
+    }
+
+    /// Calls `f` on every virtual register this instruction reads, in
+    /// operand order (a register read twice is visited twice).  The walks of
+    /// the back half go through this, not through a scratch `Vec`.
+    #[inline]
+    pub fn visit_uses(&self, mut f: impl FnMut(Vreg)) {
+        fn mem(m: &LirMem, f: &mut impl FnMut(Vreg)) {
             if let LirBase::Vreg(v) = m.base {
-                out.push(v);
+                f(v);
             }
             if let Some((v, _)) = m.index {
-                out.push(v);
+                f(v);
             }
-        };
-        let op = |o: &LirOperand, out: &mut Vec<Vreg>| {
+        }
+        fn op(o: &LirOperand, f: &mut impl FnMut(Vreg)) {
             if let LirOperand::Vreg(v) = o {
-                out.push(*v);
+                f(*v);
             }
-        };
+        }
         match self {
-            LirInsn::MovReg { src, .. } => out.push(*src),
+            LirInsn::MovReg { src, .. } => f(*src),
             LirInsn::Load { addr, .. }
             | LirInsn::LoadSx { addr, .. }
-            | LirInsn::Lea { addr, .. } => mem(addr, out),
+            | LirInsn::Lea { addr, .. } => mem(addr, &mut f),
             LirInsn::Store { src, addr, .. } => {
-                out.push(*src);
-                mem(addr, out);
+                f(*src);
+                mem(addr, &mut f);
             }
-            LirInsn::StoreImm { addr, .. } => mem(addr, out),
+            LirInsn::StoreImm { addr, .. } => mem(addr, &mut f),
             LirInsn::Alu { dst, src, .. } => {
-                out.push(*dst);
-                op(src, out);
+                f(*dst);
+                op(src, &mut f);
             }
             LirInsn::Cmp { a, b } | LirInsn::Test { a, b } => {
-                out.push(*a);
-                op(b, out);
+                f(*a);
+                op(b, &mut f);
             }
-            LirInsn::Neg { dst } | LirInsn::Not { dst } => out.push(*dst),
-            LirInsn::MovZx { src, .. } | LirInsn::MovSx { src, .. } => out.push(*src),
+            LirInsn::Neg { dst } | LirInsn::Not { dst } => f(*dst),
+            LirInsn::MovZx { src, .. } | LirInsn::MovSx { src, .. } => f(*src),
             LirInsn::CmovCc { dst, src, .. } => {
-                out.push(*dst);
-                out.push(*src);
+                f(*dst);
+                f(*src);
             }
-            LirInsn::SetPcReg { src } => out.push(*src),
-            LirInsn::SetArg { src, .. } => op(src, out),
-            LirInsn::LoadXmm { addr, .. } => mem(addr, out),
+            LirInsn::SetPcReg { src } => f(*src),
+            LirInsn::SetArg { src, .. } => op(src, &mut f),
+            LirInsn::LoadXmm { addr, .. } => mem(addr, &mut f),
             LirInsn::StoreXmm { src, addr, .. } => {
-                out.push(*src);
-                mem(addr, out);
+                f(*src);
+                mem(addr, &mut f);
             }
             LirInsn::GprToXmm { src, .. }
             | LirInsn::XmmToGpr { src, .. }
-            | LirInsn::MovXmm { src, .. } => out.push(*src),
+            | LirInsn::MovXmm { src, .. } => f(*src),
             LirInsn::Fp { dst, src, .. } | LirInsn::Vec { dst, src, .. } => {
-                out.push(*dst);
-                out.push(*src);
+                f(*dst);
+                f(*src);
             }
             LirInsn::FpFma { dst, a, b } => {
-                out.push(*dst);
-                out.push(*a);
-                out.push(*b);
+                f(*dst);
+                f(*a);
+                f(*b);
             }
             LirInsn::FpCmp { a, b } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
             LirInsn::CvtI2D { src, .. }
             | LirInsn::CvtD2I { src, .. }
             | LirInsn::CvtS2D { src, .. }
-            | LirInsn::CvtD2S { src, .. } => out.push(*src),
-            LirInsn::Out { src, .. } => out.push(*src),
+            | LirInsn::CvtD2S { src, .. } => f(*src),
+            LirInsn::Out { src, .. } => f(*src),
             _ => {}
         }
     }
@@ -539,7 +544,7 @@ impl LirInsn {
         }
     }
 
-    fn fixed_regfile_slot(addr: &LirMem, size: MemSize) -> Option<RegFileAccess> {
+    pub(crate) fn fixed_regfile_slot(addr: &LirMem, size: MemSize) -> Option<RegFileAccess> {
         match (addr.base, addr.index) {
             (LirBase::RegFile, None) => Some(RegFileAccess {
                 offset: addr.disp,

@@ -75,14 +75,21 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-struct Lowerer<'a> {
-    alloc: &'a Allocation,
-    out: Vec<MachInsn>,
+/// The two tables lowering fills besides its output, kept per thread by the
+/// crate's scratch (see [`crate::with_scratch`]).
+#[derive(Default)]
+pub(crate) struct LowerScratch {
     /// Machine instruction index per label id (`None` until bound; grown
     /// to the largest label id bound so far).
     label_pos: Vec<Option<usize>>,
     /// (machine index of Jmp/Jcc, label id) pairs to patch.
     fixups: Vec<(usize, u32)>,
+}
+
+struct Lowerer<'a> {
+    alloc: &'a Allocation,
+    out: Vec<MachInsn>,
+    tables: &'a mut LowerScratch,
     /// Scratch registers consumed so far for the current LIR instruction.
     scratch_used: usize,
     xmm_scratch_used: usize,
@@ -93,12 +100,13 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(alloc: &'a Allocation, lir_len: usize) -> Self {
+    fn new(alloc: &'a Allocation, lir_len: usize, tables: &'a mut LowerScratch) -> Self {
+        tables.label_pos.clear();
+        tables.fixups.clear();
         Lowerer {
             alloc,
             out: Vec::with_capacity(lir_len),
-            label_pos: Vec::new(),
-            fixups: Vec::new(),
+            tables,
             scratch_used: 0,
             xmm_scratch_used: 0,
             error: None,
@@ -267,10 +275,10 @@ impl<'a> Lowerer<'a> {
         match insn {
             LirInsn::Label { id } => {
                 let id = *id as usize;
-                if id >= self.label_pos.len() {
-                    self.label_pos.resize(id + 1, None);
+                if id >= self.tables.label_pos.len() {
+                    self.tables.label_pos.resize(id + 1, None);
                 }
-                self.label_pos[id] = Some(self.out.len());
+                self.tables.label_pos[id] = Some(self.out.len());
             }
             LirInsn::MovImm { dst, imm } => {
                 let (d, sb) = self.def_gpr(*dst);
@@ -414,11 +422,11 @@ impl<'a> Lowerer<'a> {
                 );
             }
             LirInsn::Jmp { label } => {
-                self.fixups.push((self.out.len(), *label));
+                self.tables.fixups.push((self.out.len(), *label));
                 self.out.push(MachInsn::Jmp { target: 0 });
             }
             LirInsn::Jcc { cond, label } => {
-                self.fixups.push((self.out.len(), *label));
+                self.tables.fixups.push((self.out.len(), *label));
                 self.out.push(MachInsn::Jcc {
                     cond: *cond,
                     target: 0,
@@ -599,7 +607,7 @@ impl<'a> Lowerer<'a> {
                 reconcile,
                 weight,
             } => {
-                self.fixups.push((self.out.len(), *label));
+                self.tables.fixups.push((self.out.len(), *label));
                 self.out.push(MachInsn::BackEdge {
                     pc: *pc,
                     target: 0,
@@ -629,7 +637,16 @@ impl<'a> Lowerer<'a> {
 /// — the caller must discard the translation and fall back (see the module
 /// docs).
 pub fn lower(lir: &[LirInsn], alloc: &Allocation) -> Result<Vec<MachInsn>, LowerError> {
-    let mut l = Lowerer::new(alloc, lir.len());
+    crate::with_scratch(|s| lower_in(&mut s.lower, lir, alloc))
+}
+
+/// [`lower`] in the caller's scratch.
+pub(crate) fn lower_in(
+    tables: &mut LowerScratch,
+    lir: &[LirInsn],
+    alloc: &Allocation,
+) -> Result<Vec<MachInsn>, LowerError> {
+    let mut l = Lowerer::new(alloc, lir.len(), tables);
     for (i, insn) in lir.iter().enumerate() {
         if alloc.dead.get(i).copied().unwrap_or(false) {
             continue;
@@ -640,8 +657,8 @@ pub fn lower(lir: &[LirInsn], alloc: &Allocation) -> Result<Vec<MachInsn>, Lower
         return Err(err);
     }
     // Patch jumps: targets are relative to the jump's own index.
-    for (pos, label) in l.fixups {
-        let Some(target_pos) = l.label_pos.get(label as usize).copied().flatten() else {
+    for &(pos, label) in &l.tables.fixups {
+        let Some(target_pos) = l.tables.label_pos.get(label as usize).copied().flatten() else {
             return Err(LowerError::UnboundLabel { label });
         };
         let rel = target_pos as i32 - pos as i32;

@@ -58,9 +58,30 @@
 //!    of pass 2): promotion turns every in-loop store of a promoted slot
 //!    into `C = mov X`, and every load into `X = mov C`, so a promoted
 //!    `x1 += 1` runs as `mov X, C; add X, 1; mov C, X` — copy propagation
-//!    cannot fold a copy *keyed* by a carrier (see [`propagate_copies`]).
+//!    cannot fold a copy *keyed* by a carrier (see [`CopyMap::step`]).
 //!    This pass renames the value's definition chain to compute in the
 //!    carrier directly; see "Writing promoted carriers through" below.
+//!
+//! # Two walks, one scratch
+//!
+//! Each pass above is specified — and tested — as a whole-unit pass, but a
+//! unit is not walked once per pass.  Every forward pass is a
+//! per-instruction **step** on its own state (the pending PC increment,
+//! [`SlotFacts`], [`CopyMap`], the idiom layer's [`DefTable`]), and
+//! [`optimize`] pushes an instruction through all of them before it looks at
+//! the next: **one forward walk** (lazy-PC batching compacting the unit in
+//! place, then forwarding, copy propagation and address folding on the
+//! instruction at its final index) and **one backward walk** for dead-store
+//! elimination.  That is the passes run one after the other by
+//! construction, because a step **reads its own earlier outputs and indices
+//! below the cursor**, and rewrites nothing but the instruction at the
+//! cursor: what pass N sees at index `i` is what passes 1..N-1 left there,
+//! whether or not they have gone on to `i + 1`.  A pass that cannot keep to
+//! that (promotion rewrites the whole unit) runs between walks.  Each pass
+//! has one implementation — the whole-unit loops the unit tests drive are
+//! the same steps — and its tables live in the crate's per-thread scratch
+//! ([`crate::with_scratch`]: *capacity, never facts*; a pass's `reset` is
+//! what makes its table valid).
 //!
 //! # Safety conditions — what counts as an observer of a regfile slot
 //!
@@ -183,7 +204,9 @@
 //! point, so no execution can observe the gap.
 
 use crate::counters::JitCounters;
+use crate::idiom::{DefTable, RuleTable};
 use crate::lir::{vreg_id_bound, LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
+use crate::{refill, Scratch};
 use hvm::MemSize;
 
 /// Maximum slots promoted to loop-carried host registers per unit.  This is
@@ -214,6 +237,20 @@ pub struct OptStats {
     pub idioms: crate::idiom::IdiomStats,
 }
 
+/// The optimiser's tables (see [`crate::with_scratch`]).
+#[derive(Default)]
+pub(crate) struct OptScratch {
+    slots: SlotFacts,
+    copies: CopyMap,
+    pub(crate) defs: DefTable,
+    /// Dead-store elimination's covered byte intervals.
+    covered: Vec<(i32, i32)>,
+    /// Per-instruction deletion marks (dead stores; fused-branch leftovers).
+    pub(crate) marks: Vec<bool>,
+    /// Branch-fusion sites found in the unit, applied once the scan is over.
+    pub(crate) fuse_sites: Vec<crate::idiom::FuseSite>,
+}
+
 /// Runs the block-scoped passes over one translation unit, in order: the
 /// idiom layer's branch fusion and bulk-move rewriting first (when an
 /// `idioms` table is supplied — they match the emitter's pristine LIR
@@ -225,32 +262,79 @@ pub struct OptStats {
 /// produced), the idiom layer's address-mode folding (which needs
 /// forwarding and copy propagation to have connected register-file
 /// round-trips into visible register chains), dead-store elimination, and —
-/// only when promotion produced carriers — carrier write-through.
-pub fn optimize(
+/// only when promotion produced carriers — carrier write-through.  The
+/// forward passes share one walk ("Two walks" in the module docs).
+pub fn optimize(lir: &mut Vec<LirInsn>, promote: bool, idioms: Option<&RuleTable>) -> OptStats {
+    crate::with_scratch(|s| optimize_in(s, lir, promote, idioms))
+}
+
+/// [`optimize`] in the caller's scratch.
+pub(crate) fn optimize_in(
+    s: &mut Scratch,
     lir: &mut Vec<LirInsn>,
     promote: bool,
-    idioms: Option<&crate::idiom::RuleTable>,
+    idioms: Option<&RuleTable>,
 ) -> OptStats {
     let mut stats = OptStats::default();
     if let Some(table) = idioms {
-        crate::idiom::apply_early(lir, table, &mut stats.idioms);
+        crate::idiom::apply_early_in(&mut s.opt, lir, table, &mut stats.idioms);
     }
-    coalesce_pc_updates(lir, &mut stats);
-    let carriers = if promote {
-        promote_loop_slots(lir, &mut stats)
+    // Promotion rewrites the whole unit between PC batching and the value
+    // passes, so a unit it could touch — one with a back-edge — takes PC
+    // batching as a walk of its own; every other unit takes all four
+    // forward passes in one.
+    let looping = promote && lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. }));
+    let mut carriers = Vec::new();
+    if looping {
+        stats.jit.opt_pc_coalesced += batch_pc_updates(lir, |_, _| {});
+        carriers = promote_loop_slots(s, lir, &mut stats);
+    }
+    s.opt.reset_values(lir.len());
+    let mut values =
+        |lir: &mut [LirInsn], at| s.opt.value_step(lir, at, &carriers, idioms, &mut stats);
+    if looping {
+        (0..lir.len()).for_each(|at| values(lir, at));
     } else {
-        Vec::new()
-    };
-    forward_stores_to_loads(lir, &mut stats);
-    propagate_copies(lir, &mut stats, &carriers);
-    if let Some(table) = idioms {
-        crate::idiom::fold_addressing(lir, table, &mut stats.idioms);
+        let coalesced = batch_pc_updates(lir, values);
+        stats.jit.opt_pc_coalesced += coalesced;
     }
-    eliminate_dead_stores(lir, &mut stats);
+    eliminate_dead_stores(&mut s.opt, lir, &mut stats);
     if !carriers.is_empty() {
         write_through_carriers(lir, &carriers);
     }
     stats
+}
+
+impl OptScratch {
+    /// Readies the value passes' tables for a unit of at most `len`
+    /// instructions.
+    fn reset_values(&mut self, len: usize) {
+        self.slots.reset(len);
+        self.copies.reset(len);
+        self.defs.reset(len);
+    }
+
+    /// Pushes `lir[at]` through the value passes of the forward walk —
+    /// store-to-load forwarding, copy propagation and, given a rule table,
+    /// address-mode folding — in that order (the module docs' "Two walks"
+    /// has the contract that makes this the passes run one after the other).
+    fn value_step(
+        &mut self,
+        lir: &mut [LirInsn],
+        at: usize,
+        pinned: &[Vreg],
+        idioms: Option<&RuleTable>,
+        stats: &mut OptStats,
+    ) {
+        // None of the three rewrites what an instruction defines, so the
+        // walk classifies that once for all of them.
+        let def = lir[at].def();
+        self.slots.step(&mut lir[at], def, &mut stats.jit);
+        self.copies.step(&mut lir[at], def, pinned, &mut stats.jit);
+        if let Some(table) = idioms {
+            self.defs.step(lir, at, def, table, &mut stats.idioms);
+        }
+    }
 }
 
 /// Lazy-PC batching (pass 0): the emitter advances the guest PC after every
@@ -262,12 +346,25 @@ pub fn optimize(
 /// (`SetPcImm`/`SetPcReg`/`BackEdge`) overwrites them first.  `IncPc`
 /// lowers to a flag-preserving `lea`, so a deferred update can sit between
 /// a flag writer and its reader.
-fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
-    let mut out = Vec::with_capacity(lir.len());
+///
+/// Compacts the unit in place — a batched update is only ever written after
+/// at least one `IncPc` was dropped, so the write cursor never passes the
+/// read cursor — and calls `then(lir, at)` on every instruction it keeps,
+/// once it sits at its final index `at`: the hook the forward walk hangs the
+/// value passes on.  Returns how many `IncPc`s it deleted.
+fn batch_pc_updates(lir: &mut Vec<LirInsn>, mut then: impl FnMut(&mut [LirInsn], usize)) -> u64 {
+    let mut coalesced = 0u64;
     let mut pending: u64 = 0;
     let mut pending_insns: u64 = 0;
-    for insn in lir.drain(..) {
-        match insn {
+    let mut at = 0;
+    let mut keep = |lir: &mut [LirInsn], insn: LirInsn| {
+        lir[at] = insn;
+        then(lir, at);
+        at += 1;
+    };
+    for read in 0..lir.len() {
+        let insn = lir[read];
+        let observes_pc = match insn {
             LirInsn::IncPc { imm } => {
                 pending = pending.wrapping_add(imm);
                 pending_insns += 1;
@@ -277,45 +374,42 @@ fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
             // observed (every observation point below would have flushed
             // them first).
             LirInsn::SetPcImm { .. } | LirInsn::SetPcReg { .. } | LirInsn::BackEdge { .. } => {
-                stats.jit.opt_pc_coalesced += pending_insns;
+                coalesced += pending_insns;
                 pending = 0;
                 pending_insns = 0;
-                out.push(insn);
+                keep(lir, insn);
                 continue;
             }
-            _ => {}
-        }
-        let observes_pc = insn.may_fault()
-            || matches!(
-                insn,
-                LirInsn::CallHelper { .. }
-                    | LirInsn::Int { .. }
-                    | LirInsn::In { .. }
-                    | LirInsn::Out { .. }
-                    | LirInsn::Syscall
-                    | LirInsn::TlbFlushAll
-                    | LirInsn::TlbFlushPcid
-                    | LirInsn::ReadPc { .. }
-                    | LirInsn::Ret
-                    | LirInsn::Jcc { .. }
-                    | LirInsn::Jmp { .. }
-                    | LirInsn::Label { .. }
-                    | LirInsn::TraceEdge
-            );
+            LirInsn::CallHelper { .. }
+            | LirInsn::Int { .. }
+            | LirInsn::In { .. }
+            | LirInsn::Out { .. }
+            | LirInsn::Syscall
+            | LirInsn::TlbFlushAll
+            | LirInsn::TlbFlushPcid
+            | LirInsn::ReadPc { .. }
+            | LirInsn::Ret
+            | LirInsn::Jcc { .. }
+            | LirInsn::Jmp { .. }
+            | LirInsn::Label { .. }
+            | LirInsn::TraceEdge => true,
+            _ => insn.may_fault(),
+        };
         if observes_pc && pending != 0 {
             // One batched update replaces `pending_insns` originals.
-            stats.jit.opt_pc_coalesced += pending_insns.saturating_sub(1);
-            out.push(LirInsn::IncPc { imm: pending });
+            coalesced += pending_insns.saturating_sub(1);
+            keep(lir, LirInsn::IncPc { imm: pending });
             pending = 0;
             pending_insns = 0;
         }
-        out.push(insn);
+        keep(lir, insn);
     }
     if pending != 0 {
-        stats.jit.opt_pc_coalesced += pending_insns.saturating_sub(1);
-        out.push(LirInsn::IncPc { imm: pending });
+        coalesced += pending_insns.saturating_sub(1);
+        keep(lir, LirInsn::IncPc { imm: pending });
     }
-    *lir = out;
+    lir.truncate(at);
+    coalesced
 }
 
 /// A candidate slot's access profile, collected over the whole unit.
@@ -349,7 +443,7 @@ struct SlotProfile {
 /// round-trip — so the pass prices each candidate set against
 /// [`crate::regalloc::allocate`] rather than guessing from instruction
 /// counts.
-fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg> {
+fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg> {
     // Locate the loop: exactly one back-edge whose header label precedes it.
     let mut back_edge = None;
     for (i, insn) in lir.iter().enumerate() {
@@ -480,7 +574,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     // hot slot whose carrier would be live through the body's worst window
     // can fail while a cooler slot whose loads already span that window
     // substitutes for free.
-    let base_spills = trial_spills(lir.clone(), &[]);
+    let base_spills = trial_spills(s, lir.clone(), &[]);
     let mut promoted: Vec<(i32, Vreg, bool)> = Vec::new(); // (offset, carrier, dirty)
     let mut dirty_count = 0usize;
     let mut id = next_id;
@@ -504,7 +598,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
         let mut trial = OptStats::default();
         apply_promotion(&mut rewritten, &promoted, header, be, &mut trial);
         let carriers: Vec<Vreg> = promoted.iter().map(|p| p.1).collect();
-        if trial_spills(rewritten, &carriers) > base_spills {
+        if trial_spills(s, rewritten, &carriers) > base_spills {
             promoted.pop();
         } else if p.dirty {
             dirty_count += 1;
@@ -522,12 +616,16 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
 /// model behind promotion's trial allocation.  Translation-time cost is a
 /// handful of extra linear passes per *looping* unit, which region
 /// formation already makes rare.
-fn trial_spills(mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u32 {
-    let mut scratch = OptStats::default();
-    forward_stores_to_loads(&mut lir, &mut scratch);
-    propagate_copies(&mut lir, &mut scratch, carriers);
-    eliminate_dead_stores(&mut lir, &mut scratch);
-    crate::regalloc::allocate(&lir).spill_slots
+fn trial_spills(s: &mut Scratch, mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u32 {
+    let mut discarded = OptStats::default();
+    s.opt.reset_values(lir.len());
+    for at in 0..lir.len() {
+        s.opt
+            .value_step(&mut lir, at, carriers, None, &mut discarded);
+    }
+    eliminate_dead_stores(&mut s.opt, &mut lir, &mut discarded);
+    crate::regalloc::allocate_into(&mut s.regalloc, &lir, &mut s.allocation);
+    s.allocation.spill_slots
 }
 
 /// The promotion rewrite for one settled carrier set: preheader entry
@@ -708,7 +806,7 @@ fn write_through_carriers(lir: &mut Vec<LirInsn>, carriers: &[Vreg]) {
 }
 
 /// Drops every instruction whose index `marked` selects.
-fn remove_marked(lir: &mut Vec<LirInsn>, marked: &[bool]) {
+pub(crate) fn remove_marked(lir: &mut Vec<LirInsn>, marked: &[bool]) {
     let mut idx = 0;
     lir.retain(|_| {
         idx += 1;
@@ -800,6 +898,7 @@ fn count_up(counts: &mut Vec<u32>, id: u32) {
 /// the invalidation that runs on *every* definition, and `held` makes that
 /// one indexed load unless the redefined register really is some fact's
 /// value.
+#[derive(Default)]
 struct SlotFacts {
     /// (offset, width, value): `value` describes the slot's content over
     /// `width` bytes, per the [`Stored`] semantics.  At most one per offset.
@@ -809,11 +908,10 @@ struct SlotFacts {
 }
 
 impl SlotFacts {
-    fn for_unit(lir: &[LirInsn]) -> Self {
-        SlotFacts {
-            facts: Vec::with_capacity(16),
-            held: vec![0; lir.len()],
-        }
+    /// Forgets everything, ready for a unit of `len` instructions.
+    fn reset(&mut self, len: usize) {
+        self.facts.clear();
+        refill(&mut self.held, len, 0);
     }
 
     fn get(&self, offset: i32) -> Option<(MemSize, Stored)> {
@@ -823,16 +921,20 @@ impl SlotFacts {
             .map(|&(_, width, value)| (width, value))
     }
 
-    /// Drops every fact `dies` selects.
+    /// Drops every fact `dies` selects.  (No two facts share an offset and
+    /// every query is by offset, byte range or value, so their order in the
+    /// list means nothing.)
     fn retain_not(&mut self, dies: impl Fn(&(i32, MemSize, Stored)) -> bool) {
-        let held = &mut self.held;
-        self.facts.retain(|f| {
-            let dies = dies(f);
-            if let (true, Stored::Reg { v, .. }) = (dies, f.2) {
-                held[v.id as usize] -= 1;
+        let mut at = 0;
+        while at < self.facts.len() {
+            if dies(&self.facts[at]) {
+                if let Stored::Reg { v, .. } = self.facts.swap_remove(at).2 {
+                    self.held[v.id as usize] -= 1;
+                }
+            } else {
+                at += 1;
             }
-            !dies
-        });
+        }
     }
 
     fn clear(&mut self) {
@@ -851,43 +953,66 @@ impl SlotFacts {
         }
     }
 
-    /// Installs the fact for `offset`, replacing any previous one.
-    fn insert(&mut self, offset: i32, width: MemSize, value: Stored) {
-        self.retain_not(|f| f.0 == offset);
+    /// Installs the fact for `offset`, which holds none (the caller's store
+    /// just killed every fact it overlaps, or its lookup found nothing).
+    fn install(&mut self, offset: i32, width: MemSize, value: Stored) {
         if let Stored::Reg { v, .. } = value {
             count_up(&mut self.held, v.id);
         }
         self.facts.push((offset, width, value));
     }
-}
 
-/// Forward pass: rewrite regfile loads whose slot value is still available
-/// in a virtual register (or as an immediate).  Values become available from
-/// *stores* (classic store-to-load forwarding) and from earlier *loads*
-/// (redundant-load reuse -- the workhorse inside stitched and looping
-/// regions, where the same guest register is otherwise re-loaded in every
-/// constituent).  Facts die at [`LirInsn::invalidates_regfile_values`]
-/// instructions; in particular a guest-memory *load* (which can fault but
-/// cannot rewrite a slot) keeps them alive, which is what lets forwarding
-/// survive the guest loads inside a hot loop body.
-fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
-    let mut slots = SlotFacts::for_unit(lir);
-    for insn in lir.iter_mut() {
-        // The fact this instruction newly establishes, installed only after
-        // the invalidation steps below (so it is not killed by its own
-        // definition).
-        let mut new_fact: Option<(i32, MemSize, Stored)> = None;
-        // Rewrite first: the load observes slot state from *before* this
-        // instruction executes.
-        if let LirInsn::Load {
-            dst,
-            addr,
-            size: size @ (MemSize::U32 | MemSize::U64),
-        } = *insn
-        {
-            if let Some(acc) = insn.regfile_load() {
-                debug_assert_eq!(acc.offset, addr.disp);
-                match (slots.get(acc.offset), size) {
+    /// A load that could not be forwarded defines `dst` from the slot at
+    /// `offset`: facts `dst` was the value of die with the definition, then
+    /// the load itself makes the slot's value available to later readers,
+    /// in place of the narrower fact `stale` says the slot still had.
+    fn loaded(&mut self, dst: Vreg, offset: i32, width: MemSize, stale: bool) {
+        self.kill_value(dst);
+        if stale {
+            self.retain_not(|f| f.0 == offset);
+        }
+        let value = Stored::Reg {
+            v: dst,
+            exact: true,
+        };
+        self.install(offset, width, value);
+    }
+
+    /// A store of `value` (when the width is one forwarding tracks) through
+    /// `addr`: a fixed slot's overlapping facts die and the new one is
+    /// installed; a computed address could alias any slot.
+    fn store(&mut self, addr: &LirMem, size: MemSize, value: Option<Stored>) {
+        let Some(acc) = LirInsn::fixed_regfile_slot(addr, size) else {
+            return self.clear();
+        };
+        self.kill_overlapping(&acc);
+        if let Some(value) = value {
+            self.install(acc.offset, size, value);
+        }
+    }
+
+    /// Store-to-load forwarding and redundant-load reuse (pass 1), one
+    /// instruction: rewrites a regfile load whose slot value is still
+    /// available in a virtual register (or as an immediate).  Values become
+    /// available from *stores* (classic store-to-load forwarding) and from
+    /// earlier *loads* (redundant-load reuse -- the workhorse inside
+    /// stitched and looping regions, where the same guest register is
+    /// otherwise re-loaded in every constituent).  Facts die at
+    /// [`LirInsn::invalidates_regfile_values`] instructions; in particular
+    /// a guest-memory *load* (which can fault but cannot rewrite a slot)
+    /// keeps them alive, which is what lets forwarding survive the guest
+    /// loads inside a hot loop body.
+    fn step(&mut self, insn: &mut LirInsn, def: Option<Vreg>, jit: &mut JitCounters) {
+        match *insn {
+            LirInsn::Load {
+                dst,
+                addr,
+                size: size @ (MemSize::U32 | MemSize::U64),
+            } if LirInsn::fixed_regfile_slot(&addr, size).is_some() => {
+                // Rewrite first: the load observes slot state from *before*
+                // it executes.
+                let known = self.get(addr.disp);
+                match (known, size) {
                     // Exact-width register match: the tracked value IS the
                     // loaded value (U64 entries are always exact; a U32
                     // entry must be, or the upper bits would differ).
@@ -896,7 +1021,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                         if v.class == VregClass::Gpr =>
                     {
                         *insn = LirInsn::MovReg { dst, src: v };
-                        stats.jit.opt_forwarded_loads += 1;
+                        jit.opt_forwarded_loads += 1;
                     }
                     // Cross-file forward: the slot's 64-bit value lives in a
                     // vector register's low lane (a U64 entry, or the first
@@ -905,23 +1030,22 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                         if v.class == VregClass::Xmm =>
                     {
                         *insn = LirInsn::XmmToGpr { dst, src: v };
-                        stats.jit.opt_fp_forwarded += 1;
+                        jit.opt_fp_forwarded += 1;
                     }
-                    // Exact-width low-bits match (a 32-bit store of a
-                    // 64-bit register): the zero-extension is made explicit.
+                    // Low bits only — a 32-bit store of a 64-bit register,
+                    // or a 32-bit load of a 64-bit slot's low half (the
+                    // W-register read of an X-register write; little-endian
+                    // low half == same offset): the zero-extension is made
+                    // explicit.
                     (Some((MemSize::U32, Stored::Reg { v, exact: false })), MemSize::U32) => {
                         *insn = LirInsn::MovZx {
                             dst,
                             src: v,
                             size: MemSize::U32,
                         };
-                        stats.jit.opt_forwarded_loads += 1;
-                        stats.jit.opt_partial_forwarded += 1;
+                        jit.opt_forwarded_loads += 1;
+                        jit.opt_partial_forwarded += 1;
                     }
-                    // Partial width: a 32-bit load of a 64-bit slot's low
-                    // half (the W-register read of an X-register write)
-                    // forwards with the zero-extension mask made explicit.
-                    // Little-endian low half == same offset.
                     (Some((MemSize::U64, Stored::Reg { v, .. })), MemSize::U32)
                         if v.class == VregClass::Gpr =>
                     {
@@ -930,45 +1054,36 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                             src: v,
                             size: MemSize::U32,
                         };
-                        stats.jit.opt_forwarded_loads += 1;
-                        stats.jit.opt_partial_forwarded += 1;
+                        jit.opt_forwarded_loads += 1;
+                        jit.opt_partial_forwarded += 1;
                     }
                     (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U64)
                     | (Some((MemSize::U32, Stored::Imm(imm))), MemSize::U32) => {
                         *insn = LirInsn::MovImm { dst, imm };
-                        stats.jit.opt_forwarded_loads += 1;
+                        jit.opt_forwarded_loads += 1;
                     }
                     (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U32) => {
                         *insn = LirInsn::MovImm {
                             dst,
                             imm: imm & MemSize::U32.mask(),
                         };
-                        stats.jit.opt_forwarded_loads += 1;
-                        stats.jit.opt_partial_forwarded += 1;
+                        jit.opt_forwarded_loads += 1;
+                        jit.opt_partial_forwarded += 1;
                     }
-                    // Unforwardable (no entry, or an entry narrower than the
-                    // load): the load itself now makes the slot's value
-                    // available for later readers.
-                    _ => {
-                        new_fact = Some((
-                            acc.offset,
-                            size,
-                            Stored::Reg {
-                                v: dst,
-                                exact: true,
-                            },
-                        ));
-                    }
+                    // Unforwardable: no entry, or one narrower than the load.
+                    _ => return self.loaded(dst, addr.disp, size, known.is_some()),
                 }
+                self.kill_value(dst);
             }
-        }
-        // Vector loads forward the same way: a matching vector entry becomes
-        // a register move (the U64 form of `MovXmm` zeroes the upper lane,
-        // exactly like the load it replaces), and a 64-bit GPR entry crosses
-        // the file with a `movq`-style transfer.
-        if let LirInsn::LoadXmm { dst, addr: _, size } = *insn {
-            if let Some(acc) = insn.regfile_load() {
-                match (slots.get(acc.offset), size) {
+            // Vector loads forward the same way: a matching vector entry
+            // becomes a register move (the U64 form of `MovXmm` zeroes the
+            // upper lane, exactly like the load it replaces), and a 64-bit
+            // GPR entry crosses the file with a `movq`-style transfer.
+            LirInsn::LoadXmm { dst, addr, size }
+                if LirInsn::fixed_regfile_slot(&addr, size).is_some() =>
+            {
+                let known = self.get(addr.disp);
+                match (known, size) {
                     // A U128 entry covers any load width at the slot; a U64
                     // entry only a U64 load (its upper lane is unspecified).
                     (
@@ -983,139 +1098,58 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
                             src: v,
                             size: sz,
                         };
-                        stats.jit.opt_fp_forwarded += 1;
+                        jit.opt_fp_forwarded += 1;
                     }
                     (Some((MemSize::U64, Stored::Reg { v, exact: true })), MemSize::U64)
                         if v.class == VregClass::Gpr =>
                     {
                         *insn = LirInsn::GprToXmm { dst, src: v };
-                        stats.jit.opt_fp_forwarded += 1;
+                        jit.opt_fp_forwarded += 1;
                     }
                     _ if matches!(size, MemSize::U64 | MemSize::U128) => {
-                        new_fact = Some((
-                            acc.offset,
-                            size,
-                            Stored::Reg {
-                                v: dst,
-                                exact: true,
-                            },
-                        ));
+                        return self.loaded(dst, addr.disp, size, known.is_some());
                     }
                     _ => {}
                 }
+                self.kill_value(dst);
             }
-        }
-        if insn.invalidates_regfile_values() {
-            slots.clear();
-        } else if let Some(acc) = insn.regfile_store() {
-            // Any overlapping byte is rewritten: drop stale entries.
-            slots.kill_overlapping(&acc);
-            match (&*insn, acc.size) {
-                (LirInsn::Store { src, .. }, MemSize::U64) => {
-                    new_fact = Some((
-                        acc.offset,
-                        MemSize::U64,
-                        Stored::Reg {
-                            v: *src,
-                            exact: true,
-                        },
-                    ));
-                }
-                // A 32-bit store truncates: only the low bits match.
-                (LirInsn::Store { src, .. }, MemSize::U32) => {
-                    new_fact = Some((
-                        acc.offset,
-                        MemSize::U32,
-                        Stored::Reg {
-                            v: *src,
-                            exact: false,
-                        },
-                    ));
-                }
-                (LirInsn::StoreImm { imm, .. }, sz @ (MemSize::U32 | MemSize::U64)) => {
-                    new_fact = Some((acc.offset, sz, Stored::Imm(*imm & sz.mask())));
-                }
-                // A vector store leaves the slot's value in the source
-                // vector register: U128 covers the whole entry, U64 just the
-                // low lane (`exact: false` records the unspecified upper
-                // lane, though no vector rewrite consults it).
-                (LirInsn::StoreXmm { src, .. }, sz @ (MemSize::U64 | MemSize::U128)) => {
-                    new_fact = Some((
-                        acc.offset,
-                        sz,
-                        Stored::Reg {
-                            v: *src,
-                            exact: sz == MemSize::U128,
-                        },
-                    ));
-                }
-                // Narrower-than-32-bit stores only invalidate.
-                _ => {}
+            // A 32-bit store truncates: only the low bits match.  Narrower
+            // stores only invalidate.
+            LirInsn::Store { src, addr, size } => {
+                let exact = size == MemSize::U64;
+                let tracked = matches!(size, MemSize::U32 | MemSize::U64);
+                self.store(
+                    &addr,
+                    size,
+                    tracked.then_some(Stored::Reg { v: src, exact }),
+                );
             }
-        }
-        // A redefined virtual register no longer holds the stored value
-        // (two-address ALU/vector operations mutate in place).
-        if let Some(d) = insn.def() {
-            slots.kill_value(d);
-        }
-        if let Some((off, width, value)) = new_fact {
-            slots.insert(off, width, value);
-        }
-    }
-}
-
-/// Straight-line copy propagation: rewrites pure-source uses of a `MovReg`
-/// destination to the copy's origin, so the forwarding pass's `MovReg`s
-/// (and the emitter's own copy chains) become dead and the allocator's
-/// iterative DCE can sweep them.
-///
-/// The copy map is invalidated conservatively:
-///
-/// * any definition of a register drops entries it keys *or* feeds (a
-///   redefined origin no longer holds the copied value; two-address ALU
-///   mutation is a definition);
-/// * `Label` clears the map — the passes are straight-line and do not
-///   reason across join points (a forward `Jcc`/`Jmp` leaves the
-///   fall-through state intact; its target label is where states merge and
-///   reset);
-/// * only GPR-to-GPR copies are tracked, and chains are collapsed at record
-///   time (`dst -> root(src)`), so a rewrite never exposes a new map key.
-///
-/// Destination operands of read-modify-write instructions are never
-/// rewritten ([`LirInsn::map_pure_uses`] skips them by construction).
-///
-/// `pinned` holds the promotion pass's carrier registers: a copy *keyed* by
-/// a carrier is never recorded.  Folding one would rewrite the carrier's
-/// readers — above all the compensation stores — to the copied value,
-/// leaving the carrier's own update dead; DCE would then sweep it and
-/// fault-time materialisation would write a stale register back to the
-/// slot.  The carrier invariant (carrier == architectural slot value at
-/// every instruction boundary) must survive every later pass.
-fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) {
-    let mut copies = CopyMap::for_unit(lir);
-    for insn in lir.iter_mut() {
-        // Rewrite first: the instruction reads register state from *before*
-        // it executes.  One traversal substitutes every pending copy (the
-        // map is flat, so a single lookup per operand suffices).
-        if copies.live > 0 {
-            stats.jit.opt_copies_folded += insn.map_pure_uses(&mut |v| copies.get(v)) as u64;
-        }
-        if matches!(insn, LirInsn::Label { .. }) {
-            copies.clear();
-            continue;
-        }
-        if let Some(d) = insn.def() {
-            copies.kill(d);
-        }
-        if let LirInsn::MovReg { dst, src } = *insn {
-            if dst.class == VregClass::Gpr
-                && src.class == VregClass::Gpr
-                && dst != src
-                && !pinned.contains(&dst)
-            {
-                // `src` was already rewritten to its root above, so the map
-                // stays flat: no value is ever another entry's key.
-                copies.insert(dst, src);
+            LirInsn::StoreImm { imm, addr, size } => {
+                let tracked = matches!(size, MemSize::U32 | MemSize::U64);
+                self.store(&addr, size, tracked.then(|| Stored::Imm(imm & size.mask())));
+            }
+            // A vector store leaves the slot's value in the source vector
+            // register: U128 covers the whole entry, U64 just the low lane
+            // (`exact: false` records the unspecified upper lane, though no
+            // vector rewrite consults it).
+            LirInsn::StoreXmm { src, addr, size } => {
+                let exact = size == MemSize::U128;
+                let tracked = matches!(size, MemSize::U64 | MemSize::U128);
+                self.store(
+                    &addr,
+                    size,
+                    tracked.then_some(Stored::Reg { v: src, exact }),
+                );
+            }
+            _ => {
+                if insn.invalidates_regfile_values() {
+                    self.clear();
+                }
+                // A redefined virtual register no longer holds the stored
+                // value (two-address ALU/vector operations mutate in place).
+                if let Some(d) = def {
+                    self.kill_value(d);
+                }
             }
         }
     }
@@ -1126,33 +1160,35 @@ fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) 
 /// the redefined register keys *or* feeds; `feeds` counts the latter per
 /// register so that the common definition — of a register nothing was
 /// copied from — costs two indexed loads instead of a sweep.
+#[derive(Default)]
 struct CopyMap {
-    /// `origin[id]`: the register GPR vreg `id` currently is a copy of.
-    origin: Vec<Option<Vreg>>,
+    /// `origin[id]`: `None` while `id` is not in `keys`; `Some(None)` for a
+    /// listed id whose entry was dropped; `Some(Some(o))` when GPR vreg `id`
+    /// currently is a copy of `o`.
+    origin: Vec<Option<Option<Vreg>>>,
     /// `feeds[id]`: how many entries have GPR vreg `id` as their origin.
     feeds: Vec<u32>,
-    /// Ids recorded since the last clear (stale ones included), so a sweep
-    /// or a clear visits the entries rather than the whole id space.
+    /// Ids recorded since the last clear, each once; a sweep drops the ones
+    /// whose entry is gone, so it visits entries, not history.
     keys: Vec<u32>,
     /// Number of entries.
     live: usize,
 }
 
 impl CopyMap {
-    fn for_unit(lir: &[LirInsn]) -> Self {
-        CopyMap {
-            origin: vec![None; lir.len()],
-            feeds: vec![0; lir.len()],
-            keys: Vec::with_capacity(16),
-            live: 0,
-        }
+    /// Forgets everything, ready for a unit of `len` instructions.
+    fn reset(&mut self, len: usize) {
+        refill(&mut self.origin, len, None);
+        refill(&mut self.feeds, len, 0);
+        self.keys.clear();
+        self.live = 0;
     }
 
     fn get(&self, v: Vreg) -> Option<Vreg> {
         if v.class != VregClass::Gpr {
             return None;
         }
-        self.origin.get(v.id as usize).copied().flatten()
+        self.origin.get(v.id as usize).copied().flatten().flatten()
     }
 
     /// Records `dst` as a copy of `src` (both GPR-class; `dst` holds no
@@ -1162,9 +1198,11 @@ impl CopyMap {
         if at >= self.origin.len() {
             self.origin.resize(at + 1, None);
         }
-        self.origin[at] = Some(src);
+        if self.origin[at].is_none() {
+            self.keys.push(dst.id);
+        }
+        self.origin[at] = Some(Some(src));
         count_up(&mut self.feeds, src.id);
-        self.keys.push(dst.id);
         self.live += 1;
     }
 
@@ -1174,58 +1212,145 @@ impl CopyMap {
         if d.class != VregClass::Gpr {
             return; // keys and origins are all GPR-class
         }
-        if let Some(o) = self.origin.get_mut(d.id as usize).and_then(Option::take) {
-            self.feeds[o.id as usize] -= 1;
-            self.live -= 1;
+        if let Some(slot) = self.origin.get_mut(d.id as usize) {
+            if let Some(Some(o)) = *slot {
+                self.feeds[o.id as usize] -= 1;
+                *slot = Some(None);
+                self.live -= 1;
+            }
         }
         if self.feeds.get(d.id as usize).is_some_and(|n| *n > 0) {
-            for &k in &self.keys {
-                let entry = &mut self.origin[k as usize];
-                if *entry == Some(d) {
-                    *entry = None;
-                    self.live -= 1;
+            let (origin, live) = (&mut self.origin, &mut self.live);
+            // Entries fed by `d` die; they and the ids whose entry was
+            // dropped earlier leave the list.
+            self.keys.retain(|&k| {
+                let slot = &mut origin[k as usize];
+                if *slot == Some(Some(d)) {
+                    *live -= 1;
+                    *slot = Some(None);
                 }
-            }
+                if *slot == Some(None) {
+                    *slot = None;
+                }
+                slot.is_some()
+            });
             self.feeds[d.id as usize] = 0;
         }
     }
 
     fn clear(&mut self) {
         for k in self.keys.drain(..) {
-            if let Some(o) = self.origin[k as usize].take() {
+            if let Some(Some(o)) = self.origin[k as usize].take() {
                 self.feeds[o.id as usize] = 0;
             }
         }
         self.live = 0;
     }
-}
 
-/// Backward pass: delete regfile stores whose every byte is rewritten by
-/// later stores before any observer or load can see them.
-fn eliminate_dead_stores(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
-    // Disjoint, sorted byte intervals of the regfile that are fully
-    // overwritten later in the unit with no intervening observer.
-    let mut covered: Vec<(i32, i32)> = Vec::new();
-    let mut dead = vec![false; lir.len()];
-    for (i, insn) in lir.iter().enumerate().rev() {
-        if insn.observes_regfile() {
-            covered.clear();
-            continue;
+    /// Straight-line copy propagation (pass 2), one instruction: rewrites
+    /// pure-source uses of a `MovReg` destination to the copy's origin, so
+    /// the forwarding pass's `MovReg`s (and the emitter's own copy chains)
+    /// become dead and the allocator's iterative DCE can sweep them.
+    ///
+    /// The copy map is invalidated conservatively:
+    ///
+    /// * any definition of a register drops entries it keys *or* feeds (a
+    ///   redefined origin no longer holds the copied value; two-address ALU
+    ///   mutation is a definition);
+    /// * `Label` clears the map — the passes are straight-line and do not
+    ///   reason across join points (a forward `Jcc`/`Jmp` leaves the
+    ///   fall-through state intact; its target label is where states merge
+    ///   and reset);
+    /// * only GPR-to-GPR copies are tracked, and chains are collapsed at
+    ///   record time (`dst -> root(src)`), so a rewrite never exposes a new
+    ///   map key.
+    ///
+    /// Destination operands of read-modify-write instructions are never
+    /// rewritten ([`LirInsn::map_pure_uses`] skips them by construction).
+    ///
+    /// `pinned` holds the promotion pass's carrier registers: a copy *keyed*
+    /// by a carrier is never recorded.  Folding one would rewrite the
+    /// carrier's readers — above all the compensation stores — to the
+    /// copied value, leaving the carrier's own update dead; DCE would then
+    /// sweep it and fault-time materialisation would write a stale register
+    /// back to the slot.  The carrier invariant (carrier == architectural
+    /// slot value at every instruction boundary) must survive every later
+    /// pass.
+    fn step(
+        &mut self,
+        insn: &mut LirInsn,
+        def: Option<Vreg>,
+        pinned: &[Vreg],
+        jit: &mut JitCounters,
+    ) {
+        // Rewrite first: the instruction reads register state from *before*
+        // it executes.  One traversal substitutes every pending copy (the
+        // map is flat, so a single lookup per operand suffices).
+        if self.live > 0 {
+            jit.opt_copies_folded += insn.map_pure_uses(&mut |v| self.get(v)) as u64;
         }
-        if let Some(acc) = insn.regfile_load() {
-            subtract_interval(&mut covered, acc.start(), acc.end());
-            continue;
+        if matches!(insn, LirInsn::Label { .. }) {
+            return self.clear();
         }
-        if let Some(acc) = insn.regfile_store() {
-            if is_covered(&covered, acc.start(), acc.end()) {
-                dead[i] = true;
-                stats.jit.opt_dead_stores += 1;
-            } else {
-                add_interval(&mut covered, acc.start(), acc.end());
+        if let Some(d) = def {
+            self.kill(d);
+        }
+        if let LirInsn::MovReg { dst, src } = *insn {
+            if dst.class == VregClass::Gpr
+                && src.class == VregClass::Gpr
+                && dst != src
+                && !pinned.contains(&dst)
+            {
+                // `src` was already rewritten to its root above, so the map
+                // stays flat: no value is ever another entry's key.
+                self.insert(dst, src);
             }
         }
     }
-    remove_marked(lir, &dead);
+}
+
+/// Dead regfile-store elimination (pass 3), the backward walk: deletes
+/// regfile stores whose every byte is rewritten by later stores before any
+/// observer or load can see them.
+fn eliminate_dead_stores(s: &mut OptScratch, lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
+    // Disjoint, sorted byte intervals of the regfile that are fully
+    // overwritten later in the unit with no intervening observer.
+    let covered = &mut s.covered;
+    covered.clear();
+    refill(&mut s.marks, lir.len(), false);
+    let before = stats.jit.opt_dead_stores;
+    for (i, insn) in lir.iter().enumerate().rev() {
+        // One classification per instruction: a fixed-slot load, a
+        // fixed-slot store, an observer (a computed-address access among
+        // them) or none of these.
+        match insn {
+            LirInsn::Load { addr, size, .. }
+            | LirInsn::LoadSx { addr, size, .. }
+            | LirInsn::LoadXmm { addr, size, .. } => {
+                match LirInsn::fixed_regfile_slot(addr, *size) {
+                    Some(acc) => subtract_interval(covered, acc.start(), acc.end()),
+                    None => covered.clear(),
+                }
+            }
+            LirInsn::Store { addr, size, .. }
+            | LirInsn::StoreImm { addr, size, .. }
+            | LirInsn::StoreXmm { addr, size, .. } => {
+                match LirInsn::fixed_regfile_slot(addr, *size) {
+                    Some(acc) if is_covered(covered, acc.start(), acc.end()) => {
+                        s.marks[i] = true;
+                        stats.jit.opt_dead_stores += 1;
+                    }
+                    Some(acc) => add_interval(covered, acc.start(), acc.end()),
+                    None => covered.clear(),
+                }
+            }
+            _ if insn.observes_regfile() => covered.clear(),
+            _ => {}
+        }
+    }
+    if stats.jit.opt_dead_stores > before {
+        remove_marked(lir, &s.marks);
+    }
 }
 
 /// True when `[start, end)` lies entirely inside the covered set (the set is
@@ -1252,30 +1377,69 @@ fn add_interval(covered: &mut Vec<(i32, i32)>, start: i32, end: i32) {
 }
 
 /// Removes `[start, end)` from the covered set (a load punches a hole: those
-/// bytes are observed before any later covering store).
+/// bytes are observed before any later covering store).  The set is
+/// disjoint and sorted, so at most one interval straddles the hole with a
+/// piece to keep on each side; every other interval is kept, trimmed or
+/// dropped where it stands.
 fn subtract_interval(covered: &mut Vec<(i32, i32)>, start: i32, end: i32) {
-    if !covered.iter().any(|&(s, e)| s < end && start < e) {
-        return; // nothing covered there (the common case): no rebuild
+    if let Some(at) = covered.iter().position(|&(s, e)| s < start && end < e) {
+        let right = (end, covered[at].1);
+        covered[at].1 = start;
+        return covered.insert(at + 1, right);
     }
-    let mut result = Vec::with_capacity(covered.len() + 1);
-    for &(s, e) in covered.iter() {
-        if e <= start || end <= s {
-            result.push((s, e));
+    covered.retain_mut(|(s, e)| {
+        if *e <= start || end <= *s {
+            return true;
+        }
+        if *s < start {
+            *e = start;
+        } else if end < *e {
+            *s = end;
         } else {
-            if s < start {
-                result.push((s, start));
-            }
-            if end < e {
-                result.push((end, e));
-            }
+            return false;
+        }
+        true
+    });
+}
+
+/// The forward passes one at a time, each its step under a loop of its own:
+/// what the unit tests drive, and what [`optimize`]'s one walk is held to.
+#[cfg(test)]
+mod single_pass {
+    use super::*;
+
+    pub(super) fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
+        stats.jit.opt_pc_coalesced += batch_pc_updates(lir, |_, _| {});
+    }
+
+    pub(super) fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
+        let mut slots = SlotFacts::default();
+        slots.reset(lir.len());
+        for insn in lir.iter_mut() {
+            slots.step(insn, insn.def(), &mut stats.jit);
         }
     }
-    *covered = result;
+
+    pub(super) fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) {
+        let mut copies = CopyMap::default();
+        copies.reset(lir.len());
+        for insn in lir.iter_mut() {
+            copies.step(insn, insn.def(), pinned, &mut stats.jit);
+        }
+    }
+
+    pub(super) fn eliminate_dead_stores(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
+        super::eliminate_dead_stores(&mut OptScratch::default(), lir, stats);
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::single_pass::{
+        coalesce_pc_updates, eliminate_dead_stores, forward_stores_to_loads, propagate_copies,
+    };
     use super::*;
+    use crate::counters::CounterField;
     use crate::lir::{LirMem, LirOperand, VregClass};
     use hvm::{AluOp, Cond};
 
@@ -1804,6 +1968,12 @@ mod tests {
         assert_eq!(c, vec![(0, 8), (16, 24)]);
         assert!(!is_covered(&c, 4, 12));
         assert!(is_covered(&c, 16, 24));
+        // One hole that trims both neighbours and swallows what lies between.
+        let mut c = vec![(0, 8), (10, 12), (16, 24)];
+        subtract_interval(&mut c, 4, 20);
+        assert_eq!(c, vec![(0, 4), (20, 24)]);
+        subtract_interval(&mut c, 30, 40);
+        assert_eq!(c, vec![(0, 4), (20, 24)], "nothing covered there");
     }
 
     fn xv(id: u32) -> Vreg {
@@ -2411,5 +2581,114 @@ mod tests {
         assert!(lir
             .iter()
             .any(|i| matches!(i, LirInsn::XmmToGpr { dst, src } if *dst == v(3) && *src == xv(2))));
+    }
+
+    #[test]
+    fn a_sweep_unlists_the_copies_it_and_earlier_kills_dropped() {
+        // A long straight line that keeps recording a copy and redefining
+        // its origin: every redefinition sweeps the key list, so the list
+        // must hold the live entries, not every copy ever recorded.
+        let mut copies = CopyMap::default();
+        copies.reset(8);
+        let mut jit = JitCounters::default();
+        let mut step = |copies: &mut CopyMap, mut insn: LirInsn| {
+            let def = insn.def();
+            copies.step(&mut insn, def, &[], &mut jit);
+        };
+        step(&mut copies, mov(7, 6)); // stays live throughout
+        for round in 0..1_000u32 {
+            let dst = 2 + round % 3;
+            step(&mut copies, mov(dst, 1));
+            assert_eq!(copies.get(v(dst)), Some(v(1)));
+            step(&mut copies, LirInsn::MovImm { dst: v(1), imm: 0 });
+            assert_eq!(copies.get(v(dst)), None);
+            assert_eq!((copies.live, copies.keys.len()), (1, 1), "round {round}");
+        }
+        assert_eq!(copies.get(v(7)), Some(v(6)));
+        // A key redefined without a sweep stays listed once, however often
+        // it is recorded again.
+        for _ in 0..10 {
+            step(&mut copies, mov(5, 6));
+        }
+        assert_eq!((copies.live, copies.keys.len()), (2, 2));
+    }
+
+    /// `optimize`'s route through the passes, one whole-unit pass at a time.
+    fn optimize_pass_by_pass(
+        lir: &mut Vec<LirInsn>,
+        promote: bool,
+        idioms: Option<&RuleTable>,
+    ) -> OptStats {
+        let mut stats = OptStats::default();
+        if let Some(table) = idioms {
+            crate::idiom::apply_early(lir, table, &mut stats.idioms);
+        }
+        coalesce_pc_updates(lir, &mut stats);
+        let carriers = if promote {
+            crate::with_scratch(|s| promote_loop_slots(s, lir, &mut stats))
+        } else {
+            Vec::new()
+        };
+        forward_stores_to_loads(lir, &mut stats);
+        propagate_copies(lir, &mut stats, &carriers);
+        if let Some(table) = idioms {
+            crate::idiom::fold_addressing(lir, table, &mut stats.idioms);
+        }
+        eliminate_dead_stores(lir, &mut stats);
+        if !carriers.is_empty() {
+            write_through_carriers(lir, &carriers);
+        }
+        stats
+    }
+
+    #[test]
+    fn the_forward_walk_is_the_passes_run_one_after_the_other() {
+        // A test of the *driver*: each pass has one body, its step, and the
+        // loops above run the same steps a pass at a time.
+        let table = RuleTable::full();
+        // An address chain for the folding step, ahead of every unit.
+        let chain = [
+            load(900, 0),
+            load(901, 8),
+            mov(902, 900),
+            add(902, LirOperand::Vreg(v(901))),
+            guest_load(903, 902),
+            store(903, 16),
+        ];
+        let mut fired = OptStats::default();
+        let mut promoted = 0;
+        for seed in 1..150u64 {
+            for shape in 0..6 {
+                let mut unit = chain.to_vec();
+                unit.extend(crate::regalloc_reference::tests::unit(
+                    seed * 0x9E37_79B9,
+                    shape,
+                    3 + seed % 45,
+                    20 + seed % 100,
+                ));
+                for (promote, idioms) in [
+                    (false, None),
+                    (false, Some(&table)),
+                    (true, Some(&table)),
+                    (true, None),
+                ] {
+                    let mut walked = unit.clone();
+                    let stats = optimize(&mut walked, promote, idioms);
+                    let mut stepped = unit.clone();
+                    let expected = optimize_pass_by_pass(&mut stepped, promote, idioms);
+                    assert_eq!(walked, stepped, "shape {shape}, seed {seed}, {promote}");
+                    assert_eq!(stats, expected, "shape {shape}, seed {seed}, {promote}");
+                    fired.jit.add(&stats.jit);
+                    fired.idioms.merge(&stats.idioms);
+                    promoted += stats.promoted.len();
+                }
+            }
+        }
+        // Every step had something to do, on both of `optimize`'s routes.
+        let jit = fired.jit;
+        assert!(jit.opt_pc_coalesced > 100 && jit.opt_forwarded_loads > 100);
+        assert!(jit.opt_copies_folded > 100 && jit.opt_dead_stores > 100);
+        assert!(fired.idioms.fused[crate::idiom::RuleKind::AddrFold.index()] > 100);
+        assert!(jit.opt_promoted_slots > 10 && promoted > 0, "{jit:?}");
     }
 }

@@ -1,9 +1,9 @@
 //! Register allocation over the low-level IR.
 //!
-//! As in the paper (Section 2.3.3): a dead-code pass first marks
-//! instructions whose results cannot be observed, a forward pass over the
-//! surviving instructions discovers live ranges, and a linear scan assigns
-//! host registers (splitting to spill slots when the pool is exhausted).
+//! As in the paper (Section 2.3.3): a dead-code pass marks instructions
+//! whose results cannot be observed and, in the same walk, discovers the
+//! live ranges of the surviving ones, and a linear scan assigns host
+//! registers (splitting to spill slots when the pool is exhausted).
 //! The algorithm favours speed over optimality — it is part of the
 //! JIT-latency budget measured in Fig. 20.
 //!
@@ -55,6 +55,20 @@
 //! every execution, and this O(1)-per-range step removes the ones that cost
 //! nothing to remove.
 //!
+//! # Two walks, one scratch
+//!
+//! [`allocate`] walks the unit twice.  **Forward** once
+//! ([`AllocScratch::scan`]): both id bounds, where every label sits and
+//! which jumps go backward — labels and jumps are never dead, so none of it
+//! waits for liveness.  **Backward** once per fixpoint pass
+//! ([`AllocScratch::mark_dead`]): the dead marks and, in the same visit of
+//! each kept instruction, every vreg's first and last occurrence — reset at
+//! the top of every pass, so what the table holds at the end was recorded
+//! under the very decisions the marks record.  Everything after works on
+//! live ranges, not instructions.  Every table involved lives in the crate's
+//! per-thread scratch ([`crate::with_scratch`]: *capacity, never facts*),
+//! resized and re-zeroed to the unit at hand.
+//!
 //! # Id-indexed bookkeeping
 //!
 //! Every per-operand lookup here is an index, not a hash: the emitter hands
@@ -67,7 +81,8 @@
 //! counters, so hand-written units with sparse or large ids allocate
 //! correctly and merely pay for the gap.
 
-use crate::lir::{vreg_id_bound, LirInsn, Vreg, VregClass, GPR_POOL};
+use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
+use crate::refill;
 use hvm::{Gpr, Xmm};
 
 /// Vector registers available to the allocator (the top three are reserved
@@ -141,32 +156,21 @@ pub struct Allocation {
 }
 
 /// Live range of one virtual register (instruction indices, inclusive).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Range {
     vreg: Vreg,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
-/// The label a control-flow instruction binds or targets.
-fn label_ref(insn: &LirInsn) -> Option<u32> {
+/// The label a control-flow instruction targets.
+fn jump_target(insn: &LirInsn) -> Option<u32> {
     match insn {
-        LirInsn::Label { id: label }
-        | LirInsn::Jmp { label }
-        | LirInsn::Jcc { label, .. }
-        | LirInsn::BackEdge { label, .. } => Some(*label),
+        LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } | LirInsn::BackEdge { label, .. } => {
+            Some(*label)
+        }
         _ => None,
     }
-}
-
-/// One past the largest label id `lir` binds or targets: the size of every
-/// label-indexed table.
-fn label_bound(lir: &[LirInsn]) -> usize {
-    lir.iter()
-        .filter_map(label_ref)
-        .map(|l| l as usize + 1)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Table sizes for one unit: one past the largest virtual-register id and
@@ -174,15 +178,6 @@ fn label_bound(lir: &[LirInsn]) -> usize {
 struct IdBounds {
     vregs: usize,
     labels: usize,
-}
-
-impl IdBounds {
-    fn scan(lir: &[LirInsn]) -> Self {
-        IdBounds {
-            vregs: vreg_id_bound(lir) as usize,
-            labels: label_bound(lir),
-        }
-    }
 }
 
 /// `dst |= src`, word-wise; true when any word of `dst` changed.
@@ -201,6 +196,7 @@ fn union_into(dst: &mut [u64], src: &[u64]) -> bool {
 /// label, one flat table) plus whether the host flags are demanded there.
 /// Grows monotonically across fixpoint passes; a label no pass has reached
 /// reads as bottom (nothing live, no demand).
+#[derive(Default)]
 struct LabelStates {
     words: usize,
     live: Vec<u64>,
@@ -212,14 +208,11 @@ struct LabelStates {
 }
 
 impl LabelStates {
-    fn new(bounds: &IdBounds) -> Self {
-        let words = bounds.vregs.div_ceil(64);
-        LabelStates {
-            words,
-            live: vec![0; bounds.labels * words],
-            flags: vec![false; bounds.labels],
-            recorded_in: vec![0; bounds.labels],
-        }
+    fn reset(&mut self, bounds: &IdBounds) {
+        self.words = bounds.vregs.div_ceil(64);
+        refill(&mut self.live, bounds.labels * self.words, 0);
+        refill(&mut self.flags, bounds.labels, false);
+        refill(&mut self.recorded_in, bounds.labels, 0);
     }
 
     fn live(&self, label: u32) -> &[u64] {
@@ -242,135 +235,223 @@ impl LabelStates {
     }
 }
 
-/// Iterative dead-code marking: backward liveness over virtual registers and
-/// host flags, repeated to a fixpoint over the unit's labels.  See the
-/// module docs for the rules.
-fn mark_dead(lir: &[LirInsn], bounds: &IdBounds) -> Vec<bool> {
-    let mut labels = LabelStates::new(bounds);
-    let mut dead = vec![false; lir.len()];
-    let mut live = vec![0u64; labels.words];
-    let mut scratch = Vec::with_capacity(4);
-    let mut pass = 0u32;
-    loop {
-        pass += 1;
-        let mut changed = false;
-        let mut backward_jump = false;
-        live.fill(0);
-        // Whether some later kept instruction reads the host flags before a
-        // kept writer overwrites them.
-        let mut flags_demanded = false;
-        for (i, insn) in lir.iter().enumerate().rev() {
-            // Successor merge: control flow replaces or widens the linear
-            // state.  Forward targets were recorded earlier in this pass;
-            // backward targets (loop back-edges) carry the previous pass's
-            // state, which is what the outer fixpoint loop converges.
-            match insn {
-                LirInsn::Jmp { label } => {
-                    // The label is the sole successor.
-                    backward_jump |= labels.recorded_in[*label as usize] != pass;
-                    live.copy_from_slice(labels.live(*label));
-                    flags_demanded = labels.flags[*label as usize];
+/// Every table [`allocate`] works in (see [`crate::with_scratch`]).
+#[derive(Default)]
+pub(crate) struct AllocScratch {
+    labels: LabelStates,
+    live: Vec<u64>,
+    /// First and last surviving occurrence per vreg id.
+    occurrences: Vec<Option<Range>>,
+    /// Position per label id.
+    label_pos: Vec<Option<u32>>,
+    /// (header position, jump position) of every backward jump.
+    back_jumps: Vec<(u32, u32)>,
+    ranges: Vec<Range>,
+    active_gpr: Vec<(u32, Gpr)>,
+    active_xmm: Vec<(u32, Xmm)>,
+    free_gpr: Vec<Gpr>,
+    free_xmm: Vec<Xmm>,
+}
+
+impl AllocScratch {
+    /// The forward walk: both id bounds, where every label sits and which
+    /// jumps go backward (to a label already bound: each is bound once).
+    /// Labels and jumps are never dead, so none of this waits for
+    /// [`AllocScratch::mark_dead`].
+    fn scan(&mut self, lir: &[LirInsn]) -> IdBounds {
+        let mut vregs = 0u32;
+        let mut labels = 0usize;
+        self.label_pos.clear();
+        self.back_jumps.clear();
+        for (i, insn) in lir.iter().enumerate() {
+            insn.visit_uses(|v| vregs = vregs.max(v.id + 1));
+            if let Some(d) = insn.def() {
+                vregs = vregs.max(d.id + 1);
+            }
+            if let LirInsn::Label { id } = insn {
+                let id = *id as usize;
+                if id >= self.label_pos.len() {
+                    self.label_pos.resize(id + 1, None);
                 }
-                LirInsn::BackEdge {
-                    label, reconcile, ..
-                } => {
-                    // The machine *falls through* a yielding back-edge when
-                    // `reconcile` is set (into the compensation block the
-                    // promotion pass placed right after it), so that path is
-                    // a second successor and its state — the carriers the
-                    // compensation stores read — must stay live.
-                    backward_jump |= labels.recorded_in[*label as usize] != pass;
-                    if *reconcile {
-                        union_into(&mut live, labels.live(*label));
-                        flags_demanded |= labels.flags[*label as usize];
-                    } else {
+                self.label_pos[id] = Some(i as u32);
+            } else if let Some(label) = jump_target(insn) {
+                labels = labels.max(label as usize + 1);
+                if let Some(p) = self.label_pos.get(label as usize).copied().flatten() {
+                    self.back_jumps.push((p, i as u32));
+                }
+            }
+        }
+        IdBounds {
+            vregs: vregs as usize,
+            labels: labels.max(self.label_pos.len()),
+        }
+    }
+
+    /// Iterative dead-code marking: backward liveness over virtual registers
+    /// and host flags, repeated to a fixpoint over the unit's labels (see
+    /// the module docs for the rules).  Returns how many passes it took.
+    ///
+    /// The same walk notes every vreg's first and last occurrence in a
+    /// *kept* instruction, uses and defs at the same index: a def-after-use
+    /// instruction (the two-address forms) therefore keeps every operand
+    /// live *through* that index, and the linear scan only reuses a register
+    /// for a range starting strictly after another ends (`end < start`, not
+    /// `end <= start`) — the copy hand-over is the one exception.
+    fn mark_dead(&mut self, lir: &[LirInsn], bounds: &IdBounds, dead: &mut Vec<bool>) -> u32 {
+        let AllocScratch {
+            labels,
+            live,
+            occurrences,
+            ..
+        } = self;
+        labels.reset(bounds);
+        refill(live, labels.words, 0);
+        refill(dead, lir.len(), false);
+        let mut pass = 0u32;
+        loop {
+            pass += 1;
+            let mut changed = false;
+            let mut backward_jump = false;
+            live.fill(0);
+            refill(occurrences, bounds.vregs, None);
+            // Whether some later kept instruction reads the host flags
+            // before a kept writer overwrites them.
+            let mut flags_demanded = false;
+            for (i, insn) in lir.iter().enumerate().rev() {
+                // Successor merge: control flow replaces or widens the
+                // linear state.  Forward targets were recorded earlier in
+                // this pass; backward targets (loop back-edges) carry the
+                // previous pass's state, which is what the outer fixpoint
+                // loop converges.
+                match insn {
+                    LirInsn::Jmp { label } => {
+                        // The label is the sole successor.
+                        backward_jump |= labels.recorded_in[*label as usize] != pass;
                         live.copy_from_slice(labels.live(*label));
                         flags_demanded = labels.flags[*label as usize];
                     }
+                    LirInsn::BackEdge {
+                        label, reconcile, ..
+                    } => {
+                        // The machine *falls through* a yielding back-edge
+                        // when `reconcile` is set (into the compensation
+                        // block the promotion pass placed right after it),
+                        // so that path is a second successor and its state —
+                        // the carriers the compensation stores read — must
+                        // stay live.
+                        backward_jump |= labels.recorded_in[*label as usize] != pass;
+                        if *reconcile {
+                            union_into(live, labels.live(*label));
+                            flags_demanded |= labels.flags[*label as usize];
+                        } else {
+                            live.copy_from_slice(labels.live(*label));
+                            flags_demanded = labels.flags[*label as usize];
+                        }
+                    }
+                    LirInsn::Jcc { label, .. } => {
+                        // Successors: the fallthrough (current state) and
+                        // the label.
+                        backward_jump |= labels.recorded_in[*label as usize] != pass;
+                        union_into(live, labels.live(*label));
+                        flags_demanded |= labels.flags[*label as usize];
+                    }
+                    LirInsn::Ret => {
+                        // Nothing in this unit executes after a return to
+                        // the dispatcher; host flags are not guest state.
+                        live.fill(0);
+                        flags_demanded = false;
+                    }
+                    _ => {}
                 }
-                LirInsn::Jcc { label, .. } => {
-                    // Successors: the fallthrough (current state) and the
-                    // label.
-                    backward_jump |= labels.recorded_in[*label as usize] != pass;
-                    union_into(&mut live, labels.live(*label));
-                    flags_demanded |= labels.flags[*label as usize];
+                let def = insn.def();
+                let writes_flags = insn.writes_host_flags();
+                let needed = match insn {
+                    // Unconditional effects: memory, PC, control flow, calls
+                    // and their argument setup, system operations, block
+                    // structure.
+                    LirInsn::Store { .. }
+                    | LirInsn::StoreImm { .. }
+                    | LirInsn::StoreXmm { .. }
+                    | LirInsn::SetPcImm { .. }
+                    | LirInsn::SetPcReg { .. }
+                    | LirInsn::IncPc { .. }
+                    | LirInsn::SetArg { .. }
+                    | LirInsn::CallHelper { .. }
+                    | LirInsn::Int { .. }
+                    | LirInsn::Out { .. }
+                    | LirInsn::In { .. }
+                    | LirInsn::Syscall
+                    | LirInsn::TlbFlushAll
+                    | LirInsn::TlbFlushPcid
+                    | LirInsn::TraceEdge
+                    | LirInsn::BackEdge { .. }
+                    | LirInsn::Ret
+                    | LirInsn::Jmp { .. }
+                    | LirInsn::Jcc { .. }
+                    | LirInsn::Label { .. } => true,
+                    // Everything else lives only through its destination
+                    // (or, for flag writers, through an outstanding flag
+                    // demand) — except that a guest-memory *load* can fault,
+                    // and the data abort is guest-visible even when the
+                    // loaded value is dead.
+                    _ => {
+                        def.is_some_and(|d| live[d.id as usize / 64] >> (d.id % 64) & 1 != 0)
+                            || insn.may_fault()
+                            || (writes_flags && flags_demanded)
+                    }
+                };
+                if needed {
+                    // The walk runs backward, so a later sighting is an
+                    // earlier index; within one instruction the first
+                    // operand visited keeps the entry.
+                    let at = i as u32;
+                    let mut occurs = |vreg: Vreg| {
+                        let seen = Range {
+                            vreg,
+                            start: at,
+                            end: at,
+                        };
+                        let r = occurrences[vreg.id as usize].get_or_insert(seen);
+                        if r.start != at {
+                            (r.start, r.vreg) = (at, vreg);
+                        }
+                    };
+                    insn.visit_uses(|u| {
+                        live[u.id as usize / 64] |= 1 << (u.id % 64);
+                        occurs(u);
+                    });
+                    if let Some(d) = def {
+                        occurs(d);
+                    }
+                    // Backward flag bookkeeping: a kept writer satisfies
+                    // later demand; a kept reader creates demand for earlier
+                    // writers.
+                    if writes_flags {
+                        flags_demanded = false;
+                    }
+                    if insn.reads_host_flags() {
+                        flags_demanded = true;
+                    }
                 }
-                LirInsn::Ret => {
-                    // Nothing in this unit executes after a return to the
-                    // dispatcher; host flags are not guest state.
-                    live.fill(0);
-                    flags_demanded = false;
+                dead[i] = !needed;
+                if let LirInsn::Label { id } = insn {
+                    // Record the live-in of the label (grow-only merge);
+                    // growth means a backward jump somewhere may see a wider
+                    // state and another pass is required.
+                    changed |= labels.record(*id, live, flags_demanded, pass);
                 }
-                _ => {}
             }
-            let needed = match insn {
-                // Unconditional effects: memory, PC, control flow, calls and
-                // their argument setup, system operations, block structure.
-                LirInsn::Store { .. }
-                | LirInsn::StoreImm { .. }
-                | LirInsn::StoreXmm { .. }
-                | LirInsn::SetPcImm { .. }
-                | LirInsn::SetPcReg { .. }
-                | LirInsn::IncPc { .. }
-                | LirInsn::SetArg { .. }
-                | LirInsn::CallHelper { .. }
-                | LirInsn::Int { .. }
-                | LirInsn::Out { .. }
-                | LirInsn::In { .. }
-                | LirInsn::Syscall
-                | LirInsn::TlbFlushAll
-                | LirInsn::TlbFlushPcid
-                | LirInsn::TraceEdge
-                | LirInsn::BackEdge { .. }
-                | LirInsn::Ret
-                | LirInsn::Jmp { .. }
-                | LirInsn::Jcc { .. }
-                | LirInsn::Label { .. } => true,
-                // Everything else lives only through its destination (or, for
-                // flag writers, through an outstanding flag demand) — except
-                // that a guest-memory *load* can fault, and the data abort is
-                // guest-visible even when the loaded value is dead.
-                _ => {
-                    let def_live = insn
-                        .def()
-                        .is_some_and(|d| live[d.id as usize / 64] >> (d.id % 64) & 1 != 0);
-                    def_live || insn.may_fault() || (insn.writes_host_flags() && flags_demanded)
-                }
-            };
-            if needed {
-                scratch.clear();
-                insn.uses(&mut scratch);
-                for u in &scratch {
-                    live[u.id as usize / 64] |= 1 << (u.id % 64);
-                }
-                // Backward flag bookkeeping: a kept writer satisfies later
-                // demand; a kept reader creates demand for earlier writers.
-                if insn.writes_host_flags() {
-                    flags_demanded = false;
-                }
-                if insn.reads_host_flags() {
-                    flags_demanded = true;
-                }
+            if !(changed && backward_jump) {
+                return pass;
             }
-            dead[i] = !needed;
-            if let LirInsn::Label { id } = insn {
-                // Record the live-in of the label (grow-only merge); growth
-                // means a backward jump somewhere may see a wider state and
-                // another pass is required.
-                changed |= labels.record(*id, &live, flags_demanded, pass);
-            }
-        }
-        if !(changed && backward_jump) {
-            break;
         }
     }
-    dead
 }
 
 /// Conservative host-flag liveness for the idiom recognizer: `out[i]` is
 /// `true` when some instruction that may execute after instruction `i`
 /// reads the host flags (`SetCc`/`CmovCc`/`Jcc`) before any instruction
-/// overwrites them.  The bookkeeping mirrors [`mark_dead`]'s flag demand
+/// overwrites them.  The bookkeeping mirrors [`AllocScratch::mark_dead`]'s flag demand
 /// exactly — `Jmp` replaces the linear state with its target label's,
 /// `BackEdge` does too (unioning when `reconcile` falls through into a
 /// compensation block), `Jcc` unions, `Ret` clears — but every instruction
@@ -378,7 +459,11 @@ fn mark_dead(lir: &[LirInsn], bounds: &IdBounds) -> Vec<bool> {
 /// dead-code outcome: a fusion site where `out[jcc]` is `false` can
 /// clobber the flags freely, no matter what the allocator later sweeps.
 pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
-    let mut label_flags = vec![false; label_bound(lir)];
+    let labels = lir.iter().filter_map(|i| match i {
+        LirInsn::Label { id } => Some(*id),
+        _ => jump_target(i),
+    });
+    let mut label_flags = vec![false; labels.max().map_or(0, |l| l as usize + 1)];
     let mut out = vec![false; lir.len()];
     loop {
         let mut changed = false;
@@ -422,6 +507,24 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
     out
 }
 
+/// [`host_flags_live_after`]`(lir)[at]`, from `lir[at..]` alone when every
+/// jump in that tail goes forward to a label inside it (each label being
+/// bound once): what follows a point then decides the demand there, and the
+/// tail — a block's closing branch and its side-exit stubs, where branch
+/// fusion asks — is a few instructions, not the unit.
+pub(crate) fn host_flags_live_after_at(lir: &[LirInsn], at: usize) -> Option<bool> {
+    let tail = &lir[at..];
+    if tail.len() > 32 {
+        return None; // no shorter than the unit's own fixpoint, computed once
+    }
+    let bound_after = |i: usize, label| {
+        let binds = |insn: &LirInsn| matches!(insn, LirInsn::Label { id } if *id == label);
+        tail[i + 1..].iter().any(binds)
+    };
+    let closed = (0..tail.len()).all(|i| jump_target(&tail[i]).is_none_or(|l| bound_after(i, l)));
+    closed.then(|| host_flags_live_after(tail)[0])
+}
+
 /// The copy hand-over (see the module docs): when range `r` starts at a
 /// surviving `MovReg { dst: r.vreg, src }` that is also the last index of
 /// `src`'s final range, and `src` holds a host register, `r.vreg` inherits
@@ -431,9 +534,9 @@ fn inherit_copy_source(
     lir: &[LirInsn],
     r: &Range,
     assignment: &AssignmentMap,
-    active_gpr: &mut [(usize, Gpr)],
+    active_gpr: &mut [(u32, Gpr)],
 ) -> Option<Gpr> {
-    let LirInsn::MovReg { dst, src } = lir[r.start] else {
+    let LirInsn::MovReg { dst, src } = lir[r.start as usize] else {
         return None;
     };
     if dst != r.vreg {
@@ -451,78 +554,50 @@ fn inherit_copy_source(
     Some(reg)
 }
 
-/// Runs liveness analysis, dead-code marking and linear-scan assignment.
-pub fn allocate(lir: &[LirInsn]) -> Allocation {
-    let bounds = IdBounds::scan(lir);
-    let dead = mark_dead(lir, &bounds);
-
-    // Forward pass over the *surviving* instructions: first and last
-    // occurrence of every vreg.  An occurrence notes both uses and defs at
-    // the same index; a def-after-use instruction (the two-address forms,
-    // where `dst` is read and written by one instruction) therefore keeps
-    // every operand live *through* that index, and the linear scan below
-    // only reuses a register for a range starting strictly after another
-    // ends (`end < start`, not `end <= start`) — so the operands of a
-    // def-after-use instruction can never share a register (the copy
-    // hand-over is the one exception; see the module docs).
-    let mut occurrences: Vec<Option<Range>> = vec![None; bounds.vregs];
-    let mut scratch = Vec::with_capacity(4);
-    for (i, insn) in lir.iter().enumerate() {
-        if dead[i] {
-            continue;
-        }
-        scratch.clear();
-        insn.uses(&mut scratch);
-        scratch.extend(insn.def());
-        for v in &scratch {
-            match &mut occurrences[v.id as usize] {
-                Some(r) => r.end = i,
-                first @ None => {
-                    *first = Some(Range {
-                        vreg: *v,
-                        start: i,
-                        end: i,
-                    })
-                }
+/// Returns to `free` the registers of the `active` ranges that ended
+/// strictly before `start` (a range ending *at* `start` may be a
+/// same-instruction operand of a def-after-use form and must keep its
+/// register).
+fn expire<R: Copy>(active: &mut Vec<(u32, R)>, free: &mut Vec<R>, start: u32) {
+    if active.iter().any(|&(end, _)| end < start) {
+        active.retain(|&(end, reg)| {
+            if end < start {
+                free.push(reg);
             }
-        }
+            end >= start
+        });
     }
+}
+
+/// Runs liveness analysis, dead-code marking and linear-scan assignment.
+///
+/// Two walks over the unit: [`AllocScratch::scan`] forward (id bounds, label
+/// positions, backward jumps) and [`AllocScratch::mark_dead`] backward (dead
+/// marks and every vreg's first and last surviving occurrence, once per
+/// fixpoint pass); what follows works on live ranges, not instructions.
+pub fn allocate(lir: &[LirInsn]) -> Allocation {
+    let mut allocation = Allocation::default();
+    crate::with_scratch(|s| allocate_into(&mut s.regalloc, lir, &mut allocation));
+    allocation
+}
+
+/// [`allocate`] in the caller's scratch, overwriting `out` (whose vectors
+/// keep their capacity).
+pub(crate) fn allocate_into(s: &mut AllocScratch, lir: &[LirInsn], out: &mut Allocation) {
+    let bounds = s.scan(lir);
+    s.mark_dead(lir, &bounds, &mut out.dead);
 
     // Loop-carried ranges: a vreg defined before a backward jump's target
     // label and still read at or after it is re-read on *every* iteration,
     // so its range must cover the whole loop — otherwise the linear scan
     // could hand its register to a loop-local value whose (linear) range
     // looks disjoint, clobbering the loop-carried value between iterations.
-    let mut label_pos: Vec<Option<usize>> = vec![None; bounds.labels];
-    for (i, insn) in lir.iter().enumerate() {
-        if let LirInsn::Label { id } = insn {
-            if !dead[i] {
-                label_pos[*id as usize] = Some(i);
-            }
-        }
-    }
-    let mut back_jumps: Vec<(usize, usize)> = Vec::new(); // (header pos, jump pos)
-    for (j, insn) in lir.iter().enumerate() {
-        if dead[j] {
-            continue;
-        }
-        let label = match insn {
-            LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } => *label,
-            LirInsn::BackEdge { label, .. } => *label,
-            _ => continue,
-        };
-        if let Some(p) = label_pos[label as usize] {
-            if p <= j {
-                back_jumps.push((p, j));
-            }
-        }
-    }
     // Extension can cascade through nested loops; iterate until stable.
-    let mut extended = true;
+    let mut extended = !s.back_jumps.is_empty();
     while extended {
         extended = false;
-        for &(p, j) in &back_jumps {
-            for r in occurrences.iter_mut().flatten() {
+        for &(p, j) in &s.back_jumps {
+            for r in s.occurrences.iter_mut().flatten() {
                 if r.start < p && r.end >= p && r.end < j {
                     r.end = j;
                     extended = true;
@@ -533,50 +608,34 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
 
     // Build live ranges (vregs touched only by dead instructions have no
     // occurrences and get no range).
-    let mut ranges: Vec<Range> = Vec::with_capacity(occurrences.len());
-    ranges.extend(occurrences.into_iter().flatten());
-    ranges.sort_unstable_by_key(|r| (r.start, r.vreg.id));
+    s.ranges.clear();
+    s.ranges.extend(s.occurrences.iter().flatten());
+    s.ranges.sort_unstable_by_key(|r| (r.start, r.vreg.id));
 
     // Linear scan, one pool per register class.
-    let mut assignment = AssignmentMap {
-        slots: vec![None; bounds.vregs],
-    };
-    let mut active_gpr: Vec<(usize, Gpr)> = Vec::with_capacity(GPR_POOL.len()); // (end, reg)
-    let mut active_xmm: Vec<(usize, Xmm)> = Vec::new();
-    let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
-    let mut free_xmm: Vec<Xmm> = XMM_POOL.iter().rev().map(|&i| Xmm(i)).collect();
+    let assignment = &mut out.assignment;
+    refill(&mut assignment.slots, bounds.vregs, None);
+    s.active_gpr.clear();
+    s.active_xmm.clear();
+    s.free_gpr.clear();
+    s.free_gpr.extend(GPR_POOL);
+    s.free_xmm.clear();
+    s.free_xmm.extend(XMM_POOL.iter().rev().map(|&i| Xmm(i)));
     let mut spill_slots = 0u32;
 
-    for r in &ranges {
-        // Expire ranges that ended strictly before this one starts (a range
-        // ending *at* this index may be a same-instruction operand of a
-        // def-after-use form and must keep its register).
-        active_gpr.retain(|&(end, reg)| {
-            if end < r.start {
-                free_gpr.push(reg);
-                false
-            } else {
-                true
-            }
-        });
-        active_xmm.retain(|&(end, reg)| {
-            if end < r.start {
-                free_xmm.push(reg);
-                false
-            } else {
-                true
-            }
-        });
+    for r in &s.ranges {
+        expire(&mut s.active_gpr, &mut s.free_gpr, r.start);
+        expire(&mut s.active_xmm, &mut s.free_xmm, r.start);
         let assigned = match r.vreg.class {
-            VregClass::Gpr => inherit_copy_source(lir, r, &assignment, &mut active_gpr)
+            VregClass::Gpr => inherit_copy_source(lir, r, assignment, &mut s.active_gpr)
                 .or_else(|| {
-                    let reg = free_gpr.pop()?;
-                    active_gpr.push((r.end, reg));
+                    let reg = s.free_gpr.pop()?;
+                    s.active_gpr.push((r.end, reg));
                     Some(reg)
                 })
                 .map(Assignment::Gpr),
-            VregClass::Xmm => free_xmm.pop().map(|reg| {
-                active_xmm.push((r.end, reg));
+            VregClass::Xmm => s.free_xmm.pop().map(|reg| {
+                s.active_xmm.push((r.end, reg));
                 Assignment::Xmm(reg)
             }),
         };
@@ -587,18 +646,16 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
         }));
     }
 
-    Allocation {
-        assignment,
-        dead,
-        spill_slots,
-    }
+    out.spill_slots = spill_slots;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lir::{LirMem, LirOperand};
+    use crate::regalloc_reference::tests::unit;
     use hvm::{AluOp, Cond, MemSize};
+    use proptest::prelude::*;
 
     fn v(id: u32) -> Vreg {
         Vreg {
@@ -1248,5 +1305,73 @@ mod tests {
         ];
         let alloc = allocate(&lir);
         assert!(matches!(alloc.assignment[0], Assignment::Xmm(_)));
+    }
+
+    /// What [`AllocScratch::mark_dead`] leaves in the occurrence table for
+    /// `lir`, next to a forward recount over the dead marks it returned
+    /// (the walk the two used to be), and how many fixpoint passes it took.
+    fn occurrences_and_recount(lir: &[LirInsn]) -> (Vec<Option<Range>>, Vec<Option<Range>>, u32) {
+        let mut s = AllocScratch::default();
+        let bounds = s.scan(lir);
+        let mut dead = Vec::new();
+        let passes = s.mark_dead(lir, &bounds, &mut dead);
+        let mut recount: Vec<Option<Range>> = vec![None; bounds.vregs];
+        let mut operands = Vec::new();
+        for (i, insn) in lir.iter().enumerate().filter(|(i, _)| !dead[*i]) {
+            operands.clear();
+            insn.uses(&mut operands);
+            operands.extend(insn.def());
+            for v in &operands {
+                match &mut recount[v.id as usize] {
+                    Some(r) => r.end = i as u32,
+                    first @ None => {
+                        *first = Some(Range {
+                            vreg: *v,
+                            start: i as u32,
+                            end: i as u32,
+                        })
+                    }
+                }
+            }
+        }
+        (s.occurrences, recount, passes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn occurrences_recorded_in_the_liveness_walk_equal_a_forward_recount(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            nv in 3u64..48,
+            len in 1u64..120,
+        ) {
+            let lir = unit(seed, shape, nv, len);
+            let (recorded, recount, _) = occurrences_and_recount(&lir);
+            prop_assert_eq!(recorded, recount, "shape {}: {:?}", shape, lir);
+        }
+    }
+
+    #[test]
+    fn looping_units_reset_the_occurrences_between_fixpoint_passes() {
+        // The recount property only bites on the reset if some unit takes a
+        // second pass *and* kills in it something the first pass kept (or
+        // keeps what the first killed): make sure the generator gets there.
+        let (mut repeated, mut straight) = (0, 0);
+        for seed in 1..200u64 {
+            for shape in 0..6 {
+                let lir = unit(seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100);
+                let (recorded, recount, passes) = occurrences_and_recount(&lir);
+                assert_eq!(recorded, recount, "shape {shape}");
+                if passes > 1 {
+                    assert!(shape >= 2, "only a backward jump asks for another pass");
+                    repeated += 1;
+                } else {
+                    straight += 1;
+                }
+            }
+        }
+        assert!(repeated > 50 && straight > 50, "{repeated} / {straight}");
     }
 }

@@ -419,7 +419,7 @@ pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lir::{LirMem, LirOperand};
     use hvm::{AluOp, Cond, FpOp, MemSize};
@@ -652,7 +652,7 @@ mod tests {
     /// 3 the same loop with `reconcile` and a compensation block, 4 a
     /// backward `Jcc` loop, 5 shape 3 with sparse ids.  `nv` beyond the
     /// pool sizes (8 GPRs, 13 XMMs) forces spills.
-    fn unit(seed: u64, shape: usize, nv: u64, len: u64) -> Vec<LirInsn> {
+    pub(crate) fn unit(seed: u64, shape: usize, nv: u64, len: u64) -> Vec<LirInsn> {
         let mut g = Gen {
             rng: Rng(seed | 1),
             nv,
@@ -852,11 +852,22 @@ mod tests {
                 );
             }
             prop_assert_eq!(new.assignment.iter().count(), old.assignment.len());
+            let flags_live = crate::regalloc::host_flags_live_after(&lir);
             prop_assert_eq!(
-                crate::regalloc::host_flags_live_after(&lir),
-                host_flags_live_after(&lir),
-                "host-flag liveness, shape {shape}"
+                &flags_live,
+                &host_flags_live_after(&lir),
+                "host-flag liveness, shape {}", shape
             );
+            // The walk of a tail alone either declines or agrees with the
+            // whole unit's fixpoint.
+            let mut settled = 0;
+            for (at, live) in flags_live.iter().enumerate() {
+                if let Some(tail) = crate::regalloc::host_flags_live_after_at(&lir, at) {
+                    prop_assert_eq!(tail, *live, "tail at {}, shape {}: {:?}", at, shape, lir);
+                    settled += 1;
+                }
+            }
+            prop_assert!(shape != 0 || settled == lir.len().min(32), "a straight line's short tails settle");
         }
 
         #[test]

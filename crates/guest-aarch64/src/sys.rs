@@ -322,6 +322,8 @@ dbt::counter_table! {
         /// Wall-clock in the optimiser and register allocation, in
         /// nanoseconds.
         Wall jit_regalloc_ns: u64,
+        /// The optimiser's share of `jit_regalloc_ns`.
+        Wall jit_opt_ns: u64,
         /// Wall-clock in lowering and encoding, in nanoseconds.
         Wall jit_encode_ns: u64,
         /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
@@ -360,13 +362,14 @@ impl RunStats {
             .map(|(a, b)| format!("{}: {} vs {}", a.name, a.value, b.value))
     }
 
-    /// Samples an engine's JIT timers: the static counters and the four
-    /// phase clocks.
+    /// Samples an engine's JIT timers: the static counters, the four phase
+    /// clocks and the optimiser's share of the third.
     pub fn sample_jit(&mut self, timers: &dbt::PhaseTimers) {
         self.jit = timers.jit;
         self.jit_decode_ns = timers.decode.as_nanos() as u64;
         self.jit_translate_ns = timers.translate.as_nanos() as u64;
         self.jit_regalloc_ns = timers.regalloc.as_nanos() as u64;
+        self.jit_opt_ns = timers.opt.as_nanos() as u64;
         self.jit_encode_ns = timers.encode.as_nanos() as u64;
     }
 }
