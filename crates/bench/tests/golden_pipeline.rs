@@ -1,8 +1,8 @@
 //! Golden digest of the JIT pipeline's *output*: what decode → generate →
 //! `finish_translation` produces for every basic block of every `workloads`
 //! and `simbench` program (the loop kernels among them), and what
-//! `form_region` produces at every block start of the same programs under the
-//! `sync` configuration.
+//! `form_region_from` produces at every block start of the same programs
+//! under the `sync` configuration.
 //!
 //! Simulated cycles pin the generated code only indirectly (two different
 //! register assignments can cost the same); this test pins it directly.  The
@@ -22,7 +22,7 @@
 //! unchanged) 3778306141397402819 → 13911468391831815842.
 
 use captive::spec::Knobs;
-use captive::translator::{form_region, LiveSource};
+use captive::translator::{form_region_from, FormOutcome, LiveSource};
 use dbt::{Emitter, GuestIsa, PhaseTimers, RuleTable};
 use guest_aarch64::Aarch64Isa;
 use std::sync::Arc;
@@ -157,23 +157,20 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
         let mut timers = PhaseTimers::default();
         for (start, _) in blocks(&w.words) {
             let pc = workloads::CODE_BASE + start as u64 * 4;
-            let (region, _) = form_region(
-                &Aarch64Isa,
-                LiveSource::new(&mut c.machine, &mut c.runtime, &c.cache),
-                &mut timers,
-                pc,
-                pc,
-                &knobs,
-            );
-            match region {
-                Some(r) => {
+            let mut source = LiveSource {
+                machine: &mut c.machine,
+                runtime: &mut c.runtime,
+                cache: &c.cache,
+            };
+            match form_region_from(&Aarch64Isa, &mut source, &mut timers, pc, pc, &knobs) {
+                FormOutcome::Formed { region: r, .. } => {
                     formed += 1;
                     let encoded = hvm::encode::encode_block(&r.code);
                     h.translation(&encoded, r.elided_insns, &r.promoted);
                     h.word(r.back_edges as u64);
                     h.word(r.unroll as u64);
                 }
-                None => h.word(u64::MAX),
+                _ => h.word(u64::MAX),
             }
         }
     }

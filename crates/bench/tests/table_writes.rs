@@ -423,6 +423,126 @@ fn table_pointers_at_the_edge_of_guest_ram() {
     assert_eq!(out.regs[21], 2 * X, "both report X");
 }
 
+/// The same obligation one layer up: a formed region stitches a *virtual*
+/// path across pages, so it may be served — from the code cache, a tier-1
+/// worker or the content-keyed reuse cache — only while every translation
+/// its trace resolved still holds.  The loop below spans two virtual pages:
+/// `A` (entered at `A + 4` with the trip count in x6) adds x4 into x19 once
+/// per trip and branches to `B = A + 0x1000`, which sets x4 and branches
+/// back.  Chain heat makes `A` the trace head and `B` the interior page.
+const A: u64 = 0x4080_0000;
+const B: u64 = A + 0x1000;
+
+/// `b +0x1000 ; subis x6,x6,1 ; add x19,x19,x4 ; b.ne -12 ; ret`
+fn loop_page() -> Vec<u32> {
+    vec![
+        asm::b(0x1000),
+        asm::subis(6, 6, 1),
+        asm::add(19, 19, 4),
+        asm::bcond(Cond::Ne, -12),
+        asm::ret(),
+    ]
+}
+
+/// `movz x4,#digit ; b -0x1000`
+fn digit_page(digit: u32) -> Vec<u32> {
+    vec![asm::movz(4, digit, 0), asm::b(-0x1000)]
+}
+
+/// `code` at the start of frame `i`, as the eight-byte words [`Guest`] loads
+/// (after the frames' own digits, which the first word replaces).
+fn code_in_frame(i: u64, code: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    code.chunks(2).enumerate().map(move |(n, pair)| {
+        let high = pair.get(1).copied().unwrap_or(0) as u64;
+        (frame(i) + n as u64 * 8, pair[0] as u64 | high << 32)
+    })
+}
+
+/// The loop page in frame 4, digit 1 in frame 2 and digit 2 in frame 3.
+fn loop_frames(g: &mut Guest) {
+    g.words.extend(code_in_frame(4, &loop_page()));
+    g.words.extend(code_in_frame(2, &digit_page(1)));
+    g.words.extend(code_in_frame(3, &digit_page(2)));
+}
+
+/// A hundred trips of the loop whose first page is at `at`: far past the
+/// formation threshold, so all but the first few run inside the region.
+fn call_loop(a: &mut Assembler, at: u64) {
+    a.push(asm::movz(6, 100, 0));
+    a.mov_imm64(10, at + 4);
+    a.push(asm::blr(10));
+}
+
+#[test]
+fn an_interior_code_page_remapped_under_a_formed_region() {
+    // No byte of code changes and the entry page stays where it was: only
+    // the PTE of the interior page moves it from frame 2 to frame 3.
+    let mut t = tables(0);
+    t.map(A, frame(4), RW);
+    t.map(B, frame(2), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    call_loop(&mut a, A);
+    store(&mut a, t.entry_addr(B, 1), pte(3));
+    a.push(asm::tlbi());
+    call_loop(&mut a, A);
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    loop_frames(&mut g);
+    let out = on_every_engine(&g);
+    // x4 is 0 on the first trip, then 1; still 1 on the first trip of the
+    // second call, then 2.
+    assert_eq!(out.regs[19], 99 + 1 + 2 * 99);
+}
+
+#[test]
+fn two_address_spaces_that_share_a_regions_entry_page() {
+    // No table page is written at all: `TTBR0` alone decides which frame
+    // the interior page is.
+    let (mut ta, mut tb) = (tables(0), tables(1));
+    for (t, interior) in [(&mut ta, 2), (&mut tb, 3)] {
+        t.map(A, frame(4), RW);
+        t.map(B, frame(interior), RW);
+    }
+    let mut a = Assembler::new();
+    prelude(&mut a, ta.root());
+    call_loop(&mut a, A);
+    for root in [tb.root(), ta.root(), tb.root()] {
+        a.mov_imm64(0, root);
+        a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+        call_loop(&mut a, A);
+    }
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&ta, &tb]);
+    loop_frames(&mut g);
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 99 + (1 + 2 * 99) + (2 + 99) + (1 + 2 * 99));
+}
+
+#[test]
+fn a_region_formed_with_the_mmu_off_then_sctlr_on_under_tables_that_move_a_page() {
+    // With the MMU off the loop's pages are frames 4 and 5 themselves; the
+    // tables keep frame 4 where it is and put frame 3 at frame 5's address.
+    let mut t = tables(0);
+    t.map(frame(5), frame(3), RW);
+    let mut a = Assembler::new();
+    a.mov_imm64(9, VECTOR);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.mov_imm64(0, t.root());
+    a.push(asm::msr(SysReg::Ttbr0 as u32, 0));
+    a.push(asm::movz(19, 0, 0));
+    call_loop(&mut a, frame(4));
+    a.push(asm::movz(0, 1, 0));
+    a.push(asm::msr(SysReg::Sctlr as u32, 0));
+    call_loop(&mut a, frame(4));
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    loop_frames(&mut g);
+    g.words.extend(code_in_frame(5, &digit_page(1)));
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 99 + 1 + 2 * 99);
+}
+
 /// The bypass of the whole rule: SimBench's two TLB kernels issue their
 /// `tlbi`s with the guest MMU off, where there is no walk to keep and no
 /// table to dirty, so neither engine may count a revalidation or a dirtied

@@ -68,6 +68,7 @@
 //! which re-reads the exception level, so chained execution never runs in a
 //! stale host ring.
 
+pub mod formation;
 pub mod itlb;
 pub mod layout;
 pub mod runtime;
@@ -76,9 +77,10 @@ pub mod tier;
 pub mod translator;
 
 use dbt::{
-    fnv1a, CacheIndex, CodeCache, EntryMode, PhaseTimers, Region, RegionKey, RegionProfile,
-    ReuseCache, ReuseKey, ReuseTemplate, RuleKind, RuleTable, TierTimers, RULE_COUNT,
+    CacheIndex, CodeCache, EntryMode, PhaseTimers, Region, RegionKey, RegionProfile, ReuseCache,
+    RuleKind, RuleTable, TierTimers, RULE_COUNT,
 };
+use formation::FormationBackoff;
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
 use guest_aarch64::Aarch64Isa;
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
@@ -86,8 +88,8 @@ use runtime::CaptiveRuntime;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tier::{FormationRequest, FormationResult, FormationSnapshot, TierService, WorkerOutcome};
-use translator::{form_region, live_code_word, translate_block_from, LiveSource, MAX_BLOCK_INSNS};
+use tier::{FormationResult, TierService};
+use translator::{live_code_word, translate_block_from, MAX_BLOCK_INSNS};
 
 /// How guest floating-point instructions are implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -237,7 +239,7 @@ pub struct Captive {
     /// The guest-idiom rule table every translation applies when
     /// `config.idioms` is on.  Shared by `Arc` with background formation
     /// workers so the synchronous path and tier-1 apply the *same* table;
-    /// its content hash joins the reuse key (see [`Captive::reuse_key_for`]).
+    /// its content hash joins the reuse key ([`spec::Knobs::packed`]).
     idiom_rules: Arc<RuleTable>,
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     tier_timers: TierTimers,
@@ -250,33 +252,6 @@ pub struct Captive {
     /// Construction time, the zero point for time-to-first-region-install.
     launch: Instant,
 }
-
-/// What the content-keyed reuse cache knows about a head at its install
-/// point.
-enum ReuseOutcome {
-    /// A validated template was found: install this instantiation (boxed:
-    /// the other variants are a fraction of `Region`'s size).
-    Hit(Box<Region>),
-    /// A validated refusal was found: this exact content is already known
-    /// to form nothing, so skip the worker round-trip.
-    Refusal,
-    /// Nothing usable is published for the key.
-    Miss,
-}
-
-/// Retry-backoff record for a trace head whose region formation failed.
-#[derive(Debug, Clone, Copy)]
-struct FormationBackoff {
-    /// Consecutive failed formation attempts.
-    failures: u32,
-    /// Link heat at which the next attempt may run.
-    next_retry_heat: u64,
-    /// Set after [`QUARANTINE_AFTER`] failures: never attempt again.
-    quarantined: bool,
-}
-
-/// Failed formation attempts after which a trace head is quarantined.
-const QUARANTINE_AFTER: u32 = 4;
 
 impl Captive {
     /// Creates a hypervisor with a fresh host VM and boots the "unikernel":
@@ -711,418 +686,6 @@ impl Captive {
         self.speculate_beyond(&block);
         block
     }
-
-    /// Profiles a chained transfer into `next` and, when its link heat
-    /// crosses the hot threshold, obtains a multi-constituent region for the
-    /// chained path starting at `next` and installs it.  Returns the
-    /// translation to execute: the (possibly just-formed) region, otherwise
-    /// `next` unchanged.
-    ///
-    /// **Tiered mode** splits the work across two points so formation runs
-    /// hidden behind execution: at *half* the threshold a fresh head's
-    /// request (snapshot + frozen profile) is published to the background
-    /// service; at the threshold — the same guest-progress point where the
-    /// synchronous mode forms, so modeled cycles are mode-independent — the
-    /// region is obtained from the content-keyed reuse cache, else from the
-    /// in-flight worker result (revalidated against live memory, discarded
-    /// if stale), else formed synchronously as the always-correct fallback.
-    fn maybe_form_region(
-        &mut self,
-        prev: &Arc<Region>,
-        slot: usize,
-        next: Arc<Region>,
-        next_pc: u64,
-    ) -> Arc<Region> {
-        if next.gated() {
-            return next;
-        }
-        let heat = prev.heat_up(slot);
-        if heat == 1 {
-            self.cache.note_heated(prev.key());
-        }
-        let gen = self.runtime.context_generation();
-        // Another predecessor may already have widened this entry: the
-        // dispatcher-held `next` then outlives its replaced cache slot, and
-        // the link just needs re-pointing (a stat-free peek — this is the
-        // former's own bookkeeping, not a dispatch lookup).
-        if let Some(r) = self.cache.peek(next.key()) {
-            if r.gated() {
-                if r.ctx_gen == gen {
-                    prev.set_link(slot, gen, self.cache.epoch(), &r);
-                    return r;
-                }
-                return next;
-            }
-        }
-        let key = next.key();
-        // Tier-1 publish point: a fresh head halfway to the threshold gets
-        // its request snapshotted and queued.  Heads already in flight are
-        // not re-published, and heads with a failure history retry
-        // synchronously (their traces close too short either way).
-        if self.tier.is_some()
-            && heat == self.publish_point()
-            && !self.inflight.contains_key(&key)
-            && !self.quarantine.contains_key(&key)
-        {
-            // A template (or recorded refusal) already published for this
-            // key makes a worker round-trip pointless: the install point
-            // will hit the reuse cache — or skip formation — directly.
-            let covered = self
-                .reuse
-                .as_ref()
-                .is_some_and(|r| r.covers(self.reuse_key_for(key)));
-            if !covered {
-                self.publish_formation(key);
-            }
-        }
-        // Formation trigger with retry backoff: a head with no failure
-        // history fires exactly at the configured threshold; a failed head
-        // waits for its (doubled) retry heat; a quarantined head never
-        // fires again.
-        match self.quarantine.get(&key) {
-            Some(q) if q.quarantined => return next,
-            Some(q) => {
-                if heat < q.next_retry_heat {
-                    return next;
-                }
-            }
-            None => {
-                if heat != self.config.region_threshold {
-                    return next;
-                }
-            }
-        }
-        if self.tier.is_some() {
-            match self.obtain_reuse(key, gen) {
-                ReuseOutcome::Hit(region) => {
-                    return self.install_formed(*region, prev, slot, gen);
-                }
-                // A validated refusal: a worker (possibly in a prior run
-                // sharing the cache) already proved this content forms
-                // nothing, so fall straight through to the synchronous
-                // attempt — which will refuse identically — without
-                // waiting on the worker queue.
-                ReuseOutcome::Refusal => {}
-                ReuseOutcome::Miss => {
-                    if self.inflight.contains_key(&key) {
-                        if let Some(region) = self.obtain_async(key, gen) {
-                            return self.install_formed(region, prev, slot, gen);
-                        }
-                    }
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let (formed, consumed) = form_region(
-            &self.isa,
-            LiveSource::new(&mut self.machine, &mut self.runtime, &self.cache),
-            &mut self.timers,
-            next_pc,
-            next.guest_phys,
-            &self.knobs,
-        );
-        self.tier_timers.run_thread_stall += t0.elapsed();
-        match formed {
-            Some(region) => self.install_formed(region, prev, slot, gen),
-            None => {
-                // Nothing worth keeping came out (one-constituent trace, or
-                // the translation bailed out).  Record the failure and back
-                // off: the next attempt requires twice the heat, and
-                // repeated failures quarantine the head for good.
-                //
-                // Publish the refusal under the content key just like the
-                // async path does for a worker's TooShort answer: engines
-                // sharing the reuse cache then skip the worker round-trip
-                // for these exact bytes.  Refusals only short-circuit that
-                // wait — the install point still falls through to a
-                // synchronous attempt — so this can never suppress a
-                // formation that would have succeeded.
-                if !consumed.is_empty() {
-                    if let Some(reuse) = &self.reuse {
-                        reuse.publish_refusal(self.reuse_key_for(key), consumed);
-                    }
-                }
-                self.record_formation_failure(key, heat);
-                next
-            }
-        }
-    }
-
-    /// Link heat at which a fresh head's tier-1 request is published:
-    /// halfway to the formation threshold, so the worker has the other half
-    /// of the warm-up to finish before the install point.
-    fn publish_point(&self) -> u64 {
-        (self.config.region_threshold / 2).max(1)
-    }
-
-    /// Installs a formed (or reused) region: write-protects its pages,
-    /// publishes it for content-keyed reuse, inserts it at its key and
-    /// re-points the triggering chain link.  Shared by the synchronous,
-    /// asynchronous and reuse paths so the bookkeeping cannot diverge.
-    fn install_formed(
-        &mut self,
-        region: Region,
-        prev: &Arc<Region>,
-        slot: usize,
-        gen: u64,
-    ) -> Arc<Region> {
-        self.quarantine.remove(&region.key());
-        // Write-protect every constituent page so self-modifying code on any
-        // of them invalidates the region.
-        for page in &region.pages {
-            self.runtime.note_code_page(&mut self.machine, *page);
-        }
-        if region.unroll > 1 {
-            self.stats.regions_unrolled += 1;
-        }
-        if region.back_edges > 0 {
-            self.stats.loop_regions_formed += 1;
-        }
-        if let Some(reuse) = &self.reuse {
-            // Publish under the *live* page hashes: the async path just
-            // validated them equal to the formation snapshot's, and the
-            // sync path formed from live memory directly.
-            let hashes: Vec<(u64, u64)> = region
-                .pages
-                .iter()
-                .map(|&page| (page, self.live_page_hash(page)))
-                .collect();
-            reuse.publish(
-                self.reuse_key_for(region.key()),
-                ReuseTemplate::from_region(&region, &hashes),
-            );
-        }
-        let region = self.cache.insert(region);
-        self.stats.regions_formed += 1;
-        self.tier_timers.record_install(self.launch.elapsed());
-        prev.set_link(slot, gen, self.cache.epoch(), &region);
-        region
-    }
-
-    /// Records a failed formation attempt for `key` at link heat `heat` and
-    /// applies the doubling backoff / quarantine policy.
-    fn record_formation_failure(&mut self, key: RegionKey, heat: u64) {
-        self.stats.formation_failures += 1;
-        let q = self.quarantine.entry(key).or_insert(FormationBackoff {
-            failures: 0,
-            next_retry_heat: 0,
-            quarantined: false,
-        });
-        q.failures += 1;
-        q.next_retry_heat = heat.saturating_mul(2).max(1);
-        if q.failures >= QUARANTINE_AFTER && !q.quarantined {
-            q.quarantined = true;
-            self.stats.regions_quarantined += 1;
-        }
-    }
-
-    /// Captures a formation snapshot of the current translation state: the
-    /// bytes of every known code page, the MMU/translation registers, and
-    /// the frozen branch-heat profile.
-    fn capture_snapshot(&mut self) -> FormationSnapshot {
-        let machine = &self.machine;
-        FormationSnapshot {
-            ctx_gen: self.runtime.context_generation(),
-            mmu_enabled: self.runtime.mmu_enabled(machine),
-            ttbr0: self.runtime.ttbr0(machine),
-            guest_ram: self.config.guest_ram,
-            pages: self
-                .runtime
-                .code_page_copies(|page| read_live_page(machine, page)),
-            heats: self.cache.branch_profiles(),
-        }
-    }
-
-    /// Publishes a tier-1 formation request for `key` and registers it
-    /// in flight.
-    fn publish_formation(&mut self, key: RegionKey) {
-        let t0 = Instant::now();
-        let snapshot = self.capture_snapshot();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let request = FormationRequest {
-            seq,
-            key,
-            snapshot,
-            knobs: Arc::clone(&self.knobs),
-        };
-        // Only the snapshot capture counts as run-thread translation stall:
-        // the hand-off below wakes a sleeping worker, and the host scheduler
-        // frequently deschedules the sender at that wake point — a
-        // scheduling artefact, none of it translation work.  The capture
-        // itself shares the code pages instead of copying them and freezes
-        // the heats of the blocks that ever chained, not of the whole cache
-        // (that walk was ~0.4 ms per request with `cold_code`'s ~15 k cached
-        // blocks, 88 % of which ran once).
-        let elapsed = t0.elapsed();
-        self.tier_timers.snapshot_build += elapsed;
-        self.tier_timers.run_thread_stall += elapsed;
-        self.inflight.insert(key, seq);
-        self.tier.as_mut().expect("tiered mode").submit(request);
-        self.stats.tier1_requests += 1;
-    }
-
-    /// Looks `key` up in the content-keyed reuse cache, revalidating every
-    /// constituent page hash against live memory.  A hit (and a validated
-    /// refusal) supersedes any in-flight formation request for the key.
-    fn obtain_reuse(&mut self, key: RegionKey, gen: u64) -> ReuseOutcome {
-        let Some(reuse) = self.reuse.as_ref().map(Arc::clone) else {
-            return ReuseOutcome::Miss;
-        };
-        let t0 = Instant::now();
-        let reuse_key = self.reuse_key_for(key);
-        let hit = reuse.lookup(reuse_key, |page, hash| self.live_page_hash(page) == hash);
-        let outcome = match hit {
-            Some(template) => {
-                self.stats.reuse_hits += 1;
-                self.inflight.remove(&key);
-                ReuseOutcome::Hit(Box::new(template.instantiate(key.phys, key.virt, gen)))
-            }
-            None if reuse
-                .known_refusal(reuse_key, |page, hash| self.live_page_hash(page) == hash) =>
-            {
-                self.inflight.remove(&key);
-                ReuseOutcome::Refusal
-            }
-            None => {
-                self.stats.reuse_misses += 1;
-                ReuseOutcome::Miss
-            }
-        };
-        self.tier_timers.run_thread_stall += t0.elapsed();
-        outcome
-    }
-
-    /// Waits for the in-flight tier-1 result for `key`, revalidates it
-    /// against the live machine, and returns the region to install.  `None`
-    /// means the worker's answer cannot be used — the trace closed too
-    /// short, the region went stale between snapshot and install (counted
-    /// as a discard, never installed), or the service is gone — and the
-    /// caller falls back to synchronous formation.
-    fn obtain_async(&mut self, key: RegionKey, gen: u64) -> Option<Region> {
-        loop {
-            let expected = self.inflight.get(&key).copied()?;
-            let result = match self.parked_results.remove(&key) {
-                Some(r) => r,
-                None => {
-                    let t0 = Instant::now();
-                    let received = self.tier.as_mut().expect("tiered mode").recv();
-                    self.tier_timers.run_thread_stall += t0.elapsed();
-                    match received {
-                        Some(r) => r,
-                        None => {
-                            // Pump queue empty, or every worker died: there
-                            // is nothing to wait for.
-                            self.inflight.remove(&key);
-                            return None;
-                        }
-                    }
-                }
-            };
-            if result.key == key && result.seq == expected {
-                match result.outcome {
-                    WorkerOutcome::Formed {
-                        region,
-                        consumed,
-                        timers,
-                        wall,
-                    } => {
-                        self.inflight.remove(&key);
-                        self.timers.merge(&timers);
-                        self.tier_timers.worker_wall += wall;
-                        // The install gate: the region must have been formed
-                        // under the current context generation AND every
-                        // page it read must still hold the captured bytes.
-                        let valid = region.ctx_gen == gen
-                            && consumed
-                                .iter()
-                                .all(|&(page, hash)| self.live_page_hash(page) == hash);
-                        if valid {
-                            self.stats.regions_installed_async += 1;
-                            return Some(*region);
-                        }
-                        self.stats.stale_discards += 1;
-                        return None;
-                    }
-                    WorkerOutcome::TooShort {
-                        consumed,
-                        timers,
-                        wall,
-                    } => {
-                        self.inflight.remove(&key);
-                        self.timers.merge(&timers);
-                        self.tier_timers.worker_wall += wall;
-                        // Remember the refusal under the content key: the
-                        // same bytes never pay this round-trip again, here
-                        // or in a later run sharing the reuse cache.
-                        if let Some(reuse) = &self.reuse {
-                            reuse.publish_refusal(self.reuse_key_for(key), consumed);
-                        }
-                        return None;
-                    }
-                    WorkerOutcome::NeedPages { mut request, pages } => {
-                        // Refill the snapshot from live memory and resubmit
-                        // under a fresh sequence number; the install gate
-                        // revalidates everything at the end regardless.
-                        let t0 = Instant::now();
-                        for page in pages {
-                            let bytes = read_live_page(&self.machine, page);
-                            request.snapshot.insert_page(page, bytes);
-                        }
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
-                        request.seq = seq;
-                        self.inflight.insert(key, seq);
-                        self.tier.as_mut().expect("tiered mode").submit(request);
-                        self.tier_timers.run_thread_stall += t0.elapsed();
-                    }
-                }
-            } else if self.inflight.get(&result.key) == Some(&result.seq) {
-                // A live result for a different key: park it until that key
-                // reaches its own install point.
-                self.parked_results.insert(result.key, result);
-            }
-            // Superseded or abandoned results are dropped on the floor —
-            // their timers too, so no counter depends on worker scheduling.
-        }
-    }
-
-    /// The content identity `key`'s translations are published/looked up
-    /// under: entry addresses, the codegen knobs, and the live hash of the
-    /// entry page.
-    fn reuse_key_for(&self, key: RegionKey) -> ReuseKey {
-        ReuseKey {
-            phys: key.phys,
-            virt: key.virt,
-            knobs: self.knobs.packed(),
-            entry_page_hash: self.live_page_hash(key.phys & !0xFFF),
-        }
-    }
-
-    /// FNV-1a content hash of one live guest physical page.
-    fn live_page_hash(&self, page_base: u64) -> u64 {
-        fnv1a(&read_live_page(&self.machine, page_base))
-    }
-}
-
-/// The live bytes of one guest physical page (zero-filled past the end of
-/// backed memory).
-fn read_live_page(machine: &Machine, page_base: u64) -> Vec<u8> {
-    let mut bytes = vec![0u8; tier::PAGE_BYTES];
-    if machine
-        .mem
-        .read(layout::GUEST_PHYS_BASE + page_base, &mut bytes)
-        .is_err()
-    {
-        bytes.fill(0);
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + page_base + i as u64, 1)
-                .unwrap_or(0) as u8;
-        }
-    }
-    bytes
 }
 
 impl Engine for Captive {
@@ -2262,7 +1825,7 @@ mod tests {
         c.set_entry(0x1000);
         assert_eq!(c.run(24), RunExit::BudgetExhausted);
         assert_eq!(c.guest_reg(5), 1, "stopped before the rewrite");
-        let live = |c: &Captive, page: u64| read_live_page(&c.machine, page);
+        let live = |c: &Captive, page: u64| formation::read_live_page(&c.machine, page);
 
         let first = c.capture_snapshot();
         let second = c.capture_snapshot();
@@ -2291,26 +1854,44 @@ mod tests {
 
     #[test]
     fn content_keyed_reuse_skips_reformation_across_instances() {
-        // Two engine instances share a reuse cache and run the same kernel
-        // image: the second instance must obtain its hot region by content
-        // hash instead of re-forming it, with identical guest results and
-        // modeled cycles.
+        // Engine instances share a reuse cache and run the same kernel
+        // image — a call loop whose callee is on the next page, so the hot
+        // region has an interior page: the second instance must obtain it
+        // by content instead of re-forming it, with identical guest results
+        // and modeled cycles.
+        use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
         let reuse = Arc::new(ReuseCache::new());
-        let words = multi_block_loop(3000);
-        let run = || {
+        let mut main = asm::Assembler::new();
+        main.push(asm::movz(6, 3000, 0));
+        main.label("loop");
+        let bl_idx = main.here();
+        main.push(asm::bl(0x2000 - (0x1000 + bl_idx as i64 * 4)));
+        main.push(asm::subi(6, 6, 1));
+        main.cbnz_to(6, "loop");
+        main.push(asm::hlt());
+        let main = main.finish();
+        let callee = |step: u32| [asm::addi(9, 9, step), asm::ret()];
+        // Every instance holds the loop at 0x1000, its callee at 0x2000 and
+        // a second callee, twice the step, at 0x5000.
+        let instance = || {
             let mut c = Captive::new(CaptiveConfig {
                 tier_workers: Some(0),
                 reuse_cache: Some(Arc::clone(&reuse)),
                 ..CaptiveConfig::default()
             });
-            c.load_program(0x1000, &words);
+            c.load_program(0x1000, &main);
+            c.load_program(0x2000, &callee(1));
+            c.load_program(0x5000, &callee(2));
             c.set_entry(0x1000);
+            c
+        };
+        let finish = |mut c: Captive| {
             assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
             (c.guest_reg(9), c.stats())
         };
-        let (x9_first, first) = run();
-        let (x9_second, second) = run();
-        assert_eq!(x9_first, 4_501_500, "sum of the 3000-step countdown");
+        let (x9_first, first) = finish(instance());
+        let (x9_second, second) = finish(instance());
+        assert_eq!(x9_first, 3000, "one step per call");
         assert_eq!(x9_first, x9_second);
         assert_eq!(first.reuse_hits, 0, "cold cache on the first run");
         assert!(first.reuse_misses >= 1);
@@ -2324,5 +1905,32 @@ mod tests {
             first.regions_formed, second.regions_formed,
             "a reused install still counts as a formed region"
         );
+
+        // A third instance holds the same bytes in the same frames — every
+        // code-page hash of the published template matches — but turns its
+        // MMU on with the callee's *virtual* page mapped to the other
+        // callee.  The template's evidence does not hold there: it must
+        // miss and re-form, not run the first two guests' callee.
+        let mut tables = GuestTableImage::new(0x10_0000, 0x18_0000);
+        tables.identity(0x1000, 0x1000, GuestPageFlags::kernel_rw());
+        tables.identity(0x3000, 0x1000, GuestPageFlags::kernel_rw());
+        tables.map(0x2000, 0x5000, GuestPageFlags::kernel_rw());
+        let mut boot = asm::Assembler::new();
+        boot.mov_imm64(0, tables.root());
+        boot.push(asm::msr(guest_aarch64::SysReg::Ttbr0 as u32, 0));
+        boot.push(asm::movz(0, 1, 0));
+        boot.push(asm::msr(guest_aarch64::SysReg::Sctlr as u32, 0)); // MMU on
+        let b_idx = boot.here();
+        boot.push(asm::b(0x1000 - (0x3000 + b_idx as i64 * 4)));
+        let mut c = instance();
+        c.load_program(0x3000, &boot.finish());
+        c.set_entry(0x3000);
+        for (a, v) in tables.words() {
+            c.write_guest_phys(a, v, 8);
+        }
+        let (x9_third, third) = finish(c);
+        assert_eq!(x9_third, 6000, "the callee this guest mapped, two a call");
+        assert_eq!(third.reuse_hits, 0, "evidence from another mapping");
+        assert_eq!(third.regions_formed, first.regions_formed, "re-formed");
     }
 }

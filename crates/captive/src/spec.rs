@@ -10,10 +10,11 @@
 //! method hands a region back only when the guest words it was made from
 //! are, word for word, what live memory holds at the install point.
 
+use crate::formation::read_live_page;
 use crate::runtime::CaptiveRuntime;
 use crate::tier::{TierService, PAGE_BYTES};
 use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
-use crate::{read_live_page, Captive, CaptiveConfig, FpMode};
+use crate::{Captive, CaptiveConfig, FpMode};
 use dbt::idiom::RuleTable;
 use dbt::{BlockExit, PhaseTimers, Region, RegionKey};
 use guest_aarch64::Aarch64Isa;

@@ -13,23 +13,27 @@
 //!   [`TierService`].
 //! * A worker thread traces and translates the region **entirely from the
 //!   snapshot** via [`SnapshotSource`] (never touching live guest state),
-//!   and hands the formed region back with the content hash of every page it
-//!   consumed.
+//!   and hands back what the run thread's own former would: a
+//!   [`FormOutcome`], the formed region (or the refusal) with the
+//!   [`dbt::Evidence`] it was made from — the hash of every code page as
+//!   the snapshot held it, every translation the snapshot's tables gave.
 //! * When the link finally crosses the threshold, the run thread drains the
 //!   result and installs it through the ordinary replace-at-key mechanism —
-//!   but only after revalidating the context generation and every consumed
-//!   page hash against live memory.  A region formed against a stale
-//!   generation or a since-patched page is *discarded*, never installed.
+//!   but only if it was formed under the current context generation and
+//!   its evidence still holds on the live machine
+//!   (`Captive::evidence_holds`, the one gate, in [`crate::formation`]).  A
+//!   region formed against a stale generation, a since-patched page or a
+//!   since-moved mapping is *discarded*, never installed.
 //!
 //! A snapshot is seeded with the pages already known to hold translated code;
 //! anything else the trace needs (page-table pages on an MMU-on guest, a
 //! straight-line fall-through onto a fresh page) surfaces as
-//! [`WorkerOutcome::NeedPages`], and the run thread refills the snapshot from
+//! [`FormOutcome::NeedPages`], and the run thread refills the snapshot from
 //! live memory and resubmits — keeping snapshot capture cheap without
-//! guessing the reachable set up front.
-//!
-//! Decode results are memoised across requests ([`DecodeMemo`]): constituents
-//! traced by several candidate regions decode once.
+//! guessing the reachable set up front.  The table pages a snapshot walk
+//! read are *not* evidence: what the region depends on is where the walk
+//! ended, which the gate re-resolves, not which of a table page's 512
+//! entries hold what.
 //!
 //! # Speculative tier-0 translation
 //!
@@ -122,8 +126,7 @@
 
 use crate::spec::{Frontier, Knobs};
 use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
-use dbt::{fnv1a, GuestIsa, PhaseTimers, Region, RegionKey};
-use guest_aarch64::gen::Decoded;
+use dbt::{fnv1a, PhaseTimers, RegionKey};
 use guest_aarch64::{mmu, Aarch64Isa};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -133,11 +136,6 @@ use std::time::{Duration, Instant};
 
 /// Guest page size (the snapshot's unit of capture and validation).
 pub const PAGE_BYTES: usize = 4096;
-
-/// Shared decode memo: (virtual PC, instruction word) → decode result.  The
-/// same constituent traced by several candidate regions (or re-traced after
-/// a `NeedPages` refill) decodes once.
-pub type DecodeMemo = Arc<Mutex<HashMap<(u64, u32), Option<Decoded>>>>;
 
 /// An immutable view of everything region formation reads: captured on the
 /// run thread at publish time, consumed by a worker.  Workers never touch
@@ -188,97 +186,38 @@ pub struct FormationRequest {
     pub knobs: Arc<Knobs>,
 }
 
-/// What a worker produced for one request.
-#[derive(Debug)]
-pub enum WorkerOutcome {
-    /// A region was formed.  `consumed` lists every snapshot page the trace
-    /// read (code pages and, on MMU-on guests, page-table pages) with the
-    /// content hash of its captured bytes; the run thread revalidates all of
-    /// them against live memory before installing.
-    Formed {
-        /// The formed region (stamped with the snapshot's generation),
-        /// boxed to keep the enum small on the channel.
-        region: Box<Region>,
-        /// (page base, FNV-1a of the captured bytes) for every page read.
-        consumed: Vec<(u64, u64)>,
-        /// JIT phase timers accumulated by this formation.
-        timers: PhaseTimers,
-        /// Worker wall-clock spent on this request.
-        wall: Duration,
-    },
-    /// The trace closed at one constituent with no back-edge, or lowering
-    /// bailed out: the same refusal the synchronous former reports as
-    /// `None`.
-    TooShort {
-        /// (page base, FNV-1a of the captured bytes) for every page the
-        /// abandoned trace read — published as a reuse-cache *refusal* so
-        /// later runs of the same content skip the round-trip.
-        consumed: Vec<(u64, u64)>,
-        /// JIT phase timers accumulated by the abandoned formation.
-        timers: PhaseTimers,
-        /// Worker wall-clock spent on this request.
-        wall: Duration,
-    },
-    /// The snapshot was missing pages the trace needed; the request is
-    /// returned so the run thread can refill it from live memory and
-    /// resubmit.
-    NeedPages {
-        /// The original request, snapshot intact.
-        request: FormationRequest,
-        /// Guest physical page bases to capture.
-        pages: Vec<u64>,
-    },
-}
-
 /// A worker's reply, routed back to the run thread.
 #[derive(Debug)]
 pub struct FormationResult {
-    /// The sequence number of the request this answers.
-    pub seq: u64,
-    /// The trace head the request was for.
-    pub key: RegionKey,
-    /// What happened.
-    pub outcome: WorkerOutcome,
+    /// The request this answers, handed back whole: its `seq` and `key`
+    /// route the reply, and a [`FormOutcome::NeedPages`] reply is answered by
+    /// refilling its snapshot and submitting it again.
+    pub request: FormationRequest,
+    /// What the former made of it — exactly what it would have returned on
+    /// the run thread.
+    pub outcome: FormOutcome,
+    /// JIT phase timers accumulated by this formation.
+    pub timers: PhaseTimers,
+    /// Worker wall-clock spent on this request.
+    pub wall: Duration,
 }
 
 /// [`TraceSource`] over a [`FormationSnapshot`]: every read the region
 /// former performs resolves against captured bytes, never the live machine.
-/// Touched pages are recorded so the run thread can validate the formed
-/// region against live memory at install time.
 pub struct SnapshotSource<'a> {
     snapshot: &'a FormationSnapshot,
-    memo: &'a DecodeMemo,
-    /// Page bases read from the snapshot (code and page-table pages alike).
-    consumed: Vec<u64>,
     /// Pages a failed walk found absent from the snapshot (scratch, drained
     /// into [`SourceRead::Missing`] by `va_to_pa`).
     walk_missing: Vec<u64>,
 }
 
 impl<'a> SnapshotSource<'a> {
-    /// Creates a source over `snapshot` sharing the service-wide decode memo.
-    pub fn new(snapshot: &'a FormationSnapshot, memo: &'a DecodeMemo) -> Self {
+    /// Creates a source over `snapshot`.
+    pub fn new(snapshot: &'a FormationSnapshot) -> Self {
         SnapshotSource {
             snapshot,
-            memo,
-            consumed: Vec::new(),
             walk_missing: Vec::new(),
         }
-    }
-
-    fn note_consumed(&mut self, page: u64) {
-        if !self.consumed.contains(&page) {
-            self.consumed.push(page);
-        }
-    }
-
-    /// The consumed-page validation list: every touched page with the
-    /// FNV-1a hash of its captured bytes.
-    pub fn consumed_hashes(&self) -> Vec<(u64, u64)> {
-        self.consumed
-            .iter()
-            .map(|&p| (p, fnv1a(&self.snapshot.pages[&p])))
-            .collect()
     }
 
     /// Reads a 64-bit little-endian word of captured guest physical memory
@@ -294,10 +233,7 @@ impl<'a> SnapshotSource<'a> {
             let addr = gpa + i;
             let page = addr & !0xFFF;
             match self.snapshot.pages.get(&page) {
-                Some(bytes) => {
-                    self.note_consumed(page);
-                    value |= (bytes[(addr & 0xFFF) as usize] as u64) << (8 * i);
-                }
+                Some(bytes) => value |= (bytes[(addr & 0xFFF) as usize] as u64) << (8 * i),
                 None => {
                     self.walk_missing.push(page);
                     return None;
@@ -338,7 +274,6 @@ impl TraceSource for SnapshotSource<'_> {
         let page = pa & !0xFFF;
         match self.snapshot.pages.get(&page) {
             Some(bytes) => {
-                self.note_consumed(page);
                 let off = (pa & 0xFFF) as usize;
                 SourceRead::Ok(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()))
             }
@@ -349,14 +284,13 @@ impl TraceSource for SnapshotSource<'_> {
         }
     }
 
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {
-        let key = (va, word);
-        if let Some(hit) = self.memo.lock().unwrap().get(&key) {
-            return *hit;
+    fn code_page_hash(&self, page: u64) -> u64 {
+        // An absent page is one `read_code_word` served as zeros (past the
+        // end of guest RAM; anything else was reported missing).
+        match self.snapshot.pages.get(&page) {
+            Some(bytes) => fnv1a(bytes),
+            None => fnv1a(&[0; PAGE_BYTES]),
         }
-        let decoded = isa.decode(word, va);
-        self.memo.lock().unwrap().insert(key, decoded);
-        decoded
     }
 
     fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
@@ -369,39 +303,23 @@ impl TraceSource for SnapshotSource<'_> {
 /// Forms one request against its snapshot.  Pure: reads only the request,
 /// so the same request always produces the same result — tier-1 outcomes
 /// are a deterministic function of what the run thread published.
-fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> FormationResult {
+fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationResult {
     let start = Instant::now();
     let mut timers = PhaseTimers::default();
-    let mut source = SnapshotSource::new(&req.snapshot, memo);
     let outcome = form_region_from(
         isa,
-        &mut source,
+        &mut SnapshotSource::new(&request.snapshot),
         &mut timers,
-        req.key.virt,
-        req.key.phys,
-        &req.knobs,
+        request.key.virt,
+        request.key.phys,
+        &request.knobs,
     );
-    let consumed = source.consumed_hashes();
-    drop(source);
-    let (seq, key) = (req.seq, req.key);
-    let outcome = match outcome {
-        FormOutcome::Formed(region) => WorkerOutcome::Formed {
-            region,
-            consumed,
-            timers,
-            wall: start.elapsed(),
-        },
-        FormOutcome::TooShort => WorkerOutcome::TooShort {
-            consumed,
-            timers,
-            wall: start.elapsed(),
-        },
-        FormOutcome::NeedPages(pages) => WorkerOutcome::NeedPages {
-            request: req,
-            pages,
-        },
-    };
-    FormationResult { seq, key, outcome }
+    FormationResult {
+        request,
+        outcome,
+        timers,
+        wall: start.elapsed(),
+    }
 }
 
 /// What the run thread and the workers share: the formation queue, the
@@ -443,20 +361,19 @@ pub struct TierService {
     handles: Vec<JoinHandle<()>>,
     /// Workers that may speculate at once (the frontier's slot count).
     spec_slots: usize,
-    memo: DecodeMemo,
     isa: Aarch64Isa,
 }
 
 /// One worker: formation requests first (the run thread blocks on those),
 /// then one speculative block at a time, asleep when there is neither.
-fn worker(shared: &Shared, results: &Sender<FormationResult>, memo: &DecodeMemo) {
+fn worker(shared: &Shared, results: &Sender<FormationResult>) {
     let isa = Aarch64Isa;
     let mut spent = Vec::new();
     let mut queues = shared.lock();
     while !queues.shutdown {
         if let Some(request) = queues.formations.pop_front() {
             drop(queues);
-            if results.send(process(&isa, memo, request)).is_err() {
+            if results.send(process(&isa, request)).is_err() {
                 return;
             }
             queues = shared.lock();
@@ -510,7 +427,6 @@ impl TierService {
             }),
             wake: Condvar::new(),
         });
-        let memo: DecodeMemo = Arc::default();
         // `res_tx` clones live only in the workers, so `recv` unblocks (with
         // an error) if every worker exits.
         let (res_tx, results) = channel::<FormationResult>();
@@ -518,8 +434,7 @@ impl TierService {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let tx = res_tx.clone();
-                let memo = Arc::clone(&memo);
-                std::thread::spawn(move || worker(&shared, &tx, &memo))
+                std::thread::spawn(move || worker(&shared, &tx))
             })
             .collect();
         TierService {
@@ -527,7 +442,6 @@ impl TierService {
             results,
             handles,
             spec_slots,
-            memo,
             isa: Aarch64Isa,
         }
     }
@@ -556,7 +470,7 @@ impl TierService {
     pub fn recv(&mut self) -> Option<FormationResult> {
         if self.is_pump() {
             let req = self.shared.lock().formations.pop_front()?;
-            Some(process(&self.isa, &self.memo, req))
+            Some(process(&self.isa, req))
         } else {
             self.results.recv().ok()
         }
@@ -668,15 +582,14 @@ mod tests {
             0x1000,
         ));
         let result = service.recv().expect("one result");
-        assert_eq!(result.seq, 1);
+        assert_eq!(result.request.seq, 1);
         match result.outcome {
-            WorkerOutcome::Formed {
-                region, consumed, ..
-            } => {
+            FormOutcome::Formed { region, evidence } => {
                 assert!(region.back_edges > 0, "the self-loop closes internally");
                 assert!(region.unroll > 1, "the body is peeled");
-                assert_eq!(consumed.len(), 1, "one code page consumed");
-                assert_eq!(consumed[0].0, 0x1000);
+                assert_eq!(evidence.code_pages.len(), 1, "one code page consumed");
+                assert_eq!(evidence.code_pages[0].0, 0x1000);
+                assert_eq!(evidence.translations, [(0x1000, 0x1000)], "MMU off");
             }
             other => panic!("expected a formed region, got {other:?}"),
         }
@@ -694,20 +607,18 @@ mod tests {
         let b = pump.recv().expect("pump result");
         match (&a.outcome, &b.outcome) {
             (
-                WorkerOutcome::Formed {
+                FormOutcome::Formed {
                     region: ra,
-                    consumed: ca,
-                    ..
+                    evidence: ea,
                 },
-                WorkerOutcome::Formed {
+                FormOutcome::Formed {
                     region: rb,
-                    consumed: cb,
-                    ..
+                    evidence: eb,
                 },
             ) => {
                 assert_eq!(ra.code, rb.code, "identical host code");
                 assert_eq!(ra.constituents, rb.constituents);
-                assert_eq!(ca, cb, "identical consumed-page hashes");
+                assert_eq!(ea, eb, "identical evidence");
             }
             other => panic!("both must form: {other:?}"),
         }
@@ -734,7 +645,7 @@ mod tests {
         service.submit(request(snapshot.clone(), entry));
         let result = service.recv().expect("first pass");
         let (req, pages) = match result.outcome {
-            WorkerOutcome::NeedPages { request, pages } => (request, pages),
+            FormOutcome::NeedPages(pages) => (result.request, pages),
             other => panic!("expected NeedPages, got {other:?}"),
         };
         assert_eq!(pages, vec![0x2000], "the next page is requested");
@@ -753,12 +664,16 @@ mod tests {
         refilled.seq = 2;
         service.submit(refilled);
         let result = service.recv().expect("second pass");
-        assert_eq!(result.seq, 2);
+        assert_eq!(result.request.seq, 2);
         match result.outcome {
-            WorkerOutcome::Formed { consumed, .. } => {
-                let mut pages: Vec<u64> = consumed.iter().map(|&(p, _)| p).collect();
-                pages.sort_unstable();
+            FormOutcome::Formed { evidence, .. } => {
+                let pages: Vec<u64> = evidence.code_pages.iter().map(|&(p, _)| p).collect();
                 assert_eq!(pages, vec![0x1000, 0x2000]);
+                assert_eq!(
+                    evidence.translations,
+                    [(0x1000, 0x1000), (0x2000, 0x2000)],
+                    "the entry and the crossing"
+                );
             }
             other => panic!("refilled request must form, got {other:?}"),
         }
@@ -766,7 +681,7 @@ mod tests {
 
     #[test]
     fn snapshot_heats_answer_like_the_live_cache_did_at_publish_time() {
-        use dbt::{BlockExit, CacheIndex, ChainLinks, CodeCache};
+        use dbt::{BlockExit, CacheIndex, ChainLinks, CodeCache, Region};
         let block = |phys: u64, exit: BlockExit| Region {
             guest_phys: phys,
             guest_virt: phys,
@@ -841,8 +756,7 @@ mod tests {
         // a missing profile, so that is all a snapshot has to preserve — and
         // what lets it skip every block that never chained.
         let distinguishable = |heats: Option<(u64, u64)>| heats.filter(|(t, f)| t != f);
-        let memo = DecodeMemo::default();
-        let source = SnapshotSource::new(&snapshot, &memo);
+        let source = SnapshotSource::new(&snapshot);
         for (phys, expected) in at_publish {
             assert_eq!(
                 distinguishable(source.branch_heats(key(phys))),
@@ -903,26 +817,5 @@ mod tests {
         let queues = shared.lock();
         assert_eq!(queues.frontier.translated(), 0);
         assert_eq!(Arc::strong_count(&shared), 1, "every worker was joined");
-    }
-
-    #[test]
-    fn decode_memo_is_shared_across_requests() {
-        let service = TierService::new(0);
-        let memo = Arc::clone(&service.memo);
-        let snapshot = snapshot_with_code(&self_loop_words(), 0x1000);
-        let mut service = service;
-        service.submit(request(snapshot.clone(), 0x1000));
-        service.recv().expect("formed");
-        let after_first = memo.lock().unwrap().len();
-        assert!(after_first > 0, "decodes are memoised");
-        let mut second = request(snapshot, 0x1000);
-        second.seq = 2;
-        service.submit(second);
-        service.recv().expect("formed again");
-        assert_eq!(
-            memo.lock().unwrap().len(),
-            after_first,
-            "the second trace re-used every decode"
-        );
     }
 }

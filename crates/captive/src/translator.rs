@@ -7,17 +7,31 @@
 //! it produces is a [`Region`]: [`translate_block`] emits the
 //! one-constituent kind (a guest basic block, ending at the first
 //! branch/exception instruction, at a page boundary, or at the configured
-//! instruction limit), and [`form_region`] stitches a hot chained path —
+//! instruction limit), and [`form_region_from`] stitches a hot chained path —
 //! including unrolled single-block self-loops — into a multi-constituent
 //! one.
+//!
+//! A block is decided by the bytes of its one page.  A formed region is a
+//! *virtual* path across pages, so the tracer hands it back together with
+//! its [`Evidence`]: every code page it decoded from (with the hash of the
+//! bytes its [`TraceSource`] served) and every virtual → physical
+//! translation it resolved on the way.  Whoever later serves the region to a
+//! machine it was not just traced from — the tier-1 install, the reuse
+//! cache — asks the engine's one gate (`Captive::evidence_holds`, in
+//! [`crate::formation`]) whether that evidence still holds there.  The
+//! evidence has no negative half: a target that did not resolve when traced
+//! ends the trace in an ordinary exit, which costs optimality once the
+//! target is mapped, never correctness.
 
+use crate::formation::live_page_hash;
 use crate::runtime::{sf_helpers, CaptiveRuntime};
 use crate::spec::Knobs;
-use crate::{layout, read_live_page, FpMode};
+use crate::{layout, FpMode};
 use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
 use dbt::{
-    BlockExit, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region, RegionKey,
+    BlockExit, CodeCache, Emitter, Evidence, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
+    RegionKey,
 };
 use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
@@ -229,10 +243,10 @@ pub enum SourceRead<T> {
 }
 
 /// What the region former reads while tracing: guest address resolution,
-/// code words, decoded instructions and branch-leg profiles.  The run
-/// thread traces against the live machine ([`LiveSource`]); tier-1 workers
-/// trace against an immutable [`crate::tier::FormationSnapshot`], so a
-/// formed region is a pure function of the snapshot.
+/// code words, page hashes and branch-leg profiles.  The run thread traces
+/// against the live machine ([`LiveSource`]); tier-1 workers trace against
+/// an immutable [`crate::tier::FormationSnapshot`], so a formed region is a
+/// pure function of the snapshot.
 pub trait TraceSource {
     /// Context generation the formation is stamped with.
     fn ctx_gen(&self) -> u64;
@@ -240,9 +254,9 @@ pub trait TraceSource {
     fn va_to_pa(&mut self, va: u64) -> SourceRead<u64>;
     /// Reads the guest code word at physical address `pa`.
     fn read_code_word(&mut self, pa: u64) -> SourceRead<u32>;
-    /// Decodes `word` at `va` (a snapshot source memoizes this, so
-    /// constituents traced by several candidate regions decode once).
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded>;
+    /// FNV-1a hash of physical page `page` as [`TraceSource::read_code_word`]
+    /// serves it — what the trace's [`Evidence`] records for the page.
+    fn code_page_hash(&self, page: u64) -> u64;
     /// Taken/fallthrough link heats of the cached conditional block at
     /// `key`, when a profile exists (`None` falls back to the static
     /// backward-taken heuristic).
@@ -250,8 +264,7 @@ pub trait TraceSource {
 }
 
 /// The run thread's trace source: reads the live machine, walks through the
-/// live runtime, and consults live chain-link heats.  [`form_region`] wraps
-/// it, preserving the synchronous formation path bit-for-bit.
+/// live runtime, and consults live chain-link heats.
 pub struct LiveSource<'a> {
     /// The live guest machine.
     pub machine: &'a mut Machine,
@@ -259,40 +272,6 @@ pub struct LiveSource<'a> {
     pub runtime: &'a mut CaptiveRuntime,
     /// The code cache (profile consultation only).
     pub cache: &'a CodeCache,
-    /// Guest physical code pages the trace read, in first-touch order — the
-    /// live-path mirror of [`crate::tier::SnapshotSource`]'s consumed set,
-    /// so a synchronous refusal can be published to the reuse cache with the
-    /// pages that prove it.  Unlike the snapshot source, the live walker
-    /// does not expose the page-table pages it touches, so on an MMU-on
-    /// guest the set covers code pages only; a refusal keyed on it can at
-    /// worst over-apply (skipping a worker round-trip that would have
-    /// refused anyway), never corrupt an installed translation.
-    pub consumed: Vec<u64>,
-}
-
-impl<'a> LiveSource<'a> {
-    /// Creates a live source with an empty consumed set.
-    pub fn new(
-        machine: &'a mut Machine,
-        runtime: &'a mut CaptiveRuntime,
-        cache: &'a CodeCache,
-    ) -> Self {
-        LiveSource {
-            machine,
-            runtime,
-            cache,
-            consumed: Vec::new(),
-        }
-    }
-
-    /// The consumed code pages with the FNV-1a hash of their *live* bytes,
-    /// read at call time (the synchronous path has no snapshot to hash).
-    pub fn consumed_hashes(&self) -> Vec<(u64, u64)> {
-        self.consumed
-            .iter()
-            .map(|&page| (page, dbt::fnv1a(&read_live_page(self.machine, page))))
-            .collect()
-    }
 }
 
 impl TraceSource for LiveSource<'_> {
@@ -308,17 +287,13 @@ impl TraceSource for LiveSource<'_> {
     }
 
     fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
-        let page = pa & !0xFFF;
-        if !self.consumed.contains(&page) {
-            self.consumed.push(page);
-        }
         // An unreadable word degrades to 0 (an UNDEF), matching the
         // per-block translator's behaviour.
         SourceRead::Ok(live_code_word(self.machine, pa))
     }
 
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {
-        isa.decode(word, va)
+    fn code_page_hash(&self, page: u64) -> u64 {
+        live_page_hash(self.machine, page)
     }
 
     fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
@@ -331,16 +306,26 @@ impl TraceSource for LiveSource<'_> {
     }
 }
 
-/// Outcome of a generic region formation.
+/// Outcome of a region formation, from either source.
+#[derive(Debug)]
 pub enum FormOutcome {
-    /// A multi-constituent or looping region was formed (boxed: the other
-    /// variants are a fraction of `Region`'s size).
-    Formed(Box<Region>),
+    /// A multi-constituent or looping region was formed.
+    Formed {
+        /// The region (boxed: the other variants are a fraction of its
+        /// size), stamped with the source's context generation.
+        region: Box<Region>,
+        /// What it was made from.
+        evidence: Evidence,
+    },
     /// The trace closed at one constituent with no back-edge (a region
     /// would add nothing over the plain block), or lowering bailed out.
-    TooShort,
+    TooShort {
+        /// What the abandoned trace was made from: the refusal is published
+        /// with it, so the same content never pays the attempt again.
+        evidence: Evidence,
+    },
     /// A snapshot source was missing these physical pages; refill and
-    /// resubmit.
+    /// resubmit.  Never produced by a live source.
     NeedPages(Vec<u64>),
 }
 
@@ -372,9 +357,9 @@ enum Step {
 /// turning the off-trace leg of interior conditionals into out-of-line
 /// side-exit stubs.  The trace stops at indirect exits, untranslatable
 /// target pages, [`REGION_MAX_INSNS`] guest instructions, or
-/// [`REGION_MAX_BLOCKS`] constituents.  Returns `None` when the result would
-/// be neither multi-constituent nor looping (a region would add nothing over
-/// the plain block).
+/// [`REGION_MAX_BLOCKS`] constituents.  [`FormOutcome::TooShort`] when the
+/// result would be neither multi-constituent nor looping (a region would add
+/// nothing over the plain block).
 ///
 /// **Looping regions.** A back edge to an already-traced constituent does
 /// not end the trace: it closes as a *region-internal backward transfer*
@@ -401,31 +386,10 @@ enum Step {
 /// Formation is pure JIT work: it charges no simulated cycles and touches no
 /// iTLB/gTLB counters (guest translations are resolved through the
 /// uncharged walker).
-pub fn form_region(
-    isa: &Aarch64Isa,
-    mut source: LiveSource<'_>,
-    timers: &mut PhaseTimers,
-    entry_pc: u64,
-    entry_pa: u64,
-    knobs: &Knobs,
-) -> (Option<Region>, Vec<(u64, u64)>) {
-    match form_region_from(isa, &mut source, timers, entry_pc, entry_pa, knobs) {
-        FormOutcome::Formed(region) => (Some(*region), Vec::new()),
-        // A live source never reports missing pages; TooShort is the
-        // ordinary "a region would add nothing" refusal, reported with the
-        // code pages the abandoned trace consumed so the caller can publish
-        // it to the reuse cache.
-        FormOutcome::TooShort | FormOutcome::NeedPages(_) => {
-            let consumed = source.consumed_hashes();
-            (None, consumed)
-        }
-    }
-}
-
-/// The generic former behind [`form_region`]: identical tracing, stitching,
-/// peeling and closing logic, but every read goes through the
-/// [`TraceSource`] — the live machine on the synchronous path, an immutable
-/// snapshot on a tier-1 worker.
+///
+/// Every read goes through the [`TraceSource`] — the live machine on the run
+/// thread, an immutable snapshot on a tier-1 worker — and both get the same
+/// answer shape back: the region (or the refusal) with its [`Evidence`].
 pub fn form_region_from<S: TraceSource + ?Sized>(
     isa: &Aarch64Isa,
     source: &mut S,
@@ -441,6 +405,15 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     let mut guest_insns = 0usize;
     let mut constituents = 1usize;
     let mut pages: Vec<u64> = vec![entry_pa & !0xFFF];
+    // Every (virtual page, physical page) the trace relies on: the entry's,
+    // then each one resolved below.
+    let mut translations: Vec<(u64, u64)> = vec![(entry_pc & !0xFFF, entry_pa & !0xFFF)];
+    let mut resolved = |va: u64, pa: u64| {
+        let pair = (va & !0xFFF, pa & !0xFFF);
+        if !translations.contains(&pair) {
+            translations.push(pair);
+        }
+    };
     let mut visited: Vec<u64> = vec![entry_pc];
     let mut starts: Vec<ConstituentStart> = vec![ConstituentStart {
         va: entry_pc,
@@ -472,6 +445,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             }
             match source.va_to_pa(va) {
                 SourceRead::Ok(pa) => {
+                    resolved(va, pa);
                     page_va = va & !0xFFF;
                     page_pa = pa & !0xFFF;
                     if !pages.contains(&page_pa) {
@@ -501,7 +475,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             SourceRead::Fault => 0,
             SourceRead::Missing(page) => return FormOutcome::NeedPages(vec![page]),
         };
-        let decoded = source.decode(isa, word, va);
+        let decoded = isa.decode(word, va);
         clock.close(timers, Phase::Decode);
         let Some(d) = decoded else {
             // Undefined instruction: the guest's UNDEF exception, exactly
@@ -539,7 +513,10 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             Some(t) if !visited.contains(&t) => {
                 if budget_left {
                     match source.va_to_pa(t) {
-                        SourceRead::Ok(p) => Step::Forward(t, p),
+                        SourceRead::Ok(p) => {
+                            resolved(t, p);
+                            Step::Forward(t, p)
+                        }
                         SourceRead::Fault => Step::Plain,
                         SourceRead::Missing(page) => {
                             return FormOutcome::NeedPages(vec![page]);
@@ -656,8 +633,15 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         }
     }
 
+    let evidence = Evidence {
+        code_pages: pages
+            .iter()
+            .map(|&page| (page, source.code_page_hash(page)))
+            .collect(),
+        translations,
+    };
     if constituents < 2 && back_edges == 0 {
-        return FormOutcome::TooShort;
+        return FormOutcome::TooShort { evidence };
     }
 
     let exit = emitter
@@ -672,7 +656,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             // running the constituent blocks and the quarantine/backoff
             // machinery decides when (or whether) to retry.
             timers.jit.lower_bailouts += 1;
-            return FormOutcome::TooShort;
+            return FormOutcome::TooShort { evidence };
         }
     };
     timers.jit.translated_units += 1;
@@ -689,16 +673,19 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         .checked_div(guest_insns)
         .unwrap_or(0);
 
-    FormOutcome::Formed(Box::new(Region {
-        constituents,
-        pages,
-        ctx_gen,
-        unroll: unroll_copies,
-        back_edges,
-        loop_guest_insns,
-        loop_elided_insns,
-        ..Region::block(entry_pa, entry_pc, guest_insns, lir_count, exit, t)
-    }))
+    FormOutcome::Formed {
+        region: Box::new(Region {
+            constituents,
+            pages,
+            ctx_gen,
+            unroll: unroll_copies,
+            back_edges,
+            loop_guest_insns,
+            loop_elided_insns,
+            ..Region::block(entry_pa, entry_pc, guest_insns, lir_count, exit, t)
+        }),
+        evidence,
+    }
 }
 
 /// Picks the continuation leg of an interior conditional: the hotter chain

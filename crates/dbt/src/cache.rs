@@ -389,6 +389,24 @@ impl Region {
         }
     }
 
+    /// This translation again, entered at `key` under context generation
+    /// `ctx_gen`: the same host code (shared, not copied) and the same
+    /// shape, with links of its own that nothing has patched yet.  How the
+    /// reuse layer ([`crate::reuse`]) turns a published prototype into the
+    /// region an engine installs.
+    pub fn instantiate(&self, key: RegionKey, ctx_gen: u64) -> Region {
+        Region {
+            guest_phys: key.phys,
+            guest_virt: key.virt,
+            ctx_gen,
+            links: ChainLinks::default(),
+            code: Arc::clone(&self.code),
+            pages: self.pages.clone(),
+            promoted: self.promoted.clone(),
+            ..*self
+        }
+    }
+
     /// The cache key identifying this region.
     pub fn key(&self) -> RegionKey {
         RegionKey {

@@ -55,7 +55,7 @@ pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
 pub use lower::LowerError;
 pub use opt::OptStats;
-pub use reuse::{pack_knobs, ReuseCache, ReuseKey, ReuseTemplate};
+pub use reuse::{pack_knobs, Evidence, ReuseCache, ReuseKey};
 pub use timing::{Phase, PhaseClock, PhaseTimers, TierTimers};
 
 use hvm::MachInsn;

@@ -4,24 +4,40 @@
 //! two runs (or, eventually, two guests) execute the same kernel image is
 //! pure waste.  The [`ReuseCache`] is a second, content-addressed layer
 //! beside the per-engine [`crate::CodeCache`]: a formed region is published
-//! as a [`ReuseTemplate`] under a [`ReuseKey`] — entry physical/virtual
-//! address, the codegen knobs it was formed under, and an FNV hash of the
-//! entry page's bytes — together with the content hash of *every*
-//! constituent page.  A later run (sharing the cache via `Arc`) revalidates
-//! each candidate template by hashing its live pages; only a template whose
-//! every page still matches is instantiated, as a fresh [`Region`] with
-//! fresh links and the current context generation.  Self-modified or simply
-//! different code therefore can never be reused by accident: the key and
-//! the validation are both functions of page *content*, not addresses alone.
+//! as a template — a prototype [`Region`] plus the [`Evidence`] it was made
+//! from — under a [`ReuseKey`] (entry physical/virtual address, the codegen
+//! knobs, an FNV hash of the entry page's bytes).  A later lookup, from the
+//! same engine after a context-generation bump or from another engine
+//! sharing the cache by `Arc`, gets a fresh instantiation
+//! ([`Region::instantiate`]) of the first candidate whose evidence the
+//! caller says still holds.
+//!
+//! **What a template is validated against.**  A block never leaves its page,
+//! so its bytes decide it.  A formed region is a *virtual* path across
+//! pages: it depends on the bytes of every code page it was decoded from
+//! **and** on every virtual → physical translation its trace resolved to
+//! get from one page to the next.  [`Evidence`] is exactly that pair of
+//! lists, assembled once by the tracer, and the cache never interprets it:
+//! [`ReuseCache::lookup`] and [`ReuseCache::known_refusal`] hand each
+//! candidate's evidence to one `holds` closure, which the engine answers
+//! against its live machine.  Validating the code pages alone — what this
+//! layer did first — re-instantiates a loop over a page the guest has since
+//! mapped somewhere else, with every byte of every old page still in place.
+//!
+//! **Why not hash the translation-table pages instead.**  A guest that
+//! switches `TTBR0` between two address spaces writes no table page at all,
+//! yet changes what the interior pages of a region are; and a table page
+//! holds 512 entries, 511 of which the region never depended on.  The
+//! translations themselves are the dependency, so they are what is recorded
+//! and re-resolved.
 //!
 //! Unlike the code cache — single-owner state of one engine's run thread —
 //! this layer is shared *across* engine instances, so it is the one cache
 //! here that is genuinely `Sync` and pays for locks.
 
-use crate::cache::{BlockExit, ChainLinks, Region};
-use hvm::{Gpr, MachInsn};
+use crate::cache::{Region, RegionKey};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// Packs the codegen knobs a region was formed under into one word for the
 /// [`ReuseKey`]: a template formed with different optimisation or unrolling
@@ -50,8 +66,8 @@ pub fn pack_knobs(
 /// Identity of a reusable translation: where it enters, the knobs it was
 /// formed under, and what the entry page's bytes hashed to at formation
 /// time.  Two images whose entry pages differ can never collide; images
-/// that share an entry page but diverge on an interior page are separated
-/// by per-template validation of every constituent page hash.
+/// (or address spaces) that share an entry page but diverge further along
+/// the trace are separated by each candidate's [`Evidence`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReuseKey {
     /// Guest physical entry address.
@@ -64,114 +80,47 @@ pub struct ReuseKey {
     pub entry_page_hash: u64,
 }
 
-/// A formed region published for content-keyed reuse: everything needed to
-/// re-instantiate the region in another run, plus the content hash of every
-/// constituent page for validation.  The host code is shared by `Arc` — a
-/// thousand guests running one kernel image hold one copy.
-#[derive(Debug, Clone)]
-pub struct ReuseTemplate {
-    /// Guest instructions covered (all constituents).
-    pub guest_insns: usize,
-    /// The formed host code, shared between all instantiations.
-    pub code: Arc<[MachInsn]>,
-    /// Encoded host-code size in bytes.
-    pub encoded_bytes: usize,
-    /// Host instructions before dead-code elimination.
-    pub lir_insns: usize,
-    /// LIR instructions eliminated before encoding.
-    pub elided_insns: usize,
-    /// Terminator metadata.
-    pub exit: BlockExit,
-    /// Constituent basic blocks.
-    pub constituents: usize,
-    /// Every constituent page with the FNV-1a hash of its bytes at
-    /// formation time; a candidate is only instantiated after *all* of
-    /// these revalidate against live memory.
-    pub pages: Vec<(u64, u64)>,
-    /// Loop-body copies stitched by unrolling.
-    pub unroll: usize,
-    /// Region-internal back-edges closed.
-    pub back_edges: usize,
-    /// Guest instructions in the looping portion.
-    pub loop_guest_insns: usize,
-    /// Eliminated-LIR share of the looping portion.
-    pub loop_elided_insns: usize,
-    /// Dirty loop-promoted slots (see [`Region::promoted`]); part of the
-    /// translation's identity, so instantiations reconcile faults exactly
-    /// like the original.
-    pub promoted: Vec<(i32, Gpr)>,
-    /// Per-rule idiom candidate counts of the original translation, carried
-    /// so instantiated regions feed the rule miner like freshly-formed ones.
-    pub idiom_candidates: [u32; crate::idiom::RULE_COUNT],
+/// What a formed region — or a refusal to form one — was made from, and so
+/// what must still be true of a machine for it to be served there.  The
+/// tracer assembles it once; the engine's one gate compares it with the live
+/// machine; nothing else reads it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Evidence {
+    /// Every guest physical page the trace decoded from, with the FNV-1a
+    /// hash of the page as the trace's source served it.
+    pub code_pages: Vec<(u64, u64)>,
+    /// Every (virtual page → physical page) translation the trace resolved:
+    /// its entry, each sequential page crossing and each stitched branch
+    /// target.  Identity pairs when the guest MMU was off, so a machine with
+    /// the MMU on re-resolves them like any other.  A target that did *not*
+    /// resolve is not recorded: the trace ends there with an ordinary exit,
+    /// which stays correct (if no longer the longest trace) once the target
+    /// is mapped.
+    pub translations: Vec<(u64, u64)>,
 }
 
-impl ReuseTemplate {
-    /// Captures a formed region as a template.  `page_hashes` must cover
-    /// exactly the region's constituent pages (base → content hash of the
-    /// bytes the region was formed against).
-    pub fn from_region(region: &Region, page_hashes: &[(u64, u64)]) -> Self {
-        debug_assert_eq!(page_hashes.len(), region.pages.len());
-        ReuseTemplate {
-            guest_insns: region.guest_insns,
-            code: Arc::clone(&region.code),
-            encoded_bytes: region.encoded_bytes,
-            lir_insns: region.lir_insns,
-            elided_insns: region.elided_insns,
-            exit: region.exit,
-            constituents: region.constituents,
-            pages: page_hashes.to_vec(),
-            unroll: region.unroll,
-            back_edges: region.back_edges,
-            loop_guest_insns: region.loop_guest_insns,
-            loop_elided_insns: region.loop_elided_insns,
-            promoted: region.promoted.clone(),
-            idiom_candidates: region.idiom_candidates,
-        }
-    }
-
-    /// Instantiates the template as a fresh [`Region`] at the given entry,
-    /// stamped with the current context generation and carrying fresh
-    /// (unpatched) chain links.  The host code `Arc` is shared, not cloned.
-    pub fn instantiate(&self, phys: u64, virt: u64, ctx_gen: u64) -> Region {
-        Region {
-            guest_phys: phys,
-            guest_virt: virt,
-            guest_insns: self.guest_insns,
-            code: Arc::clone(&self.code),
-            encoded_bytes: self.encoded_bytes,
-            lir_insns: self.lir_insns,
-            elided_insns: self.elided_insns,
-            exit: self.exit,
-            links: ChainLinks::default(),
-            constituents: self.constituents,
-            pages: self.pages.iter().map(|&(base, _)| base).collect(),
-            ctx_gen,
-            unroll: self.unroll,
-            back_edges: self.back_edges,
-            loop_guest_insns: self.loop_guest_insns,
-            loop_elided_insns: self.loop_elided_insns,
-            promoted: self.promoted.clone(),
-            idiom_candidates: self.idiom_candidates,
-        }
-    }
+/// A formed region published for reuse: the region itself, never
+/// dispatched, as the prototype every hit instantiates — its host code is
+/// shared by `Arc`, a thousand guests running one kernel image hold one
+/// copy — and the evidence a hit must re-establish.
+#[derive(Debug)]
+struct ReuseTemplate {
+    prototype: Region,
+    evidence: Evidence,
 }
-
-/// One recorded refusal: the (page base, content hash) set a formation
-/// attempt consumed while proving no region forms there.
-type RefusalPages = Vec<(u64, u64)>;
 
 /// Content-keyed translation reuse: formed machine code indexed by what it
-/// was formed *from* (entry + knobs + page-content hashes), shareable
-/// between runs via `Arc` so repeated executions of one kernel image pay
-/// for region formation once.
+/// was formed *from* (entry + knobs + entry-page hash, then [`Evidence`]),
+/// shareable between runs via `Arc` so repeated executions of one kernel
+/// image pay for region formation once.
 #[derive(Debug, Default)]
 pub struct ReuseCache {
     entries: RwLock<HashMap<ReuseKey, Vec<ReuseTemplate>>>,
-    /// Negative knowledge: consumed page-hash sets a formation attempt
-    /// proved to yield *no* region (trace too short, lowering bailed).  A
-    /// validated refusal lets later runs of the same content skip the
-    /// formation round-trip entirely — the outcome is already known.
-    refusals: RwLock<HashMap<ReuseKey, Vec<RefusalPages>>>,
+    /// Negative knowledge: evidence a formation attempt consumed while
+    /// proving that *no* region forms (trace too short, lowering bailed).
+    /// A refusal that still holds lets later runs of the same content skip
+    /// the worker round-trip — the outcome is already known.
+    refusals: RwLock<HashMap<ReuseKey, Vec<Evidence>>>,
 }
 
 impl ReuseCache {
@@ -180,47 +129,42 @@ impl ReuseCache {
         ReuseCache::default()
     }
 
-    /// Publishes a template under `key`.  A template whose page set and
-    /// hashes exactly match an existing candidate is dropped (the existing
-    /// one already serves every image this one could).
-    pub fn publish(&self, key: ReuseKey, template: ReuseTemplate) {
+    /// Publishes `region` under `key` with the evidence it was formed from.
+    /// Dropped when a candidate with the same evidence exists (it already
+    /// serves every machine this one could).
+    pub fn publish(&self, key: ReuseKey, region: &Region, evidence: Evidence) {
         let mut entries = self.entries.write().unwrap();
         let candidates = entries.entry(key).or_default();
-        if candidates.iter().any(|c| c.pages == template.pages) {
+        if candidates.iter().any(|c| c.evidence == evidence) {
             return;
         }
-        candidates.push(template);
+        candidates.push(ReuseTemplate {
+            prototype: region.instantiate(region.key(), region.ctx_gen),
+            evidence,
+        });
     }
 
-    /// Records that forming at `key` against content whose consumed pages
-    /// hashed to `pages` produced no region.  Identical page sets dedupe.
-    pub fn publish_refusal(&self, key: ReuseKey, pages: Vec<(u64, u64)>) {
+    /// Records that forming at `key` from `evidence` produced no region.
+    /// Identical evidence dedupes.
+    pub fn publish_refusal(&self, key: ReuseKey, evidence: Evidence) {
         let mut refusals = self.refusals.write().unwrap();
-        let sets = refusals.entry(key).or_default();
-        if sets.contains(&pages) {
-            return;
+        let known = refusals.entry(key).or_default();
+        if !known.contains(&evidence) {
+            known.push(evidence);
         }
-        sets.push(pages);
     }
 
-    /// Whether a prior formation attempt at `key` is recorded to have
-    /// refused on content that still matches — validated page by page with
-    /// `page_matches(page_base, formation_hash)`.
-    pub fn known_refusal(
-        &self,
-        key: ReuseKey,
-        mut page_matches: impl FnMut(u64, u64) -> bool,
-    ) -> bool {
+    /// Whether a formation attempt at `key` is recorded to have refused on
+    /// evidence that `holds` on the caller's machine now.
+    pub fn known_refusal(&self, key: ReuseKey, holds: impl FnMut(&Evidence) -> bool) -> bool {
         let refusals = self.refusals.read().unwrap();
-        let Some(sets) = refusals.get(&key) else {
-            return false;
-        };
-        sets.iter()
-            .any(|s| s.iter().all(|&(base, hash)| page_matches(base, hash)))
+        refusals
+            .get(&key)
+            .is_some_and(|known| known.iter().any(holds))
     }
 
     /// Whether anything — a template or a recorded refusal — is published
-    /// under `key`.  A cheap precheck (no page validation) used to skip
+    /// under `key`.  A cheap precheck (no evidence is checked) used to skip
     /// redundant formation publishes when the outcome is likely already
     /// known at the install point.
     pub fn covers(&self, key: ReuseKey) -> bool {
@@ -237,22 +181,23 @@ impl ReuseCache {
                 .is_some_and(|s| !s.is_empty())
     }
 
-    /// Looks up a reusable template for `key`, validating candidates with
-    /// `page_matches(page_base, formation_hash)` — which must hash the live
-    /// bytes of `page_base` and compare.  The first fully validated
-    /// candidate (in publication order, so lookups are deterministic) is
-    /// returned as a clone.
+    /// The region published under `key` whose evidence `holds` on the
+    /// caller's machine now — the first such candidate in publication order,
+    /// so lookups are deterministic — instantiated at the key's entry under
+    /// `ctx_gen`.
     pub fn lookup(
         &self,
         key: ReuseKey,
-        mut page_matches: impl FnMut(u64, u64) -> bool,
-    ) -> Option<ReuseTemplate> {
+        ctx_gen: u64,
+        mut holds: impl FnMut(&Evidence) -> bool,
+    ) -> Option<Region> {
         let entries = self.entries.read().unwrap();
-        let candidates = entries.get(&key)?;
-        candidates
-            .iter()
-            .find(|c| c.pages.iter().all(|&(base, hash)| page_matches(base, hash)))
-            .cloned()
+        let hit = entries.get(&key)?.iter().find(|c| holds(&c.evidence))?;
+        let at = RegionKey {
+            phys: key.phys,
+            virt: key.virt,
+        };
+        Some(hit.prototype.instantiate(at, ctx_gen))
     }
 
     /// Number of distinct reuse keys published.
@@ -275,91 +220,87 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::tests::{block, multi};
+    use crate::cache::tests::multi;
+    use std::sync::Arc;
+
+    fn key(knobs: u64) -> ReuseKey {
+        ReuseKey {
+            phys: 0x1000,
+            virt: 0x1000,
+            knobs,
+            entry_page_hash: 0xAAAA,
+        }
+    }
+
+    /// A two-page trace whose second page is virtual page `0x2000` mapped at
+    /// `interior`.
+    fn evidence(interior: u64) -> Evidence {
+        Evidence {
+            code_pages: vec![(0x1000, 0xAAAA), (interior, 0xBBBB)],
+            translations: vec![(0x1000, 0x1000), (0x2000, interior)],
+        }
+    }
 
     #[test]
     fn reuse_template_round_trips_through_content_validation() {
         let reuse = ReuseCache::new();
         let region = multi(0x1000, 8, vec![0x1000, 0x2000], 3);
-        let hashes = [(0x1000u64, 0xAAAAu64), (0x2000, 0xBBBB)];
         let knobs = pack_knobs(false, true, true, true, 4, 0);
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs,
-            entry_page_hash: 0xAAAA,
-        };
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
+        reuse.publish(key(knobs), &region, evidence(0x2000));
         assert_eq!(reuse.len(), 1);
-        // All pages validate: the template is served.
-        let got = reuse
-            .lookup(key, |base, hash| {
-                hashes.iter().any(|&(b, h)| b == base && h == hash)
-            })
+        // The evidence holds: the template is served, as a region of its
+        // own at the key's entry under the asked-for generation.
+        let inst = reuse
+            .lookup(key(knobs), 7, |e| *e == evidence(0x2000))
             .expect("content-valid template");
-        let inst = got.instantiate(0x1000, 0x1000, 7);
+        assert_eq!(inst.key(), region.key());
         assert_eq!(inst.ctx_gen, 7);
         assert_eq!(inst.pages, vec![0x1000, 0x2000]);
         assert_eq!(inst.constituents, region.constituents);
         assert!(Arc::ptr_eq(&inst.code, &region.code), "code is shared");
-        // A modified interior page defeats reuse.
+        // Evidence that does not hold defeats reuse, whatever the key says.
         assert!(
-            reuse
-                .lookup(key, |base, hash| base == 0x1000 && hash == 0xAAAA)
-                .is_none(),
-            "a stale interior page must invalidate the candidate"
+            reuse.lookup(key(knobs), 7, |_| false).is_none(),
+            "a candidate is served only on the caller's say-so"
         );
         // A different knob set is a different key entirely.
-        let other = ReuseKey {
-            knobs: pack_knobs(false, false, true, true, 4, 0),
-            ..key
-        };
-        assert!(reuse.lookup(other, |_, _| true).is_none());
+        let other = key(pack_knobs(false, false, true, true, 4, 0));
+        assert!(reuse.lookup(other, 7, |_| true).is_none());
     }
 
     #[test]
     fn reuse_publish_dedupes_identical_page_sets() {
         let reuse = ReuseCache::new();
-        let region = block(0x1000, 2);
-        let hashes = [(0x1000u64, 0x1234u64)];
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs: 0,
-            entry_page_hash: 0x1234,
-        };
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
-        reuse.publish(key, ReuseTemplate::from_region(&region, &hashes));
-        let entries = reuse.entries.read().unwrap();
-        assert_eq!(entries.get(&key).unwrap().len(), 1, "deduped");
+        let region = multi(0x1000, 8, vec![0x1000, 0x2000], 0);
+        reuse.publish(key(0), &region, evidence(0x2000));
+        reuse.publish(key(0), &region, evidence(0x2000));
+        assert_eq!(reuse.entries.read().unwrap()[&key(0)].len(), 1, "deduped");
+        // Same entry page, same bytes, the interior page somewhere else: a
+        // second address space's candidate, found by a caller it holds for.
+        let elsewhere = multi(0x1000, 8, vec![0x1000, 0x5000], 0);
+        reuse.publish(key(0), &elsewhere, evidence(0x5000));
+        assert_eq!(reuse.entries.read().unwrap()[&key(0)].len(), 2);
+        let hit = reuse.lookup(key(0), 0, |e| *e == evidence(0x5000));
+        assert_eq!(hit.expect("the second candidate").pages[1], 0x5000);
     }
 
     #[test]
     fn reuse_refusals_validate_content_and_dedupe() {
         let reuse = ReuseCache::new();
-        let key = ReuseKey {
-            phys: 0x1000,
-            virt: 0x1000,
-            knobs: 0,
-            entry_page_hash: 0x1234,
-        };
-        assert!(!reuse.covers(key));
-        let pages = vec![(0x1000u64, 0x1234u64), (0x2000, 0x5678)];
-        reuse.publish_refusal(key, pages.clone());
-        reuse.publish_refusal(key, pages.clone());
-        assert_eq!(reuse.refusals.read().unwrap()[&key].len(), 1, "deduped");
-        // The refusal covers the key (publish precheck) and validates only
-        // while every recorded page still hashes the same.
-        assert!(reuse.covers(key));
-        assert!(reuse.known_refusal(key, |base, hash| {
-            pages.iter().any(|&(b, h)| b == base && h == hash)
-        }));
+        assert!(!reuse.covers(key(0)));
+        reuse.publish_refusal(key(0), evidence(0x2000));
+        reuse.publish_refusal(key(0), evidence(0x2000));
+        assert_eq!(reuse.refusals.read().unwrap()[&key(0)].len(), 1, "deduped");
+        // The refusal covers the key (publish precheck) and answers only
+        // while its evidence holds.
+        assert!(reuse.covers(key(0)));
+        assert!(reuse.known_refusal(key(0), |e| *e == evidence(0x2000)));
         assert!(
-            !reuse.known_refusal(key, |base, hash| base == 0x1000 && hash == 0x1234),
-            "a changed interior page must void the refusal"
+            !reuse.known_refusal(key(0), |e| *e == evidence(0x5000)),
+            "a moved interior page must void the refusal"
         );
         // Refusals never surface as installable templates.
-        assert!(reuse.lookup(key, |_, _| true).is_none());
+        assert!(reuse.lookup(key(0), 0, |_| true).is_none());
     }
 
     #[test]
