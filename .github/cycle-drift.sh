@@ -10,7 +10,9 @@
 # exact JIT-output metrics; on `indirect_dispatch` the exact dispatch ratios;
 # on `sys_events` what the guest-walk caches did (both hit rates) under the two
 # event counts the benchmark fixes by construction (host page faults, context-
-# generation bumps).
+# generation bumps), and what translation work the run did around them
+# (tier-0 installs, SMC invalidations, reuse hits and misses, host TLB
+# flushes).
 #
 # Every one of them must be identical — unless <head checkout>/.github/rebaseline
 # exists.  That file is how a pull request says "this drift is the point".
@@ -30,7 +32,8 @@ dispatch='["runtime.itlb_hit_rate", "captive.cache_hit_rate", "captive.slow_disp
   "captive.chain_share", "captive.translations",
   "machine.host_insns_per_guest_insn", "machine.cycles_per_guest_insn"]'
 walks='["runtime.dtlb_hit_rate", "runtime.itlb_hit_rate", "machine.page_faults",
-  "runtime.ctx_gen_bumps"]'
+  "runtime.ctx_gen_bumps", "captive.translations", "runtime.smc_invalidations",
+  "tier.reuse_hits", "tier.reuse_misses", "machine.tlb_flushes"]'
 
 # One `<workload> <metric> <value>` line per compared number.
 traced() {
@@ -49,10 +52,10 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 flat "$base" > "$work/base"
 flat "$head" > "$work/head"
-# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios, 4 guest-walk
+# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios, 9 system-event
 # numbers: a renamed metric must not silently drop out of the comparison.
-test "$(wc -l < "$work/head")" -eq 29
-test "$(wc -l < "$work/base")" -eq 29
+test "$(wc -l < "$work/head")" -eq 34
+test "$(wc -l < "$work/base")" -eq 34
 
 rebaseline=$head/.github/rebaseline
 [ -f "$rebaseline" ] || rebaseline=/dev/null

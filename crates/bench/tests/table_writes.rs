@@ -90,7 +90,7 @@ struct Outcome {
     frames: u64,
 }
 
-fn run<E: Engine>(mut e: E, g: &Guest) -> Outcome {
+fn run<E: Engine>(e: &mut E, g: &Guest) -> Outcome {
     // The vector counts the abort in x22, sums ESR and FAR into x20 / x21
     // and skips the faulting instruction.
     let vector = [
@@ -136,15 +136,20 @@ fn on_every_engine(g: &Guest) -> Outcome {
     if let Some(cfg) = &g.virtio {
         q.attach_virtio(cfg.clone());
     }
-    let reference = run(q, g);
+    let reference = run(&mut q, g);
     for name in CONFIGS {
-        let c = Captive::new(CaptiveConfig {
-            virtio: g.virtio.clone(),
-            ..bench::captive_config(name)
-        });
-        assert_eq!(run(c, g), reference, "Captive {name} against QemuRef");
+        let mut c = captive(name, g);
+        assert_eq!(run(&mut c, g), reference, "Captive {name} against QemuRef");
     }
     reference
+}
+
+/// The Captive configuration `name`, with `g`'s device attached.
+fn captive(name: &str, g: &Guest) -> Captive {
+    Captive::new(CaptiveConfig {
+        virtio: g.virtio.clone(),
+        ..bench::captive_config(name)
+    })
 }
 
 /// Vector, `TTBR0 = root`, MMU on, x13 = `X`, the digits in x19 cleared.
@@ -252,38 +257,20 @@ fn a_level_3_entry_repointed_at_a_prebuilt_subtree() {
     assert_eq!(out.regs[19], 0x123);
 }
 
-#[test]
-fn a_device_read_whose_buffer_is_a_live_table_page() {
-    // Disk sector 0 holds valid PTEs (`X -> frame 1` first) and the read's
-    // data descriptor points at X's leaf table: no guest store, no host
-    // fault, nothing but the device's touched-page list announces the edit.
-    const DESC: u64 = VIO;
-    const AVAIL: u64 = VIO + 0x200;
-    const USED: u64 = VIO + 0x300;
-    const HDR: u64 = VIO + 0x400;
-    const STATUS: u64 = VIO + 0x500;
-    let mut t = tables(0);
-    t.map(X, frame(0), RW);
-    let leaf = t.entry_addr(X, 1);
-    assert_eq!(leaf & 0xFFF, 0, "the sector lands on X's entry");
+/// Virtio queue structures, inside `VIO`.
+const DESC: u64 = VIO;
+const AVAIL: u64 = VIO + 0x200;
+const USED: u64 = VIO + 0x300;
+const HDR: u64 = VIO + 0x400;
+const STATUS: u64 = VIO + 0x500;
+
+/// Attaches a block device whose disk is `disk` and queues one read of its
+/// sector 0 into `buffer`, for [`kick_and_wait`] to start.
+fn device_read(g: &mut Guest, buffer: u64, disk: Vec<u8>) {
     let cfg = VirtioBlkConfig {
-        disk_image: Some(pte(1).to_le_bytes().to_vec()),
+        disk_image: Some(disk),
         ..VirtioBlkConfig::default()
     };
-    let mut a = Assembler::new();
-    prelude(&mut a, t.root());
-    read(&mut a);
-    a.push(asm::movz(17, 1, 0));
-    a.push(asm::msr(SysReg::VblkNotify as u32, 17));
-    a.mov_imm64(5, USED);
-    a.label("wait");
-    a.push(asm::ldr(7, 5, 0));
-    a.push(asm::cmpi(7, 1));
-    a.bcond_to(Cond::Ne, "wait");
-    a.push(asm::tlbi());
-    read(&mut a);
-    a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
     let base = cfg.mmio_base;
     g.words.extend([
         (base + mmio::QUEUE_DESC, DESC),
@@ -296,7 +283,7 @@ fn a_device_read_whose_buffer_is_a_live_table_page() {
     ]);
     let chain = [
         (HDR, 16, DESC_F_NEXT, 1),
-        (leaf, SECTOR_SIZE, DESC_F_NEXT | DESC_F_WRITE, 2),
+        (buffer, SECTOR_SIZE, DESC_F_NEXT | DESC_F_WRITE, 2),
         (STATUS, 8, DESC_F_WRITE, 0),
     ];
     for (i, (addr, len, flags, next)) in chain.into_iter().enumerate() {
@@ -305,6 +292,38 @@ fn a_device_read_whose_buffer_is_a_live_table_page() {
             .extend([(at, addr), (at + 8, len), (at + 16, flags), (at + 24, next)]);
     }
     g.virtio = Some(cfg);
+}
+
+/// Kicks the queue [`device_read`] filled, spins until the read retired,
+/// then `tlbi` (the baseline only drops stale translations there).
+fn kick_and_wait(a: &mut Assembler) {
+    a.push(asm::movz(17, 1, 0));
+    a.push(asm::msr(SysReg::VblkNotify as u32, 17));
+    a.mov_imm64(5, USED);
+    a.label("wait");
+    a.push(asm::ldr(7, 5, 0));
+    a.push(asm::cmpi(7, 1));
+    a.bcond_to(Cond::Ne, "wait");
+    a.push(asm::tlbi());
+}
+
+#[test]
+fn a_device_read_whose_buffer_is_a_live_table_page() {
+    // Disk sector 0 holds valid PTEs (`X -> frame 1` first) and the read's
+    // data descriptor points at X's leaf table: no guest store, no host
+    // fault, nothing but the device's touched-page list announces the edit.
+    let mut t = tables(0);
+    t.map(X, frame(0), RW);
+    let leaf = t.entry_addr(X, 1);
+    assert_eq!(leaf & 0xFFF, 0, "the sector lands on X's entry");
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    kick_and_wait(&mut a);
+    read(&mut a);
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    device_read(&mut g, leaf, pte(1).to_le_bytes().to_vec());
     let out = on_every_engine(&g);
     assert_eq!(out.regs[19], 0x12);
 }
@@ -569,4 +588,88 @@ fn mmu_off_kernels_never_enter_the_revalidation_rule() {
             );
         }
     }
+}
+
+/// The same obligation for code itself: Captive's reuse store revives a
+/// block on a page the guest has patched before only while every word the
+/// block was made from is back in memory (`captive::spec`, *Patched
+/// pages*).  `F`, in frame 6, is `addi x19, x19, #k ; ret`; the guest calls
+/// it once, then stores `#5` and `#9` over its first word and calls it after
+/// each store, `TRIPS` times, with the `tlbi` after each store the baseline
+/// needs to notice a patch.
+const F: u64 = FRAMES + 6 * 0x1000;
+const TRIPS: u64 = 25;
+
+/// `F` in its encoding `k`.
+fn f_words(k: u32) -> [u32; 2] {
+    [asm::addi(19, 19, k), asm::ret()]
+}
+
+/// The guest half of the toggle: x19 ends `14 * TRIPS` higher.
+fn toggle(a: &mut Assembler) {
+    a.mov_imm64(12, F);
+    a.mov_imm64(3, TRIPS);
+    a.push(asm::blr(12));
+    a.label("toggle");
+    for k in [5, 9] {
+        a.mov_imm64(11, asm::addi(19, 19, k) as u64);
+        a.push(asm::strw(11, 12, 0));
+        a.push(asm::tlbi());
+        a.push(asm::blr(12));
+    }
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, "toggle");
+}
+
+/// The toggle under the MMU, `after` it, then `hlt`.
+fn toggle_guest(after: impl FnOnce(&mut Assembler)) -> Guest {
+    let t = tables(0);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    toggle(&mut a);
+    after(&mut a);
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    g.words.extend(code_in_frame(6, &f_words(0)));
+    g
+}
+
+/// How many tier-0 installs the default engine served from the reuse store
+/// running `g`.
+fn revived(g: &Guest) -> u64 {
+    let mut c = captive("default", g);
+    run(&mut c, g);
+    c.speculation().revived
+}
+
+#[test]
+fn a_function_toggled_between_two_encodings() {
+    let g = toggle_guest(|_| {});
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 14 * TRIPS);
+    // The first two patched calls translate; every later one revives.
+    assert_eq!(revived(&g), 2 * TRIPS - 2);
+}
+
+#[test]
+fn a_device_read_that_puts_a_functions_old_bytes_back() {
+    // After the toggle the guest has `#9` in place; the device writes `#5`
+    // back over it (and zeros over the rest of the sector, as the page
+    // held): no guest store, only the device's touched-page list says the
+    // block is gone — and the bytes are ones the store has a block for.
+    let g = {
+        let mut g = toggle_guest(|a| {
+            kick_and_wait(a);
+            a.push(asm::blr(12));
+        });
+        let mut sector = vec![0; SECTOR_SIZE as usize];
+        for (i, w) in f_words(5).into_iter().enumerate() {
+            sector[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
+        }
+        device_read(&mut g, F, sector);
+        g
+    };
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 14 * TRIPS + 5);
+    assert_eq!(revived(&g), 2 * TRIPS - 1, "the call after the DMA revived");
 }

@@ -12,13 +12,14 @@
 //! assembled ([`crate::translator`]) and **one gate**,
 //! [`Captive::evidence_holds`], is the only place evidence is compared with
 //! the live machine: the tier-1 install (beside its context-generation
-//! compare), the template lookup and the refusal lookup all call it, and a
-//! candidate that fails it is simply not served.
+//! compare), the template lookup, the refusal lookup, the publish point's
+//! `covers` and the tier-0 block revival ([`crate::spec`]) all call it, and
+//! a candidate that fails it is simply not served.
 
 use crate::tier::{FormationRequest, FormationSnapshot, PAGE_BYTES};
-use crate::translator::{form_region_from, FormOutcome, LiveSource};
+use crate::translator::{form_region_from, live_code_word, FormOutcome, LiveSource};
 use crate::{layout, Captive};
-use dbt::{fnv1a, Evidence, Region, RegionKey, ReuseKey};
+use dbt::{Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
 use hvm::Machine;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,15 +86,18 @@ impl Captive {
         // Another predecessor may already have widened this entry: the
         // dispatcher-held `next` then outlives its replaced cache slot, and
         // the link just needs re-pointing (a stat-free peek — this is the
-        // former's own bookkeeping, not a dispatch lookup).
-        if let Some(r) = self.cache.peek(next.key()) {
-            if r.gated() {
-                if r.ctx_gen == gen {
-                    prev.set_link(slot, gen, self.cache.epoch(), &r);
-                    return r;
-                }
-                return next;
+        // former's own bookkeeping, not a dispatch lookup — that takes a
+        // reference only when it re-points).
+        let widened = self.cache.peek_with(next.key(), |r| {
+            r.gated().then(|| (r.ctx_gen == gen).then(|| Arc::clone(r)))
+        });
+        match widened.flatten() {
+            Some(Some(r)) => {
+                prev.set_link(slot, gen, self.cache.epoch(), &r);
+                return r;
             }
+            Some(None) => return next,
+            None => {}
         }
         let key = next.key();
         // Tier-1 publish point: a fresh head halfway to the threshold gets
@@ -105,13 +109,12 @@ impl Captive {
             && !self.inflight.contains_key(&key)
             && !self.quarantine.contains_key(&key)
         {
-            // A template (or recorded refusal) already published for this
-            // key makes a worker round-trip pointless: the install point
-            // will hit the reuse cache — or skip formation — directly.
-            let covered = self
-                .reuse
-                .as_ref()
-                .is_some_and(|r| r.covers(self.reuse_key_for(key)));
+            // A template (or recorded refusal) that holds here already makes
+            // a worker round-trip pointless: the install point will hit the
+            // reuse cache — or skip formation — directly.
+            let covered = self.reuse.as_ref().is_some_and(|r| {
+                r.covers(self.reuse_key_for(key, true), |e| self.evidence_holds(e))
+            });
             if !covered {
                 self.publish_formation(key);
             }
@@ -185,7 +188,7 @@ impl Captive {
                 // synchronous attempt — so this can never suppress a
                 // formation that would have succeeded.
                 if let (Some(reuse), FormOutcome::TooShort { evidence }) = (&self.reuse, refused) {
-                    reuse.publish_refusal(self.reuse_key_for(key), evidence);
+                    reuse.publish_refusal(self.reuse_key_for(key, true), evidence);
                 }
                 self.record_formation_failure(key, heat);
                 next
@@ -227,7 +230,12 @@ impl Captive {
             self.stats.loop_regions_formed += 1;
         }
         if let (Some(reuse), Some(evidence)) = (&self.reuse, evidence) {
-            reuse.publish(self.reuse_key_for(region.key()), &region, evidence);
+            let made_from = MadeFrom {
+                key: self.reuse_key_for(region.key(), true),
+                evidence,
+                counters: JitCounters::default(),
+            };
+            reuse.publish(&region, made_from);
         }
         let region = self.cache.insert(region);
         self.stats.regions_formed += 1;
@@ -313,9 +321,9 @@ impl Captive {
             return ReuseOutcome::Miss;
         };
         let t0 = Instant::now();
-        let reuse_key = self.reuse_key_for(key);
+        let reuse_key = self.reuse_key_for(key, true);
         let outcome = match reuse.lookup(reuse_key, gen, |e| self.evidence_holds(e)) {
-            Some(region) => {
+            Some((region, _)) => {
                 self.stats.reuse_hits += 1;
                 self.inflight.remove(&key);
                 ReuseOutcome::Hit(Box::new(region))
@@ -394,7 +402,7 @@ impl Captive {
                     // content never pays this round-trip again, here or in a
                     // later run sharing the reuse cache.
                     if let Some(reuse) = &self.reuse {
-                        reuse.publish_refusal(self.reuse_key_for(key), evidence);
+                        reuse.publish_refusal(self.reuse_key_for(key, true), evidence);
                     }
                     return None;
                 }
@@ -414,63 +422,41 @@ impl Captive {
         }
     }
 
-    /// The content identity `key`'s translations are published/looked up
-    /// under: entry addresses, the codegen knobs, and the live hash of the
-    /// entry page.
-    fn reuse_key_for(&self, key: RegionKey) -> ReuseKey {
+    /// The reuse-store key of a translation entered at `key` under the
+    /// engine's knobs: a formed region's, or (`formed` false) a block's.
+    pub(crate) fn reuse_key_for(&self, key: RegionKey, formed: bool) -> ReuseKey {
         ReuseKey {
             phys: key.phys,
             virt: key.virt,
-            knobs: self.knobs.packed(),
-            entry_page_hash: live_page_hash(&self.machine, key.phys & !0xFFF),
+            knobs: self.reuse_knobs[formed as usize],
         }
     }
 
-    /// **The gate.**  Whether everything a region (or a refusal) was made
-    /// from is still true of the live machine: every recorded virtual page
-    /// resolves *now* to the recorded physical page, and every code page
-    /// hashes as it did for the trace.  Translations go through the
-    /// uncharged walker — never the fetch iTLB, whose counters belong to the
-    /// dispatcher — so asking costs no simulated cycle and moves no counter.
-    fn evidence_holds(&self, evidence: &Evidence) -> bool {
+    /// **The gate.**  Whether everything a translation (or a refusal) was
+    /// made from is still true of the live machine: every recorded virtual
+    /// page resolves *now* to the recorded physical page, and every word it
+    /// decoded is, word for word, what memory holds (read as the translator
+    /// fetches it).  Translations go through the uncharged walker — never the
+    /// fetch iTLB, whose counters belong to the dispatcher — so asking costs
+    /// no simulated cycle and moves no counter.
+    pub(crate) fn evidence_holds(&self, evidence: &Evidence) -> bool {
         let resolves = |&(va, pa): &(u64, u64)| {
             self.runtime.guest_va_to_pa(&self.machine, va, false).ok() == Some(pa)
         };
-        let unchanged = |&(page, hash): &(u64, u64)| live_page_hash(&self.machine, page) == hash;
-        evidence.translations.iter().all(resolves) && evidence.code_pages.iter().all(unchanged)
-    }
-}
-
-/// Fills `bytes` (one page) with the live bytes of a guest physical page,
-/// zeros past the end of backed memory.
-fn fill_from_live_page(machine: &Machine, page_base: u64, bytes: &mut [u8]) {
-    if machine
-        .mem
-        .read(layout::GUEST_PHYS_BASE + page_base, bytes)
-        .is_err()
-    {
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + page_base + i as u64, 1)
-                .unwrap_or(0) as u8;
-        }
+        let unchanged = |&(pa, word): &(u64, u32)| live_code_word(&self.machine, pa) == word;
+        evidence.translations.iter().all(resolves) && evidence.words.iter().all(unchanged)
     }
 }
 
 /// A copy of one live guest physical page, for a snapshot refill or a
-/// speculation copy to own.
+/// speculation copy to own: zeros past the end of backed memory.
 pub(crate) fn read_live_page(machine: &Machine, page_base: u64) -> Vec<u8> {
     let mut bytes = vec![0u8; PAGE_BYTES];
-    fill_from_live_page(machine, page_base, &mut bytes);
+    let base = layout::GUEST_PHYS_BASE + page_base;
+    if machine.mem.read(base, &mut bytes).is_err() {
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = machine.mem.read_uint(base + i as u64, 1).unwrap_or(0) as u8;
+        }
+    }
     bytes
-}
-
-/// FNV-1a content hash of one live guest physical page, read into a stack
-/// buffer: hashing runs at every publish-point `covers` check, every gate
-/// and every install, and none of them keeps the bytes.
-pub(crate) fn live_page_hash(machine: &Machine, page_base: u64) -> u64 {
-    let mut bytes = [0u8; PAGE_BYTES];
-    fill_from_live_page(machine, page_base, &mut bytes);
-    fnv1a(&bytes)
 }

@@ -77,8 +77,8 @@ pub mod tier;
 pub mod translator;
 
 use dbt::{
-    CacheIndex, CodeCache, EntryMode, PhaseTimers, Region, RegionKey, RegionProfile, ReuseCache,
-    RuleKind, RuleTable, TierTimers, RULE_COUNT,
+    CacheIndex, CodeCache, EntryMode, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey,
+    RegionProfile, ReuseCache, RuleKind, RuleTable, TierTimers, RULE_COUNT,
 };
 use formation::FormationBackoff;
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
@@ -219,18 +219,18 @@ pub struct Captive {
     /// Region-formation backoff state per trace head: a failed formation
     /// doubles the link heat required before the next attempt instead of
     /// retrying on every hot transfer, and repeated failures quarantine the
-    /// head permanently.
-    quarantine: HashMap<RegionKey, FormationBackoff>,
+    /// head permanently.  Probed on every chained transfer.
+    quarantine: KeyMap<FormationBackoff>,
     /// The tier-1 formation service (`None` when `tier_workers` is `None`
     /// or regions are disabled entirely).
     tier: Option<TierService>,
     /// Trace heads with a formation request in flight, mapped to the
     /// sequence number of the live request; results carrying any other
     /// sequence are superseded and dropped.
-    inflight: HashMap<RegionKey, u64>,
+    inflight: KeyMap<u64>,
     /// Results drained from the service while waiting for a *different*
     /// key, parked until their own key reaches the install point.
-    parked_results: HashMap<RegionKey, FormationResult>,
+    parked_results: KeyMap<FormationResult>,
     /// Next formation-request sequence number.
     next_seq: u64,
     /// Content-keyed translation reuse (tiered mode only): shared across
@@ -247,6 +247,9 @@ pub struct Captive {
     /// `idiom_rules` changes); a speculative tier-0 translation must carry
     /// this very `Arc` to be installed.
     knobs: Arc<spec::Knobs>,
+    /// `knobs.packed()`, made with `knobs` (hashing the idiom table takes a
+    /// string format, too slow for every tier-0 miss on a patched page).
+    reuse_knobs: [u64; 2],
     /// Run-thread speculation counters.
     spec_stats: spec::SpecStats,
     /// Construction time, the zero point for time-to-first-region-install.
@@ -277,22 +280,24 @@ impl Captive {
                 .unwrap_or_else(|| Arc::new(ReuseCache::new()))
         });
         let idiom_rules = Arc::new(RuleTable::full());
+        let knobs = spec::Knobs::new(&config, &idiom_rules);
         Captive {
             machine,
             runtime,
             cache,
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
-            knobs: spec::Knobs::new(&config, &idiom_rules),
+            reuse_knobs: knobs.packed(),
+            knobs,
             spec_stats: spec::SpecStats::default(),
             config,
             stats: RunStats::default(),
             per_region: HashMap::new(),
             swept_region_gen: 0,
-            quarantine: HashMap::new(),
+            quarantine: KeyMap::default(),
             tier,
-            inflight: HashMap::new(),
-            parked_results: HashMap::new(),
+            inflight: KeyMap::default(),
+            parked_results: KeyMap::default(),
             next_seq: 0,
             reuse,
             idiom_rules,
@@ -309,6 +314,7 @@ impl Captive {
     pub fn set_idiom_rules(&mut self, table: RuleTable) {
         self.idiom_rules = Arc::new(table);
         self.knobs = spec::Knobs::new(&self.config, &self.idiom_rules);
+        self.reuse_knobs = self.knobs.packed();
     }
 
     /// The engine's current guest-idiom rule table.
@@ -658,25 +664,52 @@ impl Captive {
     /// The tier-0 miss path: obtains the one-constituent translation of the
     /// block at `key` and installs it.  The guest needs this code *now*, so
     /// whatever the run thread spends getting it is what it visibly stalls
-    /// on: the look in the speculative ready pool ([`spec`]) and, when that
-    /// has nothing valid, the synchronous translation.  Either way the
-    /// region is the same bytes, installed at the same point.
+    /// on: on a patched page, the look in the reuse store ([`spec`]); the
+    /// look in the speculative ready pool; and, when neither has anything
+    /// valid, the synchronous translation (which on a patched page carries
+    /// what it was made from).  Either way the region is the same bytes,
+    /// installed at the same point.
     fn install_block(&mut self, key: RegionKey) -> Arc<Region> {
         self.stats.translations += 1;
         let t0 = Instant::now();
-        let region = match self.speculated_block(key) {
+        let patched = self.reuse.is_some() && self.runtime.is_patched(key.phys & !0xFFF);
+        let revived = patched.then(|| self.revived_block(key)).flatten();
+        let region = match revived.or_else(|| self.speculated_block(key)) {
             Some(region) => region,
             None => {
                 let machine = &self.machine;
-                translate_block_from(
+                let mut words = Vec::new();
+                let mut own = PhaseTimers::default();
+                let mut region = translate_block_from(
                     &self.isa,
-                    |pa| live_code_word(machine, pa),
-                    &mut self.timers,
+                    |pa| {
+                        let word = live_code_word(machine, pa);
+                        if patched {
+                            words.push((pa, word));
+                        }
+                        word
+                    },
+                    &mut own,
                     key.virt,
                     key.phys,
                     MAX_BLOCK_INSNS,
                     &self.knobs,
-                )
+                );
+                self.timers.merge(&own);
+                if patched {
+                    let key = self.reuse_key_for(key, false);
+                    let evidence = Evidence {
+                        words,
+                        translations: Vec::new(),
+                    };
+                    let counters = own.jit;
+                    region.made_from = Some(Box::new(MadeFrom {
+                        key,
+                        evidence,
+                        counters,
+                    }));
+                }
+                region
             }
         };
         self.tier_timers.run_thread_stall += t0.elapsed();
@@ -1907,7 +1940,7 @@ mod tests {
         );
 
         // A third instance holds the same bytes in the same frames — every
-        // code-page hash of the published template matches — but turns its
+        // word of the published template's evidence matches — but turns its
         // MMU on with the callee's *virtual* page mapped to the other
         // callee.  The template's evidence does not hold there: it must
         // miss and re-form, not run the first two guests' callee.

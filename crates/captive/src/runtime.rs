@@ -33,6 +33,11 @@
 //! cached walk; a `TTBR0` or `SCTLR` write invalidates wholesale.  Code that
 //! writes guest memory through `machine.mem` directly is outside the
 //! contract, as it always was for translated code.
+//!
+//! The first two writers also reach translated code (`page_fault`'s
+//! self-modifying-code arm, `poll_virtio`'s touched list): both queue the
+//! page for invalidation and mark it *patched* for good
+//! ([`CaptiveRuntime::is_patched`], `crate::spec`, *Patched pages*).
 
 use crate::itlb::{DataTlb, FetchTlb, TableWatch};
 use crate::layout;
@@ -42,7 +47,7 @@ use guest_aarch64::sys::{GuestEvent, GuestSys, HelperCosts};
 use hvm::paging::{self, FrameAlloc, PageFlags};
 use hvm::{CostModel, FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -114,6 +119,8 @@ pub struct CaptiveRuntime {
     code_pages: HashMap<u64, Option<Arc<[u8]>>>,
     /// Code pages that were written and whose translations must be dropped.
     smc_dirty: Vec<u64>,
+    /// Every page ever pushed onto `smc_dirty` (module docs).
+    patched: HashSet<u64>,
     fp_env: softfloat::FpEnv,
     /// Counts the events at which a guest table edit may take effect: `TLBI`
     /// and `TTBR0`/`SCTLR` writes.  Chain links and gated regions are stamped
@@ -187,6 +194,7 @@ impl CaptiveRuntime {
             pt_boot_mark,
             code_pages: HashMap::new(),
             smc_dirty: Vec::new(),
+            patched: HashSet::new(),
             fp_env: softfloat::FpEnv::arm(),
             context_generation: 0,
             fetch_tlb: FetchTlb::new(),
@@ -209,10 +217,17 @@ impl CaptiveRuntime {
             self.table_watch.note_written(page);
             if self.code_pages.remove(&page).is_some() {
                 self.smc_dirty.push(page);
+                self.patched.insert(page);
                 self.sys.external_invalidations += 1;
             }
         }
         true
+    }
+
+    /// Whether a guest store or a DMA has ever dropped translations on
+    /// guest physical page `page`.
+    pub fn is_patched(&self, page: u64) -> bool {
+        self.patched.contains(&page)
     }
 
     /// Current translation-context generation.
@@ -237,7 +252,7 @@ impl CaptiveRuntime {
     /// to the page removes its `code_pages` entry, so a capture costs one
     /// reference-count bump per unchanged page instead of 4 KiB.  Should a
     /// copy ever be stale regardless (a host-side write behind the engine's
-    /// back), the install gate's live-hash check still discards whatever
+    /// back), the install gate's live word compare still discards whatever
     /// was formed from it.
     pub fn code_page_copies(
         &mut self,
@@ -364,8 +379,10 @@ impl CaptiveRuntime {
         // to a lower-half subtree: `page_fault` rejects faults at or above
         // LOWER_HALF_LIMIT before mapping, so the only upper-half tables
         // (register file + spill page, PML4 entry 256) were built at boot,
-        // below the mark.
-        self.frame_alloc.reset_to(self.pt_boot_mark);
+        // below the mark — and every entry since came from `map_page`, as
+        // the reset (which clears what `map_page` noted) requires.
+        self.frame_alloc
+            .reset_to(&mut machine.mem, self.pt_boot_mark);
         machine.tlb.flush_all();
         machine.perf.tlb_flushes += 1;
         self.context_generation += 1;
@@ -481,6 +498,7 @@ impl Runtime for CaptiveRuntime {
             // it writable.
             self.code_pages.remove(&gpage);
             self.smc_dirty.push(gpage);
+            self.patched.insert(gpage);
         }
         // A page holding translated code stays read-only until written.
         let flags = PageFlags {

@@ -1,14 +1,26 @@
-//! Speculative tier-0 translation: the frontier, the ready pool and the
-//! run-thread half of the protocol.  The overview — both job kinds, the
-//! validation rule and where every policy bound came from — is in the
-//! [`crate::tier`] module docs; the worker loop that drains the frontier
-//! lives there too.
+//! Who translates a tier-0 block, besides the run thread itself: the
+//! speculative frontier and its ready pool, and — on pages the guest patches
+//! — the reuse store.  The overview — both job kinds, the validation rule
+//! and where every policy bound came from — is in the [`crate::tier`] module
+//! docs; the worker loop that drains the frontier lives there too.
 //!
 //! Everything here changes *who* runs the block translator, never what it
 //! produces or when the product is installed: the ready pool is visible to
 //! the miss path's `Captive::speculated_block` and nothing else, and that
 //! method hands a region back only when the guest words it was made from
 //! are, word for word, what live memory holds at the install point.
+//!
+//! # Patched pages
+//!
+//! A page whose translations a guest store or a DMA has dropped
+//! (`CaptiveRuntime::is_patched`) is never speculated on again; memory of
+//! its past encodings serves it instead.  A block translated there carries
+//! its words and static counters ([`dbt::Region::made_from`]), is published
+//! to the reuse store ([`dbt::reuse`]) when `invalidate_dirty_pages` drops
+//! it, and the next tier-0 miss on the page asks the store, through the one
+//! gate (`Captive::evidence_holds`), first.  A hit merges the template's
+//! counters — `RunStats::jit` reads as if the block had been translated —
+//! and counts in `translations` like any install.  `sync` has no store.
 
 use crate::formation::read_live_page;
 use crate::runtime::CaptiveRuntime;
@@ -16,7 +28,7 @@ use crate::tier::{TierService, PAGE_BYTES};
 use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
 use crate::{Captive, CaptiveConfig, FpMode};
 use dbt::idiom::RuleTable;
-use dbt::{BlockExit, PhaseTimers, Region, RegionKey};
+use dbt::{BlockExit, CounterField, PhaseTimers, Region, RegionKey};
 use guest_aarch64::Aarch64Isa;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -71,18 +83,22 @@ impl Knobs {
         })
     }
 
-    /// The knobs as one word of a [`dbt::ReuseKey`]; the idiom table joins
-    /// by content hash, so translations made under different tables never
-    /// share a template.
-    pub(crate) fn packed(&self) -> u64 {
-        dbt::pack_knobs(
-            self.fp_mode == FpMode::Software,
-            self.run_opt,
-            self.promote,
-            self.idioms.is_some(),
-            self.unroll,
-            self.idioms.as_ref().map_or(0, |table| table.hash()),
-        )
+    /// The knobs as the `knobs` word of a [`dbt::ReuseKey`]: a block's, then
+    /// a formed region's, which also packs the unroll factor.  The idiom
+    /// table joins by content hash, so translations made under different
+    /// tables never share a template.
+    pub(crate) fn packed(&self) -> [u64; 2] {
+        let table = self.idioms.as_ref().map_or(0, |table| table.hash());
+        [0, self.unroll.max(1)].map(|unroll| {
+            dbt::pack_knobs(
+                self.fp_mode == FpMode::Software,
+                self.run_opt,
+                self.promote,
+                self.idioms.is_some(),
+                unroll,
+                table,
+            )
+        })
     }
 }
 
@@ -206,8 +222,8 @@ impl Page {
     }
 }
 
-/// Speculation counters, for tests and ledgers.  All three depend on worker
-/// scheduling, so they are deliberately *not* `RunStats` fields.
+/// Who translated, for tests and ledgers — mostly a matter of worker
+/// scheduling, so deliberately *not* `RunStats` fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecStats {
     /// Tier-0 installs served from the ready pool.
@@ -218,6 +234,9 @@ pub struct SpecStats {
     /// Blocks translated speculatively (installed, stale, still parked,
     /// cancelled by a synchronous translation, or aged out).
     pub translated: u64,
+    /// Tier-0 installs on a patched page served by reviving a block
+    /// template from the reuse store.
+    pub revived: u64,
 }
 
 /// The state shared between the run thread and the tier workers (inside the
@@ -591,13 +610,31 @@ impl Captive {
         self.tier_timers.run_thread_stall += t0.elapsed();
     }
 
+    /// The miss path's look in the reuse store, on a patched page: a block
+    /// template at `key` made from words memory holds again, instantiated,
+    /// with its static counters merged as if it had just been translated.
+    pub(crate) fn revived_block(&mut self, key: RegionKey) -> Option<Region> {
+        let reuse = self.reuse.as_ref()?;
+        let (region, counters) = reuse.lookup(self.reuse_key_for(key, false), 0, |e| {
+            self.evidence_holds(e)
+        })?;
+        self.timers.jit.add(&counters);
+        self.spec_stats.revived += 1;
+        Some(region)
+    }
+
     /// Drops the translations of every code page the guest (or a device)
-    /// wrote since the last call, and takes those pages out of speculation
-    /// for good — a page that is patched once is patched again, and every
-    /// patch would re-queue it.
+    /// wrote since the last call, publishing the blocks among them that
+    /// carry what they were made from, and takes those pages out of
+    /// speculation for good — a page that is patched once is patched again,
+    /// and every patch would re-queue it.
     pub(crate) fn invalidate_dirty_pages(&mut self) {
         for page in self.runtime.take_smc_dirty() {
-            self.cache.invalidate_phys_page(page);
+            for dropped in self.cache.discard_phys_page(page) {
+                if let (Some(reuse), Some(made_from)) = (&self.reuse, &dropped.made_from) {
+                    reuse.publish(&dropped, (**made_from).clone());
+                }
+            }
             if let Some(tier) = speculating(&self.tier) {
                 tier.with_frontier(|f| f.poison(page));
             }
@@ -807,5 +844,176 @@ mod tests {
             sparse.translated <= 16 && sparse.installed <= 16,
             "{sparse:?}"
         );
+    }
+
+    /// Where the toggled function lives, and a word on its page it never
+    /// reads.
+    const SITE: u64 = 0x3000;
+    const BESIDE: u64 = SITE + 0x800;
+
+    /// A guest that calls `addi x19, x19, #0 ; ret` at [`SITE`] once, then
+    /// `trips` times stores `addi x19, x19, #5` over its first word and calls
+    /// it, stores `#9` and calls it — with a `tlbi` after each store if
+    /// `tlbi`, the trip count into [`BESIDE`] before each call if `beside`,
+    /// and with the MMU on if `mmu` (identity tables) — and finally stores
+    /// `#100` and calls it once more.  Returns the engine maker.
+    fn toggle(
+        trips: u32,
+        mmu: bool,
+        tlbi: bool,
+        beside: bool,
+    ) -> impl Fn(CaptiveConfig) -> Captive {
+        use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
+        let mut tables = GuestTableImage::new(0x10_0000, 0x18_0000);
+        tables.identity(0x1000, 0x3000, GuestPageFlags::kernel_rw());
+        let mut a = asm::Assembler::new();
+        let call = |a: &mut asm::Assembler| {
+            let at = 0x1000 + 4 * a.here() as i64;
+            a.push(asm::bl(SITE as i64 - at));
+        };
+        if mmu {
+            a.mov_imm64(0, tables.root());
+            a.push(asm::msr(guest_aarch64::SysReg::Ttbr0 as u32, 0));
+            a.push(asm::movz(0, 1, 0));
+            a.push(asm::msr(guest_aarch64::SysReg::Sctlr as u32, 0));
+        }
+        a.mov_imm64(12, SITE);
+        a.mov_imm64(13, BESIDE);
+        a.mov_imm64(3, trips as u64);
+        a.push(asm::movz(19, 0, 0));
+        call(&mut a);
+        a.label("loop");
+        for k in [5, 9, 100] {
+            a.mov_imm64(11, asm::addi(19, 19, k) as u64);
+            a.push(asm::strw(11, 12, 0));
+            if tlbi {
+                a.push(asm::tlbi());
+            }
+            if beside {
+                a.push(asm::str(3, 13, 0));
+            }
+            call(&mut a);
+            if k == 9 {
+                a.push(asm::subi(3, 3, 1));
+                a.cbnz_to(3, "loop");
+            }
+        }
+        a.push(asm::hlt());
+        let main = a.finish();
+        move |config| {
+            let site = vec![asm::addi(19, 19, 0), asm::ret()];
+            let mut c = boot(config, &[(0x1000, main.clone()), (SITE, site)]);
+            if mmu {
+                for (at, v) in tables.words() {
+                    c.write_guest_phys(at, v, 8);
+                }
+            }
+            c
+        }
+    }
+
+    #[test]
+    fn revival_changes_who_translates_and_nothing_else() {
+        // 2 x TRIPS calls on a patched page: the first two translate (the
+        // reuse store is empty, then holds only the other encoding), every
+        // later one revives the block the store kept for the word in place —
+        // and the run is the sync run, counter for counter, byte for byte.
+        const TRIPS: u32 = 40;
+        const CALLS: u64 = 2 * TRIPS as u64;
+        for mmu in [false, true] {
+            for tlbi in [false, true] {
+                let guest = toggle(TRIPS, mmu, tlbi, false);
+                let run = |tier_workers| {
+                    let mut c = guest(CaptiveConfig {
+                        tier_workers,
+                        ..CaptiveConfig::default()
+                    });
+                    assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+                    c
+                };
+                let (tiered, sync) = (run(Some(2)), run(None));
+                let case = format!("mmu {mmu}, tlbi {tlbi}");
+                assert_eq!(tiered.guest_reg(19), 14 * TRIPS as u64 + 100, "{case}");
+                for r in 0..31 {
+                    assert_eq!(tiered.guest_reg(r), sync.guest_reg(r), "x{r}, {case}");
+                }
+                assert_eq!(
+                    tiered.stats().differs_across_reruns(&sync.stats()),
+                    None,
+                    "{case}"
+                );
+                let site = RegionKey {
+                    phys: SITE,
+                    virt: SITE,
+                };
+                let (ours, theirs) = (tiered.cache.peek(site), sync.cache.peek(site));
+                let (ours, theirs) = (ours.expect("cached"), theirs.expect("cached"));
+                assert_eq!(
+                    (&ours.code, ours.exit),
+                    (&theirs.code, theirs.exit),
+                    "{case}"
+                );
+                assert_eq!(tiered.cache.len(), sync.cache.len(), "{case}");
+                let revived = tiered.speculation().revived;
+                assert!(revived >= CALLS - 2, "{case}: {revived} of {CALLS}");
+                assert_eq!(sync.speculation().revived, 0, "sync has no store");
+            }
+        }
+    }
+
+    #[test]
+    fn words_beside_the_function_do_not_matter_words_it_read_do() {
+        // Every trip also stores the trip count beside the function on its
+        // page, so the page's bytes never repeat: the function's own words
+        // still do, and that is all a revival asks.  The last call runs a
+        // third encoding no template was made from — it must translate, not
+        // revive anything (100, not 5 or 9).
+        const TRIPS: u32 = 30;
+        let mut c = toggle(TRIPS, false, false, true)(CaptiveConfig::default());
+        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        assert_eq!(c.guest_reg(19), 14 * TRIPS as u64 + 100);
+        assert_eq!(c.speculation().revived, 2 * TRIPS as u64 - 2);
+    }
+
+    #[test]
+    fn a_region_that_replaced_a_kept_block_is_never_revived_as_one() {
+        // A loop on a patched page: its head block keeps its words, then a
+        // formed region replaces it at the same key, and a store beside the
+        // loop drops the region.  The block's words still hold, but what was
+        // dropped is not the block — publishing it under them would hand the
+        // next tier-0 miss a looping region where `sync` runs a block.
+        let mut main = asm::Assembler::new();
+        main.mov_imm64(12, BESIDE);
+        for trips in [1, 200, 3] {
+            main.push(asm::movz(6, trips, 0));
+            let at = 0x1000 + 4 * main.here() as i64;
+            main.push(asm::bl(SITE as i64 - at));
+            main.push(asm::str(6, 12, 0));
+        }
+        main.push(asm::hlt());
+        let mut kernel = asm::Assembler::new();
+        kernel.label("loop");
+        kernel.push(asm::addi(19, 19, 1));
+        kernel.push(asm::subi(6, 6, 1));
+        kernel.cbnz_to(6, "loop");
+        kernel.push(asm::ret());
+        let segments = [(0x1000, main.finish()), (SITE, kernel.finish())];
+        let run = |tier_workers| {
+            let mut c = boot(
+                CaptiveConfig {
+                    tier_workers,
+                    ..CaptiveConfig::default()
+                },
+                &segments,
+            );
+            assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+            (c.guest_reg(19), c.stats())
+        };
+        let ((x19, tiered), (x19_sync, sync)) = (run(Some(2)), run(None));
+        assert_eq!((x19, x19_sync), (204, 204));
+        assert!(tiered.regions_formed >= 1, "the loop formed a region");
+        assert_eq!(tiered.regions_formed, sync.regions_formed);
+        assert_eq!(tiered.region_entries, sync.region_entries);
+        assert_eq!(tiered.cycles, sync.cycles);
     }
 }

@@ -15,8 +15,8 @@
 //!   snapshot** via [`SnapshotSource`] (never touching live guest state),
 //!   and hands back what the run thread's own former would: a
 //!   [`FormOutcome`], the formed region (or the refusal) with the
-//!   [`dbt::Evidence`] it was made from — the hash of every code page as
-//!   the snapshot held it, every translation the snapshot's tables gave.
+//!   [`dbt::Evidence`] it was made from — every word it decoded as the
+//!   snapshot held it, every translation the snapshot's tables gave.
 //! * When the link finally crosses the threshold, the run thread drains the
 //!   result and installs it through the ordinary replace-at-key mechanism —
 //!   but only if it was formed under the current context generation and
@@ -94,7 +94,10 @@
 //!   decodes as `nop` here: 64-instruction blocks of nothing).
 //! * *A page whose translations were ever invalidated, or that served a
 //!   stale result, is never speculated on again.*  A patch loop re-queued
-//!   the page on every trip otherwise (`sys.smc` 175 → 430 ms).
+//!   the page on every trip otherwise (`sys.smc` 175 → 430 ms).  What serves
+//!   a patched page instead is the reuse store: blocks translated there keep
+//!   their words and come back as templates when the guest writes the same
+//!   words back ([`crate::spec`], *Patched pages*).
 //! * *Nothing is queued twice:* one seen bit per word of every page
 //!   speculation knows, set when an entry is queued and when the run thread
 //!   installs one.
@@ -126,7 +129,7 @@
 
 use crate::spec::{Frontier, Knobs};
 use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
-use dbt::{fnv1a, PhaseTimers, RegionKey};
+use dbt::{PhaseTimers, RegionKey};
 use guest_aarch64::{mmu, Aarch64Isa};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -281,15 +284,6 @@ impl TraceSource for SnapshotSource<'_> {
             // source; a refill could never provide these pages.
             None if pa.saturating_add(4) > self.snapshot.guest_ram => SourceRead::Ok(0),
             None => SourceRead::Missing(page),
-        }
-    }
-
-    fn code_page_hash(&self, page: u64) -> u64 {
-        // An absent page is one `read_code_word` served as zeros (past the
-        // end of guest RAM; anything else was reported missing).
-        match self.snapshot.pages.get(&page) {
-            Some(bytes) => fnv1a(bytes),
-            None => fnv1a(&[0; PAGE_BYTES]),
         }
     }
 
@@ -587,8 +581,10 @@ mod tests {
             FormOutcome::Formed { region, evidence } => {
                 assert!(region.back_edges > 0, "the self-loop closes internally");
                 assert!(region.unroll > 1, "the body is peeled");
-                assert_eq!(evidence.code_pages.len(), 1, "one code page consumed");
-                assert_eq!(evidence.code_pages[0].0, 0x1000);
+                let words = &self_loop_words()[..3];
+                let decoded: Vec<(u64, u32)> =
+                    (0x1000..).step_by(4).zip(words.iter().copied()).collect();
+                assert_eq!(evidence.words, decoded, "the loop's three words, once each");
                 assert_eq!(evidence.translations, [(0x1000, 0x1000)], "MMU off");
             }
             other => panic!("expected a formed region, got {other:?}"),
@@ -667,8 +663,11 @@ mod tests {
         assert_eq!(result.request.seq, 2);
         match result.outcome {
             FormOutcome::Formed { evidence, .. } => {
-                let pages: Vec<u64> = evidence.code_pages.iter().map(|&(p, _)| p).collect();
-                assert_eq!(pages, vec![0x1000, 0x2000]);
+                let decoded: Vec<(u64, u32)> = (entry..)
+                    .step_by(4)
+                    .zip(words[..4].iter().copied())
+                    .collect();
+                assert_eq!(evidence.words, decoded, "the loop's words on both pages");
                 assert_eq!(
                     evidence.translations,
                     [(0x1000, 0x1000), (0x2000, 0x2000)],
@@ -701,6 +700,7 @@ mod tests {
             loop_elided_insns: 0,
             promoted: Vec::new(),
             idiom_candidates: [0; dbt::RULE_COUNT],
+            made_from: None,
         };
         let key = |phys: u64| RegionKey { phys, virt: phys };
         // Conditional blocks inserted in descending key order (the snapshot

@@ -11,19 +11,17 @@
 //! including unrolled single-block self-loops — into a multi-constituent
 //! one.
 //!
-//! A block is decided by the bytes of its one page.  A formed region is a
+//! A block is decided by the words it decoded.  A formed region is a
 //! *virtual* path across pages, so the tracer hands it back together with
-//! its [`Evidence`]: every code page it decoded from (with the hash of the
-//! bytes its [`TraceSource`] served) and every virtual → physical
-//! translation it resolved on the way.  Whoever later serves the region to a
-//! machine it was not just traced from — the tier-1 install, the reuse
-//! cache — asks the engine's one gate (`Captive::evidence_holds`, in
-//! [`crate::formation`]) whether that evidence still holds there.  The
-//! evidence has no negative half: a target that did not resolve when traced
-//! ends the trace in an ordinary exit, which costs optimality once the
-//! target is mapped, never correctness.
+//! its [`Evidence`]: every guest word it decoded, as its [`TraceSource`]
+//! served it, and every virtual → physical translation it resolved on the
+//! way.  Whoever later serves the region to a machine it was not just traced
+//! from — the tier-1 install, the reuse cache — asks the engine's one gate
+//! (`Captive::evidence_holds`, in [`crate::formation`]) whether that
+//! evidence still holds there.  The evidence has no negative half: a target
+//! that did not resolve when traced ends the trace in an ordinary exit,
+//! which costs optimality once the target is mapped, never correctness.
 
-use crate::formation::live_page_hash;
 use crate::runtime::{sf_helpers, CaptiveRuntime};
 use crate::spec::Knobs;
 use crate::{layout, FpMode};
@@ -243,7 +241,7 @@ pub enum SourceRead<T> {
 }
 
 /// What the region former reads while tracing: guest address resolution,
-/// code words, page hashes and branch-leg profiles.  The run thread traces
+/// code words and branch-leg profiles.  The run thread traces
 /// against the live machine ([`LiveSource`]); tier-1 workers trace against
 /// an immutable [`crate::tier::FormationSnapshot`], so a formed region is a
 /// pure function of the snapshot.
@@ -252,11 +250,9 @@ pub trait TraceSource {
     fn ctx_gen(&self) -> u64;
     /// Resolves a guest virtual address to a physical address for tracing.
     fn va_to_pa(&mut self, va: u64) -> SourceRead<u64>;
-    /// Reads the guest code word at physical address `pa`.
+    /// Reads the guest code word at physical address `pa` (what the trace's
+    /// [`Evidence`] then records for it).
     fn read_code_word(&mut self, pa: u64) -> SourceRead<u32>;
-    /// FNV-1a hash of physical page `page` as [`TraceSource::read_code_word`]
-    /// serves it — what the trace's [`Evidence`] records for the page.
-    fn code_page_hash(&self, page: u64) -> u64;
     /// Taken/fallthrough link heats of the cached conditional block at
     /// `key`, when a profile exists (`None` falls back to the static
     /// backward-taken heuristic).
@@ -290,10 +286,6 @@ impl TraceSource for LiveSource<'_> {
         // An unreadable word degrades to 0 (an UNDEF), matching the
         // per-block translator's behaviour.
         SourceRead::Ok(live_code_word(self.machine, pa))
-    }
-
-    fn code_page_hash(&self, page: u64) -> u64 {
-        live_page_hash(self.machine, page)
     }
 
     fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
@@ -405,6 +397,8 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     let mut guest_insns = 0usize;
     let mut constituents = 1usize;
     let mut pages: Vec<u64> = vec![entry_pa & !0xFFF];
+    // Every (physical address, word) decoded.
+    let mut words: Vec<(u64, u32)> = Vec::new();
     // Every (virtual page, physical page) the trace relies on: the entry's,
     // then each one resolved below.
     let mut translations: Vec<(u64, u64)> = vec![(entry_pc & !0xFFF, entry_pa & !0xFFF)];
@@ -475,6 +469,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             SourceRead::Fault => 0,
             SourceRead::Missing(page) => return FormOutcome::NeedPages(vec![page]),
         };
+        words.push((pa_i, word));
         let decoded = isa.decode(word, va);
         clock.close(timers, Phase::Decode);
         let Some(d) = decoded else {
@@ -633,11 +628,13 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         }
     }
 
+    // Revisits (unrolled and peeled copies) go, and so does their capacity:
+    // the evidence outlives the trace in the reuse store.
+    words.sort_unstable_by_key(|&(pa, _)| pa);
+    words.dedup_by_key(|&mut (pa, _)| pa);
+    words.shrink_to_fit();
     let evidence = Evidence {
-        code_pages: pages
-            .iter()
-            .map(|&page| (page, source.code_page_hash(page)))
-            .collect(),
+        words,
         translations,
     };
     if constituents < 2 && back_edges == 0 {

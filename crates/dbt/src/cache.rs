@@ -152,6 +152,7 @@
 //! Content-keyed reuse of formed regions across engine instances is a
 //! separate, genuinely shared layer: see [`crate::reuse`].
 
+use crate::reuse::MadeFrom;
 use hvm::{Gpr, MachInsn};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -352,6 +353,10 @@ pub struct Region {
     /// miner weighs these by the region's profiled executions to rank rules
     /// by dynamic relevance.
     pub idiom_candidates: [u32; crate::idiom::RULE_COUNT],
+    /// What a block translated on a page the guest patches was made from,
+    /// for the reuse store to have once a code write drops the block
+    /// ([`crate::reuse`]); `None` everywhere else.
+    pub made_from: Option<Box<MadeFrom>>,
 }
 
 impl Region {
@@ -386,6 +391,7 @@ impl Region {
             loop_elided_insns: 0,
             promoted: t.promoted,
             idiom_candidates: t.idioms.candidates,
+            made_from: None,
         }
     }
 
@@ -403,6 +409,7 @@ impl Region {
             code: Arc::clone(&self.code),
             pages: self.pages.clone(),
             promoted: self.promoted.clone(),
+            made_from: None,
             ..*self
         }
     }
@@ -556,7 +563,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// at one in-page offset differ only above bit 12, so without the fold the
 /// low bits hashbrown picks a bucket with would barely vary.
 #[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, _: &[u8]) {
@@ -572,10 +579,15 @@ impl Hasher for KeyHasher {
     }
 }
 
+/// A map keyed by [`RegionKey`] under the cache's own [`KeyHasher`]: what
+/// an engine's other per-key tables use on paths every chained transfer
+/// takes.
+pub type KeyMap<V> = HashMap<RegionKey, V, BuildHasherDefault<KeyHasher>>;
+
 /// Everything the cache mutates, behind the one `RefCell`.
 #[derive(Debug, Default)]
 struct State {
-    map: HashMap<RegionKey, Slot, BuildHasherDefault<KeyHasher>>,
+    map: KeyMap<Slot>,
     /// Insertion-order ring swept by the clock hand on capacity eviction;
     /// holds exactly the keys of `map` (invalidations prune it).
     ring: VecDeque<RegionKey>,
@@ -601,20 +613,20 @@ impl State {
         self.stats.regions_live -= 1;
     }
 
-    /// Removes every region `doomed` selects, returning how many went.
-    fn remove_where(&mut self, doomed: impl Fn(&Region) -> bool) -> u64 {
-        let before = self.map.len();
+    /// Removes every region `doomed` selects, returning them.
+    fn remove_where(&mut self, doomed: impl Fn(&Region) -> bool) -> Vec<Arc<Region>> {
+        let mut removed = Vec::new();
         let bytes_live = &mut self.stats.bytes_live;
         self.map.retain(|_, slot| {
             let goes = doomed(&slot.region);
             if goes {
                 *bytes_live -= slot.region.encoded_bytes as u64;
+                removed.push(Arc::clone(&slot.region));
             }
             !goes
         });
-        let removed = (before - self.map.len()) as u64;
-        self.stats.regions_live -= removed;
-        if removed > 0 {
+        self.stats.regions_live -= removed.len() as u64;
+        if !removed.is_empty() {
             let map = &self.map;
             self.ring.retain(|key| map.contains_key(key));
             self.heated.retain(|key| map.contains_key(key));
@@ -754,8 +766,14 @@ impl CodeCache {
     /// statistics (used by the region former to consult link heats and to
     /// avoid re-forming an existing multi-constituent region).
     pub fn peek(&self, key: RegionKey) -> Option<Arc<Region>> {
-        let state = self.state.borrow();
-        state.map.get(&key).map(|s| Arc::clone(&s.region))
+        self.peek_with(key, Arc::clone)
+    }
+
+    /// [`Self::peek`] without taking a reference: `f` looks at the region in
+    /// place (and clones the `Arc` only if it needs one) — for a question
+    /// asked on every chained transfer.
+    pub fn peek_with<R>(&self, key: RegionKey, f: impl FnOnce(&Arc<Region>) -> R) -> Option<R> {
+        self.state.borrow().map.get(&key).map(|s| f(&s.region))
     }
 
     /// Inserts a region under its key, replacing any previous region there
@@ -843,9 +861,11 @@ impl CodeCache {
     /// are already dead.
     pub fn evict_stale_regions(&self, ctx_gen: u64) -> usize {
         let mut state = self.state.borrow_mut();
-        let removed = state.remove_where(|r| r.gated() && r.ctx_gen != ctx_gen);
-        state.stats.evicted_stale_regions += removed;
-        removed as usize
+        let removed = state
+            .remove_where(|r| r.gated() && r.ctx_gen != ctx_gen)
+            .len();
+        state.stats.evicted_stale_regions += removed as u64;
+        removed
     }
 
     /// Cache statistics.
@@ -876,12 +896,19 @@ impl CodeCache {
     /// epoch bump additionally kills links *from* regions the dispatcher
     /// still holds.
     pub fn invalidate_phys_page(&self, page_base: u64) {
+        self.discard_phys_page(page_base);
+    }
+
+    /// [`Self::invalidate_phys_page`], handing back the regions it
+    /// discarded (for the engine to publish what is worth reviving).
+    pub fn discard_phys_page(&self, page_base: u64) -> Vec<Arc<Region>> {
         let mut state = self.state.borrow_mut();
         let removed = state.remove_where(|r| r.pages.contains(&page_base));
-        if removed > 0 {
-            state.stats.invalidated_page += removed;
+        if !removed.is_empty() {
+            state.stats.invalidated_page += removed.len() as u64;
             state.epoch += 1;
         }
+        removed
     }
 
     /// Total bytes of encoded host code currently cached.
@@ -937,6 +964,7 @@ pub(crate) mod tests {
             loop_elided_insns: 0,
             promoted: Vec::new(),
             idiom_candidates: [0; crate::idiom::RULE_COUNT],
+            made_from: None,
         }
     }
 

@@ -46,8 +46,8 @@ pub mod reuse;
 pub mod timing;
 
 pub use cache::{
-    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, Region, RegionKey,
-    RegionProfile,
+    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, KeyMap, Region,
+    RegionKey, RegionProfile,
 };
 pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};
@@ -55,7 +55,7 @@ pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
 pub use lower::LowerError;
 pub use opt::OptStats;
-pub use reuse::{pack_knobs, Evidence, ReuseCache, ReuseKey};
+pub use reuse::{pack_knobs, Evidence, MadeFrom, ReuseCache, ReuseKey};
 pub use timing::{Phase, PhaseClock, PhaseTimers, TierTimers};
 
 use hvm::MachInsn;

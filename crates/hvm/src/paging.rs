@@ -153,10 +153,28 @@ pub fn walk(mem: &PhysMem, root: u64, vaddr: u64) -> Result<PageWalk, WalkError>
 ///
 /// The hypervisor carves a region of host physical memory out for page
 /// tables; this mirrors Captive's unikernel-internal frame allocator.
+///
+/// [`FrameAlloc::reset_to`] reclaims every frame handed out since a
+/// [`FrameAlloc::mark`] at once (Captive: on every guest TLB flush), and a
+/// frame must be all zero when it is handed out again.  Re-zeroing 4 KiB
+/// per frame for the handful of entries each held was about a quarter of the
+/// wall clock of a guest that remaps and flushes every trip; so [`map_page`]
+/// notes each entry it makes non-zero in a frame handed out after the mark,
+/// `reset_to` clears exactly those, and `alloc` zeroes only frames never
+/// handed out before (checking, under `debug_assertions`, that a recycled one
+/// is zero).  The contract: after the mark, only [`map_page`] with this
+/// allocator creates entries in its frames (write-protecting or unmapping an
+/// entry it made is fine).
 #[derive(Debug, Clone)]
 pub struct FrameAlloc {
     next: u64,
     end: u64,
+    /// End of the frames ever handed out (those below it are recycled).
+    fresh: u64,
+    /// The last mark: entries in frames at or above it are noted.
+    watched: u64,
+    /// Entries [`map_page`] made non-zero in watched frames, to clear.
+    written: Vec<u64>,
 }
 
 impl FrameAlloc {
@@ -164,7 +182,13 @@ impl FrameAlloc {
     pub fn new(start: u64, end: u64) -> Self {
         assert_eq!(start % PAGE_SIZE, 0, "host bug: start must be page aligned");
         assert_eq!(end % PAGE_SIZE, 0, "host bug: end must be page aligned");
-        FrameAlloc { next: start, end }
+        FrameAlloc {
+            next: start,
+            end,
+            fresh: start,
+            watched: start,
+            written: Vec::new(),
+        }
     }
 
     /// Allocates one zeroed frame, returning its physical address.
@@ -174,7 +198,16 @@ impl FrameAlloc {
         }
         let frame = self.next;
         self.next += PAGE_SIZE;
-        mem.fill(frame, PAGE_SIZE, 0).ok()?;
+        if frame < self.fresh {
+            debug_assert!(
+                mem.slice_mut(frame, PAGE_SIZE)
+                    .is_ok_and(|f| f.iter().all(|&b| b == 0)),
+                "host bug: recycled page-table frame {frame:#x} is not zero"
+            );
+        } else {
+            mem.fill(frame, PAGE_SIZE, 0).ok()?;
+            self.fresh = self.next;
+        }
         Some(frame)
     }
 
@@ -184,20 +217,31 @@ impl FrameAlloc {
     }
 
     /// Current allocation position, for later bulk reclamation with
-    /// [`FrameAlloc::reset_to`].
-    pub fn mark(&self) -> u64 {
+    /// [`FrameAlloc::reset_to`]; entries written into frames handed out from
+    /// here on are noted.
+    pub fn mark(&mut self) -> u64 {
+        self.watched = self.next;
+        self.written.clear();
         self.next
     }
 
-    /// Reclaims every frame allocated since `mark` was taken.  The caller
-    /// must guarantee nothing reachable still references those frames;
-    /// frames are re-zeroed on reallocation.
-    pub fn reset_to(&mut self, mark: u64) {
-        assert!(
-            mark.is_multiple_of(PAGE_SIZE) && mark <= self.next,
-            "host bug: mark must be an earlier allocation position"
-        );
+    /// Reclaims every frame allocated since the last [`FrameAlloc::mark`]
+    /// (which returned `mark`), clearing the entries [`map_page`] wrote into
+    /// them.  The caller must guarantee nothing reachable still references
+    /// those frames.
+    pub fn reset_to(&mut self, mem: &mut PhysMem, mark: u64) {
+        assert_eq!(mark, self.watched, "host bug: not the last mark");
+        for entry in self.written.drain(..) {
+            let _ = mem.write_u64(entry, 0);
+        }
         self.next = mark;
+    }
+
+    /// Notes the entry at `entry`, which held `old`, as about to be written.
+    fn note(&mut self, entry: u64, old: u64) {
+        if old == 0 && (self.watched..self.fresh).contains(&entry) {
+            self.written.push(entry);
+        }
     }
 }
 
@@ -224,6 +268,7 @@ pub fn map_page(
             };
             // Intermediate entries grant full access; the leaf restricts.
             let entry = new_table | PageFlags::user_rw().encode();
+            alloc.note(pte_addr, pte);
             if mem.write_u64(pte_addr, entry).is_err() {
                 return false;
             }
@@ -234,6 +279,7 @@ pub fn map_page(
     }
     let idx = table_index(vaddr, 1);
     let pte_addr = table + idx * 8;
+    alloc.note(pte_addr, mem.read_u64(pte_addr).unwrap_or(0));
     mem.write_u64(pte_addr, (paddr & !0xFFF) | flags.encode())
         .is_ok()
 }
@@ -481,5 +527,67 @@ mod tests {
         assert_eq!(table_index(0x0020_0000, 2), 1);
         assert_eq!(table_index(0x4000_0000, 3), 1);
         assert_eq!(table_index(0x0080_0000_0000, 4), 1);
+    }
+
+    /// A lower-half virtual page for index `i`: four PML4 slots, four PDPT
+    /// slots, two page directories, two pages each — so the sequences below
+    /// build, share and tear down tables at every level.
+    fn spread(i: u64) -> u64 {
+        (i % 4) << 39 | (i / 4 % 4) << 30 | (i / 16 % 2) << 21 | (i / 32 % 2) << 12
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn resets_hand_back_zero_frames_and_forget_every_mapping_made_since_the_mark(
+            ops in proptest::collection::vec((0u8..8, 0u64..64, 1u64..512), 1..160),
+        ) {
+            let mut mem = PhysMem::new(4 * 1024 * 1024);
+            let mut alloc = FrameAlloc::new(0x10000, 0x100000);
+            let root = alloc.alloc(&mut mem).unwrap();
+            // Made before the mark, as Captive's own area is: every reset
+            // keeps it.
+            const KEPT: u64 = 0xFFFF_8000_0000_0000;
+            assert!(map_page(&mut mem, root, KEPT, 0x7000, PageFlags::kernel_rw(), &mut alloc));
+            let mark = alloc.mark();
+            let mut live = std::collections::HashMap::new();
+            for (op, page, frame) in ops {
+                let va = spread(page);
+                match op {
+                    0..=3 => {
+                        let flags = if op == 0 { PageFlags::user_ro() } else { PageFlags::user_rw() };
+                        proptest::prop_assert!(map_page(&mut mem, root, va, frame << 12, flags, &mut alloc));
+                        live.insert(va, frame << 12);
+                    }
+                    4 => {
+                        write_protect_page(&mut mem, root, va);
+                    }
+                    5 => {
+                        unmap_page(&mut mem, root, va);
+                        live.remove(&va);
+                    }
+                    _ => {
+                        // The teardown: drop the lower half, reclaim its frames.
+                        clear_top_level_entries(&mut mem, root, 256);
+                        alloc.reset_to(&mut mem, mark);
+                        live.clear();
+                        for frame in (mark..alloc.fresh).step_by(PAGE_SIZE as usize) {
+                            let bytes = mem.slice_mut(frame, PAGE_SIZE).unwrap();
+                            proptest::prop_assert!(
+                                bytes.iter().all(|&b| b == 0),
+                                "frame {frame:#x} is handed out again holding entries"
+                            );
+                        }
+                    }
+                }
+            }
+            for i in 0..64 {
+                let va = spread(i);
+                let walked = walk(&mem, root, va).ok().map(|w| w.frame);
+                proptest::prop_assert_eq!(walked, live.get(&va).copied(), "va {:#x}", va);
+            }
+            proptest::prop_assert_eq!(walk(&mem, root, KEPT).map(|w| w.frame), Ok(0x7000));
+        }
     }
 }
