@@ -13,8 +13,8 @@
 //! [`Captive::evidence_holds`], is the only place evidence is compared with
 //! the live machine: the tier-1 install (beside its context-generation
 //! compare), the template lookup, the refusal lookup, the publish point's
-//! `covers` and the tier-0 block revival ([`crate::spec`]) all call it, and
-//! a candidate that fails it is simply not served.
+//! `covers`, the tier-0 revival and the speculative pool's install (beside
+//! its knobs compare, [`crate::spec`]) call it, and serve nothing it refuses.
 
 use crate::tier::{FormationRequest, FormationSnapshot, PAGE_BYTES};
 use crate::translator::{form_region_from, live_code_word, FormOutcome, LiveSource};

@@ -678,17 +678,12 @@ impl Captive {
             Some(region) => region,
             None => {
                 let machine = &self.machine;
-                let mut words = Vec::new();
+                let mut evidence = Evidence::default();
                 let mut own = PhaseTimers::default();
                 let mut region = translate_block_from(
                     &self.isa,
-                    |pa| {
-                        let word = live_code_word(machine, pa);
-                        if patched {
-                            words.push((pa, word));
-                        }
-                        word
-                    },
+                    |pa| live_code_word(machine, pa),
+                    patched.then_some(&mut evidence),
                     &mut own,
                     key.virt,
                     key.phys,
@@ -697,16 +692,10 @@ impl Captive {
                 );
                 self.timers.merge(&own);
                 if patched {
-                    let key = self.reuse_key_for(key, false);
-                    let evidence = Evidence {
-                        words,
-                        translations: Vec::new(),
-                    };
-                    let counters = own.jit;
                     region.made_from = Some(Box::new(MadeFrom {
-                        key,
+                        key: self.reuse_key_for(key, false),
                         evidence,
-                        counters,
+                        counters: own.jit,
                     }));
                 }
                 region

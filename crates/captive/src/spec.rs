@@ -6,9 +6,26 @@
 //!
 //! Everything here changes *who* runs the block translator, never what it
 //! produces or when the product is installed: the ready pool is visible to
-//! the miss path's `Captive::speculated_block` and nothing else, and that
-//! method hands a region back only when the guest words it was made from
-//! are, word for word, what live memory holds at the install point.
+//! the miss path's `Captive::speculated_block` and nothing else.  A parked
+//! result is a region and the [`dbt::Evidence`] the block translator
+//! recorded for it, like a block kept on a patched page; that method hands
+//! it back only when it was made under the engine's current knobs and the
+//! one gate (`Captive::evidence_holds`) admits its evidence.
+//!
+//! # Why the pool is not the reuse store
+//!
+//! Both hold translations with their evidence, but the pool stays a pool:
+//!
+//! * A pool result is consumed once and bounded — at most [`POOL_MAX`] (128)
+//!   parked or in flight, evicted after `POOL_AGE` (512) installs unasked.
+//!   A template persists and is served again and again.
+//! * Installed speculative code is re-homed into the run thread's
+//!   allocations (`Ready::rehome`; +20 % peak RSS over ten engines
+//!   without).  A template shares its code `Arc` with every instantiation,
+//!   so it cannot be re-homed.
+//! * A store keeps every installed block's evidence, which is off the table:
+//!   only a patched page needs it, and a prototype keeping words and counters
+//!   for all `cold_code` blocks took `peak_rss_mib` 49.5–49.8 → 57.8–58.2.
 //!
 //! # Patched pages
 //!
@@ -28,7 +45,7 @@ use crate::tier::{TierService, PAGE_BYTES};
 use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
 use crate::{Captive, CaptiveConfig, FpMode};
 use dbt::idiom::RuleTable;
-use dbt::{BlockExit, CounterField, PhaseTimers, Region, RegionKey};
+use dbt::{BlockExit, CounterField, Evidence, PhaseTimers, Region, RegionKey};
 use guest_aarch64::Aarch64Isa;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -116,19 +133,15 @@ pub(crate) struct Job {
 }
 
 /// A finished speculative translation, parked until the run thread
-/// dispatches its key (or it ages out).
+/// dispatches its key (or it ages out): like every translation waiting to
+/// be installed, a region and the [`Evidence`] it was made from.
 #[derive(Debug)]
 pub(crate) struct Ready {
     /// `None` only on the way back to a worker ([`Ready::rehome`]).
     region: Option<Region>,
-    /// The page copy the translator read, and how many words of it, in
-    /// ascending order from the block's entry: what live memory must still
-    /// hold for the region to be installed.  (Keeping the job's `Arc`
-    /// instead of a word list also keeps the run thread from freeing
-    /// worker-allocated memory on every install, which serialises the two
-    /// threads on the allocator.)
-    page: Arc<[u8]>,
-    fetched: usize,
+    /// Every word the translator was served from the page copy: what the
+    /// one gate must find in live memory for the region to be installed.
+    evidence: Evidence,
     /// The translation's own phase timers and static counters — merged into
     /// the engine's exactly once, at install; dropped with a discarded
     /// result.
@@ -140,7 +153,11 @@ pub(crate) struct Ready {
 }
 
 /// What is left of an installed [`Ready`]: the allocations a worker made,
-/// on their way back to a worker to be freed there.
+/// on their way back to a worker to be freed there — the region's code,
+/// page list and promoted slots, and in the shell the box itself with its
+/// evidence words.  Freeing any of them on the run thread would take the
+/// worker's arena lock on every install, serialising the two threads on the
+/// allocator.
 #[derive(Debug)]
 pub(crate) struct Spent {
     _shell: Box<Ready>,
@@ -150,13 +167,10 @@ pub(crate) struct Spent {
 }
 
 impl Ready {
-    /// Moves the region into the run thread's own allocations.  A worker
-    /// allocates from its own malloc arena; left there, the cache's code
-    /// would pin those arenas at full size long after the engine that made
-    /// them is gone (a process running engines one after another, as the
-    /// benchmark does, peaked 20 % higher), and freeing the originals here
-    /// instead would take the arena lock against the worker on every
-    /// install.  So the run thread copies, and the originals go back.
+    /// Moves the region into the run thread's own allocations (left in a
+    /// worker's arena, the cache's code pinned that arena at full size after
+    /// the engine was gone: peak RSS +20 % over ten engines in a row) and
+    /// sends the originals back to a worker ([`Spent`]).
     fn rehome(mut self: Box<Self>) -> (Region, Spent) {
         let mut region = self
             .region
@@ -187,7 +201,7 @@ enum Live {
 pub(crate) enum PageCopy {
     /// Copied before the page held translated code: nothing write-protects
     /// it, so the copy may be stale by the time it is used (the JIT/loader
-    /// shape) — the install-time word comparison is what catches that.
+    /// shape) — the gate at install is what catches that.
     Early(Arc<[u8]>),
     /// The copy in the page's `code_pages` entry, shared with formation
     /// snapshots; any guest or device write to the page poisons it here.
@@ -454,14 +468,12 @@ impl Job {
         if entry == 0 || guest_aarch64::isa::decode(entry).is_none() {
             return None;
         }
-        let mut fetched = 0;
+        let mut evidence = Evidence::default();
         let mut timers = PhaseTimers::default();
         let region = translate_block_from(
             &Aarch64Isa,
-            |pa| {
-                fetched += 1;
-                self.word_at(pa)
-            },
+            |pa| self.word_at(pa),
+            Some(&mut evidence),
             &mut timers,
             self.pc,
             self.pa,
@@ -470,8 +482,7 @@ impl Job {
         );
         Some(Box::new(Ready {
             region: Some(region),
-            page: Arc::clone(&self.page),
-            fetched,
+            evidence,
             timers,
             wall: start.elapsed(),
             knobs: Arc::clone(&self.knobs),
@@ -535,23 +546,16 @@ impl Captive {
 
     /// The miss path's pool look-up: a parked translation of the block at
     /// `key`, if there is one and it is exactly what `translate_block` would
-    /// produce now — made under the current knobs from words that equal
-    /// live memory, each compared as the translator would fetch it.  Its
-    /// timers join the engine's here, once; a refused result drops them and
-    /// poisons the page (a copy that went stale once will again).
+    /// produce now — made under the current knobs (the very `Arc`, so no
+    /// hash is trusted) from evidence the one gate admits.  Its timers join
+    /// the engine's here, once; a refused result drops them and poisons the
+    /// page (a copy that went stale once will again).
     pub(crate) fn speculated_block(&mut self, key: RegionKey) -> Option<Region> {
         let tier = speculating(&self.tier)?;
         let ready = tier.with_frontier(|f| f.take(key))?;
-        let page = key.phys & !0xFFF;
-        let fresh = Arc::ptr_eq(&ready.knobs, &self.knobs)
-            && (0..ready.fetched).all(|i| {
-                let at = (key.virt + 4 * i as u64) & 0xFFF;
-                let copied = &ready.page[at as usize..at as usize + 4];
-                live_code_word(&self.machine, page | at).to_le_bytes() == copied
-            });
-        if !fresh {
+        if !(Arc::ptr_eq(&ready.knobs, &self.knobs) && self.evidence_holds(&ready.evidence)) {
             self.spec_stats.stale += 1;
-            tier.with_frontier(|f| f.poison(page));
+            tier.with_frontier(|f| f.poison(key.phys & !0xFFF));
             return None;
         }
         self.spec_stats.installed += 1;
@@ -707,6 +711,69 @@ mod tests {
         assert_eq!(after.stale, 1, "the parked callee failed validation");
         // The return address was translated ahead too, and is still good.
         assert_eq!(after.installed, 1);
+    }
+
+    #[test]
+    fn a_speculative_translation_made_under_a_superseded_idiom_table_is_refused() {
+        // A call whose return block is a fusable compare-and-branch: the
+        // first block parks the callee, the return block and its successors
+        // under the built-in table, then the table changes under them.
+        let mut main = asm::Assembler::new();
+        main.push(asm::movz(0, 0, 0));
+        main.push(asm::bl(0x2000 - 0x1004));
+        main.push(asm::cmpi(0, 1));
+        main.bcond_to(guest_aarch64::GuestCond::Eq, "done");
+        main.push(asm::movz(1, 9, 0));
+        main.label("done");
+        main.push(asm::movz(1, 7, 0));
+        main.push(asm::hlt());
+        let callee = vec![asm::addi(0, 0, 1), asm::ret()];
+        let segments = [(0x1000, main.finish()), (0x2000, callee)];
+        let sync_under = |table: RuleTable| {
+            let mut c = boot(
+                CaptiveConfig {
+                    tier_workers: None,
+                    ..CaptiveConfig::default()
+                },
+                &segments,
+            );
+            c.set_idiom_rules(table);
+            assert_eq!(c.run(100), RunExit::GuestHalted { code: 0 });
+            c
+        };
+        let (sync, builtin) = (
+            sync_under(RuleTable::observe_only()),
+            sync_under(RuleTable::full()),
+        );
+
+        let mut c = boot(pump(), &segments);
+        assert_eq!(c.run(1), RunExit::BudgetExhausted);
+        assert!(c.speculation().translated >= 2, "callee and return parked");
+        c.set_idiom_rules(RuleTable::observe_only());
+        assert_eq!(c.run(100), RunExit::GuestHalted { code: 0 });
+        let spec = c.speculation();
+        assert_eq!(spec.installed, 0, "nothing parked before the switch served");
+        assert!(spec.stale >= 1, "{spec:?}");
+        for r in 0..31 {
+            assert_eq!(c.guest_reg(r), sync.guest_reg(r), "x{r}");
+        }
+        assert_eq!(c.cache.len(), sync.cache.len());
+        let returned = RegionKey {
+            phys: 0x1008,
+            virt: 0x1008,
+        };
+        let code = |c: &Captive| c.cache.peek(returned).expect("cached").code.clone();
+        assert_ne!(code(&sync), code(&builtin), "the table decides the code");
+        for at in [0x2000, 0x1008, 0x1014] {
+            let key = RegionKey { phys: at, virt: at };
+            let (ours, theirs) = (c.cache.peek(key), sync.cache.peek(key));
+            let (ours, theirs) = (ours.expect("cached"), theirs.expect("cached"));
+            assert_eq!(
+                (&ours.code, ours.exit),
+                (&theirs.code, theirs.exit),
+                "{at:#x}"
+            );
+        }
     }
 
     #[test]

@@ -58,9 +58,9 @@
 //! installed.  A block translation is a pure function of its addresses, the
 //! codegen knobs and the words the translator fetched.  The tier-0 miss path
 //! asks the pool for `(pa, pc)`; a parked result is used only if it was made
-//! under the engine's current knobs and every word it was made from —
-//! compared one by one, exactly as the translator would fetch them — is what
-//! live memory holds *now*.  Then the miss path does what it always did:
+//! under the engine's current knobs and the one gate
+//! (`Captive::evidence_holds`) finds every word it was made from in live
+//! memory *now*.  Then the miss path does what it always did:
 //! `note_code_page`, `cache.insert`, `translations += 1`, and the result's
 //! own [`dbt::PhaseTimers`] (wall clocks and static counters alike) merged
 //! once.  Anything else — nothing parked, still queued or in flight, a
@@ -111,7 +111,7 @@
 //! * *One copy per page.*  A code page's copy is the one in its `code_pages`
 //!   entry, shared with formation snapshots; only a cross-page target that
 //!   holds no translated code yet gets a private (unprotected) copy — the
-//!   case the word comparison exists for.
+//!   case the gate at install exists for.
 //! * *Installed code lives in the run thread's allocations.*  The run thread
 //!   copies a pool result's code and sends the original back to be freed by
 //!   a worker: left in a worker's malloc arena the code pinned that arena

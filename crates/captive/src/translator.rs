@@ -68,6 +68,7 @@ pub fn translate_block(
     translate_block_from(
         isa,
         |pa_i| live_code_word(machine, pa_i),
+        None,
         timers,
         pc,
         pa,
@@ -88,13 +89,15 @@ pub fn live_code_word(machine: &Machine, pa: u64) -> u32 {
 /// The block translator behind [`translate_block`], fetching through
 /// `read_word` (guest physical address → code word).  The region is a pure
 /// function of the arguments and the words the closure returns, asked for in
-/// ascending address order, one per translated instruction — which is what
-/// lets a speculative translation made from a page copy
-/// ([`crate::spec`]) stand in for the synchronous one once those words are
-/// compared against live memory.
+/// ascending address order, one per translated instruction.  `evidence`, if
+/// given, records each where it was fetched: the [`Evidence`] the one gate
+/// checks before a block made from a page copy ([`crate::spec`]) or kept on
+/// a patched page stands in for a synchronous translation.
+#[allow(clippy::too_many_arguments)]
 pub fn translate_block_from(
     isa: &Aarch64Isa,
     mut read_word: impl FnMut(u64) -> u32,
+    mut evidence: Option<&mut Evidence>,
     timers: &mut PhaseTimers,
     pc: u64,
     pa: u64,
@@ -118,6 +121,9 @@ pub fn translate_block_from(
         // walk, and the fetch iTLB counters stay dispatch-only.
         let pa_i = (pa & !0xFFF) | (va & 0xFFF);
         let word = read_word(pa_i);
+        if let Some(evidence) = evidence.as_deref_mut() {
+            evidence.words.push((pa_i, word));
+        }
 
         let decoded = isa.decode(word, va);
         clock.close(timers, Phase::Decode);

@@ -235,16 +235,6 @@ impl ReuseCache {
         };
         Some((hit.prototype.instantiate(at, ctx_gen), hit.counters))
     }
-
-    /// Number of distinct reuse keys published.
-    pub fn len(&self) -> usize {
-        self.entries.read().unwrap().len()
-    }
-
-    /// True when nothing has been published.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().unwrap().is_empty()
-    }
 }
 
 // Engine instances on different threads share one reuse cache.
@@ -302,7 +292,7 @@ mod tests {
             ..JitCounters::default()
         };
         reuse.publish(&region, made(key(knobs), evidence(0x2000), counters));
-        assert_eq!(reuse.len(), 1);
+        assert_eq!(reuse.entries.read().unwrap().len(), 1);
         // The evidence holds: the template is served, as a region of its
         // own at the key's entry under the asked-for generation, with the
         // counters it was published with.
