@@ -1413,3 +1413,238 @@ fn bounded_cache_preserves_equivalence_on_all_integer_kernels() {
         "a 3-region cache must evict somewhere across the integer suite"
     );
 }
+
+/// The four Captive configurations the fault-precision tests below hold to
+/// the QEMU-style baseline.
+const FAULT_CONFIGS: [&str; 4] = ["default", "sync", "noopt", "tinycache"];
+
+/// Loads `code` (address, words) and `data` (address, u64) into `e`, runs it
+/// from `entry` to its halt and returns it.
+fn run_to_halt<E: guest_aarch64::sys::Engine>(
+    mut e: E,
+    code: &[(u64, &[u32])],
+    data: &[(u64, u64)],
+    entry: u64,
+) -> E {
+    for &(at, words) in code {
+        e.load_program(at, words);
+    }
+    for &(at, value) in data {
+        e.write_guest_phys(at, value, 8);
+    }
+    e.set_entry(entry);
+    assert!(matches!(
+        e.run(2_000_000),
+        guest_aarch64::sys::RunExit::GuestHalted { .. }
+    ));
+    e
+}
+
+#[test]
+fn a_branch_to_a_misaligned_pc_takes_a_pc_alignment_fault_on_every_engine() {
+    // `br` to 0x1FFE, where the bytes straddling two aligned words decode to
+    // `subi x1, x1, #1; cbnz x1, -4; hlt`.  Real AArch64 takes a PC-alignment
+    // fault there.  Decoding those bytes instead made the loop hot, and the
+    // tier workers then read a word past the end of a captured page and
+    // panicked.  Every engine must fault before fetching (ESR class 0x22,
+    // FAR = ELR = the target), and the tier workers must still be there for
+    // the hot loop the handler runs afterwards.
+    use guest_aarch64::regs::esr_class;
+    use guest_aarch64::SysReg;
+    const TARGET: u64 = 0x1FFE;
+    let straddled = [asm::subi(1, 1, 1), asm::cbnz(1, -4), asm::hlt()];
+    // Aligned words whose byte stream, read from TARGET, is `straddled`.
+    let mut bytes = vec![0u8, 0];
+    bytes.extend(straddled.iter().flat_map(|w| w.to_le_bytes()));
+    bytes.extend([0, 0]);
+    let aligned: Vec<u32> = bytes
+        .chunks(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+
+    let mut a = Assembler::new();
+    a.mov_imm64(9, 0x3000);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.push(asm::movz(1, 5_000, 0));
+    a.mov_imm64(2, TARGET);
+    a.push(asm::br(2));
+    let main = a.finish();
+
+    let mut v = Assembler::new();
+    v.push(asm::mrs(10, SysReg::Esr as u32));
+    v.push(asm::mrs(11, SysReg::Far as u32));
+    v.push(asm::mrs(12, SysReg::Elr as u32));
+    v.push(asm::movz(3, 20_000, 0));
+    v.label("hot");
+    v.push(asm::add(4, 4, 3));
+    v.push(asm::subi(3, 3, 1));
+    v.cbnz_to(3, "hot");
+    v.push(asm::hlt());
+    let handler = v.finish();
+
+    let code: [(u64, &[u32]); 3] = [(0x1000, &main), (TARGET & !3, &aligned), (0x3000, &handler)];
+    let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &[], 0x1000);
+    assert_eq!(q.guest_reg(10), esr_class::PC_ALIGN << 26, "ESR");
+    assert_eq!(
+        (q.guest_reg(11), q.guest_reg(12)),
+        (TARGET, TARGET),
+        "FAR, ELR"
+    );
+    assert_eq!(q.guest_reg(1), 5_000, "the straddling loop never ran");
+    for name in FAULT_CONFIGS {
+        let c = run_to_halt(
+            Captive::new(bench::captive_config(name)),
+            &code,
+            &[],
+            0x1000,
+        );
+        for r in 0..31 {
+            assert_eq!(c.guest_reg(r), q.guest_reg(r), "{name}: x{r} diverged");
+        }
+        assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "{name}: NZCV");
+        let s = c.stats();
+        assert_eq!(s.guest_exceptions, 1, "{name}: one fault, delivered once");
+        if name == "default" {
+            assert!(
+                s.regions_installed_async >= 1,
+                "the tier workers outlived the misaligned branch and formed the hot loop"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline() {
+    // The `hot.addr` shape: two tables, a stride and a mask, seven values
+    // carried around a 13-instruction body and four temporaries inside it,
+    // so an unrolled region of it runs the GPR pool out and the allocator
+    // splits ranges in its later copies.  Table 1 is cut off by the end of
+    // guest RAM at half its entries, and table 0 is built so the second
+    // lookup stays below the cut on every trip but trip `fault_trip`: that
+    // load takes a data abort inside the region.  The handler sees every
+    // register as the fault left it; ELR, FAR and the register file must be
+    // what the QEMU-style baseline (every guest register in memory) shows,
+    // and what a host mirror of the kernel computes.
+    //
+    // The region is entered at a fixed trip `e` (formation depends only on
+    // what ran before), so trip `t` runs in copy `(t - e) % 4 + 1`: four
+    // consecutive fault trips put the abort in every copy, the third
+    // included.
+    use guest_aarch64::SysReg;
+    const ENTRIES: u64 = 1024;
+    const MASK: u64 = ENTRIES - 1;
+    const STRIDE: u64 = 293;
+    const T0: u64 = 0x10_0000;
+    let ram = bench::guest_ram();
+    let cut = ENTRIES / 2;
+    let t1 = ram - cut * 8;
+
+    let mut a = Assembler::new();
+    a.mov_imm64(11, 0x3000);
+    a.push(asm::msr(SysReg::Vbar as u32, 11));
+    a.mov_imm64(1, T0);
+    a.mov_imm64(2, t1);
+    a.mov_imm64(9, MASK);
+    a.mov_imm64(10, STRIDE);
+    a.mov_imm64(3, 100_000);
+    a.push(asm::movz(8, 0, 0));
+    a.push(asm::movz(19, 0, 0));
+    a.label("loop");
+    a.push(asm::add(8, 8, 10));
+    a.push(asm::and(4, 8, 9));
+    a.push(asm::lsli(5, 4, 3));
+    a.push(asm::add(6, 1, 5));
+    a.push(asm::ldr(7, 6, 0));
+    a.push(asm::add(19, 19, 7));
+    a.push(asm::eor(4, 4, 7));
+    a.push(asm::and(4, 4, 9));
+    a.push(asm::lsli(5, 4, 3));
+    let fault_pc = 0x1000 + a.here() as u64 * 4;
+    a.push(asm::ldr_reg(7, 2, 5));
+    a.push(asm::add(19, 19, 7));
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, "loop");
+    a.push(asm::hlt());
+    let main = a.finish();
+
+    let mut v = Assembler::new();
+    v.push(asm::mrs(20, SysReg::Elr as u32));
+    v.push(asm::mrs(21, SysReg::Far as u32));
+    v.push(asm::mrs(22, SysReg::Esr as u32));
+    v.push(asm::hlt());
+    let handler = v.finish();
+
+    for fault_trip in 700..704u64 {
+        // Entry i0 of table 0 keeps bit 9 of `i0 ^ t0[i0]` clear (below the
+        // cut) except at the fault trip's index; the stride is odd, so no
+        // earlier trip (there are fewer than 1 024) reads that entry.
+        let i0_at = |trip: u64| (trip * STRIDE) & MASK;
+        let mut data = Vec::new();
+        for i0 in 0..ENTRIES {
+            let noise = i0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) >> 4;
+            let below = (noise & !0x200) | (i0 & 0x200);
+            let v0 = if i0 == i0_at(fault_trip) {
+                below ^ 0x200
+            } else {
+                below
+            };
+            data.push((T0 + i0 * 8, v0));
+        }
+        for i in 0..cut {
+            data.push((t1 + i * 8, i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 5));
+        }
+        // Host mirror up to the faulting load.
+        let (mut sum, mut far) = (0u64, 0);
+        for trip in 1..=fault_trip {
+            let i0 = i0_at(trip);
+            let v0 = data[i0 as usize].1;
+            sum = sum.wrapping_add(v0);
+            let i1 = (i0 ^ v0) & MASK;
+            if trip == fault_trip {
+                assert!(i1 >= cut);
+                far = t1 + i1 * 8;
+            } else {
+                assert!(i1 < cut);
+                sum = sum.wrapping_add(data[(ENTRIES + i1) as usize].1);
+            }
+        }
+
+        let code: [(u64, &[u32]); 2] = [(0x1000, &main), (0x3000, &handler)];
+        let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &data, 0x1000);
+        assert_eq!(
+            (q.guest_reg(20), q.guest_reg(21)),
+            (fault_pc, far),
+            "ELR, FAR"
+        );
+        assert_eq!(q.guest_reg(19), sum, "the sum the mirror computes");
+        assert_eq!(q.guest_reg(3), 100_000 - (fault_trip - 1), "trips left");
+        for name in FAULT_CONFIGS {
+            let c = run_to_halt(
+                Captive::new(bench::captive_config(name)),
+                &code,
+                &data,
+                0x1000,
+            );
+            for r in 0..31 {
+                assert_eq!(
+                    c.guest_reg(r),
+                    q.guest_reg(r),
+                    "{name}, fault on trip {fault_trip}: x{r} diverged"
+                );
+            }
+            assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "{name}: NZCV");
+            let s = c.stats();
+            assert!(
+                s.backedge_transfers > 100,
+                "{name}: the loop ran in a region"
+            );
+            // Without the optimiser every guest register round-trips
+            // through memory, and the pool never runs out.
+            assert_eq!(
+                s.jit.regalloc_splits > 0,
+                name != "noopt",
+                "{name}: the allocator split ranges"
+            );
+        }
+    }
+}

@@ -11,6 +11,12 @@
 //! `idiom.hit.<rule>` is `idiom_hits.<rule>` and `idiom.cand.<rule>` is
 //! `idiom_candidates.<rule>`.  A side-map entry the parent only recorded when
 //! the device was used is pinned only for the runs that recorded it.
+//!
+//! Added since: the allocator's `regalloc_spill_slots` / `regalloc_splits`
+//! lines, pinned at 0 on all six lists (none of those runs spills or splits),
+//! and a sixth run that does split, `idiom.branch` under `sync`, pinned on
+//! the commit that introduced splitting — its cycles and promotion counts are
+//! the ones the unsplit allocator gave.
 
 const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("cycles", 1392457),
@@ -51,6 +57,8 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 2),
     ("regions_installed_async", 2),
     ("stale_discards", 0),
@@ -106,6 +114,8 @@ const MCF_QEMU: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 0),
     ("regions_installed_async", 0),
     ("stale_discards", 0),
@@ -151,6 +161,8 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 0),
     ("regions_installed_async", 0),
     ("stale_discards", 0),
@@ -206,6 +218,8 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 2),
     ("regions_installed_async", 2),
     ("stale_discards", 0),
@@ -269,6 +283,8 @@ const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 0),
     ("regions_installed_async", 0),
     ("stale_discards", 0),
@@ -322,6 +338,8 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
+    ("regalloc_spill_slots", 0),
+    ("regalloc_splits", 0),
     ("tier1_requests", 25),
     ("regions_installed_async", 25),
     ("stale_discards", 0),
@@ -337,6 +355,19 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("idiom_candidates.fuse.cbz", 490),
     ("idiom_candidates.addr.fold", 0),
     ("idiom_candidates.bulk.memset", 0),
+];
+
+const BRANCH_SYNC: &[(&str, u64)] = &[
+    ("cycles", 10230962),
+    ("host_insns", 5666800),
+    ("regions_formed", 4),
+    ("loop_regions_formed", 4),
+    ("backedge_transfers", 1018),
+    ("region_entries", 89699),
+    ("opt_promoted_slots", 13),
+    ("opt_hoisted_loads", 144),
+    ("regalloc_spill_slots", 11),
+    ("regalloc_splits", 11),
 ];
 
 use bench::RunStats;
@@ -408,4 +439,14 @@ fn loop_flood_through_one_tier_worker() {
         FLOOD_ONE_WORKER,
         &bench::run_captive_cfg(&flood, cfg),
     );
+}
+
+#[test]
+fn branch_idioms_under_sync_split_instead_of_spilling() {
+    let branch = workloads::idiom_kernels(workloads::Scale(1))
+        .into_iter()
+        .find(|w| w.name == "idiom.branch")
+        .expect("idiom.branch is an idiom kernel");
+    let m = bench::run_captive_cfg(&branch, bench::captive_config("sync"));
+    check("idiom.branch sync", BRANCH_SYNC, &m);
 }

@@ -308,9 +308,13 @@ impl CaptiveRuntime {
     }
 
     /// Translates an instruction-fetch virtual address through the fetch
-    /// TLB: one compare when the entry carries the current generation.
+    /// TLB: one compare when the entry carries the current generation.  A
+    /// PC that is not a multiple of four faults before anything is fetched.
     #[inline]
     pub fn fetch_va_to_pa(&mut self, machine: &mut Machine, va: u64) -> Result<u64, GuestEvent> {
+        if va & 3 != 0 {
+            return Err(GuestEvent::PcAlign { vaddr: va });
+        }
         let ctx_gen = self.context_generation;
         match self
             .fetch_tlb

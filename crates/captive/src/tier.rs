@@ -274,6 +274,10 @@ impl TraceSource for SnapshotSource<'_> {
     }
 
     fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
+        // Both dispatchers fault a misaligned PC before any fetch, and every
+        // PC a formation walks to from an aligned entry is aligned, so a
+        // word never straddles the end of a captured page.
+        debug_assert!(pa & 3 == 0, "code fetch from misaligned {pa:#x}");
         let page = pa & !0xFFF;
         match self.snapshot.pages.get(&page) {
             Some(bytes) => {

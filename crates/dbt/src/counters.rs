@@ -170,6 +170,12 @@ counter_table! {
         /// Translations abandoned by a typed lowering error (the engine fell
         /// back to an UNDEF stub or dropped the region).
         Deterministic lower_bailouts: u64,
+        /// Spill slots the allocations used, split slots included (see
+        /// [`crate::regalloc`]).
+        Deterministic regalloc_spill_slots: u64,
+        /// Live ranges the linear scan split at the conflict point instead
+        /// of spilling the newcomer.
+        Deterministic regalloc_splits: u64,
         /// Idiom rewrites applied, per rule (see [`crate::idiom`]).
         Deterministic idiom_hits: [u64; RULE_COUNT],
         /// Idiom candidate sites per rule — matched and proven sound whether

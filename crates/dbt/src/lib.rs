@@ -145,11 +145,18 @@ pub fn finish_translation(
             idiom_stats = stats.idioms;
             dirty_carriers = stats.promoted;
         }
-        regalloc::allocate_into(&mut s.regalloc, &lir, &mut s.allocation);
+        regalloc::allocate_into(
+            &mut s.regalloc,
+            &lir,
+            &mut s.allocation,
+            regalloc::Scan::Split,
+        );
         clock.close(timers, Phase::RegAlloc);
         let allocation = &s.allocation;
         let dce = allocation.dead.iter().filter(|d| **d).count();
         timers.jit.opt_dce_insns += dce as u64;
+        timers.jit.regalloc_spill_slots += allocation.spill_slots as u64;
+        timers.jit.regalloc_splits += allocation.splits.len() as u64;
         // Promotion can grow the unit (preheader loads, reconcile block), so
         // the optimiser's net deletion count saturates at zero rather than
         // going negative.
@@ -176,9 +183,10 @@ pub fn finish_translation(
 
 /// Resolves the dirty promoted carriers to the host registers the allocator
 /// gave them.  Carriers are defined at unit entry, so the linear scan hands
-/// them pool registers before anything else can claim one; a spilled carrier
-/// would make fault-time materialisation impossible and can only mean a
-/// broken invariant — the translation is refused, not the host.
+/// them pool registers before anything else can claim one, and they are
+/// loop-carried, so it never splits one; a spilled or split carrier would
+/// make fault-time materialisation impossible and can only mean a broken
+/// invariant — the translation is refused, not the host.
 fn resolve_carriers(
     dirty_carriers: &[(i32, Vreg)],
     allocation: &regalloc::Allocation,
@@ -186,7 +194,11 @@ fn resolve_carriers(
     dirty_carriers
         .iter()
         .map(|&(off, v)| match allocation.assignment.get(v.id) {
-            Some(regalloc::Assignment::Gpr(g)) => Ok((off, g)),
+            Some(regalloc::Assignment::Gpr(g))
+                if !allocation.splits.iter().any(|s| s.vreg == v.id) =>
+            {
+                Ok((off, g))
+            }
             _ => Err(LowerError::CarrierNotInRegister { vreg: v.id }),
         })
         .collect()

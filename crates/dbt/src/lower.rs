@@ -6,6 +6,15 @@
 //! values), labels disappear and relative jump targets are patched once all
 //! instruction positions are known (Section 2.3.4).
 //!
+//! Where a virtual register lives depends on the instruction index: a range
+//! the allocator split at the conflict point ([`crate::regalloc::Split`])
+//! is in its register before the split index and in its spill slot from
+//! there on ([`Allocation::location`]).  Immediately before the instruction
+//! at that index — before anything it lowers to, on the path every
+//! execution of the rest of the range takes (the allocator's split rules
+//! guarantee it) — lowering emits the one store that moves the value from
+//! the register to the slot.
+//!
 //! Lowering is fallible: a virtual register that reaches encoding with
 //! neither a physical assignment nor a spill slot, or a jump to a label the
 //! unit never binds, is an allocator/emitter defect, and silently
@@ -86,10 +95,16 @@ pub(crate) struct LowerScratch {
     fixups: Vec<(usize, u32)>,
 }
 
-struct Lowerer<'a> {
+/// Lowers one unit; `SPLITS` is whether its allocation split any range, so
+/// a unit the pool held (nearly all of them) resolves every operand exactly
+/// as before splitting existed, without looking for splits.
+struct Lowerer<'a, const SPLITS: bool> {
     alloc: &'a Allocation,
     out: Vec<MachInsn>,
     tables: &'a mut LowerScratch,
+    /// How many of the allocation's splits (ascending by index) have had
+    /// their store emitted: the vregs that live in their split slot now.
+    splits_done: usize,
     /// Scratch registers consumed so far for the current LIR instruction.
     scratch_used: usize,
     xmm_scratch_used: usize,
@@ -99,7 +114,7 @@ struct Lowerer<'a> {
     error: Option<LowerError>,
 }
 
-impl<'a> Lowerer<'a> {
+impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
     fn new(alloc: &'a Allocation, lir_len: usize, tables: &'a mut LowerScratch) -> Self {
         tables.label_pos.clear();
         tables.fixups.clear();
@@ -107,6 +122,7 @@ impl<'a> Lowerer<'a> {
             alloc,
             out: Vec::with_capacity(lir_len),
             tables,
+            splits_done: 0,
             scratch_used: 0,
             xmm_scratch_used: 0,
             error: None,
@@ -114,9 +130,9 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Records an unassigned-vreg defect (first one wins).
-    fn fail(&mut self, v: Vreg) {
+    fn fail(&mut self, vreg: u32) {
         if self.error.is_none() {
-            self.error = Some(LowerError::UnassignedVreg { vreg: v.id });
+            self.error = Some(LowerError::UnassignedVreg { vreg });
         }
     }
 
@@ -124,10 +140,47 @@ impl<'a> Lowerer<'a> {
         MemRef::base_disp(Gpr::Rbp, SPILL_AREA_OFFSET + (slot as i32) * 16)
     }
 
+    /// Where `v` lives at the instruction being lowered
+    /// ([`Allocation::location`]).
+    #[inline]
+    fn location(&self, v: Vreg) -> Option<Assignment> {
+        if SPLITS {
+            let moved = &self.alloc.splits[..self.splits_done];
+            if let Some(s) = moved.iter().find(|s| s.vreg == v.id) {
+                return Some(Assignment::Spill(s.slot));
+            }
+        }
+        self.alloc.assignment.get(v.id)
+    }
+
+    /// Lowers LIR instruction `i`: first the stores of the ranges split
+    /// there, then — unless it is dead — the instruction itself.
+    fn step(&mut self, i: usize, insn: &LirInsn) {
+        let alloc = self.alloc;
+        while let Some(split) = alloc
+            .splits
+            .get(self.splits_done)
+            .filter(|s| SPLITS && s.at as usize <= i)
+        {
+            self.splits_done += 1;
+            match alloc.assignment.get(split.vreg) {
+                Some(Assignment::Gpr(src)) => self.out.push(MachInsn::Store {
+                    src,
+                    addr: Self::spill_slot_addr(split.slot),
+                    size: MemSize::U64,
+                }),
+                _ => self.fail(split.vreg),
+            }
+        }
+        if !alloc.dead.get(i).copied().unwrap_or(false) {
+            self.lower_insn(insn);
+        }
+    }
+
     /// Resolves a GPR-class vreg for *reading*, reloading from its spill slot
     /// into a scratch register if necessary.
     fn use_gpr(&mut self, v: Vreg) -> Gpr {
-        match self.alloc.assignment.get(v.id) {
+        match self.location(v) {
             Some(Assignment::Gpr(r)) => r,
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
@@ -140,7 +193,7 @@ impl<'a> Lowerer<'a> {
                 scratch
             }
             _ => {
-                self.fail(v);
+                self.fail(v.id);
                 Gpr::Rax
             }
         }
@@ -149,7 +202,7 @@ impl<'a> Lowerer<'a> {
     /// Resolves a GPR-class vreg for *writing*.  Returns the register to
     /// write plus an optional store-back to the spill slot.
     fn def_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
-        match self.alloc.assignment.get(v.id) {
+        match self.location(v) {
             Some(Assignment::Gpr(r)) => (r, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
@@ -164,14 +217,14 @@ impl<'a> Lowerer<'a> {
                 )
             }
             _ => {
-                self.fail(v);
+                self.fail(v.id);
                 (Gpr::Rax, None)
             }
         }
     }
 
     fn use_xmm(&mut self, v: Vreg) -> Xmm {
-        match self.alloc.assignment.get(v.id) {
+        match self.location(v) {
             Some(Assignment::Xmm(x)) => x,
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
@@ -184,14 +237,14 @@ impl<'a> Lowerer<'a> {
                 scratch
             }
             _ => {
-                self.fail(v);
+                self.fail(v.id);
                 Xmm(0)
             }
         }
     }
 
     fn def_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
-        match self.alloc.assignment.get(v.id) {
+        match self.location(v) {
             Some(Assignment::Xmm(x)) => (x, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
@@ -206,7 +259,7 @@ impl<'a> Lowerer<'a> {
                 )
             }
             _ => {
-                self.fail(v);
+                self.fail(v.id);
                 (Xmm(0), None)
             }
         }
@@ -217,7 +270,7 @@ impl<'a> Lowerer<'a> {
     /// instruction reads it), and the modified value is stored back after.
     fn rmw_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
         let reg = self.use_gpr(v);
-        let store_back = match self.alloc.assignment.get(v.id) {
+        let store_back = match self.location(v) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::Store {
                 src: reg,
                 addr: Self::spill_slot_addr(slot),
@@ -231,7 +284,7 @@ impl<'a> Lowerer<'a> {
     /// XMM-class equivalent of [`Lowerer::rmw_gpr`].
     fn rmw_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
         let reg = self.use_xmm(v);
-        let store_back = match self.alloc.assignment.get(v.id) {
+        let store_back = match self.location(v) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::StoreXmm {
                 src: reg,
                 addr: Self::spill_slot_addr(slot),
@@ -646,12 +699,23 @@ pub(crate) fn lower_in(
     lir: &[LirInsn],
     alloc: &Allocation,
 ) -> Result<Vec<MachInsn>, LowerError> {
-    let mut l = Lowerer::new(alloc, lir.len(), tables);
+    if alloc.splits.is_empty() {
+        lower_with::<false>(tables, lir, alloc)
+    } else {
+        lower_with::<true>(tables, lir, alloc)
+    }
+}
+
+/// [`lower_in`] for a unit whose allocation split ranges or (`SPLITS`
+/// false) did not.
+fn lower_with<const SPLITS: bool>(
+    tables: &mut LowerScratch,
+    lir: &[LirInsn],
+    alloc: &Allocation,
+) -> Result<Vec<MachInsn>, LowerError> {
+    let mut l = Lowerer::<SPLITS>::new(alloc, lir.len(), tables);
     for (i, insn) in lir.iter().enumerate() {
-        if alloc.dead.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        l.lower_insn(insn);
+        l.step(i, insn);
     }
     if let Some(err) = l.error {
         return Err(err);
@@ -955,12 +1019,19 @@ mod tests {
         // destination spilled must write the scratch register back to the
         // spill slot — including when the conditional move is not taken,
         // since the reload preserved the old value.  Saturate the pool so
-        // the late-defined destination spills.
+        // the late-defined destination spills: every pool value is read
+        // again before the destination's next use, so no range is worth
+        // splitting for it.
         let v = |id| Vreg {
             id,
             class: VregClass::Gpr,
         };
         let n = crate::lir::GPR_POOL.len() as u32;
+        let store = |i: u32| LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile((i * 8) as i32),
+            size: MemSize::U64,
+        };
         let mut lir = Vec::new();
         for i in 0..n {
             lir.push(LirInsn::MovImm {
@@ -969,6 +1040,7 @@ mod tests {
             });
         }
         lir.push(LirInsn::MovImm { dst: v(n), imm: 99 });
+        lir.extend((0..n).map(store));
         lir.push(LirInsn::Test {
             a: v(0),
             b: LirOperand::Vreg(v(0)),
@@ -978,13 +1050,7 @@ mod tests {
             dst: v(n),
             src: v(1),
         });
-        for i in 0..=n {
-            lir.push(LirInsn::Store {
-                src: v(i),
-                addr: LirMem::regfile((i * 8) as i32),
-                size: MemSize::U64,
-            });
-        }
+        lir.extend((0..=n).map(store));
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
         assert!(
@@ -1038,5 +1104,207 @@ mod tests {
             i,
             MachInsn::Store { addr, .. } if addr.base == Gpr::Rbp && addr.disp < 0
         )));
+    }
+
+    /// Where the register file sits in [`run`]'s machine (the spill area is
+    /// the page below).
+    const RF: u64 = 0x8000;
+
+    /// A helper that answers a function of its argument, so a `ReadRet`
+    /// reads a value no allocation chooses.
+    struct Mix;
+
+    impl hvm::Runtime for Mix {
+        fn helper(&mut self, _: u16, m: &mut hvm::Machine) -> hvm::HelperResult {
+            let arg = m.reg(Gpr::Rdi);
+            m.set_reg(Gpr::Rax, arg.wrapping_mul(0x9E37_79B9).rotate_left(7));
+            hvm::HelperResult::Continue { cost: 0 }
+        }
+    }
+
+    /// Runs `code` from one fixed state — a pattern in the register file,
+    /// a byte no value stored there repeats in the spill area — and returns
+    /// how it ended, the register file and the guest PC; `None` when it ran
+    /// out of fuel (a random loop that never ends).
+    fn run(code: &[MachInsn]) -> Option<(hvm::ExitReason, Vec<u8>, u64)> {
+        let mut m = hvm::Machine::new(hvm::MachineConfig {
+            phys_mem: 0x10000,
+            ..hvm::MachineConfig::default()
+        });
+        m.fuel_per_block = 20_000;
+        m.loop_trip_limit = 6;
+        m.mem.fill(RF - 0x1000, 0x1000, 0xA5).unwrap();
+        let pattern: Vec<u8> = (0..0x200u32).map(|i| (i * 37 + 11) as u8).collect();
+        m.mem.write(RF, &pattern).unwrap();
+        m.set_reg(Gpr::Rbp, RF);
+        m.set_reg(Gpr::R15, 0x4_0000);
+        let exit = m.run_block(code, &mut Mix);
+        if exit == hvm::ExitReason::FuelExhausted {
+            return None;
+        }
+        let mut regfile = vec![0; 0x200];
+        m.mem.read(RF, &mut regfile).unwrap();
+        Some((exit, regfile, m.reg(Gpr::R15)))
+    }
+
+    /// Random units of every shape: (seed, shape, vreg count, length).
+    fn corpus() -> impl Iterator<Item = (u64, usize, u64, u64)> {
+        (1..250u64).flat_map(|seed| {
+            (0..6).map(move |shape| (seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100))
+        })
+    }
+
+    /// What lowering emits for `lir[..end]` (jumps not yet patched).
+    fn lowered_prefix(lir: &[LirInsn], alloc: &Allocation, end: usize) -> Vec<MachInsn> {
+        let mut tables = LowerScratch::default();
+        let mut l = Lowerer::<true>::new(alloc, lir.len(), &mut tables);
+        for (i, insn) in lir[..end].iter().enumerate() {
+            l.step(i, insn);
+        }
+        l.out
+    }
+
+    #[test]
+    fn a_split_allocation_runs_like_the_unsplit_one() {
+        // Splitting changes where a value lives, never what the unit
+        // computes: every runnable unit, lowered once with the splitting
+        // scan and once with the unsplit one, ends the same way with the
+        // same register file and guest PC.  The oracle knows nothing of
+        // ranges or split rules — a split store left out, a split a jump
+        // bypasses, or a split of a loop-carried range reads the spill
+        // area's filler (or the register's new owner) instead of the value.
+        let (mut split, mut split_loops) = (0, 0);
+        for (seed, shape, nv, len) in corpus() {
+            let lir = crate::regalloc_reference::tests::runnable_unit(seed, shape, nv, len);
+            let alloc = allocate(&lir);
+            let unsplit = crate::regalloc::allocate_unsplit(&lir);
+            let code = lower(&lir, &alloc).expect("assignments are complete");
+            let want = lower(&lir, &unsplit).expect("assignments are complete");
+            let (Some(got), Some(want)) = (run(&code), run(&want)) else {
+                continue;
+            };
+            assert_eq!(got, want, "seed {seed:#x} shape {shape}: {lir:?}");
+            if !alloc.splits.is_empty() {
+                split += 1;
+                split_loops += (shape >= 2) as u32;
+            }
+        }
+        assert!(
+            split > 200 && split_loops > 100,
+            "{split} units split, {split_loops} looping"
+        );
+    }
+
+    #[test]
+    fn a_unit_whose_unsplit_allocation_spills_nothing_lowers_byte_identically() {
+        // A split happens only where the pool has run out, so a unit the
+        // unsplit scan holds in registers is allocated and lowered exactly
+        // as before splitting existed.
+        let mut fits = 0;
+        for (seed, shape, nv, len) in corpus() {
+            let lir = crate::regalloc_reference::tests::unit(seed, shape, nv, len);
+            let unsplit = crate::regalloc::allocate_unsplit(&lir);
+            if unsplit.spill_slots > 0 {
+                continue;
+            }
+            fits += 1;
+            let alloc = allocate(&lir);
+            assert!(alloc.splits.is_empty());
+            assert_eq!(
+                lower(&lir, &alloc),
+                lower(&lir, &unsplit),
+                "seed {seed:#x} shape {shape}"
+            );
+        }
+        assert!(fits > 200, "{fits} units fit the pool");
+    }
+
+    #[test]
+    fn host_code_before_the_first_split_index_is_the_unsplit_scans() {
+        // Up to the first split the two scans made the same decisions, so
+        // everything lowered for the instructions before that index — jump
+        // displacements aside, which depend on what follows — is the same.
+        let mut compared = 0;
+        for (seed, shape, nv, len) in corpus() {
+            let lir = crate::regalloc_reference::tests::unit(seed, shape, nv, len);
+            let alloc = allocate(&lir);
+            let Some(first) = alloc.splits.first() else {
+                continue;
+            };
+            let unsplit = crate::regalloc::allocate_unsplit(&lir);
+            let at = first.at as usize;
+            assert_eq!(
+                lowered_prefix(&lir, &alloc, at),
+                lowered_prefix(&lir, &unsplit, at),
+                "seed {seed:#x} shape {shape}, first split at #{at}"
+            );
+            // ... and the split's store is the first thing that differs.
+            let with_store = lowered_prefix(&lir, &alloc, at + 1);
+            let MachInsn::Store { addr, .. } = with_store[lowered_prefix(&lir, &alloc, at).len()]
+            else {
+                panic!("seed {seed:#x} shape {shape}: no split store at #{at}");
+            };
+            assert_eq!(addr, Lowerer::<true>::spill_slot_addr(first.slot));
+            compared += 1;
+        }
+        assert!(compared > 100, "{compared} units split");
+    }
+
+    #[test]
+    fn a_split_stores_its_register_right_before_the_split_index() {
+        // v0..v7 fill the pool; v8 is read right after its definition, v7
+        // only at the very end, so v7 is split where v8 starts: v8 takes its
+        // register, and v7 is stored to a slot first and read from it after.
+        let v = |id| Vreg {
+            id,
+            class: VregClass::Gpr,
+        };
+        let n = crate::lir::GPR_POOL.len() as u32;
+        let store = |i: u32| LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile((i * 8) as i32),
+            size: MemSize::U64,
+        };
+        let mut lir: Vec<LirInsn> = (0..=n)
+            .map(|i| LirInsn::MovImm {
+                dst: v(i),
+                imm: i as u64,
+            })
+            .collect();
+        lir.extend((0..n - 1).chain([n, n - 1]).map(store));
+        lir.push(LirInsn::Ret);
+        let alloc = allocate(&lir);
+        let split = crate::regalloc::Split {
+            vreg: n - 1,
+            at: n,
+            slot: 0,
+        };
+        assert_eq!(alloc.splits, [split]);
+        assert_eq!(alloc.spill_slots, 1);
+        assert_eq!(alloc.assignment[n], alloc.assignment[n - 1]);
+        let Assignment::Gpr(reg) = alloc.assignment[n - 1] else {
+            panic!("v{} holds a register before the split", n - 1);
+        };
+        let slot = Lowerer::<true>::spill_slot_addr(0);
+        let code = lower(&lir, &alloc).expect("assignments are complete");
+        // n MovImms, the split store, v8's MovImm; then the stores, the
+        // last of them through a reload of the slot.
+        assert_eq!(
+            code[n as usize],
+            MachInsn::Store {
+                src: reg,
+                addr: slot,
+                size: MemSize::U64
+            }
+        );
+        assert!(
+            matches!(code[n as usize + 1], MachInsn::MovImm { dst, imm } if dst == reg && imm == n as u64)
+        );
+        let reload = code.len() - 3;
+        assert!(matches!(code[reload], MachInsn::Load { addr, .. } if addr == slot));
+        assert_eq!(
+            run(&code),
+            run(&lower(&lir, &crate::regalloc::allocate_unsplit(&lir)).unwrap())
+        );
     }
 }

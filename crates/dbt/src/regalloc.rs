@@ -3,9 +3,9 @@
 //! As in the paper (Section 2.3.3): a dead-code pass marks instructions
 //! whose results cannot be observed and, in the same walk, discovers the
 //! live ranges of the surviving ones, and a linear scan assigns host
-//! registers (splitting to spill slots when the pool is exhausted).
-//! The algorithm favours speed over optimality — it is part of the
-//! JIT-latency budget measured in Fig. 20.
+//! registers (splitting a range to a spill slot, or spilling the newcomer,
+//! when the pool is exhausted).  The algorithm favours speed over
+//! optimality — it is part of the JIT-latency budget measured in Fig. 20.
 //!
 //! Dead-code marking is *iterative*: backward liveness over virtual
 //! registers and host flags, run to a **fixpoint** over the unit's control
@@ -54,6 +54,52 @@
 //! latency (Section 2.3.3); the two-address shuffles that leaves are paid on
 //! every execution, and this O(1)-per-range step removes the ones that cost
 //! nothing to remove.
+//!
+//! # Splitting at the conflict point
+//!
+//! When the GPR pool is empty at the start of a range `r` and no copy
+//! hand-over applies, the scan looks at the active ranges it may split and
+//! takes the one whose next occurrence is furthest away.  If that occurrence
+//! comes after `r`'s own next one, the range is **split at `r.start`**: it
+//! keeps its register before that index, [`crate::lower`] stores the
+//! register to a fresh spill slot immediately before it and uses the slot
+//! from there on ([`Split`], [`Allocation::location`]), and `r` takes the
+//! register.  Otherwise `r` spills whole, as a newcomer always used to.  In
+//! an unrolled loop region whose long-lived values hold the whole pool, that
+//! used to send every temporary of the later copies through memory.
+//!
+//! A range may be split only where the store runs on every path into the
+//! rest of it:
+//!
+//! * **never a loop-carried range** — one defined before a loop header and
+//!   live at it.  Every promoted carrier is one, so carriers keep the
+//!   register fault-time materialisation reads;
+//! * **never at an index `k` a jump can bypass**: no jump from below `k` may
+//!   land on a label in `[k, end]` (a backward jump into that span makes the
+//!   range loop-carried);
+//! * **GPR class only**: the 13-register vector pool does not run out on the
+//!   workloads, and a vector newcomer still spills.
+//!
+//! The next-occurrence table ([`SplitTables`]) is built the first time a unit
+//! runs out of registers and never for the others, so a unit whose
+//! allocation needs no spill slot is allocated exactly as before, and a unit
+//! that splits is allocated as before up to its first split index.
+//!
+//! **Why not evict whole ranges** (Poletto–Sarkar: spill the active range
+//! that ends last, for all of its life)?  Eviction moves spill code
+//! *earlier* in the unit, and a looping region that mostly leaves through a
+//! side exit in its first copy pays for it on every entry.  `idiom.branch`
+//! is one (under `sync`, 89 699 region entries against 1 018 back-edges):
+//! its newcomer spills sat in copies that never run, and eviction puts them
+//! into copy 1.  Measured with eviction of non-loop-carried ranges in place
+//! of splitting: `idiom.branch` under `nopromote+noidiom+sync` went
+//! 10 557 030 → 11 930 054 simulated cycles and under `sync` 10 230 962 →
+//! 10 469 794, while `hot_loops` reached 241.8 M against splitting's 239.7 M
+//! (256.8 M before either).  A split changes nothing before the conflict
+//! that caused it: every figure kernel keeps its cycles.
+//!
+//! Promotion's trial allocations price carriers on the unsplit scan
+//! ([`Scan::Unsplit`]; see [`crate::opt`]).
 //!
 //! # Two walks, one scratch
 //!
@@ -144,15 +190,55 @@ impl std::ops::Index<u32> for AssignmentMap {
     }
 }
 
+/// A GPR range the scan split at the conflict point (see the module docs):
+/// `vreg` holds its assigned register before instruction `at`, lowering
+/// stores that register to spill slot `slot` immediately before `at`, and
+/// every occurrence from `at` on uses the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Split {
+    /// Id of the split virtual register.
+    pub vreg: u32,
+    /// The instruction index from which it lives in `slot`.
+    pub at: u32,
+    /// Its spill slot.
+    pub slot: u32,
+}
+
 /// The result of register allocation for one block.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    /// Assignment per virtual register id.
+    /// Assignment per virtual register id (for a split vreg: where it is
+    /// before its split index).
     pub assignment: AssignmentMap,
     /// `dead[i]` is true if LIR instruction `i` can be skipped by the encoder.
     pub dead: Vec<bool>,
-    /// Number of spill slots used (GPR and XMM slots share the numbering).
+    /// Number of spill slots used (GPR and XMM slots share the numbering;
+    /// split slots included).
     pub spill_slots: u32,
+    /// The ranges the scan split, in ascending `at` order (each vreg at most
+    /// once).
+    pub splits: Vec<Split>,
+}
+
+impl Allocation {
+    /// Where vreg `id` lives at instruction `at`: its assignment, or — from
+    /// its split index on — its split slot.
+    pub fn location(&self, id: u32, at: u32) -> Option<Assignment> {
+        match self.splits.iter().find(|s| s.vreg == id) {
+            Some(s) if at >= s.at => Some(Assignment::Spill(s.slot)),
+            _ => self.assignment.get(id),
+        }
+    }
+}
+
+/// What the linear scan does when the GPR pool is empty at a range's start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scan {
+    /// Split an active range at the conflict point when the module docs'
+    /// rules allow it; spill the newcomer otherwise.
+    Split,
+    /// Always spill the newcomer: the scan promotion prices carriers on.
+    Unsplit,
 }
 
 /// Live range of one virtual register (instruction indices, inclusive).
@@ -161,6 +247,21 @@ struct Range {
     vreg: Vreg,
     start: u32,
     end: u32,
+}
+
+/// What `AllocScratch::gpr_holder` holds for a register no range has held
+/// yet (never read: only registers in `active_gpr` are looked up).
+impl Default for Range {
+    fn default() -> Self {
+        Range {
+            vreg: Vreg {
+                id: 0,
+                class: VregClass::Gpr,
+            },
+            start: 0,
+            end: 0,
+        }
+    }
 }
 
 /// The label a control-flow instruction targets.
@@ -247,10 +348,85 @@ pub(crate) struct AllocScratch {
     /// (header position, jump position) of every backward jump.
     back_jumps: Vec<(u32, u32)>,
     ranges: Vec<Range>,
+    /// (end, register) of every range holding a register.
     active_gpr: Vec<(u32, Gpr)>,
     active_xmm: Vec<(u32, Xmm)>,
+    /// The range each GPR holds while it is active, by register number (a
+    /// copy hand-over puts the heir's range there): what a split needs.
+    gpr_holder: [Range; 16],
     free_gpr: Vec<Gpr>,
     free_xmm: Vec<Xmm>,
+    split: SplitTables,
+}
+
+/// What the scan needs to split a range (see the module docs), built the
+/// first time a unit runs out of GPRs and kept for the rest of that unit.
+#[derive(Default)]
+struct SplitTables {
+    built: bool,
+    /// Kept occurrences of vreg `v`, ascending: `at[first[v]..first[v + 1]]`.
+    first: Vec<u32>,
+    at: Vec<u32>,
+    /// (jump position, label position) of every forward jump.
+    forward: Vec<(u32, u32)>,
+}
+
+impl SplitTables {
+    fn build(&mut self, lir: &[LirInsn], dead: &[bool], vregs: usize, label_pos: &[Option<u32>]) {
+        self.built = true;
+        // Count each vreg's occurrences into its own cell, sum them up to
+        // where its block ends, then fill backward: the cell ends at where
+        // the block starts, and each block comes out ascending.
+        refill(&mut self.first, vregs + 1, 0);
+        for (_, insn) in lir.iter().enumerate().filter(|&(i, _)| !dead[i]) {
+            insn.visit_uses(|u| self.first[u.id as usize] += 1);
+            if let Some(d) = insn.def() {
+                self.first[d.id as usize] += 1;
+            }
+        }
+        let mut total = 0;
+        for cell in &mut self.first {
+            total += *cell;
+            *cell = total;
+        }
+        refill(&mut self.at, total as usize, 0);
+        for (i, insn) in lir.iter().enumerate().rev().filter(|&(i, _)| !dead[i]) {
+            let mut place = |v: Vreg| {
+                let cell = &mut self.first[v.id as usize];
+                *cell -= 1;
+                self.at[*cell as usize] = i as u32;
+            };
+            insn.visit_uses(&mut place);
+            if let Some(d) = insn.def() {
+                place(d);
+            }
+        }
+        self.forward.clear();
+        for (i, insn) in lir.iter().enumerate() {
+            let target =
+                jump_target(insn).and_then(|l| label_pos.get(l as usize).copied().flatten());
+            if let Some(to) = target.filter(|&to| to > i as u32) {
+                self.forward.push((i as u32, to));
+            }
+        }
+    }
+
+    /// The first kept occurrence of `vreg` at or after index `from`.
+    fn next_occurrence(&self, vreg: Vreg, from: u32) -> Option<u32> {
+        let v = vreg.id as usize;
+        let block = &self.at[self.first[v] as usize..self.first[v + 1] as usize];
+        block.get(block.partition_point(|&i| i < from)).copied()
+    }
+
+    /// The first label at or after `k` that a jump from below `k` lands on
+    /// (`u32::MAX` when none does).
+    fn first_landing(&self, k: u32) -> u32 {
+        let landings = self
+            .forward
+            .iter()
+            .filter(|&&(from, to)| from < k && to >= k);
+        landings.map(|&(_, to)| to).min().unwrap_or(u32::MAX)
+    }
 }
 
 impl AllocScratch {
@@ -528,13 +704,14 @@ pub(crate) fn host_flags_live_after_at(lir: &[LirInsn], at: usize) -> Option<boo
 /// The copy hand-over (see the module docs): when range `r` starts at a
 /// surviving `MovReg { dst: r.vreg, src }` that is also the last index of
 /// `src`'s final range, and `src` holds a host register, `r.vreg` inherits
-/// it — the active entry stays and its end becomes `r`'s.  Returns the
-/// inherited register.
+/// it — the active entry stays, its end becomes `r`'s and the register's
+/// holder is `r`.  Returns the inherited register.
 fn inherit_copy_source(
     lir: &[LirInsn],
     r: &Range,
     assignment: &AssignmentMap,
     active_gpr: &mut [(u32, Gpr)],
+    gpr_holder: &mut [Range; 16],
 ) -> Option<Gpr> {
     let LirInsn::MovReg { dst, src } = lir[r.start as usize] else {
         return None;
@@ -543,7 +720,9 @@ fn inherit_copy_source(
         return None;
     }
     // `src` occurs at `r.start`, so if it holds a register its own entry is
-    // still active and nothing else can hold that register.
+    // still active and nothing else can hold that register.  (A split `src`
+    // still names its register, but gave it to a range that does not occur
+    // at `r.start` — only `src` and `r` do — so no entry ends there.)
     let Some(Assignment::Gpr(reg)) = assignment.get(src.id) else {
         return None;
     };
@@ -551,6 +730,7 @@ fn inherit_copy_source(
         .iter_mut()
         .find(|(end, held)| *held == reg && *end == r.start)?;
     entry.0 = r.end;
+    gpr_holder[reg as usize] = *r;
     Some(reg)
 }
 
@@ -569,7 +749,41 @@ fn expire<R: Copy>(active: &mut Vec<(u32, R)>, free: &mut Vec<R>, start: u32) {
     }
 }
 
-/// Runs liveness analysis, dead-code marking and linear-scan assignment.
+/// The active entry whose range to split at `r.start` so that `r` can take
+/// its register (see the module docs), or `None` when `r` should spill.
+/// Among the entries the rules allow, the one whose next occurrence is
+/// furthest away (the first of equals), provided it comes after `r`'s own
+/// next occurrence.
+fn split_victim(
+    tables: &SplitTables,
+    back_jumps: &[(u32, u32)],
+    active: &[(u32, Gpr)],
+    gpr_holder: &[Range; 16],
+    r: &Range,
+) -> Option<usize> {
+    let landing = tables.first_landing(r.start);
+    let loop_carried = |c: &Range| back_jumps.iter().any(|&(p, _)| c.start < p && p <= c.end);
+    let mut victim: Option<(usize, u32)> = None;
+    for (at, &(_, reg)) in active.iter().enumerate() {
+        let c = &gpr_holder[reg as usize];
+        if landing <= c.end || loop_carried(c) {
+            continue;
+        }
+        let Some(next) = tables.next_occurrence(c.vreg, r.start) else {
+            continue;
+        };
+        if victim.is_none_or(|(_, furthest)| next > furthest) {
+            victim = Some((at, next));
+        }
+    }
+    let own = tables
+        .next_occurrence(r.vreg, r.start + 1)
+        .unwrap_or(u32::MAX);
+    victim.filter(|&(_, next)| next > own).map(|(at, _)| at)
+}
+
+/// Runs liveness analysis, dead-code marking and linear-scan assignment,
+/// splitting ranges at the conflict point (see the module docs).
 ///
 /// Two walks over the unit: [`AllocScratch::scan`] forward (id bounds, label
 /// positions, backward jumps) and [`AllocScratch::mark_dead`] backward (dead
@@ -577,13 +791,31 @@ fn expire<R: Copy>(active: &mut Vec<(u32, R)>, free: &mut Vec<R>, start: u32) {
 /// fixpoint pass); what follows works on live ranges, not instructions.
 pub fn allocate(lir: &[LirInsn]) -> Allocation {
     let mut allocation = Allocation::default();
-    crate::with_scratch(|s| allocate_into(&mut s.regalloc, lir, &mut allocation));
+    crate::with_scratch(|s| allocate_into(&mut s.regalloc, lir, &mut allocation, Scan::Split));
     allocation
 }
 
-/// [`allocate`] in the caller's scratch, overwriting `out` (whose vectors
-/// keep their capacity).
-pub(crate) fn allocate_into(s: &mut AllocScratch, lir: &[LirInsn], out: &mut Allocation) {
+/// [`allocate`] with the [`Scan::Unsplit`] scan, on a fresh scratch.
+#[cfg(test)]
+pub(crate) fn allocate_unsplit(lir: &[LirInsn]) -> Allocation {
+    let mut allocation = Allocation::default();
+    allocate_into(
+        &mut AllocScratch::default(),
+        lir,
+        &mut allocation,
+        Scan::Unsplit,
+    );
+    allocation
+}
+
+/// [`allocate`] in the caller's scratch, with the caller's [`Scan`],
+/// overwriting `out` (whose vectors keep their capacity).
+pub(crate) fn allocate_into(
+    s: &mut AllocScratch,
+    lir: &[LirInsn],
+    out: &mut Allocation,
+    scan: Scan,
+) {
     let bounds = s.scan(lir);
     s.mark_dead(lir, &bounds, &mut out.dead);
 
@@ -615,6 +847,8 @@ pub(crate) fn allocate_into(s: &mut AllocScratch, lir: &[LirInsn], out: &mut All
     // Linear scan, one pool per register class.
     let assignment = &mut out.assignment;
     refill(&mut assignment.slots, bounds.vregs, None);
+    out.splits.clear();
+    s.split.built = false;
     s.active_gpr.clear();
     s.active_xmm.clear();
     s.free_gpr.clear();
@@ -627,13 +861,36 @@ pub(crate) fn allocate_into(s: &mut AllocScratch, lir: &[LirInsn], out: &mut All
         expire(&mut s.active_gpr, &mut s.free_gpr, r.start);
         expire(&mut s.active_xmm, &mut s.free_xmm, r.start);
         let assigned = match r.vreg.class {
-            VregClass::Gpr => inherit_copy_source(lir, r, assignment, &mut s.active_gpr)
-                .or_else(|| {
-                    let reg = s.free_gpr.pop()?;
-                    s.active_gpr.push((r.end, reg));
-                    Some(reg)
-                })
-                .map(Assignment::Gpr),
+            VregClass::Gpr => {
+                inherit_copy_source(lir, r, assignment, &mut s.active_gpr, &mut s.gpr_holder)
+                    .or_else(|| {
+                        let reg = s.free_gpr.pop()?;
+                        s.active_gpr.push((r.end, reg));
+                        s.gpr_holder[reg as usize] = *r;
+                        Some(reg)
+                    })
+                    .or_else(|| {
+                        if scan == Scan::Unsplit {
+                            return None;
+                        }
+                        if !s.split.built {
+                            s.split.build(lir, &out.dead, bounds.vregs, &s.label_pos);
+                        }
+                        let holders = &mut s.gpr_holder;
+                        let at = split_victim(&s.split, &s.back_jumps, &s.active_gpr, holders, r)?;
+                        let reg = s.active_gpr[at].1;
+                        let victim = std::mem::replace(&mut holders[reg as usize], *r);
+                        s.active_gpr[at].0 = r.end;
+                        out.splits.push(Split {
+                            vreg: victim.vreg.id,
+                            at: r.start,
+                            slot: spill_slots,
+                        });
+                        spill_slots += 1;
+                        Some(reg)
+                    })
+                    .map(Assignment::Gpr)
+            }
             VregClass::Xmm => s.free_xmm.pop().map(|reg| {
                 s.active_xmm.push((r.end, reg));
                 Assignment::Xmm(reg)
@@ -1125,8 +1382,10 @@ mod tests {
         assert_ne!(alloc.assignment[1], alloc.assignment[0], "live source");
 
         // A spilled source has no register to hand over: the pool is full
-        // when v(n) is defined, so it spills; its copy waits for a register
-        // of its own (v0's, freed by then) and the move stays.
+        // when v(n) is defined and every pool value is read again before
+        // v(n)'s next use (no range is worth splitting for it), so it
+        // spills; its copy waits for a register of its own (v0's, freed by
+        // then) and the move stays.
         let n = GPR_POOL.len() as u32;
         let mut lir: Vec<LirInsn> = (0..=n)
             .map(|i| LirInsn::MovImm {
@@ -1134,7 +1393,7 @@ mod tests {
                 imm: i as u64,
             })
             .collect();
-        lir.push(keep(0));
+        lir.extend((0..n).map(keep));
         lir.push(copy(n + 1, n));
         lir.extend((1..n).map(keep));
         lir.push(keep(n + 1));
@@ -1199,6 +1458,170 @@ mod tests {
         ];
         let alloc = allocate(&lir);
         assert_ne!(alloc.assignment[1], alloc.assignment[0], "XMM copy");
+    }
+
+    /// `Store v(i)` to its own register-file slot.
+    fn keep(i: u32) -> LirInsn {
+        LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile((i * 8) as i32),
+            size: MemSize::U64,
+        }
+    }
+
+    /// `MovImm v(i), i`.
+    fn def(i: u32) -> LirInsn {
+        LirInsn::MovImm {
+            dst: v(i),
+            imm: i as u64,
+        }
+    }
+
+    #[test]
+    fn a_full_pool_splits_the_range_used_furthest_away() {
+        // v0..v7 fill the pool; v8 starts at #8 and is read at #9.  The
+        // active ranges are next read at #10.. in the order v2, v0, v1, v3,
+        // v4, v5, v6 (v7 twice as late): v7 is split at #8 and v8 takes its
+        // register.  A newcomer read after every active range spills whole.
+        let n = GPR_POOL.len() as u32;
+        let mut lir: Vec<LirInsn> = (0..=n).map(def).collect();
+        lir.push(keep(n));
+        lir.extend([2, 0, 1, 3, 4, 5, 6].map(keep));
+        lir.push(keep(n - 1));
+        lir.push(LirInsn::Ret);
+        let alloc = allocate(&lir);
+        assert_eq!(
+            alloc.splits,
+            [Split {
+                vreg: n - 1,
+                at: n,
+                slot: 0
+            }]
+        );
+        assert_eq!(alloc.assignment[n], alloc.assignment[n - 1]);
+        assert_eq!(alloc.location(n - 1, n - 1), Some(alloc.assignment[n - 1]));
+        assert_eq!(alloc.location(n - 1, n), Some(Assignment::Spill(0)));
+        assert_eq!(alloc.spill_slots, 1);
+        // The unsplit scan, promotion's price, spills the newcomer.
+        let unsplit = allocate_unsplit(&lir);
+        assert!(unsplit.splits.is_empty());
+        assert_eq!(unsplit.assignment[n], Assignment::Spill(0));
+
+        // v8 read last: nothing is worth moving out of a register for it.
+        let mut lir: Vec<LirInsn> = (0..=n).map(def).collect();
+        lir.extend((0..=n).map(keep));
+        lir.push(LirInsn::Ret);
+        let alloc = allocate(&lir);
+        assert!(alloc.splits.is_empty());
+        assert_eq!(alloc.assignment[n], Assignment::Spill(0));
+    }
+
+    #[test]
+    fn a_loop_carried_range_is_never_split() {
+        // v0 is defined before the loop header and read at the bottom of
+        // the body, so it is live across the back-edge: splitting it inside
+        // the loop would leave its register to v8 on every later trip.  Its
+        // next read is the furthest of the full pool's, so the scan passes
+        // it over for v7, the furthest of the rest.
+        let n = GPR_POOL.len() as u32;
+        let back_edge = LirInsn::BackEdge {
+            pc: 0x1000,
+            label: 0,
+            reconcile: false,
+            weight: 1,
+        };
+        let mut lir = vec![def(0), LirInsn::Label { id: 0 }];
+        lir.extend((1..=n).map(def));
+        lir.push(keep(n));
+        lir.extend((1..n).map(keep));
+        lir.push(keep(0));
+        lir.extend([back_edge, LirInsn::Ret]);
+        let alloc = allocate(&lir);
+        let at = n + 1; // v8's definition, one past the label
+        assert_eq!(
+            alloc.splits,
+            [Split {
+                vreg: n - 1,
+                at,
+                slot: 0
+            }]
+        );
+        assert!(matches!(alloc.assignment[0], Assignment::Gpr(_)));
+        // With every in-loop value read before v8 is, v0 is the only range
+        // worth splitting — and v8 spills instead.
+        let mut lir = vec![def(0), LirInsn::Label { id: 0 }];
+        lir.extend((1..=n).map(def));
+        lir.extend((1..n).map(keep));
+        lir.push(keep(n));
+        lir.push(keep(0));
+        lir.extend([back_edge, LirInsn::Ret]);
+        let alloc = allocate(&lir);
+        assert!(alloc.splits.is_empty(), "{:?}", alloc.splits);
+        assert_eq!(alloc.assignment[n], Assignment::Spill(0));
+    }
+
+    #[test]
+    fn a_range_a_jump_enters_past_the_split_index_is_never_split() {
+        // A conditional jump from #9 lands on label 0 at #13, past v8's
+        // definition at #10: a split there would skip its store on the
+        // jump's path.  v7 is read furthest away but after the label, so it
+        // stays; v6, whose range ends before the label, is split instead.
+        let n = GPR_POOL.len() as u32;
+        let mut lir: Vec<LirInsn> = (0..n).map(def).collect();
+        lir.push(LirInsn::Test {
+            a: v(0),
+            b: LirOperand::Vreg(v(0)),
+        });
+        lir.push(LirInsn::Jcc {
+            cond: Cond::Eq,
+            label: 0,
+        });
+        lir.extend([def(n), keep(n), keep(n - 2), LirInsn::Label { id: 0 }]);
+        lir.extend((0..n - 2).chain([n - 1]).map(keep));
+        lir.push(LirInsn::Ret);
+        let alloc = allocate(&lir);
+        assert_eq!(
+            alloc.splits,
+            [Split {
+                vreg: n - 2,
+                at: n + 2,
+                slot: 0
+            }]
+        );
+        // Without v6's early end every active range reaches past the label,
+        // and v8 spills.
+        lir.remove(n as usize + 4);
+        lir.insert(lir.len() - 1, keep(n - 2));
+        let alloc = allocate(&lir);
+        assert!(alloc.splits.is_empty(), "{:?}", alloc.splits);
+        assert_eq!(alloc.assignment[n], Assignment::Spill(0));
+    }
+
+    #[test]
+    fn a_full_vector_pool_still_spills_the_newcomer() {
+        // Splitting is for the GPR class only: the 14th of fourteen live
+        // vector values spills whole, even though it is read first.
+        let xv = |id| Vreg {
+            id,
+            class: VregClass::Xmm,
+        };
+        let n = XMM_POOL.len() as u32;
+        let load = |i: u32| LirInsn::LoadXmm {
+            dst: xv(i),
+            addr: LirMem::regfile((i * 8) as i32),
+            size: MemSize::U64,
+        };
+        let store = |i: u32| LirInsn::StoreXmm {
+            src: xv(i),
+            addr: LirMem::regfile((i * 8 + 0x100) as i32),
+            size: MemSize::U64,
+        };
+        let mut lir: Vec<LirInsn> = (0..=n).map(load).collect();
+        lir.extend((0..=n).rev().map(store));
+        lir.push(LirInsn::Ret);
+        let alloc = allocate(&lir);
+        assert!(alloc.splits.is_empty());
+        assert_eq!(alloc.assignment[n], Assignment::Spill(0));
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Test-only reference for [`crate::regalloc`]: the hash-map allocator the
 //! id-indexed one replaced, kept verbatim (`HashSet` live sets, `HashMap`
 //! label states, occurrences and assignment) so a differential property test
-//! can hold the two to identical `dead`, `spill_slots` and per-vreg
+//! can hold the two to identical `dead`, `spill_slots`, splits and per-vreg
 //! assignment on random units — plus the historical one-shot dead-code
-//! marking, whose kill set the fixpoint's must contain.  The one thing
-//! added since is the copy hand-over, restated over the `last` map rather
-//! than the active list; because both allocators now share that rule, the
-//! tests also hold the result to a soundness property that knows nothing of
-//! ranges (textbook per-instruction liveness over the unit's control flow).
+//! marking, whose kill set the fixpoint's must contain.  Two rules were
+//! added since, each restated by hand rather than shared: the copy
+//! hand-over (over the `last` map rather than the active list) and
+//! splitting at the conflict point (next occurrences by forward search, the
+//! jump rule by scanning the jumps below the split).  Because both
+//! allocators share those rules, the tests also hold the result to two
+//! properties that know nothing of ranges: textbook per-instruction
+//! liveness over the unit's control flow, and — in [`crate::lower`]'s tests
+//! — executing the lowered unit.
 
 use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
-use crate::regalloc::{Assignment, XMM_POOL};
+use crate::regalloc::{Assignment, Split, XMM_POOL};
 use hvm::{Gpr, Xmm};
 use std::collections::{HashMap, HashSet};
 
@@ -20,6 +24,7 @@ pub(crate) struct RefAllocation {
     pub assignment: HashMap<u32, Assignment>,
     pub dead: Vec<bool>,
     pub spill_slots: u32,
+    pub splits: Vec<Split>,
 }
 
 /// Live range of one virtual register (instruction indices, inclusive).
@@ -254,8 +259,10 @@ fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
     dead
 }
 
-/// Runs liveness analysis, dead-code marking and linear-scan assignment.
-pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
+/// Runs liveness analysis, dead-code marking and linear-scan assignment —
+/// splitting at the conflict point when `split`, spilling every newcomer
+/// the pool cannot hold otherwise.
+pub(crate) fn allocate(lir: &[LirInsn], split: bool) -> RefAllocation {
     let dead = mark_dead(lir);
 
     // Forward pass over the *surviving* instructions: first and last
@@ -345,38 +352,58 @@ pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
         .collect();
     ranges.sort_by_key(|r| (r.start, r.vreg.id));
 
+    // Whether `v` occurs in kept instruction `i`.
+    let occurs = |i: usize, v: u32| {
+        let mut operands = Vec::new();
+        lir[i].uses(&mut operands);
+        !dead[i] && (operands.iter().any(|u| u.id == v) || lir[i].def().is_some_and(|d| d.id == v))
+    };
+    let next_occurrence = |v: u32, from: usize| (from..lir.len()).find(|&i| occurs(i, v));
+    // Where the label a jump at `i` targets is bound, if it is a jump.
+    let jump_lands = |i: usize| match &lir[i] {
+        LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } | LirInsn::BackEdge { label, .. } => {
+            label_pos.get(label).copied()
+        }
+        _ => None,
+    };
+
     // Linear scan, one pool per register class.
     let mut assignment = HashMap::new();
-    let mut active_gpr: Vec<(usize, Gpr)> = Vec::new(); // (end, reg)
-    let mut active_xmm: Vec<(usize, Xmm)> = Vec::new();
+    let mut active_gpr: Vec<(Range, Gpr)> = Vec::new();
+    let mut active_xmm: Vec<(Range, Xmm)> = Vec::new();
     let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
     let mut free_xmm: Vec<Xmm> = XMM_POOL.iter().rev().map(|&i| Xmm(i)).collect();
     let mut spill_slots = 0u32;
+    let mut splits: Vec<Split> = Vec::new();
 
     for r in &ranges {
         // Expire ranges that ended strictly before this one starts (a range
         // ending *at* this index may be a same-instruction operand of a
         // def-after-use form and must keep its register).
-        active_gpr.retain(|&(end, reg)| {
-            if end < r.start {
+        active_gpr.retain(|&(held, reg)| {
+            if held.end < r.start {
                 free_gpr.push(reg);
                 false
             } else {
                 true
             }
         });
-        active_xmm.retain(|&(end, reg)| {
-            if end < r.start {
+        active_xmm.retain(|&(held, reg)| {
+            if held.end < r.start {
                 free_xmm.push(reg);
                 false
             } else {
                 true
             }
         });
-        // Copy hand-over: a copy defined where its register-held source's
-        // final range ends inherits the register.
+        // Copy hand-over: a copy defined where its register-held, unsplit
+        // source's final range ends inherits the register.
         let inherited = match lir[r.start] {
-            LirInsn::MovReg { dst, src } if dst == r.vreg && last[&src.id] == r.start => {
+            LirInsn::MovReg { dst, src }
+                if dst == r.vreg
+                    && last[&src.id] == r.start
+                    && !splits.iter().any(|s| s.vreg == src.id) =>
+            {
                 match assignment.get(&src.id) {
                     Some(&Assignment::Gpr(reg)) => Some(reg),
                     _ => None,
@@ -389,20 +416,56 @@ pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
                 if let Some(reg) = inherited {
                     assignment.insert(r.vreg.id, Assignment::Gpr(reg));
                     for entry in active_gpr.iter_mut().filter(|e| e.1 == reg) {
-                        entry.0 = r.end;
+                        entry.0 = *r;
                     }
                 } else if let Some(reg) = free_gpr.pop() {
                     assignment.insert(r.vreg.id, Assignment::Gpr(reg));
-                    active_gpr.push((r.end, reg));
+                    active_gpr.push((*r, reg));
                 } else {
-                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
-                    spill_slots += 1;
+                    // Split at r.start: the active range whose next
+                    // occurrence is furthest (first of equals), if that is
+                    // after r's own next one, and only a range no back-edge
+                    // re-enters and no jump from below r.start lands inside.
+                    let k = r.start;
+                    let mut victim: Option<(usize, usize)> = None;
+                    for (at, (c, _)) in active_gpr.iter().enumerate() {
+                        let loop_carried =
+                            back_jumps.iter().any(|&(p, _)| c.start < p && p <= c.end);
+                        let bypassed =
+                            (0..k).any(|i| jump_lands(i).is_some_and(|t| k <= t && t <= c.end));
+                        if !split || loop_carried || bypassed {
+                            continue;
+                        }
+                        if let Some(next) = next_occurrence(c.vreg.id, k) {
+                            if victim.is_none_or(|(_, far)| next > far) {
+                                victim = Some((at, next));
+                            }
+                        }
+                    }
+                    let own = next_occurrence(r.vreg.id, k + 1);
+                    match victim.filter(|&(_, far)| own.is_some_and(|o| far > o)) {
+                        Some((at, _)) => {
+                            let (c, reg) = active_gpr[at];
+                            splits.push(Split {
+                                vreg: c.vreg.id,
+                                at: k as u32,
+                                slot: spill_slots,
+                            });
+                            spill_slots += 1;
+                            active_gpr[at] = (*r, reg);
+                            assignment.insert(r.vreg.id, Assignment::Gpr(reg));
+                        }
+                        None => {
+                            assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
+                            spill_slots += 1;
+                        }
+                    }
                 }
             }
             VregClass::Xmm => {
                 if let Some(reg) = free_xmm.pop() {
                     assignment.insert(r.vreg.id, Assignment::Xmm(reg));
-                    active_xmm.push((r.end, reg));
+                    active_xmm.push((*r, reg));
                 } else {
                     assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
                     spill_slots += 1;
@@ -415,6 +478,7 @@ pub(crate) fn allocate(lir: &[LirInsn]) -> RefAllocation {
         assignment,
         dead,
         spill_slots,
+        splits,
     }
 }
 
@@ -730,15 +794,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// Checks an allocation against liveness computed the textbook way —
-    /// `in = uses ∪ (out − def)`, `out = ∪ in[succ]`, to a fixpoint over the
-    /// kept instructions — with no notion of ranges: at every reachable kept
-    /// instruction, the vregs live out of it plus the one it defines must
-    /// hold pairwise different registers / spill slots.  Vregs live into the
-    /// unit's entry are read before any definition on some path (the
-    /// generator draws operands at random); their content is garbage, the
-    /// allocator owes them nothing, and they are left out.
-    fn shared_register(lir: &[LirInsn], alloc: &crate::regalloc::Allocation) -> Option<String> {
+    /// Textbook liveness over `lir`'s control flow — `in = uses ∪ (out −
+    /// def)`, `out = ∪ in[succ]`, to a fixpoint, the instructions `dead`
+    /// marks contributing nothing: (live-in, live-out, successors) per
+    /// instruction.
+    #[allow(clippy::type_complexity)]
+    fn liveness(
+        lir: &[LirInsn],
+        dead: &[bool],
+    ) -> (Vec<HashSet<u32>>, Vec<HashSet<u32>>, Vec<Vec<usize>>) {
         let label_pos: HashMap<u32, usize> = lir
             .iter()
             .enumerate()
@@ -762,7 +826,7 @@ pub(crate) mod tests {
                     .flat_map(|&s| live_in[s].iter().copied())
                     .collect();
                 let mut inn = out.clone();
-                if !alloc.dead[i] {
+                if !dead[i] {
                     if let Some(d) = lir[i].def() {
                         inn.remove(&d.id);
                     }
@@ -775,6 +839,96 @@ pub(crate) mod tests {
                 live_out[i] = out;
             }
         }
+        (live_in, live_out, succ)
+    }
+
+    /// A unit of [`unit`]'s shapes that runs on a machine and computes
+    /// something no allocation can change: guest-memory operands become
+    /// register-file slots, and every vreg some path reads before defining
+    /// it is defined first (a GPR from an immediate, a vector register from
+    /// a slot).  Side exits are taken on overflow only, so that loops go
+    /// around and values carried across their back-edges are read again.
+    pub(crate) fn runnable_unit(seed: u64, shape: usize, nv: u64, len: u64) -> Vec<LirInsn> {
+        let mut lir = unit(seed, shape, nv, len);
+        for insn in &mut lir {
+            if let LirInsn::Load { addr, .. }
+            | LirInsn::Store { addr, .. }
+            | LirInsn::LoadXmm { addr, .. }
+            | LirInsn::StoreXmm { addr, .. } = insn
+            {
+                if let crate::lir::LirBase::Vreg(v) = addr.base {
+                    *addr = LirMem::regfile((v.id % 32) as i32 * 8);
+                }
+            }
+        }
+        let first_ret = lir
+            .iter()
+            .position(|i| matches!(i, LirInsn::Ret))
+            .unwrap_or(lir.len());
+        let stubs: HashSet<u32> = lir[first_ret..]
+            .iter()
+            .filter_map(|i| match i {
+                LirInsn::Label { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        for insn in &mut lir {
+            if let LirInsn::Jcc { cond, label } = insn {
+                if stubs.contains(label) {
+                    *cond = Cond::Vs;
+                }
+            }
+        }
+        let (live_in, _, _) = liveness(&lir, &vec![false; lir.len()]);
+        let mut undefined: Vec<u32> = live_in.first().into_iter().flatten().copied().collect();
+        undefined.sort_unstable();
+        let class = |id: u32| {
+            let mut class = VregClass::Gpr;
+            for insn in &lir {
+                insn.visit_uses(|u| {
+                    if u.id == id {
+                        class = u.class;
+                    }
+                });
+            }
+            class
+        };
+        let prologue: Vec<LirInsn> = undefined
+            .into_iter()
+            .map(|id| match class(id) {
+                VregClass::Gpr => LirInsn::MovImm {
+                    dst: Vreg {
+                        id,
+                        class: VregClass::Gpr,
+                    },
+                    imm: id as u64 * 1_000 + 7,
+                },
+                VregClass::Xmm => LirInsn::LoadXmm {
+                    dst: Vreg {
+                        id,
+                        class: VregClass::Xmm,
+                    },
+                    addr: LirMem::regfile((id % 32) as i32 * 8),
+                    size: MemSize::U64,
+                },
+            })
+            .collect();
+        lir.splice(0..0, prologue);
+        lir
+    }
+
+    /// Checks an allocation against liveness computed the textbook way —
+    /// `in = uses ∪ (out − def)`, `out = ∪ in[succ]`, to a fixpoint over the
+    /// kept instructions — with no notion of ranges: at every reachable kept
+    /// instruction, the vregs live out of it plus the one it defines must
+    /// hold pairwise different registers / spill slots *where they are at
+    /// that instruction* — a split vreg holds its register only before its
+    /// split index and its split slot from there on.  Vregs live into the
+    /// unit's entry are read before any definition on some path (the
+    /// generator draws operands at random); their content is garbage, the
+    /// allocator owes them nothing, and they are left out.
+    fn shared_register(lir: &[LirInsn], alloc: &crate::regalloc::Allocation) -> Option<String> {
+        let (live_in, live_out, succ) = liveness(lir, &alloc.dead);
         let mut reachable = vec![false; lir.len()];
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
@@ -792,12 +946,14 @@ pub(crate) mod tests {
                 .collect();
             held.sort_unstable();
             held.dedup();
+            let at = |v: u32| alloc.location(v, i as u32);
             for (k, a) in held.iter().enumerate() {
                 for b in &held[k + 1..] {
-                    if alloc.assignment[*a] == alloc.assignment[*b] {
+                    if at(*a) == at(*b) {
                         return Some(format!(
                             "v{a} and v{b} are both live across #{i} {:?} in {:?}",
-                            lir[i], alloc.assignment[*a]
+                            lir[i],
+                            at(*a)
                         ));
                     }
                 }
@@ -840,18 +996,26 @@ pub(crate) mod tests {
             len in 1u64..120,
         ) {
             let lir = unit(seed, shape, nv, len);
-            let new = crate::regalloc::allocate(&lir);
-            let old = allocate(&lir);
-            prop_assert_eq!(&new.dead, &old.dead, "dead marks, shape {shape}: {lir:?}");
-            prop_assert_eq!(new.spill_slots, old.spill_slots, "spill slots, shape {shape}");
-            for id in 0..crate::lir::vreg_id_bound(&lir) {
-                prop_assert_eq!(
-                    new.assignment.get(id),
-                    old.assignment.get(&id).copied(),
-                    "assignment of v{id}, shape {shape}: {lir:?}"
-                );
+            // Both scans: the splitting one every translation is allocated
+            // with, the unsplit one promotion prices carriers on.
+            let scans = [
+                (crate::regalloc::allocate(&lir), allocate(&lir, true)),
+                (crate::regalloc::allocate_unsplit(&lir), allocate(&lir, false)),
+            ];
+            for (new, old) in &scans {
+                prop_assert_eq!(&new.dead, &old.dead, "dead marks, shape {shape}: {lir:?}");
+                prop_assert_eq!(new.spill_slots, old.spill_slots, "spill slots, shape {shape}");
+                prop_assert_eq!(&new.splits, &old.splits, "splits, shape {shape}: {lir:?}");
+                for id in 0..crate::lir::vreg_id_bound(&lir) {
+                    prop_assert_eq!(
+                        new.assignment.get(id),
+                        old.assignment.get(&id).copied(),
+                        "assignment of v{id}, shape {shape}: {lir:?}"
+                    );
+                }
+                prop_assert_eq!(new.assignment.iter().count(), old.assignment.len());
             }
-            prop_assert_eq!(new.assignment.iter().count(), old.assignment.len());
+            prop_assert!(scans[1].0.splits.is_empty(), "the unsplit scan never splits");
             let flags_live = crate::regalloc::host_flags_live_after(&lir);
             prop_assert_eq!(
                 &flags_live,
@@ -894,12 +1058,14 @@ pub(crate) mod tests {
         // The differential test is only as good as its inputs: make sure the
         // generator reaches the regimes it is meant to.
         let (mut spilled, mut looped, mut xmm, mut swept, mut coalesced) = (0, 0, 0, 0, 0);
+        let mut split = 0;
         for seed in 1..200u64 {
             for shape in 0..6 {
                 let lir = unit(seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100);
                 coalesced += hands_over(&lir, &crate::regalloc::allocate(&lir)) as u32;
-                let a = allocate(&lir);
+                let a = allocate(&lir, true);
                 spilled += (a.spill_slots > 0) as u32;
+                split += !a.splits.is_empty() as u32;
                 swept += a.dead.iter().any(|d| *d) as u32;
                 looped += lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. })) as u32;
                 xmm += a
@@ -913,5 +1079,6 @@ pub(crate) mod tests {
             coalesced > 50,
             "the copy hand-over fired on {coalesced} units"
         );
+        assert!(split > 50, "the scan split a range in {split} units");
     }
 }

@@ -129,6 +129,9 @@ pub mod esr_class {
     pub const UNDEFINED: u64 = 0x00;
     /// Instruction abort (fetch fault).
     pub const INSTR_ABORT: u64 = 0x21;
+    /// PC alignment fault: an instruction fetch from a PC that is not a
+    /// multiple of four.
+    pub const PC_ALIGN: u64 = 0x22;
     /// Data abort (load/store fault).
     pub const DATA_ABORT: u64 = 0x25;
     /// Asynchronous interrupt (IRQ); the ISS carries the interrupt line.

@@ -120,6 +120,15 @@ pub enum GuestEvent {
         /// Faulting address.
         vaddr: u64,
     },
+    /// PC alignment fault: the dispatcher was asked to fetch from a PC that
+    /// is not a multiple of four (a `BR`, `RET` or `ERET` to such a target).
+    /// Raised before any fetch, so no engine decodes words that straddle an
+    /// instruction boundary.
+    PcAlign {
+        /// The misaligned PC (reported in FAR, and in ELR as the PC of the
+        /// fetch that faulted).
+        vaddr: u64,
+    },
     /// Asynchronous interrupt from an event source (timer or latch).
     Irq {
         /// Interrupt line, delivered in the ESR ISS field.
@@ -135,6 +144,7 @@ impl GuestEvent {
                 (esr_class::DATA_ABORT, write as u64, Some(vaddr))
             }
             GuestEvent::InstrAbort { vaddr } => (esr_class::INSTR_ABORT, 0, Some(vaddr)),
+            GuestEvent::PcAlign { vaddr } => (esr_class::PC_ALIGN, 0, Some(vaddr)),
             GuestEvent::Irq { line } => (esr_class::IRQ, line as u64, None),
         }
     }
@@ -950,6 +960,12 @@ mod tests {
                 esr_class::INSTR_ABORT,
                 0,
                 Some(0xC000),
+            ),
+            (
+                Via::Dispatcher(GuestEvent::PcAlign { vaddr: 0xC002 }),
+                esr_class::PC_ALIGN,
+                0,
+                Some(0xC002),
             ),
             (
                 Via::Dispatcher(GuestEvent::Irq { line: 5 }),

@@ -387,7 +387,12 @@ impl QemuRef {
         &self.per_region
     }
 
+    /// Resolves an instruction fetch; a PC that is not a multiple of four
+    /// faults before anything is fetched.
     fn fetch_pa(&mut self, va: u64) -> Result<u64, GuestEvent> {
+        if va & 3 != 0 {
+            return Err(GuestEvent::PcAlign { vaddr: va });
+        }
         self.runtime
             .soft_translate(&self.machine, va, false)
             .map(|(pa, _)| pa)
