@@ -10,6 +10,7 @@ use bench::chaos::{
 };
 use bench::RunStats;
 use proptest::prelude::*;
+use qemu_ref::QemuRef;
 
 /// Seeds pinned in CI: chosen arbitrarily, then frozen so a regression on
 /// any of them reproduces on every machine.
@@ -54,6 +55,19 @@ fn assert_one_outcome(seed: u64) {
     assert_eq!(
         stats.virtio_completions, plan.virtio_submits,
         "seed {seed:#x}: every submitted request retires"
+    );
+    // The benchmark's baseline links across pages, through the same IRQs,
+    // SMC, TLBIs, DMA and remaps.
+    let mut linked = QemuRef::with_goto_tb(bench::guest_ram());
+    linked.attach_virtio(plan.virtio.clone());
+    assert_eq!(
+        difference(
+            &run_chaos(&plan, linked),
+            &reference,
+            RunStats::differs_across_engines
+        ),
+        None,
+        "seed {seed:#x}: QemuRef::with_goto_tb diverged from the QEMU baseline"
     );
     for (name, cfg) in chaos_captive_configs() {
         let ours = run_chaos(&plan, chaos_captive(&plan, cfg));

@@ -18,7 +18,7 @@ use guest_aarch64::sys::Engine;
 use guest_aarch64::SysReg;
 use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, SECTOR_SIZE};
 use hvm::VirtioBlkConfig;
-use qemu_ref::QemuRef;
+use qemu_ref::{QemuRef, RunStats};
 
 /// Main program (two pages) and, after it, the exception vector.
 const CODE: u64 = 0x1000;
@@ -129,14 +129,22 @@ fn run<E: Engine>(e: &mut E, g: &Guest) -> Outcome {
     }
 }
 
-/// Runs `g` on the baseline and on every configuration of [`CONFIGS`],
-/// asserts one outcome, and returns it.
-fn on_every_engine(g: &Guest) -> Outcome {
-    let mut q = QemuRef::new(bench::guest_ram());
+/// Runs `g` on the baseline `q`, with `g`'s device attached.
+fn on_qemu(mut q: QemuRef, g: &Guest) -> (Outcome, RunStats) {
     if let Some(cfg) = &g.virtio {
         q.attach_virtio(cfg.clone());
     }
-    let reference = run(&mut q, g);
+    (run(&mut q, g), q.stats())
+}
+
+/// Runs `g` on the baseline, on the benchmark's baseline (which links
+/// across pages) and on every configuration of [`CONFIGS`], asserts one
+/// outcome, and returns it.
+fn on_every_engine(g: &Guest) -> Outcome {
+    let (reference, stats) = on_qemu(QemuRef::new(bench::guest_ram()), g);
+    let (linked, linked_stats) = on_qemu(QemuRef::with_goto_tb(bench::guest_ram()), g);
+    assert_eq!(linked, reference, "QemuRef::with_goto_tb against QemuRef");
+    assert_eq!(linked_stats.differs_across_engines(&stats), None);
     for name in CONFIGS {
         let mut c = captive(name, g);
         assert_eq!(run(&mut c, g), reference, "Captive {name} against QemuRef");
@@ -512,6 +520,11 @@ fn an_interior_code_page_remapped_under_a_formed_region() {
     // x4 is 0 on the first trip, then 1; still 1 on the first trip of the
     // second call, then 2.
     assert_eq!(out.regs[19], 99 + 1 + 2 * 99);
+    let (_, linked) = on_qemu(QemuRef::with_goto_tb(bench::guest_ram()), &g);
+    assert!(
+        linked.goto_tb_transfers > 0,
+        "the linked baseline chains across the loop's two pages"
+    );
 }
 
 #[test]

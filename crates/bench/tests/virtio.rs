@@ -66,11 +66,24 @@ fn run_captive_io(
     (outcome, c.stats())
 }
 
+/// The plain baseline's run, held to the benchmark's baseline (which links
+/// across pages) on the way.
 fn run_qemu_io(w: &Workload, vcfg: &VirtioBlkConfig) -> (IoOutcome, RunStats) {
-    let mut q = QemuRef::new(bench::guest_ram());
-    q.attach_virtio(vcfg.clone());
-    let (outcome, q) = run_io(w, q);
-    (outcome, q.stats())
+    let on = |mut q: QemuRef| {
+        q.attach_virtio(vcfg.clone());
+        let (outcome, q) = run_io(w, q);
+        (outcome, q.stats())
+    };
+    let reference = on(QemuRef::new(bench::guest_ram()));
+    let (outcome, linked) = on(QemuRef::with_goto_tb(bench::guest_ram()));
+    assert_eq!(outcome, reference.0, "{}: goto_tb QemuRef diverged", w.name);
+    assert_eq!(
+        linked.differs_across_engines(&reference.1),
+        None,
+        "{}",
+        w.name
+    );
+    reference
 }
 
 #[test]

@@ -73,7 +73,6 @@ impl Captive {
         prev: &Arc<Region>,
         slot: usize,
         next: Arc<Region>,
-        next_pc: u64,
     ) -> Arc<Region> {
         if next.gated() {
             return next;
@@ -165,7 +164,7 @@ impl Captive {
                 cache: &self.cache,
             },
             &mut self.timers,
-            next_pc,
+            next.guest_virt,
             next.guest_phys,
             &self.knobs,
         );

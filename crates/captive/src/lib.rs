@@ -18,55 +18,13 @@
 //! * translated-to-translated control transfers are **chained** (Sections
 //!   2.6–2.7): blocks ending in direct branches carry lazily patched
 //!   successor links, and the dispatcher's inner loop follows them without a
-//!   page walk, cache lookup, or exception-level read — see the *Block
-//!   chaining* section below;
+//!   page walk, cache lookup, or exception-level read (the rules are the
+//!   shared run loop's, [`guest_aarch64::dispatch`]);
 //! * guest FP/SIMD instructions map to host FP/SIMD instructions with inline
 //!   bit-accuracy fix-ups, or optionally to softfloat helper calls for the
 //!   ablation of Section 3.6.2;
 //! * the guest's exception level is tracked and guest user code runs in host
 //!   ring 3, guest system code in ring 0 (Fig. 2).
-//!
-//! # Block chaining
-//!
-//! The dispatcher ([`Captive::run`]) has a two-level structure:
-//!
-//! * The **slow path** resolves the guest PC to a physical address (through
-//!   the fetch-side iTLB in [`itlb`], whose entries outlive a `TLBI` that
-//!   touched none of the table pages they were read from, falling back to a
-//!   guest page-table walk), looks the block up in the physically-indexed
-//!   [`CodeCache`] (translating on a miss), and reads the guest's exception
-//!   level to pick the host protection ring.
-//! * The **inner chained loop** then executes blocks back-to-back: when a
-//!   block exits at a direct branch whose successor link is already patched
-//!   and still valid, control transfers straight to the successor's code —
-//!   no page walk, no cache lookup, no EL read — and only the near-zero
-//!   [`hvm::CostModel::chain`] cost is charged instead of the dispatcher's
-//!   [`hvm::CostModel::dispatch`] cost.
-//!
-//! **Link structure.** Each [`dbt::Region`] records terminator
-//! metadata ([`dbt::BlockExit`]) at translation time and carries two lazily
-//! patched successor slots (taken/sequential target and conditional
-//! fallthrough).  The first time an exit reaches a direct target whose link
-//! is unresolved, the dispatcher falls back to the slow path once and
-//! patches the link with the block it resolved.
-//!
-//! **Generation scheme.** A link stores the *context generation* (owned by
-//! [`runtime::CaptiveRuntime`], bumped on guest `TLBI` and `TTBR0`/`SCTLR`
-//! writes) and the code cache's *invalidation epoch* (bumped whenever
-//! blocks are discarded).  Links are followed only while both stamps match,
-//! and they hold [`std::sync::Weak`] references, so invalidation never
-//! scans predecessor blocks: dropping a block kills links *into* it, and
-//! the epoch stamp kills links *from* blocks the dispatcher still holds
-//! (including self-loops).
-//!
-//! **Invalidation rules.** Self-modifying code invalidates the written
-//! physical page's translations (and bumps the epoch); `TLBI` and
-//! translation-state `MSR`s bump the context generation, which retires
-//! links and gated regions wholesale and makes every cached guest walk
-//! re-justify itself once ([`itlb`], *The validity rule*); exception
-//! delivery and `ERET` always leave the chained loop through the slow path,
-//! which re-reads the exception level, so chained execution never runs in a
-//! stale host ring.
 
 pub mod formation;
 pub mod itlb;
@@ -77,12 +35,13 @@ pub mod tier;
 pub mod translator;
 
 use dbt::{
-    CacheIndex, CodeCache, EntryMode, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey,
-    RegionProfile, ReuseCache, RuleKind, RuleTable, TierTimers, RULE_COUNT,
+    CacheIndex, CodeCache, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey, ReuseCache,
+    RuleKind, RuleTable, TierTimers, RULE_COUNT,
 };
 use formation::FormationBackoff;
+use guest_aarch64::dispatch::{self, Dispatch, Profiles};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
-use guest_aarch64::Aarch64Isa;
+use guest_aarch64::{Aarch64Isa, CURRENT_EL_OFF};
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
 use runtime::CaptiveRuntime;
 use std::collections::HashMap;
@@ -210,8 +169,8 @@ pub struct Captive {
     config: CaptiveConfig,
     stats: RunStats,
     /// Per-region execution profiles, keyed by region (Fig. 21): cycles and
-    /// executions attributed per [`EntryMode`] by [`RegionProfile::record`].
-    per_region: HashMap<RegionKey, RegionProfile>,
+    /// executions attributed per [`dbt::EntryMode`] by [`dbt::RegionProfile::record`].
+    per_region: Profiles,
     /// Context generation the cache was last swept under; stale
     /// multi-constituent regions are evicted the first time the dispatcher
     /// runs after a generation bump.
@@ -322,48 +281,13 @@ impl Captive {
         &self.idiom_rules
     }
 
-    /// Statistics of the run so far: the counters the run loop keeps, plus
-    /// one sample each of the machine, the TLBs, the cache, the timers and
-    /// the guest-system core.
-    pub fn stats(&self) -> RunStats {
-        let mut s = self.stats;
-        self.runtime.sample(&mut s);
-        let perf = &self.machine.perf;
-        s.cycles = perf.cycles;
-        s.host_insns = perf.insns;
-        s.region_transfers = perf.superblock_transfers;
-        s.backedge_transfers = perf.backedge_transfers;
-        s.elided_dyn_insns = perf.elided_insns;
-        s.itlb_hits = self.runtime.fetch_tlb.hits;
-        s.itlb_misses = self.runtime.fetch_tlb.misses;
-        s.dtlb_hits = self.runtime.data_tlb.hits;
-        s.dtlb_misses = self.runtime.data_tlb.misses;
-        s.itlb_revalidated = self.runtime.fetch_tlb.revalidated;
-        s.gtlb_revalidated = self.runtime.data_tlb.revalidated;
-        s.table_pages_dirtied = self.runtime.table_watch.table_pages_dirtied;
-        s.code_bytes = self.cache.total_encoded_bytes() as u64;
-        let cs = self.cache.stats();
-        s.regions_evicted = cs.evicted_stale_regions;
-        s.capacity_evictions = cs.capacity_evictions;
-        s.bytes_live = cs.bytes_live;
-        s.regions_live = cs.regions_live;
-        s.sample_jit(&self.timers);
-        s.jit_wall_ns = self.tier_timers.run_thread_stall.as_nanos() as u64;
-        s.tier_worker_wall_ns = self.tier_timers.worker_wall.as_nanos() as u64;
-        s.first_region_install_ns = self
-            .tier_timers
-            .first_install
-            .map_or(0, |d| d.as_nanos() as u64);
-        s
-    }
-
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     pub fn tier_timers(&self) -> TierTimers {
         self.tier_timers
     }
 
     /// Per-region execution profiles (region key → per-entry-mode record).
-    pub fn region_profiles(&self) -> &HashMap<RegionKey, RegionProfile> {
+    pub fn region_profiles(&self) -> &Profiles {
         &self.per_region
     }
 
@@ -414,251 +338,6 @@ impl Captive {
             table.set_enabled(RuleKind::FuseCbz, true);
         }
         table
-    }
-
-    /// Translates the guest virtual address of an *instruction fetch* to a
-    /// guest physical address through the fetch-side iTLB, or reports the
-    /// fault to deliver.
-    fn fetch_translate(&mut self, va: u64) -> Result<u64, GuestEvent> {
-        self.runtime.fetch_va_to_pa(&mut self.machine, va)
-    }
-
-    /// Runs the guest until it halts or `max_blocks` blocks have been
-    /// executed (chained transfers count against the budget too).
-    ///
-    /// The outer loop is the dispatcher slow path; the inner loop executes
-    /// chained blocks back-to-back without re-entering it (see the crate
-    /// docs for the link and invalidation rules).
-    pub fn run(&mut self, max_blocks: u64) -> RunExit {
-        let mut budget = max_blocks;
-        // A region whose direct exit was taken but whose successor link was
-        // still unresolved; the slow path patches it once the successor is
-        // known.
-        let mut patch_from: Option<(Arc<Region>, usize)> = None;
-        while budget > 0 {
-            if let Some(code) = self.runtime.exit_code {
-                return RunExit::GuestHalted { code };
-            }
-            // Due device completions retire here, before event delivery and
-            // before any translated code runs: the DMA lands through the
-            // external-store path and every touched page holding live
-            // translations is invalidated — the device's completion IRQ (if
-            // any) is then taken below with the data already visible.
-            if self.runtime.poll_virtio(&mut self.machine) {
-                self.invalidate_dirty_pages();
-            }
-            let pc = self.machine.reg(Gpr::R15);
-            // Deterministic event sources deliver here (and at back-edge
-            // preemption points that funnel back here): the guest PC is
-            // architecturally precise, so ELR is exact even when a timer
-            // expired mid-loop inside a region.
-            if let Some(line) = self.runtime.events.take(self.machine.perf.cycles) {
-                patch_from = None;
-                budget -= 1;
-                self.runtime
-                    .deliver(&mut self.machine, GuestEvent::Irq { line }, pc);
-                continue;
-            }
-            // Resolve the entry's guest physical address (cache key).
-            let pa = match self.fetch_translate(pc) {
-                Ok(pa) => pa,
-                Err(event) => {
-                    patch_from = None;
-                    budget -= 1;
-                    self.runtime.deliver(&mut self.machine, event, pc);
-                    continue;
-                }
-            };
-            let gen = self.runtime.context_generation();
-            // First dispatch after a context-generation bump: sweep the
-            // cache, evicting every stale-generation multi-constituent
-            // region (they can never be dispatched again and would otherwise
-            // linger until replaced — unbounded on TLBI-heavy guests).
-            if self.config.form_regions && gen != self.swept_region_gen {
-                self.cache.evict_stale_regions(gen);
-                self.swept_region_gen = gen;
-            }
-            // One uniform lookup: the region at (entry phys, entry virt) is
-            // whatever the best current translation for this entry is — a
-            // plain block or a formed trace, with the generation gate applied
-            // inside the cache.  Virtual aliases of the same physical entry
-            // resolve to distinct regions by construction of the key.
-            let key = RegionKey { phys: pa, virt: pc };
-            let block = match self.cache.get(key, gen) {
-                Some(r) => r,
-                None => self.install_block(key),
-            };
-            self.stats.slow_dispatches += 1;
-            // Patch the predecessor's successor link now that the target is
-            // resolved.  The region key pins the virtual entry, so the link
-            // can only short-circuit the exact virtual address it was
-            // recorded for — no alias guard needed.
-            if let Some((prev, slot)) = patch_from.take() {
-                if self.config.chaining {
-                    prev.set_link(
-                        slot,
-                        self.runtime.context_generation(),
-                        self.cache.epoch(),
-                        &block,
-                    );
-                    self.stats.chain_patches += 1;
-                }
-            }
-            let mut block = block;
-            // Track the guest's exception level in the host protection ring
-            // (guest user code runs in ring 3, guest system code in ring 0).
-            // The ring stays cached across chained transfers: only blocks
-            // with indirect exits (exceptions, ERET, sysreg writes) can
-            // change the EL, and those always return to this slow path.
-            let el = self
-                .machine
-                .mem
-                .read_u64(self.runtime.regfile_phys + guest_aarch64::CURRENT_EL_OFF as u64)
-                .unwrap_or(1);
-            self.machine.ring = if el == 0 { Ring::Ring3 } else { Ring::Ring0 };
-
-            let mut chained = false;
-            loop {
-                let before = self.machine.perf.cycles;
-                let backedges_before = self.machine.perf.backedge_transfers;
-                let exit = if chained {
-                    self.machine
-                        .run_block_chained(&block.code, &mut self.runtime)
-                } else {
-                    self.machine.run_block(&block.code, &mut self.runtime)
-                };
-                let spent = self.machine.perf.cycles - before;
-                // Loop trips that stayed inside the region during this entry
-                // (each back-edge taken re-executed the looping portion).
-                let trips = self.machine.perf.backedge_transfers - backedges_before;
-                // Invalidate translations for any code pages the guest wrote
-                // (bumps the cache epoch, so stale chain links die with them).
-                self.invalidate_dirty_pages();
-                self.stats.blocks += 1;
-                self.stats.guest_insns +=
-                    block.guest_insns as u64 + trips * block.loop_guest_insns as u64;
-                // Dynamic instructions-saved accounting: every entry into the
-                // region benefits from the LIR instructions eliminated at
-                // translation time, and every internal loop trip additionally
-                // benefits from the looping portion's share.
-                self.machine.perf.elided_insns +=
-                    block.elided_insns as u64 + trips * block.loop_elided_insns as u64;
-                if block.is_multi() {
-                    self.stats.region_entries += 1;
-                }
-                if self.config.per_block_stats {
-                    // One attribution rule for every region shape: cycles and
-                    // executions are recorded under the entry mode, and the
-                    // region's own key/length/constituents disambiguate what
-                    // was entered (a formed trace replaces the plain region
-                    // at its key, so the profile follows the translation the
-                    // dispatcher actually ran).
-                    let p = self.per_region.entry(block.key()).or_default();
-                    p.guest_insns = block.guest_insns as u64;
-                    p.constituents = block.constituents as u64;
-                    p.backedge_trips += trips;
-                    let mode = if chained {
-                        EntryMode::Chained
-                    } else {
-                        EntryMode::Dispatched
-                    };
-                    p.record(mode, spent);
-                }
-                budget -= 1;
-                match exit {
-                    ExitReason::BlockEnd | ExitReason::HelperExit => {
-                        if let Some(event) = self.runtime.pending.take() {
-                            let pc_now = self.machine.reg(Gpr::R15);
-                            self.runtime.deliver(&mut self.machine, event, pc_now);
-                            break;
-                        }
-                        // Helper exits (exception taken, ERET, sysreg write)
-                        // may have changed the EL or translation context:
-                        // always re-dispatch through the slow path.
-                        if exit == ExitReason::HelperExit {
-                            break;
-                        }
-                        if !self.config.chaining || budget == 0 {
-                            break;
-                        }
-                        // A due event source leaves the chained loop so the
-                        // slow path can deliver the IRQ with a precise PC.
-                        if self.runtime.events.due(self.machine.perf.cycles) {
-                            break;
-                        }
-                        // A due device completion also leaves: retirement
-                        // happens only at the dispatcher top, and a
-                        // self-chaining loop would otherwise starve it.
-                        if self.runtime.virtio_due(self.machine.perf.cycles) {
-                            break;
-                        }
-                        let next_pc = self.machine.reg(Gpr::R15);
-                        let Some(slot) = block.chain_slot(next_pc) else {
-                            break;
-                        };
-                        if let Some(next) = block.follow_link(
-                            slot,
-                            self.runtime.context_generation(),
-                            self.cache.epoch(),
-                        ) {
-                            // Chained transfer: straight into the successor's
-                            // code, skipping page resolution, cache lookup
-                            // and EL read.  With region formation enabled the
-                            // transfer also feeds the link-heat profile and
-                            // may widen the target into a multi-constituent
-                            // region.
-                            self.stats.chained_transfers += 1;
-                            block = if self.config.form_regions {
-                                self.maybe_form_region(&block, slot, next, next_pc)
-                            } else {
-                                next
-                            };
-                            chained = true;
-                            continue;
-                        }
-                        // Direct exit with an unresolved (or retired) link:
-                        // take the slow path once and patch it there.
-                        patch_from = Some((Arc::clone(&block), slot));
-                        break;
-                    }
-                    ExitReason::Halted => {
-                        let code = self.runtime.exit_code.unwrap_or(0);
-                        return RunExit::GuestHalted { code };
-                    }
-                    ExitReason::MemFault { vaddr, write } => {
-                        // A genuine guest data abort: deliver it to the
-                        // guest.  The machine's guest PC still addresses the
-                        // faulting instruction, so ELR is exact even when
-                        // the fault happened deep in a chain.
-                        //
-                        // If the region carries loop-promoted slots, their
-                        // authoritative values sit in host registers at the
-                        // fault point (the in-code compensation stores only
-                        // run on dispatcher returns): materialise them so the
-                        // abort handler observes a precise register file.
-                        for &(off, gpr) in block.promoted.iter() {
-                            let value = self.machine.reg(gpr);
-                            self.machine
-                                .mem
-                                .write_u64(self.runtime.regfile_phys + off as u64, value)
-                                .expect("register file is inside host RAM");
-                        }
-                        let fault_pc = self.machine.reg(Gpr::R15);
-                        self.runtime.deliver(
-                            &mut self.machine,
-                            GuestEvent::DataAbort { vaddr, write },
-                            fault_pc,
-                        );
-                        break;
-                    }
-                    ExitReason::FuelExhausted => {
-                        return RunExit::Error("translated block did not terminate".into())
-                    }
-                    ExitReason::Error(e) => return RunExit::Error(e),
-                }
-            }
-        }
-        RunExit::BudgetExhausted
     }
 
     /// The tier-0 miss path: obtains the one-constituent translation of the
@@ -718,13 +397,121 @@ impl Engine for Captive {
         (&mut self.runtime.sys, &mut self.machine)
     }
     fn run(&mut self, max_blocks: u64) -> RunExit {
-        Captive::run(self, max_blocks)
+        dispatch::run(self, max_blocks)
     }
+    /// Statistics of the run so far: the counters the run loop keeps, plus
+    /// one sample each of the machine, the TLBs, the cache, the timers and
+    /// the guest-system core.
     fn stats(&self) -> RunStats {
-        Captive::stats(self)
+        let mut s = self.stats;
+        self.runtime.sample(&mut s);
+        let perf = &self.machine.perf;
+        s.cycles = perf.cycles;
+        s.host_insns = perf.insns;
+        s.region_transfers = perf.superblock_transfers;
+        s.backedge_transfers = perf.backedge_transfers;
+        s.elided_dyn_insns = perf.elided_insns;
+        s.itlb_hits = self.runtime.fetch_tlb.hits;
+        s.itlb_misses = self.runtime.fetch_tlb.misses;
+        s.dtlb_hits = self.runtime.data_tlb.hits;
+        s.dtlb_misses = self.runtime.data_tlb.misses;
+        s.itlb_revalidated = self.runtime.fetch_tlb.revalidated;
+        s.gtlb_revalidated = self.runtime.data_tlb.revalidated;
+        s.table_pages_dirtied = self.runtime.table_watch.table_pages_dirtied;
+        s.code_bytes = self.cache.total_encoded_bytes() as u64;
+        let cs = self.cache.stats();
+        s.regions_evicted = cs.evicted_stale_regions;
+        s.capacity_evictions = cs.capacity_evictions;
+        s.bytes_live = cs.bytes_live;
+        s.regions_live = cs.regions_live;
+        s.sample_jit(&self.timers);
+        s.jit_wall_ns = self.tier_timers.run_thread_stall.as_nanos() as u64;
+        s.tier_worker_wall_ns = self.tier_timers.worker_wall.as_nanos() as u64;
+        s.first_region_install_ns = self
+            .tier_timers
+            .first_install
+            .map_or(0, |d| d.as_nanos() as u64);
+        s
     }
     fn note_host_write(&mut self, guest_phys: u64, len: u64) {
         self.runtime.note_host_write(guest_phys, len);
+    }
+}
+
+/// Captive's side of each axis: host paging (the fetch iTLB), a physically
+/// indexed cache dropped page by page, and links under the context
+/// generation.
+impl Dispatch for Captive {
+    fn settle(&mut self) -> bool {
+        self.runtime.poll_virtio(&mut self.machine);
+        self.invalidate_dirty_pages();
+        false
+    }
+
+    fn resolve(&mut self, pc: u64) -> Result<u64, GuestEvent> {
+        self.runtime.fetch_va_to_pa(&mut self.machine, pc)
+    }
+
+    fn lookup(&mut self, key: RegionKey) -> Arc<Region> {
+        let gen = self.runtime.context_generation();
+        // First dispatch after a context-generation bump: sweep the cache,
+        // evicting every stale-generation multi-constituent region (they can
+        // never be dispatched again and would otherwise linger until
+        // replaced — unbounded on TLBI-heavy guests).
+        if self.config.form_regions && gen != self.swept_region_gen {
+            self.cache.evict_stale_regions(gen);
+            self.swept_region_gen = gen;
+        }
+        let block = self
+            .cache
+            .get(key, gen)
+            .unwrap_or_else(|| self.install_block(key));
+        // Track the guest's exception level in the host protection ring
+        // (guest user code runs in ring 3, guest system code in ring 0).  The
+        // ring stays cached across chained transfers: only blocks with
+        // indirect exits (exceptions, ERET, sysreg writes) can change the EL,
+        // and those always return to the slow path.
+        let el = self.runtime.read_gregfile(&self.machine, CURRENT_EL_OFF);
+        self.machine.ring = if el == 0 { Ring::Ring3 } else { Ring::Ring0 };
+        block
+    }
+
+    fn after_block(&mut self) {
+        // Drop translations of code pages the guest wrote (bumps the cache
+        // epoch, so stale chain links die with them).
+        self.invalidate_dirty_pages();
+    }
+
+    fn link_stamp(&self) -> (u64, u64) {
+        (self.runtime.context_generation(), self.cache.epoch())
+    }
+
+    fn may_chain(&self, _: &Region, _: u64) -> bool {
+        self.config.chaining
+    }
+
+    fn chained(&mut self, from: &Arc<Region>, slot: usize, next: Arc<Region>) -> Arc<Region> {
+        // With region formation the transfer also feeds the link-heat
+        // profile and may widen the target into a multi-constituent region.
+        if self.config.form_regions {
+            self.maybe_form_region(from, slot, next)
+        } else {
+            next
+        }
+    }
+
+    fn execute(&mut self, region: &Region, chained: bool) -> ExitReason {
+        if chained {
+            self.machine
+                .run_block_chained(&region.code, &mut self.runtime)
+        } else {
+            self.machine.run_block(&region.code, &mut self.runtime)
+        }
+    }
+
+    fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
+        let profiles = self.config.per_block_stats.then_some(&mut self.per_region);
+        (&mut self.stats, profiles)
     }
 }
 
@@ -733,6 +520,7 @@ guest_aarch64::inherent_facade!(Captive);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbt::EntryMode;
     use guest_aarch64::asm;
 
     fn boot(words: &[u32]) -> (Captive, RunExit) {

@@ -207,13 +207,10 @@ impl CaptiveRuntime {
     /// answer device DMA page by page: any touched page holding translated
     /// code is queued for invalidation exactly like a trapped self-modifying
     /// store — except no write-protection fault announces it, so this *must*
-    /// run before translated code is re-entered.  Returns true when anything
-    /// retired (the dispatcher then drains `take_smc_dirty`).
-    pub fn poll_virtio(&mut self, machine: &mut Machine) -> bool {
-        let Some(touched) = self.sys.poll_virtio(machine) else {
-            return false;
-        };
-        for page in touched {
+    /// run before translated code is re-entered (the dispatcher then drains
+    /// `take_smc_dirty`).
+    pub fn poll_virtio(&mut self, machine: &mut Machine) {
+        for page in self.sys.poll_virtio(machine).unwrap_or_default() {
             self.table_watch.note_written(page);
             if self.code_pages.remove(&page).is_some() {
                 self.smc_dirty.push(page);
@@ -221,7 +218,6 @@ impl CaptiveRuntime {
                 self.sys.external_invalidations += 1;
             }
         }
-        true
     }
 
     /// Whether a guest store or a DMA has ever dropped translations on

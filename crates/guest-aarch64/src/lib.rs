@@ -4,9 +4,9 @@
 //! it provides the decoded-instruction type, the instruction decoder, the
 //! per-instruction generator functions invoked by the JIT (the equivalent of
 //! Fig. 7's machine-generated C++), the guest MMU model, the exception model,
-//! the guest register-file layout, the guest-system core every execution
-//! engine embeds ([`sys`]) and an assembler used by the workload and
-//! benchmark crates to build guest programs.
+//! the guest register-file layout, the guest-system core and run loop every
+//! engine shares ([`sys`], [`dispatch`]) and an assembler used by the
+//! workload and benchmark crates to build guest programs.
 //!
 //! The ISA is a compact subset of A64: fixed 32-bit instructions, 31 general
 //! registers plus SP, NZCV flags, 32 SIMD&FP registers, a 3-level 4 KiB-page
@@ -17,6 +17,7 @@
 //! generated decoder would carve up A64, which is what matters for the DBT.
 
 pub mod asm;
+pub mod dispatch;
 pub mod gen;
 pub mod isa;
 pub mod mmu;

@@ -1,11 +1,15 @@
 //! The guest-system core: AArch64 *system* semantics over an
 //! [`hvm::Machine`], shared by every execution engine.
 //!
-//! Captive and the QEMU-style baseline are compared on exactly four axes —
-//! host paging vs softmmu, host FP vs softfloat, physical vs virtual cache
-//! index, and chaining policy.  Everything else a system-level guest
-//! observes is stated once, here, and embedded by both engines as
-//! [`GuestSys`]:
+//! Captive and the QEMU-style baseline are compared on exactly four axes,
+//! each carried by hooks of the one run loop ([`crate::dispatch`]): host
+//! paging vs softmmu (`resolve` for fetches, the engine's `hvm::Runtime` for
+//! data), host FP vs softfloat (what `lookup` translates on a miss), physical
+//! vs virtual cache index (`lookup`'s key, and what `settle` and
+//! `after_block` drop: a page or the whole cache) and chaining policy
+//! (`may_chain`, `link_stamp`, `chained`).  Everything else a system-level
+//! guest observes is stated once — the loop in [`crate::dispatch::run`], the
+//! rest here, embedded by both engines as [`GuestSys`]:
 //!
 //! * the register-file accessors and the guest façade (`load_program`,
 //!   `guest_reg`, `guest_mem_digest`, … — the provided methods of
@@ -72,14 +76,16 @@
 //!   and the UNDEF stub), `gen::{Decoded, helpers::{TLBI, MSR_NOTIFY}}`,
 //!   `isa::{Insn, FpKind}` (the region former classifies direct branches and
 //!   the soft-FP ablation re-routes scalar FP), `v_off` (soft-FP operand
-//!   slots), `CURRENT_EL_OFF` (host-ring tracking), `mmu::{walk_guest,
-//!   GUEST_LEVELS}` (tier-1 snapshot walks, fetch-walk pricing), and this
-//!   module (`GuestSys`, `GuestEvent`, `Engine`, `HelperCosts`, `RunExit`,
-//!   `RunStats`).  Its tests add `asm`, `SysReg` and
+//!   slots), `CURRENT_EL_OFF` (host-ring tracking, in its
+//!   `Dispatch::lookup`), `mmu::{walk_guest, GUEST_LEVELS}` (tier-1 snapshot
+//!   walks, fetch-walk pricing), this module (`GuestSys`, `GuestEvent`,
+//!   `Engine`, `HelperCosts`, `RunExit`, `RunStats`) and
+//!   [`crate::dispatch`], which names no register, encoding or exception
+//!   model of its own.  Its tests add `asm`, `SysReg` and
 //!   `mmu::GuestTableImage` to write guest programs.
 //! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize,
 //!   FpKind}` and `x_off`/`v_off` (memory and FP instructions are re-emitted
-//!   through softmmu/softfloat helpers), and this module.
+//!   through softmmu/softfloat helpers), this module and `dispatch`.
 //! * `bench`: `asm`, `isa::Cond`, `SysReg`, `esr_class::IRQ` and the `SVC_*`
 //!   hypercall numbers — guest *programs* (the chaos generator, tests,
 //!   examples) — plus [`Engine`] for the generic drivers.
@@ -822,6 +828,14 @@ macro_rules! inherent_facade {
             /// Console output accumulated from the guest.
             pub fn console(&self) -> &[u8] {
                 $crate::sys::Engine::console(self)
+            }
+            /// Runs the guest for at most `max_blocks` executed blocks.
+            pub fn run(&mut self, max_blocks: u64) -> $crate::sys::RunExit {
+                $crate::sys::Engine::run(self, max_blocks)
+            }
+            /// Every counter of the run so far.
+            pub fn stats(&self) -> $crate::sys::RunStats {
+                $crate::sys::Engine::stats(self)
             }
         }
     };

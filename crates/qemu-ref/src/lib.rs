@@ -15,27 +15,33 @@
 //!   (Section 2.6);
 //! * vector instructions are implemented with helper calls rather than host
 //!   SIMD;
-//! * optionally (`qemu_chaining`), translated blocks chain to direct
-//!   successors **within the same guest page**, as real QEMU/TCG does —
-//!   cross-page links are never patched, because a virtually-indexed cache
-//!   can only trust a stitched transfer while the fetch stays on the page
-//!   the translation was made for.  This tightens the baseline so reported
-//!   Captive speedups are not inflated by a chain-less strawman;
-//! * optionally (`goto_tb`, implies nothing about `qemu_chaining` — enable
-//!   both), the same-page restriction is lifted and direct branches link
-//!   across pages, like TCG's `goto_tb` between translation blocks.  The
-//!   epoch-stamped links still die with every full-cache flush, so the
-//!   stitching stays architecturally invisible; this is the *strongest*
-//!   honest baseline, used by the figures harness so promoted-loop speedups
-//!   are not measured against a hobbled dispatcher.
+//! * translated blocks link to direct successors as far as the
+//!   [`LinkMode`] allows (the chaining-policy hook of the shared run loop,
+//!   [`guest_aarch64::dispatch`], is the one that is a knob here):
+//!   - [`LinkMode::Off`] (`QemuRef::new`): every block returns to the
+//!     dispatcher;
+//!   - [`LinkMode::SamePage`] (`with_chaining(ram, true)`): successors
+//!     **within the same guest page** only, as real QEMU/TCG does —
+//!     cross-page links are never patched, because a virtually-indexed cache
+//!     can only trust a stitched transfer while the fetch stays on the page
+//!     the translation was made for.  This tightens the baseline so reported
+//!     Captive speedups are not inflated by a chain-less strawman;
+//!   - [`LinkMode::AnyPage`] (`with_goto_tb`): direct branches link across
+//!     pages too, like TCG's `goto_tb` between translation blocks.  The
+//!     epoch-stamped links still die with every full-cache flush, so the
+//!     stitching stays architecturally invisible; this is the *strongest*
+//!     honest baseline, the benchmark's and the figures harness's, so
+//!     promoted-loop speedups are not measured against a hobbled
+//!     dispatcher.
 
 use captive::layout;
 use captive::translator::MAX_BLOCK_INSNS;
 use dbt::emitter::ValueType;
 use dbt::{
-    BlockExit, CacheIndex, CodeCache, Emitter, EntryMode, GuestIsa, Phase, PhaseClock, PhaseTimers,
-    Region, RegionKey, RegionProfile,
+    BlockExit, CacheIndex, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
+    RegionKey,
 };
+use guest_aarch64::dispatch::{self, Dispatch, Profiles};
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts};
@@ -126,19 +132,6 @@ impl QemuRuntime {
             fp_env: softfloat::FpEnv::arm(),
             soft_tlb_hits: 0,
             soft_tlb_misses: 0,
-        }
-    }
-
-    /// Retires due virtio completions.  Any DMA the device performed landed
-    /// behind the translator's back; a virtually-indexed cache has no
-    /// per-physical-page index to invalidate through, so the honest QEMU
-    /// response is the same one translation-state changes get: request a
-    /// full flush.
-    pub fn poll_virtio(&mut self, machine: &mut Machine) {
-        let touched = self.sys.poll_virtio(machine);
-        if touched.is_some_and(|pages| !pages.is_empty()) {
-            self.flush_requested = true;
-            self.sys.external_invalidations += 1;
         }
     }
 
@@ -298,6 +291,17 @@ impl Runtime for QemuRuntime {
     }
 }
 
+/// How far the baseline's blocks link to direct successors (crate docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkMode {
+    /// No links.
+    Off,
+    /// Within the guest page (real QEMU's policy).
+    SamePage,
+    /// Across pages too (the TCG `goto_tb` analogue).
+    AnyPage,
+}
+
 /// The QEMU-style baseline system emulator.
 pub struct QemuRef {
     /// Host machine (paging disabled — the "user process" configuration).
@@ -310,31 +314,29 @@ pub struct QemuRef {
     pub timers: PhaseTimers,
     isa: Aarch64Isa,
     stats: RunStats,
-    per_region: HashMap<RegionKey, RegionProfile>,
+    per_region: Profiles,
     /// Record per-block cycles.
     pub per_block_stats: bool,
-    /// Chain direct successors within a guest page (real QEMU's policy).
-    pub qemu_chaining: bool,
-    /// Lift the same-page restriction on chaining (TCG `goto_tb` analogue):
-    /// direct branches link across pages too.  Only meaningful with
-    /// `qemu_chaining` enabled.
-    pub goto_tb: bool,
+    /// How far direct successors link.
+    pub link: LinkMode,
 }
 
 impl QemuRef {
-    /// Creates the baseline emulator with same-page chaining configured
-    /// explicitly.
+    /// Creates the baseline emulator with same-page chaining
+    /// ([`LinkMode::SamePage`]) on or off.
     pub fn with_chaining(guest_ram: u64, qemu_chaining: bool) -> Self {
         let mut q = Self::new(guest_ram);
-        q.qemu_chaining = qemu_chaining;
+        if qemu_chaining {
+            q.link = LinkMode::SamePage;
+        }
         q
     }
 
-    /// Creates the strongest honest baseline: same-page chaining plus the
-    /// `goto_tb` cross-page linking analogue.
+    /// Creates the strongest honest baseline: links across pages too
+    /// ([`LinkMode::AnyPage`], the `goto_tb` analogue).
     pub fn with_goto_tb(guest_ram: u64) -> Self {
-        let mut q = Self::with_chaining(guest_ram, true);
-        q.goto_tb = true;
+        let mut q = Self::new(guest_ram);
+        q.link = LinkMode::AnyPage;
         q
     }
 
@@ -353,8 +355,7 @@ impl QemuRef {
             stats: RunStats::default(),
             per_region: HashMap::new(),
             per_block_stats: false,
-            qemu_chaining: false,
-            goto_tb: false,
+            link: LinkMode::Off,
         }
     }
 
@@ -364,193 +365,11 @@ impl QemuRef {
         self.runtime.sys.attach_virtio(&mut self.machine, cfg);
     }
 
-    /// Statistics so far.  Everything only Captive has (regions, the iTLB
-    /// and gTLB, the tier service) stays zero; `external_invalidations`
-    /// counts the full-cache flushes forced by device DMA landing behind
-    /// the translator's back — the virtually-indexed analogue of Captive's
-    /// per-page external invalidations.
-    pub fn stats(&self) -> RunStats {
-        let mut s = self.stats;
-        self.runtime.sample(&mut s);
-        s.cycles = self.machine.perf.cycles;
-        s.host_insns = self.machine.perf.insns;
-        s.code_bytes = self.cache.total_encoded_bytes() as u64;
-        s.slow_dispatches = s.blocks - s.chained_transfers;
-        s.sample_jit(&self.timers);
-        s
-    }
-
     /// Per-region profiles, keyed by the *executed* region (same
-    /// [`RegionProfile`] shape as Captive's, so code-quality comparisons
-    /// read one structure), with cycles attributed per [`EntryMode`].
-    pub fn region_profiles(&self) -> &HashMap<RegionKey, RegionProfile> {
+    /// [`dbt::RegionProfile`] shape as Captive's, so code-quality comparisons
+    /// read one structure), with cycles attributed per [`dbt::EntryMode`].
+    pub fn region_profiles(&self) -> &Profiles {
         &self.per_region
-    }
-
-    /// Resolves an instruction fetch; a PC that is not a multiple of four
-    /// faults before anything is fetched.
-    fn fetch_pa(&mut self, va: u64) -> Result<u64, GuestEvent> {
-        if va & 3 != 0 {
-            return Err(GuestEvent::PcAlign { vaddr: va });
-        }
-        self.runtime
-            .soft_translate(&self.machine, va, false)
-            .map(|(pa, _)| pa)
-            .map_err(|_| GuestEvent::InstrAbort { vaddr: va })
-    }
-
-    /// Runs the guest for at most `max_blocks` executed blocks.
-    ///
-    /// With `qemu_chaining` enabled the dispatcher has an inner loop that
-    /// follows patched successor links between blocks on the same guest
-    /// page; links are stamped with the cache epoch, so the full-cache
-    /// invalidation that virtual indexing forces on any translation-state
-    /// change retires them automatically (there is no context generation in
-    /// the QEMU-style design — the flush *is* the generation bump).
-    pub fn run(&mut self, max_blocks: u64) -> RunExit {
-        let mut budget = max_blocks;
-        // A block whose same-page direct exit was taken with the successor
-        // link still unresolved; patched once the slow path resolves it.
-        let mut patch_from: Option<(Arc<Region>, usize)> = None;
-        while budget > 0 {
-            if let Some(code) = self.runtime.exit_code {
-                return RunExit::GuestHalted { code };
-            }
-            // Retire due device completions before the flush check so a DMA
-            // write that landed on translated code is flushed on this very
-            // iteration, not the next.
-            self.runtime.poll_virtio(&mut self.machine);
-            if self.runtime.flush_requested {
-                // Virtual indexing forces a full cache flush on guest
-                // translation-state changes.
-                self.cache.invalidate_all();
-                self.runtime.flush_requested = false;
-                patch_from = None;
-            }
-            let pc = self.machine.reg(Gpr::R15);
-            // Deterministic event sources fire at block boundaries (and at
-            // back-edge exits of looping translations): the guest PC is
-            // architecturally precise here.
-            if let Some(line) = self.runtime.events.take(self.machine.perf.cycles) {
-                patch_from = None;
-                budget -= 1;
-                self.runtime
-                    .deliver(&mut self.machine, GuestEvent::Irq { line }, pc);
-                continue;
-            }
-            let pa = match self.fetch_pa(pc) {
-                Ok(pa) => pa,
-                Err(ev) => {
-                    patch_from = None;
-                    budget -= 1;
-                    let pc_now = self.machine.reg(Gpr::R15);
-                    self.runtime.deliver(&mut self.machine, ev, pc_now);
-                    continue;
-                }
-            };
-            let key = RegionKey { phys: pa, virt: pc };
-            let mut block = match self.cache.get(key, 0) {
-                Some(b) => b,
-                None => {
-                    self.stats.translations += 1;
-                    let b = self.translate(pc, pa);
-                    self.cache.insert(b)
-                }
-            };
-            if let Some((prev, slot)) = patch_from.take() {
-                if self.qemu_chaining && block.guest_virt == pc {
-                    prev.set_link(slot, 0, self.cache.epoch(), &block);
-                    self.stats.chain_patches += 1;
-                }
-            }
-            let mut chained = false;
-            loop {
-                let before = self.machine.perf.cycles;
-                let exit = if chained {
-                    self.machine
-                        .run_block_chained(&block.code, &mut self.runtime)
-                } else {
-                    self.machine.run_block(&block.code, &mut self.runtime)
-                };
-                let spent = self.machine.perf.cycles - before;
-                self.stats.blocks += 1;
-                self.stats.guest_insns += block.guest_insns as u64;
-                if self.per_block_stats {
-                    let p = self.per_region.entry(block.key()).or_default();
-                    p.guest_insns = block.guest_insns as u64;
-                    p.constituents = block.constituents as u64;
-                    let mode = if chained {
-                        EntryMode::Chained
-                    } else {
-                        EntryMode::Dispatched
-                    };
-                    p.record(mode, spent);
-                }
-                budget -= 1;
-                match exit {
-                    ExitReason::BlockEnd | ExitReason::HelperExit => {
-                        if let Some(ev) = self.runtime.pending.take() {
-                            let pc_now = self.machine.reg(Gpr::R15);
-                            self.runtime.deliver(&mut self.machine, ev, pc_now);
-                            break;
-                        }
-                        // A TLBI/MSR helper may have requested the flush that
-                        // virtual indexing demands: take the slow path so the
-                        // cache is emptied before the next lookup.
-                        if exit == ExitReason::HelperExit
-                            || self.runtime.flush_requested
-                            || !self.qemu_chaining
-                            || budget == 0
-                            || self.runtime.events.due(self.machine.perf.cycles)
-                            || self.runtime.virtio_due(self.machine.perf.cycles)
-                        {
-                            break;
-                        }
-                        let next_pc = self.machine.reg(Gpr::R15);
-                        // Real QEMU only chains within the guest page the
-                        // translation was made for; the `goto_tb` knob lifts
-                        // the restriction for direct branches.
-                        let cross_page = (next_pc & !0xFFF) != (block.guest_virt & !0xFFF);
-                        if cross_page && !self.goto_tb {
-                            break;
-                        }
-                        let Some(slot) = block.chain_slot(next_pc) else {
-                            break;
-                        };
-                        if let Some(next) = block.follow_link(slot, 0, self.cache.epoch()) {
-                            self.stats.chained_transfers += 1;
-                            if cross_page {
-                                self.stats.goto_tb_transfers += 1;
-                            }
-                            block = next;
-                            chained = true;
-                            continue;
-                        }
-                        patch_from = Some((Arc::clone(&block), slot));
-                        break;
-                    }
-                    ExitReason::Halted => {
-                        return RunExit::GuestHalted {
-                            code: self.runtime.exit_code.unwrap_or(0),
-                        }
-                    }
-                    ExitReason::MemFault { vaddr, write } => {
-                        let pc_now = self.machine.reg(Gpr::R15);
-                        self.runtime.deliver(
-                            &mut self.machine,
-                            GuestEvent::DataAbort { vaddr, write },
-                            pc_now,
-                        );
-                        break;
-                    }
-                    ExitReason::FuelExhausted => {
-                        return RunExit::Error("translated block did not terminate".into())
-                    }
-                    ExitReason::Error(e) => return RunExit::Error(e),
-                }
-            }
-        }
-        RunExit::BudgetExhausted
     }
 
     /// Translates one block in the TCG style: memory accesses and FP go
@@ -600,8 +419,8 @@ impl QemuRef {
                 break;
             }
         }
-        // The baseline records terminator metadata too (it is free at
-        // translation time) but its dispatcher never follows chain links.
+        // The terminator metadata the shared dispatcher links by (as far as
+        // the link mode allows).
         let exit = e.exit_hint().unwrap_or(BlockExit::Fallthrough { next: va });
         let lir = e.finish();
         let lir_count = lir.len();
@@ -637,11 +456,107 @@ impl Engine for QemuRef {
         (&mut self.runtime.sys, &mut self.machine)
     }
     fn run(&mut self, max_blocks: u64) -> RunExit {
-        QemuRef::run(self, max_blocks)
+        dispatch::run(self, max_blocks)
     }
+    /// Statistics so far.  Everything only Captive has (regions, the iTLB
+    /// and gTLB, the tier service) stays zero; `external_invalidations`
+    /// counts the full-cache flushes forced by device DMA landing behind
+    /// the translator's back — the virtually-indexed analogue of Captive's
+    /// per-page external invalidations.
     fn stats(&self) -> RunStats {
-        QemuRef::stats(self)
+        let mut s = self.stats;
+        self.runtime.sample(&mut s);
+        s.cycles = self.machine.perf.cycles;
+        s.host_insns = self.machine.perf.insns;
+        s.code_bytes = self.cache.total_encoded_bytes() as u64;
+        s.sample_jit(&self.timers);
+        s
     }
+}
+
+/// The baseline's side of each axis: the softmmu, a virtually indexed cache
+/// that every translation-state change empties (the flush *is* its context
+/// generation bump: the epoch stamp retires every link), and the [`LinkMode`].
+impl Dispatch for QemuRef {
+    fn settle(&mut self) -> bool {
+        // Device DMA landed behind the translator's back, and a virtually
+        // indexed cache has no per-physical-page index to drop it through:
+        // it gets the full flush a translation-state change gets, on this
+        // very iteration.
+        let touched = self.runtime.sys.poll_virtio(&mut self.machine);
+        if touched.is_some_and(|pages| !pages.is_empty()) {
+            self.runtime.flush_requested = true;
+            self.runtime.external_invalidations += 1;
+        }
+        if !self.runtime.flush_requested {
+            return false;
+        }
+        self.cache.invalidate_all();
+        self.runtime.flush_requested = false;
+        true
+    }
+
+    fn resolve(&mut self, pc: u64) -> Result<u64, GuestEvent> {
+        // A PC that is not a multiple of four faults before anything is
+        // fetched.
+        if pc & 3 != 0 {
+            return Err(GuestEvent::PcAlign { vaddr: pc });
+        }
+        self.runtime
+            .soft_translate(&self.machine, pc, false)
+            .map(|(pa, _)| pa)
+            .map_err(|_| GuestEvent::InstrAbort { vaddr: pc })
+    }
+
+    fn lookup(&mut self, key: RegionKey) -> Arc<Region> {
+        self.cache.get(key, 0).unwrap_or_else(|| {
+            self.stats.translations += 1;
+            let b = self.translate(key.virt, key.phys);
+            self.cache.insert(b)
+        })
+    }
+
+    fn link_stamp(&self) -> (u64, u64) {
+        (0, self.cache.epoch())
+    }
+
+    fn may_chain(&self, from: &Region, next_pc: u64) -> bool {
+        // A TLBI/MSR helper may have requested the flush that virtual
+        // indexing demands: take the slow path so the cache is emptied
+        // before the next lookup.
+        !self.runtime.flush_requested
+            && match self.link {
+                LinkMode::Off => false,
+                LinkMode::SamePage => same_page(from.guest_virt, next_pc),
+                LinkMode::AnyPage => true,
+            }
+    }
+
+    fn chained(&mut self, from: &Arc<Region>, _: usize, next: Arc<Region>) -> Arc<Region> {
+        if !same_page(from.guest_virt, next.guest_virt) {
+            self.stats.goto_tb_transfers += 1;
+        }
+        next
+    }
+
+    fn execute(&mut self, region: &Region, chained: bool) -> ExitReason {
+        if chained {
+            self.machine
+                .run_block_chained(&region.code, &mut self.runtime)
+        } else {
+            self.machine.run_block(&region.code, &mut self.runtime)
+        }
+    }
+
+    fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
+        let profiles = self.per_block_stats.then_some(&mut self.per_region);
+        (&mut self.stats, profiles)
+    }
+}
+
+/// Whether two guest virtual addresses lie on one page.
+fn same_page(a: u64, b: u64) -> bool {
+    a & !0xFFF == b & !0xFFF
 }
 
 guest_aarch64::inherent_facade!(QemuRef);
@@ -951,7 +866,9 @@ mod tests {
 
         let run = |goto_tb: bool| {
             let mut q = QemuRef::with_chaining(32 * 1024 * 1024, true);
-            q.goto_tb = goto_tb;
+            if goto_tb {
+                q.link = LinkMode::AnyPage;
+            }
             q.load_program(0x1000, &main_words);
             q.load_program(0x2000, &far_words);
             q.set_entry(0x1000);
