@@ -603,6 +603,70 @@ fn mmu_off_kernels_never_enter_the_revalidation_rule() {
     }
 }
 
+/// The same obligation for a predicted link: a `blr` / `ret` exit chains to
+/// the first target it resolved only while the translation and the code it
+/// was patched under still hold (`dbt::cache`, *Block chaining*).  `L`, a
+/// page of its own, is `movz x4,#1 ; ret` in frame 2 (`#2` in frame 3); the
+/// guest calls it `TRIPS` times, `change`s what `L` runs, and calls it
+/// `TRIPS` times again, adding x4 into x19 after each call.
+const L: u64 = 0x40C0_0000;
+
+fn leaf(digit: u32) -> [u32; 2] {
+    [asm::movz(4, digit, 0), asm::ret()]
+}
+
+fn call_leaf(a: &mut Assembler, label: &str) {
+    a.mov_imm64(3, TRIPS);
+    a.mov_imm64(10, L);
+    a.label(label);
+    a.push(asm::blr(10));
+    a.push(asm::add(19, 19, 4));
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, label);
+}
+
+fn predicted_leaf_changes(change: impl FnOnce(&mut Assembler, &GuestTableImage)) {
+    let mut t = tables(0);
+    t.map(L, frame(2), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    call_leaf(&mut a, "first");
+    change(&mut a, &t);
+    call_leaf(&mut a, "second");
+    a.push(asm::hlt());
+    let mut g = Guest::new(a, &[&t]);
+    g.words.extend(code_in_frame(2, &leaf(1)));
+    g.words.extend(code_in_frame(3, &leaf(2)));
+    let out = on_every_engine(&g);
+    assert_eq!(out.regs[19], 3 * TRIPS);
+    let mut c = captive("sync", &g);
+    run(&mut c, &g);
+    assert!(
+        c.stats().predicted_transfers > TRIPS,
+        "the calls ran on predicted links"
+    );
+}
+
+#[test]
+fn a_predicted_targets_page_remapped_then_tlbi() {
+    predicted_leaf_changes(|a, t| {
+        store(a, t.entry_addr(L, 1), pte(3));
+        a.push(asm::tlbi());
+    });
+}
+
+#[test]
+fn a_code_write_to_a_predicted_targets_page() {
+    // Through frame 2's identity mapping, not through `L`; the `tlbi` is the
+    // baseline's instruction-cache maintenance.
+    predicted_leaf_changes(|a, _| {
+        a.mov_imm64(12, frame(2));
+        a.mov_imm64(11, asm::movz(4, 2, 0) as u64);
+        a.push(asm::strw(11, 12, 0));
+        a.push(asm::tlbi());
+    });
+}
+
 /// The same obligation for code itself: Captive's reuse store revives a
 /// block on a page the guest has patched before only while every word the
 /// block was made from is back in memory (`captive::spec`, *Patched

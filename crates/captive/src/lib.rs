@@ -35,8 +35,8 @@ pub mod tier;
 pub mod translator;
 
 use dbt::{
-    CacheIndex, CodeCache, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey, ReuseCache,
-    RuleKind, RuleTable, TierTimers, RULE_COUNT,
+    BlockExit, CacheIndex, CodeCache, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey,
+    ReuseCache, RuleKind, RuleTable, TierTimers, RULE_COUNT,
 };
 use formation::FormationBackoff;
 use guest_aarch64::dispatch::{self, Dispatch, Profiles};
@@ -469,7 +469,7 @@ impl Dispatch for Captive {
         // Track the guest's exception level in the host protection ring
         // (guest user code runs in ring 3, guest system code in ring 0).  The
         // ring stays cached across chained transfers: only blocks with
-        // indirect exits (exceptions, ERET, sysreg writes) can change the EL,
+        // opaque exits (exceptions, ERET, sysreg writes) can change the EL,
         // and those always return to the slow path.
         let el = self.runtime.read_gregfile(&self.machine, CURRENT_EL_OFF);
         self.machine.ring = if el == 0 { Ring::Ring3 } else { Ring::Ring0 };
@@ -491,9 +491,10 @@ impl Dispatch for Captive {
     }
 
     fn chained(&mut self, from: &Arc<Region>, slot: usize, next: Arc<Region>) -> Arc<Region> {
-        // With region formation the transfer also feeds the link-heat
-        // profile and may widen the target into a multi-constituent region.
-        if self.config.form_regions {
+        // With region formation a direct transfer also feeds the link-heat
+        // profile and may widen the target into a multi-constituent region;
+        // a predicted one is no path the former could stitch.
+        if self.config.form_regions && from.exit != BlockExit::Indirect {
             self.maybe_form_region(from, slot, next)
         } else {
             next
@@ -1037,11 +1038,11 @@ mod tests {
     }
 
     #[test]
-    fn region_indirect_exit_falls_back_to_chained_dispatch() {
+    fn region_indirect_exit_chains_through_its_predicted_link() {
         // The superblock covering [bl → callee..ret] ends at the RET
-        // (indirect): every execution leaves through the slow path, after
-        // which ordinary chaining resumes — and every interpreter entry is
-        // still either chained or dispatched.
+        // (indirect): its predicted link carries every later exit back to
+        // the return site — and every interpreter entry is still either
+        // chained or dispatched.
         let mut a = asm::Assembler::new();
         a.push(asm::movz(6, 200, 0));
         a.label("loop");
@@ -1066,14 +1067,89 @@ mod tests {
             s.region_entries
         );
         assert!(
-            s.chained_transfers > 100,
-            "chained dispatch continues after each indirect exit"
+            s.predicted_transfers > 100,
+            "the RET's link is followed every iteration: {}",
+            s.predicted_transfers
         );
         assert_eq!(
             s.blocks,
             s.chained_transfers + s.slow_dispatches,
             "every entry is chained or dispatched, superblocks included"
         );
+    }
+
+    /// `blr` to a leaf that `ret`s to a `br` back to the `blr`: every
+    /// transfer of the ring is register-indirect and always goes where it
+    /// went first.
+    fn indirect_ring() -> Vec<u32> {
+        let mut a = asm::Assembler::new();
+        a.adr_to(2, "leaf");
+        a.adr_to(4, "call");
+        a.label("call");
+        a.push(asm::blr(2));
+        a.push(asm::br(4));
+        a.label("leaf");
+        a.push(asm::addi(19, 19, 1));
+        a.push(asm::ret());
+        a.finish()
+    }
+
+    #[test]
+    fn predicted_transfers_feed_no_link_heat_and_request_no_formation() {
+        // Regions and the tier service are on, and the ring runs far past
+        // the formation threshold: a predicted transfer is no path the former
+        // could stitch, so none may heat a link or publish a request.
+        let mut c = Captive::new(CaptiveConfig::default());
+        c.load_program(0x1000, &indirect_ring());
+        c.set_entry(0x1000);
+        assert_eq!(c.run(3_000), RunExit::BudgetExhausted);
+        let s = c.stats();
+        assert!(
+            s.predicted_transfers > 2_900,
+            "the ring runs on its predicted links: {}",
+            s.predicted_transfers
+        );
+        assert_eq!(s.chained_transfers, s.predicted_transfers);
+        assert_eq!((s.tier1_requests, s.regions_formed), (0, 0));
+        for pc in [0x1008, 0x100C, 0x1010] {
+            let block = c.cache.peek(RegionKey { phys: pc, virt: pc });
+            assert_eq!(block.expect("translated").link_heat(0), 0, "{pc:#x}");
+        }
+    }
+
+    #[test]
+    fn an_msr_that_returns_to_translated_code_never_links() {
+        // `msr vbar` ends its block through a `Continue` helper, so its next
+        // PC is fixed; a system-register write is still an opaque exit, and
+        // every trip re-enters through the slow path while the loop's own
+        // direct branch chains.
+        let mut a = asm::Assembler::new();
+        a.push(asm::movz(1, 500, 0));
+        a.push(asm::movz(9, 0x2000, 0));
+        a.label("loop");
+        a.push(asm::msr(guest_aarch64::SysReg::Vbar as u32, 9));
+        a.push(asm::subi(1, 1, 1));
+        a.cbnz_to(1, "loop");
+        a.push(asm::hlt());
+        let mut c = Captive::new(CaptiveConfig {
+            form_regions: false,
+            ..CaptiveConfig::default()
+        });
+        c.load_program(0x1000, &a.finish());
+        c.set_entry(0x1000);
+        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        let s = c.stats();
+        assert!(
+            s.slow_dispatches >= 500,
+            "one per trip: {}",
+            s.slow_dispatches
+        );
+        assert!(
+            s.chained_transfers >= 498,
+            "the cbnz chains: {}",
+            s.chained_transfers
+        );
+        assert_eq!(s.predicted_transfers, 0);
     }
 
     #[test]

@@ -506,7 +506,7 @@ impl Job {
 /// order for a call: callee first, return address second.
 fn successors(block: &Region, last_word: u32) -> impl Iterator<Item = u64> {
     let (a, b) = match block.exit {
-        BlockExit::Indirect => (None, None),
+        BlockExit::Opaque | BlockExit::Indirect => (None, None),
         BlockExit::Jump { target } => (Some(target), None),
         BlockExit::Branch { taken, fallthrough } => (Some(taken), Some(fallthrough)),
         BlockExit::Fallthrough { next } => (Some(next), None),

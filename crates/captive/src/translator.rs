@@ -210,7 +210,7 @@ pub fn undef_fallback_region(
         .expect("host bug: the UNDEF stub lowers without virtual registers");
     timers.jit.translated_units += 1;
     timers.jit.translated_guest_insns += 1;
-    Region::block(pa, pc, 1, lir_count, BlockExit::Indirect, t)
+    Region::block(pa, pc, 1, lir_count, BlockExit::Opaque, t)
 }
 
 /// The shared back half under an engine's knobs.

@@ -42,11 +42,28 @@
 //! folded down so page-aligned entries at one in-page offset still spread
 //! over the low bits the table indexes buckets with.
 //!
-//! # Direct block chaining
+//! # Block chaining
 //!
 //! Each region carries terminator metadata ([`BlockExit`]) computed at
-//! translation time, plus up to two lazily patched successor links (slot 0 =
-//! the jump/taken/sequential target, slot 1 = the conditional fallthrough).
+//! translation time, plus up to two lazily patched successor links.  There
+//! are three kinds of link, by exit:
+//!
+//! * a **direct** exit (jump, taken leg, sequential fallthrough) links its
+//!   one target in slot 0, a conditional's fallthrough leg in slot 1;
+//! * a **register-indirect** exit (`br` / `blr` / `ret`) links, in slot 0,
+//!   the first target it resolved — a *predicted* link;
+//! * an **opaque** exit (exception entry, `ERET`, a system-register write)
+//!   never links.
+//!
+//! One rule covers all of them: a link is followed only if its target's
+//! virtual entry is the exit PC ([`Region::follow_link`]).  For a direct
+//! slot this holds by construction; for a predicted one it is the one
+//! compare that makes the link sound.  Under an unchanged context
+//! generation VA→PA is unchanged, so the region entered at that virtual PC
+//! is the one at `(pa(pc), pc)`, the key the slow path would look up.  A
+//! live link whose target is entered elsewhere is left alone, never
+//! re-pointed: the first target sticks.
+//!
 //! A link records:
 //!
 //! * a [`Weak`] reference to the successor region — invalidating (or
@@ -64,9 +81,11 @@
 //! stale link simply falls back to the dispatcher slow path, which
 //! re-resolves and re-patches it.  Links also carry a *heat* counter — the
 //! profile input that drives multi-constituent region formation in the
-//! dispatcher.  Regions themselves *do* cross threads (a worker forms one
-//! and sends it back, and the reuse layer shares their code), so link slots
-//! sit behind uncontended mutexes, which keeps [`Region`] `Send + Sync`.
+//! dispatcher (direct links only: a predicted transfer is no path the
+//! former can stitch).  Regions themselves *do* cross threads (a worker
+//! forms one and sends it back, and the reuse layer shares their code), so
+//! link slots sit behind uncontended mutexes, which keeps [`Region`]
+//! `Send + Sync`.
 //!
 //! # Multi-constituent and looping regions
 //!
@@ -158,7 +177,7 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// How regions are keyed in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,12 +205,17 @@ pub struct RegionKey {
 
 /// Where control goes when a translated region exits — terminator metadata
 /// recorded at translation time and consumed by the chaining dispatcher.
+/// Which link each kind gets is the module docs' *Block chaining*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockExit {
-    /// Successor unknown at translation time: register-indirect branch,
-    /// exception, `ERET`, or a system-register write that may change
-    /// translation state.  Never chained.
+    /// Exception entry, `ERET`, a system-register write or the UNDEF stub:
+    /// the exit may change the exception level or translation state, so it
+    /// always returns to the slow path.  Never linked.
     #[default]
+    Opaque,
+    /// A register-indirect branch (`br` / `blr` / `ret`): successor unknown
+    /// at translation time.  Slot 0 holds a predicted link, the first target
+    /// it resolved.
     Indirect,
     /// Unconditional direct branch to a fixed guest virtual address.
     Jump {
@@ -223,6 +247,8 @@ struct ChainLink {
     /// formation; reset whenever the link is re-patched).
     heat: u64,
     to: Weak<Region>,
+    /// `to`'s virtual entry, compared without touching its reference count.
+    virt: u64,
 }
 
 /// The lazily patched successor links of a region.  Only the run thread
@@ -233,6 +259,27 @@ struct ChainLink {
 #[derive(Debug, Default)]
 pub struct ChainLinks {
     slots: [Mutex<Option<ChainLink>>; 2],
+}
+
+impl ChainLinks {
+    /// The link in `slot`, poisoned or not: every update is one whole
+    /// assignment or increment, so a holder that panicked left a valid link.
+    fn slot(&self, slot: usize) -> MutexGuard<'_, Option<ChainLink>> {
+        self.slots[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What a link slot says about one exit ([`Region::follow_link`]).
+#[derive(Debug)]
+pub enum Link {
+    /// Live, and its target is entered at the exit PC: transfer there.
+    Follow(Arc<Region>),
+    /// Live, into another PC: the slow path, leaving the link as it is.
+    Elsewhere,
+    /// Never patched, or retired: the slow path, which patches it.
+    Vacant,
 }
 
 /// How the dispatcher entered a region (per-region profile attribution).
@@ -447,46 +494,52 @@ impl Region {
             .collect()
     }
 
-    /// Index of the chain slot whose guest target is `next_va`, if the
-    /// terminator makes that successor a chaining candidate.
+    /// Index of the link slot for this region's exit to `next_va`: a direct
+    /// target's own slot, slot 0 for any target of a register-indirect exit,
+    /// none for an opaque exit or a PC the terminator does not lead to.
     pub fn chain_slot(&self, next_va: u64) -> Option<usize> {
         match self.exit {
             BlockExit::Jump { target } if next_va == target => Some(0),
             BlockExit::Fallthrough { next } if next_va == next => Some(0),
             BlockExit::Branch { taken, .. } if next_va == taken => Some(0),
             BlockExit::Branch { fallthrough, .. } if next_va == fallthrough => Some(1),
+            BlockExit::Indirect => Some(0),
             _ => None,
         }
     }
 
-    /// Follows the link in `slot` if it was patched under the current
-    /// context generation and cache epoch and its target is still cached.
-    pub fn follow_link(&self, slot: usize, ctx_gen: u64, cache_epoch: u64) -> Option<Arc<Region>> {
-        let guard = self.links.slots[slot].lock().unwrap();
-        let link = guard.as_ref()?;
-        if link.ctx_gen == ctx_gen && link.cache_epoch == cache_epoch {
-            link.to.upgrade()
-        } else {
-            None
+    /// What the link in `slot` says about this region's exit to `next_pc`
+    /// under the current stamps: the one link rule of the module docs.
+    pub fn follow_link(&self, slot: usize, next_pc: u64, ctx_gen: u64, cache_epoch: u64) -> Link {
+        let guard = self.links.slot(slot);
+        let Some(link) = guard.as_ref().filter(|l| {
+            l.ctx_gen == ctx_gen && l.cache_epoch == cache_epoch && l.to.strong_count() > 0
+        }) else {
+            return Link::Vacant;
+        };
+        if link.virt != next_pc {
+            return Link::Elsewhere;
         }
+        link.to.upgrade().map_or(Link::Vacant, Link::Follow)
     }
 
     /// Patches the link in `slot` to point at `to`, stamped with the context
     /// generation and cache epoch it was resolved under.  Resets the link's
     /// heat: the profile restarts for the new target.
     pub fn set_link(&self, slot: usize, ctx_gen: u64, cache_epoch: u64, to: &Arc<Region>) {
-        *self.links.slots[slot].lock().unwrap() = Some(ChainLink {
+        *self.links.slot(slot) = Some(ChainLink {
             ctx_gen,
             cache_epoch,
             heat: 0,
             to: Arc::downgrade(to),
+            virt: to.guest_virt,
         });
     }
 
     /// Bumps the transfer counter of the link in `slot`, returning the new
     /// heat (0 when the slot holds no link).
     pub fn heat_up(&self, slot: usize) -> u64 {
-        match self.links.slots[slot].lock().unwrap().as_mut() {
+        match self.links.slot(slot).as_mut() {
             Some(link) => {
                 link.heat += 1;
                 link.heat
@@ -497,11 +550,7 @@ impl Region {
 
     /// Current heat of the link in `slot` (0 when unpatched).
     pub fn link_heat(&self, slot: usize) -> u64 {
-        self.links.slots[slot]
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(0, |l| l.heat)
+        self.links.slot(slot).as_ref().map_or(0, |l| l.heat)
     }
 }
 
@@ -1073,7 +1122,17 @@ pub(crate) mod tests {
         assert_eq!(seq.chain_slot(0x1008), Some(0));
 
         let ind = block_with_exit(0x1000, 1, BlockExit::Indirect);
-        assert_eq!(ind.chain_slot(0x1004), None);
+        assert_eq!(
+            ind.chain_slot(0x1004),
+            Some(0),
+            "any target: the link decides"
+        );
+        let opaque = block_with_exit(0x1000, 1, BlockExit::Opaque);
+        assert_eq!(
+            opaque.chain_slot(0x1004),
+            None,
+            "an opaque exit never links"
+        );
     }
 
     #[test]
@@ -1086,9 +1145,69 @@ pub(crate) mod tests {
         ));
         let b = c.insert(block(0x2000, 1));
         a.set_link(0, 7, c.epoch(), &b);
-        assert!(a.follow_link(0, 7, c.epoch()).is_some());
-        assert!(a.follow_link(0, 8, c.epoch()).is_none(), "stale generation");
-        assert!(a.follow_link(0, 7, c.epoch() + 1).is_none(), "stale epoch");
+        let follow = |gen, epoch| a.follow_link(0, 0x2000, gen, epoch);
+        assert!(matches!(follow(7, c.epoch()), Link::Follow(_)));
+        assert!(
+            matches!(follow(8, c.epoch()), Link::Vacant),
+            "stale generation"
+        );
+        assert!(
+            matches!(follow(7, c.epoch() + 1), Link::Vacant),
+            "stale epoch"
+        );
+    }
+
+    #[test]
+    fn a_link_is_followed_only_into_its_targets_virtual_entry() {
+        // A predicted link is live under its stamps, but it carries only the
+        // exit that went where its target is entered.
+        let c = CodeCache::new(CacheIndex::GuestPhysical);
+        let a = c.insert(block_with_exit(0x1000, 1, BlockExit::Indirect));
+        let b = c.insert(block(0x2000, 1));
+        a.set_link(0, 0, c.epoch(), &b);
+        assert!(matches!(
+            a.follow_link(0, 0x2000, 0, c.epoch()),
+            Link::Follow(to) if Arc::ptr_eq(&to, &b)
+        ));
+        assert!(matches!(
+            a.follow_link(0, 0x3000, 0, c.epoch()),
+            Link::Elsewhere
+        ));
+        assert!(
+            matches!(a.follow_link(0, 0x3000, 1, c.epoch()), Link::Vacant),
+            "a retired link is vacant wherever it points"
+        );
+    }
+
+    #[test]
+    fn a_poisoned_link_slot_still_links() {
+        // A holder that panics with the slot locked poisons it; the
+        // dispatcher keeps patching, following and heating through it.
+        let c = CodeCache::new(CacheIndex::GuestPhysical);
+        let a = c.insert(block_with_exit(
+            0x1000,
+            1,
+            BlockExit::Jump { target: 0x2000 },
+        ));
+        let b = c.insert(block(0x2000, 1));
+        let holder = Arc::clone(&a);
+        let died = std::thread::spawn(move || {
+            let _slot = holder.links.slots[0].lock();
+            panic!("the slot's holder dies");
+        })
+        .join();
+        assert!(died.is_err() && a.links.slots[0].is_poisoned());
+        assert!(matches!(
+            a.follow_link(0, 0x2000, 0, c.epoch()),
+            Link::Vacant
+        ));
+        a.set_link(0, 0, c.epoch(), &b);
+        assert!(matches!(
+            a.follow_link(0, 0x2000, 0, c.epoch()),
+            Link::Follow(_)
+        ));
+        assert_eq!(a.heat_up(0), 1);
+        assert_eq!(a.link_heat(0), 1);
     }
 
     #[test]
@@ -1104,7 +1223,10 @@ pub(crate) mod tests {
         drop(b);
         c.invalidate_phys_page(0x2000);
         // Both the weak upgrade and the epoch stamp now refuse the link.
-        assert!(a.follow_link(0, 0, c.epoch()).is_none());
+        assert!(matches!(
+            a.follow_link(0, 0x2000, 0, c.epoch()),
+            Link::Vacant
+        ));
     }
 
     #[test]
@@ -1125,7 +1247,7 @@ pub(crate) mod tests {
         c.insert(multi(0x2000, 6, vec![0x2000], 0));
         assert_eq!(c.epoch(), epoch_before, "replacement is not invalidation");
         assert!(
-            a.follow_link(0, 0, c.epoch()).is_none(),
+            matches!(a.follow_link(0, 0x2000, 0, c.epoch()), Link::Vacant),
             "the link into the replaced region must die"
         );
     }
@@ -1358,10 +1480,13 @@ pub(crate) mod tests {
         ));
         let epoch_at_patch = c.epoch();
         a.set_link(0, 0, epoch_at_patch, &a);
-        assert!(a.follow_link(0, 0, epoch_at_patch).is_some());
+        assert!(matches!(
+            a.follow_link(0, 0x1000, 0, epoch_at_patch),
+            Link::Follow(_)
+        ));
         c.invalidate_phys_page(0x1000);
         assert!(
-            a.follow_link(0, 0, c.epoch()).is_none(),
+            matches!(a.follow_link(0, 0x1000, 0, c.epoch()), Link::Vacant),
             "self-link must die on invalidation even though the Arc lives"
         );
     }
@@ -1519,7 +1644,7 @@ pub(crate) mod tests {
             // Chain links patched along the way: (holder, target id, epoch
             // at patch time).  Holders are dispatcher-held regions outside
             // the cache; everything is patched under generation 0.
-            let mut links: Vec<(Arc<Region>, usize, u64)> = Vec::new();
+            let mut links: Vec<(Arc<Region>, usize, u64, u64)> = Vec::new();
             for (id, (op, n, gen, insns)) in ops.into_iter().enumerate() {
                 let k = model_key(n);
                 match op {
@@ -1549,7 +1674,7 @@ pub(crate) mod tests {
                         if let Some(target) = cache.peek(k) {
                             let holder = Arc::new(block(0x9000, 1));
                             holder.set_link(0, 0, cache.epoch(), &target);
-                            links.push((holder, target.lir_insns, cache.epoch()));
+                            links.push((holder, target.lir_insns, k.virt, cache.epoch()));
                         }
                     }
                     9 | 10 => {
@@ -1592,10 +1717,13 @@ pub(crate) mod tests {
                         "survivor at {:?} after op {}", k, op
                     );
                 }
-                for (holder, target, patched_at) in &links {
+                for (holder, target, virt, patched_at) in &links {
                     let live = model.regions.iter().any(|r| r.id == *target);
                     proptest::prop_assert_eq!(
-                        holder.follow_link(0, 0, cache.epoch()).is_some(),
+                        matches!(
+                            holder.follow_link(0, *virt, 0, cache.epoch()),
+                            Link::Follow(_)
+                        ),
                         live && *patched_at == model.epoch,
                         "link to region {} after op {}", target, op
                     );

@@ -336,13 +336,12 @@ impl Emitter {
     }
 
     /// Marks the current guest instruction as ending the basic block.  When
-    /// no PC-setting effect recorded a successor (exceptions, `ERET`,
-    /// system-register writes), the terminator is indirect and the block is
-    /// never chained.
+    /// no PC-setting effect recorded a successor (exception entry, `ERET`,
+    /// system-register writes), the terminator is opaque and never links.
     pub fn set_end_of_block(&mut self) {
         self.end_of_block = true;
         if self.exit.is_none() {
-            self.exit = Some(BlockExit::Indirect);
+            self.exit = Some(BlockExit::Opaque);
         }
     }
 
@@ -1023,8 +1022,8 @@ impl Emitter {
         self.emit(LirInsn::IncPc { imm: bytes });
     }
 
-    /// Sets the guest PC to a value: a fixed value is a direct jump (a
-    /// chaining candidate), a dynamic one an indirect branch.
+    /// Sets the guest PC to a value: a fixed value is a direct jump, a
+    /// dynamic one a register-indirect branch (one predicted link).
     pub fn store_pc(&mut self, value: NodeId) {
         if let Some(c) = self.as_const(value) {
             if let Some((back_va, label)) = self.trace_back {

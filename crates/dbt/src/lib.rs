@@ -46,8 +46,8 @@ pub mod reuse;
 pub mod timing;
 
 pub use cache::{
-    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, KeyMap, Region,
-    RegionKey, RegionProfile,
+    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, KeyMap, Link,
+    Region, RegionKey, RegionProfile,
 };
 pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};

@@ -20,20 +20,23 @@
 //!   miss ([`Dispatch::lookup`]; Captive also reads the guest's exception
 //!   level there to pick the host protection ring).
 //! * The **inner chained loop** then executes blocks back-to-back: when a
-//!   block exits at a direct branch whose successor link is already patched
-//!   and still valid, control transfers straight to the successor's code —
-//!   no page walk, no cache lookup, no EL read — and only the near-zero
-//!   [`hvm::CostModel::chain`] cost is charged instead of the dispatcher's
-//!   [`hvm::CostModel::dispatch`] cost.
+//!   block's exit has a live link into the exit PC, control transfers
+//!   straight to the successor's code — no page walk, no cache lookup, no EL
+//!   read.  A direct link is charged the near-zero [`hvm::CostModel::chain`]
+//!   cost instead of the dispatcher's [`hvm::CostModel::dispatch`] cost; a
+//!   predicted one is charged `chain` plus one [`hvm::CostModel::alu`], its
+//!   compare.
 //!
-//! **Link structure.** Each [`dbt::Region`] records terminator
-//! metadata ([`dbt::BlockExit`]) at translation time and carries two lazily
-//! patched successor slots (taken/sequential target and conditional
-//! fallthrough).  The first time an exit reaches a direct target whose link
-//! is unresolved (and [`Dispatch::may_chain`] allows one), the dispatcher
-//! falls back to the slow path once and patches the link with the block it
-//! resolved.  The region key pins the virtual entry, so a link can only
-//! short-circuit the exact virtual address it was recorded for.
+//! **Link structure.** Each [`dbt::Region`] records terminator metadata
+//! ([`dbt::BlockExit`]) at translation time and carries two lazily patched
+//! link slots: three kinds of link (direct, *predicted* for `br` / `blr` /
+//! `ret`, none for an opaque exit) under one rule, `dbt::cache`'s *Block
+//! chaining*.  The first time an exit finds its slot vacant and
+//! [`Dispatch::may_chain`] allows a link, the dispatcher takes the slow path
+//! once and patches the slot with the block it resolved.  A live link into
+//! another PC is left as it is, so a predicted link keeps its first target
+//! (on `indirect_dispatch`, a model of re-pointing to the last target made
+//! about 3 M more patches per run and saved about one point less).
 //!
 //! **Generation scheme.** A link stores the *context generation* (Captive's,
 //! bumped on guest `TLBI` and `TTBR0`/`SCTLR` writes; the baseline's full
@@ -53,20 +56,21 @@
 //! which re-reads the exception level, so chained execution never runs in a
 //! stale host ring.
 //!
-//! # Where a pending patch dies
+//! # Sliced runs
 //!
-//! An exit whose link was unresolved leaves a pending patch for the next
-//! slow-path lookup.  It is dropped when an event is delivered instead, when
-//! [`Dispatch::settle`] empties the cache, and when `run` returns: the next
-//! call re-enters through the slow path, so its first block is dispatched,
-//! never chained, and the link is patched one trip later.  A driver that
-//! slices a run into many calls pays for that per slice; it is the
-//! benchmark's `trace.sim_cycles_delta` (11 / 0 / 306 cycles on traced
-//! `cold_code` / `indirect_dispatch` / `sys_events`, seed 1), fixed here or
-//! nowhere.
+//! A call that runs out of budget stops after a block whose exit it has not
+//! examined yet.  [`crate::sys::GuestSys`] keeps that block, and the next
+//! call resumes with the examination (`onward`), where one long call would
+//! have gone on; a PC the host moved in between fails the exit's chain slot
+//! or the link compare and takes the slow path.  A pending patch never
+//! outlives a call: it is set only with budget left, and the slow path it
+//! leads to consumes it (or drops it, for a delivered event or a flushing
+//! [`Dispatch::settle`]) before the budget can run out.  So a driver that
+//! slices a run into many calls, as the benchmark's traced runs do, sees the
+//! simulated cycles of one call.
 
 use crate::sys::{Engine, GuestEvent, RunExit, RunStats};
-use dbt::{EntryMode, Region, RegionKey, RegionProfile};
+use dbt::{BlockExit, EntryMode, Link, Region, RegionKey, RegionProfile};
 use hvm::{ExitReason, Gpr};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,61 +108,79 @@ pub trait Dispatch: Engine {
     fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>);
 }
 
+/// Where a block that returned through `BlockEnd` or `HelperExit` goes.
+enum Onward {
+    /// Into this region, through a link.
+    Link(Arc<Region>),
+    /// Back to the slow path.
+    Slow,
+    /// Nowhere yet: the budget is spent, and the next call resumes here.
+    Spent,
+}
+
 /// Runs the guest until it halts or `max_blocks` blocks have been executed
 /// (chained transfers and delivered events count against the budget too).
 pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
     let mut budget = max_blocks;
-    // A region whose direct exit was taken but whose successor link was
-    // still unresolved; the slow path patches it once the successor is
-    // known.
-    let mut patch_from: Option<(Arc<Region>, usize)> = None;
+    // A region whose exit found its link slot vacant, and the slot: the
+    // slow path patches it once the successor is known.
+    let mut patch = None;
     while budget > 0 {
         if let Some(code) = d.parts().0.exit_code {
             return RunExit::GuestHalted { code };
         }
-        // Due device completions retire here, before event delivery and
-        // before any translated code runs: the DMA lands through the
-        // external-store path and the engine drops what it made stale — the
-        // device's completion IRQ (if any) is then taken below with the data
-        // already visible.
-        if d.settle() {
-            patch_from = None;
-        }
-        let (sys, machine) = d.parts_mut();
-        let pc = machine.reg(Gpr::R15);
-        // Deterministic event sources deliver here (and at back-edge
-        // preemption points that funnel back here): the guest PC is
-        // architecturally precise, so ELR is exact even when a timer expired
-        // mid-loop inside a region.
-        if let Some(line) = sys.events.take(machine.perf.cycles) {
-            patch_from = None;
-            budget -= 1;
-            sys.deliver(machine, GuestEvent::Irq { line }, pc);
-            continue;
-        }
-        let pa = match d.resolve(pc) {
-            Ok(pa) => pa,
-            Err(event) => {
-                patch_from = None;
-                budget -= 1;
+        // The block the last call ran out of budget after: examine its exit
+        // now, as one long call would have (module docs, *Sliced runs*).
+        let last = d.parts_mut().0.resume.take();
+        let resumed = last.map(|last| onward(d, &last, false, budget, &mut patch));
+        let (mut block, mut chained) = match resumed {
+            Some(Onward::Link(next)) => (next, true),
+            _ => {
+                // Due device completions retire here, before event delivery
+                // and before any translated code runs: the DMA lands through
+                // the external-store path and the engine drops what it made
+                // stale — the device's completion IRQ (if any) is then taken
+                // below with the data already visible.
+                if d.settle() {
+                    patch = None;
+                }
                 let (sys, machine) = d.parts_mut();
-                sys.deliver(machine, event, pc);
-                continue;
+                let pc = machine.reg(Gpr::R15);
+                // Deterministic event sources deliver here (and at back-edge
+                // preemption points that funnel back here): the guest PC is
+                // architecturally precise, so ELR is exact even when a timer
+                // expired mid-loop inside a region.
+                if let Some(line) = sys.events.take(machine.perf.cycles) {
+                    patch = None;
+                    budget -= 1;
+                    sys.deliver(machine, GuestEvent::Irq { line }, pc);
+                    continue;
+                }
+                let pa = match d.resolve(pc) {
+                    Ok(pa) => pa,
+                    Err(event) => {
+                        patch = None;
+                        budget -= 1;
+                        let (sys, machine) = d.parts_mut();
+                        sys.deliver(machine, event, pc);
+                        continue;
+                    }
+                };
+                // One uniform lookup: the region at (entry phys, entry virt)
+                // is whatever the best current translation for this entry is.
+                // Virtual aliases of the same physical entry resolve to
+                // distinct regions by construction of the key.
+                let block = d.lookup(RegionKey { phys: pa, virt: pc });
+                d.counters().0.slow_dispatches += 1;
+                if let Some((prev, slot)) = patch.take() {
+                    let (gen, epoch) = d.link_stamp();
+                    prev.set_link(slot, gen, epoch, &block);
+                    d.counters().0.chain_patches += 1;
+                }
+                (block, false)
             }
         };
-        // One uniform lookup: the region at (entry phys, entry virt) is
-        // whatever the best current translation for this entry is.  Virtual
-        // aliases of the same physical entry resolve to distinct regions by
-        // construction of the key.
-        let mut block = d.lookup(RegionKey { phys: pa, virt: pc });
-        d.counters().0.slow_dispatches += 1;
-        if let Some((prev, slot)) = patch_from.take() {
-            let (gen, epoch) = d.link_stamp();
-            prev.set_link(slot, gen, epoch, &block);
-            d.counters().0.chain_patches += 1;
-        }
 
-        let mut chained = false;
         loop {
             let machine = d.parts().1;
             let before = machine.perf.cycles;
@@ -202,51 +224,18 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
             budget -= 1;
             match exit {
                 ExitReason::BlockEnd | ExitReason::HelperExit => {
-                    let (sys, machine) = d.parts_mut();
-                    if let Some(event) = sys.pending.take() {
-                        let pc_now = machine.reg(Gpr::R15);
-                        sys.deliver(machine, event, pc_now);
-                        break;
+                    let helper_exit = exit == ExitReason::HelperExit;
+                    match onward(d, &block, helper_exit, budget, &mut patch) {
+                        Onward::Link(next) => {
+                            block = next;
+                            chained = true;
+                        }
+                        Onward::Slow => break,
+                        Onward::Spent => {
+                            d.parts_mut().0.resume = Some(block);
+                            return RunExit::BudgetExhausted;
+                        }
                     }
-                    // Helper exits (exception taken, ERET, sysreg write) may
-                    // have changed the EL or translation context: always
-                    // re-dispatch through the slow path.
-                    if exit == ExitReason::HelperExit || budget == 0 {
-                        break;
-                    }
-                    let now = machine.perf.cycles;
-                    // A due event source leaves the chained loop so the slow
-                    // path can deliver the IRQ with a precise PC.
-                    if sys.events.due(now) {
-                        break;
-                    }
-                    // A due device completion also leaves: retirement
-                    // happens only at the dispatcher top, and a self-chaining
-                    // loop would otherwise starve it.
-                    if sys.virtio_due(now) {
-                        break;
-                    }
-                    let next_pc = machine.reg(Gpr::R15);
-                    if !d.may_chain(&block, next_pc) {
-                        break;
-                    }
-                    let Some(slot) = block.chain_slot(next_pc) else {
-                        break;
-                    };
-                    let (gen, epoch) = d.link_stamp();
-                    if let Some(next) = block.follow_link(slot, gen, epoch) {
-                        // Chained transfer: straight into the successor's
-                        // code, skipping page resolution, cache lookup and EL
-                        // read.
-                        d.counters().0.chained_transfers += 1;
-                        block = d.chained(&block, slot, next);
-                        chained = true;
-                        continue;
-                    }
-                    // Direct exit with an unresolved (or retired) link: take
-                    // the slow path once and patch it there.
-                    patch_from = Some((Arc::clone(&block), slot));
-                    break;
                 }
                 ExitReason::Halted => {
                     let code = d.parts().0.exit_code.unwrap_or(0);
@@ -282,24 +271,91 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
     RunExit::BudgetExhausted
 }
 
+/// Examines the exit of `block`, which returned through `BlockEnd` (or
+/// `HelperExit` when `helper_exit`) with `budget` blocks left: the one place
+/// a run decides whether to stay in the chained loop.
+fn onward<D: Dispatch>(
+    d: &mut D,
+    block: &Arc<Region>,
+    helper_exit: bool,
+    budget: u64,
+    patch: &mut Option<(Arc<Region>, usize)>,
+) -> Onward {
+    let (sys, machine) = d.parts_mut();
+    if let Some(event) = sys.pending.take() {
+        let pc_now = machine.reg(Gpr::R15);
+        sys.deliver(machine, event, pc_now);
+        return Onward::Slow;
+    }
+    // Helper exits (exception taken, ERET, sysreg write) may have changed
+    // the EL or translation context: always re-dispatch through the slow
+    // path.
+    if helper_exit {
+        return Onward::Slow;
+    }
+    if budget == 0 {
+        return Onward::Spent;
+    }
+    let now = machine.perf.cycles;
+    // A due event source leaves the chained loop so the slow path can
+    // deliver the IRQ with a precise PC.  A due device completion also
+    // leaves: retirement happens only at the dispatcher top, and a
+    // self-chaining loop would otherwise starve it.
+    if sys.events.due(now) || sys.virtio_due(now) {
+        return Onward::Slow;
+    }
+    let next_pc = machine.reg(Gpr::R15);
+    if !d.may_chain(block, next_pc) {
+        return Onward::Slow;
+    }
+    let Some(slot) = block.chain_slot(next_pc) else {
+        return Onward::Slow;
+    };
+    let (gen, epoch) = d.link_stamp();
+    match block.follow_link(slot, next_pc, gen, epoch) {
+        Link::Follow(next) => {
+            // Chained transfer: straight into the successor's code, skipping
+            // page resolution, cache lookup and EL read.
+            let s = d.counters().0;
+            s.chained_transfers += 1;
+            if block.exit == BlockExit::Indirect {
+                // A predicted link: the compare, then the jump.
+                s.predicted_transfers += 1;
+                let machine = d.parts_mut().1;
+                machine.perf.cycles += machine.cost.alu;
+            }
+            Onward::Link(d.chained(block, slot, next))
+        }
+        // Not re-pointed: a predicted link keeps its first target.
+        Link::Elsewhere => Onward::Slow,
+        // Take the slow path once and patch the slot there.
+        Link::Vacant => {
+            *patch = Some((Arc::clone(block), slot));
+            Onward::Slow
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     //! Each obligation of the loop, checked against a fake engine whose
-    //! blocks are a script: every block costs [`BLOCK_CYCLES`], jumps to its
-    //! successor in [`Fake::program`] (or halts), and the test's `script`
-    //! may raise events, move registers or replace the exit after any block.
-    //! Blocks `A` and `B` jump to each other, so from the fourth block on the
-    //! loop runs chained: A, B (patches A→B), A (patches B→A), B⇢, A⇢, …
+    //! blocks are a script: every block costs [`BLOCK_CYCLES`], ends the way
+    //! [`Fake::program`] says, and the test's `script` may raise events, move
+    //! registers or replace the exit after any block.  Blocks `A` and `B`
+    //! jump to each other, so from the fourth block on the loop runs
+    //! chained: A, B (patches A→B), A (patches B→A), B⇢, A⇢, …
 
     use super::*;
     use crate::regs::{esr_class, x_off, ELR_OFF, ESR_OFF, FAR_OFF, VBAR_OFF};
     use crate::sys::{GuestSys, HelperCosts};
-    use dbt::{BlockExit, FinishedTranslation};
+    use dbt::FinishedTranslation;
     use hvm::virtio::mmio;
     use hvm::{Machine, MachineConfig, VirtioBlkConfig};
 
     const A: u64 = 0x1000;
     const B: u64 = 0x1010;
+    /// A dispatch block: a register-indirect branch ([`threaded`]).
+    const I: u64 = 0x1020;
     const VECTOR: u64 = 0x2000;
     /// Not in any program: fetching it faults.
     const UNMAPPED: u64 = 0x3000;
@@ -310,12 +366,26 @@ mod tests {
 
     type Script = fn(usize, &mut GuestSys, &mut Machine) -> Option<ExitReason>;
 
+    /// How a fake block ends.
+    #[derive(Clone, Copy)]
+    enum Ends {
+        /// A direct jump.
+        Jump(u64),
+        /// A register-indirect branch, to these targets in turn.
+        Indirect(&'static [u64]),
+        /// An opaque exit that returns to translated code at this PC (a
+        /// `Continue`-returning `MSR`).
+        Opaque(u64),
+        /// `HLT`.
+        Halt,
+    }
+
     struct Fake {
         machine: Machine,
         sys: GuestSys,
         stats: RunStats,
-        /// Block entry → successor (`None`: the block halts).
-        program: HashMap<u64, Option<u64>>,
+        /// How each block ends, by entry PC.
+        program: HashMap<u64, Ends>,
         cache: HashMap<RegionKey, Arc<Region>>,
         /// The promoted carriers every block is translated with.
         promoted: Vec<(i32, Gpr)>,
@@ -350,7 +420,7 @@ mod tests {
             machine,
             sys,
             stats: RunStats::default(),
-            program: HashMap::from([(A, Some(B)), (B, Some(A)), (VECTOR, None)]),
+            program: HashMap::from([(A, Ends::Jump(B)), (B, Ends::Jump(A)), (VECTOR, Ends::Halt)]),
             cache: HashMap::new(),
             promoted: Vec::new(),
             ran: Vec::new(),
@@ -360,6 +430,17 @@ mod tests {
         }
     }
 
+    /// `A` and `B` jump to `I`, whose indirect branch goes to A, A, B, A, A,
+    /// B, …: its predicted link (A, the first target it resolved) is right
+    /// two times in three.
+    fn threaded() -> Fake {
+        let mut f = fake(|_, _, _| None);
+        f.program.insert(A, Ends::Jump(I));
+        f.program.insert(B, Ends::Jump(I));
+        f.program.insert(I, Ends::Indirect(&[A, A, B]));
+        f
+    }
+
     impl Fake {
         fn reg(&self, offset: i32) -> u64 {
             self.sys.read_gregfile(&self.machine, offset)
@@ -367,6 +448,16 @@ mod tests {
 
         fn chained_blocks(&self) -> usize {
             self.ran.iter().filter(|(_, chained)| *chained).count()
+        }
+
+        /// For every transfer from `from` to `to`, in order: whether `to` was
+        /// entered through a link.
+        fn transfers(&self, from: u64, to: u64) -> Vec<bool> {
+            self.ran
+                .windows(2)
+                .filter(|w| w[0].0 == from && w[1].0 == to)
+                .map(|w| w[1].1)
+                .collect()
         }
     }
 
@@ -401,8 +492,11 @@ mod tests {
             }
         }
         fn lookup(&mut self, key: RegionKey) -> Arc<Region> {
-            let exit = self.program[&key.virt]
-                .map_or(BlockExit::Indirect, |target| BlockExit::Jump { target });
+            let exit = match self.program[&key.virt] {
+                Ends::Jump(target) => BlockExit::Jump { target },
+                Ends::Indirect(_) => BlockExit::Indirect,
+                Ends::Opaque(_) | Ends::Halt => BlockExit::Opaque,
+            };
             let promoted = &self.promoted;
             let region = self.cache.entry(key).or_insert_with(|| {
                 let code = FinishedTranslation {
@@ -427,9 +521,15 @@ mod tests {
         }
         fn execute(&mut self, region: &Region, chained: bool) -> ExitReason {
             let pc = region.guest_virt;
+            let visits = self.ran.iter().filter(|&&(at, _)| at == pc).count();
             self.ran.push((pc, chained));
             self.machine.perf.cycles += BLOCK_CYCLES;
-            let exit = match self.program[&pc] {
+            let next = match self.program[&pc] {
+                Ends::Jump(next) | Ends::Opaque(next) => Some(next),
+                Ends::Indirect(targets) => Some(targets[visits % targets.len()]),
+                Ends::Halt => None,
+            };
+            let exit = match next {
                 Some(next) => {
                     self.machine.set_reg(Gpr::R15, next);
                     ExitReason::BlockEnd
@@ -535,7 +635,7 @@ mod tests {
                 }
                 None
             });
-            f.program.insert(VECTOR, Some(UNMAPPED));
+            f.program.insert(VECTOR, Ends::Jump(UNMAPPED));
             assert_eq!(f.run(budget), RunExit::BudgetExhausted);
             let s = f.stats();
             assert_eq!(
@@ -595,5 +695,90 @@ mod tests {
             f.ran[6..].iter().any(|&(_, chained)| chained),
             "and chains again"
         );
+    }
+
+    #[test]
+    fn a_predicted_link_is_followed_only_into_the_pc_the_exit_went_to() {
+        let mut f = threaded();
+        assert_eq!(f.run(60), RunExit::BudgetExhausted);
+        let mut went = vec![A];
+        for k in 0..30 {
+            went.extend([I, [A, A, B][k % 3]]);
+        }
+        went.truncate(60);
+        let pcs: Vec<u64> = f.ran.iter().map(|&(pc, _)| pc).collect();
+        assert_eq!(
+            pcs, went,
+            "every block ran at the PC its predecessor went to"
+        );
+        let into_b = f.transfers(I, B);
+        assert!(
+            !into_b.is_empty() && into_b.iter().all(|&linked| !linked),
+            "a mispredicted exit takes the slow path"
+        );
+        let into_a = f.transfers(I, A);
+        assert!(!into_a[0], "the first transfer patches the link");
+        assert!(
+            into_a[1..].iter().all(|&linked| linked),
+            "the later ones follow it"
+        );
+        let s = f.stats();
+        assert_eq!(s.predicted_transfers, into_a.len() as u64 - 1);
+        assert_eq!(s.blocks, s.slow_dispatches + s.chained_transfers);
+        assert_eq!(
+            f.machine.perf.cycles,
+            60 * BLOCK_CYCLES + s.predicted_transfers * f.machine.cost.alu,
+            "a predicted transfer adds one compare (the fake charges no jump)"
+        );
+    }
+
+    #[test]
+    fn a_live_mispredicted_link_is_not_re_pointed() {
+        let mut f = threaded();
+        assert_eq!(f.run(60), RunExit::BudgetExhausted);
+        assert_eq!(f.stats().chain_patches, 3, "A→I, I→A and B→I, once each");
+    }
+
+    #[test]
+    fn an_opaque_exit_never_links() {
+        // A is a `Continue`-returning `MSR`: it ends its block and returns to
+        // translated code at B, which jumps back.
+        let mut f = fake(|_, _, _| None);
+        f.program.insert(A, Ends::Opaque(B));
+        assert_eq!(f.run(40), RunExit::BudgetExhausted);
+        assert!(
+            f.transfers(A, B).iter().all(|&linked| !linked),
+            "every exit of the opaque block is dispatched"
+        );
+        assert!(
+            f.transfers(B, A)[1..].iter().all(|&linked| linked),
+            "while the direct one chains"
+        );
+        assert_eq!(f.stats().chain_patches, 1, "B→A only");
+    }
+
+    #[test]
+    fn a_run_sliced_at_any_budget_is_the_run_in_one_call() {
+        // Direct links (A→I, B→I), predicted hits (I→A) and mispredictions
+        // (I→B), cut into calls of every size.
+        const BLOCKS: u64 = 24;
+        let mut whole = threaded();
+        assert_eq!(whole.run(BLOCKS), RunExit::BudgetExhausted);
+        for slice in 1..=BLOCKS {
+            let mut f = threaded();
+            let mut left = BLOCKS;
+            while left > 0 {
+                let step = slice.min(left);
+                assert_eq!(f.run(step), RunExit::BudgetExhausted);
+                left -= step;
+            }
+            assert_eq!(f.ran, whole.ran, "calls of {slice}");
+            assert_eq!(f.machine.perf.cycles, whole.machine.perf.cycles);
+            assert_eq!(
+                f.stats().differs_across_reruns(&whole.stats()),
+                None,
+                "calls of {slice}"
+            );
+        }
     }
 }

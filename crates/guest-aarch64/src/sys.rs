@@ -251,6 +251,9 @@ dbt::counter_table! {
         /// Cross-page chained transfers (subset of `chained_transfers`;
         /// QemuRef with `goto_tb` only).
         Deterministic goto_tb_transfers: u64,
+        /// Chained transfers through a predicted (register-indirect) link
+        /// (subset of `chained_transfers`; Captive only).
+        Deterministic predicted_transfers: u64,
         /// Successor links patched (lazy chain resolutions).
         Deterministic chain_patches: u64,
         /// Fetch-side iTLB hits (instruction fetches resolved without a
@@ -415,6 +418,9 @@ pub struct GuestSys {
     /// See [`RunStats::external_invalidations`]; bumped by the engine.
     pub external_invalidations: u64,
     guest_exceptions: u64,
+    /// The block the last [`crate::dispatch::run`] call ran out of budget
+    /// after, its exit not yet examined (`dispatch` docs, *Sliced runs*).
+    pub(crate) resume: Option<std::sync::Arc<dbt::Region>>,
 }
 
 impl GuestSys {
@@ -444,6 +450,7 @@ impl GuestSys {
             virtio: None,
             external_invalidations: 0,
             guest_exceptions: 0,
+            resume: None,
         }
     }
 

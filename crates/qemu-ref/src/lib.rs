@@ -314,9 +314,6 @@ pub struct QemuRef {
     pub timers: PhaseTimers,
     isa: Aarch64Isa,
     stats: RunStats,
-    per_region: Profiles,
-    /// Record per-block cycles.
-    pub per_block_stats: bool,
     /// How far direct successors link.
     pub link: LinkMode,
 }
@@ -353,8 +350,6 @@ impl QemuRef {
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
             stats: RunStats::default(),
-            per_region: HashMap::new(),
-            per_block_stats: false,
             link: LinkMode::Off,
         }
     }
@@ -363,13 +358,6 @@ impl QemuRef {
     /// so cross-engine runs stay byte-identical under injected faults).
     pub fn attach_virtio(&mut self, cfg: hvm::VirtioBlkConfig) {
         self.runtime.sys.attach_virtio(&mut self.machine, cfg);
-    }
-
-    /// Per-region profiles, keyed by the *executed* region (same
-    /// [`dbt::RegionProfile`] shape as Captive's, so code-quality comparisons
-    /// read one structure), with cycles attributed per [`dbt::EntryMode`].
-    pub fn region_profiles(&self) -> &Profiles {
-        &self.per_region
     }
 
     /// Translates one block in the TCG style: memory accesses and FP go
@@ -521,10 +509,13 @@ impl Dispatch for QemuRef {
     }
 
     fn may_chain(&self, from: &Region, next_pc: u64) -> bool {
-        // A TLBI/MSR helper may have requested the flush that virtual
+        // TCG's `goto_tb` is direct-only: an indirect exit is QEMU's
+        // `lookup_and_goto_ptr`, a helper call into its jump cache, not a
+        // link.  A TLBI/MSR helper may have requested the flush that virtual
         // indexing demands: take the slow path so the cache is emptied
         // before the next lookup.
-        !self.runtime.flush_requested
+        from.exit != BlockExit::Indirect
+            && !self.runtime.flush_requested
             && match self.link {
                 LinkMode::Off => false,
                 LinkMode::SamePage => same_page(from.guest_virt, next_pc),
@@ -549,8 +540,7 @@ impl Dispatch for QemuRef {
     }
 
     fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
-        let profiles = self.per_block_stats.then_some(&mut self.per_region);
-        (&mut self.stats, profiles)
+        (&mut self.stats, None)
     }
 }
 
@@ -893,6 +883,33 @@ mod tests {
             soff.cycles - son.cycles,
             (son.chained_transfers - soff.chained_transfers) * per_transfer,
             "the gap is exactly the saved dispatch cost"
+        );
+    }
+
+    #[test]
+    fn indirect_exits_never_link_even_under_goto_tb() {
+        // TCG's `goto_tb` is direct-only: the baseline's strongest link mode
+        // must not price a `blr` or `ret` as a link.
+        let mut a = asm::Assembler::new();
+        a.push(asm::movz(1, 300, 0));
+        a.adr_to(2, "leaf");
+        a.label("loop");
+        a.push(asm::blr(2));
+        a.push(asm::subi(1, 1, 1));
+        a.cbnz_to(1, "loop");
+        a.push(asm::hlt());
+        a.label("leaf");
+        a.push(asm::ret());
+        let mut q = QemuRef::with_goto_tb(32 * 1024 * 1024);
+        q.load_program(0x1000, &a.finish());
+        q.set_entry(0x1000);
+        assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
+        let s = q.stats();
+        assert_eq!(s.predicted_transfers, 0);
+        assert!(
+            s.chained_transfers >= 298,
+            "the direct legs still chain: {}",
+            s.chained_transfers
         );
     }
 
