@@ -1648,3 +1648,132 @@ fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline()
         }
     }
 }
+
+#[test]
+fn a_data_abort_mid_a_promoted_fp_loop_hands_the_handler_its_dirty_v_registers() {
+    // A packed and a scalar accumulator around a load that walks off the
+    // end of guest RAM: `v1 = [x1] * v9; v2 += v1; d4 = d0 * d10; d5 += d4`.
+    // v0, v1, v2, d4 and d5 are dirty vector carriers (d4 and d5 written as
+    // scalars, so their upper halves are zero), v9 and d10 clean ones, x1
+    // and x3 general-purpose ones; the promoted loop keeps all of them in
+    // host registers.  Trip `TRIPS + 1` loads from the first address past
+    // RAM, and the handler stores v1, v2 and v5 — both lanes — to memory
+    // and reads them back into x10–x15.  Fault-time materialisation must
+    // hand it exactly what the QEMU-style baselines, which keep every guest
+    // register in memory, and a host mirror of the kernel compute.
+    use guest_aarch64::SysReg;
+    const TRIPS: u64 = 3_000;
+    const OUT: u64 = 0x20_0000;
+    let ram = bench::guest_ram();
+    let xs = ram - TRIPS * 16;
+    let (s, c) = (0.999_f64, 0.5_f64);
+    let x = |i: u64| 1.0 + (i * 37 % 101) as f64 / 128.0;
+
+    let mut a = Assembler::new();
+    a.mov_imm64(11, 0x3000);
+    a.push(asm::msr(SysReg::Vbar as u32, 11));
+    a.mov_imm64(1, xs);
+    a.mov_imm64(2, OUT);
+    a.mov_imm64(5, s.to_bits());
+    a.push(asm::dup2d(9, 5));
+    a.mov_imm64(6, c.to_bits());
+    a.push(asm::fmov_from_gpr(10, 6));
+    a.push(asm::dup2d(2, 31));
+    a.push(asm::fmov_from_gpr(5, 31));
+    a.mov_imm64(3, TRIPS + 10);
+    a.label("loop");
+    let fault_pc = 0x1000 + a.here() as u64 * 4;
+    a.push(asm::ldr_q(0, 1, 0));
+    a.push(asm::vmul2d(1, 0, 9));
+    a.push(asm::vadd2d(2, 2, 1));
+    a.push(asm::fmul(4, 0, 10));
+    a.push(asm::fadd(5, 5, 4));
+    a.push(asm::addi(1, 1, 16));
+    a.push(asm::subi(3, 3, 1));
+    a.cbnz_to(3, "loop");
+    a.push(asm::hlt());
+    let main = a.finish();
+
+    let mut v = Assembler::new();
+    v.push(asm::mrs(20, SysReg::Elr as u32));
+    v.push(asm::mrs(21, SysReg::Far as u32));
+    for (k, reg) in [1, 2, 5].into_iter().enumerate() {
+        v.push(asm::str_q(reg, 2, k as u32 * 16));
+    }
+    for k in 0..6 {
+        v.push(asm::ldr(10 + k, 2, k * 8));
+    }
+    v.push(asm::hlt());
+    let handler = v.finish();
+
+    let data: Vec<(u64, u64)> = (0..TRIPS * 2)
+        .map(|i| (xs + i * 8, x(i).to_bits()))
+        .collect();
+    // Host mirror: TRIPS whole trips, then the load of trip TRIPS + 1 faults.
+    let (mut v1, mut v2, mut d5) = ([0.0f64; 2], [0.0f64; 2], 0.0f64);
+    for t in 0..TRIPS {
+        let v0 = [x(2 * t), x(2 * t + 1)];
+        v1 = [v0[0] * s, v0[1] * s];
+        v2 = [v2[0] + v1[0], v2[1] + v1[1]];
+        d5 += v0[0] * c;
+    }
+    let want = [
+        v1[0].to_bits(),
+        v1[1].to_bits(),
+        v2[0].to_bits(),
+        v2[1].to_bits(),
+        d5.to_bits(),
+        0,
+    ];
+
+    let code: [(u64, &[u32]); 2] = [(0x1000, &main), (0x3000, &handler)];
+    let baselines = [
+        (
+            "QemuRef",
+            run_to_halt(QemuRef::new(ram), &code, &data, 0x1000),
+        ),
+        (
+            "QemuRef+goto_tb",
+            run_to_halt(QemuRef::with_goto_tb(ram), &code, &data, 0x1000),
+        ),
+    ];
+    for (name, q) in &baselines {
+        assert_eq!(
+            (q.guest_reg(20), q.guest_reg(21)),
+            (fault_pc, ram),
+            "{name}: ELR, FAR"
+        );
+        let got: Vec<u64> = (10..16).map(|r| q.guest_reg(r)).collect();
+        assert_eq!(got, want, "{name}: v1, v2, v5 as the mirror computes them");
+        assert_eq!(q.guest_reg(3), 10, "{name}: trips left");
+    }
+    for name in FAULT_CONFIGS {
+        let c = run_to_halt(
+            Captive::new(bench::captive_config(name)),
+            &code,
+            &data,
+            0x1000,
+        );
+        for (base, q) in &baselines {
+            for r in 0..31 {
+                assert_eq!(
+                    c.guest_reg(r),
+                    q.guest_reg(r),
+                    "{name} against {base}: x{r} diverged"
+                );
+            }
+        }
+        let s = c.stats();
+        assert!(
+            s.backedge_transfers > 100,
+            "{name}: the loop ran in a region"
+        );
+        if name != "noopt" {
+            assert!(
+                s.jit.opt_promoted_slots >= 9,
+                "{name}: seven vector slots and two general-purpose ones promoted, {}",
+                s.jit.opt_promoted_slots
+            );
+        }
+    }
+}

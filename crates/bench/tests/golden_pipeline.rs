@@ -27,6 +27,17 @@
 //! regions only, 13911468391831815842 → 7963228531206437328 (1 734 of them,
 //! unchanged).  Both block digests stayed: no plain block of the corpus
 //! splits a range.
+//!
+//! Re-recorded since by FP and vector code in host vector registers: the
+//! emitter copies a two-address FP or vector operation's left operand with
+//! one 128-bit `MovXmm` instead of `pxor` + `por` (all three digests), the
+//! allocator hands a 128-bit vector copy's register over as it does a
+//! `MovReg`'s, copy propagation folds vector copies, and promotion gives
+//! vector register-file slots carriers of their own (optimised blocks and
+//! regions), which the digest records as `0x100 | n`.  Old → new: optimised blocks 4047802076283090697
+//! → 646391996551006341, unoptimised blocks 2156033232277762918 →
+//! 4209554885306175824, formed regions (1 734 of them, unchanged)
+//! 7963228531206437328 → 5818159398312631082.
 
 use captive::spec::Knobs;
 use captive::translator::{form_region_from, FormOutcome, LiveSource};
@@ -53,15 +64,18 @@ impl Digest {
     }
 
     /// One finished translation: encoded bytes, eliminated-LIR count and the
-    /// promoted (slot, host register) pairs.
-    fn translation(&mut self, encoded: &[u8], elided: usize, promoted: &[(i32, hvm::Gpr)]) {
+    /// promoted (slot, host register) pairs, a vector register as `0x100 | n`.
+    fn translation(&mut self, encoded: &[u8], elided: usize, promoted: &[(i32, dbt::Carrier)]) {
         self.word(encoded.len() as u64);
         self.bytes(encoded);
         self.word(elided as u64);
         self.word(promoted.len() as u64);
-        for &(off, reg) in promoted {
+        for &(off, carrier) in promoted {
             self.word(off as u32 as u64);
-            self.word(reg as u64);
+            self.word(match carrier {
+                dbt::Carrier::Gpr(reg) => reg as u64,
+                dbt::Carrier::Xmm(reg) => 0x100 | reg.0 as u64,
+            });
         }
     }
 }
@@ -138,7 +152,7 @@ fn block_digest(run_opt: bool) -> u64 {
 fn optimised_block_translations_are_byte_identical_to_the_recorded_digest() {
     assert_eq!(
         block_digest(true),
-        4_047_802_076_283_090_697,
+        646_391_996_551_006_341,
         "generated code for plain blocks (optimiser on) changed"
     );
 }
@@ -147,7 +161,7 @@ fn optimised_block_translations_are_byte_identical_to_the_recorded_digest() {
 fn unoptimised_block_translations_are_byte_identical_to_the_recorded_digest() {
     assert_eq!(
         block_digest(false),
-        2_156_033_232_277_762_918,
+        4_209_554_885_306_175_824,
         "generated code for plain blocks (optimiser off, the QemuRef path) changed"
     );
 }
@@ -183,7 +197,7 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
     }
     assert_eq!(
         (formed, h.finish()),
-        (1734, 7_963_228_531_206_437_328),
+        (1734, 5_818_159_398_312_631_082),
         "generated code for formed regions changed"
     );
 }

@@ -163,7 +163,7 @@ pub(crate) struct Spent {
     _shell: Box<Ready>,
     _code: Arc<[hvm::MachInsn]>,
     _pages: Vec<u64>,
-    _promoted: Vec<(i32, hvm::Gpr)>,
+    _promoted: Vec<(i32, dbt::Carrier)>,
 }
 
 impl Ready {

@@ -172,7 +172,7 @@
 //! separate, genuinely shared layer: see [`crate::reuse`].
 
 use crate::reuse::MadeFrom;
-use hvm::{Gpr, MachInsn};
+use hvm::{Gpr, MachInsn, Xmm};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -201,6 +201,15 @@ pub struct RegionKey {
     /// Guest virtual address the entry was translated at (generated code
     /// embeds virtual branch targets, so this is part of the identity).
     pub virt: u64,
+}
+
+/// The host register a loop-promoted register-file slot lives in (see
+/// [`Region::promoted`]): a general-purpose register holds an 8-byte slot,
+/// a vector register a 16-byte one, both lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Carrier {
+    Gpr(Gpr),
+    Xmm(Xmm),
 }
 
 /// Where control goes when a translated region exits — terminator metadata
@@ -391,10 +400,11 @@ pub struct Region {
     /// Dirty loop-promoted register-file slots: (regfile byte offset, host
     /// register carrying the loop-resident value).  Every in-code exit path
     /// reconciles these itself; the engine consults this list only on a
-    /// *fault* exit, storing each host register back to its slot before
+    /// *fault* exit, storing each host register back to its slot — 8 bytes
+    /// from a general-purpose carrier, 16 from a vector one — before
     /// delivering the event so the guest observes a precise register file.
     /// Empty for unpromoted translations.
-    pub promoted: Vec<(i32, Gpr)>,
+    pub promoted: Vec<(i32, Carrier)>,
     /// Per-rule idiom-recogniser candidate counts from this region's
     /// translation (see [`crate::idiom::IdiomStats::candidates`]).  The rule
     /// miner weighs these by the region's profiled executions to rank rules

@@ -896,18 +896,14 @@ impl Emitter {
     }
 
     fn emit_fp_copy(&mut self, dst: Vreg, src: Vreg) {
-        // Vector copy: clear the destination then OR the source in.  The LIR
-        // (like SSE before AVX) has no three-operand forms, so two-address FP
-        // operations copy their left operand first.
-        self.emit(LirInsn::Vec {
-            op: VecOp::PXor,
-            dst,
-            src: dst,
-        });
-        self.emit(LirInsn::Vec {
-            op: VecOp::POr,
+        // The LIR (like SSE before AVX) has no three-operand forms, so
+        // two-address FP operations copy their left operand first: one pure
+        // 128-bit register move, which the allocator's copy hand-over makes
+        // free when the operand dies there.
+        self.emit(LirInsn::MovXmm {
             dst,
             src,
+            size: MemSize::U128,
         });
     }
 

@@ -46,8 +46,8 @@ pub mod reuse;
 pub mod timing;
 
 pub use cache::{
-    fnv1a, BlockExit, CacheIndex, CacheStats, ChainLinks, CodeCache, EntryMode, KeyMap, Link,
-    Region, RegionKey, RegionProfile,
+    fnv1a, BlockExit, CacheIndex, CacheStats, Carrier, ChainLinks, CodeCache, EntryMode, KeyMap,
+    Link, Region, RegionKey, RegionProfile,
 };
 pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};
@@ -132,7 +132,7 @@ pub fn finish_translation(
             // The optimiser sits between emission and register allocation;
             // its wall-clock cost is accounted to the regalloc phase budget
             // (and, as a share of it, to `PhaseTimers::opt`).
-            let stats = opt::optimize_in(s, &mut lir, promote, idioms);
+            let stats = opt::optimize_in(s, &mut lir, promote.then_some(opt::CAPS), idioms);
             let before = timers.regalloc;
             clock.close(timers, Phase::RegAlloc);
             timers.opt += timers.regalloc - before;
@@ -182,23 +182,24 @@ pub fn finish_translation(
 }
 
 /// Resolves the dirty promoted carriers to the host registers the allocator
-/// gave them.  Carriers are defined at unit entry, so the linear scan hands
-/// them pool registers before anything else can claim one, and they are
-/// loop-carried, so it never splits one; a spilled or split carrier would
-/// make fault-time materialisation impossible and can only mean a broken
-/// invariant — the translation is refused, not the host.
+/// gave them, of either class.  Carriers are defined at unit entry, so the
+/// linear scan hands them pool registers before anything else can claim one,
+/// and they are loop-carried, so it never splits one; a spilled or split
+/// carrier would make fault-time materialisation impossible and can only
+/// mean a broken invariant — the translation is refused, not the host.
 fn resolve_carriers(
     dirty_carriers: &[(i32, Vreg)],
     allocation: &regalloc::Allocation,
-) -> Result<Vec<(i32, hvm::Gpr)>, LowerError> {
+) -> Result<Vec<(i32, Carrier)>, LowerError> {
     dirty_carriers
         .iter()
         .map(|&(off, v)| match allocation.assignment.get(v.id) {
             Some(regalloc::Assignment::Gpr(g))
                 if !allocation.splits.iter().any(|s| s.vreg == v.id) =>
             {
-                Ok((off, g))
+                Ok((off, Carrier::Gpr(g)))
             }
+            Some(regalloc::Assignment::Xmm(x)) => Ok((off, Carrier::Xmm(x))),
             _ => Err(LowerError::CarrierNotInRegister { vreg: v.id }),
         })
         .collect()
@@ -219,7 +220,7 @@ pub struct FinishedTranslation {
     /// in-code compensation stores — the engine stores each register back to
     /// its slot before delivering the event, restoring the precise register
     /// file the promotion contract promises (see [`opt`]'s module docs).
-    pub promoted: Vec<(i32, hvm::Gpr)>,
+    pub promoted: Vec<(i32, Carrier)>,
     /// Per-rule idiom counters for this translation (see [`idiom`]).
     pub idioms: idiom::IdiomStats,
 }

@@ -261,8 +261,9 @@ pub enum LirInsn {
     },
     /// XMM-to-XMM register move.  `U64` copies the low lane and zeroes the
     /// upper lane (the write shape of a `U64` [`LirInsn::LoadXmm`]); `U128`
-    /// copies both lanes.  Produced by XMM store-to-load forwarding in
-    /// [`crate::opt`].
+    /// copies both lanes.  The emitter's copy of a two-address FP or vector
+    /// operation's left operand (`U128`), XMM store-to-load forwarding and
+    /// vector-slot promotion in [`crate::opt`] produce it.
     MovXmm { dst: Vreg, src: Vreg, size: MemSize },
 }
 
@@ -515,6 +516,46 @@ impl LirInsn {
             | LirInsn::CvtS2D { src, .. }
             | LirInsn::CvtD2S { src, .. } => reg(src, f, &mut n),
             LirInsn::Out { src, .. } => reg(src, f, &mut n),
+            _ => {}
+        }
+        n
+    }
+
+    /// Rewrites every operand position that reads only the low 64 bits of a
+    /// vector register — a scalar FP operand, a conversion or transfer
+    /// source, the source of a 64-bit (or narrower) vector store or of a
+    /// 64-bit vector move — to `f(v)` where `f` returns a replacement: the
+    /// positions where a 64-bit `MovXmm` copy, which zeroes the upper lane,
+    /// may stand in for its source.  Returns how many occurrences were
+    /// rewritten.
+    pub fn map_low_lane_uses(&mut self, f: &mut impl FnMut(Vreg) -> Option<Vreg>) -> u32 {
+        let mut n = 0u32;
+        let mut reg = |v: &mut Vreg| {
+            if let Some(to) = f(*v) {
+                *v = to;
+                n += 1;
+            }
+        };
+        match self {
+            LirInsn::Fp { src, .. }
+            | LirInsn::XmmToGpr { src, .. }
+            | LirInsn::CvtD2I { src, .. }
+            | LirInsn::CvtS2D { src, .. }
+            | LirInsn::CvtD2S { src, .. }
+            | LirInsn::StoreXmm {
+                src,
+                size: MemSize::U8 | MemSize::U16 | MemSize::U32 | MemSize::U64,
+                ..
+            }
+            | LirInsn::MovXmm {
+                src,
+                size: MemSize::U64,
+                ..
+            } => reg(src),
+            LirInsn::FpFma { a, b, .. } | LirInsn::FpCmp { a, b } => {
+                reg(a);
+                reg(b);
+            }
             _ => {}
         }
         n

@@ -44,10 +44,12 @@
 //!    of the stored register, or the truncated immediate) — the W-register
 //!    read of an X-register write, counted separately as
 //!    [`OptStats::partial_forwarded`].
-//! 2. **Copy propagation** (forward pass): pure-source uses of a `MovReg`
-//!    destination are rewritten to the copy's origin, so the `MovReg`s pass
-//!    1 just produced (and the emitter's own copy chains) become dead and
-//!    the allocator's iterative DCE sweeps them away entirely.
+//! 2. **Copy propagation** (forward pass): pure-source uses of a copy's
+//!    destination — a `MovReg`, or a `MovXmm` (a 64-bit one only where the
+//!    use reads the low lane alone) — are rewritten to the copy's origin, so
+//!    the moves pass 1 and promotion just produced (and the emitter's own
+//!    copy chains) become dead and the allocator's iterative DCE sweeps them
+//!    away entirely.
 //! 3. **Dead regfile-store elimination** (backward pass): a regfile store
 //!    dies when a later store fully covers the same slot bytes before
 //!    anything can observe them.  This deletes the NZCV materialisation
@@ -150,9 +152,18 @@
 //! * Promotion refuses units containing helper calls, ports, interrupts,
 //!   syscalls, TLB flushes, dynamic regfile addressing or regfile address
 //!   escapes (those channels read or write slots directly), and slots
-//!   with any non-64-bit store, any XMM access, or any access not at the
-//!   slot's own offset.  A guest-memory *store* through a computed
-//!   address is deliberately **not** a barrier: the register file is
+//!   touched by any access that is not one of their class's shapes at the
+//!   slot's own offset.  A general-purpose slot is 8 bytes: loads of any
+//!   width, 64-bit stores.  A **vector slot** is 16 bytes, carried in a
+//!   vector register: 64- and 128-bit vector loads, 128-bit vector stores,
+//!   and the *scalar write* — a 64-bit vector store followed by a zero
+//!   store over the upper half, how a guest clears the rest of a register
+//!   its scalar FP result lands in — which promotion treats as one write of
+//!   the zero-extended value (`C = movq X`, a 64-bit `MovXmm`).  So a V
+//!   register has one shape, and its upper half never gets a carrier of its
+//!   own.  The two classes draw on separate pools and have separate caps.
+//!   A guest-memory *store* through a computed address is deliberately
+//!   **not** a barrier: the register file is
 //!   host-mapped, and a guest store that aliases it is non-architectural
 //!   by contract — the relaxed observer rule that makes deferral useful.
 //! * A candidate slot is admitted only if a **trial allocation** of the
@@ -190,7 +201,10 @@
 //! * `X` occurring anywhere outside the window — read again after the copy
 //!   (an out-of-span store keeps its `Store X` next to the carrier refresh,
 //!   which refuses those), or before the head around a loop;
-//! * the vector class.
+//! * for a 64-bit vector copy (`C = movq X`, which zeroes the upper lane),
+//!   any link, or a head whose result is not zero-extended already (a
+//!   64-bit vector load or move, a GPR-to-vector transfer).  A 128-bit
+//!   vector copy is pure, like `MovReg`.
 //!
 //! Why that is enough: the carrier invariant — carrier == architectural
 //! slot value at every instruction boundary — is only *observable* at
@@ -220,17 +234,47 @@ use crate::regalloc::Scan;
 use crate::{refill, Scratch};
 use hvm::MemSize;
 
-/// Maximum slots promoted to loop-carried host registers per unit.  This is
-/// only an upper bound on ambition: the actual carrier count is settled by
-/// *trial allocation* — promotion is retried with fewer carriers until the
-/// real register allocator reports no more spills than the unpromoted unit
-/// (see [`promote_loop_slots`]), so a fat loop body that already saturates
-/// the pool simply gets no carriers instead of a spill storm.
+/// Maximum general-purpose slots promoted to loop-carried host registers per
+/// unit.  This is only an upper bound on ambition: the actual carrier count
+/// is settled by *trial allocation* — promotion is retried with fewer
+/// carriers until the real register allocator reports no more spills than
+/// the unpromoted unit (see [`promote_loop_slots`]), so a fat loop body that
+/// already saturates the pool simply gets no carriers instead of a spill
+/// storm.
 const MAX_PROMOTED_SLOTS: usize = 6;
 
-/// Maximum *dirty* promoted slots (stored inside the loop, so they need
-/// compensation stores on every exit path and fault-time materialisation).
+/// Maximum *dirty* promoted general-purpose slots (stored inside the loop,
+/// so they need compensation stores on every exit path and fault-time
+/// materialisation).
 const MAX_DIRTY_SLOTS: usize = 4;
+
+/// The same two caps for vector slots, which take carriers from the
+/// 13-register vector pool: an FP loop body's temporaries leave most of it
+/// free, so the caps are wider (trial allocation still has the last word).
+const MAX_PROMOTED_V_SLOTS: usize = 10;
+const MAX_DIRTY_V_SLOTS: usize = 6;
+
+/// Promotion's ambition per register class: (slots, dirty slots).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Caps {
+    pub(crate) gpr: (usize, usize),
+    pub(crate) xmm: (usize, usize),
+}
+
+impl Caps {
+    fn of(&self, class: VregClass) -> (usize, usize) {
+        match class {
+            VregClass::Gpr => self.gpr,
+            VregClass::Xmm => self.xmm,
+        }
+    }
+}
+
+/// The caps translations are promoted under.
+pub(crate) const CAPS: Caps = Caps {
+    gpr: (MAX_PROMOTED_SLOTS, MAX_DIRTY_SLOTS),
+    xmm: (MAX_PROMOTED_V_SLOTS, MAX_DIRTY_V_SLOTS),
+};
 
 /// What the optimiser did to one translation unit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -276,14 +320,15 @@ pub(crate) struct OptScratch {
 /// only when promotion produced carriers — carrier write-through.  The
 /// forward passes share one walk ("Two walks" in the module docs).
 pub fn optimize(lir: &mut Vec<LirInsn>, promote: bool, idioms: Option<&RuleTable>) -> OptStats {
-    crate::with_scratch(|s| optimize_in(s, lir, promote, idioms))
+    crate::with_scratch(|s| optimize_in(s, lir, promote.then_some(CAPS), idioms))
 }
 
-/// [`optimize`] in the caller's scratch.
+/// [`optimize`] in the caller's scratch, promoting under `caps` (`None`:
+/// no promotion).
 pub(crate) fn optimize_in(
     s: &mut Scratch,
     lir: &mut Vec<LirInsn>,
-    promote: bool,
+    caps: Option<Caps>,
     idioms: Option<&RuleTable>,
 ) -> OptStats {
     let mut stats = OptStats::default();
@@ -294,11 +339,12 @@ pub(crate) fn optimize_in(
     // passes, so a unit it could touch — one with a back-edge — takes PC
     // batching as a walk of its own; every other unit takes all four
     // forward passes in one.
-    let looping = promote && lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. }));
+    let caps = caps.filter(|_| lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. })));
+    let looping = caps.is_some();
     let mut carriers = Vec::new();
-    if looping {
+    if let Some(caps) = caps {
         stats.jit.opt_pc_coalesced += batch_pc_updates(lir, |_, _| {});
-        carriers = promote_loop_slots(s, lir, &mut stats);
+        carriers = promote_loop_slots(s, lir, &mut stats, caps);
     }
     s.opt.reset_values(lir.len());
     let mut values =
@@ -436,9 +482,80 @@ struct SlotProfile {
     loop_loads: u32,
     /// Stored inside the loop span — needs compensation + fault sync.
     dirty: bool,
-    /// Disqualified: a non-U64 store, an XMM access, or an access not at
-    /// the slot's own offset touched its bytes.
+    /// Disqualified: an access touched the slot's bytes in a shape other
+    /// than its class's own ones at the slot's offset (see [`slot_access`]).
     disqualified: bool,
+}
+
+/// Bytes of a promoted slot of `class`: a general-purpose register's eight,
+/// a vector register's sixteen.
+fn slot_extent(offset: i32, class: VregClass) -> RegFileAccess {
+    let size = match class {
+        VregClass::Gpr => MemSize::U64,
+        VregClass::Xmm => MemSize::U128,
+    };
+    RegFileAccess { offset, size }
+}
+
+/// Whether `lir[i]` is a *scalar write* of a vector slot: a 64-bit vector
+/// store whose next instruction stores zero over the slot's upper half — how
+/// a guest's scalar FP write clears the rest of its vector register.
+/// Promotion treats the pair as one write of the zero-extended value.
+fn scalar_write(lir: &[LirInsn], i: usize) -> bool {
+    let LirInsn::StoreXmm {
+        addr,
+        size: MemSize::U64,
+        ..
+    } = lir[i]
+    else {
+        return false;
+    };
+    matches!(
+        lir.get(i + 1),
+        Some(LirInsn::StoreImm { imm: 0, addr: upper, size: MemSize::U64 })
+            if LirInsn::fixed_regfile_slot(upper, MemSize::U64).is_some()
+                && LirInsn::fixed_regfile_slot(&addr, MemSize::U64).is_some()
+                && upper.disp == addr.disp + 8
+    )
+}
+
+/// How the fixed-slot register-file access at `lir[i]` looks to promotion:
+/// the bytes it touches, whether it stores, and the class of slot it is a
+/// shape of — `Some(Gpr)` for a general-purpose load or store, `Some(Xmm)`
+/// for a vector slot's own shapes (a 64- or 128-bit vector load, a 128-bit
+/// vector store, a [`scalar_write`], which covers 16 bytes), `None` for any
+/// other vector access.  A general-purpose slot is a candidate when a 64-bit
+/// access of that shape sits at its offset, a vector slot when any access of
+/// its shape does; either is disqualified by an access of any other shape or
+/// offset that overlaps it, and a general-purpose slot also by a narrow
+/// store (it would merge bytes).
+fn slot_access(lir: &[LirInsn], i: usize) -> Option<(RegFileAccess, bool, Option<VregClass>)> {
+    let insn = &lir[i];
+    let (acc, store) = match (insn.regfile_store(), insn.regfile_load()) {
+        (Some(acc), _) => (acc, true),
+        (None, Some(acc)) => (acc, false),
+        (None, None) => return None,
+    };
+    let shape = match insn {
+        LirInsn::LoadXmm {
+            size: MemSize::U64 | MemSize::U128,
+            ..
+        }
+        | LirInsn::StoreXmm {
+            size: MemSize::U128,
+            ..
+        } => Some(VregClass::Xmm),
+        LirInsn::LoadXmm { .. } | LirInsn::StoreXmm { .. } if !scalar_write(lir, i) => None,
+        LirInsn::StoreXmm { .. } => {
+            return Some((
+                slot_extent(acc.offset, VregClass::Xmm),
+                true,
+                Some(VregClass::Xmm),
+            ))
+        }
+        _ => Some(VregClass::Gpr),
+    };
+    Some((acc, store, shape))
 }
 
 /// Loop-carried register promotion and invariant hoisting (see the module
@@ -447,14 +564,19 @@ struct SlotProfile {
 /// fault-time materialisation, and returns every carrier vreg so the later
 /// copy-propagation pass can keep its hands off them.
 ///
-/// Carrier count is settled by trial allocation: the most ambitious
-/// promotion whose post-pass unit the real allocator can hold without more
-/// spill slots than the unpromoted unit wins.  A spilled carrier is never
-/// merely slow — every deferred store it absorbed becomes a spill-slot
-/// round-trip — so the pass prices each candidate set against
+/// Carrier count is settled by trial allocation, per class under `caps`:
+/// the most ambitious promotion whose post-pass unit the real allocator can
+/// hold without more spill slots than the unpromoted unit wins.  A spilled
+/// carrier is never merely slow — every deferred store it absorbed becomes a
+/// spill-slot round-trip — so the pass prices each candidate set against
 /// [`crate::regalloc::allocate`] rather than guessing from instruction
 /// counts.
-fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg> {
+fn promote_loop_slots(
+    s: &mut Scratch,
+    lir: &mut Vec<LirInsn>,
+    stats: &mut OptStats,
+    caps: Caps,
+) -> Vec<Vreg> {
     // Locate the loop: exactly one back-edge whose header label precedes it.
     let mut back_edge = None;
     for (i, insn) in lir.iter().enumerate() {
@@ -508,41 +630,44 @@ fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptSt
         }
     }
 
-    // Collect every fixed regfile access and profile candidate slots.  A
-    // candidate is keyed by the offset of its U64 stores/loads; any
-    // overlapping access that is an XMM access, a non-U64 store, or not at
-    // the slot's own offset disqualifies it.
-    let mut profiles: Vec<(i32, SlotProfile)> = Vec::new();
-    let mut accesses: Vec<(RegFileAccess, bool, bool, bool)> = Vec::new(); // (acc, xmm, store, in_span)
-    for (i, insn) in lir.iter().enumerate() {
-        let in_span = i > header && i < be;
-        let xmm = matches!(insn, LirInsn::LoadXmm { .. } | LirInsn::StoreXmm { .. });
-        if let Some(acc) = insn.regfile_store() {
-            accesses.push((acc, xmm, true, in_span));
+    // Collect every fixed regfile access (a scalar write's two stores are
+    // one) and profile candidate slots, keyed by offset and class.
+    let mut profiles: Vec<(i32, VregClass, SlotProfile)> = Vec::new();
+    let mut accesses: Vec<(RegFileAccess, bool, Option<VregClass>, bool)> = Vec::new(); // (acc, store, shape, in_span)
+    let mut i = 0;
+    while i < lir.len() {
+        if let Some((acc, store, shape)) = slot_access(lir, i) {
+            accesses.push((acc, store, shape, i > header && i < be));
+            // A scalar write's upper-half store is part of it.
+            i += (acc.size == MemSize::U128
+                && matches!(
+                    lir[i],
+                    LirInsn::StoreXmm {
+                        size: MemSize::U64,
+                        ..
+                    }
+                )) as usize;
         }
-        if let Some(acc) = insn.regfile_load() {
-            accesses.push((acc, xmm, false, in_span));
+        i += 1;
+    }
+    for &(acc, _, shape, _) in &accesses {
+        let Some(class) = shape else { continue };
+        let seeds = class == VregClass::Xmm || acc.size == MemSize::U64;
+        if seeds
+            && !profiles
+                .iter()
+                .any(|&(off, c, _)| off == acc.offset && c == class)
+        {
+            profiles.push((acc.offset, class, SlotProfile::default()));
         }
     }
-    for &(acc, xmm, _, _) in &accesses {
-        // U64 GPR accesses at their own offset seed candidates; loads
-        // narrower than the slot are allowed (rewritten with an explicit
-        // extension), narrow stores are not (they would merge bytes).
-        if !xmm && acc.size == MemSize::U64 && !profiles.iter().any(|&(off, _)| off == acc.offset) {
-            profiles.push((acc.offset, SlotProfile::default()));
-        }
-    }
-    for &(acc, xmm, store, in_span) in &accesses {
-        for (off, p) in &mut profiles {
-            let off = *off;
-            let slot = RegFileAccess {
-                offset: off,
-                size: MemSize::U64,
-            };
-            if !acc.overlaps(&slot) {
+    for &(acc, store, shape, in_span) in &accesses {
+        for (off, class, p) in &mut profiles {
+            if !acc.overlaps(&slot_extent(*off, *class)) {
                 continue;
             }
-            if xmm || acc.offset != off || (store && acc.size != MemSize::U64) {
+            let narrow_store = store && *class == VregClass::Gpr && acc.size != MemSize::U64;
+            if shape != Some(*class) || acc.offset != *off || narrow_store {
                 p.disqualified = true;
                 continue;
             }
@@ -562,14 +687,14 @@ fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptSt
     // fed, costing almost nothing), then by access count, then offset.
     // Store-only slots rank last — a deferral-only carrier is a register
     // held hostage for the whole loop.
-    let mut candidates: Vec<(i32, SlotProfile)> = profiles
+    let mut candidates: Vec<(i32, VregClass, SlotProfile)> = profiles
         .into_iter()
-        .filter(|(_, p)| !p.disqualified && p.loop_accesses > 0)
+        .filter(|(_, _, p)| !p.disqualified && p.loop_accesses > 0)
         .collect();
     candidates.sort_by(|a, b| {
-        (b.1.loop_loads > 0)
-            .cmp(&(a.1.loop_loads > 0))
-            .then(b.1.loop_accesses.cmp(&a.1.loop_accesses))
+        (b.2.loop_loads > 0)
+            .cmp(&(a.2.loop_loads > 0))
+            .then(b.2.loop_accesses.cmp(&a.2.loop_accesses))
             .then(a.0.cmp(&b.0))
     });
     if candidates.is_empty() {
@@ -584,26 +709,18 @@ fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptSt
     // that fit.  Per-candidate trials matter because pressure is local: a
     // hot slot whose carrier would be live through the body's worst window
     // can fail while a cooler slot whose loads already span that window
-    // substitutes for free.
+    // substitutes for free.  The two classes draw on separate pools and caps.
     let base_spills = trial_spills(s, lir.clone(), &[]);
     let mut promoted: Vec<(i32, Vreg, bool)> = Vec::new(); // (offset, carrier, dirty)
-    let mut dirty_count = 0usize;
+    let mut taken = [(0usize, 0usize); 2]; // (slots, dirty) per class
     let mut id = next_id;
-    for &(off, p) in &candidates {
-        if promoted.len() >= MAX_PROMOTED_SLOTS {
-            break;
-        }
-        if p.dirty && dirty_count >= MAX_DIRTY_SLOTS {
+    for &(off, class, p) in &candidates {
+        let (max, max_dirty) = caps.of(class);
+        let taken = &mut taken[class as usize];
+        if taken.0 >= max || (p.dirty && taken.1 >= max_dirty) {
             continue;
         }
-        promoted.push((
-            off,
-            Vreg {
-                id,
-                class: VregClass::Gpr,
-            },
-            p.dirty,
-        ));
+        promoted.push((off, Vreg { id, class }, p.dirty));
         id += 1;
         let mut rewritten = lir.clone();
         let mut trial = OptStats::default();
@@ -611,8 +728,9 @@ fn promote_loop_slots(s: &mut Scratch, lir: &mut Vec<LirInsn>, stats: &mut OptSt
         let carriers: Vec<Vreg> = promoted.iter().map(|p| p.1).collect();
         if trial_spills(s, rewritten, &carriers) > base_spills {
             promoted.pop();
-        } else if p.dirty {
-            dirty_count += 1;
+        } else {
+            taken.0 += 1;
+            taken.1 += p.dirty as usize;
         }
     }
     if promoted.is_empty() {
@@ -653,7 +771,10 @@ fn trial_spills(s: &mut Scratch, mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u3
 /// The promotion rewrite for one settled carrier set: preheader entry
 /// loads, in-span deferral, out-of-span carrier refresh, compensation
 /// stores before every dispatcher return.  `header`/`be` are the loop-span
-/// indices in the *incoming* unit.
+/// indices in the *incoming* unit.  A vector carrier holds its whole
+/// 16-byte slot: it is loaded and stored at 128 bits, a 64-bit read of the
+/// slot becomes a low-lane move of it, and a scalar write (store plus
+/// upper-half zero) a zero-extending move into it.
 fn apply_promotion(
     lir: &mut Vec<LirInsn>,
     promoted: &[(i32, Vreg, bool)],
@@ -661,39 +782,58 @@ fn apply_promotion(
     be: usize,
     stats: &mut OptStats,
 ) {
-    let carrier_for = |addr: &LirMem, size: MemSize| -> Option<(Vreg, bool)> {
+    // The carrier of the promoted slot of `class` at `addr`, if any.
+    let carrier = |addr: &LirMem, class: VregClass| -> Option<Vreg> {
         if !matches!(addr.base, LirBase::RegFile) || addr.index.is_some() {
             return None;
         }
         promoted
             .iter()
-            .find(|&&(off, _, _)| off == addr.disp)
-            .map(|&(_, c, dirty)| (c, dirty))
-            .filter(|_| size.bytes() <= MemSize::U64.bytes())
+            .find(|&&(off, c, _)| off == addr.disp && c.class == class)
+            .map(|p| p.1)
+    };
+    let slot_move = |off: i32, c: Vreg, store: bool| match (c.class, store) {
+        (VregClass::Gpr, false) => LirInsn::Load {
+            dst: c,
+            addr: LirMem::regfile(off),
+            size: MemSize::U64,
+        },
+        (VregClass::Gpr, true) => LirInsn::Store {
+            src: c,
+            addr: LirMem::regfile(off),
+            size: MemSize::U64,
+        },
+        (VregClass::Xmm, false) => LirInsn::LoadXmm {
+            dst: c,
+            addr: LirMem::regfile(off),
+            size: MemSize::U128,
+        },
+        (VregClass::Xmm, true) => LirInsn::StoreXmm {
+            src: c,
+            addr: LirMem::regfile(off),
+            size: MemSize::U128,
+        },
     };
     let compensation: Vec<LirInsn> = promoted
         .iter()
         .filter(|&&(_, _, dirty)| dirty)
-        .map(|&(off, c, _)| LirInsn::Store {
-            src: c,
-            addr: LirMem::regfile(off),
-            size: MemSize::U64,
-        })
+        .map(|&(off, c, _)| slot_move(off, c, true))
         .collect();
     let reconcile = !compensation.is_empty();
     let mut out = Vec::with_capacity(lir.len() + promoted.len() * 3);
     for &(off, c, _) in promoted {
-        out.push(LirInsn::Load {
-            dst: c,
-            addr: LirMem::regfile(off),
-            size: MemSize::U64,
-        });
+        out.push(slot_move(off, c, false));
     }
-    for (i, insn) in lir.drain(..).enumerate() {
+    // Set when a scalar write was rewritten: its upper-half store goes too.
+    let mut upper_half = false;
+    for (i, &insn) in lir.iter().enumerate() {
+        if std::mem::take(&mut upper_half) {
+            continue;
+        }
         let in_span = i > header && i < be;
         match insn {
-            LirInsn::Load { dst, addr, size } if carrier_for(&addr, size).is_some() => {
-                let (c, _) = carrier_for(&addr, size).unwrap();
+            LirInsn::Load { dst, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
+                let c = carrier(&addr, VregClass::Gpr).unwrap();
                 out.push(match size {
                     MemSize::U64 => LirInsn::MovReg { dst, src: c },
                     narrow => LirInsn::MovZx {
@@ -702,12 +842,10 @@ fn apply_promotion(
                         size: narrow,
                     },
                 });
-                if in_span {
-                    stats.jit.opt_hoisted_loads += 1;
-                }
+                stats.jit.opt_hoisted_loads += in_span as u64;
             }
-            LirInsn::LoadSx { dst, addr, size } if carrier_for(&addr, size).is_some() => {
-                let (c, _) = carrier_for(&addr, size).unwrap();
+            LirInsn::LoadSx { dst, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
+                let c = carrier(&addr, VregClass::Gpr).unwrap();
                 out.push(match size {
                     MemSize::U64 => LirInsn::MovReg { dst, src: c },
                     narrow => LirInsn::MovSx {
@@ -716,29 +854,39 @@ fn apply_promotion(
                         size: narrow,
                     },
                 });
-                if in_span {
-                    stats.jit.opt_hoisted_loads += 1;
-                }
+                stats.jit.opt_hoisted_loads += in_span as u64;
             }
-            LirInsn::Store { src, addr, size } if carrier_for(&addr, size).is_some() => {
+            LirInsn::Store { src, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
                 debug_assert_eq!(size, MemSize::U64);
                 if !in_span {
-                    out.push(LirInsn::Store { src, addr, size });
+                    out.push(insn);
                 }
-                out.push(LirInsn::MovReg {
-                    dst: c_of(promoted, addr.disp),
-                    src,
-                });
+                let dst = carrier(&addr, VregClass::Gpr).unwrap();
+                out.push(LirInsn::MovReg { dst, src });
             }
-            LirInsn::StoreImm { imm, addr, size } if carrier_for(&addr, size).is_some() => {
+            LirInsn::StoreImm { imm, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
                 debug_assert_eq!(size, MemSize::U64);
                 if !in_span {
-                    out.push(LirInsn::StoreImm { imm, addr, size });
+                    out.push(insn);
                 }
-                out.push(LirInsn::MovImm {
-                    dst: c_of(promoted, addr.disp),
-                    imm,
-                });
+                let dst = carrier(&addr, VregClass::Gpr).unwrap();
+                out.push(LirInsn::MovImm { dst, imm });
+            }
+            // A vector slot is qualified only when every access is one of
+            // its shapes: 64- or 128-bit loads, 128-bit stores, and 64-bit
+            // stores that open a scalar write.
+            LirInsn::LoadXmm { dst, addr, size } if carrier(&addr, VregClass::Xmm).is_some() => {
+                let src = carrier(&addr, VregClass::Xmm).unwrap();
+                out.push(LirInsn::MovXmm { dst, src, size });
+                stats.jit.opt_hoisted_loads += in_span as u64;
+            }
+            LirInsn::StoreXmm { src, addr, size } if carrier(&addr, VregClass::Xmm).is_some() => {
+                let c = carrier(&addr, VregClass::Xmm).unwrap();
+                upper_half = size == MemSize::U64;
+                out.push(LirInsn::MovXmm { dst: c, src, size });
+                if !in_span {
+                    out.push(slot_move(addr.disp, c, true));
+                }
             }
             LirInsn::BackEdge {
                 pc, label, weight, ..
@@ -772,12 +920,6 @@ fn apply_promotion(
     *lir = out;
 }
 
-/// Carrier register of a promoted slot (the rewrite loop's lookups are
-/// guarded by `carrier_for`, so the slot is present).
-fn c_of(promoted: &[(i32, Vreg, bool)], off: i32) -> Vreg {
-    promoted.iter().find(|&&(o, _, _)| o == off).unwrap().1
-}
-
 /// Carrier write-through (pass 4; the module docs hold the refusal list and
 /// the invariant argument): for every `C = mov X` with `C` a carrier, walks
 /// back over `X`'s definition chain — a pure definition followed by
@@ -800,19 +942,27 @@ fn write_through_carriers(lir: &mut Vec<LirInsn>, carriers: &[Vreg]) {
     }
     let mut deleted = vec![false; lir.len()];
     for at in 0..lir.len() {
-        let LirInsn::MovReg { dst: c, src: x } = lir[at] else {
-            continue;
+        let (c, x, zero_extends) = match lir[at] {
+            LirInsn::MovReg { dst, src } => (dst, src, false),
+            LirInsn::MovXmm { dst, src, size } => (dst, src, size == MemSize::U64),
+            _ => continue,
         };
         // A carrier source has occurrences no window can hold (its
         // preheader load), and renames keep changing how many.
-        if !carriers.contains(&c) || carriers.contains(&x) || x.class != VregClass::Gpr {
+        if !carriers.contains(&c) || carriers.contains(&x) || x.class != c.class {
             continue;
         }
-        let Some((head, in_window)) = chain_head(lir, &deleted, at, c, x, &mut scratch) else {
+        let Some((head, in_window, links)) = chain_head(lir, &deleted, at, c, x, &mut scratch)
+        else {
             continue;
         };
         if in_window != occurrences[x.id as usize] {
             continue; // `X` is read (or redefined) outside the window
+        }
+        // A 64-bit vector copy zeroes the upper lane: it folds only into a
+        // lone head that zeroes it too.
+        if zero_extends && (links > 0 || !zeroes_upper_lane(&lir[head])) {
+            continue;
         }
         for insn in &mut lir[head..at] {
             // Instructions outside the chain mention neither register.
@@ -822,9 +972,36 @@ fn write_through_carriers(lir: &mut Vec<LirInsn>, carriers: &[Vreg]) {
             }
         }
         deleted[at] = true;
-        deleted[head] = lir[head] == LirInsn::MovReg { dst: c, src: c };
+        deleted[head] = is_copy(&lir[head], c, c);
     }
     remove_marked(lir, &deleted);
+}
+
+/// Whether `insn` is the pure copy `dst = mov src` of either class (a
+/// 64-bit vector move is not one: it zeroes the upper lane).
+fn is_copy(insn: &LirInsn, dst: Vreg, src: Vreg) -> bool {
+    *insn == LirInsn::MovReg { dst, src }
+        || *insn
+            == LirInsn::MovXmm {
+                dst,
+                src,
+                size: MemSize::U128,
+            }
+}
+
+/// Whether `insn` writes a zero upper lane whatever its operands hold: its
+/// result equals a 64-bit vector move of itself.
+fn zeroes_upper_lane(insn: &LirInsn) -> bool {
+    matches!(
+        insn,
+        LirInsn::LoadXmm {
+            size: MemSize::U64,
+            ..
+        } | LirInsn::MovXmm {
+            size: MemSize::U64,
+            ..
+        } | LirInsn::GprToXmm { .. }
+    )
 }
 
 /// Drops every instruction whose index `marked` selects.
@@ -837,8 +1014,9 @@ pub(crate) fn remove_marked(lir: &mut Vec<LirInsn>, marked: &[bool]) {
 }
 
 /// Finds the head of `x`'s definition chain feeding the copy `c = mov x` at
-/// `at`: returns its index and how many times `x` occurs in the window (the
-/// copy's read included), or `None` when a refusal applies.
+/// `at`: returns its index, how many times `x` occurs in the window (the
+/// copy's read included) and how many links follow the head, or `None` when
+/// a refusal applies.
 fn chain_head(
     lir: &[LirInsn],
     deleted: &[bool],
@@ -846,8 +1024,9 @@ fn chain_head(
     c: Vreg,
     x: Vreg,
     uses: &mut Vec<Vreg>,
-) -> Option<(usize, u32)> {
+) -> Option<(usize, u32, u32)> {
     let mut in_window = 1u32;
+    let mut links = 0u32;
     // Links that read `c` through another operand, and whether the link
     // nearest the head is one of them.
     let mut c_readers = 0u32;
@@ -868,13 +1047,14 @@ fn chain_head(
                 // faulting load leaves `c` unwritten) and may read `c` (an
                 // instruction reads before it writes); a link may read `c`
                 // only as the first update of a copy of `c` itself.
-                let copies_c = *insn == LirInsn::MovReg { dst: x, src: c };
+                let copies_c = is_copy(insn, x, c);
                 let sound = c_readers == 0 || (copies_c && c_readers == 1 && nearest_reads_c);
-                return sound.then_some((j, in_window));
+                return sound.then_some((j, in_window, links));
             }
             if insn.observes_regfile() {
                 return None;
             }
+            links += 1;
             nearest_reads_c = reads_c;
             c_readers += reads_c as u32;
         } else if insn.observes_regfile()
@@ -1177,18 +1357,22 @@ impl SlotFacts {
     }
 }
 
-/// Copy propagation's `copy -> origin` map over GPR-class registers,
-/// indexed by the copy's vreg id.  Every definition must drop the entries
-/// the redefined register keys *or* feeds; `feeds` counts the latter per
-/// register so that the common definition — of a register nothing was
-/// copied from — costs two indexed loads instead of a sweep.
+/// Copy propagation's `copy -> origin` map over register copies — `MovReg`,
+/// and `MovXmm` at either width — indexed by the copy's vreg id.  Every
+/// definition must drop the entries the redefined register keys *or* feeds;
+/// `feeds` counts the latter per register so that the common definition — of
+/// a register nothing was copied from — costs two indexed loads instead of a
+/// sweep.
 #[derive(Default)]
 struct CopyMap {
     /// `origin[id]`: `None` while `id` is not in `keys`; `Some(None)` for a
-    /// listed id whose entry was dropped; `Some(Some(o))` when GPR vreg `id`
-    /// currently is a copy of `o`.
+    /// listed id whose entry was dropped; `Some(Some(o))` when vreg `id`
+    /// currently is a copy of `o` (of the same class).
     origin: Vec<Option<Option<Vreg>>>,
-    /// `feeds[id]`: how many entries have GPR vreg `id` as their origin.
+    /// `low[id]`: the entry of `id` is a 64-bit vector copy, equal to its
+    /// origin in the low lane only.
+    low: Vec<bool>,
+    /// `feeds[id]`: how many entries have vreg `id` as their origin.
     feeds: Vec<u32>,
     /// Ids recorded since the last clear, each once; a sweep drops the ones
     /// whose entry is gone, so it visits entries, not history.
@@ -1201,29 +1385,38 @@ impl CopyMap {
     /// Forgets everything, ready for a unit of `len` instructions.
     fn reset(&mut self, len: usize) {
         refill(&mut self.origin, len, None);
+        refill(&mut self.low, len, false);
         refill(&mut self.feeds, len, 0);
         self.keys.clear();
         self.live = 0;
     }
 
+    /// What `v` may be replaced by where an operand reads all of it.
     fn get(&self, v: Vreg) -> Option<Vreg> {
-        if v.class != VregClass::Gpr {
-            return None;
-        }
-        self.origin.get(v.id as usize).copied().flatten().flatten()
+        self.get_low(v).filter(|_| !self.low[v.id as usize])
     }
 
-    /// Records `dst` as a copy of `src` (both GPR-class; `dst` holds no
-    /// entry — its definition was just [`CopyMap::kill`]ed).
-    fn insert(&mut self, dst: Vreg, src: Vreg) {
+    /// What `v` may be replaced by where an operand reads its low 64 bits
+    /// only ([`LirInsn::map_low_lane_uses`]).
+    fn get_low(&self, v: Vreg) -> Option<Vreg> {
+        let origin = self.origin.get(v.id as usize).copied().flatten().flatten();
+        origin.filter(|o| o.class == v.class)
+    }
+
+    /// Records `dst` as a copy of `src`, of the low lane only when `low`
+    /// (one class; `dst` holds no entry — its definition was just
+    /// [`CopyMap::kill`]ed).
+    fn insert(&mut self, dst: Vreg, src: Vreg, low: bool) {
         let at = dst.id as usize;
         if at >= self.origin.len() {
             self.origin.resize(at + 1, None);
+            self.low.resize(at + 1, false);
         }
         if self.origin[at].is_none() {
             self.keys.push(dst.id);
         }
         self.origin[at] = Some(Some(src));
+        self.low[at] = low;
         count_up(&mut self.feeds, src.id);
         self.live += 1;
     }
@@ -1231,9 +1424,6 @@ impl CopyMap {
     /// Register `d` is redefined: drops the entry it keys and every entry
     /// it feeds.
     fn kill(&mut self, d: Vreg) {
-        if d.class != VregClass::Gpr {
-            return; // keys and origins are all GPR-class
-        }
         if let Some(slot) = self.origin.get_mut(d.id as usize) {
             if let Some(Some(o)) = *slot {
                 self.feeds[o.id as usize] -= 1;
@@ -1270,9 +1460,13 @@ impl CopyMap {
     }
 
     /// Straight-line copy propagation (pass 2), one instruction: rewrites
-    /// pure-source uses of a `MovReg` destination to the copy's origin, so
-    /// the forwarding pass's `MovReg`s (and the emitter's own copy chains)
-    /// become dead and the allocator's iterative DCE can sweep them.
+    /// pure-source uses of a copy's destination to the copy's origin, so
+    /// the forwarding pass's moves (and the emitter's own copy chains)
+    /// become dead and the allocator's iterative DCE can sweep them.  A
+    /// 64-bit vector copy zeroes the upper lane, so it stands in for its
+    /// origin only where an operand reads the low lane alone
+    /// ([`LirInsn::map_low_lane_uses`]: a scalar FP operand, a 64-bit store
+    /// of a register read as a scalar).
     ///
     /// The copy map is invalidated conservatively:
     ///
@@ -1283,9 +1477,10 @@ impl CopyMap {
     ///   reason across join points (a forward `Jcc`/`Jmp` leaves the
     ///   fall-through state intact; its target label is where states merge
     ///   and reset);
-    /// * only GPR-to-GPR copies are tracked, and chains are collapsed at
-    ///   record time (`dst -> root(src)`), so a rewrite never exposes a new
-    ///   map key.
+    /// * only copies are tracked — `MovReg` and `MovXmm` — and chains are
+    ///   collapsed at record time (`dst -> root(src)`), so a rewrite never
+    ///   exposes a new map key; a 128-bit copy of a 64-bit copy is not
+    ///   recorded (its source is a key no full-width operand may bypass).
     ///
     /// Destination operands of read-modify-write instructions are never
     /// rewritten ([`LirInsn::map_pure_uses`] skips them by construction).
@@ -1310,6 +1505,7 @@ impl CopyMap {
         // map is flat, so a single lookup per operand suffices).
         if self.live > 0 {
             jit.opt_copies_folded += insn.map_pure_uses(&mut |v| self.get(v)) as u64;
+            jit.opt_copies_folded += insn.map_low_lane_uses(&mut |v| self.get_low(v)) as u64;
         }
         if matches!(insn, LirInsn::Label { .. }) {
             return self.clear();
@@ -1317,16 +1513,20 @@ impl CopyMap {
         if let Some(d) = def {
             self.kill(d);
         }
-        if let LirInsn::MovReg { dst, src } = *insn {
-            if dst.class == VregClass::Gpr
-                && src.class == VregClass::Gpr
-                && dst != src
-                && !pinned.contains(&dst)
-            {
-                // `src` was already rewritten to its root above, so the map
-                // stays flat: no value is ever another entry's key.
-                self.insert(dst, src);
-            }
+        let (dst, src, low) = match *insn {
+            LirInsn::MovReg { dst, src } => (dst, src, false),
+            LirInsn::MovXmm { dst, src, size } => (dst, src, size == MemSize::U64),
+            _ => return,
+        };
+        // `src` was already rewritten to its root above (a 64-bit copy's in
+        // both passes), so the map stays flat: no value is ever another
+        // entry's key.
+        if dst.class == src.class
+            && dst != src
+            && !pinned.contains(&dst)
+            && self.get_low(src).is_none()
+        {
+            self.insert(dst, src, low);
         }
     }
 }
@@ -1463,7 +1663,7 @@ mod tests {
     use super::*;
     use crate::counters::CounterField;
     use crate::lir::{LirMem, LirOperand, VregClass};
-    use hvm::{AluOp, Cond};
+    use hvm::{AluOp, Cond, FpOp, VecOp};
 
     fn v(id: u32) -> Vreg {
         Vreg {
@@ -2476,6 +2676,221 @@ mod tests {
         assert_eq!(written_through(&unit), unit);
     }
 
+    fn xload(dst: u32, disp: i32, size: MemSize) -> LirInsn {
+        LirInsn::LoadXmm {
+            dst: xv(dst),
+            addr: LirMem::regfile(disp),
+            size,
+        }
+    }
+
+    fn xstore(src: u32, disp: i32, size: MemSize) -> LirInsn {
+        LirInsn::StoreXmm {
+            src: xv(src),
+            addr: LirMem::regfile(disp),
+            size,
+        }
+    }
+
+    fn xmov(dst: u32, src: u32, size: MemSize) -> LirInsn {
+        LirInsn::MovXmm {
+            dst: xv(dst),
+            src: xv(src),
+            size,
+        }
+    }
+
+    /// `StoreXmm U64` of `src` to the slot at `disp` and zero over its upper
+    /// half: a guest's scalar FP write.
+    fn scalar_write(src: u32, disp: i32) -> [LirInsn; 2] {
+        [
+            xstore(src, disp, MemSize::U64),
+            LirInsn::StoreImm {
+                imm: 0,
+                addr: LirMem::regfile(disp + 8),
+                size: MemSize::U64,
+            },
+        ]
+    }
+
+    #[test]
+    fn vector_slots_promote_whole_into_vector_carriers() {
+        // d0 += d1 (scalar: read low lanes, write zero-extended) and
+        // v2 = v2 * v3 (packed) in a loop: the four 16-byte slots get vector
+        // carriers, the two written ones dirty; the upper half of d0 gets no
+        // carrier of its own; the carriers are loaded and stored whole.
+        let mut body = vec![
+            xload(1, 0x100, MemSize::U64),
+            xload(2, 0x110, MemSize::U64),
+            xmov(3, 1, MemSize::U128),
+            LirInsn::Fp {
+                op: FpOp::AddD,
+                dst: xv(3),
+                src: xv(2),
+            },
+        ];
+        body.extend(scalar_write(3, 0x100));
+        body.extend([
+            xload(4, 0x120, MemSize::U128),
+            xload(5, 0x130, MemSize::U128),
+            xmov(6, 4, MemSize::U128),
+            LirInsn::Vec {
+                op: VecOp::MulPd,
+                dst: xv(6),
+                src: xv(5),
+            },
+            xstore(6, 0x120, MemSize::U128),
+        ]);
+        let mut lir = loop_unit(body);
+        let stats = optimize(&mut lir, true, None);
+        assert_eq!(stats.jit.opt_promoted_slots, 4);
+        let dirty: Vec<(i32, VregClass)> =
+            stats.promoted.iter().map(|p| (p.0, p.1.class)).collect();
+        assert_eq!(dirty, [(0x100, VregClass::Xmm), (0x120, VregClass::Xmm)]);
+        let header = lir
+            .iter()
+            .position(|i| matches!(i, LirInsn::Label { .. }))
+            .unwrap();
+        let be = backedge_pos(&lir);
+        assert!(
+            lir[..header].iter().all(|i| matches!(
+                i,
+                LirInsn::LoadXmm {
+                    size: MemSize::U128,
+                    ..
+                }
+            )),
+            "four whole-slot preheader loads: {:?}",
+            &lir[..header]
+        );
+        assert!(
+            !lir[header..be]
+                .iter()
+                .any(|i| i.regfile_load().is_some() || i.regfile_store().is_some()),
+            "no register-file access is left in the loop: {lir:?}"
+        );
+        // The scalar write became one zero-extending move into the carrier,
+        // the packed update one operation on it.
+        assert!(lir[header..be].iter().any(|i| matches!(
+            i,
+            LirInsn::MovXmm {
+                size: MemSize::U64,
+                dst,
+                ..
+            } if *dst == stats.promoted[0].1
+        )));
+        assert!(lir[header..be].iter().any(|i| matches!(
+            i,
+            LirInsn::Vec { dst, src, .. } if *dst == stats.promoted[1].1 && src.class == VregClass::Xmm
+        )));
+        let stores: Vec<(i32, MemSize)> = lir[be..]
+            .iter()
+            .filter_map(|i| match i {
+                LirInsn::StoreXmm { addr, size, .. } => Some((addr.disp, *size)),
+                LirInsn::Store { addr, size, .. } | LirInsn::StoreImm { addr, size, .. } => {
+                    Some((addr.disp, *size))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            stores,
+            [
+                (0x100, MemSize::U128),
+                (0x120, MemSize::U128),
+                (0x100, MemSize::U128),
+                (0x120, MemSize::U128)
+            ],
+            "whole-slot compensation at the reconcile exit and before Ret"
+        );
+    }
+
+    #[test]
+    fn a_vector_slot_in_another_shape_stays_in_memory() {
+        // Each access below touches a 16-byte slot in a shape other than its
+        // own: the slot keeps no carrier (the general-purpose one beside it
+        // still promotes).
+        let intruders = [
+            // a 64-bit store whose upper half is left alone
+            vec![xstore(1, 0x100, MemSize::U64)],
+            // the upper half read as a general-purpose value
+            vec![load(2, 0x108)],
+            // a vector access at the slot's upper half
+            vec![xload(1, 0x108, MemSize::U64)],
+            // a 32-bit vector load
+            vec![xload(1, 0x100, MemSize::U32)],
+        ];
+        for intruder in intruders {
+            let mut body = vec![xload(3, 0x100, MemSize::U64), load(4, 8)];
+            body.extend(intruder.iter().copied());
+            body.push(store(4, 8));
+            let mut lir = loop_unit(body);
+            let stats = optimize(&mut lir, true, None);
+            assert!(
+                lir.contains(&xload(3, 0x100, MemSize::U64)),
+                "{intruder:?}: {lir:?}"
+            );
+            assert_eq!(stats.promoted.len(), 1, "{intruder:?}");
+            assert_eq!(stats.promoted[0].0, 8, "{intruder:?}");
+        }
+    }
+
+    #[test]
+    fn write_through_of_vector_carriers() {
+        let c = |size| xmov(C, 1, size);
+        let wt = |body: &[LirInsn]| {
+            let mut lir = body.to_vec();
+            write_through_carriers(&mut lir, &[xv(C)]);
+            lir
+        };
+        // A 128-bit copy is pure: the packed round trip runs on the carrier.
+        let packed = LirInsn::Vec {
+            op: VecOp::AddPd,
+            dst: xv(1),
+            src: xv(2),
+        };
+        assert_eq!(
+            wt(&[xmov(1, C, MemSize::U128), packed, c(MemSize::U128)]),
+            [LirInsn::Vec {
+                op: VecOp::AddPd,
+                dst: xv(C),
+                src: xv(2),
+            }]
+        );
+        // A 64-bit copy zeroes the upper lane: it folds into a lone head that
+        // zeroes it too...
+        let guest = |size| LirInsn::LoadXmm {
+            dst: xv(1),
+            addr: LirMem::vreg(v(2), 0),
+            size,
+        };
+        let mut landed = guest(MemSize::U64);
+        *landed.def_mut().unwrap() = xv(C);
+        assert_eq!(wt(&[guest(MemSize::U64), c(MemSize::U64)]), [landed]);
+        let transfer = LirInsn::GprToXmm {
+            dst: xv(1),
+            src: v(2),
+        };
+        assert_eq!(
+            wt(&[transfer, c(MemSize::U64)]),
+            [LirInsn::GprToXmm {
+                dst: xv(C),
+                src: v(2),
+            }]
+        );
+        // ...and into nothing else: a 128-bit load leaves its upper lane,
+        // and a scalar link keeps whatever the head left there.
+        let unit = [guest(MemSize::U128), c(MemSize::U64)];
+        assert_eq!(wt(&unit), unit);
+        let scalar = LirInsn::Fp {
+            op: FpOp::MulD,
+            dst: xv(1),
+            src: xv(2),
+        };
+        let unit = [guest(MemSize::U64), scalar, c(MemSize::U64)];
+        assert_eq!(wt(&unit), unit);
+    }
+
     #[test]
     fn write_through_runs_only_when_promotion_produced_carriers() {
         // The promoted counter loop end to end: the body is one add on the
@@ -2647,7 +3062,7 @@ mod tests {
         }
         coalesce_pc_updates(lir, &mut stats);
         let carriers = if promote {
-            crate::with_scratch(|s| promote_loop_slots(s, lir, &mut stats))
+            crate::with_scratch(|s| promote_loop_slots(s, lir, &mut stats, CAPS))
         } else {
             Vec::new()
         };

@@ -42,15 +42,17 @@
 //! resolves them in.
 //!
 //! The one exception is the **copy hand-over**.  When the range being
-//! assigned starts at a surviving `MovReg { dst, src }`, `src`'s final
-//! (loop-extended) range ends at that same index and `src` holds a host
-//! register, `dst` takes that register over: the active entry stays and its
-//! end becomes `dst`'s.  The only thing that then shares a register across
-//! an instruction is a pure copy and its dead source, and `mov r, r` is a
-//! no-op whatever follows — [`crate::lower`] emits nothing for it.  A
-//! still-live, spilled or loop-carried source, a non-copy definition
-//! (`Lea`, `MovZx`, the two-address forms) and the vector class all keep
-//! the `end < start` rule.  The paper's allocator trades optimality for
+//! assigned starts at a surviving pure copy — `MovReg { dst, src }`, or a
+//! 128-bit `MovXmm`, the move the emitter puts before every two-address FP
+//! or vector operation — `src`'s final (loop-extended) range ends at that
+//! same index and `src` holds a host register, `dst` takes that register
+//! over: the active entry stays and its end becomes `dst`'s.  The only thing
+//! that then shares a register across an instruction is a pure copy and its
+//! dead source, and `mov r, r` is a no-op whatever follows — [`crate::lower`]
+//! emits nothing for it.  A still-live, spilled or loop-carried source, a
+//! non-copy definition (`Lea`, `MovZx`, the two-address forms) and a 64-bit
+//! `MovXmm` (it zeroes the upper lane, so it is not a copy) all keep the
+//! `end < start` rule.  The paper's allocator trades optimality for
 //! latency (Section 2.3.3); the two-address shuffles that leaves are paid on
 //! every execution, and this O(1)-per-range step removes the ones that cost
 //! nothing to remove.
@@ -129,7 +131,7 @@
 
 use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
 use crate::refill;
-use hvm::{Gpr, Xmm};
+use hvm::{Gpr, MemSize, Xmm};
 
 /// Vector registers available to the allocator (the top three are reserved
 /// as spill scratch — `FpFma` can need reloads for all three of its
@@ -702,35 +704,36 @@ pub(crate) fn host_flags_live_after_at(lir: &[LirInsn], at: usize) -> Option<boo
 }
 
 /// The copy hand-over (see the module docs): when range `r` starts at a
-/// surviving `MovReg { dst: r.vreg, src }` that is also the last index of
-/// `src`'s final range, and `src` holds a host register, `r.vreg` inherits
-/// it — the active entry stays, its end becomes `r`'s and the register's
-/// holder is `r`.  Returns the inherited register.
-fn inherit_copy_source(
+/// surviving pure copy into `r.vreg` — a `MovReg`, or a `U128` `MovXmm` —
+/// that is also the last index of its source's final range, and the source
+/// holds a host register of `r`'s class (`held` picks it out of the
+/// source's assignment), `r.vreg` inherits it: the active entry stays and
+/// its end becomes `r`'s.  Returns the inherited register.
+fn inherit_copy_source<R: Copy + PartialEq>(
     lir: &[LirInsn],
     r: &Range,
     assignment: &AssignmentMap,
-    active_gpr: &mut [(u32, Gpr)],
-    gpr_holder: &mut [Range; 16],
-) -> Option<Gpr> {
-    let LirInsn::MovReg { dst, src } = lir[r.start as usize] else {
-        return None;
+    active: &mut [(u32, R)],
+    held: impl Fn(Assignment) -> Option<R>,
+) -> Option<R> {
+    let src = match lir[r.start as usize] {
+        LirInsn::MovReg { dst, src }
+        | LirInsn::MovXmm {
+            dst,
+            src,
+            size: MemSize::U128,
+        } if dst == r.vreg => src,
+        _ => return None,
     };
-    if dst != r.vreg {
-        return None;
-    }
     // `src` occurs at `r.start`, so if it holds a register its own entry is
     // still active and nothing else can hold that register.  (A split `src`
     // still names its register, but gave it to a range that does not occur
     // at `r.start` — only `src` and `r` do — so no entry ends there.)
-    let Some(Assignment::Gpr(reg)) = assignment.get(src.id) else {
-        return None;
-    };
-    let entry = active_gpr
+    let reg = held(assignment.get(src.id)?)?;
+    let entry = active
         .iter_mut()
-        .find(|(end, held)| *held == reg && *end == r.start)?;
+        .find(|(end, h)| *h == reg && *end == r.start)?;
     entry.0 = r.end;
-    gpr_holder[reg as usize] = *r;
     Some(reg)
 }
 
@@ -862,7 +865,12 @@ pub(crate) fn allocate_into(
         expire(&mut s.active_xmm, &mut s.free_xmm, r.start);
         let assigned = match r.vreg.class {
             VregClass::Gpr => {
-                inherit_copy_source(lir, r, assignment, &mut s.active_gpr, &mut s.gpr_holder)
+                let gpr = |a| match a {
+                    Assignment::Gpr(g) => Some(g),
+                    _ => None,
+                };
+                inherit_copy_source(lir, r, assignment, &mut s.active_gpr, gpr)
+                    .inspect(|&reg| s.gpr_holder[reg as usize] = *r)
                     .or_else(|| {
                         let reg = s.free_gpr.pop()?;
                         s.active_gpr.push((r.end, reg));
@@ -891,10 +899,19 @@ pub(crate) fn allocate_into(
                     })
                     .map(Assignment::Gpr)
             }
-            VregClass::Xmm => s.free_xmm.pop().map(|reg| {
-                s.active_xmm.push((r.end, reg));
-                Assignment::Xmm(reg)
-            }),
+            VregClass::Xmm => {
+                let xmm = |a| match a {
+                    Assignment::Xmm(x) => Some(x),
+                    _ => None,
+                };
+                inherit_copy_source(lir, r, assignment, &mut s.active_xmm, xmm)
+                    .or_else(|| {
+                        let reg = s.free_xmm.pop()?;
+                        s.active_xmm.push((r.end, reg));
+                        Some(reg)
+                    })
+                    .map(Assignment::Xmm)
+            }
         };
         assignment.slots[r.vreg.id as usize] = Some(assigned.unwrap_or_else(|| {
             let slot = spill_slots;
@@ -1431,33 +1448,69 @@ mod tests {
         ];
         let alloc = allocate(&lir);
         assert_ne!(alloc.assignment[1], alloc.assignment[0], "loop-carried");
+    }
 
-        // Vector copies are not coalesced (`MovXmm`'s U64 form also zeroes
-        // the upper lane, so it is not a pure copy).
+    #[test]
+    fn a_u128_copy_of_a_dying_source_hands_its_register_over_a_u64_copy_does_not() {
+        // The vector pool saturated, then `x(n) = movxmm x(0)` at x(0)'s
+        // last index: a 128-bit copy is pure, inherits x(0)'s register and
+        // lowers to nothing; a 64-bit one zeroes the upper lane, so it is an
+        // operation, gets a register of its own (here: none left, a spill)
+        // and runs.
         let xv = |id| Vreg {
             id,
             class: VregClass::Xmm,
         };
-        let lir = vec![
-            LirInsn::LoadXmm {
-                dst: xv(0),
-                addr: LirMem::regfile(0x100),
-                size: MemSize::U128,
-            },
-            LirInsn::MovXmm {
-                dst: xv(1),
+        let n = XMM_POOL.len() as u32;
+        let unit = |size| {
+            let mut lir: Vec<LirInsn> = (0..n)
+                .map(|i| LirInsn::LoadXmm {
+                    dst: xv(i),
+                    addr: LirMem::regfile(i as i32 * 16),
+                    size: MemSize::U128,
+                })
+                .collect();
+            lir.push(LirInsn::MovXmm {
+                dst: xv(n),
                 src: xv(0),
+                size,
+            });
+            lir.extend((1..=n).map(|i| LirInsn::StoreXmm {
+                src: xv(i),
+                addr: LirMem::regfile(i as i32 * 16),
                 size: MemSize::U128,
-            },
-            LirInsn::StoreXmm {
-                src: xv(1),
-                addr: LirMem::regfile(0x110),
-                size: MemSize::U128,
-            },
-            LirInsn::Ret,
-        ];
+            }));
+            lir.push(LirInsn::Ret);
+            lir
+        };
+        let lir = unit(MemSize::U128);
         let alloc = allocate(&lir);
-        assert_ne!(alloc.assignment[1], alloc.assignment[0], "XMM copy");
+        assert!(matches!(alloc.assignment[0], Assignment::Xmm(_)));
+        assert_eq!(alloc.assignment[n], alloc.assignment[0]);
+        assert_eq!(alloc.spill_slots, 0);
+        for i in 1..n {
+            assert_ne!(alloc.assignment[i], alloc.assignment[n], "x{i}");
+        }
+        let code = crate::lower::lower(&lir, &alloc).expect("assignments are complete");
+        assert!(
+            !code
+                .iter()
+                .any(|i| matches!(i, hvm::MachInsn::MovXmm { .. })),
+            "the coalesced vector copy must not be executed"
+        );
+
+        let lir = unit(MemSize::U64);
+        let alloc = allocate(&lir);
+        assert_ne!(alloc.assignment[n], alloc.assignment[0], "U64 copy");
+        assert!(matches!(alloc.assignment[n], Assignment::Spill(_)));
+        let code = crate::lower::lower(&lir, &alloc).expect("assignments are complete");
+        assert!(code.iter().any(|i| matches!(
+            i,
+            hvm::MachInsn::MovXmm {
+                size: MemSize::U64,
+                ..
+            }
+        )));
     }
 
     /// `Store v(i)` to its own register-file slot.

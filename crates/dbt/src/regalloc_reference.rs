@@ -5,8 +5,9 @@
 //! assignment on random units — plus the historical one-shot dead-code
 //! marking, whose kill set the fixpoint's must contain.  Two rules were
 //! added since, each restated by hand rather than shared: the copy
-//! hand-over (over the `last` map rather than the active list) and
-//! splitting at the conflict point (next occurrences by forward search, the
+//! hand-over (over the `last` map rather than the active list; a `MovReg`
+//! or a 128-bit `MovXmm`, never a 64-bit one) and splitting at the conflict
+//! point (next occurrences by forward search, the
 //! jump rule by scanning the jumps below the split).  Because both
 //! allocators share those rules, the tests also hold the result to two
 //! properties that know nothing of ranges: textbook per-instruction
@@ -15,7 +16,7 @@
 
 use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
 use crate::regalloc::{Assignment, Split, XMM_POOL};
-use hvm::{Gpr, Xmm};
+use hvm::{Gpr, MemSize, Xmm};
 use std::collections::{HashMap, HashSet};
 
 /// What the reference allocator returns (the shape `Allocation` had while
@@ -396,19 +397,30 @@ pub(crate) fn allocate(lir: &[LirInsn], split: bool) -> RefAllocation {
                 true
             }
         });
-        // Copy hand-over: a copy defined where its register-held, unsplit
-        // source's final range ends inherits the register.
-        let inherited = match lir[r.start] {
+        // Copy hand-over: a pure copy — a `MovReg`, or a 128-bit `MovXmm`
+        // (the 64-bit one zeroes the upper lane) — defined where its
+        // register-held, unsplit source's final range ends inherits the
+        // register.
+        let source = match lir[r.start] {
             LirInsn::MovReg { dst, src }
-                if dst == r.vreg
-                    && last[&src.id] == r.start
-                    && !splits.iter().any(|s| s.vreg == src.id) =>
+            | LirInsn::MovXmm {
+                dst,
+                src,
+                size: MemSize::U128,
+            } if dst == r.vreg
+                && last[&src.id] == r.start
+                && !splits.iter().any(|s| s.vreg == src.id) =>
             {
-                match assignment.get(&src.id) {
-                    Some(&Assignment::Gpr(reg)) => Some(reg),
-                    _ => None,
-                }
+                assignment.get(&src.id).copied()
             }
+            _ => None,
+        };
+        let inherited = match source {
+            Some(Assignment::Gpr(reg)) => Some(reg),
+            _ => None,
+        };
+        let inherited_xmm = match source {
+            Some(Assignment::Xmm(reg)) => Some(reg),
             _ => None,
         };
         match r.vreg.class {
@@ -463,7 +475,12 @@ pub(crate) fn allocate(lir: &[LirInsn], split: bool) -> RefAllocation {
                 }
             }
             VregClass::Xmm => {
-                if let Some(reg) = free_xmm.pop() {
+                if let Some(reg) = inherited_xmm {
+                    assignment.insert(r.vreg.id, Assignment::Xmm(reg));
+                    for entry in active_xmm.iter_mut().filter(|e| e.1 == reg) {
+                        entry.0 = *r;
+                    }
+                } else if let Some(reg) = free_xmm.pop() {
                     assignment.insert(r.vreg.id, Assignment::Xmm(reg));
                     active_xmm.push((*r, reg));
                 } else {
@@ -486,7 +503,7 @@ pub(crate) fn allocate(lir: &[LirInsn], split: bool) -> RefAllocation {
 pub(crate) mod tests {
     use super::*;
     use crate::lir::{LirMem, LirOperand};
-    use hvm::{AluOp, Cond, FpOp, MemSize};
+    use hvm::{AluOp, Cond, FpOp, MemSize, VecOp};
     use proptest::prelude::*;
 
     /// xorshift64* stream over one generated seed.
@@ -626,11 +643,29 @@ pub(crate) mod tests {
                     addr: self.mem(),
                     size: MemSize::U64,
                 },
-                16 => LirInsn::Fp {
-                    op: FpOp::AddD,
-                    dst: self.xmm(),
-                    src: self.xmm(),
-                },
+                // Half of these are vector copies, both widths, picked by
+                // the ids already drawn (one more draw would move every
+                // later unit of the stream).
+                16 => {
+                    let (dst, src) = (self.xmm(), self.xmm());
+                    match (dst.id / 4 + src.id / 4) % 4 {
+                        0 => LirInsn::MovXmm {
+                            dst,
+                            src,
+                            size: MemSize::U128,
+                        },
+                        1 => LirInsn::MovXmm {
+                            dst,
+                            src,
+                            size: MemSize::U64,
+                        },
+                        _ => LirInsn::Fp {
+                            op: FpOp::AddD,
+                            dst,
+                            src,
+                        },
+                    }
+                }
                 17 => LirInsn::FpFma {
                     dst: self.xmm(),
                     a: self.xmm(),
@@ -879,12 +914,20 @@ pub(crate) mod tests {
                 }
             }
         }
-        let (live_in, _, _) = liveness(&lir, &vec![false; lir.len()]);
+        define_before_use(&mut lir);
+        lir
+    }
+
+    /// Puts a definition of every vreg some path through `lir` reads before
+    /// defining it in front of the unit: a GPR from an immediate, a vector
+    /// register from a slot.
+    fn define_before_use(lir: &mut Vec<LirInsn>) {
+        let (live_in, _, _) = liveness(lir, &vec![false; lir.len()]);
         let mut undefined: Vec<u32> = live_in.first().into_iter().flatten().copied().collect();
         undefined.sort_unstable();
         let class = |id: u32| {
             let mut class = VregClass::Gpr;
-            for insn in &lir {
+            for insn in lir.iter() {
                 insn.visit_uses(|u| {
                     if u.id == id {
                         class = u.class;
@@ -914,6 +957,177 @@ pub(crate) mod tests {
             })
             .collect();
         lir.splice(0..0, prologue);
+    }
+
+    /// Where [`fp_loop_unit`]'s vector register-file slots start: six of
+    /// them, above the general-purpose slots [`unit`] draws from.
+    const V_SLOTS: i32 = 0x100;
+
+    /// The guest memory [`fp_loop_unit`] loads and stores: eight 16-byte
+    /// lines from here, through one base register nothing redefines.
+    pub(crate) const FP_DATA: u64 = 0x9000;
+
+    impl Gen {
+        fn vslot(&mut self) -> LirMem {
+            LirMem::regfile(V_SLOTS + self.rng.below(6) as i32 * 16)
+        }
+
+        fn width(&mut self) -> MemSize {
+            [MemSize::U64, MemSize::U128][self.rng.below(2) as usize]
+        }
+
+        /// One instruction of a looping FP / vector unit: the shapes a guest
+        /// generator gives vector register-file slots (scalar and 128-bit
+        /// reads, scalar writes that zero the upper half, 128-bit writes),
+        /// scalar, fused and packed arithmetic, both widths of vector copy,
+        /// cross-file moves, guest memory through `base`, and some
+        /// general-purpose slot traffic.
+        fn fp_insn(&mut self, base: Vreg) {
+            let i = match self.rng.below(16) {
+                0 | 1 => LirInsn::LoadXmm {
+                    dst: self.xmm(),
+                    addr: self.vslot(),
+                    size: MemSize::U64,
+                },
+                2 => LirInsn::LoadXmm {
+                    dst: self.xmm(),
+                    addr: self.vslot(),
+                    size: MemSize::U128,
+                },
+                3 | 4 => {
+                    let (src, addr) = (self.xmm(), self.vslot());
+                    self.lir.push(LirInsn::StoreXmm {
+                        src,
+                        addr,
+                        size: MemSize::U64,
+                    });
+                    LirInsn::StoreImm {
+                        imm: 0,
+                        addr: LirMem::regfile(addr.disp + 8),
+                        size: MemSize::U64,
+                    }
+                }
+                5 => LirInsn::StoreXmm {
+                    src: self.xmm(),
+                    addr: self.vslot(),
+                    size: MemSize::U128,
+                },
+                6 => LirInsn::MovXmm {
+                    dst: self.xmm(),
+                    src: self.xmm(),
+                    size: self.width(),
+                },
+                7 | 8 => LirInsn::Fp {
+                    op: [FpOp::AddD, FpOp::MulD, FpOp::SubD][self.rng.below(3) as usize],
+                    dst: self.xmm(),
+                    src: self.xmm(),
+                },
+                9 => LirInsn::Vec {
+                    op: [VecOp::AddPd, VecOp::MulPd][self.rng.below(2) as usize],
+                    dst: self.xmm(),
+                    src: self.xmm(),
+                },
+                10 => LirInsn::FpFma {
+                    dst: self.xmm(),
+                    a: self.xmm(),
+                    b: self.xmm(),
+                },
+                11 => LirInsn::LoadXmm {
+                    dst: self.xmm(),
+                    addr: LirMem::vreg(base, self.rng.below(8) as i32 * 16),
+                    size: self.width(),
+                },
+                12 => LirInsn::StoreXmm {
+                    src: self.xmm(),
+                    addr: LirMem::vreg(base, self.rng.below(8) as i32 * 16),
+                    size: self.width(),
+                },
+                13 => match self.rng.below(2) {
+                    0 => LirInsn::GprToXmm {
+                        dst: self.xmm(),
+                        src: self.gpr(),
+                    },
+                    _ => LirInsn::XmmToGpr {
+                        dst: self.gpr(),
+                        src: self.xmm(),
+                    },
+                },
+                14 => match self.rng.below(3) {
+                    0 => LirInsn::Load {
+                        dst: self.gpr(),
+                        addr: LirMem::regfile(self.rng.below(32) as i32 * 8),
+                        size: MemSize::U64,
+                    },
+                    1 => LirInsn::Store {
+                        src: self.gpr(),
+                        addr: LirMem::regfile(self.rng.below(32) as i32 * 8),
+                        size: MemSize::U64,
+                    },
+                    _ => LirInsn::Alu {
+                        op: AluOp::Add,
+                        dst: self.gpr(),
+                        src: self.operand(),
+                    },
+                },
+                _ => LirInsn::IncPc { imm: 4 },
+            };
+            self.lir.push(i);
+        }
+    }
+
+    /// A looping unit that runs on a machine and can be promoted: FP and
+    /// vector work over vector register-file slots and guest memory at
+    /// [`FP_DATA`] (no helper call or other promotion barrier), a body
+    /// before the loop header and one inside the loop, side exits taken when
+    /// a register's low bit is set, every vreg defined before it is read.
+    pub(crate) fn fp_loop_unit(seed: u64, nv: u64, len: u64) -> Vec<LirInsn> {
+        let mut g = Gen {
+            rng: Rng(seed | 1),
+            nv,
+            sparse: false,
+            lir: Vec::new(),
+            next_label: 0,
+            stubs: Vec::new(),
+        };
+        let base = Vreg {
+            id: 10_000,
+            class: VregClass::Gpr,
+        };
+        g.lir.push(LirInsn::MovImm {
+            dst: base,
+            imm: FP_DATA,
+        });
+        for _ in 0..len / 3 {
+            g.fp_insn(base);
+        }
+        let header = g.label();
+        g.lir.push(LirInsn::Label { id: header });
+        for _ in 0..len / 2 {
+            match g.rng.below(16) {
+                0 => {
+                    let (l, a) = (g.label(), g.gpr());
+                    g.lir.push(LirInsn::Test {
+                        a,
+                        b: LirOperand::Imm(1),
+                    });
+                    g.lir.push(LirInsn::Jcc {
+                        cond: Cond::Ne,
+                        label: l,
+                    });
+                    g.stubs.push(l);
+                }
+                1 => g.lir.push(LirInsn::TraceEdge),
+                _ => g.fp_insn(base),
+            }
+        }
+        g.lir.push(LirInsn::BackEdge {
+            pc: 0x1000,
+            label: header,
+            reconcile: false,
+            weight: 1,
+        });
+        let mut lir = g.finish();
+        define_before_use(&mut lir);
         lir
     }
 
@@ -962,12 +1176,16 @@ pub(crate) mod tests {
         None
     }
 
-    /// True when the allocator coalesced at least one kept copy.
-    fn hands_over(lir: &[LirInsn], alloc: &crate::regalloc::Allocation) -> bool {
+    /// True when the allocator coalesced at least one kept copy of `class`.
+    fn hands_over(lir: &[LirInsn], alloc: &crate::regalloc::Allocation, class: VregClass) -> bool {
         lir.iter().enumerate().any(|(i, insn)| match insn {
-            LirInsn::MovReg { dst, src } if !alloc.dead[i] && dst != src => {
-                matches!(alloc.assignment[dst.id], Assignment::Gpr(_))
-                    && alloc.assignment[dst.id] == alloc.assignment[src.id]
+            LirInsn::MovReg { dst, src } | LirInsn::MovXmm { dst, src, .. }
+                if !alloc.dead[i] && dst != src && dst.class == class =>
+            {
+                matches!(
+                    alloc.assignment[dst.id],
+                    Assignment::Gpr(_) | Assignment::Xmm(_)
+                ) && alloc.assignment[dst.id] == alloc.assignment[src.id]
             }
             _ => false,
         })
@@ -1058,11 +1276,13 @@ pub(crate) mod tests {
         // The differential test is only as good as its inputs: make sure the
         // generator reaches the regimes it is meant to.
         let (mut spilled, mut looped, mut xmm, mut swept, mut coalesced) = (0, 0, 0, 0, 0);
-        let mut split = 0;
+        let (mut split, mut coalesced_xmm) = (0, 0);
         for seed in 1..200u64 {
             for shape in 0..6 {
                 let lir = unit(seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100);
-                coalesced += hands_over(&lir, &crate::regalloc::allocate(&lir)) as u32;
+                let dense = crate::regalloc::allocate(&lir);
+                coalesced += hands_over(&lir, &dense, VregClass::Gpr) as u32;
+                coalesced_xmm += hands_over(&lir, &dense, VregClass::Xmm) as u32;
                 let a = allocate(&lir, true);
                 spilled += (a.spill_slots > 0) as u32;
                 split += !a.splits.is_empty() as u32;
@@ -1076,8 +1296,8 @@ pub(crate) mod tests {
         }
         assert!(spilled > 50 && looped > 50 && xmm > 50 && swept > 50);
         assert!(
-            coalesced > 50,
-            "the copy hand-over fired on {coalesced} units"
+            coalesced > 50 && coalesced_xmm > 5,
+            "the copy hand-over fired on {coalesced} units, on a vector copy in {coalesced_xmm}"
         );
         assert!(split > 50, "the scan split a range in {split} units");
     }

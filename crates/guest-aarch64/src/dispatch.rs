@@ -70,7 +70,7 @@
 //! simulated cycles of one call.
 
 use crate::sys::{Engine, GuestEvent, RunExit, RunStats};
-use dbt::{BlockExit, EntryMode, Link, Region, RegionKey, RegionProfile};
+use dbt::{BlockExit, Carrier, EntryMode, Link, Region, RegionKey, RegionProfile};
 use hvm::{ExitReason, Gpr};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -251,11 +251,21 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
                     // authoritative values sit in host registers at the
                     // fault point (the in-code compensation stores only run
                     // on dispatcher returns): materialise them so the abort
-                    // handler observes a precise register file.
+                    // handler observes a precise register file — a vector
+                    // carrier holds both lanes of its 16-byte slot.
                     let (sys, machine) = d.parts_mut();
-                    for &(off, gpr) in block.promoted.iter() {
-                        let value = machine.reg(gpr);
-                        sys.write_gregfile(machine, off, value);
+                    for &(off, carrier) in block.promoted.iter() {
+                        match carrier {
+                            Carrier::Gpr(gpr) => {
+                                let value = machine.reg(gpr);
+                                sys.write_gregfile(machine, off, value);
+                            }
+                            Carrier::Xmm(xmm) => {
+                                let [low, high] = machine.xmm_reg(xmm).unwrap_or_default();
+                                sys.write_gregfile(machine, off, low);
+                                sys.write_gregfile(machine, off + 8, high);
+                            }
+                        }
                     }
                     let fault_pc = machine.reg(Gpr::R15);
                     sys.deliver(machine, GuestEvent::DataAbort { vaddr, write }, fault_pc);
@@ -346,11 +356,11 @@ mod tests {
     //! chained: A, B (patches A→B), A (patches B→A), B⇢, A⇢, …
 
     use super::*;
-    use crate::regs::{esr_class, x_off, ELR_OFF, ESR_OFF, FAR_OFF, VBAR_OFF};
+    use crate::regs::{esr_class, v_off, x_off, ELR_OFF, ESR_OFF, FAR_OFF, VBAR_OFF};
     use crate::sys::{GuestSys, HelperCosts};
     use dbt::FinishedTranslation;
     use hvm::virtio::mmio;
-    use hvm::{Machine, MachineConfig, VirtioBlkConfig};
+    use hvm::{Machine, MachineConfig, VirtioBlkConfig, Xmm};
 
     const A: u64 = 0x1000;
     const B: u64 = 0x1010;
@@ -388,7 +398,7 @@ mod tests {
         program: HashMap<u64, Ends>,
         cache: HashMap<RegionKey, Arc<Region>>,
         /// The promoted carriers every block is translated with.
-        promoted: Vec<(i32, Gpr)>,
+        promoted: Vec<(i32, Carrier)>,
         /// Every block executed: (entry PC, entered through a link).
         ran: Vec<(u64, bool)>,
         /// Called after the n-th block (from 1); `Some` replaces its exit.
@@ -598,6 +608,7 @@ mod tests {
             (n == 5).then(|| {
                 m.set_reg(Gpr::Rbx, 0x33);
                 m.set_reg(Gpr::R12, 0x55);
+                m.set_xmm(Xmm(4), [0x77, 0x99]);
                 m.set_reg(Gpr::R15, FAULT_PC);
                 ExitReason::MemFault {
                     vaddr: 0xF00,
@@ -605,7 +616,11 @@ mod tests {
                 }
             })
         });
-        f.promoted = vec![(x_off(3), Gpr::Rbx), (x_off(5), Gpr::R12)];
+        f.promoted = vec![
+            (x_off(3), Carrier::Gpr(Gpr::Rbx)),
+            (x_off(5), Carrier::Gpr(Gpr::R12)),
+            (v_off(2), Carrier::Xmm(Xmm(4))),
+        ];
         assert_eq!(f.run(100), RunExit::GuestHalted { code: 0 });
         assert_eq!(f.ran, CHAIN_THEN_VECTOR);
         assert_eq!(
@@ -617,6 +632,11 @@ mod tests {
             f.reg(x_off(5)),
             0x55,
             "carrier x5 reached the register file"
+        );
+        assert_eq!(
+            (f.reg(v_off(2)), f.reg(v_off(2) + 8)),
+            (0x77, 0x99),
+            "both lanes of carrier v2 reached the register file"
         );
         assert_eq!(f.reg(ELR_OFF), FAULT_PC, "ELR is the faulting PC");
         assert_eq!(f.reg(FAR_OFF), 0xF00);
