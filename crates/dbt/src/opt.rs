@@ -638,17 +638,9 @@ fn promote_loop_slots(
     while i < lir.len() {
         if let Some((acc, store, shape)) = slot_access(lir, i) {
             accesses.push((acc, store, shape, i > header && i < be));
-            // A scalar write's upper-half store is part of it.
-            i += (acc.size == MemSize::U128
-                && matches!(
-                    lir[i],
-                    LirInsn::StoreXmm {
-                        size: MemSize::U64,
-                        ..
-                    }
-                )) as usize;
         }
-        i += 1;
+        // A scalar write's upper-half store is part of it.
+        i += 1 + scalar_write(lir, i) as usize;
     }
     for &(acc, _, shape, _) in &accesses {
         let Some(class) = shape else { continue };
@@ -944,7 +936,7 @@ fn write_through_carriers(lir: &mut Vec<LirInsn>, carriers: &[Vreg]) {
     for at in 0..lir.len() {
         let (c, x, zero_extends) = match lir[at] {
             LirInsn::MovReg { dst, src } => (dst, src, false),
-            LirInsn::MovXmm { dst, src, size } => (dst, src, size == MemSize::U64),
+            LirInsn::MovXmm { dst, src, size } => (dst, src, size != MemSize::U128),
             _ => continue,
         };
         // A carrier source has occurrences no window can hold (its
@@ -1372,6 +1364,9 @@ struct CopyMap {
     /// `low[id]`: the entry of `id` is a 64-bit vector copy, equal to its
     /// origin in the low lane only.
     low: Vec<bool>,
+    /// Whether a `low` entry was recorded since the last clear (only those
+    /// give the low-lane rewrite anything to do).
+    any_low: bool,
     /// `feeds[id]`: how many entries have vreg `id` as their origin.
     feeds: Vec<u32>,
     /// Ids recorded since the last clear, each once; a sweep drops the ones
@@ -1389,6 +1384,7 @@ impl CopyMap {
         refill(&mut self.feeds, len, 0);
         self.keys.clear();
         self.live = 0;
+        self.any_low = false;
     }
 
     /// What `v` may be replaced by where an operand reads all of it.
@@ -1417,6 +1413,7 @@ impl CopyMap {
         }
         self.origin[at] = Some(Some(src));
         self.low[at] = low;
+        self.any_low |= low;
         count_up(&mut self.feeds, src.id);
         self.live += 1;
     }
@@ -1457,6 +1454,7 @@ impl CopyMap {
             }
         }
         self.live = 0;
+        self.any_low = false;
     }
 
     /// Straight-line copy propagation (pass 2), one instruction: rewrites
@@ -1505,7 +1503,9 @@ impl CopyMap {
         // map is flat, so a single lookup per operand suffices).
         if self.live > 0 {
             jit.opt_copies_folded += insn.map_pure_uses(&mut |v| self.get(v)) as u64;
-            jit.opt_copies_folded += insn.map_low_lane_uses(&mut |v| self.get_low(v)) as u64;
+            if self.any_low {
+                jit.opt_copies_folded += insn.map_low_lane_uses(&mut |v| self.get_low(v)) as u64;
+            }
         }
         if matches!(insn, LirInsn::Label { .. }) {
             return self.clear();
@@ -1515,7 +1515,7 @@ impl CopyMap {
         }
         let (dst, src, low) = match *insn {
             LirInsn::MovReg { dst, src } => (dst, src, false),
-            LirInsn::MovXmm { dst, src, size } => (dst, src, size == MemSize::U64),
+            LirInsn::MovXmm { dst, src, size } => (dst, src, size != MemSize::U128),
             _ => return,
         };
         // `src` was already rewritten to its root above (a 64-bit copy's in
