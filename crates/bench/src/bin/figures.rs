@@ -1,6 +1,6 @@
 //! Regenerates the paper's tables and figures on the simulated substrate.
 //!
-//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|waterfall|json|scale|storm|tiers|io]`
+//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|waterfall|json|scale|tiers]`
 //!
 //! (The usage line is [`usage`] over [`SECTIONS`], the table `main`
 //! dispatches on; a test holds this comment to it.)  An unknown section is an
@@ -42,9 +42,7 @@ const SECTIONS: &[Section] = &[
     (&["waterfall"], waterfall),
     (&["json"], json),
     (&["scale"], scale),
-    (&["storm"], storm),
     (&["tiers"], tiers),
-    (&["io"], io),
 ];
 
 /// The usage line, generated from [`SECTIONS`].
@@ -83,70 +81,6 @@ fn main() {
 /// `w` under the named Captive configuration of [`bench::CAPTIVE_CONFIGS`].
 fn captive(w: &Workload, config: &str) -> RunStats {
     run_captive_cfg(w, captive_config(config))
-}
-
-fn io() {
-    println!("== Virtio-blk I/O: DMA kernels, fault injection, device-originated SMC ==");
-    println!("   (what must hold across these rows is asserted by bench/tests/virtio.rs)");
-    println!(
-        "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
-        "kernel", "engine", "cycles", "compl", "dma-bytes", "faults", "io-err", "ext-inval"
-    );
-    let both = |kernel: &str, w: &Workload, vcfg: hvm::VirtioBlkConfig| {
-        let c = bench::run_captive_io(w, vcfg.clone(), captive::CaptiveConfig::default());
-        let q = bench::run_qemu_io(w, vcfg);
-        for (engine, m) in [("captive", c), ("qemu", q)] {
-            println!(
-                "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
-                kernel,
-                engine,
-                m.cycles,
-                m.virtio_completions,
-                m.virtio_dma_bytes,
-                m.virtio_fault_injections,
-                m.virtio_io_errors,
-                m.external_invalidations,
-            );
-        }
-    };
-    // Clean-disk kernels: every request retires with no error and the same
-    // DMA byte count on both engines.
-    for w in workloads::io_kernels() {
-        both(w.name, &w, workloads::vblk_config());
-    }
-    // Fault-injection leg: a seed chosen (deterministically) to bite inside
-    // the first three of io.read's four requests.  Faults surface as typed
-    // statuses — the run still halts — and identically on both engines.
-    let fault_seed = (1u64..)
-        .find(|&s| {
-            let plan = hvm::FaultPlan::seeded(s, 3);
-            (0..3).any(|q| plan.decide(q, false) != hvm::FaultKind::None)
-        })
-        .unwrap();
-    let faulty = hvm::VirtioBlkConfig {
-        fault_seed: Some(fault_seed),
-        exempt_after: 3,
-        ..workloads::vblk_config()
-    };
-    both("io.read+fault", &workloads::vblk_read(4), faulty);
-    // Device-originated SMC: the io.smc kernel's completion DMAs over its
-    // own (live, looping) spin page, so both engines walk their
-    // external-invalidation path to terminate.
-    let (w, sector0) = workloads::vblk_smc();
-    both(w.name, &w, workloads::vblk_smc_config(sector0));
-    // Idle-device parity: attaching the device without touching it does not
-    // move the modeled cycle count of a non-I/O workload.
-    let w = workloads::loop_flood(4, 8, 20);
-    let idle = bench::run_captive_io(
-        &w,
-        workloads::vblk_config(),
-        captive::CaptiveConfig::default(),
-    );
-    println!(
-        "   idle-device parity: {} cycles with the device attached, {} without\n",
-        idle.cycles,
-        run_captive(&w).cycles
-    );
 }
 
 /// Figures 17 and 18: one SPEC suite, Captive against the QEMU-style
@@ -628,35 +562,6 @@ fn scale() {
     println!();
 }
 
-fn storm() {
-    println!("== Event sources: interrupt storm and timer preemption ==");
-    println!(
-        "{:<18} {:>14} {:>14} {:>8} {:>8} {:>9} {:>10} {:>9}",
-        "workload", "captive cyc", "qemu cyc", "irqs", "timer", "regions", "backedges", "quarant"
-    );
-    let storm = workloads::interrupt_storm(40, 2_500);
-    let tick = workloads::timer_tick(20_000, 200_000);
-    for w in [&storm, &tick] {
-        let c = run_captive(w);
-        let q = run_qemu(w);
-        // Both engines deliver the same IRQs, and the pressure neither stops
-        // Captive forming and tripping its regions nor quarantines a trace:
-        // `bench/tests/cross_system.rs` holds both kernels to that.
-        println!(
-            "{:<18} {:>14} {:>14} {:>8} {:>8} {:>9} {:>10} {:>9}",
-            w.name,
-            c.cycles,
-            q.cycles,
-            c.irqs_delivered,
-            c.timer_irqs,
-            c.regions_formed + c.loop_regions_formed,
-            c.backedge_transfers,
-            c.regions_quarantined
-        );
-    }
-    println!();
-}
-
 fn tiers() {
     println!("== Tiered translation: background formation + content-keyed reuse ==");
     println!("   (cold = first tiered run, warm = second run against the shared reuse cache)");
@@ -845,7 +750,7 @@ mod tests {
 
     #[test]
     fn usage_doc_comment_matches_the_section_table() {
-        assert_eq!(super::SECTIONS.len(), 14);
+        assert_eq!(super::SECTIONS.len(), 12);
         let doc = format!("//! Usage: `{}`", super::usage());
         assert!(
             include_str!("figures.rs").lines().any(|l| l == doc),

@@ -10,8 +10,8 @@
 //!
 //! The rest of the former sections is held elsewhere: the mined-table flow
 //! in `idioms.rs`, the hot loop's region bar (> 10 000 stitched transfers)
-//! in `cross_system.rs`, which also takes `storm`'s two kernels; everything
-//! `io` asserted, `virtio.rs` already did.
+//! in `cross_system.rs`, which also holds the interrupt-storm and timer-tick
+//! kernels; the virtio kernels are `virtio.rs`'s.
 
 use bench::{captive_config, run_captive_cfg, run_qemu_chaining, run_qemu_goto_tb, RunStats};
 use dbt::RuleKind;

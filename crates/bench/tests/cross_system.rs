@@ -1320,7 +1320,6 @@ fn assert_regions_survive_irq_pressure(name: &str, cs: &bench::RunStats) {
 /// The interrupt storm must deliver its exact IRQ count on every engine —
 /// Captive preempting hot looping regions at back-edge boundaries, the
 /// baseline at block boundaries — and leave identical architectural state.
-/// The second shape is the one `figures -- storm` prints.
 #[test]
 fn interrupt_storm_agrees_across_engines_and_preempts_regions() {
     for (irqs, period) in [(25, 3_000), (40, 2_500)] {

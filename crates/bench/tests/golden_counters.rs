@@ -19,11 +19,11 @@
 //! the ones the unsplit allocator gave.
 
 const MCF_CAPTIVE: &[(&str, u64)] = &[
-    ("cycles", 1392457),
-    ("host_insns", 980207),
+    ("cycles", 1090223),
+    ("host_insns", 677973),
     ("guest_insns", 495407),
     ("translations", 5),
-    ("code_bytes", 2237),
+    ("code_bytes", 2067),
     ("chained_transfers", 38),
     ("chain_patches", 7),
     ("slow_dispatches", 8),
@@ -47,11 +47,11 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 14),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 1065596),
+    ("elided_dyn_insns", 1367842),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 2237),
+    ("bytes_live", 2067),
     ("regions_live", 5),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -123,11 +123,11 @@ const MCF_QEMU: &[(&str, u64)] = &[
     ("reuse_misses", 0),
 ];
 const GUARDED_SYNC: &[(&str, u64)] = &[
-    ("cycles", 5639917),
-    ("host_insns", 4404692),
+    ("cycles", 5169019),
+    ("host_insns", 3933794),
     ("guest_insns", 902080),
     ("translations", 7),
-    ("code_bytes", 7410),
+    ("code_bytes", 6517),
     ("chained_transfers", 141),
     ("chain_patches", 10),
     ("slow_dispatches", 28),
@@ -151,11 +151,11 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 45),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 2288215),
+    ("elided_dyn_insns", 2750895),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 7410),
+    ("bytes_live", 6517),
     ("regions_live", 7),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -180,11 +180,11 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("idiom_candidates.bulk.memset", 0),
 ];
 const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
-    ("cycles", 9354),
-    ("host_insns", 3903),
+    ("cycles", 8707),
+    ("host_insns", 3256),
     ("guest_insns", 1597),
     ("translations", 9),
-    ("code_bytes", 4960),
+    ("code_bytes", 4786),
     ("chained_transfers", 33),
     ("chain_patches", 10),
     ("slow_dispatches", 13),
@@ -208,11 +208,11 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 13),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 3300),
+    ("elided_dyn_insns", 3934),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 4960),
+    ("bytes_live", 4786),
     ("regions_live", 9),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -300,11 +300,11 @@ const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
     ("external_invalidations", 1),
 ];
 const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
-    ("cycles", 47877),
-    ("host_insns", 28451),
+    ("cycles", 40109),
+    ("host_insns", 20683),
     ("guest_insns", 25757),
     ("translations", 27),
-    ("code_bytes", 39550),
+    ("code_bytes", 30347),
     ("chained_transfers", 735),
     ("chain_patches", 62),
     ("slow_dispatches", 209),
@@ -328,11 +328,11 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 490),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 46289),
+    ("elided_dyn_insns", 66844),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 39550),
+    ("bytes_live", 30347),
     ("regions_live", 27),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -358,8 +358,8 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
 ];
 
 const BRANCH_SYNC: &[(&str, u64)] = &[
-    ("cycles", 10230962),
-    ("host_insns", 5666800),
+    ("cycles", 8122091),
+    ("host_insns", 3825442),
     ("regions_formed", 4),
     ("loop_regions_formed", 4),
     ("backedge_transfers", 1018),
@@ -384,7 +384,7 @@ fn check(run: &str, golden: &[(&str, u64)], m: &RunStats) {
     }
 }
 
-/// The fault seed `figures -- io` derives: the first that bites inside the
+/// The fault seed of the faulty-disk run: the first that bites inside the
 /// first three of `io.read`'s four requests.
 fn io_fault_config() -> hvm::VirtioBlkConfig {
     let fault_seed = (1u64..)

@@ -249,7 +249,7 @@ fn captive_dispatch_counters_match_the_recorded_run() {
         ("cache.epoch", c.cache.epoch()),
     ];
     let golden: Counters = vec![
-        ("cycles", 189655),
+        ("cycles", 189131),
         ("blocks", 4127),
         ("translations", 133),
         ("slow_dispatches", 2676),
@@ -263,7 +263,7 @@ fn captive_dispatch_counters_match_the_recorded_run() {
         ("cache.invalidated_page", 1),
         ("cache.evicted_stale_regions", 1),
         ("cache.regions_live", 131),
-        ("cache.bytes_live", 8239),
+        ("cache.bytes_live", 8205),
         ("cache.epoch", 1),
     ];
     assert_eq!(got, golden);

@@ -150,10 +150,16 @@ counter_table! {
         /// Register-copy uses folded by straight-line copy propagation
         /// (fully propagated copies are then swept by the allocator's DCE).
         Deterministic opt_copies_folded: u64,
-        /// `IncPc` updates deleted by lazy-PC batching (deferred to the next
-        /// point that can observe the guest PC, or discarded at an absolute
-        /// PC write).
-        Deterministic opt_pc_coalesced: u64,
+        /// Guest-PC writes (`IncPc` / `SetPcImm`) a unit no longer carries,
+        /// net of the ones written back before an observer: the PC is a
+        /// translation-time constant between the points that can see it.
+        Deterministic opt_pc_elided: u64,
+        /// `Cmp v, 0` / `Test v, v` dropped because the last host-flag
+        /// writer already set the flags they would.
+        Deterministic opt_flags_reused: u64,
+        /// Register-file stores moved out of a loop's straight-line path
+        /// into the side exits that can observe them.
+        Deterministic opt_stores_sunk: u64,
         /// LIR instructions marked dead by the allocator's iterative DCE.
         Deterministic opt_dce_insns: u64,
         /// Register-file slots promoted to loop-carried host registers

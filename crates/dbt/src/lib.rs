@@ -39,6 +39,8 @@ pub mod idiom;
 pub mod lir;
 pub mod lower;
 pub mod opt;
+#[doc(hidden)]
+pub mod probe;
 pub mod regalloc;
 #[cfg(test)]
 mod regalloc_reference;

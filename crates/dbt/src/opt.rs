@@ -17,24 +17,26 @@
 //! * **Idiom fusion and bulk rewriting** ([`crate::idiom::apply_early`])
 //!   run *first*, on the emitter's pristine LIR: compare+branch fusion and
 //!   memset-loop widening match the exact instruction shapes the frontend
-//!   generators emit, so they must see the unit before batching or
-//!   promotion reorders it.
-//! * The generic passes below (0–3).
+//!   generators emit, so they must see the unit before anything reorders
+//!   it.
+//! * The generic passes below (1–3).
 //! * **Address-mode folding** ([`crate::idiom::fold_addressing`]) runs
 //!   *between* copy propagation and dead-store elimination: it needs
 //!   forwarding and copy propagation to have connected register-file
 //!   round-trips into visible `shift/add → memory operand` chains, and the
 //!   arithmetic it strands is then swept with everything else.
-//! * **Carrier write-through** runs *last*, and only when promotion
+//! * **Carrier write-through** runs after them, and only when promotion
 //!   produced carriers (looping tier-1 regions; a plain block never pays
 //!   for the scan): it wants the copies the other passes could not fold.
+//! * **Guest state on demand** ([`observed`]) runs last: the guest PC as a
+//!   translation-time constant written only before an instruction that can
+//!   observe it, host-flag reuse for `Cmp v, 0` / `Test v, v`, and, in a
+//!   looping unit, register-file stores only side exits read moved into
+//!   those exits.  After promotion, so promotion's admission and carriers
+//!   are what they would be without them.
 //!
 //! The generic passes:
 //!
-//! 0. **Lazy-PC batching**: per-instruction `IncPc` updates are deferred to
-//!    the next point that can observe the guest PC (faulting accesses,
-//!    helper calls, control flow) and discarded at absolute PC writes —
-//!    the deferred-PC optimisation every production DBT performs.
 //! 1. **Store-to-load forwarding and redundant-load reuse** (forward
 //!    pass): a regfile load whose slot value is already available — from an
 //!    earlier store *or* an earlier load — is rewritten to reuse the
@@ -67,14 +69,12 @@
 //! # Two walks, one scratch
 //!
 //! Each pass above is specified — and tested — as a whole-unit pass, but a
-//! unit is not walked once per pass.  Every forward pass is a
-//! per-instruction **step** on its own state (the pending PC increment,
-//! [`SlotFacts`], [`CopyMap`], the idiom layer's [`DefTable`]), and
-//! [`optimize`] pushes an instruction through all of them before it looks at
-//! the next: **one forward walk** (lazy-PC batching compacting the unit in
-//! place, then forwarding, copy propagation and address folding on the
-//! instruction at its final index) and **one backward walk** for dead-store
-//! elimination.  That is the passes run one after the other by
+//! unit is not walked once per pass.  Every forward value pass is a
+//! per-instruction **step** on its own state ([`SlotFacts`], [`CopyMap`],
+//! the idiom layer's [`DefTable`]), and [`optimize`] pushes an instruction
+//! through all of them before it looks at the next: **one forward walk**
+//! (forwarding, copy propagation and address folding) and **one backward
+//! walk** for dead-store elimination.  That is the passes run one after the other by
 //! construction, because a step **reads its own earlier outputs and indices
 //! below the cursor**, and rewrites nothing but the instruction at the
 //! cursor: what pass N sees at index `i` is what passes 1..N-1 left there,
@@ -234,6 +234,9 @@ use crate::regalloc::Scan;
 use crate::{refill, Scratch};
 use hvm::MemSize;
 
+mod observed;
+pub use observed::without_observed_state_rewrites;
+
 /// Maximum general-purpose slots promoted to loop-carried host registers per
 /// unit.  This is only an upper bound on ambition: the actual carrier count
 /// is settled by *trial allocation* — promotion is retried with fewer
@@ -304,21 +307,24 @@ pub(crate) struct OptScratch {
     pub(crate) marks: Vec<bool>,
     /// Branch-fusion sites found in the unit, applied once the scan is over.
     pub(crate) fuse_sites: Vec<crate::idiom::FuseSite>,
+    /// The tables of the rewrites that run last ([`observed`]).
+    observed: observed::ObservedScratch,
 }
 
 /// Runs the block-scoped passes over one translation unit, in order: the
 /// idiom layer's branch fusion and bulk-move rewriting first (when an
 /// `idioms` table is supplied — they match the emitter's pristine LIR
 /// shapes, so they must see the unit before anything reorders it), then
-/// lazy-PC batching, loop-carried slot promotion (when `promote`, so the
+/// loop-carried slot promotion (when `promote`, so the
 /// carrier moves it plants feed the later passes), store-to-load forwarding
 /// (so forwarded loads no longer pin the stores they used to read), copy
 /// propagation (folding the `MovReg`s promotion and forwarding just
 /// produced), the idiom layer's address-mode folding (which needs
 /// forwarding and copy propagation to have connected register-file
-/// round-trips into visible register chains), dead-store elimination, and —
-/// only when promotion produced carriers — carrier write-through.  The
-/// forward passes share one walk ("Two walks" in the module docs).
+/// round-trips into visible register chains), dead-store elimination, —
+/// only when promotion produced carriers — carrier write-through, and last
+/// the [`observed`] rewrites.  The forward value passes share one walk
+/// ("Two walks" in the module docs).
 pub fn optimize(lir: &mut Vec<LirInsn>, promote: bool, idioms: Option<&RuleTable>) -> OptStats {
     crate::with_scratch(|s| optimize_in(s, lir, promote.then_some(CAPS), idioms))
 }
@@ -332,37 +338,44 @@ pub(crate) fn optimize_in(
     idioms: Option<&RuleTable>,
 ) -> OptStats {
     let mut stats = OptStats::default();
+    let raw_len = lir.len();
     if let Some(table) = idioms {
         crate::idiom::apply_early_in(&mut s.opt, lir, table, &mut stats.idioms);
     }
-    // Promotion rewrites the whole unit between PC batching and the value
-    // passes, so a unit it could touch — one with a back-edge — takes PC
-    // batching as a walk of its own; every other unit takes all four
-    // forward passes in one.
     let caps = caps.filter(|_| lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. })));
-    let looping = caps.is_some();
     let mut carriers = Vec::new();
     if let Some(caps) = caps {
-        stats.jit.opt_pc_coalesced += batch_pc_updates(lir, |_, _| {});
         carriers = promote_loop_slots(s, lir, &mut stats, caps);
     }
     s.opt.reset_values(lir.len());
-    let mut values =
-        |lir: &mut [LirInsn], at| s.opt.value_step(lir, at, &carriers, idioms, &mut stats);
-    if looping {
-        (0..lir.len()).for_each(|at| values(lir, at));
-    } else {
-        let coalesced = batch_pc_updates(lir, values);
-        stats.jit.opt_pc_coalesced += coalesced;
+    for at in 0..lir.len() {
+        s.opt.value_step(lir, at, &carriers, idioms, &mut stats);
     }
     eliminate_dead_stores(&mut s.opt, lir, &mut stats);
     if !carriers.is_empty() {
         write_through_carriers(lir, &carriers);
     }
+    if observed::enabled() {
+        s.opt.reserve_observed(raw_len);
+        stats.jit.opt_pc_elided += observed::pc_on_demand(&mut s.opt.observed, lir);
+        if caps.is_some() {
+            stats.jit.opt_stores_sunk += observed::sink_exit_only_stores(s, lir);
+        }
+        stats.jit.opt_flags_reused += observed::reuse_flags(&mut s.opt, lir);
+    }
     stats
 }
 
 impl OptScratch {
+    /// Sizes the last rewrites' per-instruction tables for a unit that
+    /// came in `raw_len` long, so that a unit the passes before made longer
+    /// or shorter draws on the same capacity.
+    fn reserve_observed(&mut self, raw_len: usize) {
+        self.marks.clear();
+        self.marks.reserve(raw_len);
+        self.observed.reserve(raw_len);
+    }
+
     /// Readies the value passes' tables for a unit of at most `len`
     /// instructions.
     fn reset_values(&mut self, len: usize) {
@@ -392,81 +405,6 @@ impl OptScratch {
             self.defs.step(lir, at, def, table, &mut stats.idioms);
         }
     }
-}
-
-/// Lazy-PC batching (pass 0): the emitter advances the guest PC after every
-/// guest instruction, but the PC is only *observable* at points that can
-/// deliver it — faulting memory accesses, helper calls and other hypervisor
-/// round-trips, explicit PC reads, and control flow.  Pending `IncPc`
-/// increments are therefore accumulated and materialised as one update at
-/// the next such point, and discarded entirely when an absolute PC write
-/// (`SetPcImm`/`SetPcReg`/`BackEdge`) overwrites them first.  `IncPc`
-/// lowers to a flag-preserving `lea`, so a deferred update can sit between
-/// a flag writer and its reader.
-///
-/// Compacts the unit in place — a batched update is only ever written after
-/// at least one `IncPc` was dropped, so the write cursor never passes the
-/// read cursor — and calls `then(lir, at)` on every instruction it keeps,
-/// once it sits at its final index `at`: the hook the forward walk hangs the
-/// value passes on.  Returns how many `IncPc`s it deleted.
-fn batch_pc_updates(lir: &mut Vec<LirInsn>, mut then: impl FnMut(&mut [LirInsn], usize)) -> u64 {
-    let mut coalesced = 0u64;
-    let mut pending: u64 = 0;
-    let mut pending_insns: u64 = 0;
-    let mut at = 0;
-    let mut keep = |lir: &mut [LirInsn], insn: LirInsn| {
-        lir[at] = insn;
-        then(lir, at);
-        at += 1;
-    };
-    for read in 0..lir.len() {
-        let insn = lir[read];
-        let observes_pc = match insn {
-            LirInsn::IncPc { imm } => {
-                pending = pending.wrapping_add(imm);
-                pending_insns += 1;
-                continue;
-            }
-            // Absolute PC writes: the pending increments can never be
-            // observed (every observation point below would have flushed
-            // them first).
-            LirInsn::SetPcImm { .. } | LirInsn::SetPcReg { .. } | LirInsn::BackEdge { .. } => {
-                coalesced += pending_insns;
-                pending = 0;
-                pending_insns = 0;
-                keep(lir, insn);
-                continue;
-            }
-            LirInsn::CallHelper { .. }
-            | LirInsn::Int { .. }
-            | LirInsn::In { .. }
-            | LirInsn::Out { .. }
-            | LirInsn::Syscall
-            | LirInsn::TlbFlushAll
-            | LirInsn::TlbFlushPcid
-            | LirInsn::ReadPc { .. }
-            | LirInsn::Ret
-            | LirInsn::Jcc { .. }
-            | LirInsn::Jmp { .. }
-            | LirInsn::Label { .. }
-            | LirInsn::TraceEdge => true,
-            _ => insn.may_fault(),
-        };
-        if observes_pc && pending != 0 {
-            // One batched update replaces `pending_insns` originals.
-            coalesced += pending_insns.saturating_sub(1);
-            keep(lir, LirInsn::IncPc { imm: pending });
-            pending = 0;
-            pending_insns = 0;
-        }
-        keep(lir, insn);
-    }
-    if pending != 0 {
-        coalesced += pending_insns.saturating_sub(1);
-        keep(lir, LirInsn::IncPc { imm: pending });
-    }
-    lir.truncate(at);
-    coalesced
 }
 
 /// A candidate slot's access profile, collected over the whole unit.
@@ -1630,10 +1568,6 @@ fn subtract_interval(covered: &mut Vec<(i32, i32)>, start: i32, end: i32) {
 mod single_pass {
     use super::*;
 
-    pub(super) fn coalesce_pc_updates(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
-        stats.jit.opt_pc_coalesced += batch_pc_updates(lir, |_, _| {});
-    }
-
     pub(super) fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         let mut slots = SlotFacts::default();
         slots.reset(lir.len());
@@ -1653,12 +1587,23 @@ mod single_pass {
     pub(super) fn eliminate_dead_stores(lir: &mut Vec<LirInsn>, stats: &mut OptStats) {
         super::eliminate_dead_stores(&mut OptScratch::default(), lir, stats);
     }
+
+    /// The three rewrites that run last, in their order; the exit-only
+    /// stores only in a `looping` unit.
+    pub(super) fn observed_rewrites(lir: &mut Vec<LirInsn>, stats: &mut OptStats, looping: bool) {
+        let mut s = Scratch::default();
+        stats.jit.opt_pc_elided += observed::pc_on_demand(&mut s.opt.observed, lir);
+        if looping {
+            stats.jit.opt_stores_sunk += observed::sink_exit_only_stores(&mut s, lir);
+        }
+        stats.jit.opt_flags_reused += observed::reuse_flags(&mut s.opt, lir);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::single_pass::{
-        coalesce_pc_updates, eliminate_dead_stores, forward_stores_to_loads, propagate_copies,
+        eliminate_dead_stores, forward_stores_to_loads, observed_rewrites, propagate_copies,
     };
     use super::*;
     use crate::counters::CounterField;
@@ -1865,15 +1810,25 @@ mod tests {
 
     #[test]
     fn pc_updates_batch_to_the_next_observer_and_die_at_an_absolute_write() {
+        // The PC is written once before the faulting load, as one `lea`;
+        // the stitch's `SetPcImm` and the two increments after it reach the
+        // `Ret` as one absolute write, and the `TraceEdge` observes nothing.
         let inc = LirInsn::IncPc { imm: 4 };
+        let fault = LirInsn::Load {
+            dst: v(1),
+            addr: LirMem::vreg(v(0), 0),
+            size: MemSize::U64,
+        };
         let mut lir = vec![
             inc,
             inc,
             inc,
+            fault,
+            inc,
+            LirInsn::SetPcImm { imm: 0x2000 },
             LirInsn::TraceEdge,
             inc,
             inc,
-            LirInsn::SetPcImm { imm: 0x2000 },
             LirInsn::Ret,
         ];
         let stats = optimize(&mut lir, false, None);
@@ -1881,13 +1836,14 @@ mod tests {
             lir,
             vec![
                 LirInsn::IncPc { imm: 12 },
+                fault,
                 LirInsn::TraceEdge,
-                LirInsn::SetPcImm { imm: 0x2000 },
+                LirInsn::SetPcImm { imm: 0x2008 },
                 LirInsn::Ret,
             ]
         );
-        // Two of the three folded into the batch; both of the two overwritten.
-        assert_eq!(stats.jit.opt_pc_coalesced, 4);
+        // Seven writes in, two out.
+        assert_eq!(stats.jit.opt_pc_elided, 5);
     }
 
     #[test]
@@ -2916,10 +2872,10 @@ mod tests {
         // through ordinary registers included.
         let earlier_passes = |mut lir: Vec<LirInsn>| {
             let mut stats = OptStats::default();
-            coalesce_pc_updates(&mut lir, &mut stats);
             forward_stores_to_loads(&mut lir, &mut stats);
             propagate_copies(&mut lir, &mut stats, &[]);
             eliminate_dead_stores(&mut lir, &mut stats);
+            observed_rewrites(&mut lir, &mut stats, false);
             lir
         };
         let body = vec![
@@ -3060,8 +3016,8 @@ mod tests {
         if let Some(table) = idioms {
             crate::idiom::apply_early(lir, table, &mut stats.idioms);
         }
-        coalesce_pc_updates(lir, &mut stats);
-        let carriers = if promote {
+        let looping = promote && lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. }));
+        let carriers = if looping {
             crate::with_scratch(|s| promote_loop_slots(s, lir, &mut stats, CAPS))
         } else {
             Vec::new()
@@ -3075,6 +3031,7 @@ mod tests {
         if !carriers.is_empty() {
             write_through_carriers(lir, &carriers);
         }
+        observed_rewrites(lir, &mut stats, looping);
         stats
     }
 
@@ -3123,7 +3080,7 @@ mod tests {
         }
         // Every step had something to do, on both of `optimize`'s routes.
         let jit = fired.jit;
-        assert!(jit.opt_pc_coalesced > 100 && jit.opt_forwarded_loads > 100);
+        assert!(jit.opt_pc_elided > 100 && jit.opt_forwarded_loads > 100);
         assert!(jit.opt_copies_folded > 100 && jit.opt_dead_stores > 100);
         assert!(fired.idioms.fused[crate::idiom::RuleKind::AddrFold.index()] > 100);
         assert!(jit.opt_promoted_slots > 10 && promoted > 0, "{jit:?}");

@@ -131,7 +131,7 @@
 
 use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
 use crate::refill;
-use hvm::{Gpr, MemSize, Xmm};
+use hvm::{Cond, Gpr, MemSize, Xmm};
 
 /// Vector registers available to the allocator (the top three are reserved
 /// as spill scratch — `FpFma` can need reloads for all three of its
@@ -637,43 +637,76 @@ impl AllocScratch {
 /// dead-code outcome: a fusion site where `out[jcc]` is `false` can
 /// clobber the flags freely, no matter what the allocator later sweeps.
 pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
-    let labels = lir.iter().filter_map(|i| match i {
-        LirInsn::Label { id } => Some(*id),
-        _ => jump_target(i),
-    });
-    let mut label_flags = vec![false; labels.max().map_or(0, |l| l as usize + 1)];
-    let mut out = vec![false; lir.len()];
+    let (mut out, mut labels) = (Vec::new(), Vec::new());
+    host_flags_demand_into(lir, &mut out, &mut labels);
+    // Collected in place: a demand byte becomes a `bool` in its own slot.
+    out.into_iter().map(|d| d != 0).collect()
+}
+
+/// A flag reader of the zero or sign flag (see [`host_flags_demand_into`]).
+pub(crate) const FLAGS_ZN: u8 = 1;
+/// A flag reader of the carry or overflow flag.
+pub(crate) const FLAGS_CV: u8 = 2;
+
+/// Which host flags `cond` reads, as [`FLAGS_ZN`] / [`FLAGS_CV`] bits.
+pub(crate) fn cond_reads(cond: Cond) -> u8 {
+    match cond {
+        Cond::Eq | Cond::Ne | Cond::Mi | Cond::Pl => FLAGS_ZN,
+        Cond::Lt | Cond::Ge | Cond::Vs | Cond::Vc => FLAGS_CV,
+        Cond::Le | Cond::Gt | Cond::SLt | Cond::SLe | Cond::SGe | Cond::SGt => FLAGS_ZN | FLAGS_CV,
+    }
+}
+
+/// [`host_flags_live_after`] by flag class, in the caller's tables: `out[i]`
+/// holds the [`cond_reads`] bits of every reader that may see the flags as
+/// they are after instruction `i` — zero where nothing reads them before
+/// they are overwritten.  `labels` is the per-label demand the fixpoint
+/// grows (capacity only, like every scratch table).
+pub(crate) fn host_flags_demand_into(lir: &[LirInsn], out: &mut Vec<u8>, labels: &mut Vec<u8>) {
+    let bound = lir
+        .iter()
+        .filter_map(|i| match i {
+            LirInsn::Label { id } => Some(*id),
+            _ => jump_target(i),
+        })
+        .max()
+        .map_or(0, |l| l as usize + 1);
+    refill(labels, bound, 0);
+    refill(out, lir.len(), 0);
     loop {
         let mut changed = false;
-        let mut flags = false;
+        let mut flags = 0u8;
         for (i, insn) in lir.iter().enumerate().rev() {
             match insn {
-                LirInsn::Jmp { label } => flags = label_flags[*label as usize],
+                LirInsn::Jmp { label } => flags = labels[*label as usize],
                 LirInsn::BackEdge {
                     label, reconcile, ..
                 } => {
-                    let s = label_flags[*label as usize];
+                    let s = labels[*label as usize];
                     if *reconcile {
                         flags |= s;
                     } else {
                         flags = s;
                     }
                 }
-                LirInsn::Jcc { label, .. } => flags |= label_flags[*label as usize],
-                LirInsn::Ret => flags = false,
+                LirInsn::Jcc { label, .. } => flags |= labels[*label as usize],
+                LirInsn::Ret => flags = 0,
                 _ => {}
             }
             out[i] = flags;
             if insn.writes_host_flags() {
-                flags = false;
+                flags = 0;
             }
-            if insn.reads_host_flags() {
-                flags = true;
+            if let LirInsn::SetCc { cond, .. }
+            | LirInsn::CmovCc { cond, .. }
+            | LirInsn::Jcc { cond, .. } = insn
+            {
+                flags |= cond_reads(*cond);
             }
             if let LirInsn::Label { id } = insn {
-                let e = &mut label_flags[*id as usize];
-                if flags && !*e {
-                    *e = true;
+                let e = &mut labels[*id as usize];
+                if flags & !*e != 0 {
+                    *e |= flags;
                     changed = true;
                 }
             }
@@ -682,7 +715,6 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
             break;
         }
     }
-    out
 }
 
 /// [`host_flags_live_after`]`(lir)[at]`, from `lir[at..]` alone when every
