@@ -748,7 +748,8 @@ mod tests {
     use crate::lir::{LirMem, Vreg, VregClass};
     use crate::opt::{optimize_in, Caps, CAPS};
     use crate::regalloc::allocate;
-    use crate::regalloc_reference::tests::{fp_loop_unit, FP_DATA};
+    use crate::probe::unit_rig;
+    use crate::regalloc_reference::tests::fp_loop_unit;
 
     #[test]
     fn lowers_the_add_example_to_machine_code() {
@@ -1114,49 +1115,11 @@ mod tests {
         )));
     }
 
-    /// Where the register file sits in [`run`]'s machine (the spill area is
-    /// the page below).
-    const RF: u64 = 0x8000;
-
-    /// A helper that answers a function of its argument, so a `ReadRet`
-    /// reads a value no allocation chooses.
-    struct Mix;
-
-    impl hvm::Runtime for Mix {
-        fn helper(&mut self, _: u16, m: &mut hvm::Machine) -> hvm::HelperResult {
-            let arg = m.reg(Gpr::Rdi);
-            m.set_reg(Gpr::Rax, arg.wrapping_mul(0x9E37_79B9).rotate_left(7));
-            hvm::HelperResult::Continue { cost: 0 }
-        }
-    }
-
-    /// Runs `code` from one fixed state — a pattern in the register file and
-    /// in the guest memory at [`FP_DATA`], a byte no value stored there
-    /// repeats in the spill area — and returns how it ended, the register
-    /// file, that guest memory and the guest PC; `None` when it ran out of
-    /// fuel (a random loop that never ends).
-    fn run(code: &[MachInsn]) -> Option<(hvm::ExitReason, Vec<u8>, Vec<u8>, u64)> {
-        let mut m = hvm::Machine::new(hvm::MachineConfig {
-            phys_mem: 0x10000,
-            ..hvm::MachineConfig::default()
-        });
-        m.fuel_per_block = 20_000;
-        m.loop_trip_limit = 6;
-        m.mem.fill(RF - 0x1000, 0x1000, 0xA5).unwrap();
-        let pattern: Vec<u8> = (0..0x200u32).map(|i| (i * 37 + 11) as u8).collect();
-        m.mem.write(RF, &pattern).unwrap();
-        m.mem.write(FP_DATA, &pattern[0x80..0x100]).unwrap();
-        m.set_reg(Gpr::Rbp, RF);
-        m.set_reg(Gpr::R15, 0x4_0000);
-        let exit = m.run_block(code, &mut Mix);
-        if exit == hvm::ExitReason::FuelExhausted {
-            return None;
-        }
-        let mut regfile = vec![0; 0x200];
-        m.mem.read(RF, &mut regfile).unwrap();
-        let mut data = vec![0; 0x80];
-        m.mem.read(FP_DATA, &mut data).unwrap();
-        Some((exit, regfile, data, m.reg(Gpr::R15)))
+    /// Holds `got` to `want` on [`unit_rig`]: the same exit, register
+    /// file, guest memory and guest PC.  `false` when both ran out of fuel
+    /// (a random loop that never ends).
+    fn runs_like(got: &[MachInsn], want: &[MachInsn]) -> Result<bool, String> {
+        unit_rig().compare((got, &[]), (want, &[]), 0)
     }
 
     /// Random units of every shape: (seed, shape, vreg count, length).
@@ -1192,10 +1155,11 @@ mod tests {
             let unsplit = crate::regalloc::allocate_unsplit(&lir);
             let code = lower(&lir, &alloc).expect("assignments are complete");
             let want = lower(&lir, &unsplit).expect("assignments are complete");
-            let (Some(got), Some(want)) = (run(&code), run(&want)) else {
+            let ran = runs_like(&code, &want)
+                .unwrap_or_else(|e| panic!("seed {seed:#x} shape {shape}: {e}: {lir:?}"));
+            if !ran {
                 continue;
-            };
-            assert_eq!(got, want, "seed {seed:#x} shape {shape}: {lir:?}");
+            }
             if !alloc.splits.is_empty() {
                 split += 1;
                 split_loops += (shape >= 2) as u32;
@@ -1234,15 +1198,12 @@ mod tests {
             };
             let (without, gpr_code) = lowered(Some(gpr_only));
             let (_, unpromoted) = lowered(None);
-            let Some(got) = run(&code) else {
+            let ran = [gpr_code, unpromoted].map(|want| {
+                runs_like(&code, &want).unwrap_or_else(|e| panic!("seed {seed}: {e}: {lir:?}"))
+            });
+            if ran != [true; 2] {
                 continue;
-            };
-            assert_eq!(Some(&got), run(&gpr_code).as_ref(), "seed {seed}: {lir:?}");
-            assert_eq!(
-                Some(&got),
-                run(&unpromoted).as_ref(),
-                "seed {seed}: {lir:?}"
-            );
+            }
             promoted += (with.jit.opt_promoted_slots > without.jit.opt_promoted_slots) as u32;
             dirty += with.promoted.iter().any(|p| p.1.class == VregClass::Xmm) as u32;
         }
@@ -1359,9 +1320,7 @@ mod tests {
         );
         let reload = code.len() - 3;
         assert!(matches!(code[reload], MachInsn::Load { addr, .. } if addr == slot));
-        assert_eq!(
-            run(&code),
-            run(&lower(&lir, &crate::regalloc::allocate_unsplit(&lir)).unwrap())
-        );
+        let unsplit = lower(&lir, &crate::regalloc::allocate_unsplit(&lir)).unwrap();
+        assert_eq!(runs_like(&code, &unsplit), Ok(true));
     }
 }

@@ -19,6 +19,11 @@
 //!   memset-loop widening match the exact instruction shapes the frontend
 //!   generators emit, so they must see the unit before anything reorders
 //!   it.
+//! * **PC on demand** ([`observed`]) runs right after promotion: the
+//!   guest PC as a translation-time constant, written only before an
+//!   instruction that can observe it.  After promotion, so promotion's
+//!   admission and carriers are what they would be without it; before the
+//!   value passes, so they do not walk the PC writes it deletes.
 //! * The generic passes below (1–3).
 //! * **Address-mode folding** ([`crate::idiom::fold_addressing`]) runs
 //!   *between* copy propagation and dead-store elimination: it needs
@@ -28,12 +33,9 @@
 //! * **Carrier write-through** runs after them, and only when promotion
 //!   produced carriers (looping tier-1 regions; a plain block never pays
 //!   for the scan): it wants the copies the other passes could not fold.
-//! * **Guest state on demand** ([`observed`]) runs last: the guest PC as a
-//!   translation-time constant written only before an instruction that can
-//!   observe it, host-flag reuse for `Cmp v, 0` / `Test v, v`, and, in a
-//!   looping unit, register-file stores only side exits read moved into
-//!   those exits.  After promotion, so promotion's admission and carriers
-//!   are what they would be without them.
+//! * The other two [`observed`] rewrites run last: in a looping unit,
+//!   register-file stores only side exits read moved into those exits, and
+//!   host-flag reuse for `Cmp v, 0` / `Test v, v`.
 //!
 //! The generic passes:
 //!
@@ -316,14 +318,15 @@ pub(crate) struct OptScratch {
 /// `idioms` table is supplied — they match the emitter's pristine LIR
 /// shapes, so they must see the unit before anything reorders it), then
 /// loop-carried slot promotion (when `promote`, so the
-/// carrier moves it plants feed the later passes), store-to-load forwarding
+/// carrier moves it plants feed the later passes), [`observed`]'s PC on
+/// demand, store-to-load forwarding
 /// (so forwarded loads no longer pin the stores they used to read), copy
 /// propagation (folding the `MovReg`s promotion and forwarding just
 /// produced), the idiom layer's address-mode folding (which needs
 /// forwarding and copy propagation to have connected register-file
 /// round-trips into visible register chains), dead-store elimination, —
 /// only when promotion produced carriers — carrier write-through, and last
-/// the [`observed`] rewrites.  The forward value passes share one walk
+/// the other two [`observed`] rewrites.  The forward value passes share one walk
 /// ("Two walks" in the module docs).
 pub fn optimize(lir: &mut Vec<LirInsn>, promote: bool, idioms: Option<&RuleTable>) -> OptStats {
     crate::with_scratch(|s| optimize_in(s, lir, promote.then_some(CAPS), idioms))
@@ -347,7 +350,14 @@ pub(crate) fn optimize_in(
     if let Some(caps) = caps {
         carriers = promote_loop_slots(s, lir, &mut stats, caps);
     }
-    s.opt.reset_values(lir.len());
+    let rewrite = observed::enabled();
+    if rewrite {
+        s.opt.reserve_observed(raw_len);
+        stats.jit.opt_pc_elided += observed::pc_on_demand(&mut s.opt.observed, lir);
+    }
+    // Sized as for the unit before PC on demand shortened it, so that warm
+    // tables do not grow with how many PC writes a unit keeps.
+    s.opt.reset_values(lir.len().max(raw_len));
     for at in 0..lir.len() {
         s.opt.value_step(lir, at, &carriers, idioms, &mut stats);
     }
@@ -355,9 +365,7 @@ pub(crate) fn optimize_in(
     if !carriers.is_empty() {
         write_through_carriers(lir, &carriers);
     }
-    if observed::enabled() {
-        s.opt.reserve_observed(raw_len);
-        stats.jit.opt_pc_elided += observed::pc_on_demand(&mut s.opt.observed, lir);
+    if rewrite {
         if caps.is_some() {
             stats.jit.opt_stores_sunk += observed::sink_exit_only_stores(s, lir);
         }

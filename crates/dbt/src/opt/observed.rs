@@ -1,7 +1,7 @@
-//! Guest state materialised only where it is observed: the three rewrites
-//! [`super::optimize`] runs last, after promotion and the slot passes, so
-//! promotion's admission and carriers are exactly what they would be
-//! without them.
+//! Guest state materialised only where it is observed: three rewrites
+//! [`super::optimize`] runs after promotion — PC on demand right after it,
+//! before the value passes, the other two last — so promotion's admission
+//! and carriers are exactly what they would be without them.
 //!
 //! The contract is the one the slot passes keep: *every observer sees the
 //! state the unrewritten unit would show it*.  The observers of the guest
@@ -36,7 +36,9 @@
 //!    materialises NZCV every trip, and only a loop exit ever reads it.
 //!    The move is priced with promotion's trial allocation and kept only
 //!    when the unit needs no more spill slots, on the unsplit scan that
-//!    prices carriers nor on the splitting scan it is allocated with.
+//!    prices carriers nor on the splitting scan it is allocated with.  The
+//!    unit is indexed once per version ([`SinkIndex`]), and its own price
+//!    is taken only once a store worth moving turns up.
 
 use super::{remove_marked, OptScratch};
 use crate::lir::{vreg_id_bound, LirBase, LirInsn, LirOperand, Vreg, VregClass};
@@ -74,6 +76,7 @@ pub(crate) struct ObservedScratch {
     /// Host-flag demand after each instruction, and per label.
     demand: Vec<u8>,
     label_demand: Vec<u8>,
+    sink_index: SinkIndex,
 }
 
 impl ObservedScratch {
@@ -222,27 +225,27 @@ fn materialise(want: Pc, held: &mut Pc, out: &mut Vec<LirInsn>) -> u64 {
 /// PC on demand (rewrite 1, module docs).  Returns how many guest-PC writes
 /// (`IncPc` / `SetPcImm`) the unit lost, net of the ones it gained.
 pub(super) fn pc_on_demand(s: &mut ObservedScratch, lir: &mut Vec<LirInsn>) -> u64 {
-    let bound = lir
-        .iter()
-        .filter_map(|i| match i {
-            LirInsn::Label { id } => Some(*id),
-            _ => jump_target(i),
-        })
-        .max()
-        .map_or(0, |l| l as usize + 1);
     let labels = &mut s.labels;
-    refill(labels, bound, LabelPc::UNBOUND);
+    labels.clear();
     for (i, insn) in lir.iter().enumerate() {
-        if let LirInsn::Label { id } = insn {
-            labels[*id as usize].at = i;
-            labels[*id as usize].preds += falls_into(lir, i) as u32;
+        let (id, jump) = match *insn {
+            LirInsn::Label { id } => (id as usize, false),
+            _ => match jump_target(insn) {
+                Some(id) => (id as usize, true),
+                None => continue,
+            },
+        };
+        if id >= labels.len() {
+            labels.resize(id + 1, LabelPc::UNBOUND);
         }
-    }
-    for (j, insn) in lir.iter().enumerate() {
-        if let Some(l) = jump_target(insn) {
-            let l = &mut labels[l as usize];
+        let l = &mut labels[id];
+        if jump {
+            // Bound already: the jump goes backward.
             l.preds += 1;
-            l.backward |= l.at <= j;
+            l.backward |= l.at != usize::MAX;
+        } else {
+            l.at = i;
+            l.preds += falls_into(lir, i) as u32;
         }
     }
 
@@ -327,8 +330,9 @@ pub(super) fn pc_on_demand(s: &mut ObservedScratch, lir: &mut Vec<LirInsn>) -> u
 /// Flag reuse (rewrite 2, module docs).  Returns how many tests it dropped.
 pub(super) fn reuse_flags(s: &mut OptScratch, lir: &mut Vec<LirInsn>) -> u64 {
     let o = &mut s.observed;
-    host_flags_demand_into(lir, &mut o.demand, &mut o.label_demand);
-    refill(&mut s.marks, lir.len(), false);
+    // The demand analysis runs only once an arithmetic writer's test needs
+    // it; most units have none.
+    let mut demand_known = false;
     let mut dropped = 0;
     // The last flag writer on the straight-line path, when it set the flags
     // a test of `v` would: (v, whether the carry and overflow flags match
@@ -347,8 +351,20 @@ pub(super) fn reuse_flags(s: &mut OptScratch, lir: &mut Vec<LirInsn>) -> u64 {
             _ => None,
         };
         if let Some(v) = tested {
-            let cv_unread = o.demand[i] & FLAGS_CV == 0;
-            if last.is_some_and(|(w, all)| w == v && (all || cv_unread)) {
+            let reused = match last {
+                Some((w, all)) if w == v => {
+                    if !all && !demand_known {
+                        host_flags_demand_into(lir, &mut o.demand, &mut o.label_demand);
+                        demand_known = true;
+                    }
+                    all || o.demand[i] & FLAGS_CV == 0
+                }
+                _ => false,
+            };
+            if reused {
+                if dropped == 0 {
+                    refill(&mut s.marks, lir.len(), false);
+                }
                 s.marks[i] = true;
                 dropped += 1;
             } else {
@@ -373,7 +389,9 @@ pub(super) fn reuse_flags(s: &mut OptScratch, lir: &mut Vec<LirInsn>) -> u64 {
             last = None;
         }
     }
-    remove_marked(lir, &s.marks);
+    if dropped > 0 {
+        remove_marked(lir, &s.marks);
+    }
     dropped
 }
 
@@ -428,54 +446,111 @@ enum Exit {
     Reconcile(usize),
 }
 
-/// The loop of a looping unit: (header label index, back-edge index,
-/// whether the back-edge falls through into a reconcile block).
-fn the_loop(lir: &[LirInsn]) -> Option<(usize, usize, bool)> {
-    let mut found = None;
-    for (i, insn) in lir.iter().enumerate() {
-        if let LirInsn::BackEdge {
-            label, reconcile, ..
-        } = *insn
-        {
-            if found.is_some() {
-                return None;
+/// The loop of a looping unit.
+#[derive(Debug, Clone, Copy)]
+struct Loop {
+    /// Index of the header label.
+    header: usize,
+    /// Index of the back-edge.
+    be: usize,
+    /// Whether the back-edge falls through into a reconcile block.
+    reconcile: bool,
+}
+
+/// What planning reads for every candidate store, computed once per
+/// version of the unit (it changes only when a store moves).
+#[derive(Default)]
+pub(super) struct SinkIndex {
+    /// Where each label is bound (`usize::MAX`: unbound).
+    label_at: Vec<usize>,
+    /// How many jumps name each label.
+    jumps_to: Vec<u32>,
+    /// Where each register is first and last mentioned by what the
+    /// allocator keeps.
+    span_of: Vec<(usize, usize)>,
+}
+
+impl SinkIndex {
+    /// Indexes `lir` (`dead`: what the allocator would sweep) and returns
+    /// its loop, when it has exactly one.
+    fn build(&mut self, lir: &[LirInsn], dead: &[bool]) -> Option<Loop> {
+        let labels = lir
+            .iter()
+            .filter_map(|i| match *i {
+                LirInsn::Label { id } => Some(id),
+                _ => jump_target(i),
+            })
+            .max()
+            .map_or(0, |l| l as usize + 1);
+        refill(&mut self.label_at, labels, usize::MAX);
+        refill(&mut self.jumps_to, labels, 0);
+        refill(&mut self.span_of, vreg_id_bound(lir) as usize, (usize::MAX, 0));
+        for (i, insn) in lir.iter().enumerate() {
+            if let LirInsn::Label { id } = *insn {
+                self.label_at[id as usize] = i;
+            } else if let Some(label) = jump_target(insn) {
+                self.jumps_to[label as usize] += 1;
             }
-            let header = lir
-                .iter()
-                .position(|l| *l == LirInsn::Label { id: label })?;
-            found = (header < i).then_some((header, i, reconcile));
+            if !dead[i] {
+                let mut note = |v: Vreg| {
+                    let e = &mut self.span_of[v.id as usize];
+                    *e = (e.0.min(i), e.1.max(i));
+                };
+                insn.visit_uses(&mut note);
+                insn.def().map(note);
+            }
         }
+        let mut found = None;
+        for (be, insn) in lir.iter().enumerate() {
+            if let LirInsn::BackEdge {
+                label, reconcile, ..
+            } = *insn
+            {
+                if found.is_some() {
+                    return None;
+                }
+                let header = self.label(label)?;
+                found = (header < be).then_some(Loop {
+                    header,
+                    be,
+                    reconcile,
+                });
+            }
+        }
+        found
     }
-    found
-}
 
-/// The index of the label `label` names, when it is a side-exit stub: bound
-/// below the back-edge `be`, entered by one jump, fallen into by nothing.
-fn stub(lir: &[LirInsn], be: usize, label: u32) -> Option<usize> {
-    let at = lir.iter().position(|l| *l == LirInsn::Label { id: label })?;
-    let jumps = lir
-        .iter()
-        .filter(|i| jump_target(i) == Some(label))
-        .count();
-    (at > be && jumps == 1 && !falls_into(lir, at)).then_some(at)
-}
+    /// Where `label` is bound.
+    fn label(&self, label: u32) -> Option<usize> {
+        let at = *self.label_at.get(label as usize)?;
+        (at != usize::MAX).then_some(at)
+    }
 
-/// When the `Jcc` at `q` branches around an exit block an earlier sink
-/// made (`Jcc !c, skip; ...; Jmp stub; skip:`), the indices of its `Jmp`
-/// and of `skip`.
-fn exit_block(lir: &[LirInsn], be: usize, q: usize) -> Option<(usize, usize)> {
-    let LirInsn::Jcc { label, .. } = lir[q] else {
-        return None;
-    };
-    let skip = (q + 1..be).find(|&k| lir[k] == LirInsn::Label { id: label })?;
-    let LirInsn::Jmp { label: to } = lir[skip - 1] else {
-        return None;
-    };
-    let inside = &lir[q + 1..skip - 1];
-    let plain = inside
-        .iter()
-        .all(|i| !matches!(i, LirInsn::Label { .. }) && jump_target(i).is_none());
-    (plain && stub(lir, be, to).is_some()).then_some((skip - 1, skip))
+    /// The index of `label` when it is a side-exit stub: bound below the
+    /// back-edge `be`, entered by one jump, fallen into by nothing.
+    fn stub(&self, lir: &[LirInsn], be: usize, label: u32) -> Option<usize> {
+        let at = self.label(label)?;
+        let jumps = self.jumps_to[label as usize];
+        (at > be && jumps == 1 && !falls_into(lir, at)).then_some(at)
+    }
+
+    /// When the `Jcc` at `q` branches around an exit block an earlier sink
+    /// made (`Jcc !c, skip; ...; Jmp stub; skip:`), the indices of its
+    /// `Jmp` and of `skip`.
+    fn exit_block(&self, lir: &[LirInsn], be: usize, q: usize) -> Option<(usize, usize)> {
+        let LirInsn::Jcc { label, .. } = lir[q] else {
+            return None;
+        };
+        let skip = self.label(label).filter(|&k| q < k && k < be)?;
+        let LirInsn::Jmp { label: to } = lir[skip - 1] else {
+            return None;
+        };
+        let inside = &lir[q + 1..skip - 1];
+        let plain = inside
+            .iter()
+            .all(|i| !matches!(i, LirInsn::Label { .. }) && jump_target(i).is_none());
+        (plain && self.stub(lir, be, to).is_some()).then_some((skip - 1, skip))
+    }
 }
 
 /// Whether the store at `p` can be sunk, and how: the walk from `p` along
@@ -484,11 +559,15 @@ fn exit_block(lir: &[LirInsn], be: usize, q: usize) -> Option<(usize, usize)> {
 fn plan_sink(
     lir: &[LirInsn],
     dead: &[bool],
-    header: usize,
-    be: usize,
-    reconcile: bool,
+    ix: &SinkIndex,
+    lp: Loop,
     p: usize,
 ) -> Option<Sink> {
+    let Loop {
+        header,
+        be,
+        reconcile,
+    } = lp;
     let acc = lir[p].regfile_store()?;
     if !matches!(lir[p], LirInsn::Store { .. } | LirInsn::StoreImm { .. }) {
         return None;
@@ -534,7 +613,7 @@ fn plan_sink(
         path.push(q);
         match *insn {
             LirInsn::Jcc { .. } if !wrapped => {
-                if let Some((jmp, skip)) = exit_block(lir, be, q) {
+                if let Some((jmp, skip)) = ix.exit_block(lir, be, q) {
                     exits.push(Exit::Block(jmp));
                     last_exit = path.len();
                     q = skip + 1;
@@ -543,7 +622,7 @@ fn plan_sink(
                 let LirInsn::Jcc { label, .. } = *insn else {
                     unreachable!()
                 };
-                stub(lir, be, label)?;
+                ix.stub(lir, be, label)?;
                 exits.push(Exit::Branch(q));
                 last_exit = path.len();
             }
@@ -556,8 +635,8 @@ fn plan_sink(
         return None; // a dead store: not this rewrite's to delete
     }
     path.truncate(last_exit);
-    let moved = moved_with(lir, dead, header, be, p, &path, true)
-        .or_else(|| moved_with(lir, dead, header, be, p, &path, false))?;
+    let moved = moved_with(lir, dead, ix, lp, p, &path, true)
+        .or_else(|| moved_with(lir, dead, ix, lp, p, &path, false))?;
     Some(Sink { moved, exits })
 }
 
@@ -570,8 +649,8 @@ fn plan_sink(
 fn moved_with(
     lir: &[LirInsn],
     dead: &[bool],
-    header: usize,
-    be: usize,
+    ix: &SinkIndex,
+    Loop { header, be, .. }: Loop,
     p: usize,
     path: &[usize],
     chain: bool,
@@ -580,21 +659,9 @@ fn moved_with(
     let mut need: Vec<Vreg> = Vec::new();
     lir[p].visit_uses(|u| need.push(u));
     let mut need_flags = false;
-    // Where each register is first and last mentioned by what the
-    // allocator keeps: a value mentioned above the trip or below the store
-    // stays where it is.
-    let mut span_of: Vec<(usize, usize)> = Vec::new();
-    if chain {
-        span_of.resize(vreg_id_bound(lir) as usize, (usize::MAX, 0));
-        for (i, insn) in lir.iter().enumerate().filter(|&(i, _)| !dead[i]) {
-            let mut note = |v: Vreg| {
-                let e = &mut span_of[v.id as usize];
-                *e = (e.0.min(i), e.1.max(i));
-            };
-            insn.visit_uses(&mut note);
-            insn.def().map(note);
-        }
-    }
+    // A value mentioned above the trip or below the store stays where it
+    // is.
+    let span_of = &ix.span_of;
     for k in (header + 1..p).rev().take_while(|_| chain) {
         let insn = &lir[k];
         if dead[k] {
@@ -676,7 +743,7 @@ fn moved_with(
         }
         // An exit block is off the main path (and reads no flags it did not
         // write itself).
-        k = exit_block(lir, be, k).map_or(k, |(_, skip)| skip) + 1;
+        k = ix.exit_block(lir, be, k).map_or(k, |(_, skip)| skip) + 1;
     }
     Some(moved)
 }
@@ -706,16 +773,9 @@ fn is_input_stable(
 /// Applies `sink` to `lir`, into `out`: the store and its computation leave
 /// the loop, and each exit gets a copy, with fresh names for what the
 /// computation defines.
-fn apply_sink(lir: &[LirInsn], sink: &Sink, out: &mut Vec<LirInsn>) {
-    let mut next_vreg = vreg_id_bound(lir);
-    let mut next_label = lir
-        .iter()
-        .filter_map(|i| match i {
-            LirInsn::Label { id } => Some(*id),
-            _ => jump_target(i),
-        })
-        .max()
-        .map_or(0, |l| l + 1);
+fn apply_sink(lir: &[LirInsn], ix: &SinkIndex, sink: &Sink, out: &mut Vec<LirInsn>) {
+    let mut next_vreg = ix.span_of.len() as u32;
+    let mut next_label = ix.label_at.len() as u32;
     let chain: Vec<LirInsn> = sink.moved.iter().rev().map(|&k| lir[k]).collect();
     let mut copy = |out: &mut Vec<LirInsn>| {
         let mut renamed: Vec<(Vreg, Vreg)> = Vec::new();
@@ -779,40 +839,49 @@ fn spill_slots(s: &mut Scratch, lir: &[LirInsn], scan: Scan) -> u32 {
 /// moved out of the loop's straight-line path.
 pub(super) fn sink_exit_only_stores(s: &mut Scratch, lir: &mut Vec<LirInsn>) -> u64 {
     // What the allocator would sweep: a dead copy of a value is not a reader
-    // that pins its computation in place.  The splitting scan's price comes
-    // with it; the unsplit one only once a store is worth pricing.
-    let split_base = spill_slots(s, lir, Scan::Split);
-    let mut unsplit_base = None;
-    let mut dead = s.allocation.dead.clone();
+    // that pins its computation in place.  The unit's own price, on both
+    // scans, waits for a store worth pricing.
+    let mut dead = Vec::new();
+    crate::regalloc::mark_dead_into(&mut s.regalloc, lir, &mut dead);
+    let mut ix = std::mem::take(&mut s.opt.observed.sink_index);
+    let mut base = None;
     let mut sunk = 0;
     let mut p = 0;
     let mut rewritten = Vec::new();
-    while let Some((header, be, reconcile)) = the_loop(lir) {
-        p = p.max(header + 1);
-        if p >= be {
-            break;
+    'unit: while let Some(lp) = ix.build(lir, &dead) {
+        p = p.max(lp.header + 1);
+        while p < lp.be {
+            // A store that would move alone saves one store per trip and
+            // keeps its value live to every exit: not worth two trial
+            // allocations.
+            let Some(sink) =
+                plan_sink(lir, &dead, &ix, lp, p).filter(|sink| sink.moved.len() > 1)
+            else {
+                p += 1;
+                continue;
+            };
+            apply_sink(lir, &ix, &sink, &mut rewritten);
+            let (unsplit_base, split_base) = *base.get_or_insert_with(|| {
+                (
+                    spill_slots(s, lir, Scan::Unsplit),
+                    spill_slots(s, lir, Scan::Split),
+                )
+            });
+            if spill_slots(s, &rewritten, Scan::Unsplit) > unsplit_base
+                || spill_slots(s, &rewritten, Scan::Split) > split_base
+            {
+                p += 1;
+                continue;
+            }
+            std::mem::swap(lir, &mut rewritten);
+            dead.clone_from(&s.allocation.dead);
+            p -= sink.moved.len() - 1;
+            sunk += 1;
+            continue 'unit;
         }
-        // A store that would move alone saves one store per trip and keeps
-        // its value live to every exit: not worth two trial allocations.
-        let Some(sink) = plan_sink(lir, &dead, header, be, reconcile, p)
-            .filter(|sink| sink.moved.len() > 1)
-        else {
-            p += 1;
-            continue;
-        };
-        apply_sink(lir, &sink, &mut rewritten);
-        let unsplit_base = *unsplit_base.get_or_insert_with(|| spill_slots(s, lir, Scan::Unsplit));
-        if spill_slots(s, &rewritten, Scan::Unsplit) > unsplit_base
-            || spill_slots(s, &rewritten, Scan::Split) > split_base
-        {
-            p += 1;
-            continue;
-        }
-        std::mem::swap(lir, &mut rewritten);
-        dead.clone_from(&s.allocation.dead);
-        p -= sink.moved.len() - 1;
-        sunk += 1;
+        break;
     }
+    s.opt.observed.sink_index = ix;
     sunk
 }
 
@@ -820,8 +889,8 @@ pub(super) fn sink_exit_only_stores(s: &mut Scratch, lir: &mut Vec<LirInsn>) -> 
 mod tests {
     use super::*;
     use crate::lir::LirMem;
-    use crate::probe::{Layout, Rig};
-    use crate::regalloc_reference::tests::{fp_loop_unit, runnable_unit, FP_DATA};
+    use crate::probe::{unit_rig, Rig};
+    use crate::regalloc_reference::tests::{fp_loop_unit, runnable_unit};
     use crate::{finish_translation, CounterField, JitCounters, PhaseTimers};
     use hvm::{Cond, MemSize};
 
@@ -830,21 +899,6 @@ mod tests {
             id,
             class: VregClass::Gpr,
         }
-    }
-
-    /// The rig the generated corpora run on: the register file where
-    /// `lower`'s tests keep it, the guest data at [`FP_DATA`].
-    fn rig() -> Rig {
-        let layout = Layout {
-            regfile: 0x8000,
-            regfile_len: 0x400,
-            data: FP_DATA,
-            data_len: 0x100,
-            phys_mem: 0x10000,
-            entry_pc: 0x4_0000,
-        };
-        let pattern: Vec<u8> = (0..0x400u32).map(|i| (i * 37 + 11) as u8).collect();
-        Rig::new(layout, pattern[..0x200].to_vec(), pattern[0x80..0x180].to_vec())
     }
 
     /// `lir` optimised, allocated and lowered with the three rewrites and
@@ -876,7 +930,7 @@ mod tests {
         // and PC.  The oracle knows no rewrite: a stub left without its PC,
         // a test dropped before a reader of the carry or overflow flag, or
         // a store moved past a faulting access reads as a different state.
-        let mut rig = rig();
+        let mut rig = unit_rig();
         let mut fired = JitCounters::default();
         for seed in 1..200u64 {
             for shape in 0..6 {

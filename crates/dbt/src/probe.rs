@@ -1,7 +1,8 @@
-//! Translated code run with its observers recorded: the harness the
-//! equivalence tests of [`crate::opt`]'s last rewrites are built on (the
-//! machine of `lower`'s tests, plus a probe that can stop the code at the
-//! k-th guest memory access as if that access had faulted).
+//! Translated code run with its observers recorded: the one harness the
+//! differential tests of lowering, allocation and [`crate::opt`]'s last
+//! rewrites run units on (a machine started from one fixed state, plus a
+//! probe that can stop the code at the k-th guest memory access as if that
+//! access had faulted).
 //!
 //! [`probed`] puts a `CallHelper` of [`PROBE`] in front of every guest
 //! memory access (any memory operand not based on the register-file
@@ -220,36 +221,72 @@ impl Rig {
         })
     }
 
+    /// Runs `got` and `want` from the same state, stopping at the
+    /// `fault_at`-th guest access if given.  `Ok(None)` when both ran out
+    /// of fuel (a random loop that never ends); an error, naming the side,
+    /// when only one did.
+    fn run_both(
+        &mut self,
+        got: (&[MachInsn], &[(i32, Carrier)]),
+        want: (&[MachInsn], &[(i32, Carrier)]),
+        fault_at: Option<u64>,
+    ) -> Result<Option<(Observation, Observation)>, String> {
+        match (self.run(got.0, got.1, fault_at), self.run(want.0, want.1, fault_at)) {
+            (Some(g), Some(w)) => Ok(Some((g, w))),
+            (None, None) => Ok(None),
+            (None, Some(_)) => Err("the rewritten code ran out of fuel, the reference did not".into()),
+            (Some(_), None) => Err("the reference ran out of fuel, the rewritten code did not".into()),
+        }
+    }
+
     /// Holds `got` to `want` at every observer: the same end state without
     /// a fault, and the same state at a fault injected at each of the
-    /// first `faults` guest memory accesses and at the last one.  Returns
-    /// the first difference, named by what saw it.
+    /// first `faults` guest memory accesses and at the last one (`faults`
+    /// 0: the end state only).  `Ok(false)` when both ran out of fuel, so
+    /// nothing was compared; otherwise the first difference, named by what
+    /// saw it.
     pub fn compare(
         &mut self,
         got: (&[MachInsn], &[(i32, Carrier)]),
         want: (&[MachInsn], &[(i32, Carrier)]),
         faults: u64,
-    ) -> Result<(), String> {
+    ) -> Result<bool, String> {
         let (got_code, want_code) = (probed(got.0), probed(want.0));
-        let (Some(g), Some(w)) = (
-            self.run(&got_code, got.1, None),
-            self.run(&want_code, want.1, None),
-        ) else {
-            return Ok(()); // a random loop that never ends
+        let (got, want) = ((&got_code[..], got.1), (&want_code[..], want.1));
+        let at_exit = |e: String| format!("at the exit: {e}");
+        let Some((g, w)) = self.run_both(got, want, None).map_err(at_exit)? else {
+            return Ok(false);
         };
         describe(&g, &w, "the exit")?;
         let last = w.accesses;
-        for k in (1..=faults.min(last)).chain((last > faults).then_some(last)) {
-            let (Some(g), Some(w)) = (
-                self.run(&got_code, got.1, Some(k)),
-                self.run(&want_code, want.1, Some(k)),
-            ) else {
-                continue;
-            };
-            describe(&g, &w, &format!("a fault at guest access {k}"))?;
+        let beyond = (faults > 0 && last > faults).then_some(last);
+        for k in (1..=faults.min(last)).chain(beyond) {
+            let observer = format!("a fault at guest access {k}");
+            let at_fault = |e: String| format!("at {observer}: {e}");
+            if let Some((g, w)) = self.run_both(got, want, Some(k)).map_err(at_fault)? {
+                describe(&g, &w, &observer)?;
+            }
         }
-        Ok(())
+        Ok(true)
     }
+}
+
+/// The rig the crate's generated units run on: the register file at
+/// 0x8000 (the spill area is the page below) and the guest data at
+/// [`crate::regalloc_reference::tests::FP_DATA`], both holding a pattern no
+/// stored value repeats.
+#[cfg(test)]
+pub(crate) fn unit_rig() -> Rig {
+    let layout = Layout {
+        regfile: 0x8000,
+        regfile_len: 0x400,
+        data: crate::regalloc_reference::tests::FP_DATA,
+        data_len: 0x100,
+        phys_mem: 0x10000,
+        entry_pc: 0x4_0000,
+    };
+    let pattern: Vec<u8> = (0..0x400u32).map(|i| (i * 37 + 11) as u8).collect();
+    Rig::new(layout, pattern[..0x200].to_vec(), pattern[0x80..0x180].to_vec())
 }
 
 /// The first way `got` differs from `want`, as seen at `observer`.

@@ -843,6 +843,13 @@ pub(crate) fn allocate_unsplit(lir: &[LirInsn]) -> Allocation {
     allocation
 }
 
+/// The dead marks [`allocate_into`] leaves in its allocation, without the
+/// linear scan.
+pub(crate) fn mark_dead_into(s: &mut AllocScratch, lir: &[LirInsn], dead: &mut Vec<bool>) {
+    let bounds = s.scan(lir);
+    s.mark_dead(lir, &bounds, dead);
+}
+
 /// [`allocate`] in the caller's scratch, with the caller's [`Scan`],
 /// overwriting `out` (whose vectors keep their capacity).
 pub(crate) fn allocate_into(
