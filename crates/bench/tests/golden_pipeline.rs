@@ -341,11 +341,7 @@ fn the_observed_state_rewrites_leave_every_observer_the_state_it_saw() {
                 ),
             };
             let ran = rig
-                .compare(
-                    (&got.code, &got.promoted),
-                    (&want.code, &want.promoted),
-                    4,
-                )
+                .compare((&got.code, &got.promoted), (&want.code, &want.promoted), 4)
                 .unwrap_or_else(|e| panic!("{} block at word {start}: {e}", w.name));
             blocks_run += ran as u32;
         }
@@ -382,15 +378,14 @@ fn the_observed_state_rewrites_leave_every_observer_the_state_it_saw() {
                 ),
             };
             let ran = rig
-                .compare(
-                    (&got.code, &got.promoted),
-                    (&want.code, &want.promoted),
-                    4,
-                )
+                .compare((&got.code, &got.promoted), (&want.code, &want.promoted), 4)
                 .unwrap_or_else(|e| panic!("{} region at word {start}: {e}", w.name));
             regions_run += ran as u32;
         }
     }
     // Every region runs to its end: none is a loop the rig cannot finish.
-    assert!(blocks_run > 1_800 && regions_run == 1734, "{blocks_run} blocks, {regions_run} regions run");
+    assert!(
+        blocks_run > 1_800 && regions_run == 1734,
+        "{blocks_run} blocks, {regions_run} regions run"
+    );
 }

@@ -747,8 +747,8 @@ mod tests {
     use super::*;
     use crate::lir::{LirMem, Vreg, VregClass};
     use crate::opt::{optimize_in, Caps, CAPS};
-    use crate::regalloc::allocate;
     use crate::probe::unit_rig;
+    use crate::regalloc::allocate;
     use crate::regalloc_reference::tests::fp_loop_unit;
 
     #[test]

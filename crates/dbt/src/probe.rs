@@ -231,11 +231,18 @@ impl Rig {
         want: (&[MachInsn], &[(i32, Carrier)]),
         fault_at: Option<u64>,
     ) -> Result<Option<(Observation, Observation)>, String> {
-        match (self.run(got.0, got.1, fault_at), self.run(want.0, want.1, fault_at)) {
+        match (
+            self.run(got.0, got.1, fault_at),
+            self.run(want.0, want.1, fault_at),
+        ) {
             (Some(g), Some(w)) => Ok(Some((g, w))),
             (None, None) => Ok(None),
-            (None, Some(_)) => Err("the rewritten code ran out of fuel, the reference did not".into()),
-            (Some(_), None) => Err("the reference ran out of fuel, the rewritten code did not".into()),
+            (None, Some(_)) => {
+                Err("the code under test ran out of fuel, the reference did not".into())
+            }
+            (Some(_), None) => {
+                Err("the reference ran out of fuel, the code under test did not".into())
+            }
         }
     }
 
@@ -286,7 +293,11 @@ pub(crate) fn unit_rig() -> Rig {
         entry_pc: 0x4_0000,
     };
     let pattern: Vec<u8> = (0..0x400u32).map(|i| (i * 37 + 11) as u8).collect();
-    Rig::new(layout, pattern[..0x200].to_vec(), pattern[0x80..0x180].to_vec())
+    Rig::new(
+        layout,
+        pattern[..0x200].to_vec(),
+        pattern[0x80..0x180].to_vec(),
+    )
 }
 
 /// The first way `got` differs from `want`, as seen at `observer`.
