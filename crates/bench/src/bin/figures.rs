@@ -454,8 +454,8 @@ fn json() {
         push(w.name, "captive", &run_captive(&w));
         push(w.name, "qemu", &run_qemu(&w));
     }
-    // The guest-idiom trajectory (the per-rule `idiom_hits.<rule>` and
-    // `idiom_candidates.<rule>` counters).
+    // The guest-idiom trajectory (the per-rule `idiom_hits.<rule>`
+    // counters).
     for w in workloads::idiom_kernels(Scale(1)) {
         push(w.name, "captive-idiom", &captive(&w, "sync"));
         push(w.name, "captive-noidiom", &captive(&w, "noidiom+sync"));

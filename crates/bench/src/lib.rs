@@ -64,9 +64,8 @@ pub fn captive_config(names: &str) -> CaptiveConfig {
     cfg
 }
 
-/// Loads `w` into an already constructed engine (so callers can pre-seat a
-/// rule table or attach a device), runs it to the halt and samples the
-/// engine's counters.
+/// Loads `w` into an already constructed engine (so callers can attach a
+/// device first), runs it to the halt and samples the engine's counters.
 pub fn drive<E: Engine>(w: &Workload, e: &mut E) -> RunStats {
     e.load_program(workloads::CODE_BASE, &w.words);
     e.set_entry(w.entry);
@@ -113,21 +112,6 @@ pub fn run_captive_tiered_reuse(w: &Workload, reuse: &std::sync::Arc<dbt::ReuseC
             ..CaptiveConfig::default()
         },
     )
-}
-
-/// The profile-mined idiom flow: one observe-only pass (candidates counted,
-/// nothing rewritten), mine a [`dbt::RuleTable`] from the hot-region
-/// profiles, then re-run with the mined table applied.  Returns
-/// `(observe, mined, table)`.
-pub fn run_captive_idioms_mined(w: &Workload) -> (RunStats, RunStats, dbt::RuleTable) {
-    let mut observer = Captive::new(captive_config("sync"));
-    observer.set_idiom_rules(dbt::RuleTable::observe_only());
-    let observe = drive(w, &mut observer);
-    let table = observer.mine_idiom_rules();
-    let mut miner = Captive::new(captive_config("sync"));
-    miner.set_idiom_rules(table.clone());
-    let mined = drive(w, &mut miner);
-    (observe, mined, table)
 }
 
 /// Guest RAM for a QEMU-style baseline: whatever the Captive it is compared

@@ -8,10 +8,11 @@
 //! show, per kernel and across the set.  `figures -- waterfall` prints the
 //! same kernels under the same configurations.
 //!
-//! The rest of the former sections is held elsewhere: the mined-table flow
-//! in `idioms.rs`, the hot loop's region bar (> 10 000 stitched transfers)
-//! in `cross_system.rs`, which also holds the interrupt-storm and timer-tick
-//! kernels; the virtio kernels are `virtio.rs`'s.
+//! The rest of the former sections is held elsewhere: the idiom rules'
+//! architectural invisibility in `idioms.rs`, the hot loop's region bar
+//! (> 10 000 stitched transfers) in `cross_system.rs`, which also holds the
+//! interrupt-storm and timer-tick kernels; the virtio kernels are
+//! `virtio.rs`'s.
 
 use bench::{captive_config, run_captive_cfg, run_qemu_chaining, run_qemu_goto_tb, RunStats};
 use dbt::RuleKind;

@@ -58,7 +58,6 @@ use captive::spec::Knobs;
 use captive::translator::{form_region_from, FormOutcome, LiveSource};
 use dbt::{CounterField, Emitter, GuestIsa, PhaseTimers, RuleTable};
 use guest_aarch64::Aarch64Isa;
-use std::sync::Arc;
 use workloads::{Scale, Workload};
 
 /// The bytes a digest covers, hashed with [`dbt::fnv1a`] at the end.
@@ -150,12 +149,12 @@ fn blocks(words: &[u32]) -> Vec<(usize, Vec<dbt::LirInsn>)> {
 /// The digest of every block of the corpus, and the JIT counters their
 /// translations added up to.
 fn block_digest(run_opt: bool) -> (u64, dbt::JitCounters) {
-    let table = RuleTable::full();
+    let table = RuleTable::builtin();
     let mut h = Digest::default();
     let mut timers = PhaseTimers::default();
     for w in programs() {
         for (_, lir) in blocks(&w.words) {
-            match dbt::finish_translation(&mut timers, lir, run_opt, run_opt, Some(&table)) {
+            match dbt::finish_translation(&mut timers, lir, run_opt, run_opt, Some(table)) {
                 Ok(t) => h.translation(&t.encoded, t.elided, &t.promoted),
                 Err(_) => h.word(u64::MAX),
             }
@@ -192,7 +191,7 @@ fn unoptimised_block_translations_are_byte_identical_to_the_recorded_digest() {
 #[test]
 fn formed_regions_are_byte_identical_to_the_recorded_digest() {
     let cfg = bench::captive_config("sync");
-    let knobs = Knobs::new(&cfg, &Arc::new(RuleTable::full()));
+    let knobs = Knobs::new(&cfg);
     let mut h = Digest::default();
     let mut formed = 0usize;
     let mut jit = dbt::JitCounters::default();
@@ -243,7 +242,7 @@ fn a_translation_does_not_depend_on_what_its_thread_translated_before() {
     // The back half works in one per-thread scratch that holds capacity,
     // never facts: whatever order the corpus goes through it in, and on a
     // thread that has translated nothing, every block comes out the same.
-    let table = RuleTable::full();
+    let table = RuleTable::builtin();
     let corpus: Vec<Vec<dbt::LirInsn>> = programs()
         .iter()
         .flat_map(|w| blocks(&w.words))
@@ -252,7 +251,7 @@ fn a_translation_does_not_depend_on_what_its_thread_translated_before() {
     let in_order = |order: &[usize]| {
         let mut digests = vec![0u64; corpus.len()];
         for &k in order {
-            digests[k] = unit_digest(corpus[k].clone(), &table);
+            digests[k] = unit_digest(corpus[k].clone(), table);
         }
         digests
     };
@@ -273,8 +272,8 @@ fn a_translation_does_not_depend_on_what_its_thread_translated_before() {
     assert_eq!(in_order(&shuffled), expected, "shuffled order");
     // Each on a thread of its own: a scratch that has seen nothing.
     for (k, lir) in corpus.iter().enumerate() {
-        let (lir, table) = (lir.clone(), table.clone());
-        let fresh = std::thread::spawn(move || unit_digest(lir, &table))
+        let lir = lir.clone();
+        let fresh = std::thread::spawn(move || unit_digest(lir, table))
             .join()
             .expect("translation does not panic");
         assert_eq!(fresh, expected[k], "block {k} on a fresh thread");
@@ -321,10 +320,10 @@ fn the_observed_state_rewrites_leave_every_observer_the_state_it_saw() {
     // register file (NZCV slot included), guest memory and guest PC, hands
     // every helper the same PC, and shows a data abort at each of its first
     // guest accesses (and at its last) the same register file and PC.
-    let table = RuleTable::full();
+    let table = RuleTable::builtin();
     let mut rig = corpus_rig();
     let translate = |lir: Vec<dbt::LirInsn>| {
-        dbt::finish_translation(&mut PhaseTimers::default(), lir, true, true, Some(&table))
+        dbt::finish_translation(&mut PhaseTimers::default(), lir, true, true, Some(table))
     };
     let mut blocks_run = 0;
     for w in programs() {
@@ -347,7 +346,7 @@ fn the_observed_state_rewrites_leave_every_observer_the_state_it_saw() {
         }
     }
     let cfg = bench::captive_config("sync");
-    let knobs = Knobs::new(&cfg, &Arc::new(RuleTable::full()));
+    let knobs = Knobs::new(&cfg);
     let mut regions_run = 0;
     for w in programs() {
         let mut c = captive::Captive::new(cfg.clone());

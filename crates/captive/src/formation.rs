@@ -427,7 +427,7 @@ impl Captive {
         ReuseKey {
             phys: key.phys,
             virt: key.virt,
-            knobs: self.reuse_knobs[formed as usize],
+            knobs: self.knobs.packed(formed),
         }
     }
 

@@ -36,7 +36,7 @@ pub mod translator;
 
 use dbt::{
     BlockExit, CacheIndex, CodeCache, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey,
-    ReuseCache, RuleKind, RuleTable, TierTimers, RULE_COUNT,
+    ReuseCache, TierTimers,
 };
 use formation::FormationBackoff;
 use guest_aarch64::dispatch::{self, Dispatch, Profiles};
@@ -83,10 +83,9 @@ pub struct CaptiveConfig {
     pub opt: bool,
     /// Enable the guest-idiom rewrite layer (`dbt::idiom`, requires `opt`):
     /// NZCV-free compare+branch fusion, address-mode folding and bulk-move
-    /// rewriting, applied under the engine's [`dbt::RuleTable`] (the full
-    /// built-in table unless [`Captive::set_idiom_rules`] installs a mined
-    /// one).  The table's content hash joins the reuse key, so engines with
-    /// different tables never share templates.
+    /// rewriting, each built-in rule rewriting wherever it matches
+    /// ([`dbt::RuleTable::builtin`]).  The setting joins the reuse key, so
+    /// engines with the layer on and off never share templates.
     pub idioms: bool,
     /// Chain-link transfer count at which the link's target becomes a
     /// region trace head.
@@ -195,20 +194,11 @@ pub struct Captive {
     /// Content-keyed translation reuse (tiered mode only): shared across
     /// instances when the config supplies one, private otherwise.
     reuse: Option<Arc<ReuseCache>>,
-    /// The guest-idiom rule table every translation applies when
-    /// `config.idioms` is on.  Shared by `Arc` with background formation
-    /// workers so the synchronous path and tier-1 apply the *same* table;
-    /// its content hash joins the reuse key ([`spec::Knobs::packed`]).
-    idiom_rules: Arc<RuleTable>,
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     tier_timers: TierTimers,
-    /// The codegen knobs every translation is made under (re-made whenever
-    /// `idiom_rules` changes); a speculative tier-0 translation must carry
-    /// this very `Arc` to be installed.
+    /// The codegen knobs every translation is made under, fixed at `new`
+    /// and shared by `Arc` with the tier workers.
     knobs: Arc<spec::Knobs>,
-    /// `knobs.packed()`, made with `knobs` (hashing the idiom table takes a
-    /// string format, too slow for every tier-0 miss on a patched page).
-    reuse_knobs: [u64; 2],
     /// Run-thread speculation counters.
     spec_stats: spec::SpecStats,
     /// Construction time, the zero point for time-to-first-region-install.
@@ -238,15 +228,13 @@ impl Captive {
                 .clone()
                 .unwrap_or_else(|| Arc::new(ReuseCache::new()))
         });
-        let idiom_rules = Arc::new(RuleTable::full());
-        let knobs = spec::Knobs::new(&config, &idiom_rules);
+        let knobs = spec::Knobs::new(&config);
         Captive {
             machine,
             runtime,
             cache,
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
-            reuse_knobs: knobs.packed(),
             knobs,
             spec_stats: spec::SpecStats::default(),
             config,
@@ -259,26 +247,9 @@ impl Captive {
             parked_results: KeyMap::default(),
             next_seq: 0,
             reuse,
-            idiom_rules,
             tier_timers: TierTimers::default(),
             launch: Instant::now(),
         }
-    }
-
-    /// Installs a guest-idiom rule table (e.g. one mined by
-    /// [`Captive::mine_idiom_rules`] from a profiling run).  Takes effect
-    /// for every later translation; already-cached code is unaffected.  The
-    /// table's hash changes the content-reuse key, so translations made
-    /// under different tables never alias in a shared [`ReuseCache`].
-    pub fn set_idiom_rules(&mut self, table: RuleTable) {
-        self.idiom_rules = Arc::new(table);
-        self.knobs = spec::Knobs::new(&self.config, &self.idiom_rules);
-        self.reuse_knobs = self.knobs.packed();
-    }
-
-    /// The engine's current guest-idiom rule table.
-    pub fn idiom_rules(&self) -> &RuleTable {
-        &self.idiom_rules
     }
 
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
@@ -289,55 +260,6 @@ impl Captive {
     /// Per-region execution profiles (region key → per-entry-mode record).
     pub fn region_profiles(&self) -> &Profiles {
         &self.per_region
-    }
-
-    /// Mines a guest-idiom [`RuleTable`] from this run's hot-region
-    /// profiles: each rule is ranked by its dynamic candidate count —
-    /// Σ over profiled regions of (static candidate sites in the region ×
-    /// the region's recorded executions) — and rules that never matched a
-    /// candidate anywhere are pruned (disabled), so a guest that exhibits
-    /// no instance of an idiom ships a table that never looks for it.
-    ///
-    /// Needs `per_block_stats` for non-zero dynamic weights; without
-    /// profiles the static candidate counters from the translation timers
-    /// still seed the ranking, so pruning remains meaningful.
-    ///
-    /// The bulk-move rewrite consumes the *output* of the zero-test fusion
-    /// rule (its loop-exit matcher expects a fused `Cmp/Jcc` pair), so a
-    /// mined table that keeps `bulk.memset` also keeps `fuse.cbz`.
-    pub fn mine_idiom_rules(&self) -> RuleTable {
-        let gen = self.runtime.context_generation();
-        let mut weights = [0u64; RULE_COUNT];
-        // Dynamic ranking: candidates weighted by how often the region ran.
-        for (key, profile) in &self.per_region {
-            let Some(region) = self.cache.get(*key, gen) else {
-                continue;
-            };
-            let execs = profile.total_executions();
-            for (w, &c) in weights.iter_mut().zip(region.idiom_candidates.iter()) {
-                *w += c as u64 * execs;
-            }
-        }
-        // Static fallback: every candidate the translator ever saw counts
-        // once, so a rule with real sites survives even if its regions were
-        // evicted or never profiled.
-        for (w, &c) in weights
-            .iter_mut()
-            .zip(self.timers.jit.idiom_candidates.iter())
-        {
-            *w += c;
-        }
-        let mut table = RuleTable::full();
-        for kind in RuleKind::ALL {
-            table.set_weight(kind, weights[kind.index()]);
-            if weights[kind.index()] == 0 {
-                table.set_enabled(kind, false);
-            }
-        }
-        if table.enabled(RuleKind::BulkMemset) && !table.enabled(RuleKind::FuseCbz) {
-            table.set_enabled(RuleKind::FuseCbz, true);
-        }
-        table
     }
 
     /// The tier-0 miss path: obtains the one-constituent translation of the
@@ -1759,10 +1681,11 @@ mod tests {
         let callee = |step: u32| [asm::addi(9, 9, step), asm::ret()];
         // Every instance holds the loop at 0x1000, its callee at 0x2000 and
         // a second callee, twice the step, at 0x5000.
-        let instance = || {
+        let instance = |idioms: bool| {
             let mut c = Captive::new(CaptiveConfig {
                 tier_workers: Some(0),
                 reuse_cache: Some(Arc::clone(&reuse)),
+                idioms,
                 ..CaptiveConfig::default()
             });
             c.load_program(0x1000, &main);
@@ -1775,8 +1698,8 @@ mod tests {
             assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
             (c.guest_reg(9), c.stats())
         };
-        let (x9_first, first) = finish(instance());
-        let (x9_second, second) = finish(instance());
+        let (x9_first, first) = finish(instance(true));
+        let (x9_second, second) = finish(instance(true));
         assert_eq!(x9_first, 3000, "one step per call");
         assert_eq!(x9_first, x9_second);
         assert_eq!(first.reuse_hits, 0, "cold cache on the first run");
@@ -1808,7 +1731,7 @@ mod tests {
         boot.push(asm::msr(guest_aarch64::SysReg::Sctlr as u32, 0)); // MMU on
         let b_idx = boot.here();
         boot.push(asm::b(0x1000 - (0x3000 + b_idx as i64 * 4)));
-        let mut c = instance();
+        let mut c = instance(true);
         c.load_program(0x3000, &boot.finish());
         c.set_entry(0x3000);
         for (a, v) in tables.words() {
@@ -1818,5 +1741,15 @@ mod tests {
         assert_eq!(x9_third, 6000, "the callee this guest mapped, two a call");
         assert_eq!(third.reuse_hits, 0, "evidence from another mapping");
         assert_eq!(third.regions_formed, first.regions_formed, "re-formed");
+
+        // A fourth instance runs the first guest with the idiom layer off.
+        // Its templates are other code, and the one knob is all that tells
+        // its reuse key from the first two instances': it must miss and
+        // re-form, then end where they did.
+        let (x9_fourth, fourth) = finish(instance(false));
+        assert_eq!(x9_fourth, x9_first);
+        assert_eq!(fourth.reuse_hits, 0, "templates made with the idiom layer");
+        assert!(fourth.reuse_misses >= 1);
+        assert_eq!(fourth.regions_formed, first.regions_formed, "re-formed");
     }
 }

@@ -9,8 +9,8 @@
 //! the miss path's `Captive::speculated_block` and nothing else.  A parked
 //! result is a region and the [`dbt::Evidence`] the block translator
 //! recorded for it, like a block kept on a patched page; that method hands
-//! it back only when it was made under the engine's current knobs and the
-//! one gate (`Captive::evidence_holds`) admits its evidence.
+//! it back only when the one gate (`Captive::evidence_holds`) admits its
+//! evidence.
 //!
 //! # Why the pool is not the reuse store
 //!
@@ -44,7 +44,6 @@ use crate::runtime::CaptiveRuntime;
 use crate::tier::{TierService, PAGE_BYTES};
 use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
 use crate::{Captive, CaptiveConfig, FpMode};
-use dbt::idiom::RuleTable;
 use dbt::{BlockExit, CounterField, Evidence, PhaseTimers, Region, RegionKey};
 use guest_aarch64::Aarch64Isa;
 use std::collections::{HashMap, VecDeque};
@@ -68,9 +67,8 @@ const POOL_AGE: u64 = 4 * POOL_MAX as u64;
 
 /// The codegen knobs every translation of one engine is made under: what the
 /// translators take besides addresses, what a tier-1 request carries and
-/// what the reuse key packs.  One `Arc` per engine (re-made when the idiom
-/// table changes); a parked speculative result is only honoured while it
-/// still carries *that* `Arc`.
+/// what the reuse key packs.  One `Arc` per engine, made in `Captive::new`
+/// and never changed after it.
 #[derive(Debug)]
 pub struct Knobs {
     /// FP implementation strategy.
@@ -79,43 +77,36 @@ pub struct Knobs {
     pub run_opt: bool,
     /// Run loop-carried register promotion (only meaningful with `run_opt`).
     pub promote: bool,
-    /// The idiom rule set to translate with (`None` = idiom layer off).
-    /// Shared by `Arc` so the run thread and every worker apply the *same*
-    /// table.
-    pub idioms: Option<Arc<RuleTable>>,
+    /// Run the idiom layer, with the built-in rule set
+    /// ([`dbt::RuleTable::builtin`]).
+    pub idioms: bool,
     /// Loop-unroll factor of formed regions.
     pub unroll: usize,
 }
 
 impl Knobs {
-    /// The knobs an engine configured by `config` translates under while
-    /// `rules` is its idiom table.
-    pub fn new(config: &CaptiveConfig, rules: &Arc<RuleTable>) -> Arc<Self> {
+    /// The knobs an engine configured by `config` translates under.
+    pub fn new(config: &CaptiveConfig) -> Arc<Self> {
         Arc::new(Knobs {
             fp_mode: config.fp_mode,
             run_opt: config.opt,
             promote: config.promote,
-            idioms: config.idioms.then(|| Arc::clone(rules)),
+            idioms: config.idioms,
             unroll: config.unroll_loops,
         })
     }
 
-    /// The knobs as the `knobs` word of a [`dbt::ReuseKey`]: a block's, then
-    /// a formed region's, which also packs the unroll factor.  The idiom
-    /// table joins by content hash, so translations made under different
-    /// tables never share a template.
-    pub(crate) fn packed(&self) -> [u64; 2] {
-        let table = self.idioms.as_ref().map_or(0, |table| table.hash());
-        [0, self.unroll.max(1)].map(|unroll| {
-            dbt::pack_knobs(
-                self.fp_mode == FpMode::Software,
-                self.run_opt,
-                self.promote,
-                self.idioms.is_some(),
-                unroll,
-                table,
-            )
-        })
+    /// The knobs as the `knobs` word of a [`dbt::ReuseKey`]: a formed
+    /// region's, which also packs the unroll factor, or (`formed` false) a
+    /// block's.
+    pub(crate) fn packed(&self, formed: bool) -> u64 {
+        dbt::pack_knobs(
+            self.fp_mode == FpMode::Software,
+            self.run_opt,
+            self.promote,
+            self.idioms,
+            if formed { self.unroll.max(1) } else { 0 },
+        )
     }
 }
 
@@ -147,7 +138,6 @@ pub(crate) struct Ready {
     /// result.
     timers: PhaseTimers,
     wall: Duration,
-    knobs: Arc<Knobs>,
     /// Tier-0 install count when the result was parked (for [`POOL_AGE`]).
     parked_at: u64,
 }
@@ -243,7 +233,7 @@ pub struct SpecStats {
     /// Tier-0 installs served from the ready pool.
     pub installed: u64,
     /// Parked results the miss path found but refused: their recorded words
-    /// (or codegen knobs) no longer matched.
+    /// no longer matched.
     pub stale: u64,
     /// Blocks translated speculatively (installed, stale, still parked,
     /// cancelled by a synchronous translation, or aged out).
@@ -485,7 +475,6 @@ impl Job {
             evidence,
             timers,
             wall: start.elapsed(),
-            knobs: Arc::clone(&self.knobs),
             parked_at: 0,
         }))
     }
@@ -546,14 +535,13 @@ impl Captive {
 
     /// The miss path's pool look-up: a parked translation of the block at
     /// `key`, if there is one and it is exactly what `translate_block` would
-    /// produce now — made under the current knobs (the very `Arc`, so no
-    /// hash is trusted) from evidence the one gate admits.  Its timers join
-    /// the engine's here, once; a refused result drops them and poisons the
-    /// page (a copy that went stale once will again).
+    /// produce now — made from evidence the one gate admits.  Its timers
+    /// join the engine's here, once; a refused result drops them and poisons
+    /// the page (a copy that went stale once will again).
     pub(crate) fn speculated_block(&mut self, key: RegionKey) -> Option<Region> {
         let tier = speculating(&self.tier)?;
         let ready = tier.with_frontier(|f| f.take(key))?;
-        if !(Arc::ptr_eq(&ready.knobs, &self.knobs) && self.evidence_holds(&ready.evidence)) {
+        if !self.evidence_holds(&ready.evidence) {
             self.spec_stats.stale += 1;
             tier.with_frontier(|f| f.poison(key.phys & !0xFFF));
             return None;
@@ -711,69 +699,6 @@ mod tests {
         assert_eq!(after.stale, 1, "the parked callee failed validation");
         // The return address was translated ahead too, and is still good.
         assert_eq!(after.installed, 1);
-    }
-
-    #[test]
-    fn a_speculative_translation_made_under_a_superseded_idiom_table_is_refused() {
-        // A call whose return block is a fusable compare-and-branch: the
-        // first block parks the callee, the return block and its successors
-        // under the built-in table, then the table changes under them.
-        let mut main = asm::Assembler::new();
-        main.push(asm::movz(0, 0, 0));
-        main.push(asm::bl(0x2000 - 0x1004));
-        main.push(asm::cmpi(0, 1));
-        main.bcond_to(guest_aarch64::GuestCond::Eq, "done");
-        main.push(asm::movz(1, 9, 0));
-        main.label("done");
-        main.push(asm::movz(1, 7, 0));
-        main.push(asm::hlt());
-        let callee = vec![asm::addi(0, 0, 1), asm::ret()];
-        let segments = [(0x1000, main.finish()), (0x2000, callee)];
-        let sync_under = |table: RuleTable| {
-            let mut c = boot(
-                CaptiveConfig {
-                    tier_workers: None,
-                    ..CaptiveConfig::default()
-                },
-                &segments,
-            );
-            c.set_idiom_rules(table);
-            assert_eq!(c.run(100), RunExit::GuestHalted { code: 0 });
-            c
-        };
-        let (sync, builtin) = (
-            sync_under(RuleTable::observe_only()),
-            sync_under(RuleTable::full()),
-        );
-
-        let mut c = boot(pump(), &segments);
-        assert_eq!(c.run(1), RunExit::BudgetExhausted);
-        assert!(c.speculation().translated >= 2, "callee and return parked");
-        c.set_idiom_rules(RuleTable::observe_only());
-        assert_eq!(c.run(100), RunExit::GuestHalted { code: 0 });
-        let spec = c.speculation();
-        assert_eq!(spec.installed, 0, "nothing parked before the switch served");
-        assert!(spec.stale >= 1, "{spec:?}");
-        for r in 0..31 {
-            assert_eq!(c.guest_reg(r), sync.guest_reg(r), "x{r}");
-        }
-        assert_eq!(c.cache.len(), sync.cache.len());
-        let returned = RegionKey {
-            phys: 0x1008,
-            virt: 0x1008,
-        };
-        let code = |c: &Captive| c.cache.peek(returned).expect("cached").code.clone();
-        assert_ne!(code(&sync), code(&builtin), "the table decides the code");
-        for at in [0x2000, 0x1008, 0x1014] {
-            let key = RegionKey { phys: at, virt: at };
-            let (ours, theirs) = (c.cache.peek(key), sync.cache.peek(key));
-            let (ours, theirs) = (ours.expect("cached"), theirs.expect("cached"));
-            assert_eq!(
-                (&ours.code, ours.exit),
-                (&theirs.code, theirs.exit),
-                "{at:#x}"
-            );
-        }
     }
 
     #[test]

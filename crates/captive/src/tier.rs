@@ -56,11 +56,10 @@
 //! **What must not change, and why it cannot.**  Speculation decides *who*
 //! runs the translator, never what it produces or when the product is
 //! installed.  A block translation is a pure function of its addresses, the
-//! codegen knobs and the words the translator fetched.  The tier-0 miss path
-//! asks the pool for `(pa, pc)`; a parked result is used only if it was made
-//! under the engine's current knobs and the one gate
-//! (`Captive::evidence_holds`) finds every word it was made from in live
-//! memory *now*.  Then the miss path does what it always did:
+//! codegen knobs (fixed when the engine is made) and the words the
+//! translator fetched.  The tier-0 miss path asks the pool for `(pa, pc)`;
+//! a parked result is used only if the one gate (`Captive::evidence_holds`)
+//! finds every word it was made from in live memory *now*.  Then the miss path does what it always did:
 //! `note_code_page`, `cache.insert`, `translations += 1`, and the result's
 //! own [`dbt::PhaseTimers`] (wall clocks and static counters alike) merged
 //! once.  Anything else — nothing parked, still queued or in flight, a
@@ -522,7 +521,6 @@ impl Drop for TierService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbt::RuleTable;
     use guest_aarch64::asm;
 
     fn snapshot_with_code(words: &[u32], base: u64) -> FormationSnapshot {
@@ -565,10 +563,7 @@ mod tests {
                 virt: entry,
             },
             snapshot,
-            knobs: Knobs::new(
-                &crate::CaptiveConfig::default(),
-                &Arc::new(RuleTable::full()),
-            ),
+            knobs: Knobs::new(&crate::CaptiveConfig::default()),
         }
     }
 
@@ -703,7 +698,6 @@ mod tests {
             loop_guest_insns: 0,
             loop_elided_insns: 0,
             promoted: Vec::new(),
-            idiom_candidates: [0; dbt::RULE_COUNT],
             made_from: None,
         };
         let key = |phys: u64| RegionKey { phys, virt: phys };
@@ -798,10 +792,7 @@ mod tests {
         // for: every job is still queued afterwards.
         let service = TierService::new(2);
         let shared = Arc::clone(&service.shared);
-        let knobs = Knobs::new(
-            &crate::CaptiveConfig::default(),
-            &Arc::new(RuleTable::full()),
-        );
+        let knobs = Knobs::new(&crate::CaptiveConfig::default());
         let mut page = Vec::new();
         for _ in 0..PAGE_BYTES / 8 {
             page.extend_from_slice(&asm::addi(0, 0, 1).to_le_bytes());

@@ -35,7 +35,6 @@ use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
 use guest_aarch64::{v_off, Aarch64Isa};
 use hvm::{Machine, MemSize};
-use std::sync::Arc;
 
 /// Maximum guest instructions per translated block, on either engine.
 pub const MAX_BLOCK_INSNS: usize = 64;
@@ -44,7 +43,9 @@ pub const MAX_BLOCK_INSNS: usize = 64;
 /// (physical address `pa`) into a one-constituent region, reading the guest
 /// words from live memory.  (The knobs are spelled out because the
 /// benchmark's replay calls this positionally; the engine itself calls
-/// [`translate_block_from`] with its [`Knobs`].)
+/// [`translate_block_from`] with its [`Knobs`].)  `idioms` switches the
+/// idiom layer on; the engine's rule set is always [`RuleTable::builtin`],
+/// so a `Some` table must be that one.
 #[allow(clippy::too_many_arguments)]
 pub fn translate_block(
     isa: &Aarch64Isa,
@@ -58,11 +59,12 @@ pub fn translate_block(
     promote: bool,
     idioms: Option<&RuleTable>,
 ) -> Region {
+    debug_assert!(idioms.is_none_or(|table| table == RuleTable::builtin()));
     let knobs = Knobs {
         fp_mode,
         run_opt,
         promote,
-        idioms: idioms.map(|table| Arc::new(table.clone())),
+        idioms: idioms.is_some(),
         unroll: 1,
     };
     translate_block_from(
@@ -224,7 +226,7 @@ fn finish(
         lir,
         knobs.run_opt,
         knobs.promote,
-        knobs.idioms.as_deref(),
+        knobs.idioms.then(RuleTable::builtin),
     )
 }
 

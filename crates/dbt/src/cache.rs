@@ -405,11 +405,6 @@ pub struct Region {
     /// delivering the event so the guest observes a precise register file.
     /// Empty for unpromoted translations.
     pub promoted: Vec<(i32, Carrier)>,
-    /// Per-rule idiom-recogniser candidate counts from this region's
-    /// translation (see [`crate::idiom::IdiomStats::candidates`]).  The rule
-    /// miner weighs these by the region's profiled executions to rank rules
-    /// by dynamic relevance.
-    pub idiom_candidates: [u32; crate::idiom::RULE_COUNT],
     /// What a block translated on a page the guest patches was made from,
     /// for the reuse store to have once a code write drops the block
     /// ([`crate::reuse`]); `None` everywhere else.
@@ -447,7 +442,6 @@ impl Region {
             loop_guest_insns: 0,
             loop_elided_insns: 0,
             promoted: t.promoted,
-            idiom_candidates: t.idioms.candidates,
             made_from: None,
         }
     }
@@ -606,8 +600,8 @@ struct Slot {
     referenced: bool,
 }
 
-/// FNV-1a over a byte slice — the content hash of the reuse layer (page
-/// bytes → template identity) and of the idiom rule table.
+/// FNV-1a over a byte slice — the digest the golden pipeline pins and the
+/// benchmark's disk checks compare.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -1022,7 +1016,6 @@ pub(crate) mod tests {
             loop_guest_insns: 0,
             loop_elided_insns: 0,
             promoted: Vec::new(),
-            idiom_candidates: [0; crate::idiom::RULE_COUNT],
             made_from: None,
         }
     }

@@ -184,9 +184,6 @@ counter_table! {
         Deterministic regalloc_splits: u64,
         /// Idiom rewrites applied, per rule (see [`crate::idiom`]).
         Deterministic idiom_hits: [u64; RULE_COUNT],
-        /// Idiom candidate sites per rule — matched and proven sound whether
-        /// or not the rule was enabled; the rule miner's input.
-        Deterministic idiom_candidates: [u64; RULE_COUNT],
     }
 }
 
@@ -215,7 +212,6 @@ mod tests {
         };
         assert_eq!(value("opt_dead_stores"), 4);
         assert_eq!(value("idiom_hits.fuse.cbz"), 10);
-        assert_eq!(value("idiom_candidates.fuse.cbz"), 0);
         assert_eq!(walk.iter().map(|c| c.value).sum::<u64>(), 14);
     }
 }

@@ -156,12 +156,8 @@ pub enum Node {
     Const { value: u64, ty: ValueType },
     /// A read of the guest register file at a fixed byte offset.
     ReadReg { offset: i32, ty: ValueType },
-    /// The guest program counter.
-    ReadPc,
     /// Integer binary operation.
     Binary { op: BinOp, a: NodeId, b: NodeId },
-    /// Zero-extension from `from` bits.
-    Zext { a: NodeId, from: ValueType },
     /// Sign-extension from `from` bits.
     Sext { a: NodeId, from: ValueType },
     /// Comparison producing 0 or 1.
@@ -189,10 +185,6 @@ pub enum Node {
     IntToFp { a: NodeId },
     /// Double to signed 64-bit integer.
     FpToInt { a: NodeId },
-    /// Single to double.
-    FpWiden { a: NodeId },
-    /// Double to single.
-    FpNarrow { a: NodeId },
     /// Move an integer value into a vector register (bit pattern reinterpretation).
     GprToFp { a: NodeId },
     /// Move a vector register's low 64 bits into an integer value.
@@ -458,22 +450,6 @@ impl Emitter {
         })
     }
 
-    /// A 32-bit constant node.
-    pub fn const_u32(&mut self, value: u32) -> NodeId {
-        self.push_node(Node::Const {
-            value: value as u64,
-            ty: ValueType::U32,
-        })
-    }
-
-    /// An 8-bit constant node.
-    pub fn const_u8(&mut self, value: u8) -> NodeId {
-        self.push_node(Node::Const {
-            value: value as u64,
-            ty: ValueType::U8,
-        })
-    }
-
     /// A double-precision constant node (bit pattern).
     pub fn const_f64_bits(&mut self, bits: u64) -> NodeId {
         self.push_node(Node::Const {
@@ -500,11 +476,6 @@ impl Emitter {
         self.push_node(Node::ReadReg { offset, ty })
     }
 
-    /// Reads the guest program counter.
-    pub fn read_pc(&mut self) -> NodeId {
-        self.push_node(Node::ReadPc)
-    }
-
     /// Loads from guest memory at the virtual address given by `addr`.
     pub fn load_memory(&mut self, addr: NodeId, ty: ValueType, sext: bool) -> NodeId {
         self.push_node(Node::LoadMem { addr, ty, sext })
@@ -529,14 +500,6 @@ impl Emitter {
     /// Shorthand for `binary(BinOp::Sub, ..)`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.binary(BinOp::Sub, a, b)
-    }
-
-    /// Zero-extension from the low bits of `from`.
-    pub fn zext(&mut self, a: NodeId, from: ValueType) -> NodeId {
-        if let Some(v) = self.as_const(a) {
-            return self.const_u64(v & from.mem_size().mask());
-        }
-        self.push_node(Node::Zext { a, from })
     }
 
     /// Sign-extension from the low bits of `from`.
@@ -585,16 +548,6 @@ impl Emitter {
     /// Double to signed 64-bit integer.
     pub fn fp_to_int(&mut self, a: NodeId) -> NodeId {
         self.push_node(Node::FpToInt { a })
-    }
-
-    /// Single to double precision.
-    pub fn fp_widen(&mut self, a: NodeId) -> NodeId {
-        self.push_node(Node::FpWiden { a })
-    }
-
-    /// Double to single precision.
-    pub fn fp_narrow(&mut self, a: NodeId) -> NodeId {
-        self.push_node(Node::FpNarrow { a })
     }
 
     /// Reinterpret an integer value as a vector-register value.
@@ -650,11 +603,6 @@ impl Emitter {
                 });
                 dst
             }
-            Node::ReadPc => {
-                let dst = self.new_vreg(VregClass::Gpr);
-                self.emit(LirInsn::ReadPc { dst });
-                dst
-            }
             Node::Binary { op, a, b } => {
                 let av = self.eval_to_gpr(a);
                 let bo = self.eval_to_operand(b);
@@ -664,16 +612,6 @@ impl Emitter {
                     op: op.to_alu(),
                     dst,
                     src: bo,
-                });
-                dst
-            }
-            Node::Zext { a, from } => {
-                let av = self.eval_to_gpr(a);
-                let dst = self.new_vreg(VregClass::Gpr);
-                self.emit(LirInsn::MovZx {
-                    dst,
-                    src: av,
-                    size: from.mem_size(),
                 });
                 dst
             }
@@ -855,18 +793,6 @@ impl Emitter {
                 let av = self.eval_to_gpr(a);
                 let dst = self.new_vreg(VregClass::Xmm);
                 self.emit(LirInsn::CvtI2D { dst, src: av });
-                dst
-            }
-            Node::FpWiden { a } => {
-                let av = self.eval_to_xmm(a);
-                let dst = self.new_vreg(VregClass::Xmm);
-                self.emit(LirInsn::CvtS2D { dst, src: av });
-                dst
-            }
-            Node::FpNarrow { a } => {
-                let av = self.eval_to_xmm(a);
-                let dst = self.new_vreg(VregClass::Xmm);
-                self.emit(LirInsn::CvtD2S { dst, src: av });
                 dst
             }
             Node::GprToFp { a } => {
@@ -1171,19 +1097,6 @@ impl Emitter {
         self.emit(LirInsn::Jmp { label });
     }
 
-    /// Emits a conditional jump to a label based on a 0/1 node.
-    pub fn jump_if(&mut self, cond: NodeId, label: u32) {
-        let cv = self.eval_to_gpr(cond);
-        self.emit(LirInsn::Test {
-            a: cv,
-            b: LirOperand::Vreg(cv),
-        });
-        self.emit(LirInsn::Jcc {
-            cond: Cond::Ne,
-            label,
-        });
-    }
-
     /// Calls a runtime helper with up to four arguments, returning a node for
     /// its result.  The result is captured into a virtual register
     /// immediately (the call itself is a side effect).
@@ -1207,16 +1120,6 @@ impl Emitter {
         node
     }
 
-    /// Emits a raw software interrupt (system-level operations).
-    pub fn software_interrupt(&mut self, vector: u8) {
-        self.emit(LirInsn::Int { vector });
-    }
-
-    /// Emits a host TLB flush (Captive ring-0 generated code only).
-    pub fn host_tlb_flush(&mut self) {
-        self.emit(LirInsn::TlbFlushAll);
-    }
-
     /// Emits a port write of a value node.
     pub fn port_out(&mut self, port: u16, value: NodeId) {
         let v = self.eval_to_gpr(value);
@@ -1230,8 +1133,7 @@ impl Emitter {
             Node::LoadMem { ty, .. } => ty,
             Node::FpBinary { ty, .. } => ty,
             Node::FpSqrt { ty, .. } => ty,
-            Node::FpMulAdd { .. } | Node::IntToFp { .. } | Node::FpWiden { .. } => ValueType::F64,
-            Node::FpNarrow { .. } => ValueType::F32,
+            Node::FpMulAdd { .. } | Node::IntToFp { .. } => ValueType::F64,
             Node::GprToFp { .. } => ValueType::F64,
             Node::VecBinary { .. } | Node::ReadVec { .. } => ValueType::V128,
             _ => ValueType::U64,

@@ -1,4 +1,4 @@
-//! Profile-mined guest-idiom rules over the LIR: NZCV-free compare+branch
+//! The built-in guest-idiom rules over the LIR: NZCV-free compare+branch
 //! fusion, scaled-index address folding, and bulk-move loop rewriting.
 //!
 //! The generic pipeline ([`crate::opt`] + the allocator's DCE) removes work
@@ -7,10 +7,10 @@
 //! register file and re-derives the condition from them with a dozen ALU
 //! operations, an address computed as `base + (index << k)` still lowers
 //! insn-by-insn, and a byte-wide memset loop still moves one byte per trip.
-//! This module is the *idiom layer*: a small set of multi-instruction guest
-//! patterns recognised on the raw LIR and rewritten into the host shape a
-//! human translator would have written — the learned-translation-rules idea,
-//! with the rule set driven by data rather than faith (see *Mining*).
+//! This module is the *idiom layer*: a small, fixed set of multi-instruction
+//! guest patterns recognised on the raw LIR and rewritten into the host
+//! shape a human translator would have written.  Each rule rewrites
+//! wherever it matches and passes the soundness contract below.
 //!
 //! # The rules
 //!
@@ -76,27 +76,22 @@
 //!   truth tables.  An `ADDS`-shaped producer (different carry polarity)
 //!   fails classification and is never fused.
 //!
-//! # Mining
+//! # One rule set
 //!
-//! Recognition and rewriting are decoupled through the [`RuleTable`]: every
-//! structural+soundness match counts into [`IdiomStats::candidates`] whether
-//! or not its rule is enabled, and only enabled rules rewrite (counted in
-//! [`IdiomStats::fused`]).  The engine accumulates per-region candidate
-//! counts, weighs them by each region's measured execution count from the
-//! region profile, and emits a table in which rules that never fire on the
-//! observed workload are pruned — the active rule set is mined from the
-//! profile, not hand-enabled.  The table serialises to a stable text form
-//! and contributes [`RuleTable::hash`] to the translation-reuse key, so
-//! cached code is never shared across different rule sets.
+//! The rules are built in, and [`RuleTable::builtin`] is the table every
+//! engine runs: the table carries no switches, only the one piece of guest
+//! layout the recogniser needs.  Whether the layer runs at all is a codegen
+//! knob of the engine, packed into the translation-reuse key
+//! ([`crate::reuse::pack_knobs`]).  Rewrites are counted per rule in
+//! [`IdiomStats::fused`].
 
-use crate::cache::fnv1a;
 use crate::lir::{LirBase, LirInsn, LirMem, LirOperand, RegFileAccess, Vreg, VregClass};
 use crate::opt::OptScratch;
 use crate::regalloc::{host_flags_live_after, host_flags_live_after_at};
 use hvm::{AluOp, Cond, MemSize};
-use std::sync::OnceLock;
 
-/// Number of shipped rules (indexes [`IdiomStats::fused`] and friends).
+/// Number of shipped rules (indexes [`IdiomStats::fused`] and the per-rule
+/// counters).
 pub const RULE_COUNT: usize = 5;
 
 /// The shipped rule kinds.
@@ -135,7 +130,7 @@ impl RuleKind {
         }
     }
 
-    /// Stable external name (serialisation, figures, counters).
+    /// Stable external name (figures, counters).
     pub fn name(self) -> &'static str {
         match self {
             RuleKind::FuseCmpBr => "fuse.cmpbr",
@@ -145,173 +140,39 @@ impl RuleKind {
             RuleKind::BulkMemset => "bulk.memset",
         }
     }
-
-    /// Inverse of [`RuleKind::name`].
-    pub fn from_name(s: &str) -> Option<RuleKind> {
-        RuleKind::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
-/// One table entry: a rule, whether it rewrites, and its mined weight
-/// (dynamic candidate count; informational — it does not affect codegen
-/// and is excluded from [`RuleTable::hash`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Rule {
-    pub kind: RuleKind,
-    pub enabled: bool,
-    pub weight: u64,
-}
-
-/// The active idiom rule set applied by a translation pipeline.
-#[derive(Debug, Clone)]
+/// What the idiom layer needs to know about the guest frontend.  The rules
+/// themselves are fixed; every one rewrites wherever it matches.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleTable {
     /// Byte offset of the guest NZCV slot in the register file.  The
     /// recogniser is otherwise frontend-agnostic; this is the one piece of
     /// guest layout it needs.
     pub nzcv_off: i32,
-    /// Entries, one per [`RuleKind`].
-    pub rules: Vec<Rule>,
 }
 
 /// Default NZCV slot offset (the AArch64 frontend's register-file layout).
 pub const DEFAULT_NZCV_OFF: i32 = 256;
 
 impl RuleTable {
-    /// A table with every shipped rule enabled (weights zero).
-    pub fn full() -> RuleTable {
-        RuleTable {
-            nzcv_off: DEFAULT_NZCV_OFF,
-            rules: RuleKind::ALL
-                .into_iter()
-                .map(|kind| Rule {
-                    kind,
-                    enabled: true,
-                    weight: 0,
-                })
-                .collect(),
-        }
+    /// The rule set for a frontend whose NZCV slot is at `nzcv_off`.
+    pub const fn new(nzcv_off: i32) -> RuleTable {
+        RuleTable { nzcv_off }
     }
 
-    /// A table that recognises (counts candidates) but rewrites nothing —
-    /// the miner's observation configuration.
-    pub fn observe_only() -> RuleTable {
-        let mut t = RuleTable::full();
-        for r in &mut t.rules {
-            r.enabled = false;
-        }
-        t
-    }
-
-    /// The process-wide default table (all rules on).
+    /// The AArch64 frontend's table: the one every engine runs.
     pub fn builtin() -> &'static RuleTable {
-        static TABLE: OnceLock<RuleTable> = OnceLock::new();
-        TABLE.get_or_init(RuleTable::full)
-    }
-
-    /// Whether `kind` rewrites under this table.
-    pub fn enabled(&self, kind: RuleKind) -> bool {
-        self.rules.iter().any(|r| r.kind == kind && r.enabled)
-    }
-
-    /// Enable or disable one rule.
-    pub fn set_enabled(&mut self, kind: RuleKind, on: bool) {
-        for r in &mut self.rules {
-            if r.kind == kind {
-                r.enabled = on;
-            }
-        }
-    }
-
-    /// Record a mined weight for one rule.
-    pub fn set_weight(&mut self, kind: RuleKind, weight: u64) {
-        for r in &mut self.rules {
-            if r.kind == kind {
-                r.weight = weight;
-            }
-        }
-    }
-
-    /// Mined weight of one rule.
-    pub fn weight(&self, kind: RuleKind) -> u64 {
-        self.rules
-            .iter()
-            .find(|r| r.kind == kind)
-            .map_or(0, |r| r.weight)
-    }
-
-    /// Stable text serialisation.
-    pub fn serialize(&self) -> String {
-        let mut s = String::from("idiom-rules-v1\n");
-        s.push_str(&format!("nzcv {}\n", self.nzcv_off));
-        for r in &self.rules {
-            s.push_str(&format!(
-                "rule {} {} {}\n",
-                r.kind.name(),
-                if r.enabled { "on" } else { "off" },
-                r.weight
-            ));
-        }
-        s
-    }
-
-    /// Parse the [`RuleTable::serialize`] form.  Unknown rule names are
-    /// ignored (forward compatibility); missing rules default to disabled.
-    pub fn parse(text: &str) -> Option<RuleTable> {
-        let mut lines = text.lines();
-        if lines.next()? != "idiom-rules-v1" {
-            return None;
-        }
-        let mut table = RuleTable::observe_only();
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("nzcv") => table.nzcv_off = parts.next()?.parse().ok()?,
-                Some("rule") => {
-                    let name = parts.next()?;
-                    let on = match parts.next()? {
-                        "on" => true,
-                        "off" => false,
-                        _ => return None,
-                    };
-                    let weight: u64 = parts.next()?.parse().ok()?;
-                    if let Some(kind) = RuleKind::from_name(name) {
-                        table.set_enabled(kind, on);
-                        table.set_weight(kind, weight);
-                    }
-                }
-                None => {}
-                _ => return None,
-            }
-        }
-        Some(table)
-    }
-
-    /// Content hash of everything that affects generated code: the format
-    /// version, the NZCV offset and the set of *enabled* rules.  Weights are
-    /// excluded — they are mining metadata.  Joins the translation-reuse
-    /// key, so cached code never crosses rule sets.
-    pub fn hash(&self) -> u64 {
-        let mut names: Vec<&str> = self
-            .rules
-            .iter()
-            .filter(|r| r.enabled)
-            .map(|r| r.kind.name())
-            .collect();
-        names.sort_unstable();
-        let canon = format!("idiom-rules-v1\0{}\0{}", self.nzcv_off, names.join(","));
-        fnv1a(canon.as_bytes())
+        static TABLE: RuleTable = RuleTable::new(DEFAULT_NZCV_OFF);
+        &TABLE
     }
 }
 
 /// Per-translation idiom counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdiomStats {
-    /// Sites rewritten, per rule (requires the rule enabled).
+    /// Sites rewritten, per rule.
     pub fused: [u32; RULE_COUNT],
-    /// Sites that matched structurally *and* passed every soundness check,
-    /// per rule, counted whether or not the rule is enabled — the miner's
-    /// input signal.
-    pub candidates: [u32; RULE_COUNT],
 }
 
 impl IdiomStats {
@@ -324,7 +185,6 @@ impl IdiomStats {
     pub fn merge(&mut self, other: &IdiomStats) {
         for i in 0..RULE_COUNT {
             self.fused[i] += other.fused[i];
-            self.candidates[i] += other.candidates[i];
         }
     }
 }
@@ -1035,13 +895,8 @@ pub(crate) fn fuse_branches(
             continue;
         }
         let site =
-            match_cbz(lir, cv, t, j, jc).or_else(|| match_nzcv(lir, cv, t, j, jc, nzcv(table)));
-        if let Some(site) = site {
-            stats.candidates[site.kind.index()] += 1;
-            if table.enabled(site.kind) {
-                sites.push(site);
-            }
-        }
+            match_cbz(lir, cv, t, j, jc).or_else(|| match_nzcv(lir, cv, t, j, jc, table.nzcv_off));
+        sites.extend(site);
     }
     let mut stranded = false;
     for site in sites.iter() {
@@ -1061,10 +916,6 @@ pub(crate) fn fuse_branches(
     if stranded {
         crate::opt::remove_marked(lir, &s.marks);
     }
-}
-
-fn nzcv(table: &RuleTable) -> i32 {
-    table.nzcv_off
 }
 
 // ---------------------------------------------------------------------------
@@ -1216,15 +1067,11 @@ impl DefTable {
         lir: &mut [LirInsn],
         at: usize,
         def: Option<Vreg>,
-        table: &RuleTable,
         stats: &mut IdiomStats,
     ) {
         if let Some(folded) = self.folded(lir, at) {
-            stats.candidates[RuleKind::AddrFold.index()] += 1;
-            if table.enabled(RuleKind::AddrFold) {
-                set_mem(&mut lir[at], folded);
-                stats.fused[RuleKind::AddrFold.index()] += 1;
-            }
+            set_mem(&mut lir[at], folded);
+            stats.fused[RuleKind::AddrFold.index()] += 1;
         }
         if let Some(d) = def {
             let key = Self::key(d);
@@ -1241,13 +1088,14 @@ impl DefTable {
 /// after store-to-load forwarding and copy propagation so address values
 /// that round-tripped through the register file (the `lsl`+`ldr_reg` guest
 /// idiom) are visible as register chains.  ([`crate::opt::optimize`] runs
-/// the same [`DefTable::step`] inside its forward walk.)
-pub fn fold_addressing(lir: &mut [LirInsn], table: &RuleTable, stats: &mut IdiomStats) {
+/// the same [`DefTable::step`] inside its forward walk.)  Folding reads no
+/// guest layout, so `_table` only keeps the signature [`apply_early`]'s.
+pub fn fold_addressing(lir: &mut [LirInsn], _table: &RuleTable, stats: &mut IdiomStats) {
     crate::with_scratch(|s| {
         let defs = &mut s.opt.defs;
         defs.reset(lir.len());
         for at in 0..lir.len() {
-            defs.step(lir, at, lir[at].def(), table, stats);
+            defs.step(lir, at, lir[at].def(), stats);
         }
     })
 }
@@ -1542,7 +1390,7 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
     segments.push((seg_start, e));
     let mut roles: Option<MemsetLoop> = None;
     for &(s0, s1) in &segments {
-        let Some(r) = match_memset(lir, s0, s1, nzcv(table)) else {
+        let Some(r) = match_memset(lir, s0, s1, table.nzcv_off) else {
             return;
         };
         match &roles {
@@ -1556,10 +1404,6 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
     let Some(roles) = roles else {
         return;
     };
-    stats.candidates[RuleKind::BulkMemset.index()] += 1;
-    if !table.enabled(RuleKind::BulkMemset) {
-        return;
-    }
     stats.fused[RuleKind::BulkMemset.index()] += 1;
 
     let mut next_id = lir
@@ -1748,14 +1592,15 @@ mod tests {
         LirInsn::Jcc { cond, label: 1 }
     }
 
-    fn fuse_with(lir: &mut Vec<LirInsn>, table: &RuleTable) -> IdiomStats {
-        let mut stats = IdiomStats::default();
-        fuse_branches(&mut OptScratch::default(), lir, table, &mut stats);
-        stats
-    }
-
     fn fuse(lir: &mut Vec<LirInsn>) -> IdiomStats {
-        fuse_with(lir, RuleTable::builtin())
+        let mut stats = IdiomStats::default();
+        fuse_branches(
+            &mut OptScratch::default(),
+            lir,
+            RuleTable::builtin(),
+            &mut stats,
+        );
+        stats
     }
 
     // A CBZ-shaped site: materialised compare re-tested by the branch.
@@ -1772,47 +1617,10 @@ mod tests {
     }
 
     #[test]
-    fn table_roundtrips_through_text() {
-        let mut t = RuleTable::full();
-        t.set_enabled(RuleKind::AddrFold, false);
-        t.set_enabled(RuleKind::BulkMemset, false);
-        t.set_weight(RuleKind::FuseCmpBr, 36);
-        t.set_weight(RuleKind::FuseCbz, 18);
-        let back = RuleTable::parse(&t.serialize()).expect("serialized table parses");
-        assert_eq!(back.nzcv_off, t.nzcv_off);
-        for kind in RuleKind::ALL {
-            assert_eq!(back.enabled(kind), t.enabled(kind), "{}", kind.name());
-            assert_eq!(back.weight(kind), t.weight(kind), "{}", kind.name());
-        }
-        assert_eq!(back.serialize(), t.serialize());
-        assert_eq!(back.hash(), t.hash());
-    }
-
-    #[test]
-    fn table_hash_tracks_enablement_not_weights() {
-        let full = RuleTable::full();
-        // Weights are miner bookkeeping; they never change generated code,
-        // so they must not perturb the reuse-key contribution.
-        let mut weighted = RuleTable::full();
-        weighted.set_weight(RuleKind::FuseTstBr, 17);
-        assert_eq!(full.hash(), weighted.hash());
-        // Enablement does change generated code.
-        let mut pruned = RuleTable::full();
-        pruned.set_enabled(RuleKind::BulkMemset, false);
-        assert_ne!(full.hash(), pruned.hash());
-        assert_ne!(full.hash(), RuleTable::observe_only().hash());
-        // So does the guest NZCV layout the recogniser assumes.
-        let mut moved = RuleTable::full();
-        moved.nzcv_off += 8;
-        assert_ne!(full.hash(), moved.hash());
-    }
-
-    #[test]
     fn cbz_site_fuses_to_direct_compare() {
         let mut lir = cbz_site(Cond::Ne);
         let stats = fuse(&mut lir);
         assert_eq!(stats.fused[RuleKind::FuseCbz.index()], 1);
-        assert_eq!(stats.candidates[RuleKind::FuseCbz.index()], 1);
         // SetCc and the original Cmp die with the fusion; the re-test is
         // rewritten into the compare and the branch takes the host cond
         // directly (CBNZ on an Eq boolean == branch-if-equal).
@@ -1837,16 +1645,6 @@ mod tests {
         let stats = fuse(&mut lir);
         assert_eq!(stats.fused[RuleKind::FuseCbz.index()], 1);
         assert!(matches!(lir[3], LirInsn::Jcc { cond: Cond::Ne, .. }));
-    }
-
-    #[test]
-    fn disabled_rule_still_counts_candidates() {
-        let mut lir = cbz_site(Cond::Ne);
-        let before = lir.clone();
-        let stats = fuse_with(&mut lir, &RuleTable::observe_only());
-        assert_eq!(stats.total_fused(), 0);
-        assert_eq!(stats.candidates[RuleKind::FuseCbz.index()], 1);
-        assert_eq!(lir.len(), before.len(), "observe-only must not rewrite");
     }
 
     #[test]
@@ -2006,7 +1804,7 @@ mod tests {
                 lir[at]
             );
             let def = lir[at].def();
-            defs.step(&mut lir, at, def, &RuleTable::full(), &mut stats);
+            defs.step(&mut lir, at, def, &mut stats);
         }
         let folds = expected.iter().flatten().count();
         assert_eq!(stats.fused[RuleKind::AddrFold.index()] as usize, folds);

@@ -53,7 +53,7 @@ pub use cache::{
 };
 pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};
-pub use idiom::{IdiomStats, Rule, RuleKind, RuleTable, RULE_COUNT};
+pub use idiom::{IdiomStats, RuleKind, RuleTable, RULE_COUNT};
 pub use lir::{LirInsn, RegFileAccess, Vreg, VregClass};
 pub use lower::LowerError;
 pub use opt::OptStats;
@@ -129,7 +129,6 @@ pub fn finish_translation(
         let mut clock = PhaseClock::start();
         let pre_opt = lir.len();
         let mut dirty_carriers: Vec<(i32, Vreg)> = Vec::new();
-        let mut idiom_stats = idiom::IdiomStats::default();
         if run_opt {
             // The optimiser sits between emission and register allocation;
             // its wall-clock cost is accounted to the regalloc phase budget
@@ -142,9 +141,7 @@ pub fn finish_translation(
             timers.jit.opt_idioms_fused += stats.idioms.total_fused() as u64;
             for i in 0..idiom::RULE_COUNT {
                 timers.jit.idiom_hits[i] += stats.idioms.fused[i] as u64;
-                timers.jit.idiom_candidates[i] += stats.idioms.candidates[i] as u64;
             }
-            idiom_stats = stats.idioms;
             dirty_carriers = stats.promoted;
         }
         regalloc::allocate_into(
@@ -178,7 +175,6 @@ pub fn finish_translation(
             encoded,
             elided,
             promoted,
-            idioms: idiom_stats,
         })
     })
 }
@@ -223,8 +219,6 @@ pub struct FinishedTranslation {
     /// its slot before delivering the event, restoring the precise register
     /// file the promotion contract promises (see [`opt`]'s module docs).
     pub promoted: Vec<(i32, Carrier)>,
-    /// Per-rule idiom counters for this translation (see [`idiom`]).
-    pub idioms: idiom::IdiomStats,
 }
 
 /// A guest instruction-set architecture plugged into the DBT.
@@ -311,7 +305,7 @@ mod tests {
         // A unit with sparse ids (vregs from 1 000, labels around 5 000: big
         // tables) and a three-instruction one, each translated after the
         // other on one thread, against each on a thread of its own.
-        let table = RuleTable::full();
+        let table = RuleTable::builtin();
         let sparse = crate::regalloc_reference::tests::unit(0x5EED, 5, 40, 100);
         assert!(sparse
             .iter()
@@ -335,23 +329,20 @@ mod tests {
                 .map(|t| (t.encoded, t.elided, t.promoted))
         };
         let alone = |lir: &[LirInsn]| {
-            let (lir, table) = (lir.to_vec(), table.clone());
-            std::thread::spawn(move || translate(&lir, &table))
+            let lir = lir.to_vec();
+            std::thread::spawn(move || translate(&lir, table))
                 .join()
                 .expect("translation does not panic")
         };
         let (sparse_alone, small_alone) = (alone(&sparse), alone(&small));
         assert!(sparse_alone.is_ok() && small_alone.is_ok());
         for _ in 0..2 {
-            assert_eq!(translate(&sparse, &table), sparse_alone);
-            assert_eq!(translate(&small, &table), small_alone);
+            assert_eq!(translate(&sparse, table), sparse_alone);
+            assert_eq!(translate(&small, table), small_alone);
         }
         // And the small one first, on a thread that has seen nothing else.
-        let (small_then_sparse, table) = ((small, sparse), table.clone());
-        let in_turn = std::thread::spawn(move || {
-            let (small, sparse) = small_then_sparse;
-            (translate(&small, &table), translate(&sparse, &table))
-        });
+        let in_turn =
+            std::thread::spawn(move || (translate(&small, table), translate(&sparse, table)));
         let in_turn = in_turn.join().expect("translation does not panic");
         assert_eq!(in_turn, (small_alone, sparse_alone));
     }

@@ -11,7 +11,7 @@
 //! the slot-aware ones using the regfile-slot metadata classified by
 //! [`LirInsn::regfile_store`]/[`LirInsn::regfile_load`], and brackets them
 //! with the *idiom layer* ([`crate::idiom`]) when the engine supplies a
-//! rule table — pattern rewrites mined from region profiles rather than
+//! rule table — the fixed built-in pattern rewrites rather than
 //! shape-preserving cleanups.  The full [`optimize`] order:
 //!
 //! * **Idiom fusion and bulk rewriting** ([`crate::idiom::apply_early`])
@@ -292,8 +292,8 @@ pub struct OptStats {
     /// engine resolves the carriers to host registers after allocation and
     /// materialises them before fault delivery.
     pub promoted: Vec<(i32, Vreg)>,
-    /// Per-rule idiom recogniser counters (see [`crate::idiom`]): rewrites
-    /// and candidates, zero when no rule table was supplied.
+    /// Per-rule idiom rewrites (see [`crate::idiom`]), zero when no rule
+    /// table was supplied.
     pub idioms: crate::idiom::IdiomStats,
 }
 
@@ -359,7 +359,8 @@ pub(crate) fn optimize_in(
     // tables do not grow with how many PC writes a unit keeps.
     s.opt.reset_values(lir.len().max(raw_len));
     for at in 0..lir.len() {
-        s.opt.value_step(lir, at, &carriers, idioms, &mut stats);
+        s.opt
+            .value_step(lir, at, &carriers, idioms.is_some(), &mut stats);
     }
     eliminate_dead_stores(&mut s.opt, lir, &mut stats);
     if !carriers.is_empty() {
@@ -393,15 +394,15 @@ impl OptScratch {
     }
 
     /// Pushes `lir[at]` through the value passes of the forward walk —
-    /// store-to-load forwarding, copy propagation and, given a rule table,
-    /// address-mode folding — in that order (the module docs' "Two walks"
+    /// store-to-load forwarding, copy propagation and, when `fold` (the idiom
+    /// layer runs), address-mode folding — in that order (the module docs' "Two walks"
     /// has the contract that makes this the passes run one after the other).
     fn value_step(
         &mut self,
         lir: &mut [LirInsn],
         at: usize,
         pinned: &[Vreg],
-        idioms: Option<&RuleTable>,
+        fold: bool,
         stats: &mut OptStats,
     ) {
         // None of the three rewrites what an instruction defines, so the
@@ -409,8 +410,8 @@ impl OptScratch {
         let def = lir[at].def();
         self.slots.step(&mut lir[at], def, &mut stats.jit);
         self.copies.step(&mut lir[at], def, pinned, &mut stats.jit);
-        if let Some(table) = idioms {
-            self.defs.step(lir, at, def, table, &mut stats.idioms);
+        if fold {
+            self.defs.step(lir, at, def, &mut stats.idioms);
         }
     }
 }
@@ -699,7 +700,7 @@ fn trial_spills(s: &mut Scratch, mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u3
     s.opt.reset_values(lir.len());
     for at in 0..lir.len() {
         s.opt
-            .value_step(&mut lir, at, carriers, None, &mut discarded);
+            .value_step(&mut lir, at, carriers, false, &mut discarded);
     }
     eliminate_dead_stores(&mut s.opt, &mut lir, &mut discarded);
     crate::regalloc::allocate_into(&mut s.regalloc, &lir, &mut s.allocation, Scan::Unsplit);
@@ -3047,7 +3048,7 @@ mod tests {
     fn the_forward_walk_is_the_passes_run_one_after_the_other() {
         // A test of the *driver*: each pass has one body, its step, and the
         // loops above run the same steps a pass at a time.
-        let table = RuleTable::full();
+        let table = RuleTable::builtin();
         // An address chain for the folding step, ahead of every unit.
         let chain = [
             load(900, 0),
@@ -3070,8 +3071,8 @@ mod tests {
                 ));
                 for (promote, idioms) in [
                     (false, None),
-                    (false, Some(&table)),
-                    (true, Some(&table)),
+                    (false, Some(table)),
+                    (true, Some(table)),
                     (true, None),
                 ] {
                     let mut walked = unit.clone();

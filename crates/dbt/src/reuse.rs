@@ -60,26 +60,16 @@ const CANDIDATES_PER_KEY: usize = 4;
 /// unrolling is a different translation and must never be reused across
 /// configurations.  `unroll` is a formed region's loop-unroll factor (the
 /// former treats 0 as 1, so pass at least 1) and 0 for a block, which no
-/// unroll factor changes — so a block's key is never a region's.
-/// `idiom_table` is [`crate::idiom::RuleTable::hash`] of the active idiom
-/// rule set (0 when the idiom layer is off): its low 32 bits join the key,
-/// so code generated under one mined rule set is never instantiated under
-/// another.
-pub fn pack_knobs(
-    soft_fp: bool,
-    opt: bool,
-    promote: bool,
-    idioms: bool,
-    unroll: usize,
-    idiom_table: u64,
-) -> u64 {
-    let table = if idioms { idiom_table } else { 0 };
+/// unroll factor changes — so a block's key is never a region's.  `idioms`
+/// is whether the idiom layer ran; its rule set is the one built-in
+/// [`crate::idiom::RuleTable::builtin`], so the bit is all that tells two
+/// engines' templates apart there.
+pub fn pack_knobs(soft_fp: bool, opt: bool, promote: bool, idioms: bool, unroll: usize) -> u64 {
     (soft_fp as u64)
         | ((opt as u64) << 1)
         | ((promote as u64) << 3)
         | ((idioms as u64) << 4)
         | (((unroll as u64) & 0xFF) << 8)
-        | ((table & 0xFFFF_FFFF) << 32)
 }
 
 /// Identity of a reusable translation: where it enters and the knobs it was
@@ -286,7 +276,7 @@ mod tests {
     fn reuse_template_round_trips_through_content_validation() {
         let reuse = ReuseCache::new();
         let region = multi(0x1000, 8, vec![0x1000, 0x2000], 3);
-        let knobs = pack_knobs(false, true, true, true, 4, 0);
+        let knobs = pack_knobs(false, true, true, true, 4);
         let counters = JitCounters {
             translated_units: 1,
             ..JitCounters::default()
@@ -312,9 +302,9 @@ mod tests {
         );
         // A different knob set is a different key entirely, and a block's
         // key (no unroll factor) is never a region's.
-        let other = key(pack_knobs(false, false, true, true, 4, 0));
+        let other = key(pack_knobs(false, false, true, true, 4));
         assert!(reuse.lookup(other, 7, |_| true).is_none());
-        let block = key(pack_knobs(false, true, true, true, 0, 0));
+        let block = key(pack_knobs(false, true, true, true, 0));
         assert!(reuse.lookup(block, 7, |_| true).is_none());
     }
 
@@ -405,26 +395,12 @@ mod tests {
 
     #[test]
     fn knob_packing_distinguishes_every_field() {
-        let base = pack_knobs(false, true, true, true, 4, 0);
-        assert_ne!(base, pack_knobs(true, true, true, true, 4, 0));
-        assert_ne!(base, pack_knobs(false, false, true, true, 4, 0));
-        assert_ne!(base, pack_knobs(false, true, false, true, 4, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 8, 0));
-        assert_ne!(base, pack_knobs(false, true, true, false, 4, 0));
-        assert_ne!(base, pack_knobs(false, true, true, true, 0, 0));
-    }
-
-    #[test]
-    fn knob_packing_keys_on_idiom_table_only_when_idioms_run() {
-        let with = |idioms: bool, table: u64| pack_knobs(false, true, true, idioms, 4, table);
-        // Different rule tables generate different code, so they must land
-        // in different reuse keys...
-        assert_ne!(with(true, 0xDEAD_BEEF), with(true, 0x1234_5678));
-        assert_eq!(with(true, 0xDEAD_BEEF) >> 32, 0xDEAD_BEEF);
-        // ...but with the idiom layer off the table is inert, and every
-        // table value must collapse onto the same key so idiom-off
-        // translations stay shareable.
-        assert_eq!(with(false, 0xDEAD_BEEF), with(false, 0x1234_5678));
-        assert_eq!(with(false, 0xDEAD_BEEF), with(false, 0));
+        let base = pack_knobs(false, true, true, true, 4);
+        assert_ne!(base, pack_knobs(true, true, true, true, 4));
+        assert_ne!(base, pack_knobs(false, false, true, true, 4));
+        assert_ne!(base, pack_knobs(false, true, false, true, 4));
+        assert_ne!(base, pack_knobs(false, true, true, true, 8));
+        assert_ne!(base, pack_knobs(false, true, true, false, 4));
+        assert_ne!(base, pack_knobs(false, true, true, true, 0));
     }
 }

@@ -90,20 +90,20 @@ fn emit_unit(k: u64) -> Vec<dbt::LirInsn> {
 
 #[test]
 fn a_warm_finish_translation_allocates_only_what_it_returns() {
-    let table = RuleTable::full();
+    let table = RuleTable::builtin();
     let mut timers = PhaseTimers::default();
     let corpus: Vec<Vec<dbt::LirInsn>> = (0..200).map(emit_unit).collect();
     let longest = corpus.iter().max_by_key(|lir| lir.len()).unwrap();
     assert!(longest.len() > 300, "the corpus reaches block-cap units");
 
     // One warm-up unit: the longest, so that no table has to grow later.
-    dbt::finish_translation(&mut timers, longest.clone(), true, true, Some(&table))
+    dbt::finish_translation(&mut timers, longest.clone(), true, true, Some(table))
         .expect("the corpus lowers");
     let mut worst = 0;
     for (k, lir) in corpus.iter().enumerate() {
         let lir = lir.clone();
         let before = allocations();
-        let done = dbt::finish_translation(&mut timers, lir, true, true, Some(&table));
+        let done = dbt::finish_translation(&mut timers, lir, true, true, Some(table));
         let spent = allocations() - before;
         let done = done.expect("the corpus lowers");
         assert!(
@@ -124,7 +124,7 @@ fn a_warm_finish_translation_allocates_only_what_it_returns() {
 
 #[test]
 fn a_warm_emitter_builds_a_unit_in_the_vectors_the_last_one_left() {
-    let table = RuleTable::full();
+    let table = RuleTable::builtin();
     let mut timers = PhaseTimers::default();
     // Emission borrows the DAG vectors from the scratch and gets the LIR
     // vector back from `finish_translation`: warm, a unit no longer than
@@ -133,7 +133,7 @@ fn a_warm_emitter_builds_a_unit_in_the_vectors_the_last_one_left() {
         let before = allocations();
         let lir = emit_unit(k);
         let spent = allocations() - before;
-        dbt::finish_translation(timers, lir, true, true, Some(&table)).expect("lowers");
+        dbt::finish_translation(timers, lir, true, true, Some(table)).expect("lowers");
         spent
     };
     let longest = (0..200).max_by_key(|&k| emit_unit(k).len()).unwrap();

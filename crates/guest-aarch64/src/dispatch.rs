@@ -514,7 +514,6 @@ mod tests {
                     encoded: Vec::new(),
                     elided: 0,
                     promoted: promoted.clone(),
-                    idioms: Default::default(),
                 };
                 Arc::new(Region::block(key.phys, key.virt, 1, 0, exit, code))
             });

@@ -52,11 +52,6 @@ pub struct PerfCounters {
 }
 
 impl PerfCounters {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = PerfCounters::default();
-    }
-
     /// TLB hit rate in [0, 1]; 1.0 when there were no memory accesses.
     pub fn tlb_hit_rate(&self) -> f64 {
         let total = self.tlb_hits + self.tlb_misses;
@@ -64,33 +59,6 @@ impl PerfCounters {
             1.0
         } else {
             self.tlb_hits as f64 / total as f64
-        }
-    }
-
-    /// Difference between two snapshots (self - earlier), saturating.
-    pub fn delta_since(&self, earlier: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            cycles: self.cycles.saturating_sub(earlier.cycles),
-            insns: self.insns.saturating_sub(earlier.insns),
-            mem_accesses: self.mem_accesses.saturating_sub(earlier.mem_accesses),
-            tlb_hits: self.tlb_hits.saturating_sub(earlier.tlb_hits),
-            tlb_misses: self.tlb_misses.saturating_sub(earlier.tlb_misses),
-            page_faults: self.page_faults.saturating_sub(earlier.page_faults),
-            helper_calls: self.helper_calls.saturating_sub(earlier.helper_calls),
-            interrupts: self.interrupts.saturating_sub(earlier.interrupts),
-            syscalls: self.syscalls.saturating_sub(earlier.syscalls),
-            tlb_flushes: self.tlb_flushes.saturating_sub(earlier.tlb_flushes),
-            cr3_writes: self.cr3_writes.saturating_sub(earlier.cr3_writes),
-            port_ios: self.port_ios.saturating_sub(earlier.port_ios),
-            blocks_entered: self.blocks_entered.saturating_sub(earlier.blocks_entered),
-            chained_entries: self.chained_entries.saturating_sub(earlier.chained_entries),
-            superblock_transfers: self
-                .superblock_transfers
-                .saturating_sub(earlier.superblock_transfers),
-            backedge_transfers: self
-                .backedge_transfers
-                .saturating_sub(earlier.backedge_transfers),
-            elided_insns: self.elided_insns.saturating_sub(earlier.elided_insns),
         }
     }
 }
@@ -103,22 +71,5 @@ mod tests {
     fn hit_rate_handles_zero_accesses() {
         let p = PerfCounters::default();
         assert_eq!(p.tlb_hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let a = PerfCounters {
-            cycles: 100,
-            insns: 10,
-            ..Default::default()
-        };
-        let b = PerfCounters {
-            cycles: 150,
-            insns: 25,
-            ..Default::default()
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.cycles, 50);
-        assert_eq!(d.insns, 15);
     }
 }
