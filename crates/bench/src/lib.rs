@@ -36,7 +36,9 @@ pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
     ("nopromote", |c| c.promote = false),
     ("noidiom", |c| c.idioms = false),
     // Chaining alone, no region formation: the chaining-gap equality checks
-    // pin chain-only cycle accounting against this and `nochain`.
+    // pin chain-only cycle accounting against this and `nochain`.  With no
+    // regions there is no tier service, so no reuse store
+    // (`CaptiveConfig::reuse_cache`) and no patched-page revival either.
     ("chain-only", |c| c.form_regions = false),
     ("nochain", |c| {
         c.chaining = false;

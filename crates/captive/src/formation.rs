@@ -13,8 +13,9 @@
 //! [`Captive::evidence_holds`], is the only place evidence is compared with
 //! the live machine: the tier-1 install (beside its context-generation
 //! compare), the template lookup, the refusal lookup, the publish point's
-//! `covers`, the tier-0 revival and the speculative pool's install (beside
-//! its knobs compare, [`crate::spec`]) call it, and serve nothing it refuses.
+//! `covers`, the tier-0 revival and the speculative pool's install
+//! ([`crate::spec`], which gates on evidence alone) call it, and serve
+//! nothing it refuses.
 
 use crate::tier::{FormationRequest, FormationSnapshot, PAGE_BYTES};
 use crate::translator::{form_region_from, live_code_word, FormOutcome, LiveSource};

@@ -123,7 +123,9 @@ pub struct CaptiveConfig {
     /// Content-keyed translation-reuse cache shared with other engine
     /// instances (the N-guests-one-image story).  `None` gives this
     /// instance a private cache.  Only consulted when `tier_workers` is
-    /// `Some`.
+    /// `Some` *and* `form_regions` is on: with regions off there is no tier
+    /// service and no store, so `chain-only` revives no patched-page
+    /// blocks.
     pub reuse_cache: Option<Arc<ReuseCache>>,
     /// Attach a virtio-blk DMA device ([`hvm::virtio`]) with this
     /// configuration.  `None` (the default) runs with no device and zero

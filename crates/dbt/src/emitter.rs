@@ -1120,12 +1120,6 @@ impl Emitter {
         node
     }
 
-    /// Emits a port write of a value node.
-    pub fn port_out(&mut self, port: u16, value: NodeId) {
-        let v = self.eval_to_gpr(value);
-        self.emit(LirInsn::Out { port, src: v });
-    }
-
     fn value_type(&self, id: NodeId) -> ValueType {
         match self.node(id) {
             Node::Const { ty, .. } => ty,

@@ -700,12 +700,6 @@ fn span_has_barrier(lir: &[LirInsn], from: usize, to: usize) -> bool {
                 | LirInsn::BackEdge { .. }
                 | LirInsn::Ret
                 | LirInsn::CallHelper { .. }
-                | LirInsn::Int { .. }
-                | LirInsn::In { .. }
-                | LirInsn::Out { .. }
-                | LirInsn::Syscall
-                | LirInsn::TlbFlushAll
-                | LirInsn::TlbFlushPcid
         )
     })
 }

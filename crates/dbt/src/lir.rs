@@ -179,8 +179,6 @@ pub enum LirInsn {
     Jmp { label: u32 },
     /// Conditional jump to a label.
     Jcc { cond: Cond, label: u32 },
-    /// Read the guest PC (held in `%r15`) into a virtual register.
-    ReadPc { dst: Vreg },
     /// Set the guest PC from an immediate.
     SetPcImm { imm: u64 },
     /// Set the guest PC from a virtual register.
@@ -221,24 +219,8 @@ pub enum LirInsn {
     CvtI2D { dst: Vreg, src: Vreg },
     /// Double to signed integer conversion.
     CvtD2I { dst: Vreg, src: Vreg },
-    /// Single to double conversion.
-    CvtS2D { dst: Vreg, src: Vreg },
-    /// Double to single conversion.
-    CvtD2S { dst: Vreg, src: Vreg },
     /// Packed vector operation (two-address).
     Vec { op: VecOp, dst: Vreg, src: Vreg },
-    /// Software interrupt.
-    Int { vector: u8 },
-    /// Port write from a virtual register.
-    Out { port: u16, src: Vreg },
-    /// Port read into a virtual register.
-    In { dst: Vreg, port: u16 },
-    /// Fast system call.
-    Syscall,
-    /// Flush the host TLB (ring-0 generated code only — Captive system ops).
-    TlbFlushAll,
-    /// Flush TLB entries of the current PCID.
-    TlbFlushPcid,
     /// Intra-superblock constituent boundary (stitched block transition).
     TraceEdge,
     /// Region-internal backward transfer: sets the guest PC to `pc` and
@@ -373,11 +355,7 @@ impl LirInsn {
                 f(*a);
                 f(*b);
             }
-            LirInsn::CvtI2D { src, .. }
-            | LirInsn::CvtD2I { src, .. }
-            | LirInsn::CvtS2D { src, .. }
-            | LirInsn::CvtD2S { src, .. } => f(*src),
-            LirInsn::Out { src, .. } => f(*src),
+            LirInsn::CvtI2D { src, .. } | LirInsn::CvtD2I { src, .. } => f(*src),
             _ => {}
         }
     }
@@ -397,7 +375,6 @@ impl LirInsn {
             | LirInsn::MovSx { dst, .. }
             | LirInsn::SetCc { dst, .. }
             | LirInsn::CmovCc { dst, .. }
-            | LirInsn::ReadPc { dst }
             | LirInsn::ReadRet { dst }
             | LirInsn::LoadXmm { dst, .. }
             | LirInsn::GprToXmm { dst, .. }
@@ -407,10 +384,7 @@ impl LirInsn {
             | LirInsn::FpFma { dst, .. }
             | LirInsn::CvtI2D { dst, .. }
             | LirInsn::CvtD2I { dst, .. }
-            | LirInsn::CvtS2D { dst, .. }
-            | LirInsn::CvtD2S { dst, .. }
-            | LirInsn::Vec { dst, .. }
-            | LirInsn::In { dst, .. } => Some(*dst),
+            | LirInsn::Vec { dst, .. } => Some(*dst),
             _ => None,
         }
     }
@@ -432,7 +406,6 @@ impl LirInsn {
             | LirInsn::MovSx { dst, .. }
             | LirInsn::SetCc { dst, .. }
             | LirInsn::CmovCc { dst, .. }
-            | LirInsn::ReadPc { dst }
             | LirInsn::ReadRet { dst }
             | LirInsn::LoadXmm { dst, .. }
             | LirInsn::GprToXmm { dst, .. }
@@ -442,10 +415,7 @@ impl LirInsn {
             | LirInsn::FpFma { dst, .. }
             | LirInsn::CvtI2D { dst, .. }
             | LirInsn::CvtD2I { dst, .. }
-            | LirInsn::CvtS2D { dst, .. }
-            | LirInsn::CvtD2S { dst, .. }
-            | LirInsn::Vec { dst, .. }
-            | LirInsn::In { dst, .. } => Some(dst),
+            | LirInsn::Vec { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -511,11 +481,7 @@ impl LirInsn {
                 reg(a, f, &mut n);
                 reg(b, f, &mut n);
             }
-            LirInsn::CvtI2D { src, .. }
-            | LirInsn::CvtD2I { src, .. }
-            | LirInsn::CvtS2D { src, .. }
-            | LirInsn::CvtD2S { src, .. } => reg(src, f, &mut n),
-            LirInsn::Out { src, .. } => reg(src, f, &mut n),
+            LirInsn::CvtI2D { src, .. } | LirInsn::CvtD2I { src, .. } => reg(src, f, &mut n),
             _ => {}
         }
         n
@@ -540,8 +506,6 @@ impl LirInsn {
             LirInsn::Fp { src, .. }
             | LirInsn::XmmToGpr { src, .. }
             | LirInsn::CvtD2I { src, .. }
-            | LirInsn::CvtS2D { src, .. }
-            | LirInsn::CvtD2S { src, .. }
             | LirInsn::StoreXmm {
                 src,
                 size: MemSize::U8 | MemSize::U16 | MemSize::U32 | MemSize::U64,
@@ -620,8 +584,6 @@ impl LirInsn {
     ///   side exit) reads it.  [`LirInsn::TraceEdge`] is deliberately *not*
     ///   an observer — it marks a stitched constituent boundary inside one
     ///   superblock, which is exactly where cross-block elimination pays.
-    /// * **Ports, interrupts, syscalls, TLB flushes**: they leave the
-    ///   generated code for the hypervisor, which may inspect guest state.
     /// * **`Lea` of a regfile address / indexed regfile operands**: the slot
     ///   offset escapes into a register, so later accesses may alias any
     ///   slot.
@@ -642,13 +604,7 @@ impl LirInsn {
             | LirInsn::Jmp { .. }
             | LirInsn::Jcc { .. }
             | LirInsn::Label { .. }
-            | LirInsn::BackEdge { .. }
-            | LirInsn::Int { .. }
-            | LirInsn::Out { .. }
-            | LirInsn::In { .. }
-            | LirInsn::Syscall
-            | LirInsn::TlbFlushAll
-            | LirInsn::TlbFlushPcid => true,
+            | LirInsn::BackEdge { .. } => true,
             _ => false,
         }
     }
@@ -663,8 +619,7 @@ impl LirInsn {
     ///
     /// The invalidators:
     ///
-    /// * **helper calls, interrupts, port I/O, syscalls, TLB flushes** — the
-    ///   hypervisor may write the register file;
+    /// * **helper calls** — the hypervisor may write the register file;
     /// * **guest-memory stores** (computed address): in this model the
     ///   register file is host-mapped, so an arbitrary store could alias a
     ///   slot;
@@ -684,15 +639,7 @@ impl LirInsn {
                 matches!(addr.base, LirBase::Vreg(_)) || addr.index.is_some()
             }
             LirInsn::Lea { addr, .. } => matches!(addr.base, LirBase::RegFile),
-            LirInsn::CallHelper { .. }
-            | LirInsn::Ret
-            | LirInsn::Label { .. }
-            | LirInsn::Int { .. }
-            | LirInsn::Out { .. }
-            | LirInsn::In { .. }
-            | LirInsn::Syscall
-            | LirInsn::TlbFlushAll
-            | LirInsn::TlbFlushPcid => true,
+            LirInsn::CallHelper { .. } | LirInsn::Ret | LirInsn::Label { .. } => true,
             _ => false,
         }
     }
@@ -759,13 +706,10 @@ impl LirInsn {
             | LirInsn::MovZx { .. }
             | LirInsn::MovSx { .. }
             | LirInsn::SetCc { .. }
-            | LirInsn::ReadPc { .. }
             | LirInsn::GprToXmm { .. }
             | LirInsn::XmmToGpr { .. }
             | LirInsn::MovXmm { .. }
-            | LirInsn::CvtI2D { .. }
-            | LirInsn::CvtS2D { .. }
-            | LirInsn::CvtD2S { .. } => false,
+            | LirInsn::CvtI2D { .. } => false,
             // ALU writes flags a later Jcc/SetCc might read; treating it as
             // effectful keeps the fast allocator conservative and correct.
             _ => true,
@@ -863,12 +807,6 @@ mod tests {
                 label: 0,
             },
             LirInsn::Label { id: 0 },
-            LirInsn::Int { vector: 3 },
-            LirInsn::Out { port: 1, src: v(0) },
-            LirInsn::In { dst: v(0), port: 1 },
-            LirInsn::Syscall,
-            LirInsn::TlbFlushAll,
-            LirInsn::TlbFlushPcid,
             LirInsn::Load {
                 dst: v(0),
                 addr: LirMem::vreg(v(1), 0),
@@ -1019,7 +957,6 @@ mod tests {
                 dst: v(7),
                 src: v(1),
             },
-            LirInsn::ReadPc { dst: v(7) },
             LirInsn::ReadRet { dst: v(7) },
             LirInsn::LoadXmm {
                 dst: x(7),
@@ -1057,20 +994,11 @@ mod tests {
                 dst: v(7),
                 src: x(1),
             },
-            LirInsn::CvtS2D {
-                dst: x(7),
-                src: x(1),
-            },
-            LirInsn::CvtD2S {
-                dst: x(7),
-                src: x(1),
-            },
             LirInsn::Vec {
                 op: VecOp::AddPd,
                 dst: x(7),
                 src: x(1),
             },
-            LirInsn::In { dst: v(7), port: 1 },
         ];
         for mut insn in defining {
             let def = insn.def().unwrap_or_else(|| panic!("{insn:?} defines"));

@@ -485,16 +485,6 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
                     target: 0,
                 });
             }
-            LirInsn::ReadPc { dst } => {
-                let (d, sb) = self.def_gpr(*dst);
-                self.push(
-                    MachInsn::MovReg {
-                        dst: d,
-                        src: Gpr::R15,
-                    },
-                    sb,
-                );
-            }
             LirInsn::SetPcImm { imm } => {
                 self.out.push(MachInsn::MovImm {
                     dst: Gpr::R15,
@@ -610,16 +600,6 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
                 let (d, sb) = self.def_gpr(*dst);
                 self.push(MachInsn::CvtD2I { dst: d, src: s }, sb);
             }
-            LirInsn::CvtS2D { dst, src } => {
-                let s = self.use_xmm(*src);
-                let (d, sb) = self.def_xmm(*dst);
-                self.push(MachInsn::CvtS2D { dst: d, src: s }, sb);
-            }
-            LirInsn::CvtD2S { dst, src } => {
-                let s = self.use_xmm(*src);
-                let (d, sb) = self.def_xmm(*dst);
-                self.push(MachInsn::CvtD2S { dst: d, src: s }, sb);
-            }
             LirInsn::Vec { op, dst, src } => {
                 let s = self.use_xmm(*src);
                 let (d, sb) = self.rmw_xmm(*dst);
@@ -632,27 +612,6 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
                     sb,
                 );
             }
-            LirInsn::Int { vector } => self.out.push(MachInsn::Int { vector: *vector }),
-            LirInsn::Out { port, src } => {
-                let s = self.use_gpr(*src);
-                self.out.push(MachInsn::Out {
-                    port: *port,
-                    src: s,
-                });
-            }
-            LirInsn::In { dst, port } => {
-                let (d, sb) = self.def_gpr(*dst);
-                self.push(
-                    MachInsn::In {
-                        dst: d,
-                        port: *port,
-                    },
-                    sb,
-                );
-            }
-            LirInsn::Syscall => self.out.push(MachInsn::Syscall),
-            LirInsn::TlbFlushAll => self.out.push(MachInsn::TlbFlushAll),
-            LirInsn::TlbFlushPcid => self.out.push(MachInsn::TlbFlushPcid),
             LirInsn::TraceEdge => self.out.push(MachInsn::TraceEdge),
             LirInsn::BackEdge {
                 pc,

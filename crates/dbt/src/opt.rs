@@ -98,13 +98,13 @@
 //!
 //! * **guest-memory accesses** (loads included) — they can fault, and fault
 //!   delivery must see a precise register file;
-//! * **helper calls** — helpers read and write the register file;
+//! * **helper calls** — the one hypervisor round-trip generated code makes;
+//!   helpers read and write the register file;
 //! * **`Ret`, `Jmp`, `Jcc`, `Label`** — block exits and intra-block control
 //!   flow.  A mid-block `Ret` is a superblock *side-exit stub*; treating it
 //!   as an observer is what keeps every slot conservatively live at side-exit
 //!   boundaries (an equivalence-test invariant).  The passes are
 //!   deliberately straight-line and do not reason across joins;
-//! * **ports, interrupts, syscalls, TLB flushes** — hypervisor round-trips;
 //! * **address escapes** — `Lea` of a regfile slot or an indexed regfile
 //!   operand make aliasing untrackable.
 //!
@@ -151,11 +151,10 @@
 //!   (slot, carrier) pairs per region and materialises them from the
 //!   host registers before delivering a data abort — the carrier
 //!   invariant makes that write-back exact at any faulting instruction.
-//! * Promotion refuses units containing helper calls, ports, interrupts,
-//!   syscalls, TLB flushes, dynamic regfile addressing or regfile address
-//!   escapes (those channels read or write slots directly), and slots
-//!   touched by any access that is not one of their class's shapes at the
-//!   slot's own offset.  A general-purpose slot is 8 bytes: loads of any
+//! * Promotion refuses units containing helper calls, dynamic regfile
+//!   addressing or regfile address escapes (those channels read or write
+//!   slots directly), and slots touched by any access that is not one of
+//!   their class's shapes at the slot's own offset.  A general-purpose slot is 8 bytes: loads of any
 //!   width, 64-bit stores.  A **vector slot** is 16 bytes, carried in a
 //!   vector register: 64- and 128-bit vector loads, 128-bit vector stores,
 //!   and the *scalar write* — a 64-bit vector store followed by a zero
@@ -553,13 +552,7 @@ fn promote_loop_slots(
     let dynamic_regfile = |m: &LirMem| matches!(m.base, LirBase::RegFile) && m.index.is_some();
     for insn in lir.iter() {
         match insn {
-            LirInsn::CallHelper { .. }
-            | LirInsn::Int { .. }
-            | LirInsn::In { .. }
-            | LirInsn::Out { .. }
-            | LirInsn::Syscall
-            | LirInsn::TlbFlushAll
-            | LirInsn::TlbFlushPcid => return Vec::new(),
+            LirInsn::CallHelper { .. } => return Vec::new(),
             LirInsn::Lea { addr, .. } if matches!(addr.base, LirBase::RegFile) => {
                 return Vec::new()
             }
@@ -2542,8 +2535,6 @@ mod tests {
                 weight: 1,
             },
             LirInsn::Ret,
-            LirInsn::Out { port: 1, src: v(2) },
-            LirInsn::In { dst: v(2), port: 1 },
             // a stitched constituent boundary
             LirInsn::TraceEdge,
         ];

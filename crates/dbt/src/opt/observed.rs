@@ -7,9 +7,8 @@
 //! state the unrewritten unit would show it*.  The observers of the guest
 //! PC (host `R15`) are the instructions that can hand it to someone else —
 //! a faulting guest-memory access (its data abort reports the PC), a helper
-//! call or other hypervisor round trip, `ReadPc`, and `Ret` (the dispatcher
-//! resumes there).  The observers of a register-file slot are
-//! [`LirInsn::observes_regfile`]'s.
+//! call, and `Ret` (the dispatcher resumes there).  The observers of a
+//! register-file slot are [`LirInsn::observes_regfile`]'s.
 //!
 //! 1. **PC on demand** ([`pc_on_demand`]) replaces the emitter's dense PC
 //!    writes with a translation-time constant: it tracks the PC each
@@ -180,25 +179,13 @@ fn jump_target(insn: &LirInsn) -> Option<u32> {
 
 /// Instructions that can hand the guest PC to someone else.
 fn observes_pc(insn: &LirInsn) -> bool {
-    leaves_for_the_hypervisor(insn)
-        || matches!(
-            insn,
-            LirInsn::TlbFlushAll | LirInsn::TlbFlushPcid | LirInsn::ReadPc { .. } | LirInsn::Ret
-        )
-        || insn.may_fault()
+    leaves_for_the_hypervisor(insn) || matches!(insn, LirInsn::Ret) || insn.may_fault()
 }
 
 /// Round trips through the hypervisor, which may leave any `R15` behind (as
 /// the emitter's relative updates after them always assumed).
 fn leaves_for_the_hypervisor(insn: &LirInsn) -> bool {
-    matches!(
-        insn,
-        LirInsn::CallHelper { .. }
-            | LirInsn::Int { .. }
-            | LirInsn::In { .. }
-            | LirInsn::Out { .. }
-            | LirInsn::Syscall
-    )
+    matches!(insn, LirInsn::CallHelper { .. })
 }
 
 /// Writes `R15` so that it holds `want`, if it does not already: a `lea`

@@ -545,8 +545,7 @@ impl AllocScratch {
                 let writes_flags = insn.writes_host_flags();
                 let needed = match insn {
                     // Unconditional effects: memory, PC, control flow, calls
-                    // and their argument setup, system operations, block
-                    // structure.
+                    // and their argument setup, block structure.
                     LirInsn::Store { .. }
                     | LirInsn::StoreImm { .. }
                     | LirInsn::StoreXmm { .. }
@@ -555,12 +554,6 @@ impl AllocScratch {
                     | LirInsn::IncPc { .. }
                     | LirInsn::SetArg { .. }
                     | LirInsn::CallHelper { .. }
-                    | LirInsn::Int { .. }
-                    | LirInsn::Out { .. }
-                    | LirInsn::In { .. }
-                    | LirInsn::Syscall
-                    | LirInsn::TlbFlushAll
-                    | LirInsn::TlbFlushPcid
                     | LirInsn::TraceEdge
                     | LirInsn::BackEdge { .. }
                     | LirInsn::Ret

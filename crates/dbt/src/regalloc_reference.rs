@@ -105,7 +105,7 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
             }
             let needed = match insn {
                 // Unconditional effects: memory, PC, control flow, calls and
-                // their argument setup, system operations, block structure.
+                // their argument setup, block structure.
                 LirInsn::Store { .. }
                 | LirInsn::StoreImm { .. }
                 | LirInsn::StoreXmm { .. }
@@ -114,12 +114,6 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                 | LirInsn::IncPc { .. }
                 | LirInsn::SetArg { .. }
                 | LirInsn::CallHelper { .. }
-                | LirInsn::Int { .. }
-                | LirInsn::Out { .. }
-                | LirInsn::In { .. }
-                | LirInsn::Syscall
-                | LirInsn::TlbFlushAll
-                | LirInsn::TlbFlushPcid
                 | LirInsn::TraceEdge
                 | LirInsn::BackEdge { .. }
                 | LirInsn::Ret

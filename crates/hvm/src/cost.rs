@@ -40,16 +40,6 @@ pub struct CostModel {
     pub tlb_hit: u64,
     /// Hardware TLB miss: page-walk cost per level touched.
     pub page_walk_per_level: u64,
-    /// Delivering an interrupt/exception into ring 0 and returning.
-    pub interrupt: u64,
-    /// Fast syscall/sysret pair.
-    pub syscall: u64,
-    /// Writing CR3 without PCID (full TLB flush implied by the flush itself).
-    pub cr3_write: u64,
-    /// Explicit TLB flush (all or per-PCID).
-    pub tlb_flush: u64,
-    /// Port I/O access.
-    pub port_io: u64,
     /// Per-block dispatch overhead in the execution engine (looking up the
     /// next translation and jumping to it).
     pub dispatch: u64,
@@ -89,11 +79,6 @@ impl Default for CostModel {
             helper_call: 40,
             tlb_hit: 0,
             page_walk_per_level: 20,
-            interrupt: 350,
-            syscall: 80,
-            cr3_write: 30,
-            tlb_flush: 40,
-            port_io: 60,
             dispatch: 12,
             chain: 1,
             superblock_transfer: 1,
@@ -109,7 +94,6 @@ impl CostModel {
     #[inline(always)]
     pub fn insn_cost(&self, insn: &MachInsn) -> u64 {
         match insn {
-            MachInsn::Nop => self.alu,
             MachInsn::MovImm { .. } | MachInsn::MovReg { .. } | MachInsn::Lea { .. } => self.alu,
             MachInsn::Load { .. }
             | MachInsn::LoadSx { .. }
@@ -141,20 +125,8 @@ impl CostModel {
             },
             MachInsn::FpFma { .. } => self.fp,
             MachInsn::FpCmp { .. } => self.fp,
-            MachInsn::CvtI2D { .. }
-            | MachInsn::CvtD2I { .. }
-            | MachInsn::CvtS2D { .. }
-            | MachInsn::CvtD2S { .. } => self.fp,
+            MachInsn::CvtI2D { .. } | MachInsn::CvtD2I { .. } => self.fp,
             MachInsn::Vec { .. } => self.vec,
-            MachInsn::Int { .. } => self.interrupt,
-            MachInsn::IRet => self.interrupt / 2,
-            MachInsn::Syscall | MachInsn::Sysret => self.syscall / 2,
-            MachInsn::Out { .. } | MachInsn::In { .. } => self.port_io,
-            MachInsn::WriteCr3 { .. } | MachInsn::ReadCr3 { .. } => self.cr3_write,
-            MachInsn::TlbFlushAll | MachInsn::TlbFlushPcid | MachInsn::Invlpg { .. } => {
-                self.tlb_flush
-            }
-            MachInsn::Hlt => self.alu,
             MachInsn::TraceEdge => self.superblock_transfer,
             MachInsn::BackEdge { .. } => self.backedge,
         }
@@ -174,7 +146,6 @@ mod tests {
             "helper calls must dominate plain loads"
         );
         assert!(c.div > c.mul && c.mul >= c.alu);
-        assert!(c.interrupt > c.helper_call);
         assert!(c.page_walk_per_level > c.mem);
         assert!(
             c.chain < c.dispatch,

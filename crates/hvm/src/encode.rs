@@ -336,7 +336,6 @@ pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     let mut w = Writer(out);
     match insn {
-        MachInsn::Nop => w.u8(0x00),
         MachInsn::MovImm { dst, imm } => {
             w.u8(0x01);
             w.gpr(*dst);
@@ -490,56 +489,12 @@ pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
             w.gpr(*dst);
             w.xmm(*src);
         }
-        MachInsn::CvtS2D { dst, src } => {
-            w.u8(0x1E);
-            w.xmm(*dst);
-            w.xmm(*src);
-        }
-        MachInsn::CvtD2S { dst, src } => {
-            w.u8(0x1F);
-            w.xmm(*dst);
-            w.xmm(*src);
-        }
         MachInsn::Vec { op, dst, src } => {
             w.u8(0x20);
             w.u8(vec_code(*op));
             w.xmm(*dst);
             w.xmm(*src);
         }
-        MachInsn::Int { vector } => {
-            w.u8(0x21);
-            w.u8(*vector);
-        }
-        MachInsn::IRet => w.u8(0x22),
-        MachInsn::Syscall => w.u8(0x23),
-        MachInsn::Sysret => w.u8(0x24),
-        MachInsn::Out { port, src } => {
-            w.u8(0x25);
-            w.u8((*port & 0xFF) as u8);
-            w.u8((*port >> 8) as u8);
-            w.gpr(*src);
-        }
-        MachInsn::In { dst, port } => {
-            w.u8(0x26);
-            w.u8((*port & 0xFF) as u8);
-            w.u8((*port >> 8) as u8);
-            w.gpr(*dst);
-        }
-        MachInsn::WriteCr3 { src } => {
-            w.u8(0x27);
-            w.gpr(*src);
-        }
-        MachInsn::ReadCr3 { dst } => {
-            w.u8(0x28);
-            w.gpr(*dst);
-        }
-        MachInsn::TlbFlushAll => w.u8(0x29),
-        MachInsn::TlbFlushPcid => w.u8(0x2A),
-        MachInsn::Invlpg { addr } => {
-            w.u8(0x2B);
-            w.gpr(*addr);
-        }
-        MachInsn::Hlt => w.u8(0x2C),
         MachInsn::TraceEdge => w.u8(0x2D),
         MachInsn::BackEdge {
             pc,
@@ -577,7 +532,6 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<MachInsn, CodecError> {
     let mut r = Reader { buf, pos: *pos };
     let op = r.u8()?;
     let insn = match op {
-        0x00 => MachInsn::Nop,
         0x01 => MachInsn::MovImm {
             dst: r.gpr()?,
             imm: r.u64()?,
@@ -728,14 +682,6 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<MachInsn, CodecError> {
             dst: r.gpr()?,
             src: r.xmm()?,
         },
-        0x1E => MachInsn::CvtS2D {
-            dst: r.xmm()?,
-            src: r.xmm()?,
-        },
-        0x1F => MachInsn::CvtD2S {
-            dst: r.xmm()?,
-            src: r.xmm()?,
-        },
         0x20 => {
             let op = vec_from(r.u8()?)?;
             MachInsn::Vec {
@@ -744,32 +690,6 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<MachInsn, CodecError> {
                 src: r.xmm()?,
             }
         }
-        0x21 => MachInsn::Int { vector: r.u8()? },
-        0x22 => MachInsn::IRet,
-        0x23 => MachInsn::Syscall,
-        0x24 => MachInsn::Sysret,
-        0x25 => {
-            let lo = r.u8()? as u16;
-            let hi = r.u8()? as u16;
-            MachInsn::Out {
-                port: lo | (hi << 8),
-                src: r.gpr()?,
-            }
-        }
-        0x26 => {
-            let lo = r.u8()? as u16;
-            let hi = r.u8()? as u16;
-            MachInsn::In {
-                port: lo | (hi << 8),
-                dst: r.gpr()?,
-            }
-        }
-        0x27 => MachInsn::WriteCr3 { src: r.gpr()? },
-        0x28 => MachInsn::ReadCr3 { dst: r.gpr()? },
-        0x29 => MachInsn::TlbFlushAll,
-        0x2A => MachInsn::TlbFlushPcid,
-        0x2B => MachInsn::Invlpg { addr: r.gpr()? },
-        0x2C => MachInsn::Hlt,
         0x2D => MachInsn::TraceEdge,
         0x2E => {
             let reconcile = r.u8()? != 0;
@@ -810,7 +730,6 @@ mod tests {
 
     fn sample_insns() -> Vec<MachInsn> {
         vec![
-            MachInsn::Nop,
             MachInsn::MovImm {
                 dst: Gpr::Rax,
                 imm: 0x3FF8_0000_0000_0000,
@@ -934,37 +853,11 @@ mod tests {
                 dst: Gpr::Rax,
                 src: Xmm(0),
             },
-            MachInsn::CvtS2D {
-                dst: Xmm(0),
-                src: Xmm(1),
-            },
-            MachInsn::CvtD2S {
-                dst: Xmm(0),
-                src: Xmm(1),
-            },
             MachInsn::Vec {
                 op: VecOp::MulPd,
                 dst: Xmm(4),
                 src: Xmm(5),
             },
-            MachInsn::Int { vector: 0x80 },
-            MachInsn::IRet,
-            MachInsn::Syscall,
-            MachInsn::Sysret,
-            MachInsn::Out {
-                port: 0x3F8,
-                src: Gpr::Rax,
-            },
-            MachInsn::In {
-                dst: Gpr::Rax,
-                port: 0x3F8,
-            },
-            MachInsn::WriteCr3 { src: Gpr::Rax },
-            MachInsn::ReadCr3 { dst: Gpr::Rbx },
-            MachInsn::TlbFlushAll,
-            MachInsn::TlbFlushPcid,
-            MachInsn::Invlpg { addr: Gpr::Rax },
-            MachInsn::Hlt,
             MachInsn::TraceEdge,
             MachInsn::BackEdge {
                 pc: 0x1000,
@@ -1062,5 +955,15 @@ mod tests {
             decode_block(&[0xFF]),
             Err(CodecError::Invalid(0xFF))
         ));
+        // The bytes of the system instructions no translator emits stay free:
+        // followed by operand bytes that would have decoded, each is refused.
+        for op in [0x00, 0x1E, 0x1F].into_iter().chain(0x21..=0x2C) {
+            let buf = [op, 0, 0, 0, 0];
+            assert_eq!(
+                decode(&buf, &mut 0),
+                Err(CodecError::Invalid(op)),
+                "{op:#x}"
+            );
+        }
     }
 }

@@ -355,8 +355,6 @@ pub enum VecOp {
 /// by register allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachInsn {
-    /// No operation.
-    Nop,
     /// `dst <- imm`.
     MovImm { dst: Gpr, imm: u64 },
     /// `dst <- src`.
@@ -440,36 +438,8 @@ pub enum MachInsn {
     CvtI2D { dst: Xmm, src: Gpr },
     /// Convert double in XMM to signed 64-bit integer in GPR (round to nearest).
     CvtD2I { dst: Gpr, src: Xmm },
-    /// Convert single to double.
-    CvtS2D { dst: Xmm, src: Xmm },
-    /// Convert double to single.
-    CvtD2S { dst: Xmm, src: Xmm },
     /// Packed vector operation `dst <- dst op src`.
     Vec { op: VecOp, dst: Xmm, src: Xmm },
-    /// Software interrupt (enters ring 0 via the IDT).
-    Int { vector: u8 },
-    /// Return from interrupt (ring 0 only).
-    IRet,
-    /// Fast system call into ring 0.
-    Syscall,
-    /// Return from a fast system call.
-    Sysret,
-    /// Write a byte/word to an I/O port from `src` (ring 0 only).
-    Out { port: u16, src: Gpr },
-    /// Read from an I/O port into `dst` (ring 0 only).
-    In { dst: Gpr, port: u16 },
-    /// Write CR3 (page-table base + PCID) from a register (ring 0 only).
-    WriteCr3 { src: Gpr },
-    /// Read CR3 into a register (ring 0 only).
-    ReadCr3 { dst: Gpr },
-    /// Flush the entire TLB, all PCIDs (ring 0 only).
-    TlbFlushAll,
-    /// Flush TLB entries for the current PCID only (ring 0 only).
-    TlbFlushPcid,
-    /// Invalidate a single virtual page (address in `addr`, ring 0 only).
-    Invlpg { addr: Gpr },
-    /// Halt the machine (ring 0 only) — used by the execution engine to stop.
-    Hlt,
     /// Pseudo-instruction marking an intra-superblock constituent boundary:
     /// control passed from one stitched guest basic block to the next without
     /// returning to the dispatcher.  Costs [`crate::CostModel::superblock_transfer`]
@@ -510,39 +480,9 @@ pub enum MachInsn {
     MovXmm { dst: Xmm, src: Xmm, size: MemSize },
 }
 
-impl MachInsn {
-    /// True if the instruction unconditionally ends a straight-line run
-    /// (the interpreter and encoder treat these as block terminators).
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            MachInsn::Ret
-                | MachInsn::Jmp { .. }
-                | MachInsn::Hlt
-                | MachInsn::IRet
-                | MachInsn::Sysret
-        )
-    }
-
-    /// True if the instruction may access guest-visible memory through the
-    /// MMU (used by cost accounting and tests).
-    pub fn touches_memory(&self) -> bool {
-        matches!(
-            self,
-            MachInsn::Load { .. }
-                | MachInsn::LoadSx { .. }
-                | MachInsn::Store { .. }
-                | MachInsn::StoreImm { .. }
-                | MachInsn::LoadXmm { .. }
-                | MachInsn::StoreXmm { .. }
-        )
-    }
-}
-
 impl fmt::Display for MachInsn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MachInsn::Nop => write!(f, "nop"),
             MachInsn::MovImm { dst, imm } => write!(f, "mov ${imm:#x}, {dst}"),
             MachInsn::MovReg { dst, src } => write!(f, "mov {src}, {dst}"),
             MachInsn::Load { dst, addr, size } => write!(f, "mov{:?} {addr}, {dst}", size),
@@ -572,21 +512,7 @@ impl fmt::Display for MachInsn {
             MachInsn::FpCmp { a, b } => write!(f, "ucomisd {b}, {a}"),
             MachInsn::CvtI2D { dst, src } => write!(f, "cvtsi2sd {src}, {dst}"),
             MachInsn::CvtD2I { dst, src } => write!(f, "cvtsd2si {src}, {dst}"),
-            MachInsn::CvtS2D { dst, src } => write!(f, "cvtss2sd {src}, {dst}"),
-            MachInsn::CvtD2S { dst, src } => write!(f, "cvtsd2ss {src}, {dst}"),
             MachInsn::Vec { op, dst, src } => write!(f, "{op:?} {src}, {dst}"),
-            MachInsn::Int { vector } => write!(f, "int ${vector:#x}"),
-            MachInsn::IRet => write!(f, "iret"),
-            MachInsn::Syscall => write!(f, "syscall"),
-            MachInsn::Sysret => write!(f, "sysret"),
-            MachInsn::Out { port, src } => write!(f, "out {src}, ${port:#x}"),
-            MachInsn::In { dst, port } => write!(f, "in ${port:#x}, {dst}"),
-            MachInsn::WriteCr3 { src } => write!(f, "mov {src}, %cr3"),
-            MachInsn::ReadCr3 { dst } => write!(f, "mov %cr3, {dst}"),
-            MachInsn::TlbFlushAll => write!(f, "invtlb all"),
-            MachInsn::TlbFlushPcid => write!(f, "invtlb pcid"),
-            MachInsn::Invlpg { addr } => write!(f, "invlpg ({addr})"),
-            MachInsn::Hlt => write!(f, "hlt"),
             MachInsn::TraceEdge => write!(f, "trace-edge"),
             MachInsn::BackEdge {
                 pc,
@@ -665,24 +591,6 @@ mod tests {
         assert_eq!(MemSize::U128.bytes(), 16);
         assert_eq!(MemSize::U16.mask(), 0xFFFF);
         assert_eq!(MemSize::U32.mask(), 0xFFFF_FFFF);
-    }
-
-    #[test]
-    fn terminators_and_memory_classification() {
-        assert!(MachInsn::Ret.is_terminator());
-        assert!(MachInsn::Jmp { target: 1 }.is_terminator());
-        assert!(!MachInsn::Nop.is_terminator());
-        assert!(MachInsn::Load {
-            dst: Gpr::Rax,
-            addr: MemRef::base(Gpr::Rbp),
-            size: MemSize::U64
-        }
-        .touches_memory());
-        assert!(!MachInsn::MovImm {
-            dst: Gpr::Rax,
-            imm: 0
-        }
-        .touches_memory());
     }
 
     #[test]

@@ -2,22 +2,24 @@
 //!
 //! The paper's Captive runs its generated code inside a KVM virtual machine
 //! on a real x86-64 processor, which gives the DBT direct control over host
-//! page tables, protection rings, PCIDs, port I/O and software interrupts.
-//! None of that hardware is available (or appropriate) for a deterministic
-//! reproduction, so this crate provides the substitute substrate: a software
-//! model of an x86-64-like machine ("HVM64") that is rich enough for every
-//! host feature the paper exploits to be exercised as a real code path:
+//! page tables, protection rings and PCIDs.  None of that hardware is
+//! available (or appropriate) for a deterministic reproduction, so this crate
+//! provides the substitute substrate: a software model of an x86-64-like
+//! machine ("HVM64") that is rich enough for every host feature the paper
+//! exploits to be exercised as a real code path:
 //!
 //! * 16 general-purpose registers, 16 vector registers, condition flags;
-//! * a load/store instruction set with a compact binary encoding
-//!   ([`encode`]) so generated-code *size* can be measured;
+//! * a load/store instruction set — exactly what the translators emit — with
+//!   a compact binary encoding ([`encode`]) so generated-code *size* can be
+//!   measured;
 //! * 4-level hierarchical page tables walked by a hardware-model MMU
-//!   ([`paging`]), a PCID-tagged TLB ([`tlb`]), and optional second-level
-//!   address translation;
-//! * protection rings 0–3 with user/supervisor page checks;
-//! * software interrupts, port I/O and a helper-call interface through which
-//!   runtime services (soft-MMU, softfloat, device emulation, page-fault
-//!   handling) are reached;
+//!   ([`paging`]) and a PCID-tagged TLB ([`tlb`]);
+//! * the two protection rings Captive uses — ring 0 for guest system code,
+//!   ring 3 for guest user code — with user/supervisor page checks;
+//! * a helper-call interface through which runtime services (soft-MMU,
+//!   softfloat, device emulation, page-fault handling) are reached; the
+//!   hypervisor drives host paging, rings and TLBs through [`Machine`]'s
+//!   Rust API, never through generated code;
 //! * a deterministic cycle cost model ([`cost`]) and performance counters
 //!   ([`perf`]).
 //!

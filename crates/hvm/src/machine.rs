@@ -2,8 +2,8 @@
 //!
 //! The machine executes blocks of [`MachInsn`] produced by a DBT back-end.
 //! All interaction with the outside world goes through a [`Runtime`]
-//! implementation supplied by the hypervisor layer: helper calls, software
-//! interrupts, port I/O and page-fault handling.  This mirrors the paper's
+//! implementation supplied by the hypervisor layer: helper calls, page-fault
+//! handling and the loop-exit poll.  This mirrors the paper's
 //! split between the generated code (running inside the host VM) and the
 //! execution engine / hypervisor servicing its exits.
 //!
@@ -48,8 +48,6 @@ use crate::tlb::{Tlb, TlbEntry};
 pub enum Ring {
     /// Most privileged.
     Ring0 = 0,
-    Ring1 = 1,
-    Ring2 = 2,
     /// Least privileged (user mode).
     Ring3 = 3,
 }
@@ -72,7 +70,7 @@ pub struct FlagsReg {
 pub enum ExitReason {
     /// The block executed `Ret`: return to the dispatcher.
     BlockEnd,
-    /// A helper or `Hlt` requested that the whole machine stop.
+    /// A helper requested that the whole machine stop.
     Halted,
     /// A helper requested an early return to the dispatcher.
     HelperExit,
@@ -134,30 +132,6 @@ pub trait Runtime {
     /// A `CallHelper` instruction was executed.  Arguments are in `rdi`,
     /// `rsi`, `rdx`, `rcx`; the result goes in `rax`.
     fn helper(&mut self, id: u16, machine: &mut Machine) -> HelperResult;
-
-    /// A software interrupt (`Int`) was executed (already in ring 0).
-    fn interrupt(&mut self, vector: u8, machine: &mut Machine) -> HelperResult {
-        let _ = (vector, machine);
-        HelperResult::Continue { cost: 0 }
-    }
-
-    /// A fast system call (`Syscall`) was executed.
-    fn syscall(&mut self, machine: &mut Machine) -> HelperResult {
-        let _ = machine;
-        HelperResult::Continue { cost: 0 }
-    }
-
-    /// An `Out` instruction wrote `value` to `port`.
-    fn port_out(&mut self, port: u16, value: u64, machine: &mut Machine) -> HelperResult {
-        let _ = (port, value, machine);
-        HelperResult::Continue { cost: 0 }
-    }
-
-    /// An `In` instruction read from `port`; return the value.
-    fn port_in(&mut self, port: u16, machine: &mut Machine) -> (u64, HelperResult) {
-        let _ = (port, machine);
-        (0, HelperResult::Continue { cost: 0 })
-    }
 
     /// A memory access through the MMU faulted (missing mapping or
     /// permission violation).
@@ -221,8 +195,6 @@ pub struct Machine {
     pub flags: FlagsReg,
     /// Current protection ring.
     pub ring: Ring,
-    /// Ring to return to on `IRet` / `Sysret`.
-    saved_ring: Ring,
     /// CR3: page-table root (bits 12+) and PCID (bits 0..12).
     pub cr3: u64,
     /// Whether paging is enabled (otherwise virtual == physical).
@@ -270,7 +242,6 @@ impl Machine {
             xmm: [[0; 2]; 16],
             flags: FlagsReg::default(),
             ring: Ring::Ring0,
-            saved_ring: Ring::Ring0,
             cr3: 0,
             paging: false,
             mem: PhysMem::new(config.phys_mem),
@@ -312,11 +283,6 @@ impl Machine {
         self.paging = true;
     }
 
-    /// Disables paging (virtual addresses become physical addresses).
-    pub fn disable_paging(&mut self) {
-        self.paging = false;
-    }
-
     /// Current PCID from CR3.
     pub fn pcid(&self) -> u16 {
         (self.cr3 & 0xFFF) as u16
@@ -325,17 +291,6 @@ impl Machine {
     /// Current page-table root from CR3.
     pub fn pt_root(&self) -> u64 {
         self.cr3 & !0xFFF
-    }
-
-    /// Switches CR3 (page-table root and PCID), flushing non-PCID-tagged
-    /// entries as real hardware would when `flush` is true.
-    pub fn write_cr3(&mut self, value: u64, flush: bool) {
-        self.cr3 = value;
-        self.perf.cr3_writes += 1;
-        if flush {
-            self.tlb.flush_all();
-            self.perf.tlb_flushes += 1;
-        }
     }
 
     /// Translates a virtual address for an access of the given kind,
@@ -713,7 +668,6 @@ impl Machine {
                 }};
             }
             match *insn {
-                MachInsn::Nop => charge!(),
                 MachInsn::MovImm { dst, imm } => {
                     charge!();
                     self.set_reg(dst, imm)
@@ -958,168 +912,12 @@ impl Machine {
                     };
                     self.set_reg(dst, r as u64);
                 }
-                MachInsn::CvtS2D { dst, src } => {
-                    charge!();
-                    let v = f32::from_bits(xmm!(src)[0] as u32) as f64;
-                    let hi = xmm!(dst)[1];
-                    set_xmm!(dst, [v.to_bits(), hi]);
-                }
-                MachInsn::CvtD2S { dst, src } => {
-                    charge!();
-                    let v = f64::from_bits(xmm!(src)[0]) as f32;
-                    let hi = xmm!(dst)[1];
-                    set_xmm!(dst, [v.to_bits() as u64, hi]);
-                }
                 MachInsn::Vec { op, dst, src } => {
                     charge!();
                     let d = xmm!(dst);
                     let s = xmm!(src);
                     let r = self.vec_op(op, d, s);
                     set_xmm!(dst, r);
-                }
-                MachInsn::Int { vector } => {
-                    charge!();
-                    self.perf.interrupts += 1;
-                    self.saved_ring = self.ring;
-                    self.ring = Ring::Ring0;
-                    match rt.interrupt(vector, self) {
-                        HelperResult::Continue { cost } => {
-                            self.perf.cycles += cost;
-                            self.ring = self.saved_ring;
-                        }
-                        HelperResult::Exit { cost } => {
-                            self.perf.cycles += cost;
-                            self.ring = self.saved_ring;
-                            return ExitReason::HelperExit;
-                        }
-                        HelperResult::Halt { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::Halted;
-                        }
-                    }
-                }
-                MachInsn::IRet => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("iret outside ring 0".into());
-                    }
-                    self.ring = self.saved_ring;
-                }
-                MachInsn::Syscall => {
-                    charge!();
-                    self.perf.syscalls += 1;
-                    self.saved_ring = self.ring;
-                    self.ring = Ring::Ring0;
-                    match rt.syscall(self) {
-                        HelperResult::Continue { cost } => {
-                            self.perf.cycles += cost;
-                            self.ring = self.saved_ring;
-                        }
-                        HelperResult::Exit { cost } => {
-                            self.perf.cycles += cost;
-                            self.ring = self.saved_ring;
-                            return ExitReason::HelperExit;
-                        }
-                        HelperResult::Halt { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::Halted;
-                        }
-                    }
-                }
-                MachInsn::Sysret => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("sysret outside ring 0".into());
-                    }
-                    self.ring = self.saved_ring;
-                }
-                MachInsn::Out { port, src } => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("out instruction outside ring 0".into());
-                    }
-                    self.perf.port_ios += 1;
-                    let v = self.reg(src);
-                    match rt.port_out(port, v, self) {
-                        HelperResult::Continue { cost } => self.perf.cycles += cost,
-                        HelperResult::Exit { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::HelperExit;
-                        }
-                        HelperResult::Halt { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::Halted;
-                        }
-                    }
-                }
-                MachInsn::In { dst, port } => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("in instruction outside ring 0".into());
-                    }
-                    self.perf.port_ios += 1;
-                    let (v, res) = rt.port_in(port, self);
-                    self.set_reg(dst, v);
-                    match res {
-                        HelperResult::Continue { cost } => self.perf.cycles += cost,
-                        HelperResult::Exit { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::HelperExit;
-                        }
-                        HelperResult::Halt { cost } => {
-                            self.perf.cycles += cost;
-                            return ExitReason::Halted;
-                        }
-                    }
-                }
-                MachInsn::WriteCr3 { src } => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("cr3 write outside ring 0".into());
-                    }
-                    let v = self.reg(src);
-                    // PCID-style CR3 write: keep TLB entries (they are tagged).
-                    self.write_cr3(v, false);
-                }
-                MachInsn::ReadCr3 { dst } => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("cr3 read outside ring 0".into());
-                    }
-                    self.set_reg(dst, self.cr3);
-                }
-                MachInsn::TlbFlushAll => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("TLB flush outside ring 0".into());
-                    }
-                    self.perf.tlb_flushes += 1;
-                    self.tlb.flush_all();
-                }
-                MachInsn::TlbFlushPcid => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("TLB flush outside ring 0".into());
-                    }
-                    self.perf.tlb_flushes += 1;
-                    let pcid = self.pcid();
-                    self.tlb.flush_pcid(pcid);
-                }
-                MachInsn::Invlpg { addr } => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("invlpg outside ring 0".into());
-                    }
-                    self.perf.tlb_flushes += 1;
-                    let va = self.reg(addr);
-                    self.tlb.flush_page(va);
-                }
-                MachInsn::Hlt => {
-                    charge!();
-                    if self.ring != Ring::Ring0 {
-                        return ExitReason::Error("hlt outside ring 0".into());
-                    }
-                    return ExitReason::Halted;
                 }
                 MachInsn::TraceEdge => {
                     charge!();
@@ -1381,17 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn privileged_instructions_fault_in_ring3() {
-        let mut m = machine();
-        let mut rt = NullRuntime;
-        m.ring = Ring::Ring3;
-        let code = [MachInsn::TlbFlushAll, MachInsn::Ret];
-        assert!(matches!(m.run_block(&code, &mut rt), ExitReason::Error(_)));
-        let code = [MachInsn::Hlt];
-        assert!(matches!(m.run_block(&code, &mut rt), ExitReason::Error(_)));
-    }
-
-    #[test]
     fn fp_and_vector_ops() {
         let mut m = machine();
         let mut rt = NullRuntime;
@@ -1469,29 +1256,6 @@ mod tests {
         assert_eq!(rt.calls, 1);
         assert_eq!(m.reg(Gpr::Rax), 49);
         assert!(m.perf.cycles - before >= 100 + m.cost.helper_call);
-    }
-
-    #[test]
-    fn interrupt_switches_to_ring0_and_back() {
-        struct RingCheckRt {
-            observed: Option<Ring>,
-        }
-        impl Runtime for RingCheckRt {
-            fn helper(&mut self, _id: u16, _m: &mut Machine) -> HelperResult {
-                HelperResult::Continue { cost: 0 }
-            }
-            fn interrupt(&mut self, _v: u8, m: &mut Machine) -> HelperResult {
-                self.observed = Some(m.ring);
-                HelperResult::Continue { cost: 50 }
-            }
-        }
-        let mut m = machine();
-        m.ring = Ring::Ring3;
-        let mut rt = RingCheckRt { observed: None };
-        let code = [MachInsn::Int { vector: 0x80 }, MachInsn::Ret];
-        assert_eq!(m.run_block(&code, &mut rt), ExitReason::BlockEnd);
-        assert_eq!(rt.observed, Some(Ring::Ring0));
-        assert_eq!(m.ring, Ring::Ring3, "ring restored after the interrupt");
     }
 
     #[test]

@@ -21,16 +21,8 @@ pub struct PerfCounters {
     pub page_faults: u64,
     /// Runtime helper invocations.
     pub helper_calls: u64,
-    /// Software interrupts delivered.
-    pub interrupts: u64,
-    /// Fast system calls executed.
-    pub syscalls: u64,
-    /// Explicit TLB flushes (all / PCID / single page).
+    /// Host TLB flushes the hypervisor runtime performed.
     pub tlb_flushes: u64,
-    /// CR3 (address-space) switches.
-    pub cr3_writes: u64,
-    /// Port I/O operations.
-    pub port_ios: u64,
     /// Translated blocks entered (dispatch events).
     pub blocks_entered: u64,
     /// Blocks entered through a direct chain link (subset of

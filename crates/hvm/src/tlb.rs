@@ -95,16 +95,6 @@ impl Tlb {
         self.filled.clear();
     }
 
-    /// Drops entries belonging to one PCID, keeping others resident — the
-    /// property that makes PCID-based address-space switching cheap.
-    pub fn flush_pcid(&mut self, pcid: u16) {
-        for e in self.entries.iter_mut() {
-            if matches!(e, Some(en) if en.pcid == pcid) {
-                *e = None;
-            }
-        }
-    }
-
     /// Drops any entry for the page containing `vaddr` (all PCIDs).
     pub fn flush_page(&mut self, vaddr: u64) {
         let vpn = vaddr / PAGE_SIZE;
@@ -156,18 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn pcid_selective_flush_keeps_other_entries() {
-        let mut tlb = Tlb::new(64);
-        tlb.insert(entry(1, 0));
-        tlb.insert(entry(2, 1));
-        tlb.flush_pcid(0);
-        assert!(tlb.lookup(PAGE_SIZE, 0).is_none());
-        assert!(tlb.lookup(2 * PAGE_SIZE, 1).is_some());
-        tlb.flush_all();
-        assert_eq!(tlb.occupancy(), 0);
-    }
-
-    #[test]
     fn flush_all_empties_the_table_however_many_slots_were_filled() {
         // `flush_all` clears the slots filled since the last one; past a
         // quarter of the capacity it sweeps the table.  Either way nothing
@@ -179,7 +157,6 @@ mod tests {
                 tlb.insert(entry(vpn * 7, (vpn % 3) as u16));
             }
             tlb.flush_page(7 * PAGE_SIZE);
-            tlb.flush_pcid(2);
             tlb.insert(entry(1000 + fills, 0));
             assert!(tlb.lookup((1000 + fills) * PAGE_SIZE, 0).is_some());
             tlb.flush_all();

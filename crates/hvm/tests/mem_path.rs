@@ -458,8 +458,6 @@ fn unsupported_widths_are_typed_errors_not_shift_overflows() {
             dst: Gpr::Rax,
             src: bad,
         },
-        MachInsn::CvtS2D { dst: bad, src: ok },
-        MachInsn::CvtD2S { dst: ok, src: bad },
         MachInsn::Vec {
             op: VecOp::PAddQ,
             dst: bad,
