@@ -294,6 +294,13 @@ fn every_idiom_rule_fires_and_the_branch_kernel_pays() {
             "{}: idioms fused with the layer disabled",
             p.kernel
         );
+        // A rewrite changes host code, never the guest work it stands for.
+        assert_eq!(
+            (p.with.guest_insns, p.with.backedge_transfers),
+            (p.without.guest_insns, p.without.backedge_transfers),
+            "{}: (guest instructions, back-edges) differ with the layer on",
+            p.kernel
+        );
         for (total, hits) in per_rule.iter_mut().zip(p.with.jit.idiom_hits) {
             *total += hits;
         }

@@ -20,13 +20,21 @@
 //! and a sixth run that does split, `idiom.branch` under `sync`, pinned on
 //! the commit that introduced splitting — its cycles and promotion counts are
 //! the ones the unsplit allocator gave.
+//!
+//! Re-recorded since by dropping the back-edge's trip weight, whose four
+//! encoded bytes every resident `BackEdge` carried: `code_bytes` and
+//! `bytes_live` 2067 → 2059 (`429.mcf`, two back-edges), 6517 → 6501
+//! (`stream.guarded`, four), 4786 → 4778 (`io.read` with a fault, two) and
+//! 30347 → 30247 (`loop_flood`, 25).  The same change dropped the
+//! partial-forwarding line and the `bulk.memset` rule's hit line, 0 in
+//! every list, with the counter and the rule.
 
 const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("cycles", 1090223),
     ("host_insns", 677973),
     ("guest_insns", 495407),
     ("translations", 5),
-    ("code_bytes", 2067),
+    ("code_bytes", 2059),
     ("chained_transfers", 38),
     ("chain_patches", 7),
     ("slow_dispatches", 8),
@@ -42,7 +50,6 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("blocks", 46),
     ("opt_dead_stores", 16),
     ("opt_forwarded_loads", 65),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 172),
     ("opt_dce_insns", 173),
     ("opt_promoted_slots", 8),
@@ -54,7 +61,7 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 2067),
+    ("bytes_live", 2059),
     ("regions_live", 5),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -71,7 +78,6 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("idiom_hits.fuse.tstbr", 0),
     ("idiom_hits.fuse.cbz", 6),
     ("idiom_hits.addr.fold", 2),
-    ("idiom_hits.bulk.memset", 0),
 ];
 const MCF_QEMU: &[(&str, u64)] = &[
     ("cycles", 16288835),
@@ -94,7 +100,6 @@ const MCF_QEMU: &[(&str, u64)] = &[
     ("blocks", 121025),
     ("opt_dead_stores", 0),
     ("opt_forwarded_loads", 0),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 0),
     ("opt_dce_insns", 3),
     ("opt_promoted_slots", 0),
@@ -125,7 +130,7 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("host_insns", 3933794),
     ("guest_insns", 902080),
     ("translations", 7),
-    ("code_bytes", 6517),
+    ("code_bytes", 6501),
     ("chained_transfers", 141),
     ("chain_patches", 10),
     ("slow_dispatches", 28),
@@ -141,7 +146,6 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("blocks", 169),
     ("opt_dead_stores", 7),
     ("opt_forwarded_loads", 26),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 389),
     ("opt_dce_insns", 461),
     ("opt_promoted_slots", 20),
@@ -153,7 +157,7 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 6517),
+    ("bytes_live", 6501),
     ("regions_live", 7),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -170,14 +174,13 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("idiom_hits.fuse.tstbr", 21),
     ("idiom_hits.fuse.cbz", 2),
     ("idiom_hits.addr.fold", 3),
-    ("idiom_hits.bulk.memset", 0),
 ];
 const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("cycles", 8707),
     ("host_insns", 3256),
     ("guest_insns", 1597),
     ("translations", 9),
-    ("code_bytes", 4786),
+    ("code_bytes", 4778),
     ("chained_transfers", 33),
     ("chain_patches", 10),
     ("slow_dispatches", 13),
@@ -193,7 +196,6 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("blocks", 46),
     ("opt_dead_stores", 21),
     ("opt_forwarded_loads", 107),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 90),
     ("opt_dce_insns", 102),
     ("opt_promoted_slots", 7),
@@ -205,7 +207,7 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 4786),
+    ("bytes_live", 4778),
     ("regions_live", 9),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -222,7 +224,6 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("idiom_hits.fuse.tstbr", 0),
     ("idiom_hits.fuse.cbz", 8),
     ("idiom_hits.addr.fold", 0),
-    ("idiom_hits.bulk.memset", 0),
     ("virtio_kicks", 1),
     ("virtio_submissions", 4),
     ("virtio_completions", 4),
@@ -253,7 +254,6 @@ const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
     ("blocks", 276),
     ("opt_dead_stores", 0),
     ("opt_forwarded_loads", 0),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 0),
     ("opt_dce_insns", 67),
     ("opt_promoted_slots", 0),
@@ -292,7 +292,7 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("host_insns", 20683),
     ("guest_insns", 25757),
     ("translations", 27),
-    ("code_bytes", 30347),
+    ("code_bytes", 30247),
     ("chained_transfers", 735),
     ("chain_patches", 62),
     ("slow_dispatches", 209),
@@ -308,7 +308,6 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("blocks", 944),
     ("opt_dead_stores", 62),
     ("opt_forwarded_loads", 40),
-    ("opt_partial_forwarded", 0),
     ("opt_copies_folded", 1401),
     ("opt_dce_insns", 1402),
     ("opt_promoted_slots", 63),
@@ -320,7 +319,7 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
-    ("bytes_live", 30347),
+    ("bytes_live", 30247),
     ("regions_live", 27),
     ("regions_evicted", 0),
     ("formation_failures", 0),
@@ -337,7 +336,6 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("idiom_hits.fuse.tstbr", 0),
     ("idiom_hits.fuse.cbz", 490),
     ("idiom_hits.addr.fold", 0),
-    ("idiom_hits.bulk.memset", 0),
 ];
 
 const BRANCH_SYNC: &[(&str, u64)] = &[

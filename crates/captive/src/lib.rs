@@ -82,8 +82,8 @@ pub struct CaptiveConfig {
     /// sweeping the value chains feeding eliminated stores.
     pub opt: bool,
     /// Enable the guest-idiom rewrite layer (`dbt::idiom`, requires `opt`):
-    /// NZCV-free compare+branch fusion, address-mode folding and bulk-move
-    /// rewriting, each built-in rule rewriting wherever it matches
+    /// NZCV-free compare+branch fusion and address-mode folding, each
+    /// built-in rule rewriting wherever it matches
     /// ([`dbt::RuleTable::builtin`]).  The setting joins the reuse key, so
     /// engines with the layer on and off never share templates.
     pub idioms: bool,

@@ -143,10 +143,6 @@ counter_table! {
         Deterministic opt_dead_stores: u64,
         /// Regfile loads rewritten into register moves or immediates.
         Deterministic opt_forwarded_loads: u64,
-        /// Partial-width forwards (subset of `opt_forwarded_loads`): 32-bit
-        /// loads satisfied by the low half of a 64-bit store with an
-        /// explicit mask.
-        Deterministic opt_partial_forwarded: u64,
         /// Register-copy uses folded by straight-line copy propagation
         /// (fully propagated copies are then swept by the allocator's DCE).
         Deterministic opt_copies_folded: u64,

@@ -34,8 +34,6 @@ pub enum ValueType {
     U16,
     U32,
     U64,
-    /// Single-precision float (held in a vector register).
-    F32,
     /// Double-precision float (held in a vector register).
     F64,
     /// A full 128-bit vector.
@@ -48,7 +46,7 @@ impl ValueType {
         match self {
             ValueType::U8 => MemSize::U8,
             ValueType::U16 => MemSize::U16,
-            ValueType::U32 | ValueType::F32 => MemSize::U32,
+            ValueType::U32 => MemSize::U32,
             ValueType::U64 | ValueType::F64 => MemSize::U64,
             ValueType::V128 => MemSize::U128,
         }
@@ -56,7 +54,7 @@ impl ValueType {
 
     /// Whether values of this type live in vector registers.
     pub fn is_fp(self) -> bool {
-        matches!(self, ValueType::F32 | ValueType::F64 | ValueType::V128)
+        matches!(self, ValueType::F64 | ValueType::V128)
     }
 }
 
@@ -73,12 +71,9 @@ pub enum BinOp {
     MulHiS,
     DivU,
     DivS,
-    RemU,
-    RemS,
     Shl,
     Shr,
     Sar,
-    Ror,
 }
 
 impl BinOp {
@@ -94,12 +89,9 @@ impl BinOp {
             BinOp::MulHiS => AluOp::MulHiS,
             BinOp::DivU => AluOp::DivU,
             BinOp::DivS => AluOp::DivS,
-            BinOp::RemU => AluOp::RemU,
-            BinOp::RemS => AluOp::RemS,
             BinOp::Shl => AluOp::Shl,
             BinOp::Shr => AluOp::Shr,
             BinOp::Sar => AluOp::Sar,
-            BinOp::Ror => AluOp::Ror,
         }
     }
 
@@ -121,18 +113,9 @@ impl BinOp {
                     (a as i64).wrapping_div(b as i64) as u64
                 }
             }
-            BinOp::RemU => a.checked_rem(b).unwrap_or(0),
-            BinOp::RemS => {
-                if b == 0 {
-                    0
-                } else {
-                    (a as i64).wrapping_rem(b as i64) as u64
-                }
-            }
             BinOp::Shl => a.wrapping_shl((b & 63) as u32),
             BinOp::Shr => a.wrapping_shr((b & 63) as u32),
             BinOp::Sar => ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
-            BinOp::Ror => a.rotate_right((b & 63) as u32),
         }
     }
 }
@@ -144,8 +127,6 @@ pub enum FpBinOp {
     Sub,
     Mul,
     Div,
-    Min,
-    Max,
 }
 
 /// One DAG node.
@@ -170,15 +151,10 @@ pub enum Node {
         ty: ValueType,
         sext: bool,
     },
-    /// Floating-point binary operation.
-    FpBinary {
-        op: FpBinOp,
-        a: NodeId,
-        b: NodeId,
-        ty: ValueType,
-    },
-    /// Floating-point square root.
-    FpSqrt { a: NodeId, ty: ValueType },
+    /// Double-precision binary operation.
+    FpBinary { op: FpBinOp, a: NodeId, b: NodeId },
+    /// Double-precision square root.
+    FpSqrt { a: NodeId },
     /// Fused multiply-add `a * b + c`.
     FpMulAdd { a: NodeId, b: NodeId, c: NodeId },
     /// Signed 64-bit integer to double.
@@ -424,7 +400,6 @@ impl Emitter {
             pc,
             label,
             reconcile: false,
-            weight: 1,
         });
         self.stitched_back = true;
         self.trace_back = None;
@@ -525,14 +500,14 @@ impl Emitter {
         self.push_node(Node::Select { cond, t, f })
     }
 
-    /// Floating-point binary operation node.
-    pub fn fp_binary(&mut self, op: FpBinOp, a: NodeId, b: NodeId, ty: ValueType) -> NodeId {
-        self.push_node(Node::FpBinary { op, a, b, ty })
+    /// Double-precision binary operation node.
+    pub fn fp_binary(&mut self, op: FpBinOp, a: NodeId, b: NodeId) -> NodeId {
+        self.push_node(Node::FpBinary { op, a, b })
     }
 
-    /// Floating-point square root node.
-    pub fn fp_sqrt(&mut self, a: NodeId, ty: ValueType) -> NodeId {
-        self.push_node(Node::FpSqrt { a, ty })
+    /// Double-precision square root node.
+    pub fn fp_sqrt(&mut self, a: NodeId) -> NodeId {
+        self.push_node(Node::FpSqrt { a })
     }
 
     /// Fused multiply-add node (`a * b + c`).
@@ -743,24 +718,18 @@ impl Emitter {
                 });
                 dst
             }
-            Node::FpBinary { op, a, b, ty } => {
+            Node::FpBinary { op, a, b } => {
                 let av = self.eval_to_xmm(a);
                 let bv = self.eval_to_xmm(b);
                 let dst = self.new_vreg(VregClass::Xmm);
                 // Two-address form: copy the left operand, then operate in
                 // place so `a` stays available for other uses.
                 self.emit_fp_copy(dst, av);
-                let fop = match (op, ty) {
-                    (FpBinOp::Add, ValueType::F32) => FpOp::AddS,
-                    (FpBinOp::Sub, ValueType::F32) => FpOp::SubS,
-                    (FpBinOp::Mul, ValueType::F32) => FpOp::MulS,
-                    (FpBinOp::Div, ValueType::F32) => FpOp::DivS,
-                    (FpBinOp::Add, _) => FpOp::AddD,
-                    (FpBinOp::Sub, _) => FpOp::SubD,
-                    (FpBinOp::Mul, _) => FpOp::MulD,
-                    (FpBinOp::Div, _) => FpOp::DivD,
-                    (FpBinOp::Min, _) => FpOp::MinD,
-                    (FpBinOp::Max, _) => FpOp::MaxD,
+                let fop = match op {
+                    FpBinOp::Add => FpOp::AddD,
+                    FpBinOp::Sub => FpOp::SubD,
+                    FpBinOp::Mul => FpOp::MulD,
+                    FpBinOp::Div => FpOp::DivD,
                 };
                 self.emit(LirInsn::Fp {
                     op: fop,
@@ -769,15 +738,14 @@ impl Emitter {
                 });
                 dst
             }
-            Node::FpSqrt { a, ty } => {
+            Node::FpSqrt { a } => {
                 let av = self.eval_to_xmm(a);
                 let dst = self.new_vreg(VregClass::Xmm);
-                let op = if ty == ValueType::F32 {
-                    FpOp::SqrtS
-                } else {
-                    FpOp::SqrtD
-                };
-                self.emit(LirInsn::Fp { op, dst, src: av });
+                self.emit(LirInsn::Fp {
+                    op: FpOp::SqrtD,
+                    dst,
+                    src: av,
+                });
                 dst
             }
             Node::FpMulAdd { a, b, c } => {
@@ -1125,8 +1093,7 @@ impl Emitter {
             Node::Const { ty, .. } => ty,
             Node::ReadReg { ty, .. } => ty,
             Node::LoadMem { ty, .. } => ty,
-            Node::FpBinary { ty, .. } => ty,
-            Node::FpSqrt { ty, .. } => ty,
+            Node::FpBinary { .. } | Node::FpSqrt { .. } => ValueType::F64,
             Node::FpMulAdd { .. } | Node::IntToFp { .. } => ValueType::F64,
             Node::GprToFp { .. } => ValueType::F64,
             Node::VecBinary { .. } | Node::ReadVec { .. } => ValueType::V128,
@@ -1274,7 +1241,7 @@ mod tests {
         let mut e = Emitter::new();
         let d1 = e.load_register(0x110, ValueType::F64);
         let d2 = e.load_register(0x120, ValueType::F64);
-        let prod = e.fp_binary(FpBinOp::Mul, d1, d2, ValueType::F64);
+        let prod = e.fp_binary(FpBinOp::Mul, d1, d2);
         e.store_register(0x100, prod);
         e.inc_pc(4);
         let lir = e.finish();

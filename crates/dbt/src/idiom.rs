@@ -1,18 +1,19 @@
 //! The built-in guest-idiom rules over the LIR: NZCV-free compare+branch
-//! fusion, scaled-index address folding, and bulk-move loop rewriting.
+//! fusion and scaled-index address folding.
 //!
 //! The generic pipeline ([`crate::opt`] + the allocator's DCE) removes work
 //! the guest program cannot observe, but it never changes *shape*: a guest
 //! `CMP/SUBS + B.cond` still materialises all four NZCV flags into the
 //! register file and re-derives the condition from them with a dozen ALU
-//! operations, an address computed as `base + (index << k)` still lowers
-//! insn-by-insn, and a byte-wide memset loop still moves one byte per trip.
-//! This module is the *idiom layer*: a small, fixed set of multi-instruction
-//! guest patterns recognised on the raw LIR and rewritten into the host
-//! shape a human translator would have written.  Each rule rewrites
-//! wherever it matches and passes the soundness contract below.
+//! operations, and an address computed as `base + (index << k)` still lowers
+//! insn-by-insn.  This module is the *idiom layer*: a small, fixed set of
+//! multi-instruction guest patterns recognised on the raw LIR and rewritten
+//! into the host shape a human translator would have written.  Each rule
+//! rewrites wherever it matches and passes the soundness contract below.
 //!
 //! # The rules
+//!
+//! Four rules: three branch fusions and one address fold.
 //!
 //! * **`fuse.cmpbr`** — an NZCV nibble produced by the subtract-shaped
 //!   `set_nzcv` chain (`V|C<<1|Z<<2|N<<3` with `C = a >=u b`,
@@ -38,15 +39,6 @@
 //!   `y = i << k`, `k <= 3`) feeding a memory operand is folded into the
 //!   x86 scaled-index addressing mode `[x + i*2^k + disp]`; the arithmetic
 //!   chain goes dead and the addressing mode is free in the cost model.
-//! * **`bulk.memset`** — a single-back-edge byte-store loop
-//!   (`strb; add cur,1; sub cnt,1; cbnz`) gets a *wide fast path* spliced
-//!   in at the loop header: when at least 9 bytes remain and the next 8
-//!   stay inside one 4 KiB page, one 64-bit store of the splatted byte
-//!   covers 8 trips, with the counters advanced by 8 and the back-edge
-//!   *weighted* so the machine credits 8 guest iterations per transfer
-//!   (trip accounting and the trip limit stay exact).  Otherwise the
-//!   original byte body runs unchanged — so trip counts 0–8, the loop
-//!   tail, page boundaries and faults take exactly the architectural path.
 //!
 //! # Soundness contract
 //!
@@ -92,7 +84,7 @@ use hvm::{AluOp, Cond, MemSize};
 
 /// Number of shipped rules (indexes [`IdiomStats::fused`] and the per-rule
 /// counters).
-pub const RULE_COUNT: usize = 5;
+pub const RULE_COUNT: usize = 4;
 
 /// The shipped rule kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,8 +97,6 @@ pub enum RuleKind {
     FuseCbz,
     /// Shift/add address chains folded into scaled-index operands.
     AddrFold,
-    /// Byte-memset loops given a wide (64-bit) fast path.
-    BulkMemset,
 }
 
 impl RuleKind {
@@ -116,7 +106,6 @@ impl RuleKind {
         RuleKind::FuseTstBr,
         RuleKind::FuseCbz,
         RuleKind::AddrFold,
-        RuleKind::BulkMemset,
     ];
 
     /// Index into the per-rule stats arrays.
@@ -126,7 +115,6 @@ impl RuleKind {
             RuleKind::FuseTstBr => 1,
             RuleKind::FuseCbz => 2,
             RuleKind::AddrFold => 3,
-            RuleKind::BulkMemset => 4,
         }
     }
 
@@ -137,7 +125,6 @@ impl RuleKind {
             RuleKind::FuseTstBr => "fuse.tstbr",
             RuleKind::FuseCbz => "fuse.cbz",
             RuleKind::AddrFold => "addr.fold",
-            RuleKind::BulkMemset => "bulk.memset",
         }
     }
 }
@@ -1094,459 +1081,11 @@ pub fn fold_addressing(lir: &mut [LirInsn], _table: &RuleTable, stats: &mut Idio
     })
 }
 
-// ---------------------------------------------------------------------------
-// Bulk-move rewriting
-// ---------------------------------------------------------------------------
-
-/// The matched byte-memset loop roles.
-struct MemsetLoop {
-    cur: i32,
-    val: i32,
-    cnt: i32,
-}
-
-/// Matches the byte-memset body in the open window `(h, e)` between the
-/// loop-header label and the back-edge.  The body must consist exactly of:
-/// a byte store of a freshly-loaded value register through the current
-/// pointer, the pointer incremented by one and the counter decremented by
-/// one (both through the register file), and a fused `Cmp cnt',0; Jcc Eq`
-/// loop exit — plus PC bookkeeping.  Anything else refuses the match.
-fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<MemsetLoop> {
-    // Use counts over the whole unit let the matcher skip instructions whose
-    // result is provably unconsumed (fusion leftovers ahead of DCE).
-    let mut use_count = vec![0u32; crate::lir::vreg_id_bound(lir) as usize];
-    let mut scratch = Vec::new();
-    for insn in lir {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        for u in &scratch {
-            use_count[u.id as usize] += 1;
-        }
-    }
-
-    let mut byte_store: Option<(usize, Vreg, Vreg)> = None; // (idx, value, addr base)
-    let mut slot_loads: Vec<(usize, i32, Vreg)> = Vec::new();
-    let mut slot_stores: Vec<(usize, i32, Vreg)> = Vec::new();
-    let mut cmp: Option<(usize, Vreg)> = None;
-    let mut jcc: Option<usize> = None;
-    let mut first_incpc: Option<usize> = None;
-    for (k, insn) in lir.iter().enumerate().take(e).skip(h + 1) {
-        match insn {
-            LirInsn::IncPc { .. } => {
-                if first_incpc.is_none() {
-                    first_incpc = Some(k);
-                }
-            }
-            LirInsn::Load { dst, .. } => {
-                let slot = insn.regfile_load()?;
-                if slot.size != MemSize::U64 {
-                    return None;
-                }
-                slot_loads.push((k, slot.offset, *dst));
-            }
-            LirInsn::Store { src, addr, size } => {
-                if let Some(slot) = insn.regfile_store() {
-                    if slot.size != MemSize::U64 {
-                        return None;
-                    }
-                    slot_stores.push((k, slot.offset, *src));
-                } else if addr.index.is_none() && addr.disp == 0 {
-                    let LirBase::Vreg(base) = addr.base else {
-                        return None;
-                    };
-                    if *size != MemSize::U8 || byte_store.is_some() {
-                        return None;
-                    }
-                    byte_store = Some((k, *src, base));
-                } else {
-                    return None;
-                }
-            }
-            LirInsn::MovReg { .. } => {}
-            LirInsn::Alu {
-                op: AluOp::Add | AluOp::Sub,
-                src: LirOperand::Imm(1),
-                ..
-            } => {}
-            LirInsn::Cmp {
-                a,
-                b: LirOperand::Imm(0),
-            } => {
-                if cmp.is_some() {
-                    return None;
-                }
-                cmp = Some((k, *a));
-            }
-            LirInsn::Jcc { cond: Cond::Eq, .. } => {
-                if jcc.is_some() {
-                    return None;
-                }
-                jcc = Some(k);
-            }
-            other => {
-                // Tolerate pure leftovers whose result nothing consumes
-                // (pre-DCE fusion residue), refuse everything else.
-                let harmless = match other.def() {
-                    Some(d) => {
-                        use_count[d.id as usize] == 0
-                            && !other.has_side_effect()
-                            && !other.may_fault()
-                    }
-                    None => false,
-                };
-                if !harmless {
-                    return None;
-                }
-            }
-        }
-    }
-    let (bs_idx, bs_val, bs_base) = byte_store?;
-    let (cmp_idx, cmp_reg) = cmp?;
-    let jcc_idx = jcc?;
-    if jcc_idx < cmp_idx || jcc_idx + 1 != e {
-        return None;
-    }
-    // The compare must be the instruction the exit branch consumes.
-    if find_jcc(lir, cmp_idx) != Some(jcc_idx) {
-        return None;
-    }
-    // The byte store must belong to the first guest instruction of the loop
-    // (no PC advance before it) and precede both slot write-backs, so the
-    // wide path's fault point has the same precise state.
-    if first_incpc.is_some_and(|f| f < bs_idx) {
-        return None;
-    }
-    // Exactly two slot stores: the pointer and the counter.
-    if slot_stores.len() != 2 {
-        return None;
-    }
-    // Trace each store back through `MovReg t <- base; Alu t, Imm 1`.
-    let trace_update = |src: Vreg, at: usize, op: AluOp| -> Option<Vreg> {
-        let d = last_def_before(lir, src, at)?;
-        let LirInsn::Alu {
-            op: got,
-            dst,
-            src: LirOperand::Imm(1),
-        } = &lir[d]
-        else {
-            return None;
-        };
-        if *got != op {
-            return None;
-        }
-        let m = last_def_before(lir, *dst, d)?;
-        let LirInsn::MovReg { src: base, .. } = &lir[m] else {
-            return None;
-        };
-        Some(*base)
-    };
-    // A role register must be this iteration's in-window load of its slot.
-    let loaded_from = |v: Vreg, at: usize| -> Option<i32> {
-        let d = last_def_before(lir, v, at)?;
-        slot_loads
-            .iter()
-            .find(|(k, _, dst)| *k == d && *dst == v)
-            .map(|(_, off, _)| *off)
-    };
-    let mut cur: Option<i32> = None;
-    let mut cnt: Option<(i32, usize)> = None;
-    for &(k, off, src) in &slot_stores {
-        if k < bs_idx {
-            return None;
-        }
-        if let Some(base) = trace_update(src, k, AluOp::Add) {
-            // Pointer update: `base` must be this iteration's load of the
-            // stored slot.  (The byte store's address register is tied to
-            // the same slot below; both loads precede the sole in-window
-            // store of the slot, so they hold the same value even though
-            // raw LIR gives each guest instruction its own load.)
-            if loaded_from(base, k) != Some(off) || cur.is_some() {
-                return None;
-            }
-            cur = Some(off);
-        } else if let Some(base) = trace_update(src, k, AluOp::Sub) {
-            if loaded_from(base, k) != Some(off) || cnt.is_some() {
-                return None;
-            }
-            cnt = Some((off, k));
-        } else {
-            return None;
-        }
-    }
-    let cur_off = cur?;
-    let (cnt_off, cnt_store_idx) = cnt?;
-    if cur_off == cnt_off {
-        return None;
-    }
-    // The exit compare must read the decremented counter: either the Sub
-    // result itself (the value the counter store wrote) or a reload of the
-    // slot after the write-back.
-    let cmp_src = last_def_before(lir, cmp_reg, cmp_idx)?;
-    let reads_new_cnt = match &lir[cmp_src] {
-        LirInsn::Alu {
-            op: AluOp::Sub,
-            src: LirOperand::Imm(1),
-            ..
-        } => {
-            let (_, _, st_src) = slot_stores
-                .iter()
-                .find(|(k, _, _)| *k == cnt_store_idx)
-                .copied()?;
-            last_def_before(lir, st_src, cnt_store_idx) == Some(cmp_src)
-        }
-        LirInsn::Load { .. } => {
-            lir[cmp_src].regfile_load()
-                == Some(RegFileAccess {
-                    offset: cnt_off,
-                    size: MemSize::U64,
-                })
-                && cmp_src > cnt_store_idx
-        }
-        _ => false,
-    };
-    if !reads_new_cnt {
-        return None;
-    }
-    // The byte store must write through the iteration's pointer load, and
-    // its value register must be a fresh in-window load of a third slot.
-    if loaded_from(bs_base, bs_idx) != Some(cur_off) {
-        return None;
-    }
-    let val_off = loaded_from(bs_val, bs_idx)?;
-    if val_off == cur_off || val_off == cnt_off {
-        return None;
-    }
-    // All three slots must be plain 64-bit X-register slots below NZCV.
-    for off in [cur_off, val_off, cnt_off] {
-        if off < 0 || off % 8 != 0 || off + 8 > nzcv_off {
-            return None;
-        }
-    }
-    Some(MemsetLoop {
-        cur: cur_off,
-        val: val_off,
-        cnt: cnt_off,
-    })
-}
-
-/// The bulk-move pass: splices a wide fast path ahead of a recognised
-/// byte-memset loop body.  See the module docs for the shape and the
-/// soundness argument (the `>= 9` guard keeps the wide trip exit-free, the
-/// page guard keeps its fault behaviour byte-identical, and the weighted
-/// back-edge keeps trip accounting exact).
-pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
-    let backedges: Vec<usize> = lir
-        .iter()
-        .enumerate()
-        .filter_map(|(i, insn)| matches!(insn, LirInsn::BackEdge { .. }).then_some(i))
-        .collect();
-    let [e] = backedges[..] else {
-        return;
-    };
-    let LirInsn::BackEdge {
-        pc,
-        label,
-        reconcile: false,
-        weight: 1,
-    } = lir[e]
-    else {
-        return;
-    };
-    let Some(h) = lir
-        .iter()
-        .position(|i| matches!(i, LirInsn::Label { id } if *id == label))
-    else {
-        return;
-    };
-    if h >= e {
-        return;
-    }
-    // The loop body may be unrolled: N identical copies of the guest body,
-    // each ending in a side-exit `Jcc; SetPcImm <head>; TraceEdge`, with the
-    // back-edge closing the last.  Split at the TraceEdge seams and demand
-    // that EVERY segment match the memset body with the same slot roles —
-    // that proves the whole loop does nothing but the memset, so a wide
-    // trip spliced at the head replaces full iterations and nothing else.
-    let mut segments: Vec<(usize, usize)> = Vec::new();
-    let mut seg_start = h;
-    for k in h + 1..e {
-        if matches!(lir[k], LirInsn::TraceEdge) {
-            let LirInsn::SetPcImm { imm } = lir[k - 1] else {
-                return;
-            };
-            if imm != pc {
-                return;
-            }
-            segments.push((seg_start, k - 1));
-            seg_start = k;
-        }
-    }
-    segments.push((seg_start, e));
-    let mut roles: Option<MemsetLoop> = None;
-    for &(s0, s1) in &segments {
-        let Some(r) = match_memset(lir, s0, s1, table.nzcv_off) else {
-            return;
-        };
-        match &roles {
-            Some(prev) if prev.cur != r.cur || prev.val != r.val || prev.cnt != r.cnt => {
-                return;
-            }
-            Some(_) => {}
-            None => roles = Some(r),
-        }
-    }
-    let Some(roles) = roles else {
-        return;
-    };
-    stats.fused[RuleKind::BulkMemset.index()] += 1;
-
-    let mut next_id = lir
-        .iter()
-        .flat_map(|i| {
-            let mut u = Vec::new();
-            i.uses(&mut u);
-            u.into_iter().map(|v| v.id).chain(i.def().map(|d| d.id))
-        })
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut fresh = || {
-        let v = Vreg {
-            id: next_id,
-            class: VregClass::Gpr,
-        };
-        next_id += 1;
-        v
-    };
-    let byte_label = lir
-        .iter()
-        .map(|i| match i {
-            LirInsn::Label { id } => *id + 1,
-            LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } => *label + 1,
-            LirInsn::BackEdge { label, .. } => *label + 1,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0);
-
-    let rf = LirMem::regfile;
-    let (va, vn, vp, vv, vs, vab, vnb) = (
-        fresh(),
-        fresh(),
-        fresh(),
-        fresh(),
-        fresh(),
-        fresh(),
-        fresh(),
-    );
-    let wide = vec![
-        LirInsn::Load {
-            dst: va,
-            addr: rf(roles.cur),
-            size: MemSize::U64,
-        },
-        LirInsn::Load {
-            dst: vn,
-            addr: rf(roles.cnt),
-            size: MemSize::U64,
-        },
-        // Fewer than 9 bytes left: the wide trip could overrun the exit, so
-        // take the architectural byte path.
-        LirInsn::Cmp {
-            a: vn,
-            b: LirOperand::Imm(9),
-        },
-        LirInsn::Jcc {
-            cond: Cond::Lt,
-            label: byte_label,
-        },
-        // Next 8 bytes must stay inside one 4 KiB page so the wide store
-        // faults exactly when the byte store would.
-        LirInsn::MovReg { dst: vp, src: va },
-        LirInsn::Alu {
-            op: AluOp::And,
-            dst: vp,
-            src: LirOperand::Imm(0xFFF),
-        },
-        LirInsn::Cmp {
-            a: vp,
-            b: LirOperand::Imm(4088),
-        },
-        LirInsn::Jcc {
-            cond: Cond::Gt,
-            label: byte_label,
-        },
-        // Splat the low byte of the value register across 64 bits.
-        LirInsn::Load {
-            dst: vv,
-            addr: rf(roles.val),
-            size: MemSize::U64,
-        },
-        LirInsn::MovReg { dst: vs, src: vv },
-        LirInsn::Alu {
-            op: AluOp::And,
-            dst: vs,
-            src: LirOperand::Imm(0xFF),
-        },
-        LirInsn::Alu {
-            op: AluOp::Mul,
-            dst: vs,
-            src: LirOperand::Imm(0x0101_0101_0101_0101),
-        },
-        LirInsn::Store {
-            src: vs,
-            addr: LirMem::vreg(va, 0),
-            size: MemSize::U64,
-        },
-        LirInsn::MovReg { dst: vab, src: va },
-        LirInsn::Alu {
-            op: AluOp::Add,
-            dst: vab,
-            src: LirOperand::Imm(8),
-        },
-        LirInsn::Store {
-            src: vab,
-            addr: rf(roles.cur),
-            size: MemSize::U64,
-        },
-        LirInsn::MovReg { dst: vnb, src: vn },
-        LirInsn::Alu {
-            op: AluOp::Sub,
-            dst: vnb,
-            src: LirOperand::Imm(8),
-        },
-        LirInsn::Store {
-            src: vnb,
-            addr: rf(roles.cnt),
-            size: MemSize::U64,
-        },
-        // One transfer, eight credited guest iterations.
-        LirInsn::BackEdge {
-            pc,
-            label,
-            reconcile: false,
-            weight: 8,
-        },
-        LirInsn::Label { id: byte_label },
-    ];
-    lir.splice(h + 1..h + 1, wide);
-}
-
-/// Runs the pre-optimisation idiom passes (fusion, then bulk rewriting) on
-/// raw LIR.  [`fold_addressing`] runs separately, after forwarding and copy
+/// Runs the pre-optimisation idiom pass, branch fusion, on raw LIR.
+/// [`fold_addressing`] runs separately, after forwarding and copy
 /// propagation have connected regfile round-trips.
 pub fn apply_early(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
-    crate::with_scratch(|s| apply_early_in(&mut s.opt, lir, table, stats))
-}
-
-/// [`apply_early`] in the caller's scratch.
-pub(crate) fn apply_early_in(
-    s: &mut OptScratch,
-    lir: &mut Vec<LirInsn>,
-    table: &RuleTable,
-    stats: &mut IdiomStats,
-) {
-    fuse_branches(s, lir, table, stats);
-    rewrite_bulk_loops(lir, table, stats);
+    crate::with_scratch(|s| fuse_branches(&mut s.opt, lir, table, stats))
 }
 
 #[cfg(test)]

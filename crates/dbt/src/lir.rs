@@ -229,17 +229,13 @@ pub enum LirInsn {
     /// [`hvm::MachInsn::BackEdge`].  `reconcile` marks a promoted loop: a
     /// loop exit falls through into the compensation stores that follow
     /// instead of returning to the dispatcher directly (see
-    /// [`crate::opt`]'s promotion pass, which sets it).  `weight` is the
-    /// number of guest loop iterations one transfer covers: 1 for ordinary
-    /// back-edges, >1 when [`crate::idiom`]'s bulk-move rewrite compresses
-    /// several byte-wide iterations into one wide trip — the machine credits
-    /// `weight` back-edge transfers so trip accounting and the trip limit
-    /// stay exact.
+    /// [`crate::opt`]'s promotion pass, which sets it).  One taken transfer
+    /// is one guest loop trip: the machine counts it once in
+    /// `backedge_transfers` and against the trip limit.
     BackEdge {
         pc: u64,
         label: u32,
         reconcile: bool,
-        weight: u32,
     },
     /// XMM-to-XMM register move.  `U64` copies the low lane and zeroes the
     /// upper lane (the write shape of a `U64` [`LirInsn::LoadXmm`]); `U128`
@@ -690,10 +686,11 @@ impl LirInsn {
     /// True if the instruction has an effect beyond writing its destination
     /// virtual register (memory, PC, flags consumed later, control flow, ...).
     /// A conservative classification (every flag writer counts as
-    /// effectful): [`crate::idiom`]'s bulk-loop matcher tolerates only
-    /// leftovers for which this returns `false`, and the one-shot dead-code
-    /// marking the allocator's fixpoint is tested against removes only those.
-    pub fn has_side_effect(&self) -> bool {
+    /// effectful): the one-shot dead-code marking the allocator's fixpoint
+    /// is tested against removes only instructions for which this returns
+    /// `false`.
+    #[cfg(test)]
+    pub(crate) fn has_side_effect(&self) -> bool {
         match self {
             // A load can still fault: a guest-memory load is effectful even
             // with a dead destination (the data abort is guest-visible).
@@ -799,7 +796,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: false,
-                weight: 1,
             },
             LirInsn::Jmp { label: 0 },
             LirInsn::Jcc {
@@ -1085,7 +1081,7 @@ mod tests {
             }
             .writes_host_flags());
         }
-        for op in [AluOp::Mul, AluOp::Shl, AluOp::Shr, AluOp::DivU, AluOp::Ror] {
+        for op in [AluOp::Mul, AluOp::Shl, AluOp::Shr, AluOp::DivU, AluOp::Sar] {
             assert!(!LirInsn::Alu {
                 op,
                 dst: v(0),

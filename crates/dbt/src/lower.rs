@@ -617,14 +617,12 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
                 pc,
                 label,
                 reconcile,
-                weight,
             } => {
                 self.tables.fixups.push((self.out.len(), *label));
                 self.out.push(MachInsn::BackEdge {
                     pc: *pc,
                     target: 0,
                     reconcile: *reconcile,
-                    weight: *weight,
                 });
             }
             LirInsn::MovXmm { dst, src, size } => {
@@ -809,7 +807,6 @@ mod tests {
                 pc: 0x1000,
                 label: 3,
                 reconcile: false,
-                weight: 1,
             },
         ] {
             let lir = vec![

@@ -14,11 +14,10 @@
 //! rule table — the fixed built-in pattern rewrites rather than
 //! shape-preserving cleanups.  The full [`optimize`] order:
 //!
-//! * **Idiom fusion and bulk rewriting** ([`crate::idiom::apply_early`])
-//!   run *first*, on the emitter's pristine LIR: compare+branch fusion and
-//!   memset-loop widening match the exact instruction shapes the frontend
-//!   generators emit, so they must see the unit before anything reorders
-//!   it.
+//! * **Idiom fusion** ([`crate::idiom::apply_early`]) runs *first*, on the
+//!   emitter's pristine LIR: compare+branch fusion matches the exact
+//!   instruction shapes the frontend generators emit, so it must see the
+//!   unit before anything reorders it.
 //! * **PC on demand** ([`observed`]) runs right after promotion: the
 //!   guest PC as a translation-time constant, written only before an
 //!   instruction that can observe it.  After promotion, so promotion's
@@ -43,11 +42,9 @@
 //!    pass): a regfile load whose slot value is already available — from an
 //!    earlier store *or* an earlier load — is rewritten to reuse the
 //!    virtual register (or immediate), cutting the round-trip through the
-//!    register file.  A *32-bit* load whose low-half slot was covered by
-//!    a 64-bit store forwards too, with the mask made explicit (a `MovZx`
-//!    of the stored register, or the truncated immediate) — the W-register
-//!    read of an X-register write, counted separately as
-//!    [`OptStats::partial_forwarded`].
+//!    register file.  Forwarding tracks the widths the translators
+//!    access the register file at: 64-bit and 128-bit slots (see
+//!    "What forwards" below).
 //! 2. **Copy propagation** (forward pass): pure-source uses of a copy's
 //!    destination — a `MovReg`, or a `MovXmm` (a 64-bit one only where the
 //!    use reads the low lane alone) — are rewritten to the copy's origin, so
@@ -154,12 +151,13 @@
 //! * Promotion refuses units containing helper calls, dynamic regfile
 //!   addressing or regfile address escapes (those channels read or write
 //!   slots directly), and slots touched by any access that is not one of
-//!   their class's shapes at the slot's own offset.  A general-purpose slot is 8 bytes: loads of any
-//!   width, 64-bit stores.  A **vector slot** is 16 bytes, carried in a
-//!   vector register: 64- and 128-bit vector loads, 128-bit vector stores,
-//!   and the *scalar write* — a 64-bit vector store followed by a zero
-//!   store over the upper half, how a guest clears the rest of a register
-//!   its scalar FP result lands in — which promotion treats as one write of
+//!   their class's shapes at the slot's own offset.  A general-purpose
+//!   slot is 8 bytes: 64-bit loads and stores.  A **vector slot** is 16
+//!   bytes, carried in a vector register: 64- and 128-bit vector loads,
+//!   128-bit vector stores, and the *scalar write* — a 64-bit vector store
+//!   followed by a zero store over the upper half, how a guest clears the
+//!   rest of a register its scalar FP result lands in — which promotion
+//!   treats as one write of
 //!   the zero-extended value (`C = movq X`, a 64-bit `MovXmm`).  So a V
 //!   register has one shape, and its upper half never gets a carrier of its
 //!   own.  The two classes draw on separate pools and have separate caps.
@@ -217,14 +215,34 @@
 //! targeted `X`.  The head may also read `C` (`C = load [C]`, the pointer
 //! chase): an instruction reads its operands before it writes.
 //!
-//! Forwarding additionally requires value identity: only exact
-//! 64-bit-to-64-bit slot matches are forwarded (partial-width forwarding
-//! would need masking), a slot entry dies when an overlapping store rewrites
-//! any of its bytes, and an entry whose forwarded virtual register is later
-//! redefined (two-address mutation) is dropped.  Forwarding never removes
-//! the store itself, so a fault between the store and a forwarded consumer
-//! still finds the slot architecturally current.  Whether a killed *store*
-//! is safe is purely a question for pass 2's observer analysis: a store is
+//! # What forwards
+//!
+//! Forwarding requires value identity.  A fact is a slot offset, a width
+//! and the register (or immediate) holding that many bytes of the slot; it
+//! comes from a 64-bit general-purpose store or load, a 64- or 128-bit
+//! vector store or load, or a 64-bit immediate store.  A load at the fact's
+//! offset is rewritten when the fact covers it:
+//!
+//! * a 64-bit general-purpose load from a 64-bit general-purpose fact
+//!   becomes `MovReg`, from an immediate fact `MovImm`;
+//! * a 64-bit vector load from a 64- or 128-bit vector fact, or a 128-bit
+//!   one from a 128-bit fact, becomes a `MovXmm` of the load's width;
+//! * across the files, a 64-bit general-purpose load from a vector fact
+//!   (its low lane) becomes `XmmToGpr`, and a 64-bit vector load from a
+//!   general-purpose fact becomes `GprToXmm`.
+//!
+//! Anything else is left a load, and a load that is not rewritten becomes
+//! the slot's fact in place of the one it could not use.  No translator
+//! accesses a general-purpose slot narrower than 64 bits; such an access is
+//! never forwarded, a narrow store kills every fact it overlaps, and either
+//! keeps its slot out of promotion.
+//!
+//! A slot entry dies when an overlapping store rewrites any of its bytes,
+//! and an entry whose forwarded virtual register is later redefined
+//! (two-address mutation) is dropped.  Forwarding never removes the store
+//! itself, so a fault between the store and a forwarded consumer still
+//! finds the slot architecturally current.  Whether a killed *store* is
+//! safe is purely a question for pass 3's observer analysis: a store is
 //! only deleted when its covering store lands before any possible fault
 //! point, so no execution can observe the gap.
 
@@ -313,9 +331,9 @@ pub(crate) struct OptScratch {
 }
 
 /// Runs the block-scoped passes over one translation unit, in order: the
-/// idiom layer's branch fusion and bulk-move rewriting first (when an
-/// `idioms` table is supplied — they match the emitter's pristine LIR
-/// shapes, so they must see the unit before anything reorders it), then
+/// idiom layer's branch fusion first (when an `idioms` table is supplied —
+/// it matches the emitter's pristine LIR shapes, so it must see the unit
+/// before anything reorders it), then
 /// loop-carried slot promotion (when `promote`, so the
 /// carrier moves it plants feed the later passes), [`observed`]'s PC on
 /// demand, store-to-load forwarding
@@ -342,7 +360,7 @@ pub(crate) fn optimize_in(
     let mut stats = OptStats::default();
     let raw_len = lir.len();
     if let Some(table) = idioms {
-        crate::idiom::apply_early_in(&mut s.opt, lir, table, &mut stats.idioms);
+        crate::idiom::fuse_branches(&mut s.opt, lir, table, &mut stats.idioms);
     }
     let caps = caps.filter(|_| lir.iter().any(|i| matches!(i, LirInsn::BackEdge { .. })));
     let mut carriers = Vec::new();
@@ -474,7 +492,7 @@ fn scalar_write(lir: &[LirInsn], i: usize) -> bool {
 /// access of that shape sits at its offset, a vector slot when any access of
 /// its shape does; either is disqualified by an access of any other shape or
 /// offset that overlaps it, and a general-purpose slot also by a narrow
-/// store (it would merge bytes).
+/// access (a store would merge bytes, a load would need an extension).
 fn slot_access(lir: &[LirInsn], i: usize) -> Option<(RegFileAccess, bool, Option<VregClass>)> {
     let insn = &lir[i];
     let (acc, store) = match (insn.regfile_store(), insn.regfile_load()) {
@@ -598,8 +616,8 @@ fn promote_loop_slots(
             if !acc.overlaps(&slot_extent(*off, *class)) {
                 continue;
             }
-            let narrow_store = store && *class == VregClass::Gpr && acc.size != MemSize::U64;
-            if shape != Some(*class) || acc.offset != *off || narrow_store {
+            let narrow = *class == VregClass::Gpr && acc.size != MemSize::U64;
+            if shape != Some(*class) || acc.offset != *off || narrow {
                 p.disqualified = true;
                 continue;
             }
@@ -764,28 +782,12 @@ fn apply_promotion(
         }
         let in_span = i > header && i < be;
         match insn {
-            LirInsn::Load { dst, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
+            LirInsn::Load { dst, addr, size } | LirInsn::LoadSx { dst, addr, size }
+                if carrier(&addr, VregClass::Gpr).is_some() =>
+            {
+                debug_assert_eq!(size, MemSize::U64);
                 let c = carrier(&addr, VregClass::Gpr).unwrap();
-                out.push(match size {
-                    MemSize::U64 => LirInsn::MovReg { dst, src: c },
-                    narrow => LirInsn::MovZx {
-                        dst,
-                        src: c,
-                        size: narrow,
-                    },
-                });
-                stats.jit.opt_hoisted_loads += in_span as u64;
-            }
-            LirInsn::LoadSx { dst, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
-                let c = carrier(&addr, VregClass::Gpr).unwrap();
-                out.push(match size {
-                    MemSize::U64 => LirInsn::MovReg { dst, src: c },
-                    narrow => LirInsn::MovSx {
-                        dst,
-                        src: c,
-                        size: narrow,
-                    },
-                });
+                out.push(LirInsn::MovReg { dst, src: c });
                 stats.jit.opt_hoisted_loads += in_span as u64;
             }
             LirInsn::Store { src, addr, size } if carrier(&addr, VregClass::Gpr).is_some() => {
@@ -820,14 +822,11 @@ fn apply_promotion(
                     out.push(slot_move(addr.disp, c, true));
                 }
             }
-            LirInsn::BackEdge {
-                pc, label, weight, ..
-            } => {
+            LirInsn::BackEdge { pc, label, .. } => {
                 out.push(LirInsn::BackEdge {
                     pc,
                     label,
                     reconcile,
-                    weight,
                 });
                 // The machine's reconcile path *falls through* the yielding
                 // back-edge, so the reconcile block must sit directly after
@@ -1001,17 +1000,10 @@ fn chain_head(
     None
 }
 
-/// The value a tracked slot holds.  `exact` records whether the register
-/// equals the slot's zero-extended content (a 64-bit store, or any
-/// zero-extending load) or only matches in its low `width` bits (a 32-bit
-/// store of a register whose upper half is arbitrary).
+/// The value a tracked slot holds over its entry's width.
 #[derive(Debug, Clone, Copy)]
 enum Stored {
-    Reg {
-        v: Vreg,
-        exact: bool,
-    },
-    /// Immediate, pre-masked to the entry's width.
+    Reg(Vreg),
     Imm(u64),
 }
 
@@ -1062,7 +1054,7 @@ impl SlotFacts {
         let mut at = 0;
         while at < self.facts.len() {
             if dies(&self.facts[at]) {
-                if let Stored::Reg { v, .. } = self.facts.swap_remove(at).2 {
+                if let Stored::Reg(v) = self.facts.swap_remove(at).2 {
                     self.held[v.id as usize] -= 1;
                 }
             } else {
@@ -1083,14 +1075,14 @@ impl SlotFacts {
     /// Register `d` is redefined: facts whose value it was die.
     fn kill_value(&mut self, d: Vreg) {
         if self.held.get(d.id as usize).is_some_and(|n| *n > 0) {
-            self.retain_not(|f| matches!(f.2, Stored::Reg { v, .. } if v == d));
+            self.retain_not(|f| matches!(f.2, Stored::Reg(v) if v == d));
         }
     }
 
     /// Installs the fact for `offset`, which holds none (the caller's store
     /// just killed every fact it overlaps, or its lookup found nothing).
     fn install(&mut self, offset: i32, width: MemSize, value: Stored) {
-        if let Stored::Reg { v, .. } = value {
+        if let Stored::Reg(v) = value {
             count_up(&mut self.held, v.id);
         }
         self.facts.push((offset, width, value));
@@ -1105,11 +1097,7 @@ impl SlotFacts {
         if stale {
             self.retain_not(|f| f.0 == offset);
         }
-        let value = Stored::Reg {
-            v: dst,
-            exact: true,
-        };
-        self.install(offset, width, value);
+        self.install(offset, width, Stored::Reg(dst));
     }
 
     /// A store of `value` (when the width is one forwarding tracks) through
@@ -1141,71 +1129,30 @@ impl SlotFacts {
             LirInsn::Load {
                 dst,
                 addr,
-                size: size @ (MemSize::U32 | MemSize::U64),
-            } if LirInsn::fixed_regfile_slot(&addr, size).is_some() => {
+                size: MemSize::U64,
+            } if LirInsn::fixed_regfile_slot(&addr, MemSize::U64).is_some() => {
                 // Rewrite first: the load observes slot state from *before*
                 // it executes.
                 let known = self.get(addr.disp);
-                match (known, size) {
-                    // Exact-width register match: the tracked value IS the
-                    // loaded value (U64 entries are always exact; a U32
-                    // entry must be, or the upper bits would differ).
-                    (Some((MemSize::U64, Stored::Reg { v, .. })), MemSize::U64)
-                    | (Some((MemSize::U32, Stored::Reg { v, exact: true })), MemSize::U32)
-                        if v.class == VregClass::Gpr =>
-                    {
+                match known {
+                    Some((MemSize::U64, Stored::Reg(v))) if v.class == VregClass::Gpr => {
                         *insn = LirInsn::MovReg { dst, src: v };
                         jit.opt_forwarded_loads += 1;
                     }
                     // Cross-file forward: the slot's 64-bit value lives in a
                     // vector register's low lane (a U64 entry, or the first
                     // eight little-endian bytes of a U128 entry).
-                    (Some((MemSize::U64 | MemSize::U128, Stored::Reg { v, .. })), MemSize::U64)
+                    Some((MemSize::U64 | MemSize::U128, Stored::Reg(v)))
                         if v.class == VregClass::Xmm =>
                     {
                         *insn = LirInsn::XmmToGpr { dst, src: v };
                         jit.opt_fp_forwarded += 1;
                     }
-                    // Low bits only — a 32-bit store of a 64-bit register,
-                    // or a 32-bit load of a 64-bit slot's low half (the
-                    // W-register read of an X-register write; little-endian
-                    // low half == same offset): the zero-extension is made
-                    // explicit.
-                    (Some((MemSize::U32, Stored::Reg { v, exact: false })), MemSize::U32) => {
-                        *insn = LirInsn::MovZx {
-                            dst,
-                            src: v,
-                            size: MemSize::U32,
-                        };
-                        jit.opt_forwarded_loads += 1;
-                        jit.opt_partial_forwarded += 1;
-                    }
-                    (Some((MemSize::U64, Stored::Reg { v, .. })), MemSize::U32)
-                        if v.class == VregClass::Gpr =>
-                    {
-                        *insn = LirInsn::MovZx {
-                            dst,
-                            src: v,
-                            size: MemSize::U32,
-                        };
-                        jit.opt_forwarded_loads += 1;
-                        jit.opt_partial_forwarded += 1;
-                    }
-                    (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U64)
-                    | (Some((MemSize::U32, Stored::Imm(imm))), MemSize::U32) => {
+                    Some((MemSize::U64, Stored::Imm(imm))) => {
                         *insn = LirInsn::MovImm { dst, imm };
                         jit.opt_forwarded_loads += 1;
                     }
-                    (Some((MemSize::U64, Stored::Imm(imm))), MemSize::U32) => {
-                        *insn = LirInsn::MovImm {
-                            dst,
-                            imm: imm & MemSize::U32.mask(),
-                        };
-                        jit.opt_forwarded_loads += 1;
-                        jit.opt_partial_forwarded += 1;
-                    }
-                    // Unforwardable: no entry, or one narrower than the load.
-                    _ => return self.loaded(dst, addr.disp, size, known.is_some()),
+                    _ => return self.loaded(dst, addr.disp, MemSize::U64, known.is_some()),
                 }
                 self.kill_value(dst);
             }
@@ -1221,10 +1168,10 @@ impl SlotFacts {
                     // A U128 entry covers any load width at the slot; a U64
                     // entry only a U64 load (its upper lane is unspecified).
                     (
-                        Some((MemSize::U128, Stored::Reg { v, .. })),
+                        Some((MemSize::U128, Stored::Reg(v))),
                         sz @ (MemSize::U64 | MemSize::U128),
                     )
-                    | (Some((MemSize::U64, Stored::Reg { v, .. })), sz @ MemSize::U64)
+                    | (Some((MemSize::U64, Stored::Reg(v))), sz @ MemSize::U64)
                         if v.class == VregClass::Xmm =>
                     {
                         *insn = LirInsn::MovXmm {
@@ -1234,7 +1181,7 @@ impl SlotFacts {
                         };
                         jit.opt_fp_forwarded += 1;
                     }
-                    (Some((MemSize::U64, Stored::Reg { v, exact: true })), MemSize::U64)
+                    (Some((MemSize::U64, Stored::Reg(v))), MemSize::U64)
                         if v.class == VregClass::Gpr =>
                     {
                         *insn = LirInsn::GprToXmm { dst, src: v };
@@ -1247,33 +1194,20 @@ impl SlotFacts {
                 }
                 self.kill_value(dst);
             }
-            // A 32-bit store truncates: only the low bits match.  Narrower
-            // stores only invalidate.
+            // A narrower store only invalidates.
             LirInsn::Store { src, addr, size } => {
-                let exact = size == MemSize::U64;
-                let tracked = matches!(size, MemSize::U32 | MemSize::U64);
-                self.store(
-                    &addr,
-                    size,
-                    tracked.then_some(Stored::Reg { v: src, exact }),
-                );
+                let tracked = size == MemSize::U64;
+                self.store(&addr, size, tracked.then_some(Stored::Reg(src)));
             }
             LirInsn::StoreImm { imm, addr, size } => {
-                let tracked = matches!(size, MemSize::U32 | MemSize::U64);
-                self.store(&addr, size, tracked.then(|| Stored::Imm(imm & size.mask())));
+                let tracked = size == MemSize::U64;
+                self.store(&addr, size, tracked.then_some(Stored::Imm(imm)));
             }
             // A vector store leaves the slot's value in the source vector
-            // register: U128 covers the whole entry, U64 just the low lane
-            // (`exact: false` records the unspecified upper lane, though no
-            // vector rewrite consults it).
+            // register: U128 covers the whole entry, U64 just the low lane.
             LirInsn::StoreXmm { src, addr, size } => {
-                let exact = size == MemSize::U128;
                 let tracked = matches!(size, MemSize::U64 | MemSize::U128);
-                self.store(
-                    &addr,
-                    size,
-                    tracked.then_some(Stored::Reg { v: src, exact }),
-                );
+                self.store(&addr, size, tracked.then_some(Stored::Reg(src)));
             }
             _ => {
                 if insn.invalidates_regfile_values() {
@@ -1666,8 +1600,8 @@ mod tests {
         // first store is indeed covered.  Use an unforwardable offset to pin
         // the unforwarded case instead:
         assert_eq!(stats.jit.opt_forwarded_loads, 1);
-        // Unforwardable load (the *high* half of the stored slot — only the
-        // low half forwards partially) must keep the store alive.
+        // An unforwardable load (a 32-bit read of the stored slot's high
+        // half) must keep the store alive.
         let mut lir2 = vec![
             store(0, NZCV),
             LirInsn::Load {
@@ -1687,51 +1621,39 @@ mod tests {
     }
 
     #[test]
-    fn partial_width_loads_forward_with_a_mask() {
-        // The W-register case: a 32-bit load of a slot a 64-bit store just
-        // wrote forwards as an explicit zero-extension of the stored value
-        // (or the truncated immediate).
-        let mut lir = vec![
+    fn partial_forwarding_respects_width_and_offset_limits() {
+        // Only 64-bit general-purpose loads forward: a 32-bit load of a slot
+        // a 64-bit store (or immediate store) just wrote stays a load.
+        let narrow = |dst: u32, disp: i32| LirInsn::Load {
+            dst: v(dst),
+            addr: LirMem::regfile(disp),
+            size: MemSize::U32,
+        };
+        let mut lir0 = vec![
             store(0, 8),
-            LirInsn::Load {
-                dst: v(1),
-                addr: LirMem::regfile(8),
-                size: MemSize::U32,
-            },
+            narrow(1, 8),
             LirInsn::StoreImm {
                 imm: 0xAAAA_BBBB_CCCC_DDDD,
                 addr: LirMem::regfile(16),
                 size: MemSize::U64,
             },
-            LirInsn::Load {
-                dst: v(2),
-                addr: LirMem::regfile(16),
-                size: MemSize::U32,
-            },
+            narrow(2, 16),
             LirInsn::Ret,
         ];
-        let stats = optimize(&mut lir, false, None);
-        assert_eq!(stats.jit.opt_forwarded_loads, 2);
-        assert_eq!(stats.jit.opt_partial_forwarded, 2);
-        assert!(
-            lir.iter().any(|i| matches!(
+        assert_eq!(optimize(&mut lir0, false, None).jit.opt_forwarded_loads, 0);
+        let narrow_loads = lir0.iter().filter(|i| {
+            matches!(
                 i,
-                LirInsn::MovZx { dst, src, size: MemSize::U32 } if *dst == v(1) && *src == v(0)
-            )),
-            "the register case masks through MovZx"
-        );
-        assert!(
-            lir.iter()
-                .any(|i| matches!(i, LirInsn::MovImm { dst, imm: 0xCCCC_DDDD } if *dst == v(2))),
-            "the immediate case truncates at translation time"
-        );
-        assert!(!lir.iter().any(|i| matches!(i, LirInsn::Load { .. })));
-    }
+                LirInsn::Load {
+                    size: MemSize::U32,
+                    ..
+                }
+            )
+        });
+        assert_eq!(narrow_loads.count(), 2);
 
-    #[test]
-    fn partial_forwarding_respects_width_and_offset_limits() {
         // A 32-bit store does not satisfy a 64-bit load, and entries die at
-        // observers exactly like full-width ones.
+        // observers.
         let mut lir = vec![
             LirInsn::Store {
                 src: v(0),
@@ -1770,7 +1692,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: false,
-                weight: 1,
             },
             LirInsn::Ret,
         ];
@@ -2171,7 +2092,6 @@ mod tests {
             pc: 0x1000,
             label: 0,
             reconcile: false,
-            weight: 1,
         });
         lir.push(LirInsn::Ret);
         lir
@@ -2269,34 +2189,6 @@ mod tests {
     }
 
     #[test]
-    fn narrow_loads_extend_from_the_carrier() {
-        // W-register and sign-extending reads of a promoted slot become
-        // explicit extensions of the carrier instead of memory loads.
-        let mut lir = loop_unit(vec![
-            LirInsn::Load {
-                dst: v(1),
-                addr: LirMem::regfile(8),
-                size: MemSize::U32,
-            },
-            LirInsn::LoadSx {
-                dst: v(2),
-                addr: LirMem::regfile(8),
-                size: MemSize::U32,
-            },
-            store(3, 8),
-        ]);
-        let stats = optimize(&mut lir, true, None);
-        assert_eq!(stats.jit.opt_promoted_slots, 1);
-        assert_eq!(stats.jit.opt_hoisted_loads, 2);
-        assert!(lir
-            .iter()
-            .any(|i| matches!(i, LirInsn::MovZx { dst, size: MemSize::U32, .. } if *dst == v(1))));
-        assert!(lir
-            .iter()
-            .any(|i| matches!(i, LirInsn::MovSx { dst, size: MemSize::U32, .. } if *dst == v(2))));
-    }
-
-    #[test]
     fn promotion_disqualifiers() {
         // A helper call anywhere in the unit pins every slot.
         let mut lir = loop_unit(vec![
@@ -2340,7 +2232,8 @@ mod tests {
         );
         assert_eq!(stats3.promoted[0].0, 64);
 
-        // A narrow store merges bytes into the slot: disqualified.
+        // A narrow store merges bytes into the slot, and a narrow load
+        // would read part of it: either disqualifies.
         let mut lir4 = loop_unit(vec![
             load(1, 8),
             LirInsn::Store {
@@ -2350,6 +2243,25 @@ mod tests {
             },
         ]);
         assert_eq!(optimize(&mut lir4, true, None).jit.opt_promoted_slots, 0);
+        for narrow in [
+            LirInsn::Load {
+                dst: v(2),
+                addr: LirMem::regfile(8),
+                size: MemSize::U32,
+            },
+            LirInsn::LoadSx {
+                dst: v(2),
+                addr: LirMem::regfile(8),
+                size: MemSize::U32,
+            },
+        ] {
+            let mut lir = loop_unit(vec![load(1, 8), narrow, store(1, 8)]);
+            assert_eq!(
+                optimize(&mut lir, true, None).jit.opt_promoted_slots,
+                0,
+                "{narrow:?}"
+            );
+        }
 
         // With the pass gated off nothing is rewritten.
         let mut lir5 = loop_unit(vec![load(1, 8), store(1, 8)]);
@@ -2532,7 +2444,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: true,
-                weight: 1,
             },
             LirInsn::Ret,
             // a stitched constituent boundary
@@ -2593,7 +2504,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: true,
-                weight: 1,
             },
         ];
         assert_eq!(written_through(&unit), unit);

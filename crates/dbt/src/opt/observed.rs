@@ -1229,7 +1229,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: true,
-                weight: 1,
             },
             LirInsn::Ret,
             LirInsn::Label { id: 1 },

@@ -100,12 +100,10 @@ pub fn probed(code: &[MachInsn]) -> Vec<MachInsn> {
                 pc,
                 target,
                 reconcile,
-                weight,
             } => MachInsn::BackEdge {
                 pc,
                 target: aim(target),
                 reconcile,
-                weight,
             },
             other => other,
         });

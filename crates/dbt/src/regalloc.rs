@@ -1239,7 +1239,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: false,
-                weight: 1,
             },
             LirInsn::Ret,
         ];
@@ -1269,7 +1268,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: false,
-                weight: 1,
             },
             LirInsn::Ret,
         ];
@@ -1309,7 +1307,6 @@ mod tests {
             pc: 0x1000,
             label: 0,
             reconcile: false,
-            weight: 1,
         });
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
@@ -1474,7 +1471,6 @@ mod tests {
                 pc: 0x1000,
                 label: 0,
                 reconcile: false,
-                weight: 1,
             },
             LirInsn::Ret,
         ];
@@ -1613,7 +1609,6 @@ mod tests {
             pc: 0x1000,
             label: 0,
             reconcile: false,
-            weight: 1,
         };
         let mut lir = vec![def(0), LirInsn::Label { id: 0 }];
         lir.extend((1..=n).map(def));

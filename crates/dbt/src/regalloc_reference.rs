@@ -787,7 +787,6 @@ pub(crate) mod tests {
                     pc: 0x1000,
                     label: header,
                     reconcile,
-                    weight: 1,
                 });
                 if reconcile {
                     for slot in 0..2 {
@@ -1118,7 +1117,6 @@ pub(crate) mod tests {
             pc: 0x1000,
             label: header,
             reconcile: false,
-            weight: 1,
         });
         let mut lir = g.finish();
         define_before_use(&mut lir);

@@ -510,7 +510,7 @@ pub fn generate(d: &Decoded, e: &mut Emitter) -> bool {
                 FpKind::Mul => FpBinOp::Mul,
                 FpKind::Div => FpBinOp::Div,
             };
-            let r = e.fp_binary(op, a, b, ValueType::F64);
+            let r = e.fp_binary(op, a, b);
             write_d(e, vd, r);
             false
         }
@@ -519,7 +519,7 @@ pub fn generate(d: &Decoded, e: &mut Emitter) -> bool {
             // for negative (non-zero) inputs the Arm result is the positive
             // default NaN, whereas the host produces a negative NaN.
             let a = read_d(e, vn);
-            let root = e.fp_sqrt(a, ValueType::F64);
+            let root = e.fp_sqrt(a);
             let root_bits = e.fp_to_gpr(root);
             let in_bits = e.fp_to_gpr(a);
             let minus_zero = e.const_u64(0x8000_0000_0000_0000);

@@ -55,12 +55,6 @@ pub struct CostModel {
     /// the guest PC update folded into the jump.  At most as expensive as a
     /// chained transfer — the whole point of keeping the loop inside one
     /// region is that not even an inter-translation jump is paid.
-    ///
-    /// The cost is per *executed transfer instruction*, not per credited
-    /// trip: a weighted back-edge (a wide bulk-move trip covering `weight`
-    /// guest iterations, see `dbt::idiom`) still costs one branch — that the
-    /// per-iteration loop-back and bookkeeping collapse into one trip is
-    /// exactly the bulk rewrite's payoff.
     pub backedge: u64,
 }
 
@@ -103,7 +97,7 @@ impl CostModel {
             | MachInsn::StoreXmm { .. } => self.mem,
             MachInsn::Alu { op, .. } => match op {
                 AluOp::Mul | AluOp::MulHiS | AluOp::MulHiU => self.mul,
-                AluOp::DivS | AluOp::DivU | AluOp::RemS | AluOp::RemU => self.div,
+                AluOp::DivS | AluOp::DivU => self.div,
                 _ => self.alu,
             },
             MachInsn::Cmp { .. }
@@ -120,7 +114,7 @@ impl CostModel {
             MachInsn::MovGprToXmm { .. } | MachInsn::MovXmmToGpr { .. } => self.alu,
             MachInsn::MovXmm { .. } => self.alu,
             MachInsn::Fp { op, .. } => match op {
-                FpOp::DivD | FpOp::DivS | FpOp::SqrtD | FpOp::SqrtS => self.fp_div,
+                FpOp::DivD | FpOp::SqrtD => self.fp_div,
                 _ => self.fp,
             },
             MachInsn::FpFma { .. } => self.fp,

@@ -52,12 +52,9 @@ fn alu_code(op: AluOp) -> u8 {
         AluOp::MulHiS => 7,
         AluOp::DivU => 8,
         AluOp::DivS => 9,
-        AluOp::RemU => 10,
-        AluOp::RemS => 11,
         AluOp::Shl => 12,
         AluOp::Shr => 13,
         AluOp::Sar => 14,
-        AluOp::Ror => 15,
     }
 }
 
@@ -73,12 +70,9 @@ fn alu_from(c: u8) -> Result<AluOp, CodecError> {
         7 => AluOp::MulHiS,
         8 => AluOp::DivU,
         9 => AluOp::DivS,
-        10 => AluOp::RemU,
-        11 => AluOp::RemS,
         12 => AluOp::Shl,
         13 => AluOp::Shr,
         14 => AluOp::Sar,
-        15 => AluOp::Ror,
         v => return Err(CodecError::Invalid(v)),
     })
 }
@@ -129,14 +123,6 @@ fn fp_code(op: FpOp) -> u8 {
         FpOp::MulD => 2,
         FpOp::DivD => 3,
         FpOp::SqrtD => 4,
-        FpOp::MinD => 5,
-        FpOp::MaxD => 6,
-        FpOp::AddS => 7,
-        FpOp::SubS => 8,
-        FpOp::MulS => 9,
-        FpOp::DivS => 10,
-        FpOp::SqrtS => 11,
-        FpOp::FmaD => 12,
     }
 }
 
@@ -147,46 +133,22 @@ fn fp_from(c: u8) -> Result<FpOp, CodecError> {
         2 => FpOp::MulD,
         3 => FpOp::DivD,
         4 => FpOp::SqrtD,
-        5 => FpOp::MinD,
-        6 => FpOp::MaxD,
-        7 => FpOp::AddS,
-        8 => FpOp::SubS,
-        9 => FpOp::MulS,
-        10 => FpOp::DivS,
-        11 => FpOp::SqrtS,
-        12 => FpOp::FmaD,
         v => return Err(CodecError::Invalid(v)),
     })
 }
 
 fn vec_code(op: VecOp) -> u8 {
     match op {
-        VecOp::PAddQ => 0,
-        VecOp::PSubQ => 1,
-        VecOp::PAddD => 2,
-        VecOp::PMulD => 3,
         VecOp::AddPd => 4,
         VecOp::MulPd => 5,
-        VecOp::SubPd => 6,
-        VecOp::PAnd => 7,
-        VecOp::POr => 8,
-        VecOp::PXor => 9,
         VecOp::Dup64 => 10,
     }
 }
 
 fn vec_from(c: u8) -> Result<VecOp, CodecError> {
     Ok(match c {
-        0 => VecOp::PAddQ,
-        1 => VecOp::PSubQ,
-        2 => VecOp::PAddD,
-        3 => VecOp::PMulD,
         4 => VecOp::AddPd,
         5 => VecOp::MulPd,
-        6 => VecOp::SubPd,
-        7 => VecOp::PAnd,
-        8 => VecOp::POr,
-        9 => VecOp::PXor,
         10 => VecOp::Dup64,
         v => return Err(CodecError::Invalid(v)),
     })
@@ -200,9 +162,6 @@ impl Writer<'_> {
         self.0.push(v);
     }
     fn i32(&mut self, v: i32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
@@ -271,14 +230,6 @@ impl Reader<'_> {
             .ok_or(CodecError::Truncated)?;
         self.pos += 4;
         Ok(i32::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or(CodecError::Truncated)?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self
@@ -500,13 +451,11 @@ pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
             pc,
             target,
             reconcile,
-            weight,
         } => {
             w.u8(0x2E);
             w.u8(*reconcile as u8);
             w.u64(*pc);
             w.i32(*target);
-            w.u32(*weight);
         }
         MachInsn::MovXmm { dst, src, size } => {
             w.u8(0x2F);
@@ -697,7 +646,6 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<MachInsn, CodecError> {
                 pc: r.u64()?,
                 target: r.i32()?,
                 reconcile,
-                weight: r.u32()?,
             }
         }
         0x2F => {
@@ -863,13 +811,11 @@ mod tests {
                 pc: 0x1000,
                 target: -9,
                 reconcile: false,
-                weight: 1,
             },
             MachInsn::BackEdge {
                 pc: 0x2000,
                 target: -3,
                 reconcile: true,
-                weight: 8,
             },
             MachInsn::MovXmm {
                 dst: Xmm(4),
@@ -964,6 +910,24 @@ mod tests {
                 Err(CodecError::Invalid(op)),
                 "{op:#x}"
             );
+        }
+        // So do the codes of the operators no translator emits, inside an
+        // instruction that is otherwise well formed: ALU (register operand),
+        // scalar FP, packed vector.
+        let freed = [
+            (0x08, vec![10, 11, 15]),
+            (0x19, (5..=12).collect()),
+            (0x20, vec![0, 1, 2, 3, 6, 7, 8, 9]),
+        ];
+        for (opcode, codes) in freed {
+            for code in codes {
+                let buf = [opcode, code, 0, 0, 0];
+                assert_eq!(
+                    decode(&buf, &mut 0),
+                    Err(CodecError::Invalid(code)),
+                    "{opcode:#x} {code}"
+                );
+            }
         }
     }
 }

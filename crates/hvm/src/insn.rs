@@ -229,18 +229,12 @@ pub enum AluOp {
     DivU,
     /// Signed divide.
     DivS,
-    /// Unsigned remainder.
-    RemU,
-    /// Signed remainder.
-    RemS,
     /// Logical shift left.
     Shl,
     /// Logical shift right.
     Shr,
     /// Arithmetic shift right.
     Sar,
-    /// Rotate right.
-    Ror,
 }
 
 /// Condition codes for `Jcc`, `SetCc` and `CmovCc`, mirroring the x86 set the
@@ -308,42 +302,15 @@ pub enum FpOp {
     MulD,
     DivD,
     SqrtD,
-    MinD,
-    MaxD,
-    /// Scalar single-precision variants.
-    AddS,
-    SubS,
-    MulS,
-    DivS,
-    SqrtS,
-    /// Fused multiply-add (`vfmadd`), dst = dst * src1 + src2 handled by the
-    /// three-operand form in [`MachInsn::FpFma`].
-    FmaD,
 }
 
-/// Packed (SIMD) integer / float operations, 128-bit lanes.
+/// Packed (SIMD) float operations, two 64-bit lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VecOp {
-    /// Packed 64-bit integer add.
-    PAddQ,
-    /// Packed 64-bit integer sub.
-    PSubQ,
-    /// Packed 32-bit integer add.
-    PAddD,
-    /// Packed 32-bit multiply (low).
-    PMulD,
     /// Packed double-precision add.
     AddPd,
     /// Packed double-precision multiply.
     MulPd,
-    /// Packed double-precision subtract.
-    SubPd,
-    /// Bitwise AND of the full 128 bits.
-    PAnd,
-    /// Bitwise OR of the full 128 bits.
-    POr,
-    /// Bitwise XOR of the full 128 bits.
-    PXor,
     /// Broadcast the low 64 bits to both lanes.
     Dup64,
 }
@@ -468,11 +435,6 @@ pub enum MachInsn {
         /// reconcile block that follows this instruction (compensation
         /// stores materialising the promoted slots, then `Ret`).
         reconcile: bool,
-        /// Guest loop iterations one transfer covers (1 for ordinary
-        /// back-edges; >1 for a wide bulk-move trip, see `dbt::idiom`).
-        /// The interpreter credits `weight` transfers per taken jump so the
-        /// trip limit and iteration accounting stay exact.
-        weight: u32,
     },
     /// Register-to-register vector move.  `U64` copies the low lane and
     /// zeroes the upper (the same write shape as a `U64` [`MachInsn::LoadXmm`]);
@@ -518,17 +480,11 @@ impl fmt::Display for MachInsn {
                 pc,
                 target,
                 reconcile,
-                weight,
             } => {
-                let w = if *weight > 1 {
-                    format!(" x{weight}")
-                } else {
-                    String::new()
-                };
                 if *reconcile {
-                    write!(f, "back-edge.r {pc:#x}, {target}{w}")
+                    write!(f, "back-edge.r {pc:#x}, {target}")
                 } else {
-                    write!(f, "back-edge {pc:#x}, {target}{w}")
+                    write!(f, "back-edge {pc:#x}, {target}")
                 }
             }
             MachInsn::MovXmm { dst, src, size } => match size {

@@ -430,18 +430,9 @@ impl Machine {
                     ((dst as i64).wrapping_div(src as i64)) as u64
                 }
             }
-            AluOp::RemU => dst.checked_rem(src).unwrap_or(0),
-            AluOp::RemS => {
-                if src == 0 {
-                    0
-                } else {
-                    ((dst as i64).wrapping_rem(src as i64)) as u64
-                }
-            }
             AluOp::Shl => dst.wrapping_shl((src & 63) as u32),
             AluOp::Shr => dst.wrapping_shr((src & 63) as u32),
             AluOp::Sar => ((dst as i64).wrapping_shr((src & 63) as u32)) as u64,
-            AluOp::Ror => dst.rotate_right((src & 63) as u32),
         }
     }
 
@@ -465,79 +456,20 @@ impl Machine {
                     s.sqrt().to_bits()
                 }
             }
-            FpOp::MinD => {
-                if s < d {
-                    src[0]
-                } else {
-                    dst[0]
-                }
-            }
-            FpOp::MaxD => {
-                if s > d {
-                    src[0]
-                } else {
-                    dst[0]
-                }
-            }
-            FpOp::AddS | FpOp::SubS | FpOp::MulS | FpOp::DivS | FpOp::SqrtS => {
-                let df = f32::from_bits(dst[0] as u32);
-                let sf = f32::from_bits(src[0] as u32);
-                let r = match op {
-                    FpOp::AddS => df + sf,
-                    FpOp::SubS => df - sf,
-                    FpOp::MulS => df * sf,
-                    FpOp::DivS => df / sf,
-                    FpOp::SqrtS => {
-                        if sf < 0.0 {
-                            f32::from_bits(0xFFC0_0000)
-                        } else {
-                            sf.sqrt()
-                        }
-                    }
-                    _ => unreachable!("host bug: outer match guarantees a single-precision op"),
-                };
-                return [(dst[0] & !0xFFFF_FFFF) | r.to_bits() as u64, dst[1]];
-            }
-            FpOp::FmaD => f64::mul_add(d, s, f64::from_bits(dst[0])).to_bits(),
         };
         [low, dst[1]]
     }
 
     fn vec_op(&mut self, op: VecOp, dst: [u64; 2], src: [u64; 2]) -> [u64; 2] {
         match op {
-            VecOp::PAddQ => [dst[0].wrapping_add(src[0]), dst[1].wrapping_add(src[1])],
-            VecOp::PSubQ => [dst[0].wrapping_sub(src[0]), dst[1].wrapping_sub(src[1])],
-            VecOp::PAddD => {
-                let lane = |d: u64, s: u64| {
-                    let lo = (d as u32).wrapping_add(s as u32) as u64;
-                    let hi = ((d >> 32) as u32).wrapping_add((s >> 32) as u32) as u64;
-                    lo | (hi << 32)
-                };
-                [lane(dst[0], src[0]), lane(dst[1], src[1])]
-            }
-            VecOp::PMulD => {
-                let lane = |d: u64, s: u64| {
-                    let lo = (d as u32).wrapping_mul(s as u32) as u64;
-                    let hi = ((d >> 32) as u32).wrapping_mul((s >> 32) as u32) as u64;
-                    lo | (hi << 32)
-                };
-                [lane(dst[0], src[0]), lane(dst[1], src[1])]
-            }
             VecOp::AddPd => [
                 (f64::from_bits(dst[0]) + f64::from_bits(src[0])).to_bits(),
                 (f64::from_bits(dst[1]) + f64::from_bits(src[1])).to_bits(),
-            ],
-            VecOp::SubPd => [
-                (f64::from_bits(dst[0]) - f64::from_bits(src[0])).to_bits(),
-                (f64::from_bits(dst[1]) - f64::from_bits(src[1])).to_bits(),
             ],
             VecOp::MulPd => [
                 (f64::from_bits(dst[0]) * f64::from_bits(src[0])).to_bits(),
                 (f64::from_bits(dst[1]) * f64::from_bits(src[1])).to_bits(),
             ],
-            VecOp::PAnd => [dst[0] & src[0], dst[1] & src[1]],
-            VecOp::POr => [dst[0] | src[0], dst[1] | src[1]],
-            VecOp::PXor => [dst[0] ^ src[0], dst[1] ^ src[1]],
             VecOp::Dup64 => [src[0], src[0]],
         }
     }
@@ -927,7 +859,6 @@ impl Machine {
                     pc: header,
                     target,
                     reconcile,
-                    weight,
                 } => {
                     charge!();
                     // The PC update is folded into the transfer: state is
@@ -945,12 +876,8 @@ impl Machine {
                         // slots are materialised before the dispatcher sees
                         // the register file.
                     } else {
-                        // A wide bulk-move trip covers `weight` guest
-                        // iterations: credit them all so the trip limit and
-                        // the engine's per-trip guest-instruction accounting
-                        // stay exact.
-                        backedges_taken += weight as u64;
-                        self.perf.backedge_transfers += weight as u64;
+                        backedges_taken += 1;
+                        self.perf.backedge_transfers += 1;
                         pc = pc - 1 + target as i64;
                         if pc < 0 || pc as usize > code.len() {
                             return ExitReason::Error(format!("back-edge out of range to {pc}"));

@@ -459,7 +459,7 @@ fn unsupported_widths_are_typed_errors_not_shift_overflows() {
             src: bad,
         },
         MachInsn::Vec {
-            op: VecOp::PAddQ,
+            op: VecOp::AddPd,
             dst: bad,
             src: ok,
         },

@@ -19,7 +19,8 @@
 //!   [`LinkMode`] allows (the chaining-policy hook of the shared run loop,
 //!   [`guest_aarch64::dispatch`], is the one that is a knob here):
 //!   - [`LinkMode::Off`] (`QemuRef::new`): every block returns to the
-//!     dispatcher;
+//!     dispatcher.  This is the figures' baseline: `fig17`, `fig18` and
+//!     `fig19` divide by `bench::run_qemu`, which runs this mode;
 //!   - [`LinkMode::SamePage`] (`with_chaining(ram, true)`): successors
 //!     **within the same guest page** only, as real QEMU/TCG does —
 //!     cross-page links are never patched, because a virtually-indexed cache
@@ -29,10 +30,11 @@
 //!   - [`LinkMode::AnyPage`] (`with_goto_tb`): direct branches link across
 //!     pages too, like TCG's `goto_tb` between translation blocks.  The
 //!     epoch-stamped links still die with every full-cache flush, so the
-//!     stitching stays architecturally invisible; this is the *strongest*
-//!     honest baseline, the benchmark's and the figures harness's, so
-//!     promoted-loop speedups are not measured against a hobbled
-//!     dispatcher.
+//!     stitching stays architecturally invisible.  This is the *strongest*
+//!     honest baseline and the benchmark's (`benchmark/`'s `sim_speedup`),
+//!     so promoted-loop speedups there are not measured against a hobbled
+//!     dispatcher; the figures harness prints it only as the
+//!     `qemu+goto_tb` records of `figures -- json`.
 
 use captive::layout;
 use captive::translator::MAX_BLOCK_INSNS;

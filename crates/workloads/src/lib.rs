@@ -471,10 +471,10 @@ fn branch_mix(name: &'static str, iters: u32, scale: Scale) -> Workload {
     finish(name, Suite::Int, a)
 }
 
-/// Byte-wise memset kernel (`strb` do-while over a page, repeated): the
-/// shape the `bulk.memset` rule rewrites to wide 64-bit host stores.  The
-/// pass loop re-reads the buffer head so the stores stay architecturally
-/// observable.
+/// Byte-wise memset kernel (`strb` do-while over a page, repeated): a plain
+/// byte loop, one store per trip on every engine.  Its `cbnz` exits are
+/// what the idiom layer fuses.  The pass loop re-reads the buffer head so
+/// the stores stay architecturally observable.
 fn memset_loop(name: &'static str, bytes: u32, passes: u32, scale: Scale) -> Workload {
     let mut a = Assembler::new();
     a.mov_imm64(1, DATA_BASE);
@@ -521,8 +521,9 @@ fn addr_gen(name: &'static str, iters: u32, scale: Scale) -> Workload {
 
 /// The guest-idiom kernel set of `figures -- waterfall` and the idiom case
 /// of `bench/tests/ablation.rs`: one kernel
-/// per idiom family (compare+branch fusion, bulk memset rewriting, address
-/// mode folding), kept out of the pinned SPEC suites.
+/// per idiom shape (flag-setting compare+branch fusion, `cbnz` fusion in a
+/// byte-fill loop, address mode folding), kept out of the pinned SPEC
+/// suites.
 pub fn idiom_kernels(scale: Scale) -> Vec<Workload> {
     vec![
         branch_mix("idiom.branch", 60_000, scale),
