@@ -1621,7 +1621,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_forwarding_respects_width_and_offset_limits() {
+    fn narrow_loads_of_a_wide_store_stay_loads() {
         // Only 64-bit general-purpose loads forward: a 32-bit load of a slot
         // a 64-bit store (or immediate store) just wrote stays a load.
         let narrow = |dst: u32, disp: i32| LirInsn::Load {
@@ -1651,7 +1651,10 @@ mod tests {
             )
         });
         assert_eq!(narrow_loads.count(), 2);
+    }
 
+    #[test]
+    fn partial_forwarding_respects_width_and_offset_limits() {
         // A 32-bit store does not satisfy a 64-bit load, and entries die at
         // observers.
         let mut lir = vec![
@@ -2189,6 +2192,31 @@ mod tests {
     }
 
     #[test]
+    fn narrow_loads_disqualify_their_slot() {
+        // A 32-bit read (zero- or sign-extending) of a slot sees only part
+        // of it, so the slot stays in memory rather than in a carrier.
+        for narrow in [
+            LirInsn::Load {
+                dst: v(2),
+                addr: LirMem::regfile(8),
+                size: MemSize::U32,
+            },
+            LirInsn::LoadSx {
+                dst: v(2),
+                addr: LirMem::regfile(8),
+                size: MemSize::U32,
+            },
+        ] {
+            let mut lir = loop_unit(vec![load(1, 8), narrow, store(1, 8)]);
+            assert_eq!(
+                optimize(&mut lir, true, None).jit.opt_promoted_slots,
+                0,
+                "{narrow:?}"
+            );
+        }
+    }
+
+    #[test]
     fn promotion_disqualifiers() {
         // A helper call anywhere in the unit pins every slot.
         let mut lir = loop_unit(vec![
@@ -2232,8 +2260,7 @@ mod tests {
         );
         assert_eq!(stats3.promoted[0].0, 64);
 
-        // A narrow store merges bytes into the slot, and a narrow load
-        // would read part of it: either disqualifies.
+        // A narrow store merges bytes into the slot: disqualified.
         let mut lir4 = loop_unit(vec![
             load(1, 8),
             LirInsn::Store {
@@ -2243,25 +2270,6 @@ mod tests {
             },
         ]);
         assert_eq!(optimize(&mut lir4, true, None).jit.opt_promoted_slots, 0);
-        for narrow in [
-            LirInsn::Load {
-                dst: v(2),
-                addr: LirMem::regfile(8),
-                size: MemSize::U32,
-            },
-            LirInsn::LoadSx {
-                dst: v(2),
-                addr: LirMem::regfile(8),
-                size: MemSize::U32,
-            },
-        ] {
-            let mut lir = loop_unit(vec![load(1, 8), narrow, store(1, 8)]);
-            assert_eq!(
-                optimize(&mut lir, true, None).jit.opt_promoted_slots,
-                0,
-                "{narrow:?}"
-            );
-        }
 
         // With the pass gated off nothing is rewritten.
         let mut lir5 = loop_unit(vec![load(1, 8), store(1, 8)]);
