@@ -231,16 +231,20 @@ fn fig20_and_jitstats() {
 }
 
 fn fig21() {
-    println!("== Figure 21: per-block code quality on 429.mcf (chaining comparable) ==");
+    println!(
+        "== Figure 21: whole-run cycles per guest instruction on 429.mcf \
+         (Captive as shipped vs the unchained QEMU-style baseline) =="
+    );
     let w = &workloads::spec_int(Scale(1))[3];
-    let c = captive(w, "profiled");
+    let c = run_captive(w);
     let q = run_qemu(w);
     println!(
         "captive: {} cycles over {} guest insns;  qemu: {} cycles",
         c.cycles, c.guest_insns, q.cycles
     );
     println!(
-        "aggregate per-guest-instruction cycle ratio (qemu/captive): {:.2}x (paper block-level: 3.44x)\n",
+        "whole-run per-guest-instruction cycle ratio (qemu/captive): {:.2}x \
+         (paper: 3.44x per block, a different measure)\n",
         (q.cycles as f64 / q.guest_insns.max(1) as f64)
             / (c.cycles as f64 / c.guest_insns.max(1) as f64)
     );

@@ -47,8 +47,6 @@ pub const CAPTIVE_CONFIGS: &[NamedConfig] = &[
     // A deliberately starved code cache.
     ("tinycache", |c| c.cache_capacity_regions = Some(4)),
     ("softfp", |c| c.fp_mode = FpMode::Software),
-    // Per-region cycle attribution (Fig. 21).
-    ("profiled", |c| c.per_block_stats = true),
 ];
 
 /// Builds a configuration from [`CAPTIVE_CONFIGS`]: one name, or several

@@ -32,12 +32,23 @@ fn difference(
     compare(&a.1, &b.1)
 }
 
+/// The dispatcher's entry partition: every executed block was entered either
+/// through a link or through the slow path, never both and never neither.
+fn assert_entries_partition(stats: &RunStats, what: &str) {
+    assert_eq!(
+        stats.blocks,
+        stats.chained_transfers + stats.slow_dispatches,
+        "{what}: blocks vs chained transfers + slow dispatches"
+    );
+}
+
 /// Runs one seed on every Captive configuration plus the QEMU baseline and
 /// asserts a single architectural outcome.
 fn assert_one_outcome(seed: u64) {
     let plan = chaos_plan(seed);
     let reference = run_chaos(&plan, chaos_qemu(&plan));
     let (state, stats) = &reference;
+    assert_entries_partition(stats, &format!("seed {seed:#x}: the QEMU baseline"));
     // The guest's own books must balance: x20 counted one IRQ per delivery
     // (the scheduled lines plus exactly one one-shot timer fire plus one per
     // virtio completion), and x21 counted one synchronous exception per
@@ -60,17 +71,16 @@ fn assert_one_outcome(seed: u64) {
     // SMC, TLBIs, DMA and remaps.
     let mut linked = QemuRef::with_goto_tb(bench::guest_ram());
     linked.attach_virtio(plan.virtio.clone());
+    let linked = run_chaos(&plan, linked);
+    assert_entries_partition(&linked.1, &format!("seed {seed:#x}: QemuRef::with_goto_tb"));
     assert_eq!(
-        difference(
-            &run_chaos(&plan, linked),
-            &reference,
-            RunStats::differs_across_engines
-        ),
+        difference(&linked, &reference, RunStats::differs_across_engines),
         None,
         "seed {seed:#x}: QemuRef::with_goto_tb diverged from the QEMU baseline"
     );
     for (name, cfg) in chaos_captive_configs() {
         let ours = run_chaos(&plan, chaos_captive(&plan, cfg));
+        assert_entries_partition(&ours.1, &format!("seed {seed:#x}: {name}"));
         assert_eq!(
             difference(&ours, &reference, RunStats::differs_across_engines),
             None,

@@ -2,7 +2,7 @@
 //! *functionally* indistinguishable to the guest (same architectural results)
 //! while differing in the performance characteristics the paper measures.
 
-use captive::{Captive, CaptiveConfig, FpMode};
+use captive::{Captive, CaptiveConfig, FpMode, REGION_THRESHOLD};
 use guest_aarch64::asm::{self, Assembler};
 use proptest::prelude::*;
 use qemu_ref::QemuRef;
@@ -547,7 +547,7 @@ fn smc_on_a_loop_page_mid_iteration_takes_effect_next_iteration() {
     // iteration runs the rewritten code.  unroll_loops=1 closes the
     // back-edge after a single body copy, making the staleness bound exactly
     // one iteration and the final accumulator value deterministic.
-    const ITERS: u64 = 60;
+    const ITERS: u64 = 120;
     const PATCH_AT: u64 = 20; // patch when the countdown reaches this value
     let mut a = Assembler::new();
     a.push(asm::movz(1, ITERS as u32, 0)); // countdown
@@ -580,7 +580,6 @@ fn smc_on_a_loop_page_mid_iteration_takes_effect_next_iteration() {
 
     let mut c = Captive::new(CaptiveConfig {
         unroll_loops: 1,
-        region_threshold: 8,
         ..CaptiveConfig::default()
     });
     c.load_program(0x1000, &words);
@@ -589,9 +588,9 @@ fn smc_on_a_loop_page_mid_iteration_takes_effect_next_iteration() {
         c.run(1_000_000),
         captive::RunExit::GuestHalted { .. }
     ));
-    // Iterations with the countdown at 60..=20 ran the original `movz x7,#1`
-    // (the patch lands mid-iteration at 20, after that iteration's add);
-    // 19..=1 must run the rewritten `movz x7,#2`.
+    // Iterations with the countdown at ITERS..=PATCH_AT ran the original
+    // `movz x7,#1` (the patch lands mid-iteration at 20, after that
+    // iteration's add); 19..=1 must run the rewritten `movz x7,#2`.
     let old_iters = ITERS - PATCH_AT + 1;
     let new_iters = PATCH_AT - 1;
     assert_eq!(
@@ -663,25 +662,37 @@ fn fault_mid_looping_region_delivers_exact_elr() {
     );
 }
 
+/// Bound on the random trip count of the looping-region properties: far
+/// past [`REGION_THRESHOLD`], so most draws loop inside a formed region.
+const MAX_TRIPS: u32 = 64 * REGION_THRESHOLD as u32;
+
+/// The trip counts a looping-region property runs its kernel for: the 0- and
+/// 1-trip edges, exactly [`REGION_THRESHOLD`] (formation at the last trips)
+/// and the random draw.
+fn trips_around_the_threshold(random_trips: u32) -> [u32; 4] {
+    [0, 1, REGION_THRESHOLD as u32, random_trips]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Looping regions are architecturally invisible on multi-block loop
-    /// bodies with a nested conditional: for trip counts 0, 1 and a random
-    /// count, and unroll factors 1–4, the kernel retires identical
-    /// registers *and* NZCV with looping regions, with chaining alone (no
-    /// region formation), and under the QEMU-style baseline.  A low formation threshold makes even modest
-    /// trip counts cross into formation, so the nested side exits, the
-    /// peeled copies and the loop-exit leg all get exercised.
+    /// bodies with a nested conditional: for the trip counts of
+    /// [`trips_around_the_threshold`], and unroll factors 1–4, the kernel
+    /// retires identical registers *and* NZCV with looping regions, with
+    /// chaining alone (no region formation), and under the QEMU-style
+    /// baseline.  Trip counts past the threshold form the region, so the
+    /// nested side exits, the peeled copies and the loop-exit leg all get
+    /// exercised.
     #[test]
     fn looping_regions_agree_across_engines_on_nested_bodies(
-        random_trips in 2u32..300,
+        random_trips in 2..MAX_TRIPS,
         unroll in 1usize..5,
         cond_idx in 0usize..4,
     ) {
         use guest_aarch64::isa::Cond;
         let conds = [Cond::Eq, Cond::Ne, Cond::Hi, Cond::Lt];
-        for trips in [0u32, 1, random_trips] {
+        for trips in trips_around_the_threshold(random_trips) {
             let mut a = Assembler::new();
             a.push(asm::movz(1, trips, 0));
             a.push(asm::movz(9, 0, 0));
@@ -705,7 +716,6 @@ proptest! {
                 let mut c = Captive::new(CaptiveConfig {
                     form_regions,
                     unroll_loops: unroll,
-                    region_threshold: 4,
                     ..CaptiveConfig::default()
                 });
                 c.load_program(0x1000, &words);
@@ -732,7 +742,7 @@ proptest! {
             }
             prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV loops on/off");
             prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
-            if trips > 16 {
+            if trips > 4 * REGION_THRESHOLD as u32 {
                 prop_assert!(
                     on.stats().loop_regions_formed >= 1,
                     "trip count {} past the threshold must close a loop",
@@ -746,18 +756,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Unrolled self-loop regions are architecturally invisible: for trip
-    /// counts 0, 1 and a random count, and a random unroll factor 2–4, the
-    /// self-loop kernel retires identical registers *and* NZCV under
-    /// Captive-with-unrolling, Captive-without, and the QEMU-style baseline.
-    /// A low formation threshold makes even modest trip counts cross into
-    /// region formation, so side exits from every peel position get hit.
+    /// Unrolled self-loop regions are architecturally invisible: for the
+    /// trip counts of [`trips_around_the_threshold`], and a random unroll
+    /// factor 2–4, the self-loop kernel retires identical registers *and*
+    /// NZCV under Captive-with-unrolling, Captive-without, and the QEMU-style
+    /// baseline.  Trip counts past the threshold form the region, so side
+    /// exits from every peel position get hit.
     #[test]
     fn unrolled_self_loops_agree_across_engines(
-        random_trips in 2u32..300,
+        random_trips in 2..MAX_TRIPS,
         unroll in 2usize..5,
     ) {
-        for trips in [0u32, 1, random_trips] {
+        for trips in trips_around_the_threshold(random_trips) {
             let mut a = Assembler::new();
             a.push(asm::movz(1, trips, 0));
             a.push(asm::movz(9, 0, 0));
@@ -774,7 +784,6 @@ proptest! {
             let run = |unroll: usize| {
                 let mut c = Captive::new(CaptiveConfig {
                     unroll_loops: unroll,
-                    region_threshold: 4,
                     ..CaptiveConfig::default()
                 });
                 c.load_program(0x1000, &words);
@@ -801,7 +810,7 @@ proptest! {
             }
             prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV unroll on/off");
             prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
-            if trips > 8 {
+            if trips > 2 * REGION_THRESHOLD as u32 {
                 prop_assert!(
                     on.stats().regions_unrolled >= 1,
                     "trip count {} past the threshold must unroll",
@@ -820,15 +829,15 @@ proptest! {
     /// accumulator past a loop-invariant base and mask — the exact shape
     /// promotion and hoisting feed on — retires identical registers *and*
     /// NZCV with promotion on, promotion off, and under the QEMU-style
-    /// baseline, for trip counts 0, 1 and a random count crossed with
-    /// unroll factors 1–4.
+    /// baseline, for the trip counts of [`trips_around_the_threshold`]
+    /// crossed with unroll factors 1–4.
     #[test]
     fn promoted_loops_agree_across_engines(
-        random_trips in 2u32..300,
+        random_trips in 2..MAX_TRIPS,
         unroll in 1usize..5,
     ) {
         use guest_aarch64::isa::Cond;
-        for trips in [0u32, 1, random_trips] {
+        for trips in trips_around_the_threshold(random_trips) {
             let mut a = Assembler::new();
             a.push(asm::movz(1, trips, 0)); // countdown (dirty carrier)
             a.push(asm::movz(9, 0, 0)); // accumulator (dirty carrier)
@@ -857,7 +866,6 @@ proptest! {
                 let mut c = Captive::new(CaptiveConfig {
                     promote,
                     unroll_loops: unroll,
-                    region_threshold: 4,
                     ..CaptiveConfig::default()
                 });
                 c.load_program(0x1000, &words);
@@ -884,7 +892,7 @@ proptest! {
             }
             prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV promote on/off");
             prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
-            if trips > 16 {
+            if trips > 4 * REGION_THRESHOLD as u32 {
                 let s = on.stats();
                 prop_assert!(
                     s.loop_regions_formed >= 1,
@@ -1107,7 +1115,7 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
     // write every dirty carrier (countdown x1, accumulator x9, patched-in
     // x7) back to the regfile before the dispatcher retranslates — any
     // stale carrier shows up as a wrong final accumulator.
-    const ITERS: u64 = 60;
+    const ITERS: u64 = 120;
     const PATCH_AT: u64 = 20;
     let make = || {
         let mut a = Assembler::new();
@@ -1144,7 +1152,6 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
         let mut c = Captive::new(CaptiveConfig {
             promote,
             unroll_loops: 1,
-            region_threshold: 8,
             ..CaptiveConfig::default()
         });
         c.load_program(0x1000, &words);

@@ -23,7 +23,6 @@ fn run_captive(words: &[u32], idioms: bool) -> Captive {
         words,
         CaptiveConfig {
             idioms,
-            region_threshold: 4,
             ..CaptiveConfig::default()
         },
     )
@@ -405,7 +404,6 @@ fn flags_read_across_ret_stay_exact() {
     let run = |idioms: bool| {
         let mut c = Captive::new(CaptiveConfig {
             idioms,
-            region_threshold: 4,
             ..CaptiveConfig::default()
         });
         c.load_program(0x1000, &main_words);
@@ -453,7 +451,6 @@ fn memset_loop_agrees_under_every_knob_combination() {
                         idioms,
                         promote,
                         unroll_loops: unroll,
-                        region_threshold: 4,
                         ..CaptiveConfig::default()
                     },
                 );

@@ -19,7 +19,7 @@
 
 use crate::tier::{FormationRequest, FormationSnapshot, PAGE_BYTES};
 use crate::translator::{form_region_from, live_code_word, FormOutcome, LiveSource};
-use crate::{layout, Captive};
+use crate::{layout, Captive, REGION_THRESHOLD};
 use dbt::{Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
 use hvm::Machine;
 use std::sync::Arc;
@@ -52,6 +52,11 @@ pub(crate) struct FormationBackoff {
 
 /// Failed formation attempts after which a trace head is quarantined.
 const QUARANTINE_AFTER: u32 = 4;
+
+/// Link heat at which a fresh head's tier-1 request is published: halfway to
+/// [`REGION_THRESHOLD`], so the worker has the other half of the warm-up to
+/// finish before the install point.
+const PUBLISH_POINT: u64 = REGION_THRESHOLD / 2;
 
 impl Captive {
     /// Profiles a chained transfer into `next` and, when its link heat
@@ -105,7 +110,7 @@ impl Captive {
         // not re-published, and heads with a failure history retry
         // synchronously (their traces close too short either way).
         if self.tier.is_some()
-            && heat == self.publish_point()
+            && heat == PUBLISH_POINT
             && !self.inflight.contains_key(&key)
             && !self.quarantine.contains_key(&key)
         {
@@ -120,7 +125,7 @@ impl Captive {
             }
         }
         // Formation trigger with retry backoff: a head with no failure
-        // history fires exactly at the configured threshold; a failed head
+        // history fires exactly at `REGION_THRESHOLD`; a failed head
         // waits for its (doubled) retry heat; a quarantined head never
         // fires again.
         match self.quarantine.get(&key) {
@@ -131,7 +136,7 @@ impl Captive {
                 }
             }
             None => {
-                if heat != self.config.region_threshold {
+                if heat != REGION_THRESHOLD {
                     return next;
                 }
             }
@@ -194,13 +199,6 @@ impl Captive {
                 next
             }
         }
-    }
-
-    /// Link heat at which a fresh head's tier-1 request is published:
-    /// halfway to the formation threshold, so the worker has the other half
-    /// of the warm-up to finish before the install point.
-    fn publish_point(&self) -> u64 {
-        (self.config.region_threshold / 2).max(1)
     }
 
     /// Installs a formed (or reused) region: write-protects its pages,
@@ -297,9 +295,7 @@ impl Captive {
         // the heats of the blocks that ever chained, not of the whole cache
         // (that walk was ~0.4 ms per request with `cold_code`'s ~15 k cached
         // blocks, 88 % of which ran once).
-        let elapsed = t0.elapsed();
-        self.tier_timers.snapshot_build += elapsed;
-        self.tier_timers.run_thread_stall += elapsed;
+        self.tier_timers.run_thread_stall += t0.elapsed();
         self.submit(request);
         self.stats.tier1_requests += 1;
     }

@@ -39,12 +39,11 @@ use dbt::{
     ReuseCache, TierTimers,
 };
 use formation::FormationBackoff;
-use guest_aarch64::dispatch::{self, Dispatch, Profiles};
+use guest_aarch64::dispatch::{self, Dispatch};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
 use guest_aarch64::{Aarch64Isa, CURRENT_EL_OFF};
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
 use runtime::CaptiveRuntime;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tier::{FormationResult, TierService};
@@ -62,7 +61,14 @@ pub enum FpMode {
     Software,
 }
 
-/// Hypervisor configuration.
+/// Chain-link transfer count at which the link's target becomes a region
+/// trace head.  Tiered formation publishes its request at half of it
+/// ([`formation`]).
+pub const REGION_THRESHOLD: u64 = 16;
+
+/// Hypervisor configuration: twelve settings, each set by a figure, the
+/// benchmark or a test (`bench::CAPTIVE_CONFIGS` names the ablations).  The
+/// formation threshold is no setting: it is [`REGION_THRESHOLD`].
 #[derive(Debug, Clone)]
 pub struct CaptiveConfig {
     /// Guest RAM size in bytes.
@@ -87,9 +93,6 @@ pub struct CaptiveConfig {
     /// ([`dbt::RuleTable::builtin`]).  The setting joins the reuse key, so
     /// engines with the layer on and off never share templates.
     pub idioms: bool,
-    /// Chain-link transfer count at which the link's target becomes a
-    /// region trace head.
-    pub region_threshold: u64,
     /// Copies of a hot loop body stitched into one region before its
     /// back-edge closes (2–4 amortises the loop-back overhead; 0 or 1
     /// disables peeling).  The closed loop iterates entirely in translated
@@ -104,9 +107,6 @@ pub struct CaptiveConfig {
     /// from [`dbt::Region::promoted`] — so the guest always observes a
     /// precise register file.
     pub promote: bool,
-    /// Record per-block execution cycles (needed for the Fig. 21 experiment;
-    /// adds bookkeeping overhead).
-    pub per_block_stats: bool,
     /// Code-cache capacity in resident regions (`None` = unbounded).  When
     /// the bound is hit the cache evicts clock-style; a churn-heavy guest
     /// degrades to re-translation, never to unbounded growth.
@@ -142,10 +142,8 @@ impl Default for CaptiveConfig {
             form_regions: true,
             opt: true,
             idioms: true,
-            region_threshold: 16,
             unroll_loops: 4,
             promote: true,
-            per_block_stats: false,
             cache_capacity_regions: None,
             tier_workers: Some(2),
             reuse_cache: None,
@@ -169,9 +167,6 @@ pub struct Captive {
     isa: Aarch64Isa,
     config: CaptiveConfig,
     stats: RunStats,
-    /// Per-region execution profiles, keyed by region (Fig. 21): cycles and
-    /// executions attributed per [`dbt::EntryMode`] by [`dbt::RegionProfile::record`].
-    per_region: Profiles,
     /// Context generation the cache was last swept under; stale
     /// multi-constituent regions are evicted the first time the dispatcher
     /// runs after a generation bump.
@@ -219,7 +214,7 @@ impl Captive {
         // The register-file base pointer lives in %rbp for the whole run.
         machine.set_reg(Gpr::Rbp, layout::REGFILE_VA);
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
-        cache.set_capacity(None, config.cache_capacity_regions);
+        cache.set_capacity(config.cache_capacity_regions);
         let tier = config
             .tier_workers
             .filter(|_| config.form_regions)
@@ -241,7 +236,6 @@ impl Captive {
             spec_stats: spec::SpecStats::default(),
             config,
             stats: RunStats::default(),
-            per_region: HashMap::new(),
             swept_region_gen: 0,
             quarantine: KeyMap::default(),
             tier,
@@ -257,11 +251,6 @@ impl Captive {
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
     pub fn tier_timers(&self) -> TierTimers {
         self.tier_timers
-    }
-
-    /// Per-region execution profiles (region key → per-entry-mode record).
-    pub fn region_profiles(&self) -> &Profiles {
-        &self.per_region
     }
 
     /// The tier-0 miss path: obtains the one-constituent translation of the
@@ -434,9 +423,8 @@ impl Dispatch for Captive {
         }
     }
 
-    fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
-        let profiles = self.config.per_block_stats.then_some(&mut self.per_region);
-        (&mut self.stats, profiles)
+    fn counters(&mut self) -> &mut RunStats {
+        &mut self.stats
     }
 }
 
@@ -445,7 +433,6 @@ guest_aarch64::inherent_facade!(Captive);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbt::EntryMode;
     use guest_aarch64::asm;
 
     fn boot(words: &[u32]) -> (Captive, RunExit) {
@@ -1115,52 +1102,25 @@ mod tests {
     }
 
     #[test]
-    fn region_profiles_attribute_per_entry_mode() {
+    fn a_formed_loop_region_absorbs_the_hot_loop() {
         let words = multi_block_loop(1000);
         let mut c = Captive::new(CaptiveConfig {
             form_regions: true,
-            per_block_stats: true,
             ..CaptiveConfig::default()
         });
         c.load_program(0x1000, &words);
         c.set_entry(0x1000);
         assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
-        let profiles = c.region_profiles();
-        let mut chained = 0u64;
-        let mut dispatched = 0u64;
-        let mut multi_entries = 0u64;
-        let mut total_cycles = 0u64;
-        for p in profiles.values() {
-            assert_eq!(
-                p.executions(EntryMode::Chained) + p.executions(EntryMode::Dispatched),
-                p.total_executions(),
-                "the two entry modes partition the total"
-            );
-            chained += p.executions(EntryMode::Chained);
-            dispatched += p.executions(EntryMode::Dispatched);
-            total_cycles += p.total_cycles();
-            if p.constituents > 1 {
-                multi_entries += p.total_executions();
-            }
-        }
         let s = c.stats();
         assert_eq!(
-            chained + dispatched,
             s.blocks,
-            "the profiles cover every interpreter entry"
+            s.chained_transfers + s.slow_dispatches,
+            "every block is entered through a link or the slow path"
         );
-        assert_eq!(chained, s.chained_transfers);
-        assert_eq!(dispatched, s.slow_dispatches);
         assert!(
-            multi_entries >= s.region_entries,
-            "rows whose key now holds a formed region cover at least the \
-             multi-constituent entries (plus any pre-formation plain entries \
-             recorded under the same key): {multi_entries} vs {}",
+            s.region_entries >= 1,
+            "the formed region is entered: {}",
             s.region_entries
-        );
-        assert!(
-            multi_entries >= 1,
-            "the formed region's entries are attributed: {multi_entries}"
         );
         assert!(
             s.blocks < 100,
@@ -1168,8 +1128,7 @@ mod tests {
              interpreter entries: {}",
             s.blocks
         );
-        assert!(chained > 0, "pre-formation chained entries are attributed");
-        assert!(total_cycles > 0);
+        assert!(s.chained_transfers > 0, "the loop chained before formation");
     }
 
     #[test]

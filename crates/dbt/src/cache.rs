@@ -139,18 +139,18 @@
 //! # Capacity and eviction
 //!
 //! The cache is unbounded by default; [`CodeCache::set_capacity`] installs an
-//! optional byte bound (encoded host-code bytes resident) and/or a region
-//! bound.  When an [`CodeCache::insert`] pushes the cache over either bound,
-//! a **clock (second-chance)** sweep evicts translations until the cache fits
-//! again: regions sit in an insertion-order ring, every dispatch-path hit
+//! optional bound on the number of resident regions (Captive's
+//! `cache_capacity_regions`).  When an [`CodeCache::insert`] pushes the cache
+//! over it, a **clock (second-chance)** sweep evicts translations until the
+//! cache fits again: regions sit in an insertion-order ring, every dispatch-path hit
 //! ([`CodeCache::get`]) sets the region's reference bit, and the sweep hand
 //! clears the bit and re-queues referenced regions but discards unreferenced
 //! ones.  Hot translations therefore survive churn while cold ones pay for
 //! it; a guest that thrashes the cache (an interrupt storm re-translating
 //! handler paths, self-modifying code defeating reuse) degrades to more
 //! re-translation — never to unbounded host memory growth.  The freshly
-//! inserted region is exempt from its own insertion's sweep, so a single
-//! oversized region is admitted rather than looping.  Capacity evictions bump
+//! inserted region is exempt from its own insertion's sweep, so even a bound
+//! of zero admits it rather than looping.  Capacity evictions bump
 //! the epoch exactly like invalidations do: chain links into — and
 //! dispatcher-held links out of — an evicted region die immediately, so a
 //! capacity-bounded run is architecturally indistinguishable from an
@@ -289,62 +289,6 @@ pub enum Link {
     Elsewhere,
     /// Never patched, or retired: the slow path, which patches it.
     Vacant,
-}
-
-/// How the dispatcher entered a region (per-region profile attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryMode {
-    /// Slow path: page resolution + cache lookup + exception-level read.
-    Dispatched = 0,
-    /// A patched chain link, bypassing the dispatcher.
-    Chained = 1,
-}
-
-/// Per-region execution record (the code-quality scatter plot, Fig. 21),
-/// with cycles and executions attributed per [`EntryMode`].  A region's
-/// shape is carried alongside (`guest_insns`, `constituents`), so consumers
-/// can distinguish multi-constituent entries without a third attribution
-/// axis: "superblock executions" are simply entries of a region whose
-/// `constituents > 1`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegionProfile {
-    /// Guest instructions covered by the region.
-    pub guest_insns: u64,
-    /// Constituent basic blocks in the region (1 = plain block).
-    pub constituents: u64,
-    /// Back-edge transfers taken inside this region's entries (loop trips
-    /// that never touched the dispatcher; 0 for non-looping regions).
-    pub backedge_trips: u64,
-    cycles: [u64; 2],
-    executions: [u64; 2],
-}
-
-impl RegionProfile {
-    /// Records one entry of the region under `mode`, spending `cycles`.
-    pub fn record(&mut self, mode: EntryMode, cycles: u64) {
-        self.cycles[mode as usize] += cycles;
-        self.executions[mode as usize] += 1;
-    }
-
-    /// Cycles accumulated by entries of the given mode.
-    pub fn cycles(&self, mode: EntryMode) -> u64 {
-        self.cycles[mode as usize]
-    }
-
-    /// Entries of the given mode.
-    pub fn executions(&self, mode: EntryMode) -> u64 {
-        self.executions[mode as usize]
-    }
-
-    /// Cycles over all entry modes.
-    pub fn total_cycles(&self) -> u64 {
-        self.cycles.iter().sum()
-    }
-
-    /// Entries over all modes.
-    pub fn total_executions(&self) -> u64 {
-        self.executions.iter().sum()
-    }
 }
 
 /// One translation unit: host code covering 1..N guest basic blocks.
@@ -648,8 +592,6 @@ struct State {
     /// ([`CodeCache::note_heated`]): the only regions a branch-profile
     /// snapshot has anything to say about.  Pruned with the ring.
     heated: BTreeSet<RegionKey>,
-    /// Bound on resident encoded host-code bytes.
-    capacity_bytes: Option<usize>,
     /// Bound on resident region count.
     capacity_regions: Option<usize>,
     /// Bumped whenever an invalidation removes regions; chain links stamped
@@ -688,17 +630,14 @@ impl State {
         removed
     }
 
-    /// True while a capacity bound is exceeded.
+    /// True while the capacity bound is exceeded.
     fn over_capacity(&self) -> bool {
-        self.capacity_bytes
-            .is_some_and(|bound| self.stats.bytes_live > bound as u64)
-            || self
-                .capacity_regions
-                .is_some_and(|bound| self.stats.regions_live > bound as u64)
+        self.capacity_regions
+            .is_some_and(|bound| self.stats.regions_live > bound as u64)
     }
 
     /// Clock (second-chance) sweep: evicts regions from the insertion-order
-    /// ring until the cache is within its capacity bounds.  A referenced
+    /// ring until the cache is within its capacity bound.  A referenced
     /// region gets its bit cleared and one more trip around the ring; the
     /// region at `keep` (the one just inserted) is never evicted by this
     /// sweep.  Evictions bump the epoch so dispatcher-held chain links die.
@@ -760,31 +699,25 @@ impl State {
 /// `&self` through a `RefCell`; the cache is `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct CodeCache {
-    index: CacheIndex,
     state: RefCell<State>,
 }
 
 impl CodeCache {
-    /// Creates an empty, unbounded cache with the given indexing policy.
-    pub fn new(index: CacheIndex) -> Self {
+    /// Creates an empty, unbounded cache for an engine keeping the given
+    /// indexing policy.  The cache stores both alike: the policy is the
+    /// owner's flush discipline (module docs).
+    pub fn new(_index: CacheIndex) -> Self {
         CodeCache {
-            index,
             state: RefCell::default(),
         }
     }
 
-    /// Installs (or lifts, with `None`) the capacity bounds, evicting
-    /// immediately if the cache is already over a new bound.
-    pub fn set_capacity(&self, bytes: Option<usize>, regions: Option<usize>) {
+    /// Installs (or lifts, with `None`) the bound on resident regions,
+    /// evicting immediately if the cache is already over the new bound.
+    pub fn set_capacity(&self, regions: Option<usize>) {
         let mut state = self.state.borrow_mut();
-        state.capacity_bytes = bytes;
         state.capacity_regions = regions;
         state.enforce_capacity(None);
-    }
-
-    /// The indexing policy in force.
-    pub fn index_kind(&self) -> CacheIndex {
-        self.index
     }
 
     /// Current invalidation epoch (stamped into chain links at patch time).
@@ -1370,27 +1303,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn region_profile_attributes_per_entry_mode() {
-        let mut p = RegionProfile {
-            guest_insns: 4,
-            constituents: 2,
-            ..RegionProfile::default()
-        };
-        p.record(EntryMode::Dispatched, 10);
-        p.record(EntryMode::Chained, 3);
-        p.record(EntryMode::Chained, 3);
-        assert_eq!(p.executions(EntryMode::Dispatched), 1);
-        assert_eq!(p.executions(EntryMode::Chained), 2);
-        assert_eq!(p.cycles(EntryMode::Dispatched), 10);
-        assert_eq!(p.cycles(EntryMode::Chained), 6);
-        assert_eq!(p.total_executions(), 3);
-        assert_eq!(p.total_cycles(), 16);
-    }
-
-    #[test]
     fn capacity_bound_evicts_oldest_unreferenced_region() {
         let c = CodeCache::new(CacheIndex::GuestPhysical);
-        c.set_capacity(None, Some(2));
+        c.set_capacity(Some(2));
         c.insert(block(0x1000, 1));
         c.insert(block(0x2000, 1));
         let epoch_before = c.epoch();
@@ -1408,7 +1323,7 @@ pub(crate) mod tests {
     #[test]
     fn clock_sweep_gives_referenced_regions_a_second_chance() {
         let c = CodeCache::new(CacheIndex::GuestPhysical);
-        c.set_capacity(None, Some(2));
+        c.set_capacity(Some(2));
         c.insert(block(0x1000, 1));
         c.insert(block(0x2000, 1));
         // A dispatch-path hit marks 0x1000 referenced; 0x2000 stays cold.
@@ -1420,23 +1335,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn byte_capacity_bound_is_enforced() {
-        let c = CodeCache::new(CacheIndex::GuestPhysical);
-        // block() gives each region insns * 40 encoded bytes.
-        c.set_capacity(Some(100), None);
-        c.insert(block(0x1000, 1)); // 40 bytes
-        c.insert(block(0x2000, 1)); // 80 bytes
-        c.insert(block(0x3000, 1)); // 120 bytes: over, evict one
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().bytes_live, 80);
-        assert_eq!(c.stats().capacity_evictions, 1);
-    }
-
-    #[test]
     fn an_oversized_region_is_still_admitted() {
         let c = CodeCache::new(CacheIndex::GuestPhysical);
-        c.set_capacity(Some(50), None);
-        c.insert(block(0x1000, 4)); // 160 bytes, alone over the bound
+        c.set_capacity(Some(0));
+        c.insert(block(0x1000, 4)); // alone over the bound
         assert_eq!(c.len(), 1, "sole region is exempt from its own sweep");
         assert!(c.peek(key(0x1000, 0x1000)).is_some());
         c.insert(block(0x2000, 1));
@@ -1448,7 +1350,7 @@ pub(crate) mod tests {
     #[test]
     fn invalidation_leaves_no_stale_ring_entries_to_evict() {
         let c = CodeCache::new(CacheIndex::GuestPhysical);
-        c.set_capacity(None, Some(2));
+        c.set_capacity(Some(2));
         c.insert(block(0x1000, 1));
         c.insert(block(0x2000, 1));
         c.invalidate_phys_page(0x1000);
@@ -1538,7 +1440,6 @@ pub(crate) mod tests {
     #[derive(Debug, Default)]
     struct Model {
         regions: Vec<ModelRegion>,
-        capacity_bytes: Option<u64>,
         capacity_regions: Option<u64>,
         epoch: u64,
         stats: CacheStats,
@@ -1550,11 +1451,8 @@ pub(crate) mod tests {
         }
 
         fn over_capacity(&self) -> bool {
-            let bytes: u64 = self.regions.iter().map(|r| r.bytes).sum();
-            self.capacity_bytes.is_some_and(|b| bytes > b)
-                || self
-                    .capacity_regions
-                    .is_some_and(|b| self.regions.len() as u64 > b)
+            self.capacity_regions
+                .is_some_and(|b| self.regions.len() as u64 > b)
         }
 
         fn enforce_capacity(&mut self, keep: Option<RegionKey>) {
@@ -1696,10 +1594,8 @@ pub(crate) mod tests {
                     }
                     12 => {
                         // n < 12: small bounds that bite, or none at all.
-                        let bytes = (n % 3 != 0).then_some(n as usize * 40);
                         let regions = (n % 4 != 0).then_some(n as usize / 2);
-                        cache.set_capacity(bytes, regions);
-                        model.capacity_bytes = bytes.map(|b| b as u64);
+                        cache.set_capacity(regions);
                         model.capacity_regions = regions.map(|r| r as u64);
                         model.enforce_capacity(None);
                     }

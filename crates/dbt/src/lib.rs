@@ -48,8 +48,8 @@ pub mod reuse;
 pub mod timing;
 
 pub use cache::{
-    fnv1a, BlockExit, CacheIndex, CacheStats, Carrier, ChainLinks, CodeCache, EntryMode, KeyMap,
-    Link, Region, RegionKey, RegionProfile,
+    fnv1a, BlockExit, CacheIndex, CacheStats, Carrier, ChainLinks, CodeCache, KeyMap, Link, Region,
+    RegionKey,
 };
 pub use counters::{CounterField, JitCounters};
 pub use emitter::{Emitter, Node, NodeId, ValueType};

@@ -125,8 +125,6 @@ pub struct TierTimers {
     /// snapshot capture, waits for in-flight tier-1 results, and synchronous
     /// formation fallbacks.  This is the guest-visible translation latency.
     pub run_thread_stall: Duration,
-    /// Share of `run_thread_stall` spent capturing formation snapshots.
-    pub snapshot_build: Duration,
     /// Wall-clock spent inside tier-1 workers forming regions (runs hidden
     /// behind tier-0 execution; overlaps `run_thread_stall` only when the
     /// run thread had to wait for a result).
@@ -179,14 +177,21 @@ mod tests {
     #[test]
     fn chained_clock_credits_each_interval_to_the_phase_it_closes() {
         let mut t = PhaseTimers::default();
+        let outer = Instant::now();
         let mut clock = PhaseClock::start();
         std::thread::sleep(Duration::from_millis(2));
         clock.close(&mut t, Phase::Decode);
         std::thread::sleep(Duration::from_millis(4));
         clock.close(&mut t, Phase::Translate);
+        let elapsed = outer.elapsed();
         assert!(t.decode >= Duration::from_millis(2));
         assert!(t.translate >= Duration::from_millis(4));
-        assert!(t.decode < t.translate, "the intervals are not pooled");
+        // Pooling would credit the first interval twice and overrun the
+        // wall-clock the two closes span, however the sleeps are scheduled.
+        assert!(
+            t.decode + t.translate <= elapsed,
+            "the intervals are not pooled"
+        );
         assert_eq!(t.regalloc + t.encode, Duration::ZERO);
     }
 

@@ -70,13 +70,9 @@
 //! simulated cycles of one call.
 
 use crate::sys::{Engine, GuestEvent, RunExit, RunStats};
-use dbt::{BlockExit, Carrier, EntryMode, Link, Region, RegionKey, RegionProfile};
+use dbt::{BlockExit, Carrier, Link, Region, RegionKey};
 use hvm::{ExitReason, Gpr};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Per-region execution profiles, keyed by the executed region (Fig. 21).
-pub type Profiles = HashMap<RegionKey, RegionProfile>;
 
 /// The decisions on which the engines' dispatchers differ, each one of the
 /// paper's axes; [`run`] is everything else.
@@ -104,8 +100,9 @@ pub trait Dispatch: Engine {
     /// Runs `region` on the engine's machine and runtime, entered through a
     /// link when `chained`.
     fn execute(&mut self, region: &Region, chained: bool) -> ExitReason;
-    /// The run counters, and the profiles when profiling is on.
-    fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>);
+    /// The engine's counter table, which the loop increments (blocks,
+    /// dispatches, chained transfers, patches, guest instructions).
+    fn counters(&mut self) -> &mut RunStats;
 }
 
 /// Where a block that returned through `BlockEnd` or `HelperExit` goes.
@@ -171,23 +168,20 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
                 // Virtual aliases of the same physical entry resolve to
                 // distinct regions by construction of the key.
                 let block = d.lookup(RegionKey { phys: pa, virt: pc });
-                d.counters().0.slow_dispatches += 1;
+                d.counters().slow_dispatches += 1;
                 if let Some((prev, slot)) = patch.take() {
                     let (gen, epoch) = d.link_stamp();
                     prev.set_link(slot, gen, epoch, &block);
-                    d.counters().0.chain_patches += 1;
+                    d.counters().chain_patches += 1;
                 }
                 (block, false)
             }
         };
 
         loop {
-            let machine = d.parts().1;
-            let before = machine.perf.cycles;
-            let backedges_before = machine.perf.backedge_transfers;
+            let backedges_before = d.parts().1.perf.backedge_transfers;
             let exit = d.execute(&block, chained);
             let perf = &mut d.parts_mut().1.perf;
-            let spent = perf.cycles - before;
             // Loop trips that stayed inside the region during this entry
             // (each back-edge taken re-executed the looping portion).
             let trips = perf.backedge_transfers - backedges_before;
@@ -197,29 +191,11 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
             // benefits from the looping portion's share.
             perf.elided_insns += block.elided_insns as u64 + trips * block.loop_elided_insns as u64;
             d.after_block();
-            let (s, profiles) = d.counters();
+            let s = d.counters();
             s.blocks += 1;
             s.guest_insns += block.guest_insns as u64 + trips * block.loop_guest_insns as u64;
             if block.is_multi() {
                 s.region_entries += 1;
-            }
-            if let Some(profiles) = profiles {
-                // One attribution rule for every region shape: cycles and
-                // executions are recorded under the entry mode, and the
-                // region's own key/length/constituents disambiguate what was
-                // entered (a formed trace replaces the plain region at its
-                // key, so the profile follows the translation the dispatcher
-                // actually ran).
-                let p = profiles.entry(block.key()).or_default();
-                p.guest_insns = block.guest_insns as u64;
-                p.constituents = block.constituents as u64;
-                p.backedge_trips += trips;
-                let mode = if chained {
-                    EntryMode::Chained
-                } else {
-                    EntryMode::Dispatched
-                };
-                p.record(mode, spent);
             }
             budget -= 1;
             match exit {
@@ -326,7 +302,7 @@ fn onward<D: Dispatch>(
         Link::Follow(next) => {
             // Chained transfer: straight into the successor's code, skipping
             // page resolution, cache lookup and EL read.
-            let s = d.counters().0;
+            let s = d.counters();
             s.chained_transfers += 1;
             if block.exit == BlockExit::Indirect {
                 // A predicted link: the compare, then the jump.
@@ -361,6 +337,7 @@ mod tests {
     use dbt::FinishedTranslation;
     use hvm::virtio::mmio;
     use hvm::{Machine, MachineConfig, VirtioBlkConfig, Xmm};
+    use std::collections::HashMap;
 
     const A: u64 = 0x1000;
     const B: u64 = 0x1010;
@@ -547,8 +524,8 @@ mod tests {
             };
             (self.script)(self.ran.len(), &mut self.sys, &mut self.machine).unwrap_or(exit)
         }
-        fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
-            (&mut self.stats, None)
+        fn counters(&mut self) -> &mut RunStats {
+            &mut self.stats
         }
     }
 

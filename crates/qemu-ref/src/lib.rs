@@ -43,7 +43,7 @@ use dbt::{
     BlockExit, CacheIndex, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
     RegionKey,
 };
-use guest_aarch64::dispatch::{self, Dispatch, Profiles};
+use guest_aarch64::dispatch::{self, Dispatch};
 use guest_aarch64::gen::helpers;
 use guest_aarch64::isa::{AccessSize, FpKind, Insn};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts};
@@ -541,8 +541,8 @@ impl Dispatch for QemuRef {
         }
     }
 
-    fn counters(&mut self) -> (&mut RunStats, Option<&mut Profiles>) {
-        (&mut self.stats, None)
+    fn counters(&mut self) -> &mut RunStats {
+        &mut self.stats
     }
 }
 
