@@ -28,6 +28,10 @@
 //! 30347 → 30247 (`loop_flood`, 25).  The same change dropped the
 //! partial-forwarding line and the `bulk.memset` rule's hit line, 0 in
 //! every list, with the counter and the rule.
+//!
+//! The dynamic instructions-saved line went from all six lists with its
+//! counter: it was a pro-rated estimate of the optimiser's saving, which the
+//! waterfall measures exactly as the cycle difference between configurations.
 
 const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("cycles", 1090223),
@@ -57,7 +61,6 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 14),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 1367842),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
@@ -107,7 +110,6 @@ const MCF_QEMU: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 0),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 0),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
@@ -153,7 +155,6 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 45),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 2750895),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
@@ -203,7 +204,6 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 13),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 3934),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
@@ -261,7 +261,6 @@ const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 0),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 0),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),
@@ -315,7 +314,6 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("opt_fp_forwarded", 0),
     ("opt_idioms_fused", 490),
     ("goto_tb_transfers", 0),
-    ("elided_dyn_insns", 66844),
     ("irqs_delivered", 0),
     ("timer_irqs", 0),
     ("capacity_evictions", 0),

@@ -686,8 +686,6 @@ mod tests {
             guest_insns: 1,
             code: Arc::new([]),
             encoded_bytes: 0,
-            lir_insns: 0,
-            elided_insns: 0,
             exit,
             links: ChainLinks::default(),
             constituents: 1,
@@ -696,7 +694,6 @@ mod tests {
             unroll: 1,
             back_edges: 0,
             loop_guest_insns: 0,
-            loop_elided_insns: 0,
             promoted: Vec::new(),
             made_from: None,
         };

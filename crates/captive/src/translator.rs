@@ -162,7 +162,6 @@ pub fn translate_block_from(
         .unwrap_or(BlockExit::Fallthrough { next: va });
 
     let lir = emitter.finish();
-    let lir_count = lir.len();
     let t = match finish(timers, lir, knobs) {
         Ok(t) => t,
         Err(_) => {
@@ -177,7 +176,7 @@ pub fn translate_block_from(
     timers.jit.translated_units += 1;
     timers.jit.translated_guest_insns += guest_insns as u64;
 
-    Region::block(pa, pc, guest_insns, lir_count, exit, t)
+    Region::block(pa, pc, guest_insns, exit, t)
 }
 
 /// Whether control comes back to the address right after a block ending on
@@ -207,12 +206,11 @@ pub fn undef_fallback_region(
     let mut emitter = Emitter::new();
     isa.generate_undefined(pc, &mut emitter);
     let lir = emitter.finish();
-    let lir_count = lir.len();
     let t = dbt::finish_translation(timers, lir, false, false, None)
         .expect("host bug: the UNDEF stub lowers without virtual registers");
     timers.jit.translated_units += 1;
     timers.jit.translated_guest_insns += 1;
-    Region::block(pa, pc, 1, lir_count, BlockExit::Opaque, t)
+    Region::block(pa, pc, 1, BlockExit::Opaque, t)
 }
 
 /// The shared back half under an engine's knobs.
@@ -653,7 +651,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         .exit_hint()
         .unwrap_or(BlockExit::Fallthrough { next: va });
     let lir = emitter.finish();
-    let lir_count = lir.len();
     let t = match finish(timers, lir, knobs) {
         Ok(t) => t,
         Err(_) => {
@@ -672,11 +669,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
     let unroll_copies = loop_header
         .map(|h| visited.iter().filter(|v| **v == h).count())
         .unwrap_or(1);
-    // Pro-rated eliminated-LIR share of the looping portion, credited per
-    // back-edge transfer by the dynamic instructions-saved accounting.
-    let loop_elided_insns = (t.elided * loop_guest_insns)
-        .checked_div(guest_insns)
-        .unwrap_or(0);
 
     FormOutcome::Formed {
         region: Box::new(Region {
@@ -686,8 +678,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             unroll: unroll_copies,
             back_edges,
             loop_guest_insns,
-            loop_elided_insns,
-            ..Region::block(entry_pa, entry_pc, guest_insns, lir_count, exit, t)
+            ..Region::block(entry_pa, entry_pc, guest_insns, exit, t)
         }),
         evidence,
     }

@@ -292,6 +292,11 @@ pub enum Link {
 }
 
 /// One translation unit: host code covering 1..N guest basic blocks.
+///
+/// Every field has a reader: the dispatcher, the code cache and its
+/// statistics, the region former or the reuse store.  What the back half did
+/// to produce the unit is counted once, statically, in the translating
+/// thread's [`crate::JitCounters`].
 #[derive(Debug)]
 pub struct Region {
     /// Guest physical address of the entry instruction.
@@ -304,12 +309,6 @@ pub struct Region {
     pub code: Arc<[MachInsn]>,
     /// Size of the byte-encoded host code.
     pub encoded_bytes: usize,
-    /// Host instructions before dead-code elimination (diagnostic).
-    pub lir_insns: usize,
-    /// LIR instructions eliminated before encoding (optimiser deletions plus
-    /// allocator dead-marks); multiplied by executions it yields the dynamic
-    /// instructions-saved counters.
-    pub elided_insns: usize,
     /// Terminator metadata for direct chaining.
     pub exit: BlockExit,
     /// Successor links, patched lazily by the dispatcher.
@@ -337,10 +336,6 @@ pub struct Region {
     /// retires this many *additional* instructions per back-edge transfer
     /// taken, on top of the per-entry `guest_insns`.
     pub loop_guest_insns: usize,
-    /// Eliminated-LIR share of the looping portion (pro-rated from
-    /// `elided_insns` by guest-instruction weight): credited once per
-    /// back-edge transfer by the dynamic instructions-saved accounting.
-    pub loop_elided_insns: usize,
     /// Dirty loop-promoted register-file slots: (regfile byte offset, host
     /// register carrying the loop-resident value).  Every in-code exit path
     /// reconciles these itself; the engine consults this list only on a
@@ -357,14 +352,13 @@ pub struct Region {
 
 impl Region {
     /// A one-constituent region — a plain block — entered at `phys` / `virt`:
-    /// `guest_insns` straight-line guest instructions that emitted
-    /// `lir_insns` LIR, ending in `exit`, with the back half's output `t`.
-    /// The region former starts from this and overrides the trace fields.
+    /// `guest_insns` straight-line guest instructions ending in `exit`, with
+    /// the back half's output `t`.  The region former starts from this and
+    /// overrides the trace fields.
     pub fn block(
         phys: u64,
         virt: u64,
         guest_insns: usize,
-        lir_insns: usize,
         exit: BlockExit,
         t: crate::FinishedTranslation,
     ) -> Region {
@@ -373,8 +367,6 @@ impl Region {
             guest_virt: virt,
             guest_insns,
             encoded_bytes: t.encoded.len(),
-            lir_insns,
-            elided_insns: t.elided,
             code: t.code.into(),
             exit,
             links: ChainLinks::default(),
@@ -384,7 +376,6 @@ impl Region {
             unroll: 1,
             back_edges: 0,
             loop_guest_insns: 0,
-            loop_elided_insns: 0,
             promoted: t.promoted,
             made_from: None,
         }
@@ -901,12 +892,6 @@ impl CodeCache {
     pub fn total_encoded_bytes(&self) -> usize {
         self.state.borrow().stats.bytes_live as usize
     }
-
-    /// Total guest instructions covered by cached regions.
-    pub fn total_guest_insns(&self) -> usize {
-        let state = self.state.borrow();
-        state.map.values().map(|s| s.region.guest_insns).sum()
-    }
 }
 
 // Formed regions travel from tier-1 workers to the run thread and engines
@@ -937,8 +922,6 @@ pub(crate) mod tests {
             guest_insns: insns,
             code: Arc::new([MachInsn::Ret]),
             encoded_bytes: insns * 40,
-            lir_insns: insns * 12,
-            elided_insns: 0,
             exit,
             links: ChainLinks::default(),
             constituents: 1,
@@ -947,7 +930,6 @@ pub(crate) mod tests {
             unroll: 1,
             back_edges: 0,
             loop_guest_insns: 0,
-            loop_elided_insns: 0,
             promoted: Vec::new(),
             made_from: None,
         }
@@ -1032,7 +1014,6 @@ pub(crate) mod tests {
         c.insert(block(0x1000, 2));
         c.insert(block(0x2000, 3));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.total_guest_insns(), 5);
         assert_eq!(c.total_encoded_bytes(), 200);
     }
 
@@ -1425,7 +1406,7 @@ pub(crate) mod tests {
     #[derive(Debug, Clone)]
     struct ModelRegion {
         key: RegionKey,
-        /// Unique per insert (carried in the real region's `lir_insns`), so a
+        /// Unique per insert (carried in the real region's `guest_insns`), so a
         /// replaced region is told from its replacement.
         id: usize,
         bytes: u64,
@@ -1565,17 +1546,17 @@ pub(crate) mod tests {
                             gated,
                             referenced: false,
                         });
-                        cache.insert(Region { lir_insns: id, ..real });
+                        cache.insert(Region { guest_insns: id, ..real });
                     }
                     5..=7 => {
-                        let got = cache.get(k, gen).map(|r| r.lir_insns);
+                        let got = cache.get(k, gen).map(|r| r.guest_insns);
                         proptest::prop_assert_eq!(got, model.get(k, gen), "get {:?}", k);
                     }
                     8 => {
                         if let Some(target) = cache.peek(k) {
                             let holder = Arc::new(block(0x9000, 1));
                             holder.set_link(0, 0, cache.epoch(), &target);
-                            links.push((holder, target.lir_insns, k.virt, cache.epoch()));
+                            links.push((holder, target.guest_insns, k.virt, cache.epoch()));
                         }
                     }
                     9 | 10 => {
@@ -1611,7 +1592,7 @@ pub(crate) mod tests {
                 for n in 0..12 {
                     let k = model_key(n);
                     proptest::prop_assert_eq!(
-                        cache.peek(k).map(|r| r.lir_insns),
+                        cache.peek(k).map(|r| r.guest_insns),
                         model.at(k).map(|r| r.id),
                         "survivor at {:?} after op {}", k, op
                     );

@@ -181,17 +181,6 @@ enum Loc {
     Xmm(Vreg),
 }
 
-/// Statistics the emitter reports for a finished block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmitStats {
-    /// Nodes created in the invocation DAG.
-    pub nodes: u32,
-    /// Nodes folded to constants at translation time (fixed evaluation).
-    pub folded: u32,
-    /// LIR instructions emitted.
-    pub lir_insns: u32,
-}
-
 /// The vectors an [`Emitter`] takes from the crate's per-thread scratch
 /// ([`crate::with_scratch`]): [`Emitter::finish`] hands the DAG's two back,
 /// [`crate::finish_translation`] the LIR one when it is done with the unit.
@@ -238,7 +227,6 @@ pub struct Emitter {
     /// (label, off-trace PC).  Emitted after the main stream by
     /// [`Emitter::finish`] so the hot path pays only the guarding `Jcc`.
     pending_stubs: Vec<(u32, u64)>,
-    stats: EmitStats,
 }
 
 impl Default for Emitter {
@@ -273,12 +261,10 @@ impl Emitter {
             trace_back: None,
             stitched_back: false,
             pending_stubs: Vec::new(),
-            stats: EmitStats::default(),
         }
     }
 
     fn push_node(&mut self, node: Node) -> NodeId {
-        self.stats.nodes += 1;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.evaluated.push(None);
@@ -299,7 +285,6 @@ impl Emitter {
     }
 
     fn emit(&mut self, insn: LirInsn) {
-        self.stats.lir_insns += 1;
         self.lir.push(insn);
     }
 
@@ -322,11 +307,6 @@ impl Emitter {
     /// emitted, i.e. the block falls through at a translation limit).
     pub fn exit_hint(&self) -> Option<BlockExit> {
         self.exit
-    }
-
-    /// Emission statistics for the block so far.
-    pub fn stats(&self) -> EmitStats {
-        self.stats
     }
 
     // -- trace stitching (superblock formation) ------------------------------
@@ -381,7 +361,6 @@ impl Emitter {
         let id = self.new_label();
         debug_assert!(pos <= self.lir.len());
         self.lir.insert(pos, LirInsn::Label { id });
-        self.stats.lir_insns += 1;
         id
     }
 
@@ -461,7 +440,6 @@ impl Emitter {
     /// Integer binary operation node; folds when both operands are fixed.
     pub fn binary(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
-            self.stats.folded += 1;
             return self.const_u64(op.fold(x, y));
         }
         self.push_node(Node::Binary { op, a, b })
@@ -1118,11 +1096,6 @@ impl Emitter {
         });
         self.lir
     }
-
-    /// Number of LIR instructions emitted so far (excluding the final `Ret`).
-    pub fn lir_len(&self) -> usize {
-        self.lir.len()
-    }
 }
 
 #[cfg(test)]
@@ -1137,7 +1110,6 @@ mod tests {
         let b = e.const_u64(2);
         let c = e.add(a, b);
         assert_eq!(e.as_const(c), Some(42));
-        assert_eq!(e.stats().folded, 1);
     }
 
     #[test]

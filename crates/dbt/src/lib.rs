@@ -127,7 +127,6 @@ pub fn finish_translation(
         // One clock read per phase boundary; what sits between two phases
         // (merging counters, resolving carriers) counts with the next.
         let mut clock = PhaseClock::start();
-        let pre_opt = lir.len();
         let mut dirty_carriers: Vec<(i32, Vreg)> = Vec::new();
         if run_opt {
             // The optimiser sits between emission and register allocation;
@@ -156,10 +155,6 @@ pub fn finish_translation(
         timers.jit.opt_dce_insns += dce as u64;
         timers.jit.regalloc_spill_slots += allocation.spill_slots as u64;
         timers.jit.regalloc_splits += allocation.splits.len() as u64;
-        // Promotion can grow the unit (preheader loads, reconcile block), so
-        // the optimiser's net deletion count saturates at zero rather than
-        // going negative.
-        let elided = pre_opt.saturating_sub(lir.len()) + dce;
         let lowered = resolve_carriers(&dirty_carriers, allocation).and_then(|promoted| {
             let code = lower::lower_in(&mut s.lower, &lir, allocation)?;
             let encoded = hvm::encode::encode_block(&code);
@@ -173,7 +168,6 @@ pub fn finish_translation(
         Ok(FinishedTranslation {
             code,
             encoded,
-            elided,
             promoted,
         })
     })
@@ -210,9 +204,6 @@ pub struct FinishedTranslation {
     pub code: Vec<MachInsn>,
     /// Byte-encoded form of `code` (for size statistics).
     pub encoded: Vec<u8>,
-    /// LIR instructions eliminated before encoding (optimiser deletions plus
-    /// allocator dead-marks).
-    pub elided: usize,
     /// Dirty promoted slots: (regfile byte offset, host register holding the
     /// loop-carried value).  On a fault exit — the one path that bypasses the
     /// in-code compensation stores — the engine stores each register back to
@@ -326,7 +317,7 @@ mod tests {
         let translate = |lir: &[LirInsn], table: &RuleTable| {
             let mut timers = PhaseTimers::default();
             finish_translation(&mut timers, lir.to_vec(), true, true, Some(table))
-                .map(|t| (t.encoded, t.elided, t.promoted))
+                .map(|t| (t.encoded, t.promoted))
         };
         let alone = |lir: &[LirInsn]| {
             let lir = lir.to_vec();

@@ -39,14 +39,6 @@ pub struct PhaseTimers {
 }
 
 impl PhaseTimers {
-    /// Runs `f`, attributing its wall-clock time to `phase`.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.credit(phase, start.elapsed());
-        r
-    }
-
     fn credit(&mut self, phase: Phase, elapsed: Duration) {
         match phase {
             Phase::Decode => self.decode += elapsed,
@@ -59,22 +51,6 @@ impl PhaseTimers {
     /// Total JIT compilation time.
     pub fn total(&self) -> Duration {
         self.decode + self.translate + self.regalloc + self.encode
-    }
-
-    /// Fraction of total time spent in each phase, in the order
-    /// (decode, translate, regalloc, encode).  Returns zeros if nothing has
-    /// been timed yet.
-    pub fn fractions(&self) -> (f64, f64, f64, f64) {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        (
-            self.decode.as_secs_f64() / total,
-            self.translate.as_secs_f64() / total,
-            self.regalloc.as_secs_f64() / total,
-            self.encode.as_secs_f64() / total,
-        )
     }
 
     /// Merges another set of timers into this one.
@@ -155,26 +131,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fractions_sum_to_one_when_timed() {
-        let mut t = PhaseTimers::default();
-        t.time(Phase::Decode, || {
-            std::thread::sleep(Duration::from_millis(1))
-        });
-        t.time(Phase::Translate, || {
-            std::thread::sleep(Duration::from_millis(2))
-        });
-        t.time(Phase::RegAlloc, || {
-            std::thread::sleep(Duration::from_millis(1))
-        });
-        t.time(Phase::Encode, || {
-            std::thread::sleep(Duration::from_millis(1))
-        });
-        let (d, tr, r, e) = t.fractions();
-        assert!((d + tr + r + e - 1.0).abs() < 1e-9);
-        assert!(tr > 0.0);
-    }
-
-    #[test]
     fn chained_clock_credits_each_interval_to_the_phase_it_closes() {
         let mut t = PhaseTimers::default();
         let outer = Instant::now();
@@ -193,13 +149,6 @@ mod tests {
             "the intervals are not pooled"
         );
         assert_eq!(t.regalloc + t.encode, Duration::ZERO);
-    }
-
-    #[test]
-    fn zero_state_reports_zero_fractions() {
-        let t = PhaseTimers::default();
-        assert_eq!(t.fractions(), (0.0, 0.0, 0.0, 0.0));
-        assert_eq!(t.total(), Duration::ZERO);
     }
 
     #[test]

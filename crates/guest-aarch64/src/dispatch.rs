@@ -181,15 +181,9 @@ pub fn run<D: Dispatch>(d: &mut D, max_blocks: u64) -> RunExit {
         loop {
             let backedges_before = d.parts().1.perf.backedge_transfers;
             let exit = d.execute(&block, chained);
-            let perf = &mut d.parts_mut().1.perf;
             // Loop trips that stayed inside the region during this entry
             // (each back-edge taken re-executed the looping portion).
-            let trips = perf.backedge_transfers - backedges_before;
-            // Dynamic instructions-saved accounting: every entry into the
-            // region benefits from the LIR instructions eliminated at
-            // translation time, and every internal loop trip additionally
-            // benefits from the looping portion's share.
-            perf.elided_insns += block.elided_insns as u64 + trips * block.loop_elided_insns as u64;
+            let trips = d.parts().1.perf.backedge_transfers - backedges_before;
             d.after_block();
             let s = d.counters();
             s.blocks += 1;
@@ -489,10 +483,9 @@ mod tests {
                 let code = FinishedTranslation {
                     code: Vec::new(),
                     encoded: Vec::new(),
-                    elided: 0,
                     promoted: promoted.clone(),
                 };
-                Arc::new(Region::block(key.phys, key.virt, 1, 0, exit, code))
+                Arc::new(Region::block(key.phys, key.virt, 1, exit, code))
             });
             Arc::clone(region)
         }

@@ -202,7 +202,8 @@ dbt::counter_table! {
     /// counters — so plain `u64`s are sound.  Counters that live elsewhere
     /// (the machine's `PerfCounters`, the code cache, the fetch and data
     /// TLBs, the phase timers, the device) are *sampled* by the engine's
-    /// `stats()`, never kept twice.
+    /// `stats()`, never kept twice: what the run loop counts itself (blocks,
+    /// chained transfers, region entries) is counted here and nowhere else.
     pub struct RunStats {
         /// Guest exceptions delivered by the dispatcher (aborts and IRQs;
         /// SVC and UNDEF enter through translated code and are not counted).
@@ -298,9 +299,6 @@ dbt::counter_table! {
         Deterministic region_entries: u64,
         /// Stale-generation regions evicted by the context-generation sweep.
         Deterministic regions_evicted: u64,
-        /// Dynamic host instructions saved: per block entry, the LIR
-        /// instructions eliminated from that translation before encoding.
-        Deterministic elided_dyn_insns: u64,
         /// Regions evicted because the cache hit its capacity bound.
         Deterministic capacity_evictions: u64,
         /// Encoded bytes resident in the code cache when sampled.

@@ -7,17 +7,12 @@
 //! operand sizes are chosen to match x86-64 closely: one opcode byte,
 //! one byte per register, a mode byte plus 1/4 bytes of displacement for
 //! memory operands, 4-byte branch offsets and 4- or 8-byte immediates.
+//!
+//! The bytes are a size model and nothing decodes them: the machine runs
+//! the [`MachInsn`] values themselves, and only the length of an encoding
+//! (and, in `golden_pipeline`, its digest) is ever read.
 
 use crate::insn::{AluOp, Cond, FpOp, Gpr, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
-
-/// Encoding/decoding error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Ran out of bytes while decoding.
-    Truncated,
-    /// An opcode or field value is not valid.
-    Invalid(u8),
-}
 
 fn size_code(s: MemSize) -> u8 {
     match s {
@@ -27,17 +22,6 @@ fn size_code(s: MemSize) -> u8 {
         MemSize::U64 => 3,
         MemSize::U128 => 4,
     }
-}
-
-fn size_from(c: u8) -> Result<MemSize, CodecError> {
-    Ok(match c {
-        0 => MemSize::U8,
-        1 => MemSize::U16,
-        2 => MemSize::U32,
-        3 => MemSize::U64,
-        4 => MemSize::U128,
-        v => return Err(CodecError::Invalid(v)),
-    })
 }
 
 fn alu_code(op: AluOp) -> u8 {
@@ -56,25 +40,6 @@ fn alu_code(op: AluOp) -> u8 {
         AluOp::Shr => 13,
         AluOp::Sar => 14,
     }
-}
-
-fn alu_from(c: u8) -> Result<AluOp, CodecError> {
-    Ok(match c {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::And,
-        3 => AluOp::Or,
-        4 => AluOp::Xor,
-        5 => AluOp::Mul,
-        6 => AluOp::MulHiU,
-        7 => AluOp::MulHiS,
-        8 => AluOp::DivU,
-        9 => AluOp::DivS,
-        12 => AluOp::Shl,
-        13 => AluOp::Shr,
-        14 => AluOp::Sar,
-        v => return Err(CodecError::Invalid(v)),
-    })
 }
 
 fn cond_code(c: Cond) -> u8 {
@@ -96,26 +61,6 @@ fn cond_code(c: Cond) -> u8 {
     }
 }
 
-fn cond_from(c: u8) -> Result<Cond, CodecError> {
-    Ok(match c {
-        0 => Cond::Eq,
-        1 => Cond::Ne,
-        2 => Cond::Lt,
-        3 => Cond::Le,
-        4 => Cond::Ge,
-        5 => Cond::Gt,
-        6 => Cond::SLt,
-        7 => Cond::SLe,
-        8 => Cond::SGe,
-        9 => Cond::SGt,
-        10 => Cond::Mi,
-        11 => Cond::Pl,
-        12 => Cond::Vs,
-        13 => Cond::Vc,
-        v => return Err(CodecError::Invalid(v)),
-    })
-}
-
 fn fp_code(op: FpOp) -> u8 {
     match op {
         FpOp::AddD => 0,
@@ -126,32 +71,12 @@ fn fp_code(op: FpOp) -> u8 {
     }
 }
 
-fn fp_from(c: u8) -> Result<FpOp, CodecError> {
-    Ok(match c {
-        0 => FpOp::AddD,
-        1 => FpOp::SubD,
-        2 => FpOp::MulD,
-        3 => FpOp::DivD,
-        4 => FpOp::SqrtD,
-        v => return Err(CodecError::Invalid(v)),
-    })
-}
-
 fn vec_code(op: VecOp) -> u8 {
     match op {
         VecOp::AddPd => 4,
         VecOp::MulPd => 5,
         VecOp::Dup64 => 10,
     }
-}
-
-fn vec_from(c: u8) -> Result<VecOp, CodecError> {
-    Ok(match c {
-        4 => VecOp::AddPd,
-        5 => VecOp::MulPd,
-        10 => VecOp::Dup64,
-        v => return Err(CodecError::Invalid(v)),
-    })
 }
 
 /// A byte writer used by the encoder.
@@ -207,76 +132,6 @@ impl Writer<'_> {
                     self.u64(*v);
                 }
             }
-        }
-    }
-}
-
-/// A byte reader used by the decoder.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let v = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
-        self.pos += 1;
-        Ok(v)
-    }
-    fn i32(&mut self) -> Result<i32, CodecError> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or(CodecError::Truncated)?;
-        self.pos += 4;
-        Ok(i32::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + 8)
-            .ok_or(CodecError::Truncated)?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn gpr(&mut self) -> Result<Gpr, CodecError> {
-        let v = self.u8()?;
-        Gpr::from_index(v).ok_or(CodecError::Invalid(v))
-    }
-    fn xmm(&mut self) -> Result<Xmm, CodecError> {
-        let v = self.u8()?;
-        if v < Xmm::COUNT {
-            Ok(Xmm(v))
-        } else {
-            Err(CodecError::Invalid(v))
-        }
-    }
-    fn mem(&mut self) -> Result<MemRef, CodecError> {
-        let mode = self.u8()?;
-        let base = self.gpr()?;
-        let index = if mode & 1 != 0 {
-            let b = self.u8()?;
-            let reg = Gpr::from_index(b & 0x3F).ok_or(CodecError::Invalid(b))?;
-            let scale = 1u8 << (b >> 6);
-            Some((reg, scale))
-        } else {
-            None
-        };
-        let disp = if mode & 4 != 0 {
-            0
-        } else if mode & 2 != 0 {
-            self.u8()? as i8 as i32
-        } else {
-            self.i32()?
-        };
-        Ok(MemRef { base, index, disp })
-    }
-    fn operand(&mut self) -> Result<Operand, CodecError> {
-        match self.u8()? {
-            0 => Ok(Operand::Reg(self.gpr()?)),
-            1 => Ok(Operand::Imm(self.i32()? as i64 as u64)),
-            2 => Ok(Operand::Imm(self.u64()?)),
-            v => Err(CodecError::Invalid(v)),
         }
     }
 }
@@ -476,202 +331,6 @@ pub fn encode_block(insns: &[MachInsn]) -> Vec<u8> {
     out
 }
 
-/// Decodes one instruction starting at `buf[*pos]`, advancing `pos`.
-pub fn decode(buf: &[u8], pos: &mut usize) -> Result<MachInsn, CodecError> {
-    let mut r = Reader { buf, pos: *pos };
-    let op = r.u8()?;
-    let insn = match op {
-        0x01 => MachInsn::MovImm {
-            dst: r.gpr()?,
-            imm: r.u64()?,
-        },
-        0x02 => MachInsn::MovReg {
-            dst: r.gpr()?,
-            src: r.gpr()?,
-        },
-        0x03 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::Load {
-                dst: r.gpr()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x04 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::LoadSx {
-                dst: r.gpr()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x05 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::Store {
-                src: r.gpr()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x06 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::StoreImm {
-                imm: r.u64()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x07 => MachInsn::Lea {
-            dst: r.gpr()?,
-            addr: r.mem()?,
-        },
-        0x08 => {
-            let op = alu_from(r.u8()?)?;
-            MachInsn::Alu {
-                op,
-                dst: r.gpr()?,
-                src: r.operand()?,
-            }
-        }
-        0x09 => MachInsn::Cmp {
-            a: r.gpr()?,
-            b: r.operand()?,
-        },
-        0x0A => MachInsn::Test {
-            a: r.gpr()?,
-            b: r.operand()?,
-        },
-        0x0B => MachInsn::Neg { dst: r.gpr()? },
-        0x0C => MachInsn::Not { dst: r.gpr()? },
-        0x0D => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::MovZx {
-                dst: r.gpr()?,
-                src: r.gpr()?,
-                size,
-            }
-        }
-        0x0E => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::MovSx {
-                dst: r.gpr()?,
-                src: r.gpr()?,
-                size,
-            }
-        }
-        0x0F => MachInsn::SetCc {
-            cond: cond_from(r.u8()?)?,
-            dst: r.gpr()?,
-        },
-        0x10 => MachInsn::CmovCc {
-            cond: cond_from(r.u8()?)?,
-            dst: r.gpr()?,
-            src: r.gpr()?,
-        },
-        0x11 => MachInsn::Jmp { target: r.i32()? },
-        0x12 => MachInsn::Jcc {
-            cond: cond_from(r.u8()?)?,
-            target: r.i32()?,
-        },
-        0x13 => {
-            let lo = r.u8()? as u16;
-            let hi = r.u8()? as u16;
-            let _pad = r.i32()?;
-            MachInsn::CallHelper {
-                helper: lo | (hi << 8),
-            }
-        }
-        0x14 => MachInsn::Ret,
-        0x15 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::LoadXmm {
-                dst: r.xmm()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x16 => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::StoreXmm {
-                src: r.xmm()?,
-                addr: r.mem()?,
-                size,
-            }
-        }
-        0x17 => MachInsn::MovGprToXmm {
-            dst: r.xmm()?,
-            src: r.gpr()?,
-        },
-        0x18 => MachInsn::MovXmmToGpr {
-            dst: r.gpr()?,
-            src: r.xmm()?,
-        },
-        0x19 => {
-            let op = fp_from(r.u8()?)?;
-            MachInsn::Fp {
-                op,
-                dst: r.xmm()?,
-                src: r.xmm()?,
-            }
-        }
-        0x1A => MachInsn::FpFma {
-            dst: r.xmm()?,
-            a: r.xmm()?,
-            b: r.xmm()?,
-        },
-        0x1B => MachInsn::FpCmp {
-            a: r.xmm()?,
-            b: r.xmm()?,
-        },
-        0x1C => MachInsn::CvtI2D {
-            dst: r.xmm()?,
-            src: r.gpr()?,
-        },
-        0x1D => MachInsn::CvtD2I {
-            dst: r.gpr()?,
-            src: r.xmm()?,
-        },
-        0x20 => {
-            let op = vec_from(r.u8()?)?;
-            MachInsn::Vec {
-                op,
-                dst: r.xmm()?,
-                src: r.xmm()?,
-            }
-        }
-        0x2D => MachInsn::TraceEdge,
-        0x2E => {
-            let reconcile = r.u8()? != 0;
-            MachInsn::BackEdge {
-                pc: r.u64()?,
-                target: r.i32()?,
-                reconcile,
-            }
-        }
-        0x2F => {
-            let size = size_from(r.u8()?)?;
-            MachInsn::MovXmm {
-                dst: r.xmm()?,
-                src: r.xmm()?,
-                size,
-            }
-        }
-        v => return Err(CodecError::Invalid(v)),
-    };
-    *pos = r.pos;
-    Ok(insn)
-}
-
-/// Decodes an entire encoded block.
-pub fn decode_block(buf: &[u8]) -> Result<Vec<MachInsn>, CodecError> {
-    let mut pos = 0;
-    let mut out = Vec::new();
-    while pos < buf.len() {
-        out.push(decode(buf, &mut pos)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,11 +490,23 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip_every_variant() {
+    fn every_sample_encodes_to_a_byte_string_of_its_own() {
+        // `encode` reports exactly the bytes it appended, and no two
+        // different instructions share an encoding: what the code-size
+        // statistics and `golden_pipeline`'s digests of encoded blocks rely on.
         let insns = sample_insns();
-        let bytes = encode_block(&insns);
-        let decoded = decode_block(&bytes).expect("decode");
-        assert_eq!(insns, decoded);
+        let mut out = Vec::new();
+        let mut seen = std::collections::HashMap::new();
+        for insn in &insns {
+            let start = out.len();
+            let n = encode(insn, &mut out);
+            assert!(n > 0, "{insn:?}");
+            assert_eq!(out.len() - start, n, "{insn:?}");
+            if let Some(other) = seen.insert(out[start..].to_vec(), insn) {
+                panic!("{insn:?} encodes like {other:?}");
+            }
+        }
+        assert_eq!(encode_block(&insns), out);
     }
 
     #[test]
@@ -880,54 +551,5 @@ mod tests {
             &mut buf,
         );
         assert!(small < large);
-    }
-
-    #[test]
-    fn truncated_input_is_an_error() {
-        let insns = [MachInsn::MovImm {
-            dst: Gpr::Rax,
-            imm: 42,
-        }];
-        let bytes = encode_block(&insns);
-        assert_eq!(
-            decode_block(&bytes[..bytes.len() - 1]),
-            Err(CodecError::Truncated)
-        );
-    }
-
-    #[test]
-    fn invalid_opcode_is_an_error() {
-        assert!(matches!(
-            decode_block(&[0xFF]),
-            Err(CodecError::Invalid(0xFF))
-        ));
-        // The bytes of the system instructions no translator emits stay free:
-        // followed by operand bytes that would have decoded, each is refused.
-        for op in [0x00, 0x1E, 0x1F].into_iter().chain(0x21..=0x2C) {
-            let buf = [op, 0, 0, 0, 0];
-            assert_eq!(
-                decode(&buf, &mut 0),
-                Err(CodecError::Invalid(op)),
-                "{op:#x}"
-            );
-        }
-        // So do the codes of the operators no translator emits, inside an
-        // instruction that is otherwise well formed: ALU (register operand),
-        // scalar FP, packed vector.
-        let freed = [
-            (0x08, vec![10, 11, 15]),
-            (0x19, (5..=12).collect()),
-            (0x20, vec![0, 1, 2, 3, 6, 7, 8, 9]),
-        ];
-        for (opcode, codes) in freed {
-            for code in codes {
-                let buf = [opcode, code, 0, 0, 0];
-                assert_eq!(
-                    decode(&buf, &mut 0),
-                    Err(CodecError::Invalid(code)),
-                    "{opcode:#x} {code}"
-                );
-            }
-        }
     }
 }

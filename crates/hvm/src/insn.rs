@@ -74,11 +74,6 @@ impl Gpr {
         Gpr::R14,
     ];
 
-    /// Converts an encoding index back to a register.
-    pub fn from_index(i: u8) -> Option<Gpr> {
-        Gpr::ALL.get(i as usize).copied()
-    }
-
     /// Encoding index of the register.
     pub fn index(self) -> u8 {
         self as u8
@@ -98,11 +93,6 @@ impl fmt::Display for Gpr {
 /// Vector (SSE-like) host registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Xmm(pub u8);
-
-impl Xmm {
-    /// Number of vector registers.
-    pub const COUNT: u8 = 16;
-}
 
 impl fmt::Display for Xmm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -407,10 +397,10 @@ pub enum MachInsn {
     CvtD2I { dst: Gpr, src: Xmm },
     /// Packed vector operation `dst <- dst op src`.
     Vec { op: VecOp, dst: Xmm, src: Xmm },
-    /// Pseudo-instruction marking an intra-superblock constituent boundary:
+    /// Pseudo-instruction marking an intra-region constituent boundary:
     /// control passed from one stitched guest basic block to the next without
-    /// returning to the dispatcher.  Costs [`crate::CostModel::superblock_transfer`]
-    /// and bumps [`crate::PerfCounters::superblock_transfers`].
+    /// returning to the dispatcher.  Costs [`crate::CostModel::region_transfer`]
+    /// and bumps [`crate::PerfCounters::region_transfers`].
     TraceEdge,
     /// A region-internal backward transfer: sets the guest PC (`%r15`) to
     /// `pc` and jumps `target` instructions backward within the same
@@ -503,9 +493,8 @@ mod tests {
     fn gpr_indices_roundtrip() {
         for (i, r) in Gpr::ALL.iter().enumerate() {
             assert_eq!(r.index() as usize, i);
-            assert_eq!(Gpr::from_index(i as u8), Some(*r));
+            assert_eq!(Gpr::ALL[r.index() as usize], *r);
         }
-        assert_eq!(Gpr::from_index(16), None);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * 16 general-purpose registers, 16 vector registers, condition flags;
 //! * a load/store instruction set — exactly what the translators emit — with
 //!   a compact binary encoding ([`encode`]) so generated-code *size* can be
-//!   measured;
+//!   measured: a size model only, since the machine runs the instructions
+//!   and nothing decodes the bytes;
 //! * 4-level hierarchical page tables walked by a hardware-model MMU
 //!   ([`paging`]) and a PCID-tagged TLB ([`tlb`]);
 //! * the two protection rings Captive uses — ring 0 for guest system code,

@@ -544,16 +544,13 @@ impl Machine {
     }
 
     /// Executes one translated block entered through a patched direct chain
-    /// link: charges the (near-zero) chain cost instead of the dispatch cost
-    /// and counts the entry as chained.
+    /// link: charges the (near-zero) chain cost instead of the dispatch cost.
     pub fn run_block_chained(&mut self, code: &[MachInsn], rt: &mut dyn Runtime) -> ExitReason {
         self.perf.cycles += self.cost.chain;
-        self.perf.chained_entries += 1;
         self.run_block_body(code, rt)
     }
 
     fn run_block_body(&mut self, code: &[MachInsn], rt: &mut dyn Runtime) -> ExitReason {
-        self.perf.blocks_entered += 1;
         let mut pc: i64 = 0;
         let mut fuel = self.fuel_per_block;
         let mut backedges_taken = 0u64;
@@ -853,7 +850,7 @@ impl Machine {
                 }
                 MachInsn::TraceEdge => {
                     charge!();
-                    self.perf.superblock_transfers += 1;
+                    self.perf.region_transfers += 1;
                 }
                 MachInsn::BackEdge {
                     pc: header,

@@ -3,6 +3,9 @@
 //! Every figure of `figures` and every `machine.*` metric of the benchmark
 //! (`benchmark/README.md`) is computed from these counters (plus the JIT's
 //! own wall-clock phase timers), so they are deliberately fine-grained.
+//! They count only what happens inside the machine: block entries and chained
+//! entries are the dispatcher's (`RunStats::{blocks, chained_transfers}`),
+//! and an engine's `stats()` samples these into the same table.
 
 /// Counters accumulated while the machine executes translated code.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,24 +26,14 @@ pub struct PerfCounters {
     pub helper_calls: u64,
     /// Host TLB flushes the hypervisor runtime performed.
     pub tlb_flushes: u64,
-    /// Translated blocks entered (dispatch events).
-    pub blocks_entered: u64,
-    /// Blocks entered through a direct chain link (subset of
-    /// `blocks_entered`; these paid the chain cost, not the dispatch cost).
-    pub chained_entries: u64,
-    /// Intra-superblock constituent transfers: stitched block boundaries
+    /// Intra-region constituent transfers: stitched block boundaries
     /// crossed without returning to the dispatcher (each one is an
     /// interpreter entry that chaining alone would have paid for).
-    pub superblock_transfers: u64,
+    pub region_transfers: u64,
     /// Region-internal backward transfers: loop-back edges taken inside one
     /// translation (each one is a whole loop trip that chaining alone would
     /// have re-entered the interpreter for).
     pub backedge_transfers: u64,
-    /// Host instructions the LIR optimiser kept out of executed blocks: each
-    /// block entry adds the number of LIR instructions eliminated from that
-    /// translation (the dynamic instructions-saved count, `elided_dyn_insns`
-    /// in the figures JSON).
-    pub elided_insns: u64,
 }
 
 impl PerfCounters {

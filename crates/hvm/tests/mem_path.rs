@@ -569,7 +569,7 @@ fn golden_perf_counters_of_a_memory_heavy_block() {
         [p.cycles, p.insns, p.mem_accesses, p.tlb_hits, p.tlb_misses],
         GOLDEN
     );
-    assert_eq!([p.page_faults, p.blocks_entered, p.helper_calls], [2, 1, 0]);
+    assert_eq!([p.page_faults, p.helper_calls], [2, 0]);
     assert_eq!((m.tlb.fills, m.tlb.evictions), (5, 0));
     assert_eq!(faults, GOLDEN_FAULTS);
     let digest = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {

@@ -413,7 +413,6 @@ impl QemuRef {
         // the link mode allows).
         let exit = e.exit_hint().unwrap_or(BlockExit::Fallthrough { next: va });
         let lir = e.finish();
-        let lir_count = lir.len();
         // The baseline deliberately skips the `dbt::opt` phase (TCG-style
         // translation quality); it still benefits from the allocator's
         // iterative dead-code marking, which is part of the shared pipeline.
@@ -434,7 +433,7 @@ impl QemuRef {
         };
         self.timers.jit.translated_units += 1;
         self.timers.jit.translated_guest_insns += guest_insns as u64;
-        Region::block(pa, pc, guest_insns, lir_count, exit, t)
+        Region::block(pa, pc, guest_insns, exit, t)
     }
 }
 
