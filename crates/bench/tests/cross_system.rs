@@ -128,6 +128,70 @@ fn fmadd_rounds_once_on_every_engine() {
 }
 
 #[test]
+fn multiply_high_halves_are_the_wide_products_on_every_engine() {
+    // `umulh` and `smulh` of every pair of edge operands: the high halves
+    // of the 128-bit products, unsigned and signed, which differ wherever
+    // an operand has its top bit set.
+    let edges = [
+        i64::MIN as u64,
+        -1i64 as u64,
+        i64::MAX as u64,
+        0,
+        1,
+        u64::MAX,
+    ];
+    for a in edges {
+        let mut p = Assembler::new();
+        p.mov_imm64(0, a);
+        for (k, b) in edges.into_iter().enumerate() {
+            let k = k as u32;
+            p.mov_imm64(1, b);
+            p.push(asm::umulh(2 + 2 * k, 0, 1));
+            p.push(asm::smulh(3 + 2 * k, 0, 1));
+        }
+        p.push(asm::hlt());
+        let (c, q) = run_both(&p.finish());
+        for (k, b) in edges.into_iter().enumerate() {
+            let k = k as u32;
+            let unsigned = ((a as u128 * b as u128) >> 64) as u64;
+            let signed = ((a as i64 as i128 * b as i64 as i128) >> 64) as u64;
+            for (engine, hi) in [
+                ("Captive", c.guest_reg(2 + 2 * k)),
+                ("QemuRef", q.guest_reg(2 + 2 * k)),
+            ] {
+                assert_eq!(hi, unsigned, "{engine}: umulh {a:#x}, {b:#x}");
+            }
+            for (engine, hi) in [
+                ("Captive", c.guest_reg(3 + 2 * k)),
+                ("QemuRef", q.guest_reg(3 + 2 * k)),
+            ] {
+                assert_eq!(hi, signed, "{engine}: smulh {a:#x}, {b:#x}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_svc_hands_its_whole_16_bit_immediate_to_the_handler_on_every_engine() {
+    // ESR's ISS of a supervisor call is the instruction's 16-bit immediate:
+    // the handler reads it back with every bit set.
+    use guest_aarch64::regs::esr_class;
+    use guest_aarch64::SysReg;
+    let mut a = Assembler::new();
+    a.mov_imm64(9, 0x3000);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.push(asm::svc(0xFFFF));
+    a.push(asm::hlt());
+    let handler = [asm::mrs(10, SysReg::Esr as u32), asm::hlt()];
+    let code: [(u64, &[u32]); 2] = [(0x1000, &a.finish()), (0x3000, &handler)];
+    let esr = esr_class::SVC << 26 | 0xFFFF;
+    let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &[], 0x1000);
+    assert_eq!(q.guest_reg(10), esr, "QemuRef: ESR");
+    let c = run_to_halt(Captive::new(CaptiveConfig::default()), &code, &[], 0x1000);
+    assert_eq!(c.guest_reg(10), esr, "Captive: ESR");
+}
+
+#[test]
 fn chaining_on_and_off_are_architecturally_identical() {
     // The chained dispatcher must be invisible to the guest: every SimBench
     // micro (including the MMU-on and TLB-flushing ones) and a SPEC subset

@@ -2,7 +2,7 @@
 //! the region for its target comes from, and what is checked before any of
 //! them is installed.
 //!
-//! A region reaches [`Captive::install_formed`] from one of three places: the
+//! A region reaches `Captive::install_formed` from one of three places: the
 //! synchronous former tracing live memory right now, a tier-1 worker that
 //! traced a snapshot a while ago ([`crate::tier`]), or the content-keyed
 //! reuse cache ([`dbt::reuse`]), which holds what either of them formed
@@ -10,7 +10,7 @@
 //! engine running the same image.  The last two were not made from the
 //! machine as it is now, so each carries the [`Evidence`] the tracer
 //! assembled ([`crate::translator`]) and **one gate**,
-//! [`Captive::evidence_holds`], is the only place evidence is compared with
+//! `Captive::evidence_holds`, is the only place evidence is compared with
 //! the live machine: the tier-1 install (beside its context-generation
 //! compare), the template lookup, the refusal lookup, the publish point's
 //! `covers`, the tier-0 revival and the speculative pool's install

@@ -863,9 +863,15 @@ mod tests {
             son.cycles,
             soff.cycles
         );
+        // Each guest block the chained run enters through the run loop is,
+        // with regions, entered through the run loop, crossed into inside a
+        // region (the machine counts each `TraceEdge`) or re-entered by a
+        // loop trip (each `BackEdge` taken): the run loop's count on one
+        // side, the machine's on the other.
         assert_eq!(
-            son.region_transfers, on.machine.perf.region_transfers,
-            "hypervisor- and machine-level counters agree"
+            son.blocks + son.region_transfers + son.backedge_transfers,
+            soff.blocks,
+            "run-loop entries plus in-region transfers are the guest blocks executed"
         );
     }
 

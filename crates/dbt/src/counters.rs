@@ -1,7 +1,7 @@
 //! Counter tables: a struct of `u64` counters declared **once**, with its
 //! ordered walk and its field-wise sum generated from the same list.
 //!
-//! [`counter_table!`] takes `Kind name: type` lines.  A counter is therefore
+//! `counter_table!` takes `Kind name: type` lines.  A counter is therefore
 //! one line — the declaration — plus the increment wherever the event
 //! happens: everything downstream (the figures JSON, the determinism and
 //! cross-engine diffs, a merge of two translations' counters) goes through

@@ -1069,7 +1069,7 @@ impl DefTable {
 /// after store-to-load forwarding and copy propagation so address values
 /// that round-tripped through the register file (the `lsl`+`ldr_reg` guest
 /// idiom) are visible as register chains.  ([`crate::opt::optimize`] runs
-/// the same [`DefTable::step`] inside its forward walk.)  Folding reads no
+/// the same `DefTable::step` inside its forward walk.)  Folding reads no
 /// guest layout, so `_table` only keeps the signature [`apply_early`]'s.
 pub fn fold_addressing(lir: &mut [LirInsn], _table: &RuleTable, stats: &mut IdiomStats) {
     crate::with_scratch(|s| {

@@ -42,10 +42,10 @@ pub mod opt;
 #[doc(hidden)]
 pub mod probe;
 pub mod regalloc;
-#[cfg(test)]
-mod regalloc_reference;
 pub mod reuse;
 pub mod timing;
+#[cfg(test)]
+mod units;
 
 pub use cache::{
     fnv1a, BlockExit, CacheIndex, CacheStats, Carrier, ChainLinks, CodeCache, KeyMap, Link, Region,
@@ -297,7 +297,7 @@ mod tests {
         // tables) and a three-instruction one, each translated after the
         // other on one thread, against each on a thread of its own.
         let table = RuleTable::builtin();
-        let sparse = crate::regalloc_reference::tests::unit(0x5EED, 5, 40, 100);
+        let sparse = crate::units::unit(0x5EED, 5, 40, 100);
         assert!(sparse
             .iter()
             .any(|i| i.def().is_some_and(|d| d.id >= 1_000)));

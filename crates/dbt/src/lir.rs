@@ -1,6 +1,6 @@
 //! Low-level IR: host instructions over virtual registers.
 //!
-//! This is the paper's "low-level IR [that] is effectively x86 machine
+//! This is the paper's "low-level IR \[that\] is effectively x86 machine
 //! instructions, but with virtual register operands in place of physical
 //! registers" (Fig. 10).  A handful of reserved physical registers appear
 //! implicitly: the guest register-file base pointer (`%rbp`) and the guest

@@ -704,9 +704,9 @@ mod tests {
     use super::*;
     use crate::lir::{LirMem, Vreg, VregClass};
     use crate::opt::{optimize_in, Caps, CAPS};
-    use crate::probe::unit_rig;
+    use crate::probe::{differs_at_exit, unit_rig};
     use crate::regalloc::allocate;
-    use crate::regalloc_reference::tests::fp_loop_unit;
+    use crate::units::{every_vreg_in_its_own_slot, fp_loop_unit, runnable_unit, unit};
 
     #[test]
     fn lowers_the_add_example_to_machine_code() {
@@ -1078,9 +1078,10 @@ mod tests {
         unit_rig().compare((got, &[]), (want, &[]), 0)
     }
 
-    /// Random units of every shape: (seed, shape, vreg count, length).
-    fn corpus() -> impl Iterator<Item = (u64, usize, u64, u64)> {
-        (1..250u64).flat_map(|seed| {
+    /// Random units of every shape from seeds `1..seeds`: (seed, shape,
+    /// vreg count, length).
+    fn corpus(seeds: u64) -> impl Iterator<Item = (u64, usize, u64, u64)> {
+        (1..seeds).flat_map(|seed| {
             (0..6).map(move |shape| (seed * 0x9E37_79B9, shape, 3 + seed % 45, 20 + seed % 100))
         })
     }
@@ -1096,34 +1097,58 @@ mod tests {
     }
 
     #[test]
-    fn a_split_allocation_runs_like_the_unsplit_one() {
-        // Splitting changes where a value lives, never what the unit
-        // computes: every runnable unit, lowered once with the splitting
-        // scan and once with the unsplit one, ends the same way with the
-        // same register file and guest PC.  The oracle knows nothing of
-        // ranges or split rules — a split store left out, a split a jump
-        // bypasses, or a split of a loop-carried range reads the spill
-        // area's filler (or the register's new owner) instead of the value.
-        let (mut split, mut split_loops) = (0, 0);
-        for (seed, shape, nv, len) in corpus() {
-            let lir = crate::regalloc_reference::tests::runnable_unit(seed, shape, nv, len);
-            let alloc = allocate(&lir);
-            let unsplit = crate::regalloc::allocate_unsplit(&lir);
-            let code = lower(&lir, &alloc).expect("assignments are complete");
-            let want = lower(&lir, &unsplit).expect("assignments are complete");
-            let ran = runs_like(&code, &want)
-                .unwrap_or_else(|e| panic!("seed {seed:#x} shape {shape}: {e}: {lir:?}"));
-            if !ran {
-                continue;
-            }
-            if !alloc.splits.is_empty() {
-                split += 1;
-                split_loops += (shape >= 2) as u32;
+    fn every_allocation_runs_like_every_vreg_in_its_own_slot() {
+        // The oracle is the allocation nothing can get wrong: every vreg in
+        // a spill slot of its own, nothing dead, nothing split.  Every
+        // runnable unit and looping FP / vector unit, lowered with the
+        // splitting scan and with the unsplit one, ends the same way with
+        // the same register file, guest memory and guest PC as lowered with
+        // the oracle.  The oracle shares no rule with the allocator, so a
+        // rule broken shows as a different end state: a range that ends too
+        // early, a loop-carried value's register handed to a loop-local
+        // one, a copy hand-over from a source still live, a split store left
+        // out or bypassed by a jump, a split of a loop-carried range.
+        // Reloading and storing back every operand, the oracle executes up
+        // to a few times the host instructions, so it gets five times the
+        // rig's 20 000; an allocation that runs out of those is not compared
+        // (a random loop that never ends).
+        let mut rig = unit_rig();
+        let (mut compared, mut split, mut split_loops, mut swept) = (0, 0, 0, 0);
+        let runnable = corpus(450)
+            .map(|(seed, shape, nv, len)| ((seed, shape), runnable_unit(seed, shape, nv, len)));
+        let fp = (1..300u64).map(|seed| {
+            let lir = fp_loop_unit(seed * 0x9E37_79B9, 8 + seed % 40, 20 + seed % 100);
+            ((seed, 6), lir) // "shape 6": the looping FP unit of `seed`
+        });
+        for ((seed, shape), lir) in runnable.chain(fp) {
+            let mut want = None;
+            for alloc in [allocate(&lir), crate::regalloc::allocate_unsplit(&lir)] {
+                let code = lower(&lir, &alloc).expect("assignments are complete");
+                let Some(got) = rig.exit_state(&code, 20_000) else {
+                    continue;
+                };
+                let want = want.get_or_insert_with(|| {
+                    let own_slots = every_vreg_in_its_own_slot(&lir);
+                    let code = lower(&lir, &own_slots).expect("every vreg has a slot");
+                    rig.exit_state(&code, 100_000)
+                });
+                let Some(want) = want else {
+                    panic!("seed {seed:#x} shape {shape}: the oracle ran out of fuel: {lir:?}");
+                };
+                differs_at_exit(&got, want)
+                    .unwrap_or_else(|e| panic!("seed {seed:#x} shape {shape}: {e}: {lir:?}"));
+                compared += 1;
+                if !alloc.splits.is_empty() {
+                    split += 1;
+                    split_loops += (shape >= 2) as u32;
+                }
+                swept += alloc.dead.contains(&true) as u32;
             }
         }
         assert!(
-            split > 200 && split_loops > 100,
-            "{split} units split, {split_loops} looping"
+            compared >= 5_000 && split >= 250 && split_loops >= 100 && swept >= 2_500,
+            "{compared} runs compared, {split} of them split ({split_loops} in a loop), \
+             {swept} with dead instructions"
         );
     }
 
@@ -1175,8 +1200,8 @@ mod tests {
         // unsplit scan holds in registers is allocated and lowered exactly
         // as before splitting existed.
         let mut fits = 0;
-        for (seed, shape, nv, len) in corpus() {
-            let lir = crate::regalloc_reference::tests::unit(seed, shape, nv, len);
+        for (seed, shape, nv, len) in corpus(250) {
+            let lir = unit(seed, shape, nv, len);
             let unsplit = crate::regalloc::allocate_unsplit(&lir);
             if unsplit.spill_slots > 0 {
                 continue;
@@ -1199,8 +1224,8 @@ mod tests {
         // everything lowered for the instructions before that index — jump
         // displacements aside, which depend on what follows — is the same.
         let mut compared = 0;
-        for (seed, shape, nv, len) in corpus() {
-            let lir = crate::regalloc_reference::tests::unit(seed, shape, nv, len);
+        for (seed, shape, nv, len) in corpus(250) {
+            let lir = unit(seed, shape, nv, len);
             let alloc = allocate(&lir);
             let Some(first) = alloc.splits.first() else {
                 continue;

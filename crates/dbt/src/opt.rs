@@ -18,7 +18,7 @@
 //!   emitter's pristine LIR: compare+branch fusion matches the exact
 //!   instruction shapes the frontend generators emit, so it must see the
 //!   unit before anything reorders it.
-//! * **PC on demand** ([`observed`]) runs right after promotion: the
+//! * **PC on demand** (`observed`) runs right after promotion: the
 //!   guest PC as a translation-time constant, written only before an
 //!   instruction that can observe it.  After promotion, so promotion's
 //!   admission and carriers are what they would be without it; before the
@@ -32,7 +32,7 @@
 //! * **Carrier write-through** runs after them, and only when promotion
 //!   produced carriers (looping tier-1 regions; a plain block never pays
 //!   for the scan): it wants the copies the other passes could not fold.
-//! * The other two [`observed`] rewrites run last: in a looping unit,
+//! * The other two `observed` rewrites run last: in a looping unit,
 //!   register-file stores only side exits read moved into those exits, and
 //!   host-flag reuse for `Cmp v, 0` / `Test v, v`.
 //!
@@ -61,7 +61,7 @@
 //!    of pass 2): promotion turns every in-loop store of a promoted slot
 //!    into `C = mov X`, and every load into `X = mov C`, so a promoted
 //!    `x1 += 1` runs as `mov X, C; add X, 1; mov C, X` — copy propagation
-//!    cannot fold a copy *keyed* by a carrier (see [`CopyMap::step`]).
+//!    cannot fold a copy *keyed* by a carrier (see `CopyMap::step`).
 //!    This pass renames the value's definition chain to compute in the
 //!    carrier directly; see "Writing promoted carriers through" below.
 //!
@@ -69,8 +69,8 @@
 //!
 //! Each pass above is specified — and tested — as a whole-unit pass, but a
 //! unit is not walked once per pass.  Every forward value pass is a
-//! per-instruction **step** on its own state ([`SlotFacts`], [`CopyMap`],
-//! the idiom layer's [`DefTable`]), and [`optimize`] pushes an instruction
+//! per-instruction **step** on its own state (`SlotFacts`, `CopyMap`,
+//! the idiom layer's `DefTable`), and [`optimize`] pushes an instruction
 //! through all of them before it looks at the next: **one forward walk**
 //! (forwarding, copy propagation and address folding) and **one backward
 //! walk** for dead-store elimination.  That is the passes run one after the other by
@@ -81,7 +81,7 @@
 //! that (promotion rewrites the whole unit) runs between walks.  Each pass
 //! has one implementation — the whole-unit loops the unit tests drive are
 //! the same steps — and its tables live in the crate's per-thread scratch
-//! ([`crate::with_scratch`]: *capacity, never facts*; a pass's `reset` is
+//! (`crate::with_scratch`: *capacity, never facts*; a pass's `reset` is
 //! what makes its table valid).
 //!
 //! # Safety conditions — what counts as an observer of a regfile slot
@@ -335,7 +335,7 @@ pub(crate) struct OptScratch {
 /// it matches the emitter's pristine LIR shapes, so it must see the unit
 /// before anything reorders it), then
 /// loop-carried slot promotion (when `promote`, so the
-/// carrier moves it plants feed the later passes), [`observed`]'s PC on
+/// carrier moves it plants feed the later passes), `observed`'s PC on
 /// demand, store-to-load forwarding
 /// (so forwarded loads no longer pin the stores they used to read), copy
 /// propagation (folding the `MovReg`s promotion and forwarding just
@@ -343,7 +343,7 @@ pub(crate) struct OptScratch {
 /// forwarding and copy propagation to have connected register-file
 /// round-trips into visible register chains), dead-store elimination, —
 /// only when promotion produced carriers — carrier write-through, and last
-/// the other two [`observed`] rewrites.  The forward value passes share one walk
+/// the other two `observed` rewrites.  The forward value passes share one walk
 /// ("Two walks" in the module docs).
 pub fn optimize(lir: &mut Vec<LirInsn>, promote: bool, idioms: Option<&RuleTable>) -> OptStats {
     crate::with_scratch(|s| optimize_in(s, lir, promote.then_some(CAPS), idioms))
@@ -2972,7 +2972,7 @@ mod tests {
         for seed in 1..150u64 {
             for shape in 0..6 {
                 let mut unit = chain.to_vec();
-                unit.extend(crate::regalloc_reference::tests::unit(
+                unit.extend(crate::units::unit(
                     seed * 0x9E37_79B9,
                     shape,
                     3 + seed % 45,

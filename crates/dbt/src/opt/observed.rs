@@ -875,7 +875,7 @@ mod tests {
     use super::*;
     use crate::lir::LirMem;
     use crate::probe::{unit_rig, Rig};
-    use crate::regalloc_reference::tests::{fp_loop_unit, runnable_unit};
+    use crate::units::{fp_loop_unit, runnable_unit};
     use crate::{finish_translation, CounterField, JitCounters, PhaseTimers};
     use hvm::{Cond, MemSize};
 

@@ -278,14 +278,14 @@ impl Rig {
 
 /// The rig the crate's generated units run on: the register file at
 /// 0x8000 (the spill area is the page below) and the guest data at
-/// [`crate::regalloc_reference::tests::FP_DATA`], both holding a pattern no
-/// stored value repeats.
+/// [`crate::units::FP_DATA`], both holding a pattern no stored value
+/// repeats.
 #[cfg(test)]
 pub(crate) fn unit_rig() -> Rig {
     let layout = Layout {
         regfile: 0x8000,
         regfile_len: 0x400,
-        data: crate::regalloc_reference::tests::FP_DATA,
+        data: crate::units::FP_DATA,
         data_len: 0x100,
         phys_mem: 0x10000,
         entry_pc: 0x4_0000,
@@ -296,6 +296,25 @@ pub(crate) fn unit_rig() -> Rig {
         pattern[..0x200].to_vec(),
         pattern[0x80..0x180].to_vec(),
     )
+}
+
+#[cfg(test)]
+impl Rig {
+    /// What `code` (not yet [`probed`]) leaves at its exit when it runs
+    /// without a fault on `fuel` host instructions (the rig's own is
+    /// 20 000); `None` when it ran out of them.
+    pub(crate) fn exit_state(&mut self, code: &[MachInsn], fuel: u64) -> Option<Observation> {
+        let own = std::mem::replace(&mut self.machine.fuel_per_block, fuel);
+        let seen = self.run(&probed(code), &[], None);
+        self.machine.fuel_per_block = own;
+        seen
+    }
+}
+
+/// The first way `got` differs from `want` at the exit.
+#[cfg(test)]
+pub(crate) fn differs_at_exit(got: &Observation, want: &Observation) -> Result<(), String> {
+    describe(got, want, "the exit")
 }
 
 /// The first way `got` differs from `want`, as seen at `observer`.

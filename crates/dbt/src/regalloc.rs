@@ -82,7 +82,7 @@
 //! * **GPR class only**: the 13-register vector pool does not run out on the
 //!   workloads, and a vector newcomer still spills.
 //!
-//! The next-occurrence table ([`SplitTables`]) is built the first time a unit
+//! The next-occurrence table (`SplitTables`) is built the first time a unit
 //! runs out of registers and never for the others, so a unit whose
 //! allocation needs no spill slot is allocated exactly as before, and a unit
 //! that splits is allocated as before up to its first split index.
@@ -101,20 +101,20 @@
 //! that caused it: every figure kernel keeps its cycles.
 //!
 //! Promotion's trial allocations price carriers on the unsplit scan
-//! ([`Scan::Unsplit`]; see [`crate::opt`]).
+//! (`Scan::Unsplit`; see [`crate::opt`]).
 //!
 //! # Two walks, one scratch
 //!
 //! [`allocate`] walks the unit twice.  **Forward** once
-//! ([`AllocScratch::scan`]): both id bounds, where every label sits and
+//! (`AllocScratch::scan`): both id bounds, where every label sits and
 //! which jumps go backward — labels and jumps are never dead, so none of it
 //! waits for liveness.  **Backward** once per fixpoint pass
-//! ([`AllocScratch::mark_dead`]): the dead marks and, in the same visit of
+//! (`AllocScratch::mark_dead`): the dead marks and, in the same visit of
 //! each kept instruction, every vreg's first and last occurrence — reset at
 //! the top of every pass, so what the table holds at the end was recorded
 //! under the very decisions the marks record.  Everything after works on
 //! live ranges, not instructions.  Every table involved lives in the crate's
-//! per-thread scratch ([`crate::with_scratch`]: *capacity, never facts*),
+//! per-thread scratch (`crate::with_scratch`: *capacity, never facts*),
 //! resized and re-zeroed to the unit at hand.
 //!
 //! # Id-indexed bookkeeping
@@ -125,7 +125,7 @@
 //! tables, and first/last occurrences and the final [`AssignmentMap`] are
 //! vreg-indexed `Vec`s.  Density is an assumption about *cost* only, never
 //! about correctness: the table sizes come from one scan of the unit itself
-//! ([`IdBounds`]: largest id mentioned, plus one), not from the emitter's
+//! (`IdBounds`: largest id mentioned, plus one), not from the emitter's
 //! counters, so hand-written units with sparse or large ids allocate
 //! correctly and merely pay for the gap.
 
@@ -177,6 +177,15 @@ impl AssignmentMap {
     #[cfg(test)]
     pub(crate) fn remove(&mut self, id: u32) -> Option<Assignment> {
         self.slots.get_mut(id as usize).and_then(Option::take)
+    }
+
+    /// Puts vreg `id` in `a` (tests build allocations by hand).
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, id: u32, a: Assignment) {
+        if self.slots.len() <= id as usize {
+            self.slots.resize(id as usize + 1, None);
+        }
+        self.slots[id as usize] = Some(a);
     }
 }
 
@@ -622,7 +631,7 @@ impl AllocScratch {
 /// Conservative host-flag liveness for the idiom recognizer: `out[i]` is
 /// `true` when some instruction that may execute after instruction `i`
 /// reads the host flags (`SetCc`/`CmovCc`/`Jcc`) before any instruction
-/// overwrites them.  The bookkeeping mirrors [`AllocScratch::mark_dead`]'s flag demand
+/// overwrites them.  The bookkeeping mirrors `AllocScratch::mark_dead`'s flag demand
 /// exactly — `Jmp` replaces the linear state with its target label's,
 /// `BackEdge` does too (unioning when `reconcile` falls through into a
 /// compensation block), `Jcc` unions, `Ret` clears — but every instruction
@@ -813,8 +822,8 @@ fn split_victim(
 /// Runs liveness analysis, dead-code marking and linear-scan assignment,
 /// splitting ranges at the conflict point (see the module docs).
 ///
-/// Two walks over the unit: [`AllocScratch::scan`] forward (id bounds, label
-/// positions, backward jumps) and [`AllocScratch::mark_dead`] backward (dead
+/// Two walks over the unit: `AllocScratch::scan` forward (id bounds, label
+/// positions, backward jumps) and `AllocScratch::mark_dead` backward (dead
 /// marks and every vreg's first and last surviving occurrence, once per
 /// fixpoint pass); what follows works on live ranges, not instructions.
 pub fn allocate(lir: &[LirInsn]) -> Allocation {
@@ -959,7 +968,7 @@ pub(crate) fn allocate_into(
 mod tests {
     use super::*;
     use crate::lir::{LirMem, LirOperand};
-    use crate::regalloc_reference::tests::unit;
+    use crate::units::unit;
     use hvm::{AluOp, Cond, MemSize};
     use proptest::prelude::*;
 
@@ -1810,7 +1819,7 @@ mod tests {
         assert!(matches!(alloc.assignment[0], Assignment::Xmm(_)));
     }
 
-    /// What [`AllocScratch::mark_dead`] leaves in the occurrence table for
+    /// What `AllocScratch::mark_dead` leaves in the occurrence table for
     /// `lir`, next to a forward recount over the dead marks it returned
     /// (the walk the two used to be), and how many fixpoint passes it took.
     fn occurrences_and_recount(lir: &[LirInsn]) -> (Vec<Option<Range>>, Vec<Option<Range>>, u32) {

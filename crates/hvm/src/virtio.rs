@@ -71,7 +71,7 @@
 //! one used-ring entry, so count-driven guests always terminate.  A
 //! [`FaultKind::Reordered`] request waits for the next submission before it
 //! may retire; programs that stop submitting must fence the tail of the
-//! schedule with [`FaultPlan::exempt_after`] (the chaos harness exempts its
+//! schedule with `FaultPlan::exempt_after` (the chaos harness exempts its
 //! final, forced request this way).  Malformed descriptor chains — loops,
 //! out-of-range indices, unreadable headers — are salvaged into an
 //! [`STATUS_IOERR`] completion and counted in [`VirtioStats::desc_errors`].

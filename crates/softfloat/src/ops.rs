@@ -206,7 +206,7 @@ pub fn f64_div(a: u64, b: u64, env: &mut FpEnv) -> u64 {
 
 /// Square root of a binary64 value, following the generic IEEE-754 rules
 /// (negative non-zero inputs are invalid and yield a NaN whose flavour is
-/// decided by the environment's NaN policy; see [`crate::arch`]).
+/// decided by the environment's NaN policy; see `crate::arch`).
 pub fn f64_sqrt(a: u64, env: &mut FpEnv) -> u64 {
     let ca = classify64(a);
     if is_nan64(a) {
