@@ -704,7 +704,7 @@ mod tests {
     use super::*;
     use crate::lir::{LirMem, Vreg, VregClass};
     use crate::opt::{optimize_in, Caps, CAPS};
-    use crate::probe::{differs_at_exit, unit_rig};
+    use crate::probe::{probed, unit_rig};
     use crate::regalloc::allocate;
     use crate::units::{every_vreg_in_its_own_slot, fp_loop_unit, runnable_unit, unit};
 
@@ -1075,7 +1075,7 @@ mod tests {
     /// file, guest memory and guest PC.  `false` when both ran out of fuel
     /// (a random loop that never ends).
     fn runs_like(got: &[MachInsn], want: &[MachInsn]) -> Result<bool, String> {
-        unit_rig().compare((got, &[]), (want, &[]), 0)
+        unit_rig(20_000).compare((got, &[]), (want, &[]), 0)
     }
 
     /// Random units of every shape from seeds `1..seeds`: (seed, shape,
@@ -1109,10 +1109,11 @@ mod tests {
         // one, a copy hand-over from a source still live, a split store left
         // out or bypassed by a jump, a split of a loop-carried range.
         // Reloading and storing back every operand, the oracle executes up
-        // to a few times the host instructions, so it gets five times the
-        // rig's 20 000; an allocation that runs out of those is not compared
-        // (a random loop that never ends).
-        let mut rig = unit_rig();
+        // to a few times the host instructions, so the rig gives each run
+        // five times the 20 000 of the other tests' rig.  A unit whose
+        // oracle runs out of them is not compared (a random loop that never
+        // ends); an allocation that runs out where the oracle did not fails.
+        let mut rig = unit_rig(100_000);
         let (mut compared, mut split, mut split_loops, mut swept) = (0, 0, 0, 0);
         let runnable = corpus(450)
             .map(|(seed, shape, nv, len)| ((seed, shape), runnable_unit(seed, shape, nv, len)));
@@ -1121,21 +1122,14 @@ mod tests {
             ((seed, 6), lir) // "shape 6": the looping FP unit of `seed`
         });
         for ((seed, shape), lir) in runnable.chain(fp) {
-            let mut want = None;
+            let own_slots = every_vreg_in_its_own_slot(&lir);
+            let want = lower(&lir, &own_slots).expect("every vreg has a slot");
+            if rig.run(&probed(&want), &[], None).is_none() {
+                continue;
+            }
             for alloc in [allocate(&lir), crate::regalloc::allocate_unsplit(&lir)] {
                 let code = lower(&lir, &alloc).expect("assignments are complete");
-                let Some(got) = rig.exit_state(&code, 20_000) else {
-                    continue;
-                };
-                let want = want.get_or_insert_with(|| {
-                    let own_slots = every_vreg_in_its_own_slot(&lir);
-                    let code = lower(&lir, &own_slots).expect("every vreg has a slot");
-                    rig.exit_state(&code, 100_000)
-                });
-                let Some(want) = want else {
-                    panic!("seed {seed:#x} shape {shape}: the oracle ran out of fuel: {lir:?}");
-                };
-                differs_at_exit(&got, want)
+                rig.compare((&code, &[]), (&want, &[]), 0)
                     .unwrap_or_else(|e| panic!("seed {seed:#x} shape {shape}: {e}: {lir:?}"));
                 compared += 1;
                 if !alloc.splits.is_empty() {

@@ -928,7 +928,7 @@ mod tests {
         // a test dropped before a reader of the carry or overflow flag, or
         // a store moved past a faulting access reads as a different state.
         // Rewrite 3 is also held alone to the unit it rewrote.
-        let mut rig = unit_rig();
+        let mut rig = unit_rig(20_000);
         let mut fired = JitCounters::default();
         let mut sunk = 0;
         for seed in 1..200u64 {

@@ -276,12 +276,12 @@ impl Rig {
     }
 }
 
-/// The rig the crate's generated units run on: the register file at
-/// 0x8000 (the spill area is the page below) and the guest data at
-/// [`crate::units::FP_DATA`], both holding a pattern no stored value
-/// repeats.
+/// The rig the crate's generated units run on, `fuel` host instructions
+/// a run: the register file at 0x8000 (the spill area is the page below)
+/// and the guest data at [`crate::units::FP_DATA`], both holding a pattern
+/// no stored value repeats.
 #[cfg(test)]
-pub(crate) fn unit_rig() -> Rig {
+pub(crate) fn unit_rig(fuel: u64) -> Rig {
     let layout = Layout {
         regfile: 0x8000,
         regfile_len: 0x400,
@@ -291,30 +291,13 @@ pub(crate) fn unit_rig() -> Rig {
         entry_pc: 0x4_0000,
     };
     let pattern: Vec<u8> = (0..0x400u32).map(|i| (i * 37 + 11) as u8).collect();
-    Rig::new(
+    let mut rig = Rig::new(
         layout,
         pattern[..0x200].to_vec(),
         pattern[0x80..0x180].to_vec(),
-    )
-}
-
-#[cfg(test)]
-impl Rig {
-    /// What `code` (not yet [`probed`]) leaves at its exit when it runs
-    /// without a fault on `fuel` host instructions (the rig's own is
-    /// 20 000); `None` when it ran out of them.
-    pub(crate) fn exit_state(&mut self, code: &[MachInsn], fuel: u64) -> Option<Observation> {
-        let own = std::mem::replace(&mut self.machine.fuel_per_block, fuel);
-        let seen = self.run(&probed(code), &[], None);
-        self.machine.fuel_per_block = own;
-        seen
-    }
-}
-
-/// The first way `got` differs from `want` at the exit.
-#[cfg(test)]
-pub(crate) fn differs_at_exit(got: &Observation, want: &Observation) -> Result<(), String> {
-    describe(got, want, "the exit")
+    );
+    rig.machine.fuel_per_block = fuel;
+    rig
 }
 
 /// The first way `got` differs from `want`, as seen at `observer`.

@@ -712,7 +712,7 @@ pub(crate) fn fp_loop_unit(seed: u64, nv: u64, len: u64) -> Vec<LirInsn> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regalloc::{allocate, host_flags_live_after_at};
+    use crate::regalloc::{allocate, allocate_unsplit, host_flags_live_after_at};
     use proptest::prelude::*;
 
     /// Checks an allocation against [`liveness`] — no notion of ranges: at
@@ -787,6 +787,9 @@ mod tests {
             let lir = unit(seed, shape, nv, len);
             let alloc = allocate(&lir);
             prop_assert_eq!(shared_register(&lir, &alloc), None, "shape {}: {:?}", shape, lir);
+            let unsplit = allocate_unsplit(&lir);
+            prop_assert!(unsplit.splits.is_empty(), "shape {}: {:?}", shape, lir);
+            prop_assert_eq!(shared_register(&lir, &unsplit), None, "unsplit, shape {}: {:?}", shape, lir);
         }
 
         #[test]
