@@ -15,10 +15,8 @@
 //! asserted is `bench/tests/ablation.rs`; their tables are the one
 //! [`waterfall`].
 
-use bench::{
-    captive_config, geomean, native_model, run_both_raw, run_captive, run_captive_cfg, run_qemu,
-    run_qemu_chaining, run_qemu_goto_tb, RunStats,
-};
+use bench::{geomean, native_model, EngineConfig, Guest, RunStats};
+use captive::CaptiveConfig;
 use workloads::{Scale, Workload};
 
 /// One section: its name(s) on the command line and the function that
@@ -78,9 +76,30 @@ fn main() {
     }
 }
 
-/// `w` under the named Captive configuration of [`bench::CAPTIVE_CONFIGS`].
-fn captive(w: &Workload, config: &str) -> RunStats {
-    run_captive_cfg(w, captive_config(config))
+/// The counters of `w` run on `engine` (a name `bench::engine` resolves,
+/// or a Captive configuration).
+fn run(w: &Workload, engine: impl Into<EngineConfig>) -> RunStats {
+    bench::run(&w.into(), engine).stats
+}
+
+/// Captive as shipped with a content-keyed reuse cache shared across runs,
+/// for repeated-image sweeps where later runs hit templates earlier ones
+/// published.
+fn tiered_reuse(w: &Workload, reuse: &std::sync::Arc<dbt::ReuseCache>) -> RunStats {
+    let cfg = CaptiveConfig {
+        reuse_cache: Some(std::sync::Arc::clone(reuse)),
+        ..CaptiveConfig::default()
+    };
+    run(w, cfg)
+}
+
+/// The counters of `w` run on `engine` with a virtio-blk device attached.
+fn run_io(w: &Workload, device: &hvm::VirtioBlkConfig, engine: &str) -> RunStats {
+    let guest = Guest {
+        virtio: Some(device.clone()),
+        ..w.into()
+    };
+    bench::run(&guest, engine).stats
 }
 
 /// Figures 17 and 18: one SPEC suite, Captive against the QEMU-style
@@ -95,11 +114,11 @@ fn spec_figure(title: &str, suite: fn(Scale) -> Vec<Workload>, paper: f64) {
     let mut speedups = Vec::new();
     let mut as_in_paper = Vec::new();
     for w in &suite {
-        let c = run_captive(w);
-        let q = run_qemu(w);
+        let c = run(w, "default");
+        let q = run(w, "qemu");
         let s = q.cycles as f64 / c.cycles as f64;
         speedups.push(s);
-        as_in_paper.push(q.cycles as f64 / captive(w, "chain-only+sync").cycles as f64);
+        as_in_paper.push(q.cycles as f64 / run(w, "chain-only+sync").cycles as f64);
         println!(
             "{:<18} {:>14} {:>14} {:>8.2}x",
             w.name, q.cycles, c.cycles, s
@@ -138,7 +157,8 @@ fn fig19() {
     println!("== Figure 19: SimBench micro-benchmarks — speedup of Captive over QEMU ==");
     let mut tlb_rows = Vec::new();
     for b in simbench::suite() {
-        let (c, q) = run_both_raw(b.name, &b.words, b.entry);
+        let w = bench::micro_workload(&b);
+        let (c, q) = (run(&w, "default"), run(&w, "qemu"));
         println!("{:<22} {:>8.2}x", b.name, q.cycles as f64 / c.cycles as f64);
         if b.name.starts_with("TLB-") {
             tlb_rows.extend([(b.name, "captive", c), (b.name, "qemu", q)]);
@@ -189,8 +209,8 @@ fn fig20_and_jitstats() {
     let mut qemu_bytes = 0u64;
     let mut qemu_insns = 0u64;
     for w in workloads::spec_int(Scale(1)) {
-        let c = run_captive(&w);
-        let q = run_qemu(&w);
+        let c = run(&w, "default");
+        let q = run(&w, "qemu");
         // Summed over the kernels and divided once, like the translation
         // time printed beside it.
         for (total, ns) in cap_phases.iter_mut().zip(jit_phases(&c)) {
@@ -236,8 +256,8 @@ fn fig21() {
          (Captive as shipped vs the unchained QEMU-style baseline) =="
     );
     let w = &workloads::spec_int(Scale(1))[3];
-    let c = run_captive(w);
-    let q = run_qemu(w);
+    let c = run(w, "default");
+    let q = run(w, "qemu");
     println!(
         "captive: {} cycles over {} guest insns;  qemu: {} cycles",
         c.cycles, c.guest_insns, q.cycles
@@ -255,7 +275,7 @@ fn fig22() {
     let mut ratios_a53 = Vec::new();
     let mut ratios_a57 = Vec::new();
     for w in workloads::spec_int(Scale(1)) {
-        let c = run_captive(&w);
+        let c = run(&w, "default");
         let a53 = native_model::cortex_a53_cycles(c.guest_insns);
         let a57 = native_model::cortex_a57_cycles(c.guest_insns);
         ratios_a53.push(a53 as f64 / c.cycles as f64);
@@ -357,7 +377,7 @@ fn waterfall_kernels() -> Vec<Workload> {
 
 /// `w` once per step of [`WATERFALL`], in step order.
 fn waterfall_row(w: &Workload) -> Vec<RunStats> {
-    WATERFALL.iter().map(|(cfg, ..)| captive(w, cfg)).collect()
+    WATERFALL.iter().map(|&(cfg, ..)| run(w, cfg)).collect()
 }
 
 fn waterfall() {
@@ -425,76 +445,60 @@ fn json() {
     let mut push =
         |kernel: &str, engine: &str, m: &RunStats| records.push(json_record(kernel, engine, m));
     for w in workloads::spec_int(Scale(1)) {
-        push(w.name, "captive", &run_captive(&w));
-        push(w.name, "qemu", &run_qemu(&w));
-        push(w.name, "qemu+chain", &run_qemu_chaining(&w, true));
+        push(w.name, "captive", &run(&w, "default"));
+        push(w.name, "qemu", &run(&w, "qemu"));
+        push(w.name, "qemu+chain", &run(&w, "qemu+chain"));
     }
     for w in workloads::spec_fp(Scale(1)) {
-        push(w.name, "captive", &run_captive(&w));
-        push(w.name, "qemu", &run_qemu(&w));
+        push(w.name, "captive", &run(&w, "default"));
+        push(w.name, "qemu", &run(&w, "qemu"));
     }
     for w in workloads::loop_kernels(Scale(1)) {
-        push(w.name, "captive", &captive(&w, "nopromote+sync"));
-        push(w.name, "captive-promote", &captive(&w, "sync"));
-        push(w.name, "qemu+goto_tb", &run_qemu_goto_tb(&w));
+        push(w.name, "captive", &run(&w, "nopromote+sync"));
+        push(w.name, "captive-promote", &run(&w, "sync"));
+        push(w.name, "qemu+goto_tb", &run(&w, "qemu+goto_tb"));
         // The tier trajectory: cold run publishes+installs asynchronously,
         // the warm run resurrects regions from the shared reuse cache.
         let reuse = std::sync::Arc::new(dbt::ReuseCache::new());
-        push(
-            w.name,
-            "captive-tiered-cold",
-            &bench::run_captive_tiered_reuse(&w, &reuse),
-        );
-        push(
-            w.name,
-            "captive-tiered-warm",
-            &bench::run_captive_tiered_reuse(&w, &reuse),
-        );
+        push(w.name, "captive-tiered-cold", &tiered_reuse(&w, &reuse));
+        push(w.name, "captive-tiered-warm", &tiered_reuse(&w, &reuse));
     }
     for w in [
         workloads::interrupt_storm(40, 2_500),
         workloads::timer_tick(20_000, 200_000),
     ] {
-        push(w.name, "captive", &run_captive(&w));
-        push(w.name, "qemu", &run_qemu(&w));
+        push(w.name, "captive", &run(&w, "default"));
+        push(w.name, "qemu", &run(&w, "qemu"));
     }
     // The guest-idiom trajectory (the per-rule `idiom_hits.<rule>`
     // counters).
     for w in workloads::idiom_kernels(Scale(1)) {
-        push(w.name, "captive-idiom", &captive(&w, "sync"));
-        push(w.name, "captive-noidiom", &captive(&w, "noidiom+sync"));
-        push(w.name, "qemu", &run_qemu(&w));
+        push(w.name, "captive-idiom", &run(&w, "sync"));
+        push(w.name, "captive-noidiom", &run(&w, "noidiom+sync"));
+        push(w.name, "qemu", &run(&w, "qemu"));
     }
     // The virtio-blk I/O kernels, including the device-originated-SMC case
     // (the `virtio_*` counters).
     let vcfg = workloads::vblk_config();
     for w in workloads::io_kernels() {
-        push(
-            w.name,
-            "captive",
-            &bench::run_captive_io(&w, vcfg.clone(), captive::CaptiveConfig::default()),
-        );
-        push(w.name, "qemu", &bench::run_qemu_io(&w, vcfg.clone()));
+        push(w.name, "captive", &run_io(&w, &vcfg, "default"));
+        push(w.name, "qemu", &run_io(&w, &vcfg, "qemu"));
     }
     let (smc, sector0) = workloads::vblk_smc();
     let smc_cfg = workloads::vblk_smc_config(sector0);
-    push(
-        smc.name,
-        "captive",
-        &bench::run_captive_io(&smc, smc_cfg.clone(), captive::CaptiveConfig::default()),
-    );
-    push(smc.name, "qemu", &bench::run_qemu_io(&smc, smc_cfg));
+    push(smc.name, "captive", &run_io(&smc, &smc_cfg, "default"));
+    push(smc.name, "qemu", &run_io(&smc, &smc_cfg, "qemu"));
     // A deliberately starved code cache, so the eviction counters have a
     // tracked non-zero baseline.
     let mcf = workloads::spec_int(Scale(1)).remove(3);
     push(
         "429.mcf",
         "captive-tinycache",
-        &bench::run_captive_cfg(
+        &run(
             &mcf,
-            captive::CaptiveConfig {
+            CaptiveConfig {
                 cache_capacity_regions: Some(3),
-                ..captive::CaptiveConfig::default()
+                ..CaptiveConfig::default()
             },
         ),
     );
@@ -528,9 +532,9 @@ fn scale() {
                 .into_iter()
                 .find(|w| w.name == name)
                 .expect("workload exists at every scale");
-            let c = run_captive(&w);
-            let q = run_qemu(&w);
-            let qc = run_qemu_chaining(&w, true);
+            let c = run(&w, "default");
+            let q = run(&w, "qemu");
+            let qc = run(&w, "qemu+chain");
             // CI smoke invariants: work must grow strictly with scale on
             // every engine, and the engine ordering must hold at every
             // scale (captive < qemu+chain <= qemu on these kernels).
@@ -589,9 +593,9 @@ fn tiers() {
         // Both tiered runs share one content-keyed reuse cache, modelling the
         // same kernel image booted twice on one hypervisor instance.
         let reuse = std::sync::Arc::new(dbt::ReuseCache::new());
-        let cold = bench::run_captive_tiered_reuse(&w, &reuse);
-        let warm = bench::run_captive_tiered_reuse(&w, &reuse);
-        let sync = captive(&w, "sync");
+        let cold = tiered_reuse(&w, &reuse);
+        let warm = tiered_reuse(&w, &reuse);
+        let sync = run(&w, "sync");
         // CI smoke invariants, asserted here and not in `bench/tests`
         // because they make the runs of the wall-clock bar below worth
         // timing (`captive`'s own tier tests hold the same on one loop):
@@ -667,9 +671,9 @@ fn tiers() {
 fn fp_modes() {
     println!("== Section 3.6.2: hardware vs software FP in Captive ==");
     let w = workloads::fp_micro(Scale(1));
-    let hw = run_captive(&w);
-    let sw = captive(&w, "softfp");
-    let q = run_qemu(&w);
+    let hw = run(&w, "default");
+    let sw = run(&w, "softfp");
+    let q = run(&w, "qemu");
     println!(
         "captive hw-fp: {} cycles; captive soft-fp: {} cycles; qemu: {} cycles",
         hw.cycles, sw.cycles, q.cycles
@@ -746,7 +750,7 @@ mod tests {
             assert_eq!(row.len(), WATERFALL.len());
             assert_eq!(
                 row.last().unwrap().cycles,
-                bench::run_captive_cfg(w, bench::captive_config("sync")).cycles,
+                super::run(w, "sync").cycles,
                 "{name}: the sync column is the sync configuration run on its own"
             );
         }

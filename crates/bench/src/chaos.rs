@@ -1,7 +1,7 @@
 //! Deterministic fault injection ("chaos") harness.
 //!
 //! From a single RNG seed this module derives a *hostile guest program* plus
-//! an external interrupt plan, and runs them on any engine configuration.
+//! an external interrupt plan, as one [`Guest`] any engine runs.
 //! The program interleaves ordinary computation with every nasty behaviour
 //! the engine must survive: stores onto its own (translated) code pages,
 //! TLB invalidates, system-register writebacks that tear down translation
@@ -52,21 +52,19 @@
 //!
 //! Consequently the same seed must produce byte-identical final registers,
 //! flags and guest memory on Captive (any configuration) and on the QEMU
-//! baseline; `bench/tests/chaos.rs` holds the engine to that.
+//! baseline; `bench/tests/chaos.rs` holds the engines of
+//! [`crate::EQUIVALENT`] to that.
 
-use crate::RunStats;
-use captive::{Captive, CaptiveConfig, RunExit};
+use crate::{Guest, CODE_WINDOW, DATA_WINDOW};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
 use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
-use guest_aarch64::sys::Engine;
 use guest_aarch64::SysReg;
 use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, REQ_WRITE, SECTOR_SIZE};
 use hvm::VirtioBlkConfig;
-use qemu_ref::QemuRef;
 use workloads::{
-    Workload, CODE_BASE, DATA_BASE, VBLK_AVAIL, VBLK_BUF, VBLK_DESC, VBLK_HDR, VBLK_MMIO_BASE,
-    VBLK_STATUS, VBLK_USED,
+    CODE_BASE, DATA_BASE, VBLK_AVAIL, VBLK_BUF, VBLK_DESC, VBLK_HDR, VBLK_MMIO_BASE, VBLK_STATUS,
+    VBLK_USED,
 };
 
 /// Words per fault-injection op slot (longest op + nop padding), so every
@@ -88,7 +86,7 @@ const SCHEDULE_MAX_CYCLE: u64 = 80_000;
 /// comfortably inside the device's 64-entry queue.
 const MAX_CHAOS_SUBMITS: usize = 14;
 
-/// Guest page tables (loaded by [`run_chaos`], live once the plan's
+/// Guest page tables (loaded beside the program, live once the plan's
 /// [`Op::MmuOn`] has run): an identity map of the code, the data window and
 /// the pool itself, plus the remap window.
 const PT_POOL: u64 = DATA_BASE + 0x2_0000;
@@ -162,28 +160,23 @@ enum Op {
     VblkSubmit,
 }
 
-/// A seed-derived chaos run plan: the guest program plus the external
-/// interrupt schedule to install on the engine's latch.
+/// A seed-derived chaos run plan: the guest — program, page tables, device
+/// and spurious-interrupt schedule — and what the guest must count.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// The seed the plan was derived from.
     pub seed: u64,
-    /// The hostile guest program.
-    pub workload: Workload,
-    /// `(cycle, line)` spurious interrupts for [`hvm::InterruptLatch::raise_at`].
-    pub schedule: Vec<(u64, u32)>,
+    /// The hostile guest: its code, its page tables and remap frames
+    /// (`words`), the fault-injecting disk (`virtio`: fault plan seed,
+    /// identity image) and the spurious interrupts (`irqs`); it digests
+    /// [`CODE_WINDOW`] and [`DATA_WINDOW`].
+    pub guest: Guest,
     /// Number of self-modifying patch ops in the program.
     pub patches: usize,
     /// Number of ops that take a synchronous exception (UNDEF + abort + SVC).
     pub sync_ops: usize,
     /// Number of remap ops (at least one: the last op slot always is).
     pub remaps: usize,
-    /// `(guest physical address, 64-bit word)` pairs [`run_chaos`] loads
-    /// beside the program: the page tables and the two remap frames.
-    pub preload: Vec<(u64, u64)>,
-    /// Device configuration (fault plan seed, identity disk image) to attach
-    /// to whichever engine runs the plan.
-    pub virtio: VirtioBlkConfig,
     /// Total virtio submissions, *including* the forced final identity-SMC
     /// read (so this is the expected completion and device-IRQ count).
     pub virtio_submits: u64,
@@ -348,8 +341,8 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
     // frame 0; the slots' PTEs sit at the start of a leaf table of their own.
     let rw = GuestPageFlags::kernel_rw();
     let mut tables = GuestTableImage::new(PT_POOL, PT_POOL + PT_POOL_LEN);
-    tables.identity(CODE_BASE, CODE_DIGEST_LEN, rw);
-    tables.identity(DATA_BASE, DATA_DIGEST_LEN, rw);
+    tables.identity(CODE_WINDOW.0, CODE_WINDOW.1, rw);
+    tables.identity(DATA_WINDOW.0, DATA_WINDOW.1, rw);
     tables.identity(PT_POOL, PT_POOL_LEN, rw);
     for slot in 0..REMAP_SLOTS {
         tables.map(REMAP_VA + slot * 0x1000, REMAP_FRAMES[0], rw);
@@ -522,94 +515,21 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
 
     ChaosPlan {
         seed,
-        workload: Workload {
-            name: "chaos",
-            suite: workloads::Suite::Int,
-            words,
+        guest: Guest {
+            name: format!("chaos seed {seed:#x}"),
+            code: vec![(CODE_BASE, words)],
+            words: preload,
             entry: CODE_BASE,
+            virtio: Some(virtio),
+            irqs: schedule,
+            digests: vec![CODE_WINDOW, DATA_WINDOW],
+            resume: None,
         },
-        schedule,
         patches,
         sync_ops,
         remaps,
-        preload,
-        virtio,
         virtio_submits: n_subs as u64 + 1,
     }
-}
-
-/// Final architectural state after a chaos run.  The counters that must
-/// agree across engines too are the `Architectural` ones of the
-/// [`RunStats`] that [`run_chaos`] returns beside it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosOutcome {
-    /// x0..x30.
-    pub regs: [u64; 31],
-    /// NZCV flags.
-    pub nzcv: u64,
-    /// FNV digest of the code image region (covers self-modified words).
-    pub code_digest: u64,
-    /// FNV digest of the guest data region.
-    pub data_digest: u64,
-}
-
-const CODE_DIGEST_LEN: u64 = 16 * 1024;
-const DATA_DIGEST_LEN: u64 = 64 * 1024;
-
-/// The Captive configurations (names in [`crate::CAPTIVE_CONFIGS`]) the chaos
-/// and virtio tests hold to one outcome.
-pub fn chaos_captive_configs() -> Vec<(&'static str, CaptiveConfig)> {
-    [
-        "default",
-        "noopt",
-        "nopromote",
-        "noidiom",
-        "tinycache",
-        "sync",
-    ]
-    .into_iter()
-    .map(|name| (name, crate::captive_config(name)))
-    .collect()
-}
-
-/// Captive under `cfg` with the plan's device attached.
-pub fn chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> Captive {
-    Captive::new(CaptiveConfig {
-        virtio: Some(plan.virtio.clone()),
-        ..cfg
-    })
-}
-
-/// The QEMU-style baseline with the plan's device attached.
-pub fn chaos_qemu(plan: &ChaosPlan) -> QemuRef {
-    let mut q = QemuRef::new(crate::guest_ram());
-    q.attach_virtio(plan.virtio.clone());
-    q
-}
-
-/// Runs the plan on `e` (built by [`chaos_captive`] or [`chaos_qemu`]).
-pub fn run_chaos<E: Engine>(plan: &ChaosPlan, mut e: E) -> (ChaosOutcome, RunStats) {
-    e.load_program(CODE_BASE, &plan.workload.words);
-    for &(at, word) in &plan.preload {
-        e.write_guest_phys(at, word, 8);
-    }
-    e.set_entry(plan.workload.entry);
-    for &(cycle, line) in &plan.schedule {
-        e.parts_mut().0.events.latch.raise_at(cycle, line);
-    }
-    let exit = e.run(crate::BLOCK_BUDGET);
-    assert!(
-        matches!(exit, RunExit::GuestHalted { .. }),
-        "chaos seed {:#x}: unexpected exit {exit:?}",
-        plan.seed
-    );
-    let outcome = ChaosOutcome {
-        regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
-        nzcv: e.guest_nzcv(),
-        code_digest: e.guest_mem_digest(CODE_BASE, CODE_DIGEST_LEN),
-        data_digest: e.guest_mem_digest(DATA_BASE, DATA_DIGEST_LEN),
-    };
-    (outcome, e.stats())
 }
 
 #[cfg(test)]
@@ -618,13 +538,13 @@ mod tests {
 
     #[test]
     fn plans_are_seed_deterministic_and_decode_where_defined() {
-        let a = chaos_plan(0xC0FFEE);
-        let b = chaos_plan(0xC0FFEE);
-        assert_eq!(a.workload.words, b.workload.words);
-        assert_eq!(a.schedule, b.schedule);
-        let c = chaos_plan(0xC0FFEF);
+        let a = chaos_plan(0xC0FFEE).guest;
+        let b = chaos_plan(0xC0FFEE).guest;
+        assert_eq!(a.code, b.code);
+        assert_eq!(a.irqs, b.irqs);
+        let c = chaos_plan(0xC0FFEF).guest;
         assert_ne!(
-            a.workload.words, c.workload.words,
+            a.code, c.code,
             "different seeds should derive different programs"
         );
     }
@@ -637,36 +557,40 @@ mod tests {
         let mut saw_vblk_op = false;
         for seed in 0..8u64 {
             let p = chaos_plan(seed);
+            let (words, virtio) = (&p.guest.code[0].1, p.guest.virtio.as_ref().unwrap());
             assert!(p.remaps > 0, "seed {seed}: every plan remaps");
             saw_patch |= p.patches > 0;
             saw_sync |= p.sync_ops > 0;
             saw_vblk_op |= p.virtio_submits > 1;
-            assert!(p.workload.words.contains(&asm::hlt()), "seed {seed}");
+            assert!(words.contains(&asm::hlt()), "seed {seed}");
             assert!(
                 (1..=MAX_CHAOS_SUBMITS as u64 + 1).contains(&p.virtio_submits),
                 "seed {seed}: always the forced final, never past the cap"
             );
             assert_eq!(
-                p.virtio.exempt_after,
+                virtio.exempt_after,
                 p.virtio_submits - 1,
                 "seed {seed}: only the forced final identity read is exempt"
             );
             assert_eq!(
-                p.virtio.disk_image.as_ref().map(Vec::len),
+                virtio.disk_image.as_ref().map(Vec::len),
                 Some(SECTOR_SIZE as usize),
                 "seed {seed}: identity image is exactly one sector"
             );
-            assert!(p.schedule.len() >= 2, "seed {seed} schedules spurious IRQs");
-            for &(cycle, line) in &p.schedule {
+            assert!(
+                p.guest.irqs.len() >= 2,
+                "seed {seed} schedules spurious IRQs"
+            );
+            for &(cycle, line) in &p.guest.irqs {
                 assert!((SCHEDULE_MIN_CYCLE..SCHEDULE_MAX_CYCLE).contains(&cycle));
                 assert!((1..16).contains(&line));
             }
-            let mut lines: Vec<u32> = p.schedule.iter().map(|&(_, l)| l).collect();
+            let mut lines: Vec<u32> = p.guest.irqs.iter().map(|&(_, l)| l).collect();
             lines.sort_unstable();
             lines.dedup();
             assert_eq!(
                 lines.len(),
-                p.schedule.len(),
+                p.guest.irqs.len(),
                 "seed {seed}: scheduled lines must be distinct"
             );
         }
@@ -676,14 +600,9 @@ mod tests {
     #[test]
     fn identity_sector_matches_the_wait_loop_bytes() {
         for seed in 0..4u64 {
-            let p = chaos_plan(seed);
-            let img = p.virtio.disk_image.as_ref().unwrap();
-            let code: Vec<u8> = p
-                .workload
-                .words
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect();
+            let p = chaos_plan(seed).guest;
+            let img = p.virtio.as_ref().unwrap().disk_image.as_ref().unwrap();
+            let code: Vec<u8> = p.code[0].1.iter().flat_map(|w| w.to_le_bytes()).collect();
             assert!(
                 code.windows(img.len()).any(|w| w == &img[..]),
                 "seed {seed}: sector 0 must be a verbatim slice of the program"
@@ -695,7 +614,7 @@ mod tests {
     fn patches_only_aim_at_future_placeholder_slots() {
         for seed in 0..16u64 {
             let plan = chaos_plan(seed);
-            let words = &plan.workload.words;
+            let words = &plan.guest.code[0].1;
             // Recover patch targets from the emitted words: each patch op
             // stores to an address it built with `movz x10, #va`.
             for w in words {

@@ -14,7 +14,7 @@
 //! interrupt-storm and timer-tick kernels; the virtio kernels are
 //! `virtio.rs`'s.
 
-use bench::{captive_config, run_captive_cfg, run_qemu_chaining, run_qemu_goto_tb, RunStats};
+use bench::RunStats;
 use dbt::RuleKind;
 use workloads::{Scale, Workload};
 
@@ -42,14 +42,15 @@ impl Pair {
 }
 
 impl Ablation {
-    /// Runs every kernel both ways; the mechanism may not cost cycles on any.
+    /// Runs every kernel both ways; the mechanism may not change the
+    /// outcome ([`bench::assert_agree`]) or cost cycles on any.
     fn run(&self) -> Vec<Pair> {
-        let run = |w: &Workload, cfg: &str| run_captive_cfg(w, captive_config(cfg));
         let pair = |w: &Workload| {
+            let runs = bench::assert_agree(&w.into(), &[self.with, self.without]);
             let p = Pair {
                 kernel: w.name,
-                with: run(w, self.with),
-                without: run(w, self.without),
+                with: runs[0].1.stats,
+                without: runs[1].1.stats,
             };
             assert!(
                 p.with.cycles <= p.without.cycles,
@@ -71,6 +72,11 @@ impl Ablation {
 fn of<'a>(pairs: &'a [Pair], name: &str) -> &'a Pair {
     let found = pairs.iter().find(|p| p.kernel == name);
     found.unwrap_or_else(|| panic!("{name} is not in the kernel set"))
+}
+
+/// The counters of `w` on the engine named `engine`.
+fn run(w: &Workload, engine: &str) -> RunStats {
+    bench::run(&w.into(), engine).stats
 }
 
 fn spec_int(first: usize) -> Vec<Workload> {
@@ -100,7 +106,8 @@ fn chaining_never_costs_cycles_on_either_engine() {
     };
     chaining.run();
     for w in &chaining.kernels {
-        let (q, qc) = (bench::run_qemu(w), run_qemu_chaining(w, true));
+        let runs = bench::assert_agree(&w.into(), &["qemu", "qemu+chain"]);
+        let (q, qc) = (&runs[0].1.stats, &runs[1].1.stats);
         assert!(
             qc.cycles <= q.cycles,
             "{}: qemu chaining regressed ({} > {})",
@@ -218,7 +225,7 @@ fn the_goto_tb_baseline_is_honest() {
     // itself be no slower than same-page chaining on them ...
     for w in workloads::loop_kernels(Scale(1)) {
         assert!(
-            run_qemu_goto_tb(&w).cycles <= run_qemu_chaining(&w, true).cycles,
+            run(&w, "qemu+goto_tb").cycles <= run(&w, "qemu+chain").cycles,
             "{}: goto_tb regressed the chained baseline",
             w.name
         );
@@ -227,8 +234,8 @@ fn the_goto_tb_baseline_is_honest() {
     // already links every transfer.  The cross-page direct-branch micro is
     // the shape only goto_tb can link.
     let cross = bench::micro_workload(&simbench::inter_page_direct(5_000));
-    let gtb = run_qemu_goto_tb(&cross);
-    let plain = run_qemu_chaining(&cross, true);
+    let gtb = run(&cross, "qemu+goto_tb");
+    let plain = run(&cross, "qemu+chain");
     assert!(
         gtb.goto_tb_transfers > 1_000,
         "the cross-page loop must take goto_tb links (got {})",

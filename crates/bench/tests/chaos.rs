@@ -1,36 +1,18 @@
 //! Deterministic chaos tests: the same fault-injection seed must produce
-//! byte-identical final architectural state on every engine configuration,
-//! and repeated runs of one configuration must reproduce every counter.
+//! byte-identical final architectural state on every engine of
+//! `bench::EQUIVALENT`, and repeated runs of one engine must reproduce every
+//! counter.
 //!
 //! The pinned seeds below run in CI on every push; the proptest widens the
 //! seed space locally.
 
-use bench::chaos::{
-    chaos_captive, chaos_captive_configs, chaos_plan, chaos_qemu, run_chaos, ChaosOutcome,
-};
-use bench::RunStats;
+use bench::chaos::chaos_plan;
+use bench::{assert_agree, RunStats, EQUIVALENT};
 use proptest::prelude::*;
-use qemu_ref::QemuRef;
 
 /// Seeds pinned in CI: chosen arbitrarily, then frozen so a regression on
 /// any of them reproduces on every machine.
 const PINNED_SEEDS: [u64; 4] = [0x5EED_0001, 0xDEAD_BEEF, 0xCAFE_F00D, 42];
-
-/// One run of a plan: the final state and the counters.
-type Run = (ChaosOutcome, RunStats);
-
-/// What separates two runs of one plan: the final state, or else the first
-/// counter `compare` (a `RunStats::differs_across_*`) names.
-fn difference(
-    a: &Run,
-    b: &Run,
-    compare: fn(&RunStats, &RunStats) -> Option<String>,
-) -> Option<String> {
-    if a.0 != b.0 {
-        return Some(format!("state {:?} vs {:?}", a.0, b.0));
-    }
-    compare(&a.1, &b.1)
-}
 
 /// The dispatcher's entry partition: every executed block was entered either
 /// through a link or through the slow path, never both and never neither.
@@ -42,20 +24,19 @@ fn assert_entries_partition(stats: &RunStats, what: &str) {
     );
 }
 
-/// Runs one seed on every Captive configuration plus the QEMU baseline and
-/// asserts a single architectural outcome.
+/// Runs one seed on every engine of the equivalence roster and asserts a
+/// single architectural outcome.
 fn assert_one_outcome(seed: u64) {
     let plan = chaos_plan(seed);
-    let reference = run_chaos(&plan, chaos_qemu(&plan));
-    let (state, stats) = &reference;
-    assert_entries_partition(stats, &format!("seed {seed:#x}: the QEMU baseline"));
+    let runs = assert_agree(&plan.guest, &EQUIVALENT);
+    let (state, stats) = (&runs[0].1, &runs[0].1.stats);
     // The guest's own books must balance: x20 counted one IRQ per delivery
     // (the scheduled lines plus exactly one one-shot timer fire plus one per
     // virtio completion), and x21 counted one synchronous exception per
     // injected faulting op.
     assert_eq!(
         state.regs[20],
-        plan.schedule.len() as u64 + 1 + plan.virtio_submits,
+        plan.guest.irqs.len() as u64 + 1 + plan.virtio_submits,
         "seed {seed:#x}: IRQ deliveries"
     );
     assert_eq!(state.regs[20], stats.irqs_delivered);
@@ -67,34 +48,16 @@ fn assert_one_outcome(seed: u64) {
         stats.virtio_completions, plan.virtio_submits,
         "seed {seed:#x}: every submitted request retires"
     );
-    // The benchmark's baseline links across pages, through the same IRQs,
-    // SMC, TLBIs, DMA and remaps.
-    let mut linked = QemuRef::with_goto_tb(bench::guest_ram());
-    linked.attach_virtio(plan.virtio.clone());
-    let linked = run_chaos(&plan, linked);
-    assert_entries_partition(&linked.1, &format!("seed {seed:#x}: QemuRef::with_goto_tb"));
-    assert_eq!(
-        difference(&linked, &reference, RunStats::differs_across_engines),
-        None,
-        "seed {seed:#x}: QemuRef::with_goto_tb diverged from the QEMU baseline"
-    );
-    for (name, cfg) in chaos_captive_configs() {
-        let ours = run_chaos(&plan, chaos_captive(&plan, cfg));
-        assert_entries_partition(&ours.1, &format!("seed {seed:#x}: {name}"));
-        assert_eq!(
-            difference(&ours, &reference, RunStats::differs_across_engines),
-            None,
-            "seed {seed:#x}: {name} diverged from the QEMU baseline"
-        );
+    for (name, run) in &runs {
+        assert_entries_partition(&run.stats, &format!("seed {seed:#x}: {name}"));
         // The forced final identity read DMAs over the live used.idx wait
-        // loop, so the default engine must have walked its external
-        // invalidation path (the tiny cache may legitimately have evicted
-        // the page's translations first, so only the full-cache configs are
-        // held to it).
-        if name == "default" {
+        // loop, so every Captive configuration with the full code cache must
+        // have walked its external invalidation path (the tiny cache may
+        // legitimately have evicted the page's translations first).
+        if !name.starts_with("qemu") && *name != "tinycache" {
             assert!(
-                ours.1.external_invalidations > 0,
-                "seed {seed:#x}: device DMA onto live code must invalidate"
+                run.stats.external_invalidations > 0,
+                "seed {seed:#x}: {name}: device DMA onto live code must invalidate"
             );
         }
     }
@@ -123,22 +86,13 @@ fn pinned_seed_3() {
 #[test]
 fn same_seed_reproduces_every_counter() {
     let plan = chaos_plan(PINNED_SEEDS[0]);
-    for (name, cfg) in chaos_captive_configs() {
-        let a = run_chaos(&plan, chaos_captive(&plan, cfg.clone()));
-        let b = run_chaos(&plan, chaos_captive(&plan, cfg));
-        assert_eq!(
-            difference(&a, &b, RunStats::differs_across_reruns),
-            None,
-            "{name}"
-        );
+    for name in EQUIVALENT {
+        let (a, b) = (bench::run(&plan.guest, name), bench::run(&plan.guest, name));
+        let differs = a
+            .differs(&b)
+            .or_else(|| a.stats.differs_across_reruns(&b.stats));
+        assert_eq!(differs, None, "{name}");
     }
-    let qa = run_chaos(&plan, chaos_qemu(&plan));
-    let qb = run_chaos(&plan, chaos_qemu(&plan));
-    assert_eq!(
-        difference(&qa, &qb, RunStats::differs_across_reruns),
-        None,
-        "qemu"
-    );
 }
 
 #[test]
@@ -148,26 +102,24 @@ fn worker_queue_flood_is_deterministic_and_mode_blind() {
     // backs up and results arrive out of order (the parked-result path).
     // Architectural state and modeled cycles must match the synchronous
     // engine exactly, and a tiered rerun must reproduce every counter.
-    let w = workloads::loop_flood(12, 9, 30);
+    let flood = bench::Guest::from(&workloads::loop_flood(12, 9, 30));
     let run = |tier_workers: Option<usize>| {
-        let mut c = captive::Captive::new(captive::CaptiveConfig {
-            tier_workers,
-            ..captive::CaptiveConfig::default()
-        });
-        c.load_program(workloads::CODE_BASE, &w.words);
-        c.set_entry(w.entry);
-        let exit = c.run(bench::BLOCK_BUDGET);
-        assert!(
-            matches!(exit, captive::RunExit::GuestHalted { .. }),
-            "flood: unexpected exit {exit:?}"
+        let run = bench::run(
+            &flood,
+            captive::CaptiveConfig {
+                tier_workers,
+                ..captive::CaptiveConfig::default()
+            },
         );
         // Every engine must count all 12 loops x 9 trips x 30 passes.
-        assert_eq!(c.guest_reg(9), 12 * 9 * 30, "flood increment count");
-        c.stats()
+        assert_eq!(run.regs[9], 12 * 9 * 30, "flood increment count");
+        run
     };
-    let flooded = run(Some(1));
-    let flooded_again = run(Some(1));
-    let sync = run(None);
+    let flooded_run = run(Some(1));
+    let flooded_again = run(Some(1)).stats;
+    let sync_run = run(None);
+    assert_eq!(flooded_run.differs(&sync_run), None, "tiered against sync");
+    let (flooded, sync) = (flooded_run.stats, sync_run.stats);
     assert!(
         flooded.tier1_requests >= 12,
         "every loop head publishes: {} requests",
@@ -208,12 +160,11 @@ fn tiny_cache_evicts_but_still_agrees() {
     // The tiny-cache configuration is only a meaningful degradation test if
     // the bound actually bites during the chaos run.
     let plan = chaos_plan(PINNED_SEEDS[1]);
-    let (_, stats) = run_chaos(
-        &plan,
-        chaos_captive(&plan, bench::captive_config("tinycache")),
-    );
     assert!(
-        stats.capacity_evictions > 0,
+        bench::run(&plan.guest, "tinycache")
+            .stats
+            .capacity_evictions
+            > 0,
         "a 4-region cache must evict under the chaos working set"
     );
 }
@@ -225,17 +176,6 @@ proptest! {
     /// and interrupt schedule must leave all engines in one final state.
     #[test]
     fn random_seeds_agree_across_engines(seed in 0u64..u64::MAX) {
-        let plan = chaos_plan(seed);
-        let reference = run_chaos(&plan, chaos_qemu(&plan));
-        for (name, cfg) in chaos_captive_configs() {
-            let ours = run_chaos(&plan, chaos_captive(&plan, cfg));
-            prop_assert_eq!(
-                difference(&ours, &reference, RunStats::differs_across_engines),
-                None,
-                "seed {:#x}: {} diverged",
-                seed,
-                name
-            );
-        }
+        assert_agree(&chaos_plan(seed).guest, &EQUIVALENT);
     }
 }

@@ -1,30 +1,37 @@
 //! Cross-crate integration tests: Captive and the QEMU-style baseline must be
 //! *functionally* indistinguishable to the guest (same architectural results)
 //! while differing in the performance characteristics the paper measures.
+//!
+//! Every run goes through `bench::run`, and every comparison of two runs is
+//! `bench::Run::differs` (registers, NZCV, the guest's memory digests and the
+//! `Architectural` counters): `bench::assert_agree` over engine names, or a
+//! pair of runs when a test contrasts a Captive setting no name spells (an
+//! unroll factor, chaining off with region formation on, a three-region
+//! code cache).
 
-use captive::{Captive, CaptiveConfig, FpMode, REGION_THRESHOLD};
+use bench::{assert_agree, by_name, Guest, Run, EQUIVALENT};
+use captive::{Captive, CaptiveConfig, REGION_THRESHOLD};
 use guest_aarch64::asm::{self, Assembler};
+use guest_aarch64::isa::Cond;
+use guest_aarch64::regs::esr_class;
+use guest_aarch64::SysReg;
 use proptest::prelude::*;
-use qemu_ref::QemuRef;
 use workloads::Scale;
 
-fn run_both(words: &[u32]) -> (Captive, QemuRef) {
-    let mut c = Captive::new(CaptiveConfig::default());
-    c.load_program(0x1000, words);
-    c.set_entry(0x1000);
-    assert!(matches!(
-        c.run(50_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
+/// Captive as shipped with `edit` applied: a contrast no engine name spells.
+fn captive(edit: impl FnOnce(&mut CaptiveConfig)) -> CaptiveConfig {
+    let mut cfg = CaptiveConfig::default();
+    edit(&mut cfg);
+    cfg
+}
 
-    let mut q = QemuRef::new(bench::guest_ram());
-    q.load_program(0x1000, words);
-    q.set_entry(0x1000);
-    assert!(matches!(
-        q.run(50_000_000),
-        qemu_ref::RunExit::GuestHalted { .. }
-    ));
-    (c, q)
+/// The code segments `code`, entered at 0x1000; the outcome digests the
+/// data window.
+fn guest(name: &str, code: Vec<(u64, Vec<u32>)>) -> Guest {
+    Guest {
+        code,
+        ..Guest::program(name, Vec::new())
+    }
 }
 
 #[test]
@@ -62,10 +69,7 @@ fn helper_cost_tables_hold_the_values_the_cycle_baselines_were_taken_with() {
 #[test]
 fn spec_int_results_match_across_systems() {
     for w in workloads::spec_int(Scale(1)).into_iter().take(4) {
-        let (c, q) = run_both(&w.words);
-        for r in 0..16 {
-            assert_eq!(c.guest_reg(r), q.guest_reg(r), "{}: x{r} diverged", w.name);
-        }
+        assert_agree(&(&w).into(), &["qemu", "default"]);
     }
 }
 
@@ -73,32 +77,10 @@ fn spec_int_results_match_across_systems() {
 fn fp_results_match_between_hardware_and_software_modes() {
     // The fix-up machinery means Captive's hardware-FP path must be
     // bit-identical to the softfloat path for the workload mix.
-    let w = workloads::fp_micro(Scale(1));
-    let mut hw = Captive::new(CaptiveConfig {
-        fp_mode: FpMode::Hardware,
-        ..CaptiveConfig::default()
-    });
-    hw.load_program(0x1000, &w.words);
-    hw.set_entry(w.entry);
-    assert!(matches!(
-        hw.run(50_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-
-    let mut sw = Captive::new(CaptiveConfig {
-        fp_mode: FpMode::Software,
-        ..CaptiveConfig::default()
-    });
-    sw.load_program(0x1000, &w.words);
-    sw.set_entry(w.entry);
-    assert!(matches!(
-        sw.run(50_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-
-    for r in 0..8 {
-        assert_eq!(hw.guest_reg(r), sw.guest_reg(r), "x{r}");
-    }
+    assert_agree(
+        &(&workloads::fp_micro(Scale(1))).into(),
+        &["default", "softfp"],
+    );
 }
 
 #[test]
@@ -114,17 +96,14 @@ fn fmadd_rounds_once_on_every_engine() {
     a.push(asm::fmadd(3, 0, 1, 2));
     a.push(asm::fmov_to_gpr(5, 3));
     a.push(asm::hlt());
-    let words = a.finish();
     let fused = (-f64::powi(2.0, -54)).to_bits();
-
-    let (hw, q) = run_both(&words);
-    assert_eq!(hw.guest_reg(5), fused, "Captive, host FMA");
-    assert_eq!(q.guest_reg(5), fused, "QemuRef, softfloat helper");
-    let mut sw = Captive::new(bench::captive_config("softfp"));
-    sw.load_program(0x1000, &words);
-    sw.set_entry(0x1000);
-    sw.run(50_000_000);
-    assert_eq!(sw.guest_reg(5), fused, "Captive, softfloat helper");
+    // QemuRef's softfloat helper, Captive's host FMA and Captive's softfloat
+    // helper agree, on the fused result.
+    let runs = assert_agree(
+        &Guest::program("fmadd", a.finish()),
+        &["qemu", "default", "softfp"],
+    );
+    assert_eq!(runs[0].1.regs[5], fused);
 }
 
 #[test]
@@ -150,23 +129,13 @@ fn multiply_high_halves_are_the_wide_products_on_every_engine() {
             p.push(asm::smulh(3 + 2 * k, 0, 1));
         }
         p.push(asm::hlt());
-        let (c, q) = run_both(&p.finish());
+        let runs = assert_agree(&Guest::program("mulh", p.finish()), &["qemu", "default"]);
+        let regs = &runs[0].1.regs;
         for (k, b) in edges.into_iter().enumerate() {
-            let k = k as u32;
             let unsigned = ((a as u128 * b as u128) >> 64) as u64;
             let signed = ((a as i64 as i128 * b as i64 as i128) >> 64) as u64;
-            for (engine, hi) in [
-                ("Captive", c.guest_reg(2 + 2 * k)),
-                ("QemuRef", q.guest_reg(2 + 2 * k)),
-            ] {
-                assert_eq!(hi, unsigned, "{engine}: umulh {a:#x}, {b:#x}");
-            }
-            for (engine, hi) in [
-                ("Captive", c.guest_reg(3 + 2 * k)),
-                ("QemuRef", q.guest_reg(3 + 2 * k)),
-            ] {
-                assert_eq!(hi, signed, "{engine}: smulh {a:#x}, {b:#x}");
-            }
+            assert_eq!(regs[2 + 2 * k], unsigned, "umulh {a:#x}, {b:#x}");
+            assert_eq!(regs[3 + 2 * k], signed, "smulh {a:#x}, {b:#x}");
         }
     }
 }
@@ -175,72 +144,37 @@ fn multiply_high_halves_are_the_wide_products_on_every_engine() {
 fn an_svc_hands_its_whole_16_bit_immediate_to_the_handler_on_every_engine() {
     // ESR's ISS of a supervisor call is the instruction's 16-bit immediate:
     // the handler reads it back with every bit set.
-    use guest_aarch64::regs::esr_class;
-    use guest_aarch64::SysReg;
     let mut a = Assembler::new();
     a.mov_imm64(9, 0x3000);
     a.push(asm::msr(SysReg::Vbar as u32, 9));
     a.push(asm::svc(0xFFFF));
     a.push(asm::hlt());
-    let handler = [asm::mrs(10, SysReg::Esr as u32), asm::hlt()];
-    let code: [(u64, &[u32]); 2] = [(0x1000, &a.finish()), (0x3000, &handler)];
-    let esr = esr_class::SVC << 26 | 0xFFFF;
-    let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &[], 0x1000);
-    assert_eq!(q.guest_reg(10), esr, "QemuRef: ESR");
-    let c = run_to_halt(Captive::new(CaptiveConfig::default()), &code, &[], 0x1000);
-    assert_eq!(c.guest_reg(10), esr, "Captive: ESR");
+    let handler = vec![asm::mrs(10, SysReg::Esr as u32), asm::hlt()];
+    let g = guest("svc", vec![(0x1000, a.finish()), (0x3000, handler)]);
+    let runs = assert_agree(&g, &["qemu", "default"]);
+    assert_eq!(runs[0].1.regs[10], esr_class::SVC << 26 | 0xFFFF, "ESR");
 }
 
 #[test]
 fn chaining_on_and_off_are_architecturally_identical() {
     // The chained dispatcher must be invisible to the guest: every SimBench
     // micro (including the MMU-on and TLB-flushing ones) and a SPEC subset
-    // produce the same register state with chaining on, chaining off, and
-    // under the QEMU-style baseline.
-    let run_captive = |words: &[u32], entry: u64, chaining: bool| {
-        let mut c = Captive::new(CaptiveConfig {
-            chaining,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, words);
-        c.set_entry(entry);
-        assert!(matches!(
-            c.run(50_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
-    };
-    let mut programs: Vec<(String, Vec<u32>, u64)> = simbench::suite()
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.words, b.entry))
+    // produce the same outcome with chaining on, chaining off, and under the
+    // QEMU-style baseline.
+    let mut programs: Vec<Guest> = simbench::suite()
+        .iter()
+        .map(|b| (&bench::micro_workload(b)).into())
         .collect();
-    for w in workloads::spec_int(Scale(1)).into_iter().take(2) {
-        programs.push((w.name.to_string(), w.words.clone(), w.entry));
-    }
-    for (name, words, entry) in &programs {
-        let on = run_captive(words, *entry, true);
-        let off = run_captive(words, *entry, false);
-        for r in 0..16 {
-            assert_eq!(
-                on.guest_reg(r),
-                off.guest_reg(r),
-                "{name}: x{r} diverged between chaining settings"
-            );
-        }
-        let mut q = QemuRef::new(bench::guest_ram());
-        q.load_program(0x1000, words);
-        q.set_entry(*entry);
-        assert!(matches!(
-            q.run(50_000_000),
-            qemu_ref::RunExit::GuestHalted { .. }
-        ));
-        for r in 0..16 {
-            assert_eq!(
-                on.guest_reg(r),
-                q.guest_reg(r),
-                "{name}: x{r} diverged from the baseline"
-            );
-        }
+    programs.extend(
+        workloads::spec_int(Scale(1))
+            .iter()
+            .take(2)
+            .map(Guest::from),
+    );
+    for g in &programs {
+        let runs = assert_agree(g, &["qemu", "default"]);
+        let off = bench::run(g, captive(|c| c.chaining = false));
+        assert_eq!(off.differs(&runs[0].1), None, "{}: chaining off", g.name);
     }
 }
 
@@ -250,8 +184,8 @@ fn chaining_speeds_up_a_dispatch_bound_loop() {
     // measurably fewer simulated cycles with chaining, and the gap is the
     // counted chained transfers' saved dispatch cost — not a credit.
     let w = bench::micro_workload(&simbench::same_page_direct(10_000));
-    let on = bench::run_captive_cfg(&w, bench::captive_config("chain-only"));
-    let off = bench::run_captive_cfg(&w, bench::captive_config("nochain"));
+    let runs = assert_agree(&(&w).into(), &["chain-only", "nochain"]);
+    let (on, off) = (&runs[0].1.stats, &runs[1].1.stats);
     assert!(on.chained_transfers > 20_000, "direct branches must chain");
     assert_eq!(off.chained_transfers, 0);
     assert!(
@@ -272,69 +206,24 @@ fn chaining_speeds_up_a_dispatch_bound_loop() {
 fn scaled_workloads_agree_across_all_engines() {
     // Architectural equivalence at scale factors beyond Scale(1): the
     // QEMU-style baseline (with and without same-page chaining), Captive
-    // with chaining, and Captive with superblocks must all retire the same
-    // register state.  Scale(4) exercises iteration counts high enough that
-    // every hot loop crosses the superblock threshold many times over.
-    let mut programs: Vec<(String, workloads::Workload)> = Vec::new();
+    // with chaining alone, and Captive with regions must all retire the same
+    // outcome.  Scale(4) exercises iteration counts high enough that every
+    // hot loop crosses the region threshold many times over.
     for scale in [Scale(2), Scale(4)] {
         let suite = workloads::spec_int(scale);
-        for idx in [1usize, 3] {
-            // 401.bzip2 (streaming) and 429.mcf (pointer chasing)
-            let w = suite[idx].clone();
-            programs.push((format!("{}@x{}", w.name, scale.0), w));
+        // 401.bzip2 (streaming) and 429.mcf (pointer chasing)
+        for w in [&suite[1], &suite[3]] {
+            let g = Guest {
+                name: format!("{}@x{}", w.name, scale.0),
+                ..w.into()
+            };
+            let runs = assert_agree(&g, &["chain-only", "default", "qemu", "qemu+chain"]);
+            assert!(
+                runs[1].1.stats.cycles <= runs[0].1.stats.cycles,
+                "{}: regions may not cost cycles",
+                g.name
+            );
         }
-    }
-    for (name, w) in &programs {
-        // Chain-only configuration (region formation pinned off), so the
-        // region run below still contrasts with chaining alone.
-        let mut chain = Captive::new(CaptiveConfig {
-            form_regions: false,
-            ..CaptiveConfig::default()
-        });
-        chain.load_program(workloads::CODE_BASE, &w.words);
-        chain.set_entry(w.entry);
-        assert!(matches!(
-            chain.run(200_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-
-        let mut sup = Captive::new(CaptiveConfig {
-            form_regions: true,
-            ..CaptiveConfig::default()
-        });
-        sup.load_program(workloads::CODE_BASE, &w.words);
-        sup.set_entry(w.entry);
-        assert!(matches!(
-            sup.run(200_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-
-        let mut q = QemuRef::new(bench::guest_ram());
-        q.load_program(workloads::CODE_BASE, &w.words);
-        q.set_entry(w.entry);
-        assert!(matches!(
-            q.run(200_000_000),
-            qemu_ref::RunExit::GuestHalted { .. }
-        ));
-
-        let mut qc = QemuRef::with_chaining(bench::guest_ram(), true);
-        qc.load_program(workloads::CODE_BASE, &w.words);
-        qc.set_entry(w.entry);
-        assert!(matches!(
-            qc.run(200_000_000),
-            qemu_ref::RunExit::GuestHalted { .. }
-        ));
-
-        for r in 0..16 {
-            let v = chain.guest_reg(r);
-            assert_eq!(v, sup.guest_reg(r), "{name}: x{r} regions diverged");
-            assert_eq!(v, q.guest_reg(r), "{name}: x{r} baseline diverged");
-            assert_eq!(v, qc.guest_reg(r), "{name}: x{r} qemu-chaining diverged");
-        }
-        assert!(
-            sup.stats().cycles <= chain.stats().cycles,
-            "{name}: regions may not cost cycles"
-        );
     }
 }
 
@@ -345,8 +234,8 @@ fn regions_cut_interpreter_entries_on_dispatch_bound_loop() {
     // (tracked by the region_transfers counter) at no cycle cost over
     // chaining alone, and the QEMU baselines order as expected.
     let w = bench::micro_workload(&simbench::same_page_direct(10_000));
-    let chain = bench::run_captive_cfg(&w, bench::captive_config("chain-only"));
-    let sb = bench::run_captive_cfg(&w, bench::captive_config("sync"));
+    let runs = assert_agree(&(&w).into(), &["chain-only", "sync", "qemu", "qemu+chain"]);
+    let [chain, sb, q, qc] = [0, 1, 2, 3].map(|i| &runs[i].1.stats);
     assert!(sb.regions_formed >= 1);
     assert!(
         sb.region_transfers > 10_000,
@@ -381,9 +270,6 @@ fn regions_cut_interpreter_entries_on_dispatch_bound_loop() {
         sb.cycles,
         chain.cycles
     );
-
-    let q = bench::run_qemu(&w);
-    let qc = bench::run_qemu_chaining(&w, true);
     assert!(qc.chained_transfers > 10_000, "qemu chains within the page");
     assert!(
         qc.cycles < q.cycles,
@@ -398,47 +284,9 @@ fn optimizer_on_off_and_baseline_agree_on_flag_heavy_kernels() {
     // register file *and* flags with the optimizer on, off, and under the
     // QEMU-style baseline.
     for w in workloads::spec_int(Scale(1)).into_iter().take(8) {
-        let run = |opt: bool| {
-            let mut c = Captive::new(CaptiveConfig {
-                opt,
-                ..CaptiveConfig::default()
-            });
-            c.load_program(workloads::CODE_BASE, &w.words);
-            c.set_entry(w.entry);
-            assert!(matches!(
-                c.run(50_000_000),
-                captive::RunExit::GuestHalted { .. }
-            ));
-            c
-        };
-        let on = run(true);
-        let off = run(false);
-        let mut q = QemuRef::new(bench::guest_ram());
-        q.load_program(workloads::CODE_BASE, &w.words);
-        q.set_entry(w.entry);
-        assert!(matches!(
-            q.run(50_000_000),
-            qemu_ref::RunExit::GuestHalted { .. }
-        ));
-        for r in 0..31 {
-            let v = on.guest_reg(r);
-            assert_eq!(v, off.guest_reg(r), "{}: x{r} diverged opt on/off", w.name);
-            assert_eq!(v, q.guest_reg(r), "{}: x{r} diverged from baseline", w.name);
-        }
-        assert_eq!(
-            on.guest_nzcv(),
-            off.guest_nzcv(),
-            "{}: NZCV diverged opt on/off",
-            w.name
-        );
-        assert_eq!(
-            on.guest_nzcv(),
-            q.guest_nzcv(),
-            "{}: NZCV diverged from baseline",
-            w.name
-        );
+        let runs = assert_agree(&(&w).into(), &["qemu", "default", "noopt"]);
         assert!(
-            on.stats().cycles <= off.stats().cycles,
+            runs[1].1.stats.cycles <= runs[2].1.stats.cycles,
             "{}: optimizer may not cost cycles",
             w.name
         );
@@ -457,41 +305,57 @@ fn optimizer_preserves_region_side_exit_state() {
     a.label("loop");
     a.push(asm::adds(9, 9, 2)); // flag-setting; NZCV dead (overwritten below)
     a.push(asm::subis(1, 1, 1)); // flag-setting; NZCV read by the branch
-    a.bcond_to(guest_aarch64::isa::Cond::Eq, "done"); // cold leg → side exit
+    a.bcond_to(Cond::Eq, "done"); // cold leg → side exit
     a.b_to("loop");
     a.label("done");
     a.push(asm::hlt());
-    let words = a.finish();
-    let run = |opt: bool| {
-        let mut c = Captive::new(CaptiveConfig {
-            opt,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &words);
-        c.set_entry(0x1000);
-        assert!(matches!(
-            c.run(50_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.guest_reg(9), 500);
-    assert_eq!(on.guest_reg(1), 0);
-    for r in 0..16 {
-        assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r}");
-    }
-    assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV at the side exit");
+    let runs = assert_agree(
+        &Guest::program("side-exit", a.finish()),
+        &["default", "noopt"],
+    );
+    let (on, off) = (&runs[0].1, &runs[1].1.stats);
+    assert_eq!(on.regs[9], 500);
+    assert_eq!(on.regs[1], 0);
     assert!(
-        on.stats().regions_formed >= 1,
+        on.stats.regions_formed >= 1,
         "the loop must get hot enough to stitch"
     );
     assert!(
-        on.stats().jit.opt_dead_stores >= 1,
+        on.stats.jit.opt_dead_stores >= 1,
         "the adds NZCV store is dead and must be eliminated"
     );
-    assert!(on.stats().cycles <= off.stats().cycles);
+    assert!(on.stats.cycles <= off.cycles);
+}
+
+/// A striding store loop from 16 MiB with a 64 KiB stride — 256 iterations
+/// to the end of guest RAM — and a handler at 0x2000 that reads ELR and FAR
+/// into x10 / x11 (and whatever `handler_tail` adds) and halts.  `loop_body`
+/// closes the loop after the store and the stride; returns the guest and
+/// the faulting store's PC.
+fn striding_store_fault(
+    name: &str,
+    loop_body: impl FnOnce(&mut Assembler),
+    handler_tail: &[u32],
+) -> (Guest, u64) {
+    let mut a = Assembler::new();
+    a.mov_imm64(9, 0x2000);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    a.mov_imm64(1, 0x100_0000); // 16 MiB
+    a.mov_imm64(2, 0xBEEF); // invariant store value (hoisted)
+    a.mov_imm64(3, 0x1_0000); // invariant stride (hoisted)
+    a.label("loop");
+    let fault_pc = 0x1000 + a.here() as u64 * 4;
+    a.push(asm::str(2, 1, 0));
+    a.push(asm::add(1, 1, 3));
+    loop_body(&mut a);
+    let mut handler = vec![
+        asm::mrs(10, SysReg::Elr as u32),
+        asm::mrs(11, SysReg::Far as u32),
+    ];
+    handler.extend(handler_tail);
+    handler.push(asm::hlt());
+    let g = guest(name, vec![(0x1000, a.finish()), (0x2000, handler)]);
+    (g, fault_pc)
 }
 
 #[test]
@@ -501,41 +365,24 @@ fn unrolled_region_fault_mid_iteration_delivers_exact_elr() {
     // — possibly in a peeled iteration past a trace edge — and must still
     // deliver the exact faulting PC into ELR and the first OOB address into
     // FAR.
-    let mut a = Assembler::new();
-    a.mov_imm64(9, 0x2000);
-    a.push(asm::msr(guest_aarch64::SysReg::Vbar as u32, 9));
-    a.mov_imm64(1, 0x100_0000); // 16 MiB
-    a.mov_imm64(2, 0xBEEF);
-    a.mov_imm64(3, 0x1_0000); // 64 KiB stride → 256 iterations to 32 MiB
-    a.label("loop");
-    let fault_idx = a.here();
-    a.push(asm::str(2, 1, 0));
-    a.push(asm::add(1, 1, 3));
-    a.b_to("loop");
-    let main = a.finish();
-    let fault_pc = 0x1000 + fault_idx as u64 * 4;
-
-    let mut v = Assembler::new();
-    v.push(asm::mrs(10, guest_aarch64::SysReg::Elr as u32));
-    v.push(asm::mrs(11, guest_aarch64::SysReg::Far as u32));
-    v.push(asm::hlt());
-
-    let mut c = Captive::new(CaptiveConfig::default());
-    c.load_program(0x1000, &main);
-    c.load_program(0x2000, &v.finish());
-    c.set_entry(0x1000);
-    assert!(matches!(
-        c.run(1_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-    assert_eq!(c.guest_reg(10), fault_pc, "ELR is the faulting PC");
-    assert_eq!(c.guest_reg(11), 0x200_0000, "FAR is the first OOB address");
-    let s = c.stats();
+    let (g, fault_pc) = striding_store_fault(
+        "self-loop",
+        |a| {
+            a.b_to("loop");
+        },
+        &[],
+    );
+    let c = bench::run(&g, "default");
+    assert_eq!(c.regs[10], fault_pc, "ELR is the faulting PC");
+    assert_eq!(c.regs[11], 0x200_0000, "FAR is the first OOB address");
     assert!(
-        s.regions_unrolled >= 1,
+        c.stats.regions_unrolled >= 1,
         "the self-loop must have unrolled before faulting"
     );
-    assert!(s.region_transfers > 100, "peeled iterations were executed");
+    assert!(
+        c.stats.region_transfers > 100,
+        "peeled iterations were executed"
+    );
 }
 
 #[test]
@@ -545,61 +392,90 @@ fn smc_on_the_looping_page_retires_the_unrolled_region() {
     // must retire the unrolled region (and every plain region on the page),
     // and the second phase must execute the new code — identically with
     // unrolling on and off.
-    let make = || {
-        let mut main = Assembler::new();
-        main.push(asm::movz(6, 2, 0)); // two phases
-        main.mov_imm64(3, 0x2000); // kernel address
-        main.mov_imm64(4, asm::movz(7, 2, 0) as u64); // patched first insn
-        main.label("phase");
-        main.push(asm::movz(5, 300, 0));
-        let bl_idx = main.here();
-        main.push(asm::bl(0x2000 - (0x1000 + bl_idx as i64 * 4)));
-        main.push(asm::strw(4, 3, 0)); // SMC: rewrite `movz x7, #1`
-        main.push(asm::subi(6, 6, 1));
-        main.cbnz_to(6, "phase");
-        main.push(asm::hlt());
+    let mut main = Assembler::new();
+    main.push(asm::movz(6, 2, 0)); // two phases
+    main.mov_imm64(3, 0x2000); // kernel address
+    main.mov_imm64(4, asm::movz(7, 2, 0) as u64); // patched first insn
+    main.label("phase");
+    main.push(asm::movz(5, 300, 0));
+    let bl_idx = main.here();
+    main.push(asm::bl(0x2000 - (0x1000 + bl_idx as i64 * 4)));
+    main.push(asm::strw(4, 3, 0)); // SMC: rewrite `movz x7, #1`
+    main.push(asm::subi(6, 6, 1));
+    main.cbnz_to(6, "phase");
+    main.push(asm::hlt());
 
-        let mut kern = Assembler::new();
-        kern.push(asm::movz(7, 1, 0)); // patched to `movz x7, #2`
-        kern.label("loop");
-        kern.push(asm::addi(9, 9, 1));
-        kern.push(asm::subi(5, 5, 1));
-        kern.cbnz_to(5, "loop");
-        kern.push(asm::ret());
-        (main.finish(), kern.finish())
-    };
-    let run = |unroll: usize| {
-        let (main, kern) = make();
-        let mut c = Captive::new(CaptiveConfig {
-            unroll_loops: unroll,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &main);
-        c.load_program(0x2000, &kern);
-        c.set_entry(0x1000);
-        assert!(matches!(
-            c.run(1_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
-    };
-    let on = run(4);
-    let off = run(1);
-    for r in 0..16 {
-        assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-    }
-    assert_eq!(on.guest_reg(7), 2, "phase 2 must run the rewritten kernel");
-    assert_eq!(on.guest_reg(9), 600, "both phases looped fully");
-    let s = on.stats();
+    let mut kern = Assembler::new();
+    kern.push(asm::movz(7, 1, 0)); // patched to `movz x7, #2`
+    kern.label("loop");
+    kern.push(asm::addi(9, 9, 1));
+    kern.push(asm::subi(5, 5, 1));
+    kern.cbnz_to(5, "loop");
+    kern.push(asm::ret());
+    let g = guest(
+        "smc-unroll",
+        vec![(0x1000, main.finish()), (0x2000, kern.finish())],
+    );
+
+    let mut c = Captive::new(CaptiveConfig::default());
+    let on = bench::drive(&g, &mut c);
+    let off = bench::run(&g, captive(|c| c.unroll_loops = 1));
+    assert_eq!(on.differs(&off), None, "unrolled against not unrolled");
+    assert_eq!(on.regs[7], 2, "phase 2 must run the rewritten kernel");
+    assert_eq!(on.regs[9], 600, "both phases looped fully");
     assert!(
-        s.regions_unrolled >= 1,
+        on.stats.regions_unrolled >= 1,
         "phase 1 must unroll the kernel loop"
     );
     assert!(
-        on.cache.stats().invalidated_page >= 1,
+        c.cache.stats().invalidated_page >= 1,
         "the code-page write must invalidate the looping page"
     );
 }
+
+/// The loop that patches an instruction of itself from inside: `ITERS` trips
+/// of `x9 += x7` (x7 set by `movz x7, #1` at the loop head) split across two
+/// blocks, whose store hits the loop's own code page — turning the head into
+/// `movz x7, #2` — on the trip the countdown x1 reaches `PATCH_AT`, and
+/// plain data on every other trip.
+const ITERS: u64 = 120;
+const PATCH_AT: u64 = 20;
+
+fn self_patching_loop() -> Guest {
+    let mut a = Assembler::new();
+    a.push(asm::movz(1, ITERS as u32, 0)); // countdown (dirty carrier)
+    a.push(asm::movz(9, 0, 0)); // accumulator (dirty carrier)
+    a.push(asm::movz(8, PATCH_AT as u32, 0));
+    a.mov_imm64(10, 0x8000); // scratch store target (plain data)
+    a.mov_imm64(4, asm::movz(7, 2, 0) as u64); // the patched word
+    let target_ref = a.here();
+    a.mov_imm64(3, 0); // placeholder: patch-target address (fixed below)
+    a.label("loop");
+    let patch_idx = a.here();
+    a.push(asm::movz(7, 1, 0)); // <- patch target: becomes `movz x7, #2`
+    a.push(asm::add(9, 9, 7));
+    a.b_to("cont"); // split the body: the loop is multi-block
+    a.label("cont");
+    a.push(asm::cmp(1, 8));
+    a.push(asm::csel(5, 3, 10, Cond::Eq));
+    a.push(asm::strw(4, 5, 0)); // hits the code page only on the patch trip
+    a.push(asm::subi(1, 1, 1));
+    a.cbnz_to(1, "loop");
+    a.push(asm::hlt());
+    let mut words = a.finish();
+    // Fix up the placeholder mov_imm64 to carry the patch target's address.
+    let mut fixup = Assembler::new();
+    fixup.mov_imm64(3, 0x1000 + patch_idx as u64 * 4);
+    for (i, w) in fixup.finish().into_iter().enumerate() {
+        words[target_ref + i] = w;
+    }
+    Guest::program("self-patching loop", words)
+}
+
+/// What `x9` ends at: trips with the countdown at `ITERS..=PATCH_AT` ran the
+/// original `movz x7,#1` (the patch lands mid-trip at `PATCH_AT`, after that
+/// trip's add); `PATCH_AT - 1..=1` must run the rewritten `movz x7,#2`.
+const PATCHED_SUM: u64 = (ITERS - PATCH_AT + 1) + 2 * (PATCH_AT - 1);
 
 #[test]
 fn smc_on_a_loop_page_mid_iteration_takes_effect_next_iteration() {
@@ -611,64 +487,21 @@ fn smc_on_a_loop_page_mid_iteration_takes_effect_next_iteration() {
     // iteration runs the rewritten code.  unroll_loops=1 closes the
     // back-edge after a single body copy, making the staleness bound exactly
     // one iteration and the final accumulator value deterministic.
-    const ITERS: u64 = 120;
-    const PATCH_AT: u64 = 20; // patch when the countdown reaches this value
-    let mut a = Assembler::new();
-    a.push(asm::movz(1, ITERS as u32, 0)); // countdown
-    a.push(asm::movz(9, 0, 0)); // accumulator
-    a.push(asm::movz(8, PATCH_AT as u32, 0));
-    a.mov_imm64(10, 0x8000); // scratch store target (plain data)
-    a.mov_imm64(4, asm::movz(7, 2, 0) as u64); // the patched word
-    let target_ref = a.here(); // position of mov_imm64 below patched later
-    a.mov_imm64(3, 0); // placeholder: patch-target address (fixed up below)
-    a.label("loop");
-    let patch_idx = a.here();
-    a.push(asm::movz(7, 1, 0)); // <- patch target: becomes `movz x7, #2`
-    a.push(asm::add(9, 9, 7));
-    a.b_to("cont"); // split the body: the loop is multi-block
-    a.label("cont");
-    a.push(asm::cmp(1, 8));
-    a.push(asm::csel(5, 3, 10, guest_aarch64::isa::Cond::Eq));
-    a.push(asm::strw(4, 5, 0)); // hits the code page only on the patch iteration
-    a.push(asm::subi(1, 1, 1));
-    a.cbnz_to(1, "loop");
-    a.push(asm::hlt());
-    let mut words = a.finish();
-    // Fix up the placeholder mov_imm64 to carry the patch target's address.
-    let patch_va = 0x1000 + patch_idx as u64 * 4;
-    let mut fixup = Assembler::new();
-    fixup.mov_imm64(3, patch_va);
-    for (i, w) in fixup.finish().into_iter().enumerate() {
-        words[target_ref + i] = w;
-    }
-
-    let mut c = Captive::new(CaptiveConfig {
-        unroll_loops: 1,
-        ..CaptiveConfig::default()
-    });
-    c.load_program(0x1000, &words);
-    c.set_entry(0x1000);
-    assert!(matches!(
-        c.run(1_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-    // Iterations with the countdown at ITERS..=PATCH_AT ran the original
-    // `movz x7,#1` (the patch lands mid-iteration at 20, after that
-    // iteration's add); 19..=1 must run the rewritten `movz x7,#2`.
-    let old_iters = ITERS - PATCH_AT + 1;
-    let new_iters = PATCH_AT - 1;
+    let mut c = Captive::new(captive(|c| c.unroll_loops = 1));
+    let run = bench::drive(&self_patching_loop(), &mut c);
     assert_eq!(
-        c.guest_reg(9),
-        old_iters + 2 * new_iters,
+        run.regs[9], PATCHED_SUM,
         "the patched loop body must take effect on the iteration after the \
          write — no unbounded stale execution inside the looping region"
     );
-    let s = c.stats();
     assert!(
-        s.loop_regions_formed >= 1,
+        run.stats.loop_regions_formed >= 1,
         "the loop must have closed as a looping region before the patch"
     );
-    assert!(s.backedge_transfers > 5, "iterations tripped internally");
+    assert!(
+        run.stats.backedge_transfers > 5,
+        "iterations tripped internally"
+    );
     assert!(
         c.cache.stats().invalidated_page >= 1,
         "the code-page write invalidated the looping region"
@@ -682,47 +515,24 @@ fn fault_mid_looping_region_delivers_exact_elr() {
     // must still deliver the exact faulting PC into ELR (the per-insn PC
     // tracking plus the back-edge's folded PC update keep state precise at
     // every point of the loop).
-    let mut a = Assembler::new();
-    a.mov_imm64(9, 0x2000);
-    a.push(asm::msr(guest_aarch64::SysReg::Vbar as u32, 9));
-    a.mov_imm64(1, 0x100_0000); // 16 MiB
-    a.mov_imm64(2, 0xBEEF);
-    a.mov_imm64(3, 0x1_0000); // 64 KiB stride → 256 iterations to 32 MiB
-    a.label("loop");
-    let fault_idx = a.here();
-    a.push(asm::str(2, 1, 0));
-    a.push(asm::add(1, 1, 3));
-    a.b_to("m");
-    a.label("m");
-    a.b_to("loop");
-    let main = a.finish();
-    let fault_pc = 0x1000 + fault_idx as u64 * 4;
-
-    let mut v = Assembler::new();
-    v.push(asm::mrs(10, guest_aarch64::SysReg::Elr as u32));
-    v.push(asm::mrs(11, guest_aarch64::SysReg::Far as u32));
-    v.push(asm::hlt());
-
-    let mut c = Captive::new(CaptiveConfig::default());
-    c.load_program(0x1000, &main);
-    c.load_program(0x2000, &v.finish());
-    c.set_entry(0x1000);
-    assert!(matches!(
-        c.run(1_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-    assert_eq!(c.guest_reg(10), fault_pc, "ELR is the faulting PC");
-    assert_eq!(c.guest_reg(11), 0x200_0000, "FAR is the first OOB address");
-    let s = c.stats();
+    let two_blocks = |a: &mut Assembler| {
+        a.b_to("m");
+        a.label("m");
+        a.b_to("loop");
+    };
+    let (g, fault_pc) = striding_store_fault("two-block loop", two_blocks, &[]);
+    let c = bench::run(&g, "default");
+    assert_eq!(c.regs[10], fault_pc, "ELR is the faulting PC");
+    assert_eq!(c.regs[11], 0x200_0000, "FAR is the first OOB address");
     assert!(
-        s.loop_regions_formed >= 1,
+        c.stats.loop_regions_formed >= 1,
         "the loop closed internally before faulting"
     );
     assert!(
-        s.backedge_transfers > 50,
+        c.stats.backedge_transfers > 50,
         "iterations tripped inside the region (4 per trip at the default \
          unroll): {}",
-        s.backedge_transfers
+        c.stats.backedge_transfers
     );
 }
 
@@ -737,24 +547,33 @@ fn trips_around_the_threshold(random_trips: u32) -> [u32; 4] {
     [0, 1, REGION_THRESHOLD as u32, random_trips]
 }
 
+/// The runs of `g` with a mechanism (`on`), without it (`off`) and on the
+/// QEMU-style baseline, after asserting that both Captive runs agree with the
+/// baseline.
+fn on_off_and_baseline(g: &Guest, on: CaptiveConfig, off: CaptiveConfig) -> Run {
+    let q = bench::run(g, "qemu");
+    let (on, off) = (bench::run(g, on), bench::run(g, off));
+    assert_eq!(on.differs(&off), None, "on against off");
+    assert_eq!(on.differs(&q), None, "on against the baseline");
+    on
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Looping regions are architecturally invisible on multi-block loop
     /// bodies with a nested conditional: for the trip counts of
     /// [`trips_around_the_threshold`], and unroll factors 1–4, the kernel
-    /// retires identical registers *and* NZCV with looping regions, with
-    /// chaining alone (no region formation), and under the QEMU-style
-    /// baseline.  Trip counts past the threshold form the region, so the
-    /// nested side exits, the peeled copies and the loop-exit leg all get
-    /// exercised.
+    /// retires an identical outcome with looping regions, with chaining
+    /// alone (no region formation), and under the QEMU-style baseline.  Trip
+    /// counts past the threshold form the region, so the nested side exits,
+    /// the peeled copies and the loop-exit leg all get exercised.
     #[test]
     fn looping_regions_agree_across_engines_on_nested_bodies(
         random_trips in 2..MAX_TRIPS,
         unroll in 1usize..5,
         cond_idx in 0usize..4,
     ) {
-        use guest_aarch64::isa::Cond;
         let conds = [Cond::Eq, Cond::Ne, Cond::Hi, Cond::Lt];
         for trips in trips_around_the_threshold(random_trips) {
             let mut a = Assembler::new();
@@ -774,41 +593,17 @@ proptest! {
             a.bcond_to(Cond::Ne, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let run = |form_regions: bool, unroll: usize| {
-                let mut c = Captive::new(CaptiveConfig {
-                    form_regions,
-                    unroll_loops: unroll,
-                    ..CaptiveConfig::default()
-                });
-                c.load_program(0x1000, &words);
-                c.set_entry(0x1000);
-                assert!(matches!(
-                    c.run(1_000_000),
-                    captive::RunExit::GuestHalted { .. }
-                ));
-                c
-            };
-            let on = run(true, unroll);
-            let off = run(false, 1);
-            let mut q = QemuRef::new(bench::guest_ram());
-            q.load_program(0x1000, &words);
-            q.set_entry(0x1000);
-            assert!(matches!(
-                q.run(1_000_000),
-                qemu_ref::RunExit::GuestHalted { .. }
-            ));
-            for r in 0..16 {
-                let v = on.guest_reg(r);
-                prop_assert_eq!(v, off.guest_reg(r), "x{} diverged loops on/off", r);
-                prop_assert_eq!(v, q.guest_reg(r), "x{} diverged from baseline", r);
-            }
-            prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV loops on/off");
-            prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
+            let on = on_off_and_baseline(
+                &Guest::program("nested", a.finish()),
+                captive(|c| c.unroll_loops = unroll),
+                captive(|c| {
+                    c.form_regions = false;
+                    c.unroll_loops = 1;
+                }),
+            );
             if trips > 4 * REGION_THRESHOLD as u32 {
                 prop_assert!(
-                    on.stats().loop_regions_formed >= 1,
+                    on.stats.loop_regions_formed >= 1,
                     "trip count {} past the threshold must close a loop",
                     trips
                 );
@@ -822,10 +617,10 @@ proptest! {
 
     /// Unrolled self-loop regions are architecturally invisible: for the
     /// trip counts of [`trips_around_the_threshold`], and a random unroll
-    /// factor 2–4, the self-loop kernel retires identical registers *and*
-    /// NZCV under Captive-with-unrolling, Captive-without, and the QEMU-style
-    /// baseline.  Trip counts past the threshold form the region, so side
-    /// exits from every peel position get hit.
+    /// factor 2–4, the self-loop kernel retires an identical outcome under
+    /// Captive-with-unrolling, Captive-without, and the QEMU-style baseline.
+    /// Trip counts past the threshold form the region, so side exits from
+    /// every peel position get hit.
     #[test]
     fn unrolled_self_loops_agree_across_engines(
         random_trips in 2..MAX_TRIPS,
@@ -840,43 +635,17 @@ proptest! {
             a.label("loop");
             a.push(asm::add(9, 9, 2));
             a.push(asm::subis(1, 1, 1)); // flag-setting loop counter
-            a.bcond_to(guest_aarch64::isa::Cond::Ne, "loop");
+            a.bcond_to(Cond::Ne, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let run = |unroll: usize| {
-                let mut c = Captive::new(CaptiveConfig {
-                    unroll_loops: unroll,
-                    ..CaptiveConfig::default()
-                });
-                c.load_program(0x1000, &words);
-                c.set_entry(0x1000);
-                assert!(matches!(
-                    c.run(1_000_000),
-                    captive::RunExit::GuestHalted { .. }
-                ));
-                c
-            };
-            let on = run(unroll);
-            let off = run(1);
-            let mut q = QemuRef::new(bench::guest_ram());
-            q.load_program(0x1000, &words);
-            q.set_entry(0x1000);
-            assert!(matches!(
-                q.run(1_000_000),
-                qemu_ref::RunExit::GuestHalted { .. }
-            ));
-            for r in 0..16 {
-                let v = on.guest_reg(r);
-                prop_assert_eq!(v, off.guest_reg(r), "x{} diverged unroll on/off", r);
-                prop_assert_eq!(v, q.guest_reg(r), "x{} diverged from baseline", r);
-            }
-            prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV unroll on/off");
-            prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
+            let on = on_off_and_baseline(
+                &Guest::program("self-loop", a.finish()),
+                captive(|c| c.unroll_loops = unroll),
+                captive(|c| c.unroll_loops = 1),
+            );
             if trips > 2 * REGION_THRESHOLD as u32 {
                 prop_assert!(
-                    on.stats().regions_unrolled >= 1,
+                    on.stats.regions_unrolled >= 1,
                     "trip count {} past the threshold must unroll",
                     trips
                 );
@@ -891,16 +660,15 @@ proptest! {
     /// Loop-carried register promotion is architecturally invisible: a
     /// memory-marching kernel whose loop carries a dirty index and
     /// accumulator past a loop-invariant base and mask — the exact shape
-    /// promotion and hoisting feed on — retires identical registers *and*
-    /// NZCV with promotion on, promotion off, and under the QEMU-style
-    /// baseline, for the trip counts of [`trips_around_the_threshold`]
-    /// crossed with unroll factors 1–4.
+    /// promotion and hoisting feed on — retires an identical outcome with
+    /// promotion on, promotion off, and under the QEMU-style baseline, for
+    /// the trip counts of [`trips_around_the_threshold`] crossed with unroll
+    /// factors 1–4.
     #[test]
     fn promoted_loops_agree_across_engines(
         random_trips in 2..MAX_TRIPS,
         unroll in 1usize..5,
     ) {
-        use guest_aarch64::isa::Cond;
         for trips in trips_around_the_threshold(random_trips) {
             let mut a = Assembler::new();
             a.push(asm::movz(1, trips, 0)); // countdown (dirty carrier)
@@ -924,47 +692,22 @@ proptest! {
             a.bcond_to(Cond::Ne, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let run = |promote: bool, unroll: usize| {
-                let mut c = Captive::new(CaptiveConfig {
-                    promote,
-                    unroll_loops: unroll,
-                    ..CaptiveConfig::default()
-                });
-                c.load_program(0x1000, &words);
-                c.set_entry(0x1000);
-                assert!(matches!(
-                    c.run(1_000_000),
-                    captive::RunExit::GuestHalted { .. }
-                ));
-                c
-            };
-            let on = run(true, unroll);
-            let off = run(false, unroll);
-            let mut q = QemuRef::new(bench::guest_ram());
-            q.load_program(0x1000, &words);
-            q.set_entry(0x1000);
-            assert!(matches!(
-                q.run(1_000_000),
-                qemu_ref::RunExit::GuestHalted { .. }
-            ));
-            for r in 0..16 {
-                let v = on.guest_reg(r);
-                prop_assert_eq!(v, off.guest_reg(r), "x{} diverged promote on/off", r);
-                prop_assert_eq!(v, q.guest_reg(r), "x{} diverged from baseline", r);
-            }
-            prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV promote on/off");
-            prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
+            let on = on_off_and_baseline(
+                &Guest::program("promoted", a.finish()),
+                captive(|c| c.unroll_loops = unroll),
+                captive(|c| {
+                    c.promote = false;
+                    c.unroll_loops = unroll;
+                }),
+            );
             if trips > 4 * REGION_THRESHOLD as u32 {
-                let s = on.stats();
                 prop_assert!(
-                    s.loop_regions_formed >= 1,
+                    on.stats.loop_regions_formed >= 1,
                     "trip count {} past the threshold must close a loop",
                     trips
                 );
                 prop_assert!(
-                    s.jit.opt_promoted_slots >= 1,
+                    on.stats.jit.opt_promoted_slots >= 1,
                     "the dirty index/accumulator slots must promote \
                      (trips {}, unroll {})",
                     trips,
@@ -977,63 +720,29 @@ proptest! {
 
 #[test]
 fn fault_mid_promoted_loop_reconciles_exact_state() {
-    // The striding-store loop from above, with promotion left on: the
-    // marching address x1 is a *dirty promoted carrier* (loaded and stored
-    // every iteration), so when the store finally walks off the end of
-    // guest RAM the fault-time materialization path — not a regfile store
-    // in the loop body — must surface its exact architectural value.  The
-    // vector handler reads ELR, FAR *and* x1 itself; a promote-off run must
-    // be byte-identical, proving promotion never leaks into fault delivery.
-    let mut a = Assembler::new();
-    a.mov_imm64(9, 0x2000);
-    a.push(asm::msr(guest_aarch64::SysReg::Vbar as u32, 9));
-    a.mov_imm64(1, 0x100_0000); // 16 MiB
-    a.mov_imm64(2, 0xBEEF); // invariant store value (hoisted)
-    a.mov_imm64(3, 0x1_0000); // invariant stride (hoisted)
-    a.label("loop");
-    let fault_idx = a.here();
-    a.push(asm::str(2, 1, 0));
-    a.push(asm::add(1, 1, 3));
-    a.b_to("m");
-    a.label("m");
-    a.b_to("loop");
-    let main = a.finish();
-    let fault_pc = 0x1000 + fault_idx as u64 * 4;
-
-    let mut v = Assembler::new();
-    v.push(asm::mrs(10, guest_aarch64::SysReg::Elr as u32));
-    v.push(asm::mrs(11, guest_aarch64::SysReg::Far as u32));
-    v.push(asm::orr(12, 1, 1)); // capture the promoted slot's value at fault
-    v.push(asm::hlt());
-    let handler = v.finish();
-
-    let run = |promote: bool| {
-        let mut c = Captive::new(CaptiveConfig {
-            promote,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &main);
-        c.load_program(0x2000, &handler);
-        c.set_entry(0x1000);
-        assert!(matches!(
-            c.run(1_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
+    // The two-block striding-store loop from above, with promotion left on:
+    // the marching address x1 is a *dirty promoted carrier* (loaded and
+    // stored every iteration), so when the store finally walks off the end
+    // of guest RAM the fault-time materialization path — not a regfile
+    // store in the loop body — must surface its exact architectural value.
+    // The vector handler reads ELR, FAR *and* x1 itself; a promote-off run
+    // must be identical, proving promotion never leaks into fault delivery.
+    let two_blocks = |a: &mut Assembler| {
+        a.b_to("m");
+        a.label("m");
+        a.b_to("loop");
     };
-    let on = run(true);
-    let off = run(false);
-    for r in 0..16 {
-        assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-    }
-    assert_eq!(on.guest_reg(10), fault_pc, "ELR is the faulting PC");
-    assert_eq!(on.guest_reg(11), 0x200_0000, "FAR is the first OOB address");
+    // Capture the promoted slot's value at the fault.
+    let (g, fault_pc) = striding_store_fault("promoted fault", two_blocks, &[asm::orr(12, 1, 1)]);
+    let runs = assert_agree(&g, &["default", "nopromote"]);
+    let on = &runs[0].1;
+    assert_eq!(on.regs[10], fault_pc, "ELR is the faulting PC");
+    assert_eq!(on.regs[11], 0x200_0000, "FAR is the first OOB address");
     assert_eq!(
-        on.guest_reg(12),
-        0x200_0000,
+        on.regs[12], 0x200_0000,
         "the dirty promoted address slot must read its exact value at fault"
     );
-    let s = on.stats();
+    let s = &on.stats;
     assert!(
         s.jit.opt_promoted_slots >= 1,
         "the marching address must have promoted"
@@ -1058,8 +767,6 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
     // registers and must equal what the QEMU-style baseline — which keeps
     // every guest register in memory — shows its handler.
     use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
-    use guest_aarch64::sys::Engine;
-    use guest_aarch64::SysReg;
     const NODES: u64 = 400;
     const RING: u64 = 0x20_0000;
     const FAR_NODE: u64 = RING + 0x1000 + 0x40;
@@ -1123,46 +830,25 @@ fn fault_on_a_written_through_carrier_load_matches_the_baseline() {
     v.push(asm::hlt());
     let handler = v.finish();
 
-    fn run<E: Engine>(mut e: E, main: &[u32], handler: &[u32], data: &[(u64, u64)]) -> E {
-        e.load_program(0x1000, main);
-        e.load_program(0x2000, handler);
-        for &(at, value) in data {
-            e.write_guest_phys(at, value, 8);
-        }
-        e.set_entry(0x1000);
-        assert!(matches!(
-            e.run(1_000_000),
-            guest_aarch64::sys::RunExit::GuestHalted { .. }
-        ));
-        e
-    }
-    let c = run(
-        Captive::new(CaptiveConfig {
-            unroll_loops: 1,
-            ..CaptiveConfig::default()
-        }),
-        &main,
-        &handler,
-        &data,
-    );
-    let q = run(QemuRef::new(bench::guest_ram()), &main, &handler, &data);
-    for r in 0..31 {
-        assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
-    }
-    assert_eq!(c.guest_nzcv(), q.guest_nzcv());
-    assert_eq!(c.guest_reg(10), fault_pc, "ELR is the chase load");
-    assert_eq!(c.guest_reg(11), FAR_NODE, "FAR is the unmapped node");
+    let g = Guest {
+        words: data,
+        ..guest("chase", vec![(0x1000, main), (0x2000, handler)])
+    };
+    let q = bench::run(&g, "qemu");
+    let c = bench::run(&g, captive(|c| c.unroll_loops = 1));
+    assert_eq!(c.differs(&q), None, "against the baseline");
+    assert_eq!(c.regs[10], fault_pc, "ELR is the chase load");
+    assert_eq!(c.regs[11], FAR_NODE, "FAR is the unmapped node");
     assert_eq!(
-        c.guest_reg(12),
-        FAR_NODE,
+        c.regs[12], FAR_NODE,
         "the faulting load must not have written its carrier"
     );
     assert_eq!(
-        c.guest_reg(14),
+        c.regs[14],
         (TRIPS as u64) - NODES,
         "trips left at the fault"
     );
-    let s = c.stats();
+    let s = &c.stats;
     assert!(s.jit.opt_promoted_slots >= 3, "x1, x2 and x3 promote");
     assert!(
         s.backedge_transfers > TRIPS as u64,
@@ -1179,73 +865,28 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
     // write every dirty carrier (countdown x1, accumulator x9, patched-in
     // x7) back to the regfile before the dispatcher retranslates — any
     // stale carrier shows up as a wrong final accumulator.
-    const ITERS: u64 = 120;
-    const PATCH_AT: u64 = 20;
-    let make = || {
-        let mut a = Assembler::new();
-        a.push(asm::movz(1, ITERS as u32, 0)); // countdown (dirty carrier)
-        a.push(asm::movz(9, 0, 0)); // accumulator (dirty carrier)
-        a.push(asm::movz(8, PATCH_AT as u32, 0));
-        a.mov_imm64(10, 0x8000); // scratch store target (plain data)
-        a.mov_imm64(4, asm::movz(7, 2, 0) as u64); // the patched word
-        let target_ref = a.here();
-        a.mov_imm64(3, 0); // placeholder: patch-target address (fixed below)
-        a.label("loop");
-        let patch_idx = a.here();
-        a.push(asm::movz(7, 1, 0)); // <- patch target: becomes `movz x7, #2`
-        a.push(asm::add(9, 9, 7));
-        a.b_to("cont"); // split the body: the loop is multi-block
-        a.label("cont");
-        a.push(asm::cmp(1, 8));
-        a.push(asm::csel(5, 3, 10, guest_aarch64::isa::Cond::Eq));
-        a.push(asm::strw(4, 5, 0)); // hits the code page on the patch trip
-        a.push(asm::subi(1, 1, 1));
-        a.cbnz_to(1, "loop");
-        a.push(asm::hlt());
-        let mut words = a.finish();
-        let patch_va = 0x1000 + patch_idx as u64 * 4;
-        let mut fixup = Assembler::new();
-        fixup.mov_imm64(3, patch_va);
-        for (i, w) in fixup.finish().into_iter().enumerate() {
-            words[target_ref + i] = w;
-        }
-        words
-    };
-    let run = |promote: bool| {
-        let words = make();
-        let mut c = Captive::new(CaptiveConfig {
-            promote,
-            unroll_loops: 1,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &words);
-        c.set_entry(0x1000);
-        assert!(matches!(
-            c.run(1_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
-    };
-    let on = run(true);
-    let off = run(false);
-    for r in 0..16 {
-        assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-    }
-    let old_iters = ITERS - PATCH_AT + 1;
-    let new_iters = PATCH_AT - 1;
+    let g = self_patching_loop();
+    let mut c = Captive::new(captive(|c| c.unroll_loops = 1));
+    let on = bench::drive(&g, &mut c);
+    let off = bench::run(
+        &g,
+        captive(|c| {
+            c.promote = false;
+            c.unroll_loops = 1;
+        }),
+    );
+    assert_eq!(on.differs(&off), None, "promotion on against off");
     assert_eq!(
-        on.guest_reg(9),
-        old_iters + 2 * new_iters,
+        on.regs[9], PATCHED_SUM,
         "carriers must reconcile at the SMC yield: the patched body takes \
          effect exactly one iteration after the write"
     );
-    let s = on.stats();
     assert!(
-        s.jit.opt_promoted_slots >= 1,
+        on.stats.jit.opt_promoted_slots >= 1,
         "the countdown/accumulator must have promoted"
     );
     assert!(
-        on.cache.stats().invalidated_page >= 1,
+        c.cache.stats().invalidated_page >= 1,
         "the code-page write invalidated the looping region"
     );
 }
@@ -1253,28 +894,24 @@ fn smc_mid_promoted_loop_reconciles_carriers() {
 #[test]
 fn simbench_programs_terminate_on_both_systems() {
     for b in simbench::suite() {
-        let (c, q) = bench::run_both_raw(b.name, &b.words, b.entry);
-        assert!(c.cycles > 0 && q.cycles > 0, "{}", b.name);
+        let runs = assert_agree(&(&bench::micro_workload(&b)).into(), &["default", "qemu"]);
+        assert!(runs.iter().all(|(_, r)| r.stats.cycles > 0), "{}", b.name);
     }
 }
 
 #[test]
 fn captive_wins_where_the_paper_says_it_should() {
     // Memory-system micro-benchmarks: Captive's host-MMU path wins big.
-    let hot = simbench::mem_hot(20_000);
-    let (c, q) = bench::run_both_raw(hot.name, &hot.words, hot.entry);
-    let speedup = q.cycles as f64 / c.cycles as f64;
+    let hot = (&bench::micro_workload(&simbench::mem_hot(20_000))).into();
+    let runs = assert_agree(&hot, &["default", "qemu"]);
+    let speedup = runs[1].1.stats.cycles as f64 / runs[0].1.stats.cycles as f64;
     assert!(speedup > 2.0, "Mem-Hot speedup {speedup}");
 
     // Translation-speed micro-benchmarks: the baseline's simpler codegen wins
     // (the paper reports Captive 65–85% slower on Small/Large-Blocks).
-    let blocks = simbench::small_blocks(800);
-    let mut csys = Captive::new(CaptiveConfig::default());
-    csys.load_program(0x1000, &blocks.words);
-    csys.set_entry(blocks.entry);
-    let _ = csys.run(10_000_000);
+    let blocks = (&bench::micro_workload(&simbench::small_blocks(800))).into();
     assert!(
-        csys.stats().translations >= 800,
+        bench::run(&blocks, "default").stats.translations >= 800,
         "every block translated once"
     );
 }
@@ -1282,8 +919,8 @@ fn captive_wins_where_the_paper_says_it_should() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random straight-line integer programs produce identical guest register
-    /// state under Captive and the QEMU-style baseline.
+    /// Random straight-line integer programs produce an identical outcome
+    /// under Captive and the QEMU-style baseline.
     #[test]
     fn random_programs_agree(ops in proptest::collection::vec((0u8..7, 0u32..8, 0u32..8, 0u32..8, 0u32..4096), 1..40)) {
         let mut a = Assembler::new();
@@ -1304,24 +941,19 @@ proptest! {
             a.push(w);
         }
         a.push(asm::hlt());
-        let words = a.finish();
-        let (c, q) = run_both(&words);
-        for r in 0..8 {
-            prop_assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{} diverged", r);
-        }
+        assert_agree(&Guest::program("random", a.finish()), &["qemu", "default"]);
     }
 
-    /// Random ALU/flag/branch sequences retire an identical final guest
-    /// register file (flags included) with the LIR optimizer on and off.
-    /// Conditional branches always skip exactly one instruction forward, so
-    /// every program terminates; the mix of flag-setting ALU ops, compares,
-    /// conditional selects and branches exercises dead-flag elimination,
-    /// NZCV forwarding and the iterative DCE sweep.
+    /// Random ALU/flag/branch sequences retire an identical outcome (flags
+    /// included) with the LIR optimizer on and off.  Conditional branches
+    /// always skip exactly one instruction forward, so every program
+    /// terminates; the mix of flag-setting ALU ops, compares, conditional
+    /// selects and branches exercises dead-flag elimination, NZCV forwarding
+    /// and the iterative DCE sweep.
     #[test]
     fn random_flag_programs_agree_with_optimizer_on_and_off(
         ops in proptest::collection::vec((0u8..8, 0u32..8, 0u32..8, 0u32..8, 0u8..4), 1..60)
     ) {
-        use guest_aarch64::isa::Cond;
         let conds = [Cond::Eq, Cond::Ne, Cond::Hi, Cond::Lt];
         let mut a = Assembler::new();
         for r in 0..8u32 {
@@ -1346,27 +978,7 @@ proptest! {
         // Two HLTs: a trailing branch may skip the first one.
         a.push(asm::hlt());
         a.push(asm::hlt());
-        let words = a.finish();
-
-        let run = |opt: bool| {
-            let mut c = Captive::new(CaptiveConfig {
-                opt,
-                ..CaptiveConfig::default()
-            });
-            c.load_program(0x1000, &words);
-            c.set_entry(0x1000);
-            assert!(matches!(
-                c.run(1_000_000),
-                captive::RunExit::GuestHalted { .. }
-            ));
-            c
-        };
-        let on = run(true);
-        let off = run(false);
-        for r in 0..8 {
-            prop_assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{} diverged", r);
-        }
-        prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV diverged");
+        assert_agree(&Guest::program("random flags", a.finish()), &["default", "noopt"]);
     }
 }
 
@@ -1396,19 +1008,16 @@ fn interrupt_storm_agrees_across_engines_and_preempts_regions() {
     for (irqs, period) in [(25, 3_000), (40, 2_500)] {
         let w = workloads::interrupt_storm(irqs, period);
         let irqs = u64::from(irqs);
-        let (c, q) = run_both(&w.words);
-        for r in 0..31 {
-            assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
-        }
-        assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "NZCV diverged");
-        assert_eq!(c.guest_reg(20), irqs, "handler counted every delivery");
-        let cs = c.stats();
-        let qs = q.stats();
-        assert_eq!(cs.irqs_delivered, irqs);
-        assert_eq!(qs.irqs_delivered, irqs);
-        assert_eq!(cs.timer_irqs, irqs, "all storm IRQs come from the timer");
+        let runs = assert_agree(&(&w).into(), &["qemu", "default"]);
+        let c = &runs[1].1;
+        assert_eq!(c.regs[20], irqs, "handler counted every delivery");
+        assert_eq!(c.stats.irqs_delivered, irqs);
+        assert_eq!(
+            c.stats.timer_irqs, irqs,
+            "all storm IRQs come from the timer"
+        );
         // The spin loop is hot enough to become a region all the same.
-        assert_regions_survive_irq_pressure(w.name, &cs);
+        assert_regions_survive_irq_pressure(w.name, &c.stats);
     }
 }
 
@@ -1418,27 +1027,22 @@ fn interrupt_storm_agrees_across_engines_and_preempts_regions() {
 #[test]
 fn timer_tick_preempts_a_hot_loop_at_a_precise_pc() {
     let w = workloads::timer_tick(20_000, 200_000);
-    let (c, q) = run_both(&w.words);
-    let loop_va = workloads::timer_tick_loop_va(20_000, 200_000);
-    assert_eq!(c.guest_reg(20), 1, "exactly one tick");
+    let runs = assert_agree(&(&w).into(), &["qemu", "default"]);
+    let c = &runs[1].1;
+    assert_eq!(c.regs[20], 1, "exactly one tick");
     assert_eq!(
-        c.guest_reg(10),
-        loop_va,
-        "captive: ELR must be the loop header, not some mid-region PC"
+        c.regs[10],
+        workloads::timer_tick_loop_va(20_000, 200_000),
+        "ELR must be the loop header, not some mid-region PC"
     );
-    assert_eq!(q.guest_reg(10), loop_va, "baseline: same precise ELR");
-    assert_eq!(c.guest_reg(1), 0, "the countdown still ran to completion");
-    for r in 0..31 {
-        assert_eq!(c.guest_reg(r), q.guest_reg(r), "x{r} diverged");
-    }
-    let cs = c.stats();
+    assert_eq!(c.regs[1], 0, "the countdown still ran to completion");
+    let cs = &c.stats;
     assert!(
         cs.loop_regions_formed > 0,
         "the countdown loop should close as a looping region"
     );
-    assert_eq!(cs.timer_irqs, 1);
-    assert_eq!((cs.irqs_delivered, q.stats().irqs_delivered), (1, 1));
-    assert_regions_survive_irq_pressure(w.name, &cs);
+    assert_eq!((cs.timer_irqs, cs.irqs_delivered), (1, 1));
+    assert_regions_survive_irq_pressure(w.name, cs);
 }
 
 /// With the code cache bounded far below the working set, eviction churn
@@ -1448,66 +1052,21 @@ fn timer_tick_preempts_a_hot_loop_at_a_precise_pc() {
 fn bounded_cache_preserves_equivalence_on_all_integer_kernels() {
     let mut total_evictions = 0;
     for w in workloads::spec_int(Scale(1)) {
-        let mut c = Captive::new(CaptiveConfig {
-            cache_capacity_regions: Some(3),
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &w.words);
-        c.set_entry(w.entry);
+        let g = Guest::from(&w);
+        let c = bench::run(&g, captive(|c| c.cache_capacity_regions = Some(3)));
+        assert_eq!(c.differs(&bench::run(&g, "qemu")), None, "{}", w.name);
         assert!(
-            matches!(c.run(50_000_000), captive::RunExit::GuestHalted { .. }),
-            "{}",
-            w.name
-        );
-        let mut q = QemuRef::new(bench::guest_ram());
-        q.load_program(0x1000, &w.words);
-        q.set_entry(w.entry);
-        assert!(matches!(
-            q.run(50_000_000),
-            qemu_ref::RunExit::GuestHalted { .. }
-        ));
-        for r in 0..16 {
-            assert_eq!(c.guest_reg(r), q.guest_reg(r), "{}: x{r} diverged", w.name);
-        }
-        let s = c.stats();
-        assert!(
-            s.regions_live <= 3,
+            c.stats.regions_live <= 3,
             "{}: occupancy {} exceeds the bound",
             w.name,
-            s.regions_live
+            c.stats.regions_live
         );
-        total_evictions += s.capacity_evictions;
+        total_evictions += c.stats.capacity_evictions;
     }
     assert!(
         total_evictions > 0,
         "a 3-region cache must evict somewhere across the integer suite"
     );
-}
-
-/// The four Captive configurations the fault-precision tests below hold to
-/// the QEMU-style baseline.
-const FAULT_CONFIGS: [&str; 4] = ["default", "sync", "noopt", "tinycache"];
-
-/// Loads `code` (address, words) and `data` (address, u64) into `e`, runs it
-/// from `entry` to its halt and returns it.
-fn run_to_halt<E: guest_aarch64::sys::Engine>(
-    mut e: E,
-    code: &[(u64, &[u32])],
-    data: &[(u64, u64)],
-    entry: u64,
-) -> E {
-    for &(at, words) in code {
-        e.load_program(at, words);
-    }
-    for &(at, value) in data {
-        e.write_guest_phys(at, value, 8);
-    }
-    e.set_entry(entry);
-    assert!(matches!(
-        e.run(2_000_000),
-        guest_aarch64::sys::RunExit::GuestHalted { .. }
-    ));
-    e
 }
 
 #[test]
@@ -1519,8 +1078,6 @@ fn a_branch_to_a_misaligned_pc_takes_a_pc_alignment_fault_on_every_engine() {
     // panicked.  Every engine must fault before fetching (ESR class 0x22,
     // FAR = ELR = the target), and the tier workers must still be there for
     // the hot loop the handler runs afterwards.
-    use guest_aarch64::regs::esr_class;
-    use guest_aarch64::SysReg;
     const TARGET: u64 = 0x1FFE;
     let straddled = [asm::subi(1, 1, 1), asm::cbnz(1, -4), asm::hlt()];
     // Aligned words whose byte stream, read from TARGET, is `straddled`.
@@ -1552,35 +1109,17 @@ fn a_branch_to_a_misaligned_pc_takes_a_pc_alignment_fault_on_every_engine() {
     v.push(asm::hlt());
     let handler = v.finish();
 
-    let code: [(u64, &[u32]); 3] = [(0x1000, &main), (TARGET & !3, &aligned), (0x3000, &handler)];
-    let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &[], 0x1000);
-    assert_eq!(q.guest_reg(10), esr_class::PC_ALIGN << 26, "ESR");
-    assert_eq!(
-        (q.guest_reg(11), q.guest_reg(12)),
-        (TARGET, TARGET),
-        "FAR, ELR"
+    let code = vec![(0x1000, main), (TARGET & !3, aligned), (0x3000, handler)];
+    let runs = assert_agree(&guest("misaligned", code), &EQUIVALENT);
+    let q = &runs[0].1;
+    assert_eq!(q.regs[10], esr_class::PC_ALIGN << 26, "ESR");
+    assert_eq!((q.regs[11], q.regs[12]), (TARGET, TARGET), "FAR, ELR");
+    assert_eq!(q.regs[1], 5_000, "the straddling loop never ran");
+    assert_eq!(q.stats.guest_exceptions, 1, "one fault, delivered once");
+    assert!(
+        by_name(&runs, "default").stats.regions_installed_async >= 1,
+        "the tier workers outlived the misaligned branch and formed the hot loop"
     );
-    assert_eq!(q.guest_reg(1), 5_000, "the straddling loop never ran");
-    for name in FAULT_CONFIGS {
-        let c = run_to_halt(
-            Captive::new(bench::captive_config(name)),
-            &code,
-            &[],
-            0x1000,
-        );
-        for r in 0..31 {
-            assert_eq!(c.guest_reg(r), q.guest_reg(r), "{name}: x{r} diverged");
-        }
-        assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "{name}: NZCV");
-        let s = c.stats();
-        assert_eq!(s.guest_exceptions, 1, "{name}: one fault, delivered once");
-        if name == "default" {
-            assert!(
-                s.regions_installed_async >= 1,
-                "the tier workers outlived the misaligned branch and formed the hot loop"
-            );
-        }
-    }
 }
 
 #[test]
@@ -1600,7 +1139,6 @@ fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline()
     // what ran before), so trip `t` runs in copy `(t - e) % 4 + 1`: four
     // consecutive fault trips put the abort in every copy, the third
     // included.
-    use guest_aarch64::SysReg;
     const ENTRIES: u64 = 1024;
     const MASK: u64 = ENTRIES - 1;
     const STRIDE: u64 = 293;
@@ -1635,14 +1173,13 @@ fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline()
     a.push(asm::subi(3, 3, 1));
     a.cbnz_to(3, "loop");
     a.push(asm::hlt());
-    let main = a.finish();
-
-    let mut v = Assembler::new();
-    v.push(asm::mrs(20, SysReg::Elr as u32));
-    v.push(asm::mrs(21, SysReg::Far as u32));
-    v.push(asm::mrs(22, SysReg::Esr as u32));
-    v.push(asm::hlt());
-    let handler = v.finish();
+    let handler = vec![
+        asm::mrs(20, SysReg::Elr as u32),
+        asm::mrs(21, SysReg::Far as u32),
+        asm::mrs(22, SysReg::Esr as u32),
+        asm::hlt(),
+    ];
+    let code = vec![(0x1000, a.finish()), (0x3000, handler)];
 
     for fault_trip in 700..704u64 {
         // Entry i0 of table 0 keeps bit 9 of `i0 ^ t0[i0]` clear (below the
@@ -1679,31 +1216,17 @@ fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline()
             }
         }
 
-        let code: [(u64, &[u32]); 2] = [(0x1000, &main), (0x3000, &handler)];
-        let q = run_to_halt(QemuRef::new(bench::guest_ram()), &code, &data, 0x1000);
-        assert_eq!(
-            (q.guest_reg(20), q.guest_reg(21)),
-            (fault_pc, far),
-            "ELR, FAR"
-        );
-        assert_eq!(q.guest_reg(19), sum, "the sum the mirror computes");
-        assert_eq!(q.guest_reg(3), 100_000 - (fault_trip - 1), "trips left");
-        for name in FAULT_CONFIGS {
-            let c = run_to_halt(
-                Captive::new(bench::captive_config(name)),
-                &code,
-                &data,
-                0x1000,
-            );
-            for r in 0..31 {
-                assert_eq!(
-                    c.guest_reg(r),
-                    q.guest_reg(r),
-                    "{name}, fault on trip {fault_trip}: x{r} diverged"
-                );
-            }
-            assert_eq!(c.guest_nzcv(), q.guest_nzcv(), "{name}: NZCV");
-            let s = c.stats();
+        let g = Guest {
+            words: data,
+            ..guest(&format!("fault on trip {fault_trip}"), code.clone())
+        };
+        let runs = assert_agree(&g, &EQUIVALENT);
+        let q = &runs[0].1;
+        assert_eq!((q.regs[20], q.regs[21]), (fault_pc, far), "ELR, FAR");
+        assert_eq!(q.regs[19], sum, "the sum the mirror computes");
+        assert_eq!(q.regs[3], 100_000 - (fault_trip - 1), "trips left");
+        for (name, c) in runs.iter().filter(|(name, _)| !name.starts_with("qemu")) {
+            let s = &c.stats;
             assert!(
                 s.backedge_transfers > 100,
                 "{name}: the loop ran in a region"
@@ -1712,7 +1235,7 @@ fn a_data_abort_after_a_split_in_an_unrolled_address_loop_matches_the_baseline()
             // through memory, and the pool never runs out.
             assert_eq!(
                 s.jit.regalloc_splits > 0,
-                name != "noopt",
+                *name != "noopt",
                 "{name}: the allocator split ranges"
             );
         }
@@ -1731,7 +1254,6 @@ fn a_data_abort_mid_a_promoted_fp_loop_hands_the_handler_its_dirty_v_registers()
     // and reads them back into x10–x15.  Fault-time materialisation must
     // hand it exactly what the QEMU-style baselines, which keep every guest
     // register in memory, and a host mirror of the kernel compute.
-    use guest_aarch64::SysReg;
     const TRIPS: u64 = 3_000;
     const OUT: u64 = 0x20_0000;
     let ram = bench::guest_ram();
@@ -1774,7 +1296,6 @@ fn a_data_abort_mid_a_promoted_fp_loop_hands_the_handler_its_dirty_v_registers()
         v.push(asm::ldr(10 + k, 2, k * 8));
     }
     v.push(asm::hlt());
-    let handler = v.finish();
 
     let data: Vec<(u64, u64)> = (0..TRIPS * 2)
         .map(|i| (xs + i * 8, x(i).to_bits()))
@@ -1796,49 +1317,30 @@ fn a_data_abort_mid_a_promoted_fp_loop_hands_the_handler_its_dirty_v_registers()
         0,
     ];
 
-    let code: [(u64, &[u32]); 2] = [(0x1000, &main), (0x3000, &handler)];
-    let baselines = [
-        (
-            "QemuRef",
-            run_to_halt(QemuRef::new(ram), &code, &data, 0x1000),
-        ),
-        (
-            "QemuRef+goto_tb",
-            run_to_halt(QemuRef::with_goto_tb(ram), &code, &data, 0x1000),
-        ),
-    ];
-    for (name, q) in &baselines {
-        assert_eq!(
-            (q.guest_reg(20), q.guest_reg(21)),
-            (fault_pc, ram),
-            "{name}: ELR, FAR"
-        );
-        let got: Vec<u64> = (10..16).map(|r| q.guest_reg(r)).collect();
-        assert_eq!(got, want, "{name}: v1, v2, v5 as the mirror computes them");
-        assert_eq!(q.guest_reg(3), 10, "{name}: trips left");
-    }
-    for name in FAULT_CONFIGS {
-        let c = run_to_halt(
-            Captive::new(bench::captive_config(name)),
-            &code,
-            &data,
-            0x1000,
-        );
-        for (base, q) in &baselines {
-            for r in 0..31 {
-                assert_eq!(
-                    c.guest_reg(r),
-                    q.guest_reg(r),
-                    "{name} against {base}: x{r} diverged"
-                );
-            }
-        }
-        let s = c.stats();
+    let g = Guest {
+        words: data,
+        ..guest(
+            "promoted fp loop",
+            vec![(0x1000, main), (0x3000, v.finish())],
+        )
+    };
+    // QemuRef and QemuRef::with_goto_tb keep every guest register in memory.
+    let runs = assert_agree(&g, &EQUIVALENT);
+    let q = &runs[0].1;
+    assert_eq!((q.regs[20], q.regs[21]), (fault_pc, ram), "ELR, FAR");
+    assert_eq!(
+        q.regs[10..16],
+        want,
+        "v1, v2, v5 as the mirror computes them"
+    );
+    assert_eq!(q.regs[3], 10, "trips left");
+    for (name, c) in runs.iter().filter(|(name, _)| !name.starts_with("qemu")) {
+        let s = &c.stats;
         assert!(
             s.backedge_transfers > 100,
             "{name}: the loop ran in a region"
         );
-        if name != "noopt" {
+        if !["noopt", "nopromote"].contains(name) {
             assert!(
                 s.jit.opt_promoted_slots >= 9,
                 "{name}: seven vector slots and two general-purpose ones promoted, {}",

@@ -349,7 +349,14 @@ const BRANCH_SYNC: &[(&str, u64)] = &[
     ("regalloc_splits", 11),
 ];
 
-use bench::RunStats;
+use bench::{Guest, RunStats};
+use captive::CaptiveConfig;
+use workloads::Workload;
+
+/// The counters of `w` run on `engine`.
+fn run(w: &Workload, engine: impl Into<bench::EngineConfig>) -> RunStats {
+    bench::run(&w.into(), engine).stats
+}
 
 /// Every pinned `(name, value)` of `golden` must be what `m` reports.
 fn check(run: &str, golden: &[(&str, u64)], m: &RunStats) {
@@ -383,8 +390,8 @@ fn io_fault_config() -> hvm::VirtioBlkConfig {
 fn mcf_on_both_engines() {
     let mcf = &workloads::spec_int(workloads::Scale(1))[3];
     assert_eq!(mcf.name, "429.mcf");
-    check("429.mcf captive", MCF_CAPTIVE, &bench::run_captive(mcf));
-    check("429.mcf qemu", MCF_QEMU, &bench::run_qemu(mcf));
+    check("429.mcf captive", MCF_CAPTIVE, &run(mcf, "default"));
+    check("429.mcf qemu", MCF_QEMU, &run(mcf, "qemu"));
 }
 
 #[test]
@@ -393,31 +400,29 @@ fn guarded_stream_under_sync() {
         .into_iter()
         .find(|w| w.name == "stream.guarded")
         .expect("stream.guarded is a loop kernel");
-    let m = bench::run_captive_cfg(&guarded, bench::captive_config("sync"));
-    check("stream.guarded sync", GUARDED_SYNC, &m);
+    check("stream.guarded sync", GUARDED_SYNC, &run(&guarded, "sync"));
 }
 
 #[test]
 fn faulty_disk_read_on_both_engines() {
-    let w = workloads::vblk_read(4);
-    let c = bench::run_captive_io(&w, io_fault_config(), captive::CaptiveConfig::default());
+    let g = Guest {
+        virtio: Some(io_fault_config()),
+        ..(&workloads::vblk_read(4)).into()
+    };
+    let c = bench::run(&g, "default").stats;
     check("io.read+fault captive", VBLK_FAULT_CAPTIVE, &c);
-    let q = bench::run_qemu_io(&w, io_fault_config());
+    let q = bench::run(&g, "qemu").stats;
     check("io.read+fault qemu", VBLK_FAULT_QEMU, &q);
 }
 
 #[test]
 fn loop_flood_through_one_tier_worker() {
     let flood = workloads::loop_flood(12, 9, 30);
-    let cfg = captive::CaptiveConfig {
+    let cfg = CaptiveConfig {
         tier_workers: Some(1),
-        ..captive::CaptiveConfig::default()
+        ..CaptiveConfig::default()
     };
-    check(
-        "loop_flood one worker",
-        FLOOD_ONE_WORKER,
-        &bench::run_captive_cfg(&flood, cfg),
-    );
+    check("loop_flood one worker", FLOOD_ONE_WORKER, &run(&flood, cfg));
 }
 
 #[test]
@@ -426,6 +431,5 @@ fn branch_idioms_under_sync_split_instead_of_spilling() {
         .into_iter()
         .find(|w| w.name == "idiom.branch")
         .expect("idiom.branch is an idiom kernel");
-    let m = bench::run_captive_cfg(&branch, bench::captive_config("sync"));
-    check("idiom.branch sync", BRANCH_SYNC, &m);
+    check("idiom.branch sync", BRANCH_SYNC, &run(&branch, "sync"));
 }

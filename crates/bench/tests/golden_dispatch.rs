@@ -33,6 +33,7 @@
 //! 1 104 → 584, `cache.hits` 3 974 → 2 543, `cycles` 235 165 → 189 655.
 //! QemuRef refuses indirect links, and its constants stay as they were.
 
+use bench::{Guest, Run};
 use captive::Captive;
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
@@ -68,13 +69,8 @@ impl Lcg {
 }
 
 /// The guest image (address, words) plus the x19 the guest must end with.
-struct Image {
-    code: Vec<(u64, Vec<u32>)>,
-    data: Vec<(u64, u64)>,
-    expect_x19: u64,
-}
-
-fn image() -> Image {
+/// The program, and the sum its x19 must end at.
+fn image() -> (Guest, u64) {
     let mut r = Lcg(15);
     let mut code = Vec::new();
     let (mut leaf_addr, mut leaf_k) = (Vec::new(), Vec::new());
@@ -189,32 +185,23 @@ fn image() -> Image {
     };
     let expect_x19 =
         WARM_TRIPS as u64 + (PASSES - 2) * pass_sum(handler_k[patched]) + 2 * pass_sum(patched_k);
-    Image {
+    let guest = Guest {
+        name: "threaded code".into(),
         code,
-        data,
-        expect_x19,
-    }
+        words: data,
+        entry: CODE_BASE,
+        ..Guest::default()
+    };
+    (guest, expect_x19)
 }
 
-fn run<E: Engine>(mut engine: E) -> E {
-    let image = image();
-    for (at, words) in &image.code {
-        engine.load_program(*at, words);
-    }
-    for &(at, value) in &image.data {
-        engine.write_guest_phys(at, value, 8);
-    }
-    engine.set_entry(CODE_BASE);
-    assert_eq!(
-        engine.run(10_000_000),
-        guest_aarch64::sys::RunExit::GuestHalted { code: 0 }
-    );
-    assert_eq!(engine.guest_reg(19), image.expect_x19, "the program's sum");
-    engine
-}
-
-fn regs(engine: &impl Engine) -> Vec<u64> {
-    (0..31).map(|r| engine.guest_reg(r)).collect()
+/// Runs the program on `engine` to its clean halt and checks the sum.
+fn run<E: Engine>(mut engine: E) -> (E, Run) {
+    let (guest, expect_x19) = image();
+    let run = bench::drive(&guest, &mut engine);
+    assert_eq!(run.halt, 0);
+    assert_eq!(run.regs[19], expect_x19, "the program's sum");
+    (engine, run)
 }
 
 /// The final register file both engines must agree on.
@@ -228,8 +215,8 @@ type Counters = Vec<(&'static str, u64)>;
 
 #[test]
 fn captive_dispatch_counters_match_the_recorded_run() {
-    let c = run(Captive::new(bench::captive_config("sync")));
-    let (s, cs) = (c.stats(), c.cache.stats());
+    let (c, run) = run(Captive::new(bench::captive_config("sync")));
+    let (s, cs) = (run.stats, c.cache.stats());
     let got: Counters = vec![
         ("cycles", s.cycles),
         ("blocks", s.blocks),
@@ -267,13 +254,13 @@ fn captive_dispatch_counters_match_the_recorded_run() {
         ("cache.epoch", 1),
     ];
     assert_eq!(got, golden);
-    assert_eq!(regs(&c), GOLDEN_REGS);
+    assert_eq!(run.regs, GOLDEN_REGS);
 }
 
 #[test]
 fn qemu_ref_dispatch_counters_match_the_recorded_run() {
-    let q = run(QemuRef::new(bench::guest_ram()));
-    let (s, cs) = (q.stats(), q.cache.stats());
+    let (q, run) = run(QemuRef::new(bench::guest_ram()));
+    let (s, cs) = (run.stats, q.cache.stats());
     let got: Counters = vec![
         ("cycles", s.cycles),
         ("blocks", s.blocks),
@@ -303,5 +290,5 @@ fn qemu_ref_dispatch_counters_match_the_recorded_run() {
         ("cache.epoch", 4),
     ];
     assert_eq!(got, golden);
-    assert_eq!(regs(&q), GOLDEN_REGS);
+    assert_eq!(run.regs, GOLDEN_REGS);
 }

@@ -8,80 +8,29 @@
 //! clobbered between compare and branch, or whose flags escape the fusion
 //! window, must not fuse.
 
-use captive::{Captive, CaptiveConfig};
+use bench::{assert_agree, Guest, Run};
+use captive::CaptiveConfig;
 use dbt::RuleKind;
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
 use proptest::prelude::*;
-use qemu_ref::QemuRef;
 use workloads::DATA_BASE;
 
-const MEM_DIGEST_LEN: u64 = 64 * 1024;
-
-fn run_captive(words: &[u32], idioms: bool) -> Captive {
-    run_captive_cfg(
-        words,
-        CaptiveConfig {
-            idioms,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-fn run_captive_cfg(words: &[u32], cfg: CaptiveConfig) -> Captive {
-    let mut c = Captive::new(cfg);
-    c.load_program(0x1000, words);
-    c.set_entry(0x1000);
-    assert!(matches!(
-        c.run(50_000_000),
-        captive::RunExit::GuestHalted { .. }
-    ));
-    c
-}
-
-fn run_qemu(words: &[u32]) -> QemuRef {
-    let mut q = QemuRef::new(bench::guest_ram());
-    q.load_program(0x1000, words);
-    q.set_entry(0x1000);
-    assert!(matches!(
-        q.run(50_000_000),
-        qemu_ref::RunExit::GuestHalted { .. }
-    ));
-    q
-}
-
 /// Per-rule fusion count from a finished run.
-fn hits(c: &Captive, rule: RuleKind) -> u64 {
-    c.stats().jit.idiom_hits[rule.index()]
+fn hits(run: &Run, rule: RuleKind) -> u64 {
+    run.stats.jit.idiom_hits[rule.index()]
 }
 
-/// Full architectural comparison: 31 registers, NZCV, and the data region.
-fn assert_arch_eq(on: &mut Captive, off: &mut Captive, q: &mut QemuRef, label: &str) {
-    for r in 0..31 {
-        let v = on.guest_reg(r);
-        assert_eq!(v, off.guest_reg(r), "{label}: x{r} diverged idioms on/off");
-        assert_eq!(v, q.guest_reg(r), "{label}: x{r} diverged from baseline");
-    }
-    assert_eq!(
-        on.guest_nzcv(),
-        off.guest_nzcv(),
-        "{label}: NZCV diverged idioms on/off"
+/// Runs `words` with the idiom layer on, off and on the QEMU-style baseline,
+/// asserts one outcome (registers, NZCV, the data window and the
+/// `Architectural` counters) and returns the on and off runs.
+fn assert_idioms_invisible(words: Vec<u32>, label: &str) -> (Run, Run) {
+    let mut runs = assert_agree(
+        &Guest::program(label, words),
+        &["default", "noidiom", "qemu"],
     );
-    assert_eq!(
-        on.guest_nzcv(),
-        q.guest_nzcv(),
-        "{label}: NZCV diverged from baseline"
-    );
-    assert_eq!(
-        on.guest_mem_digest(DATA_BASE, MEM_DIGEST_LEN),
-        off.guest_mem_digest(DATA_BASE, MEM_DIGEST_LEN),
-        "{label}: memory diverged idioms on/off"
-    );
-    assert_eq!(
-        on.guest_mem_digest(DATA_BASE, MEM_DIGEST_LEN),
-        q.guest_mem_digest(DATA_BASE, MEM_DIGEST_LEN),
-        "{label}: memory diverged from baseline"
-    );
+    let off = runs.remove(1).1;
+    (runs.remove(0).1, off)
 }
 
 /// The conditions the subtract-producer consumer tables cover.
@@ -127,12 +76,7 @@ proptest! {
             a.cbnz_to(1, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let mut on = run_captive(&words, true);
-            let mut off = run_captive(&words, false);
-            let mut q = run_qemu(&words);
-            assert_arch_eq(&mut on, &mut off, &mut q, "cmpbr");
+            let (on, off) = assert_idioms_invisible(a.finish(), "cmpbr");
             if trips > 16 {
                 prop_assert!(
                     hits(&on, RuleKind::FuseCmpBr) >= 1,
@@ -169,12 +113,7 @@ proptest! {
             a.cbnz_to(1, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let mut on = run_captive(&words, true);
-            let mut off = run_captive(&words, false);
-            let mut q = run_qemu(&words);
-            assert_arch_eq(&mut on, &mut off, &mut q, "tstbr");
+            let (on, off) = assert_idioms_invisible(a.finish(), "tstbr");
             if trips > 16 {
                 prop_assert!(
                     hits(&on, RuleKind::FuseTstBr) >= 1,
@@ -203,12 +142,7 @@ proptest! {
             a.cbnz_to(1, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let mut on = run_captive(&words, true);
-            let mut off = run_captive(&words, false);
-            let mut q = run_qemu(&words);
-            assert_arch_eq(&mut on, &mut off, &mut q, "cbz");
+            let (on, off) = assert_idioms_invisible(a.finish(), "cbz");
             if trips > 16 {
                 prop_assert!(
                     hits(&on, RuleKind::FuseCbz) >= 1,
@@ -247,12 +181,7 @@ proptest! {
             a.cbnz_to(1, "loop");
             a.label("done");
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let mut on = run_captive(&words, true);
-            let mut off = run_captive(&words, false);
-            let mut q = run_qemu(&words);
-            assert_arch_eq(&mut on, &mut off, &mut q, "addr");
+            let (on, off) = assert_idioms_invisible(a.finish(), "addr");
             if trips > 16 {
                 prop_assert!(
                     hits(&on, RuleKind::AddrFold) >= 1,
@@ -289,12 +218,7 @@ proptest! {
             a.label("done");
             a.push(asm::ldr(6, 1, 0)); // read back through the fill
             a.push(asm::hlt());
-            let words = a.finish();
-
-            let mut on = run_captive(&words, true);
-            let mut off = run_captive(&words, false);
-            let mut q = run_qemu(&words);
-            assert_arch_eq(&mut on, &mut off, &mut q, "memset");
+            assert_idioms_invisible(a.finish(), "memset");
         }
     }
 }
@@ -319,12 +243,7 @@ fn carry_condition_on_logic_producer_suppresses_fusion() {
     a.push(asm::subi(1, 1, 1));
     a.cbnz_to(1, "loop");
     a.push(asm::hlt());
-    let words = a.finish();
-
-    let mut on = run_captive(&words, true);
-    let mut off = run_captive(&words, false);
-    let mut q = run_qemu(&words);
-    assert_arch_eq(&mut on, &mut off, &mut q, "hi-on-ands");
+    let (on, _) = assert_idioms_invisible(a.finish(), "hi-on-ands");
     for rule in [RuleKind::FuseCmpBr, RuleKind::FuseTstBr] {
         assert_eq!(
             hits(&on, rule),
@@ -359,15 +278,9 @@ fn flags_read_across_side_exit_stay_exact() {
         // Z is set on exit, so the Eq select must pick x9.
         a.push(asm::csel(4, 9, 3, Cond::Eq));
         a.push(asm::hlt());
-        let words = a.finish();
-
-        let mut on = run_captive(&words, true);
-        let mut off = run_captive(&words, false);
-        let mut q = run_qemu(&words);
-        assert_arch_eq(&mut on, &mut off, &mut q, "side-exit flags");
+        let (on, _) = assert_idioms_invisible(a.finish(), "side-exit flags");
         assert_eq!(
-            on.guest_reg(4),
-            trips as u64,
+            on.regs[4], trips as u64,
             "the side-exit csel must see the compare's Z flag"
         );
     }
@@ -398,29 +311,11 @@ fn flags_read_across_ret_stay_exact() {
     kern.push(asm::cmpi(10, 0));
     kern.bcond_to(Cond::Ne, "k");
     kern.push(asm::ret());
-    let main_words = main.finish();
-    let kern_words = kern.finish();
-
-    let run = |idioms: bool| {
-        let mut c = Captive::new(CaptiveConfig {
-            idioms,
-            ..CaptiveConfig::default()
-        });
-        c.load_program(0x1000, &main_words);
-        c.load_program(0x2000, &kern_words);
-        c.set_entry(0x1000);
-        assert!(matches!(
-            c.run(50_000_000),
-            captive::RunExit::GuestHalted { .. }
-        ));
-        c
+    let g = Guest {
+        code: vec![(0x1000, main.finish()), (0x2000, kern.finish())],
+        ..Guest::program("flags across ret", Vec::new())
     };
-    let on = run(true);
-    let off = run(false);
-    for r in 0..31 {
-        assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-    }
-    assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV across ret");
+    assert_agree(&g, &["default", "noidiom"]);
 }
 
 /// The idiom layer composes with loop promotion and peeling: a byte-fill
@@ -439,14 +334,14 @@ fn memset_loop_agrees_under_every_knob_combination() {
     a.push(asm::subi(5, 5, 1));
     a.cbnz_to(5, "fill");
     a.push(asm::hlt());
-    let words = a.finish();
+    let g = Guest::program("memset", a.finish());
 
-    let mut reference: Option<(Vec<u64>, u64, u64)> = None;
+    let mut reference: Option<Run> = None;
     for promote in [false, true] {
         for unroll in [1usize, 4] {
             for idioms in [false, true] {
-                let c = run_captive_cfg(
-                    &words,
+                let run = bench::run(
+                    &g,
                     CaptiveConfig {
                         idioms,
                         promote,
@@ -454,18 +349,13 @@ fn memset_loop_agrees_under_every_knob_combination() {
                         ..CaptiveConfig::default()
                     },
                 );
-                let regs: Vec<u64> = (0..31).map(|r| c.guest_reg(r)).collect();
-                let nzcv = c.guest_nzcv();
-                let mem = c.guest_mem_digest(DATA_BASE, MEM_DIGEST_LEN);
                 match &reference {
-                    None => reference = Some((regs, nzcv, mem)),
-                    Some((rr, rn, rm)) => {
-                        assert_eq!(
-                            (&regs, nzcv, mem),
-                            (rr, *rn, *rm),
-                            "promote={promote} unroll={unroll} idioms={idioms} diverged"
-                        );
-                    }
+                    None => reference = Some(run),
+                    Some(first) => assert_eq!(
+                        run.differs(first),
+                        None,
+                        "promote={promote} unroll={unroll} idioms={idioms} diverged"
+                    ),
                 }
             }
         }

@@ -3,22 +3,21 @@
 //! differ from memory** (`captive::itlb`).  Each case changes a live
 //! translation in one of the ways a guest, a device or the host can, makes it
 //! architecturally visible (`tlbi`, `TTBR0`, `SCTLR`), reads through the
-//! address again, and holds four Captive configurations to the QEMU-style
-//! baseline, which caches no walk across any of those events.
+//! address again, and holds every engine of `bench::EQUIVALENT` to the
+//! QEMU-style baseline, which caches no walk across any of those events.
 //!
 //! Every read of the address under test shifts one hex digit into x19 —
 //! frame *i* holds the value *i + 1*, an aborted read contributes 0 — so a
 //! failure prints the sequence of frames each engine saw.
 
-use captive::{Captive, CaptiveConfig, RunExit};
+use bench::{by_name, Guest, Run, EQUIVALENT};
+use captive::{Captive, CaptiveConfig};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
 use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
-use guest_aarch64::sys::Engine;
 use guest_aarch64::SysReg;
 use hvm::virtio::{mmio, DESC_F_NEXT, DESC_F_WRITE, REQ_READ, SECTOR_SIZE};
 use hvm::VirtioBlkConfig;
-use qemu_ref::{QemuRef, RunStats};
 
 /// Main program (two pages) and, after it, the exception vector.
 const CODE: u64 = 0x1000;
@@ -36,8 +35,6 @@ const POOL_LEN: u64 = 0x1_0000;
 /// number whose low bits match none of the pages the guest stores to, so no
 /// direct-mapped cache drops its entry for an unrelated reason.
 const X: u64 = 0x4040_0000;
-/// Captive configurations held to the baseline.
-const CONFIGS: [&str; 4] = ["default", "sync", "noopt", "tinycache"];
 
 const RW: GuestPageFlags = GuestPageFlags::kernel_rw();
 
@@ -61,39 +58,12 @@ fn tables(n: u64) -> GuestTableImage {
     t
 }
 
-/// One guest image and how to run it.
-struct Guest {
-    main: Vec<u32>,
-    /// Eight-byte words loaded before the run (tables, device structures).
-    words: Vec<(u64, u64)>,
-    virtio: Option<VirtioBlkConfig>,
-    /// After the first `hlt`: words the host writes, and where the guest
-    /// then resumes.
-    second_leg: Option<(Vec<(u64, u64)>, u64)>,
-}
-
-impl Guest {
-    fn new(main: Assembler, tables: &[&GuestTableImage]) -> Self {
-        Guest {
-            main: main.finish(),
-            words: tables.iter().flat_map(|t| t.words()).collect(),
-            virtio: None,
-            second_leg: None,
-        }
-    }
-}
-
-/// What every engine must agree on.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    regs: [u64; 31],
-    frames: u64,
-}
-
-fn run<E: Engine>(e: &mut E, g: &Guest) -> Outcome {
+/// The guest `main` at `CODE`, the vector at `VECTOR`, frame *i* holding
+/// *i + 1* and the `tables` loaded; the outcome digests the frames.
+fn guest(main: Assembler, tables: &[&GuestTableImage]) -> Guest {
     // The vector counts the abort in x22, sums ESR and FAR into x20 / x21
     // and skips the faulting instruction.
-    let vector = [
+    let vector = vec![
         asm::addi(22, 22, 1),
         asm::mrs(15, SysReg::Esr as u32),
         asm::add(20, 20, 15),
@@ -105,59 +75,25 @@ fn run<E: Engine>(e: &mut E, g: &Guest) -> Outcome {
         asm::movz(15, 0, 0),
         asm::eret(),
     ];
-    e.load_program(CODE, &g.main);
-    e.load_program(VECTOR, &vector);
-    for i in 0..FRAMES_LEN / 0x1000 {
-        e.write_guest_phys(frame(i), i + 1, 8);
-    }
-    for &(at, word) in &g.words {
-        e.write_guest_phys(at, word, 8);
-    }
-    e.set_entry(CODE);
-    assert_eq!(e.run(10_000_000), RunExit::GuestHalted { code: 0 });
-    if let Some((words, resume)) = &g.second_leg {
-        for &(at, word) in words {
-            e.write_guest_phys(at, word, 8);
-        }
-        e.parts_mut().0.exit_code = None;
-        e.set_entry(*resume);
-        assert_eq!(e.run(10_000_000), RunExit::GuestHalted { code: 0 });
-    }
-    Outcome {
-        regs: std::array::from_fn(|i| e.guest_reg(i as u32)),
-        frames: e.guest_mem_digest(FRAMES, FRAMES_LEN),
+    let frames = (0..FRAMES_LEN / 0x1000).map(|i| (frame(i), i + 1));
+    Guest {
+        name: "table_writes".into(),
+        code: vec![(CODE, main.finish()), (VECTOR, vector)],
+        words: frames
+            .chain(tables.iter().flat_map(|t| t.words()))
+            .collect(),
+        entry: CODE,
+        digests: vec![(FRAMES, FRAMES_LEN)],
+        ..Guest::default()
     }
 }
 
-/// Runs `g` on the baseline `q`, with `g`'s device attached.
-fn on_qemu(mut q: QemuRef, g: &Guest) -> (Outcome, RunStats) {
-    if let Some(cfg) = &g.virtio {
-        q.attach_virtio(cfg.clone());
-    }
-    (run(&mut q, g), q.stats())
-}
-
-/// Runs `g` on the baseline, on the benchmark's baseline (which links
-/// across pages) and on every configuration of [`CONFIGS`], asserts one
-/// outcome, and returns it.
-fn on_every_engine(g: &Guest) -> Outcome {
-    let (reference, stats) = on_qemu(QemuRef::new(bench::guest_ram()), g);
-    let (linked, linked_stats) = on_qemu(QemuRef::with_goto_tb(bench::guest_ram()), g);
-    assert_eq!(linked, reference, "QemuRef::with_goto_tb against QemuRef");
-    assert_eq!(linked_stats.differs_across_engines(&stats), None);
-    for name in CONFIGS {
-        let mut c = captive(name, g);
-        assert_eq!(run(&mut c, g), reference, "Captive {name} against QemuRef");
-    }
-    reference
-}
-
-/// The Captive configuration `name`, with `g`'s device attached.
-fn captive(name: &str, g: &Guest) -> Captive {
-    Captive::new(CaptiveConfig {
-        virtio: g.virtio.clone(),
-        ..bench::captive_config(name)
-    })
+/// Runs `g` on every engine of the equivalence roster, asserts one outcome
+/// and a clean halt, and returns the runs by engine name.
+fn agree(g: &Guest) -> Vec<(&'static str, Run)> {
+    let runs = bench::assert_agree(g, &EQUIVALENT);
+    assert_eq!(runs[0].1.halt, 0);
+    runs
 }
 
 /// Vector, `TTBR0 = root`, MMU on, x13 = `X`, the digits in x19 cleared.
@@ -203,7 +139,8 @@ fn a_leaf_pte_rewritten_through_an_alias_of_its_table_page() {
     a.push(asm::tlbi());
     read(&mut a);
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&t]));
+    let runs = agree(&guest(a, &[&t]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x12);
 }
 
@@ -241,7 +178,8 @@ fn a_level_2_entry_repointed_at_a_prebuilt_leaf_table() {
         read(&mut a);
     }
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&t, &g1, &g2]));
+    let runs = agree(&guest(a, &[&t, &g1, &g2]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x123);
 }
 
@@ -261,7 +199,8 @@ fn a_level_3_entry_repointed_at_a_prebuilt_subtree() {
         read(&mut a);
     }
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&t, &g1, &g2]));
+    let runs = agree(&guest(a, &[&t, &g1, &g2]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x123);
 }
 
@@ -330,9 +269,10 @@ fn a_device_read_whose_buffer_is_a_live_table_page() {
     kick_and_wait(&mut a);
     read(&mut a);
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     device_read(&mut g, leaf, pte(1).to_le_bytes().to_vec());
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x12);
 }
 
@@ -350,7 +290,8 @@ fn ttbr0_switched_to_another_address_space_and_back() {
         read(&mut a);
     }
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&ta, &tb]));
+    let runs = agree(&guest(a, &[&ta, &tb]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x1212);
 }
 
@@ -370,7 +311,8 @@ fn sctlr_off_and_on_again() {
         read(&mut a);
     }
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&t]));
+    let runs = agree(&guest(a, &[&t]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x15151);
 }
 
@@ -391,7 +333,8 @@ fn a_page_written_then_first_used_as_a_table_then_written_again() {
     a.push(asm::tlbi());
     read(&mut a);
     a.push(asm::hlt());
-    let out = on_every_engine(&Guest::new(a, &[&t]));
+    let runs = agree(&guest(a, &[&t]));
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x23);
 }
 
@@ -407,9 +350,10 @@ fn the_host_rewrites_a_pte_between_two_runs() {
     a.push(asm::tlbi());
     read(&mut a);
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
-    g.second_leg = Some((vec![(t.entry_addr(X, 1), pte(1))], resume));
-    let out = on_every_engine(&g);
+    let mut g = guest(a, &[&t]);
+    g.resume = Some((vec![(t.entry_addr(X, 1), pte(1))], resume));
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 0x12);
 }
 
@@ -440,9 +384,10 @@ fn table_pointers_at_the_edge_of_guest_ram() {
         read(&mut a);
     }
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     g.words.extend([(last, pte(1)), (ram - 8, pte(2))]);
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     // Frame 0, frame 1 through the table's first entry, frame 2 through its
     // last, then two aborts.
     assert_eq!(out.regs[19], 0x12300);
@@ -476,7 +421,7 @@ fn digit_page(digit: u32) -> Vec<u32> {
     vec![asm::movz(4, digit, 0), asm::b(-0x1000)]
 }
 
-/// `code` at the start of frame `i`, as the eight-byte words [`Guest`] loads
+/// `code` at the start of frame `i`, as the eight-byte words a [`Guest`] loads
 /// (after the frames' own digits, which the first word replaces).
 fn code_in_frame(i: u64, code: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
     code.chunks(2).enumerate().map(move |(n, pair)| {
@@ -514,15 +459,14 @@ fn an_interior_code_page_remapped_under_a_formed_region() {
     a.push(asm::tlbi());
     call_loop(&mut a, A);
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     loop_frames(&mut g);
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
     // x4 is 0 on the first trip, then 1; still 1 on the first trip of the
     // second call, then 2.
-    assert_eq!(out.regs[19], 99 + 1 + 2 * 99);
-    let (_, linked) = on_qemu(QemuRef::with_goto_tb(bench::guest_ram()), &g);
+    assert_eq!(by_name(&runs, "qemu").regs[19], 99 + 1 + 2 * 99);
     assert!(
-        linked.goto_tb_transfers > 0,
+        by_name(&runs, "qemu+goto_tb").stats.goto_tb_transfers > 0,
         "the linked baseline chains across the loop's two pages"
     );
 }
@@ -545,9 +489,10 @@ fn two_address_spaces_that_share_a_regions_entry_page() {
         call_loop(&mut a, A);
     }
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&ta, &tb]);
+    let mut g = guest(a, &[&ta, &tb]);
     loop_frames(&mut g);
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 99 + (1 + 2 * 99) + (2 + 99) + (1 + 2 * 99));
 }
 
@@ -568,10 +513,11 @@ fn a_region_formed_with_the_mmu_off_then_sctlr_on_under_tables_that_move_a_page(
     a.push(asm::msr(SysReg::Sctlr as u32, 0));
     call_loop(&mut a, frame(4));
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     loop_frames(&mut g);
     g.words.extend(code_in_frame(5, &digit_page(1)));
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 99 + 1 + 2 * 99);
 }
 
@@ -587,8 +533,9 @@ fn mmu_off_kernels_never_enter_the_revalidation_rule() {
         .collect();
     assert_eq!(tlb_kernels.len(), 2);
     for b in tlb_kernels {
-        let (c, q) = bench::run_both_raw(b.name, &b.words, b.entry);
-        for (engine, m) in [("captive", c), ("qemu", q)] {
+        let g = Guest::from(&bench::micro_workload(&b));
+        for (engine, run) in bench::assert_agree(&g, &["qemu", "default"]) {
+            let m = run.stats;
             assert_eq!(
                 (
                     m.itlb_revalidated,
@@ -634,15 +581,13 @@ fn predicted_leaf_changes(change: impl FnOnce(&mut Assembler, &GuestTableImage))
     change(&mut a, &t);
     call_leaf(&mut a, "second");
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     g.words.extend(code_in_frame(2, &leaf(1)));
     g.words.extend(code_in_frame(3, &leaf(2)));
-    let out = on_every_engine(&g);
-    assert_eq!(out.regs[19], 3 * TRIPS);
-    let mut c = captive("sync", &g);
-    run(&mut c, &g);
+    let runs = agree(&g);
+    assert_eq!(by_name(&runs, "qemu").regs[19], 3 * TRIPS);
     assert!(
-        c.stats().predicted_transfers > TRIPS,
+        by_name(&runs, "sync").stats.predicted_transfers > TRIPS,
         "the calls ran on predicted links"
     );
 }
@@ -706,7 +651,7 @@ fn toggle_guest(after: impl FnOnce(&mut Assembler)) -> Guest {
     toggle(&mut a);
     after(&mut a);
     a.push(asm::hlt());
-    let mut g = Guest::new(a, &[&t]);
+    let mut g = guest(a, &[&t]);
     g.words.extend(code_in_frame(6, &f_words(0)));
     g
 }
@@ -714,15 +659,19 @@ fn toggle_guest(after: impl FnOnce(&mut Assembler)) -> Guest {
 /// How many tier-0 installs the default engine served from the reuse store
 /// running `g`.
 fn revived(g: &Guest) -> u64 {
-    let mut c = captive("default", g);
-    run(&mut c, g);
+    let mut c = Captive::new(CaptiveConfig {
+        virtio: g.virtio.clone(),
+        ..CaptiveConfig::default()
+    });
+    bench::drive(g, &mut c);
     c.speculation().revived
 }
 
 #[test]
 fn a_function_toggled_between_two_encodings() {
     let g = toggle_guest(|_| {});
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 14 * TRIPS);
     // The first two patched calls translate; every later one revives.
     assert_eq!(revived(&g), 2 * TRIPS - 2);
@@ -746,7 +695,8 @@ fn a_device_read_that_puts_a_functions_old_bytes_back() {
         device_read(&mut g, F, sector);
         g
     };
-    let out = on_every_engine(&g);
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
     assert_eq!(out.regs[19], 14 * TRIPS + 5);
     assert_eq!(revived(&g), 2 * TRIPS - 1, "the call after the DMA revived");
 }

@@ -603,54 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn chaining_cycle_gap_comes_from_chained_transfers() {
-        // Same guest program under chaining on/off: identical architectural
-        // results, and the entire cycle gap is the dispatch-vs-chain cost of
-        // the counted chained transfers — not a post-hoc credit.
-        let mut a = asm::Assembler::new();
-        a.push(asm::movz(0, 0, 0));
-        a.push(asm::movz(1, 1500, 0));
-        a.label("loop");
-        a.push(asm::add(0, 0, 1));
-        a.push(asm::subi(1, 1, 1));
-        a.cbnz_to(1, "loop");
-        a.push(asm::hlt());
-        let words = a.finish();
-
-        // Superblocks are pinned off: this test pins *chain-only* cycle
-        // accounting (re-baselined when superblocks went default-on).
-        let run = |chaining: bool| {
-            let mut c = Captive::new(CaptiveConfig {
-                chaining,
-                form_regions: false,
-                ..CaptiveConfig::default()
-            });
-            c.load_program(0x1000, &words);
-            c.set_entry(0x1000);
-            let exit = c.run(100_000);
-            assert_eq!(exit, RunExit::GuestHalted { code: 0 });
-            c
-        };
-        let on = run(true);
-        let off = run(false);
-
-        for r in 0..31 {
-            assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-        }
-        let son = on.stats();
-        let soff = off.stats();
-        assert_eq!(soff.chained_transfers, 0);
-        assert!(son.chained_transfers > 1400);
-        assert!(son.cycles < soff.cycles, "chaining must be cheaper");
-        let per_transfer = on.machine.cost.dispatch - on.machine.cost.chain;
-        assert_eq!(
-            soff.cycles - son.cycles,
-            son.chained_transfers * per_transfer,
-            "the gap is exactly the chained transfers' saved dispatch cost"
-        );
-    }
-
-    #[test]
     fn self_modifying_code_unlinks_stale_translations() {
         // The guest rewrites a subroutine between two calls; the second call
         // must execute the new code, never a stale translation reached

@@ -20,7 +20,7 @@
 //!   [`guest_aarch64::dispatch`], is the one that is a knob here):
 //!   - [`LinkMode::Off`] (`QemuRef::new`): every block returns to the
 //!     dispatcher.  This is the figures' baseline: `fig17`, `fig18` and
-//!     `fig19` divide by `bench::run_qemu`, which runs this mode;
+//!     `fig19` divide by the engine `bench` names `qemu`, which runs this mode;
 //!   - [`LinkMode::SamePage`] (`with_chaining(ram, true)`): successors
 //!     **within the same guest page** only, as real QEMU/TCG does —
 //!     cross-page links are never patched, because a virtually-indexed cache
@@ -57,11 +57,14 @@ pub use guest_aarch64::sys::{RunExit, RunStats};
 
 /// Helper ids specific to the QEMU-style runtime.
 pub mod qhelpers {
-    /// Softmmu load: args (vaddr, size in bytes, sign-extend flag).
+    /// Softmmu load: args (vaddr, size in bytes); returns the value
+    /// zero-extended (the translator sign-extends after the call where the
+    /// load asks for it).
     pub const MMU_READ: u16 = 40;
     /// Softmmu store: args (vaddr, value, size in bytes).
     pub const MMU_WRITE: u16 = 41;
-    /// Softfloat binary op: args (op, a, b) where op selects add/sub/mul/div.
+    /// Softfloat op: args (op, a, b) where op 0–3 selects add/sub/mul/div,
+    /// or (4, a, b, c) for the fused `a * b + c` of `fmadd`, rounded once.
     pub const SOFT_FP: u16 = 42;
     /// Softfloat square root: arg (a).
     pub const SOFT_SQRT: u16 = 43;
