@@ -6,13 +6,14 @@
 #
 # Both checkouts hold benchmark/out/result.json (all four workloads, untraced)
 # and benchmark/out/result-{cold_code,indirect_dispatch,sys_events}-traced.json.
-# Compared, per workload: `sim_cycles` and `ops_failed`; on `cold_code` the
-# exact JIT-output metrics; on `indirect_dispatch` the exact dispatch ratios;
-# on `sys_events` what the guest-walk caches did (both hit rates) under the two
-# event counts the benchmark fixes by construction (host page faults, context-
-# generation bumps), and what translation work the run did around them
-# (tier-0 installs, SMC invalidations, reuse hits and misses, host TLB
-# flushes).
+# Compared, per workload: `sim_cycles`, `sim_speedup` (the QEMU-style
+# baseline's cycles over Captive's, so a drift in code only the baseline runs
+# shows too) and `ops_failed`; on `cold_code` the exact JIT-output metrics; on
+# `indirect_dispatch` the exact dispatch ratios; on `sys_events` what the
+# guest-walk caches did (both hit rates) under the two event counts the
+# benchmark fixes by construction (host page faults, context-generation
+# bumps), and what translation work the run did around them (tier-0 installs,
+# SMC invalidations, reuse hits and misses, host TLB flushes).
 #
 # Every one of them must be identical — unless <head checkout>/.github/rebaseline
 # exists.  That file is how a pull request says "this drift is the point".
@@ -42,6 +43,7 @@ traced() {
 }
 flat() {
     jq -r '.workloads[] | "\(.name) sim_cycles \(.metrics.sim_cycles.value)",
+        "\(.name) sim_speedup \(.metrics.sim_speedup.value)",
         "\(.name) ops_failed \(.ops_failed)"' "$1/benchmark/out/result.json"
     traced "$1/benchmark/out/result-cold_code-traced.json" "$jit"
     traced "$1/benchmark/out/result-indirect_dispatch-traced.json" "$dispatch"
@@ -52,10 +54,10 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 flat "$base" > "$work/base"
 flat "$head" > "$work/head"
-# 4 workloads x 2, 10 JIT-output metrics, 7 dispatch ratios, 9 system-event
+# 4 workloads x 3, 10 JIT-output metrics, 7 dispatch ratios, 9 system-event
 # numbers: a renamed metric must not silently drop out of the comparison.
-test "$(wc -l < "$work/head")" -eq 34
-test "$(wc -l < "$work/base")" -eq 34
+test "$(wc -l < "$work/head")" -eq 38
+test "$(wc -l < "$work/base")" -eq 38
 
 rebaseline=$head/.github/rebaseline
 [ -f "$rebaseline" ] || rebaseline=/dev/null

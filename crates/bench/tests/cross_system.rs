@@ -907,8 +907,12 @@ fn captive_wins_where_the_paper_says_it_should() {
     let speedup = runs[1].1.stats.cycles as f64 / runs[0].1.stats.cycles as f64;
     assert!(speedup > 2.0, "Mem-Hot speedup {speedup}");
 
-    // Translation-speed micro-benchmarks: the baseline's simpler codegen wins
-    // (the paper reports Captive 65–85% slower on Small/Large-Blocks).
+    // Translation-speed micro-benchmarks: the paper reports Captive 65–85 %
+    // slower on Small/Large-Blocks, where translation work dominates.
+    // Simulated cycles do not price the JIT yet (ROADMAP item 10), so that
+    // loss cannot show: `figures -- fig19` prints Captive ahead on both
+    // (Small-Blocks 1.04×, Large-Blocks 3.70×).  All that is asserted here
+    // is that every one of Small-Blocks' 800 blocks is translated.
     let blocks = (&bench::micro_workload(&simbench::small_blocks(800))).into();
     assert!(
         bench::run(&blocks, "default").stats.translations >= 800,

@@ -300,18 +300,16 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
             LirBase::RegFile => Gpr::Rbp,
             LirBase::Vreg(v) => self.use_gpr(v),
         };
-        let index = m.index.map(|(v, scale)| (self.use_gpr(v), scale));
-        MemRef {
-            base,
-            index,
-            disp: m.disp,
+        match m.index {
+            Some((v, scale)) => MemRef::base_index(base, self.use_gpr(v), scale, m.disp),
+            None => MemRef::base_disp(base, m.disp),
         }
     }
 
     fn operand(&mut self, o: &LirOperand) -> Operand {
         match o {
             LirOperand::Vreg(v) => Operand::Reg(self.use_gpr(*v)),
-            LirOperand::Imm(i) => Operand::Imm(*i),
+            LirOperand::Imm(i) => Operand::imm(*i),
         }
     }
 
@@ -512,7 +510,7 @@ impl<'a, const SPLITS: bool> Lowerer<'a, SPLITS> {
                 let dst = ARG_GPRS[*index as usize];
                 match self.operand(src) {
                     Operand::Reg(r) => self.out.push(MachInsn::MovReg { dst, src: r }),
-                    Operand::Imm(i) => self.out.push(MachInsn::MovImm { dst, imm: i }),
+                    Operand::Imm(i) => self.out.push(MachInsn::MovImm { dst, imm: i.get() }),
                 }
             }
             LirInsn::CallHelper { helper } => {
@@ -750,17 +748,13 @@ mod tests {
             i,
             MachInsn::Lea {
                 dst: Gpr::R15,
-                addr: MemRef {
-                    base: Gpr::R15,
-                    index: None,
-                    disp: 4,
-                },
-            }
+                addr,
+            } if *addr == MemRef::base_disp(Gpr::R15, 4)
         )));
         // Register-file accesses use %rbp as base.
         assert!(code.iter().any(|i| matches!(
             i,
-            MachInsn::Load { addr, .. } if addr.base == Gpr::Rbp && addr.disp == 0x108
+            MachInsn::Load { addr, .. } if addr.base == Gpr::Rbp && addr.disp() == 0x108
         )));
     }
 
@@ -884,7 +878,7 @@ mod tests {
             }
             ref other => panic!("not a jump: {other:?}"),
         };
-        assert!(matches!(code[target(3)], MachInsn::Store { addr, .. } if addr.disp == 16));
+        assert!(matches!(code[target(3)], MachInsn::Store { addr, .. } if addr.disp() == 16));
         assert!(matches!(code[target(5)], MachInsn::Alu { .. }));
     }
 
@@ -1030,7 +1024,7 @@ mod tests {
         assert!(
             matches!(
                 code[cmov_pos + 1],
-                MachInsn::Store { addr, .. } if addr.base == Gpr::Rbp && addr.disp < 0
+                MachInsn::Store { addr, .. } if addr.base == Gpr::Rbp && addr.disp() < 0
             ),
             "the spilled CmovCc result must be stored back, got {:?}",
             &code[cmov_pos..cmov_pos + 2]
@@ -1067,7 +1061,7 @@ mod tests {
         // Spill stores target the spill area below the register file.
         assert!(code.iter().any(|i| matches!(
             i,
-            MachInsn::Store { addr, .. } if addr.base == Gpr::Rbp && addr.disp < 0
+            MachInsn::Store { addr, .. } if addr.base == Gpr::Rbp && addr.disp() < 0
         )));
     }
 

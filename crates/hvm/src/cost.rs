@@ -172,7 +172,7 @@ mod tests {
             c.insn_cost(&MachInsn::Alu {
                 op: AluOp::DivU,
                 dst: Gpr::Rax,
-                src: crate::insn::Operand::Imm(3)
+                src: crate::insn::Operand::imm(3)
             }),
             c.div
         );

@@ -101,35 +101,38 @@ impl Writer<'_> {
     fn mem(&mut self, m: &MemRef) {
         // Mode byte: bit0 = has index, bit1 = disp fits in i8, bit2 = disp is
         // zero.  This mirrors x86's disp0/disp8/disp32 encodings.
-        let disp_zero = m.disp == 0;
-        let disp8 = i8::try_from(m.disp).is_ok();
-        let mode = (m.index.is_some() as u8) | ((disp8 as u8) << 1) | ((disp_zero as u8) << 2);
+        let disp = m.disp();
+        let disp_zero = disp == 0;
+        let disp8 = i8::try_from(disp).is_ok();
+        let index = m.index();
+        let mode = (index.is_some() as u8) | ((disp8 as u8) << 1) | ((disp_zero as u8) << 2);
         self.u8(mode);
         self.gpr(m.base);
-        if let Some((idx, scale)) = m.index {
+        if let Some((idx, scale)) = index {
             self.u8(idx.index() | (scale.trailing_zeros() as u8) << 6);
         }
         if !disp_zero {
             if disp8 {
-                self.u8(m.disp as i8 as u8);
+                self.u8(disp as i8 as u8);
             } else {
-                self.i32(m.disp);
+                self.i32(disp);
             }
         }
     }
-    fn operand(&mut self, o: &Operand) {
+    fn operand(&mut self, o: Operand) {
         match o {
             Operand::Reg(r) => {
                 self.u8(0);
-                self.gpr(*r);
+                self.gpr(r);
             }
             Operand::Imm(v) => {
-                if *v as i64 >= i32::MIN as i64 && *v as i64 <= i32::MAX as i64 {
+                let v = v.get();
+                if v as i64 >= i32::MIN as i64 && v as i64 <= i32::MAX as i64 {
                     self.u8(1);
-                    self.i32(*v as i64 as i32);
+                    self.i32(v as i64 as i32);
                 } else {
                     self.u8(2);
-                    self.u64(*v);
+                    self.u64(v);
                 }
             }
         }
@@ -185,17 +188,17 @@ pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
             w.u8(0x08);
             w.u8(alu_code(*op));
             w.gpr(*dst);
-            w.operand(src);
+            w.operand(*src);
         }
         MachInsn::Cmp { a, b } => {
             w.u8(0x09);
             w.gpr(*a);
-            w.operand(b);
+            w.operand(*b);
         }
         MachInsn::Test { a, b } => {
             w.u8(0x0A);
             w.gpr(*a);
-            w.operand(b);
+            w.operand(*b);
         }
         MachInsn::Neg { dst } => {
             w.u8(0x0B);
@@ -372,7 +375,7 @@ mod tests {
             MachInsn::Alu {
                 op: AluOp::Add,
                 dst: Gpr::Rax,
-                src: Operand::Imm(1),
+                src: Operand::imm(1),
             },
             MachInsn::Alu {
                 op: AluOp::Shl,
@@ -382,11 +385,11 @@ mod tests {
             MachInsn::Alu {
                 op: AluOp::Xor,
                 dst: Gpr::Rdx,
-                src: Operand::Imm(0xDEAD_BEEF_CAFE_F00D),
+                src: Operand::imm(0xDEAD_BEEF_CAFE_F00D),
             },
             MachInsn::Cmp {
                 a: Gpr::Rax,
-                b: Operand::Imm(42),
+                b: Operand::imm(42),
             },
             MachInsn::Test {
                 a: Gpr::Rax,

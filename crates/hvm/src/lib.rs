@@ -42,7 +42,7 @@ pub mod virtio;
 
 pub use cost::CostModel;
 pub use event::{EventSources, InterruptLatch, Timer, TIMER_LINE};
-pub use insn::{AluOp, Cond, FpOp, Gpr, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
+pub use insn::{AluOp, Cond, FpOp, Gpr, Imm64, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
 pub use machine::{
     ExitReason, FaultAction, FlagsReg, HelperCtx, HelperResult, Machine, MachineConfig,
     NullRuntime, Ring, Runtime,

@@ -336,17 +336,17 @@ impl Machine {
 
     /// Computes the effective address of a memory operand.
     pub fn effective_address(&self, m: &MemRef) -> u64 {
-        let mut a = self.reg(m.base).wrapping_add(m.disp as i64 as u64);
-        if let Some((idx, scale)) = m.index {
+        let mut a = self.reg(m.base).wrapping_add(m.disp() as i64 as u64);
+        if let Some((idx, scale)) = m.index() {
             a = a.wrapping_add(self.reg(idx).wrapping_mul(scale as u64));
         }
         a
     }
 
-    fn operand_value(&self, o: &Operand) -> u64 {
+    fn operand_value(&self, o: Operand) -> u64 {
         match o {
-            Operand::Reg(r) => self.reg(*r),
-            Operand::Imm(v) => *v,
+            Operand::Reg(r) => self.reg(r),
+            Operand::Imm(v) => v.get(),
         }
     }
 
@@ -656,20 +656,20 @@ impl Machine {
                 MachInsn::Alu { op, dst, src } => {
                     charge!();
                     let a = self.reg(dst);
-                    let b = self.operand_value(&src);
+                    let b = self.operand_value(src);
                     let r = self.alu(op, a, b);
                     self.set_reg(dst, r);
                 }
                 MachInsn::Cmp { a, b } => {
                     charge!();
                     let av = self.reg(a);
-                    let bv = self.operand_value(&b);
+                    let bv = self.operand_value(b);
                     let r = av.wrapping_sub(bv);
                     self.set_flags_sub(av, bv, r);
                 }
                 MachInsn::Test { a, b } => {
                     charge!();
-                    let r = self.reg(a) & self.operand_value(&b);
+                    let r = self.reg(a) & self.operand_value(b);
                     self.set_flags_logic(r);
                 }
                 MachInsn::Neg { dst } => {
@@ -915,11 +915,11 @@ mod tests {
             MachInsn::Alu {
                 op: AluOp::Add,
                 dst: Gpr::Rax,
-                src: Operand::Imm(2),
+                src: Operand::imm(2),
             },
             MachInsn::Cmp {
                 a: Gpr::Rax,
-                b: Operand::Imm(42),
+                b: Operand::imm(42),
             },
             MachInsn::SetCc {
                 cond: Cond::Eq,
@@ -987,7 +987,7 @@ mod tests {
             MachInsn::Alu {
                 op: AluOp::Sub,
                 dst: Gpr::Rcx,
-                src: Operand::Imm(1),
+                src: Operand::imm(1),
             },
             MachInsn::Jcc {
                 cond: Cond::Ne,
@@ -1241,5 +1241,107 @@ mod tests {
         assert_eq!(m.run_block(&code, &mut rt), ExitReason::BlockEnd);
         assert_eq!(rt.fixed, 1, "handler ran once");
         assert_eq!(m.reg(Gpr::Rax), 77, "access succeeded after repair");
+    }
+
+    #[test]
+    fn a_mem_ref_reads_back_what_it_was_built_from_and_addresses_the_wrapping_sum() {
+        let mut m = machine();
+        for (i, r) in Gpr::ALL.into_iter().enumerate() {
+            m.set_reg(r, 0x0123_4567_89AB_CDEF_u64.wrapping_mul(i as u64 + 1));
+        }
+        for base in Gpr::ALL {
+            for disp in [i32::MIN, -129, -1, 0, 127, 128, i32::MAX] {
+                let plain = MemRef::base_disp(base, disp);
+                assert_eq!(
+                    (plain.base, plain.index(), plain.disp()),
+                    (base, None, disp)
+                );
+                let at = m.reg(base).wrapping_add(disp as i64 as u64);
+                assert_eq!(m.effective_address(&plain), at, "{plain}");
+                for index in Gpr::ALL {
+                    for scale in [1u8, 2, 4, 8] {
+                        let mem = MemRef::base_index(base, index, scale, disp);
+                        let read = (mem.base, mem.index(), mem.disp());
+                        assert_eq!(read, (base, Some((index, scale)), disp));
+                        let scaled = m.reg(index).wrapping_mul(scale as u64);
+                        assert_eq!(m.effective_address(&mem), at.wrapping_add(scaled), "{mem}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_immediate_past_imm32_keeps_all_64_bits() {
+        let x = 0x0F0F_1234_8765_F0F0_u64;
+        for imm in [0xFFFF_0000_FFFF_0000, 0x8000_0000, u64::MAX] {
+            let mut m = machine();
+            let mut rt = NullRuntime;
+            let at = MemRef::base(Gpr::Rsi);
+            let set = |cond, dst| MachInsn::SetCc { cond, dst };
+            let code = [
+                MachInsn::MovImm { dst: Gpr::Rax, imm },
+                MachInsn::MovImm {
+                    dst: Gpr::Rbx,
+                    imm: x,
+                },
+                MachInsn::MovImm {
+                    dst: Gpr::Rcx,
+                    imm: x,
+                },
+                MachInsn::MovImm {
+                    dst: Gpr::Rsi,
+                    imm: 0x3000,
+                },
+                MachInsn::Alu {
+                    op: AluOp::And,
+                    dst: Gpr::Rbx,
+                    src: Operand::imm(imm),
+                },
+                MachInsn::Alu {
+                    op: AluOp::Add,
+                    dst: Gpr::Rcx,
+                    src: Operand::imm(imm),
+                },
+                MachInsn::StoreImm {
+                    imm,
+                    addr: at,
+                    size: MemSize::U64,
+                },
+                MachInsn::Cmp {
+                    a: Gpr::Rbx,
+                    b: Operand::imm(imm),
+                },
+                set(Cond::Eq, Gpr::R8),
+                set(Cond::Lt, Gpr::R9),
+                set(Cond::Mi, Gpr::R10),
+                set(Cond::Vs, Gpr::R11),
+                MachInsn::Test {
+                    a: Gpr::Rax,
+                    b: Operand::imm(imm),
+                },
+                set(Cond::Eq, Gpr::R12),
+                set(Cond::Mi, Gpr::R13),
+                MachInsn::Ret,
+            ];
+            assert_eq!(m.run_block(&code, &mut rt), ExitReason::BlockEnd);
+            let and = x & imm;
+            let diff = and.wrapping_sub(imm);
+            let want = [
+                (Gpr::Rax, imm),
+                (Gpr::Rbx, and),
+                (Gpr::Rcx, x.wrapping_add(imm)),
+                (Gpr::R8, (and == imm) as u64),
+                (Gpr::R9, (and < imm) as u64),
+                (Gpr::R10, diff >> 63),
+                (Gpr::R11, ((and ^ imm) & (and ^ diff)) >> 63),
+                (Gpr::R12, 0),
+                (Gpr::R13, imm >> 63),
+            ];
+            for (r, v) in want {
+                assert_eq!(m.reg(r), v, "{r} with imm {imm:#x}");
+            }
+            assert_eq!(m.mem.read_u64(0x3000).unwrap(), imm, "stored {imm:#x}");
+        }
     }
 }

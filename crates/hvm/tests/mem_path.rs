@@ -500,11 +500,7 @@ fn unsupported_widths_are_typed_errors_not_shift_overflows() {
 /// sign-extending load, two stores and a vector load/store pair striding
 /// across five pages, one of which the pager has to supply.
 fn golden_block() -> Vec<MachInsn> {
-    let at = |disp: i32| MemRef {
-        base: Gpr::Rsi,
-        index: Some((Gpr::Rcx, 8)),
-        disp,
-    };
+    let at = |disp: i32| MemRef::base_index(Gpr::Rsi, Gpr::Rcx, 8, disp);
     vec![
         MachInsn::MovImm {
             dst: Gpr::Rsi,
@@ -548,7 +544,7 @@ fn golden_block() -> Vec<MachInsn> {
         MachInsn::Alu {
             op: hvm::AluOp::Sub,
             dst: Gpr::Rcx,
-            src: hvm::Operand::Imm(1),
+            src: hvm::Operand::imm(1),
         },
         MachInsn::Jcc {
             cond: hvm::Cond::Ne,
