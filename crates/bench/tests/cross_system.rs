@@ -9,7 +9,7 @@
 //! unroll factor, chaining off with region formation on, a three-region
 //! code cache).
 
-use bench::{assert_agree, by_name, Guest, Run, EQUIVALENT};
+use bench::{assert_agree, by_name, Guest, Run, DATA_WINDOW, EQUIVALENT};
 use captive::{Captive, CaptiveConfig, REGION_THRESHOLD};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
@@ -104,6 +104,112 @@ fn fmadd_rounds_once_on_every_engine() {
         &["qemu", "default", "softfp"],
     );
     assert_eq!(runs[0].1.regs[5], fused);
+}
+
+/// The equivalence roster plus Captive's software-FP mode, whose scalar FP
+/// takes the softfloat helper path.
+fn fp_engines() -> Vec<&'static str> {
+    EQUIVALENT.iter().copied().chain(["softfp"]).collect()
+}
+
+#[test]
+fn fcvtzs_truncates_toward_zero_on_every_engine() {
+    // FCVTZS rounds toward zero, saturates out of range and maps NaN to 0.
+    let cases = [
+        (2.7, 2),
+        (-2.7, -2),
+        (3.5, 3),
+        (2.5, 2),
+        (-0.5, 0),
+        (f64::NAN, 0),
+        (1e19, i64::MAX),
+        (-1e19, i64::MIN),
+    ];
+    let mut a = Assembler::new();
+    for (k, (x, _)) in cases.iter().enumerate() {
+        a.mov_imm64(1, x.to_bits());
+        a.push(asm::fmov_from_gpr(0, 1));
+        a.push(asm::fcvtzs(2 + k as u32, 0));
+    }
+    a.push(asm::hlt());
+    let runs = assert_agree(&Guest::program("fcvtzs", a.finish()), &fp_engines());
+    for (k, (x, want)) in cases.into_iter().enumerate() {
+        assert_eq!(runs[0].1.regs[2 + k] as i64, want, "fcvtzs {x}");
+    }
+}
+
+#[test]
+fn fcmp_scvtf_asrv_and_strh_mean_what_arm_says_on_every_engine() {
+    // FCMP: less, equal, greater, unordered.
+    for (x, y, nzcv) in [
+        (1.0, 2.0, 0b1000),
+        (2.0, 2.0, 0b0110),
+        (3.0, 2.0, 0b0010),
+        (f64::NAN, 2.0, 0b0011),
+    ] {
+        let mut a = Assembler::new();
+        for (v, value) in [x, y].into_iter().enumerate() {
+            a.mov_imm64(1, f64::to_bits(value));
+            a.push(asm::fmov_from_gpr(v as u32, 1));
+        }
+        a.push(asm::fcmp(0, 1));
+        a.push(asm::hlt());
+        let runs = assert_agree(&Guest::program("fcmp", a.finish()), &fp_engines());
+        assert_eq!(runs[0].1.nzcv, nzcv, "fcmp {x}, {y}");
+    }
+
+    let mut a = Assembler::new();
+    // SCVTF into x2..x5: 2^53 + 1 and 2^53 + 3 tie and go to the even
+    // neighbour, 2^53 and 2^53 + 4.
+    let scvtf = [
+        ((1u64 << 53) + 1, 0x4340_0000_0000_0000),
+        ((1 << 53) + 3, 0x4340_0000_0000_0002),
+        (i64::MIN as u64, 0xC3E0_0000_0000_0000),
+        (-1i64 as u64, 0xBFF0_0000_0000_0000),
+    ];
+    for (k, (n, _)) in scvtf.iter().enumerate() {
+        a.mov_imm64(1, *n);
+        a.push(asm::scvtf(0, 1));
+        a.push(asm::fmov_to_gpr(2 + k as u32, 0));
+    }
+    // ASRV into x6..x9: the shift amount is taken mod 64.
+    let asrv = [
+        (0, 0x8000_0000_0000_0000),
+        (63, u64::MAX),
+        (64, 0x8000_0000_0000_0000),
+        (65, 0xC000_0000_0000_0000),
+    ];
+    a.mov_imm64(20, 0x8000_0000_0000_0000);
+    for (k, (by, _)) in asrv.iter().enumerate() {
+        a.mov_imm64(1, *by);
+        a.push(asm::asrv(6 + k as u32, 20, 1));
+    }
+    // STRH writes bytes 6..8 and 10..12 of two preloaded words, which are
+    // read back into x10 and x11.
+    a.mov_imm64(1, DATA_WINDOW.0);
+    a.mov_imm64(21, 0xFFFF_FFFF_FFFF_ABCD);
+    a.push(asm::strh(21, 1, 6));
+    a.push(asm::strh(21, 1, 10));
+    a.push(asm::ldr(10, 1, 0));
+    a.push(asm::ldr(11, 1, 8));
+    a.push(asm::hlt());
+    let g = Guest {
+        words: vec![
+            (DATA_WINDOW.0, 0x1122_3344_5566_7788),
+            (DATA_WINDOW.0 + 8, 0x99AA_BBCC_DDEE_FF00),
+        ],
+        ..Guest::program("scvtf_asrv_strh", a.finish())
+    };
+    let runs = assert_agree(&g, &fp_engines());
+    let regs = &runs[0].1.regs;
+    for (k, (n, bits)) in scvtf.into_iter().enumerate() {
+        assert_eq!(regs[2 + k], bits, "scvtf {}", n as i64);
+    }
+    for (k, (by, want)) in asrv.into_iter().enumerate() {
+        assert_eq!(regs[6 + k], want, "asrv by {by}");
+    }
+    assert_eq!(regs[10], 0xABCD_3344_5566_7788);
+    assert_eq!(regs[11], 0x99AA_BBCC_ABCD_FF00);
 }
 
 #[test]

@@ -121,7 +121,6 @@ pub struct CaptiveRuntime {
     smc_dirty: Vec<u64>,
     /// Every page ever pushed onto `smc_dirty` (module docs).
     patched: HashSet<u64>,
-    fp_env: softfloat::FpEnv,
     /// Counts the events at which a guest table edit may take effect: `TLBI`
     /// and `TTBR0`/`SCTLR` writes.  Chain links and gated regions are stamped
     /// with it and die on any mismatch; cached guest walks are stamped with
@@ -195,7 +194,6 @@ impl CaptiveRuntime {
             code_pages: HashMap::new(),
             smc_dirty: Vec::new(),
             patched: HashSet::new(),
-            fp_env: softfloat::FpEnv::arm(),
             context_generation: 0,
             fetch_tlb: FetchTlb::new(),
             data_tlb: DataTlb::new(),
@@ -397,12 +395,12 @@ impl CaptiveRuntime {
         let a = machine.reg(Gpr::Rdi);
         let b = machine.reg(Gpr::Rsi);
         let r = match op {
-            sf_helpers::ADD => softfloat::f64_add(a, b, &mut self.fp_env),
-            sf_helpers::SUB => softfloat::f64_sub(a, b, &mut self.fp_env),
-            sf_helpers::MUL => softfloat::f64_mul(a, b, &mut self.fp_env),
-            sf_helpers::DIV => softfloat::f64_div(a, b, &mut self.fp_env),
-            sf_helpers::SQRT => softfloat::f64_sqrt_arm(a, &mut self.fp_env),
-            sf_helpers::FMA => softfloat::f64_fma(a, b, machine.reg(Gpr::Rdx), &mut self.fp_env),
+            sf_helpers::ADD => softfloat::f64_add(a, b),
+            sf_helpers::SUB => softfloat::f64_sub(a, b),
+            sf_helpers::MUL => softfloat::f64_mul(a, b),
+            sf_helpers::DIV => softfloat::f64_div(a, b),
+            sf_helpers::SQRT => softfloat::f64_sqrt_arm(a),
+            sf_helpers::FMA => softfloat::f64_fma(a, b, machine.reg(Gpr::Rdx)),
             _ => 0,
         };
         machine.set_reg(Gpr::Rax, r);

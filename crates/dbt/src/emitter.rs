@@ -159,7 +159,7 @@ pub enum Node {
     FpMulAdd { a: NodeId, b: NodeId, c: NodeId },
     /// Signed 64-bit integer to double.
     IntToFp { a: NodeId },
-    /// Double to signed 64-bit integer.
+    /// Double to signed 64-bit integer, truncating toward zero.
     FpToInt { a: NodeId },
     /// Move an integer value into a vector register (bit pattern reinterpretation).
     GprToFp { a: NodeId },
@@ -498,7 +498,7 @@ impl Emitter {
         self.push_node(Node::IntToFp { a })
     }
 
-    /// Double to signed 64-bit integer.
+    /// Double to signed 64-bit integer, truncating toward zero.
     pub fn fp_to_int(&mut self, a: NodeId) -> NodeId {
         self.push_node(Node::FpToInt { a })
     }

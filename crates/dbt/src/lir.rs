@@ -217,7 +217,7 @@ pub enum LirInsn {
     FpCmp { a: Vreg, b: Vreg },
     /// Signed integer to double conversion.
     CvtI2D { dst: Vreg, src: Vreg },
-    /// Double to signed integer conversion.
+    /// Double to signed integer conversion, truncating toward zero.
     CvtD2I { dst: Vreg, src: Vreg },
     /// Packed vector operation (two-address).
     Vec { op: VecOp, dst: Vreg, src: Vreg },

@@ -489,12 +489,6 @@ impl Assembler {
         }
         self.words
     }
-
-    /// Converts the program to little-endian bytes (without resolving labels
-    /// — call [`Assembler::finish`] first if labels are used).
-    pub fn to_bytes(words: &[u32]) -> Vec<u8> {
-        words.iter().flat_map(|w| w.to_le_bytes()).collect()
-    }
 }
 
 #[cfg(test)]

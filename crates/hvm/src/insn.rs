@@ -476,7 +476,9 @@ pub enum MachInsn {
     FpCmp { a: Xmm, b: Xmm },
     /// Convert signed 64-bit integer in GPR to double in XMM.
     CvtI2D { dst: Xmm, src: Gpr },
-    /// Convert double in XMM to signed 64-bit integer in GPR (round to nearest).
+    /// Convert double in XMM to signed 64-bit integer in GPR, truncating
+    /// toward zero (`cvttsd2si`).  Out-of-range values saturate and NaN
+    /// converts to 0, as the guest's `FCVTZS` requires.
     CvtD2I { dst: Gpr, src: Xmm },
     /// Packed vector operation `dst <- dst op src`.
     Vec { op: VecOp, dst: Xmm, src: Xmm },
@@ -549,7 +551,7 @@ impl fmt::Display for MachInsn {
             MachInsn::FpFma { dst, a, b } => write!(f, "vfmadd {a}, {b}, {dst}"),
             MachInsn::FpCmp { a, b } => write!(f, "ucomisd {b}, {a}"),
             MachInsn::CvtI2D { dst, src } => write!(f, "cvtsi2sd {src}, {dst}"),
-            MachInsn::CvtD2I { dst, src } => write!(f, "cvtsd2si {src}, {dst}"),
+            MachInsn::CvtD2I { dst, src } => write!(f, "cvttsd2si {src}, {dst}"),
             MachInsn::Vec { op, dst, src } => write!(f, "{op:?} {src}, {dst}"),
             MachInsn::TraceEdge => write!(f, "trace-edge"),
             MachInsn::BackEdge {

@@ -829,16 +829,8 @@ impl Machine {
                 }
                 MachInsn::CvtD2I { dst, src } => {
                     charge!();
-                    let v = f64::from_bits(xmm!(src)[0]);
-                    let r = if v.is_nan() {
-                        0
-                    } else if v >= i64::MAX as f64 {
-                        i64::MAX
-                    } else if v <= i64::MIN as f64 {
-                        i64::MIN
-                    } else {
-                        v.round_ties_even() as i64
-                    };
+                    // Truncation toward zero, saturating, NaN to 0.
+                    let r = f64::from_bits(xmm!(src)[0]) as i64;
                     self.set_reg(dst, r as u64);
                 }
                 MachInsn::Vec { op, dst, src } => {

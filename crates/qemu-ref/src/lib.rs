@@ -9,7 +9,10 @@
 //!   memory access goes through a **software MMU** helper that looks up a
 //!   software TLB and falls back to a guest page-table walk (Section 2.7.2);
 //! * guest floating-point instructions call **softfloat helpers** instead of
-//!   host FP instructions (Section 2.5);
+//!   host FP instructions (Section 2.5): `SOFT_FP` (add, sub, mul, div and
+//!   fused multiply-add), `SOFT_SQRT` and, lane by lane, `VEC_OP` call the
+//!   pure binary64 functions of the `softfloat` crate, which compute what
+//!   an Arm guest sees in default-NaN mode, rounding to nearest even;
 //! * translations are cached by guest **virtual** address and the whole cache
 //!   is invalidated whenever the guest changes its translation state
 //!   (Section 2.6);
@@ -91,7 +94,7 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
 const SOFT_WALK_COST: u64 = 420;
 
 /// The QEMU-style runtime — the half the paper compares against Captive:
-/// the software TLB and softfloat state.  Everything a guest observes
+/// the software TLB and the softfloat helpers.  Everything a guest observes
 /// identically on any engine is the embedded [`GuestSys`].
 pub struct QemuRuntime {
     /// The engine-independent guest-system core (exceptions, hypercalls,
@@ -102,7 +105,6 @@ pub struct QemuRuntime {
     /// Set when the guest changed translation state; the dispatcher must
     /// flush the (virtually-indexed) code cache.
     pub flush_requested: bool,
-    fp_env: softfloat::FpEnv,
     /// Software TLB statistics.
     pub soft_tlb_hits: u64,
     /// Software TLB misses (guest page walks).
@@ -134,7 +136,6 @@ impl QemuRuntime {
             ),
             soft_tlb: HashMap::new(),
             flush_requested: false,
-            fp_env: softfloat::FpEnv::arm(),
             soft_tlb_hits: 0,
             soft_tlb_misses: 0,
         }
@@ -229,19 +230,19 @@ impl Runtime for QemuRuntime {
                 let a = machine.reg(Gpr::Rsi);
                 let b = machine.reg(Gpr::Rdx);
                 let r = match op {
-                    0 => softfloat::f64_add(a, b, &mut self.fp_env),
-                    1 => softfloat::f64_sub(a, b, &mut self.fp_env),
-                    2 => softfloat::f64_mul(a, b, &mut self.fp_env),
-                    3 => softfloat::f64_div(a, b, &mut self.fp_env),
+                    0 => softfloat::f64_add(a, b),
+                    1 => softfloat::f64_sub(a, b),
+                    2 => softfloat::f64_mul(a, b),
+                    3 => softfloat::f64_div(a, b),
                     // Fused `a * b + c`: one rounding, as the guest's FMADD.
-                    _ => softfloat::f64_fma(a, b, machine.reg(Gpr::Rcx), &mut self.fp_env),
+                    _ => softfloat::f64_fma(a, b, machine.reg(Gpr::Rcx)),
                 };
                 machine.set_reg(Gpr::Rax, r);
                 HelperResult::Continue { cost: 110 }
             }
             qhelpers::SOFT_SQRT => {
                 let a = machine.reg(Gpr::Rdi);
-                let r = softfloat::f64_sqrt_arm(a, &mut self.fp_env);
+                let r = softfloat::f64_sqrt_arm(a);
                 machine.set_reg(Gpr::Rax, r);
                 HelperResult::Continue { cost: 160 }
             }
@@ -262,9 +263,9 @@ impl Runtime for QemuRuntime {
                         .read_u64(self.sys.regfile_phys + vm + lane * 8)
                         .unwrap_or(0);
                     let r = if op == 0 {
-                        softfloat::f64_add(a, b, &mut self.fp_env)
+                        softfloat::f64_add(a, b)
                     } else {
-                        softfloat::f64_mul(a, b, &mut self.fp_env)
+                        softfloat::f64_mul(a, b)
                     };
                     let _ = machine
                         .mem

@@ -1,131 +1,55 @@
-//! Architecture-specific floating-point behaviours.
+//! The two square roots of the paper's Table 2.
 //!
-//! The paper's Table 2 motivates inline "fix-up" code in Captive's JIT with
-//! the observation that the x86 `SQRTSD` and Arm `FSQRT` instructions agree
-//! on every input except the *sign bit of the NaN* produced for negative
-//! inputs: x86 returns a negative quiet NaN, Arm returns the (positive)
-//! default NaN.  This module provides both flavours so the DBT layers can be
-//! tested for bit-accuracy, plus the two architectures' NaN propagation
-//! policies.
+//! The paper motivates inline fix-up code in Captive's JIT with the
+//! observation that x86 `SQRTSD` and Arm `FSQRT` agree on every input except
+//! in the NaN they return: for a negative operand x86 returns a *negative*
+//! quiet NaN and Arm the (positive) default NaN, and for a NaN operand x86
+//! returns the operand quietened and Arm the default NaN.
 
-use crate::{
-    is_nan32, is_nan64, is_snan32, is_snan64, quiet32, quiet64, FpEnv, F32_DEFAULT_NAN,
-    F64_DEFAULT_NAN,
-};
+use crate::round::{isqrt_u128, norm_round_pack};
+use crate::{finite, is_inf, is_nan, is_zero, sign, DEFAULT_NAN, SIGN};
 
-/// How NaN operands propagate into NaN results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NanPropagation {
-    /// Arm default-NaN mode (FPCR.DN = 1, the configuration Linux uses for
-    /// AArch64): every NaN result is the canonical positive quiet NaN.
-    #[default]
-    ArmDefaultNan,
-    /// x86 SSE semantics: the first NaN operand is returned, quietened,
-    /// preserving its sign and payload.
-    X86PropagateFirst,
+/// The square root of `a`, or `None` where the result is a NaN: a NaN
+/// operand, or one below zero (`-0` is its own root).
+fn sqrt(a: u64) -> Option<u64> {
+    if is_nan(a) || (sign(a) && !is_zero(a)) {
+        return None;
+    }
+    if is_zero(a) || is_inf(a) {
+        return Some(a);
+    }
+    let mut x = finite(a);
+    // Make the exponent even so the square root has an integral power of two.
+    if x.exp & 1 != 0 {
+        x.mant <<= 1;
+        x.exp -= 1;
+    }
+    // sqrt(mant * 2^exp) = isqrt(mant << 2t) * 2^(exp/2 - t).
+    const T: i32 = 32;
+    let (root, exact) = isqrt_u128((x.mant as u128) << (2 * T));
+    Some(norm_round_pack(false, x.exp / 2 - T, root, !exact))
 }
 
-/// Chooses the NaN result for a binary64 operation with at least one NaN
-/// operand, honouring the environment's propagation policy and raising the
-/// invalid flag for signalling NaNs.
-pub(crate) fn propagate_nan64(a: u64, b: u64, env: &mut FpEnv) -> u64 {
-    if is_snan64(a) || is_snan64(b) {
-        env.flags.invalid = true;
-    }
-    match env.nan_propagation {
-        NanPropagation::ArmDefaultNan => F64_DEFAULT_NAN,
-        NanPropagation::X86PropagateFirst => {
-            if is_nan64(a) {
-                quiet64(a)
-            } else if is_nan64(b) {
-                quiet64(b)
-            } else {
-                F64_DEFAULT_NAN
-            }
-        }
-    }
-}
-
-/// Chooses the NaN result for a binary32 operation with at least one NaN
-/// operand.
-pub(crate) fn propagate_nan32(a: u32, b: u32, env: &mut FpEnv) -> u32 {
-    if is_snan32(a) || is_snan32(b) {
-        env.flags.invalid = true;
-    }
-    match env.nan_propagation {
-        NanPropagation::ArmDefaultNan => F32_DEFAULT_NAN,
-        NanPropagation::X86PropagateFirst => {
-            if is_nan32(a) {
-                quiet32(a)
-            } else if is_nan32(b) {
-                quiet32(b)
-            } else {
-                F32_DEFAULT_NAN
-            }
-        }
-    }
-}
-
-/// The NaN returned by `sqrt` of a negative value, per the environment's
-/// architecture flavour: positive default NaN on Arm, *negative* quiet NaN
-/// on x86 (the Table 2 discrepancy).
-pub(crate) fn invalid_sqrt_nan64(env: &FpEnv) -> u64 {
-    match env.nan_propagation {
-        NanPropagation::ArmDefaultNan => F64_DEFAULT_NAN,
-        NanPropagation::X86PropagateFirst => F64_DEFAULT_NAN | (1u64 << 63),
-    }
-}
-
-/// 32-bit counterpart of [`invalid_sqrt_nan64`].
-pub(crate) fn invalid_sqrt_nan32(env: &FpEnv) -> u32 {
-    match env.nan_propagation {
-        NanPropagation::ArmDefaultNan => F32_DEFAULT_NAN,
-        NanPropagation::X86PropagateFirst => F32_DEFAULT_NAN | (1u32 << 31),
-    }
-}
-
-/// Arm-flavoured binary64 square root (`FSQRT`): negative inputs produce the
+/// Arm `FSQRT` (binary64, default-NaN mode): every NaN result is the
 /// positive default NaN.
-pub fn f64_sqrt_arm(a: u64, env: &mut FpEnv) -> u64 {
-    let saved = env.nan_propagation;
-    env.nan_propagation = NanPropagation::ArmDefaultNan;
-    let r = crate::ops::f64_sqrt(a, env);
-    env.nan_propagation = saved;
-    r
+pub fn f64_sqrt_arm(a: u64) -> u64 {
+    sqrt(a).unwrap_or(DEFAULT_NAN)
 }
 
-/// x86-flavoured binary64 square root (`SQRTSD`): negative inputs produce a
-/// *negative* quiet NaN, NaN inputs propagate quietened.
-pub fn f64_sqrt_x86(a: u64, env: &mut FpEnv) -> u64 {
-    let saved = env.nan_propagation;
-    env.nan_propagation = NanPropagation::X86PropagateFirst;
-    let r = crate::ops::f64_sqrt(a, env);
-    env.nan_propagation = saved;
-    r
-}
-
-/// Arm-flavoured binary32 square root.
-pub fn f32_sqrt_arm(a: u32, env: &mut FpEnv) -> u32 {
-    let saved = env.nan_propagation;
-    env.nan_propagation = NanPropagation::ArmDefaultNan;
-    let r = crate::ops::f32_sqrt(a, env);
-    env.nan_propagation = saved;
-    r
-}
-
-/// x86-flavoured binary32 square root.
-pub fn f32_sqrt_x86(a: u32, env: &mut FpEnv) -> u32 {
-    let saved = env.nan_propagation;
-    env.nan_propagation = NanPropagation::X86PropagateFirst;
-    let r = crate::ops::f32_sqrt(a, env);
-    env.nan_propagation = saved;
-    r
+/// x86 `SQRTSD`: a negative operand gives a *negative* quiet NaN, and a NaN
+/// operand comes back quietened with its sign and payload.
+pub fn f64_sqrt_x86(a: u64) -> u64 {
+    match sqrt(a) {
+        Some(root) => root,
+        None if is_nan(a) => a | DEFAULT_NAN,
+        None => SIGN | DEFAULT_NAN,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FpEnv;
+    use hvm::{FpOp, MachInsn, Machine, MachineConfig, NullRuntime, Xmm};
 
     /// Reproduces Table 2 of the paper: per-input behaviour of the x86 and
     /// Arm square-root instructions, differing only in the NaN sign bit for
@@ -139,18 +63,17 @@ mod tests {
             (f64::NEG_INFINITY, "-inf"),
             (0.5, "0.5"),
             (-0.5, "-0.5"),
-            (f64::from_bits(crate::F64_DEFAULT_NAN), "NaN"),
-            (f64::from_bits(crate::F64_DEFAULT_NAN | (1 << 63)), "-NaN"),
+            (f64::from_bits(DEFAULT_NAN), "NaN"),
+            (f64::from_bits(DEFAULT_NAN | SIGN), "-NaN"),
         ];
-        let mut env = FpEnv::new();
         for (v, name) in inputs {
-            let x86 = f64_sqrt_x86(v.to_bits(), &mut env);
-            let arm = f64_sqrt_arm(v.to_bits(), &mut env);
+            let x86 = f64_sqrt_x86(v.to_bits());
+            let arm = f64_sqrt_arm(v.to_bits());
             match name {
                 "-inf" | "-0.5" => {
                     // The sign bit is the only difference.
                     assert_ne!(x86 >> 63, arm >> 63, "{name}: sign bits should differ");
-                    assert_eq!(x86 & !(1 << 63), arm & !(1 << 63), "{name}");
+                    assert_eq!(x86 & !SIGN, arm & !SIGN, "{name}");
                     assert_eq!(arm >> 63, 0, "{name}: Arm returns +NaN");
                     assert_eq!(x86 >> 63, 1, "{name}: x86 returns -NaN");
                 }
@@ -169,20 +92,41 @@ mod tests {
 
     #[test]
     fn nan_propagation_policies() {
-        let payload_nan = 0x7FF8_0000_0000_1234u64 | (1 << 63);
-        let mut arm = FpEnv::arm();
-        let mut x86 = FpEnv::x86();
-        let a = crate::f64_add(payload_nan, 1.0f64.to_bits(), &mut arm);
-        assert_eq!(a, crate::F64_DEFAULT_NAN);
-        let b = crate::f64_add(payload_nan, 1.0f64.to_bits(), &mut x86);
-        assert_eq!(b, payload_nan, "x86 keeps sign and payload");
+        // Arm's default-NaN mode drops sign and payload on every operation;
+        // x86's square root keeps both and only sets the quiet bit.
+        let payload_nan = SIGN | 0x7FF8_0000_0000_1234;
+        let signalling = 0x7FF0_0000_0000_0001;
+        assert_eq!(crate::f64_add(payload_nan, 1.0f64.to_bits()), DEFAULT_NAN);
+        assert_eq!(f64_sqrt_arm(payload_nan), DEFAULT_NAN);
+        assert_eq!(f64_sqrt_arm(signalling), DEFAULT_NAN);
+        assert_eq!(
+            f64_sqrt_x86(payload_nan),
+            payload_nan,
+            "x86 keeps sign and payload"
+        );
+        assert_eq!(f64_sqrt_x86(signalling), 0x7FF8_0000_0000_0001);
     }
 
     #[test]
-    fn snan_raises_invalid() {
-        let snan = 0x7FF0_0000_0000_0001u64;
-        let mut env = FpEnv::arm();
-        let _ = crate::f64_add(snan, 1.0f64.to_bits(), &mut env);
-        assert!(env.flags.invalid);
+    fn the_x86_root_is_the_modelled_sqrtsd_on_seeded_edge_patterns() {
+        // `hvm`'s `SQRTSD` is the host square root Captive's fix-up corrects.
+        let mut m = Machine::new(MachineConfig {
+            phys_mem: 64 * 1024,
+            ..Default::default()
+        });
+        let code = [
+            MachInsn::Fp {
+                op: FpOp::SqrtD,
+                dst: Xmm(0),
+                src: Xmm(1),
+            },
+            MachInsn::Ret,
+        ];
+        for [a, ..] in crate::tests::edge_triples(0x5027, 100_000) {
+            m.set_xmm(Xmm(1), [a, 0]);
+            m.run_block(&code, &mut NullRuntime);
+            let sqrtsd = m.xmm_reg(Xmm(0)).unwrap()[0];
+            assert_eq!(f64_sqrt_x86(a), sqrtsd, "sqrt {a:#018x}");
+        }
     }
 }

@@ -1,269 +1,90 @@
-//! Software implementation of IEEE-754 binary32 / binary64 arithmetic.
+//! Software IEEE-754 binary64 arithmetic: the seven operations the engines
+//! and the figures call.
 //!
-//! This crate provides the software floating-point substrate used by the
-//! QEMU-style reference translator (`qemu-ref`), by Captive's softfloat
-//! fallback mode, and by the bit-accuracy fix-up machinery (Table 2 of the
-//! paper).  All operations are implemented with integer arithmetic only, so
-//! results are fully deterministic and independent of the build host's FPU
-//! configuration.
+//! Two callers run guest floating point through these functions instead of
+//! host FP instructions: the QEMU-style baseline (`qemu_ref`'s `SOFT_FP`,
+//! `SOFT_SQRT` and `VEC_OP` helpers, Section 2.5 of the paper) and Captive's
+//! software-FP mode (`captive::runtime`, the Section 3.6.2 ablation).  Both
+//! compute what an AArch64 guest sees with FPCR.DN = 1 and
+//! round-to-nearest-even, the configuration Linux runs: every NaN result is
+//! the positive default NaN `0x7FF8_0000_0000_0000`, whatever the signs and
+//! payloads of the NaN operands.
 //!
-//! The API mirrors what a DBT helper library needs:
+//! * [`f64_add`], [`f64_sub`], [`f64_mul`], [`f64_div`] and [`f64_fma`]
+//!   (fused `a * b + c`, rounded once);
+//! * [`f64_sqrt_arm`] and [`f64_sqrt_x86`], which differ only in the NaN they
+//!   return (Table 2 of the paper): `figures -- table2` prints the two side
+//!   by side, and Captive's inline `FSQRT` fix-up is tested against the Arm
+//!   one.
 //!
-//! * a [`FpEnv`] carrying the rounding mode and accumulated exception
-//!   [`Flags`],
-//! * free functions per operation (`f64_add`, `f64_mul`, ...) that take and
-//!   update the environment, and
-//! * architecture-flavoured variants capturing the behavioural differences
-//!   between x86 (`SQRTSD`) and Arm (`FSQRT`) NaN handling that the paper
-//!   uses as its motivating fix-up example.
-//!
-//! The implementation follows the classic unpack → operate in extended
-//! precision → normalize → round-and-pack structure.  Intermediate
-//! significands are carried with the most significant bit at bit 62 of a
-//! `u64` and ten rounding bits below the target precision, in the style of
-//! Berkeley SoftFloat.
+//! Every function is pure and uses integer arithmetic only, so a result
+//! does not depend on the host FPU.  Each one decomposes its operands into
+//! an integer significand and a power of two, computes exactly (or keeps a
+//! sticky bit for what it discards), and rounds once: the structure of
+//! Berkeley SoftFloat.  No exception flags are kept: no guest reads FPSR.
 
 mod arch;
-mod convert;
 mod ops;
 mod round;
 
-pub use arch::{f32_sqrt_arm, f32_sqrt_x86, f64_sqrt_arm, f64_sqrt_x86, NanPropagation};
-pub use convert::{
-    f32_to_f64, f32_to_i32, f32_to_i64, f64_to_f32, f64_to_i32, f64_to_i64, f64_to_u64, i32_to_f32,
-    i32_to_f64, i64_to_f32, i64_to_f64, u64_to_f64,
-};
-pub use ops::{
-    f32_add, f32_div, f32_eq, f32_le, f32_lt, f32_mul, f32_sqrt, f32_sub, f64_add, f64_div, f64_eq,
-    f64_fma, f64_le, f64_lt, f64_mul, f64_sqrt, f64_sub,
-};
+pub use arch::{f64_sqrt_arm, f64_sqrt_x86};
+pub use ops::{f64_add, f64_div, f64_fma, f64_mul, f64_sub};
 
-/// IEEE-754 rounding modes supported by the library.
-///
-/// `NearestEven` is the default mode of both the Arm FPCR and the x86 MXCSR
-/// and is the only mode exercised by the paper's benchmarks, but the other
-/// directed modes are implemented and tested for completeness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Rounding {
-    /// Round to nearest, ties to even (RNE).
-    #[default]
-    NearestEven,
-    /// Round towards zero (RZ).
-    TowardZero,
-    /// Round towards +infinity (RP).
-    TowardPositive,
-    /// Round towards -infinity (RM).
-    TowardNegative,
+/// The Arm default NaN: positive, quiet, no payload.
+const DEFAULT_NAN: u64 = 0x7FF8_0000_0000_0000;
+/// The sign bit.
+const SIGN: u64 = 1 << 63;
+/// Positive infinity; with [`SIGN`] cleared, every NaN compares above it.
+const INF: u64 = 0x7FF0_0000_0000_0000;
+
+fn is_nan(bits: u64) -> bool {
+    bits & !SIGN > INF
 }
 
-/// IEEE-754 exception flags, accumulated (sticky) across operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Flags {
-    /// Invalid operation (e.g. `inf - inf`, `sqrt(-1)`, signalling NaN input).
-    pub invalid: bool,
-    /// Division of a finite non-zero value by zero.
-    pub div_by_zero: bool,
-    /// Result overflowed to infinity (or the largest finite value).
-    pub overflow: bool,
-    /// Result underflowed to a subnormal or zero and was inexact.
-    pub underflow: bool,
-    /// Result could not be represented exactly.
-    pub inexact: bool,
+fn is_inf(bits: u64) -> bool {
+    bits & !SIGN == INF
 }
 
-impl Flags {
-    /// Returns flags with every bit clear.
-    pub const fn none() -> Self {
-        Flags {
-            invalid: false,
-            div_by_zero: false,
-            overflow: false,
-            underflow: false,
-            inexact: false,
-        }
-    }
-
-    /// True if any exception flag is raised.
-    pub fn any(&self) -> bool {
-        self.invalid || self.div_by_zero || self.overflow || self.underflow || self.inexact
-    }
-
-    /// Merges another set of flags into this one (sticky OR).
-    pub fn merge(&mut self, other: Flags) {
-        self.invalid |= other.invalid;
-        self.div_by_zero |= other.div_by_zero;
-        self.overflow |= other.overflow;
-        self.underflow |= other.underflow;
-        self.inexact |= other.inexact;
-    }
+fn is_zero(bits: u64) -> bool {
+    bits & !SIGN == 0
 }
 
-/// Floating-point environment: rounding mode, sticky flags and NaN policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FpEnv {
-    /// Current rounding mode.
-    pub rounding: Rounding,
-    /// Sticky exception flags.
-    pub flags: Flags,
-    /// How NaN operands propagate to NaN results.
-    pub nan_propagation: NanPropagation,
+fn sign(bits: u64) -> bool {
+    bits & SIGN != 0
 }
 
-impl FpEnv {
-    /// A fresh environment with round-to-nearest-even and no flags raised.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh environment using Arm-style default-NaN propagation.
-    pub fn arm() -> Self {
-        FpEnv {
-            nan_propagation: NanPropagation::ArmDefaultNan,
-            ..Self::default()
-        }
-    }
-
-    /// A fresh environment using x86-style first-operand NaN propagation.
-    pub fn x86() -> Self {
-        FpEnv {
-            nan_propagation: NanPropagation::X86PropagateFirst,
-            ..Self::default()
-        }
-    }
-
-    /// Clears the sticky exception flags.
-    pub fn clear_flags(&mut self) {
-        self.flags = Flags::none();
-    }
+/// `magnitude` with the sign bit set when `negative`.
+fn signed(negative: bool, magnitude: u64) -> u64 {
+    (negative as u64) << 63 | magnitude
 }
 
-/// The canonical "default NaN" produced by Arm hardware: positive, quiet,
-/// no payload.
-pub const F64_DEFAULT_NAN: u64 = 0x7FF8_0000_0000_0000;
-/// 32-bit counterpart of [`F64_DEFAULT_NAN`].
-pub const F32_DEFAULT_NAN: u32 = 0x7FC0_0000;
-
-/// Classification of an unpacked floating-point value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FpClass {
-    /// Positive or negative zero.
-    Zero,
-    /// Denormalised (subnormal) value.
-    Subnormal,
-    /// Ordinary normalised value.
-    Normal,
-    /// Positive or negative infinity.
-    Infinite,
-    /// Quiet NaN.
-    QuietNan,
-    /// Signalling NaN.
-    SignallingNan,
-}
-
-/// An unpacked binary64 value: sign, biased exponent and fraction field.
+/// A finite value `(-1)^sign * mant * 2^exp` whose `mant` has its leading
+/// bit at bit 52 (the hidden bit), or is zero.
 #[derive(Debug, Clone, Copy)]
-pub struct Unpacked64 {
-    /// Sign bit (true = negative).
-    pub sign: bool,
-    /// Biased exponent (0..=0x7FF).
-    pub exp: i32,
-    /// Fraction field (52 bits, without the hidden bit).
-    pub frac: u64,
+struct Finite {
+    sign: bool,
+    exp: i32,
+    mant: u64,
 }
 
-/// An unpacked binary32 value: sign, biased exponent and fraction field.
-#[derive(Debug, Clone, Copy)]
-pub struct Unpacked32 {
-    /// Sign bit (true = negative).
-    pub sign: bool,
-    /// Biased exponent (0..=0xFF).
-    pub exp: i32,
-    /// Fraction field (23 bits, without the hidden bit).
-    pub frac: u32,
-}
-
-/// Splits a binary64 bit pattern into sign / exponent / fraction.
-pub fn unpack64(bits: u64) -> Unpacked64 {
-    Unpacked64 {
-        sign: bits >> 63 != 0,
-        exp: ((bits >> 52) & 0x7FF) as i32,
-        frac: bits & ((1u64 << 52) - 1),
+/// Decomposes a finite binary64 value.  A subnormal is normalised, so a
+/// quotient or a square root of it keeps all the bits it needs to round.
+fn finite(bits: u64) -> Finite {
+    let exp = ((bits >> 52) & 0x7FF) as i32;
+    let frac = bits & ((1 << 52) - 1);
+    let (exp, mant) = match (exp, frac) {
+        (0, 0) => (-1074, 0),
+        (0, _) => {
+            let shift = frac.leading_zeros() - 11;
+            (-1074 - shift as i32, frac << shift)
+        }
+        _ => (exp - 1023 - 52, frac | 1 << 52),
+    };
+    Finite {
+        sign: sign(bits),
+        exp,
+        mant,
     }
-}
-
-/// Splits a binary32 bit pattern into sign / exponent / fraction.
-pub fn unpack32(bits: u32) -> Unpacked32 {
-    Unpacked32 {
-        sign: bits >> 31 != 0,
-        exp: ((bits >> 23) & 0xFF) as i32,
-        frac: bits & ((1u32 << 23) - 1),
-    }
-}
-
-/// Reassembles a binary64 bit pattern from its fields.
-pub fn pack64(sign: bool, exp: i32, frac: u64) -> u64 {
-    ((sign as u64) << 63) | ((exp as u64 & 0x7FF) << 52) | (frac & ((1u64 << 52) - 1))
-}
-
-/// Reassembles a binary32 bit pattern from its fields.
-pub fn pack32(sign: bool, exp: i32, frac: u32) -> u32 {
-    ((sign as u32) << 31) | ((exp as u32 & 0xFF) << 23) | (frac & ((1u32 << 23) - 1))
-}
-
-/// Classifies a binary64 bit pattern.
-pub fn classify64(bits: u64) -> FpClass {
-    let u = unpack64(bits);
-    match (u.exp, u.frac) {
-        (0, 0) => FpClass::Zero,
-        (0, _) => FpClass::Subnormal,
-        (0x7FF, 0) => FpClass::Infinite,
-        (0x7FF, f) if f >> 51 != 0 => FpClass::QuietNan,
-        (0x7FF, _) => FpClass::SignallingNan,
-        _ => FpClass::Normal,
-    }
-}
-
-/// Classifies a binary32 bit pattern.
-pub fn classify32(bits: u32) -> FpClass {
-    let u = unpack32(bits);
-    match (u.exp, u.frac) {
-        (0, 0) => FpClass::Zero,
-        (0, _) => FpClass::Subnormal,
-        (0xFF, 0) => FpClass::Infinite,
-        (0xFF, f) if f >> 22 != 0 => FpClass::QuietNan,
-        (0xFF, _) => FpClass::SignallingNan,
-        _ => FpClass::Normal,
-    }
-}
-
-/// True if the binary64 bit pattern encodes any NaN.
-pub fn is_nan64(bits: u64) -> bool {
-    matches!(classify64(bits), FpClass::QuietNan | FpClass::SignallingNan)
-}
-
-/// True if the binary32 bit pattern encodes any NaN.
-pub fn is_nan32(bits: u32) -> bool {
-    matches!(classify32(bits), FpClass::QuietNan | FpClass::SignallingNan)
-}
-
-/// True if the binary64 bit pattern encodes a signalling NaN.
-pub fn is_snan64(bits: u64) -> bool {
-    classify64(bits) == FpClass::SignallingNan
-}
-
-/// True if the binary32 bit pattern encodes a signalling NaN.
-pub fn is_snan32(bits: u32) -> bool {
-    classify32(bits) == FpClass::SignallingNan
-}
-
-/// Quietens a NaN by setting the most significant fraction bit (binary64).
-pub fn quiet64(bits: u64) -> u64 {
-    bits | (1u64 << 51)
-}
-
-/// Quietens a NaN by setting the most significant fraction bit (binary32).
-pub fn quiet32(bits: u32) -> u32 {
-    bits | (1u32 << 22)
 }
 
 #[cfg(test)]
@@ -272,57 +93,74 @@ mod tests {
 
     #[test]
     fn classify_covers_all_classes() {
-        assert_eq!(classify64(0), FpClass::Zero);
-        assert_eq!(classify64(0x8000_0000_0000_0000), FpClass::Zero);
-        assert_eq!(classify64(1), FpClass::Subnormal);
-        assert_eq!(classify64(1.0f64.to_bits()), FpClass::Normal);
-        assert_eq!(classify64(f64::INFINITY.to_bits()), FpClass::Infinite);
-        assert_eq!(classify64(F64_DEFAULT_NAN), FpClass::QuietNan);
-        assert_eq!(classify64(0x7FF0_0000_0000_0001), FpClass::SignallingNan);
-    }
-
-    #[test]
-    fn classify32_covers_all_classes() {
-        assert_eq!(classify32(0), FpClass::Zero);
-        assert_eq!(classify32(0x8000_0000), FpClass::Zero);
-        assert_eq!(classify32(1), FpClass::Subnormal);
-        assert_eq!(classify32(1.0f32.to_bits()), FpClass::Normal);
-        assert_eq!(classify32(f32::INFINITY.to_bits()), FpClass::Infinite);
-        assert_eq!(classify32(F32_DEFAULT_NAN), FpClass::QuietNan);
-        assert_eq!(classify32(0x7F80_0001), FpClass::SignallingNan);
+        let snan = 0x7FF0_0000_0000_0001;
+        let cases = [
+            // (bits, zero, infinite, NaN)
+            (0, true, false, false),
+            (SIGN, true, false, false),
+            (1, false, false, false),
+            (1.0f64.to_bits(), false, false, false),
+            (INF, false, true, false),
+            (SIGN | INF, false, true, false),
+            (DEFAULT_NAN, false, false, true),
+            (SIGN | DEFAULT_NAN, false, false, true),
+            (snan, false, false, true),
+        ];
+        for (bits, zero, inf, nan) in cases {
+            assert_eq!(is_zero(bits), zero, "{bits:#x}");
+            assert_eq!(is_inf(bits), inf, "{bits:#x}");
+            assert_eq!(is_nan(bits), nan, "{bits:#x}");
+        }
     }
 
     #[test]
     fn pack_unpack_roundtrip() {
+        // Decomposing a finite value and rounding the parts back is exact,
+        // subnormals and signed zeros included.
         for bits in [
             0u64,
+            SIGN,
             1,
+            SIGN | 0x000F_FFFF_FFFF_FFFF,
             0x3FF0_0000_0000_0000,
-            0xFFF8_0000_0000_0001,
-            u64::MAX,
+            f64::MAX.to_bits(),
+            (-f64::MIN_POSITIVE).to_bits(),
         ] {
-            let u = unpack64(bits);
-            assert_eq!(pack64(u.sign, u.exp, u.frac), bits);
-        }
-        for bits in [0u32, 1, 0x3F80_0000, 0xFFC0_0001, u32::MAX] {
-            let u = unpack32(bits);
-            assert_eq!(pack32(u.sign, u.exp, u.frac), bits);
+            let x = finite(bits);
+            let back = round::norm_round_pack(x.sign, x.exp, x.mant as u128, false);
+            assert_eq!(back, bits, "{bits:#x}");
         }
     }
 
-    #[test]
-    fn flags_merge_is_sticky() {
-        let mut f = Flags::none();
-        assert!(!f.any());
-        f.merge(Flags {
-            inexact: true,
-            ..Flags::none()
-        });
-        f.merge(Flags {
-            overflow: true,
-            ..Flags::none()
-        });
-        assert!(f.inexact && f.overflow && f.any());
-        assert!(!f.invalid);
+    /// `n` triples of binary64 bit patterns from `seed`, biased to the edges
+    /// of the format: signed zeros, subnormals, the smallest and largest
+    /// normal exponents, exponents near one (so sums tie and products carry),
+    /// infinities and NaNs (quiet and signalling, any payload).
+    pub(crate) fn edge_triples(seed: u64, n: usize) -> impl Iterator<Item = [u64; 3]> {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut pattern = move || {
+            let r = next();
+            let frac = next() & ((1 << 52) - 1);
+            let exp = match r % 8 {
+                0 => return r & SIGN,
+                1 => return r & SIGN | frac.max(1),
+                2 => 1,
+                3 => 0x7FE,
+                4 => return r & SIGN | INF,
+                5 => return r & SIGN | INF | frac.max(1),
+                6 => 0x3FC + (r >> 8) % 8,
+                _ => 1 + (r >> 8) % 0x7FE,
+            };
+            r & SIGN | exp << 52 | frac
+        };
+        (0..n).map(move |_| [pattern(), pattern(), pattern()])
     }
 }

@@ -1,33 +1,20 @@
-//! Normalisation, rounding and packing primitives shared by all operations.
+//! Normalisation, rounding and packing, round-to-nearest-even only.
 //!
-//! Intermediate results are carried as an unsigned significand with the most
-//! significant bit placed at bit 62 of a `u64` plus a sticky indication of any
-//! discarded lower-order bits.  [`round_pack_f64`] / [`round_pack_f32`] then
-//! apply the IEEE-754 rounding rules, including overflow to infinity,
-//! gradual underflow to subnormals and exception-flag reporting.
+//! An exact intermediate is an integer significand, a power of two and a
+//! sticky bit for anything already discarded.  [`norm_round_pack`] puts its
+//! leading bit at bit 62 of a `u64`, which leaves ten rounding bits below
+//! the 53-bit significand, and [`round_pack`] rounds that once: overflow to
+//! infinity, gradual underflow to subnormals, ties to even.
 
-use crate::{Flags, Rounding};
+use crate::{signed, INF};
 
-/// Shifts `value` right by `amount`, ORing any shifted-out bits into the
-/// least significant bit of the result ("jamming"), as required to preserve
-/// sticky-rounding information.
-pub(crate) fn shift_right_jam_u64(value: u64, amount: u32) -> u64 {
-    if amount == 0 {
-        value
-    } else if amount < 64 {
-        let lost = value & ((1u64 << amount) - 1);
-        (value >> amount) | (lost != 0) as u64
-    } else {
-        (value != 0) as u64
-    }
-}
-
-/// 128-bit variant of [`shift_right_jam_u64`].
-pub(crate) fn shift_right_jam_u128(value: u128, amount: u32) -> u128 {
+/// Shifts `value` right by `amount`, ORing every bit shifted out into bit
+/// 0 ("jamming"), so a later rounding still sees that something was lost.
+pub(crate) fn shift_right_jam(value: u128, amount: u32) -> u128 {
     if amount == 0 {
         value
     } else if amount < 128 {
-        let lost = value & ((1u128 << amount) - 1);
+        let lost = value & ((1 << amount) - 1);
         (value >> amount) | (lost != 0) as u128
     } else {
         (value != 0) as u128
@@ -52,210 +39,52 @@ pub(crate) fn isqrt_u128(value: u128) -> (u128, bool) {
     (x, x * x == value)
 }
 
-/// Computes the rounding increment for a significand whose low `round_bits`
-/// bits are about to be discarded.
-fn round_increment(rm: Rounding, sign: bool, half: u64, mask: u64) -> u64 {
-    match rm {
-        Rounding::NearestEven => half,
-        Rounding::TowardZero => 0,
-        Rounding::TowardPositive => {
-            if sign {
-                0
-            } else {
-                mask
-            }
-        }
-        Rounding::TowardNegative => {
-            if sign {
-                mask
-            } else {
-                0
-            }
-        }
-    }
-}
-
 /// Rounds and packs a binary64 result.
 ///
-/// `sig` must either be normalised with its most significant bit at bit 62,
-/// or (for values that will underflow) already be the right-shifted
-/// subnormal-range significand.  `biased_exp` is the IEEE biased exponent of
-/// the leading bit at position 62.  Sticky information must already be OR'd
-/// into bit 0 of `sig`.
-pub(crate) fn round_pack_f64(
-    sign: bool,
-    mut biased_exp: i32,
-    mut sig: u64,
-    rm: Rounding,
-    flags: &mut Flags,
-) -> u64 {
+/// `sig` has its most significant bit at bit 62 and any sticky information
+/// already in bit 0; `biased_exp` is the IEEE biased exponent of that
+/// leading bit.
+fn round_pack(sign: bool, mut biased_exp: i32, mut sig: u64) -> u64 {
     const ROUND_MASK: u64 = 0x3FF;
     const ROUND_HALF: u64 = 0x200;
-    let inc = round_increment(rm, sign, ROUND_HALF, ROUND_MASK);
 
     // Overflow: the exponent is too large, or rounding would carry past the
     // largest representable significand at the largest exponent.
-    if biased_exp >= 0x7FF
-        || (biased_exp == 0x7FE && sig.wrapping_add(inc) >= 0x8000_0000_0000_0000)
-    {
-        flags.overflow = true;
-        flags.inexact = true;
-        return if inc == 0 && !matches!(rm, Rounding::NearestEven) {
-            // Directed rounding towards zero for this sign: largest finite.
-            crate::pack64(sign, 0x7FE, (1u64 << 52) - 1)
-        } else {
-            crate::pack64(sign, 0x7FF, 0)
-        };
+    if biased_exp >= 0x7FF || (biased_exp == 0x7FE && sig + ROUND_HALF >= 1 << 63) {
+        return signed(sign, INF);
     }
 
     // Underflow: shift the significand into the subnormal range, keeping
-    // sticky information, and re-round at the subnormal precision.
-    let tiny = biased_exp <= 0;
-    if tiny {
-        sig = shift_right_jam_u64(sig, (1 - biased_exp) as u32);
+    // sticky information, and round at the subnormal precision.
+    if biased_exp <= 0 {
+        sig = shift_right_jam(sig as u128, (1 - biased_exp) as u32) as u64;
         biased_exp = 0;
     }
 
-    let round_bits = sig & ROUND_MASK;
-    if round_bits != 0 {
-        flags.inexact = true;
-        if tiny {
-            flags.underflow = true;
-        }
-    }
-
-    sig = sig.wrapping_add(inc) >> 10;
-    // Ties-to-even: clear the LSB when the discarded bits were exactly half.
-    if matches!(rm, Rounding::NearestEven) && round_bits == ROUND_HALF {
-        sig &= !1;
-    }
+    // Ties to even: an exact half rounds up, then loses its last bit.
+    let tie = sig & ROUND_MASK == ROUND_HALF;
+    sig = ((sig + ROUND_HALF) >> 10) & !(tie as u64);
 
     // Pack by addition so a significand carry-out bumps the exponent field.
-    let exp_field = if biased_exp == 0 {
-        0
-    } else {
-        (biased_exp - 1) as u64
-    };
-    ((sign as u64) << 63)
-        .wrapping_add(exp_field << 52)
-        .wrapping_add(sig)
+    let exp_field = (biased_exp.max(1) - 1) as u64;
+    signed(sign, (exp_field << 52) + sig)
 }
 
-/// Rounds and packs a binary32 result.
-///
-/// Same conventions as [`round_pack_f64`] but the significand is still held
-/// in a `u64` with the leading bit at position 62; 39 rounding bits sit below
-/// the 24-bit target precision.
-pub(crate) fn round_pack_f32(
-    sign: bool,
-    mut biased_exp: i32,
-    mut sig: u64,
-    rm: Rounding,
-    flags: &mut Flags,
-) -> u32 {
-    const ROUND_MASK: u64 = (1 << 39) - 1;
-    const ROUND_HALF: u64 = 1 << 38;
-    let inc = round_increment(rm, sign, ROUND_HALF, ROUND_MASK);
-
-    if biased_exp >= 0xFF || (biased_exp == 0xFE && sig.wrapping_add(inc) >= 0x8000_0000_0000_0000)
-    {
-        flags.overflow = true;
-        flags.inexact = true;
-        return if inc == 0 && !matches!(rm, Rounding::NearestEven) {
-            crate::pack32(sign, 0xFE, (1u32 << 23) - 1)
-        } else {
-            crate::pack32(sign, 0xFF, 0)
-        };
-    }
-
-    let tiny = biased_exp <= 0;
-    if tiny {
-        sig = shift_right_jam_u64(sig, (1 - biased_exp) as u32);
-        biased_exp = 0;
-    }
-
-    let round_bits = sig & ROUND_MASK;
-    if round_bits != 0 {
-        flags.inexact = true;
-        if tiny {
-            flags.underflow = true;
-        }
-    }
-
-    sig = sig.wrapping_add(inc) >> 39;
-    if matches!(rm, Rounding::NearestEven) && round_bits == ROUND_HALF {
-        sig &= !1;
-    }
-
-    let exp_field = if biased_exp == 0 {
-        0
-    } else {
-        (biased_exp - 1) as u64
-    };
-    (((sign as u64) << 31)
-        .wrapping_add(exp_field << 23)
-        .wrapping_add(sig)) as u32
-}
-
-/// Normalises an arbitrary-position significand and rounds it to binary64.
-///
-/// The value represented is `(-1)^sign * mant * 2^exp * (sticky adds an
-/// infinitesimal)`.  `mant` may be zero, in which case a signed zero is
-/// returned.
-pub(crate) fn norm_round_pack_f64(
-    sign: bool,
-    exp: i32,
-    mant: u128,
-    sticky: bool,
-    rm: Rounding,
-    flags: &mut Flags,
-) -> u64 {
+/// Rounds `(-1)^sign * mant * 2^exp` to binary64, `sticky` standing for a
+/// nonzero remainder below `mant`'s last bit.  A zero `mant` is a signed
+/// zero.
+pub(crate) fn norm_round_pack(sign: bool, exp: i32, mant: u128, sticky: bool) -> u64 {
     if mant == 0 {
-        if sticky {
-            // A non-zero value rounded all the way to zero: record it.
-            flags.inexact = true;
-            flags.underflow = true;
-        }
-        return crate::pack64(sign, 0, 0);
-    }
-    let msb = 127 - mant.leading_zeros() as i32;
-    let (sig, extra_sticky) = if msb > 62 {
-        let shifted = shift_right_jam_u128(mant, (msb - 62) as u32);
-        (shifted as u64, false)
-    } else {
-        ((mant as u64) << (62 - msb), false)
-    };
-    let sig = sig | (sticky || extra_sticky) as u64;
-    // The leading bit sits at binary weight 2^(exp + msb).
-    let biased = exp + msb + 1023;
-    round_pack_f64(sign, biased, sig, rm, flags)
-}
-
-/// Normalises an arbitrary-position significand and rounds it to binary32.
-pub(crate) fn norm_round_pack_f32(
-    sign: bool,
-    exp: i32,
-    mant: u128,
-    sticky: bool,
-    rm: Rounding,
-    flags: &mut Flags,
-) -> u32 {
-    if mant == 0 {
-        if sticky {
-            flags.inexact = true;
-            flags.underflow = true;
-        }
-        return crate::pack32(sign, 0, 0);
+        return signed(sign, 0);
     }
     let msb = 127 - mant.leading_zeros() as i32;
     let sig = if msb > 62 {
-        shift_right_jam_u128(mant, (msb - 62) as u32) as u64
+        shift_right_jam(mant, (msb - 62) as u32) as u64
     } else {
         (mant as u64) << (62 - msb)
     };
-    let sig = sig | sticky as u64;
-    let biased = exp + msb + 127;
-    round_pack_f32(sign, biased, sig, rm, flags)
+    // The leading bit sits at binary weight 2^(exp + msb).
+    round_pack(sign, exp + msb + 1023, sig | sticky as u64)
 }
 
 #[cfg(test)]
@@ -264,17 +93,13 @@ mod tests {
 
     #[test]
     fn shift_right_jam_preserves_stickiness() {
-        assert_eq!(shift_right_jam_u64(0b1000, 3), 0b1);
-        assert_eq!(
-            shift_right_jam_u64(0b1001, 3),
-            0b1,
-            "lost bits jam into bit 0"
-        );
-        assert_eq!(shift_right_jam_u64(0b10100, 3), 0b11);
-        assert_eq!(shift_right_jam_u64(1, 64), 1);
-        assert_eq!(shift_right_jam_u64(0, 64), 0);
-        assert_eq!(shift_right_jam_u128(1, 128), 1);
-        assert_eq!(shift_right_jam_u128(0x10, 4), 1);
+        assert_eq!(shift_right_jam(0b1000, 3), 0b1);
+        assert_eq!(shift_right_jam(0b1001, 3), 0b1, "lost bits jam into bit 0");
+        assert_eq!(shift_right_jam(0b10100, 3), 0b11);
+        assert_eq!(shift_right_jam(1, 64), 1);
+        assert_eq!(shift_right_jam(0, 64), 0);
+        assert_eq!(shift_right_jam(1, 128), 1);
+        assert_eq!(shift_right_jam(0x10, 4), 1);
     }
 
     #[test]
@@ -290,69 +115,48 @@ mod tests {
 
     #[test]
     fn norm_round_pack_simple_values() {
-        let mut f = Flags::none();
         // 1.0 = 1 * 2^0.
-        let one = norm_round_pack_f64(false, 0, 1, false, Rounding::NearestEven, &mut f);
-        assert_eq!(one, 1.0f64.to_bits());
+        assert_eq!(norm_round_pack(false, 0, 1, false), 1.0f64.to_bits());
         // 2.5 = 5 * 2^-1.
-        let v = norm_round_pack_f64(false, -1, 5, false, Rounding::NearestEven, &mut f);
-        assert_eq!(v, 2.5f64.to_bits());
+        assert_eq!(norm_round_pack(false, -1, 5, false), 2.5f64.to_bits());
         // -8 = 8 * 2^0 with sign.
-        let v = norm_round_pack_f64(true, 0, 8, false, Rounding::NearestEven, &mut f);
-        assert_eq!(v, (-8.0f64).to_bits());
-        assert!(!f.any());
-    }
-
-    #[test]
-    fn norm_round_pack_f32_simple_values() {
-        let mut f = Flags::none();
-        let one = norm_round_pack_f32(false, 0, 1, false, Rounding::NearestEven, &mut f);
-        assert_eq!(one, 1.0f32.to_bits());
-        let v = norm_round_pack_f32(false, -2, 3, false, Rounding::NearestEven, &mut f);
-        assert_eq!(v, 0.75f32.to_bits());
-    }
-
-    #[test]
-    fn rounding_inexact_flag() {
-        let mut f = Flags::none();
-        // 2^53 + 1 is not representable in binary64.
-        let v = norm_round_pack_f64(
-            false,
-            0,
-            (1u128 << 53) + 1,
-            false,
-            Rounding::NearestEven,
-            &mut f,
-        );
+        assert_eq!(norm_round_pack(true, 0, 8, false), (-8.0f64).to_bits());
+        // 2^53 + 1 is not representable: the tie goes to the even 2^53.
+        let v = norm_round_pack(false, 0, (1 << 53) + 1, false);
         assert_eq!(v, ((1u64 << 53) as f64).to_bits());
-        assert!(f.inexact);
+        // 2^53 + 3 ties too, and goes up to the even 2^53 + 4.
+        let v = norm_round_pack(false, 0, (1 << 53) + 3, false);
+        assert_eq!(v, (((1u64 << 53) + 4) as f64).to_bits());
+        // A sticky bit below the tie breaks it upwards.
+        let v = norm_round_pack(false, 0, (1 << 53) + 1, true);
+        assert_eq!(v, (((1u64 << 53) + 2) as f64).to_bits());
     }
 
     #[test]
     fn overflow_to_infinity_and_largest_finite() {
-        let mut f = Flags::none();
-        let v = norm_round_pack_f64(false, 2000, 1, false, Rounding::NearestEven, &mut f);
-        assert_eq!(v, f64::INFINITY.to_bits());
-        assert!(f.overflow && f.inexact);
-
-        let mut f = Flags::none();
-        let v = norm_round_pack_f64(false, 2000, 1, false, Rounding::TowardZero, &mut f);
-        assert_eq!(v, f64::MAX.to_bits());
-        assert!(f.overflow);
+        assert_eq!(norm_round_pack(false, 2000, 1, false), INF);
+        assert_eq!(norm_round_pack(true, 2000, 1, false), signed(true, INF));
+        // f64::MAX is (2^53 - 1) * 2^971.  Half an ulp above it ties, and
+        // the even neighbour is 2^1024: infinity.  Anything less than half
+        // an ulp above it rounds back to the largest finite value.
+        let max = (1u128 << 53) - 1;
+        assert_eq!(norm_round_pack(false, 970, 2 * max + 1, false), INF);
+        assert_eq!(
+            norm_round_pack(false, 969, 4 * max + 1, false),
+            f64::MAX.to_bits()
+        );
+        assert_eq!(norm_round_pack(false, 971, max, true), f64::MAX.to_bits());
     }
 
     #[test]
     fn underflow_to_subnormal() {
-        let mut f = Flags::none();
         // 2^-1074 is the smallest subnormal.
-        let v = norm_round_pack_f64(false, -1074, 1, false, Rounding::NearestEven, &mut f);
-        assert_eq!(v, 1u64);
-        assert!(!f.underflow, "exact subnormal must not raise underflow");
-
-        let mut f = Flags::none();
-        // 2^-1075 rounds to either 0 or 2^-1074 and is inexact + tiny.
-        let v = norm_round_pack_f64(false, -1075, 1, false, Rounding::NearestEven, &mut f);
-        assert!(v == 0 || v == 1);
-        assert!(f.underflow && f.inexact);
+        assert_eq!(norm_round_pack(false, -1074, 1, false), 1);
+        // 2^-1075 is exactly half of it: the tie goes to the even zero.
+        assert_eq!(norm_round_pack(false, -1075, 1, false), 0);
+        // 3 * 2^-1075 ties between 1 and 2 ulps: the even 2.
+        assert_eq!(norm_round_pack(false, -1075, 3, false), 2);
+        // Just above half an ulp rounds up.
+        assert_eq!(norm_round_pack(false, -1075, 1, true), 1);
     }
 }
