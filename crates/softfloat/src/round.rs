@@ -121,6 +121,12 @@ mod tests {
         assert_eq!(norm_round_pack(false, -1, 5, false), 2.5f64.to_bits());
         // -8 = 8 * 2^0 with sign.
         assert_eq!(norm_round_pack(true, 0, 8, false), (-8.0f64).to_bits());
+    }
+
+    #[test]
+    fn rounding_inexact_flag() {
+        // No flag is kept: an inexact result shows only as a value that
+        // differs from the exact one, rounded to nearest even.
         // 2^53 + 1 is not representable: the tie goes to the even 2^53.
         let v = norm_round_pack(false, 0, (1 << 53) + 1, false);
         assert_eq!(v, ((1u64 << 53) as f64).to_bits());
