@@ -1,48 +1,34 @@
 //! Addition, subtraction, multiplication, division and fused multiply-add.
 
 use crate::round::{norm_round_pack, shift_right_jam};
-use crate::{finite, is_inf, is_nan, is_zero, sign, signed, Finite, DEFAULT_NAN, INF, SIGN};
+use crate::{finite, is_inf, is_nan, is_zero, sign, signed, DEFAULT_NAN, INF, SIGN};
 use std::cmp::Ordering;
 
-/// Aligns two magnitudes to a common exponent, clamping extreme exponent
-/// differences so only stickiness of the far-smaller operand survives.
+/// Rounds the sum of two exact terms `(-1)^sign * mant * 2^exp` once.
 ///
-/// Returns `(mant_a, mant_b, exp)` such that `a = mant_a * 2^exp` (possibly
-/// with an infinitesimal perturbation when clamped) and likewise for `b`.
-fn align(a: Finite, b: Finite) -> (u128, u128, i32) {
-    // Keep 53-bit significands shifted by MAX_SHIFT comfortably inside u128
-    // while staying far enough below the rounding point that only stickiness
-    // of the smaller operand can matter.
-    const MAX_SHIFT: i32 = 70;
-    let (hi, lo) = if a.exp >= b.exp { (a, b) } else { (b, a) };
-    let mut diff = hi.exp - lo.exp;
-    let mut lo_mant = lo.mant as u128;
-    if diff > MAX_SHIFT {
-        // The low operand is far below the rounding point of any possible
-        // result; collapse it to a sticky epsilon.
-        diff = MAX_SHIFT;
-        if lo_mant != 0 {
-            lo_mant = 1;
-        }
+/// The term with the larger exponent is shifted left as far as `u128`
+/// allows, keeping two bits free for the carry, and the other right,
+/// jamming what falls off into a sticky bit far below the rounding point.
+/// A zero term from [`finite`] has exponent -1074, at most 52 above any
+/// other finite's, so it never forces a jam.  An exact cancellation is +0,
+/// as round-to-nearest requires.
+fn add_terms(a: (bool, u128, i32), b: (bool, u128, i32)) -> u64 {
+    let ((hi_s, mut hi_m, mut hi_e), (lo_s, mut lo_m, lo_e)) =
+        if a.2 >= b.2 { (a, b) } else { (b, a) };
+    let mut diff = (hi_e - lo_e) as u32;
+    let headroom = hi_m.leading_zeros().saturating_sub(2);
+    if diff > headroom {
+        lo_m = shift_right_jam(lo_m, diff - headroom);
+        diff = headroom;
     }
-    let hi_mant = (hi.mant as u128) << diff;
-    let exp = hi.exp - diff;
-    if a.exp >= b.exp {
-        (hi_mant, lo_mant, exp)
-    } else {
-        (lo_mant, hi_mant, exp)
+    hi_m <<= diff;
+    hi_e -= diff as i32;
+    if hi_s == lo_s {
+        return norm_round_pack(hi_s, hi_e, hi_m + lo_m, false);
     }
-}
-
-/// Rounds `(-1)^sa * ma * 2^exp + (-1)^sb * mb * 2^exp`.  An exact
-/// cancellation is +0, as round-to-nearest requires.
-fn sum(sa: bool, ma: u128, sb: bool, mb: u128, exp: i32) -> u64 {
-    if sa == sb {
-        return norm_round_pack(sa, exp, ma + mb, false);
-    }
-    match ma.cmp(&mb) {
-        Ordering::Greater => norm_round_pack(sa, exp, ma - mb, false),
-        Ordering::Less => norm_round_pack(sb, exp, mb - ma, false),
+    match hi_m.cmp(&lo_m) {
+        Ordering::Greater => norm_round_pack(hi_s, hi_e, hi_m - lo_m, false),
+        Ordering::Less => norm_round_pack(lo_s, hi_e, lo_m - hi_m, false),
         Ordering::Equal => 0,
     }
 }
@@ -60,8 +46,10 @@ pub fn f64_add(a: u64, b: u64) -> u64 {
         _ => {}
     }
     let (x, y) = (finite(a), finite(b));
-    let (mx, my, exp) = align(x, y);
-    sum(x.sign, mx, y.sign, my, exp)
+    add_terms(
+        (x.sign, x.mant as u128, x.exp),
+        (y.sign, y.mant as u128, y.exp),
+    )
 }
 
 /// Subtracts `b` from `a` (binary64).
@@ -138,6 +126,8 @@ pub fn f64_fma(a: u64, b: u64, c: u64) -> u64 {
     if is_inf(c) {
         return c;
     }
+    // A zero product or addend is not a term `add_terms` may align: its
+    // exponent can lie far above the other's.
     if is_zero(a) || is_zero(b) {
         // The exact product is a signed zero.
         return f64_add(signed(prod_sign, 0), c);
@@ -147,24 +137,10 @@ pub fn f64_fma(a: u64, b: u64, c: u64) -> u64 {
     }
     let (x, y, z) = (finite(a), finite(b), finite(c));
     let prod = x.mant as u128 * y.mant as u128;
-    let prod_exp = x.exp + y.exp;
-    // Align the addend with the 106-bit product: shift the larger-exponent
-    // operand left as far as `u128` allows, and the other right, jamming
-    // what falls off into a sticky bit far below the rounding point.
-    let (mut hi_m, mut hi_e, hi_s, mut lo_m, lo_e, lo_s) = if prod_exp >= z.exp {
-        (prod, prod_exp, prod_sign, z.mant as u128, z.exp, z.sign)
-    } else {
-        (z.mant as u128, z.exp, z.sign, prod, prod_exp, prod_sign)
-    };
-    let mut diff = (hi_e - lo_e) as u32;
-    let headroom = hi_m.leading_zeros().saturating_sub(2);
-    if diff > headroom {
-        lo_m = shift_right_jam(lo_m, diff - headroom);
-        diff = headroom;
-    }
-    hi_m <<= diff;
-    hi_e -= diff as i32;
-    sum(hi_s, hi_m, lo_s, lo_m, hi_e)
+    add_terms(
+        (prod_sign, prod, x.exp + y.exp),
+        (z.sign, z.mant as u128, z.exp),
+    )
 }
 
 #[cfg(test)]
