@@ -10,7 +10,7 @@
 //! it needs a wall clock or more than a few seconds of debug-build run time.
 //! That leaves two sections asserting here, each saying why at its `assert!`:
 //! `tiers` (its bar is a wall-clock comparison) and `scale` (its Scale(4)
-//! sweep takes ~24 s in the debug build `cargo test` uses).  What the former
+//! sweep takes ~16 s in the debug build `cargo test` uses).  What the former
 //! `chaining` / `regions` / `loops` / `promote` / `opt` / `idioms` sections
 //! asserted is `bench/tests/ablation.rs`; their tables are the one
 //! [`waterfall`].
@@ -253,7 +253,7 @@ fn fig20_and_jitstats() {
 fn fig21() {
     println!(
         "== Figure 21: whole-run cycles per guest instruction on 429.mcf \
-         (Captive as shipped vs the unchained QEMU-style baseline) =="
+         (Captive as shipped vs the QEMU-style baseline) =="
     );
     let w = &workloads::spec_int(Scale(1))[3];
     let c = run(w, "default");
@@ -446,7 +446,6 @@ fn json() {
     for w in workloads::spec_int(Scale(1)) {
         push(w.name, "captive", &run(&w, "default"));
         push(w.name, "qemu", &run(&w, "qemu"));
-        push(w.name, "qemu+chain", &run(&w, "qemu+chain"));
     }
     for w in workloads::spec_fp(Scale(1)) {
         push(w.name, "captive", &run(&w, "default"));
@@ -455,7 +454,7 @@ fn json() {
     for w in workloads::loop_kernels(Scale(1)) {
         push(w.name, "captive", &run(&w, "nopromote+sync"));
         push(w.name, "captive-promote", &run(&w, "sync"));
-        push(w.name, "qemu+goto_tb", &run(&w, "qemu+goto_tb"));
+        push(w.name, "qemu", &run(&w, "qemu"));
         // The tier trajectory: cold run publishes+installs asynchronously,
         // the warm run resurrects regions from the shared reuse cache.
         let reuse = std::sync::Arc::new(dbt::ReuseCache::new());
@@ -516,8 +515,8 @@ fn json() {
 fn scale() {
     println!("== Workload scaling: cycles and MIPS trends per engine ==");
     println!(
-        "{:<18} {:>6} {:>14} {:>9} {:>14} {:>9} {:>14} {:>9}",
-        "workload", "scale", "captive cyc", "MIPS", "qemu cyc", "MIPS", "qemu+chain", "MIPS"
+        "{:<18} {:>6} {:>14} {:>9} {:>14} {:>9}",
+        "workload", "scale", "captive cyc", "MIPS", "qemu cyc", "MIPS"
     );
     // Modeled MIPS: guest instructions retired per simulated second in the
     // 3.5 GHz-equivalent cycle domain the cost model is calibrated to.
@@ -525,7 +524,7 @@ fn scale() {
     // One workload per kernel character: streaming, pointer chasing, and
     // the branchy integer mix.
     for name in ["401.bzip2", "429.mcf", "456.hmmer"] {
-        let mut prev: Option<(u64, u64, u64)> = None;
+        let mut prev: Option<(u64, u64)> = None;
         for sc in [1u32, 2, 4] {
             let w = workloads::spec_int(Scale(sc))
                 .into_iter()
@@ -533,36 +532,31 @@ fn scale() {
                 .expect("workload exists at every scale");
             let c = run(&w, "default");
             let q = run(&w, "qemu");
-            let qc = run(&w, "qemu+chain");
             // CI smoke invariants: work must grow strictly with scale on
-            // every engine, and the engine ordering must hold at every
-            // scale (captive < qemu+chain <= qemu on these kernels).
+            // both engines, and Captive must stay ahead at every scale.
             // Asserted here and not in `bench/tests`: the sweep to Scale(4)
-            // on three engines takes ~24 s in a debug build.
-            if let Some((pc, pq, pqc)) = prev {
+            // takes ~16 s in a debug build.
+            if let Some((pc, pq)) = prev {
                 assert!(
-                    c.cycles > pc && q.cycles > pq && qc.cycles > pqc,
+                    c.cycles > pc && q.cycles > pq,
                     "{name}@x{sc}: cycles must grow with scale"
                 );
             }
             assert!(
-                c.cycles < qc.cycles && qc.cycles <= q.cycles,
-                "{name}@x{sc}: engine ordering violated ({} vs {} vs {})",
+                c.cycles < q.cycles,
+                "{name}@x{sc}: engine ordering violated ({} vs {})",
                 c.cycles,
-                qc.cycles,
                 q.cycles
             );
-            prev = Some((c.cycles, q.cycles, qc.cycles));
+            prev = Some((c.cycles, q.cycles));
             println!(
-                "{:<18} {:>5}x {:>14} {:>9.1} {:>14} {:>9.1} {:>14} {:>9.1}",
+                "{:<18} {:>5}x {:>14} {:>9.1} {:>14} {:>9.1}",
                 name,
                 sc,
                 c.cycles,
                 mips(c.guest_insns, c.cycles),
                 q.cycles,
-                mips(q.guest_insns, q.cycles),
-                qc.cycles,
-                mips(qc.guest_insns, qc.cycles)
+                mips(q.guest_insns, q.cycles)
             );
         }
     }

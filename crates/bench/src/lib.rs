@@ -1,6 +1,6 @@
 //! Harness shared by the `figures` binary and the integration tests.  A
-//! guest is one [`Guest`]; an engine is a name ([`engine`]: a QemuRef link
-//! mode or a Captive configuration); [`run`] loads the guest
+//! guest is one [`Guest`]; an engine is a name ([`engine`]: `qemu`, the
+//! QEMU-style baseline, or a Captive configuration); [`run`] loads the guest
 //! into the engine, runs it to the halt and returns one [`Run`] — the final
 //! registers, NZCV and the guest's declared memory digests, with the
 //! engine's [`RunStats`], the one counter table of `guest_aarch64::sys`.
@@ -12,7 +12,7 @@ use captive::{Captive, CaptiveConfig, FpMode, RunExit};
 use guest_aarch64::sys::Engine;
 pub use guest_aarch64::sys::RunStats;
 use hvm::VirtioBlkConfig;
-use qemu_ref::{LinkMode, QemuRef};
+use qemu_ref::QemuRef;
 use workloads::{Workload, CODE_BASE, DATA_BASE};
 
 pub mod chaos;
@@ -77,8 +77,8 @@ impl From<&Workload> for Guest {
 /// [`CaptiveConfig::default`].
 pub type NamedConfig = (&'static str, fn(&mut CaptiveConfig));
 
-/// The Captive half of the engine names [`engine`] resolves (the other half
-/// is [`QEMU_LINKS`]); build one with [`captive_config`].
+/// The Captive engine names [`engine`] resolves (the one other name is
+/// `qemu`); build one with [`captive_config`].
 ///
 /// Each entry turns one knob, so the equivalence suites ([`EQUIVALENT`])
 /// run an ablation on the shipped (tiered) path.  The figures join an
@@ -122,23 +122,13 @@ pub fn captive_config(names: &str) -> CaptiveConfig {
     cfg
 }
 
-/// QemuRef's link modes, by engine name.
-pub const QEMU_LINKS: &[(&str, LinkMode)] = &[
-    ("qemu", LinkMode::Off),
-    // Same-page chaining, real QEMU's policy.
-    ("qemu+chain", LinkMode::SamePage),
-    // Plus TCG-style `goto_tb` cross-page links: the benchmark's baseline.
-    ("qemu+goto_tb", LinkMode::AnyPage),
-];
-
 /// The engines every equivalence suite (chaos, virtio, `table_writes`,
-/// `cross_system`'s fault tests) holds to one outcome: both QemuRefs the
-/// figures and the benchmark compare against, and every Captive
-/// configuration that turns a translation knob on the tiered path.  The
-/// first is the reference [`assert_agree`] compares with.
-pub const EQUIVALENT: [&str; 8] = [
+/// `cross_system`'s fault tests) holds to one outcome: the QemuRef every
+/// figure and the benchmark divide by, and every Captive configuration that
+/// turns a translation knob on the tiered path.  The first is the reference
+/// [`assert_agree`] compares with.
+pub const EQUIVALENT: [&str; 7] = [
     "qemu",
-    "qemu+goto_tb",
     "default",
     "noopt",
     "nopromote",
@@ -152,16 +142,16 @@ pub const EQUIVALENT: [&str; 8] = [
 pub enum EngineConfig {
     /// Captive under a configuration.
     Captive(CaptiveConfig),
-    /// The QEMU-style baseline under a link mode.
-    Qemu(LinkMode),
+    /// The QEMU-style baseline.
+    Qemu,
 }
 
-/// The engine named `name`: one of [`QEMU_LINKS`], or a Captive
-/// configuration [`captive_config`] builds.
+/// The engine named `name`: `qemu`, or a Captive configuration
+/// [`captive_config`] builds.
 pub fn engine(name: &str) -> EngineConfig {
-    match QEMU_LINKS.iter().find(|(n, _)| *n == name) {
-        Some(&(_, link)) => EngineConfig::Qemu(link),
-        None => EngineConfig::Captive(captive_config(name)),
+    match name {
+        "qemu" => EngineConfig::Qemu,
+        _ => EngineConfig::Captive(captive_config(name)),
     }
 }
 
@@ -282,9 +272,8 @@ pub fn run(guest: &Guest, engine: impl Into<EngineConfig>) -> Run {
                 ..cfg
             }),
         ),
-        EngineConfig::Qemu(link) => {
-            let mut q = QemuRef::new(guest_ram());
-            q.link = link;
+        EngineConfig::Qemu => {
+            let mut q = QemuRef::with_goto_tb(guest_ram());
             if let Some(cfg) = &guest.virtio {
                 q.attach_virtio(cfg.clone());
             }

@@ -466,7 +466,7 @@ fn an_interior_code_page_remapped_under_a_formed_region() {
     // second call, then 2.
     assert_eq!(by_name(&runs, "qemu").regs[19], 99 + 1 + 2 * 99);
     assert!(
-        by_name(&runs, "qemu+goto_tb").stats.goto_tb_transfers > 0,
+        by_name(&runs, "qemu").stats.goto_tb_transfers > 0,
         "the linked baseline chains across the loop's two pages"
     );
 }
@@ -610,6 +610,75 @@ fn a_code_write_to_a_predicted_targets_page() {
         a.push(asm::strw(11, 12, 0));
         a.push(asm::tlbi());
     });
+}
+
+/// The same obligation for a direct link: `J`, a page of its own, is
+/// `b +0x1000`, a direct branch into the page after it, `leaf` `#1` in
+/// frame 2.  A link from `J` into that page may be followed only while the
+/// translation it was patched under holds.
+const J: u64 = 0x40E0_0000;
+
+#[test]
+fn a_linked_branch_into_a_code_page_remapped_then_tlbi() {
+    // The first call patches `J`'s link into the leaf page and the second
+    // follows it.  Then one block rewrites the leaf page's PTE to frame 3
+    // (`leaf` `#2`) and runs `tlbi`, which ends its block with no link, so
+    // the third call reaches the page through `J` again: through the link
+    // patched before the `tlbi` if it outlived it, and so into the old code.
+    let mut t = tables(0);
+    t.map(J, frame(5), RW);
+    t.map(J + 0x1000, frame(2), RW);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    a.mov_imm64(12, J);
+    let call = |a: &mut Assembler| {
+        a.push(asm::blr(12));
+        a.push(asm::lsli(19, 19, 4));
+        a.push(asm::add(19, 19, 4));
+    };
+    call(&mut a);
+    call(&mut a);
+    store(&mut a, t.entry_addr(J + 0x1000, 1), pte(3));
+    a.push(asm::tlbi());
+    call(&mut a);
+    a.push(asm::hlt());
+    let mut g = guest(a, &[&t]);
+    g.words.extend(code_in_frame(5, &[asm::b(0x1000)]));
+    g.words.extend(code_in_frame(2, &leaf(1)));
+    g.words.extend(code_in_frame(3, &leaf(2)));
+    let runs = agree(&g);
+    let out = by_name(&runs, "qemu");
+    assert_eq!(out.regs[19], 0x112, "the old code twice, then the new");
+    assert_eq!(
+        out.stats.goto_tb_transfers, 1,
+        "the second call went through the link into the leaf page"
+    );
+}
+
+#[test]
+fn a_store_to_a_read_only_page_after_a_load_from_it_aborts() {
+    // The load caches X's translation in every engine (the baseline's soft
+    // TLB, Captive's host mapping), read-only; the store must still take a
+    // permission fault, and leave frame 0 as it was.
+    const RO: GuestPageFlags = GuestPageFlags {
+        writable: false,
+        ..RW
+    };
+    let mut t = tables(0);
+    t.map(X, frame(0), RO);
+    let mut a = Assembler::new();
+    prelude(&mut a, t.root());
+    read(&mut a);
+    store(&mut a, X, 9);
+    read(&mut a);
+    a.push(asm::hlt());
+    let runs = agree(&guest(a, &[&t]));
+    let out = by_name(&runs, "qemu");
+    assert_eq!(out.regs[19], 0x11, "frame 0 still holds 1");
+    assert_eq!(out.regs[22], 1, "one data abort");
+    // Class 0x25 (data abort from the same EL) << 26, ISS bit 0 a write.
+    assert_eq!(out.regs[20], 0x9400_0001, "ESR");
+    assert_eq!(out.regs[21], X, "FAR");
 }
 
 /// The same obligation for code itself: Captive's reuse store revives a

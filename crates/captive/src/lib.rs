@@ -398,7 +398,7 @@ impl Dispatch for Captive {
         (self.runtime.context_generation(), self.cache.epoch())
     }
 
-    fn may_chain(&self, _: &Region, _: u64) -> bool {
+    fn may_chain(&self, _: &Region) -> bool {
         self.config.chaining
     }
 

@@ -92,8 +92,8 @@ pub trait Dispatch: Engine {
     /// The (context generation, cache epoch) links are patched and followed
     /// under.
     fn link_stamp(&self) -> (u64, u64);
-    /// Whether `from`'s exit to `next_pc` may go through a link.
-    fn may_chain(&self, from: &Region, next_pc: u64) -> bool;
+    /// Whether `from`'s exit may go through a link.
+    fn may_chain(&self, from: &Region) -> bool;
     /// A transfer just followed `from`'s link in `slot` to `next`; returns
     /// the translation to run there.
     fn chained(&mut self, from: &Arc<Region>, slot: usize, next: Arc<Region>) -> Arc<Region>;
@@ -285,7 +285,7 @@ fn onward<D: Dispatch>(
         return Onward::Slow;
     }
     let next_pc = machine.reg(Gpr::R15);
-    if !d.may_chain(block, next_pc) {
+    if !d.may_chain(block) {
         return Onward::Slow;
     }
     let Some(slot) = block.chain_slot(next_pc) else {
@@ -492,7 +492,7 @@ mod tests {
         fn link_stamp(&self) -> (u64, u64) {
             (0, 0)
         }
-        fn may_chain(&self, _from: &Region, _next_pc: u64) -> bool {
+        fn may_chain(&self, _from: &Region) -> bool {
             true
         }
         fn chained(&mut self, _: &Arc<Region>, _: usize, next: Arc<Region>) -> Arc<Region> {

@@ -250,7 +250,7 @@ dbt::counter_table! {
         /// the dispatcher.
         Deterministic chained_transfers: u64,
         /// Cross-page chained transfers (subset of `chained_transfers`;
-        /// QemuRef with `goto_tb` only).
+        /// QemuRef only).
         Deterministic goto_tb_transfers: u64,
         /// Chained transfers through a predicted (register-indirect) link
         /// (subset of `chained_transfers`; Captive only).

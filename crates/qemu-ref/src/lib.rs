@@ -18,26 +18,16 @@
 //!   (Section 2.6);
 //! * vector instructions are implemented with helper calls rather than host
 //!   SIMD;
-//! * translated blocks link to direct successors as far as the
-//!   [`LinkMode`] allows (the chaining-policy hook of the shared run loop,
-//!   [`guest_aarch64::dispatch`], is the one that is a knob here):
-//!   - [`LinkMode::Off`] (`QemuRef::new`): every block returns to the
-//!     dispatcher.  This is the figures' baseline: `fig17`, `fig18` and
-//!     `fig19` divide by the engine `bench` names `qemu`, which runs this mode;
-//!   - [`LinkMode::SamePage`] (`with_chaining(ram, true)`): successors
-//!     **within the same guest page** only, as real QEMU/TCG does —
-//!     cross-page links are never patched, because a virtually-indexed cache
-//!     can only trust a stitched transfer while the fetch stays on the page
-//!     the translation was made for.  This tightens the baseline so reported
-//!     Captive speedups are not inflated by a chain-less strawman;
-//!   - [`LinkMode::AnyPage`] (`with_goto_tb`): direct branches link across
-//!     pages too, like TCG's `goto_tb` between translation blocks.  The
-//!     epoch-stamped links still die with every full-cache flush, so the
-//!     stitching stays architecturally invisible.  This is the *strongest*
-//!     honest baseline and the benchmark's (`benchmark/`'s `sim_speedup`),
-//!     so promoted-loop speedups there are not measured against a hobbled
-//!     dispatcher; the figures harness prints it only as the
-//!     `qemu+goto_tb` records of `figures -- json`.
+//! * translated blocks link to their direct successors across pages, like
+//!   TCG's `goto_tb` between translation blocks (the chaining-policy hook of
+//!   the shared run loop, [`guest_aarch64::dispatch`]).  An indirect exit is
+//!   QEMU's `lookup_and_goto_ptr`, a jump-cache lookup, so it takes the slow
+//!   path and never links; so does a block that requested a cache flush
+//!   (`TLBI`, a translation-state `MSR`), whose exit is opaque.  The
+//!   epoch-stamped links die with every full-cache flush, so the stitching
+//!   stays architecturally invisible.  This one policy is the baseline every
+//!   figure, test and the benchmark (`benchmark/`'s `sim_speedup`) divides
+//!   by.
 
 use captive::layout;
 use captive::translator::MAX_BLOCK_INSNS;
@@ -297,17 +287,6 @@ impl Runtime for QemuRuntime {
     }
 }
 
-/// How far the baseline's blocks link to direct successors (crate docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkMode {
-    /// No links.
-    Off,
-    /// Within the guest page (real QEMU's policy).
-    SamePage,
-    /// Across pages too (the TCG `goto_tb` analogue).
-    AnyPage,
-}
-
 /// The QEMU-style baseline system emulator.
 pub struct QemuRef {
     /// Host machine (paging disabled — the "user process" configuration).
@@ -320,31 +299,12 @@ pub struct QemuRef {
     pub timers: PhaseTimers,
     isa: Aarch64Isa,
     stats: RunStats,
-    /// How far direct successors link.
-    pub link: LinkMode,
 }
 
 impl QemuRef {
-    /// Creates the baseline emulator with same-page chaining
-    /// ([`LinkMode::SamePage`]) on or off.
-    pub fn with_chaining(guest_ram: u64, qemu_chaining: bool) -> Self {
-        let mut q = Self::new(guest_ram);
-        if qemu_chaining {
-            q.link = LinkMode::SamePage;
-        }
-        q
-    }
-
-    /// Creates the strongest honest baseline: links across pages too
-    /// ([`LinkMode::AnyPage`], the `goto_tb` analogue).
+    /// Creates the baseline emulator with the given guest RAM size: the one
+    /// link policy of the crate docs, named for TCG's `goto_tb`.
     pub fn with_goto_tb(guest_ram: u64) -> Self {
-        let mut q = Self::new(guest_ram);
-        q.link = LinkMode::AnyPage;
-        q
-    }
-
-    /// Creates the baseline emulator with the given guest RAM size.
-    pub fn new(guest_ram: u64) -> Self {
         let mut machine = Machine::new(MachineConfig::default());
         // The register file is addressed physically (flat memory).
         machine.set_reg(Gpr::Rbp, layout::REGFILE_PHYS);
@@ -356,7 +316,6 @@ impl QemuRef {
             timers: PhaseTimers::default(),
             isa: Aarch64Isa,
             stats: RunStats::default(),
-            link: LinkMode::Off,
         }
     }
 
@@ -413,8 +372,7 @@ impl QemuRef {
                 break;
             }
         }
-        // The terminator metadata the shared dispatcher links by (as far as
-        // the link mode allows).
+        // The terminator metadata the shared dispatcher links by.
         let exit = e.exit_hint().unwrap_or(BlockExit::Fallthrough { next: va });
         let lir = e.finish();
         // The baseline deliberately skips the `dbt::opt` phase (TCG-style
@@ -469,7 +427,8 @@ impl Engine for QemuRef {
 
 /// The baseline's side of each axis: the softmmu, a virtually indexed cache
 /// that every translation-state change empties (the flush *is* its context
-/// generation bump: the epoch stamp retires every link), and the [`LinkMode`].
+/// generation bump: the epoch stamp retires every link), and direct-only
+/// links.
 impl Dispatch for QemuRef {
     fn settle(&mut self) -> bool {
         // Device DMA landed behind the translator's back, and a virtually
@@ -513,19 +472,15 @@ impl Dispatch for QemuRef {
         (0, self.cache.epoch())
     }
 
-    fn may_chain(&self, from: &Region, next_pc: u64) -> bool {
+    fn may_chain(&self, from: &Region) -> bool {
         // TCG's `goto_tb` is direct-only: an indirect exit is QEMU's
         // `lookup_and_goto_ptr`, a helper call into its jump cache, not a
-        // link.  A TLBI/MSR helper may have requested the flush that virtual
-        // indexing demands: take the slow path so the cache is emptied
-        // before the next lookup.
+        // link.  A pending flush needs no test here: only `TLBI` and `MSR`
+        // request one, both end their block with an opaque exit, which has no
+        // link slot, and the slow path's `settle` empties the cache before any
+        // other block runs.
+        debug_assert!(!self.runtime.flush_requested || from.exit == BlockExit::Opaque);
         from.exit != BlockExit::Indirect
-            && !self.runtime.flush_requested
-            && match self.link {
-                LinkMode::Off => false,
-                LinkMode::SamePage => same_page(from.guest_virt, next_pc),
-                LinkMode::AnyPage => true,
-            }
     }
 
     fn chained(&mut self, from: &Arc<Region>, _: usize, next: Arc<Region>) -> Arc<Region> {
@@ -712,7 +667,7 @@ mod tests {
     use guest_aarch64::asm;
 
     fn boot(words: &[u32]) -> (QemuRef, RunExit) {
-        let mut q = QemuRef::new(32 * 1024 * 1024);
+        let mut q = QemuRef::with_goto_tb(32 * 1024 * 1024);
         q.load_program(0x1000, words);
         q.set_entry(0x1000);
         let exit = q.run(200_000);
@@ -766,86 +721,10 @@ mod tests {
     }
 
     #[test]
-    fn same_page_chaining_is_faster_and_architecturally_invisible() {
-        // A same-page multi-block loop: the chained baseline must produce
-        // identical guest state, and the whole cycle gap must be the counted
-        // chained transfers' saved dispatch cost.
-        let mut a = asm::Assembler::new();
-        a.push(asm::movz(0, 0, 0));
-        a.push(asm::movz(1, 2000, 0));
-        a.label("loop");
-        a.b_to("body");
-        a.label("body");
-        a.push(asm::add(0, 0, 1));
-        a.push(asm::subi(1, 1, 1));
-        a.cbnz_to(1, "loop");
-        a.push(asm::hlt());
-        let words = a.finish();
-
-        let run = |chaining: bool| {
-            let mut q = QemuRef::with_chaining(32 * 1024 * 1024, chaining);
-            q.load_program(0x1000, &words);
-            q.set_entry(0x1000);
-            assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
-            q
-        };
-        let on = run(true);
-        let off = run(false);
-        for r in 0..16 {
-            assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-        }
-        let son = on.stats();
-        let soff = off.stats();
-        assert_eq!(soff.chained_transfers, 0);
-        assert!(
-            son.chained_transfers > 3000,
-            "same-page direct branches must chain: {}",
-            son.chained_transfers
-        );
-        assert!(son.chain_patches >= 1);
-        assert!(son.cycles < soff.cycles);
-        let per_transfer = on.machine.cost.dispatch - on.machine.cost.chain;
-        assert_eq!(
-            soff.cycles - son.cycles,
-            son.chained_transfers * per_transfer,
-            "the gap is exactly the saved dispatch cost"
-        );
-    }
-
-    #[test]
-    fn cross_page_direct_branches_never_chain() {
-        // The loop bounces between two guest pages through direct branches;
-        // real QEMU (and this baseline) must not chain across the page.
-        let mut main = asm::Assembler::new();
-        main.push(asm::movz(1, 500, 0)); // 0x1000
-                                         // loop head at 0x1004 branches to 0x2000.
-        main.push(asm::b(0x2000 - 0x1004));
-        let mut far = asm::Assembler::new();
-        far.push(asm::subi(1, 1, 1)); // 0x2000
-        far.push(asm::cbnz(1, 0x1004 - 0x2004)); // back to the loop head
-        far.push(asm::hlt());
-
-        let mut q = QemuRef::with_chaining(32 * 1024 * 1024, true);
-        q.load_program(0x1000, &main.finish());
-        q.load_program(0x2000, &far.finish());
-        q.set_entry(0x1000);
-        assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
-        assert_eq!(q.guest_reg(1), 0);
-        let s = q.stats();
-        // Every loop transfer crosses a page, so nothing may chain.  (The
-        // one same-page edge — the final cbnz fallthrough onto the hlt — is
-        // allowed to *patch*, but executes only once, so it never follows.)
-        assert_eq!(
-            s.chained_transfers, 0,
-            "cross-page transfers must take the dispatcher"
-        );
-    }
-
-    #[test]
     fn goto_tb_chains_across_pages_and_stays_invisible() {
-        // Same cross-page loop as above: with the `goto_tb` knob the direct
-        // branches must link across the page, save exactly the dispatch
-        // cost, and leave guest state untouched.
+        // The loop bounces between two guest pages through direct branches:
+        // they must link across the page and leave guest state as the
+        // program defines it.
         let mut main = asm::Assembler::new();
         main.push(asm::movz(0, 0, 0)); // 0x1000
         main.push(asm::movz(1, 500, 0));
@@ -856,45 +735,26 @@ mod tests {
         far.push(asm::subi(1, 1, 1));
         far.push(asm::cbnz(1, 0x1008 - 0x2008)); // back to the loop head
         far.push(asm::hlt());
-        let main_words = main.finish();
-        let far_words = far.finish();
 
-        let run = |goto_tb: bool| {
-            let mut q = QemuRef::with_chaining(32 * 1024 * 1024, true);
-            if goto_tb {
-                q.link = LinkMode::AnyPage;
-            }
-            q.load_program(0x1000, &main_words);
-            q.load_program(0x2000, &far_words);
-            q.set_entry(0x1000);
-            assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
-            q
-        };
-        let on = run(true);
-        let off = run(false);
-        for r in 0..16 {
-            assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
-        }
-        let son = on.stats();
-        let soff = off.stats();
-        assert_eq!(soff.goto_tb_transfers, 0);
+        let mut q = QemuRef::with_goto_tb(32 * 1024 * 1024);
+        q.load_program(0x1000, &main.finish());
+        q.load_program(0x2000, &far.finish());
+        q.set_entry(0x1000);
+        assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });
+        assert_eq!(q.guest_reg(0), 500 * 501 / 2, "x0 sums 500 down to 1");
+        assert_eq!(q.guest_reg(1), 0);
+        let s = q.stats();
         assert!(
-            son.goto_tb_transfers > 500,
+            s.goto_tb_transfers > 500,
             "direct branches must chain across pages: {}",
-            son.goto_tb_transfers
-        );
-        let per_transfer = on.machine.cost.dispatch - on.machine.cost.chain;
-        assert_eq!(
-            soff.cycles - son.cycles,
-            (son.chained_transfers - soff.chained_transfers) * per_transfer,
-            "the gap is exactly the saved dispatch cost"
+            s.goto_tb_transfers
         );
     }
 
     #[test]
     fn indirect_exits_never_link_even_under_goto_tb() {
-        // TCG's `goto_tb` is direct-only: the baseline's strongest link mode
-        // must not price a `blr` or `ret` as a link.
+        // TCG's `goto_tb` is direct-only: the baseline must not price a
+        // `blr` or `ret` as a link.
         let mut a = asm::Assembler::new();
         a.push(asm::movz(1, 300, 0));
         a.adr_to(2, "leaf");
@@ -934,7 +794,7 @@ mod tests {
         a.push(asm::subi(1, 1, 1));
         a.cbnz_to(1, "loop");
         a.push(asm::hlt());
-        let mut q = QemuRef::with_chaining(32 * 1024 * 1024, true);
+        let mut q = QemuRef::with_goto_tb(32 * 1024 * 1024);
         q.load_program(0x1000, &a.finish());
         q.set_entry(0x1000);
         assert_eq!(q.run(200_000), RunExit::GuestHalted { code: 0 });

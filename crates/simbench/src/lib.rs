@@ -172,8 +172,7 @@ pub fn same_page_direct(iters: u32) -> MicroBench {
 }
 
 /// Inter-Page-Direct: direct branches bouncing between two pages — the
-/// shape same-page chaining must refuse to link but a TCG-style `goto_tb`
-/// baseline links directly.
+/// shape only links across pages, like TCG's `goto_tb`, can chain.
 pub fn inter_page_direct(iters: u32) -> MicroBench {
     let mut a = Assembler::new();
     a.mov_imm64(2, iters as u64);
