@@ -39,6 +39,8 @@ fn helper_cost_tables_hold_the_values_the_cycle_baselines_were_taken_with() {
     // The shared helper arms are priced per engine; these are the literals
     // the arms carried before they moved into the guest-system core, so a
     // drifted cycle shows up here and not as an unexplained figures diff.
+    // (Captive's `vec_op` is new with the shared soft-FP lowering: two of
+    // its scalar bodies, one per lane.)
     use guest_aarch64::sys::HelperCosts;
     assert_eq!(
         captive::runtime::HELPER_COSTS,
@@ -50,6 +52,9 @@ fn helper_cost_tables_hold_the_values_the_cycle_baselines_were_taken_with() {
             fcmp: 20,
             eret: 260,
             hlt: 20,
+            soft_fp: 90,
+            soft_sqrt: 90,
+            vec_op: 180,
         }
     );
     assert_eq!(
@@ -62,6 +67,9 @@ fn helper_cost_tables_hold_the_values_the_cycle_baselines_were_taken_with() {
             fcmp: 60,
             eret: 300,
             hlt: 20,
+            soft_fp: 110,
+            soft_sqrt: 160,
+            vec_op: 260,
         }
     );
 }
@@ -104,6 +112,124 @@ fn fmadd_rounds_once_on_every_engine() {
         &["qemu", "default", "softfp"],
     );
     assert_eq!(runs[0].1.regs[5], fused);
+}
+
+#[test]
+fn software_fp_runs_every_fp_instruction_through_softfloat() {
+    // Both software-FP engines run one lowering, so an error in it is
+    // common to both and their agreement proves nothing: every result is
+    // held to bits computed by hand for an Arm guest in default-NaN mode,
+    // where every NaN result is the positive default NaN.  v0 = [a, b] and
+    // v1 = [b, b]; the scalar ops read the low lanes, the `.2d` ops both,
+    // and their lanes are stored with `str q` and read back.
+    const NAN: u64 = 0x7FF8_0000_0000_0000;
+    const INF: u64 = 0x7FF0_0000_0000_0000;
+    const NEG_INF: u64 = 0xFFF0_0000_0000_0000;
+    // A signalling NaN with the sign set and a payload.
+    const SIGNED_PAYLOAD_NAN: u64 = 0xFFF0_0000_0000_1234;
+    struct Case {
+        a: u64,
+        b: u64,
+        // fadd, fsub, fmul, fdiv a, b; fsqrt b; fmadd a * b + a.
+        scalar: [u64; 6],
+        // fadd .2d lanes [a + b, b + b], then fmul .2d [a * b, b * b].
+        vector: [u64; 4],
+    }
+    let cases = [
+        Case {
+            // 2.25 and 0.25: 2.5, 2.0, 0.5625, 9.0; 0.5; 2.8125.
+            a: 0x4002_0000_0000_0000,
+            b: 0x3FD0_0000_0000_0000,
+            scalar: [
+                0x4004_0000_0000_0000,
+                0x4000_0000_0000_0000,
+                0x3FE2_0000_0000_0000,
+                0x4022_0000_0000_0000,
+                0x3FE0_0000_0000_0000,
+                0x4006_8000_0000_0000,
+            ],
+            // 2.5, 0.5; 0.5625, 0.0625.
+            vector: [
+                0x4004_0000_0000_0000,
+                0x3FE0_0000_0000_0000,
+                0x3FE2_0000_0000_0000,
+                0x3FB0_0000_0000_0000,
+            ],
+        },
+        Case {
+            // inf + −inf and inf / −inf are invalid; so are sqrt(−inf) and
+            // −inf + inf inside the fused multiply-add.
+            a: INF,
+            b: NEG_INF,
+            scalar: [NAN, INF, NEG_INF, NAN, NAN, NAN],
+            vector: [NAN, NEG_INF, NEG_INF, INF],
+        },
+        Case {
+            // 0 × inf is invalid, in `fmul` and inside `fmadd`.
+            a: 0,
+            b: INF,
+            scalar: [INF, NEG_INF, NAN, 0, INF, NAN],
+            vector: [INF, INF, NAN, INF],
+        },
+        Case {
+            // 0 / 0 is the one invalid operation on two zeros.
+            a: 0,
+            b: 0,
+            scalar: [0, 0, 0, NAN, 0, 0],
+            vector: [0, 0, 0, 0],
+        },
+        Case {
+            // A NaN operand never reaches the result: its sign and payload
+            // are dropped for the default NaN.
+            a: 0x3FF0_0000_0000_0000,
+            b: SIGNED_PAYLOAD_NAN,
+            scalar: [NAN; 6],
+            vector: [NAN; 4],
+        },
+    ];
+    for Case {
+        a,
+        b,
+        scalar,
+        vector,
+    } in cases
+    {
+        let mut p = Assembler::new();
+        p.mov_imm64(1, DATA_WINDOW.0);
+        p.push(asm::ldr_q(0, 1, 0));
+        p.push(asm::ldr_q(1, 1, 16));
+        let ops = [asm::fadd, asm::fsub, asm::fmul, asm::fdiv];
+        for (k, op) in ops.into_iter().enumerate() {
+            p.push(op(2, 0, 1));
+            p.push(asm::fmov_to_gpr(2 + k as u32, 2));
+        }
+        p.push(asm::fsqrt(2, 1));
+        p.push(asm::fmov_to_gpr(6, 2));
+        p.push(asm::fmadd(2, 0, 1, 0));
+        p.push(asm::fmov_to_gpr(7, 2));
+        p.push(asm::vadd2d(2, 0, 1));
+        p.push(asm::str_q(2, 1, 32));
+        p.push(asm::vmul2d(3, 0, 1));
+        p.push(asm::str_q(3, 1, 48));
+        for k in 0..4 {
+            p.push(asm::ldr(8 + k, 1, 32 + 8 * k));
+        }
+        p.push(asm::hlt());
+        let g = Guest {
+            words: vec![
+                (DATA_WINDOW.0, a),
+                (DATA_WINDOW.0 + 8, b),
+                (DATA_WINDOW.0 + 16, b),
+                (DATA_WINDOW.0 + 24, b),
+            ],
+            ..Guest::program("soft_fp", p.finish())
+        };
+        for engine in ["qemu", "softfp"] {
+            let regs = bench::run(&g, engine).regs;
+            assert_eq!(regs[2..8], scalar, "{engine}: a {a:#x}, b {b:#x}");
+            assert_eq!(regs[8..12], vector, "{engine}: .2d, a {a:#x}, b {b:#x}");
+        }
+    }
 }
 
 /// The equivalence roster plus Captive's software-FP mode, whose scalar FP

@@ -47,7 +47,7 @@ use runtime::CaptiveRuntime;
 use std::sync::Arc;
 use std::time::Instant;
 use tier::{FormationResult, TierService};
-use translator::{live_code_word, translate_block_from, MAX_BLOCK_INSNS};
+use translator::{generate, live_code_word, translate_block_from, MAX_BLOCK_INSNS};
 
 /// How guest floating-point instructions are implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,8 +56,10 @@ pub enum FpMode {
     /// contribution).
     #[default]
     Hardware,
-    /// Call softfloat helpers for every FP operation (the QEMU approach,
-    /// used for the Section 3.6.2 ablation).
+    /// Call softfloat helpers for every FP arithmetic instruction, scalar
+    /// and `.2d` vector alike (the QEMU approach, used for the Section
+    /// 3.6.2 ablation): the one soft-FP lowering both engines run,
+    /// `guest_aarch64::gen::generate_soft_fp`.
     Software,
 }
 
@@ -270,10 +272,12 @@ impl Captive {
             Some(region) => region,
             None => {
                 let machine = &self.machine;
+                let fp_mode = self.knobs.fp_mode;
                 let mut evidence = Evidence::default();
                 let mut own = PhaseTimers::default();
                 let mut region = translate_block_from(
                     &self.isa,
+                    |d, e| generate(fp_mode, d, e),
                     |pa| live_code_word(machine, pa),
                     patched.then_some(&mut evidence),
                     &mut own,

@@ -45,7 +45,7 @@ use guest_aarch64::gen::helpers;
 use guest_aarch64::mmu;
 use guest_aarch64::sys::{GuestEvent, GuestSys, HelperCosts};
 use hvm::paging::{self, FrameAlloc, PageFlags};
-use hvm::{CostModel, FaultAction, Gpr, HelperResult, Machine, Ring, Runtime};
+use hvm::{CostModel, FaultAction, HelperResult, Machine, Ring, Runtime};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
@@ -72,7 +72,10 @@ fn fetch_walk_cost(cost: &CostModel) -> u64 {
 }
 
 /// What the shared helper arms cost inside the unikernel: a direct call in
-/// ring 0, no user-process state save/restore.
+/// ring 0, no user-process state save/restore.  The softfloat arms
+/// ([`crate::FpMode::Software`]) charge the body on top of the call overhead
+/// the machine already charged: 90 cycles for one scalar operation or square
+/// root, and for `vec_op` two scalar bodies, one per lane, 180.
 pub const HELPER_COSTS: HelperCosts = HelperCosts {
     putchar: 120,
     exit: 50,
@@ -81,18 +84,10 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
     fcmp: 20,
     eret: 260,
     hlt: 20,
+    soft_fp: 90,
+    soft_sqrt: 90,
+    vec_op: 2 * 90,
 };
-
-/// Softfloat helper ids used when [`crate::FpMode::Software`] is selected.
-pub mod sf_helpers {
-    pub const ADD: u16 = 20;
-    pub const SUB: u16 = 21;
-    pub const MUL: u16 = 22;
-    pub const DIV: u16 = 23;
-    pub const SQRT: u16 = 24;
-    /// Fused `a * b + c` (third operand in `rdx`): one rounding.
-    pub const FMA: u16 = 25;
-}
 
 /// The unikernel runtime: the guest-system core plus the host page tables
 /// and translation-tracking state Captive builds on top of it.
@@ -390,24 +385,6 @@ impl CaptiveRuntime {
             self.table_watch.tlbi(self.context_generation);
         }
     }
-
-    fn softfloat_binop(&mut self, machine: &mut Machine, op: u16) -> HelperResult {
-        let a = machine.reg(Gpr::Rdi);
-        let b = machine.reg(Gpr::Rsi);
-        let r = match op {
-            sf_helpers::ADD => softfloat::f64_add(a, b),
-            sf_helpers::SUB => softfloat::f64_sub(a, b),
-            sf_helpers::MUL => softfloat::f64_mul(a, b),
-            sf_helpers::DIV => softfloat::f64_div(a, b),
-            sf_helpers::SQRT => softfloat::f64_sqrt_arm(a),
-            sf_helpers::FMA => softfloat::f64_fma(a, b, machine.reg(Gpr::Rdx)),
-            _ => 0,
-        };
-        machine.set_reg(Gpr::Rax, r);
-        // The softfloat body costs roughly this many cycles on top of the
-        // call overhead already charged by the machine.
-        HelperResult::Continue { cost: 90 }
-    }
 }
 
 impl Runtime for CaptiveRuntime {
@@ -424,7 +401,6 @@ impl Runtime for CaptiveRuntime {
                 }
                 result
             }
-            sf_helpers::ADD..=sf_helpers::FMA => self.softfloat_binop(machine, id),
             _ => self.sys.helper(id, machine),
         }
     }

@@ -42,7 +42,9 @@
 use crate::formation::read_live_page;
 use crate::runtime::CaptiveRuntime;
 use crate::tier::{TierService, PAGE_BYTES};
-use crate::translator::{live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS};
+use crate::translator::{
+    generate, live_code_word, resumes_after, translate_block_from, MAX_BLOCK_INSNS,
+};
 use crate::{Captive, CaptiveConfig, FpMode};
 use dbt::{BlockExit, CounterField, Evidence, PhaseTimers, Region, RegionKey};
 use guest_aarch64::Aarch64Isa;
@@ -462,6 +464,7 @@ impl Job {
         let mut timers = PhaseTimers::default();
         let region = translate_block_from(
             &Aarch64Isa,
+            |d, e| generate(self.knobs.fp_mode, d, e),
             |pa| self.word_at(pa),
             Some(&mut evidence),
             &mut timers,

@@ -9,7 +9,8 @@
 //! branch/exception instruction, at a page boundary, or at the configured
 //! instruction limit), and [`form_region_from`] stitches a hot chained path —
 //! including unrolled single-block self-loops — into a multi-constituent
-//! one.
+//! one.  The block translator, [`translate_block_from`], is QemuRef's too:
+//! each engine hands it its own per-instruction generator.
 //!
 //! A block is decided by the words it decoded.  A formed region is a
 //! *virtual* path across pages, so the tracer hands it back together with
@@ -22,19 +23,18 @@
 //! that did not resolve when traced ends the trace in an ordinary exit,
 //! which costs optimality once the target is mapped, never correctness.
 
-use crate::runtime::{sf_helpers, CaptiveRuntime};
+use crate::runtime::CaptiveRuntime;
 use crate::spec::Knobs;
 use crate::{layout, FpMode};
-use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
 use dbt::{
     BlockExit, CodeCache, Emitter, Evidence, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
     RegionKey,
 };
-use guest_aarch64::gen::Decoded;
-use guest_aarch64::isa::{FpKind, Insn};
-use guest_aarch64::{v_off, Aarch64Isa};
-use hvm::{Machine, MemSize};
+use guest_aarch64::gen::{self, Decoded};
+use guest_aarch64::isa::Insn;
+use guest_aarch64::Aarch64Isa;
+use hvm::Machine;
 
 /// Maximum guest instructions per translated block, on either engine.
 pub const MAX_BLOCK_INSNS: usize = 64;
@@ -69,6 +69,7 @@ pub fn translate_block(
     };
     translate_block_from(
         isa,
+        |d, e| generate(fp_mode, d, e),
         |pa_i| live_code_word(machine, pa_i),
         None,
         timers,
@@ -88,16 +89,30 @@ pub fn live_code_word(machine: &Machine, pa: u64) -> u32 {
         .unwrap_or(0) as u32
 }
 
-/// The block translator behind [`translate_block`], fetching through
-/// `read_word` (guest physical address → code word).  The region is a pure
-/// function of the arguments and the words the closure returns, asked for in
-/// ascending address order, one per translated instruction.  `evidence`, if
-/// given, records each where it was fetched: the [`Evidence`] the one gate
-/// checks before a block made from a page copy ([`crate::spec`]) or kept on
-/// a patched page stands in for a synchronous translation.
+/// Captive's per-instruction generator: the shared soft-FP lowering
+/// ([`gen::generate_soft_fp`]) under [`FpMode::Software`], the guest's
+/// generator functions otherwise.
+pub(crate) fn generate(fp_mode: FpMode, d: &Decoded, e: &mut Emitter) -> bool {
+    match fp_mode {
+        FpMode::Software => gen::generate_soft_fp(d, e),
+        FpMode::Hardware => Aarch64Isa.generate(d, e),
+    }
+}
+
+/// The block translator of either engine: [`translate_block`] and
+/// Captive's tier-0 paths pass Captive's per-instruction generator, QemuRef
+/// its softmmu lowering.  It emits each instruction through `generate` and
+/// fetches through `read_word` (guest physical address → code word).  The
+/// region is a pure function of the arguments and the words the closure
+/// returns, asked for in ascending address order, one per translated
+/// instruction.  `evidence`, if given, records each where it was fetched:
+/// the [`Evidence`] the one gate checks before a block made from a page copy
+/// ([`crate::spec`]) or kept on a patched page stands in for a synchronous
+/// translation.
 #[allow(clippy::too_many_arguments)]
 pub fn translate_block_from(
     isa: &Aarch64Isa,
+    generate: impl Fn(&Decoded, &mut Emitter) -> bool,
     mut read_word: impl FnMut(u64) -> u32,
     mut evidence: Option<&mut Evidence>,
     timers: &mut PhaseTimers,
@@ -135,11 +150,7 @@ pub fn translate_block_from(
                 true
             }
             Some(d) => {
-                let end = if knobs.fp_mode == FpMode::Software {
-                    generate_maybe_soft_fp(&d, &mut emitter, isa)
-                } else {
-                    isa.generate(&d, &mut emitter)
-                };
+                let end = generate(&d, &mut emitter);
                 if !end {
                     emitter.inc_pc(4);
                 }
@@ -197,12 +208,7 @@ pub fn resumes_after(word: u32) -> bool {
 /// exception at `pc`, so the guest observes an architectural fault instead
 /// of the host executing corrupt code.  The stub itself uses no virtual
 /// registers, so its lowering cannot fail.
-pub fn undef_fallback_region(
-    isa: &Aarch64Isa,
-    timers: &mut PhaseTimers,
-    pc: u64,
-    pa: u64,
-) -> Region {
+fn undef_fallback_region(isa: &Aarch64Isa, timers: &mut PhaseTimers, pc: u64, pa: u64) -> Region {
     let mut emitter = Emitter::new();
     isa.generate_undefined(pc, &mut emitter);
     let lir = emitter.finish();
@@ -556,11 +562,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         match step {
             Step::Forward(target, target_pa) => {
                 emitter.set_trace_next(target);
-                if fp_mode == FpMode::Software {
-                    generate_maybe_soft_fp(&d, &mut emitter, isa);
-                } else {
-                    isa.generate(&d, &mut emitter);
-                }
+                generate(fp_mode, &d, &mut emitter);
                 clock.close(timers, Phase::Translate);
                 if emitter.take_stitched() {
                     guest_insns += 1;
@@ -597,11 +599,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                 let insns_before = first.guest_insns_before;
                 let label = emitter.insert_label_at(first.lir_pos);
                 emitter.set_trace_back(target, label);
-                if fp_mode == FpMode::Software {
-                    generate_maybe_soft_fp(&d, &mut emitter, isa);
-                } else {
-                    isa.generate(&d, &mut emitter);
-                }
+                generate(fp_mode, &d, &mut emitter);
                 clock.close(timers, Phase::Translate);
                 guest_insns += 1;
                 if emitter.take_stitched_back() {
@@ -616,11 +614,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                 break;
             }
             Step::Plain => {
-                let end = if fp_mode == FpMode::Software {
-                    generate_maybe_soft_fp(&d, &mut emitter, isa)
-                } else {
-                    isa.generate(&d, &mut emitter)
-                };
+                let end = generate(fp_mode, &d, &mut emitter);
                 if !end {
                     emitter.inc_pc(4);
                 }
@@ -712,50 +706,5 @@ fn choose_leg<S: TraceSource + ?Sized>(
         taken
     } else {
         fallthrough
-    }
-}
-
-/// In software-FP mode, scalar FP arithmetic is routed through softfloat
-/// helper calls (the Section 3.6.2 ablation); everything else uses the normal
-/// generator functions.
-fn generate_maybe_soft_fp(d: &Decoded, e: &mut Emitter, isa: &Aarch64Isa) -> bool {
-    let soft_bin = |e: &mut Emitter, helper: u16, vd: u32, vn: u32, vm: u32| {
-        let a = e.load_register(v_off(vn), ValueType::U64);
-        let b = e.load_register(v_off(vm), ValueType::U64);
-        let r = e.call_helper(helper, &[a, b]);
-        e.store_register(v_off(vd), r);
-        let zero = e.const_u64(0);
-        e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-        false
-    };
-    match d.insn {
-        Insn::FpReg { kind, vd, vn, vm } => {
-            let helper = match kind {
-                FpKind::Add => sf_helpers::ADD,
-                FpKind::Sub => sf_helpers::SUB,
-                FpKind::Mul => sf_helpers::MUL,
-                FpKind::Div => sf_helpers::DIV,
-            };
-            soft_bin(e, helper, vd, vn, vm)
-        }
-        Insn::Fsqrt { vd, vn } => {
-            let a = e.load_register(v_off(vn), ValueType::U64);
-            let r = e.call_helper(sf_helpers::SQRT, &[a]);
-            e.store_register(v_off(vd), r);
-            let zero = e.const_u64(0);
-            e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-            false
-        }
-        Insn::Fmadd { vd, vn, vm, va } => {
-            let a = e.load_register(v_off(vn), ValueType::U64);
-            let b = e.load_register(v_off(vm), ValueType::U64);
-            let c = e.load_register(v_off(va), ValueType::U64);
-            let r = e.call_helper(sf_helpers::FMA, &[a, b, c]);
-            e.store_register(v_off(vd), r);
-            let zero = e.const_u64(0);
-            e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-            false
-        }
-        _ => isa.generate(d, e),
     }
 }

@@ -393,6 +393,9 @@ mod tests {
             fcmp: 0,
             eret: 0,
             hlt: 0,
+            soft_fp: 0,
+            soft_sqrt: 0,
+            vec_op: 0,
         };
         let sys = GuestSys::new(&mut machine, REGFILE, GUEST_BASE, GUEST_RAM, costs);
         sys.write_gregfile(&mut machine, VBAR_OFF, VECTOR);

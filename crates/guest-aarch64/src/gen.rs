@@ -29,6 +29,15 @@ pub mod helpers {
     pub const ERET: u16 = 5;
     /// Halt the guest machine.
     pub const HLT: u16 = 6;
+    /// Softfloat op ([`generate_soft_fp`](super::generate_soft_fp)): args
+    /// (op, a, b) where op 0–3 selects add/sub/mul/div, or (4, a, b, c) for
+    /// the fused `a * b + c` of `fmadd`, rounded once.
+    pub const SOFT_FP: u16 = 42;
+    /// Softfloat square root: arg (a).
+    pub const SOFT_SQRT: u16 = 43;
+    /// Packed f64 add (op 0) or mul (op 1), lane by lane through the
+    /// register file: args (op, vd offset, vn offset, vm offset).
+    pub const VEC_OP: u16 = 44;
 }
 
 /// A decoded instruction plus the address it was fetched from (the generator
@@ -272,6 +281,52 @@ fn alu_binop(kind: AluKind) -> BinOp {
         AluKind::Lsr => BinOp::Shr,
         AluKind::Asr => BinOp::Sar,
     }
+}
+
+/// The soft-FP lowering (Section 2.5's QEMU approach, Captive's Section
+/// 3.6.2 ablation): every FP arithmetic instruction — `FpReg`, `Fsqrt`,
+/// `Fmadd` and the packed `VAdd2D` / `VMul2D` — calls a softfloat helper
+/// ([`helpers::SOFT_FP`], [`helpers::SOFT_SQRT`], [`helpers::VEC_OP`],
+/// implemented by `sys::GuestSys::helper`); everything else is
+/// [`generate`].
+pub fn generate_soft_fp(d: &Decoded, e: &mut Emitter) -> bool {
+    let bits = |e: &mut Emitter, v: u32| e.load_register(regs::v_off(v), ValueType::U64);
+    match d.insn {
+        Insn::FpReg { kind, vd, vn, vm } => {
+            let op = e.const_u64(match kind {
+                FpKind::Add => 0,
+                FpKind::Sub => 1,
+                FpKind::Mul => 2,
+                FpKind::Div => 3,
+            });
+            let a = bits(e, vn);
+            let b = bits(e, vm);
+            let r = e.call_helper(helpers::SOFT_FP, &[op, a, b]);
+            write_d(e, vd, r);
+        }
+        Insn::Fsqrt { vd, vn } => {
+            let a = bits(e, vn);
+            let r = e.call_helper(helpers::SOFT_SQRT, &[a]);
+            write_d(e, vd, r);
+        }
+        Insn::Fmadd { vd, vn, vm, va } => {
+            let fma = e.const_u64(4);
+            let a = bits(e, vn);
+            let b = bits(e, vm);
+            let c = bits(e, va);
+            let r = e.call_helper(helpers::SOFT_FP, &[fma, a, b, c]);
+            write_d(e, vd, r);
+        }
+        Insn::VAdd2D { vd, vn, vm } | Insn::VMul2D { vd, vn, vm } => {
+            let op = e.const_u64(matches!(d.insn, Insn::VMul2D { .. }) as u64);
+            let vd_off = e.const_u64(regs::v_off(vd) as u64);
+            let vn_off = e.const_u64(regs::v_off(vn) as u64);
+            let vm_off = e.const_u64(regs::v_off(vm) as u64);
+            e.call_helper(helpers::VEC_OP, &[op, vd_off, vn_off, vm_off]);
+        }
+        _ => return generate(d, e),
+    }
+    false
 }
 
 /// The generator dispatcher: emits IR for one decoded instruction.  Returns

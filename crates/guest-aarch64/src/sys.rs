@@ -18,10 +18,11 @@
 //!   event → (class, ISS, FAR) mapping ([`GuestEvent::syndrome`]), which
 //!   masks IRQs until `ERET` so a handler is never preempted mid-flight;
 //! * the helper arms whose *semantics* are engine-independent — the
-//!   console/exit hypercalls, `ERET`, `FCMP`, `HLT`, and the timer and
-//!   virtio `MSR` side effects — priced from the embedding engine's
-//!   [`HelperCosts`] table, which is where the engines' cost difference
-//!   lives;
+//!   console/exit hypercalls, `ERET`, `FCMP`, `HLT`, the softfloat
+//!   arithmetic of the soft-FP lowering (`SOFT_FP`, `SOFT_SQRT`, `VEC_OP`)
+//!   and the timer and virtio `MSR` side effects — priced from the
+//!   embedding engine's [`HelperCosts`] table, which is where the engines'
+//!   cost difference lives;
 //! * the event sources and the virtio-blk device, with retirement
 //!   ([`GuestSys::poll_virtio`]) handing the touched pages back to the
 //!   engine, because what a device store does to translated code *is* a
@@ -73,28 +74,30 @@
 //! second guest ISA would have to supply:
 //!
 //! * `captive`: `Aarch64Isa` (the `dbt::GuestIsa` impl: decode, generate,
-//!   and the UNDEF stub), `gen::{Decoded, helpers::{TLBI, MSR_NOTIFY}}`,
-//!   `isa::{Insn, FpKind}` (the region former classifies direct branches and
-//!   the soft-FP ablation re-routes scalar FP), `v_off` (soft-FP operand
-//!   slots), `CURRENT_EL_OFF` (host-ring tracking, in its
-//!   `Dispatch::lookup`), `mmu::{walk_guest, GUEST_LEVELS}` (tier-1 snapshot
-//!   walks, fetch-walk pricing), this module (`GuestSys`, `GuestEvent`,
-//!   `Engine`, `HelperCosts`, `RunExit`, `RunStats`) and
-//!   [`crate::dispatch`], which names no register, encoding or exception
-//!   model of its own.  Its tests add `asm`, `SysReg` and
-//!   `mmu::GuestTableImage` to write guest programs.
-//! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize,
-//!   FpKind}` and `x_off`/`v_off` (memory and FP instructions are re-emitted
-//!   through softmmu/softfloat helpers), this module and `dispatch`.
+//!   and the UNDEF stub), `gen::{Decoded, generate_soft_fp,
+//!   helpers::{TLBI, MSR_NOTIFY}}` (the soft-FP ablation runs the one
+//!   soft-FP lowering, which names `isa::FpKind` for both engines),
+//!   `isa::Insn` (the region former classifies direct branches),
+//!   `CURRENT_EL_OFF` (host-ring tracking, in its `Dispatch::lookup`),
+//!   `mmu::{walk_guest, GUEST_LEVELS}` (tier-1 snapshot walks, fetch-walk
+//!   pricing), this module (`GuestSys`, `GuestEvent`, `Engine`,
+//!   `HelperCosts`, `RunExit`, `RunStats`) and [`crate::dispatch`], which
+//!   names no register, encoding or exception model of its own.  Its tests
+//!   add `asm`, `SysReg` and `mmu::GuestTableImage` to write guest programs.
+//! * `qemu-ref`: the same `Aarch64Isa`/`gen` set, `isa::{Insn, AccessSize}`
+//!   and `x_off`/`v_off` (memory instructions are re-emitted through the
+//!   softmmu helpers; blocks are cut by Captive's block translator), this
+//!   module and `dispatch`.
 //! * `bench`: `asm`, `isa::Cond`, `SysReg`, `esr_class::IRQ` and the `SVC_*`
 //!   hypercall numbers — guest *programs* (the chaos generator, tests,
 //!   examples) — plus [`Engine`] for the generic drivers.
 //!
 //! So beyond a `GuestIsa` impl and workload files, a second ISA owes: a
 //! `sys` module of this shape (register-file layout, exception model, helper
-//! ids), a branch classifier for the region former (today `isa::Insn`
-//! matched directly in `captive::translator`), and its own memory/FP
-//! re-emission for the baseline.
+//! ids), a soft-FP lowering beside its generator functions, a branch
+//! classifier for the region former (today `isa::Insn` matched directly in
+//! `captive::translator`), and its own softmmu re-emission for the
+//! baseline.
 
 use crate::gen::helpers;
 use crate::mmu::{self, GuestWalk, GuestWalkError};
@@ -190,6 +193,12 @@ pub struct HelperCosts {
     pub eret: u64,
     /// `HLT`.
     pub hlt: u64,
+    /// A scalar softfloat operation (`SOFT_FP`: add, sub, mul, div, fmadd).
+    pub soft_fp: u64,
+    /// A softfloat square root (`SOFT_SQRT`).
+    pub soft_sqrt: u64,
+    /// A packed softfloat add or multiply (`VEC_OP`), both lanes.
+    pub vec_op: u64,
 }
 
 pub use dbt::counters::{Counter, Kind};
@@ -655,6 +664,44 @@ impl GuestSys {
                 self.exit_code.get_or_insert(0);
                 HelperResult::Halt { cost: costs.hlt }
             }
+            helpers::SOFT_FP => {
+                let a = machine.reg(Gpr::Rsi);
+                let b = machine.reg(Gpr::Rdx);
+                let r = match machine.reg(Gpr::Rdi) {
+                    0 => softfloat::f64_add(a, b),
+                    1 => softfloat::f64_sub(a, b),
+                    2 => softfloat::f64_mul(a, b),
+                    3 => softfloat::f64_div(a, b),
+                    // Fused `a * b + c`: one rounding, as the guest's FMADD.
+                    _ => softfloat::f64_fma(a, b, machine.reg(Gpr::Rcx)),
+                };
+                machine.set_reg(Gpr::Rax, r);
+                HelperResult::Continue {
+                    cost: costs.soft_fp,
+                }
+            }
+            helpers::SOFT_SQRT => {
+                let r = softfloat::f64_sqrt_arm(machine.reg(Gpr::Rdi));
+                machine.set_reg(Gpr::Rax, r);
+                HelperResult::Continue {
+                    cost: costs.soft_sqrt,
+                }
+            }
+            helpers::VEC_OP => {
+                let op = machine.reg(Gpr::Rdi);
+                let [vd, vn, vm] = [Gpr::Rsi, Gpr::Rdx, Gpr::Rcx].map(|r| machine.reg(r) as i32);
+                for lane in 0..2 {
+                    let a = self.read_gregfile(machine, vn + lane * 8);
+                    let b = self.read_gregfile(machine, vm + lane * 8);
+                    let r = if op == 0 {
+                        softfloat::f64_add(a, b)
+                    } else {
+                        softfloat::f64_mul(a, b)
+                    };
+                    self.write_gregfile(machine, vd + lane * 8, r);
+                }
+                HelperResult::Continue { cost: costs.vec_op }
+            }
             _ => HelperResult::Continue { cost: 10 },
         }
     }
@@ -862,6 +909,9 @@ mod tests {
         fcmp: 5,
         eret: 6,
         hlt: 7,
+        soft_fp: 8,
+        soft_sqrt: 9,
+        vec_op: 10,
     };
 
     /// A bare machine and core — no engine, no translated code — with a

@@ -437,21 +437,21 @@ impl Machine {
     }
 
     fn fp_scalar(&mut self, op: FpOp, dst: [u64; 2], src: [u64; 2]) -> [u64; 2] {
-        let d = f64::from_bits(dst[0]);
-        let s = f64::from_bits(src[0]);
+        let (d, s) = (dst[0], src[0]);
         let low = match op {
-            FpOp::AddD => (d + s).to_bits(),
-            FpOp::SubD => (d - s).to_bits(),
-            FpOp::MulD => (d * s).to_bits(),
-            FpOp::DivD => (d / s).to_bits(),
+            FpOp::AddD => sse_binary(d, s, |a, b| a + b),
+            FpOp::SubD => sse_binary(d, s, |a, b| a - b),
+            FpOp::MulD => sse_binary(d, s, |a, b| a * b),
+            FpOp::DivD => sse_binary(d, s, |a, b| a / b),
             FpOp::SqrtD => {
                 // Model the x86 SQRTSD corner case deterministically: the
                 // square root of a negative (non-zero) operand is a
                 // *negative* quiet NaN (Table 2 of the paper).
+                let s = f64::from_bits(s);
                 if s < 0.0 {
-                    0xFFF8_0000_0000_0000
+                    SSE_DEFAULT_NAN
                 } else if s.is_nan() {
-                    src[0] | (1 << 51)
+                    src[0] | SSE_QUIET
                 } else {
                     s.sqrt().to_bits()
                 }
@@ -463,12 +463,12 @@ impl Machine {
     fn vec_op(&mut self, op: VecOp, dst: [u64; 2], src: [u64; 2]) -> [u64; 2] {
         match op {
             VecOp::AddPd => [
-                (f64::from_bits(dst[0]) + f64::from_bits(src[0])).to_bits(),
-                (f64::from_bits(dst[1]) + f64::from_bits(src[1])).to_bits(),
+                sse_binary(dst[0], src[0], |a, b| a + b),
+                sse_binary(dst[1], src[1], |a, b| a + b),
             ],
             VecOp::MulPd => [
-                (f64::from_bits(dst[0]) * f64::from_bits(src[0])).to_bits(),
-                (f64::from_bits(dst[1]) * f64::from_bits(src[1])).to_bits(),
+                sse_binary(dst[0], src[0], |a, b| a * b),
+                sse_binary(dst[1], src[1], |a, b| a * b),
             ],
             VecOp::Dup64 => [src[0], src[0]],
         }
@@ -875,6 +875,32 @@ impl Machine {
                 }
             }
         }
+    }
+}
+
+/// The NaN an invalid SSE operation returns: negative, quiet, no payload.
+const SSE_DEFAULT_NAN: u64 = 0xFFF8_0000_0000_0000;
+/// The quiet bit of a binary64 NaN.
+const SSE_QUIET: u64 = 1 << 51;
+
+/// One lane of `addsd` / `subsd` / `mulsd` / `divsd` / `addpd` / `mulpd`
+/// with the destination `d` as first source, NaN bits as SSE gives them
+/// rather than as the host's `f64` arithmetic leaves them: a NaN operand
+/// comes back quieted with its sign and payload (the first source when both
+/// are NaNs), and an invalid operation gives [`SSE_DEFAULT_NAN`].  Only
+/// those two cases have a NaN result.
+#[inline]
+fn sse_binary(d: u64, s: u64, op: impl Fn(f64, f64) -> f64) -> u64 {
+    let (a, b) = (f64::from_bits(d), f64::from_bits(s));
+    let r = op(a, b);
+    if !r.is_nan() {
+        r.to_bits()
+    } else if a.is_nan() {
+        d | SSE_QUIET
+    } else if b.is_nan() {
+        s | SSE_QUIET
+    } else {
+        SSE_DEFAULT_NAN
     }
 }
 
@@ -1334,6 +1360,171 @@ mod tests {
                 assert_eq!(m.reg(r), v, "{r} with imm {imm:#x}");
             }
             assert_eq!(m.mem.read_u64(0x3000).unwrap(), imm, "stored {imm:#x}");
+        }
+    }
+
+    /// `xmm0 <- xmm0 op xmm1` for each SSE arithmetic operation, scalar
+    /// then packed.
+    const FP_OPS: [MachInsn; 6] = {
+        let (dst, src) = (Xmm(0), Xmm(1));
+        [
+            MachInsn::Fp {
+                op: FpOp::AddD,
+                dst,
+                src,
+            },
+            MachInsn::Fp {
+                op: FpOp::SubD,
+                dst,
+                src,
+            },
+            MachInsn::Fp {
+                op: FpOp::MulD,
+                dst,
+                src,
+            },
+            MachInsn::Fp {
+                op: FpOp::DivD,
+                dst,
+                src,
+            },
+            MachInsn::Vec {
+                op: VecOp::AddPd,
+                dst,
+                src,
+            },
+            MachInsn::Vec {
+                op: VecOp::MulPd,
+                dst,
+                src,
+            },
+        ]
+    };
+
+    /// Runs one of [`FP_OPS`] through the machine.
+    fn fp_pair(m: &mut Machine, insn: MachInsn, dst: [u64; 2], src: [u64; 2]) -> [u64; 2] {
+        m.set_xmm(Xmm(0), dst);
+        m.set_xmm(Xmm(1), src);
+        let code = [insn, MachInsn::Ret];
+        assert_eq!(m.run_block(&code, &mut NullRuntime), ExitReason::BlockEnd);
+        m.xmm_reg(Xmm(0)).unwrap()
+    }
+
+    #[test]
+    fn sse_arithmetic_gives_sse_nan_bits() {
+        const INF: u64 = 0x7FF0_0000_0000_0000;
+        const NEG_INF: u64 = 0xFFF0_0000_0000_0000;
+        const ONE: u64 = 0x3FF0_0000_0000_0000;
+        let mut m = machine();
+        // An invalid operation gives the negative default NaN; a scalar
+        // operation keeps the destination's upper lane.
+        for (k, a, b) in [
+            (0, INF, NEG_INF),
+            (1, INF, INF),
+            (2, 0, INF),
+            (3, 0, 0),
+            (3, NEG_INF, INF),
+        ] {
+            let r = fp_pair(&mut m, FP_OPS[k], [a, 7], [b, 9]);
+            assert_eq!(
+                r,
+                [0xFFF8_0000_0000_0000, 7],
+                "{:?} {a:#x}, {b:#x}",
+                FP_OPS[k]
+            );
+        }
+        // A NaN operand comes back quieted with its sign and payload; of
+        // two, the first source's.
+        let cases = [
+            (0x7FF8_0000_0000_0001, ONE, 0x7FF8_0000_0000_0001),
+            (ONE, 0xFFF0_0000_0000_1234, 0xFFF8_0000_0000_1234),
+            (
+                0x7FF0_0000_0000_0005,
+                0xFFF8_0000_0000_0009,
+                0x7FF8_0000_0000_0005,
+            ),
+            (INF, 0x7FF4_0000_0000_0000, 0x7FFC_0000_0000_0000),
+        ];
+        for (a, b, want) in cases {
+            for insn in &FP_OPS[..4] {
+                let r = fp_pair(&mut m, *insn, [a, 0], [b, 0]);
+                assert_eq!(r[0], want, "{insn:?} {a:#x}, {b:#x}");
+            }
+        }
+        // The packed pair applies the rules lane by lane: 1.5 + 0.25 and
+        // −inf + inf; 0 × −inf and a signalling NaN times 2.
+        let add = fp_pair(
+            &mut m,
+            FP_OPS[4],
+            [0x3FF8_0000_0000_0000, NEG_INF],
+            [0x3FD0_0000_0000_0000, INF],
+        );
+        assert_eq!(add, [0x3FFC_0000_0000_0000, 0xFFF8_0000_0000_0000]);
+        let mul = fp_pair(
+            &mut m,
+            FP_OPS[5],
+            [0, 0x7FF0_0000_0000_00AB],
+            [NEG_INF, 0x4000_0000_0000_0000],
+        );
+        assert_eq!(mul, [0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_00AB]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse_arithmetic_is_the_hosts_on_seeded_edge_patterns() {
+        use std::arch::asm;
+        use std::arch::x86_64::__m128d;
+        // What this host's SSE unit gives, operand order pinned by `asm!`.
+        fn host(k: usize, d: [u64; 2], s: [u64; 2]) -> [u64; 2] {
+            // SAFETY: SSE2 is baseline on x86-64; the instructions touch
+            // only the two named registers.
+            unsafe {
+                let mut a: __m128d = std::mem::transmute(d);
+                let b: __m128d = std::mem::transmute(s);
+                match k {
+                    0 => asm!("addsd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                    1 => asm!("subsd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                    2 => asm!("mulsd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                    3 => asm!("divsd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                    4 => asm!("addpd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                    _ => asm!("mulpd {a}, {b}", a = inout(xmm_reg) a, b = in(xmm_reg) b),
+                }
+                std::mem::transmute::<__m128d, [u64; 2]>(a)
+            }
+        }
+        // splitmix64 patterns biased to zeros, subnormals, extremes,
+        // infinities and NaNs of both kinds and signs.
+        let mut state = 0x55E5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut pattern = move || {
+            let r = next();
+            let sign = r & (1 << 63);
+            let frac = next() & ((1 << 52) - 1);
+            let exp: u64 = match r % 8 {
+                0 => return sign,
+                1 => 0,
+                2 => 1,
+                3 => 0x7FE,
+                4 => return sign | 0x7FF0_0000_0000_0000,
+                5 => return sign | 0x7FF0_0000_0000_0000 | frac.max(1),
+                6 => 0x3FC + (r >> 8) % 8,
+                _ => 1 + (r >> 8) % 0x7FE,
+            };
+            sign | exp << 52 | frac
+        };
+        let mut m = machine();
+        for _ in 0..20_000 {
+            let (d, s) = ([pattern(), pattern()], [pattern(), pattern()]);
+            for (k, insn) in FP_OPS.into_iter().enumerate() {
+                let got = fp_pair(&mut m, insn, d, s);
+                assert_eq!(got, host(k, d, s), "{insn:?} {d:x?}, {s:x?}");
+            }
         }
     }
 }

@@ -8,16 +8,14 @@
 //! * it runs as a "user process": host paging is left off and every guest
 //!   memory access goes through a **software MMU** helper that looks up a
 //!   software TLB and falls back to a guest page-table walk (Section 2.7.2);
-//! * guest floating-point instructions call **softfloat helpers** instead of
-//!   host FP instructions (Section 2.5): `SOFT_FP` (add, sub, mul, div and
-//!   fused multiply-add), `SOFT_SQRT` and, lane by lane, `VEC_OP` call the
-//!   pure binary64 functions of the `softfloat` crate, which compute what
-//!   an Arm guest sees in default-NaN mode, rounding to nearest even;
+//! * guest floating-point instructions, scalar and vector, call
+//!   **softfloat helpers** instead of host FP instructions (Section 2.5):
+//!   the one soft-FP lowering, `guest_aarch64::gen::generate_soft_fp`, which
+//!   Captive's software-FP ablation also runs, priced from this crate's
+//!   [`HELPER_COSTS`];
 //! * translations are cached by guest **virtual** address and the whole cache
 //!   is invalidated whenever the guest changes its translation state
 //!   (Section 2.6);
-//! * vector instructions are implemented with helper calls rather than host
-//!   SIMD;
 //! * translated blocks link to their direct successors across pages, like
 //!   TCG's `goto_tb` between translation blocks (the chaining-policy hook of
 //!   the shared run loop, [`guest_aarch64::dispatch`]).  An indirect exit is
@@ -28,17 +26,21 @@
 //!   stays architecturally invisible.  This one policy is the baseline every
 //!   figure, test and the benchmark (`benchmark/`'s `sim_speedup`) divides
 //!   by.
+//!
+//! The softmmu lowering (`qemu_generate`) is the only translation code this
+//! crate keeps: blocks are cut, decoded and finished by Captive's block
+//! translator (`captive::translator::translate_block_from`) with the
+//! optimiser, promotion and idioms off, TCG-style translation quality.
 
 use captive::layout;
-use captive::translator::MAX_BLOCK_INSNS;
+use captive::spec::Knobs;
+use captive::translator::{live_code_word, translate_block_from, MAX_BLOCK_INSNS};
+use captive::FpMode;
 use dbt::emitter::ValueType;
-use dbt::{
-    BlockExit, CacheIndex, CodeCache, Emitter, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
-    RegionKey,
-};
+use dbt::{BlockExit, CacheIndex, CodeCache, Emitter, NodeId, PhaseTimers, Region, RegionKey};
 use guest_aarch64::dispatch::{self, Dispatch};
-use guest_aarch64::gen::helpers;
-use guest_aarch64::isa::{AccessSize, FpKind, Insn};
+use guest_aarch64::gen::{self, helpers, Decoded};
+use guest_aarch64::isa::{AccessSize, Insn};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys, HelperCosts};
 use guest_aarch64::{v_off, x_off, Aarch64Isa};
 use hvm::{ExitReason, FaultAction, Gpr, HelperResult, Machine, MachineConfig, MemSize, Runtime};
@@ -56,13 +58,6 @@ pub mod qhelpers {
     pub const MMU_READ: u16 = 40;
     /// Softmmu store: args (vaddr, value, size in bytes).
     pub const MMU_WRITE: u16 = 41;
-    /// Softfloat op: args (op, a, b) where op 0–3 selects add/sub/mul/div,
-    /// or (4, a, b, c) for the fused `a * b + c` of `fmadd`, rounded once.
-    pub const SOFT_FP: u16 = 42;
-    /// Softfloat square root: arg (a).
-    pub const SOFT_SQRT: u16 = 43;
-    /// Vector helper (packed f64 add/mul element by element through memory).
-    pub const VEC_OP: u16 = 44;
 }
 
 /// What the shared helper arms cost in a user-process emulator: every helper
@@ -76,6 +71,21 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
     fcmp: 60,
     eret: 300,
     hlt: 20,
+    soft_fp: 110,
+    soft_sqrt: 160,
+    vec_op: 260,
+};
+
+/// TCG-style translation quality: no `dbt::opt`, no promotion, no idioms.
+/// The allocator's iterative dead-code marking, part of the shared
+/// pipeline, still runs.  (`fp_mode` and `unroll` name what this engine
+/// does; the block translator reads neither.)
+const TCG_KNOBS: Knobs = Knobs {
+    fp_mode: FpMode::Software,
+    run_opt: false,
+    promote: false,
+    idioms: false,
+    unroll: 1,
 };
 
 /// Cycle cost of the softmmu slow path's guest page-table walk: several
@@ -84,8 +94,8 @@ pub const HELPER_COSTS: HelperCosts = HelperCosts {
 const SOFT_WALK_COST: u64 = 420;
 
 /// The QEMU-style runtime — the half the paper compares against Captive:
-/// the software TLB and the softfloat helpers.  Everything a guest observes
-/// identically on any engine is the embedded [`GuestSys`].
+/// the software TLB.  Everything a guest observes identically on any engine,
+/// the softfloat helpers included, is the embedded [`GuestSys`].
 pub struct QemuRuntime {
     /// The engine-independent guest-system core (exceptions, hypercalls,
     /// event sources, devices); also reachable through `Deref`.
@@ -215,54 +225,6 @@ impl Runtime for QemuRuntime {
                     }
                 }
             }
-            qhelpers::SOFT_FP => {
-                let op = machine.reg(Gpr::Rdi);
-                let a = machine.reg(Gpr::Rsi);
-                let b = machine.reg(Gpr::Rdx);
-                let r = match op {
-                    0 => softfloat::f64_add(a, b),
-                    1 => softfloat::f64_sub(a, b),
-                    2 => softfloat::f64_mul(a, b),
-                    3 => softfloat::f64_div(a, b),
-                    // Fused `a * b + c`: one rounding, as the guest's FMADD.
-                    _ => softfloat::f64_fma(a, b, machine.reg(Gpr::Rcx)),
-                };
-                machine.set_reg(Gpr::Rax, r);
-                HelperResult::Continue { cost: 110 }
-            }
-            qhelpers::SOFT_SQRT => {
-                let a = machine.reg(Gpr::Rdi);
-                let r = softfloat::f64_sqrt_arm(a);
-                machine.set_reg(Gpr::Rax, r);
-                HelperResult::Continue { cost: 160 }
-            }
-            qhelpers::VEC_OP => {
-                // args: (op, vd offset, vn offset, vm offset) — element-wise
-                // double-precision op performed lane by lane in the helper.
-                let op = machine.reg(Gpr::Rdi);
-                let vd = machine.reg(Gpr::Rsi);
-                let vn = machine.reg(Gpr::Rdx);
-                let vm = machine.reg(Gpr::Rcx);
-                for lane in 0..2u64 {
-                    let a = machine
-                        .mem
-                        .read_u64(self.sys.regfile_phys + vn + lane * 8)
-                        .unwrap_or(0);
-                    let b = machine
-                        .mem
-                        .read_u64(self.sys.regfile_phys + vm + lane * 8)
-                        .unwrap_or(0);
-                    let r = if op == 0 {
-                        softfloat::f64_add(a, b)
-                    } else {
-                        softfloat::f64_mul(a, b)
-                    };
-                    let _ = machine
-                        .mem
-                        .write_u64(self.sys.regfile_phys + vd + lane * 8, r);
-                }
-                HelperResult::Continue { cost: 260 }
-            }
             helpers::TLBI => {
                 self.soft_tlb.clear();
                 self.flush_requested = true;
@@ -326,76 +288,20 @@ impl QemuRef {
     }
 
     /// Translates one block in the TCG style: memory accesses and FP go
-    /// through helpers, everything else reuses the generator functions.
+    /// through helpers ([`qemu_generate`]).
     fn translate(&mut self, pc: u64, pa: u64) -> Region {
-        let mut e = Emitter::new();
-        let mut guest_insns = 0usize;
-        let mut va = pc;
-        // One clock read per phase boundary (fetch + decode | generate).
-        let mut clock = PhaseClock::start();
-        loop {
-            if guest_insns > 0 && (va & !0xFFF) != (pc & !0xFFF) {
-                break;
-            }
-            let pa_i = if guest_insns == 0 {
-                pa
-            } else {
-                match self.runtime.soft_translate(&self.machine, va, false) {
-                    Ok((p, _)) => p,
-                    Err(_) => break,
-                }
-            };
-            let word = self
-                .machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + pa_i, 4)
-                .unwrap_or(0) as u32;
-            let decoded = self.isa.decode(word, va);
-            clock.close(&mut self.timers, Phase::Decode);
-            let end = match decoded {
-                None => {
-                    self.isa.generate_undefined(va, &mut e);
-                    true
-                }
-                Some(d) => {
-                    let end = qemu_generate(&d, &mut e, &self.isa);
-                    if !end {
-                        e.inc_pc(4);
-                    }
-                    end
-                }
-            };
-            clock.close(&mut self.timers, Phase::Translate);
-            guest_insns += 1;
-            va += 4;
-            if end || guest_insns >= MAX_BLOCK_INSNS {
-                break;
-            }
-        }
-        // The terminator metadata the shared dispatcher links by.
-        let exit = e.exit_hint().unwrap_or(BlockExit::Fallthrough { next: va });
-        let lir = e.finish();
-        // The baseline deliberately skips the `dbt::opt` phase (TCG-style
-        // translation quality); it still benefits from the allocator's
-        // iterative dead-code marking, which is part of the shared pipeline.
-        let t = match dbt::finish_translation(&mut self.timers, lir, false, false, None) {
-            Ok(t) => t,
-            Err(_) => {
-                // Same degradation as Captive: discard the defective
-                // translation and raise a guest UNDEF at the entry instead
-                // of executing corrupt host code.
-                self.timers.jit.lower_bailouts += 1;
-                return captive::translator::undef_fallback_region(
-                    &self.isa,
-                    &mut self.timers,
-                    pc,
-                    pa,
-                );
-            }
-        };
-        self.timers.jit.translated_units += 1;
-        self.timers.jit.translated_guest_insns += guest_insns as u64;
-        Region::block(pa, pc, guest_insns, exit, t)
+        let machine = &self.machine;
+        translate_block_from(
+            &self.isa,
+            qemu_generate,
+            |pa_i| live_code_word(machine, pa_i),
+            None,
+            &mut self.timers,
+            pc,
+            pa,
+            MAX_BLOCK_INSNS,
+            &TCG_KNOBS,
+        )
     }
 }
 
@@ -511,18 +417,19 @@ fn same_page(a: u64, b: u64) -> bool {
 
 guest_aarch64::inherent_facade!(QemuRef);
 
-/// TCG-style per-instruction emission: memory and FP through helpers; other
-/// instructions fall back to the shared generator functions.
-fn qemu_generate(d: &guest_aarch64::gen::Decoded, e: &mut Emitter, isa: &Aarch64Isa) -> bool {
+/// TCG-style per-instruction emission: memory through the softmmu helpers,
+/// then the shared soft-FP lowering, which hands every other instruction to
+/// the guest's generator functions.
+fn qemu_generate(d: &Decoded, e: &mut Emitter) -> bool {
     let load_via_helper =
-        |e: &mut Emitter, rn: u32, off_node: dbt::NodeId, size: AccessSize| -> dbt::NodeId {
+        |e: &mut Emitter, rn: u32, off_node: NodeId, size: AccessSize| -> NodeId {
             let base = e.load_register(x_off(rn), ValueType::U64);
             let addr = e.add(base, off_node);
             let sz = e.const_u64(size.bytes());
             e.call_helper(qhelpers::MMU_READ, &[addr, sz])
         };
     let store_via_helper =
-        |e: &mut Emitter, rn: u32, off_node: dbt::NodeId, value: dbt::NodeId, size: AccessSize| {
+        |e: &mut Emitter, rn: u32, off_node: NodeId, value: NodeId, size: AccessSize| {
             let base = e.load_register(x_off(rn), ValueType::U64);
             let addr = e.add(base, off_node);
             let sz = e.const_u64(size.bytes());
@@ -611,53 +518,7 @@ fn qemu_generate(d: &guest_aarch64::gen::Decoded, e: &mut Emitter, isa: &Aarch64
             }
             false
         }
-        Insn::FpReg { kind, vd, vn, vm } => {
-            let op = e.const_u64(match kind {
-                FpKind::Add => 0,
-                FpKind::Sub => 1,
-                FpKind::Mul => 2,
-                FpKind::Div => 3,
-            });
-            let a = e.load_register(v_off(vn), ValueType::U64);
-            let b = e.load_register(v_off(vm), ValueType::U64);
-            let r = e.call_helper(qhelpers::SOFT_FP, &[op, a, b]);
-            e.store_register(v_off(vd), r);
-            let zero = e.const_u64(0);
-            e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-            false
-        }
-        Insn::Fsqrt { vd, vn } => {
-            let a = e.load_register(v_off(vn), ValueType::U64);
-            let r = e.call_helper(qhelpers::SOFT_SQRT, &[a]);
-            e.store_register(v_off(vd), r);
-            let zero = e.const_u64(0);
-            e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-            false
-        }
-        Insn::Fmadd { vd, vn, vm, va } => {
-            let fma = e.const_u64(4);
-            let a = e.load_register(v_off(vn), ValueType::U64);
-            let b = e.load_register(v_off(vm), ValueType::U64);
-            let c = e.load_register(v_off(va), ValueType::U64);
-            let r = e.call_helper(qhelpers::SOFT_FP, &[fma, a, b, c]);
-            e.store_register(v_off(vd), r);
-            let zero = e.const_u64(0);
-            e.store_register_sized(v_off(vd) + 8, zero, MemSize::U64);
-            false
-        }
-        Insn::VAdd2D { vd, vn, vm } | Insn::VMul2D { vd, vn, vm } => {
-            let op = e.const_u64(if matches!(d.insn, Insn::VAdd2D { .. }) {
-                0
-            } else {
-                1
-            });
-            let vd_off = e.const_u64(v_off(vd) as u64);
-            let vn_off = e.const_u64(v_off(vn) as u64);
-            let vm_off = e.const_u64(v_off(vm) as u64);
-            e.call_helper(qhelpers::VEC_OP, &[op, vd_off, vn_off, vm_off]);
-            false
-        }
-        _ => isa.generate(d, e),
+        _ => gen::generate_soft_fp(d, e),
     }
 }
 

@@ -1,14 +1,16 @@
 //! Software IEEE-754 binary64 arithmetic: the seven operations the engines
 //! and the figures call.
 //!
-//! Two callers run guest floating point through these functions instead of
-//! host FP instructions: the QEMU-style baseline (`qemu_ref`'s `SOFT_FP`,
-//! `SOFT_SQRT` and `VEC_OP` helpers, Section 2.5 of the paper) and Captive's
-//! software-FP mode (`captive::runtime`, the Section 3.6.2 ablation).  Both
-//! compute what an AArch64 guest sees with FPCR.DN = 1 and
-//! round-to-nearest-even, the configuration Linux runs: every NaN result is
-//! the positive default NaN `0x7FF8_0000_0000_0000`, whatever the signs and
-//! payloads of the NaN operands.
+//! Guest floating point reaches these functions instead of host FP
+//! instructions through one set of helper arms, `guest_aarch64::sys`'
+//! `SOFT_FP`, `SOFT_SQRT` and `VEC_OP`, which the one soft-FP lowering
+//! (`guest_aarch64::gen::generate_soft_fp`) calls on both engines: the
+//! QEMU-style baseline (Section 2.5 of the paper) and Captive's software-FP
+//! mode (the Section 3.6.2 ablation).  They compute what an AArch64 guest
+//! sees with FPCR.DN = 1 and round-to-nearest-even, the configuration Linux
+//! runs: every NaN result is the positive default NaN
+//! `0x7FF8_0000_0000_0000`, whatever the signs and payloads of the NaN
+//! operands.
 //!
 //! * [`f64_add`], [`f64_sub`], [`f64_mul`], [`f64_div`] and [`f64_fma`]
 //!   (fused `a * b + c`, rounded once);
