@@ -1,8 +1,8 @@
 //! Golden digest of the JIT pipeline's *output*: what decode → generate →
 //! `finish_translation` produces for every basic block of every `workloads`
-//! and `simbench` program (the loop kernels among them), and what
-//! `form_region_from` produces at every block start of the same programs
-//! under the `sync` configuration.
+//! and `simbench` program (the loop kernels among them), and what the region
+//! former (`Captive::form_now`) produces at every block start of the same
+//! programs under the `sync` configuration.
 //!
 //! Simulated cycles pin the generated code only indirectly (two different
 //! register assignments can cost the same); this test pins it directly.  The
@@ -77,9 +77,8 @@
 //! unchanged) 11674853345525642008 → 8451593499229917275.  The observed-
 //! rewrite counters are unchanged.
 
-use captive::spec::Knobs;
-use captive::translator::{form_region_from, FormOutcome, LiveSource};
-use dbt::{CounterField, Emitter, GuestIsa, PhaseTimers, RuleTable};
+use captive::translator::FormOutcome;
+use dbt::{CounterField, Emitter, GuestIsa, PhaseTimers, RegionKey, RuleTable};
 use guest_aarch64::Aarch64Isa;
 use workloads::{Scale, Workload};
 
@@ -213,22 +212,15 @@ fn unoptimised_block_translations_are_byte_identical_to_the_recorded_digest() {
 #[test]
 fn formed_regions_are_byte_identical_to_the_recorded_digest() {
     let cfg = bench::captive_config("sync");
-    let knobs = Knobs::new(&cfg);
     let mut h = Digest::default();
     let mut formed = 0usize;
     let mut jit = dbt::JitCounters::default();
     for w in programs() {
         let mut c = captive::Captive::new(cfg.clone());
         c.load_program(workloads::CODE_BASE, &w.words);
-        let mut timers = PhaseTimers::default();
         for (start, _) in blocks(&w.words) {
             let pc = workloads::CODE_BASE + start as u64 * 4;
-            let mut source = LiveSource {
-                machine: &mut c.machine,
-                runtime: &mut c.runtime,
-                cache: &c.cache,
-            };
-            match form_region_from(&Aarch64Isa, &mut source, &mut timers, pc, pc, &knobs) {
+            match c.form_now(RegionKey { phys: pc, virt: pc }) {
                 FormOutcome::Formed { region: r, .. } => {
                     formed += 1;
                     let encoded = hvm::encode::encode_block(&r.code);
@@ -239,7 +231,7 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
                 _ => h.word(u64::MAX),
             }
         }
-        jit.add(&timers.jit);
+        jit.add(&c.timers.jit);
     }
     assert_eq!(
         (formed, h.finish()),
@@ -368,24 +360,15 @@ fn the_observed_state_rewrites_leave_every_observer_the_state_it_saw() {
         }
     }
     let cfg = bench::captive_config("sync");
-    let knobs = Knobs::new(&cfg);
     let mut regions_run = 0;
     for w in programs() {
         let mut c = captive::Captive::new(cfg.clone());
         c.load_program(workloads::CODE_BASE, &w.words);
         for (start, _) in blocks(&w.words) {
             let pc = workloads::CODE_BASE + start as u64 * 4;
-            let mut form = || {
-                let mut source = LiveSource {
-                    machine: &mut c.machine,
-                    runtime: &mut c.runtime,
-                    cache: &c.cache,
-                };
-                let timers = &mut PhaseTimers::default();
-                match form_region_from(&Aarch64Isa, &mut source, timers, pc, pc, &knobs) {
-                    FormOutcome::Formed { region, .. } => Some(region),
-                    _ => None,
-                }
+            let mut form = || match c.form_now(RegionKey { phys: pc, virt: pc }) {
+                FormOutcome::Formed { region, .. } => Some(region),
+                _ => None,
             };
             let want = dbt::opt::without_observed_state_rewrites(&mut form);
             let (got, want) = match (form(), want) {

@@ -3,41 +3,28 @@
 //! them is installed.
 //!
 //! A region reaches `Captive::install_formed` from one of three places: the
-//! synchronous former tracing live memory right now, a tier-1 worker that
-//! traced a snapshot a while ago ([`crate::tier`]), or the content-keyed
-//! reuse cache ([`dbt::reuse`]), which holds what either of them formed
-//! earlier — in this engine before a context-generation bump, or in another
-//! engine running the same image.  The last two were not made from the
-//! machine as it is now, so each carries the [`Evidence`] the tracer
-//! assembled ([`crate::translator`]) and **one gate**,
-//! `Captive::evidence_holds`, is the only place evidence is compared with
-//! the live machine: the tier-1 install (beside its context-generation
-//! compare), the template lookup, the refusal lookup, the publish point's
-//! `covers`, the tier-0 revival and the speculative pool's install
-//! ([`crate::spec`], which gates on evidence alone) call it, and serve
-//! nothing it refuses.
+//! run thread forming it right now ([`Captive::form_now`]), a tier-1 worker
+//! that formed it a while ago ([`crate::tier`]), or the content-keyed reuse
+//! store ([`dbt::reuse`]), which holds what either of them formed earlier —
+//! in this engine before a context-generation bump, or in another engine
+//! running the same image.  The first two run one former, `tier::process`,
+//! over one input, a [`FormationSnapshot`]; the run thread's is taken at the
+//! install point.  The last two were not made from the machine as it is now,
+//! so each carries the [`Evidence`] the tracer assembled
+//! ([`crate::translator`]) and **one gate**, `Captive::evidence_holds`, is
+//! the only place evidence is compared with the live machine: the tier-1
+//! install (beside its context-generation compare), the template lookup,
+//! the publish point's `covers`, the tier-0 revival and the speculative
+//! pool's install ([`crate::spec`], which gates on evidence alone) call it,
+//! and serve nothing it refuses.
 
-use crate::tier::{FormationRequest, FormationSnapshot, PAGE_BYTES};
-use crate::translator::{form_region_from, live_code_word, FormOutcome, LiveSource};
+use crate::tier::{self, FormationRequest, FormationSnapshot, PAGE_BYTES};
+use crate::translator::{live_code_word, FormOutcome};
 use crate::{layout, Captive, REGION_THRESHOLD};
 use dbt::{Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
 use hvm::Machine;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// What the content-keyed reuse cache knows about a head at its install
-/// point.
-enum ReuseOutcome {
-    /// A template whose evidence holds was found: install this
-    /// instantiation (boxed: the other variants are a fraction of `Region`'s
-    /// size).
-    Hit(Box<Region>),
-    /// A refusal whose evidence holds was found: this exact content is
-    /// already known to form nothing, so skip the worker round-trip.
-    Refusal,
-    /// Nothing usable is published for the key.
-    Miss,
-}
 
 /// Retry-backoff record for a trace head whose region formation failed.
 #[derive(Debug, Clone, Copy)]
@@ -70,10 +57,11 @@ impl Captive {
     /// request (snapshot + frozen profile) is published to the background
     /// service; at the threshold — the same guest-progress point where the
     /// synchronous mode forms, so modeled cycles are mode-independent — the
-    /// region is obtained from the content-keyed reuse cache, else from the
+    /// region is obtained from the content-keyed reuse store, else from the
     /// in-flight worker result (both through the gate, discarded if their
-    /// evidence no longer holds), else formed synchronously as the
-    /// always-correct fallback.
+    /// evidence no longer holds), else formed now ([`Captive::form_now`]).
+    /// A head with a failure history goes straight to `form_now`: it is not
+    /// published again, and the store keeps no record of a failure.
     pub(crate) fn maybe_form_region(
         &mut self,
         prev: &Arc<Region>,
@@ -114,9 +102,8 @@ impl Captive {
             && !self.inflight.contains_key(&key)
             && !self.quarantine.contains_key(&key)
         {
-            // A template (or recorded refusal) that holds here already makes
-            // a worker round-trip pointless: the install point will hit the
-            // reuse cache — or skip formation — directly.
+            // A template that holds here already makes a worker round-trip
+            // pointless: the install point will hit the reuse store.
             let covered = self.reuse.as_ref().is_some_and(|r| {
                 r.covers(self.reuse_key_for(key, true), |e| self.evidence_holds(e))
             });
@@ -128,77 +115,69 @@ impl Captive {
         // history fires exactly at `REGION_THRESHOLD`; a failed head
         // waits for its (doubled) retry heat; a quarantined head never
         // fires again.
-        match self.quarantine.get(&key) {
+        let fresh = match self.quarantine.get(&key) {
             Some(q) if q.quarantined => return next,
             Some(q) => {
                 if heat < q.next_retry_heat {
                     return next;
                 }
+                false
             }
             None => {
                 if heat != REGION_THRESHOLD {
                     return next;
                 }
+                true
             }
-        }
-        if self.tier.is_some() {
-            match self.obtain_reuse(key, gen) {
-                ReuseOutcome::Hit(region) => {
-                    return self.install_formed(*region, None, prev, slot, gen);
-                }
-                // A refusal that holds: a worker (possibly in a prior run
-                // sharing the cache) already proved this content forms
-                // nothing, so fall straight through to the synchronous
-                // attempt — which will refuse identically — without
-                // waiting on the worker queue.
-                ReuseOutcome::Refusal => {}
-                ReuseOutcome::Miss => {
-                    if self.inflight.contains_key(&key) {
-                        if let Some((region, evidence)) = self.obtain_async(key, gen) {
-                            return self.install_formed(region, Some(evidence), prev, slot, gen);
-                        }
-                    }
+        };
+        if self.tier.is_some() && fresh {
+            if let Some(region) = self.obtain_reuse(key, gen) {
+                return self.install_formed(region, None, prev, slot, gen);
+            }
+            if self.inflight.contains_key(&key) {
+                if let Some((region, evidence)) = self.obtain_async(key, gen) {
+                    return self.install_formed(region, Some(evidence), prev, slot, gen);
                 }
             }
         }
-        let t0 = Instant::now();
-        let outcome = form_region_from(
-            &self.isa,
-            &mut LiveSource {
-                machine: &mut self.machine,
-                runtime: &mut self.runtime,
-                cache: &self.cache,
-            },
-            &mut self.timers,
-            next.guest_virt,
-            next.guest_phys,
-            &self.knobs,
-        );
-        self.tier_timers.run_thread_stall += t0.elapsed();
-        match outcome {
+        match self.form_now(key) {
             FormOutcome::Formed { region, evidence } => {
                 self.install_formed(*region, Some(evidence), prev, slot, gen)
             }
-            refused => {
+            _ => {
                 // Nothing worth keeping came out (one-constituent trace, or
                 // the translation bailed out).  Record the failure and back
                 // off: the next attempt requires twice the heat, and
                 // repeated failures quarantine the head for good.
-                //
-                // Publish the refusal under the content key just like the
-                // async path does for a worker's TooShort answer: engines
-                // sharing the reuse cache then skip the worker round-trip
-                // for this exact content.  Refusals only short-circuit that
-                // wait — the install point still falls through to a
-                // synchronous attempt — so this can never suppress a
-                // formation that would have succeeded.
-                if let (Some(reuse), FormOutcome::TooShort { evidence }) = (&self.reuse, refused) {
-                    reuse.publish_refusal(self.reuse_key_for(key, true), evidence);
-                }
                 self.record_formation_failure(key, heat);
                 next
             }
         }
+    }
+
+    /// Forms the region at `key` on the run thread, now: takes a snapshot,
+    /// runs the one former (`tier::process`) on it inline, and refills from
+    /// live memory whatever pages it was missing until it answers.  A
+    /// snapshot taken now holds the words, translations, context generation
+    /// and branch heats the machine holds now, so what forms needs no gate.
+    /// The former's JIT timers join the engine's; all of its wall clock is
+    /// run-thread stall.  Never [`FormOutcome::NeedPages`].
+    pub fn form_now(&mut self, key: RegionKey) -> FormOutcome {
+        let t0 = Instant::now();
+        let mut request = self.request_now(key);
+        let result = loop {
+            let result = tier::process(&self.isa, request);
+            match result.outcome {
+                FormOutcome::NeedPages(pages) => {
+                    request = result.request;
+                    self.refill(&mut request.snapshot, pages);
+                }
+                _ => break result,
+            }
+        };
+        self.timers.merge(&result.timers);
+        self.tier_timers.run_thread_stall += t0.elapsed();
+        result.outcome
     }
 
     /// Installs a formed (or reused) region: write-protects its pages,
@@ -276,17 +255,22 @@ impl Captive {
         }
     }
 
+    /// A formation request for `key` over a snapshot taken now, under the
+    /// engine's knobs (its sequence number is stamped by `submit`).
+    fn request_now(&mut self, key: RegionKey) -> FormationRequest {
+        FormationRequest {
+            seq: 0,
+            key,
+            snapshot: self.capture_snapshot(),
+            knobs: Arc::clone(&self.knobs),
+        }
+    }
+
     /// Publishes a tier-1 formation request for `key` and registers it
     /// in flight.
     fn publish_formation(&mut self, key: RegionKey) {
         let t0 = Instant::now();
-        let snapshot = self.capture_snapshot();
-        let request = FormationRequest {
-            seq: 0, // stamped by `submit`
-            key,
-            snapshot,
-            knobs: Arc::clone(&self.knobs),
-        };
+        let request = self.request_now(key);
         // Only the snapshot capture counts as run-thread translation stall:
         // the hand-off below wakes a sleeping worker, and the host scheduler
         // frequently deschedules the sender at that wake point — a
@@ -309,32 +293,23 @@ impl Captive {
         self.tier.as_mut().expect("tiered mode").submit(request);
     }
 
-    /// Looks `key` up in the content-keyed reuse cache, every candidate
-    /// through the gate.  A hit (and a refusal that holds) supersedes any
-    /// in-flight formation request for the key.
-    fn obtain_reuse(&mut self, key: RegionKey, gen: u64) -> ReuseOutcome {
-        let Some(reuse) = self.reuse.as_ref().map(Arc::clone) else {
-            return ReuseOutcome::Miss;
-        };
+    /// Looks `key` up in the content-keyed reuse store, every candidate
+    /// through the gate.  A hit supersedes any in-flight formation request
+    /// for the key.
+    fn obtain_reuse(&mut self, key: RegionKey, gen: u64) -> Option<Region> {
         let t0 = Instant::now();
-        let reuse_key = self.reuse_key_for(key, true);
-        let outcome = match reuse.lookup(reuse_key, gen, |e| self.evidence_holds(e)) {
-            Some((region, _)) => {
-                self.stats.reuse_hits += 1;
-                self.inflight.remove(&key);
-                ReuseOutcome::Hit(Box::new(region))
-            }
-            None if reuse.known_refusal(reuse_key, |e| self.evidence_holds(e)) => {
-                self.inflight.remove(&key);
-                ReuseOutcome::Refusal
-            }
-            None => {
-                self.stats.reuse_misses += 1;
-                ReuseOutcome::Miss
-            }
-        };
+        let reuse = self.reuse.as_ref()?;
+        let hit = reuse.lookup(self.reuse_key_for(key, true), gen, |e| {
+            self.evidence_holds(e)
+        });
+        if hit.is_some() {
+            self.stats.reuse_hits += 1;
+            self.inflight.remove(&key);
+        } else {
+            self.stats.reuse_misses += 1;
+        }
         self.tier_timers.run_thread_stall += t0.elapsed();
-        outcome
+        hit.map(|(region, _)| region)
     }
 
     /// Waits for the in-flight tier-1 result for `key` and returns the
@@ -342,7 +317,7 @@ impl Captive {
     /// means the worker's answer cannot be used — the trace closed too
     /// short, the region went stale between snapshot and install (counted
     /// as a discard, never installed), or the service is gone — and the
-    /// caller falls back to synchronous formation.
+    /// caller forms now.
     fn obtain_async(&mut self, key: RegionKey, gen: u64) -> Option<(Region, Evidence)> {
         loop {
             let expected = self.inflight.get(&key).copied()?;
@@ -393,28 +368,27 @@ impl Captive {
                     self.stats.stale_discards += 1;
                     return None;
                 }
-                FormOutcome::TooShort { evidence } => {
-                    // Remember the refusal under the content key: the same
-                    // content never pays this round-trip again, here or in a
-                    // later run sharing the reuse cache.
-                    if let Some(reuse) = &self.reuse {
-                        reuse.publish_refusal(self.reuse_key_for(key, true), evidence);
-                    }
-                    return None;
-                }
+                // The trace closed too short, or lowering bailed out: the
+                // caller forms now, from what the machine holds now.
+                FormOutcome::TooShort => return None,
                 FormOutcome::NeedPages(pages) => {
                     // Refill the snapshot from live memory and resubmit; the
                     // gate checks whatever comes back regardless.
                     let t0 = Instant::now();
                     let mut request = result.request;
-                    for page in pages {
-                        let bytes = read_live_page(&self.machine, page);
-                        request.snapshot.insert_page(page, bytes);
-                    }
+                    self.refill(&mut request.snapshot, pages);
                     self.submit(request);
                     self.tier_timers.run_thread_stall += t0.elapsed();
                 }
             }
+        }
+    }
+
+    /// Adds to `snapshot` the live bytes of `pages`, which a former found
+    /// missing from it.
+    fn refill(&self, snapshot: &mut FormationSnapshot, pages: Vec<u64>) {
+        for page in pages {
+            snapshot.insert_page(page, read_live_page(&self.machine, page));
         }
     }
 
@@ -428,13 +402,13 @@ impl Captive {
         }
     }
 
-    /// **The gate.**  Whether everything a translation (or a refusal) was
-    /// made from is still true of the live machine: every recorded virtual
-    /// page resolves *now* to the recorded physical page, and every word it
-    /// decoded is, word for word, what memory holds (read as the translator
-    /// fetches it).  Translations go through the uncharged walker — never the
-    /// fetch iTLB, whose counters belong to the dispatcher — so asking costs
-    /// no simulated cycle and moves no counter.
+    /// **The gate.**  Whether everything a translation was made from is still
+    /// true of the live machine: every recorded virtual page resolves *now* to
+    /// the recorded physical page, and every word it decoded is, word for
+    /// word, what memory holds (read as the translator fetches it).
+    /// Translations go through the uncharged walker — never the fetch iTLB,
+    /// whose counters belong to the dispatcher — so asking costs no
+    /// simulated cycle and moves no counter.
     pub(crate) fn evidence_holds(&self, evidence: &Evidence) -> bool {
         let resolves = |&(va, pa): &(u64, u64)| {
             self.runtime.guest_va_to_pa(&self.machine, va, false).ok() == Some(pa)

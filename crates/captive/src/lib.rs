@@ -122,9 +122,11 @@ pub struct CaptiveConfig {
     /// synchronously on the run thread: the single-threaded behaviour, kept
     /// as the comparable baseline (`sync` in `bench::CAPTIVE_CONFIGS`).
     pub tier_workers: Option<usize>,
-    /// Content-keyed translation-reuse cache shared with other engine
-    /// instances (the N-guests-one-image story).  `None` gives this
-    /// instance a private cache.  Only consulted when `tier_workers` is
+    /// Content-keyed translation-reuse store shared with other engine
+    /// instances (the N-guests-one-image story): templates only — formed
+    /// regions and patched-page blocks, each with the evidence it was made
+    /// from — never a record of a formation that failed.  `None` gives this
+    /// instance a private store.  Only consulted when `tier_workers` is
     /// `Some` *and* `form_regions` is on: with regions off there is no tier
     /// service and no store, so `chain-only` revives no patched-page
     /// blocks.
@@ -248,11 +250,6 @@ impl Captive {
             tier_timers: TierTimers::default(),
             launch: Instant::now(),
         }
-    }
-
-    /// Tier-level wall-clock accounting (run-thread stall vs worker time).
-    pub fn tier_timers(&self) -> TierTimers {
-        self.tier_timers
     }
 
     /// The tier-0 miss path: obtains the one-constituent translation of the
@@ -1467,7 +1464,7 @@ mod tests {
         // request is published (link heat 8) but *before* the install point
         // (heat 16).  The worker's region was formed from the stale
         // snapshot: the install gate must discard it — never install it —
-        // and the synchronous fallback forms from live (rewritten) code.
+        // and `form_now` re-forms from a snapshot of the rewritten code.
         // Pump mode keeps the interleaving deterministic.
         let mut main = asm::Assembler::new();
         main.push(asm::movz(6, 60, 0));
@@ -1476,6 +1473,7 @@ mod tests {
         main.label("loop");
         let bl_idx = main.here();
         main.push(asm::bl(0x2000 - (0x1000 + bl_idx as i64 * 4)));
+        main.push(asm::add(8, 8, 5));
         main.push(asm::subi(6, 6, 1));
         // One-shot self-modifying write when the countdown hits 47 —
         // between the publish and install heats of the loop head.
@@ -1500,11 +1498,11 @@ mod tests {
         c.set_entry(0x1000);
         assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
         let s = c.stats();
-        assert_eq!(
-            c.guest_reg(5),
-            2,
-            "every post-SMC call must run the rewritten callee"
-        );
+        // x8 sums what every call in the loop returned: the first 13 trips
+        // (the 13th writes the callee after its call) ran the old callee,
+        // the other 47 must run the rewritten one.
+        assert_eq!(c.guest_reg(8), 13 + 47 * 2, "every post-SMC call");
+        assert_eq!(c.guest_reg(5), 2, "and the call after the loop");
         assert!(s.tier1_requests >= 1, "the loop head was published");
         assert!(
             s.stale_discards >= 1,
@@ -1512,7 +1510,55 @@ mod tests {
         );
         assert!(
             s.regions_formed >= 1,
-            "the synchronous fallback re-formed from live code"
+            "form_now re-formed from the rewritten code"
+        );
+    }
+
+    #[test]
+    fn a_region_formed_now_walks_table_pages_refilled_from_live_memory() {
+        // A loop straddling two virtual pages that the guest maps to
+        // unrelated frames: its trace walks the guest tables at the page
+        // crossing.  A fresh engine knows no code page, so its first
+        // snapshot holds nothing — not the code, not the table pages — and
+        // `form_now` must refill each from live memory before the region
+        // forms.
+        use crate::translator::FormOutcome;
+        use guest_aarch64::mmu::{GuestPageFlags, GuestTableImage};
+        let mut tables = GuestTableImage::new(0x10_0000, 0x18_0000);
+        tables.map(0x40_0000, 0x3000, GuestPageFlags::kernel_rw());
+        tables.map(0x40_1000, 0x8000, GuestPageFlags::kernel_rw());
+        let (addi, subi, cbnz) = (asm::addi(9, 9, 1), asm::subi(1, 1, 1), asm::cbnz(1, -8));
+        let mut c = Captive::new(CaptiveConfig {
+            tier_workers: None,
+            ..region_config()
+        });
+        c.load_program(0x3FF8, &[addi, subi]);
+        c.load_program(0x8000, &[cbnz, asm::hlt()]);
+        for (a, v) in tables.words() {
+            c.write_guest_phys(a, v, 8);
+        }
+        c.runtime
+            .write_gregfile(&mut c.machine, guest_aarch64::TTBR0_OFF, tables.root());
+        c.runtime
+            .write_gregfile(&mut c.machine, guest_aarch64::SCTLR_OFF, 1);
+        let outcome = c.form_now(RegionKey {
+            phys: 0x3FF8,
+            virt: 0x40_0FF8,
+        });
+        let FormOutcome::Formed { region, evidence } = outcome else {
+            panic!("the loop must form: {outcome:?}");
+        };
+        assert_eq!(region.back_edges, 1, "the loop closes inside the region");
+        assert_eq!(region.pages, [0x3000, 0x8000]);
+        assert_eq!(
+            evidence.translations,
+            [(0x40_0000, 0x3000), (0x40_1000, 0x8000)],
+            "the entry's page and the crossing, as the live tables map them"
+        );
+        assert_eq!(
+            evidence.words,
+            [(0x3FF8, addi), (0x3FFC, subi), (0x8000, cbnz)],
+            "the loop's three words, read where the tables put them"
         );
     }
 

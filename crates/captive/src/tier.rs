@@ -13,10 +13,10 @@
 //!   [`TierService`].
 //! * A worker thread traces and translates the region **entirely from the
 //!   snapshot** via [`SnapshotSource`] (never touching live guest state),
-//!   and hands back what the run thread's own former would: a
-//!   [`FormOutcome`], the formed region (or the refusal) with the
+//!   and hands back a [`FormOutcome`]: the formed region with the
 //!   [`dbt::Evidence`] it was made from — every word it decoded as the
-//!   snapshot held it, every translation the snapshot's tables gave.
+//!   snapshot held it, every translation the snapshot's tables gave — or
+//!   why none formed.
 //! * When the link finally crosses the threshold, the run thread drains the
 //!   result and installs it through the ordinary replace-at-key mechanism —
 //!   but only if it was formed under the current context generation and
@@ -24,16 +24,22 @@
 //!   (`Captive::evidence_holds`, the one gate, in [`crate::formation`]).  A
 //!   region formed against a stale generation, a since-patched page or a
 //!   since-moved mapping is *discarded*, never installed.
+//! * Where no usable result is at hand — `sync` mode, a head that failed
+//!   before, a stale discard, a worker's `TooShort` — the run thread forms
+//!   synchronously (`Captive::form_now`) with the **same** `process`: it
+//!   takes a snapshot right then and runs the former inline.  There is one
+//!   former over one input type; a region formed now is the region a worker
+//!   would form from a snapshot taken now.
 //!
 //! A snapshot is seeded with the pages already known to hold translated code;
 //! anything else the trace needs (page-table pages on an MMU-on guest, a
 //! straight-line fall-through onto a fresh page) surfaces as
 //! [`FormOutcome::NeedPages`], and the run thread refills the snapshot from
-//! live memory and resubmits — keeping snapshot capture cheap without
-//! guessing the reachable set up front.  The table pages a snapshot walk
-//! read are *not* evidence: what the region depends on is where the walk
-//! ended, which the gate re-resolves, not which of a table page's 512
-//! entries hold what.
+//! live memory and forms again (resubmitted, or inline) — keeping snapshot
+//! capture cheap without guessing the reachable set up front.  The table
+//! pages a snapshot walk read are *not* evidence: what the region depends on
+//! is where the walk ended, which the gate re-resolves, not which of a table
+//! page's 512 entries hold what.
 //!
 //! # Speculative tier-0 translation
 //!
@@ -127,7 +133,7 @@
 //! and its install, fully deterministically.
 
 use crate::spec::{Frontier, Knobs};
-use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
+use crate::translator::{form_region_from, FormOutcome, SourceRead};
 use dbt::{PhaseTimers, RegionKey};
 use guest_aarch64::{mmu, Aarch64Isa};
 use std::collections::{HashMap, VecDeque};
@@ -204,8 +210,10 @@ pub struct FormationResult {
     pub wall: Duration,
 }
 
-/// [`TraceSource`] over a [`FormationSnapshot`]: every read the region
-/// former performs resolves against captured bytes, never the live machine.
+/// What the region former reads while tracing — guest address resolution,
+/// code words and branch-leg profiles — answered from a
+/// [`FormationSnapshot`]: every read resolves against captured bytes, never
+/// the live machine, so a formed region is a pure function of the snapshot.
 pub struct SnapshotSource<'a> {
     snapshot: &'a FormationSnapshot,
     /// Pages a failed walk found absent from the snapshot (scratch, drained
@@ -244,14 +252,15 @@ impl<'a> SnapshotSource<'a> {
         }
         Some(value)
     }
-}
 
-impl TraceSource for SnapshotSource<'_> {
-    fn ctx_gen(&self) -> u64 {
+    /// Context generation the formation is stamped with.
+    pub fn ctx_gen(&self) -> u64 {
         self.snapshot.ctx_gen
     }
 
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64> {
+    /// Resolves a guest virtual address to a physical address for tracing,
+    /// walking the snapshot's copy of the guest tables when the MMU was on.
+    pub fn va_to_pa(&mut self, va: u64) -> SourceRead {
         if !self.snapshot.mmu_enabled {
             return if va < self.snapshot.guest_ram {
                 SourceRead::Ok(va)
@@ -272,7 +281,10 @@ impl TraceSource for SnapshotSource<'_> {
         }
     }
 
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
+    /// Reads the guest code word at physical address `pa` (what the trace's
+    /// [`dbt::Evidence`] then records for it); `Err` carries the base of a
+    /// page the snapshot does not hold.
+    pub fn read_code_word(&mut self, pa: u64) -> Result<u32, u64> {
         // Both dispatchers fault a misaligned PC before any fetch, and every
         // PC a formation walks to from an aligned entry is aligned, so a
         // word never straddles the end of a captured page.
@@ -281,26 +293,32 @@ impl TraceSource for SnapshotSource<'_> {
         match self.snapshot.pages.get(&page) {
             Some(bytes) => {
                 let off = (pa & 0xFFF) as usize;
-                SourceRead::Ok(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()))
+                Ok(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()))
             }
-            // Out-of-RAM fetches degrade to 0 (an UNDEF), matching the live
-            // source; a refill could never provide these pages.
-            None if pa.saturating_add(4) > self.snapshot.guest_ram => SourceRead::Ok(0),
-            None => SourceRead::Missing(page),
+            // Out-of-RAM fetches degrade to 0 (an UNDEF), as the block
+            // translator's live fetch does; a refill could never provide
+            // these pages.
+            None if pa.saturating_add(4) > self.snapshot.guest_ram => Ok(0),
+            None => Err(page),
         }
     }
 
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
+    /// Taken/fallthrough link heats of the conditional block at `key` as
+    /// the snapshot froze them, when a profile exists (`None` falls back to
+    /// the static backward-taken heuristic).
+    pub fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
         let heats = &self.snapshot.heats;
         let at = heats.binary_search_by_key(&key, |&(k, _)| k).ok()?;
         Some(heats[at].1)
     }
 }
 
-/// Forms one request against its snapshot.  Pure: reads only the request,
-/// so the same request always produces the same result — tier-1 outcomes
-/// are a deterministic function of what the run thread published.
-fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationResult {
+/// Forms one request against its snapshot: the one way a region is formed,
+/// on a worker for a published request and on the run thread for
+/// `Captive::form_now`.  Pure: reads only the request, so the same request
+/// always produces the same result — a formed region is a deterministic
+/// function of the snapshot, whoever took it and whenever.
+pub(crate) fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationResult {
     let start = Instant::now();
     let mut timers = PhaseTimers::default();
     let outcome = form_region_from(
@@ -731,7 +749,7 @@ mod tests {
         cache.insert(block(unconditional[1], BlockExit::Indirect));
         let absent = [0x0u64, 0xA000];
 
-        // What the run thread's own tracer answers from the live cache.
+        // What a read of the live cache answers.
         let live = |phys: u64| {
             let b = cache.peek(key(phys))?;
             matches!(b.exit, BlockExit::Branch { .. }).then(|| (b.link_heat(0), b.link_heat(1)))

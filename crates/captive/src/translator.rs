@@ -7,29 +7,30 @@
 //! it produces is a [`Region`]: [`translate_block`] emits the
 //! one-constituent kind (a guest basic block, ending at the first
 //! branch/exception instruction, at a page boundary, or at the configured
-//! instruction limit), and [`form_region_from`] stitches a hot chained path —
+//! instruction limit), and `form_region_from` stitches a hot chained path —
 //! including unrolled single-block self-loops — into a multi-constituent
 //! one.  The block translator, [`translate_block_from`], is QemuRef's too:
 //! each engine hands it its own per-instruction generator.
 //!
 //! A block is decided by the words it decoded.  A formed region is a
 //! *virtual* path across pages, so the tracer hands it back together with
-//! its [`Evidence`]: every guest word it decoded, as its [`TraceSource`]
-//! served it, and every virtual → physical translation it resolved on the
-//! way.  Whoever later serves the region to a machine it was not just traced
-//! from — the tier-1 install, the reuse cache — asks the engine's one gate
-//! (`Captive::evidence_holds`, in [`crate::formation`]) whether that
+//! its [`Evidence`]: every guest word it decoded, as its snapshot held it,
+//! and every virtual → physical translation it resolved on the way.  Every
+//! region is traced from a [`crate::tier::FormationSnapshot`] — taken a
+//! while ago for a tier-1 worker, or just now for the run thread's
+//! `Captive::form_now` — so whoever serves one to a machine it was not just
+//! traced from (the tier-1 install, the reuse store) asks the engine's one
+//! gate (`Captive::evidence_holds`, in [`crate::formation`]) whether that
 //! evidence still holds there.  The evidence has no negative half: a target
 //! that did not resolve when traced ends the trace in an ordinary exit,
 //! which costs optimality once the target is mapped, never correctness.
 
-use crate::runtime::CaptiveRuntime;
 use crate::spec::Knobs;
+use crate::tier::SnapshotSource;
 use crate::{layout, FpMode};
 use dbt::idiom::RuleTable;
 use dbt::{
-    BlockExit, CodeCache, Emitter, Evidence, GuestIsa, Phase, PhaseClock, PhaseTimers, Region,
-    RegionKey,
+    BlockExit, Emitter, Evidence, GuestIsa, Phase, PhaseClock, PhaseTimers, Region, RegionKey,
 };
 use guest_aarch64::gen::{self, Decoded};
 use guest_aarch64::isa::Insn;
@@ -239,78 +240,20 @@ pub const REGION_MAX_BLOCKS: usize = 32;
 /// Guest-instruction cap on one region trace.
 pub const REGION_MAX_INSNS: usize = 256;
 
-/// Result of one read against a [`TraceSource`].
-pub enum SourceRead<T> {
-    /// The read succeeded.
-    Ok(T),
+/// Result of one virtual-address resolution against a [`SnapshotSource`].
+pub enum SourceRead {
+    /// The address resolved to this physical address.
+    Ok(u64),
     /// The address is not resolvable (unmapped, out of range): the trace
-    /// ends here, exactly as a live walk failure would end it.
+    /// ends here, exactly as the dispatcher's walk would fault.
     Fault,
-    /// The backing snapshot does not hold the physical page (base carried
-    /// here): formation must abort and report the page so the requester can
-    /// refill the snapshot and resubmit.  Never produced by a live source.
+    /// The snapshot does not hold the physical page (base carried here):
+    /// formation must abort and report the page so the requester can refill
+    /// the snapshot and form again.
     Missing(u64),
 }
 
-/// What the region former reads while tracing: guest address resolution,
-/// code words and branch-leg profiles.  The run thread traces
-/// against the live machine ([`LiveSource`]); tier-1 workers trace against
-/// an immutable [`crate::tier::FormationSnapshot`], so a formed region is a
-/// pure function of the snapshot.
-pub trait TraceSource {
-    /// Context generation the formation is stamped with.
-    fn ctx_gen(&self) -> u64;
-    /// Resolves a guest virtual address to a physical address for tracing.
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64>;
-    /// Reads the guest code word at physical address `pa` (what the trace's
-    /// [`Evidence`] then records for it).
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32>;
-    /// Taken/fallthrough link heats of the cached conditional block at
-    /// `key`, when a profile exists (`None` falls back to the static
-    /// backward-taken heuristic).
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)>;
-}
-
-/// The run thread's trace source: reads the live machine, walks through the
-/// live runtime, and consults live chain-link heats.
-pub struct LiveSource<'a> {
-    /// The live guest machine.
-    pub machine: &'a mut Machine,
-    /// The live runtime (address resolution, context generation).
-    pub runtime: &'a mut CaptiveRuntime,
-    /// The code cache (profile consultation only).
-    pub cache: &'a CodeCache,
-}
-
-impl TraceSource for LiveSource<'_> {
-    fn ctx_gen(&self) -> u64 {
-        self.runtime.context_generation()
-    }
-
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64> {
-        match self.runtime.guest_va_to_pa(self.machine, va, false) {
-            Ok(pa) => SourceRead::Ok(pa),
-            Err(_) => SourceRead::Fault,
-        }
-    }
-
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
-        // An unreadable word degrades to 0 (an UNDEF), matching the
-        // per-block translator's behaviour.
-        SourceRead::Ok(live_code_word(self.machine, pa))
-    }
-
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
-        let b = self.cache.peek(key)?;
-        if matches!(b.exit, BlockExit::Branch { .. }) {
-            Some((b.link_heat(0), b.link_heat(1)))
-        } else {
-            None
-        }
-    }
-}
-
-/// Outcome of a region formation, from either source.
+/// Outcome of a region formation.
 #[derive(Debug)]
 pub enum FormOutcome {
     /// A multi-constituent or looping region was formed.
@@ -323,13 +266,8 @@ pub enum FormOutcome {
     },
     /// The trace closed at one constituent with no back-edge (a region
     /// would add nothing over the plain block), or lowering bailed out.
-    TooShort {
-        /// What the abandoned trace was made from: the refusal is published
-        /// with it, so the same content never pays the attempt again.
-        evidence: Evidence,
-    },
-    /// A snapshot source was missing these physical pages; refill and
-    /// resubmit.  Never produced by a live source.
+    TooShort,
+    /// The snapshot was missing these physical pages; refill and form again.
     NeedPages(Vec<u64>),
 }
 
@@ -388,15 +326,15 @@ enum Step {
 /// empty.
 ///
 /// Formation is pure JIT work: it charges no simulated cycles and touches no
-/// iTLB/gTLB counters (guest translations are resolved through the
-/// uncharged walker).
+/// iTLB/gTLB counters (guest translations are resolved by walking the
+/// snapshot's copy of the tables).
 ///
-/// Every read goes through the [`TraceSource`] — the live machine on the run
-/// thread, an immutable snapshot on a tier-1 worker — and both get the same
-/// answer shape back: the region (or the refusal) with its [`Evidence`].
-pub fn form_region_from<S: TraceSource + ?Sized>(
+/// Every read goes to an immutable snapshot ([`SnapshotSource`]), whoever
+/// runs the former: [`crate::tier`]'s `process` is its one caller, on a
+/// worker or, for `Captive::form_now`, on the run thread.
+pub(crate) fn form_region_from(
     isa: &Aarch64Isa,
-    source: &mut S,
+    source: &mut SnapshotSource,
     timers: &mut PhaseTimers,
     entry_pc: u64,
     entry_pa: u64,
@@ -477,9 +415,8 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         }
         let pa_i = page_pa | (va & 0xFFF);
         let word = match source.read_code_word(pa_i) {
-            SourceRead::Ok(w) => w,
-            SourceRead::Fault => 0,
-            SourceRead::Missing(page) => return FormOutcome::NeedPages(vec![page]),
+            Ok(w) => w,
+            Err(page) => return FormOutcome::NeedPages(vec![page]),
         };
         words.push((pa_i, word));
         let decoded = isa.decode(word, va);
@@ -628,17 +565,8 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         }
     }
 
-    // Revisits (unrolled and peeled copies) go, and so does their capacity:
-    // the evidence outlives the trace in the reuse store.
-    words.sort_unstable_by_key(|&(pa, _)| pa);
-    words.dedup_by_key(|&mut (pa, _)| pa);
-    words.shrink_to_fit();
-    let evidence = Evidence {
-        words,
-        translations,
-    };
     if constituents < 2 && back_edges == 0 {
-        return FormOutcome::TooShort { evidence };
+        return FormOutcome::TooShort;
     }
 
     let exit = emitter
@@ -652,7 +580,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             // running the constituent blocks and the quarantine/backoff
             // machinery decides when (or whether) to retry.
             timers.jit.lower_bailouts += 1;
-            return FormOutcome::TooShort { evidence };
+            return FormOutcome::TooShort;
         }
     };
     timers.jit.translated_units += 1;
@@ -664,6 +592,11 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
         .map(|h| visited.iter().filter(|v| **v == h).count())
         .unwrap_or(1);
 
+    // Revisits (unrolled and peeled copies) go, and so does their capacity:
+    // the evidence outlives the trace in the reuse store.
+    words.sort_unstable_by_key(|&(pa, _)| pa);
+    words.dedup_by_key(|&mut (pa, _)| pa);
+    words.shrink_to_fit();
     FormOutcome::Formed {
         region: Box::new(Region {
             constituents,
@@ -674,16 +607,19 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
             loop_guest_insns,
             ..Region::block(entry_pa, entry_pc, guest_insns, exit, t)
         }),
-        evidence,
+        evidence: Evidence {
+            words,
+            translations,
+        },
     }
 }
 
 /// Picks the continuation leg of an interior conditional: the hotter chain
-/// link of the block holding the branch (live links or a frozen profile
-/// snapshot, per the source), falling back to "backward taken targets are
-/// loops" when the profile is empty or tied.
-fn choose_leg<S: TraceSource + ?Sized>(
-    source: &S,
+/// link of the block holding the branch (as the snapshot froze the profile),
+/// falling back to "backward taken targets are loops" when the profile is
+/// empty or tied.
+fn choose_leg(
+    source: &SnapshotSource,
     block_pa: u64,
     block_va: u64,
     branch_va: u64,

@@ -1038,11 +1038,6 @@ impl Emitter {
         self.emit(LirInsn::Label { id: label });
     }
 
-    /// Emits an unconditional jump to a label.
-    pub fn jump(&mut self, label: u32) {
-        self.emit(LirInsn::Jmp { label });
-    }
-
     /// Calls a runtime helper with up to four arguments, returning a node for
     /// its result.  The result is captured into a virtual register
     /// immediately (the call itself is a side effect).

@@ -38,9 +38,15 @@
 //! evidence has no translations, the dispatcher having resolved its entry.
 //!
 //! **The bound.**  Candidates under one key are told apart by their
-//! evidence; at most `CANDIDATES_PER_KEY` (4) are kept (and as many refusals),
-//! oldest out, and a lookup returns the first that holds in publication
-//! order, so it is deterministic.
+//! evidence; at most `CANDIDATES_PER_KEY` (4) are kept, oldest out, and a
+//! lookup returns the first that holds in publication order, so it is
+//! deterministic.
+//!
+//! **No negative knowledge.**  The store keeps templates only, never a
+//! record that forming at some content failed: a head that failed once is
+//! formed again where it stands, and a failure recorded here could only
+//! have skipped a worker round-trip in front of an attempt that runs
+//! anyway.
 //!
 //! Unlike the code cache — single-owner state of one engine's run thread —
 //! this layer is shared *across* engine instances, so it is the one cache
@@ -51,8 +57,7 @@ use crate::counters::JitCounters;
 use std::collections::HashMap;
 use std::sync::RwLock;
 
-/// Templates (and, separately, refusals) kept per [`ReuseKey`]; publishing
-/// one more drops the oldest.
+/// Templates kept per [`ReuseKey`]; publishing one more drops the oldest.
 const CANDIDATES_PER_KEY: usize = 4;
 
 /// Packs the codegen knobs a translation was made under into one word for
@@ -86,10 +91,10 @@ pub struct ReuseKey {
     pub knobs: u64,
 }
 
-/// What a translation — or a refusal to form one — was made from, and so
-/// what must still be true of a machine for it to be served there.  Whoever
-/// translated assembles it once; the engine's one gate compares it with the
-/// live machine; nothing else reads it.
+/// What a translation was made from, and so what must still be true of a
+/// machine for it to be served there.  Whoever translated assembles it once;
+/// the engine's one gate compares it with the live machine; nothing else
+/// reads it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Evidence {
     /// Every guest word the translation decoded, as (guest physical
@@ -137,24 +142,6 @@ struct ReuseTemplate {
 #[derive(Debug, Default)]
 pub struct ReuseCache {
     entries: RwLock<HashMap<ReuseKey, Vec<ReuseTemplate>>>,
-    /// Negative knowledge: evidence a formation attempt consumed while
-    /// proving that *no* region forms (trace too short, lowering bailed).
-    /// A refusal that still holds lets later runs of the same content skip
-    /// the worker round-trip — the outcome is already known.
-    refusals: RwLock<HashMap<ReuseKey, Vec<Evidence>>>,
-}
-
-/// Adds `item` to one key's candidates unless a candidate with the same
-/// evidence is there already (it serves every machine this one could),
-/// dropping the oldest at [`CANDIDATES_PER_KEY`].
-fn admit<T>(candidates: &mut Vec<T>, item: T, evidence: fn(&T) -> &Evidence) {
-    if candidates.iter().any(|c| evidence(c) == evidence(&item)) {
-        return;
-    }
-    if candidates.len() == CANDIDATES_PER_KEY {
-        candidates.remove(0);
-    }
-    candidates.push(item);
 }
 
 impl ReuseCache {
@@ -163,48 +150,37 @@ impl ReuseCache {
         ReuseCache::default()
     }
 
-    /// Publishes `region` with what it was made from.  The counters are a
-    /// block's own, so that a revived block reads in the engine's counters
-    /// as the translation it replaces; a formed region is published with
-    /// none, its reuse never having counted as JIT work.
+    /// Publishes `region` with what it was made from, unless a template
+    /// with the same evidence is kept under its key already (it serves every
+    /// machine this one could); the oldest goes at `CANDIDATES_PER_KEY` (4).
+    /// The counters are a block's own, so that a revived block reads in the
+    /// engine's counters as the translation it replaces; a formed region is
+    /// published with none, its reuse never having counted as JIT work.
     pub fn publish(&self, region: &Region, made_from: MadeFrom) {
-        let template = ReuseTemplate {
+        let mut entries = self.entries.write().unwrap();
+        let candidates = entries.entry(made_from.key).or_default();
+        if candidates.iter().any(|t| t.evidence == made_from.evidence) {
+            return;
+        }
+        if candidates.len() == CANDIDATES_PER_KEY {
+            candidates.remove(0);
+        }
+        candidates.push(ReuseTemplate {
             prototype: region.instantiate(region.key(), region.ctx_gen),
             evidence: made_from.evidence,
             counters: made_from.counters,
-        };
-        let mut entries = self.entries.write().unwrap();
-        admit(entries.entry(made_from.key).or_default(), template, |t| {
-            &t.evidence
         });
     }
 
-    /// Records that forming at `key` from `evidence` produced no region.
-    pub fn publish_refusal(&self, key: ReuseKey, evidence: Evidence) {
-        let mut refusals = self.refusals.write().unwrap();
-        admit(refusals.entry(key).or_default(), evidence, |e| e);
-    }
-
-    /// Whether a formation attempt at `key` is recorded to have refused on
-    /// evidence that `holds` on the caller's machine now.
-    pub fn known_refusal(&self, key: ReuseKey, holds: impl FnMut(&Evidence) -> bool) -> bool {
-        let refusals = self.refusals.read().unwrap();
-        refusals
-            .get(&key)
-            .is_some_and(|known| known.iter().any(holds))
-    }
-
-    /// Whether the outcome at `key` is already known on the caller's
-    /// machine: a template or a refusal is published there whose evidence
-    /// `holds`.  Lets the publish point skip a formation request the install
-    /// point will not need.
-    pub fn covers(&self, key: ReuseKey, mut holds: impl FnMut(&Evidence) -> bool) -> bool {
+    /// Whether a template is published at `key` whose evidence `holds` on
+    /// the caller's machine now.  Lets the publish point skip a formation
+    /// request the install point will not need.
+    pub fn covers(&self, key: ReuseKey, holds: impl FnMut(&Evidence) -> bool) -> bool {
         self.entries
             .read()
             .unwrap()
             .get(&key)
-            .is_some_and(|c| c.iter().any(|t| holds(&t.evidence)))
-            || self.known_refusal(key, holds)
+            .is_some_and(|c| c.iter().map(|t| &t.evidence).any(holds))
     }
 
     /// The translation published under `key` whose evidence `holds` on the
@@ -295,11 +271,15 @@ mod tests {
         assert_eq!(inst.pages, vec![0x1000, 0x2000]);
         assert_eq!(inst.constituents, region.constituents);
         assert!(Arc::ptr_eq(&inst.code, &region.code), "code is shared");
-        // Evidence that does not hold defeats reuse, whatever the key says.
+        // Evidence that does not hold defeats reuse, whatever the key says;
+        // the publish point's `covers` asks on the same terms.
         assert!(
             reuse.lookup(key(knobs), 7, |_| false).is_none(),
             "a candidate is served only on the caller's say-so"
         );
+        assert!(reuse.covers(key(knobs), |e| *e == evidence(0x2000)));
+        assert!(!reuse.covers(key(knobs), |e| *e == evidence(0x5000)));
+        assert!(!reuse.covers(key(0), |_| true), "nothing published there");
         // A different knob set is a different key entirely, and a block's
         // key (no unroll factor) is never a region's.
         let other = key(pack_knobs(false, false, true, true, 4));
@@ -356,41 +336,6 @@ mod tests {
         let again = multi(0x1000, 3, vec![0x1000], 0);
         reuse.publish(&again, made(key(0), word(3), none));
         assert_eq!(served(&|_| true), Some(3));
-        // Refusals are bounded the same way.
-        for w in 1..=6u32 {
-            reuse.publish_refusal(key(1), word(w));
-        }
-        assert_eq!(reuse.refusals.read().unwrap()[&key(1)].len(), 4);
-        assert!(!reuse.known_refusal(key(1), |e| *e == word(2)));
-        assert!(reuse.known_refusal(key(1), |e| *e == word(6)));
-    }
-
-    #[test]
-    fn reuse_refusals_validate_content_and_dedupe() {
-        let reuse = ReuseCache::new();
-        assert!(!reuse.covers(key(0), |_| true));
-        reuse.publish_refusal(key(0), evidence(0x2000));
-        reuse.publish_refusal(key(0), evidence(0x2000));
-        assert_eq!(reuse.refusals.read().unwrap()[&key(0)].len(), 1, "deduped");
-        // The refusal covers the key (publish precheck) and answers only
-        // while its evidence holds.
-        assert!(reuse.covers(key(0), |e| *e == evidence(0x2000)));
-        assert!(!reuse.covers(key(0), |e| *e == evidence(0x5000)));
-        assert!(reuse.known_refusal(key(0), |e| *e == evidence(0x2000)));
-        assert!(
-            !reuse.known_refusal(key(0), |e| *e == evidence(0x5000)),
-            "a moved interior page must void the refusal"
-        );
-        // Refusals never surface as installable templates.
-        assert!(reuse.lookup(key(0), 0, |_| true).is_none());
-        // A template covers its key on the same terms.
-        let region = multi(0x1000, 8, vec![0x1000, 0x2000], 0);
-        reuse.publish(
-            &region,
-            made(key(2), evidence(0x2000), JitCounters::default()),
-        );
-        assert!(reuse.covers(key(2), |e| *e == evidence(0x2000)));
-        assert!(!reuse.covers(key(2), |_| false));
     }
 
     #[test]

@@ -111,14 +111,6 @@ pub struct TierTimers {
 }
 
 impl TierTimers {
-    /// Runs `f`, charging its wall-clock to the run thread's stall account.
-    pub fn stall<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.run_thread_stall += start.elapsed();
-        r
-    }
-
     /// Records the first gated-region install at `since_launch` after engine
     /// construction (later installs are ignored).
     pub fn record_install(&mut self, since_launch: Duration) {

@@ -44,8 +44,8 @@ pub use cost::CostModel;
 pub use event::{EventSources, InterruptLatch, Timer, TIMER_LINE};
 pub use insn::{AluOp, Cond, FpOp, Gpr, Imm64, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
 pub use machine::{
-    ExitReason, FaultAction, FlagsReg, HelperCtx, HelperResult, Machine, MachineConfig,
-    NullRuntime, Ring, Runtime,
+    ExitReason, FaultAction, FlagsReg, HelperResult, Machine, MachineConfig, NullRuntime, Ring,
+    Runtime,
 };
 pub use mem::PhysMem;
 pub use paging::{PageFlags, PageWalk, WalkError, PAGE_SIZE};

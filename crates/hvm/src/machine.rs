@@ -219,9 +219,6 @@ pub struct Machine {
     pub loop_trip_limit: u64,
 }
 
-/// Alias used by helper implementations that want a shorter name.
-pub type HelperCtx = Machine;
-
 /// Sign-extends the low `size` bytes of `v` to 64 bits (identity from 64 bits
 /// up).
 fn sign_extend(v: u64, size: MemSize) -> u64 {

@@ -83,11 +83,12 @@
 //! page.  The engine runtime drains [`VirtioBlk::take_touched_pages`] and
 //! intersects them with its translated-code page set: a DMA store that lands
 //! on a page holding translations must invalidate them
-//! (`CodeCache::invalidate_phys_page`, content-keyed reuse refusal) and
-//! raise `loop_exit_pending` so a hot looping region reconciles promoted
-//! carriers and exits at its next back-edge with a precise register file —
-//! asynchronous external self-modifying code, with none of the
-//! write-protection machinery that catches vCPU stores.
+//! (`CodeCache::invalidate_phys_page`; the reuse store's gate then refuses
+//! templates made from the old bytes) and raise `loop_exit_pending` so a
+//! hot looping region reconciles promoted carriers and exits at its next
+//! back-edge with a precise register file — asynchronous external
+//! self-modifying code, with none of the write-protection machinery that
+//! catches vCPU stores.
 
 use std::collections::VecDeque;
 
