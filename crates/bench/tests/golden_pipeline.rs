@@ -80,6 +80,7 @@
 use captive::translator::FormOutcome;
 use dbt::{CounterField, Emitter, GuestIsa, PhaseTimers, RegionKey, RuleTable};
 use guest_aarch64::Aarch64Isa;
+use hvm::encode::encode_block;
 use workloads::{Scale, Workload};
 
 /// The bytes a digest covers, hashed with [`dbt::fnv1a`] at the end.
@@ -176,7 +177,7 @@ fn block_digest(run_opt: bool) -> (u64, dbt::JitCounters) {
     for w in programs() {
         for (_, lir) in blocks(&w.words) {
             match dbt::finish_translation(&mut timers, lir, run_opt, run_opt, Some(table)) {
-                Ok(t) => h.translation(&t.encoded, &t.promoted),
+                Ok(t) => h.translation(&encode_block(&t.code), &t.promoted),
                 Err(_) => h.word(u64::MAX),
             }
         }
@@ -223,8 +224,7 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
             match c.form_now(RegionKey { phys: pc, virt: pc }) {
                 FormOutcome::Formed { region: r, .. } => {
                     formed += 1;
-                    let encoded = hvm::encode::encode_block(&r.code);
-                    h.translation(&encoded, &r.promoted);
+                    h.translation(&encode_block(&r.code), &r.promoted);
                     h.word(r.back_edges as u64);
                     h.word(r.unroll as u64);
                 }
@@ -245,7 +245,7 @@ fn formed_regions_are_byte_identical_to_the_recorded_digest() {
 fn unit_digest(lir: Vec<dbt::LirInsn>, table: &RuleTable) -> u64 {
     let mut h = Digest::default();
     match dbt::finish_translation(&mut PhaseTimers::default(), lir, true, true, Some(table)) {
-        Ok(t) => h.translation(&t.encoded, &t.promoted),
+        Ok(t) => h.translation(&encode_block(&t.code), &t.promoted),
         Err(_) => h.word(u64::MAX),
     }
     h.finish()

@@ -114,13 +114,17 @@ pub struct CaptiveConfig {
     /// degrades to re-translation, never to unbounded growth.
     pub cache_capacity_regions: Option<usize>,
     /// Who forms regions.  `Some(n)` is two-tier translation: formation runs
-    /// on `n` background workers against immutable snapshots while the run
-    /// thread keeps executing tier-0 code, with generation/epoch/SMC-gated
-    /// installs; `Some(0)` is *pump mode* — requests queue and are processed
-    /// inline at the drain point (identical outcomes, fully deterministic
-    /// interleaving — used by the SMC-race tests).  `None` forms every region
-    /// synchronously on the run thread: the single-threaded behaviour, kept
-    /// as the comparable baseline (`sync` in `bench::CAPTIVE_CONFIGS`).
+    /// on at most `n` workers at once, against immutable snapshots, while
+    /// the run thread keeps executing tier-0 code, with generation/epoch/
+    /// SMC-gated installs.  The workers are the process's one tier-worker
+    /// pool ([`tier`], *The worker pool*), shared with every other engine
+    /// and grown to the largest `n` asked for; an engine starts and joins
+    /// no thread of its own.  `Some(0)` is *pump mode* — requests queue and
+    /// are processed inline at the drain point (identical outcomes, fully
+    /// deterministic interleaving — used by the SMC-race tests).  `None`
+    /// forms every region synchronously on the run thread: the
+    /// single-threaded behaviour, kept as the comparable baseline (`sync` in
+    /// `bench::CAPTIVE_CONFIGS`).
     pub tier_workers: Option<usize>,
     /// Content-keyed translation-reuse store shared with other engine
     /// instances (the N-guests-one-image story): templates only — formed
@@ -1456,6 +1460,44 @@ mod tests {
             );
             assert_eq!(tiered.stale_discards, 0, "nothing changed under it");
         }
+    }
+
+    #[test]
+    fn engines_alive_at_once_share_the_pool_and_end_like_sync() {
+        // Six default engines on three threads, all alive at once, are
+        // served by one pool of as many threads as the largest
+        // `tier_workers` asked for — two: no engine in this crate asks for
+        // more — and each ends exactly like the run-thread-only engine, in
+        // every register and every architectural counter.
+        let words = multi_block_loop(3000);
+        let outcome = |c: &mut Captive| {
+            c.load_program(0x1000, &words);
+            c.set_entry(0x1000);
+            assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
+            let regs: Vec<u64> = (0..31).map(|r| c.guest_reg(r)).collect();
+            (regs, c.guest_nzcv(), c.stats())
+        };
+        let (sync_regs, sync_nzcv, sync) = outcome(&mut Captive::new(CaptiveConfig {
+            tier_workers: None,
+            ..CaptiveConfig::default()
+        }));
+        let alive = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut engines = [(); 2].map(|_| Captive::new(CaptiveConfig::default()));
+                    alive.wait();
+                    assert_eq!(tier::pool_threads(), 2, "six engines, two threads");
+                    for c in &mut engines {
+                        let (regs, nzcv, stats) = outcome(c);
+                        assert_eq!((regs, nzcv), (sync_regs.clone(), sync_nzcv));
+                        assert_eq!(stats.differs_across_engines(&sync), None);
+                        assert!(stats.regions_installed_async >= 1, "the pool formed");
+                    }
+                    alive.wait();
+                });
+            }
+        });
     }
 
     #[test]

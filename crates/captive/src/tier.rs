@@ -83,8 +83,9 @@
 //! reference box: 2 cores):
 //!
 //! * *Speculation needs a core of its own.*  It is off when the host offers
-//!   one thread, and occupies at most `available_parallelism() - 1` workers
-//!   (two speculating workers on two cores: noisier, no faster).
+//!   one thread, and occupies at most `available_parallelism() - 1` of an
+//!   engine's workers (two speculating workers on two cores: noisier, no
+//!   faster).
 //! * *Order is breadth-first from what the run thread installed,* which for
 //!   call-structured code tracks execution order (caller, callee blocks,
 //!   return address …).  Following only in-page successors and waiting for
@@ -108,8 +109,8 @@
 //!   installs one.
 //! * *The pool is bounded* ([`crate::spec::POOL_MAX`] parked or in flight);
 //!   a full pool **parks** the frontier rather than dropping it (dropping
-//!   loses the frontier for good — an erratic 3–26 % served) and a sleeping
-//!   worker is woken when the pool has drained to half.  128 serves as many
+//!   loses the frontier for good — an erratic 3–26 % served) and a parked
+//!   worker is woken when the ready pool has drained to half.  128 serves as many
 //!   installs as 512 did and keeps `peak_rss_mib` within 2 % of the parent;
 //!   parked results older than four pools' worth of installs are evicted so
 //!   legs the guest never takes cannot park the frontier forever.
@@ -124,6 +125,47 @@
 //!   freed by the run thread it took the arena lock against the translating
 //!   worker on every install (≈ 730 futex sleeps per run, ≈ 35 ms).
 //!
+//! # The worker pool
+//!
+//! The workers belong to the host, not to an engine: one process-wide pool
+//! of threads serves every engine whose service is threaded.  It starts
+//! threads only when an engine allows more workers than it has — so it
+//! holds as many as the largest `tier_workers` any engine asked for — and
+//! never stops one; once it has them, making and dropping an engine starts
+//! and joins no thread.  (Two spawns and two joins per engine were ≈ 58 %
+//! of what `hot_loops`' `setup_s` measured.)
+//!
+//! * [`TierService::new`] enrols the engine: its queues and the sender its
+//!   formation results travel on.  `tier_workers: Some(n)` lets at most `n`
+//!   workers serve the engine at once; other engines' jobs take the rest.
+//! * A worker takes any engine's formation request before any speculative
+//!   block, engines taking turns.  It tries engine locks under the pool's
+//!   lock and never waits for one, so a busy engine holds up neither the
+//!   pool nor another engine's withdrawal.  With nothing to claim it parks
+//!   on the pool's condition variable, counted parked *before* its last
+//!   look, so a run thread that queues work after that look sees the count
+//!   and wakes it.
+//! * A claimed job keeps the engine's queues and a clone of its result
+//!   sender until the job is booked, and lets go of the sender last.
+//! * **Drop.**  Dropping the service withdraws the engine — no worker
+//!   claims its jobs again — and drains its result channel until the
+//!   channel disconnects: it waits for the engine's jobs in flight (at most
+//!   `n`), never for its queue and never for a thread.  When the drop
+//!   returns no worker holds anything of the engine's.
+//! * A job that panics withdraws its engine; the engine's `recv` returns
+//!   `None` once its other jobs are booked, so its run thread forms now,
+//!   and the worker lives on.
+//!
+//! **Who frees what.**  A formation result is freed by the run thread that
+//! receives it, the ones a drop drains included.  An installed speculative
+//! result's worker-side allocations go back to the pool and are freed by
+//! the next worker that claims one of the engine's blocks.  Whatever is
+//! left in the engine's queues at the drop — queued requests and jobs,
+//! parked results, spent allocations — is freed by the run thread that
+//! drops the service.  A pool thread keeps its JIT scratch
+//! (`dbt::with_scratch`: capacity, never facts) from one engine to the
+//! next.
+//!
 //! With `tier_workers: Some(0)` the service runs in *pump mode*: formation
 //! requests queue locally and are processed inline (on the run thread) at
 //! the drain point, and speculative jobs are translated inline — frontier
@@ -132,14 +174,15 @@
 //! stores between publish and drain, or between a speculative translation
 //! and its install, fully deterministically.
 
-use crate::spec::{Frontier, Knobs};
+use crate::spec::{Frontier, Job, Knobs, Spent};
 use crate::translator::{form_region_from, FormOutcome, SourceRead};
 use dbt::{PhaseTimers, RegionKey};
 use guest_aarch64::{mmu, Aarch64Isa};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Guest page size (the snapshot's unit of capture and validation).
@@ -337,21 +380,44 @@ pub(crate) fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationR
     }
 }
 
-/// What the run thread and the workers share: the formation queue, the
-/// speculation frontier, and the bookkeeping the wake-up rule needs.
+/// One engine's side of the pool: what its run thread and the pool workers
+/// serving it share, under the engine's own lock.
 struct Queues {
     formations: VecDeque<FormationRequest>,
     frontier: Frontier,
-    /// Workers asleep on [`Shared::wake`].  `Condvar::notify_one` is a
-    /// system call whether or not anyone waits, and the run thread would
-    /// otherwise pay it on every tier-0 install.
-    idle: usize,
-    shutdown: bool,
+    /// Pool workers running one of this engine's jobs right now.
+    busy: usize,
+    /// At most this many at once: the engine's `tier_workers` (0 in pump
+    /// mode, where no worker serves it).
+    limit: usize,
+}
+
+impl Queues {
+    /// True when a worker could take one of this engine's jobs now.
+    fn claimable(&self) -> bool {
+        self.busy < self.limit && (!self.formations.is_empty() || self.frontier.can_start())
+    }
+
+    /// Takes a formation request, or else (`formation` false) a speculative
+    /// block, handing the worker the spent allocations to free with it.
+    fn claim(&mut self, formation: bool, spent: &mut Vec<Spent>) -> Option<Work> {
+        if self.busy >= self.limit {
+            return None;
+        }
+        let work = if formation {
+            Work::Form(self.formations.pop_front()?)
+        } else {
+            let job = self.frontier.next_job()?;
+            self.frontier.swap_spent(spent);
+            Work::Speculate(job)
+        };
+        self.busy += 1;
+        Some(work)
+    }
 }
 
 struct Shared {
     queues: Mutex<Queues>,
-    wake: Condvar,
 }
 
 impl Shared {
@@ -362,56 +428,238 @@ impl Shared {
     }
 }
 
-/// The worker pool.  `submit` never blocks; `recv` blocks until *some*
-/// formation result is available (the caller routes results it was not
-/// waiting for).  Speculative tier-0 jobs travel through the crate-internal
-/// `with_frontier` in both directions.  Dropping the service
-/// raises the shutdown flag and joins every worker; a worker looks at the
-/// flag between jobs, so the drop waits for at most one job per worker.
+enum Work {
+    Form(FormationRequest),
+    Speculate(Job),
+}
+
+/// A job a worker took from one engine, with what it needs to book it.
+struct Claim {
+    shared: Arc<Shared>,
+    work: Work,
+    results: Sender<FormationResult>,
+}
+
+impl Claim {
+    /// Runs the job and books it: a formation result goes to the engine's
+    /// channel, a speculative block to its frontier.  Then it lets go of the
+    /// engine — its queues first and the result sender last, because the
+    /// engine's drop waits for the last sender to go.
+    fn run(self, isa: &Aarch64Isa) {
+        let Claim {
+            shared,
+            work,
+            results,
+        } = self;
+        match work {
+            Work::Form(request) => {
+                if let Some(result) = or_withdraw(&shared, || process(isa, request)) {
+                    // A dropped engine's receiver is gone; the result with it.
+                    let _ = results.send(result);
+                    shared.lock().busy -= 1;
+                }
+            }
+            Work::Speculate(job) => {
+                if let Some(outcome) = or_withdraw(&shared, || job.translate()) {
+                    let mut queues = shared.lock();
+                    queues.frontier.finish(&job, outcome);
+                    queues.busy -= 1;
+                }
+            }
+        }
+        drop(shared);
+        drop(results);
+    }
+}
+
+/// Runs `job`; if it panics, withdraws the engine from the pool, so that no
+/// worker serves it again and its run thread's `recv` returns `None` once its
+/// other jobs are booked — the engine forms on the run thread instead of
+/// waiting for a result that will never come.  The worker itself lives on.
+fn or_withdraw<T>(shared: &Arc<Shared>, job: impl FnOnce() -> T) -> Option<T> {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(job));
+    if outcome.is_err() {
+        POOL.withdraw(shared);
+    }
+    outcome.ok()
+}
+
+/// The host's tier workers, shared by every engine in the process.
+struct Pool {
+    registry: Mutex<Registry>,
+    /// Parked workers wait here.
+    wake: Condvar,
+    /// Workers parked on `wake` or looking for work one last time before
+    /// they park.  Read without the lock: `Condvar::notify_one` is a system
+    /// call whether or not anyone waits, and the run thread would otherwise
+    /// pay it on every tier-0 install.
+    parked: AtomicUsize,
+}
+
+struct Registry {
+    /// Threads started; never shrinks.
+    threads: usize,
+    /// Every engine with a threaded service, and the sender its formation
+    /// results travel on.
+    engines: Vec<(Arc<Shared>, Sender<FormationResult>)>,
+    /// Where the next look for work starts, so that engines take turns.
+    next: usize,
+}
+
+static POOL: Pool = Pool {
+    registry: Mutex::new(Registry {
+        threads: 0,
+        engines: Vec::new(),
+        next: 0,
+    }),
+    wake: Condvar::new(),
+    parked: AtomicUsize::new(0),
+};
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        // Nothing a worker runs under this lock may panic; if something did,
+        // the registry is still whole.
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers an engine that at most `workers` threads serve at once,
+    /// starting threads until the pool has that many.
+    fn enrol(&self, shared: &Arc<Shared>, results: Sender<FormationResult>, workers: usize) {
+        let mut registry = self.lock();
+        registry.engines.push((Arc::clone(shared), results));
+        while registry.threads < workers {
+            std::thread::spawn(|| POOL.serve());
+            registry.threads += 1;
+        }
+    }
+
+    /// Takes an engine out of the pool: no worker claims its jobs again.
+    fn withdraw(&self, shared: &Arc<Shared>) {
+        self.lock()
+            .engines
+            .retain(|(enrolled, _)| !Arc::ptr_eq(enrolled, shared));
+    }
+
+    /// Wakes a parked worker, if there is one.
+    fn wake_one(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _registry = self.lock();
+            self.wake.notify_one();
+        }
+    }
+
+    /// One worker's life: every engine's formation requests first (a run
+    /// thread blocks on those), then one speculative block at a time, parked
+    /// when there is neither.
+    fn serve(&self) {
+        let isa = Aarch64Isa;
+        let mut spent = Vec::new();
+        let mut registry = self.lock();
+        loop {
+            // Counted as parked *before* the look: a run thread that queues
+            // work after this worker looked at its engine sees the count,
+            // and its wake-up waits for this lock, which is held until the
+            // worker sleeps.
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            let (claim, more) = match registry.look(&mut spent) {
+                Look::Job(claim, more) => (claim, more),
+                Look::Nothing => {
+                    registry = self
+                        .wake
+                        .wait(registry)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    self.parked.fetch_sub(1, Ordering::SeqCst);
+                    continue;
+                }
+                Look::Contended => {
+                    self.parked.fetch_sub(1, Ordering::SeqCst);
+                    drop(registry);
+                    std::thread::yield_now();
+                    registry = self.lock();
+                    continue;
+                }
+            };
+            if self.parked.fetch_sub(1, Ordering::SeqCst) > 1 && more {
+                // More runnable work than this worker just claimed: share it.
+                self.wake.notify_one();
+            }
+            drop(registry);
+            spent.clear();
+            claim.run(&isa);
+            registry = self.lock();
+        }
+    }
+}
+
+/// What a worker's look through the registry found.
+enum Look {
+    /// A job, and whether its engine has more for another worker.
+    Job(Claim, bool),
+    /// Nothing it could claim, but an engine's lock was held by someone
+    /// else: look again rather than park, or work queued under that lock
+    /// could wait for a wake-up that was never sent.
+    Contended,
+    Nothing,
+}
+
+impl Registry {
+    /// Claims the next job, engines in turn: any engine's formation request
+    /// before any speculative block.  An engine's lock is only ever tried
+    /// under the pool's, never waited for, so a held engine lock cannot
+    /// hold up the pool — nor an engine's withdrawal.
+    fn look(&mut self, spent: &mut Vec<Spent>) -> Look {
+        let n = self.engines.len();
+        let mut contended = false;
+        for formation in [true, false] {
+            for i in 0..n {
+                let at = (self.next + i) % n;
+                let (shared, results) = &self.engines[at];
+                let mut queues = match shared.queues.try_lock() {
+                    Ok(queues) => queues,
+                    Err(TryLockError::WouldBlock) => {
+                        contended = true;
+                        continue;
+                    }
+                    // A worker panicked booking a job: the run thread finds
+                    // out at its next look at the queues.
+                    Err(TryLockError::Poisoned(_)) => continue,
+                };
+                if let Some(work) = queues.claim(formation, spent) {
+                    let more = queues.claimable();
+                    drop(queues);
+                    self.next = (at + 1) % n;
+                    let claim = Claim {
+                        shared: Arc::clone(shared),
+                        work,
+                        results: results.clone(),
+                    };
+                    return Look::Job(claim, more);
+                }
+            }
+        }
+        if contended {
+            Look::Contended
+        } else {
+            Look::Nothing
+        }
+    }
+}
+
+/// The engine's handle on the pool.  `submit` never blocks; `recv` blocks
+/// until *some* formation result is available (the caller routes results
+/// it was not waiting for).  Speculative tier-0 jobs travel through the
+/// crate-internal `with_frontier` in both directions.  Dropping the service
+/// withdraws the engine from the pool and waits for its jobs in flight —
+/// never for its queue, and never for a thread.
 pub struct TierService {
     shared: Arc<Shared>,
-    /// Formation results from the workers (never fed in pump mode).
+    /// Formation results from the pool (never fed in pump mode).
     results: Receiver<FormationResult>,
-    /// Empty in pump mode.
-    handles: Vec<JoinHandle<()>>,
+    pump: bool,
     /// Workers that may speculate at once (the frontier's slot count).
     spec_slots: usize,
     isa: Aarch64Isa,
-}
-
-/// One worker: formation requests first (the run thread blocks on those),
-/// then one speculative block at a time, asleep when there is neither.
-fn worker(shared: &Shared, results: &Sender<FormationResult>) {
-    let isa = Aarch64Isa;
-    let mut spent = Vec::new();
-    let mut queues = shared.lock();
-    while !queues.shutdown {
-        if let Some(request) = queues.formations.pop_front() {
-            drop(queues);
-            if results.send(process(&isa, request)).is_err() {
-                return;
-            }
-            queues = shared.lock();
-        } else if let Some(job) = queues.frontier.next_job() {
-            // More runnable work than this worker just claimed: share it.
-            if queues.idle > 0 && queues.frontier.can_start() {
-                shared.wake.notify_one();
-            }
-            queues.frontier.swap_spent(&mut spent);
-            drop(queues);
-            spent.clear();
-            let outcome = job.translate();
-            queues = shared.lock();
-            queues.frontier.finish(&job, outcome);
-        } else {
-            queues.idle += 1;
-            queues = shared
-                .wake
-                .wait(queues)
-                .expect("a tier worker panicked holding the queue lock");
-            queues.idle -= 1;
-        }
-    }
 }
 
 /// Host threads this process may run on, looked up once (the probe reads
@@ -422,7 +670,8 @@ fn host_parallelism() -> usize {
 }
 
 impl TierService {
-    /// Creates the service with `workers` background threads (0 = pump mode).
+    /// Creates the service: served by at most `workers` pool threads at
+    /// once, or in pump mode when `workers` is 0.
     pub fn new(workers: usize) -> Self {
         // Speculation wants a core of its own: with one host thread it is
         // off (the workers would only take time from the run thread), and
@@ -437,25 +686,21 @@ impl TierService {
             queues: Mutex::new(Queues {
                 formations: VecDeque::new(),
                 frontier: Frontier::new(spec_slots),
-                idle: 0,
-                shutdown: false,
+                busy: 0,
+                limit: workers,
             }),
-            wake: Condvar::new(),
         });
-        // `res_tx` clones live only in the workers, so `recv` unblocks (with
-        // an error) if every worker exits.
-        let (res_tx, results) = channel::<FormationResult>();
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let tx = res_tx.clone();
-                std::thread::spawn(move || worker(&shared, &tx))
-            })
-            .collect();
+        // The pool holds the only sender and every claimed job a clone, so
+        // `recv` returns `None` once the engine is withdrawn and its jobs
+        // are booked — at once in pump mode, where no sender is kept.
+        let (sender, results) = channel::<FormationResult>();
+        if workers > 0 {
+            POOL.enrol(&shared, sender, workers);
+        }
         TierService {
             shared,
             results,
-            handles,
+            pump: workers == 0,
             spec_slots,
             isa: Aarch64Isa,
         }
@@ -463,7 +708,7 @@ impl TierService {
 
     /// True when running in pump (inline) mode.
     pub fn is_pump(&self) -> bool {
-        self.handles.is_empty()
+        self.pump
     }
 
     /// True when tier-0 blocks are translated speculatively.
@@ -475,15 +720,18 @@ impl TierService {
     pub fn submit(&mut self, req: FormationRequest) {
         let mut queues = self.shared.lock();
         queues.formations.push_back(req);
-        if queues.idle > 0 {
-            self.shared.wake.notify_one();
+        let wake = queues.claimable();
+        drop(queues);
+        if wake {
+            POOL.wake_one();
         }
     }
 
     /// Blocks until one result is available and returns it; `None` when no
-    /// result can ever arrive (pump queue empty, or all workers gone).
+    /// result can ever arrive (pump queue empty, or a job of this engine
+    /// panicked and its others are booked).
     pub fn recv(&mut self) -> Option<FormationResult> {
-        if self.is_pump() {
+        if self.pump {
             let req = self.shared.lock().formations.pop_front()?;
             Some(process(&self.isa, req))
         } else {
@@ -492,12 +740,14 @@ impl TierService {
     }
 
     /// Runs `f` on the speculation frontier under the queue lock, then
-    /// wakes a sleeping worker if `f` left it something to do.
+    /// wakes a parked worker if `f` left it something to do.
     pub(crate) fn with_frontier<R>(&self, f: impl FnOnce(&mut Frontier) -> R) -> R {
         let mut queues = self.shared.lock();
         let result = f(&mut queues.frontier);
-        if queues.idle > 0 && queues.frontier.worth_waking() {
-            self.shared.wake.notify_one();
+        let wake = queues.busy < queues.limit && queues.frontier.worth_waking();
+        drop(queues);
+        if wake {
+            POOL.wake_one();
         }
         result
     }
@@ -523,17 +773,17 @@ impl TierService {
 
 impl Drop for TierService {
     fn drop(&mut self) {
-        // Must not panic, and a poisoned lock still guards a valid flag.
-        self.shared
-            .queues
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .shutdown = true;
-        self.shared.wake.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        POOL.withdraw(&self.shared);
+        // Every job in flight holds a clone of the result sender and lets go
+        // of it last: the channel disconnects once they are all booked.
+        while self.results.recv().is_ok() {}
     }
+}
+
+/// Threads the pool has started.
+#[cfg(test)]
+pub(crate) fn pool_threads() -> usize {
+    POOL.lock().threads
 }
 
 #[cfg(test)]
@@ -797,35 +1047,166 @@ mod tests {
         assert_eq!(source.branch_heats(alias), None);
     }
 
-    #[test]
-    fn a_dropped_service_leaves_queued_speculation_untranslated() {
-        use crate::spec::PageCopy;
-        // Workers look at the shutdown flag before claiming a job, so a drop
-        // waits for the jobs in flight and never for the queue.  The flag is
-        // raised under the same lock hold that fills the queue — no worker
-        // can have claimed anything — and the drop then has nothing to wait
-        // for: every job is still queued afterwards.
-        let service = TierService::new(2);
-        let shared = Arc::clone(&service.shared);
-        let knobs = Knobs::new(&crate::CaptiveConfig::default());
+    /// A page of `add x0, x0, #1; ret` pairs: a speculative job at every
+    /// other word.
+    fn speculation_page() -> Arc<[u8]> {
         let mut page = Vec::new();
         for _ in 0..PAGE_BYTES / 8 {
             page.extend_from_slice(&asm::addi(0, 0, 1).to_le_bytes());
             page.extend_from_slice(&asm::ret().to_le_bytes());
         }
-        {
-            let mut queues = shared.lock();
-            let frontier = &mut queues.frontier;
-            frontier.ensure_page(0x1000, false, || PageCopy::Early(page.into()));
-            for entry in (0x1000..0x2000).step_by(8) {
-                frontier.request(entry, entry, true, &knobs);
+        page.into()
+    }
+
+    /// Waits until every pool thread is parked (other tests' engines come
+    /// and go on the same pool).
+    fn until_the_pool_is_parked() {
+        let start = Instant::now();
+        loop {
+            // Under the pool's lock no worker is looking for work, so the
+            // parked count is the workers asleep.
+            let registry = POOL.lock();
+            if POOL.parked.load(Ordering::SeqCst) == registry.threads {
+                return;
             }
-            assert!(!service.speculates() || frontier.can_start());
-            queues.shutdown = true;
+            drop(registry);
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "the pool never parked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
-        drop(service);
-        let queues = shared.lock();
-        assert_eq!(queues.frontier.translated(), 0);
-        assert_eq!(Arc::strong_count(&shared), 1, "every worker was joined");
+    }
+
+    #[test]
+    fn a_dropped_service_leaves_queued_speculation_untranslated() {
+        use crate::spec::PageCopy;
+        // The drop withdraws the engine from the pool and waits for its jobs
+        // in flight, never for its queue.  The one worker this engine allows
+        // is caught mid-formation: it cannot book the job while the test
+        // holds the engine's lock, so the drop must still be waiting when
+        // the test lets go, and once it returns no worker may hold the
+        // queues.  The speculation queued under that lock is never claimed:
+        // the engine is at its limit until the drop has withdrawn it.
+        let mut service = TierService::new(1);
+        let shared = Arc::clone(&service.shared);
+        let knobs = Knobs::new(&crate::CaptiveConfig::default());
+        let mut queues = 'caught: loop {
+            service.submit(request(
+                snapshot_with_code(&self_loop_words(), 0x1000),
+                0x1000,
+            ));
+            loop {
+                let queues = shared.lock();
+                if queues.busy == 1 {
+                    break 'caught queues;
+                }
+                if queues.formations.is_empty() {
+                    // Booked before the test looked: try again.
+                    break;
+                }
+            }
+        };
+        let frontier = &mut queues.frontier;
+        frontier.ensure_page(0x1000, false, || PageCopy::Early(speculation_page()));
+        for entry in (0x1000..0x2000).step_by(8) {
+            frontier.request(entry, entry, true, &knobs);
+        }
+        assert!(!service.speculates() || frontier.can_start());
+        let withdrawn = || {
+            !POOL
+                .lock()
+                .engines
+                .iter()
+                .any(|(enrolled, _)| Arc::ptr_eq(enrolled, &shared))
+        };
+        std::thread::scope(|s| {
+            let dropping = s.spawn(move || drop(service));
+            let start = Instant::now();
+            while !withdrawn() {
+                assert!(start.elapsed() < Duration::from_secs(60), "never withdrawn");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let start = Instant::now();
+            while !dropping.is_finished() && start.elapsed() < Duration::from_millis(100) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(
+                !dropping.is_finished(),
+                "the drop returned with a job in flight"
+            );
+            drop(queues);
+            dropping.join().expect("the drop does not panic");
+        });
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "no pool worker holds the engine's queues"
+        );
+        assert_eq!(shared.lock().frontier.translated(), 0);
+    }
+
+    #[test]
+    fn a_job_that_panics_leaves_its_engine_to_form_on_the_run_thread() {
+        // A snapshot page too short to hold the entry word makes the former
+        // index out of bounds on a pool worker.  The engine's `recv` must
+        // return `None` — its run thread then forms now — instead of
+        // waiting forever, and the worker must live on: after more panics
+        // than the pool has threads, another engine is still served.
+        for _ in 0..=pool_threads().max(2) {
+            let mut service = TierService::new(2);
+            let mut snapshot = snapshot_with_code(&self_loop_words(), 0x1000);
+            snapshot.pages.insert(0x1000, Arc::from(&[0u8; 2][..]));
+            service.submit(request(snapshot, 0x1000));
+            assert!(service.recv().is_none(), "no result can come");
+        }
+        assert!(pool_threads() <= 2);
+        let mut service = TierService::new(2);
+        service.submit(request(
+            snapshot_with_code(&self_loop_words(), 0x1000),
+            0x1000,
+        ));
+        let result = service
+            .results
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a pool worker is still there");
+        assert!(matches!(result.outcome, FormOutcome::Formed { .. }));
+    }
+
+    #[test]
+    fn jobs_queued_while_every_worker_is_parked_still_run() {
+        // A worker counts itself parked before its last look for work, and
+        // a run thread that queues work wakes one under the pool's lock:
+        // neither a formation request nor a speculative block queued while
+        // the whole pool sleeps may wait for some other engine's wake-up.
+        use crate::spec::PageCopy;
+        let mut service = TierService::new(2);
+        until_the_pool_is_parked();
+        service.submit(request(
+            snapshot_with_code(&self_loop_words(), 0x1000),
+            0x1000,
+        ));
+        let result = service
+            .results
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a parked worker was woken for the request");
+        assert!(matches!(result.outcome, FormOutcome::Formed { .. }));
+        if !service.speculates() {
+            return;
+        }
+        let knobs = Knobs::new(&crate::CaptiveConfig::default());
+        until_the_pool_is_parked();
+        service.with_frontier(|f| {
+            f.ensure_page(0x1000, false, || PageCopy::Early(speculation_page()));
+            f.request(0x1000, 0x1000, true, &knobs);
+        });
+        let start = Instant::now();
+        while service.with_frontier(|f| f.translated()) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "a parked worker was woken for the speculative block"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }

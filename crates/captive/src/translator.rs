@@ -26,7 +26,7 @@
 //! which costs optimality once the target is mapped, never correctness.
 
 use crate::spec::Knobs;
-use crate::tier::SnapshotSource;
+use crate::tier::{SnapshotSource, PAGE_BYTES};
 use crate::{layout, FpMode};
 use dbt::idiom::RuleTable;
 use dbt::{
@@ -122,16 +122,18 @@ pub fn translate_block_from(
     max_insns: usize,
     knobs: &Knobs,
 ) -> Region {
-    let mut emitter = Emitter::new();
-    let mut guest_insns = 0usize;
-    let mut va = pc;
-    // One clock read per phase boundary (fetch + decode | generate).
+    // Fetch and decode the whole block first, then generate it: two phase
+    // clock reads per block rather than two per instruction.  The decoder
+    // cuts the block where the generator ends it — after an `ends_block`
+    // instruction or an undefined word (asserted below).
     let mut clock = PhaseClock::start();
-
+    // (No block runs past its page.)
+    let mut decoded = Vec::with_capacity(max_insns.min(PAGE_BYTES / 4));
+    let mut va = pc;
     loop {
         // Stop at page boundaries so a block never spans two translations
         // of different physical pages.
-        if guest_insns > 0 && (va & !0xFFF) != (pc & !0xFFF) {
+        if !decoded.is_empty() && (va & !0xFFF) != (pc & !0xFFF) {
             break;
         }
         // Every instruction shares the first one's page (the boundary check
@@ -142,29 +144,36 @@ pub fn translate_block_from(
         if let Some(evidence) = evidence.as_deref_mut() {
             evidence.words.push((pa_i, word));
         }
-
-        let decoded = isa.decode(word, va);
-        clock.close(timers, Phase::Decode);
-        let end = match decoded {
-            None => {
-                isa.generate_undefined(va, &mut emitter);
-                true
-            }
-            Some(d) => {
-                let end = generate(&d, &mut emitter);
-                if !end {
-                    emitter.inc_pc(4);
-                }
-                end
-            }
-        };
-        clock.close(timers, Phase::Translate);
-        guest_insns += 1;
+        let insn = isa.decode(word, va);
+        let end = insn.is_none_or(|d| d.insn.ends_block());
+        decoded.push((va, insn));
         va += 4;
-        if end || guest_insns >= max_insns {
+        if end || decoded.len() >= max_insns {
             break;
         }
     }
+    clock.close(timers, Phase::Decode);
+
+    let mut emitter = Emitter::new();
+    for &(va, insn) in &decoded {
+        match insn {
+            None => isa.generate_undefined(va, &mut emitter),
+            Some(d) => {
+                let end = generate(&d, &mut emitter);
+                debug_assert_eq!(
+                    end,
+                    d.insn.ends_block(),
+                    "the generator and the decoder cut {:?} differently",
+                    d.insn
+                );
+                if !end {
+                    emitter.inc_pc(4);
+                }
+            }
+        }
+    }
+    clock.close(timers, Phase::Translate);
+    let guest_insns = decoded.len();
 
     // Terminator metadata for direct chaining: a block that never emitted a
     // PC-setting terminator ended at the instruction limit or a page

@@ -366,7 +366,7 @@ impl Region {
             guest_phys: phys,
             guest_virt: virt,
             guest_insns,
-            encoded_bytes: t.encoded.len(),
+            encoded_bytes: t.encoded_len,
             code: t.code.into(),
             exit,
             links: ChainLinks::default(),

@@ -157,17 +157,17 @@ pub fn finish_translation(
         timers.jit.regalloc_splits += allocation.splits.len() as u64;
         let lowered = resolve_carriers(&dirty_carriers, allocation).and_then(|promoted| {
             let code = lower::lower_in(&mut s.lower, &lir, allocation)?;
-            let encoded = hvm::encode::encode_block(&code);
-            Ok((promoted, code, encoded))
+            let encoded_len = hvm::encode::encoded_len(&code);
+            Ok((promoted, code, encoded_len))
         });
         clock.close(timers, Phase::Encode);
-        let (promoted, code, encoded) = lowered?;
+        let (promoted, code, encoded_len) = lowered?;
         // The unit's LIR vector goes back to the emitter that will build
         // the next one.
         s.emitter.lir = lir;
         Ok(FinishedTranslation {
             code,
-            encoded,
+            encoded_len,
             promoted,
         })
     })
@@ -202,8 +202,9 @@ fn resolve_carriers(
 pub struct FinishedTranslation {
     /// Final host instructions (physical registers, jumps resolved).
     pub code: Vec<MachInsn>,
-    /// Byte-encoded form of `code` (for size statistics).
-    pub encoded: Vec<u8>,
+    /// Length of `code`'s byte encoding ([`hvm::encode::encoded_len`], for
+    /// size statistics).
+    pub encoded_len: usize,
     /// Dirty promoted slots: (regfile byte offset, host register holding the
     /// loop-carried value).  On a fault exit — the one path that bypasses the
     /// in-code compensation stores — the engine stores each register back to
@@ -317,7 +318,7 @@ mod tests {
         let translate = |lir: &[LirInsn], table: &RuleTable| {
             let mut timers = PhaseTimers::default();
             finish_translation(&mut timers, lir.to_vec(), true, true, Some(table))
-                .map(|t| (t.encoded, t.promoted))
+                .map(|t| (hvm::encode::encode_block(&t.code), t.promoted))
         };
         let alone = |lir: &[LirInsn]| {
             let lir = lir.to_vec();

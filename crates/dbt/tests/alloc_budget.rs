@@ -1,7 +1,8 @@
 //! The back half of the pipeline works in one per-thread scratch
 //! (`dbt::finish_translation`'s docs): once a thread has translated a unit,
-//! translating another allocates what it *returns* — the host code, its
-//! encoding, the promoted-carrier list — and nothing else.  This test counts.
+//! translating another allocates what it *returns* — the host code and the
+//! promoted-carrier list; the encoding is only counted — and nothing else.
+//! This test counts.
 //!
 //! The corpus is built with the public [`Emitter`] the way a guest model
 //! would: register-file arithmetic, guest-memory loads through scaled-index
@@ -107,7 +108,7 @@ fn a_warm_finish_translation_allocates_only_what_it_returns() {
         let spent = allocations() - before;
         let done = done.expect("the corpus lowers");
         assert!(
-            spent <= 6,
+            spent <= 4,
             "unit {k}: {spent} allocations for {} host instructions",
             done.code.len()
         );
@@ -117,8 +118,8 @@ fn a_warm_finish_translation_allocates_only_what_it_returns() {
     let before = allocations();
     dbt::finish_translation(&mut timers, longest.clone(), false, false, None)
         .expect("the corpus lowers");
-    assert!(allocations() - before <= 6);
-    assert!(worst >= 2, "`code` and `encoded` are allocations");
+    assert!(allocations() - before <= 4);
+    assert!(worst >= 2, "what a translation returns is allocated");
     assert!(timers.jit.opt_forwarded_loads > 1_000 && timers.jit.opt_idioms_fused > 100);
 }
 

@@ -485,7 +485,7 @@ mod tests {
             let region = self.cache.entry(key).or_insert_with(|| {
                 let code = FinishedTranslation {
                     code: Vec::new(),
-                    encoded: Vec::new(),
+                    encoded_len: 0,
                     promoted: promoted.clone(),
                 };
                 Arc::new(Region::block(key.phys, key.virt, 1, exit, code))

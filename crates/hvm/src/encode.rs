@@ -10,7 +10,10 @@
 //!
 //! The bytes are a size model and nothing decodes them: the machine runs
 //! the [`MachInsn`] values themselves, and only the length of an encoding
-//! (and, in `golden_pipeline`, its digest) is ever read.
+//! (and, in `golden_pipeline`, its digest) is ever read.  So the engines
+//! take [`encoded_len`], the same encoder run into a counting sink, and
+//! only the digests and the benchmark's replay build the bytes
+//! ([`encode_block`]).
 
 use crate::insn::{AluOp, Cond, FpOp, Gpr, MachInsn, MemRef, MemSize, Operand, VecOp, Xmm};
 
@@ -79,18 +82,38 @@ fn vec_code(op: VecOp) -> u8 {
     }
 }
 
-/// A byte writer used by the encoder.
-struct Writer<'a>(&'a mut Vec<u8>);
+/// Where the encoder's bytes go: a buffer, or only their count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
 
-impl Writer<'_> {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A sink that keeps only the length ([`encoded_len`]).
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// A byte writer used by the encoder.
+struct Writer<'a, S>(&'a mut S);
+
+impl<S: Sink> Writer<'_, S> {
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.0.put(&[v]);
     }
     fn i32(&mut self, v: i32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn gpr(&mut self, r: Gpr) {
         self.u8(r.index());
@@ -143,7 +166,23 @@ impl Writer<'_> {
 /// of bytes written.
 pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    let mut w = Writer(out);
+    write(insn, &mut Writer(out));
+    out.len() - start
+}
+
+/// The length of [`encode_block`]'s output, from the same encoder run into
+/// a counting sink: what a translation's code-size statistics need, without
+/// the bytes.
+pub fn encoded_len(insns: &[MachInsn]) -> usize {
+    let mut count = Count(0);
+    for insn in insns {
+        write(insn, &mut Writer(&mut count));
+    }
+    count.0
+}
+
+/// The one encoder, over any sink.
+fn write<S: Sink>(insn: &MachInsn, w: &mut Writer<'_, S>) {
     match insn {
         MachInsn::MovImm { dst, imm } => {
             w.u8(0x01);
@@ -322,7 +361,6 @@ pub fn encode(insn: &MachInsn, out: &mut Vec<u8>) -> usize {
             w.xmm(*src);
         }
     }
-    out.len() - start
 }
 
 /// Encodes a whole block of instructions, returning the byte buffer.
@@ -510,6 +548,207 @@ mod tests {
             }
         }
         assert_eq!(encode_block(&insns), out);
+    }
+
+    /// Every variant, built around one memory operand and one ALU source
+    /// operand (the variants that take neither ignore them).
+    fn every_variant(mem: MemRef, src: Operand, r: Gpr, x: Xmm, v: u64) -> Vec<MachInsn> {
+        let size = MemSize::U64;
+        vec![
+            MachInsn::MovImm { dst: r, imm: v },
+            MachInsn::MovReg { dst: r, src: r },
+            MachInsn::Load {
+                dst: r,
+                addr: mem,
+                size,
+            },
+            MachInsn::LoadSx {
+                dst: r,
+                addr: mem,
+                size,
+            },
+            MachInsn::Store {
+                src: r,
+                addr: mem,
+                size,
+            },
+            MachInsn::StoreImm {
+                imm: v,
+                addr: mem,
+                size,
+            },
+            MachInsn::Lea { dst: r, addr: mem },
+            MachInsn::Alu {
+                op: AluOp::Sub,
+                dst: r,
+                src,
+            },
+            MachInsn::Cmp { a: r, b: src },
+            MachInsn::Test { a: r, b: src },
+            MachInsn::Neg { dst: r },
+            MachInsn::Not { dst: r },
+            MachInsn::MovZx {
+                dst: r,
+                src: r,
+                size,
+            },
+            MachInsn::MovSx {
+                dst: r,
+                src: r,
+                size,
+            },
+            MachInsn::SetCc {
+                cond: Cond::Gt,
+                dst: r,
+            },
+            MachInsn::CmovCc {
+                cond: Cond::Vs,
+                dst: r,
+                src: r,
+            },
+            MachInsn::Jmp { target: v as i32 },
+            MachInsn::Jcc {
+                cond: Cond::Le,
+                target: v as i32,
+            },
+            MachInsn::CallHelper { helper: v as u16 },
+            MachInsn::Ret,
+            MachInsn::LoadXmm {
+                dst: x,
+                addr: mem,
+                size,
+            },
+            MachInsn::StoreXmm {
+                src: x,
+                addr: mem,
+                size,
+            },
+            MachInsn::MovGprToXmm { dst: x, src: r },
+            MachInsn::MovXmmToGpr { dst: r, src: x },
+            MachInsn::Fp {
+                op: FpOp::SqrtD,
+                dst: x,
+                src: x,
+            },
+            MachInsn::FpFma { dst: x, a: x, b: x },
+            MachInsn::FpCmp { a: x, b: x },
+            MachInsn::CvtI2D { dst: x, src: r },
+            MachInsn::CvtD2I { dst: r, src: x },
+            MachInsn::Vec {
+                op: VecOp::Dup64,
+                dst: x,
+                src: x,
+            },
+            MachInsn::TraceEdge,
+            MachInsn::BackEdge {
+                pc: v,
+                target: v as i32,
+                reconcile: v & 1 == 1,
+            },
+            MachInsn::MovXmm {
+                dst: x,
+                src: x,
+                size,
+            },
+        ]
+    }
+
+    /// Whether `insn` carries a memory operand and an ALU source operand.
+    /// (Exhaustive, so a new variant must be placed here — and, to be
+    /// covered, in [`every_variant`].)
+    fn operands(insn: &MachInsn) -> (bool, bool) {
+        match insn {
+            MachInsn::Load { .. }
+            | MachInsn::LoadSx { .. }
+            | MachInsn::Store { .. }
+            | MachInsn::StoreImm { .. }
+            | MachInsn::Lea { .. }
+            | MachInsn::LoadXmm { .. }
+            | MachInsn::StoreXmm { .. } => (true, false),
+            MachInsn::Alu { .. } | MachInsn::Cmp { .. } | MachInsn::Test { .. } => (false, true),
+            MachInsn::MovImm { .. }
+            | MachInsn::MovReg { .. }
+            | MachInsn::Neg { .. }
+            | MachInsn::Not { .. }
+            | MachInsn::MovZx { .. }
+            | MachInsn::MovSx { .. }
+            | MachInsn::SetCc { .. }
+            | MachInsn::CmovCc { .. }
+            | MachInsn::Jmp { .. }
+            | MachInsn::Jcc { .. }
+            | MachInsn::CallHelper { .. }
+            | MachInsn::Ret
+            | MachInsn::MovGprToXmm { .. }
+            | MachInsn::MovXmmToGpr { .. }
+            | MachInsn::Fp { .. }
+            | MachInsn::FpFma { .. }
+            | MachInsn::FpCmp { .. }
+            | MachInsn::CvtI2D { .. }
+            | MachInsn::CvtD2I { .. }
+            | MachInsn::Vec { .. }
+            | MachInsn::TraceEdge
+            | MachInsn::BackEdge { .. }
+            | MachInsn::MovXmm { .. } => (false, false),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `encoded_len` is the length of the bytes `encode_block` writes,
+        /// for every variant in every operand size class; and each class
+        /// costs what the mode byte promises: a displacement 0, 1 or 4
+        /// bytes, an index one byte, an immediate source 4 or 8 bytes
+        /// where a register takes one.
+        #[test]
+        fn encoded_len_is_the_encoding_length_in_every_operand_class(
+            (r, i, x) in (0usize..16, 0usize..16, 0u8..16),
+            (d8, d32, v) in (0u8..255, 0u64..1 << 31, 0u64..u64::MAX),
+            (scale, imm32, imm64) in (0u32..4, 0u64..1 << 31, 1u64 << 32..u64::MAX),
+        ) {
+            let (r, i, x) = (Gpr::ALL[r], Gpr::ALL[i], Xmm(x));
+            // Non-zero displacements on either side of the i8 boundary.
+            let disp8 = match d8 as i32 - 128 {
+                0 => 127,
+                d => d,
+            };
+            let disp32 = (129 + d32 as i32 % (i32::MAX - 129)) * if v & 2 == 0 { 1 } else { -1 };
+            let imm32 = imm32 as i64 * if v & 4 == 0 { 1 } else { -1 };
+            let scale = 1 << scale;
+            let bare = every_variant(MemRef::base(r), Operand::Reg(r), r, x, v);
+            let mut block = Vec::new();
+            for (disp, disp_bytes) in [(0, 0), (disp8, 1), (disp32, 4)] {
+                for indexed in [false, true] {
+                    let mem = if indexed {
+                        MemRef::base_index(r, i, scale, disp)
+                    } else {
+                        MemRef::base_disp(r, disp)
+                    };
+                    let sources = [
+                        (Operand::Reg(i), 1),
+                        (Operand::imm(imm32 as u64), 4),
+                        (Operand::imm(imm64), 8),
+                    ];
+                    for (src, src_bytes) in sources {
+                        let insns = every_variant(mem, src, r, x, v);
+                        for (insn, plain) in insns.iter().zip(&bare) {
+                            let len = encoded_len(std::slice::from_ref(insn));
+                            proptest::prop_assert_eq!(len, encode_block(std::slice::from_ref(insn)).len(), "{insn:?}");
+                            let (has_mem, has_src) = operands(insn);
+                            let mem_bytes = if has_mem { disp_bytes + indexed as usize } else { 0 };
+                            let src_bytes = if has_src { src_bytes - 1 } else { 0 };
+                            proptest::prop_assert_eq!(
+                                len,
+                                encoded_len(std::slice::from_ref(plain)) + mem_bytes + src_bytes,
+                                "{insn:?} against {plain:?}"
+                            );
+                        }
+                        block.extend(insns);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(encoded_len(&block), encode_block(&block).len());
+        }
     }
 
     #[test]
