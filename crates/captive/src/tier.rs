@@ -489,10 +489,10 @@ struct Pool {
     registry: Mutex<Registry>,
     /// Parked workers wait here.
     wake: Condvar,
-    /// Workers parked on `wake` or looking for work one last time before
-    /// they park.  Read without the lock: `Condvar::notify_one` is a system
-    /// call whether or not anyone waits, and the run thread would otherwise
-    /// pay it on every tier-0 install.
+    /// Workers parked on `wake`, or looking for work under the pool's lock
+    /// (a look that finds none ends in parking).  Read without the lock:
+    /// `Condvar::notify_one` is a system call whether or not anyone waits,
+    /// and the run thread would otherwise pay it on every tier-0 install.
     parked: AtomicUsize,
 }
 
@@ -524,7 +524,9 @@ impl Pool {
     }
 
     /// Registers an engine that at most `workers` threads serve at once,
-    /// starting threads until the pool has that many.
+    /// starting threads until the pool has that many.  A pool thread lives
+    /// as long as the process and is never joined: a job's panic is caught
+    /// ([`or_withdraw`]), so nothing ends one earlier.
     fn enrol(&self, shared: &Arc<Shared>, results: Sender<FormationResult>, workers: usize) {
         let mut registry = self.lock();
         registry.engines.push((Arc::clone(shared), results));
