@@ -18,7 +18,7 @@
 //! pool's install ([`crate::spec`], which gates on evidence alone) call it,
 //! and serve nothing it refuses.
 
-use crate::tier::{self, FormationRequest, FormationSnapshot, PAGE_BYTES};
+use crate::tier::{self, FormationRequest, FormationResult, FormationSnapshot, PAGE_BYTES};
 use crate::translator::{live_code_word, FormOutcome};
 use crate::{layout, Captive, REGION_THRESHOLD};
 use dbt::{Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
@@ -164,20 +164,23 @@ impl Captive {
     /// run-thread stall.  Never [`FormOutcome::NeedPages`].
     pub fn form_now(&mut self, key: RegionKey) -> FormOutcome {
         let t0 = Instant::now();
-        let mut request = self.request_now(key);
-        let result = loop {
-            let result = tier::process(&self.isa, request);
-            match result.outcome {
-                FormOutcome::NeedPages(pages) => {
-                    request = result.request;
-                    self.refill(&mut request.snapshot, pages);
-                }
-                _ => break result,
-            }
-        };
+        let request = self.request_now(key);
+        let result = self.refilled(tier::process(&self.isa, request));
         self.timers.merge(&result.timers);
         self.tier_timers.run_thread_stall += t0.elapsed();
         result.outcome
+    }
+
+    /// The one refill loop: while the former answered `result` with the
+    /// pages its snapshot was missing, adds their live bytes and forms
+    /// again, on the run thread.  Never [`FormOutcome::NeedPages`].
+    fn refilled(&self, mut result: FormationResult) -> FormationResult {
+        while let FormOutcome::NeedPages(pages) = result.outcome {
+            let mut request = result.request;
+            self.refill(&mut request.snapshot, pages);
+            result = tier::process(&self.isa, request);
+        }
+        result
     }
 
     /// Installs a formed (or reused) region: write-protects its pages,
@@ -256,7 +259,7 @@ impl Captive {
     }
 
     /// A formation request for `key` over a snapshot taken now, under the
-    /// engine's knobs (its sequence number is stamped by `submit`).
+    /// engine's knobs (its sequence number is stamped at publish).
     fn request_now(&mut self, key: RegionKey) -> FormationRequest {
         FormationRequest {
             seq: 0,
@@ -266,11 +269,11 @@ impl Captive {
         }
     }
 
-    /// Publishes a tier-1 formation request for `key` and registers it
-    /// in flight.
+    /// Publishes a tier-1 formation request for `key` under a fresh
+    /// sequence number and registers that number as the key's live request.
     fn publish_formation(&mut self, key: RegionKey) {
         let t0 = Instant::now();
-        let request = self.request_now(key);
+        let mut request = self.request_now(key);
         // Only the snapshot capture counts as run-thread translation stall:
         // the hand-off below wakes a sleeping worker, and the host scheduler
         // frequently deschedules the sender at that wake point — a
@@ -280,17 +283,11 @@ impl Captive {
         // (that walk was ~0.4 ms per request with `cold_code`'s ~15 k cached
         // blocks, 88 % of which ran once).
         self.tier_timers.run_thread_stall += t0.elapsed();
-        self.submit(request);
-        self.stats.tier1_requests += 1;
-    }
-
-    /// Hands `request` to the tier service under a fresh sequence number
-    /// and registers that number as its key's live request.
-    fn submit(&mut self, mut request: FormationRequest) {
         request.seq = self.next_seq;
         self.next_seq += 1;
-        self.inflight.insert(request.key, request.seq);
+        self.inflight.insert(key, request.seq);
         self.tier.as_mut().expect("tiered mode").submit(request);
+        self.stats.tier1_requests += 1;
     }
 
     /// Looks `key` up in the content-keyed reuse store, every candidate
@@ -312,75 +309,61 @@ impl Captive {
         hit.map(|(region, _)| region)
     }
 
-    /// Waits for the in-flight tier-1 result for `key` and returns the
-    /// region to install with the evidence to publish it under.  `None`
-    /// means the worker's answer cannot be used — the trace closed too
-    /// short, the region went stale between snapshot and install (counted
-    /// as a discard, never installed), or the service is gone — and the
-    /// caller forms now.
+    /// Takes the in-flight tier-1 result for `key` — forming it on the run
+    /// thread if no worker has claimed it yet, else waiting for it — and
+    /// returns the region to install with the evidence to publish it under.
+    /// `None` means the answer cannot be used — the trace closed too short,
+    /// the region went stale between snapshot and install (counted as a
+    /// discard, never installed), or the service is gone — and the caller
+    /// forms now.
     fn obtain_async(&mut self, key: RegionKey, gen: u64) -> Option<(Region, Evidence)> {
-        loop {
-            let expected = self.inflight.get(&key).copied()?;
+        let expected = self.inflight.remove(&key)?;
+        let t0 = Instant::now();
+        let answer = loop {
             let result = match self.parked_results.remove(&key) {
                 Some(r) => r,
-                None => {
-                    let t0 = Instant::now();
-                    let received = self.tier.as_mut().expect("tiered mode").recv();
-                    self.tier_timers.run_thread_stall += t0.elapsed();
-                    match received {
-                        Some(r) => r,
-                        None => {
-                            // Pump queue empty, or every worker died: there
-                            // is nothing to wait for.
-                            self.inflight.remove(&key);
-                            return None;
-                        }
-                    }
-                }
+                None => match self.tier.as_mut().expect("tiered mode").recv(key, expected) {
+                    Some(r) => r,
+                    // A job of this engine panicked and its others are
+                    // booked: there is nothing to wait for.
+                    None => break None,
+                },
             };
             let (for_key, seq) = (result.request.key, result.request.seq);
-            if (for_key, seq) != (key, expected) {
-                // A live result for a different key is parked until that key
-                // reaches its own install point; superseded or abandoned
-                // results are dropped on the floor — their timers too, so no
-                // counter depends on worker scheduling.
-                if self.inflight.get(&for_key) == Some(&seq) {
-                    self.parked_results.insert(for_key, result);
-                }
-                continue;
+            if (for_key, seq) == (key, expected) {
+                // Pages the snapshot lacked are refilled and formed right
+                // here; the gate checks whatever comes out regardless.
+                break Some(self.refilled(result));
             }
-            if !matches!(result.outcome, FormOutcome::NeedPages(_)) {
-                self.inflight.remove(&key);
-                self.timers.merge(&result.timers);
-                self.tier_timers.worker_wall += result.wall;
+            // A live result for a different key is parked until that key
+            // reaches its own install point; superseded or abandoned results
+            // are dropped on the floor — their timers too, so no counter
+            // depends on worker scheduling.
+            if self.inflight.get(&for_key) == Some(&seq) {
+                self.parked_results.insert(for_key, result);
             }
-            match result.outcome {
-                // The install gate: the region must have been formed under
-                // the current context generation AND from what the live
-                // machine still holds.
-                FormOutcome::Formed { region, evidence }
-                    if region.ctx_gen == gen && self.evidence_holds(&evidence) =>
-                {
-                    self.stats.regions_installed_async += 1;
-                    return Some((*region, evidence));
-                }
-                FormOutcome::Formed { .. } => {
-                    self.stats.stale_discards += 1;
-                    return None;
-                }
-                // The trace closed too short, or lowering bailed out: the
-                // caller forms now, from what the machine holds now.
-                FormOutcome::TooShort => return None,
-                FormOutcome::NeedPages(pages) => {
-                    // Refill the snapshot from live memory and resubmit; the
-                    // gate checks whatever comes back regardless.
-                    let t0 = Instant::now();
-                    let mut request = result.request;
-                    self.refill(&mut request.snapshot, pages);
-                    self.submit(request);
-                    self.tier_timers.run_thread_stall += t0.elapsed();
-                }
+        };
+        self.tier_timers.run_thread_stall += t0.elapsed();
+        let result = answer?;
+        self.timers.merge(&result.timers);
+        self.tier_timers.worker_wall += result.wall;
+        match result.outcome {
+            // The install gate: the region must have been formed under the
+            // current context generation AND from what the live machine still
+            // holds.
+            FormOutcome::Formed { region, evidence }
+                if region.ctx_gen == gen && self.evidence_holds(&evidence) =>
+            {
+                self.stats.regions_installed_async += 1;
+                Some((*region, evidence))
             }
+            FormOutcome::Formed { .. } => {
+                self.stats.stale_discards += 1;
+                None
+            }
+            // The trace closed too short, or lowering bailed out: the caller
+            // forms now, from what the machine holds now.
+            _ => None,
         }
     }
 

@@ -119,10 +119,12 @@ pub struct CaptiveConfig {
     /// SMC-gated installs.  The workers are the process's one tier-worker
     /// pool ([`tier`], *The worker pool*), shared with every other engine
     /// and grown to the largest `n` asked for; an engine starts and joins
-    /// no thread of its own.  `Some(0)` is *pump mode* — requests queue and
-    /// are processed inline at the drain point (identical outcomes, fully
-    /// deterministic interleaving — used by the SMC-race tests).  `None`
-    /// forms every region synchronously on the run thread: the
+    /// no thread of its own.  At the install point the run thread forms a
+    /// request no worker has claimed yet itself, from its publish-time
+    /// snapshot, so `Some(0)` — no worker — forms every published request
+    /// there and speculates nothing: a deterministic window between
+    /// snapshot and install, for tests.  `None` forms every region
+    /// synchronously on the run thread, from a snapshot taken then: the
     /// single-threaded behaviour, kept as the comparable baseline (`sync` in
     /// `bench::CAPTIVE_CONFIGS`).
     pub tier_workers: Option<usize>,
@@ -1422,9 +1424,10 @@ mod tests {
     fn tiered_and_sync_modes_are_architecturally_identical() {
         // The tiered service must be invisible to the guest: same registers,
         // same modeled cycles, same regions formed — the only difference is
-        // *who* formed them.  The one tier field has three values: threaded
-        // (the default, so the real worker path is exercised), pump mode and
-        // formation on the run thread.
+        // *who* formed them.  The one tier field has three kinds of value:
+        // threaded (the default, so the real worker path is exercised), no
+        // worker (the run thread claims every published request) and
+        // formation on the run thread from a snapshot taken then.
         let words = multi_block_loop(3000);
         let run = |tier_workers: Option<usize>| {
             let mut c = Captive::new(CaptiveConfig {
@@ -1434,21 +1437,17 @@ mod tests {
             c.load_program(0x1000, &words);
             c.set_entry(0x1000);
             assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
-            (
-                c.tier.as_ref().map(|t| t.is_pump()),
-                c.guest_reg(9),
-                c.stats(),
-            )
+            (c.tier.is_some(), c.guest_reg(9), c.stats())
         };
         assert_eq!(CaptiveConfig::default().tier_workers, Some(2));
         let (sync_mode, x9_sync, sync) = run(None);
-        assert_eq!(sync_mode, None, "no service at all");
+        assert!(!sync_mode, "no service at all");
         assert_eq!(x9_sync, 4_501_500, "sum of the 3000-step countdown");
         assert_eq!(sync.tier1_requests, 0, "sync mode never publishes");
         assert_eq!(sync.regions_installed_async, 0);
-        for (workers, pump) in [(2, false), (0, true)] {
+        for workers in [2, 0] {
             let (mode, x9_tiered, tiered) = run(Some(workers));
-            assert_eq!(mode, Some(pump), "{workers} workers");
+            assert!(mode, "{workers} workers");
             assert_eq!(x9_tiered, x9_sync);
             assert_eq!(tiered.cycles, sync.cycles, "modeled cost is mode-blind");
             assert_eq!(tiered.regions_formed, sync.regions_formed);
@@ -1459,6 +1458,11 @@ mod tests {
                 "at least one region came through the service"
             );
             assert_eq!(tiered.stale_discards, 0, "nothing changed under it");
+            if workers == 0 {
+                // The run thread formed every one of those regions itself:
+                // run-thread time, and not one nanosecond of worker time.
+                assert_eq!(tiered.tier_worker_wall_ns, 0, "no worker ran anything");
+            }
         }
     }
 
@@ -1507,7 +1511,9 @@ mod tests {
         // (heat 16).  The worker's region was formed from the stale
         // snapshot: the install gate must discard it — never install it —
         // and `form_now` re-forms from a snapshot of the rewritten code.
-        // Pump mode keeps the interleaving deterministic.
+        // With no worker the run thread claims the request at the install
+        // point and forms it from its publish-time snapshot, so the
+        // interleaving is deterministic and the counts exact.
         let mut main = asm::Assembler::new();
         main.push(asm::movz(6, 60, 0));
         main.mov_imm64(3, 0x2000);
@@ -1546,12 +1552,12 @@ mod tests {
         assert_eq!(c.guest_reg(8), 13 + 47 * 2, "every post-SMC call");
         assert_eq!(c.guest_reg(5), 2, "and the call after the loop");
         assert!(s.tier1_requests >= 1, "the loop head was published");
-        assert!(
-            s.stale_discards >= 1,
-            "the stale worker region was discarded at the install gate"
+        assert_eq!(
+            s.stale_discards, 1,
+            "the stale claimed region was discarded at the install gate"
         );
-        assert!(
-            s.regions_formed >= 1,
+        assert_eq!(
+            s.regions_formed, 1,
             "form_now re-formed from the rewritten code"
         );
     }

@@ -563,8 +563,7 @@ impl Captive {
     /// `code_pages` entry's (shared with formation snapshots); a successor
     /// on a page speculation has not seen yet gets a fresh — unprotected —
     /// copy of that page.  With the guest MMU on, cross-page successors are
-    /// resolved through the uncharged walker.  Pump mode translates the
-    /// whole reachable frontier inline before returning.
+    /// resolved through the uncharged walker.
     pub(crate) fn speculate_beyond(&mut self, block: &Region) {
         let Some(tier) = speculating(&self.tier) else {
             return;
@@ -599,9 +598,6 @@ impl Captive {
                 f.request(va, target, identity, knobs);
             }
         });
-        if tier.is_pump() {
-            tier.pump_speculation();
-        }
         self.tier_timers.run_thread_stall += t0.elapsed();
     }
 
@@ -643,11 +639,53 @@ mod tests {
     use crate::{CaptiveConfig, RunExit};
     use guest_aarch64::asm;
 
-    fn pump() -> CaptiveConfig {
+    /// One pool worker may serve the engine, so one frontier slot — on a
+    /// host with a core to spare; with one host thread nothing speculates,
+    /// and the tests below then check that the run ends like `sync`.
+    fn one_worker() -> CaptiveConfig {
         CaptiveConfig {
-            tier_workers: Some(0),
+            tier_workers: Some(1),
             ..CaptiveConfig::default()
         }
+    }
+
+    /// True when `c` translates tier-0 blocks ahead of the guest.
+    fn speculates(c: &Captive) -> bool {
+        speculating(&c.tier).is_some()
+    }
+
+    /// Translates every queued speculative job on this thread, successors
+    /// included, until none is queued or in flight, or the pool is full.
+    /// The frontier's one slot serialises this with the pool worker, whose
+    /// job in flight is waited for: a worker is not woken for a pool
+    /// between half and full, so the test cannot leave the rest to it.
+    fn settle(c: &Captive) {
+        let Some(tier) = speculating(&c.tier) else {
+            return;
+        };
+        loop {
+            match tier.with_frontier(|f| f.next_job().ok_or(f.running == 0)) {
+                Ok(job) => {
+                    let outcome = job.translate();
+                    tier.with_frontier(|f| f.finish(&job, outcome));
+                }
+                Err(true) => return,
+                Err(false) => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// Runs `c` one block at a time, settling the frontier after each, so
+    /// every block the guest reaches was translated ahead of it if
+    /// speculation could reach it.  A sliced run is the run in one call.
+    fn run_settled(c: &mut Captive, max_blocks: u64) -> RunExit {
+        for _ in 0..max_blocks {
+            match c.run(1) {
+                RunExit::BudgetExhausted => settle(c),
+                exit => return exit,
+            }
+        }
+        RunExit::BudgetExhausted
     }
 
     fn boot(config: CaptiveConfig, segments: &[(u64, Vec<u32>)]) -> Captive {
@@ -679,8 +717,9 @@ mod tests {
     fn a_stale_speculative_translation_is_discarded_for_the_new_bytes() {
         // The loader shape: the callee's page holds no translated code yet
         // (nothing write-protects it) when the calling block is installed
-        // and the callee pre-translated — pump mode drains the frontier
-        // right there — and the calling block then patches the callee.
+        // and the callee's page copied, the calling block then patches the
+        // callee, and the callee is translated from the copy before the
+        // guest reaches it.
         let mut main = asm::Assembler::new();
         main.mov_imm64(3, 0x2000);
         main.mov_imm64(4, asm::movz(5, 2, 0) as u64);
@@ -689,16 +728,24 @@ mod tests {
         main.push(asm::bl(0x2000 - (0x1000 + at as i64 * 4)));
         main.push(asm::hlt());
         let callee = vec![asm::movz(5, 1, 0), asm::ret()];
-        let mut c = boot(pump(), &[(0x1000, main.finish()), (0x2000, callee)]);
+        let mut c = boot(one_worker(), &[(0x1000, main.finish()), (0x2000, callee)]);
 
         assert_eq!(c.run(1), RunExit::BudgetExhausted, "the patching block ran");
+        settle(&c);
         let before = c.speculation();
-        assert!(before.translated >= 1, "the callee was translated ahead");
+        assert!(
+            !speculates(&c) || before.translated >= 1,
+            "the callee was translated ahead"
+        );
         assert_eq!((before.installed, before.stale), (0, 0));
 
-        assert_eq!(c.run(100), RunExit::GuestHalted { code: 0 });
+        assert_eq!(run_settled(&mut c, 100), RunExit::GuestHalted { code: 0 });
         assert_eq!(c.guest_reg(5), 2, "the patched callee ran, not the copy");
         let after = c.speculation();
+        if !speculates(&c) {
+            assert_eq!(after, SpecStats::default());
+            return;
+        }
         assert_eq!(after.stale, 1, "the parked callee failed validation");
         // The return address was translated ahead too, and is still good.
         assert_eq!(after.installed, 1);
@@ -706,33 +753,33 @@ mod tests {
 
     #[test]
     fn speculation_changes_who_translates_and_nothing_else() {
-        // Tiered (two workers), pump and sync runs of one straight-line
-        // guest.  Every run is cut at the same point so the threaded one can
-        // wait for its worker to park something — the pool hit is then
-        // forced, not hoped for.
+        // Tiered (two workers), settled (one worker, the frontier drained
+        // after every block) and sync runs of one straight-line guest.  The
+        // tiered run is cut at the first block so it can wait for its worker
+        // to park something — the pool hit is then forced, not hoped for.
         const BLOCKS: u32 = 240;
         let words = straight_line(BLOCKS);
         let run = |config: CaptiveConfig| {
             let mut c = boot(config, &[(0x1000, words.clone())]);
             assert_eq!(c.run(1), RunExit::BudgetExhausted);
-            let threaded = c
-                .tier
-                .as_ref()
-                .is_some_and(|t| t.speculates() && !t.is_pump());
-            while threaded && c.speculation().translated == 0 {
+            while speculates(&c) && c.speculation().translated == 0 {
                 std::thread::yield_now();
             }
             assert_eq!(c.run(10_000), RunExit::GuestHalted { code: 0 });
             c
         };
         let tiered = run(CaptiveConfig::default());
-        let pumped = run(pump());
+        let mut settled = boot(one_worker(), &[(0x1000, words.clone())]);
+        assert_eq!(
+            run_settled(&mut settled, 10_000),
+            RunExit::GuestHalted { code: 0 }
+        );
         let sync = run(CaptiveConfig {
             tier_workers: None,
             ..CaptiveConfig::default()
         });
 
-        for other in [&tiered, &pumped] {
+        for other in [&tiered, &settled] {
             for r in 0..31 {
                 assert_eq!(other.guest_reg(r), sync.guest_reg(r), "x{r}");
             }
@@ -752,14 +799,16 @@ mod tests {
             }
         }
         assert_eq!(sync.speculation(), SpecStats::default());
+        if !speculates(&settled) {
+            assert_eq!(settled.speculation(), SpecStats::default());
+            return;
+        }
         assert_eq!(
-            pumped.speculation().installed,
+            settled.speculation().installed,
             BLOCKS as u64,
             "every block after the first came from the pool"
         );
-        if tiered.tier.as_ref().is_some_and(|t| t.speculates()) {
-            assert!(tiered.speculation().installed > 0);
-        }
+        assert!(tiered.speculation().installed > 0);
     }
 
     #[test]
@@ -786,10 +835,17 @@ mod tests {
         let dead: Vec<u32> = (0..BLOCKS / 8 + 1)
             .flat_map(|_| [asm::addi(1, 1, 1), asm::hlt()])
             .collect();
-        let mut c = boot(pump(), &[(0x1000, a.finish()), (0x10000, dead)]);
-        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        let mut c = boot(one_worker(), &[(0x1000, a.finish()), (0x10000, dead)]);
+        assert_eq!(
+            run_settled(&mut c, 100_000),
+            RunExit::GuestHalted { code: 0 }
+        );
         assert_eq!((c.guest_reg(0), c.guest_reg(1)), (BLOCKS as u64, 0));
         let stats = c.speculation();
+        if !speculates(&c) {
+            assert_eq!(stats, SpecStats::default());
+            return;
+        }
         assert!(
             8 * POOL_MAX < BLOCKS as usize / 2 && stats.installed > BLOCKS as u64 * 9 / 10,
             "the pool was still serving at the end: {stats:?}"
@@ -813,8 +869,11 @@ mod tests {
         main.cbnz_to(6, "loop");
         main.push(asm::hlt());
         let callee = vec![asm::movz(5, 1, 0), asm::ret()];
-        let mut c = boot(pump(), &[(0x1000, main.finish()), (0x2000, callee)]);
-        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        let mut c = boot(one_worker(), &[(0x1000, main.finish()), (0x2000, callee)]);
+        assert_eq!(
+            run_settled(&mut c, 100_000),
+            RunExit::GuestHalted { code: 0 }
+        );
         assert!(c.cache.stats().invalidated_page >= 100, "it did patch");
         let smc = c.speculation();
         assert!(
@@ -831,8 +890,11 @@ mod tests {
                 (0x1000 + 0x1000 * i, vec![asm::addi(0, 0, 1), next])
             })
             .collect();
-        let mut c = boot(pump(), &segments);
-        assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
+        let mut c = boot(one_worker(), &segments);
+        assert_eq!(
+            run_settled(&mut c, 100_000),
+            RunExit::GuestHalted { code: 0 }
+        );
         assert_eq!(c.guest_reg(0), 16);
         let sparse = c.speculation();
         assert!(

@@ -17,13 +17,14 @@
 //!   [`dbt::Evidence`] it was made from — every word it decoded as the
 //!   snapshot held it, every translation the snapshot's tables gave — or
 //!   why none formed.
-//! * When the link finally crosses the threshold, the run thread drains the
-//!   result and installs it through the ordinary replace-at-key mechanism —
-//!   but only if it was formed under the current context generation and
-//!   its evidence still holds on the live machine
-//!   (`Captive::evidence_holds`, the one gate, in [`crate::formation`]).  A
-//!   region formed against a stale generation, a since-patched page or a
-//!   since-moved mapping is *discarded*, never installed.
+//! * When the link finally crosses the threshold, the run thread takes the
+//!   result ([`TierService::recv`], *One wait path* below) and installs it
+//!   through the ordinary replace-at-key mechanism — but only if it was
+//!   formed under the current context generation and its evidence still
+//!   holds on the live machine (`Captive::evidence_holds`, the one gate, in
+//!   [`crate::formation`]).  A region formed against a stale generation, a
+//!   since-patched page or a since-moved mapping is *discarded*, never
+//!   installed.
 //! * Where no usable result is at hand — `sync` mode, a head that failed
 //!   before, a stale discard, a worker's `TooShort` — the run thread forms
 //!   synchronously (`Captive::form_now`) with the **same** `process`: it
@@ -35,8 +36,9 @@
 //! anything else the trace needs (page-table pages on an MMU-on guest, a
 //! straight-line fall-through onto a fresh page) surfaces as
 //! [`FormOutcome::NeedPages`], and the run thread refills the snapshot from
-//! live memory and forms again (resubmitted, or inline) — keeping snapshot
-//! capture cheap without guessing the reachable set up front.  The table
+//! live memory and forms again itself, in the one refill loop
+//! `Captive::form_now` runs — keeping snapshot capture cheap without
+//! guessing the reachable set up front.  The table
 //! pages a snapshot walk read are *not* evidence: what the region depends on
 //! is where the walk ended, which the gate re-resolves, not which of a table
 //! page's 512 entries hold what.
@@ -166,13 +168,18 @@
 //! (`dbt::with_scratch`: capacity, never facts) from one engine to the
 //! next.
 //!
-//! With `tier_workers: Some(0)` the service runs in *pump mode*: formation
-//! requests queue locally and are processed inline (on the run thread) at
-//! the drain point, and speculative jobs are translated inline — frontier
-//! and all — right where the run thread queues them.  Outcomes are identical
-//! to the threaded service; pump mode exists so tests can interleave guest
-//! stores between publish and drain, or between a speculative translation
-//! and its install, fully deterministically.
+//! **One wait path.**  At the install point the run thread asks
+//! [`TierService::recv`] for the answer to the request it published.  Under
+//! the engine's queue lock — the lock workers claim with — it looks for that
+//! request: still queued, it takes it off the queue and forms it itself,
+//! from the snapshot taken at publish time; already claimed by a worker, it
+//! waits on the engine's result channel.  Either way the result goes through
+//! the same match and the same gate (`Captive::obtain_async`), and a
+//! formation the run thread claimed is run-thread stall, never worker time.
+//! So `tier_workers: Some(0)` has no code of its own: no worker serves the
+//! engine, the run thread forms each published request at its install point
+//! from the publish-time snapshot, and nothing is speculated.  Tests that
+//! want a deterministic window between snapshot and install run on it.
 
 use crate::spec::{Frontier, Job, Knobs, Spent};
 use crate::translator::{form_region_from, FormOutcome, SourceRead};
@@ -249,7 +256,9 @@ pub struct FormationResult {
     pub outcome: FormOutcome,
     /// JIT phase timers accumulated by this formation.
     pub timers: PhaseTimers,
-    /// Worker wall-clock spent on this request.
+    /// Pool-worker wall clock spent on this request, booked by the worker
+    /// that ran it; zero for a request the run thread formed, whose time is
+    /// run-thread stall.
     pub wall: Duration,
 }
 
@@ -362,7 +371,6 @@ impl<'a> SnapshotSource<'a> {
 /// always produces the same result — a formed region is a deterministic
 /// function of the snapshot, whoever took it and whenever.
 pub(crate) fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationResult {
-    let start = Instant::now();
     let mut timers = PhaseTimers::default();
     let outcome = form_region_from(
         isa,
@@ -376,7 +384,7 @@ pub(crate) fn process(isa: &Aarch64Isa, request: FormationRequest) -> FormationR
         request,
         outcome,
         timers,
-        wall: start.elapsed(),
+        wall: Duration::ZERO,
     }
 }
 
@@ -387,8 +395,8 @@ struct Queues {
     frontier: Frontier,
     /// Pool workers running one of this engine's jobs right now.
     busy: usize,
-    /// At most this many at once: the engine's `tier_workers` (0 in pump
-    /// mode, where no worker serves it).
+    /// At most this many at once: the engine's `tier_workers` (0: no worker
+    /// serves it).
     limit: usize,
 }
 
@@ -413,6 +421,17 @@ impl Queues {
         };
         self.busy += 1;
         Some(work)
+    }
+
+    /// Takes the request `(key, seq)` off the queue, if no worker has
+    /// claimed it yet: the run thread's claim of the formation it is about
+    /// to wait for.
+    fn claim_request(&mut self, key: RegionKey, seq: u64) -> Option<FormationRequest> {
+        let at = self
+            .formations
+            .iter()
+            .position(|r| (r.key, r.seq) == (key, seq))?;
+        self.formations.remove(at)
     }
 }
 
@@ -453,7 +472,9 @@ impl Claim {
         } = self;
         match work {
             Work::Form(request) => {
-                if let Some(result) = or_withdraw(&shared, || process(isa, request)) {
+                let start = Instant::now();
+                if let Some(mut result) = or_withdraw(&shared, || process(isa, request)) {
+                    result.wall = start.elapsed();
                     // A dropped engine's receiver is gone; the result with it.
                     let _ = results.send(result);
                     shared.lock().busy -= 1;
@@ -648,17 +669,17 @@ impl Registry {
     }
 }
 
-/// The engine's handle on the pool.  `submit` never blocks; `recv` blocks
-/// until *some* formation result is available (the caller routes results
-/// it was not waiting for).  Speculative tier-0 jobs travel through the
+/// The engine's handle on the pool.  `submit` never blocks; `recv` forms the
+/// awaited request itself if it is still queued, else blocks until *some*
+/// formation result is available (the caller routes results it was not
+/// waiting for).  Speculative tier-0 jobs travel through the
 /// crate-internal `with_frontier` in both directions.  Dropping the service
 /// withdraws the engine from the pool and waits for its jobs in flight —
 /// never for its queue, and never for a thread.
 pub struct TierService {
     shared: Arc<Shared>,
-    /// Formation results from the pool (never fed in pump mode).
+    /// Formation results from the pool.
     results: Receiver<FormationResult>,
-    pump: bool,
     /// Workers that may speculate at once (the frontier's slot count).
     spec_slots: usize,
     isa: Aarch64Isa,
@@ -673,17 +694,13 @@ fn host_parallelism() -> usize {
 
 impl TierService {
     /// Creates the service: served by at most `workers` pool threads at
-    /// once, or in pump mode when `workers` is 0.
+    /// once (none when `workers` is 0: the run thread then forms every
+    /// request it waits for).
     pub fn new(workers: usize) -> Self {
         // Speculation wants a core of its own: with one host thread it is
         // off (the workers would only take time from the run thread), and
-        // it never occupies more workers than there are spare cores.  Pump
-        // mode runs it inline, deterministically, whatever the host.
-        let spec_slots = if workers == 0 {
-            1
-        } else {
-            workers.min(host_parallelism() - 1)
-        };
+        // it never occupies more workers than there are spare cores.
+        let spec_slots = workers.min(host_parallelism() - 1);
         let shared = Arc::new(Shared {
             queues: Mutex::new(Queues {
                 formations: VecDeque::new(),
@@ -694,23 +711,15 @@ impl TierService {
         });
         // The pool holds the only sender and every claimed job a clone, so
         // `recv` returns `None` once the engine is withdrawn and its jobs
-        // are booked — at once in pump mode, where no sender is kept.
+        // are booked.
         let (sender, results) = channel::<FormationResult>();
-        if workers > 0 {
-            POOL.enrol(&shared, sender, workers);
-        }
+        POOL.enrol(&shared, sender, workers);
         TierService {
             shared,
             results,
-            pump: workers == 0,
             spec_slots,
             isa: Aarch64Isa,
         }
-    }
-
-    /// True when running in pump (inline) mode.
-    pub fn is_pump(&self) -> bool {
-        self.pump
     }
 
     /// True when tier-0 blocks are translated speculatively.
@@ -729,15 +738,16 @@ impl TierService {
         }
     }
 
-    /// Blocks until one result is available and returns it; `None` when no
-    /// result can ever arrive (pump queue empty, or a job of this engine
-    /// panicked and its others are booked).
-    pub fn recv(&mut self) -> Option<FormationResult> {
-        if self.pump {
-            let req = self.shared.lock().formations.pop_front()?;
-            Some(process(&self.isa, req))
-        } else {
-            self.results.recv().ok()
+    /// The answer to request `(key, seq)`, or to another one: while the
+    /// request is still queued the run thread claims it and forms it here,
+    /// from its publish-time snapshot; otherwise this blocks until some
+    /// worker's result arrives.  `None` when none can ever arrive (a job of
+    /// this engine panicked and its others are booked).
+    pub fn recv(&mut self, key: RegionKey, seq: u64) -> Option<FormationResult> {
+        let claimed = self.shared.lock().claim_request(key, seq);
+        match claimed {
+            Some(request) => Some(process(&self.isa, request)),
+            None => self.results.recv().ok(),
         }
     }
 
@@ -752,24 +762,6 @@ impl TierService {
             POOL.wake_one();
         }
         result
-    }
-
-    /// Pump mode's deterministic drain point: translates queued speculative
-    /// jobs inline, successors included, until the frontier is empty or the
-    /// pool full.
-    pub(crate) fn pump_speculation(&self) {
-        loop {
-            let mut queues = self.shared.lock();
-            let mut spent = Vec::new();
-            queues.frontier.swap_spent(&mut spent);
-            let Some(job) = queues.frontier.next_job() else {
-                return;
-            };
-            drop(queues);
-            drop(spent);
-            let outcome = job.translate();
-            self.shared.lock().frontier.finish(&job, outcome);
-        }
     }
 }
 
@@ -825,13 +817,17 @@ mod tests {
         a.finish()
     }
 
+    fn key(entry: u64) -> RegionKey {
+        RegionKey {
+            phys: entry,
+            virt: entry,
+        }
+    }
+
     fn request(snapshot: FormationSnapshot, entry: u64) -> FormationRequest {
         FormationRequest {
             seq: 1,
-            key: RegionKey {
-                phys: entry,
-                virt: entry,
-            },
+            key: key(entry),
             snapshot,
             knobs: Knobs::new(&crate::CaptiveConfig::default()),
         }
@@ -844,7 +840,10 @@ mod tests {
             snapshot_with_code(&self_loop_words(), 0x1000),
             0x1000,
         ));
-        let result = service.recv().expect("one result");
+        let result = service
+            .results
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a worker's result");
         assert_eq!(result.request.seq, 1);
         match result.outcome {
             FormOutcome::Formed { region, evidence } => {
@@ -861,15 +860,20 @@ mod tests {
     }
 
     #[test]
-    fn pump_mode_produces_identical_outcomes_inline() {
+    fn a_claimed_request_forms_what_a_worker_forms() {
+        // No worker serves the second service: the caller's `recv` takes the
+        // request off the queue and forms it, and must get what a worker
+        // made of the same request on the first.
         let mut threaded = TierService::new(2);
-        let mut pump = TierService::new(0);
-        assert!(pump.is_pump() && !threaded.is_pump());
+        let mut unserved = TierService::new(0);
         let words = self_loop_words();
         threaded.submit(request(snapshot_with_code(&words, 0x1000), 0x1000));
-        pump.submit(request(snapshot_with_code(&words, 0x1000), 0x1000));
-        let a = threaded.recv().expect("threaded result");
-        let b = pump.recv().expect("pump result");
+        unserved.submit(request(snapshot_with_code(&words, 0x1000), 0x1000));
+        let a = threaded
+            .results
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a worker's result");
+        let b = unserved.recv(key(0x1000), 1).expect("the claimed request");
         match (&a.outcome, &b.outcome) {
             (
                 FormOutcome::Formed {
@@ -887,7 +891,8 @@ mod tests {
             }
             other => panic!("both must form: {other:?}"),
         }
-        assert!(pump.recv().is_none(), "pump queue is drained");
+        assert!(unserved.shared.lock().formations.is_empty(), "claimed");
+        assert_eq!(b.wall, Duration::ZERO, "no worker's time");
     }
 
     #[test]
@@ -908,7 +913,7 @@ mod tests {
         let mut snapshot = snapshot_with_code(&words, entry);
         let mut service = TierService::new(0);
         service.submit(request(snapshot.clone(), entry));
-        let result = service.recv().expect("first pass");
+        let result = service.recv(key(entry), 1).expect("first pass");
         let (req, pages) = match result.outcome {
             FormOutcome::NeedPages(pages) => (result.request, pages),
             other => panic!("expected NeedPages, got {other:?}"),
@@ -928,7 +933,7 @@ mod tests {
         refilled.snapshot.insert_page(0x2000, next);
         refilled.seq = 2;
         service.submit(refilled);
-        let result = service.recv().expect("second pass");
+        let result = service.recv(key(entry), 2).expect("second pass");
         assert_eq!(result.request.seq, 2);
         match result.outcome {
             FormOutcome::Formed { evidence, .. } => {
@@ -1160,7 +1165,13 @@ mod tests {
             let mut snapshot = snapshot_with_code(&self_loop_words(), 0x1000);
             snapshot.pages.insert(0x1000, Arc::from(&[0u8; 2][..]));
             service.submit(request(snapshot, 0x1000));
-            assert!(service.recv().is_none(), "no result can come");
+            // A request still queued would be formed by the caller itself.
+            let start = Instant::now();
+            while !service.shared.lock().formations.is_empty() {
+                assert!(start.elapsed() < Duration::from_secs(60), "never claimed");
+                std::thread::yield_now();
+            }
+            assert!(service.recv(key(0x1000), 1).is_none(), "no result can come");
         }
         assert!(pool_threads() <= 2);
         let mut service = TierService::new(2);

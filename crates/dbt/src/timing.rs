@@ -98,12 +98,17 @@ impl PhaseClock {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TierTimers {
     /// JIT wall-clock the run thread blocked on: tier-0 block translation,
-    /// snapshot capture, waits for in-flight tier-1 results, and synchronous
-    /// formation fallbacks.  This is the guest-visible translation latency.
+    /// snapshot capture, waits for in-flight tier-1 results, the formations
+    /// it claimed from the queue instead of waiting, their snapshot refills,
+    /// and synchronous formation fallbacks.  This is the guest-visible
+    /// translation latency.
     pub run_thread_stall: Duration,
-    /// Wall-clock spent inside tier-1 workers forming regions (runs hidden
-    /// behind tier-0 execution; overlaps `run_thread_stall` only when the
-    /// run thread had to wait for a result).
+    /// Wall-clock pool workers spent on the answers the run thread took up:
+    /// the formation results it waited for and the speculative blocks it
+    /// installed (hidden behind
+    /// tier-0 execution; overlaps `run_thread_stall` only when the run
+    /// thread had to wait for a worker's result).  A formation the run
+    /// thread claimed is never booked here.
     pub worker_wall: Duration,
     /// Time from engine construction to the first gated (multi-constituent
     /// or looping) region install, if one happened.

@@ -59,7 +59,7 @@
 //!   configuration (simulated cycles, dispatch and cache behaviour, static
 //!   JIT counts), whatever the host scheduler does to the tier workers.
 //!   `same_seed_reproduces_every_counter`, the worker-queue flood test and
-//!   `captive::spec`'s tiered / pump / sync comparison go through
+//!   `captive::spec`'s tiered / settled / sync comparison go through
 //!   [`RunStats::differs_across_reruns`], which compares every counter that
 //!   is not `Wall`; `bench/tests/golden_counters.rs` pins five runs.
 //! * [`Kind::Wall`] — host time; excluded from every comparison.
@@ -354,10 +354,10 @@ dbt::counter_table! {
         Wall jit_encode_ns: u64,
         /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
         /// translation, snapshot capture, waits for in-flight results, and
-        /// synchronous formation.
+        /// every formation on the run thread, claimed or synchronous.
         Wall jit_wall_ns: u64,
         /// Wall-clock spent inside tier workers, in nanoseconds (runs hidden
-        /// behind tier-0 execution).
+        /// behind tier-0 execution); 0 when no worker serves the engine.
         Wall tier_worker_wall_ns: u64,
         /// Nanoseconds from engine construction to the first gated-region
         /// install (0 when none was installed).

@@ -18,15 +18,22 @@
 # A named test that still passes is a survivor; a patch that no longer
 # applies is stale; a mutant that does not build is broken.  Any of the
 # three fails the run.  MUTANTS_TARGET_DIR keeps the build directory
-# between runs (default: inside the temporary directory).
+# between runs (default: inside the temporary directory).  Outside a git
+# checkout (say, an unpacked `git archive`) the whole directory is copied,
+# every `target/` directory left out.
 set -u
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/tree"
-git -C "$root" ls-files -z -c -o --exclude-standard |
-    tar -C "$root" --null --ignore-failed-read -T - -cf - 2>/dev/null |
-    tar -C "$work/tree" -xf -
+if [ "$(git -C "$root" rev-parse --show-toplevel 2>/dev/null)" = "$root" ]; then
+    git -C "$root" ls-files -z -c -o --exclude-standard |
+        tar -C "$root" --null --ignore-failed-read -T - -cf - 2>/dev/null |
+        tar -C "$work/tree" -xf -
+else
+    echo "$root is not the top of a git checkout: copying it whole, without target/" >&2
+    tar -C "$root" --exclude=target -cf - . | tar -C "$work/tree" -xf - || exit 2
+fi
 export CARGO_TARGET_DIR="${MUTANTS_TARGET_DIR:-$work/target}"
 
 if [ $# -eq 0 ]; then
