@@ -1252,6 +1252,56 @@ fn interrupt_storm_agrees_across_engines_and_preempts_regions() {
     }
 }
 
+/// A trace head whose formation forms nothing is tried once and then
+/// quarantined, however hot its link gets again.  The loop `addi x1, x1, 1;
+/// b head` chains into `head: b #0x1FF_FFFC`, the furthest forward `b`,
+/// past the 32 MiB of RAM: every trip takes an instruction abort, so the
+/// trace from `head` closes at one block.  The handler counts entries, runs
+/// `tlbi` every 32nd one (which re-links the chain, so its link heat climbs
+/// to the formation threshold again), returns to the loop and halts after
+/// 100 entries.  The threshold is reached in three of the four windows; only
+/// the first may try to form.
+#[test]
+fn a_head_whose_formation_fails_is_formed_once() {
+    const VBAR: u64 = 0x3000;
+    const ENTRIES: u32 = 100;
+    let mut a = Assembler::new();
+    a.mov_imm64(9, VBAR);
+    a.push(asm::msr(SysReg::Vbar as u32, 9));
+    let loop_pc = 0x1000 + 4 * a.here() as u64;
+    a.push(asm::addi(1, 1, 1));
+    a.b_to("head");
+    a.label("head");
+    a.push(asm::b(0x1FF_FFFC));
+    let main = a.finish();
+
+    let mut v = Assembler::new();
+    v.push(asm::addi(20, 20, 1));
+    v.push(asm::cmpi(20, ENTRIES));
+    v.bcond_to(Cond::Eq, "done");
+    // x20 % 32 == 0: every 32nd entry re-links the chain.
+    v.push(asm::lsli(21, 20, 59));
+    v.cbnz_to(21, "back");
+    v.push(asm::tlbi());
+    v.label("back");
+    v.mov_imm64(9, loop_pc);
+    v.push(asm::msr(SysReg::Elr as u32, 9));
+    v.push(asm::eret());
+    v.label("done");
+    v.push(asm::hlt());
+    let handler = v.finish();
+
+    let g = guest("failed head", vec![(0x1000, main), (VBAR, handler)]);
+    let runs = assert_agree(&g, &["qemu", "default", "sync"]);
+    let q = &runs[0].1;
+    assert_eq!(q.regs[20], u64::from(ENTRIES), "handler entries");
+    assert_eq!(q.regs[1], u64::from(ENTRIES), "loop trips");
+    for name in ["default", "sync"] {
+        let s = &by_name(&runs, name).stats;
+        assert_eq!(s.regions_quarantined, 1, "{name}: one attempt, once");
+    }
+}
+
 /// A one-shot timer tick must preempt the countdown loop at a precise PC:
 /// the handler's captured ELR is exactly the loop header, even when the
 /// loop is running inside a closed looping region.

@@ -79,7 +79,6 @@ const MCF_CAPTIVE: &[(&str, u64)] = &[
     ("bytes_live", 2059),
     ("regions_live", 5),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),
@@ -128,7 +127,6 @@ const MCF_QEMU: &[(&str, u64)] = &[
     ("bytes_live", 0),
     ("regions_live", 0),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),
@@ -173,7 +171,6 @@ const GUARDED_SYNC: &[(&str, u64)] = &[
     ("bytes_live", 6501),
     ("regions_live", 7),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),
@@ -222,7 +219,6 @@ const VBLK_FAULT_CAPTIVE: &[(&str, u64)] = &[
     ("bytes_live", 4778),
     ("regions_live", 9),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),
@@ -279,7 +275,6 @@ const VBLK_FAULT_QEMU: &[(&str, u64)] = &[
     ("bytes_live", 0),
     ("regions_live", 0),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),
@@ -332,7 +327,6 @@ const FLOOD_ONE_WORKER: &[(&str, u64)] = &[
     ("bytes_live", 30247),
     ("regions_live", 27),
     ("regions_evicted", 0),
-    ("formation_failures", 0),
     ("regions_quarantined", 0),
     ("lower_bailouts", 0),
     ("regalloc_spill_slots", 0),

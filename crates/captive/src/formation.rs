@@ -17,30 +17,35 @@
 //! the publish point's `covers`, the tier-0 revival and the speculative
 //! pool's install ([`crate::spec`], which gates on evidence alone) call it,
 //! and serve nothing it refuses.
+//!
+//! A trace head gets one formation attempt, when its link heat reaches
+//! [`REGION_THRESHOLD`], and one record ([`Head`]) from its tier-1 publish on.
+//! A head whose attempt forms nothing is quarantined; a head whose block
+//! exits indirectly or opaquely is never tried, since its trace would stop
+//! where its block stops.
 
 use crate::tier::{self, FormationRequest, FormationResult, FormationSnapshot, PAGE_BYTES};
 use crate::translator::{live_code_word, FormOutcome};
 use crate::{layout, Captive, REGION_THRESHOLD};
-use dbt::{Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
+use dbt::{BlockExit, Evidence, JitCounters, MadeFrom, Region, RegionKey, ReuseKey};
 use hvm::Machine;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Retry-backoff record for a trace head whose region formation failed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FormationBackoff {
-    /// Consecutive failed formation attempts.
-    failures: u32,
-    /// Link heat at which the next attempt may run.
-    next_retry_heat: u64,
-    /// Set after [`QUARANTINE_AFTER`] failures: never attempt again.
-    quarantined: bool,
+/// What the run thread knows of a trace head it has published or tried: one
+/// record per head, from its tier-1 publish to its install or quarantine.
+pub(crate) enum Head {
+    /// A tier-1 request for the head is out under this sequence number.
+    Published(u64),
+    /// The worker's answer to the head's live request, taken off the channel
+    /// while the run thread waited for another head.
+    Answered(Box<FormationResult>),
+    /// The head's one formation attempt formed nothing: it is never
+    /// published or formed again.
+    Quarantined,
 }
 
-/// Failed formation attempts after which a trace head is quarantined.
-const QUARANTINE_AFTER: u32 = 4;
-
-/// Link heat at which a fresh head's tier-1 request is published: halfway to
+/// Link heat at which a head's tier-1 request is published: halfway to
 /// [`REGION_THRESHOLD`], so the worker has the other half of the warm-up to
 /// finish before the install point.
 const PUBLISH_POINT: u64 = REGION_THRESHOLD / 2;
@@ -53,15 +58,17 @@ impl Captive {
     /// `next` unchanged.
     ///
     /// **Tiered mode** splits the work across two points so formation runs
-    /// hidden behind execution: at *half* the threshold a fresh head's
-    /// request (snapshot + frozen profile) is published to the background
-    /// service; at the threshold — the same guest-progress point where the
-    /// synchronous mode forms, so modeled cycles are mode-independent — the
-    /// region is obtained from the content-keyed reuse store, else from the
-    /// in-flight worker result (both through the gate, discarded if their
-    /// evidence no longer holds), else formed now ([`Captive::form_now`]).
-    /// A head with a failure history goes straight to `form_now`: it is not
-    /// published again, and the store keeps no record of a failure.
+    /// hidden behind execution: at *half* the threshold a head with no
+    /// record ([`Head`]) has its request (snapshot + frozen profile)
+    /// published to the background service; at the threshold — the same
+    /// guest-progress point where the synchronous mode forms, so modeled
+    /// cycles are mode-independent — the region is obtained from the
+    /// content-keyed reuse store, else from the worker's answer (both
+    /// through the gate, discarded if their evidence no longer holds), else
+    /// formed now ([`Captive::form_now`]).  That is the head's one attempt:
+    /// if nothing forms, the head is quarantined and never tried again.  A
+    /// head whose block exits indirectly or opaquely is never tried at all:
+    /// its trace would end where its block ends.
     pub(crate) fn maybe_form_region(
         &mut self,
         prev: &Arc<Region>,
@@ -92,16 +99,15 @@ impl Captive {
             Some(None) => return next,
             None => {}
         }
+        // The tracer stops at the terminator the block translator stopped
+        // at, on the same page: such a head forms a one-constituent trace.
+        if matches!(next.exit, BlockExit::Indirect | BlockExit::Opaque) {
+            return next;
+        }
         let key = next.key();
-        // Tier-1 publish point: a fresh head halfway to the threshold gets
-        // its request snapshotted and queued.  Heads already in flight are
-        // not re-published, and heads with a failure history retry
-        // synchronously (their traces close too short either way).
-        if self.tier.is_some()
-            && heat == PUBLISH_POINT
-            && !self.inflight.contains_key(&key)
-            && !self.quarantine.contains_key(&key)
-        {
+        // Tier-1 publish point: a head with no record halfway to the
+        // threshold gets its request snapshotted and queued.
+        if self.tier.is_some() && heat == PUBLISH_POINT && !self.heads.contains_key(&key) {
             // A template that holds here already makes a worker round-trip
             // pointless: the install point will hit the reuse store.
             let covered = self.reuse.as_ref().is_some_and(|r| {
@@ -111,33 +117,15 @@ impl Captive {
                 self.publish_formation(key);
             }
         }
-        // Formation trigger with retry backoff: a head with no failure
-        // history fires exactly at `REGION_THRESHOLD`; a failed head
-        // waits for its (doubled) retry heat; a quarantined head never
-        // fires again.
-        let fresh = match self.quarantine.get(&key) {
-            Some(q) if q.quarantined => return next,
-            Some(q) => {
-                if heat < q.next_retry_heat {
-                    return next;
-                }
-                false
-            }
-            None => {
-                if heat != REGION_THRESHOLD {
-                    return next;
-                }
-                true
-            }
-        };
-        if self.tier.is_some() && fresh {
+        if heat != REGION_THRESHOLD || matches!(self.heads.get(&key), Some(Head::Quarantined)) {
+            return next;
+        }
+        if self.tier.is_some() {
             if let Some(region) = self.obtain_reuse(key, gen) {
                 return self.install_formed(region, None, prev, slot, gen);
             }
-            if self.inflight.contains_key(&key) {
-                if let Some((region, evidence)) = self.obtain_async(key, gen) {
-                    return self.install_formed(region, Some(evidence), prev, slot, gen);
-                }
+            if let Some((region, evidence)) = self.obtain_async(key, gen) {
+                return self.install_formed(region, Some(evidence), prev, slot, gen);
             }
         }
         match self.form_now(key) {
@@ -146,10 +134,9 @@ impl Captive {
             }
             _ => {
                 // Nothing worth keeping came out (one-constituent trace, or
-                // the translation bailed out).  Record the failure and back
-                // off: the next attempt requires twice the heat, and
-                // repeated failures quarantine the head for good.
-                self.record_formation_failure(key, heat);
+                // the translation bailed out).
+                self.stats.regions_quarantined += 1;
+                self.heads.insert(key, Head::Quarantined);
                 next
             }
         }
@@ -197,7 +184,6 @@ impl Captive {
         slot: usize,
         gen: u64,
     ) -> Arc<Region> {
-        self.quarantine.remove(&region.key());
         // Write-protect every constituent page so self-modifying code on any
         // of them invalidates the region.
         for page in &region.pages {
@@ -222,23 +208,6 @@ impl Captive {
         self.tier_timers.record_install(self.launch.elapsed());
         prev.set_link(slot, gen, self.cache.epoch(), &region);
         region
-    }
-
-    /// Records a failed formation attempt for `key` at link heat `heat` and
-    /// applies the doubling backoff / quarantine policy.
-    fn record_formation_failure(&mut self, key: RegionKey, heat: u64) {
-        self.stats.formation_failures += 1;
-        let q = self.quarantine.entry(key).or_insert(FormationBackoff {
-            failures: 0,
-            next_retry_heat: 0,
-            quarantined: false,
-        });
-        q.failures += 1;
-        q.next_retry_heat = heat.saturating_mul(2).max(1);
-        if q.failures >= QUARANTINE_AFTER && !q.quarantined {
-            q.quarantined = true;
-            self.stats.regions_quarantined += 1;
-        }
     }
 
     /// Captures a formation snapshot of the current translation state: the
@@ -270,7 +239,7 @@ impl Captive {
     }
 
     /// Publishes a tier-1 formation request for `key` under a fresh
-    /// sequence number and registers that number as the key's live request.
+    /// sequence number and records that number as the head's live request.
     fn publish_formation(&mut self, key: RegionKey) {
         let t0 = Instant::now();
         let mut request = self.request_now(key);
@@ -285,14 +254,14 @@ impl Captive {
         self.tier_timers.run_thread_stall += t0.elapsed();
         request.seq = self.next_seq;
         self.next_seq += 1;
-        self.inflight.insert(key, request.seq);
+        self.heads.insert(key, Head::Published(request.seq));
         self.tier.as_mut().expect("tiered mode").submit(request);
         self.stats.tier1_requests += 1;
     }
 
     /// Looks `key` up in the content-keyed reuse store, every candidate
-    /// through the gate.  A hit supersedes any in-flight formation request
-    /// for the key.
+    /// through the gate.  A hit supersedes the head's record: its request's
+    /// answer, when it comes, is dropped.
     fn obtain_reuse(&mut self, key: RegionKey, gen: u64) -> Option<Region> {
         let t0 = Instant::now();
         let reuse = self.reuse.as_ref()?;
@@ -301,7 +270,7 @@ impl Captive {
         });
         if hit.is_some() {
             self.stats.reuse_hits += 1;
-            self.inflight.remove(&key);
+            self.heads.remove(&key);
         } else {
             self.stats.reuse_misses += 1;
         }
@@ -309,40 +278,45 @@ impl Captive {
         hit.map(|(region, _)| region)
     }
 
-    /// Takes the in-flight tier-1 result for `key` — forming it on the run
-    /// thread if no worker has claimed it yet, else waiting for it — and
-    /// returns the region to install with the evidence to publish it under.
-    /// `None` means the answer cannot be used — the trace closed too short,
-    /// the region went stale between snapshot and install (counted as a
-    /// discard, never installed), or the service is gone — and the caller
-    /// forms now.
+    /// Takes the head's record and, for a published head, the tier-1 answer
+    /// to its request — already parked in the record, else formed on the run
+    /// thread if no worker has claimed it yet, else waited for — and returns
+    /// the region to install with the evidence to publish it under.  `None`
+    /// means there is no record or the answer cannot be used — the trace
+    /// closed too short, the region went stale between snapshot and install
+    /// (counted as a discard, never installed), or the service is gone — and
+    /// the caller forms now.
     fn obtain_async(&mut self, key: RegionKey, gen: u64) -> Option<(Region, Evidence)> {
-        let expected = self.inflight.remove(&key)?;
         let t0 = Instant::now();
-        let answer = loop {
-            let result = match self.parked_results.remove(&key) {
-                Some(r) => r,
-                None => match self.tier.as_mut().expect("tiered mode").recv(key, expected) {
-                    Some(r) => r,
-                    // A job of this engine panicked and its others are
-                    // booked: there is nothing to wait for.
-                    None => break None,
-                },
-            };
-            let (for_key, seq) = (result.request.key, result.request.seq);
-            if (for_key, seq) == (key, expected) {
-                // Pages the snapshot lacked are refilled and formed right
-                // here; the gate checks whatever comes out regardless.
-                break Some(self.refilled(result));
-            }
-            // A live result for a different key is parked until that key
-            // reaches its own install point; superseded or abandoned results
-            // are dropped on the floor — their timers too, so no counter
-            // depends on worker scheduling.
-            if self.inflight.get(&for_key) == Some(&seq) {
-                self.parked_results.insert(for_key, result);
-            }
+        let answer = match self.heads.remove(&key)? {
+            Head::Answered(result) => Some(*result),
+            Head::Published(expected) => loop {
+                let tier = self.tier.as_mut().expect("tiered mode");
+                // `None`: a job of this engine panicked and its others are
+                // booked, so there is nothing to wait for.
+                let Some(result) = tier.recv(key, expected) else {
+                    break None;
+                };
+                let (for_key, seq) = (result.request.key, result.request.seq);
+                if (for_key, seq) == (key, expected) {
+                    break Some(result);
+                }
+                // The answer to another head's live request is parked in its
+                // record until that head reaches its own install point;
+                // superseded or abandoned answers are dropped on the floor —
+                // their timers too, so no counter depends on worker
+                // scheduling.
+                if let Some(head) = self.heads.get_mut(&for_key) {
+                    if matches!(head, Head::Published(live) if *live == seq) {
+                        *head = Head::Answered(Box::new(result));
+                    }
+                }
+            },
+            Head::Quarantined => unreachable!("a quarantined head is never formed again"),
         };
+        // Pages the snapshot lacked are refilled and formed right here; the
+        // gate checks whatever comes out regardless.
+        let answer = answer.map(|result| self.refilled(result));
         self.tier_timers.run_thread_stall += t0.elapsed();
         let result = answer?;
         self.timers.merge(&result.timers);

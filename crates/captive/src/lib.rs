@@ -38,7 +38,7 @@ use dbt::{
     BlockExit, CacheIndex, CodeCache, Evidence, KeyMap, MadeFrom, PhaseTimers, Region, RegionKey,
     ReuseCache, TierTimers,
 };
-use formation::FormationBackoff;
+use formation::Head;
 use guest_aarch64::dispatch::{self, Dispatch};
 use guest_aarch64::sys::{Engine, GuestEvent, GuestSys};
 use guest_aarch64::{Aarch64Isa, CURRENT_EL_OFF};
@@ -46,7 +46,7 @@ use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
 use runtime::CaptiveRuntime;
 use std::sync::Arc;
 use std::time::Instant;
-use tier::{FormationResult, TierService};
+use tier::TierService;
 use translator::{generate, live_code_word, translate_block_from, MAX_BLOCK_INSNS};
 
 /// How guest floating-point instructions are implemented.
@@ -181,21 +181,13 @@ pub struct Captive {
     /// multi-constituent regions are evicted the first time the dispatcher
     /// runs after a generation bump.
     swept_region_gen: u64,
-    /// Region-formation backoff state per trace head: a failed formation
-    /// doubles the link heat required before the next attempt instead of
-    /// retrying on every hot transfer, and repeated failures quarantine the
-    /// head permanently.  Probed on every chained transfer.
-    quarantine: KeyMap<FormationBackoff>,
+    /// One record per trace head published or tried ([`Head`]): its live
+    /// tier-1 request, the answer parked for it, or its quarantine.  Probed
+    /// only at the publish point and the formation threshold.
+    heads: KeyMap<Head>,
     /// The tier-1 formation service (`None` when `tier_workers` is `None`
     /// or regions are disabled entirely).
     tier: Option<TierService>,
-    /// Trace heads with a formation request in flight, mapped to the
-    /// sequence number of the live request; results carrying any other
-    /// sequence are superseded and dropped.
-    inflight: KeyMap<u64>,
-    /// Results drained from the service while waiting for a *different*
-    /// key, parked until their own key reaches the install point.
-    parked_results: KeyMap<FormationResult>,
     /// Next formation-request sequence number.
     next_seq: u64,
     /// Content-keyed translation reuse (tiered mode only): shared across
@@ -247,10 +239,8 @@ impl Captive {
             config,
             stats: RunStats::default(),
             swept_region_gen: 0,
-            quarantine: KeyMap::default(),
+            heads: KeyMap::default(),
             tier,
-            inflight: KeyMap::default(),
-            parked_results: KeyMap::default(),
             next_seq: 0,
             reuse,
             tier_timers: TierTimers::default(),

@@ -25,8 +25,8 @@
 //!   [`crate::formation`]).  A region formed against a stale generation, a
 //!   since-patched page or a since-moved mapping is *discarded*, never
 //!   installed.
-//! * Where no usable result is at hand — `sync` mode, a head that failed
-//!   before, a stale discard, a worker's `TooShort` — the run thread forms
+//! * Where no usable result is at hand — `sync` mode, a head never
+//!   published, a stale discard, a worker's `TooShort` — the run thread forms
 //!   synchronously (`Captive::form_now`) with the **same** `process`: it
 //!   takes a snapshot right then and runs the former inline.  There is one
 //!   former over one input type; a region formed now is the region a worker

@@ -586,8 +586,7 @@ pub(crate) fn form_region_from(
         Ok(t) => t,
         Err(_) => {
             // A lowering defect abandons the formation; the dispatcher keeps
-            // running the constituent blocks and the quarantine/backoff
-            // machinery decides when (or whether) to retry.
+            // running the constituent blocks, and the head is quarantined.
             timers.jit.lower_bailouts += 1;
             return FormOutcome::TooShort;
         }

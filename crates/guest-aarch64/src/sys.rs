@@ -314,11 +314,9 @@ dbt::counter_table! {
         Deterministic bytes_live: u64,
         /// Regions resident in the code cache when sampled.
         Deterministic regions_live: u64,
-        /// Region-formation attempts that produced no multi-constituent
-        /// region (trace too short, or translation bailed out).
-        Deterministic formation_failures: u64,
-        /// Trace heads permanently quarantined after repeated formation
-        /// failures (no further attempts are made for them).
+        /// Trace heads whose one formation attempt produced no
+        /// multi-constituent region (trace too short, or translation bailed
+        /// out): they are never published or formed again.
         Deterministic regions_quarantined: u64,
         /// Tier-1 formation requests published to the background service.
         /// (The tier counters are deterministic because requests publish at

@@ -470,9 +470,9 @@ pub enum MachInsn {
     MovXmmToGpr { dst: Gpr, src: Xmm },
     /// Scalar FP operation `dst <- dst op src`.
     Fp { op: FpOp, dst: Xmm, src: Xmm },
-    /// Fused multiply-add `dst <- a * b + dst` (double precision), computed
-    /// with `f64::mul_add`: unlike `Fp` and `Vec`, whose NaN bits are
-    /// SSE's, its NaN results carry whatever bits the host gives.
+    /// Fused multiply-add `dst <- a * b + dst` (double precision, rounded
+    /// once, like `vfmadd231sd dst, a, b`); NaN bits as the FMA unit gives
+    /// them, like `Fp` and `Vec`.
     FpFma { dst: Xmm, a: Xmm, b: Xmm },
     /// Scalar double compare: sets integer flags (like `ucomisd`).
     FpCmp { a: Xmm, b: Xmm },

@@ -791,11 +791,9 @@ impl Machine {
                 }
                 MachInsn::FpFma { dst, a, b } => {
                     charge!();
-                    let acc = f64::from_bits(xmm!(dst)[0]);
-                    let av = f64::from_bits(xmm!(a)[0]);
-                    let bv = f64::from_bits(xmm!(b)[0]);
-                    let hi = xmm!(dst)[1];
-                    set_xmm!(dst, [f64::mul_add(av, bv, acc).to_bits(), hi]);
+                    let [acc, hi] = xmm!(dst);
+                    let r = sse_fma(acc, xmm!(a)[0], xmm!(b)[0]);
+                    set_xmm!(dst, [r, hi]);
                 }
                 MachInsn::FpCmp { a, b } => {
                     charge!();
@@ -899,6 +897,29 @@ fn sse_binary(d: u64, s: u64, op: impl Fn(f64, f64) -> f64) -> u64 {
     } else {
         SSE_DEFAULT_NAN
     }
+}
+
+/// `vfmadd231sd acc, a, b` on the low lane, `a * b + acc` rounded once,
+/// with NaN bits as the FMA unit gives them ([`sse_fma_nan`]).
+#[inline]
+fn sse_fma(acc: u64, a: u64, b: u64) -> u64 {
+    let r = f64::from_bits(a).mul_add(f64::from_bits(b), f64::from_bits(acc));
+    if r.is_nan() {
+        sse_fma_nan(acc, a, b)
+    } else {
+        r.to_bits()
+    }
+}
+
+/// The NaN `vfmadd231sd acc, a, b` returns: the first NaN among `a`, `b`
+/// and `acc`, quieted with its sign and payload, and with no NaN operand
+/// (an invalid operation) [`SSE_DEFAULT_NAN`].
+#[cold]
+fn sse_fma_nan(acc: u64, a: u64, b: u64) -> u64 {
+    [a, b, acc]
+        .into_iter()
+        .find(|&x| f64::from_bits(x).is_nan())
+        .map_or(SSE_DEFAULT_NAN, |x| x | SSE_QUIET)
 }
 
 #[cold]
@@ -1464,6 +1485,37 @@ mod tests {
             [NEG_INF, 0x4000_0000_0000_0000],
         );
         assert_eq!(mul, [0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_00AB]);
+        // The fused multiply-add `acc + a × b`: of NaN operands, the first
+        // of `a`, `b`, `acc`, quieted, even beside an invalid product; with
+        // none, an invalid operation gives the default NaN.  The upper lane
+        // is the accumulator's.
+        let (nan1, nan2, nan3) = (
+            0x7FF8_0000_0000_0001,
+            0xFFF8_0000_0000_0002,
+            0x7FF8_0000_0000_0003,
+        );
+        let snan4 = 0x7FF0_0000_0000_0004;
+        let fma_cases = [
+            (nan1, nan2, nan3, nan2),
+            (ONE, snan4, nan3, 0x7FF8_0000_0000_0004),
+            (nan1, 0, INF, nan1),
+            (ONE, 0, INF, 0xFFF8_0000_0000_0000),
+            (NEG_INF, INF, ONE, 0xFFF8_0000_0000_0000),
+        ];
+        for (acc, a, b, want) in fma_cases {
+            m.set_xmm(Xmm(0), [acc, 7]);
+            m.set_xmm(Xmm(1), [a, 0]);
+            m.set_xmm(Xmm(2), [b, 0]);
+            let fma = MachInsn::FpFma {
+                dst: Xmm(0),
+                a: Xmm(1),
+                b: Xmm(2),
+            };
+            let code = [fma, MachInsn::Ret];
+            assert_eq!(m.run_block(&code, &mut NullRuntime), ExitReason::BlockEnd);
+            let r = m.xmm_reg(Xmm(0)).unwrap();
+            assert_eq!(r, [want, 7], "fma {acc:#x} + {a:#x} × {b:#x}");
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
